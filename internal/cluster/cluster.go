@@ -125,6 +125,7 @@ type allocObserver struct {
 	id     uint64
 	change func(vm VMID, from, to HostID)
 	reset  func()
+	respec func(vm VMID, host HostID)
 }
 
 // New creates a cluster over the given hosts with no VMs placed.
@@ -165,9 +166,25 @@ func UniformHosts(n, slots, ramMB int, nicMbps float64) []Host {
 // engine) must invoke it or the old observer keeps firing. It is
 // idempotent but must not be called from inside a callback.
 func (c *Cluster) Observe(change func(vm VMID, from, to HostID), reset func()) (unobserve func()) {
+	return c.addObserver(allocObserver{change: change, reset: reset})
+}
+
+// ObserveRespec registers a capacity-only callback, run after every
+// successful Respec with the VM and its host (NoHost when unplaced).
+// A re-spec changes the VM's own demand and its host's free RAM/CPU but
+// no placement, so it is kept apart from Observe: placement-tracking
+// observers (cost accounting, partitions, summaries) have nothing to
+// fold, while consumers caching capacity verdicts must hear of it.
+// Unregistration follows Observe's rules.
+func (c *Cluster) ObserveRespec(fn func(vm VMID, host HostID)) (unobserve func()) {
+	return c.addObserver(allocObserver{respec: fn})
+}
+
+func (c *Cluster) addObserver(o allocObserver) (unobserve func()) {
 	c.obsSeq++
 	id := c.obsSeq
-	c.observers = append(c.observers, allocObserver{id: id, change: change, reset: reset})
+	o.id = id
+	c.observers = append(c.observers, o)
 	return func() {
 		for i := range c.observers {
 			if c.observers[i].id == id {
@@ -185,6 +202,14 @@ func (c *Cluster) notifyChange(vm VMID, from, to HostID) {
 	for i := range c.observers {
 		if fn := c.observers[i].change; fn != nil {
 			fn(vm, from, to)
+		}
+	}
+}
+
+func (c *Cluster) notifyRespec(vm VMID, host HostID) {
+	for i := range c.observers {
+		if fn := c.observers[i].respec; fn != nil {
+			fn(vm, host)
 		}
 	}
 }
@@ -384,6 +409,18 @@ func (c *Cluster) HostOf(vm VMID) HostID {
 		return NoHost
 	}
 	return h
+}
+
+// DenseSpan reports the ID window of the dense record table: IDs
+// base … base+n-1 are the only ones that can be registered. ok is false
+// when IDs were issued too sparsely for the table to exist (or no VM was
+// ever registered). Consumers keeping their own per-VM tables size them
+// from it.
+func (c *Cluster) DenseSpan() (base VMID, n int, ok bool) {
+	if c.recsOff || c.recs == nil {
+		return 0, 0, false
+	}
+	return c.recBase, len(c.recs), true
 }
 
 // DenseAllocSnapshot copies the dense VMID→HostID view: base is the
@@ -594,8 +631,9 @@ func (c *Cluster) Remove(vm VMID) error {
 // Respec changes vm's declared resource demand in place — the "re-spec"
 // lifecycle operation (resize without re-placement). The new demand must
 // fit the VM's current host (its own old demand excluded); an unplaced
-// VM re-specs unconditionally. Placement is untouched, so no observer
-// fires: observers track allocation, which does not change.
+// VM re-specs unconditionally. Placement is untouched, so the
+// allocation observers (Observe) do not fire; capacity observers
+// (ObserveRespec) do.
 func (c *Cluster) Respec(vm VMID, ramMB, cpuMilli int) error {
 	oldRAM, oldCPU, ok := c.demand(vm)
 	if !ok {
@@ -623,6 +661,7 @@ func (c *Cluster) Respec(vm VMID, ramMB, cpuMilli int) error {
 	} else {
 		c.vms[vm] = VM{ID: vm, RAMMB: ramMB, CPUMilli: cpuMilli}
 	}
+	c.notifyRespec(vm, c.HostOf(vm))
 	return nil
 }
 

@@ -157,3 +157,70 @@ func TestRespecCPUCapacity(t *testing.T) {
 		t.Fatalf("FreeCPUMilli = %d, want 0", got)
 	}
 }
+
+// TestRespecNotifiesCapacityObserversOnly: a successful re-spec reaches
+// ObserveRespec with the VM and its host; a failed one reaches nobody;
+// placement observers never hear of either.
+func TestRespecNotifiesCapacityObserversOnly(t *testing.T) {
+	c := lifecycleCluster(t)
+	placement := 0
+	c.Observe(func(VMID, HostID, HostID) { placement++ }, func() { placement++ })
+	type ev struct {
+		vm   VMID
+		host HostID
+	}
+	var got []ev
+	unobserve := c.ObserveRespec(func(vm VMID, host HostID) { got = append(got, ev{vm, host}) })
+
+	if err := c.Respec(2, 512, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Respec(2, 1<<20, 0); !errors.Is(err, ErrNoCapacity) {
+		t.Fatalf("oversized Respec err = %v, want ErrNoCapacity", err)
+	}
+	if err := c.AddVM(VM{ID: 3, RAMMB: 64}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Respec(3, 128, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := []ev{{2, 1}, {3, NoHost}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("respec observer saw %v, want %v", got, want)
+	}
+	if placement != 0 {
+		t.Fatalf("placement observers fired %d times on re-specs", placement)
+	}
+	unobserve()
+	if err := c.Respec(2, 256, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatal("unregistered respec observer still fires")
+	}
+}
+
+func TestDenseSpan(t *testing.T) {
+	c, err := New(UniformHosts(1, 4, 4096, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.DenseSpan(); ok {
+		t.Fatal("empty cluster reports a dense span")
+	}
+	for id := VMID(10); id < 14; id++ {
+		if err := c.AddVM(VM{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base, n, ok := c.DenseSpan()
+	if !ok || base > 10 || int64(base)+int64(n) < 14 {
+		t.Fatalf("DenseSpan = (%d, %d, %v), want a window covering 10..13", base, n, ok)
+	}
+	if err := c.AddVM(VM{ID: 1 << 30}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := c.DenseSpan(); ok {
+		t.Fatal("sparse fallback still reports a dense span")
+	}
+}

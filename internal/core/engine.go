@@ -104,6 +104,13 @@ type Engine struct {
 	rank       []rankEntry
 	probed     []uint32 // probed[h] == probeEpoch ⇒ already probed this decision
 	probeEpoch uint32
+	// refusals lists the hosts that refused the last evaluation while
+	// offering ΔC > c_m and more than the running best — what Visit
+	// records as the blocking hosts of a no-move verdict.
+	refusals []cluster.HostID
+
+	// memo is the quiet-VM memo behind Visit (see visitMemo).
+	memo visitMemo
 
 	// Incremental accounting (see TotalCost / HostNetLoad).
 	acctValid bool
@@ -149,7 +156,9 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 		}
 	}
 	e.hostNet = make([]float64, cl.NumHosts())
-	e.detach = cl.Observe(e.onAllocChange, e.invalidateAccounting)
+	unobserve := cl.Observe(e.onAllocChange, e.onAllocReset)
+	unobserveRespec := cl.ObserveRespec(e.onRespec)
+	e.detach = func() { unobserve(); unobserveRespec() }
 	return e, nil
 }
 
@@ -157,13 +166,15 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 // replacing an engine that shares a cluster with its successor, so the
 // discarded engine stops receiving (and paying for) allocation
 // callbacks. A detached engine remains usable: it recomputes totals on
-// every read instead of tracking them incrementally.
+// every read instead of tracking them incrementally, and Visit evaluates
+// every holder in full.
 func (e *Engine) Detach() {
 	if e.detach != nil {
 		e.detach()
 		e.detach = nil
 	}
 	e.acctValid = false
+	e.memo.off()
 }
 
 // SetTraffic replaces the traffic matrix, e.g. when a new measurement
@@ -173,6 +184,8 @@ func (e *Engine) SetTraffic(tm *traffic.Matrix) {
 	if tm != nil {
 		e.tm = tm
 		e.invalidateAccounting()
+		e.memo.drop()
+		e.memo.tmGen = tm.Generation()
 	}
 }
 
@@ -269,6 +282,12 @@ func (e *Engine) VMCost(u cluster.VMID) float64 {
 // they are rebuilt from scratch on the next read.
 func (e *Engine) invalidateAccounting() { e.acctValid = false }
 
+// onAllocReset is the cluster's bulk-rewrite notification (Restore).
+func (e *Engine) onAllocReset() {
+	e.invalidateAccounting()
+	e.memo.drop()
+}
+
 // foldTrafficChanges advances the accounting from its traffic-matrix
 // snapshot to the matrix's current generation by replaying the matrix's
 // edge-level changelog — the window-rollover fast path that replaces the
@@ -317,6 +336,7 @@ func (e *Engine) foldTrafficChanges(movedVM cluster.VMID, movedFrom cluster.Host
 // every affected pair level and host boundary crossing is O(1) given
 // the moved VM's adjacency row.
 func (e *Engine) onAllocChange(vm cluster.VMID, from, to cluster.HostID) {
+	e.memoMove(vm, from, to)
 	if !e.acctValid {
 		return
 	}
@@ -354,8 +374,11 @@ func (e *Engine) onAllocChange(vm cluster.VMID, from, to cluster.HostID) {
 // scratch — the O(|pairs|) slow path taken once per traffic window. It
 // streams the matrix via ForEachPair (same canonical order, so the same
 // float sums) instead of forcing the pair-list cache to materialize —
-// at 100k VMs that cache is tens of MB the rebuild does not need.
+// at 100k VMs that cache is tens of MB the rebuild does not need. The
+// recomputed NIC sums can differ from the folded ones in the last ulp,
+// so every memoized verdict goes with them.
 func (e *Engine) rebuildAccounting() {
+	e.memo.drop()
 	for i := range e.hostNet {
 		e.hostNet[i] = 0
 	}
@@ -540,20 +563,25 @@ func sortRank(rank []rankEntry) {
 }
 
 // considerTarget probes one candidate host: skip duplicates and the
-// current host, count the probe, and fold an admissible target into the
-// running best.
+// current host, count the probe, and fold the target into the running
+// best. ΔC comes first and the admission probe is asked only of a host
+// that could become the answer — one offering more than c_m and more
+// than the running best (exact; see visitMemo).
 func (e *Engine) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *Decision, probes *int) {
 	if h == cur || h < 0 || int(h) >= len(e.probed) || e.probed[h] == e.probeEpoch {
 		return
 	}
 	e.probed[h] = e.probeEpoch
 	*probes++
-	if !e.Admissible(u, h) {
+	d := e.Delta(u, h)
+	if d <= e.cfg.MigrationCost || (best.Target != cluster.NoHost && d <= best.Delta) {
 		return
 	}
-	if d := e.Delta(u, h); best.Target == cluster.NoHost || d > best.Delta {
-		best.Target, best.Delta = h, d
+	if !e.Admissible(u, h) {
+		e.refusals = append(e.refusals, h)
+		return
 	}
+	best.Target, best.Delta = h, d
 }
 
 // BestMigration evaluates the S-CORE migration policy for token-holder u
@@ -561,7 +589,12 @@ func (e *Engine) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *Dec
 // satisfies Theorem 1 (ΔC > c_m). The candidate set is the servers of
 // u's neighbors in rank order, falling back to other servers in the same
 // rack when a neighbor's own server refuses the capacity probe.
+//
+// BestMigration is the pure kernel: it always evaluates in full and
+// records nothing beyond the engine's scratch (the refusing hosts stay
+// in e.refusals for Visit). Round drivers call Visit.
 func (e *Engine) BestMigration(u cluster.VMID) (Decision, bool) {
+	e.refusals = e.refusals[:0]
 	cur := e.cl.HostOf(u)
 	if cur == cluster.NoHost {
 		return Decision{}, false

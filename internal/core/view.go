@@ -48,6 +48,14 @@ type AllocView struct {
 	rank       []rankEntry
 	probed     []uint32
 	probeEpoch uint32
+	refusals   []cluster.HostID
+
+	// Visit state (see visitMemo): stamp is the engine's memo clock
+	// frozen when the view was primed; touched[r] == touchEpoch marks
+	// rack r as rewritten by one of this view's staged commits.
+	stamp      uint32
+	touched    []uint32
+	touchEpoch uint32
 }
 
 // NewView creates a decision view over the engine's current state. It
@@ -69,6 +77,7 @@ func (e *Engine) NewView() *AllocView {
 	if v.denseBase, v.dense, ok = e.cl.DenseAllocSnapshot(); !ok {
 		v.moved = make(map[cluster.VMID]cluster.HostID)
 	}
+	v.primeMemo()
 	return v
 }
 
@@ -104,6 +113,7 @@ func (e *Engine) ResetView(v *AllocView) *AllocView {
 	// never equal a yet-unused epoch, so the scratch carries over as-is.
 	v.commits = v.commits[:0]
 	v.rank = v.rank[:0]
+	v.primeMemo()
 	var ok bool
 	if v.denseBase, v.dense, ok = e.cl.DenseAllocSnapshotInto(v.dense); ok {
 		v.moved = nil
@@ -288,19 +298,25 @@ func (v *AllocView) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *
 	}
 	v.probed[h] = v.probeEpoch
 	*probes++
-	if !v.Admissible(u, h) {
+	d := v.Delta(u, h)
+	if d <= v.eng.cfg.MigrationCost || (best.Target != cluster.NoHost && d <= best.Delta) {
 		return
 	}
-	if d := v.Delta(u, h); best.Target == cluster.NoHost || d > best.Delta {
-		best.Target, best.Delta = h, d
+	if !v.Admissible(u, h) {
+		v.refusals = append(v.refusals, h)
+		return
 	}
+	best.Target, best.Delta = h, d
 }
 
 // BestMigration evaluates the S-CORE migration policy for token-holder u
 // under the view's allocation, mirroring Engine.BestMigration: probe the
 // servers of u's neighbors in rank order with same-rack fallback, and
-// return the admissible move with the largest ΔC if it clears c_m.
+// return the admissible move with the largest ΔC if it clears c_m. Like
+// the engine's, it is the pure kernel and writes nothing but the view's
+// own scratch; ring passes call Visit.
 func (v *AllocView) BestMigration(u cluster.VMID) (Decision, bool) {
+	v.refusals = v.refusals[:0]
 	e := v.eng
 	cur := v.HostOf(u)
 	if cur == cluster.NoHost {
@@ -371,10 +387,15 @@ func (v *AllocView) Commit(d Decision) (float64, error) {
 	v.ramD[d.Target] += int32(vm.RAMMB)
 	v.cpuD[cur] -= int32(vm.CPUMilli)
 	v.cpuD[d.Target] += int32(vm.CPUMilli)
-	// NIC-load deltas mirror Engine.onAllocChange, evaluated before the
-	// overlay records the move so peers' positions are read consistently.
+	// Every host whose room or NIC load this commit rewrites is touched
+	// for Visit (see stillQuiet). NIC-load deltas mirror
+	// Engine.onAllocChange, evaluated before the overlay records the
+	// move so peers' positions are read consistently.
+	v.touch(cur)
+	v.touch(d.Target)
 	for _, ed := range e.tm.NeighborEdges(d.VM) {
 		hz := v.HostOf(ed.Peer)
+		v.touch(hz)
 		if hz != cur {
 			v.netD[cur] -= ed.Rate
 		}

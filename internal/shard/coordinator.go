@@ -64,8 +64,11 @@ type ShardRound struct {
 	Shard int
 	// VMs is the ring's population this round.
 	VMs int
-	// Hops is the number of token hops the ring performed.
-	Hops int
+	// Hops is the number of token hops the ring performed; Skipped is
+	// the subset whose holder was not re-evaluated because nothing its
+	// last no-move verdict depends on had changed (core.AllocView.Visit).
+	Hops    int
+	Skipped int
 	// Committed intra-shard migrations staged by the ring; Merged is
 	// the subset that survived merge-time re-validation and was
 	// applied (Committed - Merged were stale-rejected).
@@ -311,9 +314,11 @@ func (c *Coordinator) RunRound() (*Round, error) {
 	env := EngineEnv(c.eng)
 	var proposals []core.Decision
 	var propMeta []AuditMeta
+	skipped := 0
 	for s := 0; s < n; s++ {
 		o := outcomes[s]
 		round.TotalHops += o.stats.Hops
+		skipped += o.stats.Skipped
 		if o.stats.Hops > round.RingHops {
 			round.RingHops = o.stats.Hops
 		}
@@ -390,6 +395,8 @@ func (c *Coordinator) RunRound() (*Round, error) {
 		m.RoundLatency.Observe(time.Since(start).Seconds())
 		m.Shards.Set(float64(n))
 		m.Hops.Add(uint64(round.TotalHops))
+		m.Skipped.Add(uint64(skipped))
+		m.Evaluated.Add(uint64(round.TotalHops - skipped))
 		m.Migrations.Add(uint64(len(round.Applied)))
 		m.RealizedDelta.Add(round.RealizedDelta)
 		m.CrossProposals.Add(uint64(nProposed))
@@ -454,7 +461,11 @@ func (c *Coordinator) ringPass(s int, part *Partition, view *core.AllocView, pol
 	holder := vms[0]
 	for hop := 0; hop < len(vms); hop++ {
 		o.stats.Hops++
-		if dec, ok := view.BestMigration(holder); ok {
+		dec, ok, skipped := view.Visit(holder)
+		if skipped {
+			o.stats.Skipped++
+		}
+		if ok {
 			if part.ShardOfHost(dec.Target) == s {
 				// Hop alignment uses the view's commit list, not the
 				// error: a self-move "succeeds" without staging anything.

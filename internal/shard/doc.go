@@ -48,6 +48,14 @@
 // and any worker-pool size. With a single shard the coordinator
 // degenerates to the paper's serial token pass.
 //
+// A ring's token visit is core.AllocView.Visit: the BestMigration
+// kernel, skipped for a holder whose last full evaluation found no move
+// and whose dependencies have not changed since (core's visit memo; the
+// decision is always the kernel's). ShardRound.Skipped and
+// score_token_visits_total{outcome} count the two outcomes. A staged
+// commit that MergeStaged drops is reported to the engine
+// (RejectObserver) so verdicts computed against it are voided.
+//
 // The partition is maintained incrementally: the coordinator folds the
 // cluster's allocation-change observations (Partition.Insert / Remove /
 // Move) into the live shard rings, so a round costs only its rings and

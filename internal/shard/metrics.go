@@ -19,6 +19,11 @@ type Metrics struct {
 	RingPass *obs.Histogram
 	// Hops counts token hops across all rings.
 	Hops *obs.Counter
+	// Skipped / Evaluated split the hops by token-visit outcome
+	// (score_token_visits_total{outcome=…}): skipped by the quiet-VM
+	// memo, or evaluated in full. Added once per round.
+	Skipped   *obs.Counter
+	Evaluated *obs.Counter
 	// Migrations counts applied migrations; RealizedDelta accumulates
 	// their summed ΔC (Eq. 5 cost reduction).
 	Migrations    *obs.Counter
@@ -41,11 +46,14 @@ type Metrics struct {
 // NewMetrics registers (or re-binds, get-or-create) the scheduler families
 // on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
+	visits := reg.CounterVec("score_token_visits_total", "Token visits by outcome: skipped (no-move verdict still valid) or evaluated in full.", "outcome")
 	return &Metrics{
 		Rounds:         reg.Counter("score_rounds_total", "Scheduling rounds completed."),
 		RoundLatency:   reg.Histogram("score_round_latency_seconds", "Wall-clock latency of one scheduling round.", obs.DefLatencyBuckets),
 		RingPass:       reg.Histogram("score_ring_pass_seconds", "Per-shard token-ring pass latency.", obs.DefLatencyBuckets),
 		Hops:           reg.Counter("score_token_hops_total", "Token hops across all rings."),
+		Skipped:        visits.With("skipped"),
+		Evaluated:      visits.With("evaluated"),
 		Migrations:     reg.Counter("score_migrations_total", "Applied VM migrations."),
 		RealizedDelta:  reg.Gauge("score_realized_delta", "Cumulative realized communication-cost reduction (summed ΔC)."),
 		CrossProposals: reg.Counter("score_cross_proposals_total", "Cross-shard migration proposals queued by rings."),

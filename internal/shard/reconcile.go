@@ -50,6 +50,26 @@ func (e engineEnv) Apply(d core.Decision) (float64, error) {
 	return e.eng.Apply(d)
 }
 
+// Rejected forwards a stale-rejected staged commit to the engine, whose
+// visit memo invalidates it as the reverse move.
+func (e engineEnv) Rejected(d core.Decision) { e.eng.Rejected(d) }
+
+// RejectObserver is optionally implemented by an Env that must learn
+// which staged commits MergeStaged dropped (re-validation failed, or
+// Apply did) — the count it returns says how many, not which. EngineEnv
+// implements it: verdicts a view memoized after staging such a commit
+// were computed against a move that never happened.
+type RejectObserver interface {
+	Rejected(d core.Decision)
+}
+
+// rejectStaged reports one dropped staged commit to env, when it cares.
+func rejectStaged(env Env, d core.Decision) {
+	if ro, ok := env.(RejectObserver); ok {
+		ro.Rejected(d)
+	}
+}
+
 // AuditMeta is per-decision provenance riding alongside a pass's input
 // decisions: the ring that staged the move, the token attempt it was
 // staged under, and the 0-based token-visit hop at staging time (-1
@@ -376,12 +396,14 @@ func MergeStaged(env Env, cm float64, commits []core.Decision, au *AuditPass) (a
 		rd := env.Delta(d.VM, d.Target)
 		if rd <= cm || !env.Admissible(d.VM, d.Target) {
 			stale++
+			rejectStaged(env, d)
 			au.record(i, d.VM, d.From, d.Target, d.Delta, rd, obs.VerdictStale)
 			continue
 		}
 		realized, err := env.Apply(d)
 		if err != nil {
 			stale++
+			rejectStaged(env, d)
 			au.record(i, d.VM, d.From, d.Target, d.Delta, rd, obs.VerdictStale)
 			continue
 		}
@@ -408,6 +430,7 @@ func mergeStagedBatched(env BatchEnv, cm float64, commits []core.Decision, au *A
 			rd := env.Delta(d.VM, d.Target)
 			if rd <= cm || !env.Admissible(d.VM, d.Target) {
 				stale++
+				rejectStaged(env, d)
 				au.record(i+k, d.VM, d.From, d.Target, d.Delta, rd, obs.VerdictStale)
 				continue
 			}
@@ -423,6 +446,7 @@ func mergeStagedBatched(env BatchEnv, cm float64, commits []core.Decision, au *A
 		for j, d := range exec {
 			if errs[j] != nil {
 				stale++
+				rejectStaged(env, d)
 				au.record(execIx[j], d.VM, d.From, d.Target, d.Delta, execRd[j], obs.VerdictStale)
 				continue
 			}

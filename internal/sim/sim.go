@@ -362,7 +362,7 @@ func (r *Runner) hop(holder cluster.VMID) {
 	}
 
 	if !r.migrating[holder] {
-		if dec, ok := r.eng.BestMigration(holder); ok {
+		if dec, ok, _ := r.eng.Visit(holder); ok {
 			r.startMigration(dec)
 		}
 	}
