@@ -7,6 +7,10 @@
 // paper's evaluation) and has finite RAM and NIC capacity, which the
 // migration target-selection protocol (Section V-B5) probes before a
 // migration is admitted.
+//
+// The Cluster owns the placement table — one HostID per VM ID — and is
+// its only writer. Readers that cannot afford a call per lookup borrow
+// it through DenseAlloc: a read-only alias, valid until the next AddVM.
 package cluster
 
 import (
@@ -69,15 +73,13 @@ var (
 	ErrNotPlaced    = errors.New("cluster: VM not placed")
 )
 
-// vmRec is one registered VM's entire hot state — current host and
-// resource demand — in 16 bytes. With densely issued IDs the cluster
-// keeps one flat []vmRec indexed by ID offset, so the per-VM state of a
-// 100k-VM instance is a single 1.6 MB array instead of two maps of
-// boxed entries, and HostOf/demand reads are a bounds check plus one
-// cache line. host is only meaningful when reg is true (the zero record
-// is unregistered, not "placed on host 0").
+// vmRec is one registered VM's resource demand, 12 bytes; its placement
+// lives beside it in Cluster.alloc, 4 more. With densely issued IDs the
+// cluster keeps the two flat tables indexed by ID offset, so the per-VM
+// state of a 100k-VM instance is 1.6 MB of arrays instead of two maps of
+// boxed entries, and HostOf/Demand reads are a bounds check plus one
+// cache line. The zero record is unregistered.
 type vmRec struct {
-	host     HostID
 	ramMB    int32
 	cpuMilli int32
 	reg      bool
@@ -93,13 +95,17 @@ type vmRec struct {
 type Cluster struct {
 	hosts []Host // dense, indexed by HostID
 
-	// Dense VM records: recs[id-recBase] holds the VM registered as id.
-	// This is the primary layout for the contiguous ID ranges a
-	// PlacementManager issues. When registered IDs turn out too
-	// scattered to index densely (recsOff) the records migrate to the
-	// map fallback below and the slice is dropped.
+	// Dense VM tables: recs[id-recBase] holds the demand of the VM
+	// registered as id and alloc[id-recBase] its host — the placement
+	// table, owned and written by the cluster alone, NoHost for an
+	// unplaced or unregistered ID, always len(recs) long. This is the
+	// primary layout for the contiguous ID ranges a PlacementManager
+	// issues. When registered IDs turn out too scattered to index densely
+	// (recsOff) the records migrate to the map fallback below and both
+	// slices are dropped.
 	recBase VMID
 	recs    []vmRec
+	alloc   []HostID
 	numVMs  int
 
 	recsOff bool
@@ -235,7 +241,7 @@ func (c *Cluster) ensureRec(vm VMID) int {
 	}
 	if c.recs == nil {
 		c.recBase = vm
-		c.recs = make([]vmRec, 1, 8)
+		c.recs, c.alloc = make([]vmRec, 1), []HostID{NoHost}
 		return 0
 	}
 	i := int64(vm) - int64(c.recBase)
@@ -264,9 +270,13 @@ func (c *Cluster) ensureRec(vm VMID) int {
 	if i < 0 && newBase > padded-required {
 		newBase -= padded - required // spare capacity below when growing down
 	}
-	nr := make([]vmRec, padded)
+	nr, na := make([]vmRec, padded), make([]HostID, padded)
+	for i := range na {
+		na[i] = NoHost
+	}
 	copy(nr[int64(c.recBase)-newBase:], c.recs)
-	c.recBase, c.recs = VMID(newBase), nr
+	copy(na[int64(c.recBase)-newBase:], c.alloc)
+	c.recBase, c.recs, c.alloc = VMID(newBase), nr, na
 	return int(int64(vm) - newBase)
 }
 
@@ -281,10 +291,10 @@ func (c *Cluster) fallbackSparse() {
 		}
 		id := c.recBase + VMID(i)
 		c.vms[id] = VM{ID: id, RAMMB: int(r.ramMB), CPUMilli: int(r.cpuMilli)}
-		c.vmHost[id] = r.host
+		c.vmHost[id] = c.alloc[i]
 	}
 	c.recsOff = true
-	c.recBase, c.recs = 0, nil
+	c.recBase, c.recs, c.alloc = 0, nil, nil
 }
 
 // registered reports whether id names a known VM.
@@ -297,8 +307,10 @@ func (c *Cluster) registered(id VMID) bool {
 	return ok
 }
 
-// demand returns vm's resource demand, ok == false when unregistered.
-func (c *Cluster) demand(vm VMID) (ramMB, cpuMilli int, ok bool) {
+// Demand returns vm's resource demand, ok == false when unregistered.
+// Unlike VM it builds no error, so capacity probes of unknown IDs stay
+// allocation-free.
+func (c *Cluster) Demand(vm VMID) (ramMB, cpuMilli int, ok bool) {
 	if !c.recsOff {
 		i := int64(vm) - int64(c.recBase)
 		if c.recs == nil || uint64(i) >= uint64(len(c.recs)) || !c.recs[i].reg {
@@ -313,7 +325,7 @@ func (c *Cluster) demand(vm VMID) (ramMB, cpuMilli int, ok bool) {
 // setHostOf records vm's placement. The VM must be registered.
 func (c *Cluster) setHostOf(vm VMID, h HostID) {
 	if !c.recsOff {
-		c.recs[int64(vm)-int64(c.recBase)].host = h
+		c.alloc[int64(vm)-int64(c.recBase)] = h
 		return
 	}
 	c.vmHost[vm] = h
@@ -382,7 +394,7 @@ func (c *Cluster) AddVM(vm VM) error {
 		return fmt.Errorf("cluster: VM %d resource demand overflows 32 bits", vm.ID)
 	}
 	if i := c.ensureRec(vm.ID); i >= 0 {
-		c.recs[i] = vmRec{host: NoHost, ramMB: int32(vm.RAMMB), cpuMilli: int32(vm.CPUMilli), reg: true}
+		c.recs[i] = vmRec{ramMB: int32(vm.RAMMB), cpuMilli: int32(vm.CPUMilli), reg: true}
 	} else {
 		c.vms[vm.ID] = vm
 		c.vmHost[vm.ID] = NoHost
@@ -394,21 +406,15 @@ func (c *Cluster) AddVM(vm VM) error {
 // HostOf returns the server hosting vm, i.e. σ̂A(u) in the paper's
 // notation, or NoHost if the VM is unplaced. With densely issued IDs
 // (the PlacementManager's sequential issuance) this is a bounds check
-// and a slice load — the decision engine's hottest lookup.
+// and a slice load.
 func (c *Cluster) HostOf(vm VMID) HostID {
-	if !c.recsOff {
-		if rs := c.recs; rs != nil {
-			if i := int64(vm) - int64(c.recBase); uint64(i) < uint64(len(rs)) && rs[i].reg {
-				return rs[i].host
-			}
-		}
-		return NoHost
+	if i := int64(vm) - int64(c.recBase); uint64(i) < uint64(len(c.alloc)) {
+		return c.alloc[i]
 	}
-	h, ok := c.vmHost[vm]
-	if !ok {
-		return NoHost
+	if h, ok := c.vmHost[vm]; ok { // sparse fallback; nil map while dense
+		return h
 	}
-	return h
+	return NoHost
 }
 
 // DenseSpan reports the ID window of the dense record table: IDs
@@ -423,37 +429,32 @@ func (c *Cluster) DenseSpan() (base VMID, n int, ok bool) {
 	return c.recBase, len(c.recs), true
 }
 
-// DenseAllocSnapshot copies the dense VMID→HostID view: base is the
-// ID of alloc[0], and alloc[id-base] is the host of id (NoHost when
-// unplaced or unregistered). ok is false when IDs were issued too
-// sparsely for the dense record table to exist; callers then fall back
-// to HostOf. Decision views use the copy as an O(1) overlay base,
-// keeping their allocation reads as cheap as the cluster's own fast
-// path.
-func (c *Cluster) DenseAllocSnapshot() (base VMID, alloc []HostID, ok bool) {
-	return c.DenseAllocSnapshotInto(nil)
+// DenseAlloc returns the cluster's own placement table: base is the ID
+// of alloc[0], and alloc[id-base] is the host of id (NoHost when
+// unplaced or unregistered). alloc is nil when IDs were issued too
+// sparsely for the dense tables to exist; callers then fall back to
+// HostOf. The slice aliases live state: it is read-only for the caller,
+// follows every Place/Move/Remove/Restore, and is valid only until the
+// next AddVM, which may reallocate the table or abandon it for the
+// sparse layout — re-fetch it rather than holding it across one.
+func (c *Cluster) DenseAlloc() (base VMID, alloc []HostID) {
+	return c.recBase, c.alloc
 }
 
-// DenseAllocSnapshotInto is DenseAllocSnapshot writing into buf when its
-// capacity suffices, so round loops that re-snapshot every round reuse
-// one buffer instead of paying an O(|V|) allocation each time. The
-// returned alloc aliases buf (or a fresh slice when buf was too small);
-// ok-false leaves buf untouched.
+// DenseAllocSnapshotInto copies the placement table into buf when its
+// capacity suffices (a fresh slice otherwise), so round loops that
+// re-snapshot every round reuse one buffer. The copy is the caller's to
+// write — decision views stage moves in it. ok-false (no dense table)
+// leaves buf untouched.
 func (c *Cluster) DenseAllocSnapshotInto(buf []HostID) (base VMID, alloc []HostID, ok bool) {
-	if c.recsOff || c.recs == nil {
+	if c.alloc == nil {
 		return 0, nil, false
 	}
-	if cap(buf) < len(c.recs) {
-		buf = make([]HostID, len(c.recs))
+	if cap(buf) < len(c.alloc) {
+		buf = make([]HostID, len(c.alloc))
 	}
-	alloc = buf[:len(c.recs)]
-	for i := range c.recs {
-		if r := &c.recs[i]; r.reg {
-			alloc[i] = r.host
-		} else {
-			alloc[i] = NoHost
-		}
-	}
+	alloc = buf[:len(c.alloc)]
+	copy(alloc, c.alloc)
 	return c.recBase, alloc, true
 }
 
@@ -462,10 +463,10 @@ func (c *Cluster) DenseAllocSnapshotInto(buf []HostID) (base VMID, alloc []HostI
 // zero-copy walk for consumers (shard partitioning) that rebuild
 // placement-derived structures in bulk.
 func (c *Cluster) ForEachPlaced(fn func(VMID, HostID)) {
-	if !c.recsOff && c.recs != nil {
-		for i := range c.recs {
-			if r := &c.recs[i]; r.reg && r.host != NoHost {
-				fn(c.recBase+VMID(i), r.host)
+	if !c.recsOff {
+		for i, h := range c.alloc {
+			if h != NoHost {
+				fn(c.recBase+VMID(i), h)
 			}
 		}
 		return
@@ -531,7 +532,7 @@ func (c *Cluster) FreeCPUMilli(host HostID) int {
 // CPU capacity constraints. A VM always "fits" on the host it already
 // occupies.
 func (c *Cluster) Fits(vm VMID, host HostID) bool {
-	ram, cpu, ok := c.demand(vm)
+	ram, cpu, ok := c.Demand(vm)
 	if !ok || !c.validHost(host) {
 		return false
 	}
@@ -544,7 +545,7 @@ func (c *Cluster) Fits(vm VMID, host HostID) bool {
 
 // Place puts an unplaced VM on host, enforcing capacity.
 func (c *Cluster) Place(vm VMID, host HostID) error {
-	ram, cpu, ok := c.demand(vm)
+	ram, cpu, ok := c.Demand(vm)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownVM, vm)
 	}
@@ -569,7 +570,7 @@ func (c *Cluster) Place(vm VMID, host HostID) error {
 // to its current host is a no-op. This is the allocation change A → Au→x̂
 // of Section IV.
 func (c *Cluster) Move(vm VMID, host HostID) error {
-	ram, cpu, ok := c.demand(vm)
+	ram, cpu, ok := c.Demand(vm)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownVM, vm)
 	}
@@ -607,7 +608,7 @@ func (c *Cluster) Move(vm VMID, host HostID) error {
 // (traffic.Matrix.ClearVM) before calling Remove, while the VM is still
 // placed, so pending rate deltas fold at the correct rack.
 func (c *Cluster) Remove(vm VMID) error {
-	ram, cpu, ok := c.demand(vm)
+	ram, cpu, ok := c.Demand(vm)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownVM, vm)
 	}
@@ -635,7 +636,7 @@ func (c *Cluster) Remove(vm VMID) error {
 // allocation observers (Observe) do not fire; capacity observers
 // (ObserveRespec) do.
 func (c *Cluster) Respec(vm VMID, ramMB, cpuMilli int) error {
-	oldRAM, oldCPU, ok := c.demand(vm)
+	oldRAM, oldCPU, ok := c.Demand(vm)
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownVM, vm)
 	}
@@ -683,8 +684,8 @@ func (c *Cluster) Snapshot() map[VMID]HostID {
 	m := make(map[VMID]HostID, c.numVMs)
 	if !c.recsOff {
 		for i := range c.recs {
-			if r := &c.recs[i]; r.reg {
-				m[c.recBase+VMID(i)] = r.host
+			if c.recs[i].reg {
+				m[c.recBase+VMID(i)] = c.alloc[i]
 			}
 		}
 		return m
@@ -738,7 +739,7 @@ func (c *Cluster) Restore(alloc map[VMID]HostID) error {
 		c.cpuUsed[i] = 0
 	}
 	for vm, h := range alloc {
-		ramMB, cpuMilli, ok := c.demand(vm)
+		ramMB, cpuMilli, ok := c.Demand(vm)
 		if !ok {
 			continue // ignore foreign entries
 		}
@@ -763,7 +764,7 @@ func (c *Cluster) forEachVM(f func(vm VMID, ramMB, cpuMilli int, host HostID) bo
 			if !r.reg {
 				continue
 			}
-			if !f(c.recBase+VMID(i), int(r.ramMB), int(r.cpuMilli), r.host) {
+			if !f(c.recBase+VMID(i), int(r.ramMB), int(r.cpuMilli), c.alloc[i]) {
 				return
 			}
 		}
@@ -785,6 +786,7 @@ func (c *Cluster) Clone() *Cluster {
 		hosts:   append([]Host(nil), c.hosts...),
 		recBase: c.recBase,
 		recs:    append([]vmRec(nil), c.recs...),
+		alloc:   append([]HostID(nil), c.alloc...),
 		numVMs:  c.numVMs,
 		recsOff: c.recsOff,
 		hostVMs: make([][]VMID, len(c.hostVMs)),

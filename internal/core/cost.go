@@ -9,6 +9,12 @@
 // u to server x̂ changes the cost by ΔC (Eq. 5), computable from
 // information local to u; Theorem 1 admits the migration iff ΔC exceeds
 // the migration cost c_m.
+//
+// The decision rule has one implementation, AllocView. The cluster owns
+// the placement table it reads: the Engine's live view borrows it
+// read-only (cluster.DenseAlloc, re-fetched on every engine call because
+// the next AddVM may reallocate it); shard rings decide through frozen
+// views that copy it and stage moves in the copy.
 package core
 
 import (

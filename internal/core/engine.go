@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/topology"
@@ -48,32 +47,26 @@ type Decision struct {
 	Delta float64
 }
 
-// rankEntry is one neighbor in probe order: its current host and level
-// are resolved once so the rank sort and the candidate loop do no
-// repeated lookups.
-type rankEntry struct {
-	peer  cluster.VMID
-	host  cluster.HostID
-	level int
-	rate  float64
-}
-
 // Engine evaluates S-CORE migration decisions against the current
 // cluster allocation. It reads the cluster and traffic matrix but never
 // mutates them; executing a decision is the caller's (simulator's or
 // hypervisor's) responsibility, matching the paper's split between the
 // decision process and the Xen migration machinery.
 //
-// The decision hot path (Delta, Admissible, BestMigration) is
-// allocation-free: neighbor edges are iterated straight off the traffic
-// matrix's CSR rows, and the rank buffer and probed-host set are scratch
-// state reused across calls. The engine additionally keeps incremental
-// accounting — a running C^A and per-host external traffic loads —
-// registered as a cluster allocation observer, so TotalCost and
-// HostNetLoad are O(1) between traffic windows instead of O(|pairs|)
-// per call. In-place traffic mutations are folded edge by edge from the
-// matrix's changelog (ChangesSince); only swapping matrices (SetTraffic)
-// or outrunning the changelog window forces a full rebuild.
+// The decision rule itself is implemented once, on AllocView; the
+// engine's decision methods are calls on its live view, so a decision
+// against the live state and one against a shard's staged state run the
+// same code. That path is allocation-free: neighbor edges are iterated
+// straight off the traffic matrix's CSR rows, and the rank buffer and
+// probed-host set are scratch state reused across calls.
+//
+// The engine itself keeps incremental accounting — a running C^A and
+// per-host external traffic loads — registered as a cluster allocation
+// observer, so TotalCost and HostNetLoad are O(1) between traffic
+// windows instead of O(|pairs|) per call. In-place traffic mutations
+// are folded edge by edge from the matrix's changelog (ChangesSince);
+// only swapping matrices (SetTraffic) or outrunning the changelog window
+// forces a full rebuild.
 //
 // Engine is not safe for concurrent use: scratch buffers and the
 // accounting caches are mutated by reads.
@@ -97,17 +90,9 @@ type Engine struct {
 	rackOf []int32
 	podOf  []int32
 
-	// Scratch reused across decisions. The probed-host set is a 32-bit
-	// epoch array — half the footprint of the former uint64 epochs on
-	// what is the engine's largest per-host scratch — with an explicit
-	// wrap reset when the epoch counter overflows.
-	rank       []rankEntry
-	probed     []uint32 // probed[h] == probeEpoch ⇒ already probed this decision
-	probeEpoch uint32
-	// refusals lists the hosts that refused the last evaluation while
-	// offering ΔC > c_m and more than the running best — what Visit
-	// records as the blocking hosts of a no-move verdict.
-	refusals []cluster.HostID
+	// live is the view the engine's own decision methods run through; use
+	// liveView, which points it at the cluster's current placement table.
+	live AllocView
 
 	// memo is the quiet-VM memo behind Visit (see visitMemo).
 	memo visitMemo
@@ -142,12 +127,9 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 	for r := range e.rackHosts {
 		e.rackHosts[r] = topo.HostsInRack(r)
 	}
-	probeSpan := topo.Hosts()
-	if n := cl.NumHosts(); n > probeSpan {
-		probeSpan = n
-	}
-	e.probed = make([]uint32, probeSpan)
-	if e.depth == 3 {
+	e.live = AllocView{eng: e, live: true}
+	e.live.sizeScratch()
+	if probeSpan := len(e.live.probed); e.depth == 3 {
 		e.rackOf = make([]int32, probeSpan)
 		e.podOf = make([]int32, probeSpan)
 		for h := 0; h < probeSpan; h++ {
@@ -247,26 +229,24 @@ func (e *Engine) levelOrDepth(a, b cluster.HostID) int {
 	return e.level(a, b)
 }
 
-// PairLevel returns ℓ^A(u, v) under the current allocation.
-func (e *Engine) PairLevel(u, v cluster.VMID) int {
-	return e.levelOrDepth(e.cl.HostOf(u), e.cl.HostOf(v))
+// liveView returns the engine's own view with its placement slice
+// pointed at the cluster's table as it stands now. The alias goes stale
+// when AddVM regrows the table, so every engine method fetches it on
+// entry and none holds it across a call that could register a VM.
+func (e *Engine) liveView() *AllocView {
+	v := &e.live
+	v.denseBase, v.dense = e.cl.DenseAlloc()
+	return v
 }
 
-// VMLevel returns ℓ^A(u) = max_{v∈Vu} ℓ^A(u, v), the highest
-// communication level of VM u (Section II); 0 for VMs with no traffic.
-func (e *Engine) VMLevel(u cluster.VMID) int {
-	max := 0
-	hu := e.cl.HostOf(u)
-	for _, ed := range e.tm.NeighborEdges(u) {
-		if l := e.levelOrDepth(hu, e.cl.HostOf(ed.Peer)); l > max {
-			max = l
-			if max == e.depth {
-				break
-			}
-		}
-	}
-	return max
-}
+// HostOf returns the server hosting vm under the current allocation.
+func (e *Engine) HostOf(vm cluster.VMID) cluster.HostID { return e.cl.HostOf(vm) }
+
+// PairLevel returns ℓ^A(u, v) under the current allocation.
+func (e *Engine) PairLevel(u, v cluster.VMID) int { return e.liveView().PairLevel(u, v) }
+
+// VMLevel returns ℓ^A(u) under the current allocation (AllocView.VMLevel).
+func (e *Engine) VMLevel(u cluster.VMID) int { return e.liveView().VMLevel(u) }
 
 // VMCost returns C^A(u) (Eq. 1): twice the sum over Vu of λ·Σc_i.
 func (e *Engine) VMCost(u cluster.VMID) float64 {
@@ -351,21 +331,28 @@ func (e *Engine) onAllocChange(vm cluster.VMID, from, to cluster.HostID) {
 		if oldL != newL {
 			e.total += e.cost.PairCost(ed.Rate, newL) - e.cost.PairCost(ed.Rate, oldL)
 		}
-		// External-traffic accounting: the pair (vm, peer) loads a NIC
-		// exactly when its endpoints sit on different hosts.
-		if from != cluster.NoHost && hz != from {
-			e.hostNet[from] -= ed.Rate
+		foldNICLoad(e.hostNet, from, to, hz, ed.Rate)
+	}
+}
+
+// foldNICLoad folds into the per-host external loads one edge of a VM
+// moving from → to (either may be NoHost) whose peer sits on hz: the
+// pair loads a NIC exactly when its endpoints sit on different hosts.
+// The engine's accounting and a view's staged deltas share it, so a
+// staged move and its merge rewrite the same hosts in the same order.
+func foldNICLoad(load []float64, from, to, hz cluster.HostID, rate float64) {
+	if from != cluster.NoHost && hz != from {
+		load[from] -= rate
+	}
+	if to != cluster.NoHost && hz != to {
+		load[to] += rate
+	}
+	if hz != cluster.NoHost {
+		if from != hz {
+			load[hz] -= rate
 		}
-		if to != cluster.NoHost && hz != to {
-			e.hostNet[to] += ed.Rate
-		}
-		if hz != cluster.NoHost {
-			if from != hz {
-				e.hostNet[hz] -= ed.Rate
-			}
-			if to != hz {
-				e.hostNet[hz] += ed.Rate
-			}
+		if to != hz {
+			load[hz] += rate
 		}
 	}
 }
@@ -447,28 +434,10 @@ func (e *Engine) TotalCostOf(alloc map[cluster.VMID]cluster.HostID) float64 {
 	return sum
 }
 
-// Delta returns ΔC for migrating u to target (Eq. 5):
-//
-//	ΔC = 2 Σ_{z∈Vu} λ(z,u) · (Σ_{i≤ℓ^A(z,u)} c_i − Σ_{i≤ℓ^{A'}(z,u)} c_i)
-//
-// computed purely from u's local knowledge: its neighbors, their rates,
-// and the levels before and after the move. It performs no allocation.
+// Delta returns ΔC (Eq. 5) for migrating u to target under the current
+// allocation (AllocView.Delta).
 func (e *Engine) Delta(u cluster.VMID, target cluster.HostID) float64 {
-	cur := e.cl.HostOf(u)
-	if cur == target || cur == cluster.NoHost || !e.validLevelHost(target) {
-		return 0
-	}
-	var delta float64
-	for _, ed := range e.tm.NeighborEdges(u) {
-		hz := e.cl.HostOf(ed.Peer)
-		if hz == cluster.NoHost {
-			continue
-		}
-		before := e.cost.Prefix(e.level(hz, cur))
-		after := e.cost.Prefix(e.level(hz, target))
-		delta += 2 * ed.Rate * (before - after)
-	}
-	return delta
+	return e.liveView().Delta(u, target)
 }
 
 // HostNetLoad returns the aggregate external traffic (Mb/s) crossing the
@@ -482,159 +451,17 @@ func (e *Engine) HostNetLoad(h cluster.HostID) float64 {
 	return e.hostNet[h]
 }
 
-// Admissible reports whether target can accept u: free slot, enough RAM
-// (the capacity-response fields of Section V-B5) and, when a bandwidth
-// threshold is configured, enough NIC headroom after accounting for the
-// traffic that becomes host-internal (Section V-C).
+// Admissible reports whether target can accept u under the current
+// allocation (AllocView.Admissible).
 func (e *Engine) Admissible(u cluster.VMID, target cluster.HostID) bool {
-	if !e.cl.Fits(u, target) {
-		return false
-	}
-	if e.cfg.Admission != nil && !e.cfg.Admission(u, target) {
-		return false
-	}
-	if e.cfg.BandwidthThreshold <= 0 {
-		return true
-	}
-	host, err := e.cl.Host(target)
-	if err != nil || host.NICMbps <= 0 {
-		return false
-	}
-	// Traffic between u and VMs already on target leaves the NIC; the
-	// rest of u's load joins it.
-	var internal, load float64
-	for _, ed := range e.tm.NeighborEdges(u) {
-		load += ed.Rate
-		if e.cl.HostOf(ed.Peer) == target {
-			internal += ed.Rate
-		}
-	}
-	current := e.HostNetLoad(target)
-	projected := current + load - 2*internal
-	// Admit when the projection stays under the policy threshold, or
-	// when the move does not worsen an already-hot NIC (co-locating a
-	// heavy pair *reduces* both NICs' load; refusing such moves would
-	// freeze an overloaded cluster in exactly the state that needs
-	// fixing).
-	limit := e.cfg.BandwidthThreshold * host.NICMbps
-	if current > limit {
-		return projected <= current
-	}
-	return projected <= limit
-}
-
-// neighborRank orders u's neighbors from highest to lowest communication
-// level, breaking ties by descending rate — the probe order of
-// Section V-B5 ("rank neighboring VMs from highest to lowest
-// communication levels"). The returned slice is the engine's reusable
-// scratch buffer, valid until the next call.
-func (e *Engine) neighborRank(u cluster.VMID) []rankEntry {
-	hu := e.cl.HostOf(u)
-	e.rank = e.rank[:0]
-	for _, ed := range e.tm.NeighborEdges(u) {
-		hz := e.cl.HostOf(ed.Peer)
-		e.rank = append(e.rank, rankEntry{
-			peer:  ed.Peer,
-			host:  hz,
-			level: e.levelOrDepth(hu, hz),
-			rate:  ed.Rate,
-		})
-	}
-	sortRank(e.rank)
-	return e.rank
-}
-
-// sortRank orders rank entries from highest to lowest communication
-// level, breaking ties by descending rate — shared by the engine's and
-// the views' neighborRank so both probe in the same order.
-func sortRank(rank []rankEntry) {
-	slices.SortStableFunc(rank, func(a, b rankEntry) int {
-		if a.level != b.level {
-			return b.level - a.level
-		}
-		switch {
-		case a.rate > b.rate:
-			return -1
-		case a.rate < b.rate:
-			return 1
-		}
-		return 0
-	})
-}
-
-// considerTarget probes one candidate host: skip duplicates and the
-// current host, count the probe, and fold the target into the running
-// best. ΔC comes first and the admission probe is asked only of a host
-// that could become the answer — one offering more than c_m and more
-// than the running best (exact; see visitMemo).
-func (e *Engine) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *Decision, probes *int) {
-	if h == cur || h < 0 || int(h) >= len(e.probed) || e.probed[h] == e.probeEpoch {
-		return
-	}
-	e.probed[h] = e.probeEpoch
-	*probes++
-	d := e.Delta(u, h)
-	if d <= e.cfg.MigrationCost || (best.Target != cluster.NoHost && d <= best.Delta) {
-		return
-	}
-	if !e.Admissible(u, h) {
-		e.refusals = append(e.refusals, h)
-		return
-	}
-	best.Target, best.Delta = h, d
+	return e.liveView().Admissible(u, target)
 }
 
 // BestMigration evaluates the S-CORE migration policy for token-holder u
-// and returns the admissible move with the largest ΔC, provided it
-// satisfies Theorem 1 (ΔC > c_m). The candidate set is the servers of
-// u's neighbors in rank order, falling back to other servers in the same
-// rack when a neighbor's own server refuses the capacity probe.
-//
-// BestMigration is the pure kernel: it always evaluates in full and
-// records nothing beyond the engine's scratch (the refusing hosts stay
-// in e.refusals for Visit). Round drivers call Visit.
+// against the current allocation (AllocView.BestMigration): the pure
+// kernel, always evaluated in full. Round drivers call Visit.
 func (e *Engine) BestMigration(u cluster.VMID) (Decision, bool) {
-	e.refusals = e.refusals[:0]
-	cur := e.cl.HostOf(u)
-	if cur == cluster.NoHost {
-		return Decision{}, false
-	}
-	best := Decision{VM: u, From: cur, Target: cluster.NoHost}
-	e.probeEpoch++
-	if e.probeEpoch == 0 { // epoch wrapped: stale marks would collide
-		clear(e.probed)
-		e.probeEpoch = 1
-	}
-	probes := 0
-	limit := e.cfg.MaxCandidates
-
-	for _, ent := range e.neighborRank(u) {
-		if limit > 0 && probes >= limit {
-			break
-		}
-		hz := ent.host
-		if hz == cluster.NoHost {
-			continue
-		}
-		e.considerTarget(u, cur, hz, &best, &probes)
-		// The neighbor's server may be full; try the rest of its rack,
-		// which still collapses the pair to level 1. Hosts outside the
-		// topology's rack table (cluster larger than topology) have no
-		// rack to fall back to, mirroring HostsInRack returning nil.
-		if r := e.topo.RackOf(hz); r >= 0 && r < len(e.rackHosts) {
-			for _, alt := range e.rackHosts[r] {
-				if limit > 0 && probes >= limit {
-					break
-				}
-				e.considerTarget(u, cur, alt, &best, &probes)
-			}
-		}
-	}
-
-	if best.Target == cluster.NoHost || best.Delta <= e.cfg.MigrationCost {
-		return Decision{}, false
-	}
-	return best, true
+	return e.liveView().BestMigration(u)
 }
 
 // Apply executes a previously computed decision against the cluster,

@@ -231,6 +231,15 @@ func TestAdmissibleZeroAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("Admissible allocates %v times per run, want 0", avg)
 	}
+	// Refusals of an unknown VM or an out-of-range host build no error.
+	unknown, beyond := vms[len(vms)-1]+1000, cluster.HostID(fx.cl.NumHosts())
+	if avg := testing.AllocsPerRun(200, func() {
+		if fx.eng.Admissible(unknown, 0) || fx.eng.Admissible(vms[0], beyond) || fx.eng.Admissible(vms[0], -1) {
+			t.Fatal("admitted an unknown VM or host")
+		}
+	}); avg != 0 {
+		t.Fatalf("refusing Admissible allocates %v times per run, want 0", avg)
+	}
 }
 
 func TestVMLevelAndVMCostZeroAllocs(t *testing.T) {

@@ -7,9 +7,10 @@ import (
 	"github.com/score-dc/score/internal/cluster"
 )
 
-// The token visit (Engine.Visit, AllocView.Visit) is BestMigration plus
-// two exact shortcuts. Neither changes a decision: Visit returns what
-// BestMigration would have returned, bit for bit.
+// The token visit (AllocView.Visit; Engine.Visit is that of the engine's
+// live view) is BestMigration plus two exact shortcuts. Neither changes
+// a decision: Visit returns what BestMigration would have returned, bit
+// for bit.
 //
 // ΔC-first pruning. considerTarget computes ΔC before it asks the
 // candidate for admission and asks only when ΔC > c_m and ΔC beats the
@@ -59,14 +60,16 @@ import (
 // moved or u would be dirty. So a skip costs one load, plus one rack
 // stamp per peer for verdicts that had a refusal.
 //
-// Views decide against an overlay, concurrently. A view stamps its
-// verdicts with the clock frozen when the view was reset, so every
-// move merged afterwards — its own included — lands later and re-dirties
-// conservatively; a staged commit rejected at merge is invalidated as
-// the reverse move, because later verdicts of that view were computed
-// against a move that never happened. Per-VM entries are written only
-// by the one ring that visits the VM; per-host flags are atomics.
-// BestMigration itself records nothing and shares no writes.
+// Frozen views decide against an overlay, concurrently. A frozen view
+// stamps its verdicts with the clock frozen when the view was reset, so
+// every move merged afterwards — its own included — lands later and
+// re-dirties conservatively; a staged commit rejected at merge is
+// invalidated as the reverse move, because later verdicts of that view
+// were computed against a move that never happened. The live view has
+// no overlay and is synced before every visit, so it stamps with the
+// current clock. Per-VM entries are written only by the one ring that
+// visits the VM; per-host flags are atomics. BestMigration itself
+// records nothing and shares no writes.
 //
 // The memo is inert — Visit is plain BestMigration — when
 // Config.Admission is set (an opaque predicate has unknown
@@ -281,49 +284,23 @@ func (e *Engine) onRespec(vm cluster.VMID, host cluster.HostID) {
 // happened; they are invalidated as the reverse move would.
 func (e *Engine) Rejected(d Decision) { e.memoMove(d.VM, d.Target, d.From) }
 
-// relaxedSince reports whether a rack that can hold one of u's blocking
-// hosts — a peer's rack — was relaxed after clock q.
-func (e *Engine) relaxedSince(u cluster.VMID, q uint32) bool {
-	m := &e.memo
-	for _, ed := range e.tm.NeighborEdges(u) {
-		if hz := e.cl.HostOf(ed.Peer); hz != cluster.NoHost && m.relaxed[e.rackSlot(hz)] > q {
-			return true
-		}
-	}
-	return false
-}
-
-// Visit is the token visit of Section V-A for holder u: BestMigration,
-// skipped when u's last full evaluation found no move and nothing that
-// verdict depends on has changed since (see visitMemo). The decision is
-// always the one BestMigration would return; skipped reports that it
-// was not run. Every round driver calls Visit; BestMigration remains the
-// pure kernel.
+// Visit is the token visit of Section V-A for holder u against the
+// current allocation: AllocView.Visit on the live view, brought up to
+// date first — pending edge changes folded, verdicts stamped with the
+// clock as it stands now.
 func (e *Engine) Visit(u cluster.VMID) (dec Decision, ok, skipped bool) {
 	e.memoSync()
-	m := &e.memo
-	i, tracked := m.slot(u)
-	if !tracked {
-		dec, ok = e.BestMigration(u)
-		return dec, ok, false
-	}
-	if q := m.quiet[i]; q != 0 && !(m.refused[i] && e.relaxedSince(u, q)) {
-		if checkSkips {
-			if d, found := e.BestMigration(u); found {
-				panic(fmt.Sprintf("core: engine skipped VM %d but the kernel moves it: %+v", u, d))
-			}
-		}
-		return Decision{}, false, true
-	}
-	dec, ok = e.BestMigration(u)
-	m.record(i, ok, e.refusals, m.clock)
-	return dec, ok, false
+	v := e.liveView()
+	v.stamp = e.memo.clock
+	return v.Visit(u)
 }
 
-// stillQuiet is the view's skip test for a verdict recorded at clock q:
-// the engine-level test of Engine.Visit plus, once this view has staged
-// commits, agreement of the overlay with the cluster on u and its peers
-// and no staged commit touching a rack that may hold a blocking host.
+// stillQuiet is the skip test for a verdict recorded at clock q. A
+// verdict that had a refusal is stale once a rack that can hold one of
+// u's blocking hosts — a peer's rack — was relaxed after q. Once this
+// view has staged commits it also takes agreement of the overlay with
+// the cluster on u and its peers, and no staged commit touching such a
+// rack.
 func (v *AllocView) stillQuiet(u cluster.VMID, q uint32, refused bool) bool {
 	staged := len(v.commits) > 0
 	if !staged && !refused {
@@ -349,8 +326,12 @@ func (v *AllocView) stillQuiet(u cluster.VMID, q uint32, refused bool) bool {
 	return true
 }
 
-// Visit mirrors Engine.Visit against the view. Verdicts are stamped
-// with the engine clock frozen when the view was reset.
+// Visit is the token visit of Section V-A for holder u: BestMigration,
+// skipped when u's last full evaluation found no move and nothing that
+// verdict depends on has changed since (see visitMemo). The decision is
+// always the one BestMigration would return; skipped reports that it
+// was not run. Every round driver calls Visit; BestMigration remains the
+// pure kernel. Verdicts are stamped with v.stamp.
 func (v *AllocView) Visit(u cluster.VMID) (dec Decision, ok, skipped bool) {
 	m := &v.eng.memo
 	i, tracked := m.slot(u)
@@ -361,7 +342,7 @@ func (v *AllocView) Visit(u cluster.VMID) (dec Decision, ok, skipped bool) {
 	if q := m.quiet[i]; q != 0 && v.stillQuiet(u, q, m.refused[i]) {
 		if checkSkips {
 			if d, found := v.BestMigration(u); found {
-				panic(fmt.Sprintf("core: view skipped VM %d but the kernel moves it: %+v", u, d))
+				panic(fmt.Sprintf("core: skipped VM %d but the kernel moves it: %+v", u, d))
 			}
 		}
 		return Decision{}, false, true

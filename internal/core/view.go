@@ -2,38 +2,47 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/score-dc/score/internal/cluster"
 )
 
-// AllocView is a shard-scoped decision view over an Engine: it shares
-// the engine's immutable inputs (topology, cost model, flattened level
-// tables, traffic matrix, frozen per-host net loads) but owns its
-// scratch buffers and overlays a private set of uncommitted moves. Many
-// views can therefore evaluate and stage migration decisions
-// concurrently against a frozen cluster — the building block of the
-// sharded token scheduler (internal/shard), where each shard's ring
-// commits intra-shard moves into its own view lock-free.
+// AllocView is the decision kernel — ΔC (Eq. 5), the admission test, the
+// rank order of Section V-B5, the candidate fold, BestMigration and the
+// token visit — evaluated against one placement: the cluster's, plus the
+// moves staged in the view. It shares the engine's immutable inputs
+// (topology, cost model, flattened level tables, traffic matrix, per-host
+// net loads) but owns its scratch buffers and its overlay. The rule is
+// the same whatever state it reads; only the state differs:
 //
-// Contract: between NewView and the last use of any view, the cluster,
-// the traffic matrix and the engine itself must not be mutated (no
-// Move/Place/Restore, no Set/Add, no engine reads that trigger
-// accounting rebuilds). The coordinator enforces this by splitting
-// rounds into a concurrent decision phase (views only) and a sequential
-// merge phase (engine only).
+//   - A frozen view (NewView/ResetView) decides against a private copy of
+//     the placement table and stages moves into it with Commit. Many
+//     frozen views can evaluate and stage concurrently — the building
+//     block of the sharded token scheduler (internal/shard), where each
+//     shard's ring commits intra-shard moves into its own view lock-free.
+//   - The engine's live view has an empty overlay and reads the cluster's
+//     own table; every Engine decision method is a call on it.
 //
-// With an empty overlay a view reproduces the engine's decisions
-// exactly: Delta, Admissible and BestMigration mirror the engine's
-// semantics term for term (see TestViewMatchesEngine).
+// Contract for frozen views: between NewView and the last use of any
+// view, the cluster, the traffic matrix and the engine itself must not
+// be mutated (no Move/Place/Restore, no Set/Add, no engine reads that
+// trigger accounting rebuilds). The coordinator enforces this by
+// splitting rounds into a concurrent decision phase (views only) and a
+// sequential merge phase (engine only).
 type AllocView struct {
 	eng *Engine
+	// live marks the engine's own view: the per-host net loads are not
+	// frozen under it, so the NIC probe brings the accounting up to date
+	// first (see hostNetLoad). Nothing else in the kernel asks.
+	live bool
 
-	// Overlay: placements staged by Commit, and the capacity / NIC-load
-	// deltas they imply, all private to this view. When the cluster's
-	// dense VMID mirror exists, dense is a private copy of it with the
-	// staged moves written in — HostOf is then a bounds check and a
-	// slice load, matching the engine's hot path. moved tracks staged
-	// placements for the sparse fallback.
+	// Placement and overlay. dense is the placement table HostOf reads,
+	// dense[id-denseBase]: a frozen view's private copy of the cluster's
+	// table with the staged moves written in, or — live view — the
+	// cluster's table itself, read-only. It is nil when VM IDs are too
+	// sparse for the cluster to keep one; moved then tracks a frozen
+	// view's staged placements. slotD/ramD/cpuD/netD are the capacity and
+	// NIC-load deltas the staged moves imply (all zero in the live view).
 	denseBase cluster.VMID
 	dense     []cluster.HostID
 	moved     map[cluster.VMID]cluster.HostID
@@ -43,76 +52,55 @@ type AllocView struct {
 	netD      []float64
 	commits   []Decision
 
-	// Scratch reused across decisions (the engine's own scratch is
-	// reserved for its single-threaded paths).
+	// Scratch reused across decisions. The probed-host set is a 32-bit
+	// epoch array with an explicit wrap reset when the epoch counter
+	// overflows.
 	rank       []rankEntry
-	probed     []uint32
+	probed     []uint32 // probed[h] == probeEpoch ⇒ already probed this decision
 	probeEpoch uint32
-	refusals   []cluster.HostID
+	// refusals lists the hosts that refused the last evaluation while
+	// offering ΔC > c_m and more than the running best — what Visit
+	// records as the blocking hosts of a no-move verdict.
+	refusals []cluster.HostID
 
-	// Visit state (see visitMemo): stamp is the engine's memo clock
-	// frozen when the view was primed; touched[r] == touchEpoch marks
-	// rack r as rewritten by one of this view's staged commits.
+	// Visit state (see visitMemo): stamp is the engine's memo clock as of
+	// the view's last sync — frozen at reset, or the live view's current
+	// one; touched[r] == touchEpoch marks rack r as rewritten by one of
+	// this view's staged commits.
 	stamp      uint32
 	touched    []uint32
 	touchEpoch uint32
 }
 
-// NewView creates a decision view over the engine's current state. It
-// primes the engine's incremental accounting so concurrent views can
-// read the frozen per-host net loads without synchronization; create
-// views sequentially, then use them concurrently.
-func (e *Engine) NewView() *AllocView {
-	e.ensureAccounting()
-	n := e.cl.NumHosts()
-	v := &AllocView{
-		eng:    e,
-		slotD:  make([]int32, n),
-		ramD:   make([]int32, n),
-		cpuD:   make([]int32, n),
-		netD:   make([]float64, n),
-		probed: make([]uint32, len(e.probed)),
-	}
-	var ok bool
-	if v.denseBase, v.dense, ok = e.cl.DenseAllocSnapshot(); !ok {
-		v.moved = make(map[cluster.VMID]cluster.HostID)
-	}
-	v.primeMemo()
-	return v
+// rankEntry is one neighbor in probe order: its current host and level
+// are resolved once so the rank sort and the candidate loop do no
+// repeated lookups.
+type rankEntry struct {
+	host  cluster.HostID
+	level int
+	rate  float64
 }
 
-// ResetView re-primes an existing view for a fresh decision phase,
-// reusing its buffers: the overlay deltas are zeroed, staged commits
-// dropped, and the dense allocation mirror re-snapshotted in place. A
-// reset view is indistinguishable from a NewView one — round loops keep
-// per-shard views alive across rounds and pay O(hosts + |V|) stores
-// instead of O(hosts + |V|) fresh allocations each round. A nil or
-// foreign view falls back to NewView.
+// NewView creates a frozen decision view over the engine's current
+// state. It primes the engine's incremental accounting so concurrent
+// views can read the per-host net loads without synchronization; create
+// views sequentially, then use them concurrently.
+func (e *Engine) NewView() *AllocView { return e.ResetView(nil) }
+
+// ResetView re-primes an existing frozen view for a fresh decision
+// phase, reusing its buffers: the overlay deltas are zeroed, staged
+// commits dropped, and the placement table re-copied in place. A reset
+// view is indistinguishable from a new one — round loops keep per-shard
+// views alive across rounds and pay O(hosts + |V|) stores instead of
+// O(hosts + |V|) fresh allocations each round. A nil or foreign view is
+// replaced by a new one.
 func (e *Engine) ResetView(v *AllocView) *AllocView {
 	if v == nil || v.eng != e {
-		return e.NewView()
+		v = &AllocView{eng: e}
 	}
 	e.ensureAccounting()
-	n := e.cl.NumHosts()
-	if len(v.slotD) != n {
-		v.slotD = make([]int32, n)
-		v.ramD = make([]int32, n)
-		v.cpuD = make([]int32, n)
-		v.netD = make([]float64, n)
-	} else {
-		clear(v.slotD)
-		clear(v.ramD)
-		clear(v.cpuD)
-		clear(v.netD)
-	}
-	if len(v.probed) != len(e.probed) {
-		v.probed = make([]uint32, len(e.probed))
-		v.probeEpoch = 0
-	}
-	// probed marks are epoch-scoped: stale entries from prior rounds can
-	// never equal a yet-unused epoch, so the scratch carries over as-is.
+	v.sizeScratch()
 	v.commits = v.commits[:0]
-	v.rank = v.rank[:0]
 	v.primeMemo()
 	var ok bool
 	if v.denseBase, v.dense, ok = e.cl.DenseAllocSnapshotInto(v.dense); ok {
@@ -128,15 +116,50 @@ func (e *Engine) ResetView(v *AllocView) *AllocView {
 	return v
 }
 
+// sizeScratch sizes the per-host overlay deltas and the probed-host set
+// (every host ID the topology or the cluster knows), zeroing the deltas.
+// Probed marks are epoch-scoped: stale entries from prior rounds can
+// never equal a yet-unused epoch, so that scratch carries over as-is.
+func (v *AllocView) sizeScratch() {
+	n := v.eng.cl.NumHosts()
+	if len(v.slotD) != n {
+		v.slotD = make([]int32, n)
+		v.ramD = make([]int32, n)
+		v.cpuD = make([]int32, n)
+		v.netD = make([]float64, n)
+	} else {
+		clear(v.slotD)
+		clear(v.ramD)
+		clear(v.cpuD)
+		clear(v.netD)
+	}
+	if span := max(v.eng.topo.Hosts(), n); len(v.probed) != span {
+		v.probed = make([]uint32, span)
+		v.probeEpoch = 0
+	}
+}
+
 // HostOf returns where the view places vm: its staged position if this
-// view moved it, otherwise the frozen cluster allocation.
+// view moved it, otherwise the cluster's allocation. The dense test is
+// all the kernel's per-edge loops pay — it must stay within the
+// inliner's budget (CI checks), with everything else outlined.
 func (v *AllocView) HostOf(vm cluster.VMID) cluster.HostID {
-	if d := v.dense; d != nil {
-		// A live mirror covers every registered VM (the cluster's own
-		// invariant), so out-of-range IDs are unknown.
-		if i := int64(vm) - int64(v.denseBase); uint64(i) < uint64(len(d)) {
-			return d[i]
-		}
+	// VMID arithmetic wraps, so an ID below the base lands past any
+	// table a 32-bit ID space can hold.
+	if uint(vm-v.denseBase) < uint(len(v.dense)) {
+		return v.dense[vm-v.denseBase]
+	}
+	return v.hostOfSparse(vm)
+}
+
+// hostOfSparse is HostOf off the dense table. A table covers every
+// registered VM (the cluster's own invariant), so an ID outside one is
+// unknown; without a table the lookup is the staged map, then the
+// cluster. Kept out of line so HostOf's dense test inlines.
+//
+//go:noinline
+func (v *AllocView) hostOfSparse(vm cluster.VMID) cluster.HostID {
+	if v.dense != nil {
 		return cluster.NoHost
 	}
 	if h, ok := v.moved[vm]; ok {
@@ -145,12 +168,10 @@ func (v *AllocView) HostOf(vm cluster.VMID) cluster.HostID {
 	return v.eng.cl.HostOf(vm)
 }
 
-// setHost stages vm at h in the overlay.
+// setHost stages vm, which HostOf found placed, at h in the overlay.
 func (v *AllocView) setHost(vm cluster.VMID, h cluster.HostID) {
-	if d := v.dense; d != nil {
-		if i := int64(vm) - int64(v.denseBase); uint64(i) < uint64(len(d)) {
-			d[i] = h
-		}
+	if v.dense != nil {
+		v.dense[vm-v.denseBase] = h
 		return
 	}
 	v.moved[vm] = h
@@ -160,12 +181,13 @@ func (v *AllocView) setHost(vm cluster.VMID, h cluster.HostID) {
 // slice is owned by the view.
 func (v *AllocView) Commits() []Decision { return v.commits }
 
-// PairLevel returns ℓ(u, w) under the view's allocation.
+// PairLevel returns ℓ^A(u, w) under the view's allocation.
 func (v *AllocView) PairLevel(u, w cluster.VMID) int {
 	return v.eng.levelOrDepth(v.HostOf(u), v.HostOf(w))
 }
 
-// VMLevel returns ℓ(u) = max over u's peers, mirroring Engine.VMLevel.
+// VMLevel returns ℓ^A(u) = max_{w∈Vu} ℓ^A(u, w), the highest
+// communication level of VM u (Section II); 0 for VMs with no traffic.
 func (v *AllocView) VMLevel(u cluster.VMID) int {
 	e := v.eng
 	max := 0
@@ -181,8 +203,12 @@ func (v *AllocView) VMLevel(u cluster.VMID) int {
 	return max
 }
 
-// Delta returns ΔC (Eq. 5) for migrating u to target under the view's
-// allocation, mirroring Engine.Delta.
+// Delta returns ΔC for migrating u to target (Eq. 5):
+//
+//	ΔC = 2 Σ_{z∈Vu} λ(z,u) · (Σ_{i≤ℓ^A(z,u)} c_i − Σ_{i≤ℓ^{A'}(z,u)} c_i)
+//
+// computed purely from u's local knowledge: its neighbors, their rates,
+// and the levels before and after the move. It performs no allocation.
 func (v *AllocView) Delta(u cluster.VMID, target cluster.HostID) float64 {
 	e := v.eng
 	cur := v.HostOf(u)
@@ -202,12 +228,13 @@ func (v *AllocView) Delta(u cluster.VMID, target cluster.HostID) float64 {
 	return delta
 }
 
-// fits checks slot/RAM/CPU capacity on target under the view's staged
-// occupancy, mirroring cluster.Fits plus the overlay deltas.
+// fits reports whether u can be admitted to target under slot, RAM and
+// CPU capacity (cluster.Fits) less the view's staged occupancy. A VM
+// always fits on the host it already occupies.
 func (v *AllocView) fits(u cluster.VMID, target cluster.HostID) bool {
 	e := v.eng
-	vm, err := e.cl.VM(u)
-	if err != nil || target < 0 || int(target) >= e.cl.NumHosts() {
+	ram, cpu, ok := e.cl.Demand(u)
+	if !ok || target < 0 || int(target) >= e.cl.NumHosts() {
 		return false
 	}
 	if v.HostOf(u) == target {
@@ -216,32 +243,40 @@ func (v *AllocView) fits(u cluster.VMID, target cluster.HostID) bool {
 	if e.cl.FreeSlots(target)-int(v.slotD[target]) < 1 {
 		return false
 	}
-	if e.cl.FreeRAMMB(target)-int(v.ramD[target]) < vm.RAMMB {
+	if e.cl.FreeRAMMB(target)-int(v.ramD[target]) < ram {
 		return false
 	}
-	host, err := e.cl.Host(target)
-	if err != nil {
-		return false
-	}
-	if host.CPUMilli > 0 && e.cl.FreeCPUMilli(target)-int(v.cpuD[target]) < vm.CPUMilli {
+	// A host with zero CPU capacity is unconstrained and reports a
+	// sentinel free value the staged delta must not be subtracted from.
+	if host, _ := e.cl.Host(target); host.CPUMilli > 0 && e.cl.FreeCPUMilli(target)-int(v.cpuD[target]) < cpu {
 		return false
 	}
 	return true
 }
 
-// hostNetLoad is the view's external traffic on h: the engine's frozen
-// per-host load plus this view's staged deltas.
+// hostNetLoad is the view's external traffic on h: the engine's per-host
+// load plus this view's staged deltas. A frozen view reads loads primed
+// when it was reset; the live view rebuilds stale accounting here, on
+// reaching the NIC probe and not before — a rebuild moves last-ulp bits
+// of hostNet and drops every memo verdict, so when it fires is part of
+// the decision sequence.
 func (v *AllocView) hostNetLoad(h cluster.HostID) float64 {
-	if h < 0 || int(h) >= len(v.eng.hostNet) {
+	e := v.eng
+	if h < 0 || int(h) >= len(e.hostNet) {
 		return 0
 	}
-	return v.eng.hostNet[h] + v.netD[h]
+	if v.live {
+		e.ensureAccounting()
+	}
+	return e.hostNet[h] + v.netD[h]
 }
 
-// Admissible mirrors Engine.Admissible under the view's allocation:
-// capacity, the configured admission hook, and the bandwidth-threshold
-// check of Section V-C. A non-nil Config.Admission hook must be safe for
-// concurrent use when views run in parallel.
+// Admissible reports whether target can accept u: free slot, enough RAM
+// and CPU (the capacity-response fields of Section V-B5), the configured
+// admission hook and, when a bandwidth threshold is configured, enough
+// NIC headroom after accounting for the traffic that becomes
+// host-internal (Section V-C). A non-nil Config.Admission hook must be
+// safe for concurrent use when views run in parallel.
 func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
 	e := v.eng
 	if !v.fits(u, target) {
@@ -257,6 +292,8 @@ func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
 	if err != nil || host.NICMbps <= 0 {
 		return false
 	}
+	// Traffic between u and VMs already on target leaves the NIC; the
+	// rest of u's load joins it.
 	var internal, load float64
 	for _, ed := range e.tm.NeighborEdges(u) {
 		load += ed.Rate
@@ -266,6 +303,11 @@ func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
 	}
 	current := v.hostNetLoad(target)
 	projected := current + load - 2*internal
+	// Admit when the projection stays under the policy threshold, or
+	// when the move does not worsen an already-hot NIC (co-locating a
+	// heavy pair *reduces* both NICs' load; refusing such moves would
+	// freeze an overloaded cluster in exactly the state that needs
+	// fixing).
 	limit := e.cfg.BandwidthThreshold * host.NICMbps
 	if current > limit {
 		return projected <= current
@@ -273,7 +315,11 @@ func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
 	return projected <= limit
 }
 
-// neighborRank mirrors Engine.neighborRank into the view's own scratch.
+// neighborRank orders u's neighbors from highest to lowest communication
+// level, breaking ties by descending rate — the probe order of
+// Section V-B5 ("rank neighboring VMs from highest to lowest
+// communication levels"). The returned slice is the view's reusable
+// scratch buffer, valid until the next call.
 func (v *AllocView) neighborRank(u cluster.VMID) []rankEntry {
 	e := v.eng
 	hu := v.HostOf(u)
@@ -281,17 +327,31 @@ func (v *AllocView) neighborRank(u cluster.VMID) []rankEntry {
 	for _, ed := range e.tm.NeighborEdges(u) {
 		hz := v.HostOf(ed.Peer)
 		v.rank = append(v.rank, rankEntry{
-			peer:  ed.Peer,
 			host:  hz,
 			level: e.levelOrDepth(hu, hz),
 			rate:  ed.Rate,
 		})
 	}
-	sortRank(v.rank)
+	slices.SortStableFunc(v.rank, func(a, b rankEntry) int {
+		if a.level != b.level {
+			return b.level - a.level
+		}
+		switch {
+		case a.rate > b.rate:
+			return -1
+		case a.rate < b.rate:
+			return 1
+		}
+		return 0
+	})
 	return v.rank
 }
 
-// considerTarget mirrors Engine.considerTarget against the view.
+// considerTarget probes one candidate host: skip duplicates and the
+// current host, count the probe, and fold the target into the running
+// best. ΔC comes first and the admission probe is asked only of a host
+// that could become the answer — one offering more than c_m and more
+// than the running best (exact; see visitMemo).
 func (v *AllocView) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *Decision, probes *int) {
 	if h == cur || h < 0 || int(h) >= len(v.probed) || v.probed[h] == v.probeEpoch {
 		return
@@ -310,11 +370,14 @@ func (v *AllocView) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *
 }
 
 // BestMigration evaluates the S-CORE migration policy for token-holder u
-// under the view's allocation, mirroring Engine.BestMigration: probe the
-// servers of u's neighbors in rank order with same-rack fallback, and
-// return the admissible move with the largest ΔC if it clears c_m. Like
-// the engine's, it is the pure kernel and writes nothing but the view's
-// own scratch; ring passes call Visit.
+// and returns the admissible move with the largest ΔC, provided it
+// satisfies Theorem 1 (ΔC > c_m). The candidate set is the servers of
+// u's neighbors in rank order, falling back to other servers in the same
+// rack when a neighbor's own server refuses the capacity probe.
+//
+// BestMigration is the pure kernel: it always evaluates in full and
+// writes nothing but the view's own scratch (the refusing hosts stay in
+// v.refusals for Visit). Round drivers call Visit.
 func (v *AllocView) BestMigration(u cluster.VMID) (Decision, bool) {
 	v.refusals = v.refusals[:0]
 	e := v.eng
@@ -340,6 +403,10 @@ func (v *AllocView) BestMigration(u cluster.VMID) (Decision, bool) {
 			continue
 		}
 		v.considerTarget(u, cur, hz, &best, &probes)
+		// The neighbor's server may be full; try the rest of its rack,
+		// which still collapses the pair to level 1. Hosts outside the
+		// topology's rack table (cluster larger than topology) have no
+		// rack to fall back to, like HostsInRack returning nil.
 		if r := e.topo.RackOf(hz); r >= 0 && r < len(e.rackHosts) {
 			for _, alt := range e.rackHosts[r] {
 				if limit > 0 && probes >= limit {
@@ -375,41 +442,24 @@ func (v *AllocView) Commit(d Decision) (float64, error) {
 	if !v.fits(d.VM, d.Target) {
 		return 0, fmt.Errorf("core: view commit of VM %d: %w", d.VM, cluster.ErrNoCapacity)
 	}
-	e := v.eng
 	realized := v.Delta(d.VM, d.Target)
-	vm, err := e.cl.VM(d.VM)
-	if err != nil {
-		return 0, err
-	}
+	ram, cpu, _ := v.eng.cl.Demand(d.VM) // registered: fits passed
 	v.slotD[cur]--
 	v.slotD[d.Target]++
-	v.ramD[cur] -= int32(vm.RAMMB)
-	v.ramD[d.Target] += int32(vm.RAMMB)
-	v.cpuD[cur] -= int32(vm.CPUMilli)
-	v.cpuD[d.Target] += int32(vm.CPUMilli)
+	v.ramD[cur] -= int32(ram)
+	v.ramD[d.Target] += int32(ram)
+	v.cpuD[cur] -= int32(cpu)
+	v.cpuD[d.Target] += int32(cpu)
 	// Every host whose room or NIC load this commit rewrites is touched
-	// for Visit (see stillQuiet). NIC-load deltas mirror
-	// Engine.onAllocChange, evaluated before the overlay records the
-	// move so peers' positions are read consistently.
+	// for Visit (see stillQuiet). The NIC-load deltas are folded before
+	// the overlay records the move so peers' positions are read
+	// consistently.
 	v.touch(cur)
 	v.touch(d.Target)
-	for _, ed := range e.tm.NeighborEdges(d.VM) {
+	for _, ed := range v.eng.tm.NeighborEdges(d.VM) {
 		hz := v.HostOf(ed.Peer)
 		v.touch(hz)
-		if hz != cur {
-			v.netD[cur] -= ed.Rate
-		}
-		if hz != d.Target {
-			v.netD[d.Target] += ed.Rate
-		}
-		if hz != cluster.NoHost {
-			if cur != hz {
-				v.netD[hz] -= ed.Rate
-			}
-			if d.Target != hz {
-				v.netD[hz] += ed.Rate
-			}
-		}
+		foldNICLoad(v.netD, cur, d.Target, hz, ed.Rate)
 	}
 	v.setHost(d.VM, d.Target)
 	v.commits = append(v.commits, Decision{VM: d.VM, From: cur, Target: d.Target, Delta: realized})

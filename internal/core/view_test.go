@@ -2,41 +2,175 @@ package core
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"github.com/score-dc/score/internal/cluster"
 )
 
-// TestViewMatchesEngine: with an empty overlay, a view must reproduce
-// the engine's decision surface exactly — same deltas, same
-// admissibility, same best migration for every VM.
-func TestViewMatchesEngine(t *testing.T) {
-	fx := newFixture(t, DefaultConfig())
+// assertEngineIsFreshView: the engine decides through a view over the
+// cluster's own placement table, a frozen view through a copy of it. The
+// kernel is the same code, so what can differ is the state each reads —
+// every engine decision method must equal a freshly built view's, bit for
+// bit, whatever just happened to the cluster.
+func assertEngineIsFreshView(t *testing.T, fx *fixture, when string) {
+	t.Helper()
 	v := fx.eng.NewView()
-	rng := rand.New(rand.NewSource(4))
-	vms := fx.cl.VMs()
-	for trial := 0; trial < 300; trial++ {
-		u := vms[rng.Intn(len(vms))]
-		h := cluster.HostID(rng.Intn(fx.cl.NumHosts()))
-		if ed, vd := fx.eng.Delta(u, h), v.Delta(u, h); ed != vd {
-			t.Fatalf("Delta(%d→%d): engine %v, view %v", u, h, ed, vd)
+	ids := append(fx.cl.VMs(), 0, 1<<31) // plus IDs that may be unknown
+	for _, u := range ids {
+		if eh, vh := fx.eng.HostOf(u), v.HostOf(u); eh != vh {
+			t.Fatalf("%s: HostOf(%d): engine %d, view %d", when, u, eh, vh)
 		}
-		if ea, va := fx.eng.Admissible(u, h), v.Admissible(u, h); ea != va {
-			t.Fatalf("Admissible(%d→%d): engine %v, view %v", u, h, ea, va)
+		if el, vl := fx.eng.VMLevel(u), v.VMLevel(u); el != vl {
+			t.Fatalf("%s: VMLevel(%d): engine %d, view %d", when, u, el, vl)
 		}
-	}
-	for _, u := range vms {
+		for _, w := range ids {
+			if el, vl := fx.eng.PairLevel(u, w), v.PairLevel(u, w); el != vl {
+				t.Fatalf("%s: PairLevel(%d,%d): engine %d, view %d", when, u, w, el, vl)
+			}
+		}
+		for h := cluster.HostID(-1); int(h) <= fx.cl.NumHosts(); h++ {
+			if ed, vd := fx.eng.Delta(u, h), v.Delta(u, h); math.Float64bits(ed) != math.Float64bits(vd) {
+				t.Fatalf("%s: Delta(%d→%d): engine %v, view %v", when, u, h, ed, vd)
+			}
+			if ea, va := fx.eng.Admissible(u, h), v.Admissible(u, h); ea != va {
+				t.Fatalf("%s: Admissible(%d→%d): engine %v, view %v", when, u, h, ea, va)
+			}
+		}
 		ed, eok := fx.eng.BestMigration(u)
 		vd, vok := v.BestMigration(u)
 		if eok != vok || ed != vd {
-			t.Fatalf("BestMigration(%d): engine %+v/%v, view %+v/%v", u, ed, eok, vd, vok)
-		}
-		if el, vl := fx.eng.VMLevel(u), v.VMLevel(u); el != vl {
-			t.Fatalf("VMLevel(%d): engine %d, view %d", u, el, vl)
+			t.Fatalf("%s: BestMigration(%d): engine %+v/%v, view %+v/%v", when, u, ed, eok, vd, vok)
 		}
 	}
+	// Visit last: it records verdicts in the memo both sides share, so
+	// whichever side goes second may skip — with the same answer.
+	for i, u := range ids {
+		var ed, vd Decision
+		var eok, vok bool
+		if i%2 == 0 {
+			ed, eok, _ = fx.eng.Visit(u)
+			vd, vok, _ = v.Visit(u)
+		} else {
+			vd, vok, _ = v.Visit(u)
+			ed, eok, _ = fx.eng.Visit(u)
+		}
+		if eok != vok || ed != vd {
+			t.Fatalf("%s: Visit(%d): engine %+v/%v, view %+v/%v", when, u, ed, eok, vd, vok)
+		}
+	}
+}
+
+// TestLiveViewTracksCluster walks the cluster through every kind of
+// change that rewrites, regrows, re-bases or abandons its placement
+// table and checks the engine against a fresh view after each.
+func TestLiveViewTracksCluster(t *testing.T) {
+	fx := newFixture(t, DefaultConfig())
+	cl, eng := fx.cl, fx.eng
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// place puts vm on the first host from h on that has room.
+	place := func(vm cluster.VMID, h cluster.HostID) {
+		t.Helper()
+		for i := 0; i < cl.NumHosts(); i++ {
+			if at := cluster.HostID((int(h) + i) % cl.NumHosts()); cl.Fits(vm, at) {
+				must(cl.Place(vm, at))
+				return
+			}
+		}
+		t.Fatalf("no room for VM %d", vm)
+	}
+	tableAt := func() *cluster.HostID {
+		_, alloc := cl.DenseAlloc()
+		return &alloc[0]
+	}
+	vms := cl.VMs()
+	last := vms[len(vms)-1]
+	before := cl.Snapshot()
+	assertEngineIsFreshView(t, fx, "initial")
+
+	moved := 0
+	for _, u := range vms {
+		if dec, ok := eng.BestMigration(u); ok {
+			_, err := eng.Apply(dec)
+			must(err)
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("fixture offers no move")
+	}
+	assertEngineIsFreshView(t, fx, "move")
+
+	must(cl.Remove(vms[3]))
+	assertEngineIsFreshView(t, fx, "remove")
+
+	must(cl.AddVM(cluster.VM{ID: vms[3], RAMMB: 256}))
+	place(vms[3], 0)
+	assertEngineIsFreshView(t, fx, "place")
+
+	// An AddVM that reallocates the table between two engine calls: the
+	// engine must not decide the second against the table it read for
+	// the first. The moves after the growth are what a stale alias would
+	// miss.
+	u := vms[0]
+	peer := fx.tm.NeighborEdges(u)[0].Peer
+	target := cluster.HostID((int(cl.HostOf(u)) + 5) % cl.NumHosts())
+	eng.Delta(u, target)
+	old := tableAt()
+	for i := 1; i <= 200; i++ {
+		must(cl.AddVM(cluster.VM{ID: last + cluster.VMID(i), RAMMB: 1}))
+	}
+	if tableAt() == old {
+		t.Fatal("200 new IDs did not reallocate the placement table")
+	}
+	place(last+1, cl.HostOf(u))
+	fx.tm.Set(u, last+1, 40)
+	if cl.Fits(peer, target) {
+		must(cl.Move(peer, target))
+	}
+	if got, want := eng.Delta(u, target), eng.NewView().Delta(u, target); got != want {
+		t.Fatalf("Delta after table growth: engine %v, fresh view %v", got, want)
+	}
+	assertEngineIsFreshView(t, fx, "AddVM growing the table")
+
+	old = tableAt()
+	must(cl.AddVM(cluster.VM{ID: 0, RAMMB: 1})) // below the window: re-bases it
+	if base, _ := cl.DenseAlloc(); base != 0 || tableAt() == old {
+		t.Fatalf("AddVM(0) left the table based at %d", base)
+	}
+	place(0, cl.HostOf(peer))
+	fx.tm.Set(0, u, 25)
+	assertEngineIsFreshView(t, fx, "AddVM re-basing the table")
+
+	must(cl.Respec(vms[5], 2048, 0))
+	assertEngineIsFreshView(t, fx, "Respec")
+
+	for id := range cl.Snapshot() {
+		if _, ok := before[id]; !ok {
+			before[id] = cluster.NoHost
+		}
+	}
+	must(cl.Restore(before))
+	assertEngineIsFreshView(t, fx, "Restore")
+
+	must(cl.AddVM(cluster.VM{ID: 1 << 30, RAMMB: 64}))
+	if _, alloc := cl.DenseAlloc(); alloc != nil {
+		t.Fatal("cluster kept its dense table across a 2^30 ID gap")
+	}
+	place(1<<30, cl.HostOf(u))
+	fx.tm.Set(1<<30, peer, 30)
+	assertEngineIsFreshView(t, fx, "sparse fallback")
+	must(cl.Remove(last + 1))
+	assertEngineIsFreshView(t, fx, "remove on the sparse fallback")
+
+	eng.Detach()
+	must(cl.Remove(0))
+	assertEngineIsFreshView(t, fx, "Detach")
 }
 
 // TestViewCommitTracksEngineApply: a sequence of decisions staged in a

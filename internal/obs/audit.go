@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"sync"
 	"time"
 )
 
@@ -82,25 +81,16 @@ func ParseVerdict(s string) (uint8, bool) {
 	return 0, false
 }
 
-// AuditRing is a fixed-capacity ring buffer of AuditRecords — the
-// decision-provenance analogue of the Tracer. Append overwrites the
-// oldest record once full and never allocates; the short critical
-// section keeps it race-free and cheap enough to leave on in production
-// rounds. Per-migration detail belongs here, never in labeled metrics
-// (see the cardinality rules in doc.go).
-type AuditRing struct {
-	mu   sync.Mutex
-	buf  []AuditRecord
-	next uint64 // records ever appended; buf index = next % len(buf)
-}
+// AuditRing is a fixed-capacity ring buffer of AuditRecords (see ring) —
+// the decision-provenance analogue of the Tracer. Append overwrites the
+// oldest record once full and never allocates. Len, Dropped and Snapshot
+// (oldest first, i.e. ascending Seq) are the ring's. Per-migration detail
+// belongs here, never in labeled metrics (see the cardinality rules in
+// doc.go).
+type AuditRing struct{ ring[AuditRecord] }
 
 // NewAuditRing returns a ring retaining the most recent capacity records.
-func NewAuditRing(capacity int) *AuditRing {
-	if capacity <= 0 {
-		capacity = 1 << 14
-	}
-	return &AuditRing{buf: make([]AuditRecord, capacity)}
-}
+func NewAuditRing(capacity int) *AuditRing { return &AuditRing{newRing[AuditRecord](capacity)} }
 
 // Append stores one record, stamping T if zero and assigning Seq.
 func (a *AuditRing) Append(r AuditRecord) {
@@ -109,46 +99,8 @@ func (a *AuditRing) Append(r AuditRecord) {
 	}
 	a.mu.Lock()
 	r.Seq = a.next
-	a.buf[a.next%uint64(len(a.buf))] = r
-	a.next++
+	a.put(r)
 	a.mu.Unlock()
-}
-
-// Len reports how many records are currently retained.
-func (a *AuditRing) Len() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.next < uint64(len(a.buf)) {
-		return int(a.next)
-	}
-	return len(a.buf)
-}
-
-// Dropped reports how many records have been overwritten so far.
-func (a *AuditRing) Dropped() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.next < uint64(len(a.buf)) {
-		return 0
-	}
-	return a.next - uint64(len(a.buf))
-}
-
-// Snapshot copies the retained records oldest-first (ascending Seq).
-func (a *AuditRing) Snapshot() []AuditRecord {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := uint64(len(a.buf))
-	if a.next < n {
-		out := make([]AuditRecord, a.next)
-		copy(out, a.buf[:a.next])
-		return out
-	}
-	out := make([]AuditRecord, n)
-	head := a.next % n
-	copy(out, a.buf[head:])
-	copy(out[n-head:], a.buf[:head])
-	return out
 }
 
 // Select returns the retained records matching vm and round, oldest

@@ -86,6 +86,11 @@
 // ?vm= and ?round=; AuditJSONRecord round-trips records bit-exactly via
 // staged_bits/final_bits alongside the human-readable float renderings.
 //
+// Tracer and AuditRing are one generic fixed-record ring (ring.go) under
+// two record types. Handler exports what each has overwritten as
+// score_trace_dropped_total and score_audit_dropped_total, read from the
+// ring at scrape time.
+//
 // # Flight recorder
 //
 // FlightRecorder is the incident-capture plane: armed threshold rules

@@ -19,7 +19,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, f := range fams {
 		writeHeader(bw, f)
 		switch f.kind {
-		case kindGaugeFunc:
+		case kindGaugeFunc, kindCounterFunc:
 			bw.WriteString(f.name)
 			bw.WriteByte(' ')
 			writeFloat(bw, f.fn())

@@ -108,7 +108,9 @@ func ServeAudit(w http.ResponseWriter, r *http.Request, ar *AuditRing) {
 // Handler returns the observability mux: /metrics (Prometheus text
 // format), /trace (JSON ring dump, ?round=&shard= filtered), /audit
 // (JSON decision-provenance dump, ?vm=&round= filtered), and
-// /debug/pprof/*. tr and ar are optional; their routes vanish when nil.
+// /debug/pprof/*. tr and ar are optional; their routes vanish when nil,
+// and a ring that is served also gets its overwrite count registered on
+// reg (score_{trace,audit}_dropped_total).
 // Handlers are wired onto a private mux so importing obs never mutates
 // http.DefaultServeMux.
 func Handler(reg *Registry, tr *Tracer, ar *AuditRing) http.Handler {
@@ -118,11 +120,15 @@ func Handler(reg *Registry, tr *Tracer, ar *AuditRing) http.Handler {
 		reg.WritePrometheus(w)
 	})
 	if tr != nil {
+		reg.CounterFunc("score_trace_dropped_total", "Trace events overwritten before anyone read them.",
+			func() float64 { return float64(tr.Dropped()) })
 		mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 			ServeTrace(w, r, tr)
 		})
 	}
 	if ar != nil {
+		reg.CounterFunc("score_audit_dropped_total", "Audit records overwritten before anyone read them.",
+			func() float64 { return float64(ar.Dropped()) })
 		mux.HandleFunc("/audit", func(w http.ResponseWriter, r *http.Request) {
 			ServeAudit(w, r, ar)
 		})

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 )
 
@@ -102,5 +103,26 @@ func TestHandlerMountsAuditRoute(t *testing.T) {
 	}
 	if len(views) != 1 {
 		t.Fatalf("GET /audit returned %d records, want 1", len(views))
+	}
+}
+
+// TestHandlerExportsRingDrops: what the rings overwrote before anyone
+// read it shows up on /metrics next to the routes that serve them.
+func TestHandlerExportsRingDrops(t *testing.T) {
+	reg := NewRegistry()
+	tr, ar := NewTracer(4), NewAuditRing(2)
+	for i := 0; i < 7; i++ {
+		tr.Record(Event{Kind: EvRoundStart, Round: uint32(i)})
+		ar.Append(auditRec(uint32(i), 1, VerdictMerged, 1, 1))
+	}
+	rr := httptest.NewRecorder()
+	Handler(reg, tr, ar).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	for _, want := range []string{
+		"# TYPE score_trace_dropped_total counter\nscore_trace_dropped_total 3\n",
+		"# TYPE score_audit_dropped_total counter\nscore_audit_dropped_total 5\n",
+	} {
+		if !strings.Contains(rr.Body.String(), want) {
+			t.Fatalf("/metrics lacks %q:\n%s", want, rr.Body)
+		}
 	}
 }

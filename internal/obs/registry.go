@@ -17,11 +17,12 @@ const (
 	kindGauge
 	kindHistogram
 	kindGaugeFunc
+	kindCounterFunc
 )
 
 func (k metricKind) String() string {
 	switch k {
-	case kindCounter:
+	case kindCounter, kindCounterFunc:
 		return "counter"
 	case kindGauge:
 		return "gauge"
@@ -216,6 +217,14 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 // Useful for runtime stats (goroutines, heap) where polling is wasteful.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f := r.family(name, help, kindGaugeFunc, "", nil)
+	f.fn = fn
+}
+
+// CounterFunc registers a counter whose value is read at scrape time from
+// a monotonic count some other structure already keeps (a ring's
+// overwrites), instead of mirroring it on the record path.
+func (r *Registry) CounterFunc(name, help string, fn func() float64) {
+	f := r.family(name, help, kindCounterFunc, "", nil)
 	f.fn = fn
 }
 

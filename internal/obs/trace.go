@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -90,22 +89,13 @@ type Event struct {
 	Code    uint8
 }
 
-// Tracer is a fixed-capacity ring buffer of Events. Record overwrites the
-// oldest entry once full and never allocates; a short critical section keeps
-// it race-free and cheap enough to leave on in production rounds.
-type Tracer struct {
-	mu   sync.Mutex
-	buf  []Event
-	next uint64 // total events ever recorded; buf index = next % len(buf)
-}
+// Tracer is a fixed-capacity ring buffer of Events (see ring): Record
+// overwrites the oldest entry once full and never allocates. Len,
+// Dropped and Snapshot (oldest first) are the ring's.
+type Tracer struct{ ring[Event] }
 
 // NewTracer returns a tracer holding the most recent capacity events.
-func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 1 << 14
-	}
-	return &Tracer{buf: make([]Event, capacity)}
-}
+func NewTracer(capacity int) *Tracer { return &Tracer{newRing[Event](capacity)} }
 
 // Record appends one event, stamping T if it is zero.
 func (t *Tracer) Record(e Event) {
@@ -113,46 +103,8 @@ func (t *Tracer) Record(e Event) {
 		e.T = time.Now().UnixNano()
 	}
 	t.mu.Lock()
-	t.buf[t.next%uint64(len(t.buf))] = e
-	t.next++
+	t.put(e)
 	t.mu.Unlock()
-}
-
-// Len reports how many events are currently retained.
-func (t *Tracer) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.next < uint64(len(t.buf)) {
-		return int(t.next)
-	}
-	return len(t.buf)
-}
-
-// Dropped reports how many events have been overwritten so far.
-func (t *Tracer) Dropped() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.next < uint64(len(t.buf)) {
-		return 0
-	}
-	return t.next - uint64(len(t.buf))
-}
-
-// Snapshot copies the retained events oldest-first.
-func (t *Tracer) Snapshot() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := uint64(len(t.buf))
-	if t.next < n {
-		out := make([]Event, t.next)
-		copy(out, t.buf[:t.next])
-		return out
-	}
-	out := make([]Event, n)
-	head := t.next % n
-	copy(out, t.buf[head:])
-	copy(out[n-head:], t.buf[:head])
-	return out
 }
 
 // ShardSpan aggregates one shard's activity within a round.

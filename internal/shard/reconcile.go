@@ -29,36 +29,17 @@ type Env interface {
 	Apply(d core.Decision) (realized float64, err error)
 }
 
-// EngineEnv adapts a core.Engine to the reconciliation Env.
-func EngineEnv(eng *core.Engine) Env { return engineEnv{eng} }
+// EngineEnv returns eng as the reconciliation Env; the engine implements
+// it, and RejectObserver, directly.
+func EngineEnv(eng *core.Engine) Env { return eng }
 
-type engineEnv struct{ eng *core.Engine }
-
-func (e engineEnv) Delta(vm cluster.VMID, target cluster.HostID) float64 {
-	return e.eng.Delta(vm, target)
-}
-
-func (e engineEnv) Admissible(vm cluster.VMID, target cluster.HostID) bool {
-	return e.eng.Admissible(vm, target)
-}
-
-func (e engineEnv) HostOf(vm cluster.VMID) cluster.HostID {
-	return e.eng.Cluster().HostOf(vm)
-}
-
-func (e engineEnv) Apply(d core.Decision) (float64, error) {
-	return e.eng.Apply(d)
-}
-
-// Rejected forwards a stale-rejected staged commit to the engine, whose
-// visit memo invalidates it as the reverse move.
-func (e engineEnv) Rejected(d core.Decision) { e.eng.Rejected(d) }
+var _ RejectObserver = (*core.Engine)(nil)
 
 // RejectObserver is optionally implemented by an Env that must learn
 // which staged commits MergeStaged dropped (re-validation failed, or
-// Apply did) — the count it returns says how many, not which. EngineEnv
-// implements it: verdicts a view memoized after staging such a commit
-// were computed against a move that never happened.
+// Apply did) — the count it returns says how many, not which.
+// core.Engine implements it: verdicts a view memoized after staging such
+// a commit were computed against a move that never happened.
 type RejectObserver interface {
 	Rejected(d core.Decision)
 }

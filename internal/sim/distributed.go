@@ -160,53 +160,31 @@ func (r *Runner) buildAgentPlane() (*agentPlane, error) {
 	return p, nil
 }
 
-// runDistributed executes reconciler rounds against the agent plane
-// until quiescence, the duration budget, or the iteration cap, mirroring
-// every committed move into the engine's cluster for cost sampling.
+// runDistributed runs the agent plane: reconciler rounds, with every
+// committed move mirrored into the engine's cluster for cost sampling.
 func (r *Runner) runDistributed() (*Metrics, error) {
-	cl := r.eng.Cluster()
-	vms := cl.VMs()
-	if len(vms) < 2 {
-		return nil, fmt.Errorf("sim: need at least 2 VMs, have %d", len(vms))
-	}
 	if _, stochastic := r.policy.(*token.Random); stochastic {
 		return nil, fmt.Errorf("sim: the distributed plane requires a deterministic token policy")
 	}
-	r.numVMs = len(vms)
 	plane, err := r.buildAgentPlane()
 	if err != nil {
 		return nil, err
 	}
 	defer plane.close()
-
-	r.metrics.InitialCost = r.eng.TotalCost()
-	r.metrics.Cost.Append(0, r.metrics.InitialCost)
-	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
-	r.net.Recompute(r.eng.Traffic(), cl)
-
-	perShard := map[int]*ShardStats{}
-	now := 0.0
-	for round := 1; ; round++ {
+	cl, tm := r.eng.Cluster(), r.eng.Traffic()
+	return r.runRounds(func(roll rollup) (int, int, int, error) {
 		rep, err := plane.rec.RunRound()
 		if err != nil {
-			return nil, err
+			return 0, 0, 0, err
 		}
-		hops := rep.RingHops
-		if hops < 1 {
-			hops = 1
-		}
-		now += float64(hops) * r.cfg.HopLatencyS
-		r.metrics.ShardsChosen = append(r.metrics.ShardsChosen, rep.Shards)
-
 		// Mirror each committed move: model its transfer under the link
 		// load as it stands, shift its flows, and apply it to the
 		// metrics cluster — the same sequence as a single-token
 		// migration, driven by the agent plane's decisions.
-		tm := r.eng.Traffic()
 		for _, d := range rep.Applied {
 			r.modelMigration(d.From, d.Target)
 			if err := cl.Move(d.VM, d.Target); err != nil {
-				return nil, fmt.Errorf("sim: mirroring distributed move of VM %d: %w", d.VM, err)
+				return 0, 0, 0, fmt.Errorf("sim: mirroring distributed move of VM %d: %w", d.VM, err)
 			}
 			for _, ed := range tm.NeighborEdges(d.VM) {
 				hz := cl.HostOf(ed.Peer)
@@ -215,39 +193,13 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 			}
 		}
 		for _, ring := range rep.Rings {
-			st, ok := perShard[ring.Shard]
-			if !ok {
-				st = &ShardStats{Shard: ring.Shard}
-				perShard[ring.Shard] = st
-			}
-			st.VMs = ring.VMs
-			st.Hops += ring.Hops
-			st.Migrations += ring.Merged
-			st.Proposals += ring.Proposed
+			st := roll(ring.Shard, ring.VMs, ring.Hops, ring.Merged, ring.Proposed)
 			st.LatencyS += ring.Latency.Seconds()
 			st.Regenerated += ring.Regenerated
 			if ring.Regenerated > 0 {
 				st.Recovered++
 			}
 		}
-		r.appendRoundStats(round, len(rep.Applied))
-		r.appendCost(now)
-
-		if len(rep.Applied) == 0 || now >= r.cfg.DurationS {
-			break
-		}
-		if r.cfg.MaxIterations > 0 && round >= r.cfg.MaxIterations {
-			break
-		}
-	}
-
-	for s := 0; s < len(perShard); s++ {
-		if st, ok := perShard[s]; ok {
-			r.metrics.PerShard = append(r.metrics.PerShard, *st)
-		}
-	}
-	r.metrics.FinalCost = r.eng.TotalCost()
-	r.finishUtilization(cl)
-	r.ob.finish(&r.metrics)
-	return &r.metrics, nil
+		return rep.RingHops, rep.Shards, len(rep.Applied), nil
+	})
 }

@@ -11,7 +11,6 @@ package sim
 // distributions remain comparable with single-token runs.
 
 import (
-	"fmt"
 	"math/rand"
 
 	"github.com/score-dc/score/internal/cluster"
@@ -61,18 +60,6 @@ func (r *Runner) modelMigration(from, target cluster.HostID) {
 	r.metrics.DowntimesMS = append(r.metrics.DowntimesMS, mres.DowntimeMS)
 }
 
-// appendRoundStats closes one partition/rings/merge round for the
-// Fig. 2-style iteration series (Metrics.Rounds itself is read back
-// from the registry's round counter at run end).
-func (r *Runner) appendRoundStats(round, applied int) {
-	r.metrics.Iterations = append(r.metrics.Iterations, IterationStats{
-		Index:      round,
-		Migrations: applied,
-		VMs:        r.numVMs,
-		Ratio:      float64(applied) / float64(r.numVMs),
-	})
-}
-
 // finishUtilization records the final per-level link utilizations from
 // one exact rebuild, clearing any drift the incremental folds
 // accumulated.
@@ -117,15 +104,75 @@ func (r *Runner) shiftApplied(applied []core.Decision) {
 	}
 }
 
-// runSharded executes rounds until the duration budget, the iteration
-// cap, or quiescence (a round that applies no migration).
-func (r *Runner) runSharded() (*Metrics, error) {
+// rollup folds one ring of a finished round into its shard's run totals.
+type rollup func(shard, vms, hops, merged, proposed int) *ShardStats
+
+// runRounds is the round loop of both sharded planes: the hop clock
+// (rings overlap, so a round costs its longest ring), the per-shard
+// roll-up, the iteration and cost series, the stop conditions — the
+// duration budget, the iteration cap, or quiescence (a round that
+// applies no migration) — and the final flush. step runs one round on
+// the plane, folds what it applied into the mirror cluster and the link
+// loads, and reports each ring through roll, which returns the shard's
+// running totals for plane-specific extras.
+func (r *Runner) runRounds(step func(roll rollup) (ringHops, shards, applied int, err error)) (*Metrics, error) {
 	cl := r.eng.Cluster()
-	vms := cl.VMs()
-	if len(vms) < 2 {
-		return nil, fmt.Errorf("sim: need at least 2 VMs, have %d", len(vms))
+	r.metrics.InitialCost = r.eng.TotalCost()
+	r.metrics.Cost.Append(0, r.metrics.InitialCost)
+	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
+	r.net.Recompute(r.eng.Traffic(), cl)
+
+	perShard := map[int]*ShardStats{}
+	roll := rollup(func(shard, vms, hops, merged, proposed int) *ShardStats {
+		st, ok := perShard[shard]
+		if !ok {
+			st = &ShardStats{Shard: shard}
+			perShard[shard] = st
+		}
+		st.VMs = vms
+		st.Hops += hops
+		st.Migrations += merged
+		st.Proposals += proposed
+		return st
+	})
+	now := 0.0
+	for round := 1; ; round++ {
+		hops, shards, applied, err := step(roll)
+		if err != nil {
+			return nil, err
+		}
+		now += float64(max(hops, 1)) * r.cfg.HopLatencyS
+		r.metrics.Iterations = append(r.metrics.Iterations, IterationStats{
+			Index:      round,
+			Migrations: applied,
+			VMs:        r.numVMs,
+			Ratio:      float64(applied) / float64(r.numVMs),
+		})
+		r.metrics.ShardsChosen = append(r.metrics.ShardsChosen, shards)
+		r.appendCost(now)
+
+		if applied == 0 || now >= r.cfg.DurationS {
+			break
+		}
+		if r.cfg.MaxIterations > 0 && round >= r.cfg.MaxIterations {
+			break
+		}
 	}
-	r.numVMs = len(vms)
+
+	for s := 0; s < len(perShard); s++ {
+		if st, ok := perShard[s]; ok {
+			r.metrics.PerShard = append(r.metrics.PerShard, *st)
+		}
+	}
+	r.metrics.FinalCost = r.eng.TotalCost()
+	r.finishUtilization(cl)
+	r.ob.finish(&r.metrics)
+	return &r.metrics, nil
+}
+
+// runSharded runs the in-process plane: shard.Coordinator rounds against
+// the engine's own cluster.
+func (r *Runner) runSharded() (*Metrics, error) {
 	ctrl, detach := r.controller()
 	defer detach()
 	scfg := shard.Config{
@@ -145,65 +192,24 @@ func (r *Runner) runSharded() (*Metrics, error) {
 		return nil, err
 	}
 	defer coord.Close()
-
-	r.metrics.InitialCost = r.eng.TotalCost()
-	r.metrics.Cost.Append(0, r.metrics.InitialCost)
-	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
-	r.net.Recompute(r.eng.Traffic(), cl)
-
-	perShard := map[int]*ShardStats{}
-	now := 0.0
-	for round := 1; ; round++ {
+	return r.runRounds(func(roll rollup) (int, int, int, error) {
 		res, err := coord.RunRound()
 		if err != nil {
-			return nil, err
+			return 0, 0, 0, err
 		}
-		hops := res.RingHops
-		if hops < 1 {
-			hops = 1
-		}
-		now += float64(hops) * r.cfg.HopLatencyS
-
 		// Per-migration modeling: durations, downtime and moved bytes
 		// under the link load of the round's starting allocation.
 		for _, d := range res.Applied {
 			r.modelMigration(d.From, d.Target)
 		}
 		for _, sh := range res.Shards {
-			st, ok := perShard[sh.Shard]
-			if !ok {
-				st = &ShardStats{Shard: sh.Shard}
-				perShard[sh.Shard] = st
-			}
-			st.VMs = sh.VMs
-			st.Hops += sh.Hops
-			st.Migrations += sh.Merged
-			st.Proposals += sh.Proposed
+			roll(sh.Shard, sh.VMs, sh.Hops, sh.Merged, sh.Proposed)
 		}
-		r.appendRoundStats(round, len(res.Applied))
-		r.metrics.ShardsChosen = append(r.metrics.ShardsChosen, len(res.Shards))
 		// Fold the round into the link loads incrementally: any traffic
 		// changelog first (over round-start positions), then the applied
 		// moves replayed in order — no full-pair Recompute per round.
-		r.net.Sync(r.eng.Traffic(), cl)
+		r.net.Sync(r.eng.Traffic(), r.eng.Cluster())
 		r.shiftApplied(res.Applied)
-		r.appendCost(now)
-
-		if len(res.Applied) == 0 || now >= r.cfg.DurationS {
-			break
-		}
-		if r.cfg.MaxIterations > 0 && round >= r.cfg.MaxIterations {
-			break
-		}
-	}
-
-	for s := 0; s < len(perShard); s++ {
-		if st, ok := perShard[s]; ok {
-			r.metrics.PerShard = append(r.metrics.PerShard, *st)
-		}
-	}
-	r.metrics.FinalCost = r.eng.TotalCost()
-	r.finishUtilization(cl)
-	r.ob.finish(&r.metrics)
-	return &r.metrics, nil
+		return res.RingHops, len(res.Shards), len(res.Applied), nil
+	})
 }

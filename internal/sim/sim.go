@@ -277,14 +277,8 @@ func NewRunner(eng *core.Engine, pol token.Policy, cfg Config, rng *rand.Rand) (
 
 // Run executes the simulation and returns its metrics.
 func (r *Runner) Run() (*Metrics, error) {
-	if r.cfg.DistributedShards > 0 {
-		if r.cfg.Shards > 1 {
-			return nil, fmt.Errorf("sim: Shards and DistributedShards are mutually exclusive")
-		}
-		return r.runDistributed()
-	}
-	if r.cfg.Shards > 1 || r.cfg.AutoTune {
-		return r.runSharded()
+	if r.cfg.DistributedShards > 0 && r.cfg.Shards > 1 {
+		return nil, fmt.Errorf("sim: Shards and DistributedShards are mutually exclusive")
 	}
 	cl := r.eng.Cluster()
 	vms := cl.VMs()
@@ -292,6 +286,12 @@ func (r *Runner) Run() (*Metrics, error) {
 		return nil, fmt.Errorf("sim: need at least 2 VMs, have %d", len(vms))
 	}
 	r.numVMs = len(vms)
+	switch {
+	case r.cfg.DistributedShards > 0:
+		return r.runDistributed()
+	case r.cfg.Shards > 1 || r.cfg.AutoTune:
+		return r.runSharded()
+	}
 	// Optimistic level initialization: unvisited VMs read as hottest so
 	// HLF guarantees one visit each before prioritizing (see token.New).
 	r.tok = token.NewAtLevel(vms, uint8(r.eng.Topology().Depth()))
