@@ -11,6 +11,15 @@
 // The Cluster owns the placement table — one HostID per VM ID — and is
 // its only writer. Readers that cannot afford a call per lookup borrow
 // it through DenseAlloc: a read-only alias, valid until the next AddVM.
+//
+// Per-VM state has one layout: flat tables over a window of the ID space
+// (Section V-A: IDs come from one totally ordered space and the token
+// walks them in order). AddVM is where IDs are admitted and holds the
+// system's one density rule: an ID that would stretch the span of the
+// registered IDs past 4 × the plant's VM slots + 2²⁰ is refused with
+// ErrIDOutsideWindow and nothing changes. Every other per-VM table in the
+// program — the traffic matrix's rows, the decision views, the visit memo
+// — is sized from IDs this rule has let in, and keeps no rule of its own.
 package cluster
 
 import (
@@ -18,7 +27,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // VMID uniquely identifies a VM. The paper uses the VM's IPv4 address as a
@@ -71,14 +79,16 @@ var (
 	ErrNoCapacity   = errors.New("cluster: host lacks capacity")
 	ErrAlreadyHosts = errors.New("cluster: VM already placed")
 	ErrNotPlaced    = errors.New("cluster: VM not placed")
+	// ErrIDOutsideWindow refuses a VM ID too far from the registered ones
+	// for the per-VM tables to stay proportional to the plant (see AddVM).
+	ErrIDOutsideWindow = errors.New("cluster: VM ID outside the ID window")
 )
 
 // vmRec is one registered VM's resource demand, 12 bytes; its placement
-// lives beside it in Cluster.alloc, 4 more. With densely issued IDs the
-// cluster keeps the two flat tables indexed by ID offset, so the per-VM
-// state of a 100k-VM instance is 1.6 MB of arrays instead of two maps of
-// boxed entries, and HostOf/Demand reads are a bounds check plus one
-// cache line. The zero record is unregistered.
+// lives beside it in Cluster.alloc, 4 more. The cluster keeps the two
+// flat tables indexed by ID offset, so the per-VM state of a 100k-VM
+// instance is 1.6 MB of arrays, and HostOf/Demand reads are a bounds
+// check plus one cache line. The zero record is unregistered.
 type vmRec struct {
 	ramMB    int32
 	cpuMilli int32
@@ -95,22 +105,17 @@ type vmRec struct {
 type Cluster struct {
 	hosts []Host // dense, indexed by HostID
 
-	// Dense VM tables: recs[id-recBase] holds the demand of the VM
-	// registered as id and alloc[id-recBase] its host — the placement
-	// table, owned and written by the cluster alone, NoHost for an
-	// unplaced or unregistered ID, always len(recs) long. This is the
-	// primary layout for the contiguous ID ranges a PlacementManager
-	// issues. When registered IDs turn out too scattered to index densely
-	// (recsOff) the records migrate to the map fallback below and both
-	// slices are dropped.
+	// VM tables over one ID window: recs[id-recBase] holds the demand of
+	// the VM registered as id and alloc[id-recBase] its host — the
+	// placement table, owned and written by the cluster alone, NoHost for
+	// an unplaced or unregistered ID, always len(recs) long. Only IDs
+	// inside the window can be registered; ensureRec grows it, to at most
+	// maxSpan IDs (the density rule), when AddVM admits one outside.
 	recBase VMID
 	recs    []vmRec
 	alloc   []HostID
 	numVMs  int
-
-	recsOff bool
-	vms     map[VMID]VM     // sparse fallback only
-	vmHost  map[VMID]HostID // sparse fallback only
+	maxSpan int64
 
 	hostVMs [][]VMID // dense, indexed by HostID; unordered sets
 	ramUsed []int    // MiB in use per host
@@ -151,7 +156,9 @@ func New(hosts []Host) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: host %d has non-positive slot count %d", i, h.Slots)
 		}
 		c.hosts[i] = h
+		c.maxSpan += int64(h.Slots)
 	}
+	c.maxSpan = c.maxSpan*denseFactor + denseSlack
 	return c, nil
 }
 
@@ -228,108 +235,101 @@ func (c *Cluster) notifyReset() {
 	}
 }
 
-// denseSlack bounds how much larger than the VM population the dense
-// record table may grow before it is abandoned for the map fallback.
-const denseSlack = 1024
+// The density rule: the registered IDs may span at most denseFactor × the
+// plant's VM slots + denseSlack IDs (16 bytes of table each). The flat
+// term admits per-tenant ID strides and a far-off first few IDs — 2²⁰ IDs
+// are 16 MB of table — while a scatter over the 32-bit space (2³⁰: 16 GB)
+// is refused. The bound is fixed per cluster (maxSpan, set by New), not
+// relative to the current population, so it cannot be outlived: every
+// subset of an admitted ID set is admissible in any order, Remove never
+// leaves a state AddVM would not rebuild, and a snapshot of a live cluster
+// always replays.
+const (
+	denseFactor = 4
+	denseSlack  = 1 << 20
+)
 
-// ensureRec grows the dense record table to cover vm and returns vm's
-// index, or -1 when the cluster is (or just fell back to) the sparse
-// map layout.
+// GrowWindow plans the growth of a table over the ID window starting at
+// base so that it comes to cover id, which lies outside it. first..last
+// are the table's occupied slots (first > last when there are none);
+// growth measures from them, not from the old window, so slots vacated at
+// either end are let go and under a service that issues ever higher IDs
+// while old VMs leave, the window follows the population instead of
+// spanning every ID ever issued. It returns the new window — the occupied
+// extent plus id, padded geometrically on the side being extended so that
+// ascending or descending ID sequences stay amortized O(1), never beyond
+// limit IDs — or ok == false when the extent plus id alone exceeds limit.
+// The caller allocates size slots and copies the old slots first..last to
+// offset base+first-newBase.
+func GrowWindow(base VMID, first, last int, id VMID, limit int64) (newBase VMID, size int, ok bool) {
+	lo, hi := int64(id), int64(id)
+	if first <= last {
+		lo = min(lo, int64(base)+int64(first))
+		hi = max(hi, int64(base)+int64(last))
+	}
+	required := hi - lo + 1
+	if required > limit {
+		return 0, 0, false
+	}
+	padded := min(max(required, 2*int64(last-first+1)), limit)
+	if lo == int64(id) {
+		lo = max(0, lo-(padded-required)) // spare capacity below when growing down
+	}
+	return VMID(lo), int(padded), true
+}
+
+// ensureRec returns vm's index in the record table, growing the table
+// when vm lies outside it, or -1, having changed nothing, when that would
+// break the density rule. The table never exceeds the rule's span, so an
+// ID inside it needs no check.
 func (c *Cluster) ensureRec(vm VMID) int {
-	if c.recsOff {
-		return -1
-	}
-	if c.recs == nil {
-		c.recBase = vm
-		c.recs, c.alloc = make([]vmRec, 1), []HostID{NoHost}
-		return 0
-	}
-	i := int64(vm) - int64(c.recBase)
-	if i >= 0 && i < int64(len(c.recs)) {
+	if i := int64(vm) - int64(c.recBase); uint64(i) < uint64(len(c.recs)) {
 		return int(i)
 	}
-	// Required contiguous range to cover both the existing window and vm.
-	var newBase, required int64
-	if i < 0 {
-		newBase = int64(vm)
-		required = int64(len(c.recs)) - i
-	} else {
-		newBase = int64(c.recBase)
-		required = i + 1
+	first, last := 0, -1 // extent of the registered records
+	if c.numVMs > 0 {
+		for !c.recs[first].reg {
+			first++
+		}
+		for last = len(c.recs) - 1; !c.recs[last].reg; last-- {
+		}
 	}
-	if required > int64(c.numVMs)*4+denseSlack {
-		c.fallbackSparse()
+	newBase, size, ok := GrowWindow(c.recBase, first, last, vm, c.maxSpan)
+	if !ok {
 		return -1
 	}
-	// Grow geometrically on the extending side so sequential ID issuance
-	// stays amortized O(1).
-	padded := required
-	if double := 2 * int64(len(c.recs)); double > padded {
-		padded = double
-	}
-	if i < 0 && newBase > padded-required {
-		newBase -= padded - required // spare capacity below when growing down
-	}
-	nr, na := make([]vmRec, padded), make([]HostID, padded)
+	nr, na := make([]vmRec, size), make([]HostID, size)
 	for i := range na {
 		na[i] = NoHost
 	}
-	copy(nr[int64(c.recBase)-newBase:], c.recs)
-	copy(na[int64(c.recBase)-newBase:], c.alloc)
-	c.recBase, c.recs, c.alloc = VMID(newBase), nr, na
-	return int(int64(vm) - newBase)
-}
-
-// fallbackSparse migrates every dense record into the map layout.
-func (c *Cluster) fallbackSparse() {
-	c.vms = make(map[VMID]VM, c.numVMs)
-	c.vmHost = make(map[VMID]HostID, c.numVMs)
-	for i := range c.recs {
-		r := &c.recs[i]
-		if !r.reg {
-			continue
-		}
-		id := c.recBase + VMID(i)
-		c.vms[id] = VM{ID: id, RAMMB: int(r.ramMB), CPUMilli: int(r.cpuMilli)}
-		c.vmHost[id] = c.alloc[i]
+	if first <= last {
+		at := c.recBase + VMID(first) - newBase
+		copy(nr[at:], c.recs[first:last+1])
+		copy(na[at:], c.alloc[first:last+1])
 	}
-	c.recsOff = true
-	c.recBase, c.recs, c.alloc = 0, nil, nil
+	c.recBase, c.recs, c.alloc = newBase, nr, na
+	return int(vm - newBase)
 }
 
 // registered reports whether id names a known VM.
 func (c *Cluster) registered(id VMID) bool {
-	if !c.recsOff {
-		i := int64(id) - int64(c.recBase)
-		return c.recs != nil && uint64(i) < uint64(len(c.recs)) && c.recs[i].reg
-	}
-	_, ok := c.vms[id]
-	return ok
+	i := int64(id) - int64(c.recBase)
+	return uint64(i) < uint64(len(c.recs)) && c.recs[i].reg
 }
 
 // Demand returns vm's resource demand, ok == false when unregistered.
 // Unlike VM it builds no error, so capacity probes of unknown IDs stay
 // allocation-free.
 func (c *Cluster) Demand(vm VMID) (ramMB, cpuMilli int, ok bool) {
-	if !c.recsOff {
-		i := int64(vm) - int64(c.recBase)
-		if c.recs == nil || uint64(i) >= uint64(len(c.recs)) || !c.recs[i].reg {
-			return 0, 0, false
-		}
-		return int(c.recs[i].ramMB), int(c.recs[i].cpuMilli), true
+	if !c.registered(vm) {
+		return 0, 0, false
 	}
-	v, ok := c.vms[vm]
-	return v.RAMMB, v.CPUMilli, ok
+	r := &c.recs[vm-c.recBase]
+	return int(r.ramMB), int(r.cpuMilli), true
 }
 
 // setHostOf records vm's placement. The VM must be registered.
-func (c *Cluster) setHostOf(vm VMID, h HostID) {
-	if !c.recsOff {
-		c.alloc[int64(vm)-int64(c.recBase)] = h
-		return
-	}
-	c.vmHost[vm] = h
-}
+func (c *Cluster) setHostOf(vm VMID, h HostID) { c.alloc[vm-c.recBase] = h }
 
 // NumHosts returns the number of physical servers.
 func (c *Cluster) NumHosts() int { return len(c.hosts) }
@@ -347,42 +347,30 @@ func (c *Cluster) Host(id HostID) (Host, error) {
 
 // VM returns the VM description for id.
 func (c *Cluster) VM(id VMID) (VM, error) {
-	if !c.recsOff {
-		i := int64(id) - int64(c.recBase)
-		if c.recs == nil || uint64(i) >= uint64(len(c.recs)) || !c.recs[i].reg {
-			return VM{}, fmt.Errorf("%w: %d", ErrUnknownVM, id)
-		}
-		r := &c.recs[i]
-		return VM{ID: id, RAMMB: int(r.ramMB), CPUMilli: int(r.cpuMilli)}, nil
-	}
-	vm, ok := c.vms[id]
+	ramMB, cpuMilli, ok := c.Demand(id)
 	if !ok {
 		return VM{}, fmt.Errorf("%w: %d", ErrUnknownVM, id)
 	}
-	return vm, nil
+	return VM{ID: id, RAMMB: ramMB, CPUMilli: cpuMilli}, nil
 }
 
 // VMs returns all VM IDs in ascending order. The ascending total order is
-// what the Round-Robin token policy walks (Section V-A1). With the dense
-// record table this is a linear scan — no sort, no map iteration.
+// what the Round-Robin token policy walks (Section V-A1): a linear scan
+// of the record table — no sort.
 func (c *Cluster) VMs() []VMID {
 	ids := make([]VMID, 0, c.numVMs)
-	if !c.recsOff {
-		for i := range c.recs {
-			if c.recs[i].reg {
-				ids = append(ids, c.recBase+VMID(i))
-			}
+	for i := range c.recs {
+		if c.recs[i].reg {
+			ids = append(ids, c.recBase+VMID(i))
 		}
-		return ids
 	}
-	for id := range c.vms {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
-// AddVM registers an unplaced VM.
+// AddVM registers an unplaced VM. An ID that would stretch the span of
+// the registered IDs beyond the density rule (see denseFactor) is refused
+// with ErrIDOutsideWindow; like every refusal here it leaves the cluster
+// exactly as it was.
 func (c *Cluster) AddVM(vm VM) error {
 	if c.registered(vm.ID) {
 		return fmt.Errorf("%w: %d", ErrAlreadyHosts, vm.ID)
@@ -393,50 +381,35 @@ func (c *Cluster) AddVM(vm VM) error {
 	if vm.RAMMB > math.MaxInt32 || vm.CPUMilli > math.MaxInt32 {
 		return fmt.Errorf("cluster: VM %d resource demand overflows 32 bits", vm.ID)
 	}
-	if i := c.ensureRec(vm.ID); i >= 0 {
-		c.recs[i] = vmRec{ramMB: int32(vm.RAMMB), cpuMilli: int32(vm.CPUMilli), reg: true}
-	} else {
-		c.vms[vm.ID] = vm
-		c.vmHost[vm.ID] = NoHost
+	i := c.ensureRec(vm.ID)
+	if i < 0 {
+		return fmt.Errorf("%w: %d (window %d..%d, at most %d IDs wide)", ErrIDOutsideWindow, vm.ID,
+			c.recBase, int64(c.recBase)+int64(len(c.recs))-1, c.maxSpan)
 	}
+	c.recs[i] = vmRec{ramMB: int32(vm.RAMMB), cpuMilli: int32(vm.CPUMilli), reg: true}
 	c.numVMs++
 	return nil
 }
 
 // HostOf returns the server hosting vm, i.e. σ̂A(u) in the paper's
-// notation, or NoHost if the VM is unplaced. With densely issued IDs
-// (the PlacementManager's sequential issuance) this is a bounds check
-// and a slice load.
+// notation, or NoHost if the VM is unplaced: a bounds check and a slice
+// load.
 func (c *Cluster) HostOf(vm VMID) HostID {
 	if i := int64(vm) - int64(c.recBase); uint64(i) < uint64(len(c.alloc)) {
 		return c.alloc[i]
 	}
-	if h, ok := c.vmHost[vm]; ok { // sparse fallback; nil map while dense
-		return h
-	}
 	return NoHost
-}
-
-// DenseSpan reports the ID window of the dense record table: IDs
-// base … base+n-1 are the only ones that can be registered. ok is false
-// when IDs were issued too sparsely for the table to exist (or no VM was
-// ever registered). Consumers keeping their own per-VM tables size them
-// from it.
-func (c *Cluster) DenseSpan() (base VMID, n int, ok bool) {
-	if c.recsOff || c.recs == nil {
-		return 0, 0, false
-	}
-	return c.recBase, len(c.recs), true
 }
 
 // DenseAlloc returns the cluster's own placement table: base is the ID
 // of alloc[0], and alloc[id-base] is the host of id (NoHost when
-// unplaced or unregistered). alloc is nil when IDs were issued too
-// sparsely for the dense tables to exist; callers then fall back to
-// HostOf. The slice aliases live state: it is read-only for the caller,
+// unplaced or unregistered). Every registered ID lies in base …
+// base+len(alloc)-1 — the ID window; consumers keeping their own per-VM
+// tables size them from it. alloc is empty until the first
+// AddVM. The slice aliases live state: it is read-only for the caller,
 // follows every Place/Move/Remove/Restore, and is valid only until the
-// next AddVM, which may reallocate the table or abandon it for the
-// sparse layout — re-fetch it rather than holding it across one.
+// next AddVM, which may reallocate the table — re-fetch it rather than
+// holding it across one.
 func (c *Cluster) DenseAlloc() (base VMID, alloc []HostID) {
 	return c.recBase, c.alloc
 }
@@ -444,18 +417,14 @@ func (c *Cluster) DenseAlloc() (base VMID, alloc []HostID) {
 // DenseAllocSnapshotInto copies the placement table into buf when its
 // capacity suffices (a fresh slice otherwise), so round loops that
 // re-snapshot every round reuse one buffer. The copy is the caller's to
-// write — decision views stage moves in it. ok-false (no dense table)
-// leaves buf untouched.
-func (c *Cluster) DenseAllocSnapshotInto(buf []HostID) (base VMID, alloc []HostID, ok bool) {
-	if c.alloc == nil {
-		return 0, nil, false
-	}
+// write — decision views stage moves in it.
+func (c *Cluster) DenseAllocSnapshotInto(buf []HostID) (base VMID, alloc []HostID) {
 	if cap(buf) < len(c.alloc) {
 		buf = make([]HostID, len(c.alloc))
 	}
 	alloc = buf[:len(c.alloc)]
 	copy(alloc, c.alloc)
-	return c.recBase, alloc, true
+	return c.recBase, alloc
 }
 
 // ForEachPlaced calls fn for every placed VM in ascending ID order,
@@ -463,17 +432,9 @@ func (c *Cluster) DenseAllocSnapshotInto(buf []HostID) (base VMID, alloc []HostI
 // zero-copy walk for consumers (shard partitioning) that rebuild
 // placement-derived structures in bulk.
 func (c *Cluster) ForEachPlaced(fn func(VMID, HostID)) {
-	if !c.recsOff {
-		for i, h := range c.alloc {
-			if h != NoHost {
-				fn(c.recBase+VMID(i), h)
-			}
-		}
-		return
-	}
-	for _, vm := range c.VMs() {
-		if h := c.HostOf(vm); h != NoHost {
-			fn(vm, h)
+	for i, h := range c.alloc {
+		if h != NoHost {
+			fn(c.recBase+VMID(i), h)
 		}
 	}
 }
@@ -619,12 +580,7 @@ func (c *Cluster) Remove(vm VMID) error {
 		c.setHostOf(vm, NoHost)
 		c.notifyChange(vm, cur, NoHost)
 	}
-	if !c.recsOff {
-		c.recs[int64(vm)-int64(c.recBase)] = vmRec{}
-	} else {
-		delete(c.vms, vm)
-		delete(c.vmHost, vm)
-	}
+	c.recs[vm-c.recBase] = vmRec{}
 	c.numVMs--
 	return nil
 }
@@ -656,12 +612,8 @@ func (c *Cluster) Respec(vm VMID, ramMB, cpuMilli int) error {
 		c.ramUsed[h] += ramMB - oldRAM
 		c.cpuUsed[h] += cpuMilli - oldCPU
 	}
-	if !c.recsOff {
-		r := &c.recs[int64(vm)-int64(c.recBase)]
-		r.ramMB, r.cpuMilli = int32(ramMB), int32(cpuMilli)
-	} else {
-		c.vms[vm] = VM{ID: vm, RAMMB: ramMB, CPUMilli: cpuMilli}
-	}
+	r := &c.recs[vm-c.recBase]
+	r.ramMB, r.cpuMilli = int32(ramMB), int32(cpuMilli)
 	c.notifyRespec(vm, c.HostOf(vm))
 	return nil
 }
@@ -682,16 +634,10 @@ func (c *Cluster) removeFromHost(vm VMID, host HostID) {
 // live cluster state.
 func (c *Cluster) Snapshot() map[VMID]HostID {
 	m := make(map[VMID]HostID, c.numVMs)
-	if !c.recsOff {
-		for i := range c.recs {
-			if c.recs[i].reg {
-				m[c.recBase+VMID(i)] = c.alloc[i]
-			}
+	for i := range c.recs {
+		if c.recs[i].reg {
+			m[c.recBase+VMID(i)] = c.alloc[i]
 		}
-		return m
-	}
-	for vm, h := range c.vmHost {
-		m[vm] = h
 	}
 	return m
 }
@@ -704,27 +650,24 @@ func (c *Cluster) Restore(alloc map[VMID]HostID) error {
 	slots := make([]int, len(c.hosts))
 	ram := make([]int, len(c.hosts))
 	cpu := make([]int, len(c.hosts))
-	var verr error
-	c.forEachVM(func(vm VMID, ramMB, cpuMilli int, _ HostID) bool {
-		h, ok := alloc[vm]
+	for i := range c.recs {
+		r := &c.recs[i]
+		if !r.reg {
+			continue
+		}
+		h, ok := alloc[c.recBase+VMID(i)]
 		if !ok {
-			verr = fmt.Errorf("cluster: snapshot missing VM %d", vm)
-			return false
+			return fmt.Errorf("cluster: snapshot missing VM %d", c.recBase+VMID(i))
 		}
 		if h == NoHost {
-			return true
+			continue
 		}
 		if !c.validHost(h) {
-			verr = fmt.Errorf("%w: %d", ErrUnknownHost, h)
-			return false
+			return fmt.Errorf("%w: %d", ErrUnknownHost, h)
 		}
 		slots[h]++
-		ram[h] += ramMB
-		cpu[h] += cpuMilli
-		return true
-	})
-	if verr != nil {
-		return verr
+		ram[h] += int(r.ramMB)
+		cpu[h] += int(r.cpuMilli)
 	}
 	for i, h := range c.hosts {
 		if slots[i] > h.Slots || ram[i] > h.RAMMB || (h.CPUMilli > 0 && cpu[i] > h.CPUMilli) {
@@ -754,33 +697,10 @@ func (c *Cluster) Restore(alloc map[VMID]HostID) error {
 	return nil
 }
 
-// forEachVM visits every registered VM with its demand and current
-// host; f returning false stops the walk. Dense mode visits in
-// ascending ID order.
-func (c *Cluster) forEachVM(f func(vm VMID, ramMB, cpuMilli int, host HostID) bool) {
-	if !c.recsOff {
-		for i := range c.recs {
-			r := &c.recs[i]
-			if !r.reg {
-				continue
-			}
-			if !f(c.recBase+VMID(i), int(r.ramMB), int(r.cpuMilli), c.alloc[i]) {
-				return
-			}
-		}
-		return
-	}
-	for id, vm := range c.vms {
-		if !f(id, vm.RAMMB, vm.CPUMilli, c.vmHost[id]) {
-			return
-		}
-	}
-}
-
 // Clone returns a deep copy of the cluster, used by optimizers that
 // explore hypothetical allocations. Observers are not copied: state
-// derived for the original must not track the clone. The dense record
-// table clones with one array copy.
+// derived for the original must not track the clone. The record table
+// clones with one array copy.
 func (c *Cluster) Clone() *Cluster {
 	n := &Cluster{
 		hosts:   append([]Host(nil), c.hosts...),
@@ -788,20 +708,10 @@ func (c *Cluster) Clone() *Cluster {
 		recs:    append([]vmRec(nil), c.recs...),
 		alloc:   append([]HostID(nil), c.alloc...),
 		numVMs:  c.numVMs,
-		recsOff: c.recsOff,
+		maxSpan: c.maxSpan,
 		hostVMs: make([][]VMID, len(c.hostVMs)),
 		ramUsed: append([]int(nil), c.ramUsed...),
 		cpuUsed: append([]int(nil), c.cpuUsed...),
-	}
-	if c.recsOff {
-		n.vms = make(map[VMID]VM, len(c.vms))
-		n.vmHost = make(map[VMID]HostID, len(c.vmHost))
-		for id, vm := range c.vms {
-			n.vms[id] = vm
-		}
-		for id, h := range c.vmHost {
-			n.vmHost[id] = h
-		}
 	}
 	for i, set := range c.hostVMs {
 		n.hostVMs[i] = append([]VMID(nil), set...)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -100,25 +101,43 @@ func TestHostOfDenseMirror(t *testing.T) {
 	}
 }
 
-// TestHostOfSparseFallback: IDs too scattered for the dense mirror must
-// fall back to the map and stay correct.
-func TestHostOfSparseFallback(t *testing.T) {
+// TestAddVMRefusesIDOutsideWindow is the density rule, the only one in
+// the system: IDs that keep the registered span within 4 × VM slots + 2²⁰
+// are admitted — per-tenant strides, one far-off ID, growth downward — and
+// an ID past that is refused with ErrIDOutsideWindow, leaving population,
+// window and every placement exactly as they were.
+func TestAddVMRefusesIDOutsideWindow(t *testing.T) {
 	c, err := New(UniformHosts(4, 4, 8192, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := []VMID{1, 1 << 20, 1 << 30, 0xfffffff0}
-	for _, id := range ids {
+	ids := []VMID{10_000, 80_000, 20_000, 999_999, 1}
+	for i, id := range ids {
 		if err := c.AddVM(VM{ID: id, RAMMB: 128}); err != nil {
+			t.Fatalf("AddVM(%d): %v", id, err)
+		}
+		if err := c.Place(id, HostID(i%c.NumHosts())); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !c.recsOff {
-		t.Fatal("dense record table should be disabled for scattered IDs")
-	}
-	for i, id := range ids {
-		if err := c.Place(id, HostID(i%c.NumHosts())); err != nil {
-			t.Fatal(err)
+	base, alloc := c.DenseAlloc()
+	before := append([]HostID(nil), alloc...)
+	for _, id := range []VMID{1 << 30, 4_000_000_000, 0xffffffff} {
+		if err := c.AddVM(VM{ID: id, RAMMB: 128}); !errors.Is(err, ErrIDOutsideWindow) {
+			t.Fatalf("AddVM(%d) = %v, want ErrIDOutsideWindow", id, err)
+		}
+		if _, err := c.VM(id); !errors.Is(err, ErrUnknownVM) {
+			t.Fatalf("refused VM %d is registered (%v)", id, err)
+		}
+		nb, na := c.DenseAlloc()
+		if c.NumVMs() != len(ids) || nb != base || len(na) != len(before) || &na[0] != &alloc[0] {
+			t.Fatalf("refusing %d changed the cluster: %d VMs, window (%d, %d), was (%d, %d)",
+				id, c.NumVMs(), nb, len(na), base, len(before))
+		}
+		for k, h := range na {
+			if h != before[k] {
+				t.Fatalf("refusing %d rewrote the placement of ID %d: %d, was %d", id, base+VMID(k), h, before[k])
+			}
 		}
 	}
 	for i, id := range ids {
@@ -126,13 +145,144 @@ func TestHostOfSparseFallback(t *testing.T) {
 			t.Fatalf("HostOf(%d) = %d, want %d", id, got, i%c.NumHosts())
 		}
 	}
-	if got := c.HostOf(42); got != NoHost {
-		t.Fatalf("HostOf(unknown) = %d, want NoHost", got)
+
+	// The boundary, from a one-VM window where no padding blurs it.
+	c, _ = New(UniformHosts(1, 4, 8192, 1000))
+	if err := c.AddVM(VM{ID: 100}); err != nil {
+		t.Fatal(err)
+	}
+	edge := VMID(100 + denseFactor*4 + denseSlack) // first ID past the rule
+	if err := c.AddVM(VM{ID: edge}); !errors.Is(err, ErrIDOutsideWindow) {
+		t.Fatalf("AddVM(%d) = %v, want ErrIDOutsideWindow", edge, err)
+	}
+	if err := c.AddVM(VM{ID: edge - 1}); err != nil {
+		t.Fatalf("AddVM(%d), the last ID inside the rule: %v", edge-1, err)
+	}
+	if got := c.VMs(); len(got) != 2 || got[1] != edge-1 {
+		t.Fatalf("VMs() = %v after admitting %d", got, edge-1)
 	}
 }
 
-// TestHostOfGrowsDownward: registering an ID below the dense base must
-// re-anchor the mirror, not disable it.
+// TestWindowFollowsPopulation: a long-lived service issues ever higher
+// IDs while old VMs leave. The window follows the registered IDs instead
+// of spanning every ID ever issued — which would run into the density
+// rule after 2²⁰ admissions and refuse every admission from then on.
+func TestWindowFollowsPopulation(t *testing.T) {
+	c, err := New(UniformHosts(1, 128, 1<<20, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const live = 100
+	for id := VMID(1); id < 2*denseSlack; id++ {
+		if err := c.AddVM(VM{ID: id, RAMMB: 1}); err != nil {
+			t.Fatalf("AddVM(%d) with %d VMs live: %v", id, c.NumVMs(), err)
+		}
+		if err := c.Place(id, 0); err != nil {
+			t.Fatal(err)
+		}
+		if id > live {
+			if err := c.Remove(id - live); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	base, alloc := c.DenseAlloc()
+	if len(alloc) > 4*live {
+		t.Fatalf("window (%d, %d entries) for %d live VMs", base, len(alloc), c.NumVMs())
+	}
+	for _, id := range c.VMs() {
+		if c.HostOf(id) != 0 {
+			t.Fatalf("VM %d lost its placement as the window moved", id)
+		}
+	}
+	if c.NumVMs() != live || c.UsedSlots(0) != live {
+		t.Fatalf("%d VMs, %d slots used, want %d", c.NumVMs(), c.UsedSlots(0), live)
+	}
+}
+
+// TestLiveStateReadmits: the rule does not depend on the population, so
+// no sequence of admissions and removals reaches a state AddVM would not
+// rebuild — in any order, which is what lets a snapshot of a live cluster
+// replay. The geometric padding never takes the table past the rule
+// either: an ID inside the table is always one the rule admits.
+func TestLiveStateReadmits(t *testing.T) {
+	hosts := UniformHosts(4, 4, 8192, 1000)
+	c, _ := New(hosts)
+	top := VMID(c.maxSpan) // with ID 1, exactly the widest legal span
+	var ids []VMID
+	for id := VMID(1); id < top; id += top / 50 {
+		ids = append(ids, id)
+	}
+	ids = append(ids, top)
+	for _, id := range ids {
+		if err := c.AddVM(VM{ID: id}); err != nil {
+			t.Fatalf("AddVM(%d): %v", id, err)
+		}
+	}
+	if err := c.AddVM(VM{ID: top + 1}); !errors.Is(err, ErrIDOutsideWindow) {
+		t.Fatalf("AddVM(%d) = %v, want ErrIDOutsideWindow", top+1, err)
+	}
+	if _, alloc := c.DenseAlloc(); int64(len(alloc)) > c.maxSpan {
+		t.Fatalf("table of %d entries, the rule allows a span of %d", len(alloc), c.maxSpan)
+	}
+	for _, id := range ids[1 : len(ids)-1] { // retire the middle of the range
+		if err := c.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 20; trial++ {
+		live := c.VMs()
+		rng.Shuffle(len(live), func(i, j int) { live[i], live[j] = live[j], live[i] })
+		fresh, _ := New(hosts)
+		for _, id := range live {
+			if err := fresh.AddVM(VM{ID: id}); err != nil {
+				t.Fatalf("replaying %v: AddVM(%d): %v", live, id, err)
+			}
+		}
+		// Churn the live cluster on: admit and retire inside the span.
+		id := 1 + VMID(rng.Int63n(int64(top)))
+		if c.AddVM(VM{ID: id}) == nil && rng.Intn(2) == 0 {
+			c.Remove(id)
+		}
+	}
+}
+
+// TestGrowWindow: the window arithmetic shared by the cluster's record
+// table and the traffic matrix's row table.
+func TestGrowWindow(t *testing.T) {
+	const none = 1 << 40
+	for _, tc := range []struct {
+		name        string
+		base        VMID
+		first, last int
+		id          VMID
+		limit       int64
+		wantBase    VMID
+		wantSize    int
+		wantOK      bool
+	}{
+		{"empty", 0, 0, -1, 700, none, 700, 1, true},
+		{"up, padded above", 100, 0, 9, 110, none, 100, 20, true},
+		{"up, far", 100, 0, 9, 1000, none, 100, 901, true},
+		{"down, padded below", 100, 0, 9, 99, none, 90, 20, true},
+		{"down, clamped at zero", 5, 0, 9, 2, none, 0, 20, true},
+		{"vacated ends let go", 100, 40, 49, 200, none, 140, 61, true},
+		{"padding stops at the limit", 100, 0, 9, 110, 15, 100, 15, true},
+		{"exactly the limit", 100, 0, 9, 119, 20, 100, 20, true},
+		{"past the limit", 100, 0, 9, 120, 20, 0, 0, false},
+		{"past the limit, below", 100, 0, 9, 89, 20, 0, 0, false},
+	} {
+		nb, size, ok := GrowWindow(tc.base, tc.first, tc.last, tc.id, tc.limit)
+		if nb != tc.wantBase || size != tc.wantSize || ok != tc.wantOK {
+			t.Errorf("%s: GrowWindow(%d, %d, %d, %d, %d) = (%d, %d, %v), want (%d, %d, %v)", tc.name,
+				tc.base, tc.first, tc.last, tc.id, tc.limit, nb, size, ok, tc.wantBase, tc.wantSize, tc.wantOK)
+		}
+	}
+}
+
+// TestHostOfGrowsDownward: registering an ID below the window's base
+// re-anchors the tables.
 func TestHostOfGrowsDownward(t *testing.T) {
 	c, err := New(UniformHosts(2, 8, 8192, 1000))
 	if err != nil {
@@ -143,8 +293,8 @@ func TestHostOfGrowsDownward(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.recsOff || c.recs == nil {
-		t.Fatal("dense record table disabled for a compact ID range")
+	if c.recBase > 490 || int(c.recBase)+len(c.recs) <= 510 {
+		t.Fatalf("window (%d, %d) does not cover 490..510", c.recBase, len(c.recs))
 	}
 	for _, id := range []VMID{500, 510, 490, 505, 495} {
 		if err := c.Place(id, 1); err != nil {

@@ -69,34 +69,6 @@ func TestRemoveUnplacesAndUnregisters(t *testing.T) {
 	}
 }
 
-func TestRemoveSparseFallback(t *testing.T) {
-	c, err := New(UniformHosts(1, 8, 65536, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Scattered IDs force the map fallback.
-	for _, id := range []VMID{1, 1 << 30} {
-		if err := c.AddVM(VM{ID: id, RAMMB: 256}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Place(id, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Remove(1 << 30); err != nil {
-		t.Fatalf("Remove sparse: %v", err)
-	}
-	if c.NumVMs() != 1 || c.UsedSlots(0) != 1 {
-		t.Fatalf("NumVMs=%d UsedSlots=%d, want 1/1", c.NumVMs(), c.UsedSlots(0))
-	}
-	if err := c.Respec(1, 512, 100); err != nil {
-		t.Fatalf("Respec sparse: %v", err)
-	}
-	if vm, _ := c.VM(1); vm.RAMMB != 512 || vm.CPUMilli != 100 {
-		t.Fatalf("sparse respec not applied: %+v", vm)
-	}
-}
-
 func TestRespecCapacity(t *testing.T) {
 	c := lifecycleCluster(t)
 	// Grow within capacity: 1024 → 4096 fits exactly (host has 4096).
@@ -200,27 +172,24 @@ func TestRespecNotifiesCapacityObserversOnly(t *testing.T) {
 	}
 }
 
+// TestDenseSpan: DenseAlloc's (base, length) is the ID window — the only
+// IDs that can be registered — which consumers size their own per-VM
+// tables from.
 func TestDenseSpan(t *testing.T) {
 	c, err := New(UniformHosts(1, 4, 4096, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := c.DenseSpan(); ok {
-		t.Fatal("empty cluster reports a dense span")
+	if _, alloc := c.DenseAlloc(); len(alloc) != 0 {
+		t.Fatal("empty cluster reports an ID window")
 	}
 	for id := VMID(10); id < 14; id++ {
 		if err := c.AddVM(VM{ID: id}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	base, n, ok := c.DenseSpan()
-	if !ok || base > 10 || int64(base)+int64(n) < 14 {
-		t.Fatalf("DenseSpan = (%d, %d, %v), want a window covering 10..13", base, n, ok)
-	}
-	if err := c.AddVM(VM{ID: 1 << 30}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := c.DenseSpan(); ok {
-		t.Fatal("sparse fallback still reports a dense span")
+	base, alloc := c.DenseAlloc()
+	if base > 10 || int64(base)+int64(len(alloc)) < 14 {
+		t.Fatalf("DenseAlloc = (%d, %d entries), want a window covering 10..13", base, len(alloc))
 	}
 }

@@ -73,11 +73,10 @@ import (
 //
 // The memo is inert — Visit is plain BestMigration — when
 // Config.Admission is set (an opaque predicate has unknown
-// dependencies), after Detach (no events arrive), and when VM IDs are
-// too sparse for the cluster's dense record table.
+// dependencies) and after Detach (no events arrive).
 type visitMemo struct {
-	// base/quiet/refused are the per-VM table over the cluster's dense
-	// ID window; nil when the memo is inert. quiet[i] != 0 means VM
+	// base/quiet/refused are the per-VM table over the cluster's ID
+	// window; nil when the memo is inert. quiet[i] != 0 means VM
 	// base+i's last full evaluation, at clock quiet[i], found no move;
 	// refused[i] that at least one host offering ΔC > c_m refused it.
 	base    cluster.VMID
@@ -159,7 +158,7 @@ func (m *visitMemo) record(i int, moved bool, refusals []cluster.HostID, stamp u
 	}
 }
 
-// resize re-bases the per-VM table onto the cluster's current dense
+// resize re-bases the per-VM table onto the cluster's current ID
 // window, keeping the verdicts of VMs in both windows.
 func (m *visitMemo) resize(base cluster.VMID, n int) {
 	quiet, refused := make([]uint32, n), make([]bool, n)
@@ -190,12 +189,12 @@ func (e *Engine) rackSlot(h cluster.HostID) int {
 
 // memoSync brings the memo up to date at a sequential point — before a
 // serial visit, and when a view is (re)primed: decide whether it may run
-// at all, follow the cluster's dense ID window, fold pending edge
-// changes.
+// at all, follow the cluster's ID window, fold pending edge changes.
 func (e *Engine) memoSync() {
 	m := &e.memo
-	base, n, ok := e.cl.DenseSpan()
-	if !ok || e.detach == nil || e.cfg.Admission != nil {
+	base, alloc := e.cl.DenseAlloc()
+	n := len(alloc)
+	if e.detach == nil || e.cfg.Admission != nil {
 		m.off()
 		return
 	}

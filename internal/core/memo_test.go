@@ -323,16 +323,6 @@ func TestVisitInert(t *testing.T) {
 	settle(t, fx.eng)
 	fx.eng.Detach()
 	neverSkips("detached", fx.eng)
-
-	// Sparse IDs push the cluster off its dense table.
-	fx = newFixture(t, DefaultConfig())
-	if err := fx.cl.AddVM(cluster.VM{ID: 1 << 30, RAMMB: 64}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := fx.cl.DenseSpan(); ok {
-		t.Fatal("cluster kept its dense table across a 2^30 ID gap")
-	}
-	neverSkips("sparse IDs", fx.eng)
 }
 
 // TestVisitFollowsDenseWindow: VMs registered after the table was sized

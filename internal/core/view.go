@@ -37,15 +37,13 @@ type AllocView struct {
 	live bool
 
 	// Placement and overlay. dense is the placement table HostOf reads,
-	// dense[id-denseBase]: a frozen view's private copy of the cluster's
-	// table with the staged moves written in, or — live view — the
-	// cluster's table itself, read-only. It is nil when VM IDs are too
-	// sparse for the cluster to keep one; moved then tracks a frozen
-	// view's staged placements. slotD/ramD/cpuD/netD are the capacity and
-	// NIC-load deltas the staged moves imply (all zero in the live view).
+	// dense[id-denseBase], over the cluster's ID window: a frozen view's
+	// private copy of the cluster's table with the staged moves written
+	// in, or — live view — the cluster's table itself, read-only.
+	// slotD/ramD/cpuD/netD are the capacity and NIC-load deltas the staged
+	// moves imply (all zero in the live view).
 	denseBase cluster.VMID
 	dense     []cluster.HostID
-	moved     map[cluster.VMID]cluster.HostID
 	slotD     []int32
 	ramD      []int32
 	cpuD      []int32
@@ -102,17 +100,7 @@ func (e *Engine) ResetView(v *AllocView) *AllocView {
 	v.sizeScratch()
 	v.commits = v.commits[:0]
 	v.primeMemo()
-	var ok bool
-	if v.denseBase, v.dense, ok = e.cl.DenseAllocSnapshotInto(v.dense); ok {
-		v.moved = nil
-		return v
-	}
-	v.dense = nil
-	if v.moved == nil {
-		v.moved = make(map[cluster.VMID]cluster.HostID)
-	} else {
-		clear(v.moved)
-	}
+	v.denseBase, v.dense = e.cl.DenseAllocSnapshotInto(v.dense)
 	return v
 }
 
@@ -140,41 +128,17 @@ func (v *AllocView) sizeScratch() {
 }
 
 // HostOf returns where the view places vm: its staged position if this
-// view moved it, otherwise the cluster's allocation. The dense test is
-// all the kernel's per-edge loops pay — it must stay within the
-// inliner's budget (CI checks), with everything else outlined.
+// view moved it, otherwise the cluster's allocation. The table covers
+// every registered VM (the cluster's own invariant), so an ID outside it
+// is unknown. This is all the kernel's per-edge loops pay — it must stay
+// within the inliner's budget (CI checks).
 func (v *AllocView) HostOf(vm cluster.VMID) cluster.HostID {
 	// VMID arithmetic wraps, so an ID below the base lands past any
 	// table a 32-bit ID space can hold.
 	if uint(vm-v.denseBase) < uint(len(v.dense)) {
 		return v.dense[vm-v.denseBase]
 	}
-	return v.hostOfSparse(vm)
-}
-
-// hostOfSparse is HostOf off the dense table. A table covers every
-// registered VM (the cluster's own invariant), so an ID outside one is
-// unknown; without a table the lookup is the staged map, then the
-// cluster. Kept out of line so HostOf's dense test inlines.
-//
-//go:noinline
-func (v *AllocView) hostOfSparse(vm cluster.VMID) cluster.HostID {
-	if v.dense != nil {
-		return cluster.NoHost
-	}
-	if h, ok := v.moved[vm]; ok {
-		return h
-	}
-	return v.eng.cl.HostOf(vm)
-}
-
-// setHost stages vm, which HostOf found placed, at h in the overlay.
-func (v *AllocView) setHost(vm cluster.VMID, h cluster.HostID) {
-	if v.dense != nil {
-		v.dense[vm-v.denseBase] = h
-		return
-	}
-	v.moved[vm] = h
+	return cluster.NoHost
 }
 
 // Commits returns the decisions staged so far, in commit order. The
@@ -461,7 +425,7 @@ func (v *AllocView) Commit(d Decision) (float64, error) {
 		v.touch(hz)
 		foldNICLoad(v.netD, cur, d.Target, hz, ed.Rate)
 	}
-	v.setHost(d.VM, d.Target)
+	v.dense[d.VM-v.denseBase] = d.Target // placed, so inside the table
 	v.commits = append(v.commits, Decision{VM: d.VM, From: cur, Target: d.Target, Delta: realized})
 	return realized, nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -158,15 +159,14 @@ func TestLiveViewTracksCluster(t *testing.T) {
 	must(cl.Restore(before))
 	assertEngineIsFreshView(t, fx, "Restore")
 
-	must(cl.AddVM(cluster.VM{ID: 1 << 30, RAMMB: 64}))
-	if _, alloc := cl.DenseAlloc(); alloc != nil {
-		t.Fatal("cluster kept its dense table across a 2^30 ID gap")
+	// An ID the cluster refuses changes nothing the engine reads.
+	old = tableAt()
+	if err := cl.AddVM(cluster.VM{ID: 1 << 30, RAMMB: 64}); !errors.Is(err, cluster.ErrIDOutsideWindow) || tableAt() != old {
+		t.Fatalf("AddVM across a 2^30 ID gap: %v", err)
 	}
-	place(1<<30, cl.HostOf(u))
-	fx.tm.Set(1<<30, peer, 30)
-	assertEngineIsFreshView(t, fx, "sparse fallback")
+	assertEngineIsFreshView(t, fx, "refused AddVM")
 	must(cl.Remove(last + 1))
-	assertEngineIsFreshView(t, fx, "remove on the sparse fallback")
+	assertEngineIsFreshView(t, fx, "remove from the grown table")
 
 	eng.Detach()
 	must(cl.Remove(0))

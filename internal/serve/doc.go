@@ -39,7 +39,11 @@
 // # HTTP API
 //
 //	POST   /v1/vms        admit a VM {id?, ram_mb, cpu_milli, host?};
-//	                      omitted id auto-issues, omitted host best-fits
+//	                      omitted id auto-issues (sequential; recycles
+//	                      free ids rather than leave the ID window),
+//	                      omitted host best-fits; a pinned id must keep
+//	                      the registered ids within the cluster's ID
+//	                      window (span ≤ 4 × VM slots + 2²⁰), else 400
 //	GET    /v1/vms/{id}   current spec + placement
 //	PATCH  /v1/vms/{id}   re-spec {ram_mb?, cpu_milli?} in place
 //	DELETE /v1/vms/{id}   retire the VM and its traffic row
@@ -52,7 +56,8 @@
 // plus the observability plane (/metrics, /trace, /debug/pprof/) from
 // internal/obs on the same listener. Errors map uniformly: unknown IDs
 // 404, capacity/placement conflicts 409, backpressure 503, malformed
-// bodies (strict decoding — unknown fields rejected) 400.
+// bodies (strict decoding — unknown fields rejected) and pinned ids
+// outside the ID window (cluster.ErrIDOutsideWindow) 400.
 //
 // # Rounds
 //

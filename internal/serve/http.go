@@ -123,9 +123,13 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 
 // opStatus maps a daemon error to its HTTP status: unknown IDs are 404,
 // capacity and placement conflicts 409, backpressure and shutdown 503
-// (the dropped-and-counted contract), anything else a 400.
+// (the dropped-and-counted contract), a pinned VM ID outside the
+// cluster's ID window — the client's mistake, nothing changed — and
+// anything else a 400.
 func opStatus(err error) int {
 	switch {
+	case errors.Is(err, cluster.ErrIDOutsideWindow):
+		return http.StatusBadRequest
 	case errors.Is(err, cluster.ErrUnknownVM), errors.Is(err, cluster.ErrUnknownHost):
 		return http.StatusNotFound
 	case errors.Is(err, cluster.ErrNoCapacity), errors.Is(err, cluster.ErrAlreadyHosts):

@@ -135,7 +135,7 @@ type StepResult struct {
 // AdmitRequest asks the daemon to register and place one VM.
 type AdmitRequest struct {
 	// ID is honored when HasID; otherwise the daemon issues the next
-	// sequential ID.
+	// sequential ID that is free (see applyAdmit).
 	ID    cluster.VMID
 	HasID bool
 	RAMMB, CPUMilli int
@@ -211,6 +211,7 @@ type serveMetrics struct {
 	vms            *obs.Gauge
 	pairs          *obs.Gauge
 	cost           *obs.Gauge
+	trafficStats   func(*traffic.Matrix) uint64 // sim.TrafficSampler
 	foldLatency    *obs.Histogram
 	opQueueDepth   *obs.Histogram
 	opWait         *obs.Histogram
@@ -232,6 +233,7 @@ func newServeMetrics(reg *obs.Registry) serveMetrics {
 		vms:            reg.Gauge("score_service_vms", "VMs currently registered with the resident service."),
 		pairs:          reg.Gauge("score_service_pairs", "Communicating VM pairs currently tracked."),
 		cost:           sim.CostGauge(reg),
+		trafficStats:   sim.TrafficSampler(reg),
 		foldLatency:    reg.Histogram("score_ingest_fold_seconds", "Time to fold one observation batch into the traffic matrix.", obs.DefLatencyBuckets),
 		opQueueDepth:   reg.Histogram("score_op_queue_depth", "Op-queue occupancy sampled at each submission.", opQueueBuckets),
 		opWait:         reg.Histogram("score_op_wait_seconds", "Time an op spent queued before the state loop applied it.", obs.DefLatencyBuckets),
@@ -262,6 +264,7 @@ type Daemon struct {
 	ctrl  *control.Controller
 	coord *shard.Coordinator
 
+	// nextID is the auto-issue cursor, see applyAdmit.
 	nextID   cluster.VMID
 	dirty    bool // state changed since the last round started
 	quiesced bool // last round applied zero migrations
@@ -387,6 +390,7 @@ func newDaemon(cfg Config, topo topology.Topology, cl *cluster.Cluster, tm *traf
 	d.m.cost.Set(d.lastCost)
 	d.m.vms.Set(float64(cl.NumVMs()))
 	d.m.pairs.Set(float64(tm.NumPairs()))
+	d.m.trafficStats(tm)
 	go d.loop()
 	return d, nil
 }
@@ -544,15 +548,39 @@ func (d *Daemon) bestFitHost(vm cluster.VMID) cluster.HostID {
 	return best
 }
 
+// freeIDFrom returns the first unregistered VM ID at or after id.
+func (d *Daemon) freeIDFrom(id cluster.VMID) cluster.VMID {
+	for ; ; id++ {
+		if _, _, taken := d.cl.Demand(id); !taken {
+			return id
+		}
+	}
+}
+
+// applyAdmit registers and places one VM. Without a pinned ID it takes
+// the first free one from the cursor nextID on. The cluster refuses that
+// ID once a long-lived VM holds the low end of the ID window while
+// issuance has marched a full window width past it; a refusal is for IDs
+// a client pinned, so the cursor then recycles — wraps to the lowest free
+// ID of the window — the way the paper's 32-bit space is walked "before
+// recycling" (Section V-B2). The scan is the window's width, once per
+// trip across it.
 func (d *Daemon) applyAdmit(o *op) opResult {
 	req := o.admit
-	id := req.ID
+	vm := cluster.VM{ID: req.ID, RAMMB: req.RAMMB, CPUMilli: req.CPUMilli}
 	if !req.HasID {
-		id = d.nextID
+		vm.ID = d.freeIDFrom(d.nextID)
 	}
-	if err := d.cl.AddVM(cluster.VM{ID: id, RAMMB: req.RAMMB, CPUMilli: req.CPUMilli}); err != nil {
+	err := d.cl.AddVM(vm)
+	if !req.HasID && errors.Is(err, cluster.ErrIDOutsideWindow) {
+		base, _ := d.cl.DenseAlloc()
+		vm.ID = d.freeIDFrom(base)
+		err = d.cl.AddVM(vm)
+	}
+	if err != nil {
 		return opResult{err: err}
 	}
+	id := vm.ID
 	host := req.Host
 	if !req.HasHost {
 		host = d.bestFitHost(id)
@@ -565,7 +593,7 @@ func (d *Daemon) applyAdmit(o *op) opResult {
 		d.cl.Remove(id)
 		return opResult{err: err}
 	}
-	if id >= d.nextID {
+	if !req.HasID || id >= d.nextID {
 		d.nextID = id + 1
 	}
 	d.dirty = true
@@ -618,15 +646,28 @@ func (d *Daemon) demandOf(vm cluster.VMID) (ram, cpu int, err error) {
 	return v.RAMMB, v.CPUMilli, nil
 }
 
+// sampleFault says why λ(a, b) = rate may not be folded into the traffic
+// matrix, "" when it may: the one rule for rates arriving from outside
+// the program, per observe sample and per snapshot pair. Endpoints must
+// be VMs the cluster has placed — which is also what keeps the matrix's
+// row window inside the cluster's ID window.
+func sampleFault(cl *cluster.Cluster, a, b cluster.VMID, rate float64) string {
+	switch {
+	case a == b:
+		return "self-pair"
+	case rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0):
+		return "negative or non-finite rate"
+	case cl.HostOf(a) == cluster.NoHost || cl.HostOf(b) == cluster.NoHost:
+		return "unknown or unplaced endpoint"
+	}
+	return ""
+}
+
 func (d *Daemon) applyObserve(o *op) opResult {
 	t0 := time.Now()
 	applied, rejected := 0, 0
 	for _, s := range o.samples {
-		if s.A == s.B || s.RateMbps < 0 || math.IsNaN(s.RateMbps) || math.IsInf(s.RateMbps, 0) {
-			rejected++
-			continue
-		}
-		if d.cl.HostOf(s.A) == cluster.NoHost || d.cl.HostOf(s.B) == cluster.NoHost {
+		if sampleFault(d.cl, s.A, s.B, s.RateMbps) != "" {
 			rejected++
 			continue
 		}
@@ -689,6 +730,7 @@ func (d *Daemon) applySnapshot(o *op) opResult {
 	if err := d.writeSnapshotLocked(path); err != nil {
 		return opResult{err: err}
 	}
+	d.m.trafficStats(d.tm)
 	return opResult{path: path}
 }
 
@@ -703,6 +745,7 @@ func (d *Daemon) runRoundLocked() (RoundSummary, error) {
 	cost := d.eng.TotalCost()
 	d.lastCost = cost
 	d.m.cost.Set(cost)
+	d.m.trafficStats(d.tm)
 	d.quiesced = len(res.Applied) == 0
 	sum := RoundSummary{
 		Round:         d.coord.Rounds(),

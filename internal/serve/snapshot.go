@@ -154,6 +154,13 @@ func Restore(path string, cfg Config) (*Daemon, error) {
 			}
 		}
 	}
+	// A pair is outside input like an observe sample and passes the same
+	// test, all of them before the matrix sizes a row table from any.
+	for i, p := range snap.Pairs {
+		if why := sampleFault(cl, cluster.VMID(p.A), cluster.VMID(p.B), math.Float64frombits(p.RateBits)); why != "" {
+			return nil, fmt.Errorf("serve: snapshot %s: pair %d (a=%d, b=%d, rate_bits=%#x): %s", path, i, p.A, p.B, p.RateBits, why)
+		}
+	}
 	tm := traffic.NewMatrix()
 	for _, p := range snap.Pairs {
 		tm.Set(cluster.VMID(p.A), cluster.VMID(p.B), math.Float64frombits(p.RateBits))

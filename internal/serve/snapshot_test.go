@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/score-dc/score/internal/cluster"
@@ -156,5 +160,84 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	}
 	if _, err := Restore(garbage, Config{}); err == nil {
 		t.Fatal("Restore of garbage succeeded")
+	}
+}
+
+// TestRestoreRejectsBadPairs: a snapshot's pairs are outside input like
+// observe samples and pass the same test — an edited, truncated-then-
+// patched or foreign file whose pair names a VM the file does not place,
+// joins a VM to itself or carries a negative or non-finite rate is
+// refused with an error naming the pair, before any daemon exists (and
+// before the traffic matrix sizes a row table from the file).
+func TestRestoreRejectsBadPairs(t *testing.T) {
+	rec := recordStream(31, 24, 16, 4)
+	d := newTestDaemon(t, nil)
+	for _, vm := range rec.vms {
+		if _, _, err := d.Admit(AdmitRequest{
+			ID: cluster.VMID(vm.ID), HasID: true, RAMMB: vm.RAMMB,
+			Host: cluster.HostID(vm.Host), HasHost: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, rejected, err := d.Observe("t", rec.rates); err != nil || rejected != 0 {
+		t.Fatalf("observe: rejected=%d err=%v", rejected, err)
+	}
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.snapshot")
+	if _, err := d.Snapshot(good); err != nil {
+		t.Fatal(err)
+	}
+	buf, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		edit func(p *snapPair) // applied to pair 3 of the good file
+		ok   bool
+	}{
+		{"unedited", func(*snapPair) {}, true},
+		{"retired pair", func(p *snapPair) { p.RateBits = 0 }, true},
+		{"unknown endpoint", func(p *snapPair) { p.B = 9999 }, false},
+		{"endpoint far outside the ID window", func(p *snapPair) { p.A = 4000000000 }, false},
+		{"self-pair", func(p *snapPair) { p.B = p.A }, false},
+		{"negative rate", func(p *snapPair) { p.RateBits = math.Float64bits(-1) }, false},
+		{"NaN rate", func(p *snapPair) { p.RateBits = math.Float64bits(math.NaN()) }, false},
+		{"+Inf rate", func(p *snapPair) { p.RateBits = math.Float64bits(math.Inf(1)) }, false},
+		{"-Inf rate", func(p *snapPair) { p.RateBits = math.Float64bits(math.Inf(-1)) }, false},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var snap snapshotFile
+			if err := json.Unmarshal(buf, &snap); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&snap.Pairs[3])
+			edited, err := json.Marshal(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, fmt.Sprintf("case%d.snapshot", i))
+			if err := os.WriteFile(path, edited, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			r, err := Restore(path, Config{})
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("Restore: %v", err)
+				}
+				r.Close()
+				return
+			}
+			if err == nil {
+				r.Close()
+				t.Fatal("Restore accepted the snapshot")
+			}
+			p := snap.Pairs[3]
+			if want := fmt.Sprintf("pair 3 (a=%d, b=%d,", p.A, p.B); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %q", err, want)
+			}
+		})
 	}
 }

@@ -23,6 +23,35 @@ func CostGauge(reg *obs.Registry) *obs.Gauge {
 	return reg.Gauge("score_communication_cost", "Global communication cost C^A (Eq. 2) at the latest sample.")
 }
 
+// TrafficSampler registers (or finds) the score_traffic_* storage
+// families and returns the function that mirrors a traffic matrix's
+// storage accounting into them — shared, like CostGauge, by the batch
+// Runner and the resident service, whose matrix spills and compacts
+// inside observe ops. (The pair count is not among them: the service
+// already exports it per op as score_service_pairs.) Each call records
+// the current footprint, promotes the matrix's cumulative compaction count
+// into the counter, and returns how many passes ran since the previous
+// call. Matrix.Stats walks the overflow rows, so sample at round and
+// snapshot granularity, not per op; the function is not safe for
+// concurrent use.
+func TrafficSampler(reg *obs.Registry) func(tm *traffic.Matrix) (compacted uint64) {
+	bytes := reg.Gauge("score_traffic_bytes", "Traffic-matrix adjacency storage footprint.")
+	overflow := reg.Gauge("score_traffic_overflow_rows", "Matrix rows living in the arena overflow region.")
+	compactions := reg.Counter("score_traffic_compactions_total", "Arena compaction passes performed.")
+	var seen uint64 // matrix compaction count at the last sample
+	return func(tm *traffic.Matrix) (compacted uint64) {
+		st := tm.Stats()
+		bytes.Set(float64(st.Bytes))
+		overflow.Set(float64(st.OverflowRows))
+		if st.Compactions > seen {
+			compacted = st.Compactions - seen
+			compactions.Add(compacted)
+			seen = st.Compactions
+		}
+		return compacted
+	}
+}
+
 // runObs bundles one run's instrumentation handles. Every runner has
 // one: when Config.Obs is nil the run records into a private registry,
 // so the Metrics read-back below works whether or not an exposition
@@ -37,11 +66,9 @@ type runObs struct {
 	plane *hypervisor.PlaneMetrics
 	ctrl  *control.Metrics
 
-	cost        *obs.Gauge
-	trafBytes   *obs.Gauge
-	trafPairs   *obs.Gauge
-	trafOvf     *obs.Gauge
-	trafCompact *obs.Counter
+	cost      *obs.Gauge
+	trafPairs *obs.Gauge
+	traf      func(*traffic.Matrix) uint64 // see TrafficSampler
 
 	// Counter values at run start: a caller-provided registry may carry
 	// totals from earlier runs, so the read-back uses deltas.
@@ -50,7 +77,6 @@ type runObs struct {
 		crossApplied, crossRejected, stale uint64
 		regens, spurious                   uint64
 	}
-	compacts uint64 // matrix compaction count at the last sample
 }
 
 func newRunObs(cfg Config) *runObs {
@@ -59,15 +85,13 @@ func newRunObs(cfg Config) *runObs {
 		reg = obs.NewRegistry()
 	}
 	o := &runObs{
-		reg:         reg,
-		trace:       cfg.Trace,
-		plane:       hypervisor.NewPlaneMetrics(reg),
-		ctrl:        control.NewMetrics(reg),
-		cost:        CostGauge(reg),
-		trafBytes:   reg.Gauge("score_traffic_bytes", "Traffic-matrix adjacency storage footprint."),
-		trafPairs:   reg.Gauge("score_traffic_pairs", "Communicating VM pairs in the traffic matrix."),
-		trafOvf:     reg.Gauge("score_traffic_overflow_rows", "Matrix rows living in the arena overflow region."),
-		trafCompact: reg.Counter("score_traffic_compactions_total", "Arena compaction passes performed."),
+		reg:       reg,
+		trace:     cfg.Trace,
+		plane:     hypervisor.NewPlaneMetrics(reg),
+		ctrl:      control.NewMetrics(reg),
+		cost:      CostGauge(reg),
+		trafPairs: reg.Gauge("score_traffic_pairs", "Communicating VM pairs in the traffic matrix."),
+		traf:      TrafficSampler(reg),
 	}
 	p := o.plane
 	o.base.rounds = p.Rounds.Value()
@@ -82,21 +106,12 @@ func newRunObs(cfg Config) *runObs {
 }
 
 // sample mirrors one cost sample and the matrix footprint into the
-// registry, promoting the matrix's cumulative compaction count into a
-// counter (with a trace event per batch of passes).
+// registry, with a trace event per batch of compaction passes.
 func (o *runObs) sample(cost float64, tm *traffic.Matrix) {
 	o.cost.Set(cost)
-	st := tm.Stats()
-	o.trafBytes.Set(float64(st.Bytes))
-	o.trafPairs.Set(float64(st.Pairs))
-	o.trafOvf.Set(float64(st.OverflowRows))
-	if st.Compactions > o.compacts {
-		d := st.Compactions - o.compacts
-		o.trafCompact.Add(d)
-		o.compacts = st.Compactions
-		if o.trace != nil {
-			o.trace.Record(obs.Event{Kind: obs.EvCompaction, Shard: -1, Arg: int64(d)})
-		}
+	o.trafPairs.Set(float64(tm.NumPairs()))
+	if d := o.traf(tm); d > 0 && o.trace != nil {
+		o.trace.Record(obs.Event{Kind: obs.EvCompaction, Shard: -1, Arg: int64(d)})
 	}
 }
 

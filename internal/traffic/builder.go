@@ -89,21 +89,8 @@ func (b *Builder) Build() *Matrix {
 	}
 	tri = tri[:w]
 	lo := tri[0].a
-	span := int64(hi) - int64(lo) + 1
-	if span > int64(2*w)*4+rowWindowSlack {
-		// IDs too scattered for a dense row window: load through the
-		// sparse path.
-		for _, t := range tri {
-			m.setEdgeSparse(t.a, t.b, t.rate)
-			m.setEdgeSparse(t.b, t.a, t.rate)
-		}
-		m.numPairs = w
-		m.gen = uint64(w)
-		m.logBaseGen = m.gen
-		return m
-	}
 	m.base = lo
-	m.rows = make([]rowRef, span)
+	m.rows = make([]rowRef, int64(hi)-int64(lo)+1)
 	m.arena = make([]Edge, 2*w)
 	// Counting fill: size every row exactly, then place edges. Triples
 	// are sorted by (a, b), so each row comes out sorted by peer — a
@@ -119,9 +106,6 @@ func (b *Builder) Build() *Matrix {
 		r := &m.rows[i]
 		r.off = off
 		off += r.cap
-		if r.cap > 0 {
-			m.nonEmpty++
-		}
 	}
 	for _, t := range tri {
 		ra, rb := &m.rows[t.a-lo], &m.rows[t.b-lo]
@@ -134,19 +118,4 @@ func (b *Builder) Build() *Matrix {
 	m.gen = uint64(w)
 	m.logBaseGen = m.gen
 	return m
-}
-
-// setEdgeSparse inserts the directed entry u→v into the map layout,
-// initializing it if needed. Build's sparse path only; assumes the
-// entry is absent (the merge already deduplicated pairs).
-func (m *Matrix) setEdgeSparse(u, v cluster.VMID, rate float64) {
-	if m.sparse == nil {
-		m.sparse = make(map[cluster.VMID][]Edge)
-	}
-	edges := m.sparse[u]
-	i, _ := findEdge(edges, v)
-	edges = append(edges, Edge{})
-	copy(edges[i+1:], edges[i:])
-	edges[i] = Edge{Peer: v, Rate: rate}
-	m.sparse[u] = edges
 }

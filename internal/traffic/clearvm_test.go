@@ -52,38 +52,30 @@ func TestClearVMRemovesRowAndLogs(t *testing.T) {
 	}
 }
 
-// TestClearVMEquivalentToManualRemoval drives dense and sparse layouts
-// through interleaved churn and checks ClearVM leaves the matrix in the
-// same state as removing the pairs one by one on a mirror.
+// TestClearVMEquivalentToManualRemoval drives the matrix through
+// interleaved churn and checks ClearVM leaves it in the same state as
+// removing the pairs one by one on a mirror.
 func TestClearVMEquivalentToManualRemoval(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		rng := rand.New(rand.NewSource(7))
-		m, mirror := NewMatrix(), NewMatrix()
-		id := func(i int) cluster.VMID {
-			if sparse {
-				return cluster.VMID(i * 1_000_003) // defeat the dense window
-			}
-			return cluster.VMID(i)
-		}
-		for i := 0; i < 40; i++ {
-			a, b := id(rng.Intn(32)), id(rng.Intn(32))
-			r := float64(1 + rng.Intn(100))
-			m.Set(a, b, r)
-			mirror.Set(a, b, r)
-		}
-		victim := id(5)
-		for _, e := range append([]Edge(nil), mirror.NeighborEdges(victim)...) {
-			mirror.Set(victim, e.Peer, 0)
-		}
-		m.ClearVM(victim)
-		if m.NumPairs() != mirror.NumPairs() {
-			t.Fatalf("sparse=%v: NumPairs %d vs mirror %d", sparse, m.NumPairs(), mirror.NumPairs())
-		}
-		for i := 0; i < 32; i++ {
-			for j := i + 1; j < 32; j++ {
-				if got, want := m.Rate(id(i), id(j)), mirror.Rate(id(i), id(j)); got != want {
-					t.Fatalf("sparse=%v: Rate(%d,%d) = %g, mirror %g", sparse, id(i), id(j), got, want)
-				}
+	rng := rand.New(rand.NewSource(7))
+	m, mirror := NewMatrix(), NewMatrix()
+	for i := 0; i < 40; i++ {
+		a, b := cluster.VMID(rng.Intn(32)), cluster.VMID(rng.Intn(32))
+		r := float64(1 + rng.Intn(100))
+		m.Set(a, b, r)
+		mirror.Set(a, b, r)
+	}
+	const victim = cluster.VMID(5)
+	for _, e := range append([]Edge(nil), mirror.NeighborEdges(victim)...) {
+		mirror.Set(victim, e.Peer, 0)
+	}
+	m.ClearVM(victim)
+	if m.NumPairs() != mirror.NumPairs() {
+		t.Fatalf("NumPairs %d vs mirror %d", m.NumPairs(), mirror.NumPairs())
+	}
+	for i := cluster.VMID(0); i < 32; i++ {
+		for j := i + 1; j < 32; j++ {
+			if got, want := m.Rate(i, j), mirror.Rate(i, j); got != want {
+				t.Fatalf("Rate(%d,%d) = %g, mirror %g", i, j, got, want)
 			}
 		}
 	}

@@ -206,18 +206,15 @@ func churn(t *testing.T, m *Matrix, ref *refMatrix, idOf func(int) cluster.VMID,
 	return ids
 }
 
-// TestCSREquivalenceDense: the arena-backed dense layout behaves
-// exactly like the old slice-row layout under interleaved SetRate/move
-// churn, across row overflow, compaction passes, and changelog-window
-// restarts (ops ≫ changeLogCap).
+// TestCSREquivalenceDense: the arena-backed layout behaves exactly like
+// the old slice-row layout under interleaved SetRate/move churn, across
+// row overflow, compaction passes, and changelog-window restarts
+// (ops ≫ changeLogCap).
 func TestCSREquivalenceDense(t *testing.T) {
 	m, ref := NewMatrix(), newRefMatrix()
 	base := cluster.VMID(0x0a000001)
 	churn(t, m, ref, func(i int) cluster.VMID { return base + cluster.VMID(i) }, 300, 20000, 61)
 	st := m.Stats()
-	if st.Sparse {
-		t.Fatal("contiguous IDs must stay on the dense layout")
-	}
 	if st.Compactions == 0 {
 		t.Fatal("churn never triggered a compaction — overflow path untested")
 	}
@@ -229,27 +226,48 @@ func TestCSREquivalenceDense(t *testing.T) {
 	}
 }
 
-// TestCSREquivalenceSparseFallback: scattered VM IDs trip the density
-// guard, and the map fallback remains behaviorally identical through
+// TestCSREquivalenceSpanFirstFill is the daemon's fill order — a matrix
+// loaded by Set from empty, in ForEachPair order of a generated workload:
+// the first pairs join far-apart IDs and span the whole registered range
+// while almost every row is still empty, later ones fill in, and the row
+// window has to grow downward as well as up. The matrix stays on the
+// arena, its window covering the span, and matches the reference through
 // the same churn.
-func TestCSREquivalenceSparseFallback(t *testing.T) {
+func TestCSREquivalenceSpanFirstFill(t *testing.T) {
 	m, ref := NewMatrix(), newRefMatrix()
-	rng := rand.New(rand.NewSource(7))
-	scattered := make([]cluster.VMID, 300)
-	seen := map[cluster.VMID]bool{}
-	for i := range scattered {
-		for {
-			id := cluster.VMID(rng.Int63n(1 << 31))
-			if !seen[id] {
-				seen[id] = true
-				scattered[i] = id
-				break
-			}
+	const nVMs, stride = 300, 67
+	idOf := func(i int) cluster.VMID { return 1000 + cluster.VMID(i*stride) }
+	for _, p := range [][2]int{{nVMs / 2, nVMs - 1}, {0, nVMs/2 + 1}} {
+		m.Set(idOf(p[0]), idOf(p[1]), 1)
+		ref.Set(idOf(p[0]), idOf(p[1]), 1)
+	}
+	ids := churn(t, m, ref, idOf, nVMs, 20000, 63)
+	st := m.Stats()
+	if span := int(ids[nVMs-1]-ids[0]) + 1; st.RowWindow < span || st.ArenaCap == 0 {
+		t.Fatalf("row window %d over an ID span of %d, arena %d edges: %+v", st.RowWindow, span, st.ArenaCap, st)
+	}
+	if st.Compactions == 0 {
+		t.Fatal("fill never compacted — the in-op compaction path is untested")
+	}
+}
+
+// TestRowWindowFollowsChurn: under a service that issues ever higher VM
+// IDs and clears the rows of those it retires, the row window follows the
+// rows in use instead of spanning every ID ever seen.
+func TestRowWindowFollowsChurn(t *testing.T) {
+	m := NewMatrix()
+	const live = 50
+	for id := cluster.VMID(2); id < 200_000; id++ {
+		m.Set(id, id-1, float64(id))
+		if id > live {
+			m.ClearVM(id - live)
 		}
 	}
-	churn(t, m, ref, func(i int) cluster.VMID { return scattered[i] }, 300, 8000, 62)
-	if !m.Stats().Sparse {
-		t.Fatal("scattered IDs must fall back to the sparse layout")
+	if st := m.Stats(); st.RowWindow > 8*live || st.Pairs != live-1 {
+		t.Fatalf("row window %d for %d pairs among the last %d IDs: %+v", st.RowWindow, st.Pairs, live, st)
+	}
+	if got := m.Rate(199_999, 199_998); got != 199_999 {
+		t.Fatalf("Rate of the newest pair = %v", got)
 	}
 }
 
@@ -291,38 +309,8 @@ func TestBuilderMatchesIncremental(t *testing.T) {
 	}
 	// The built arena is exact-fit.
 	st := built.Stats()
-	if st.Sparse || st.ArenaCap != st.Edges || st.OverflowEdges != 0 {
+	if st.ArenaCap != st.Edges || st.OverflowEdges != 0 {
 		t.Fatalf("Build not exact-fit CSR: %+v", st)
-	}
-}
-
-// TestBuilderSparseFallback: Builder routes scattered IDs to the map
-// layout and still matches the incremental path.
-func TestBuilderSparseFallback(t *testing.T) {
-	b := NewBuilder(0)
-	inc := NewMatrix()
-	ids := []cluster.VMID{3, 1 << 20, 1 << 30, 1 << 28, 0xfffffff0}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 200; i++ {
-		u, v := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
-		r := rng.Float64() * 5
-		b.Add(u, v, r)
-		inc.Add(u, v, r)
-	}
-	built := b.Build()
-	if !built.Stats().Sparse {
-		t.Fatal("scattered IDs must build into the sparse layout")
-	}
-	for _, u := range ids {
-		got, want := built.NeighborEdges(u), inc.NeighborEdges(u)
-		if len(got) != len(want) {
-			t.Fatalf("row %d: %d edges, incremental %d", u, len(got), len(want))
-		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("row %d[%d] = %+v, incremental %+v", u, j, got[j], want[j])
-			}
-		}
 	}
 }
 
@@ -360,39 +348,23 @@ func TestQueriesAllocFreeAfterCompaction(t *testing.T) {
 // TestForEachPairMatchesPairs: the streaming iterator visits exactly
 // the cached pair list, in the same canonical order.
 func TestForEachPairMatchesPairs(t *testing.T) {
-	for name, mk := range map[string]func() *Matrix{
-		"dense": func() *Matrix {
-			m := NewMatrix()
-			rng := rand.New(rand.NewSource(17))
-			for i := 0; i < 2000; i++ {
-				m.Set(cluster.VMID(rng.Intn(150)), cluster.VMID(rng.Intn(150)), 1+rng.Float64())
-			}
-			return m
-		},
-		"sparse": func() *Matrix {
-			m := NewMatrix()
-			ids := []cluster.VMID{1, 1 << 21, 1 << 29, 1 << 31}
-			rng := rand.New(rand.NewSource(19))
-			for i := 0; i < 60; i++ {
-				m.Set(ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))], 1+rng.Float64())
-			}
-			return m
-		},
-	} {
-		m := mk()
-		ps, rs := m.Pairs()
-		i := 0
-		m.ForEachPair(func(a, b cluster.VMID, rate float64) {
-			if i >= len(ps) {
-				t.Fatalf("%s: ForEachPair visited more than %d pairs", name, len(ps))
-			}
-			if ps[i] != (Pair{A: a, B: b}) || rs[i] != rate {
-				t.Fatalf("%s: pair %d = (%d,%d,%v), Pairs has (%v,%v)", name, i, a, b, rate, ps[i], rs[i])
-			}
-			i++
-		})
-		if i != len(ps) {
-			t.Fatalf("%s: ForEachPair visited %d pairs, Pairs has %d", name, i, len(ps))
+	m := NewMatrix()
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 2000; i++ {
+		m.Set(cluster.VMID(rng.Intn(150)), cluster.VMID(rng.Intn(150)), 1+rng.Float64())
+	}
+	ps, rs := m.Pairs()
+	i := 0
+	m.ForEachPair(func(a, b cluster.VMID, rate float64) {
+		if i >= len(ps) {
+			t.Fatalf("ForEachPair visited more than %d pairs", len(ps))
 		}
+		if ps[i] != (Pair{A: a, B: b}) || rs[i] != rate {
+			t.Fatalf("pair %d = (%d,%d,%v), Pairs has (%v,%v)", i, a, b, rate, ps[i], rs[i])
+		}
+		i++
+	})
+	if i != len(ps) {
+		t.Fatalf("ForEachPair visited %d pairs, Pairs has %d", i, len(ps))
 	}
 }

@@ -42,16 +42,9 @@ const (
 	initRowCap = 4
 	// maxRowGrow bounds one extend-in-place step for huge rows.
 	maxRowGrow = 1024
-	// rowWindowSlack is the flat allowance in the density guard deciding
-	// whether a VM-ID span may be indexed densely.
-	rowWindowSlack = 1024
 	// compactSlack is the flat allowance before dead or overflowed
 	// entries trigger a compaction, so small matrices never compact.
 	compactSlack = 64
-	// sparseRowOverhead approximates the per-row bookkeeping of the
-	// map-based fallback layout (bucket share, key, slice header) for
-	// Stats accounting.
-	sparseRowOverhead = 48
 )
 
 // slackOf is the spare capacity a row's slot receives at compaction, so
@@ -63,22 +56,19 @@ func slackOf(n int) int { return n/8 + 1 }
 // The zero value is ready to use. See the package comment for the
 // arena-backed adjacency layout and slice-ownership rules.
 type Matrix struct {
-	// Dense CSR storage — the common case: VM IDs issued contiguously
-	// (cluster.PlacementManager). rows[i] addresses VM base+i's row in
-	// the shared arena or the overflow region.
+	// CSR storage over one ID window: rows[i] addresses VM base+i's row in
+	// the shared arena or the overflow region. The window grows to cover
+	// whatever IDs it is given and has no density rule of its own — which
+	// IDs may exist is the cluster's decision (cluster.AddVM), and callers
+	// folding outside input check it against the cluster first.
 	base     cluster.VMID
 	rows     []rowRef
 	arena    []Edge
 	ovf      [][]Edge // overflow rows; index = rowRef.ovf-1
 	freeOvf  []int32  // recycled overflow indices
-	nonEmpty int      // rows with at least one edge
 	dead     int      // arena entries abandoned by spilled/emptied rows
 	ovfEdges int      // edges currently living in overflow rows
 	compacts uint64
-
-	// Sparse fallback when VM IDs are too scattered for a dense row
-	// window (see ensureRow). Mutually exclusive with rows/arena.
-	sparse map[cluster.VMID][]Edge
 
 	numPairs int
 	gen      uint64
@@ -113,7 +103,7 @@ func findEdge(edges []Edge, peer cluster.VMID) (int, bool) {
 	return lo, lo < len(edges) && edges[lo].Peer == peer
 }
 
-// rowIndex maps a VM ID into the dense row table, -1 when outside it.
+// rowIndex maps a VM ID into the row table, -1 when outside it.
 func (m *Matrix) rowIndex(u cluster.VMID) int {
 	i := int64(u) - int64(m.base)
 	if uint64(i) >= uint64(len(m.rows)) {
@@ -133,65 +123,29 @@ func (m *Matrix) row(i int) []Edge {
 	return m.arena[r.off : r.off+r.len : r.off+r.cap]
 }
 
-// ensureRow returns the dense row index for u, growing or rebasing the
-// row window as needed. When the span required to cover u would waste
-// more than ~4× the occupied rows (plus slack), the matrix abandons the
-// dense window and migrates to the sparse map fallback, returning -1.
+// ensureRow returns the row index for u, growing the row window when u
+// lies outside it — like the cluster's record table (cluster.GrowWindow),
+// measured from the rows in use, so rows emptied at either end (VMs
+// retired under a service that issues ever higher IDs) are let go, but
+// with no limit: u is an ID the cluster has admitted.
 func (m *Matrix) ensureRow(u cluster.VMID) int {
-	if m.sparse != nil {
-		return -1
+	if i := m.rowIndex(u); i >= 0 {
+		return i
 	}
-	if m.rows == nil {
-		m.base = u
-		m.rows = make([]rowRef, 1, 8)
-		return 0
+	first, last := 0, len(m.rows)-1 // extent of the non-empty rows
+	for first <= last && m.rows[first].len == 0 {
+		first++
 	}
-	i := int64(u) - int64(m.base)
-	if i >= 0 && i < int64(len(m.rows)) {
-		return int(i)
+	for last > first && m.rows[last].len == 0 {
+		last--
 	}
-	var newBase, required int64
-	if i < 0 {
-		newBase, required = int64(u), int64(len(m.rows))-i
-	} else {
-		newBase, required = int64(m.base), i+1
+	newBase, size, _ := cluster.GrowWindow(m.base, first, last, u, math.MaxInt64)
+	nr := make([]rowRef, size)
+	if first <= last {
+		copy(nr[m.base+cluster.VMID(first)-newBase:], m.rows[first:last+1])
 	}
-	if required > int64(m.nonEmpty)*4+rowWindowSlack {
-		m.fallbackToSparse()
-		return -1
-	}
-	padded := required
-	if d := int64(len(m.rows)) * 2; d > padded {
-		padded = d
-	}
-	if i < 0 {
-		// Growing downward: spend the padding below so a descending ID
-		// sequence does not rebase on every insert.
-		newBase -= padded - required
-		if newBase < 0 {
-			newBase = 0
-		}
-	}
-	nr := make([]rowRef, padded)
-	copy(nr[int64(m.base)-newBase:], m.rows)
-	m.base, m.rows = cluster.VMID(newBase), nr
-	return int(int64(u) - newBase)
-}
-
-// fallbackToSparse migrates every dense row into the map layout. From
-// here on the matrix behaves like the classic slice-row design: correct
-// for arbitrarily scattered IDs, just without the arena's locality.
-func (m *Matrix) fallbackToSparse() {
-	s := make(map[cluster.VMID][]Edge, m.nonEmpty)
-	for i := range m.rows {
-		if m.rows[i].len == 0 {
-			continue
-		}
-		s[m.base+cluster.VMID(i)] = append([]Edge(nil), m.row(i)...)
-	}
-	m.sparse = s
-	m.base, m.rows, m.arena, m.ovf, m.freeOvf = 0, nil, nil, nil, nil
-	m.nonEmpty, m.dead, m.ovfEdges = 0, 0, 0
+	m.base, m.rows = newBase, nr
+	return int(u - newBase)
 }
 
 // spillRow moves arena row i to the overflow region, leaving its slot
@@ -215,14 +169,11 @@ func (m *Matrix) spillRow(i int) {
 	r.off, r.cap, r.ovf = 0, 0, int32(idx+1)
 }
 
-// insertDenseEdge inserts e at sorted position j of row i, growing the
+// insertAt inserts e at sorted position j of row i, growing the
 // row's storage as needed: extend the slot in place when it abuts the
 // arena's end, otherwise spill the row to the overflow region.
-func (m *Matrix) insertDenseEdge(i, j int, e Edge) {
+func (m *Matrix) insertAt(i, j int, e Edge) {
 	r := &m.rows[i]
-	if r.len == 0 {
-		m.nonEmpty++
-	}
 	if r.ovf != 0 {
 		idx := r.ovf - 1
 		s := append(m.ovf[idx], Edge{})
@@ -248,7 +199,7 @@ func (m *Matrix) insertDenseEdge(i, j int, e Edge) {
 			r.cap += uint32(grow)
 		default:
 			m.spillRow(i)
-			m.insertDenseEdge(i, j, e)
+			m.insertAt(i, j, e)
 			return
 		}
 	}
@@ -259,10 +210,10 @@ func (m *Matrix) insertDenseEdge(i, j int, e Edge) {
 	r.len++
 }
 
-// removeDenseEdge deletes position j of row i. Rows emptied in the
+// removeAt deletes position j of row i. Rows emptied in the
 // arena release their slot (counted dead); emptied overflow rows are
 // recycled immediately.
-func (m *Matrix) removeDenseEdge(i, j int) {
+func (m *Matrix) removeAt(i, j int) {
 	r := &m.rows[i]
 	if r.ovf != 0 {
 		idx := r.ovf - 1
@@ -275,7 +226,6 @@ func (m *Matrix) removeDenseEdge(i, j int) {
 			m.ovf[idx] = nil
 			m.freeOvf = append(m.freeOvf, idx)
 			r.ovf = 0
-			m.nonEmpty--
 		} else {
 			m.ovf[idx] = s
 		}
@@ -288,76 +238,40 @@ func (m *Matrix) removeDenseEdge(i, j int) {
 	if r.len == 0 {
 		m.dead += int(r.cap)
 		*r = rowRef{}
-		m.nonEmpty--
 	}
 }
 
-// setEdgeAny inserts or updates the directed entry u→v in whichever
-// layout is active, reporting whether the entry was newly created.
-func (m *Matrix) setEdgeAny(u, v cluster.VMID, rate float64) bool {
-	if m.sparse == nil {
-		if i := m.ensureRow(u); i >= 0 {
-			es := m.row(i)
-			j, ok := findEdge(es, v)
-			if ok {
-				es[j].Rate = rate
-				return false
-			}
-			m.insertDenseEdge(i, j, Edge{Peer: v, Rate: rate})
-			return true
-		}
-		// ensureRow migrated to the sparse layout; fall through.
-	}
-	edges := m.sparse[u]
-	i, ok := findEdge(edges, v)
+// setEdge inserts or updates the directed entry u→v, reporting whether
+// the entry was newly created.
+func (m *Matrix) setEdge(u, v cluster.VMID, rate float64) bool {
+	i := m.ensureRow(u)
+	es := m.row(i)
+	j, ok := findEdge(es, v)
 	if ok {
-		edges[i].Rate = rate
+		es[j].Rate = rate
 		return false
 	}
-	edges = append(edges, Edge{})
-	copy(edges[i+1:], edges[i:])
-	edges[i] = Edge{Peer: v, Rate: rate}
-	m.sparse[u] = edges
+	m.insertAt(i, j, Edge{Peer: v, Rate: rate})
 	return true
 }
 
-// removeEdgeAny deletes the directed entry u→v, reporting whether it
-// existed.
-func (m *Matrix) removeEdgeAny(u, v cluster.VMID) bool {
-	if m.sparse == nil {
-		i := m.rowIndex(u)
-		if i < 0 {
-			return false
-		}
-		es := m.row(i)
-		j, ok := findEdge(es, v)
-		if !ok {
-			return false
-		}
-		m.removeDenseEdge(i, j)
-		return true
+// dropEdge deletes the directed entry u→v, reporting whether it existed.
+func (m *Matrix) dropEdge(u, v cluster.VMID) bool {
+	i := m.rowIndex(u)
+	if i < 0 {
+		return false
 	}
-	edges := m.sparse[u]
-	i, ok := findEdge(edges, v)
+	j, ok := findEdge(m.row(i), v)
 	if !ok {
 		return false
 	}
-	copy(edges[i:], edges[i+1:])
-	edges = edges[:len(edges)-1]
-	if len(edges) == 0 {
-		delete(m.sparse, u)
-	} else {
-		m.sparse[u] = edges
-	}
+	m.removeAt(i, j)
 	return true
 }
 
 // maybeCompact rebuilds the arena once the entries stranded outside it
 // (dead slots, overflow rows) outweigh a fraction of the live edges.
 func (m *Matrix) maybeCompact() {
-	if m.sparse != nil || m.rows == nil {
-		return
-	}
 	live := 2 * m.numPairs
 	if m.dead > live/2+compactSlack || m.ovfEdges > live/8+compactSlack {
 		m.Compact()
@@ -369,7 +283,7 @@ func (m *Matrix) maybeCompact() {
 // vanish. Row contents and all query results are unchanged; previously
 // returned NeighborEdges slices are invalidated (as by any mutation).
 func (m *Matrix) Compact() {
-	if m.sparse != nil || m.rows == nil {
+	if m.rows == nil {
 		return
 	}
 	total := 0
@@ -431,8 +345,8 @@ func (m *Matrix) Set(u, v cluster.VMID, rateMbps float64) {
 	}
 	old := m.Rate(u, v)
 	if rateMbps <= 0 {
-		if m.removeEdgeAny(u, v) {
-			m.removeEdgeAny(v, u)
+		if m.dropEdge(u, v) {
+			m.dropEdge(v, u)
 			m.numPairs--
 			m.logChange(u, v, old, 0)
 			m.gen++
@@ -440,10 +354,10 @@ func (m *Matrix) Set(u, v cluster.VMID, rateMbps float64) {
 		}
 		return
 	}
-	if m.setEdgeAny(u, v, rateMbps) {
+	if m.setEdge(u, v, rateMbps) {
 		m.numPairs++
 	}
-	m.setEdgeAny(v, u, rateMbps)
+	m.setEdge(v, u, rateMbps)
 	m.logChange(u, v, old, rateMbps)
 	m.gen++
 	m.maybeCompact()
@@ -498,9 +412,6 @@ func (m *Matrix) Rate(u, v cluster.VMID) float64 {
 // order with their rates. The slice is owned by the matrix — read-only,
 // valid until the next mutation (see the package comment).
 func (m *Matrix) NeighborEdges(u cluster.VMID) []Edge {
-	if m.sparse != nil {
-		return m.sparse[u]
-	}
 	if i := m.rowIndex(u); i >= 0 {
 		return m.row(i)
 	}
@@ -550,14 +461,6 @@ func (m *Matrix) Generation() uint64 { return m.gen }
 // TotalRate returns the sum of λ over all pairs.
 func (m *Matrix) TotalRate() float64 {
 	var sum float64
-	if m.sparse != nil {
-		for _, edges := range m.sparse {
-			for _, e := range edges {
-				sum += e.Rate
-			}
-		}
-		return sum / 2
-	}
 	for i := range m.rows {
 		for _, e := range m.row(i) {
 			sum += e.Rate
@@ -571,21 +474,6 @@ func (m *Matrix) TotalRate() float64 {
 // materializing the pair-list cache. This is the memory-frugal path for
 // one-shot full scans at scale (accounting rebuilds, streaming export).
 func (m *Matrix) ForEachPair(f func(a, b cluster.VMID, rate float64)) {
-	if m.sparse != nil {
-		ids := make([]cluster.VMID, 0, len(m.sparse))
-		for u := range m.sparse {
-			ids = append(ids, u)
-		}
-		slices.Sort(ids)
-		for _, u := range ids {
-			for _, e := range m.sparse[u] {
-				if u < e.Peer {
-					f(u, e.Peer, e.Rate)
-				}
-			}
-		}
-		return
-	}
 	for i := range m.rows {
 		u := m.base + cluster.VMID(i)
 		for _, e := range m.row(i) {
@@ -627,18 +515,6 @@ func (m *Matrix) Scaled(f float64) *Matrix {
 	if f <= 0 || math.IsNaN(f) {
 		return out
 	}
-	if m.sparse != nil {
-		out.sparse = make(map[cluster.VMID][]Edge, len(m.sparse))
-		for u, edges := range m.sparse {
-			cp := make([]Edge, len(edges))
-			for i, e := range edges {
-				cp[i] = Edge{Peer: e.Peer, Rate: e.Rate * f}
-			}
-			out.sparse[u] = cp
-		}
-		out.numPairs = m.numPairs
-		return out
-	}
 	if m.rows == nil {
 		return out
 	}
@@ -658,7 +534,6 @@ func (m *Matrix) Scaled(f float64) *Matrix {
 		out.rows[i] = rowRef{off: uint32(cur), len: uint32(n), cap: uint32(n)}
 		cur += n
 	}
-	out.nonEmpty = m.nonEmpty
 	out.numPairs = m.numPairs
 	return out
 }
@@ -671,40 +546,31 @@ func (m *Matrix) Clone() *Matrix { return m.Scaled(1) }
 type Stats struct {
 	Pairs         int    // communicating pairs
 	Edges         int    // directed adjacency entries (2·Pairs)
-	RowWindow     int    // dense row-table span (0 in sparse mode)
+	RowWindow     int    // row-table span, in VM IDs
 	ArenaCap      int    // arena capacity, in edges
 	ArenaDead     int    // dead arena entries awaiting compaction
 	OverflowRows  int    // rows currently living in the overflow region
 	OverflowEdges int    // edges in overflow rows
 	Compactions   uint64 // compaction passes performed
-	Sparse        bool   // true when the map fallback is active
 	Bytes         int    // adjacency storage footprint, in bytes
 }
 
 // Stats returns the current storage accounting. Bytes counts the
-// adjacency structures only (arena, row table, overflow region — or the
-// estimated map layout in sparse mode); the changelog and pair cache are
-// excluded.
+// adjacency structures only (arena, row table, overflow region); the
+// changelog and pair cache are excluded.
 func (m *Matrix) Stats() Stats {
 	s := Stats{
-		Pairs:       m.numPairs,
-		Edges:       2 * m.numPairs,
-		Compactions: m.compacts,
+		Pairs:         m.numPairs,
+		Edges:         2 * m.numPairs,
+		RowWindow:     len(m.rows),
+		ArenaCap:      cap(m.arena),
+		ArenaDead:     m.dead,
+		OverflowRows:  len(m.ovf) - len(m.freeOvf),
+		OverflowEdges: m.ovfEdges,
+		Compactions:   m.compacts,
+		Bytes: cap(m.arena)*edgeBytes + cap(m.rows)*rowRefBytes +
+			cap(m.freeOvf)*4 + cap(m.ovf)*24,
 	}
-	if m.sparse != nil {
-		s.Sparse = true
-		for _, edges := range m.sparse {
-			s.Bytes += cap(edges)*edgeBytes + sparseRowOverhead
-		}
-		return s
-	}
-	s.RowWindow = len(m.rows)
-	s.ArenaCap = cap(m.arena)
-	s.ArenaDead = m.dead
-	s.OverflowRows = len(m.ovf) - len(m.freeOvf)
-	s.OverflowEdges = m.ovfEdges
-	s.Bytes = cap(m.arena)*edgeBytes + cap(m.rows)*rowRefBytes +
-		cap(m.freeOvf)*4 + cap(m.ovf)*24
 	for _, o := range m.ovf {
 		s.Bytes += cap(o) * edgeBytes
 	}

@@ -39,10 +39,14 @@
 // Builder performs one sort plus a counting fill into an exact-fit
 // arena, and Scaled/Clone copy straight into exact-fit CSR.
 //
-// Matrices whose VM IDs are too scattered for a dense row window (the
-// span would waste more than ~4× the occupied rows) fall back to the
-// classic map-of-slices layout transparently; all queries behave
-// identically, just without the arena's locality.
+// This is the only layout. The row table is a window over the VM-ID
+// space that grows geometrically, in both directions, to cover every ID
+// it is handed, at 16 bytes per ID spanned. It applies no density rule:
+// VM IDs come from one ordered space issued by the placement manager
+// (Section V-A), the cluster refuses an ID that would stretch its own
+// window too far (cluster.ErrIDOutsideWindow), and code folding rates
+// from outside the program — the daemon's observe and restore paths —
+// admits only pairs whose endpoints the cluster has registered.
 //
 // A generation counter increments on every mutation; it backs the
 // lazily rebuilt pair-list cache served by Pairs and lets consumers
