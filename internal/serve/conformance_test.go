@@ -85,6 +85,7 @@ func TestAPIConformance(t *testing.T) {
 		{"admit malformed json", "POST", "/v1/vms", `{"ram_mb":`, 400},
 		{"admit unknown field", "POST", "/v1/vms", `{"ram_mb":64,"bogus":1}`, 400},
 		{"admit trailing data", "POST", "/v1/vms", `{"ram_mb":64}{}`, 400},
+		{"admit trailing brace", "POST", "/v1/vms", `{"ram_mb":64}}`, 400},
 		{"admit wrong method", "GET", "/v1/vms", "", 405},
 		{"get vm", "GET", "/v1/vms/100", "", 200},
 		{"get unknown vm", "GET", "/v1/vms/999", "", 404},
@@ -96,8 +97,10 @@ func TestAPIConformance(t *testing.T) {
 		{"observe", "POST", "/v1/observe", `{"source":"t","samples":[{"a":100,"b":1,"rate_mbps":10}]}`, 200},
 		{"observe empty batch", "POST", "/v1/observe", `{"source":"t","samples":[]}`, 400},
 		{"observe malformed", "POST", "/v1/observe", `{"samples":`, 400},
+		{"observe trailing brace", "POST", "/v1/observe", `{"source":"t","samples":[{"a":100,"b":1,"rate_mbps":10}]}}`, 400},
 		{"observe wrong method", "GET", "/v1/observe", "", 405},
 		{"rounds", "POST", "/v1/rounds", `{"rounds":1}`, 200},
+		{"rounds trailing data", "POST", "/v1/rounds", `{"rounds":1}]x`, 400},
 		{"rounds empty body", "POST", "/v1/rounds", "", 200},
 		{"rounds wrong method", "GET", "/v1/rounds", "", 405},
 		{"status", "GET", "/v1/status", "", 200},
@@ -111,9 +114,13 @@ func TestAPIConformance(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			fallbacks := d.m.decodeFallback.Value()
 			rec := do(t, h, tc.method, tc.path, tc.body, nil)
 			if rec.Code != tc.want {
 				t.Fatalf("%s %s: got %d (%s), want %d", tc.method, tc.path, rec.Code, strings.TrimSpace(rec.Body.String()), tc.want)
+			}
+			if tc.want == 200 && d.m.decodeFallback.Value() != fallbacks {
+				t.Fatalf("%s %s: body %s missed the observe scanner", tc.method, tc.path, tc.body)
 			}
 		})
 	}
@@ -139,6 +146,9 @@ func TestObservePartialRejection(t *testing.T) {
 	}
 	if rep.Applied != 2 || rep.Rejected != 3 {
 		t.Fatalf("observe reply = %+v, want applied 2 rejected 3", rep)
+	}
+	if n := d.m.decodeFallback.Value(); n != 0 {
+		t.Fatalf("a well-formed batch with bad samples missed the observe scanner (%d fallbacks)", n)
 	}
 	var st statusReply
 	do(t, h, "GET", "/v1/status", "", &st)
@@ -293,6 +303,40 @@ func TestClosedDaemonRefuses(t *testing.T) {
 	if rec.Code != 503 {
 		t.Fatalf("admit after close over HTTP: %d, want 503", rec.Code)
 	}
+}
+
+// TestObserveDuringClose posts observe batches while the daemon shuts
+// down under them: every reply is a 200 or the 503 of the shutdown
+// contract, with the race detector watching the pooled scratch the
+// requests hand to the state loop and take back.
+func TestObserveDuringClose(t *testing.T) {
+	d := newTestDaemon(t, nil)
+	h := d.Handler()
+	do(t, h, "POST", "/v1/vms", `{"id":1,"ram_mb":64}`, nil)
+	do(t, h, "POST", "/v1/vms", `{"id":2,"ram_mb":64}`, nil)
+	var wg sync.WaitGroup
+	started := make(chan struct{}, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if i == 20 {
+					started <- struct{}{}
+				}
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/observe",
+					strings.NewReader(`{"source":"t","samples":[{"a":1,"b":2,"rate_mbps":10},{"a":2,"b":1,"rate_mbps":11}]}`)))
+				if rec.Code != 200 && rec.Code != 503 {
+					t.Errorf("observe during close: %d %s", rec.Code, rec.Body.String())
+					return
+				}
+			}
+		}()
+	}
+	<-started
+	d.Close()
+	wg.Wait()
 }
 
 // TestServeBindsListener exercises the bound-listener path end to end.

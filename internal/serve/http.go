@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"strconv"
@@ -141,18 +143,28 @@ func opStatus(err error) int {
 	}
 }
 
-// decodeJSON strictly decodes one JSON object into dst; unknown fields
-// and trailing garbage are conformance failures, not noise to ignore.
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBody)
-	dec := json.NewDecoder(r.Body)
+var errTrailingData = errors.New("trailing data")
+
+// decodeStrict decodes exactly one JSON value from r into dst; unknown
+// fields and anything but whitespace up to a clean end of input are
+// conformance failures, not noise to ignore.
+func decodeStrict(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-		return false
+		return err
 	}
-	if dec.More() {
-		writeErr(w, http.StatusBadRequest, "bad request body: trailing data")
+	if _, err := dec.Token(); err != io.EOF {
+		return errTrailingData
+	}
+	return nil
+}
+
+// decodeJSON strictly decodes a request body of at most maxBody bytes
+// into dst, answering 400 when it cannot.
+func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBody), dst); err != nil {
+		writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}
 	return true
@@ -261,6 +273,8 @@ func (d *Daemon) handleVMByID(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// sampleBody and observeBody are the reference decoder's targets for an
+// observe body; scanObserve produces the same values without them.
 type sampleBody struct {
 	A        uint32  `json:"a"`
 	B        uint32  `json:"b"`
@@ -277,33 +291,74 @@ type observeReply struct {
 	Rejected int `json:"rejected"`
 }
 
+// errReader fails every Read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decodeObserve reads an observe body into sc and decodes it into
+// sc.samples: with scanObserve when that takes the bytes, else with the
+// reference decoder every other route uses, over the same bytes and, if
+// reading them failed, the same failure — so what is a 400, and what it
+// says, is encoding/json's decision either way. It returns "" or the
+// 400's message.
+func (d *Daemon) decodeObserve(w http.ResponseWriter, r *http.Request, sc *observeScratch) string {
+	sc.body.Reset()
+	if n := r.ContentLength; n > 0 && n <= maxBody {
+		sc.body.Grow(int(n) + bytes.MinRead)
+	}
+	_, readErr := sc.body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBody))
+	t0 := time.Now()
+	var scanned bool
+	if readErr == nil {
+		_, sc.samples, scanned = scanObserve(sc.body.Bytes(), sc.samples)
+	}
+	if !scanned {
+		d.m.decodeFallback.Inc()
+		var replay io.Reader = bytes.NewReader(sc.body.Bytes())
+		if readErr != nil {
+			replay = io.MultiReader(replay, errReader{readErr})
+		}
+		var body observeBody
+		if err := decodeStrict(replay, &body); err != nil {
+			return "bad request body: " + err.Error()
+		}
+		if len(body.Samples) > maxBatchSamples {
+			return "batch exceeds " + strconv.Itoa(maxBatchSamples) + " samples"
+		}
+		sc.samples = sc.samples[:0]
+		for _, s := range body.Samples {
+			sc.samples = append(sc.samples, RateSample{A: cluster.VMID(s.A), B: cluster.VMID(s.B), RateMbps: s.RateMbps})
+		}
+	}
+	d.m.decodeLatency.Observe(time.Since(t0).Seconds())
+	if len(sc.samples) == 0 {
+		return "empty sample batch"
+	}
+	return ""
+}
+
 func (d *Daemon) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "POST /v1/observe")
 		return
 	}
-	var body observeBody
-	if !decodeJSON(w, r, &body) {
+	sc := observePool.Get().(*observeScratch)
+	if msg := d.decodeObserve(w, r, sc); msg != "" {
+		observePool.Put(sc)
+		writeErr(w, http.StatusBadRequest, msg)
 		return
 	}
-	if len(body.Samples) == 0 {
-		writeErr(w, http.StatusBadRequest, "empty sample batch")
+	res := d.submit(&op{kind: opObserve, samples: sc.samples})
+	// An op left in the queue at shutdown still points at the samples.
+	if !res.queued {
+		observePool.Put(sc)
+	}
+	if res.err != nil {
+		writeErr(w, opStatus(res.err), res.err.Error())
 		return
 	}
-	if len(body.Samples) > maxBatchSamples {
-		writeErr(w, http.StatusBadRequest, "batch exceeds "+strconv.Itoa(maxBatchSamples)+" samples")
-		return
-	}
-	samples := make([]RateSample, len(body.Samples))
-	for i, s := range body.Samples {
-		samples[i] = RateSample{A: cluster.VMID(s.A), B: cluster.VMID(s.B), RateMbps: s.RateMbps}
-	}
-	applied, rejected, err := d.Observe(body.Source, samples)
-	if err != nil {
-		writeErr(w, opStatus(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, observeReply{Applied: applied, Rejected: rejected})
+	writeJSON(w, http.StatusOK, observeReply{Applied: res.applied, Rejected: res.rejected})
 }
 
 type roundsBody struct {

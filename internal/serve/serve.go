@@ -136,8 +136,8 @@ type StepResult struct {
 type AdmitRequest struct {
 	// ID is honored when HasID; otherwise the daemon issues the next
 	// sequential ID that is free (see applyAdmit).
-	ID    cluster.VMID
-	HasID bool
+	ID              cluster.VMID
+	HasID           bool
 	RAMMB, CPUMilli int
 	// Host pins the placement when HasHost; otherwise the daemon
 	// best-fits onto the feasible host with the most free slots.
@@ -177,26 +177,29 @@ const (
 )
 
 type op struct {
-	kind  opKind
-	admit AdmitRequest
-	vm    cluster.VMID
-	ram, cpu int
+	kind           opKind
+	admit          AdmitRequest
+	vm             cluster.VMID
+	ram, cpu       int
 	hasRAM, hasCPU bool
-	source  string
-	samples []RateSample
-	steps   int
-	path    string
-	enq     time.Time // when submit enqueued the op (queue-wait metric)
-	done    chan opResult
+	samples        []RateSample
+	steps          int
+	path           string
+	enq            time.Time // when submit enqueued the op (queue-wait metric)
+	done           chan opResult
 }
 
 type opResult struct {
-	err  error
-	id   cluster.VMID
-	host cluster.HostID
+	err               error
+	id                cluster.VMID
+	host              cluster.HostID
 	applied, rejected int
-	step StepResult
-	path string
+	step              StepResult
+	path              string
+	// queued: submit gave up on an op that may still sit in the queue, for
+	// Close's drain to answer — what the op points at is not the caller's
+	// to reuse.
+	queued bool
 }
 
 type serveMetrics struct {
@@ -212,6 +215,8 @@ type serveMetrics struct {
 	pairs          *obs.Gauge
 	cost           *obs.Gauge
 	trafficStats   func(*traffic.Matrix) uint64 // sim.TrafficSampler
+	decodeLatency  *obs.Histogram
+	decodeFallback *obs.Counter
 	foldLatency    *obs.Histogram
 	opQueueDepth   *obs.Histogram
 	opWait         *obs.Histogram
@@ -234,6 +239,8 @@ func newServeMetrics(reg *obs.Registry) serveMetrics {
 		pairs:          reg.Gauge("score_service_pairs", "Communicating VM pairs currently tracked."),
 		cost:           sim.CostGauge(reg),
 		trafficStats:   sim.TrafficSampler(reg),
+		decodeLatency:  reg.Histogram("score_ingest_decode_seconds", "Time to decode one POST /v1/observe body, once read, into samples.", obs.DefLatencyBuckets),
+		decodeFallback: reg.Counter("score_ingest_decode_fallback_total", "Observe bodies the one-pass scanner declined and encoding/json decoded or refused."),
 		foldLatency:    reg.Histogram("score_ingest_fold_seconds", "Time to fold one observation batch into the traffic matrix.", obs.DefLatencyBuckets),
 		opQueueDepth:   reg.Histogram("score_op_queue_depth", "Op-queue occupancy sampled at each submission.", opQueueBuckets),
 		opWait:         reg.Histogram("score_op_wait_seconds", "Time an op spent queued before the state loop applied it.", obs.DefLatencyBuckets),
@@ -502,7 +509,7 @@ func (d *Daemon) submit(o *op) opResult {
 		case res := <-o.done:
 			return res
 		default:
-			return opResult{err: ErrClosed}
+			return opResult{err: ErrClosed, queued: true}
 		}
 	}
 }
@@ -810,9 +817,10 @@ func (d *Daemon) Respec(vm cluster.VMID, ramMB, cpuMilli *int) error {
 // reports how many samples were applied and how many were rejected
 // (self-pairs, non-finite or negative rates, unplaced endpoints); err
 // is non-nil only when the whole batch was dropped (backpressure or
-// shutdown).
+// shutdown). source names the reporter on the wire; the daemon keeps no
+// per-source state.
 func (d *Daemon) Observe(source string, samples []RateSample) (applied, rejected int, err error) {
-	res := d.submit(&op{kind: opObserve, source: source, samples: samples})
+	res := d.submit(&op{kind: opObserve, samples: samples})
 	return res.applied, res.rejected, res.err
 }
 

@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -11,12 +16,32 @@ import (
 	"github.com/score-dc/score/internal/cluster"
 )
 
+// observeHTTP sends one batch through the daemon's handler, encoded as
+// a remote source would encode it, and maps the reply back to what
+// Daemon.Observe returns.
+func observeHTTP(h http.Handler, samples []RateSample) (applied, rejected int, err error) {
+	body := appendObserveBody(nil, "writer", samples)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/observe", bytes.NewReader(body)))
+	switch rec.Code {
+	case http.StatusOK:
+		var rep observeReply
+		err = json.Unmarshal(rec.Body.Bytes(), &rep)
+		return rep.Applied, rep.Rejected, err
+	case http.StatusServiceUnavailable:
+		return 0, 0, ErrBacklogged
+	}
+	return 0, 0, fmt.Errorf("POST /v1/observe: %d %s", rec.Code, rec.Body.String())
+}
+
 // TestIngestSoak streams samples and lifecycle ops from concurrent
 // writers at a daemon running auto rounds, then checks the accounting
 // invariants of the backpressure contract:
 //
 //   - every sample a 2xx reply claimed applied is in the daemon's
-//     counters — nothing is dropped without a 503 (ErrBacklogged);
+//     counters — nothing is dropped without a 503 (ErrBacklogged) —
+//     whether the batch came in through Observe or, from every other
+//     writer, as a POST /v1/observe body decoded into pooled scratch;
 //   - the daemon's goroutines are gone after Close;
 //   - once the workload stabilizes, the per-round cost trajectory is
 //     monotonically non-increasing (Theorem 1: every applied move
@@ -51,7 +76,8 @@ func TestIngestSoak(t *testing.T) {
 		stable[i] = id
 	}
 
-	var sentApplied, sentBatches, dropped atomic.Uint64
+	h := d.Handler()
+	var sentApplied, sentBatches, sentHTTP, dropped atomic.Uint64
 	var admits, removes atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -102,7 +128,14 @@ func TestIngestSoak(t *testing.T) {
 						b := stable[rng.Intn(len(stable))]
 						samples = append(samples, RateSample{A: a, B: b, RateMbps: float64(1 + rng.Intn(200))})
 					}
-					applied, rejected, err := d.Observe("writer", samples)
+					var applied, rejected int
+					var err error
+					if w%2 == 1 {
+						sentHTTP.Add(1)
+						applied, rejected, err = observeHTTP(h, samples)
+					} else {
+						applied, rejected, err = d.Observe("writer", samples)
+					}
 					if err == ErrBacklogged {
 						dropped.Add(1)
 						continue
@@ -142,6 +175,14 @@ func TestIngestSoak(t *testing.T) {
 	}
 	if got, want := d.m.removes.Value(), removes.Load(); got != want {
 		t.Fatalf("score_vm_removes_total = %d, want %d", got, want)
+	}
+	// Every HTTP batch was decoded once, and by the scanner: the writers'
+	// encoder is the canonical one.
+	if got, want := d.m.decodeLatency.Count(), sentHTTP.Load(); got != want || want == 0 {
+		t.Fatalf("score_ingest_decode_seconds_count = %d, writers posted %d batches", got, want)
+	}
+	if n := d.m.decodeFallback.Value(); n != 0 {
+		t.Fatalf("score_ingest_decode_fallback_total = %d, want 0", n)
 	}
 	if d.m.backpressure.Value() < dropped.Load() {
 		t.Fatalf("backpressure counter %d < %d drops writers saw", d.m.backpressure.Value(), dropped.Load())
