@@ -7,6 +7,10 @@
 //	scorebench [-scale small|medium|paper] [-seed N] [-out DIR] [-only fig2,fig3,...]
 //	           [-shards N] [-metrics-addr HOST:PORT]
 //
+// The testbed-model experiments of Section VI-C (Fig. 5: flow-table
+// stress, live-migration bytes/time/downtime under background load) are
+// the subset -only fig5a,fig5b,fig5cd.
+//
 // With -metrics-addr the process serves Go runtime metrics at /metrics
 // and net/http/pprof at /debug/pprof/ while the figures generate — the
 // profiling surface for long sweeps.

@@ -450,18 +450,13 @@ func (a *Agent) processToken(m Message) {
 	}
 
 	// Build the holder view and pass the token.
-	view := token.HolderView{Holder: holder, NeighborLevels: make(map[cluster.VMID]uint8, len(rates))}
-	var own uint8
-	for _, ed := range rates {
-		if h, ok := a.locate(ed.Peer); ok {
-			lvl := uint8(a.cfg.Topo.Level(a.currentHostOf(holder), h))
-			view.NeighborLevels[ed.Peer] = lvl
-			if lvl > own {
-				own = lvl
-			}
+	view := holderView(holder, rates, func(peer cluster.VMID) (uint8, bool) {
+		h, ok := a.locate(peer)
+		if !ok {
+			return 0, false
 		}
-	}
-	view.OwnLevel = own
+		return uint8(a.cfg.Topo.Level(a.currentHostOf(holder), h)), true
+	})
 
 	if a.OnToken != nil && !a.OnToken(ev) {
 		return
@@ -489,6 +484,22 @@ func (a *Agent) currentHostOf(vm cluster.VMID) cluster.HostID {
 		return h
 	}
 	return a.cfg.HostID
+}
+
+// holderView builds the forwarding policy's view of a token holder: the
+// communication level of every peer that level can place (the others are
+// left out) and, as the holder's own level, the highest of them.
+func holderView(holder cluster.VMID, rates []traffic.Edge, level func(peer cluster.VMID) (uint8, bool)) token.HolderView {
+	view := token.HolderView{Holder: holder, NeighborLevels: make(map[cluster.VMID]uint8, len(rates))}
+	for _, ed := range rates {
+		if lvl, ok := level(ed.Peer); ok {
+			view.NeighborLevels[ed.Peer] = lvl
+			if lvl > view.OwnLevel {
+				view.OwnLevel = lvl
+			}
+		}
+	}
+	return view
 }
 
 // cacheLocation records a freshly observed peer location.

@@ -45,17 +45,22 @@
 //     its pass (every shard VM visited once), the final holder's agent
 //     ships the state to the reconciler with MsgRingDone.
 //
-//  3. Merge + reconcile. Once every ring reports, the reconciler
-//     replays staged intra-shard moves in shard order and then queued
-//     cross-shard proposals in the canonical ΔC-desc/VM-ID order —
-//     running the *same* shard.MergeStaged / shard.ReconcileProposals
-//     code as the in-process Coordinator, over an Env backed by
-//     location/capacity probes, so the two planes cannot drift. Each
-//     surviving move is re-validated against live post-merge state
-//     (Theorem 1 holds for every committed migration) and executed by
-//     asking the source dom0 to ship the VM (MsgReconcileCommit →
-//     MsgMigrate → MsgReconcileResp); rejected moves are announced with
-//     MsgReconcileAbort so agents can drop stale location-cache entries.
+//  3. The merge phase. Once every ring reports, the reconciler hands
+//     the rings' staged output to shard.Merge — the *same* value the
+//     in-process Coordinator runs, so the two planes cannot drift:
+//     staged intra-shard moves replay in shard order, then the queued
+//     cross-shard proposals in the canonical ΔC-desc/VM-ID order, each
+//     re-validated against live post-merge state (Theorem 1 holds for
+//     every committed migration) and recorded — audit, trace, metrics —
+//     by the phase itself. This plane supplies the Env (reconcileEnv:
+//     locations from the registry, ΔC from the peer-rate tables the
+//     moves carried, capacity from cached probes, Apply by asking the
+//     source dom0 to ship the VM: MsgReconcileCommit → MsgMigrate →
+//     MsgReconcileResp), each RingState's staged moves minus those
+//     touching a host evicted this round, and the hop/attempt
+//     provenance they carried over the wire; it announces the rejected
+//     moves it reads back with MsgReconcileAbort so agents can drop
+//     stale location-cache entries.
 //
 // With one shard the staged overlay reproduces the global ring's
 // immediate-execution decisions bit for bit, and the merge re-check

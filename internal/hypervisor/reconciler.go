@@ -117,15 +117,10 @@ type RingReport struct {
 // plane has quiesced.
 type RoundReport struct {
 	Round uint32
-	// Applied lists every executed migration in application order:
-	// merged intra-shard commits in shard order, then reconciled
-	// cross-shard proposals in the canonical order. Delta is the ΔC
-	// re-validated immediately before execution.
-	Applied       []core.Decision
-	RealizedDelta float64
-	Rings         []RingReport
-	// Reconciliation outcome counters, as in shard.Round.
-	CrossApplied, CrossRejected, StaleRejected int
+	// Outcome is what the merge phase did, as in shard.Round: the applied
+	// migrations and the stale / cross-shard tallies.
+	shard.Outcome
+	Rings []RingReport
 	// RingHops is the longest ring's hop count (the round's critical
 	// path); TotalHops sums all rings.
 	RingHops, TotalHops int
@@ -159,8 +154,8 @@ type ringEvent struct {
 // partitions the registry's authoritative allocation, pushes shard
 // assignments, injects one token per shard, collects the rings' staged
 // state, and re-validates and executes the staged moves through the
-// same shard.MergeStaged / shard.ReconcileProposals pass the in-process
-// Coordinator uses. RunRound must not be called concurrently.
+// same shard.Merge phase the in-process Coordinator uses. RunRound must
+// not be called concurrently.
 type Reconciler struct {
 	cfg    ReconcilerConfig
 	reg    *Registry
@@ -465,95 +460,33 @@ func (e *reconcileEnv) Apply(d core.Decision) (float64, error) {
 	return realized, nil
 }
 
-// Interface compliance: the distributed env takes the batched pass.
-// Tuner implements shard.WindowTuner: the commit-RTT estimate lives on
-// the Reconciler, not the per-round env, so it survives across rounds.
+// Tuner implements shard.BatchEnv: the commit-RTT estimate lives on the
+// Reconciler, not the per-round env, so it survives across rounds.
 func (e *reconcileEnv) Tuner() *shard.BatchTuner { return &e.r.batchTuner }
 
-// ObserveWindow implements shard.WindowObserver: every pipelined commit
-// window the shared pass chooses lands in the merge-window histogram and
-// trace.
-func (e *reconcileEnv) ObserveWindow(w int) {
-	if m := e.r.cfg.Metrics; m != nil {
-		m.MergeWindow.Observe(float64(w))
-	}
-	if tr := e.r.cfg.Trace; tr != nil {
-		tr.Record(obs.Event{Kind: obs.EvMergeWindow, Round: e.r.round, Shard: -1, Arg: int64(w)})
-	}
-}
+// The distributed env takes the merge phase's windowed replay.
+var _ shard.BatchEnv = (*reconcileEnv)(nil)
 
-var (
-	_ shard.BatchEnv       = (*reconcileEnv)(nil)
-	_ shard.WindowTuner    = (*reconcileEnv)(nil)
-	_ shard.WindowObserver = (*reconcileEnv)(nil)
-)
-
-// decisionsOf converts staged moves to the shared reconcile currency.
-func decisionsOf(ms []StagedMove) []core.Decision {
-	out := make([]core.Decision, len(ms))
-	for i, m := range ms {
-		out[i] = core.Decision{VM: m.VM, From: m.From, Target: m.To, Delta: m.Delta}
-	}
-	return out
-}
-
-// auditMetaOf lifts the provenance the staged moves carried over the
-// wire into the shared pass's meta form; nil when auditing is off.
-func auditMetaOf(ms []StagedMove, s int) []shard.AuditMeta {
-	out := make([]shard.AuditMeta, len(ms))
-	for i, m := range ms {
-		out[i] = shard.AuditMeta{Hop: m.Hop, Attempt: m.Attempt, Shard: int16(s)}
-	}
-	return out
-}
-
-// dropEvicted filters out moves that involve a host evicted this round —
-// the VM's current dom0 is unresponsive, or the move lands on one —
-// returning the survivors and the dropped count. meta, when non-nil, is
-// filtered in lockstep so audit provenance stays aligned. Without the
-// filter the merge would stall one probe timeout per dead endpoint.
-func dropEvicted(env *reconcileEnv, evicted map[cluster.HostID]bool, ds []core.Decision, meta []shard.AuditMeta) ([]core.Decision, []shard.AuditMeta, int) {
-	if len(evicted) == 0 {
-		return ds, meta, 0
-	}
-	keep := ds[:0]
-	var keepMeta []shard.AuditMeta
-	if meta != nil {
-		keepMeta = meta[:0]
-	}
-	dropped := 0
-	for i, d := range ds {
-		if evicted[d.Target] || evicted[env.HostOf(d.VM)] {
-			dropped++
+// stage converts ring s's staged moves to the merge phase's currency —
+// the decisions, and the provenance they carried over the wire — keeping
+// the peer-rate table and RAM size each carried for re-validation. Moves
+// that involve a host evicted this round — the VM's current dom0 is
+// unresponsive, or the move lands on one — are split off as dropped:
+// replaying them would stall one probe timeout per dead endpoint.
+func (e *reconcileEnv) stage(ms []StagedMove, s int, evicted map[cluster.HostID]bool) (keep []core.Decision, meta []shard.AuditMeta, dropped []core.Decision) {
+	keep = make([]core.Decision, 0, len(ms))
+	meta = make([]shard.AuditMeta, 0, len(ms))
+	for _, m := range ms {
+		d := core.Decision{VM: m.VM, From: m.From, Target: m.To, Delta: m.Delta}
+		e.rates[m.VM], e.ram[m.VM] = m.Rates, m.RAMMB
+		if evicted[d.Target] || evicted[e.HostOf(d.VM)] {
+			dropped = append(dropped, d)
 			continue
 		}
 		keep = append(keep, d)
-		if meta != nil {
-			keepMeta = append(keepMeta, meta[i])
-		}
+		meta = append(meta, shard.AuditMeta{Hop: m.Hop, Attempt: m.Attempt, Shard: int16(s)})
 	}
-	return keep, keepMeta, dropped
-}
-
-// unmatched returns the commits that did not land (by VM/From/Target),
-// for abort notification.
-func unmatched(commits, applied []core.Decision) []core.Decision {
-	used := make([]bool, len(applied))
-	var out []core.Decision
-	for _, c := range commits {
-		found := false
-		for i, a := range applied {
-			if !used[i] && a.VM == c.VM && a.From == c.From && a.Target == c.Target {
-				used[i] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			out = append(out, c)
-		}
-	}
-	return out
+	return keep, meta, dropped
 }
 
 // roundTimeoutCh arms the round-completion timeout.
@@ -1009,25 +942,17 @@ func (r *Reconciler) RunRound() (*RoundReport, error) {
 	}
 	states, reports := c.states, c.reports
 
-	// 5. Merge staged intra-shard moves in shard order, then reconcile
-	// cross-shard proposals in the canonical order — the shared pass.
+	// 5. Hand the rings' staged output to the merge phase — the one the
+	// in-process Coordinator runs — over the distributed env.
 	env := &reconcileEnv{
 		r:     r,
 		rates: make(map[cluster.VMID][]traffic.Edge),
 		ram:   make(map[cluster.VMID]int32),
 		caps:  make(map[cluster.HostID]*hostCap),
 	}
-	for _, st := range states {
-		if st == nil {
-			continue
-		}
-		for _, lists := range [][]StagedMove{st.Staged, st.Proposals} {
-			for i := range lists {
-				m := &lists[i]
-				env.rates[m.VM] = m.Rates
-				env.ram[m.VM] = m.RAMMB
-			}
-		}
+	mg := shard.Merge{Env: env, Cm: r.cfg.MigrationCost, Round: roundID, Audit: r.cfg.Audit, Trace: trc}
+	if m != nil {
+		mg.Metrics = m.Metrics
 	}
 
 	rep := &RoundReport{Round: roundID, Rings: reports, Shards: n, Granularity: gran}
@@ -1035,39 +960,25 @@ func (r *Reconciler) RunRound() (*RoundReport, error) {
 		rep.Evicted = append(rep.Evicted, h)
 	}
 	slices.Sort(rep.Evicted)
-	// Filter evicted hosts up front, then warm every capacity probe the
-	// whole merge will issue — all shards' staged moves plus the
-	// cross-shard proposals — in one wave, so neither the per-shard
-	// MergeStaged passes nor the closing ReconcileProposals pay their own
-	// serial probe warm-up.
-	shardCommits := make([][]core.Decision, n)
-	shardCommitMeta := make([][]shard.AuditMeta, n)
-	shardDropped := make([]int, n)
-	shardProps := make([][]core.Decision, n)
-	shardPropMeta := make([][]shard.AuditMeta, n)
-	shardPropsDropped := make([]int, n)
-	auditing := r.cfg.Audit != nil
-	for s := 0; s < n; s++ {
-		st := states[s]
+	// Moves by VMs stranded on evicted hosts cannot commit (their dom0 is
+	// unresponsive) and moves onto evicted hosts must not: withdraw both
+	// up front, then warm every capacity probe the whole phase will issue
+	// in one wave, so no pass pays its own serial probe warm-up.
+	commits := make([][]core.Decision, n)
+	commitMeta := make([][]shard.AuditMeta, n)
+	props := make([][]core.Decision, n)
+	propMeta := make([][]shard.AuditMeta, n)
+	for s, st := range states {
 		if st == nil {
 			continue
 		}
-		var cMeta, pMeta []shard.AuditMeta
-		if auditing {
-			cMeta = auditMetaOf(st.Staged, s)
-			pMeta = auditMetaOf(st.Proposals, s)
-		}
-		// Moves by VMs stranded on evicted hosts cannot commit (their
-		// dom0 is unresponsive) and moves onto evicted hosts must not:
-		// drop both before the merge instead of stalling on their probes.
-		shardCommits[s], shardCommitMeta[s], shardDropped[s] = dropEvicted(env, c.evicted, decisionsOf(st.Staged), cMeta)
-		shardProps[s], shardPropMeta[s], shardPropsDropped[s] = dropEvicted(env, c.evicted, decisionsOf(st.Proposals), pMeta)
+		var droppedCommits, droppedProps []core.Decision
+		commits[s], commitMeta[s], droppedCommits = env.stage(st.Staged, s, c.evicted)
+		props[s], propMeta[s], droppedProps = env.stage(st.Proposals, s, c.evicted)
+		mg.Withdraw(s, droppedCommits, droppedProps)
 	}
-	shard.PrefetchDecisions(env, append(append([][]core.Decision{}, shardCommits...), shardProps...)...)
+	shard.PrefetchDecisions(env, append(commits, props...)...)
 
-	var proposals []core.Decision
-	var propMeta []shard.AuditMeta
-	var aborts []core.Decision
 	for s := 0; s < n; s++ {
 		rep.TotalHops += reports[s].Hops
 		if reports[s].Hops > rep.RingHops {
@@ -1081,85 +992,20 @@ func (r *Reconciler) RunRound() (*RoundReport, error) {
 		if states[s] == nil {
 			continue
 		}
-		commits, dropped := shardCommits[s], shardDropped[s]
-		rep.StaleRejected += dropped
-		var au *shard.AuditPass
-		if auditing {
-			au = &shard.AuditPass{Ring: r.cfg.Audit, Round: roundID, Meta: shardCommitMeta[s]}
-		}
-		applied, stale, err := shard.MergeStaged(env, r.cfg.MigrationCost, commits, au)
-		if err != nil {
-			return nil, fmt.Errorf("hypervisor: shard %d merge: %w", s, err)
-		}
-		rep.StaleRejected += stale
-		reports[s].Merged = len(applied)
-		rep.Applied = append(rep.Applied, applied...)
-		for _, d := range applied {
-			rep.RealizedDelta += d.Delta
-		}
-		if trc != nil {
-			for _, d := range applied {
-				trc.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictMerged, Round: roundID, Shard: int16(s), Arg: int64(d.VM), Value: d.Delta})
-			}
-			for k := 0; k < stale+dropped; k++ {
-				trc.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictStale, Round: roundID, Shard: int16(s), Arg: -1})
-			}
-		}
-		if stale > 0 {
-			aborts = append(aborts, unmatched(commits, applied)...)
-		}
-		rep.CrossRejected += shardPropsDropped[s]
-		proposals = append(proposals, shardProps[s]...)
-		if auditing {
-			propMeta = append(propMeta, shardPropMeta[s]...)
-		}
+		reports[s].Merged = mg.Shard(s, commits[s], commitMeta[s])
+		mg.Propose(props[s], propMeta[s])
 	}
+	mg.Cross()
+	rep.Outcome = mg.Outcome
 
-	nProposed := 0
-	for s := 0; s < n; s++ {
-		nProposed += reports[s].Proposed
-	}
-	var pau *shard.AuditPass
-	if auditing {
-		pau = &shard.AuditPass{Ring: r.cfg.Audit, Round: roundID, Meta: propMeta}
-	}
-	applied, rejected := shard.ReconcileProposals(env, r.cfg.MigrationCost, proposals, pau)
-	rep.CrossApplied = len(applied)
-	rep.CrossRejected += len(rejected)
-	rep.Applied = append(rep.Applied, applied...)
-	for _, d := range applied {
-		rep.RealizedDelta += d.Delta
-	}
-	aborts = append(aborts, rejected...)
-	if trc != nil {
-		for _, d := range applied {
-			trc.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictCrossApplied, Round: roundID, Shard: -1, Arg: int64(d.VM), Value: d.Delta})
-		}
-		for _, d := range rejected {
-			trc.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictCrossRejected, Round: roundID, Shard: -1, Arg: int64(d.VM)})
-		}
-	}
-
-	// 6. Abort notifications: losers' dom0s drop stale cached state.
-	for _, d := range aborts {
+	// 6. Abort notifications: the dom0 of every move that was re-validated
+	// and did not land drops its stale cached state.
+	for _, d := range mg.Rejected {
 		if addr, ok := r.reg.Lookup(d.VM); ok {
 			_ = r.tr.Send(addr, Message{Type: MsgReconcileAbort, VM: d.VM, Host: d.Target})
 		}
 	}
-	if m != nil {
-		m.Rounds.Inc()
-		m.RoundLatency.Observe(time.Since(started).Seconds())
-		m.Shards.Set(float64(n))
-		m.Hops.Add(uint64(rep.TotalHops))
-		m.Migrations.Add(uint64(len(rep.Applied)))
-		m.RealizedDelta.Add(rep.RealizedDelta)
-		m.CrossProposals.Add(uint64(nProposed))
-		m.CrossApplied.Add(uint64(rep.CrossApplied))
-		m.CrossRejected.Add(uint64(rep.CrossRejected))
-		m.StaleRejected.Add(uint64(rep.StaleRejected))
-	}
-	if trc != nil {
-		trc.Record(obs.Event{Kind: obs.EvRoundEnd, Round: roundID, Shard: -1, Value: time.Since(started).Seconds()})
-	}
+	// Dom0s run the decision kernel in full on every visit: none skipped.
+	mg.Finish(started, n, rep.TotalHops, 0)
 	return rep, nil
 }

@@ -171,18 +171,13 @@ func (a *Agent) processShardToken(m Message) {
 	if h, ok := overlay.loc[holder]; ok {
 		viewHost = h
 	}
-	view := token.HolderView{Holder: holder, NeighborLevels: make(map[cluster.VMID]uint8, len(rates))}
-	var own uint8
-	for _, ed := range rates {
-		if h, ok := a.ringLocate(overlay, ed.Peer); ok {
-			lvl := uint8(a.cfg.Topo.Level(viewHost, h))
-			view.NeighborLevels[ed.Peer] = lvl
-			if lvl > own {
-				own = lvl
-			}
+	view := holderView(holder, rates, func(peer cluster.VMID) (uint8, bool) {
+		h, ok := a.ringLocate(overlay, peer)
+		if !ok {
+			return 0, false
 		}
-	}
-	view.OwnLevel = own
+		return uint8(a.cfg.Topo.Level(viewHost, h)), true
+	})
 
 	if a.OnShardToken != nil {
 		a.OnShardToken(int(st.Shard), ev)

@@ -73,9 +73,10 @@
 // # Audit records
 //
 // AuditRing is the decision-provenance plane: one fixed-size AuditRecord
-// per staged migration decision, appended by the shared merge/reconcile
-// passes in internal/shard — so the in-process Coordinator and the
-// distributed Reconciler emit identical provenance by construction.
+// per staged migration decision, appended by the shared merge phase
+// (shard.Merge) at the site that also writes the EvVerdict trace event —
+// so the in-process Coordinator and the distributed Reconciler emit
+// identical provenance by construction.
 // Each record carries the round, shard, token attempt and hop the
 // decision was made at, the VM and source→destination hosts, the staged
 // ΔC and the re-validated (applied: realized) ΔC as exact float64 bit

@@ -29,8 +29,10 @@ const (
 	// EvMergeWindow records one pipelined merge-commit batch; Arg is the
 	// window size chosen by the tuner.
 	EvMergeWindow
-	// EvVerdict records one reconcile decision; Code is a Verdict* constant,
-	// Arg the VM id, Value the realized ΔC for applied moves.
+	// EvVerdict records one merge-phase decision, written where the verdict
+	// is reached (shard.Merge) and so in decision order. Code is a Verdict*
+	// constant, Arg the VM id under every code, Shard the staging ring (-1
+	// for cross-shard proposals), Value the realized ΔC for applied moves.
 	EvVerdict
 	// EvCompaction records a traffic-matrix arena compaction.
 	EvCompaction
@@ -43,7 +45,7 @@ const (
 // Verdict codes carried in Event.Code for EvVerdict events.
 const (
 	VerdictMerged        uint8 = iota // staged move merged
-	VerdictStale                      // staged move re-validated to a loss and dropped
+	VerdictStale                      // staged move dropped: re-validated to a loss, refused at apply, or withdrawn
 	VerdictCrossApplied               // cross-shard proposal applied
 	VerdictCrossRejected              // cross-shard proposal rejected
 )

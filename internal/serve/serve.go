@@ -14,7 +14,6 @@ import (
 	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/obs"
 	"github.com/score-dc/score/internal/shard"
-	"github.com/score-dc/score/internal/sim"
 	"github.com/score-dc/score/internal/topology"
 	"github.com/score-dc/score/internal/traffic"
 )
@@ -214,7 +213,7 @@ type serveMetrics struct {
 	vms            *obs.Gauge
 	pairs          *obs.Gauge
 	cost           *obs.Gauge
-	trafficStats   func(*traffic.Matrix) uint64 // sim.TrafficSampler
+	trafficStats   func(*traffic.Matrix) uint64 // control.TrafficSampler
 	decodeLatency  *obs.Histogram
 	decodeFallback *obs.Counter
 	foldLatency    *obs.Histogram
@@ -237,8 +236,8 @@ func newServeMetrics(reg *obs.Registry) serveMetrics {
 		opErrors:       reg.Counter("score_op_errors_total", "Operations that failed validation or capacity checks."),
 		vms:            reg.Gauge("score_service_vms", "VMs currently registered with the resident service."),
 		pairs:          reg.Gauge("score_service_pairs", "Communicating VM pairs currently tracked."),
-		cost:           sim.CostGauge(reg),
-		trafficStats:   sim.TrafficSampler(reg),
+		cost:           control.CostGauge(reg),
+		trafficStats:   control.TrafficSampler(reg),
 		decodeLatency:  reg.Histogram("score_ingest_decode_seconds", "Time to decode one POST /v1/observe body, once read, into samples.", obs.DefLatencyBuckets),
 		decodeFallback: reg.Counter("score_ingest_decode_fallback_total", "Observe bodies the one-pass scanner declined and encoding/json decoded or refused."),
 		foldLatency:    reg.Histogram("score_ingest_fold_seconds", "Time to fold one observation batch into the traffic matrix.", obs.DefLatencyBuckets),

@@ -80,21 +80,11 @@ type ShardRound struct {
 
 // Round summarizes one partition → concurrent rings → merge cycle.
 type Round struct {
-	// Applied lists every migration actually executed, in application
-	// order: staged intra-shard commits in shard order, then reconciled
-	// cross-shard moves. Delta carries the ΔC realized at apply time.
-	Applied []core.Decision
-	// RealizedDelta is the summed ΔC of Applied.
-	RealizedDelta float64
+	// Outcome is what the merge phase did: the applied migrations and
+	// the stale / cross-shard tallies.
+	Outcome
 	// Shards holds per-ring statistics.
 	Shards []ShardRound
-	// CrossApplied / CrossRejected count the reconciliation outcomes of
-	// queued cross-shard proposals.
-	CrossApplied, CrossRejected int
-	// StaleRejected counts staged intra-shard moves dropped at merge
-	// time because an earlier-merged shard's migrations invalidated
-	// their ΔC or admissibility.
-	StaleRejected int
 	// RingHops is the longest ring's hop count — the round's wall-clock
 	// extent when rings run concurrently. TotalHops sums all rings.
 	RingHops, TotalHops int
@@ -153,6 +143,10 @@ type Coordinator struct {
 
 	// round numbers trace events; incremented once per RunRound.
 	round uint32
+
+	// merge is the merge phase, bound to the engine and the configured
+	// sinks once and reset every round so its scratch is reused.
+	merge Merge
 }
 
 // NewCoordinator validates the configuration and binds it to an engine.
@@ -173,7 +167,8 @@ func NewCoordinator(eng *core.Engine, cfg Config) (*Coordinator, error) {
 	if cfg.NewPolicy == nil {
 		cfg.NewPolicy = func(int) token.Policy { return token.HighestLevelFirst{} }
 	}
-	c := &Coordinator{eng: eng, cfg: cfg, pool: NewPool(cfg.Workers), curShards: cfg.Shards, curGran: cfg.Granularity}
+	c := &Coordinator{eng: eng, cfg: cfg, pool: NewPool(cfg.Workers), curShards: cfg.Shards, curGran: cfg.Granularity,
+		merge: Merge{Env: EngineEnv(eng), Cm: eng.Config().MigrationCost, Audit: cfg.Audit, Trace: cfg.Trace, Metrics: cfg.Metrics}}
 	c.detach = eng.Cluster().Observe(c.onAllocChange, c.onAllocReset)
 	return c, nil
 }
@@ -250,21 +245,21 @@ func (c *Coordinator) partition() (*Partition, error) {
 	return c.part, nil
 }
 
-// shardOutcome is one ring's private result, merged sequentially.
-// commitHops/proposalHops align with commits/proposals and carry the
-// token-visit hop each move was staged at; they are only maintained
-// when auditing is on.
+// shardOutcome is one ring's private result, handed to the merge phase
+// in shard order. commitMeta/proposalMeta align with commits/proposals
+// and carry the token-visit hop each move was staged at; they are only
+// maintained when auditing is on.
 type shardOutcome struct {
 	stats        ShardRound
 	commits      []core.Decision
 	proposals    []core.Decision
-	commitHops   []int32
-	proposalHops []int32
+	commitMeta   []AuditMeta
+	proposalMeta []AuditMeta
 }
 
 // RunRound executes one full cycle: partition the current allocation,
 // run every shard's token ring concurrently against frozen state, then
-// merge staged moves and reconcile cross-shard proposals sequentially.
+// hand the rings' staged output to the merge phase in shard order.
 func (c *Coordinator) RunRound() (*Round, error) {
 	m, tr := c.cfg.Metrics, c.cfg.Trace
 	c.round++
@@ -310,10 +305,8 @@ func (c *Coordinator) RunRound() (*Round, error) {
 	})
 
 	round := &Round{Shards: make([]ShardRound, 0, n), Granularity: c.curGran}
-	cm := c.eng.Config().MigrationCost
-	env := EngineEnv(c.eng)
-	var proposals []core.Decision
-	var propMeta []AuditMeta
+	mg := &c.merge
+	mg.Reset(c.round)
 	skipped := 0
 	for s := 0; s < n; s++ {
 		o := outcomes[s]
@@ -322,91 +315,16 @@ func (c *Coordinator) RunRound() (*Round, error) {
 		if o.stats.Hops > round.RingHops {
 			round.RingHops = o.stats.Hops
 		}
-		// Merge the ring's staged intra-shard moves via the shared
-		// re-validating replay (see MergeStaged).
-		var au *AuditPass
-		if c.cfg.Audit != nil {
-			meta := make([]AuditMeta, len(o.commits))
-			for i := range meta {
-				hop := int32(-1)
-				if i < len(o.commitHops) {
-					hop = o.commitHops[i]
-				}
-				meta[i] = AuditMeta{Hop: hop, Shard: int16(s)}
-			}
-			au = &AuditPass{Ring: c.cfg.Audit, Round: c.round, Meta: meta}
-		}
-		applied, stale, err := MergeStaged(env, cm, o.commits, au)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: merging staged moves: %w", s, err)
-		}
-		round.StaleRejected += stale
-		o.stats.Merged = len(applied)
-		for _, d := range applied {
-			round.Applied = append(round.Applied, d)
-			round.RealizedDelta += d.Delta
-		}
-		round.Shards = append(round.Shards, o.stats)
-		proposals = append(proposals, o.proposals...)
-		if c.cfg.Audit != nil {
-			for i := range o.proposals {
-				hop := int32(-1)
-				if i < len(o.proposalHops) {
-					hop = o.proposalHops[i]
-				}
-				propMeta = append(propMeta, AuditMeta{Hop: hop, Shard: int16(s)})
-			}
-		}
 		if tr != nil {
 			tr.Record(obs.Event{Kind: obs.EvRingDone, Round: c.round, Shard: int16(s), Arg: int64(o.stats.Hops)})
-			for _, d := range applied {
-				tr.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictMerged, Round: c.round, Shard: int16(s), Arg: int64(d.VM), Value: d.Delta})
-			}
-			for k := 0; k < stale; k++ {
-				tr.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictStale, Round: c.round, Shard: int16(s), Arg: -1})
-			}
 		}
+		o.stats.Merged = mg.Shard(s, o.commits, o.commitMeta)
+		mg.Propose(o.proposals, o.proposalMeta)
+		round.Shards = append(round.Shards, o.stats)
 	}
-
-	// Reconcile cross-shard proposals through the shared canonical-order
-	// re-validating pass (see ReconcileProposals).
-	nProposed := len(proposals)
-	var pau *AuditPass
-	if c.cfg.Audit != nil {
-		pau = &AuditPass{Ring: c.cfg.Audit, Round: c.round, Meta: propMeta}
-	}
-	applied, rejected := ReconcileProposals(env, cm, proposals, pau)
-	round.CrossRejected = len(rejected)
-	round.CrossApplied = len(applied)
-	for _, d := range applied {
-		round.Applied = append(round.Applied, d)
-		round.RealizedDelta += d.Delta
-	}
-	if tr != nil {
-		for _, d := range applied {
-			tr.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictCrossApplied, Round: c.round, Shard: -1, Arg: int64(d.VM), Value: d.Delta})
-		}
-		for _, d := range rejected {
-			tr.Record(obs.Event{Kind: obs.EvVerdict, Code: obs.VerdictCrossRejected, Round: c.round, Shard: -1, Arg: int64(d.VM)})
-		}
-	}
-	if m != nil {
-		m.Rounds.Inc()
-		m.RoundLatency.Observe(time.Since(start).Seconds())
-		m.Shards.Set(float64(n))
-		m.Hops.Add(uint64(round.TotalHops))
-		m.Skipped.Add(uint64(skipped))
-		m.Evaluated.Add(uint64(round.TotalHops - skipped))
-		m.Migrations.Add(uint64(len(round.Applied)))
-		m.RealizedDelta.Add(round.RealizedDelta)
-		m.CrossProposals.Add(uint64(nProposed))
-		m.CrossApplied.Add(uint64(round.CrossApplied))
-		m.CrossRejected.Add(uint64(round.CrossRejected))
-		m.StaleRejected.Add(uint64(round.StaleRejected))
-	}
-	if tr != nil {
-		tr.Record(obs.Event{Kind: obs.EvRoundEnd, Round: c.round, Shard: -1, Value: time.Since(start).Seconds()})
-	}
+	mg.Cross()
+	round.Outcome = mg.Outcome
+	mg.Finish(start, n, round.TotalHops, skipped)
 	return round, nil
 }
 
@@ -442,8 +360,8 @@ func (c *Coordinator) ringPass(s int, part *Partition, view *core.AllocView, pol
 	o.stats = ShardRound{Shard: s, VMs: len(vms)}
 	o.commits = nil
 	o.proposals = o.proposals[:0]
-	o.commitHops = o.commitHops[:0]
-	o.proposalHops = o.proposalHops[:0]
+	o.commitMeta = o.commitMeta[:0]
+	o.proposalMeta = o.proposalMeta[:0]
 	if len(vms) == 0 {
 		return
 	}
@@ -474,13 +392,13 @@ func (c *Coordinator) ringPass(s int, part *Partition, view *core.AllocView, pol
 					o.stats.Committed++
 				}
 				if auditing && len(view.Commits()) > nStaged {
-					o.commitHops = append(o.commitHops, int32(hop))
+					o.commitMeta = append(o.commitMeta, AuditMeta{Hop: int32(hop), Shard: int16(s)})
 				}
 			} else {
 				o.proposals = append(o.proposals, dec)
 				o.stats.Proposed++
 				if auditing {
-					o.proposalHops = append(o.proposalHops, int32(hop))
+					o.proposalMeta = append(o.proposalMeta, AuditMeta{Hop: int32(hop), Shard: int16(s)})
 				}
 			}
 		}

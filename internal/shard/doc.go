@@ -27,23 +27,30 @@
 //     another shard are queued, not applied. Remote VMs are read at
 //     their frozen round-start positions.
 //
-//  3. Merge + reconcile. After all rings finish, staged intra-shard
-//     moves are replayed against the real engine in shard order, then
-//     queued cross-shard proposals are applied sequentially in a
-//     deterministic order (descending staged ΔC, then VM ID, then
-//     target). Both replay paths re-validate ΔC and admissibility
-//     against the merged allocation — a staged move's ΔC was computed
-//     against frozen cross-shard peer positions, and an earlier-merged
-//     shard may have moved a peer since — so Theorem 1's guarantee
-//     (every applied move lowers the global cost) holds for every
-//     migration the coordinator performs. The ordering and
-//     re-validation live in reconcile.go (Env, MergeStaged,
-//     ReconcileProposals) and are shared verbatim with the distributed
-//     hypervisor plane's reconciler agent, so the in-process and
-//     wire-protocol planes cannot drift.
+//  3. The merge phase (Merge, merge.go). After all rings finish, each
+//     ring's staged intra-shard commits are replayed in shard order,
+//     then the queued cross-shard proposals in a deterministic order
+//     (descending staged ΔC, then VM ID, then target). Every move is
+//     re-validated — ΔC > c_m and admissible — against the allocation
+//     the move before it left, because a staged ΔC was computed against
+//     frozen cross-shard peer positions and an earlier-merged shard may
+//     have moved a peer since; so Theorem 1's guarantee (every applied
+//     move lowers the global cost) holds for every migration performed.
+//     Each verdict is recorded where it is reached — one audit record
+//     and one EvVerdict trace event, in decision order.
+//
+// The phase is the one place the two scheduler planes meet. A plane —
+// the Coordinator here, hypervisor.Reconciler over the wire — supplies
+// an Env (how to price, admit, locate and execute a move against its
+// authoritative state), its rings' staged commits and proposals in
+// shard order, and the audit provenance (AuditMeta) riding with them;
+// order, re-validation, tallies, records, metrics and the abort list
+// (Merge.Rejected) come back. An Env that is also a BatchEnv (commits
+// cost round trips) gets the windowed replay, held to the sequential
+// replay's exact outcome and records; nothing else selects between them.
 //
 // Because each ring's outcome depends only on the frozen round-start
-// state and its own staged moves, and both merge phases run in a fixed
+// state and its own staged moves, and the merge phase runs in a fixed
 // order, a run's output is byte-for-byte identical for any GOMAXPROCS
 // and any worker-pool size. With a single shard the coordinator
 // degenerates to the paper's serial token pass.
@@ -53,7 +60,7 @@
 // and whose dependencies have not changed since (core's visit memo; the
 // decision is always the kernel's). ShardRound.Skipped and
 // score_token_visits_total{outcome} count the two outcomes. A staged
-// commit that MergeStaged drops is reported to the engine
+// commit that the merge phase drops is reported to the engine
 // (RejectObserver) so verdicts computed against it are voided.
 //
 // The partition is maintained incrementally: the coordinator folds the

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ type fakeState struct {
 	base    map[cluster.VMID]float64
 	peerTab map[cluster.VMID][]cluster.VMID
 	moved   map[cluster.VMID]bool
+	fail    map[cluster.VMID]bool // VMs whose Apply errors, leaving the state untouched
 	applies int
 }
 
@@ -53,6 +55,9 @@ func (s *fakeState) delta(vm cluster.VMID) float64 {
 }
 
 func (s *fakeState) apply(d core.Decision) (float64, error) {
+	if s.fail[d.VM] {
+		return 0, fmt.Errorf("fake: commit of VM %d refused", d.VM)
+	}
 	realized := s.delta(d.VM)
 	s.hosts[d.VM] = d.Target
 	s.moved[d.VM] = true

@@ -171,7 +171,7 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 		return nil, err
 	}
 	defer plane.close()
-	cl, tm := r.eng.Cluster(), r.eng.Traffic()
+	cl := r.eng.Cluster()
 	return r.runRounds(func(roll rollup) (int, int, int, error) {
 		rep, err := plane.rec.RunRound()
 		if err != nil {
@@ -186,11 +186,7 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 			if err := cl.Move(d.VM, d.Target); err != nil {
 				return 0, 0, 0, fmt.Errorf("sim: mirroring distributed move of VM %d: %w", d.VM, err)
 			}
-			for _, ed := range tm.NeighborEdges(d.VM) {
-				hz := cl.HostOf(ed.Peer)
-				r.net.ShiftPair(d.VM, ed.Peer, d.From, hz, -ed.Rate)
-				r.net.ShiftPair(d.VM, ed.Peer, d.Target, hz, ed.Rate)
-			}
+			r.shiftFlows(d.VM, d.From, d.Target, cl.HostOf)
 		}
 		for _, ring := range rep.Rings {
 			st := roll(ring.Shard, ring.VMs, ring.Hops, ring.Merged, ring.Proposed)

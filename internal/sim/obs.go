@@ -14,44 +14,6 @@ import (
 	"github.com/score-dc/score/internal/traffic"
 )
 
-// CostGauge returns the communication-cost gauge family shared by the
-// batch Runner and the resident service (internal/serve): both report
-// into the same series name, so dashboards don't fork on deployment
-// mode. The registry's get-or-create semantics make repeated calls
-// return the same gauge.
-func CostGauge(reg *obs.Registry) *obs.Gauge {
-	return reg.Gauge("score_communication_cost", "Global communication cost C^A (Eq. 2) at the latest sample.")
-}
-
-// TrafficSampler registers (or finds) the score_traffic_* storage
-// families and returns the function that mirrors a traffic matrix's
-// storage accounting into them — shared, like CostGauge, by the batch
-// Runner and the resident service, whose matrix spills and compacts
-// inside observe ops. (The pair count is not among them: the service
-// already exports it per op as score_service_pairs.) Each call records
-// the current footprint, promotes the matrix's cumulative compaction count
-// into the counter, and returns how many passes ran since the previous
-// call. Matrix.Stats walks the overflow rows, so sample at round and
-// snapshot granularity, not per op; the function is not safe for
-// concurrent use.
-func TrafficSampler(reg *obs.Registry) func(tm *traffic.Matrix) (compacted uint64) {
-	bytes := reg.Gauge("score_traffic_bytes", "Traffic-matrix adjacency storage footprint.")
-	overflow := reg.Gauge("score_traffic_overflow_rows", "Matrix rows living in the arena overflow region.")
-	compactions := reg.Counter("score_traffic_compactions_total", "Arena compaction passes performed.")
-	var seen uint64 // matrix compaction count at the last sample
-	return func(tm *traffic.Matrix) (compacted uint64) {
-		st := tm.Stats()
-		bytes.Set(float64(st.Bytes))
-		overflow.Set(float64(st.OverflowRows))
-		if st.Compactions > seen {
-			compacted = st.Compactions - seen
-			compactions.Add(compacted)
-			seen = st.Compactions
-		}
-		return compacted
-	}
-}
-
 // runObs bundles one run's instrumentation handles. Every runner has
 // one: when Config.Obs is nil the run records into a private registry,
 // so the Metrics read-back below works whether or not an exposition
@@ -68,7 +30,7 @@ type runObs struct {
 
 	cost      *obs.Gauge
 	trafPairs *obs.Gauge
-	traf      func(*traffic.Matrix) uint64 // see TrafficSampler
+	traf      func(*traffic.Matrix) uint64 // see control.TrafficSampler
 
 	// Counter values at run start: a caller-provided registry may carry
 	// totals from earlier runs, so the read-back uses deltas.
@@ -89,9 +51,9 @@ func newRunObs(cfg Config) *runObs {
 		trace:     cfg.Trace,
 		plane:     hypervisor.NewPlaneMetrics(reg),
 		ctrl:      control.NewMetrics(reg),
-		cost:      CostGauge(reg),
+		cost:      control.CostGauge(reg),
 		trafPairs: reg.Gauge("score_traffic_pairs", "Communicating VM pairs in the traffic matrix."),
-		traf:      TrafficSampler(reg),
+		traf:      control.TrafficSampler(reg),
 	}
 	p := o.plane
 	o.base.rounds = p.Rounds.Value()

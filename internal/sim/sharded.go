@@ -83,7 +83,6 @@ func (r *Runner) shiftApplied(applied []core.Decision) {
 		return
 	}
 	cl := r.eng.Cluster()
-	tm := r.eng.Traffic()
 	pos := make(map[cluster.VMID]cluster.HostID, len(applied))
 	for i := len(applied) - 1; i >= 0; i-- {
 		pos[applied[i].VM] = applied[i].From
@@ -95,12 +94,18 @@ func (r *Runner) shiftApplied(applied []core.Decision) {
 		return cl.HostOf(vm) // unmoved this round: current == round start
 	}
 	for _, d := range applied {
-		for _, ed := range tm.NeighborEdges(d.VM) {
-			hz := hostOf(ed.Peer)
-			r.net.ShiftPair(d.VM, ed.Peer, d.From, hz, -ed.Rate)
-			r.net.ShiftPair(d.VM, ed.Peer, d.Target, hz, ed.Rate)
-		}
+		r.shiftFlows(d.VM, d.From, d.Target, hostOf)
 		pos[d.VM] = d.Target
+	}
+}
+
+// shiftFlows moves vm's flows off the paths out of host from and onto
+// the paths out of host to; hostOf places the peer end of each flow.
+func (r *Runner) shiftFlows(vm cluster.VMID, from, to cluster.HostID, hostOf func(cluster.VMID) cluster.HostID) {
+	for _, ed := range r.eng.Traffic().NeighborEdges(vm) {
+		hz := hostOf(ed.Peer)
+		r.net.ShiftPair(vm, ed.Peer, from, hz, -ed.Rate)
+		r.net.ShiftPair(vm, ed.Peer, to, hz, ed.Rate)
 	}
 }
 

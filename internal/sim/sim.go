@@ -415,13 +415,7 @@ func (r *Runner) startMigration(dec core.Decision) {
 		r.metrics.AbortedMigrations++
 		return
 	}
-	// Shift the VM's flows onto the new paths.
-	tm := r.eng.Traffic()
-	for _, ed := range tm.NeighborEdges(dec.VM) {
-		hz := cl.HostOf(ed.Peer)
-		r.net.ShiftPair(dec.VM, ed.Peer, from, hz, -ed.Rate)
-		r.net.ShiftPair(dec.VM, ed.Peer, dec.Target, hz, ed.Rate)
-	}
+	r.shiftFlows(dec.VM, from, dec.Target, cl.HostOf)
 	r.iterMigs++
 	r.ob.plane.Migrations.Inc()
 	r.metrics.TotalMigratedMB += res.MigratedMB
