@@ -11,6 +11,10 @@
 // stress, live-migration bytes/time/downtime under background load) are
 // the subset -only fig5a,fig5b,fig5cd.
 //
+// The shard sweep (-only shards) runs the single token under hlf and rr
+// as its baselines and each shard count once: sharded rounds walk their
+// rings in ID order, so the policy axis ends at shards = 1.
+//
 // With -metrics-addr the process serves Go runtime metrics at /metrics
 // and net/http/pprof at /debug/pprof/ while the figures generate — the
 // profiling surface for long sweeps.
@@ -217,7 +221,7 @@ func run() error {
 
 	if enabled("shards") {
 		fmt.Fprintf(w, "\n== Shard sweep: sharded token scheduler vs single token ==\n")
-		counts := []int{1}
+		var counts []int
 		for n := 2; n <= *maxShards; n *= 2 {
 			counts = append(counts, n)
 		}
@@ -228,23 +232,19 @@ func run() error {
 		}
 		res.Render(w)
 		if *outDir != "" {
-			cols := make([][]float64, 0, 1+2*len(res.Policies))
-			headers := make([]string, 0, cap(cols))
-			shardCol := make([]float64, len(res.Counts))
-			for i, n := range res.Counts {
-				shardCol[i] = float64(n)
+			// One row per run, baselines first; a 0/1 column per policy
+			// marks its single-token baseline.
+			rows := append(append([]experiments.ShardSweepRow(nil), res.Baseline...), res.Sharded...)
+			headers := []string{"shards", "reduction", "critical_hops"}
+			cols := [][]float64{make([]float64, len(rows)), make([]float64, len(rows)), make([]float64, len(rows))}
+			for i, row := range rows {
+				cols[0][i], cols[1][i], cols[2][i] = float64(row.Shards), row.Reduction, float64(row.CriticalHops)
 			}
-			headers = append(headers, "shards")
-			cols = append(cols, shardCol)
 			for pi, pol := range res.Policies {
-				reds := make([]float64, len(res.Counts))
-				hops := make([]float64, len(res.Counts))
-				for ci := range res.Counts {
-					reds[ci] = res.Reduction[pi][ci]
-					hops[ci] = float64(res.CriticalHops[pi][ci])
-				}
-				headers = append(headers, pol+"_reduction", pol+"_critical_hops")
-				cols = append(cols, reds, hops)
+				mark := make([]float64, len(rows))
+				mark[pi] = 1
+				headers = append(headers, "baseline_"+pol)
+				cols = append(cols, mark)
 			}
 			if err := writeCSV(*outDir, "shard_sweep.csv", headers, cols...); err != nil {
 				return err

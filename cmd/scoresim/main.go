@@ -11,6 +11,12 @@
 //	         [-distributed-shards N] [-dist-deadline SEC]
 //	         [-metrics-addr HOST:PORT]
 //
+// -policy selects the forwarding policy of the single token (the default
+// mode). The sharded modes (-shards, -distributed-shards, -autotune)
+// start every ring's token fresh each round and walk it once in ID
+// order, which is what hlf and rr both do on such a pass: they take
+// hlf|rr, with identical results, and refuse llf and random.
+//
 // With -metrics-addr the run serves its observability plane over HTTP:
 // Prometheus text exposition at /metrics, the round-trace ring buffer at
 // /trace, and net/http/pprof at /debug/pprof/.
@@ -42,7 +48,7 @@ func run() error {
 	vmsPerHost := flag.Int("vms-per-host", 4, "initial VMs per host")
 	slots := flag.Int("slots", 8, "VM slots per host")
 	density := flag.Float64("density", 1, "traffic matrix scale factor (1, 10, 50)")
-	policyName := flag.String("policy", "hlf", "token policy: hlf, rr, llf, random")
+	policyName := flag.String("policy", "hlf", "the single token's forwarding policy: hlf, rr, llf, random (sharded modes walk rings in ID order and take hlf|rr only)")
 	cm := flag.Float64("cm", 0, "migration cost c_m (Theorem 1 threshold)")
 	duration := flag.Float64("duration", 400, "simulated seconds")
 	hop := flag.Float64("hop", 0.05, "token hop latency seconds")

@@ -293,18 +293,15 @@ func TestShardSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShardSweep: %v", err)
 	}
-	if len(res.Counts) != 3 || res.Counts[0] != 1 {
-		t.Fatalf("baseline shard count missing: %v", res.Counts)
+	if len(res.Baseline) != 2 || len(res.Sharded) != 2 || res.Sharded[0].Shards != 2 || res.Sharded[1].Shards != 4 {
+		t.Fatalf("want a baseline per policy and a run per shard count: %+v / %+v", res.Baseline, res.Sharded)
 	}
-	for pi := range res.Policies {
-		for ci := range res.Counts {
-			if res.FinalCost[pi][ci] >= res.InitialCost {
-				t.Fatalf("policy %s shards=%d did not reduce cost", res.Policies[pi], res.Counts[ci])
-			}
-			if res.Reduction[pi][ci] < 0.5*res.Reduction[pi][0] {
-				t.Fatalf("policy %s shards=%d keeps under half the baseline reduction",
-					res.Policies[pi], res.Counts[ci])
-			}
+	for _, row := range append(append([]ShardSweepRow(nil), res.Baseline...), res.Sharded...) {
+		if row.FinalCost >= res.InitialCost {
+			t.Fatalf("shards=%d did not reduce cost", row.Shards)
+		}
+		if row.Reduction < 0.5*res.Baseline[0].Reduction {
+			t.Fatalf("shards=%d keeps under half the baseline reduction", row.Shards)
 		}
 	}
 	var buf strings.Builder

@@ -9,109 +9,114 @@ import (
 	"github.com/score-dc/score/internal/token"
 )
 
-// ShardSweepResult is the shard-granularity × policy scenario axis
-// opened by the sharded token scheduler: for each shard count it runs
-// the same instance to quiescence and reports how much of the
-// single-token cost reduction the partition/reconcile scheme keeps,
-// what it pays in cross-shard reconciliation, and how far the
-// wall-clock critical path (the longest ring per round) shrinks.
+// ShardSweepRow is one run of the shard sweep.
+type ShardSweepRow struct {
+	// Shards is the configured ring count, Effective the count after
+	// clamping to the topology's units.
+	Shards, Effective int
+	FinalCost         float64
+	Reduction         float64
+	Migrations        int
+	CrossApplied      int
+	Rounds            int
+	// CriticalHops is the longest ring's hops summed over rounds — the
+	// concurrent critical path; all hops for the single token.
+	CriticalHops int
+	WallClock    time.Duration
+}
+
+// ShardSweepResult is the shard-count scenario axis opened by the
+// sharded token scheduler: it runs the same instance to quiescence at
+// each shard count and reports how much of the single-token cost
+// reduction the partition/reconcile scheme keeps, what it pays in
+// cross-shard reconciliation, and how far the wall-clock critical path
+// (the longest ring per round) shrinks. The forwarding policy is an axis
+// of the baseline only: a sharded round walks its rings in ID order
+// whatever policy is named (token.RingOrder), so there is one row per
+// shard count.
 type ShardSweepResult struct {
 	Family  Family
 	Density Density
-	// Counts[0] is always 1 — the single-token baseline.
-	Counts   []int
+	// Baseline[i] is the single token (shards = 1) under Policies[i].
 	Policies []string
-	// Indexed [policy][count].
-	FinalCost     [][]float64
-	Reduction     [][]float64
-	Migrations    [][]int
-	CrossApplied  [][]int
-	Rounds        [][]int
-	CriticalHops  [][]int // longest-ring hops summed over rounds
-	WallClock     [][]time.Duration
-	InitialCost   float64
-	TotalVMs      int
-	EffectiveShrd [][]int // effective shard count after unit clamping
+	Baseline []ShardSweepRow
+	// Sharded holds one run per requested shard count above 1.
+	Sharded     []ShardSweepRow
+	InitialCost float64
+	TotalVMs    int
 }
 
-// ShardSweep runs the sweep on one topology family and density. Counts
-// not including 1 get it prepended, so the baseline is always present.
+// ShardSweep runs the sweep on one topology family and density: the
+// single-token baseline under each named policy (Highest-Level First
+// when none is named), then every count above 1.
 func ShardSweep(f Family, d Density, s Scale, seed int64, counts []int, policies []string) (*ShardSweepResult, error) {
-	if len(counts) == 0 || counts[0] != 1 {
-		counts = append([]int{1}, counts...)
-	}
 	if len(policies) == 0 {
 		policies = []string{"hlf"}
 	}
+	base, err := NewScenario(f, s, d, seed)
+	if err != nil {
+		return nil, err
+	}
 	res := &ShardSweepResult{
-		Family: f, Density: d, Counts: counts, Policies: policies,
+		Family: f, Density: d, Policies: policies,
+		InitialCost: base.Eng.TotalCost(), TotalVMs: base.Cl.NumVMs(),
+	}
+	run := func(shards int, polName string) (ShardSweepRow, error) {
+		sc, err := base.CloneForRun()
+		if err != nil {
+			return ShardSweepRow{}, err
+		}
+		pol, err := token.ByName(polName, sc.Rng)
+		if err != nil {
+			return ShardSweepRow{}, err
+		}
+		cfg := sim.DefaultConfig()
+		cfg.Shards = shards
+		cfg.HopLatencyS = 0.05
+		cfg.MaxIterations = 40
+		cfg.DurationS = cfg.HopLatencyS * float64(40*sc.Cl.NumVMs())
+		cfg.SampleIntervalS = cfg.DurationS / 40
+		runner, err := sim.NewRunner(sc.Eng, pol, cfg, sc.Rng)
+		if err != nil {
+			return ShardSweepRow{}, err
+		}
+		start := time.Now()
+		m, err := runner.Run()
+		if err != nil {
+			return ShardSweepRow{}, err
+		}
+		row := ShardSweepRow{
+			Shards: shards, Effective: 1, WallClock: time.Since(start),
+			FinalCost: m.FinalCost, Reduction: m.Reduction(),
+			Migrations: m.TotalMigrations, CrossApplied: m.CrossApplied,
+			Rounds: len(m.Iterations), CriticalHops: m.TokenHops,
+		}
+		if shards > 1 {
+			// PerShard hops accumulate across rounds; the longest
+			// ring's total approximates the concurrent critical path.
+			row.Effective, row.CriticalHops = len(m.PerShard), 0
+			for _, st := range m.PerShard {
+				row.CriticalHops = max(row.CriticalHops, st.Hops)
+			}
+		}
+		return row, nil
 	}
 	for _, polName := range policies {
-		base, err := NewScenario(f, s, d, seed)
+		row, err := run(1, polName)
 		if err != nil {
 			return nil, err
 		}
-		res.InitialCost = base.Eng.TotalCost()
-		res.TotalVMs = base.Cl.NumVMs()
-		var costs, reds []float64
-		var migs, cross, rounds, hops, eff []int
-		var walls []time.Duration
-		for _, n := range counts {
-			run, err := base.CloneForRun()
-			if err != nil {
-				return nil, err
-			}
-			pol, err := token.ByName(polName, run.Rng)
-			if err != nil {
-				return nil, err
-			}
-			cfg := sim.DefaultConfig()
-			cfg.Shards = n
-			cfg.HopLatencyS = 0.05
-			cfg.MaxIterations = 40
-			cfg.DurationS = cfg.HopLatencyS * float64(40*run.Cl.NumVMs())
-			cfg.SampleIntervalS = cfg.DurationS / 40
-			runner, err := sim.NewRunner(run.Eng, pol, cfg, run.Rng)
-			if err != nil {
-				return nil, err
-			}
-			start := time.Now()
-			m, err := runner.Run()
-			if err != nil {
-				return nil, err
-			}
-			walls = append(walls, time.Since(start))
-			costs = append(costs, m.FinalCost)
-			reds = append(reds, m.Reduction())
-			migs = append(migs, m.TotalMigrations)
-			cross = append(cross, m.CrossApplied)
-			rounds = append(rounds, len(m.Iterations))
-			critical := 0
-			if n > 1 {
-				longest := 0
-				for _, st := range m.PerShard {
-					if st.Hops > longest {
-						longest = st.Hops
-					}
-				}
-				// PerShard hops accumulate across rounds; the longest
-				// ring's total approximates the concurrent critical path.
-				critical = longest
-				eff = append(eff, len(m.PerShard))
-			} else {
-				critical = m.TokenHops
-				eff = append(eff, 1)
-			}
-			hops = append(hops, critical)
+		res.Baseline = append(res.Baseline, row)
+	}
+	for _, n := range counts {
+		if n <= 1 {
+			continue
 		}
-		res.FinalCost = append(res.FinalCost, costs)
-		res.Reduction = append(res.Reduction, reds)
-		res.Migrations = append(res.Migrations, migs)
-		res.CrossApplied = append(res.CrossApplied, cross)
-		res.Rounds = append(res.Rounds, rounds)
-		res.CriticalHops = append(res.CriticalHops, hops)
-		res.WallClock = append(res.WallClock, walls)
-		res.EffectiveShrd = append(res.EffectiveShrd, eff)
+		row, err := run(n, "hlf")
+		if err != nil {
+			return nil, err
+		}
+		res.Sharded = append(res.Sharded, row)
 	}
 	return res, nil
 }
@@ -245,18 +250,22 @@ func (r *DistributedSweepResult) Render(w io.Writer) {
 	}
 }
 
-// Render prints one table per policy.
+// Render prints the baselines, one per policy, then the sharded runs.
 func (r *ShardSweepResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Shard sweep: %s / %s, %d VMs, initial cost %.0f\n",
 		r.Family, r.Density, r.TotalVMs, r.InitialCost)
+	const header = "shards  eff  final-cost  reduction  migrations  cross  rounds  critical-hops  wall"
+	row := func(x ShardSweepRow) {
+		fmt.Fprintf(w, "%6d  %3d  %10.0f  %8.1f%%  %10d  %5d  %6d  %13d  %s\n",
+			x.Shards, x.Effective, x.FinalCost, 100*x.Reduction, x.Migrations, x.CrossApplied,
+			x.Rounds, x.CriticalHops, x.WallClock.Round(time.Millisecond))
+	}
 	for pi, pol := range r.Policies {
-		fmt.Fprintf(w, "policy %s:\n", pol)
-		fmt.Fprintln(w, "shards  eff  final-cost  reduction  migrations  cross  rounds  critical-hops  wall")
-		for ci, n := range r.Counts {
-			fmt.Fprintf(w, "%6d  %3d  %10.0f  %8.1f%%  %10d  %5d  %6d  %13d  %s\n",
-				n, r.EffectiveShrd[pi][ci], r.FinalCost[pi][ci], 100*r.Reduction[pi][ci],
-				r.Migrations[pi][ci], r.CrossApplied[pi][ci], r.Rounds[pi][ci],
-				r.CriticalHops[pi][ci], r.WallClock[pi][ci].Round(time.Millisecond))
-		}
+		fmt.Fprintf(w, "single token, policy %s:\n%s\n", pol, header)
+		row(r.Baseline[pi])
+	}
+	fmt.Fprintf(w, "sharded rounds (ring order; the policy axis ends at shards = 1):\n%s\n", header)
+	for _, x := range r.Sharded {
+		row(x)
 	}
 }

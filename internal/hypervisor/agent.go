@@ -123,7 +123,9 @@ type AgentConfig struct {
 	Cost core.CostModel
 	// MigrationCost is c_m from Theorem 1.
 	MigrationCost float64
-	// Policy selects the next token holder.
+	// Policy selects the next holder of the global ring's token
+	// (MsgToken). Shard tokens are forwarded in ring order whatever it
+	// says (see the package documentation).
 	Policy token.Policy
 	// ProbeTimeout bounds location/capacity round trips.
 	ProbeTimeout time.Duration
@@ -449,14 +451,21 @@ func (a *Agent) processToken(m Message) {
 		ev = a.decide(holder, ramMB, rates)
 	}
 
-	// Build the holder view and pass the token.
-	view := holderView(holder, rates, func(peer cluster.VMID) (uint8, bool) {
-		h, ok := a.locate(peer)
+	// Build the holder view — the level of every peer that can be
+	// placed and, as the holder's own level, the highest of them — and
+	// pass the token.
+	view := token.HolderView{Holder: holder, NeighborLevels: make(map[cluster.VMID]uint8, len(rates))}
+	for _, ed := range rates {
+		h, ok := a.locate(ed.Peer)
 		if !ok {
-			return 0, false
+			continue
 		}
-		return uint8(a.cfg.Topo.Level(a.currentHostOf(holder), h)), true
-	})
+		lvl := uint8(a.cfg.Topo.Level(a.currentHostOf(holder), h))
+		view.NeighborLevels[ed.Peer] = lvl
+		if lvl > view.OwnLevel {
+			view.OwnLevel = lvl
+		}
+	}
 
 	if a.OnToken != nil && !a.OnToken(ev) {
 		return
@@ -484,22 +493,6 @@ func (a *Agent) currentHostOf(vm cluster.VMID) cluster.HostID {
 		return h
 	}
 	return a.cfg.HostID
-}
-
-// holderView builds the forwarding policy's view of a token holder: the
-// communication level of every peer that level can place (the others are
-// left out) and, as the holder's own level, the highest of them.
-func holderView(holder cluster.VMID, rates []traffic.Edge, level func(peer cluster.VMID) (uint8, bool)) token.HolderView {
-	view := token.HolderView{Holder: holder, NeighborLevels: make(map[cluster.VMID]uint8, len(rates))}
-	for _, ed := range rates {
-		if lvl, ok := level(ed.Peer); ok {
-			view.NeighborLevels[ed.Peer] = lvl
-			if lvl > view.OwnLevel {
-				view.OwnLevel = lvl
-			}
-		}
-	}
-	return view
 }
 
 // cacheLocation records a freshly observed peer location.

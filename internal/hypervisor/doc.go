@@ -43,7 +43,16 @@
 //     the authoritative state is frozen for the round, any interleaving
 //     of probe traffic yields the same decisions. When a ring completes
 //     its pass (every shard VM visited once), the final holder's agent
-//     ships the state to the reconciler with MsgRingDone.
+//     ships the state to the reconciler with MsgRingDone. A holder
+//     forwards the shard token to its ring successor — the next VM ID
+//     in the token — and that is the only order: the token is rebuilt
+//     at level = depth every round and lives for one pass, so it
+//     carries no history for AgentConfig.Policy to prioritise with
+//     (over such a pass every token.RingOrder policy picks the
+//     successor anyway). The policy is consulted by the global ring's
+//     persistent MsgToken alone; the shard token's entry list is the
+//     ring's membership — what a visit's successor is read from and
+//     what regeneration evicts a crashed host's VMs from.
 //
 //  3. The merge phase. Once every ring reports, the reconciler hands
 //     the rings' staged output to shard.Merge — the *same* value the

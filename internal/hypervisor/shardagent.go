@@ -122,9 +122,9 @@ func (a *Agent) decideShard(holder cluster.VMID, holderHost cluster.HostID, ramM
 }
 
 // processShardToken runs one sharded-ring visit: decode the ring state,
-// decide with the staged overlay, update the token's level entries from
-// the overlaid view, and either forward the token or — when the pass
-// completes — ship the final state to the reconciler.
+// decide with the staged overlay, and either forward the token to the
+// holder's ring successor or — when the pass completes — ship the final
+// state to the reconciler.
 func (a *Agent) processShardToken(m Message) {
 	st, err := DecodeRingState(m.Payload)
 	if err != nil {
@@ -165,36 +165,14 @@ func (a *Agent) processShardToken(m Message) {
 		ev = a.decideShard(holder, holderHost, ramMB, rates, st, overlay, asg)
 	}
 
-	// Build the holder view against the post-decision overlay and pass
-	// the token — the same sequence as the global ring's visit.
-	viewHost := holderHost
-	if h, ok := overlay.loc[holder]; ok {
-		viewHost = h
-	}
-	view := holderView(holder, rates, func(peer cluster.VMID) (uint8, bool) {
-		h, ok := a.ringLocate(overlay, peer)
-		if !ok {
-			return 0, false
-		}
-		return uint8(a.cfg.Topo.Level(viewHost, h)), true
-	})
-
 	if a.OnShardToken != nil {
 		a.OnShardToken(int(st.Shard), ev)
 	}
 
+	// Forward in ring order; the token itself is unchanged by a visit.
 	st.Hops++
-	done := st.Hops >= st.Limit
-	var next cluster.VMID
-	if !done {
-		n, ok := a.cfg.Policy.Next(tok, view)
-		if !ok {
-			done = true
-		} else {
-			next = n
-		}
-	}
-	st.Token = tok.Encode()
+	next, ok := tok.Successor(holder)
+	done := st.Hops >= st.Limit || !ok || next == holder
 	if !done {
 		if addr, ok := a.reg.Lookup(next); ok {
 			// One encode serves both sends: the forwarded token and the

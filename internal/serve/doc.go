@@ -91,6 +91,13 @@
 // and snapshot tests drive, where the daemon is a replayable function
 // of its op sequence.
 //
+// A round visits every VM of every ring once, in ascending ID order.
+// The daemon has no forwarding-policy setting and needs none: the
+// paper's policies prioritise with level estimates a persistent token
+// accumulates across passes, and a round's rings are rebuilt from the
+// live partition each time, so there is no history to prioritise with
+// (see internal/shard and token.RingOrder).
+//
 // # Snapshot / restore
 //
 // A snapshot is versioned JSON holding the constructive topology spec,

@@ -39,14 +39,12 @@ type Config struct {
 	Tuner Tuner
 	// Workers bounds the worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// NewPolicy builds shard s's token-forwarding policy. It is invoked
-	// sequentially in shard order at the start of every round, so
-	// stochastic policies can draw per-shard seeds deterministically.
-	// Nil defaults to Highest-Level First for every shard.
+	// NewPolicy selects nothing: a round's rings are rebuilt from the
+	// partition and walked once in ascending ID order, the order every
+	// token.RingOrder policy yields on such a pass. NewCoordinator calls
+	// NewPolicy(0) once, refuses a policy that would reorder the pass,
+	// and never consults it again; nil is accepted.
 	NewPolicy func(s int) token.Policy
-	// MaxRounds caps Run; 0 means run until a round applies no
-	// migration (bounded by a generous safety cap).
-	MaxRounds int
 	// Metrics, when set, receives per-round instrumentation (see
 	// NewMetrics); nil leaves every record site an untaken branch.
 	Metrics *Metrics
@@ -94,19 +92,6 @@ type Round struct {
 	Granularity Granularity
 }
 
-// Result aggregates a Run.
-type Result struct {
-	Rounds     []*Round
-	Migrations int
-	// RealizedDelta is the total cost reduction across all rounds.
-	RealizedDelta float64
-}
-
-// runSafetyCap bounds Run when MaxRounds is 0: S-CORE converges (every
-// applied move strictly lowers a bounded cost), so this is a defensive
-// limit, not a tuning knob.
-const runSafetyCap = 1024
-
 // Coordinator drives sharded token rounds against one engine. It owns
 // the engine (and its cluster) for the duration of each call: the
 // caller must not mutate cluster or traffic state while a round runs.
@@ -124,15 +109,13 @@ type Coordinator struct {
 	partStale bool
 	detach    func()
 
-	// Per-shard round scratch, reused across rounds: decision views,
-	// ring tokens, policies, outcomes. Views are reset (not rebuilt) each
-	// round, which removes the dominant O(shards · (hosts + |V|))
-	// per-round allocation; entries are extended when the tuner raises
-	// the shard count. Reuse is safe because RunRound is sequential and
-	// each ring touches only its own index.
+	// Per-shard round scratch, reused across rounds: decision views and
+	// outcomes. Views are reset (not rebuilt) each round, which removes
+	// the dominant O(shards · (hosts + |V|)) per-round allocation;
+	// entries are extended when the tuner raises the shard count. Reuse
+	// is safe because RunRound is sequential and each ring touches only
+	// its own index.
 	views    []*core.AllocView
-	toks     []*token.Token
-	policies []token.Policy
 	outcomes []*shardOutcome
 
 	// curShards/curGran are the parameters the live partition was built
@@ -164,8 +147,11 @@ func NewCoordinator(eng *core.Engine, cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("shard: unknown granularity %v", cfg.Granularity)
 		}
 	}
-	if cfg.NewPolicy == nil {
-		cfg.NewPolicy = func(int) token.Policy { return token.HighestLevelFirst{} }
+	if cfg.NewPolicy != nil {
+		pol := cfg.NewPolicy(0)
+		if _, ok := pol.(token.RingOrder); !ok {
+			return nil, fmt.Errorf("shard: a round walks each ring once in ID order, which policy %q would reorder; run it on the single token (sim.Runner without shards)", pol.Name())
+		}
 	}
 	c := &Coordinator{eng: eng, cfg: cfg, pool: NewPool(cfg.Workers), curShards: cfg.Shards, curGran: cfg.Granularity,
 		merge: Merge{Env: EngineEnv(eng), Cm: eng.Config().MigrationCost, Audit: cfg.Audit, Trace: cfg.Trace, Metrics: cfg.Metrics}}
@@ -275,33 +261,28 @@ func (c *Coordinator) RunRound() (*Round, error) {
 		return nil, err
 	}
 	n := part.Shards()
-	// Views and policies are prepared sequentially (view reset primes
-	// the engine's shared accounting; policy construction may consume a
-	// caller RNG), then used strictly concurrently. All per-shard state
-	// is round scratch reset in place — after the first round at a given
-	// shard count, a round allocates no view, token or outcome storage.
+	// Views are prepared sequentially (a reset primes the engine's
+	// shared accounting), then used strictly concurrently. All per-shard
+	// state is round scratch reset in place — after the first round at a
+	// given shard count, a round allocates no view or outcome storage.
 	for len(c.views) < n {
 		c.views = append(c.views, nil)
-		c.toks = append(c.toks, new(token.Token))
-		c.policies = append(c.policies, nil)
 		c.outcomes = append(c.outcomes, new(shardOutcome))
 	}
 	views := c.views[:n]
-	policies := c.policies[:n]
 	outcomes := c.outcomes[:n]
 	for s := 0; s < n; s++ {
 		views[s] = c.eng.ResetView(views[s])
-		policies[s] = c.cfg.NewPolicy(s)
 	}
 
 	c.pool.Run(n, func(s int) {
 		if m != nil {
 			t0 := time.Now()
-			c.ringPass(s, part, views[s], policies[s], outcomes[s])
+			c.ringPass(s, part, views[s], outcomes[s])
 			m.RingPass.Observe(time.Since(t0).Seconds())
 			return
 		}
-		c.ringPass(s, part, views[s], policies[s], outcomes[s])
+		c.ringPass(s, part, views[s], outcomes[s])
 	})
 
 	round := &Round{Shards: make([]ShardRound, 0, n), Granularity: c.curGran}
@@ -328,94 +309,46 @@ func (c *Coordinator) RunRound() (*Round, error) {
 	return round, nil
 }
 
-// Run repeats rounds until one applies no migration, or MaxRounds.
-func (c *Coordinator) Run() (*Result, error) {
-	limit := c.cfg.MaxRounds
-	if limit <= 0 || limit > runSafetyCap {
-		limit = runSafetyCap
-	}
-	res := &Result{}
-	for r := 0; r < limit; r++ {
-		round, err := c.RunRound()
-		if err != nil {
-			return nil, err
-		}
-		res.Rounds = append(res.Rounds, round)
-		res.Migrations += len(round.Applied)
-		res.RealizedDelta += round.RealizedDelta
-		if len(round.Applied) == 0 {
-			break
-		}
-	}
-	return res, nil
-}
-
 // ringPass runs one shard's token ring to completion: every shard VM is
-// visited once (one pass, |V_s| hops), decisions are staged in the
-// shard's view, and the token moves by the shard's policy — the
-// Section V-A loop scoped to one shard. The outcome o is round scratch
-// reset in place; its proposal storage is reused across rounds.
-func (c *Coordinator) ringPass(s int, part *Partition, view *core.AllocView, pol token.Policy, o *shardOutcome) {
+// visited once, in ascending ID order (one pass, |V_s| hops — the
+// Section V-A loop scoped to one shard), and decisions are staged in the
+// shard's view. The ring is the partition's own VM list: a token built
+// for this pass alone would start at level = depth everywhere and be
+// thrown away after it, so no forwarding policy has anything to order
+// the pass by (token.RingOrder). The outcome o is round scratch reset in
+// place; its proposal storage is reused across rounds.
+func (c *Coordinator) ringPass(s int, part *Partition, view *core.AllocView, o *shardOutcome) {
 	vms := part.VMs(s)
-	o.stats = ShardRound{Shard: s, VMs: len(vms)}
-	o.commits = nil
+	o.stats = ShardRound{Shard: s, VMs: len(vms), Hops: len(vms)}
 	o.proposals = o.proposals[:0]
 	o.commitMeta = o.commitMeta[:0]
 	o.proposalMeta = o.proposalMeta[:0]
-	if len(vms) == 0 {
-		return
-	}
 	auditing := c.cfg.Audit != nil
-	depth := uint8(c.eng.Topology().Depth())
-	tok := c.toks[s].Fill(vms, depth)
-	tm := c.eng.Traffic()
-	_, levelFree := pol.(token.LevelFree)
-	var levels map[cluster.VMID]uint8
-	if !levelFree {
-		// One map per ring, cleared per hop — policies fold the view
-		// into the token and never retain it across Next calls.
-		levels = make(map[cluster.VMID]uint8)
-	}
-	holder := vms[0]
-	for hop := 0; hop < len(vms); hop++ {
-		o.stats.Hops++
+	for hop, holder := range vms {
 		dec, ok, skipped := view.Visit(holder)
 		if skipped {
 			o.stats.Skipped++
 		}
-		if ok {
-			if part.ShardOfHost(dec.Target) == s {
-				// Hop alignment uses the view's commit list, not the
-				// error: a self-move "succeeds" without staging anything.
-				nStaged := len(view.Commits())
-				if _, err := view.Commit(dec); err == nil {
-					o.stats.Committed++
-				}
-				if auditing && len(view.Commits()) > nStaged {
-					o.commitMeta = append(o.commitMeta, AuditMeta{Hop: int32(hop), Shard: int16(s)})
-				}
-			} else {
-				o.proposals = append(o.proposals, dec)
-				o.stats.Proposed++
-				if auditing {
-					o.proposalMeta = append(o.proposalMeta, AuditMeta{Hop: int32(hop), Shard: int16(s)})
-				}
-			}
-		}
-		hv := token.HolderView{Holder: holder}
-		if !levelFree {
-			clear(levels)
-			for _, ed := range tm.NeighborEdges(holder) {
-				levels[ed.Peer] = uint8(view.PairLevel(holder, ed.Peer))
-			}
-			hv.OwnLevel = uint8(view.VMLevel(holder))
-			hv.NeighborLevels = levels
-		}
-		next, ok := pol.Next(tok, hv)
 		if !ok {
-			break
+			continue
 		}
-		holder = next
+		if part.ShardOfHost(dec.Target) == s {
+			// Hop alignment uses the view's commit list, not the
+			// error: a self-move "succeeds" without staging anything.
+			nStaged := len(view.Commits())
+			if _, err := view.Commit(dec); err == nil {
+				o.stats.Committed++
+			}
+			if auditing && len(view.Commits()) > nStaged {
+				o.commitMeta = append(o.commitMeta, AuditMeta{Hop: int32(hop), Shard: int16(s)})
+			}
+		} else {
+			o.proposals = append(o.proposals, dec)
+			o.stats.Proposed++
+			if auditing {
+				o.proposalMeta = append(o.proposalMeta, AuditMeta{Hop: int32(hop), Shard: int16(s)})
+			}
+		}
 	}
 	o.commits = view.Commits()
 }

@@ -25,7 +25,17 @@
 //     commit into the view lock-free (no other shard can touch the
 //     shard's hosts), while proposals whose best target lies in
 //     another shard are queued, not applied. Remote VMs are read at
-//     their frozen round-start positions.
+//     their frozen round-start positions. A ring is visited once per
+//     round in ascending VM-ID order, and that is the only order there
+//     is: the paper's forwarding policies (token.Policy) prioritise
+//     with level estimates a persistent token accumulates across
+//     passes, and a ring rebuilt every round has none — over one fresh
+//     pass Round-Robin and Highest-Level-First both hand the token to
+//     the ring successor (token.RingOrder). So the ring is the
+//     partition's own VM list, walked as a slice; no token is built and
+//     no policy is asked. A policy that would reorder even a fresh pass
+//     (Random, Lowest-Level-First) is refused by NewCoordinator; it
+//     belongs to the single persistent token of sim.Runner.
 //
 //  3. The merge phase (Merge, merge.go). After all rings finish, each
 //     ring's staged intra-shard commits are replayed in shard order,

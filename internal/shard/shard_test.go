@@ -5,10 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
+	"github.com/score-dc/score/internal/obs"
 	"github.com/score-dc/score/internal/token"
 	"github.com/score-dc/score/internal/topology"
 	"github.com/score-dc/score/internal/traffic"
@@ -134,10 +136,15 @@ func TestSingleShardMatchesSerialToken(t *testing.T) {
 	}
 }
 
+// quiescenceCap bounds the run-to-quiescence helpers: S-CORE converges
+// (every applied move strictly lowers a bounded cost), so this is a
+// defensive limit for a broken build, not a tuning knob.
+const quiescenceCap = 1024
+
 // runSerialToQuiescence repeats serial passes until one applies nothing.
 func runSerialToQuiescence(eng *core.Engine) int {
 	total := 0
-	for r := 0; r < runSafetyCap; r++ {
+	for r := 0; r < quiescenceCap; r++ {
 		applied := serialTokenPass(eng)
 		total += len(applied)
 		if len(applied) == 0 {
@@ -145,6 +152,33 @@ func runSerialToQuiescence(eng *core.Engine) int {
 		}
 	}
 	return total
+}
+
+// runRounds drives coord until a round applies no migration or limit
+// rounds have run, and returns every round.
+func runRounds(t *testing.T, coord *Coordinator, limit int) []*Round {
+	t.Helper()
+	var rounds []*Round
+	for r := 0; r < limit; r++ {
+		round, err := coord.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds = append(rounds, round)
+		if len(round.Applied) == 0 {
+			break
+		}
+	}
+	return rounds
+}
+
+// migrations sums the applied moves of a run.
+func migrations(rounds []*Round) int {
+	n := 0
+	for _, round := range rounds {
+		n += len(round.Applied)
+	}
+	return n
 }
 
 // TestShardedConvergesNearSerial: on connected hotspot traffic, the
@@ -167,15 +201,12 @@ func TestShardedConvergesNearSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coord.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rounds := runRounds(t, coord, quiescenceCap)
 		final := eng.TotalCost()
 		if final >= initial {
 			t.Fatalf("%v-sharded run did not reduce cost: %v -> %v", g, initial, final)
 		}
-		for _, round := range res.Rounds {
+		for _, round := range rounds {
 			for _, d := range round.Applied {
 				if d.Delta <= 0 {
 					t.Fatalf("%v-sharded run applied a non-improving move: %+v", g, d)
@@ -209,9 +240,9 @@ func TestShardedConvergesNearSerial(t *testing.T) {
 // fingerprint serializes a run's full observable output: every applied
 // decision with its realized ΔC bits, per-shard stats, and the final
 // cost and allocation — byte-for-byte comparable.
-func fingerprint(res *Result, eng *core.Engine) string {
+func fingerprint(rounds []*Round, eng *core.Engine) string {
 	out := ""
-	for ri, round := range res.Rounds {
+	for ri, round := range rounds {
 		out += fmt.Sprintf("round %d hops=%d/%d cross=%d/%d stale=%d\n",
 			ri, round.RingHops, round.TotalHops, round.CrossApplied, round.CrossRejected, round.StaleRejected)
 		for _, sh := range round.Shards {
@@ -237,23 +268,57 @@ func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		eng := buildEngine(t, 4, 23, 10)
-		coord, err := NewCoordinator(eng, Config{Shards: 4, Workers: 8, MaxRounds: 6})
+		coord, err := NewCoordinator(eng, Config{Shards: 4, Workers: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := coord.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Migrations == 0 {
+		rounds := runRounds(t, coord, 6)
+		if migrations(rounds) == 0 {
 			t.Fatal("fixture produced no migrations; determinism test vacuous")
 		}
-		return fingerprint(res, eng)
+		return fingerprint(rounds, eng)
 	}
 	base := run(1)
 	for _, procs := range []int{4, 8} {
 		if got := run(procs); got != base {
 			t.Fatalf("sharded run output differs between GOMAXPROCS=1 and %d", procs)
+		}
+	}
+}
+
+// TestRingOrderPoliciesBitIdentical: whichever accepted policy a caller
+// names — none, Round-Robin, Highest-Level-First — a coordinator applies
+// the same moves with the same ΔC bits, reports the same per-ring stats
+// and stages every move at the same hop, round after round: the policy
+// selects nothing, because a round's one pass has one order.
+func TestRingOrderPoliciesBitIdentical(t *testing.T) {
+	run := func(newPolicy func(int) token.Policy) string {
+		eng := buildEngine(t, 4, 23, 10)
+		ar := obs.NewAuditRing(1 << 12)
+		coord, err := NewCoordinator(eng, Config{Shards: 4, Granularity: ByRack, Workers: 4, NewPolicy: newPolicy, Audit: ar})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer coord.Close()
+		var rounds []*Round
+		for r := 0; r < 8; r++ { // past quiescence too: quiet rounds must agree as well
+			rounds = append(rounds, runRounds(t, coord, 1)...)
+		}
+		if migrations(rounds) == 0 || ar.Len() == 0 {
+			t.Fatal("fixture produced no migrations; test vacuous")
+		}
+		out := fingerprint(rounds, eng)
+		for _, rec := range ar.Snapshot() {
+			out += fmt.Sprintf("\naudit r%d s%d hop=%d vm=%d %d->%d v=%d %x/%x",
+				rec.Round, rec.Shard, rec.Hop, rec.VM, rec.From, rec.To, rec.Verdict, rec.StagedBits, rec.FinalBits)
+		}
+		return out
+	}
+	base := run(nil)
+	for _, pol := range []token.Policy{token.RoundRobin{}, token.HighestLevelFirst{}} {
+		pol := pol
+		if got := run(func(int) token.Policy { return pol }); got != base {
+			t.Fatalf("coordinator under %s diverges from the nil-policy run", pol.Name())
 		}
 	}
 }
@@ -365,30 +430,26 @@ func TestPartitionIncrementalMaintenance(t *testing.T) {
 func TestCoordinatorMaintainsPartitionAcrossRounds(t *testing.T) {
 	run := func(rebuildEachRound bool) string {
 		eng := buildEngine(t, 4, 23, 10)
-		coord, err := NewCoordinator(eng, Config{Shards: 4, Workers: 4, MaxRounds: 6})
+		coord, err := NewCoordinator(eng, Config{Shards: 4, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer coord.Close()
-		res := &Result{}
+		var rounds []*Round
 		for r := 0; r < 6; r++ {
 			if rebuildEachRound {
 				coord.part = nil
 			}
-			round, err := coord.RunRound()
-			if err != nil {
-				t.Fatal(err)
-			}
-			res.Rounds = append(res.Rounds, round)
-			res.Migrations += len(round.Applied)
+			round := runRounds(t, coord, 1)[0]
+			rounds = append(rounds, round)
 			if len(round.Applied) == 0 {
 				break
 			}
 		}
-		if res.Migrations == 0 {
+		if migrations(rounds) == 0 {
 			t.Fatal("fixture produced no migrations; test vacuous")
 		}
-		return fingerprint(res, eng)
+		return fingerprint(rounds, eng)
 	}
 	if run(false) != run(true) {
 		t.Fatal("incrementally maintained partition diverges from per-round rebuild")
@@ -425,6 +486,15 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 	if _, err := ParseGranularity("mesh"); err == nil {
 		t.Fatal("unknown granularity string accepted")
+	}
+	// A policy that would reorder a fresh pass has no place in a round;
+	// the error names the driver that can run it.
+	for _, pol := range []token.Policy{token.LowestLevelFirst{}, &token.Random{Rng: rand.New(rand.NewSource(1))}} {
+		pol := pol
+		_, err := NewCoordinator(eng, Config{Shards: 2, NewPolicy: func(int) token.Policy { return pol }})
+		if err == nil || !strings.Contains(err.Error(), "single token") {
+			t.Fatalf("%s: reordering policy not refused with a pointer to the single token: %v", pol.Name(), err)
+		}
 	}
 }
 

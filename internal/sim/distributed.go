@@ -15,7 +15,7 @@ import (
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/hypervisor"
-	"github.com/score-dc/score/internal/token"
+	"github.com/score-dc/score/internal/shard"
 )
 
 // agentPlane is a fully wired distributed hypervisor plane mirroring an
@@ -163,19 +163,16 @@ func (r *Runner) buildAgentPlane() (*agentPlane, error) {
 // runDistributed runs the agent plane: reconciler rounds, with every
 // committed move mirrored into the engine's cluster for cost sampling.
 func (r *Runner) runDistributed() (*Metrics, error) {
-	if _, stochastic := r.policy.(*token.Random); stochastic {
-		return nil, fmt.Errorf("sim: the distributed plane requires a deterministic token policy")
-	}
 	plane, err := r.buildAgentPlane()
 	if err != nil {
 		return nil, err
 	}
 	defer plane.close()
 	cl := r.eng.Cluster()
-	return r.runRounds(func(roll rollup) (int, int, int, error) {
+	return r.runRounds(func(roll rollup) (int, int, *shard.Outcome, error) {
 		rep, err := plane.rec.RunRound()
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, nil, err
 		}
 		// Mirror each committed move: model its transfer under the link
 		// load as it stands, shift its flows, and apply it to the
@@ -184,7 +181,7 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 		for _, d := range rep.Applied {
 			r.modelMigration(d.From, d.Target)
 			if err := cl.Move(d.VM, d.Target); err != nil {
-				return 0, 0, 0, fmt.Errorf("sim: mirroring distributed move of VM %d: %w", d.VM, err)
+				return 0, 0, nil, fmt.Errorf("sim: mirroring distributed move of VM %d: %w", d.VM, err)
 			}
 			r.shiftFlows(d.VM, d.From, d.Target, cl.HostOf)
 		}
@@ -196,6 +193,8 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 				st.Recovered++
 			}
 		}
-		return rep.RingHops, rep.Shards, len(rep.Applied), nil
+		r.metrics.TokensRegenerated += rep.Regenerated
+		r.metrics.SpuriousRegens += rep.SpuriousRegens
+		return rep.RingHops, rep.Shards, &rep.Outcome, nil
 	})
 }

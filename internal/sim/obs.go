@@ -1,11 +1,9 @@
 package sim
 
-// This file binds a run to the observability plane (internal/obs). The
-// registry is the run's single source of truth for the scalar counters
-// that used to be accumulated three times over (per-round in the
-// runner, per-ring in ShardStats, and again in RoundReport): the
-// schedulers record into shared counter families as they go, and the
-// runner reads the deltas back into sim.Metrics when the run finishes.
+// This file binds a run to the observability plane (internal/obs): the
+// schedulers record into shared counter families as they go, for an
+// exposition endpoint to scrape. sim.Metrics does not read them back —
+// its totals are summed from what each round returns.
 
 import (
 	"github.com/score-dc/score/internal/control"
@@ -15,9 +13,7 @@ import (
 )
 
 // runObs bundles one run's instrumentation handles. Every runner has
-// one: when Config.Obs is nil the run records into a private registry,
-// so the Metrics read-back below works whether or not an exposition
-// endpoint is attached.
+// one: when Config.Obs is nil the run records into a private registry.
 type runObs struct {
 	reg   *obs.Registry
 	trace *obs.Tracer
@@ -31,14 +27,6 @@ type runObs struct {
 	cost      *obs.Gauge
 	trafPairs *obs.Gauge
 	traf      func(*traffic.Matrix) uint64 // see control.TrafficSampler
-
-	// Counter values at run start: a caller-provided registry may carry
-	// totals from earlier runs, so the read-back uses deltas.
-	base struct {
-		rounds, hops, migrations           uint64
-		crossApplied, crossRejected, stale uint64
-		regens, spurious                   uint64
-	}
 }
 
 func newRunObs(cfg Config) *runObs {
@@ -46,7 +34,7 @@ func newRunObs(cfg Config) *runObs {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	o := &runObs{
+	return &runObs{
 		reg:       reg,
 		trace:     cfg.Trace,
 		plane:     hypervisor.NewPlaneMetrics(reg),
@@ -55,16 +43,6 @@ func newRunObs(cfg Config) *runObs {
 		trafPairs: reg.Gauge("score_traffic_pairs", "Communicating VM pairs in the traffic matrix."),
 		traf:      control.TrafficSampler(reg),
 	}
-	p := o.plane
-	o.base.rounds = p.Rounds.Value()
-	o.base.hops = p.Hops.Value()
-	o.base.migrations = p.Migrations.Value()
-	o.base.crossApplied = p.CrossApplied.Value()
-	o.base.crossRejected = p.CrossRejected.Value()
-	o.base.stale = p.StaleRejected.Value()
-	o.base.regens = p.Regens.Value()
-	o.base.spurious = p.Spurious.Value()
-	return o
 }
 
 // sample mirrors one cost sample and the matrix footprint into the
@@ -75,24 +53,6 @@ func (o *runObs) sample(cost float64, tm *traffic.Matrix) {
 	if d := o.traf(tm); d > 0 && o.trace != nil {
 		o.trace.Record(obs.Event{Kind: obs.EvCompaction, Shard: -1, Arg: int64(d)})
 	}
-}
-
-// finish populates the Metrics fields the schedulers already counted.
-// CrossProposed keeps its historical meaning — the proposals that
-// reached a verdict (applied + rejected), not the raw queue depth that
-// score_cross_proposals_total reports.
-func (o *runObs) finish(m *Metrics) {
-	p := o.plane
-	m.Rounds = int(p.Rounds.Value() - o.base.rounds)
-	m.TokenHops = int(p.Hops.Value() - o.base.hops)
-	m.TotalMigrations = int(p.Migrations.Value() - o.base.migrations)
-	ca := p.CrossApplied.Value() - o.base.crossApplied
-	cr := p.CrossRejected.Value() - o.base.crossRejected
-	m.CrossApplied = int(ca)
-	m.CrossProposed = int(ca + cr)
-	m.StaleRejected = int(p.StaleRejected.Value() - o.base.stale)
-	m.TokensRegenerated = int(p.Regens.Value() - o.base.regens)
-	m.SpuriousRegens = int(p.Spurious.Value() - o.base.spurious)
 }
 
 // appendCost samples the global communication cost into the time series

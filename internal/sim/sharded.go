@@ -11,13 +11,10 @@ package sim
 // distributions remain comparable with single-token runs.
 
 import (
-	"math/rand"
-
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/control"
 	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/shard"
-	"github.com/score-dc/score/internal/token"
 )
 
 // controller builds and binds the adaptive control plane for an
@@ -30,19 +27,6 @@ func (r *Runner) controller() (*control.Controller, func()) {
 	ctrl := control.New(r.eng.Topology(), control.Config{Metrics: r.ob.ctrl})
 	detach := ctrl.Bind(r.eng.Traffic(), r.eng.Cluster())
 	return ctrl, detach
-}
-
-// shardPolicyFactory builds one policy instance per shard ring.
-// Stateless policies are shared; the stochastic Random policy gets a
-// per-shard RNG seeded sequentially from the run's RNG so results stay
-// deterministic for a fixed seed and any GOMAXPROCS.
-func (r *Runner) shardPolicyFactory() func(int) token.Policy {
-	if _, stochastic := r.policy.(*token.Random); !stochastic {
-		return func(int) token.Policy { return r.policy }
-	}
-	return func(int) token.Policy {
-		return &token.Random{Rng: rand.New(rand.NewSource(r.rng.Int63()))}
-	}
 }
 
 // modelMigration draws the pre-copy model for one executed move under
@@ -109,7 +93,8 @@ func (r *Runner) shiftFlows(vm cluster.VMID, from, to cluster.HostID, hostOf fun
 	}
 }
 
-// rollup folds one ring of a finished round into its shard's run totals.
+// rollup folds one ring of a finished round into its shard's run totals
+// and the run's hop count.
 type rollup func(shard, vms, hops, merged, proposed int) *ShardStats
 
 // runRounds is the round loop of both sharded planes: the hop clock
@@ -118,9 +103,10 @@ type rollup func(shard, vms, hops, merged, proposed int) *ShardStats
 // duration budget, the iteration cap, or quiescence (a round that
 // applies no migration) — and the final flush. step runs one round on
 // the plane, folds what it applied into the mirror cluster and the link
-// loads, and reports each ring through roll, which returns the shard's
-// running totals for plane-specific extras.
-func (r *Runner) runRounds(step func(roll rollup) (ringHops, shards, applied int, err error)) (*Metrics, error) {
+// loads, reports each ring through roll, which returns the shard's
+// running totals for plane-specific extras, and returns the merge
+// phase's outcome, which the run's totals are summed from.
+func (r *Runner) runRounds(step func(roll rollup) (ringHops, shards int, out *shard.Outcome, err error)) (*Metrics, error) {
 	cl := r.eng.Cluster()
 	r.metrics.InitialCost = r.eng.TotalCost()
 	r.metrics.Cost.Append(0, r.metrics.InitialCost)
@@ -134,6 +120,7 @@ func (r *Runner) runRounds(step func(roll rollup) (ringHops, shards, applied int
 			st = &ShardStats{Shard: shard}
 			perShard[shard] = st
 		}
+		r.metrics.TokenHops += hops
 		st.VMs = vms
 		st.Hops += hops
 		st.Migrations += merged
@@ -142,10 +129,18 @@ func (r *Runner) runRounds(step func(roll rollup) (ringHops, shards, applied int
 	})
 	now := 0.0
 	for round := 1; ; round++ {
-		hops, shards, applied, err := step(roll)
+		hops, shards, out, err := step(roll)
 		if err != nil {
 			return nil, err
 		}
+		applied := len(out.Applied)
+		r.metrics.Rounds++
+		r.metrics.TotalMigrations += applied
+		r.metrics.CrossApplied += out.CrossApplied
+		// CrossProposed keeps its historical meaning — the proposals that
+		// reached a verdict, not the raw queue depth.
+		r.metrics.CrossProposed += out.CrossApplied + out.CrossRejected
+		r.metrics.StaleRejected += out.StaleRejected
 		now += float64(max(hops, 1)) * r.cfg.HopLatencyS
 		r.metrics.Iterations = append(r.metrics.Iterations, IterationStats{
 			Index:      round,
@@ -171,7 +166,6 @@ func (r *Runner) runRounds(step func(roll rollup) (ringHops, shards, applied int
 	}
 	r.metrics.FinalCost = r.eng.TotalCost()
 	r.finishUtilization(cl)
-	r.ob.finish(&r.metrics)
 	return &r.metrics, nil
 }
 
@@ -184,7 +178,6 @@ func (r *Runner) runSharded() (*Metrics, error) {
 		Shards:      r.cfg.Shards,
 		Granularity: r.cfg.ShardGranularity,
 		Workers:     r.cfg.ShardWorkers,
-		NewPolicy:   r.shardPolicyFactory(),
 		Metrics:     r.ob.plane.Metrics,
 		Trace:       r.ob.trace,
 		Audit:       r.cfg.Audit,
@@ -197,10 +190,10 @@ func (r *Runner) runSharded() (*Metrics, error) {
 		return nil, err
 	}
 	defer coord.Close()
-	return r.runRounds(func(roll rollup) (int, int, int, error) {
+	return r.runRounds(func(roll rollup) (int, int, *shard.Outcome, error) {
 		res, err := coord.RunRound()
 		if err != nil {
-			return 0, 0, 0, err
+			return 0, 0, nil, err
 		}
 		// Per-migration modeling: durations, downtime and moved bytes
 		// under the link load of the round's starting allocation.
@@ -215,6 +208,6 @@ func (r *Runner) runSharded() (*Metrics, error) {
 		// moves replayed in order — no full-pair Recompute per round.
 		r.net.Sync(r.eng.Traffic(), r.eng.Cluster())
 		r.shiftApplied(res.Applied)
-		return res.RingHops, len(res.Shards), len(res.Applied), nil
+		return res.RingHops, len(res.Shards), &res.Outcome, nil
 	})
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/score-dc/score/internal/shard"
@@ -90,29 +91,38 @@ func TestShardedMatchesSingleTokenTrend(t *testing.T) {
 	}
 }
 
-// TestShardedRandomPolicyDeterministic: the stochastic Random policy
-// must give per-shard rings deterministically seeded RNGs — two runs
-// with equal seeds produce identical metrics.
-func TestShardedRandomPolicyDeterministic(t *testing.T) {
-	run := func() *Metrics {
-		eng, rng := buildEngine(t, 21)
-		cfg := smallConfig()
-		cfg.Shards = 4
-		cfg.MaxIterations = 6
-		r, err := NewRunner(eng, &token.Random{Rng: rng}, cfg, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+// TestShardedModesRefuseReorderingPolicies: a sharded round walks each
+// ring once in ID order, so a policy that would reorder even a fresh
+// pass is refused by both planes, with an error naming the driver that
+// does run it — the single token, where the same runner goes through.
+func TestShardedModesRefuseReorderingPolicies(t *testing.T) {
+	modes := map[string]func(*Config){
+		"shards":      func(c *Config) { c.Shards = 4 },
+		"distributed": func(c *Config) { c.DistributedShards = 2 },
+		"autotune":    func(c *Config) { c.AutoTune = true },
+		"single":      func(*Config) {},
 	}
-	a, b := run(), run()
-	if a.FinalCost != b.FinalCost || a.TotalMigrations != b.TotalMigrations || a.TokenHops != b.TokenHops {
-		t.Fatalf("sharded random-policy runs diverged: %v/%d/%d vs %v/%d/%d",
-			a.FinalCost, a.TotalMigrations, a.TokenHops,
-			b.FinalCost, b.TotalMigrations, b.TokenHops)
+	for mode, set := range modes {
+		for _, name := range []string{"random", "llf"} {
+			eng, rng := buildEngine(t, 21)
+			pol, err := token.ByName(name, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := smallConfig()
+			cfg.MaxIterations = 2
+			set(&cfg)
+			r, err := NewRunner(eng, pol, cfg, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = r.Run()
+			switch {
+			case mode == "single" && err != nil:
+				t.Fatalf("single token refused %s: %v", name, err)
+			case mode != "single" && (err == nil || !strings.Contains(err.Error(), "single token")):
+				t.Fatalf("%s mode under %s: want a refusal pointing at the single token, got %v", mode, name, err)
+			}
+		}
 	}
 }

@@ -65,7 +65,10 @@ type Config struct {
 	// token ring per topology-aligned shard concurrently and merges the
 	// results through a deterministic reconciliation pass. 0 or 1 keeps
 	// the paper's single-token discrete-event run. Token-loss injection
-	// does not apply to sharded rounds.
+	// does not apply to sharded rounds. Every sharded mode (this one,
+	// DistributedShards, AutoTune) walks its rings in ID order and
+	// accepts only a token.RingOrder policy; the others need the single
+	// token's history and are refused.
 	Shards int
 	// ShardGranularity aligns shard boundaries to pods (default) or
 	// racks; ShardWorkers bounds the worker pool (0 = GOMAXPROCS).
@@ -77,8 +80,8 @@ type Config struct {
 	// ring per topology-aligned shard coordinated by a reconciliation
 	// agent, and every committed move mirrored into the engine's
 	// cluster for cost sampling. 1 reproduces the global agent ring
-	// bit for bit; it is mutually exclusive with Shards > 1 and
-	// requires a deterministic token policy. ShardGranularity applies.
+	// bit for bit; it is mutually exclusive with Shards > 1.
+	// ShardGranularity applies.
 	// Admission follows the paper's dom0 protocol — slots and RAM only:
 	// the engine's BandwidthThreshold is not enforced by the agents,
 	// and clusters with CPU admission (Host.CPUMilli > 0) are rejected.
@@ -111,8 +114,7 @@ type Config struct {
 	DistributedEvictAttempts int
 	// Obs, when set, is the metrics registry the run records into —
 	// typically the one an obs.Serve endpoint scrapes. Nil gives the
-	// run a private registry; either way the registry is the source of
-	// truth for the scalar counters read back into Metrics at run end.
+	// run a private registry.
 	Obs *obs.Registry
 	// Trace, when set, receives typed round events (ring completions,
 	// regenerations, evictions, reconcile verdicts, compactions) in the
@@ -286,10 +288,14 @@ func (r *Runner) Run() (*Metrics, error) {
 		return nil, fmt.Errorf("sim: need at least 2 VMs, have %d", len(vms))
 	}
 	r.numVMs = len(vms)
+	sharded := r.cfg.DistributedShards > 0 || r.cfg.Shards > 1 || r.cfg.AutoTune
+	if _, ok := r.policy.(token.RingOrder); sharded && !ok {
+		return nil, fmt.Errorf("sim: sharded rounds walk every ring once in ID order, which policy %q would reorder; run it on the single token (no Shards, DistributedShards or AutoTune)", r.policy.Name())
+	}
 	switch {
 	case r.cfg.DistributedShards > 0:
 		return r.runDistributed()
-	case r.cfg.Shards > 1 || r.cfg.AutoTune:
+	case sharded:
 		return r.runSharded()
 	}
 	// Optimistic level initialization: unvisited VMs read as hottest so
@@ -325,9 +331,9 @@ func (r *Runner) Run() (*Metrics, error) {
 	r.des.RunUntil(r.cfg.DurationS)
 
 	r.finishIteration() // flush a partial final pass
+	r.metrics.TokenHops = r.hops
 	r.metrics.FinalCost = r.eng.TotalCost()
 	r.finishUtilization(cl)
-	r.ob.finish(&r.metrics)
 	return &r.metrics, nil
 }
 
@@ -349,6 +355,7 @@ func (r *Runner) hop(holder cluster.VMID) {
 	// Failure injection: the token vanishes in flight and is
 	// regenerated after a timeout by the placement manager.
 	if r.cfg.TokenLossProb > 0 && r.rng.Float64() < r.cfg.TokenLossProb {
+		r.metrics.TokensRegenerated++
 		r.ob.plane.Regens.Inc()
 		r.des.After(r.cfg.RegenTimeoutS, func() {
 			if r.stopped {
@@ -417,6 +424,7 @@ func (r *Runner) startMigration(dec core.Decision) {
 	}
 	r.shiftFlows(dec.VM, from, dec.Target, cl.HostOf)
 	r.iterMigs++
+	r.metrics.TotalMigrations++
 	r.ob.plane.Migrations.Inc()
 	r.metrics.TotalMigratedMB += res.MigratedMB
 	r.metrics.MigrationTimesS = append(r.metrics.MigrationTimesS, res.TotalS)

@@ -38,12 +38,16 @@ var (
 	_ Policy = (*LowestLevelFirst)(nil)
 )
 
-// LevelFree marks policies whose Next reads no level information from
-// the holder's view (neither OwnLevel nor NeighborLevels). Schedulers
-// may skip assembling the view for such policies — for Round-Robin this
-// removes every per-hop level computation from the ring loop.
-type LevelFree interface {
-	LevelFree()
+// RingOrder marks the policies under which one pass over a token
+// initialised at the topology depth (NewAtLevel(ids, depth), started at
+// the lowest ID) visits ascending IDs: at every hop of that pass Next
+// returns the ring successor, whatever the holders' views say. A token
+// that lives for one pass carries no history for such a policy to
+// prioritise with, so the sharded schedulers — which start every ring
+// fresh each round — walk their rings in ID order and accept only these
+// (FuzzFreshPassIsRingOrder holds the implementers to it).
+type RingOrder interface {
+	RingOrder()
 }
 
 // RoundRobin passes the token among VMs in ascending ID order
@@ -54,8 +58,8 @@ type RoundRobin struct{}
 // Name implements Policy.
 func (RoundRobin) Name() string { return "round-robin" }
 
-// LevelFree implements the marker: Next only walks the ring order.
-func (RoundRobin) LevelFree() {}
+// RingOrder implements the marker: Next only walks the ring order.
+func (RoundRobin) RingOrder() {}
 
 // Next implements Policy.
 func (RoundRobin) Next(tok *Token, view HolderView) (cluster.VMID, bool) {
@@ -78,6 +82,11 @@ type HighestLevelFirst struct{}
 
 // Name implements Policy.
 func (HighestLevelFirst) Name() string { return "highest-level-first" }
+
+// RingOrder implements the marker: on a first pass every VM ahead of the
+// holder still reads the initial level — the highest there is — so the
+// scan of Algorithm 1 stops at the successor.
+func (HighestLevelFirst) RingOrder() {}
 
 // Next implements Policy.
 func (HighestLevelFirst) Next(tok *Token, view HolderView) (cluster.VMID, bool) {

@@ -6,9 +6,18 @@
 // 32-bit VM ID ("capable of representing over 4 billion IDs before
 // recycling") and an 8-bit communication level, stored in ascending order
 // by VM ID. The message size is of the order of |V|.
+//
+// The level entries are history: a policy prioritises with what earlier
+// passes of the same token recorded. Only the single persistent token
+// (sim.Runner's discrete-event loop, the global agent ring) has any —
+// there all four policies differ. A sharded round starts every ring's
+// token fresh and walks it for one pass, where the RingOrder policies
+// all reduce to "pass to the next ID": both sharded schedulers visit in
+// that one order without asking a policy, and refuse the others.
 package token
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,33 +55,14 @@ func New(ids []cluster.VMID) *Token { return NewAtLevel(ids, 0) }
 // NewAtLevel builds a token with every entry's level preset, typically
 // to the topology depth so "unknown" reads as "assume hottest".
 func NewAtLevel(ids []cluster.VMID, level uint8) *Token {
-	// Fill sorts and drops duplicates defensively; IDs are unique by
-	// construction.
-	return new(Token).Fill(ids, level)
-}
-
-// Fill re-initializes t over ids with every level preset — NewAtLevel
-// semantics reusing the entry storage, the per-round reset path for
-// schedulers that keep per-ring tokens alive across rounds. Returns t.
-func (t *Token) Fill(ids []cluster.VMID, level uint8) *Token {
-	if cap(t.entries) < len(ids) {
-		t.entries = make([]Entry, len(ids))
-	}
-	t.entries = t.entries[:len(ids)]
+	entries := make([]Entry, len(ids))
 	for i, id := range ids {
-		t.entries[i] = Entry{ID: id, Level: level}
+		entries[i] = Entry{ID: id, Level: level}
 	}
-	slices.SortFunc(t.entries, func(a, b Entry) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
-	t.entries = dedup(t.entries)
-	return t
+	// Sort and drop duplicates defensively; IDs are unique by
+	// construction.
+	slices.SortFunc(entries, func(a, b Entry) int { return cmp.Compare(a.ID, b.ID) })
+	return &Token{entries: dedup(entries)}
 }
 
 func dedup(es []Entry) []Entry {

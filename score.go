@@ -230,7 +230,13 @@ type (
 type (
 	// ShardGranularity aligns shard boundaries to pods or racks.
 	ShardGranularity = shard.Granularity
-	// ShardConfig tunes a standalone sharded scheduler.
+	// ShardConfig tunes a standalone sharded scheduler. Its NewPolicy
+	// selects nothing: a round walks each ring once in ascending ID
+	// order — the rings are rebuilt every round, so no token carries
+	// the history a TokenPolicy prioritises with. RoundRobin and
+	// HighestLevelFirst are accepted (both yield that order on a fresh
+	// pass), RandomPolicy and LowestLevelFirst refused; all four run on
+	// the Runner's single token.
 	ShardConfig = shard.Config
 	// ShardCoordinator drives sharded token rounds against an engine.
 	ShardCoordinator = shard.Coordinator
