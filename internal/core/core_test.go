@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -109,10 +110,21 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	return &fixture{topo: topo, cl: cl, tm: tm, eng: eng}
 }
 
+// shallowTopo is a topology that breaks the Topology contract's depth.
+type shallowTopo struct{ *topology.CanonicalTree }
+
+func (shallowTopo) Depth() int { return 2 }
+
 func TestEngineValidation(t *testing.T) {
 	fx := newFixture(t, DefaultConfig())
 	if _, err := NewEngine(nil, fx.eng.CostModel(), fx.cl, fx.tm, DefaultConfig()); err == nil {
 		t.Fatal("nil topology accepted")
+	}
+	// The level tables, and the interface's own definition of levels by
+	// host, rack and pod, are the depth-3 contract.
+	_, err := NewEngine(shallowTopo{fx.topo}, fx.eng.CostModel(), fx.cl, fx.tm, DefaultConfig())
+	if err == nil || !strings.Contains(err.Error(), "Topology contract") {
+		t.Fatalf("depth-2 topology: err = %v, want a refusal naming the Topology contract", err)
 	}
 	shallow, _ := NewCostModel(1)
 	if _, err := NewEngine(fx.topo, shallow, fx.cl, fx.tm, DefaultConfig()); err == nil {

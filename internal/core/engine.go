@@ -85,10 +85,11 @@ type Engine struct {
 	// rackOf/podOf flatten the topology's level structure (the
 	// Topology contract: 0 same host, 1 same rack, 2 same pod, 3 via
 	// core) into per-host keys, replacing two interface calls per edge
-	// with two array loads. Populated only for depth-3 topologies;
-	// otherwise level falls back to the interface.
+	// with two array loads. They cover every host ID the topology or the
+	// cluster knows. prefix[l] is cost.Prefix(l) for those four levels.
 	rackOf []int32
 	podOf  []int32
+	prefix [4]float64
 
 	// live is the view the engine's own decision methods run through; use
 	// liveView, which points it at the cluster's current placement table.
@@ -116,6 +117,9 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 	if topo == nil || cl == nil || tm == nil {
 		return nil, fmt.Errorf("core: nil dependency")
 	}
+	if topo.Depth() != 3 {
+		return nil, fmt.Errorf("core: topology %s has depth %d; the Topology contract defines levels by host, rack and pod (depth 3)", topo.Name(), topo.Depth())
+	}
 	if cost.Depth() < topo.Depth() {
 		return nil, fmt.Errorf("core: cost model depth %d < topology depth %d", cost.Depth(), topo.Depth())
 	}
@@ -129,13 +133,14 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 	}
 	e.live = AllocView{eng: e, live: true}
 	e.live.sizeScratch()
-	if probeSpan := len(e.live.probed); e.depth == 3 {
-		e.rackOf = make([]int32, probeSpan)
-		e.podOf = make([]int32, probeSpan)
-		for h := 0; h < probeSpan; h++ {
-			e.rackOf[h] = int32(topo.RackOf(cluster.HostID(h)))
-			e.podOf[h] = int32(topo.PodOf(cluster.HostID(h)))
-		}
+	e.rackOf = make([]int32, len(e.live.probed))
+	e.podOf = make([]int32, len(e.live.probed))
+	for h := range e.rackOf {
+		e.rackOf[h] = int32(topo.RackOf(cluster.HostID(h)))
+		e.podOf[h] = int32(topo.PodOf(cluster.HostID(h)))
+	}
+	for l := range e.prefix {
+		e.prefix[l] = cost.Prefix(l)
 	}
 	e.hostNet = make([]float64, cl.NumHosts())
 	unobserve := cl.Observe(e.onAllocChange, e.onAllocReset)
@@ -186,10 +191,9 @@ func (e *Engine) CostModel() CostModel { return e.cost }
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// validLevelHost reports whether the flattened level tables cover h;
-// always true when the engine falls back to the interface.
+// validLevelHost reports whether the flattened level tables cover h.
 func (e *Engine) validLevelHost(h cluster.HostID) bool {
-	return e.rackOf == nil || (h >= 0 && int(h) < len(e.rackOf))
+	return h >= 0 && int(h) < len(e.rackOf)
 }
 
 // levelSafe is level for host IDs of unknown provenance (snapshot maps,
@@ -202,22 +206,18 @@ func (e *Engine) levelSafe(a, b cluster.HostID) int {
 	return e.topo.Level(a, b)
 }
 
-// level returns ℓ(a, b) for two placed hosts, preferring the flattened
-// rack/pod keys over the interface call.
+// level returns ℓ(a, b) for two placed hosts from the flattened rack/pod
+// keys.
 func (e *Engine) level(a, b cluster.HostID) int {
-	if r := e.rackOf; r != nil {
-		switch {
-		case a == b:
-			return 0
-		case r[a] == r[b]:
-			return 1
-		case e.podOf[a] == e.podOf[b]:
-			return 2
-		default:
-			return 3
-		}
+	switch {
+	case a == b:
+		return 0
+	case e.rackOf[a] == e.rackOf[b]:
+		return 1
+	case e.podOf[a] == e.podOf[b]:
+		return 2
 	}
-	return e.topo.Level(a, b)
+	return 3
 }
 
 // levelOrDepth is PairLevel over explicit hosts: unplaced endpoints read

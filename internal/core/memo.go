@@ -58,7 +58,10 @@ import (
 // stale once any peer's rack carries a stamp newer than the verdict —
 // every blocking host sits in a peer's rack, and the peers cannot have
 // moved or u would be dirty. So a skip costs one load, plus one rack
-// stamp per peer for verdicts that had a refusal.
+// stamp per peer for verdicts that had a refusal; an evaluated visit
+// costs one resolve pass over u's row, then one multiply-add per peer
+// for each candidate (AllocView.score), summed in row order, so the ΔC
+// a visit decides on is bit for bit the ΔC Commit and Apply realize.
 //
 // Frozen views decide against an overlay, concurrently. A frozen view
 // stamps its verdicts with the clock frozen when the view was reset, so
@@ -175,12 +178,7 @@ func (m *visitMemo) resize(base cluster.VMID, n int) {
 // last slot for hosts outside the rack table (which BestMigration gives
 // no rack fallback either).
 func (e *Engine) rackSlot(h cluster.HostID) int {
-	var r int
-	if e.rackOf != nil {
-		r = int(e.rackOf[h])
-	} else {
-		r = e.topo.RackOf(h)
-	}
+	r := int(e.rackOf[h])
 	if r < 0 || r >= len(e.rackHosts) {
 		return len(e.rackHosts)
 	}

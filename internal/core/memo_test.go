@@ -388,7 +388,8 @@ func TestVisitZeroAllocs(t *testing.T) {
 	settle(t, fx.eng)
 	vms := fx.cl.VMs()
 	view := fx.eng.NewView()
-	for _, u := range vms { // warm scratch, record view-side verdicts
+	for _, u := range vms { // warm the peer and rank scratch, record view-side verdicts
+		view.BestMigration(u)
 		view.Visit(u)
 	}
 	i := 0

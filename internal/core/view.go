@@ -23,6 +23,11 @@ import (
 //   - The engine's live view has an empty overlay and reads the cluster's
 //     own table; every Engine decision method is a call on it.
 //
+// A decision locates the holder's neighbors once, as the paper's token
+// holder does (Section V-B4's location request), and evaluates Eq. 5 for
+// every candidate from that: one resolve pass over the holder's row, then
+// candidates × degree multiply-adds (see resolve and score).
+//
 // Contract for frozen views: between NewView and the last use of any
 // view, the cluster, the traffic matrix and the engine itself must not
 // be mutated (no Move/Place/Restore, no Set/Add, no engine reads that
@@ -50,9 +55,10 @@ type AllocView struct {
 	netD      []float64
 	commits   []Decision
 
-	// Scratch reused across decisions. The probed-host set is a 32-bit
-	// epoch array with an explicit wrap reset when the epoch counter
-	// overflows.
+	// Scratch reused across decisions: the holder's resolved peers, in row
+	// order and in probe order, and the probed-host set — a 32-bit epoch
+	// array with an explicit wrap reset when the epoch counter overflows.
+	peers      []peerEntry
 	rank       []rankEntry
 	probed     []uint32 // probed[h] == probeEpoch ⇒ already probed this decision
 	probeEpoch uint32
@@ -70,8 +76,19 @@ type AllocView struct {
 	touchEpoch uint32
 }
 
-// rankEntry is one neighbor in probe order: its current host and level
-// are resolved once so the rank sort and the candidate loop do no
+// peerEntry is one placed neighbor of the holder being decided, resolved
+// once per decision: everything its term of Eq. 5 needs that does not
+// depend on the candidate — its host with the flattened rack and pod
+// keys, w = 2·λ, and before = Σ_{i≤ℓ} c_i at its level to the holder's
+// current host.
+type peerEntry struct {
+	host      cluster.HostID
+	rack, pod int32
+	w, before float64
+}
+
+// rankEntry is one placed neighbor in probe order: its current host and
+// level are resolved once so the rank sort and the candidate loop do no
 // repeated lookups.
 type rankEntry struct {
 	host  cluster.HostID
@@ -167,29 +184,63 @@ func (v *AllocView) VMLevel(u cluster.VMID) int {
 	return max
 }
 
-// Delta returns ΔC for migrating u to target (Eq. 5):
-//
-//	ΔC = 2 Σ_{z∈Vu} λ(z,u) · (Σ_{i≤ℓ^A(z,u)} c_i − Σ_{i≤ℓ^{A'}(z,u)} c_i)
-//
-// computed purely from u's local knowledge: its neighbors, their rates,
-// and the levels before and after the move. It performs no allocation.
-func (v *AllocView) Delta(u cluster.VMID, target cluster.HostID) float64 {
+// resolve locates the neighbors of u, placed on cur, for one decision:
+// a single pass over u's row fills v.peers, in row order, with each
+// placed peer's candidate-independent share of Eq. 5, and v.rank with the
+// same peers for BestMigration to sort.
+func (v *AllocView) resolve(u cluster.VMID, cur cluster.HostID) {
 	e := v.eng
-	cur := v.HostOf(u)
-	if cur == target || cur == cluster.NoHost || !e.validLevelHost(target) {
-		return 0
-	}
-	var delta float64
+	v.peers, v.rank = v.peers[:0], v.rank[:0]
 	for _, ed := range e.tm.NeighborEdges(u) {
 		hz := v.HostOf(ed.Peer)
 		if hz == cluster.NoHost {
 			continue
 		}
-		before := e.cost.Prefix(e.level(hz, cur))
-		after := e.cost.Prefix(e.level(hz, target))
-		delta += 2 * ed.Rate * (before - after)
+		l := e.level(hz, cur)
+		v.peers = append(v.peers, peerEntry{hz, e.rackOf[hz], e.podOf[hz], 2 * ed.Rate, e.prefix[l]})
+		v.rank = append(v.rank, rankEntry{host: hz, level: l, rate: ed.Rate})
+	}
+}
+
+// score is ΔC (Eq. 5) of moving the resolved holder to target, a host the
+// level tables cover. Per peer, the level after the move follows from the
+// target's keys by the rule Engine.level states, and the terms are added
+// in row order: the one implementation of Eq. 5, so every sum for a
+// (holder, target) is the same sequence of float64 operations.
+func (v *AllocView) score(target cluster.HostID) float64 {
+	e := v.eng
+	rack, pod := e.rackOf[target], e.podOf[target]
+	var delta float64
+	for i := range v.peers {
+		p := &v.peers[i]
+		after := e.prefix[3]
+		switch {
+		case p.host == target:
+			after = e.prefix[0]
+		case p.rack == rack:
+			after = e.prefix[1]
+		case p.pod == pod:
+			after = e.prefix[2]
+		}
+		delta += p.w * (p.before - after)
 	}
 	return delta
+}
+
+// Delta returns ΔC for migrating u to target (Eq. 5):
+//
+//	ΔC = 2 Σ_{z∈Vu} λ(z,u) · (Σ_{i≤ℓ^A(z,u)} c_i − Σ_{i≤ℓ^{A'}(z,u)} c_i)
+//
+// computed purely from u's local knowledge: its neighbors, their rates,
+// and the levels before and after the move: the guards, one resolve of u
+// and one score of target. It performs no allocation.
+func (v *AllocView) Delta(u cluster.VMID, target cluster.HostID) float64 {
+	cur := v.HostOf(u)
+	if cur == target || cur == cluster.NoHost || !v.eng.validLevelHost(target) {
+		return 0
+	}
+	v.resolve(u, cur)
+	return v.score(target)
 }
 
 // fits reports whether u can be admitted to target under slot, RAM and
@@ -279,23 +330,12 @@ func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
 	return projected <= limit
 }
 
-// neighborRank orders u's neighbors from highest to lowest communication
-// level, breaking ties by descending rate — the probe order of
-// Section V-B5 ("rank neighboring VMs from highest to lowest
+// neighborRank orders the resolved neighbors from highest to lowest
+// communication level, breaking ties by descending rate — the probe order
+// of Section V-B5 ("rank neighboring VMs from highest to lowest
 // communication levels"). The returned slice is the view's reusable
-// scratch buffer, valid until the next call.
-func (v *AllocView) neighborRank(u cluster.VMID) []rankEntry {
-	e := v.eng
-	hu := v.HostOf(u)
-	v.rank = v.rank[:0]
-	for _, ed := range e.tm.NeighborEdges(u) {
-		hz := v.HostOf(ed.Peer)
-		v.rank = append(v.rank, rankEntry{
-			host:  hz,
-			level: e.levelOrDepth(hu, hz),
-			rate:  ed.Rate,
-		})
-	}
+// scratch buffer, valid until the next resolve.
+func (v *AllocView) neighborRank() []rankEntry {
 	slices.SortStableFunc(v.rank, func(a, b rankEntry) int {
 		if a.level != b.level {
 			return b.level - a.level
@@ -311,18 +351,18 @@ func (v *AllocView) neighborRank(u cluster.VMID) []rankEntry {
 	return v.rank
 }
 
-// considerTarget probes one candidate host: skip duplicates and the
-// current host, count the probe, and fold the target into the running
-// best. ΔC comes first and the admission probe is asked only of a host
-// that could become the answer — one offering more than c_m and more
-// than the running best (exact; see visitMemo).
+// considerTarget probes one candidate host for the resolved holder u:
+// skip duplicates and the current host, count the probe, and fold the
+// target into the running best. ΔC comes first and the admission probe is
+// asked only of a host that could become the answer — one offering more
+// than c_m and more than the running best (exact; see visitMemo).
 func (v *AllocView) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *Decision, probes *int) {
 	if h == cur || h < 0 || int(h) >= len(v.probed) || v.probed[h] == v.probeEpoch {
 		return
 	}
 	v.probed[h] = v.probeEpoch
 	*probes++
-	d := v.Delta(u, h)
+	d := v.score(h)
 	if d <= v.eng.cfg.MigrationCost || (best.Target != cluster.NoHost && d <= best.Delta) {
 		return
 	}
@@ -337,7 +377,8 @@ func (v *AllocView) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *
 // and returns the admissible move with the largest ΔC, provided it
 // satisfies Theorem 1 (ΔC > c_m). The candidate set is the servers of
 // u's neighbors in rank order, falling back to other servers in the same
-// rack when a neighbor's own server refuses the capacity probe.
+// rack when a neighbor's own server refuses the capacity probe. u's
+// neighbors are resolved once; each candidate then costs one score.
 //
 // BestMigration is the pure kernel: it always evaluates in full and
 // writes nothing but the view's own scratch (the refusing hosts stay in
@@ -358,20 +399,17 @@ func (v *AllocView) BestMigration(u cluster.VMID) (Decision, bool) {
 	probes := 0
 	limit := e.cfg.MaxCandidates
 
-	for _, ent := range v.neighborRank(u) {
+	v.resolve(u, cur)
+	for _, ent := range v.neighborRank() {
 		if limit > 0 && probes >= limit {
 			break
 		}
-		hz := ent.host
-		if hz == cluster.NoHost {
-			continue
-		}
-		v.considerTarget(u, cur, hz, &best, &probes)
+		v.considerTarget(u, cur, ent.host, &best, &probes)
 		// The neighbor's server may be full; try the rest of its rack,
 		// which still collapses the pair to level 1. Hosts outside the
 		// topology's rack table (cluster larger than topology) have no
 		// rack to fall back to, like HostsInRack returning nil.
-		if r := e.topo.RackOf(hz); r >= 0 && r < len(e.rackHosts) {
+		if r := e.rackSlot(ent.host); r < len(e.rackHosts) {
 			for _, alt := range e.rackHosts[r] {
 				if limit > 0 && probes >= limit {
 					break
