@@ -55,18 +55,17 @@ func bruteSummary(topo topology.Topology, cl *cluster.Cluster, tm *traffic.Matri
 	return s
 }
 
+// compareSummaries holds the incrementally folded summary to the brute
+// force one bit for bit: both are sums of rates on traffic's grid.
 func compareSummaries(t *testing.T, step int, got, want *Summary) {
 	t.Helper()
-	close := func(a, b float64) bool {
-		scale := math.Max(math.Abs(a), math.Abs(b))
-		return math.Abs(a-b) <= 1e-6*math.Max(scale, 1)
-	}
-	if !close(got.Total(), want.Total()) {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.Total(), want.Total()) {
 		t.Fatalf("step %d: total %v vs brute force %v", step, got.Total(), want.Total())
 	}
 	gi, gp, gc := got.LocalityShares()
 	wi, wp, wc := want.LocalityShares()
-	if !close(gi, wi) || !close(gp, wp) || !close(gc, wc) {
+	if !same(gi, wi) || !same(gp, wp) || !same(gc, wc) {
 		t.Fatalf("step %d: shares (%v %v %v) vs brute force (%v %v %v)", step, gi, gp, gc, wi, wp, wc)
 	}
 	wCells := want.Cells()
@@ -76,16 +75,14 @@ func compareSummaries(t *testing.T, step int, got, want *Summary) {
 		wIdx[[2]int{c.RackA, c.RackB}] = c.Rate
 	}
 	for _, c := range gCells {
-		if !close(c.Rate, wIdx[[2]int{c.RackA, c.RackB}]) {
+		if !same(c.Rate, wIdx[[2]int{c.RackA, c.RackB}]) {
 			t.Fatalf("step %d: cell (%d,%d) %v vs brute force %v",
 				step, c.RackA, c.RackB, c.Rate, wIdx[[2]int{c.RackA, c.RackB}])
 		}
 		delete(wIdx, [2]int{c.RackA, c.RackB})
 	}
 	for k, v := range wIdx {
-		if math.Abs(v) > 1e-6 {
-			t.Fatalf("step %d: missing cell %v rate %v", step, k, v)
-		}
+		t.Fatalf("step %d: missing cell %v rate %v", step, k, v)
 	}
 }
 

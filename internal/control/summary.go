@@ -28,7 +28,7 @@ type Summary struct {
 	numPods  int
 
 	// rate holds the symmetric rack-pair aggregates, keyed canonically
-	// (low rack in the high word). Cells decayed to ~0 are deleted so
+	// (low rack in the high word). Cells that reach 0 are deleted so
 	// the map tracks the active hotspot structure, not history.
 	rate map[uint64]float64
 
@@ -117,11 +117,6 @@ func pairKey(a, b int) uint64 {
 	return uint64(uint32(a))<<32 | uint64(uint32(b))
 }
 
-// cellEpsilon is the magnitude below which a decayed rack-pair cell is
-// treated as zero and dropped — floating-point residue from folding an
-// edge in and back out must not keep dead cells (or dead units) alive.
-const cellEpsilon = 1e-9
-
 // AddEdge folds one edge-rate delta into the rack pair (ra, rb). The
 // Controller calls it for every traffic-changelog entry (delta =
 // new − old at the endpoints' current racks) and twice per placement
@@ -142,7 +137,9 @@ func (s *Summary) AddEdge(ra, rb int, delta float64) {
 		s.crossPod += delta
 	}
 	k := pairKey(ra, rb)
-	if v := s.rate[k] + delta; math.Abs(v) < cellEpsilon {
+	// Rates sit on traffic's grid, so folding an edge in and back out
+	// leaves exactly zero, never a residue that keeps a dead cell alive.
+	if v := s.rate[k] + delta; v == 0 {
 		delete(s.rate, k)
 		s.cellDelete(k)
 	} else {

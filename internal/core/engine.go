@@ -21,10 +21,6 @@ type Config struct {
 	// VM, the next best choice with adequate bandwidth will be
 	// considered", Section V-C). Zero disables the check.
 	BandwidthThreshold float64
-	// MaxCandidates caps how many candidate servers a token holder
-	// probes, bounding the per-decision message cost. Zero means probe
-	// the host and rack of every neighbor.
-	MaxCandidates int
 	// Admission, when non-nil, is consulted in addition to the built-in
 	// slot/RAM/bandwidth checks. The simulator uses it to account for
 	// capacity already reserved by in-flight migrations.
@@ -34,7 +30,7 @@ type Config struct {
 // DefaultConfig returns the configuration used by the simulations:
 // free migrations (c_m = 0) and a 90% bandwidth admission threshold.
 func DefaultConfig() Config {
-	return Config{MigrationCost: 0, BandwidthThreshold: 0.9, MaxCandidates: 0}
+	return Config{MigrationCost: 0, BandwidthThreshold: 0.9}
 }
 
 // Decision is a migration the engine recommends for a token holder.
@@ -60,13 +56,15 @@ type Decision struct {
 // straight off the traffic matrix's CSR rows, and the rank buffer and
 // probed-host set are scratch state reused across calls.
 //
-// The engine itself keeps incremental accounting — a running C^A and
-// per-host external traffic loads — registered as a cluster allocation
-// observer, so TotalCost and HostNetLoad are O(1) between traffic
-// windows instead of O(|pairs|) per call. In-place traffic mutations
-// are folded edge by edge from the matrix's changelog (ChangesSince);
-// only swapping matrices (SetTraffic) or outrunning the changelog window
-// forces a full rebuild.
+// The engine itself keeps incremental accounting — the rate carried at
+// each communication level (C^A is their weighted sum) and per-host
+// external traffic loads — registered as a cluster allocation observer,
+// so TotalCost and HostNetLoad are O(1) between traffic windows instead
+// of O(|pairs|) per call. In-place traffic mutations are folded edge by
+// edge from the matrix's changelog (ChangesSince); only swapping matrices
+// (SetTraffic) or outrunning the changelog window forces a full rebuild.
+// Every accumulator is a sum of rates on traffic's grid, hence exact: a
+// fold and a rebuild give the same bits, in any order.
 //
 // Engine is not safe for concurrent use: scratch buffers and the
 // accounting caches are mutated by reads.
@@ -98,11 +96,11 @@ type Engine struct {
 	// memo is the quiet-VM memo behind Visit (see visitMemo).
 	memo visitMemo
 
-	// Incremental accounting (see TotalCost / HostNetLoad).
+	// Incremental accounting (see TotalCost / HostNetLoad): lvl[ℓ] is
+	// the summed rate of the pairs communicating at level ℓ.
 	acctValid bool
 	acctTMGen uint64
-	acctFolds int // incremental updates since the last full rebuild
-	total     float64
+	lvl       [4]float64
 	hostNet   []float64
 
 	// detach unregisters the cluster observers; nil once detached.
@@ -299,7 +297,7 @@ func (e *Engine) foldTrafficChanges(movedVM cluster.VMID, movedFrom cluster.Host
 			}
 		}
 		d := ch.New - ch.Old
-		e.total += e.cost.PairCost(d, e.levelOrDepth(ha, hb))
+		e.lvl[e.levelOrDepth(ha, hb)] += d
 		if ha != cluster.NoHost && ha != hb {
 			e.hostNet[ha] += d
 		}
@@ -308,7 +306,6 @@ func (e *Engine) foldTrafficChanges(movedVM cluster.VMID, movedFrom cluster.Host
 		}
 	}
 	e.acctTMGen = e.tm.Generation()
-	e.acctFolds += len(changes)
 	return true
 }
 
@@ -324,13 +321,10 @@ func (e *Engine) onAllocChange(vm cluster.VMID, from, to cluster.HostID) {
 		e.acctValid = false // traffic outran the changelog; rebuild lazily
 		return
 	}
-	e.acctFolds++
 	for _, ed := range e.tm.NeighborEdges(vm) {
 		hz := e.cl.HostOf(ed.Peer)
-		oldL, newL := e.levelOrDepth(from, hz), e.levelOrDepth(to, hz)
-		if oldL != newL {
-			e.total += e.cost.PairCost(ed.Rate, newL) - e.cost.PairCost(ed.Rate, oldL)
-		}
+		e.lvl[e.levelOrDepth(from, hz)] -= ed.Rate
+		e.lvl[e.levelOrDepth(to, hz)] += ed.Rate
 		foldNICLoad(e.hostNet, from, to, hz, ed.Rate)
 	}
 }
@@ -338,8 +332,7 @@ func (e *Engine) onAllocChange(vm cluster.VMID, from, to cluster.HostID) {
 // foldNICLoad folds into the per-host external loads one edge of a VM
 // moving from → to (either may be NoHost) whose peer sits on hz: the
 // pair loads a NIC exactly when its endpoints sit on different hosts.
-// The engine's accounting and a view's staged deltas share it, so a
-// staged move and its merge rewrite the same hosts in the same order.
+// The engine's accounting and a view's staged deltas share it.
 func foldNICLoad(load []float64, from, to, hz cluster.HostID, rate float64) {
 	if from != cluster.NoHost && hz != from {
 		load[from] -= rate
@@ -357,22 +350,17 @@ func foldNICLoad(load []float64, from, to, hz cluster.HostID, rate float64) {
 	}
 }
 
-// rebuildAccounting recomputes the running C^A and host net loads from
-// scratch — the O(|pairs|) slow path taken once per traffic window. It
-// streams the matrix via ForEachPair (same canonical order, so the same
-// float sums) instead of forcing the pair-list cache to materialize —
-// at 100k VMs that cache is tens of MB the rebuild does not need. The
-// recomputed NIC sums can differ from the folded ones in the last ulp,
-// so every memoized verdict goes with them.
+// rebuildAccounting recomputes the per-level rates and host net loads
+// from scratch — the O(|pairs|) slow path taken once per traffic window.
+// It streams the matrix via ForEachPair instead of forcing the pair-list
+// cache to materialize — at 100k VMs that cache is tens of MB the rebuild
+// does not need.
 func (e *Engine) rebuildAccounting() {
-	e.memo.drop()
-	for i := range e.hostNet {
-		e.hostNet[i] = 0
-	}
-	var total float64
+	clear(e.hostNet)
+	e.lvl = [4]float64{}
 	e.tm.ForEachPair(func(a, b cluster.VMID, rate float64) {
 		ha, hb := e.cl.HostOf(a), e.cl.HostOf(b)
-		total += e.cost.PairCost(rate, e.levelOrDepth(ha, hb))
+		e.lvl[e.levelOrDepth(ha, hb)] += rate
 		if ha != cluster.NoHost && ha != hb {
 			e.hostNet[ha] += rate
 		}
@@ -380,39 +368,30 @@ func (e *Engine) rebuildAccounting() {
 			e.hostNet[hb] += rate
 		}
 	})
-	e.total = total
 	e.acctTMGen = e.tm.Generation()
 	e.acctValid = true
-	e.acctFolds = 0
 }
 
-// acctResyncInterval bounds floating-point drift: after this many
-// incremental folds the accumulators are rebuilt from scratch on the
-// next read. Per-fold relative error is ~1e-16, so even at the 1e-6
-// tolerance the bound is generous; the rebuild amortizes to noise.
-const acctResyncInterval = 1 << 20
-
+// ensureAccounting brings the accumulators up to date: a window rollover
+// replays the changelog, anything else rebuilds. A detached engine
+// receives no allocation changes, so its cached sums would go silently
+// stale; it always rebuilds.
 func (e *Engine) ensureAccounting() {
-	if e.detach == nil {
-		// Detached from the cluster: no incremental updates arrive, so
-		// cached totals would go silently stale. Always recompute.
-		e.rebuildAccounting()
-		return
-	}
-	if e.acctValid && e.acctTMGen != e.tm.Generation() {
-		e.foldTrafficChanges(0, cluster.NoHost, false) // window rollover: replay the changelog
-	}
-	if !e.acctValid || e.acctTMGen != e.tm.Generation() || e.acctFolds >= acctResyncInterval {
+	if e.detach == nil || !e.foldTrafficChanges(0, cluster.NoHost, false) {
 		e.rebuildAccounting()
 	}
 }
 
 // TotalCost returns C^A (Eq. 2) for the current allocation. Between
-// traffic-matrix changes it is served from the running total maintained
+// traffic-matrix changes it is served from the per-level rates maintained
 // across allocation changes — amortized O(1) rather than O(|pairs|).
 func (e *Engine) TotalCost() float64 {
 	e.ensureAccounting()
-	return e.total
+	var sum float64
+	for l, rate := range e.lvl {
+		sum += e.cost.PairCost(rate, l)
+	}
+	return sum
 }
 
 // TotalCostOf evaluates C^A for a hypothetical allocation snapshot

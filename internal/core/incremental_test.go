@@ -54,8 +54,9 @@ func assertCostAgrees(t *testing.T, fx *fixture, context string) {
 
 // TestIncrementalCostConsistency drives 1k random migrations through the
 // cluster (directly, as the simulator does — not via Engine.Apply) and
-// checks the running C^A and per-host net loads stay within 1e-6
-// relative error of from-scratch recomputation throughout.
+// checks the running C^A stays within 1e-6 relative error of the pair by
+// pair formula throughout, and the per-host net loads equal a
+// from-scratch recomputation.
 func TestIncrementalCostConsistency(t *testing.T) {
 	fx := newFixture(t, DefaultConfig())
 	rng := rand.New(rand.NewSource(99))
@@ -85,7 +86,7 @@ func TestIncrementalCostConsistency(t *testing.T) {
 	want := scratchHostNet(fx)
 	for h := range want {
 		got := fx.eng.HostNetLoad(cluster.HostID(h))
-		if math.Abs(got-want[h]) > 1e-6*math.Max(1, want[h]) {
+		if math.Float64bits(got) != math.Float64bits(want[h]) {
 			t.Fatalf("HostNetLoad(%d) = %v, recomputed %v", h, got, want[h])
 		}
 	}
@@ -189,12 +190,80 @@ func TestHostNetLoadMatchesScratch(t *testing.T) {
 	want := scratchHostNet(fx)
 	for h := range want {
 		got := fx.eng.HostNetLoad(cluster.HostID(h))
-		if math.Abs(got-want[h]) > 1e-9*math.Max(1, want[h]) {
+		if math.Float64bits(got) != math.Float64bits(want[h]) {
 			t.Fatalf("HostNetLoad(%d) = %v, want %v", h, got, want[h])
 		}
 	}
 	if got := fx.eng.HostNetLoad(cluster.HostID(-5)); got != 0 {
 		t.Fatalf("HostNetLoad(invalid) = %v, want 0", got)
+	}
+}
+
+// TestAccountingFoldEqualsRebuildBitForBit: the engine's accumulators are
+// sums of rates on traffic's grid, so after any stream of placement and
+// traffic changes, folded at whatever moments the reads fell, TotalCost
+// and every HostNetLoad are the bits a fresh engine computes from scratch.
+func TestAccountingFoldEqualsRebuildBitForBit(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		fx := newFixture(t, DefaultConfig())
+		rng := rand.New(rand.NewSource(seed))
+		vms := fx.cl.VMs()
+		pick := func() cluster.VMID { return vms[rng.Intn(len(vms))] }
+		fx.eng.TotalCost()
+		for op := 0; op < 5000; op++ {
+			u, h := pick(), cluster.HostID(rng.Intn(fx.cl.NumHosts()))
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3:
+				if fx.cl.HostOf(u) == cluster.NoHost {
+					if fx.cl.Fits(u, h) {
+						if err := fx.cl.Place(u, h); err != nil {
+							t.Fatal(err)
+						}
+					}
+				} else if fx.cl.HostOf(u) != h && fx.cl.Fits(u, h) {
+					if err := fx.cl.Move(u, h); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 4, 5:
+				fx.tm.Set(u, pick(), 300*rng.Float64()*float64(rng.Intn(4))) // one in four retires the pair
+			case 6, 7:
+				fx.tm.Add(u, pick(), rng.ExpFloat64()/3)
+			case 8:
+				switch rng.Intn(3) {
+				case 0:
+					fx.tm.ClearVM(u)
+				case 1:
+					if fx.cl.HostOf(u) != cluster.NoHost {
+						if err := fx.cl.Remove(u); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case 2:
+					_ = fx.cl.Respec(u, 256+rng.Intn(512), 0) // refused when the host lacks the room
+				}
+			case 9:
+				fx.eng.TotalCost() // a read: pending rate changes fold here
+			}
+		}
+		fresh, err := NewEngine(fx.topo, fx.eng.CostModel(), fx.cl, fx.tm, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fx.eng.TotalCost(), fresh.TotalCost(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("seed %d: folded TotalCost = %v, rebuilt %v", seed, got, want)
+		}
+		differ := 0
+		for h := 0; h < fx.cl.NumHosts(); h++ {
+			got, want := fx.eng.HostNetLoad(cluster.HostID(h)), fresh.HostNetLoad(cluster.HostID(h))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				differ++
+			}
+		}
+		if differ > 0 {
+			t.Errorf("seed %d: folded HostNetLoad differs from a rebuild on %d of %d hosts", seed, differ, fx.cl.NumHosts())
+		}
+		fresh.Detach()
 	}
 }
 
@@ -490,7 +559,7 @@ func TestWindowRolloverFoldsIncrementally(t *testing.T) {
 	want := scratchHostNet(fx)
 	for h := range want {
 		got := fx.eng.HostNetLoad(cluster.HostID(h))
-		if math.Abs(got-want[h]) > 1e-6*math.Max(1, want[h]) {
+		if math.Float64bits(got) != math.Float64bits(want[h]) {
 			t.Fatalf("HostNetLoad(%d) = %v, recomputed %v", h, got, want[h])
 		}
 	}

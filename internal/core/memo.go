@@ -19,10 +19,10 @@ import (
 // ΔC ≤ c_m can only ever hold the running best until a larger ΔC
 // replaces it or the final c_m test discards it; a candidate with
 // ΔC ≤ best.Delta never replaces the best. Skipping their admission
-// probes therefore leaves the answer unchanged, and the probe set (which
-// MaxCandidates counts) does not depend on admission at all. After
-// pruning, "no move" means exactly: every probed host either offers
-// ΔC ≤ c_m or offers more and refused — the blocking hosts.
+// probes therefore leaves the answer unchanged, and the probe set does
+// not depend on admission at all. After pruning, "no move" means exactly:
+// every probed host either offers ΔC ≤ c_m or offers more and refused —
+// the blocking hosts.
 //
 // The quiet-VM memo. A VM whose last full evaluation found no move is
 // skipped on later visits until an event that could change that
@@ -45,8 +45,7 @@ import (
 //	re-spec of w (ObserveRespec)            w; w's host relaxed
 //	a host gained load or lost room         nothing
 //	Restore, SetTraffic, changelog overrun, every verdict dropped
-//	  accounting rebuild (last-ulp NIC
-//	  sums), 32-bit clock wrap
+//	  32-bit clock wrap
 //	a view's own staged commit, within      that view re-evaluates u if a peer's overlay
 //	  the round                             host differs from the cluster's, or if u was
 //	                                        refused and the commit touched a peer's rack

@@ -494,3 +494,58 @@ func TestViewVisitRounds(t *testing.T) {
 		t.Fatalf("total cost diverged: %v vs %v", a, b)
 	}
 }
+
+// TestRebuildTimingDoesNotChangeDecisions: an accounting rebuild gives
+// the bits the folds gave, so forcing one at random points between visits
+// changes neither what is decided nor what is skipped. The fixture's
+// traffic is scaled until NIC admission refuses moves, so the decisions
+// do hang on HostNetLoad.
+func TestRebuildTimingDoesNotChangeDecisions(t *testing.T) {
+	fx, twin := newFixture(t, DefaultConfig()), newFixture(t, DefaultConfig())
+	for _, f := range []*fixture{fx, twin} {
+		f.tm = f.tm.Scaled(20)
+		f.eng.SetTraffic(f.tm)
+	}
+	rng := rand.New(rand.NewSource(11))
+	vms := fx.cl.VMs()
+	var skipped, moved, rebuilds, nicRefusals int
+	for pass := 0; pass < 10; pass++ {
+		for _, u := range vms {
+			if rng.Intn(3) == 0 {
+				fx.eng.rebuildAccounting()
+				rebuilds++
+			}
+			dec, ok, skip := fx.eng.Visit(u)
+			tdec, tok, tskip := twin.eng.Visit(u)
+			if dec != tdec || ok != tok || skip != tskip {
+				t.Fatalf("pass %d VM %d: disturbed %+v/%v/skip=%v, undisturbed %+v/%v/skip=%v", pass, u, dec, ok, skip, tdec, tok, tskip)
+			}
+			if skip {
+				skipped++
+				continue
+			}
+			for _, h := range fx.eng.live.refusals {
+				if fx.eng.liveView().fits(u, h) {
+					nicRefusals++
+				}
+			}
+			if ok {
+				moved++
+				for _, f := range []*fixture{fx, twin} {
+					if _, err := f.eng.Apply(dec); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		for i := 0; i < 6; i++ {
+			a, b, r := vms[rng.Intn(len(vms))], vms[rng.Intn(len(vms))], 120*rng.Float64()
+			fx.tm.Set(a, b, r)
+			twin.tm.Set(a, b, r)
+		}
+	}
+	if skipped == 0 || moved == 0 || rebuilds == 0 || nicRefusals == 0 {
+		t.Fatalf("exercised nothing: %d skips, %d moves, %d rebuilds, %d bandwidth refusals", skipped, moved, rebuilds, nicRefusals)
+	}
+	t.Logf("%d skips, %d moves, %d forced rebuilds, %d bandwidth refusals", skipped, moved, rebuilds, nicRefusals)
+}

@@ -271,10 +271,9 @@ func (v *AllocView) fits(u cluster.VMID, target cluster.HostID) bool {
 
 // hostNetLoad is the view's external traffic on h: the engine's per-host
 // load plus this view's staged deltas. A frozen view reads loads primed
-// when it was reset; the live view rebuilds stale accounting here, on
-// reaching the NIC probe and not before — a rebuild moves last-ulp bits
-// of hostNet and drops every memo verdict, so when it fires is part of
-// the decision sequence.
+// when it was reset; the live view brings the accounting up to date
+// here, on reaching the NIC probe — a detached engine rebuilds on every
+// read, which Delta, never getting this far, must not pay.
 func (v *AllocView) hostNetLoad(h cluster.HostID) float64 {
 	e := v.eng
 	if h < 0 || int(h) >= len(e.hostNet) {
@@ -352,16 +351,15 @@ func (v *AllocView) neighborRank() []rankEntry {
 }
 
 // considerTarget probes one candidate host for the resolved holder u:
-// skip duplicates and the current host, count the probe, and fold the
-// target into the running best. ΔC comes first and the admission probe is
-// asked only of a host that could become the answer — one offering more
-// than c_m and more than the running best (exact; see visitMemo).
-func (v *AllocView) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *Decision, probes *int) {
+// skip duplicates and the current host, and fold the target into the
+// running best. ΔC comes first and the admission probe is asked only of a
+// host that could become the answer — one offering more than c_m and more
+// than the running best (exact; see visitMemo).
+func (v *AllocView) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *Decision) {
 	if h == cur || h < 0 || int(h) >= len(v.probed) || v.probed[h] == v.probeEpoch {
 		return
 	}
 	v.probed[h] = v.probeEpoch
-	*probes++
 	d := v.score(h)
 	if d <= v.eng.cfg.MigrationCost || (best.Target != cluster.NoHost && d <= best.Delta) {
 		return
@@ -396,25 +394,17 @@ func (v *AllocView) BestMigration(u cluster.VMID) (Decision, bool) {
 		clear(v.probed)
 		v.probeEpoch = 1
 	}
-	probes := 0
-	limit := e.cfg.MaxCandidates
 
 	v.resolve(u, cur)
 	for _, ent := range v.neighborRank() {
-		if limit > 0 && probes >= limit {
-			break
-		}
-		v.considerTarget(u, cur, ent.host, &best, &probes)
+		v.considerTarget(u, cur, ent.host, &best)
 		// The neighbor's server may be full; try the rest of its rack,
 		// which still collapses the pair to level 1. Hosts outside the
 		// topology's rack table (cluster larger than topology) have no
 		// rack to fall back to, like HostsInRack returning nil.
 		if r := e.rackSlot(ent.host); r < len(e.rackHosts) {
 			for _, alt := range e.rackHosts[r] {
-				if limit > 0 && probes >= limit {
-					break
-				}
-				v.considerTarget(u, cur, alt, &best, &probes)
+				v.considerTarget(u, cur, alt, &best)
 			}
 		}
 	}

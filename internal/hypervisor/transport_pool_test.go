@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"os"
 	"runtime"
 	"sync"
 	"testing"
@@ -156,12 +157,21 @@ func TestTCPPoolDetectsCrashedPeer(t *testing.T) {
 	}
 	awaitMsgs(t, recv, 1)
 	_ = b.Close()
-	// Give the loopback FIN time to land, then require the very next
-	// send to fail: the probe must reject the parked connection (a
-	// write into it would "succeed" locally) and the fresh dial must be
-	// refused. A retry loop that tolerated interim successes would let
-	// an inert probe pass on the eventual post-RST write error.
-	time.Sleep(100 * time.Millisecond)
+	// Wait for the loopback FIN to land on the parked connection — a read
+	// of a socket the peer never writes to returns only then, and EOF
+	// stays queued for the probe — then require the very next send to
+	// fail: the probe must reject the parked connection (a write into it
+	// would "succeed" locally) and the fresh dial must be refused. A
+	// retry loop that tolerated interim successes would let an inert
+	// probe pass on the eventual post-RST write error.
+	a.mu.Lock()
+	parked := a.idle[addr][0].c
+	a.mu.Unlock()
+	_ = parked.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := parked.Read(make([]byte, 1)); err == nil || os.IsTimeout(err) {
+		t.Fatalf("parked connection after the peer closed: read error %v, want EOF or a reset", err)
+	}
+	_ = parked.SetReadDeadline(time.Time{})
 	if err := a.Send(addr, Message{Type: MsgToken, VM: 2}); err == nil {
 		t.Fatal("send to a crashed peer reported success; liveness probe inert")
 	}

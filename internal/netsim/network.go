@@ -87,9 +87,6 @@ func (n *Network) Sync(tm *traffic.Matrix, cl *cluster.Cluster) {
 		n.path = n.topo.PathLinks(n.path[:0], ha, hb, topology.PairHash(ch.A, ch.B))
 		for _, l := range n.path {
 			n.load[l] += delta
-			if n.load[l] < 0 {
-				n.load[l] = 0 // clamp accumulated float error
-			}
 		}
 	}
 	n.baseGen = tm.Generation()
@@ -105,9 +102,6 @@ func (n *Network) ShiftPair(u, v cluster.VMID, hu, hv cluster.HostID, delta floa
 	n.path = n.topo.PathLinks(n.path[:0], hu, hv, topology.PairHash(u, v))
 	for _, l := range n.path {
 		n.load[l] += delta
-		if n.load[l] < 0 {
-			n.load[l] = 0 // clamp accumulated float error
-		}
 	}
 }
 

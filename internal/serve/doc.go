@@ -31,10 +31,12 @@
 // (sFlow-style): each {a, b, rate_mbps} replaces the pair's previous
 // rate via traffic.Matrix.Set, so re-announcing an unchanged rate is a
 // no-op delta for every changelog consumer and a zero-valued sample
-// retires the pair. Batches are capped at 4096 samples. Samples naming
-// unplaced or unknown endpoints, self-pairs, or non-finite rates are
-// rejected individually and reported in the reply — one bad sample
-// does not poison its batch.
+// retires the pair. rate_mbps is stored to the nearest 2^-20 Mb/s
+// (≈ 1 bit/s; a positive rate below that as 2^-20), and that is the
+// rate a snapshot holds. Batches are capped at 4096 samples. Samples
+// naming unplaced or unknown endpoints, self-pairs, or rates that are
+// negative, non-finite or above 2^32 Mb/s are rejected individually and
+// reported in the reply — one bad sample does not poison its batch.
 //
 // A body in canonical form is decoded by a one-pass scanner into pooled
 // scratch, with no allocation; any other body by encoding/json, as on

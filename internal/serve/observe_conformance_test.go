@@ -85,6 +85,9 @@ func TestObserveBodyConformance(t *testing.T) {
 		{name: "rate minus zero", body: `{"source":"t","samples":[{"a":1,"b":2,"rate_mbps":-0}]}`, code: 200, want: ok(1, 0), pairs: []pair{{1, 2, 0}}},
 		{name: "rate omitted", body: `{"source":"t","samples":[{"a":1,"b":2}]}`, code: 200, want: ok(1, 0), pairs: []pair{{1, 2, 0}}},
 		{name: "negative rate", body: `{"source":"t","samples":[{"a":1,"b":2,"rate_mbps":-1}]}`, code: 200, want: ok(0, 1), pairs: []pair{{1, 2, 0}}},
+		{name: "rate at the grid ceiling", body: `{"source":"t","samples":[{"a":1,"b":2,"rate_mbps":4294967296}]}`, code: 200, want: ok(1, 0), pairs: []pair{{1, 2, 1 << 32}}},
+		{name: "finite rate above the grid ceiling", body: `{"source":"t","samples":[` + one + `,{"a":1,"b":2,"rate_mbps":1e300},{"a":3,"b":4,"rate_mbps":4294967297}]}`, code: 200, want: ok(1, 2), pairs: []pair{{1, 2, 9}, {3, 4, 0}}},
+		{name: "rate stored to the nearest quantum", body: `{"source":"t","samples":[{"a":1,"b":2,"rate_mbps":53.271},{"a":3,"b":4,"rate_mbps":1e-9}]}`, code: 200, want: ok(2, 0), pairs: []pair{{1, 2, 55858692.0 / (1 << 20)}, {3, 4, 1.0 / (1 << 20)}}},
 		{name: "empty sample object", body: `{"source":"t","samples":[{}]}`, code: 200, want: ok(0, 1)},
 		{name: "null sample", body: `{"source":"t","samples":[null]}`, code: 200, want: ok(0, 1)},
 		{name: "endpoint at uint32 max", body: `{"source":"t","samples":[{"a":4294967295,"b":2,"rate_mbps":9}]}`, code: 200, want: ok(0, 1)},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"sync"
 	"time"
 
@@ -652,6 +651,11 @@ func (d *Daemon) demandOf(vm cluster.VMID) (ram, cpu int, err error) {
 	return v.RAMMB, v.CPUMilli, nil
 }
 
+// maxRateMbps is the ceiling of traffic's rate grid. The matrix would
+// store anything above it as the ceiling itself; a sample claiming more
+// than 4 Pb/s between two VMs is a fault to report, not a rate to fold.
+const maxRateMbps = 1 << 32
+
 // sampleFault says why λ(a, b) = rate may not be folded into the traffic
 // matrix, "" when it may: the one rule for rates arriving from outside
 // the program, per observe sample and per snapshot pair. Endpoints must
@@ -661,8 +665,8 @@ func sampleFault(cl *cluster.Cluster, a, b cluster.VMID, rate float64) string {
 	switch {
 	case a == b:
 		return "self-pair"
-	case rate < 0 || math.IsNaN(rate) || math.IsInf(rate, 0):
-		return "negative or non-finite rate"
+	case !(rate >= 0 && rate <= maxRateMbps): // NaN fails both
+		return "negative, non-finite or out-of-range rate"
 	case cl.HostOf(a) == cluster.NoHost || cl.HostOf(b) == cluster.NoHost:
 		return "unknown or unplaced endpoint"
 	}
@@ -814,10 +818,10 @@ func (d *Daemon) Respec(vm cluster.VMID, ramMB, cpuMilli *int) error {
 
 // Observe folds one batch of rate samples into the traffic matrix. It
 // reports how many samples were applied and how many were rejected
-// (self-pairs, non-finite or negative rates, unplaced endpoints); err
-// is non-nil only when the whole batch was dropped (backpressure or
-// shutdown). source names the reporter on the wire; the daemon keeps no
-// per-source state.
+// (self-pairs, negative, non-finite or out-of-range rates, unplaced
+// endpoints); err is non-nil only when the whole batch was dropped
+// (backpressure or shutdown). source names the reporter on the wire; the
+// daemon keeps no per-source state.
 func (d *Daemon) Observe(source string, samples []RateSample) (applied, rejected int, err error) {
 	res := d.submit(&op{kind: opObserve, samples: samples})
 	return res.applied, res.rejected, res.err

@@ -102,11 +102,9 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		if so.Applied != sr.Applied || so.Quiesced != sr.Quiesced {
 			t.Fatalf("round %d diverged: original %+v, restored %+v", round, so, sr)
 		}
-		// The decisions are identical; the cost accumulators may differ
-		// in the last ulps because the restored engine sums the same
-		// pair contributions in snapshot order rather than the
-		// original's insertion order.
-		if diff := so.Cost - sr.Cost; diff > 1e-9*so.Cost || -diff > 1e-9*so.Cost {
+		// The restored engine sums the same rates in snapshot order, not
+		// the original's insertion order, to the same bits.
+		if math.Float64bits(so.Cost) != math.Float64bits(sr.Cost) {
 			t.Fatalf("round %d cost diverged: original %.17g, restored %.17g", round, so.Cost, sr.Cost)
 		}
 		if so.Quiesced {
@@ -166,8 +164,8 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 // TestRestoreRejectsBadPairs: a snapshot's pairs are outside input like
 // observe samples and pass the same test — an edited, truncated-then-
 // patched or foreign file whose pair names a VM the file does not place,
-// joins a VM to itself or carries a negative or non-finite rate is
-// refused with an error naming the pair, before any daemon exists (and
+// joins a VM to itself or carries a negative, non-finite or above-ceiling
+// rate is refused with an error naming the pair, before any daemon exists (and
 // before the traffic matrix sizes a row table from the file).
 func TestRestoreRejectsBadPairs(t *testing.T) {
 	rec := recordStream(31, 24, 16, 4)
@@ -206,6 +204,8 @@ func TestRestoreRejectsBadPairs(t *testing.T) {
 		{"NaN rate", func(p *snapPair) { p.RateBits = math.Float64bits(math.NaN()) }, false},
 		{"+Inf rate", func(p *snapPair) { p.RateBits = math.Float64bits(math.Inf(1)) }, false},
 		{"-Inf rate", func(p *snapPair) { p.RateBits = math.Float64bits(math.Inf(-1)) }, false},
+		{"rate at the grid ceiling", func(p *snapPair) { p.RateBits = math.Float64bits(1 << 32) }, true},
+		{"finite rate above the grid ceiling", func(p *snapPair) { p.RateBits = math.Float64bits(1e300) }, false},
 	}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -120,13 +120,13 @@ func TestIngestSoak(t *testing.T) {
 					}
 				default:
 					// Batch of samples among this writer's VMs and the
-					// stable set. Integer rates keep every fold exact.
+					// stable set.
 					n := 1 + rng.Intn(6)
 					samples := make([]RateSample, 0, n)
 					for s := 0; s < n; s++ {
 						a := live[rng.Intn(len(live))]
 						b := stable[rng.Intn(len(stable))]
-						samples = append(samples, RateSample{A: a, B: b, RateMbps: float64(1 + rng.Intn(200))})
+						samples = append(samples, RateSample{A: a, B: b, RateMbps: 200 * rng.Float64()})
 					}
 					var applied, rejected int
 					var err error

@@ -23,12 +23,8 @@ type Tuner interface {
 type Config struct {
 	// Shards is the number of concurrent token rings (clamped to the
 	// number of topology units at the chosen granularity). 1 reproduces
-	// the paper's single serial token — bit-for-bit when the
-	// bandwidth-threshold admission is disabled; with it enabled, an
-	// admission decision sitting exactly on the NIC limit can differ in
-	// the last ulp, because views add staged net-load deltas onto the
-	// frozen per-host loads while the serial engine folds the same
-	// rates into its accumulators directly.
+	// the paper's single serial token bit for bit, bandwidth admission
+	// included.
 	Shards int
 	// Granularity aligns shard boundaries to pods (default) or racks.
 	Granularity Granularity

@@ -16,11 +16,10 @@ import (
 	"github.com/score-dc/score/internal/traffic"
 )
 
-// buildEngine assembles a fat-tree instance with hotspot traffic. The
-// bandwidth threshold is disabled so the serial reference and the
-// view-based rings compare NIC loads accumulated in different
-// floating-point orders nowhere (see core.AllocView docs); capacity
-// admission (slots/RAM) stays active.
+// buildEngine assembles a fat-tree instance with hotspot traffic under
+// the default configuration: capacity admission and Section V-C's 90%
+// NIC threshold, which the ×10 traffic the tests ask for pushes hosts
+// against (TestSingleShardMatchesSerialToken asserts it refuses moves).
 func buildEngine(t testing.TB, k int, seed int64, scale float64) *core.Engine {
 	t.Helper()
 	topo, err := topology.NewFatTree(k, 1000)
@@ -52,29 +51,41 @@ func buildEngine(t testing.TB, k int, seed int64, scale float64) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	cfg.BandwidthThreshold = 0
-	eng, err := core.NewEngine(topo, cm, cl, tm, cfg)
+	eng, err := core.NewEngine(topo, cm, cl, tm, core.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng
 }
 
+// bandwidthRefusals counts the peers of u whose host would lower the
+// cost and has the room for u, and is refused by the NIC rule alone.
+func bandwidthRefusals(eng *core.Engine, u cluster.VMID) int {
+	cl, n := eng.Cluster(), 0
+	for _, ed := range eng.Traffic().NeighborEdges(u) {
+		h := cl.HostOf(ed.Peer)
+		if h != cl.HostOf(u) && eng.Delta(u, h) > 0 && cl.Fits(u, h) && !eng.Admissible(u, h) {
+			n++
+		}
+	}
+	return n
+}
+
 // serialTokenPass is the reference single-token implementation: one
 // full HLF ring pass over all VMs, decisions applied immediately
-// through the engine — the paper's Section V-A loop.
-func serialTokenPass(eng *core.Engine) []core.Decision {
+// through the engine — the paper's Section V-A loop. It also reports how
+// many candidates the holders met that only the NIC rule refused.
+func serialTokenPass(eng *core.Engine) (applied []core.Decision, nicRefused int) {
 	vms := eng.Cluster().VMs()
 	if len(vms) == 0 {
-		return nil
+		return nil, 0
 	}
 	tok := token.NewAtLevel(vms, uint8(eng.Topology().Depth()))
 	tm := eng.Traffic()
 	pol := token.HighestLevelFirst{}
-	var applied []core.Decision
 	holder := vms[0]
 	for hop := 0; hop < len(vms); hop++ {
+		nicRefused += bandwidthRefusals(eng, holder)
 		if dec, ok := eng.BestMigration(holder); ok {
 			realized, err := eng.Apply(dec)
 			if err == nil {
@@ -96,17 +107,24 @@ func serialTokenPass(eng *core.Engine) []core.Decision {
 		}
 		holder = next
 	}
-	return applied
+	return applied, nicRefused
 }
 
 // TestSingleShardMatchesSerialToken: with one shard the coordinator
 // must reproduce the serial single-token pass decision for decision and
-// land on a bitwise-identical cost.
+// land on a bitwise-identical cost, bandwidth admission included: the
+// views add staged NIC-load deltas onto frozen per-host loads while the
+// serial engine folds the same rates into its accumulators, and on the
+// rate grid both are the same number.
 func TestSingleShardMatchesSerialToken(t *testing.T) {
 	ref := buildEngine(t, 4, 7, 10)
 	ref.TotalCost() // prime the accounting at round start, as NewView does
-	wantApplied := serialTokenPass(ref)
+	wantApplied, nicRefused := serialTokenPass(ref)
 	wantCost := ref.TotalCost()
+	if ref.Config().BandwidthThreshold != 0.9 || nicRefused == 0 {
+		t.Fatalf("threshold %v refused %d candidates on bandwidth; Section V-C admission is not exercised",
+			ref.Config().BandwidthThreshold, nicRefused)
+	}
 
 	eng := buildEngine(t, 4, 7, 10)
 	coord, err := NewCoordinator(eng, Config{Shards: 1})
@@ -145,7 +163,7 @@ const quiescenceCap = 1024
 func runSerialToQuiescence(eng *core.Engine) int {
 	total := 0
 	for r := 0; r < quiescenceCap; r++ {
-		applied := serialTokenPass(eng)
+		applied, _ := serialTokenPass(eng)
 		total += len(applied)
 		if len(applied) == 0 {
 			break

@@ -44,11 +44,9 @@ func (r *Runner) modelMigration(from, target cluster.HostID) {
 	r.metrics.DowntimesMS = append(r.metrics.DowntimesMS, mres.DowntimeMS)
 }
 
-// finishUtilization records the final per-level link utilizations from
-// one exact rebuild, clearing any drift the incremental folds
-// accumulated.
+// finishUtilization records the final per-level link utilizations.
 func (r *Runner) finishUtilization(cl *cluster.Cluster) {
-	r.net.Recompute(r.eng.Traffic(), cl)
+	r.net.Sync(r.eng.Traffic(), cl)
 	r.metrics.UtilizationByLevel = map[int][]float64{
 		1: r.net.UtilizationAtLevel(1),
 		2: r.net.UtilizationAtLevel(2),

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
+	"github.com/score-dc/score/internal/netsim"
 	"github.com/score-dc/score/internal/token"
 	"github.com/score-dc/score/internal/topology"
 	"github.com/score-dc/score/internal/traffic"
@@ -256,5 +258,47 @@ func TestCostRatioSeries(t *testing.T) {
 	}
 	if got := m.CostRatioSeries(0); got.Len() != 0 {
 		t.Fatal("zero reference must yield empty series")
+	}
+}
+
+// TestLinkLoadsAfterRunEqualRecompute: the link loads a run maintains by
+// ShiftPair per migration and Sync per rate change are sums of rates on
+// traffic's grid, so at the end they are, bit for bit, what one Recompute
+// over the final state gives — under the serial token with rates changing
+// mid-run, and on the sharded plane.
+func TestLinkLoadsAfterRunEqualRecompute(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		eng, rng := buildEngine(t, 9)
+		cfg := smallConfig()
+		cfg.Shards = shards
+		r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shards == 0 {
+			vms, churn := eng.Cluster().VMs(), rand.New(rand.NewSource(3))
+			for at := 1.0; at < cfg.DurationS; at += 3.7 {
+				r.des.Schedule(at, func() {
+					a, b := vms[churn.Intn(len(vms))], vms[churn.Intn(len(vms))]
+					eng.Traffic().Set(a, b, 90*churn.Float64()*float64(churn.Intn(3)))
+					eng.Traffic().Add(b, vms[churn.Intn(len(vms))], churn.ExpFloat64())
+				})
+			}
+		}
+		m, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.TotalMigrations == 0 {
+			t.Fatalf("shards=%d: no migrations; nothing was folded", shards)
+		}
+		fresh := netsim.NewNetwork(eng.Topology())
+		fresh.Recompute(eng.Traffic(), eng.Cluster())
+		for id := range eng.Topology().Links() {
+			got, want := r.net.LinkLoadMbps(topology.LinkID(id)), fresh.LinkLoadMbps(topology.LinkID(id))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("shards=%d: link %d carries %v folded, %v recomputed", shards, id, got, want)
+			}
+		}
 	}
 }

@@ -14,13 +14,12 @@ type triple struct {
 
 // Builder accumulates pair-rate contributions and bulk-loads them into
 // an exact-fit CSR Matrix in one pass — the streaming construction path
-// for large instances. Generators emit contributions in any order;
-// duplicates for one pair accumulate exactly as repeated Matrix.Add
-// calls would (same summation order, so the resulting floats are
-// bit-identical to the incremental path). Build performs one stable
-// sort plus a counting fill instead of per-insert row maintenance, so
-// constructing an E-edge matrix costs O(E log E) time and exactly one
-// arena allocation instead of O(E · degree) row shifting.
+// for large instances. Generators emit contributions in any order; each
+// is rounded to the rate grid as it is recorded, so duplicates for one
+// pair sum exactly, to what Matrix.Add calls of the rounded rates give.
+// Build performs one sort plus a counting fill instead of per-insert row
+// maintenance, so constructing an E-edge matrix costs O(E log E) time and
+// exactly one arena allocation instead of O(E · degree) row shifting.
 type Builder struct {
 	tri []triple
 }
@@ -31,15 +30,15 @@ func NewBuilder(hint int) *Builder {
 }
 
 // Add records a contribution of rate to λ(u, v). Self-pairs and
-// non-positive rates are ignored, mirroring Matrix.Add.
+// non-positive or NaN rates are ignored, mirroring Matrix.Add.
 func (b *Builder) Add(u, v cluster.VMID, rate float64) {
-	if u == v || rate <= 0 {
+	if u == v || !(rate > 0) {
 		return
 	}
 	if u > v {
 		u, v = v, u
 	}
-	b.tri = append(b.tri, triple{a: u, b: v, rate: rate})
+	b.tri = append(b.tri, triple{a: u, b: v, rate: onGrid(rate)})
 }
 
 // Len returns the number of recorded contributions.
@@ -56,10 +55,7 @@ func (b *Builder) Build() *Matrix {
 	if len(tri) == 0 {
 		return m
 	}
-	// Stable sort: contributions to one pair keep their insertion order,
-	// so the merge below sums them left to right exactly like repeated
-	// Add calls.
-	slices.SortStableFunc(tri, func(x, y triple) int {
+	slices.SortFunc(tri, func(x, y triple) int {
 		switch {
 		case x.a != y.a:
 			if x.a < y.a {

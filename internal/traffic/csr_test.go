@@ -86,6 +86,7 @@ func (m *refMatrix) Set(u, v cluster.VMID, rate float64) {
 		}
 		return
 	}
+	rate = onGrid(rate)
 	if m.setEdge(u, v, rate) {
 		m.numPairs++
 	}

@@ -88,6 +88,21 @@ type Matrix struct {
 // NewMatrix returns an empty matrix.
 func NewMatrix() *Matrix { return &Matrix{} }
 
+// The rate grid (see the package comment): a stored rate is a whole
+// number of quanta, between one and maxRateMbps·quantaPerMbps of them.
+const (
+	quantaPerMbps = 1 << 20
+	maxRateMbps   = 1 << 32
+)
+
+// onGrid rounds a positive rate to the nearest point of the rate grid.
+// The scaling is by a power of two, so the only rounding is the one to
+// a whole quantum; +Inf saturates like any rate above the ceiling.
+func onGrid(rateMbps float64) float64 {
+	q := math.RoundToEven(rateMbps * quantaPerMbps)
+	return min(max(q, 1), maxRateMbps*quantaPerMbps) / quantaPerMbps
+}
+
 // findEdge binary searches edges (sorted by Peer) for peer, returning
 // the insertion index and whether it is present.
 func findEdge(edges []Edge, peer cluster.VMID) (int, bool) {
@@ -337,10 +352,11 @@ func (m *Matrix) ChangesSince(gen uint64) ([]EdgeChange, bool) {
 	return m.log[gen-m.logBaseGen:], true
 }
 
-// Set fixes λ(u, v) to rateMbps. Setting a self-pair or a non-positive
-// rate removes the entry.
+// Set fixes λ(u, v) to rateMbps, rounded to the rate grid. A
+// non-positive rate removes the entry; a self-pair or a NaN rate is
+// ignored.
 func (m *Matrix) Set(u, v cluster.VMID, rateMbps float64) {
-	if u == v {
+	if u == v || math.IsNaN(rateMbps) {
 		return
 	}
 	old := m.Rate(u, v)
@@ -354,6 +370,7 @@ func (m *Matrix) Set(u, v cluster.VMID, rateMbps float64) {
 		}
 		return
 	}
+	rateMbps = onGrid(rateMbps)
 	if m.setEdge(u, v, rateMbps) {
 		m.numPairs++
 	}
@@ -506,10 +523,11 @@ func (m *Matrix) rebuildPairCache() {
 	m.cacheGen, m.cacheValid = m.gen, true
 }
 
-// Scaled returns a copy of the matrix with every rate multiplied by f,
-// the paper's ×10 (medium) and ×50 (dense) load-stress transformation.
-// The copy's arena is exact-fit CSR (no slack, no overflow). A
-// non-positive factor yields an empty matrix (all entries removed).
+// Scaled returns a copy of the matrix with every rate multiplied by f
+// and rounded to the rate grid, the paper's ×10 (medium) and ×50 (dense)
+// load-stress transformation. The copy's arena is exact-fit CSR (no
+// slack, no overflow). A non-positive factor yields an empty matrix (all
+// entries removed).
 func (m *Matrix) Scaled(f float64) *Matrix {
 	out := NewMatrix()
 	if f <= 0 || math.IsNaN(f) {
@@ -529,7 +547,7 @@ func (m *Matrix) Scaled(f float64) *Matrix {
 		}
 		dst := out.arena[cur : cur+n]
 		for j, e := range m.row(i) {
-			dst[j] = Edge{Peer: e.Peer, Rate: e.Rate * f}
+			dst[j] = Edge{Peer: e.Peer, Rate: onGrid(e.Rate * f)}
 		}
 		out.rows[i] = rowRef{off: uint32(cur), len: uint32(n), cap: uint32(n)}
 		cur += n

@@ -10,6 +10,21 @@
 // (Section V-C, VI). The initial matrix can be scaled ×10 / ×50 into the
 // medium and dense variants of Fig. 3.
 //
+// # The rate grid
+//
+// A rate is a measurement with a resolution. Every stored rate is a whole
+// number of quanta of 2^-20 Mb/s (≈ 1 bit/s), rounded to nearest once,
+// where it enters the matrix (Matrix.Set, Builder.Add, Matrix.Scaled). A
+// positive rate below one quantum rounds up to one, so rate > 0 still
+// means the pair exists; a rate above 2^32 Mb/s saturates there. float64
+// adds and subtracts multiples of the quantum without rounding while the
+// result stays below 2^53 quanta = 2^33 Mb/s, which a whole data
+// center's traffic does. So any sum or difference of rates — a host's
+// NIC load, a link's load, a rack pair's cell, the per-level totals
+// behind C^A — has one value whatever the order it was folded in, and a
+// running sum equals a rebuild bit for bit. Consumers rely on that: none
+// of them resyncs, clamps or compares with a tolerance.
+//
 // # Adjacency layout: arena-backed CSR
 //
 // Matrix stores the sparse symmetric matrix as CSR over one shared
@@ -176,9 +191,7 @@ func DefaultGenConfig(racks int) GenConfig {
 // Generation streams: draws are recorded as flat (pair, rate)
 // contributions and bulk-loaded into an exact-fit CSR arena at the end
 // (see Builder), so generating a 100k-VM instance never materializes a
-// pair map or pays per-insert row maintenance. The draw sequence — and
-// therefore the resulting rates, bit for bit — is identical to the old
-// incremental Add path.
+// pair map or pays per-insert row maintenance.
 func Generate(cfg GenConfig, topo topology.Topology, c *cluster.Cluster, rng *rand.Rand) (*Matrix, error) {
 	vms := c.VMs()
 	if len(vms) < 2 {

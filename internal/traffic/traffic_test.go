@@ -361,10 +361,62 @@ func TestNoOpMutationsLogNothing(t *testing.T) {
 	m.Set(3, 3, 7)  // self pair
 	m.Set(8, 9, -1) // removal of an absent pair
 	m.Set(8, 9, 0)
-	if m.Generation() != gen {
-		t.Fatalf("generation moved to %d on no-op mutations", m.Generation())
+	m.Set(1, 2, math.NaN()) // neither a rate nor a removal
+	m.Add(1, 2, math.NaN())
+	if m.Generation() != gen || m.Rate(1, 2) != 5 {
+		t.Fatalf("no-op mutations: generation %d (want %d), rate %v", m.Generation(), gen, m.Rate(1, 2))
 	}
 	if ch, ok := m.ChangesSince(gen); !ok || len(ch) != 0 {
 		t.Fatalf("no-op mutations logged %v, %v", ch, ok)
+	}
+}
+
+// TestRatesLandOnTheGrid: the three writers of an Edge.Rate round to a
+// whole number of quanta — nearest, at least one, at most the ceiling —
+// and sums of what they stored do not depend on the order taken.
+func TestRatesLandOnTheGrid(t *testing.T) {
+	const q = 1.0 / quantaPerMbps
+	for _, c := range []struct{ in, want float64 }{
+		{1, 1},
+		{0.3, math.RoundToEven(0.3*quantaPerMbps) * q},
+		{q / 1000, q},        // a pair that exists keeps a positive rate
+		{5e-324, q},          // the smallest positive float64
+		{2.5 * q, 2 * q},     // ties go to the even quantum
+		{1e300, maxRateMbps}, // finite garbage saturates
+		{math.Inf(1), maxRateMbps},
+	} {
+		m, b := NewMatrix(), NewBuilder(1)
+		m.Set(1, 2, c.in)
+		b.Add(1, 2, c.in)
+		if got := m.Rate(1, 2); got != c.want {
+			t.Errorf("Set(%g) stored %v, want %v", c.in, got, c.want)
+		}
+		if got := b.Build().Rate(1, 2); got != c.want {
+			t.Errorf("Builder.Add(%g) stored %v, want %v", c.in, got, c.want)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(41))
+	m := NewMatrix()
+	for i := 0; i < 4000; i++ {
+		u, v := cluster.VMID(rng.Intn(300)), cluster.VMID(rng.Intn(300))
+		if rng.Intn(3) == 0 {
+			m.Add(u, v, rng.ExpFloat64())
+		} else {
+			m.Set(u, v, 400*rng.Float64())
+		}
+	}
+	scaled := m.Scaled(math.Pi)
+	_, rates := scaled.Pairs()
+	var fwd, rev float64
+	for i, r := range rates {
+		if r*quantaPerMbps != math.Trunc(r*quantaPerMbps) {
+			t.Fatalf("scaled rate %v is off the grid", r)
+		}
+		fwd += r
+		rev += rates[len(rates)-1-i]
+	}
+	if math.Float64bits(fwd) != math.Float64bits(rev) || fwd != scaled.TotalRate() {
+		t.Fatalf("sum of rates depends on order: %v forward, %v reversed, %v by rows/2", fwd, rev, scaled.TotalRate())
 	}
 }
