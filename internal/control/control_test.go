@@ -41,48 +41,52 @@ func churnFixture(t testing.TB, k int, seed int64) (topology.Topology, *cluster.
 	return topo, cl, tm, ctrl, rng
 }
 
-// bruteSummary recomputes the rack-pair aggregates from scratch.
-func bruteSummary(topo topology.Topology, cl *cluster.Cluster, tm *traffic.Matrix) *Summary {
-	s := NewSummary(topo)
-	pairs, rates := tm.Pairs()
-	for i, p := range pairs {
-		ha, hb := cl.HostOf(p.A), cl.HostOf(p.B)
+// bruteSummary is the from-scratch reference for a Summary: the three
+// locality sums and the pod-pair rates, computed straight from the matrix
+// and the topology without going through AddEdge.
+type bruteSummary struct {
+	intraRack, intraPod, crossPod float64
+	podRate                       map[[2]int]float64 // keyed lo < hi
+}
+
+func newBruteSummary(topo topology.Topology, cl *cluster.Cluster, tm *traffic.Matrix) bruteSummary {
+	b := bruteSummary{podRate: map[[2]int]float64{}}
+	tm.ForEachPair(func(u, v cluster.VMID, rate float64) {
+		ha, hb := cl.HostOf(u), cl.HostOf(v)
 		if ha == cluster.NoHost || hb == cluster.NoHost {
-			continue
+			return
 		}
-		s.AddEdge(topo.RackOf(ha), topo.RackOf(hb), rates[i])
-	}
-	return s
+		pa, pb := topo.PodOf(ha), topo.PodOf(hb)
+		switch {
+		case topo.RackOf(ha) == topo.RackOf(hb):
+			b.intraRack += rate
+		case pa == pb:
+			b.intraPod += rate
+		default:
+			b.crossPod += rate
+			b.podRate[[2]int{min(pa, pb), max(pa, pb)}] += rate
+		}
+	})
+	return b
 }
 
 // compareSummaries holds the incrementally folded summary to the brute
 // force one bit for bit: both are sums of rates on traffic's grid.
-func compareSummaries(t *testing.T, step int, got, want *Summary) {
+func compareSummaries(t *testing.T, step int, got *Summary, want bruteSummary) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-	if !same(got.Total(), want.Total()) {
-		t.Fatalf("step %d: total %v vs brute force %v", step, got.Total(), want.Total())
+	if !same(got.intraRack, want.intraRack) || !same(got.intraPod, want.intraPod) || !same(got.crossPod, want.crossPod) {
+		t.Fatalf("step %d: sums (%v %v %v) vs brute force (%v %v %v)", step,
+			got.intraRack, got.intraPod, got.crossPod, want.intraRack, want.intraPod, want.crossPod)
 	}
-	gi, gp, gc := got.LocalityShares()
-	wi, wp, wc := want.LocalityShares()
-	if !same(gi, wi) || !same(gp, wp) || !same(gc, wc) {
-		t.Fatalf("step %d: shares (%v %v %v) vs brute force (%v %v %v)", step, gi, gp, gc, wi, wp, wc)
-	}
-	wCells := want.Cells()
-	gCells := got.Cells()
-	wIdx := map[[2]int]float64{}
-	for _, c := range wCells {
-		wIdx[[2]int{c.RackA, c.RackB}] = c.Rate
-	}
-	for _, c := range gCells {
-		if !same(c.Rate, wIdx[[2]int{c.RackA, c.RackB}]) {
-			t.Fatalf("step %d: cell (%d,%d) %v vs brute force %v",
-				step, c.RackA, c.RackB, c.Rate, wIdx[[2]int{c.RackA, c.RackB}])
+	for pa := 0; pa < got.numPods; pa++ {
+		for pb := 0; pb < got.numPods; pb++ {
+			// Absent from the map reads as zero: so must the diagonal and
+			// the lower triangle of the table.
+			if g, w := got.podRate[pa*got.numPods+pb], want.podRate[[2]int{pa, pb}]; !same(g, w) {
+				t.Fatalf("step %d: pod pair (%d,%d) %v vs brute force %v", step, pa, pb, g, w)
+			}
 		}
-		delete(wIdx, [2]int{c.RackA, c.RackB})
-	}
-	for k, v := range wIdx {
-		t.Fatalf("step %d: missing cell %v rate %v", step, k, v)
 	}
 }
 
@@ -115,10 +119,12 @@ func TestSummaryEquivalenceUnderChurn(t *testing.T) {
 			_ = ctrl.Recommendation()
 		}
 		if step%500 == 0 {
-			compareSummaries(t, step, ctrl.SummaryForTest(), bruteSummary(topo, cl, tm))
+			ctrl.sync()
+			compareSummaries(t, step, ctrl.sum, newBruteSummary(topo, cl, tm))
 		}
 	}
-	compareSummaries(t, -1, ctrl.SummaryForTest(), bruteSummary(topo, cl, tm))
+	ctrl.sync()
+	compareSummaries(t, -1, ctrl.sum, newBruteSummary(topo, cl, tm))
 }
 
 // TestPlannerShapes: synthetic rack-level shapes must map to the
@@ -130,13 +136,11 @@ func TestPlannerShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := PlannerConfig{}
-
 	podLocal := NewSummary(topo)
 	for rack := 0; rack < podLocal.Racks(); rack += 2 {
 		podLocal.AddEdge(rack, rack+1, 100) // rack pairs inside each pod
 	}
-	if rec := Plan(cfg, podLocal); rec.Shards != podLocal.Pods() || rec.Granularity != shard.ByPod {
+	if rec := Plan(podLocal); rec.Shards != podLocal.Pods() || rec.Granularity != shard.ByPod {
 		t.Fatalf("pod-local: got %+v, want %d pod-aligned shards", rec, podLocal.Pods())
 	}
 
@@ -144,7 +148,7 @@ func TestPlannerShapes(t *testing.T) {
 	crossPod.AddEdge(0, 7, 100) // pods 0↔3
 	crossPod.AddEdge(2, 5, 100) // pods 1↔2
 	crossPod.AddEdge(1, 4, 100) // pods 0↔2
-	if rec := Plan(cfg, crossPod); rec.Shards != 1 {
+	if rec := Plan(crossPod); rec.Shards != 1 {
 		t.Fatalf("cross-pod-heavy: got %+v, want 1 shard", rec)
 	}
 
@@ -152,12 +156,12 @@ func TestPlannerShapes(t *testing.T) {
 	for rack := 0; rack < rackLocal.Racks(); rack++ {
 		rackLocal.AddEdge(rack, rack, 100) // pure diagonal
 	}
-	if rec := Plan(cfg, rackLocal); rec.Granularity != shard.ByRack || rec.Shards != rackLocal.Racks() {
+	if rec := Plan(rackLocal); rec.Granularity != shard.ByRack || rec.Shards != rackLocal.Racks() {
 		t.Fatalf("rack-local: got %+v, want %d rack-aligned shards", rec, rackLocal.Racks())
 	}
 
 	empty := NewSummary(topo)
-	if rec := Plan(cfg, empty); rec.Shards != 1 || rec.Granularity != shard.ByPod {
+	if rec := Plan(empty); rec.Shards != 1 || rec.Granularity != shard.ByPod {
 		t.Fatalf("empty matrix: got %+v, want the serial default", rec)
 	}
 }
@@ -179,7 +183,7 @@ func TestPlannerHotspotSplit(t *testing.T) {
 	s.AddEdge(4, 6, 100) // pod 2 ↔ pod 3
 	s.AddEdge(1, 1, 30)  // some local rate too
 	s.AddEdge(5, 5, 30)
-	rec := Plan(PlannerConfig{}, s)
+	rec := Plan(s)
 	if rec.Shards != 2 {
 		t.Fatalf("paired-pod hotspots: got %+v, want 2 shards", rec)
 	}
@@ -255,7 +259,7 @@ func e2mean(e *LatencyEstimator, shard int) time.Duration {
 }
 
 // TestControllerHysteresis: a flipped recommendation must persist for
-// StableRounds consecutive evaluations before it is adopted.
+// stableRounds consecutive evaluations before it is adopted.
 func TestControllerHysteresis(t *testing.T) {
 	topo, err := topology.NewFatTree(4, 1000)
 	if err != nil {
@@ -288,7 +292,7 @@ func TestControllerHysteresis(t *testing.T) {
 	// Baseline: a heavy pod-0 ↔ pod-3 pair crosses every contiguous
 	// block split, so the first evaluation adopts the serial token.
 	a0, b0 := vmOnPod(0), vmOnPod(3)
-	ctrl := New(topo, Config{Planner: PlannerConfig{StableRounds: 2}})
+	ctrl := New(topo, Config{})
 	detach := ctrl.Bind(tm, cl)
 	defer detach()
 	tm.Set(a0, b0, 100)

@@ -7,28 +7,11 @@ import (
 	"github.com/score-dc/score/internal/traffic"
 )
 
-// Config bundles the controller's knobs.
+// Config is what a caller hands the controller.
 type Config struct {
-	Planner PlannerConfig
-	// Estimator tunes the adaptive-deadline component; see
-	// EstimatorConfig.
-	Estimator EstimatorConfig
-	// TopK sizes the hot-pair report in Snapshot. Default 8.
-	TopK int
 	// Metrics, when set, mirrors the controller's and estimator's state
 	// into the registry (see NewMetrics); nil disables instrumentation.
 	Metrics *Metrics
-}
-
-// Snapshot is the controller's observable state for CLIs and sweeps.
-type Snapshot struct {
-	// Locality decomposition of the current rack-level matrix.
-	IntraRackShare, IntraPodShare, CrossPodShare float64
-	TotalRate                                    float64
-	// HotPairs are the top-k rack pairs by rate.
-	HotPairs []HotPair
-	// Current is the adopted recommendation.
-	Current Recommendation
 }
 
 // Controller is the adaptive control plane's facade: it keeps a live
@@ -39,7 +22,7 @@ type Snapshot struct {
 // consume it through the shard.Tuner interface.
 //
 // Synchronization contract: the controller folds traffic mutations
-// lazily (on Plan/Recommendation/Snapshot) through the matrix changelog
+// lazily (on Plan/Recommendation) through the matrix changelog
 // and placement mutations eagerly through cluster observation hooks.
 // Callers must therefore query the controller — which folds any pending
 // rate changes — before applying placement moves that follow traffic
@@ -66,16 +49,11 @@ type Controller struct {
 
 // New returns a controller for topo. Bind attaches the measured state.
 func New(topo topology.Topology, cfg Config) *Controller {
-	if cfg.TopK <= 0 {
-		cfg.TopK = 8
-	}
-	cfg.Planner = withPlannerDefaults(cfg.Planner)
-	cfg.Estimator.Metrics = cfg.Metrics
 	return &Controller{
 		topo: topo,
 		cfg:  cfg,
 		sum:  NewSummary(topo),
-		est:  NewLatencyEstimator(cfg.Estimator),
+		est:  NewLatencyEstimator(EstimatorConfig{Metrics: cfg.Metrics}),
 	}
 }
 
@@ -103,17 +81,18 @@ func (c *Controller) rackOfHost(h cluster.HostID) int {
 }
 
 // rebuild refolds the whole matrix — the fallback when the changelog
-// window was outrun or the allocation was bulk-rewritten.
+// window was outrun or the allocation was bulk-rewritten. It streams the
+// pairs: sums of rates are exact, so the fold order is free, and the
+// matrix's materialized pair list stays unbuilt.
 func (c *Controller) rebuild() {
 	c.sum.Reset()
-	pairs, rates := c.tm.Pairs()
-	for i, p := range pairs {
-		ra, rb := c.rackOfHost(c.cl.HostOf(p.A)), c.rackOfHost(c.cl.HostOf(p.B))
+	c.tm.ForEachPair(func(a, b cluster.VMID, rate float64) {
+		ra, rb := c.rackOfHost(c.cl.HostOf(a)), c.rackOfHost(c.cl.HostOf(b))
 		if ra < 0 || rb < 0 {
-			continue
+			return
 		}
-		c.sum.AddEdge(ra, rb, rates[i])
-	}
+		c.sum.AddEdge(ra, rb, rate)
+	})
 	c.gen = c.tm.Generation()
 	c.dirty = false
 }
@@ -196,13 +175,13 @@ func (c *Controller) onAllocChange(vm cluster.VMID, from, to cluster.HostID) {
 func (c *Controller) onAllocReset() { c.dirty = true }
 
 // Recommendation syncs pending traffic changes and returns the adopted
-// recommendation, applying StableRounds hysteresis: the first
+// recommendation, applying stableRounds hysteresis: the first
 // evaluation adopts immediately; afterwards a differing plan must
-// repeat on StableRounds consecutive evaluations before it replaces
+// repeat on stableRounds consecutive evaluations before it replaces
 // the current one.
 func (c *Controller) Recommendation() Recommendation {
 	c.sync()
-	rec := Plan(c.cfg.Planner, c.sum)
+	rec := Plan(c.sum)
 	if !c.curSet {
 		c.cur, c.curSet = rec, true
 		c.adopted()
@@ -218,7 +197,7 @@ func (c *Controller) Recommendation() Recommendation {
 	} else {
 		c.pending, c.streak = rec, 1
 	}
-	if c.streak >= c.cfg.Planner.StableRounds {
+	if c.streak >= stableRounds {
 		c.cur, c.streak = rec, 0
 		c.adopted()
 	} else {
@@ -258,27 +237,13 @@ func (c *Controller) Plan() (int, shard.Granularity) {
 	return rec.Shards, rec.Granularity
 }
 
-// Snapshot syncs and reports the controller's observable state.
-func (c *Controller) Snapshot() Snapshot {
-	rec := c.Recommendation()
-	ir, ip, cp := c.sum.LocalityShares()
-	return Snapshot{
-		IntraRackShare: ir,
-		IntraPodShare:  ip,
-		CrossPodShare:  cp,
-		TotalRate:      c.sum.Total(),
-		HotPairs:       c.sum.HotPairs(c.cfg.TopK),
-		Current:        rec,
-	}
-}
-
 // PersistedState is the controller's durable decision state — the
 // hysteresis loop of Recommendation. The hotspot summary itself is
 // derived state (rebuilt from the traffic matrix + placement on Bind)
 // and the latency estimator is wire-measurement state that a restarted
 // service re-learns, so neither is persisted; without the hysteresis
 // triple, though, a freshly restored controller would re-adopt its
-// first plan immediately instead of resuming the StableRounds streak,
+// first plan immediately instead of resuming the stableRounds streak,
 // and its subsequent recommendations could diverge from the
 // uninterrupted run's.
 type PersistedState struct {
@@ -298,10 +263,4 @@ func (c *Controller) PersistedState() PersistedState {
 // matrix and placement, and only the hysteresis triple needs seeding.
 func (c *Controller) RestorePersisted(s PersistedState) {
 	c.cur, c.curSet, c.pending, c.streak = s.Current, s.CurrentSet, s.Pending, s.Streak
-}
-
-// SummaryForTest exposes the live summary to equivalence tests.
-func (c *Controller) SummaryForTest() *Summary {
-	c.sync()
-	return c.sum
 }

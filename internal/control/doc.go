@@ -6,17 +6,17 @@
 // It closes two loops the paper leaves open when S-CORE is deployed at
 // scale:
 //
-//   - Traffic → partition. A Summary aggregates the pairwise VM traffic
-//     matrix into its ToR-level hotspot structure (the sparse rack-pair
-//     matrix of Fig. 3a): communication-locality shares (intra-rack /
-//     intra-pod / cross-pod), per-unit activity, and the top-k hot ToR
-//     pairs. The summary is folded incrementally — rate mutations arrive
-//     through traffic.Matrix.ChangesSince and placement mutations
-//     through cluster observation hooks, so keeping it current costs
-//     O(changes · degree), never an O(|V|²) rescan. A Planner turns the
-//     summary into a shard-count + granularity Recommendation by
-//     replaying the partitioner's own contiguous-block unit mapping
-//     against the rack-pair rates: it picks the largest shard count
+//   - Traffic → partition. A Summary keeps the pairwise VM traffic
+//     matrix at the resolution the planner reads it: the three
+//     communication-locality sums (intra-rack / intra-pod / cross-pod)
+//     and the dense pod × pod table of cross-pod rates. It is folded
+//     incrementally — rate mutations arrive through
+//     traffic.Matrix.ChangesSince and placement mutations through cluster
+//     observation hooks — never by rescanning the matrix. (A rack-level
+//     heatmap such as Fig. 3a is traffic.TorMatrix, one pass on demand;
+//     nothing here keeps one.) Plan turns the summary into a
+//     Recommendation — shard count and granularity — under the
+//     partitioner's own contiguous-block unit mapping: the largest count
 //     whose cross-shard rate share stays under a threshold, so pod-local
 //     workloads fan out to one ring per pod while cross-pod-heavy
 //     workloads collapse toward the serial token (whose reconciliation
@@ -34,25 +34,9 @@
 //     rings are caught orders of magnitude faster than the conservative
 //     fixed default.
 //
-// Cost profile (measured on BenchmarkSummaryFold100k/k=24, the 103,680-VM
-// instance, ~0.4 ms per Recommendation with 8 preceding rate mutations —
-// down from ~6.4 ms before the cell cache and candidate pruning landed in
-// BENCH_8): the two historical sinks are both gone. Summary.Cells no
-// longer re-sorts per query — the sorted cell view is cached and a
-// round's rate churn on existing rack pairs folds into it in place (one
-// binary search per mutation); only structural changes (a new pair, a
-// pair decaying to zero, a changelog-overflow Reset) invalidate it, and
-// the next query pays one sort rebuild. Plan no longer scores every
-// shard-count candidate against the full rack-pair matrix — the cells
-// collapse once into off-diagonal unit-pair aggregates and candidates
-// are scanned downward from the unit count, returning at the first
-// admissible cross-share (planner_bench_test.go: ~46 µs cache-hit,
-// ~220 µs forced rebuild on a 128-rack summary with 3k cells, zero
-// steady-state allocations). The incremental fold (ChangesSince +
-// Summary.AddEdge) remains O(changes · degree) and negligible at every
-// recorded k. Equivalence of the cached view with a from-scratch rebuild
-// — exact float bits, exact order, under interleaved rate/move churn and
-// the overflow-rebuild path — is pinned by planner_cache_test.go.
+// Cost: the fold is O(changes · degree) array adds. Plan is O(pods²) per
+// candidate shard count and scores at most pods of them, allocating
+// nothing.
 //
 // A Controller bundles the three pieces behind the shard.Tuner interface
 // consumed by both decision planes: the in-process shard.Coordinator

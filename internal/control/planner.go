@@ -13,126 +13,62 @@ type Recommendation struct {
 	Granularity shard.Granularity
 }
 
-// PlannerConfig tunes the summary → recommendation policy.
-type PlannerConfig struct {
-	// RackLocalShare is the intra-rack rate share above which shard
+const (
+	// rackLocalShare is the intra-rack rate share at or above which shard
 	// boundaries align to racks instead of pods: when nearly all traffic
-	// already stays inside single racks, pod-level moves are rare and
-	// the finer partition buys more parallel rings for free. Default
-	// 0.8.
-	RackLocalShare float64
-	// MaxCrossShare caps the rate share a candidate partition may place
-	// across shard boundaries. The planner picks the largest shard count
-	// whose cross-shard share stays under the cap, so the parallelism
-	// gained never floods the reconciliation queue: pod-local traffic
-	// yields one ring per pod, cross-pod-heavy traffic degrades toward
-	// the serial token. Default 0.3.
-	MaxCrossShare float64
-	// StableRounds is how many consecutive evaluations must agree on a
+	// already stays inside single racks, pod-level moves are rare and the
+	// finer partition buys more parallel rings for free.
+	rackLocalShare = 0.8
+	// maxCrossShare caps the rate share a partition may place across
+	// shard boundaries, so the parallelism gained never floods the
+	// reconciliation queue: pod-local traffic yields one ring per pod,
+	// cross-pod-heavy traffic degrades toward the serial token.
+	//
+	// A rack-aligned plan always fits: it is chosen only when at least
+	// rackLocalShare of the rate stays inside racks, so at most
+	// 1 − rackLocalShare ≤ maxCrossShare of it crosses any boundary, and
+	// one ring per rack needs no look at which racks talk to which.
+	maxCrossShare = 0.3
+	// stableRounds is how many consecutive evaluations must agree on a
 	// recommendation that differs from the adopted one before the
 	// controller switches — hysteresis against re-partitioning on every
-	// traffic-window wobble. Default 2; 1 switches immediately.
-	StableRounds int
-}
+	// traffic-window wobble.
+	stableRounds = 2
+)
 
-// withPlannerDefaults fills zero fields.
-func withPlannerDefaults(c PlannerConfig) PlannerConfig {
-	if c.RackLocalShare <= 0 {
-		c.RackLocalShare = 0.8
-	}
-	if c.MaxCrossShare <= 0 {
-		c.MaxCrossShare = 0.3
-	}
-	if c.StableRounds <= 0 {
-		c.StableRounds = 2
-	}
-	return c
-}
-
-// Plan derives a recommendation from the summary's current hotspot
-// structure. It is a pure function of the summary (deterministic: the
-// rack-pair cells are folded in canonical order).
-func Plan(cfg PlannerConfig, s *Summary) Recommendation {
-	cfg = withPlannerDefaults(cfg)
+// Plan derives a recommendation from the summary: the largest shard
+// count whose cross-shard rate share stays under maxCrossShare, under the
+// partitioner's contiguous-block unit→shard mapping. It is a pure
+// function of the summary.
+func Plan(s *Summary) Recommendation {
 	total := s.Total()
 	if total <= 0 {
 		return Recommendation{Shards: 1, Granularity: shard.ByPod}
 	}
-	intraRack, _, _ := s.LocalityShares()
-	g := shard.ByPod
-	units := s.Pods()
-	if intraRack >= cfg.RackLocalShare {
-		g = shard.ByRack
-		units = s.Racks()
+	if s.intraRack/total >= rackLocalShare {
+		return Recommendation{Shards: s.numRacks, Granularity: shard.ByRack}
 	}
-	if units < 1 {
-		units = 1
+	limit := maxCrossShare * total
+	pods := s.numPods
+	if s.crossPod <= limit {
+		return Recommendation{Shards: pods, Granularity: shard.ByPod}
 	}
-
-	// Replay the partitioner's contiguous-block unit→shard mapping
-	// against the rack-pair aggregates and keep the largest candidate
-	// count n whose cross-boundary rate share fits the cap. n = 1 is
-	// always admissible (cross share zero).
-	//
-	// Two structural facts prune the scoring. First, unitOf is constant
-	// across candidates, so the cells collapse once into off-diagonal
-	// *unit*-pair aggregates (≤ units² entries, typically far fewer) and
-	// every candidate is scored against those instead of the full
-	// rack-pair matrix — O(cells + candidates·unitPairs), not
-	// O(candidates·cells). Second, cross(n) for any n is a subset-sum of
-	// those off-diagonal aggregates, so if their full sum already fits
-	// the cap every candidate is admissible and n = units wins outright;
-	// otherwise scanning downward returns at the first admissible count,
-	// skipping every dominated smaller candidate. Aggregation order is
-	// first occurrence over the canonically sorted cells, so the float
-	// sums stay deterministic run to run.
-	cells := s.Cells()
-	unitOf := func(rack int) int {
-		if g == shard.ByRack {
-			return rack
-		}
-		return s.PodOfRack(rack)
-	}
-	if s.planIdx == nil {
-		s.planIdx = make(map[uint64]int32)
-	}
-	clear(s.planIdx)
-	s.planKeys = s.planKeys[:0]
-	s.planRates = s.planRates[:0]
-	for _, c := range cells {
-		ua, ub := unitOf(c.RackA), unitOf(c.RackB)
-		if ua == ub {
-			continue // same unit → same block for every n, never cross
-		}
-		k := pairKey(ua, ub)
-		i, ok := s.planIdx[k]
-		if !ok {
-			i = int32(len(s.planKeys))
-			s.planIdx[k] = i
-			s.planKeys = append(s.planKeys, k)
-			s.planRates = append(s.planRates, 0)
-		}
-		s.planRates[i] += c.Rate
-	}
-	var crossAll float64
-	for _, r := range s.planRates {
-		crossAll += r
-	}
-	limit := cfg.MaxCrossShare * total
-	if crossAll <= limit {
-		return Recommendation{Shards: units, Granularity: g}
-	}
-	for n := units - 1; n >= 2; n-- {
+	// Fewer rings than pods keep some pod pairs inside one shard; which
+	// ones depends on n, so each count is scored against the pod-pair
+	// table. n = 1 crosses nothing and needs no scan.
+	for n := pods - 1; n >= 2; n-- {
 		var cross float64
-		for i, k := range s.planKeys {
-			ua, ub := int(k>>32), int(uint32(k))
-			if ua*n/units != ub*n/units {
-				cross += s.planRates[i]
+		for pa := 0; pa < pods; pa++ {
+			row, block := s.podRate[pa*pods:(pa+1)*pods], pa*n/pods
+			for pb := pa + 1; pb < pods; pb++ {
+				if pb*n/pods != block {
+					cross += row[pb]
+				}
 			}
 		}
 		if cross <= limit {
-			return Recommendation{Shards: n, Granularity: g}
+			return Recommendation{Shards: n, Granularity: shard.ByPod}
 		}
 	}
-	return Recommendation{Shards: 1, Granularity: g}
+	return Recommendation{Shards: 1, Granularity: shard.ByPod}
 }

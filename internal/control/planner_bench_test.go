@@ -7,55 +7,31 @@ import (
 	"github.com/score-dc/score/internal/topology"
 )
 
-// plannerBenchSummary builds a k=16 fat-tree summary (128 racks) with a
-// few thousand populated rack-pair cells.
-func plannerBenchSummary(b *testing.B) (*Summary, [][2]int) {
-	b.Helper()
+// BenchmarkPlanAfterMoves is what the control plane pays per round on a
+// k=16 fat-tree (16 pods, 128 racks): 8 merged moves, each shifting one
+// edge's rate from one rack pair to another, then a recommendation. The
+// uniform rack pairs are cross-pod-heavy, so Plan scans every candidate
+// count — its longest path.
+func BenchmarkPlanAfterMoves(b *testing.B) {
 	topo, err := topology.NewFatTree(16, 1000)
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := NewSummary(topo)
 	rng := rand.New(rand.NewSource(20140630))
-	pairs := make([][2]int, 0, 3000)
-	for i := 0; i < 3000; i++ {
-		ra, rb := rng.Intn(s.Racks()), rng.Intn(s.Racks())
-		s.AddEdge(ra, rb, 1+rng.Float64()*100)
-		pairs = append(pairs, [2]int{ra, rb})
+	pairs := make([][2]int, 3000)
+	for i := range pairs {
+		pairs[i] = [2]int{rng.Intn(s.Racks()), rng.Intn(s.Racks())}
+		s.AddEdge(pairs[i][0], pairs[i][1], float64(1+rng.Intn(100)))
 	}
-	return s, pairs
-}
-
-// BenchmarkPlanSteadyState is the planner's cache-hit path: a round's
-// handful of rate deltas folded into the sorted cell view in place,
-// then a full shard recommendation. This is the per-round cost the
-// control plane pays in the steady rate-churn state.
-func BenchmarkPlanSteadyState(b *testing.B) {
-	s, pairs := plannerBenchSummary(b)
-	cfg := PlannerConfig{}
-	s.Cells() // prime the cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 8; j++ {
-			p := pairs[(i*8+j)%len(pairs)]
-			s.AddEdge(p[0], p[1], 0.001) // existing pair: in-place fold
+			from, to := pairs[(i*8+j)%len(pairs)], pairs[(i*8+j+1)%len(pairs)]
+			s.AddEdge(from[0], from[1], -0.5)
+			s.AddEdge(to[0], to[1], 0.5)
 		}
-		_ = Plan(cfg, s)
-	}
-}
-
-// BenchmarkPlanRebuild is the cache-miss path: every iteration drops
-// the materialized cell view (what a structural change — new pair,
-// decay to zero, changelog-overflow reset — costs) so Plan pays the
-// full sort-based rebuild.
-func BenchmarkPlanRebuild(b *testing.B) {
-	s, _ := plannerBenchSummary(b)
-	cfg := PlannerConfig{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		forceCellRebuild(s)
-		_ = Plan(cfg, s)
+		_ = Plan(s)
 	}
 }

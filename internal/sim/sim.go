@@ -87,9 +87,9 @@ type Config struct {
 	// and clusters with CPU admission (Host.CPUMilli > 0) are rejected.
 	DistributedShards int
 	// AutoTune enables the adaptive control plane (internal/control): a
-	// controller folds the live traffic matrix into a ToR-level hotspot
-	// summary and supersedes the fixed shard knobs, re-deriving shard
-	// count and granularity every round. With DistributedShards > 0 the
+	// controller folds the live traffic matrix into locality sums and
+	// pod-pair rates and supersedes the fixed shard knobs, re-deriving
+	// shard count and granularity every round. With DistributedShards > 0 the
 	// distributed agent plane is auto-tuned (the flag's magnitude only
 	// selects the plane); otherwise the in-process sharded mode runs
 	// auto-tuned, regardless of Shards.

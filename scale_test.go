@@ -189,7 +189,7 @@ func BenchmarkRound100kInstrumented(b *testing.B) {
 
 // BenchmarkSummaryFold100k: the adaptive control plane's steady-state
 // fold at scale — 8 rate mutations pushed through the CSR changelog
-// into the ToR-level hotspot summary, then a shard recommendation.
+// into the controller's pod-level summary, then a shard recommendation.
 func BenchmarkSummaryFold100k(b *testing.B) {
 	for _, pt := range scalePoints {
 		b.Run(fmt.Sprintf("k=%d", pt.k), func(b *testing.B) {

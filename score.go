@@ -268,7 +268,7 @@ func ParseShardGranularity(s string) (ShardGranularity, error) {
 
 // Adaptive control plane (internal/control): a deterministic feedback
 // controller deriving shard count/granularity from the traffic matrix's
-// ToR-level hotspot structure and per-shard recovery deadlines from
+// locality sums and pod-pair rates, and per-shard recovery deadlines from
 // observed ack latency. Most callers instead set SimConfig.AutoTune.
 type (
 	// Controller implements ShardConfig.Tuner for both decision planes.
