@@ -186,7 +186,7 @@ func (c *Cluster) Observe(change func(vm VMID, from, to HostID), reset func()) (
 // successful Respec with the VM and its host (NoHost when unplaced).
 // A re-spec changes the VM's own demand and its host's free RAM/CPU but
 // no placement, so it is kept apart from Observe: placement-tracking
-// observers (cost accounting, partitions, summaries) have nothing to
+// observers (cost accounting, summaries) have nothing to
 // fold, while consumers caching capacity verdicts must hear of it.
 // Unregistration follows Observe's rules.
 func (c *Cluster) ObserveRespec(fn func(vm VMID, host HostID)) (unobserve func()) {
@@ -425,18 +425,6 @@ func (c *Cluster) DenseAllocSnapshotInto(buf []HostID) (base VMID, alloc []HostI
 	alloc = buf[:len(c.alloc)]
 	copy(alloc, c.alloc)
 	return c.recBase, alloc
-}
-
-// ForEachPlaced calls fn for every placed VM in ascending ID order,
-// without materializing an ID slice or an allocation snapshot — the
-// zero-copy walk for consumers (shard partitioning) that rebuild
-// placement-derived structures in bulk.
-func (c *Cluster) ForEachPlaced(fn func(VMID, HostID)) {
-	for i, h := range c.alloc {
-		if h != NoHost {
-			fn(c.recBase+VMID(i), h)
-		}
-	}
 }
 
 // VMsOn returns the VMs currently placed on host. The returned slice is

@@ -66,20 +66,23 @@ func TestMessageDecodeErrors(t *testing.T) {
 }
 
 func TestRatesRoundTrip(t *testing.T) {
-	in := map[cluster.VMID]float64{1: 10.5, 2: 0.000125, 99: 400}
-	out, err := DecodeRates(EncodeRates(in))
+	in := []traffic.Edge{{Peer: 1, Rate: 10.5}, {Peer: 2, Rate: 0.000125}, {Peer: 99, Rate: 400}}
+	out, err := DecodeRateEdges(EncodeRateEdges(in))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != len(in) {
 		t.Fatalf("len = %d, want %d", len(out), len(in))
 	}
-	for k, v := range in {
-		if d := out[k] - v; d > 1e-6 || d < -1e-6 {
-			t.Fatalf("rate[%d] = %v, want %v", k, out[k], v)
+	for i, e := range in {
+		if out[i].Peer != e.Peer {
+			t.Fatalf("edge %d: peer %d, want %d", i, out[i].Peer, e.Peer)
+		}
+		if d := out[i].Rate - e.Rate; d > 1e-6 || d < -1e-6 {
+			t.Fatalf("rate[%d] = %v, want %v", e.Peer, out[i].Rate, e.Rate)
 		}
 	}
-	if _, err := DecodeRates([]byte{0, 0}); err == nil {
+	if _, err := DecodeRateEdges([]byte{0, 0}); err == nil {
 		t.Fatal("short rates buffer accepted")
 	}
 }

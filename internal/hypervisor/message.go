@@ -197,9 +197,8 @@ func DecodeRateEdges(buf []byte) ([]traffic.Edge, error) {
 		off += 12
 	}
 	slices.SortStableFunc(out, traffic.CompareEdges)
-	// Collapse duplicate peers last-wins (the map-based decode's
-	// semantics); the records built from this slice rely on a
-	// sorted-unique invariant for binary search.
+	// Collapse duplicate peers last-wins; the records built from this
+	// slice rely on a sorted-unique invariant for binary search.
 	w := 0
 	for i := range out {
 		if i+1 < len(out) && out[i+1].Peer == out[i].Peer {
@@ -209,26 +208,6 @@ func DecodeRateEdges(buf []byte) ([]traffic.Edge, error) {
 		w++
 	}
 	return out[:w], nil
-}
-
-// EncodeRates serializes a VM's peer-rate table for a MsgMigrate
-// payload, in ascending peer-ID order so the wire bytes are
-// deterministic.
-func EncodeRates(rates map[cluster.VMID]float64) []byte {
-	return EncodeRateEdges(ratesToEdges(rates))
-}
-
-// DecodeRates parses an EncodeRates payload into a map.
-func DecodeRates(buf []byte) (map[cluster.VMID]float64, error) {
-	edges, err := DecodeRateEdges(buf)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[cluster.VMID]float64, len(edges))
-	for _, e := range edges {
-		out[e.Peer] = e.Rate
-	}
-	return out, nil
 }
 
 // ratesToEdges converts a peer-rate map into a sorted adjacency slice.

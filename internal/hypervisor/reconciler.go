@@ -828,9 +828,9 @@ func (r *Reconciler) RunRound() (*RoundReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, vm := range r.reg.VMList() {
+	for _, vm := range r.reg.VMList() { // ascending, as Add requires
 		if h, ok := r.reg.HostOfVM(vm); ok {
-			part.Insert(vm, h)
+			part.Add(vm, h)
 		}
 	}
 	n := part.Shards()

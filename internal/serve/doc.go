@@ -96,8 +96,8 @@
 // A round visits every VM of every ring once, in ascending ID order.
 // The daemon has no forwarding-policy setting and needs none: the
 // paper's policies prioritise with level estimates a persistent token
-// accumulates across passes, and a round's rings are rebuilt from the
-// live partition each time, so there is no history to prioritise with
+// accumulates across passes, and a round's rings are refilled from the
+// placement table each time, so there is no history to prioritise with
 // (see internal/shard and token.RingOrder).
 //
 // # Snapshot / restore

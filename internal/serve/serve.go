@@ -376,7 +376,6 @@ func newDaemon(cfg Config, topo topology.Topology, cl *cluster.Cluster, tm *traf
 		}
 		fr, err := obs.NewFlightRecorder(fcfg, reg, cfg.Trace, cfg.Audit)
 		if err != nil {
-			coord.Close()
 			detach()
 			eng.Detach()
 			return nil, err
@@ -424,7 +423,6 @@ func (d *Daemon) Close() error {
 			case o := <-d.ops:
 				o.done <- opResult{err: ErrClosed}
 			default:
-				d.coord.Close()
 				d.detachCtrl()
 				d.eng.Detach()
 				return

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/obs"
 	"github.com/score-dc/score/internal/token"
@@ -96,14 +95,10 @@ type Coordinator struct {
 	cfg  Config
 	pool *Pool
 
-	// part is the live partition, maintained incrementally from cluster
-	// allocation-change observations instead of being rebuilt O(|V|)
-	// every round. A bulk rewrite (Restore) marks it stale; the next
-	// round refills the existing rings in place (the shard shape is a
-	// topology property, unaffected by placement rewrites).
-	part      *Partition
-	partStale bool
-	detach    func()
+	// part is round scratch like the views below: its host→shard table
+	// is kept while the shard shape holds, its rings are refilled from
+	// the placement table at the start of every round (package doc).
+	part *Partition
 
 	// Per-shard round scratch, reused across rounds: decision views and
 	// outcomes. Views are reset (not rebuilt) each round, which removes
@@ -114,7 +109,7 @@ type Coordinator struct {
 	views    []*core.AllocView
 	outcomes []*shardOutcome
 
-	// curShards/curGran are the parameters the live partition was built
+	// curShards/curGran are the parameters the host→shard table was built
 	// with — cfg values for a fixed coordinator, the tuner's latest
 	// adopted recommendation otherwise.
 	curShards int
@@ -129,8 +124,6 @@ type Coordinator struct {
 }
 
 // NewCoordinator validates the configuration and binds it to an engine.
-// Close detaches the coordinator's allocation observer; callers that
-// outlive the cluster may skip it.
 func NewCoordinator(eng *core.Engine, cfg Config) (*Coordinator, error) {
 	if eng == nil {
 		return nil, fmt.Errorf("shard: nil engine")
@@ -151,39 +144,12 @@ func NewCoordinator(eng *core.Engine, cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{eng: eng, cfg: cfg, pool: NewPool(cfg.Workers), curShards: cfg.Shards, curGran: cfg.Granularity,
 		merge: Merge{Env: EngineEnv(eng), Cm: eng.Config().MigrationCost, Audit: cfg.Audit, Trace: cfg.Trace, Metrics: cfg.Metrics}}
-	c.detach = eng.Cluster().Observe(c.onAllocChange, c.onAllocReset)
 	return c, nil
 }
 
-// onAllocChange folds one placement mutation into the live partition.
-func (c *Coordinator) onAllocChange(vm cluster.VMID, from, to cluster.HostID) {
-	if c.part == nil {
-		return
-	}
-	switch {
-	case from == cluster.NoHost && to == cluster.NoHost:
-	case from == cluster.NoHost:
-		c.part.Insert(vm, to)
-	case to == cluster.NoHost:
-		c.part.Remove(vm, from)
-	default:
-		c.part.Move(vm, from, to)
-	}
-}
-
-// onAllocReset marks the partition stale after a bulk rewrite (Restore);
-// the next round refills its rings from the new allocation.
-func (c *Coordinator) onAllocReset() { c.partStale = true }
-
-// Close unregisters the coordinator's cluster observer. The coordinator
-// must not be used afterwards.
-func (c *Coordinator) Close() {
-	if c.detach != nil {
-		c.detach()
-		c.detach = nil
-	}
-	c.part = nil
-}
+// Close drops the round scratch. The coordinator holds nothing outside
+// itself, so a caller that is done with it may equally just let it go.
+func (c *Coordinator) Close() { c.part, c.views, c.outcomes = nil, nil, nil }
 
 // Rounds returns how many rounds this coordinator has run — the counter
 // that tags trace events. SetRounds seeds it, so a coordinator restored
@@ -194,12 +160,10 @@ func (c *Coordinator) Rounds() uint64 { return uint64(c.round) }
 // SetRounds seeds the round counter (see Rounds).
 func (c *Coordinator) SetRounds(n uint64) { c.round = uint32(n) }
 
-// partition returns the live partition, building it on first use, after
-// a reset, or after the tuner's recommendation changed. The tuner is
-// consulted once per round (here): an unchanged recommendation keeps the
-// incrementally maintained partition; a changed one drops it and pays a
-// single rebuild at the new shape, after which incremental maintenance
-// resumes.
+// partition returns the round's partition: the host→shard table, built
+// on first use and again whenever the tuner — consulted once per round,
+// here — changes the shard count or granularity, with its rings filled
+// from the placement as it stands now.
 func (c *Coordinator) partition() (*Partition, error) {
 	if c.cfg.Tuner != nil {
 		shards, g := c.cfg.Tuner.Plan()
@@ -209,21 +173,20 @@ func (c *Coordinator) partition() (*Partition, error) {
 		if g != ByPod && g != ByRack {
 			g = ByPod
 		}
-		if shards != c.curShards || g != c.curGran || c.part == nil {
+		if shards != c.curShards || g != c.curGran {
 			c.curShards, c.curGran = shards, g
 			c.part = nil
 		}
 	}
+	cl := c.eng.Cluster()
 	if c.part == nil {
-		part, err := NewPartition(c.eng.Topology(), c.eng.Cluster(), c.curGran, c.curShards)
+		part, err := NewHostPartition(c.eng.Topology(), cl.NumHosts(), c.curGran, c.curShards)
 		if err != nil {
 			return nil, err
 		}
 		c.part = part
-	} else if c.partStale {
-		c.part.Refill(c.eng.Cluster())
 	}
-	c.partStale = false
+	c.part.Refill(cl)
 	return c.part, nil
 }
 

@@ -73,11 +73,15 @@
 // commit that the merge phase drops is reported to the engine
 // (RejectObserver) so verdicts computed against it are voided.
 //
-// The partition is maintained incrementally: the coordinator folds the
-// cluster's allocation-change observations (Partition.Insert / Remove /
-// Move) into the live shard rings, so a round costs only its rings and
-// merge instead of an O(|V|) rebuild; bulk rewrites (Restore) drop the
-// partition and the next round rebuilds it.
+// A partition's rings are filled, not kept. "Every placed VM belongs to
+// the shard of its current host" makes them a function of the placement
+// table, so a round starts by refilling them from it in one ascending
+// pass (Partition.Refill over cluster.DenseAlloc; the agent plane walks
+// its sorted registry through Partition.Add) — about 2.4 ns per VM, into
+// storage the previous round left behind. Only the host→shard table,
+// which depends on the topology and the shard shape alone, outlives a
+// round. Nothing observes the cluster on the partition's behalf, and a
+// move, admit, removal or Restore between rounds needs no case here.
 //
 // The worker pool (Pool) is exported separately: the GA baseline reuses
 // it to fan population fitness evaluation and memetic local search over

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/topology"
@@ -47,7 +46,9 @@ func ParseGranularity(s string) (Granularity, error) {
 // Partition maps every host — and through the current allocation, every
 // placed VM — to one of a fixed number of shards. Units (pods or racks)
 // are assigned to shards in contiguous blocks, so a shard is a set of
-// whole units and its boundaries coincide with topology levels.
+// whole units and its boundaries coincide with topology levels. The VM
+// rings hold the placement as it was when they were filled (Refill, Add);
+// they follow no later change to it.
 type Partition struct {
 	shards    int
 	hostShard []int32
@@ -60,7 +61,7 @@ type Partition struct {
 // is clamped to the number of units at the chosen granularity. Callers
 // that track VM placement themselves (the distributed reconciler agent,
 // which reads the registry rather than a cluster) populate the rings via
-// Insert.
+// Add.
 func NewHostPartition(topo topology.Topology, hosts int, g Granularity, shards int) (*Partition, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("shard: nil topology")
@@ -118,20 +119,27 @@ func NewPartition(topo topology.Topology, cl *cluster.Cluster, g Granularity, sh
 	return p, nil
 }
 
-// Refill rebuilds the partition's VM rings from the cluster's current
-// allocation, reusing the ring storage — the recovery path after a bulk
-// allocation rewrite (Restore) when the shard shape itself is unchanged,
-// O(|V|) stores with no per-round allocation once the rings have grown
-// to size. Each shard's VM list is its ring order and must ascend by ID;
-// ForEachPlaced walks in ascending ID order by construction.
+// Refill empties the rings and fills them from the cluster's current
+// placement table in one ascending pass, reusing the ring storage: no
+// allocation once the rings have grown to size.
 func (p *Partition) Refill(cl *cluster.Cluster) {
 	for s := range p.vms {
 		p.vms[s] = p.vms[s][:0]
 	}
-	cl.ForEachPlaced(func(vm cluster.VMID, h cluster.HostID) {
-		s := p.ShardOfHost(h)
-		p.vms[s] = append(p.vms[s], vm)
-	})
+	base, alloc := cl.DenseAlloc()
+	for i, h := range alloc {
+		if h != cluster.NoHost {
+			p.Add(base+cluster.VMID(i), h)
+		}
+	}
+}
+
+// Add appends vm, hosted on h, to the ring of h's shard. A ring is
+// walked in slice order and that order must ascend by ID, so callers
+// add VMs in ascending ID order, each at most once.
+func (p *Partition) Add(vm cluster.VMID, h cluster.HostID) {
+	s := p.ShardOfHost(h)
+	p.vms[s] = append(p.vms[s], vm)
 }
 
 // Shards returns the effective shard count.
@@ -152,38 +160,3 @@ func (p *Partition) ShardOfHost(h cluster.HostID) int {
 // VMs returns shard s's VM population in ascending ID order. The slice
 // is owned by the partition.
 func (p *Partition) VMs(s int) []cluster.VMID { return p.vms[s] }
-
-// Insert places vm, hosted on h, into the ring of h's shard, keeping the
-// ring in ascending ID order. Inserting an ID already present is a
-// no-op. Together with Remove and Move this folds allocation-change
-// observations into a live partition, so a scheduling round costs only
-// its rings and merge instead of an O(|V|) rebuild.
-func (p *Partition) Insert(vm cluster.VMID, h cluster.HostID) {
-	s := p.ShardOfHost(h)
-	ring := p.vms[s]
-	i, found := slices.BinarySearch(ring, vm)
-	if found {
-		return
-	}
-	p.vms[s] = slices.Insert(ring, i, vm)
-}
-
-// Remove deletes vm from the ring of h's shard; absent IDs are a no-op.
-func (p *Partition) Remove(vm cluster.VMID, h cluster.HostID) {
-	s := p.ShardOfHost(h)
-	ring := p.vms[s]
-	if i, found := slices.BinarySearch(ring, vm); found {
-		p.vms[s] = slices.Delete(ring, i, i+1)
-	}
-}
-
-// Move updates vm's ring membership for a from→to host move. Moves
-// within one shard keep the ring unchanged (ring order is by VM ID, not
-// host).
-func (p *Partition) Move(vm cluster.VMID, from, to cluster.HostID) {
-	if p.ShardOfHost(from) == p.ShardOfHost(to) {
-		return
-	}
-	p.Remove(vm, from)
-	p.Insert(vm, to)
-}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -392,85 +393,151 @@ func TestPartitionAlignment(t *testing.T) {
 	}
 }
 
-// TestPartitionIncrementalMaintenance: folding Insert/Remove/Move
-// observations into a live partition must reproduce a from-scratch
-// rebuild after any sequence of allocation changes.
-func TestPartitionIncrementalMaintenance(t *testing.T) {
-	eng := buildEngine(t, 4, 5, 1)
-	cl := eng.Cluster()
-	topo := eng.Topology()
-	live, err := NewPartition(topo, cl, ByRack, 4)
+// TestRoundRingsFollowPlacement: a round's rings are a function of the
+// placement table at the round's start, whatever happened to it since
+// the round before. After every kind of change that can happen between
+// rounds — the previous round's own merge, a cross-shard move, a
+// removal, an admit whose ID regrows the cluster's window, Restore, the
+// tuner changing the shape and changing it back — the rings the round
+// walked must be exactly those of a partition built from scratch just
+// before it: strictly ascending, and with nothing left over from a
+// longer previous fill of the same storage.
+func TestRoundRingsFollowPlacement(t *testing.T) {
+	eng := buildEngine(t, 4, 23, 10)
+	cl, topo := eng.Cluster(), eng.Topology()
+	tuner := &stepTuner{shards: 4, g: ByPod}
+	coord, err := NewCoordinator(eng, Config{Tuner: tuner, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	detach := cl.Observe(func(vm cluster.VMID, from, to cluster.HostID) {
-		live.Move(vm, from, to)
-	}, nil)
-	defer detach()
-
-	rng := rand.New(rand.NewSource(99))
-	vms := cl.VMs()
-	for i := 0; i < 300; i++ {
-		vm := vms[rng.Intn(len(vms))]
-		target := cluster.HostID(rng.Intn(cl.NumHosts()))
-		if cl.HostOf(vm) == target || !cl.Fits(vm, target) {
-			continue
-		}
-		if err := cl.Move(vm, target); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	fresh, err := NewPartition(topo, cl, ByRack, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.Shards() != fresh.Shards() {
-		t.Fatalf("shard counts diverged: %d vs %d", live.Shards(), fresh.Shards())
-	}
-	for s := 0; s < fresh.Shards(); s++ {
-		a, b := live.VMs(s), fresh.VMs(s)
-		if len(a) != len(b) {
-			t.Fatalf("shard %d: live ring has %d VMs, rebuild %d", s, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("shard %d ring position %d: live %d, rebuild %d", s, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-// TestCoordinatorMaintainsPartitionAcrossRounds: the coordinator's
-// observer-maintained partition must leave multi-round results identical
-// to PR 2's rebuild-per-round behavior — verified by comparing against a
-// coordinator that is forced to rebuild before every round.
-func TestCoordinatorMaintainsPartitionAcrossRounds(t *testing.T) {
-	run := func(rebuildEachRound bool) string {
-		eng := buildEngine(t, 4, 23, 10)
-		coord, err := NewCoordinator(eng, Config{Shards: 4, Workers: 4})
+	round := func(step string) {
+		t.Helper()
+		want, err := NewPartition(topo, cl, tuner.g, tuner.shards)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer coord.Close()
-		var rounds []*Round
-		for r := 0; r < 6; r++ {
-			if rebuildEachRound {
-				coord.part = nil
+		res, err := coord.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := coord.part
+		if got.Shards() != want.Shards() || len(res.Shards) != want.Shards() {
+			t.Fatalf("%s: round ran %d rings over a %d-shard partition, fresh partition has %d", step, len(res.Shards), got.Shards(), want.Shards())
+		}
+		for s := 0; s < want.Shards(); s++ {
+			ring := got.VMs(s)
+			if !slices.Equal(ring, want.VMs(s)) {
+				t.Fatalf("%s: shard %d ring %v, fresh partition %v", step, s, ring, want.VMs(s))
 			}
-			round := runRounds(t, coord, 1)[0]
-			rounds = append(rounds, round)
-			if len(round.Applied) == 0 {
-				break
+			for i := 1; i < len(ring); i++ {
+				if ring[i] <= ring[i-1] {
+					t.Fatalf("%s: shard %d ring %v is not strictly ascending", step, s, ring)
+				}
+			}
+			if res.Shards[s].VMs != len(ring) {
+				t.Fatalf("%s: shard %d walked %d VMs of a %d-VM ring", step, s, res.Shards[s].VMs, len(ring))
 			}
 		}
-		if migrations(rounds) == 0 {
-			t.Fatal("fixture produced no migrations; test vacuous")
-		}
-		return fingerprint(rounds, eng)
 	}
-	if run(false) != run(true) {
-		t.Fatal("incrementally maintained partition diverges from per-round rebuild")
+	// crossShardMove moves the first VM of shard 0's ring to a host outside
+	// shard 0, shortening a ring whose storage the next round refills.
+	crossShardMove := func() {
+		t.Helper()
+		vm := coord.part.VMs(0)[0]
+		for h := cl.NumHosts() - 1; h >= 0; h-- {
+			if to := cluster.HostID(h); coord.part.ShardOfHost(to) != 0 && cl.Fits(vm, to) {
+				if err := cl.Move(vm, to); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+		}
+		t.Fatal("no host outside shard 0 fits the VM")
+	}
+
+	round("first round")
+	saved := cl.Snapshot()
+	round("after a round's own merge")
+	crossShardMove()
+	round("after a cross-shard move")
+	if err := cl.Restore(saved); err != nil {
+		t.Fatal(err)
+	}
+	round("after Restore")
+
+	gone := coord.part.VMs(1)[0]
+	eng.Traffic().ClearVM(gone)
+	if err := cl.Remove(gone); err != nil {
+		t.Fatal(err)
+	}
+	round("after a removal")
+
+	base, _ := cl.DenseAlloc()
+	below := base - 1
+	if err := cl.AddVM(cluster.VM{ID: below, RAMMB: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	if nb, _ := cl.DenseAlloc(); nb == base {
+		t.Fatalf("VM %d did not regrow the window (base still %d); step vacuous", below, base)
+	}
+	if err := cl.Place(below, cluster.HostID(cl.NumHosts()-1)); err != nil {
+		t.Fatal(err)
+	}
+	round("after an admit that regrew the window")
+	if last := coord.part.VMs(coord.part.Shards() - 1); last[0] != below {
+		t.Fatalf("admitted VM %d is not at the head of the last shard's ring %v", below, last)
+	}
+
+	tuner.shards, tuner.g = 8, ByRack
+	round("4 pods → 8 racks")
+	crossShardMove()
+	round("8 racks, after a cross-shard move")
+	tuner.shards, tuner.g = 4, ByPod
+	round("8 racks → 4 pods")
+}
+
+// TestRefillZeroAllocs: refilling a partition whose rings have reached
+// their size allocates nothing — what lets every round do it.
+func TestRefillZeroAllocs(t *testing.T) {
+	eng := buildEngine(t, 4, 5, 1)
+	part, err := NewPartition(eng.Topology(), eng.Cluster(), ByRack, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { part.Refill(eng.Cluster()) }); n != 0 {
+		t.Fatalf("steady-state Refill allocates %v times per call, want 0", n)
+	}
+}
+
+// BenchmarkPartitionRefill is what every round pays to derive its rings:
+// one pass over the placement table of the k=24 fat-tree's 103,680 VMs
+// into 24 pod rings. Must read 0 allocs/op.
+func BenchmarkPartitionRefill(b *testing.B) {
+	topo, err := topology.NewFatTree(24, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cl, err := cluster.New(cluster.UniformHosts(topo.Hosts(), 32, 65536, 1000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pm := cluster.NewPlacementManager(cl, 1)
+	for i := 0; i < topo.Hosts()*30; i++ {
+		if _, err := pm.CreateVM(1024); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := pm.PlaceRandom(rand.New(rand.NewSource(20140630))); err != nil {
+		b.Fatal(err)
+	}
+	part, err := NewPartition(topo, cl, ByPod, 24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		part.Refill(cl)
 	}
 }
 

@@ -187,7 +187,6 @@ func (r *Runner) runSharded() (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer coord.Close()
 	return r.runRounds(func(roll rollup) (int, int, *shard.Outcome, error) {
 		res, err := coord.RunRound()
 		if err != nil {
