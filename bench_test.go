@@ -609,7 +609,9 @@ func BenchmarkTokenEncodeDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkHLFNext measures one Algorithm 1 pass over a 10k-entry token.
+// BenchmarkHLFNext measures one Algorithm 1 pass over a 10k-entry token,
+// from a holder with 16 traffic peers as sim.Runner lends it: one
+// RaiseLevel per peer, then the scan.
 func BenchmarkHLFNext(b *testing.B) {
 	ids := make([]score.VMID, 10000)
 	for i := range ids {
@@ -621,7 +623,10 @@ func BenchmarkHLFNext(b *testing.B) {
 		tok.SetLevel(e.ID, uint8(rng.Intn(4)))
 	}
 	pol := token.HighestLevelFirst{}
-	view := token.HolderView{Holder: 5000, OwnLevel: 3}
+	view := token.HolderView{Holder: 5000, OwnLevel: 3, NeighborLevels: make(map[score.VMID]uint8)}
+	for j := 1; j <= 16; j++ {
+		view.NeighborLevels[ids[(5000+613*j)%len(ids)]] = uint8(rng.Intn(4))
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := pol.Next(tok, view); !ok {

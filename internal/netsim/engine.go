@@ -9,10 +9,7 @@
 // utilization arithmetic without per-packet simulation.
 package netsim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // event is a scheduled callback; seq breaks ties FIFO at equal times.
 type event struct {
@@ -21,23 +18,54 @@ type event struct {
 	fn  func()
 }
 
-type eventHeap []event
+// eventQueue is a binary min-heap of events on (at, seq). seq is unique,
+// so that is a total order and the pop sequence does not depend on how
+// the heap is laid out. Events are stored by value: none is boxed.
+type eventQueue []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (q eventQueue) less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
 	}
-	return h[i].seq < h[j].seq
+	return q[i].seq < q[j].seq
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (q *eventQueue) push(ev event) {
+	*q = append(*q, ev)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	n := len(h) - 1
+	top := h[0]
+	h[0] = h[n]
+	h[n] = event{} // release the callback
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && h.less(r, c) {
+			c = r
+		}
+		if !h.less(c, i) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	*q = h
+	return top
 }
 
 // Engine is a minimal discrete-event scheduler with a virtual clock in
@@ -46,7 +74,7 @@ func (h *eventHeap) Pop() interface{} {
 type Engine struct {
 	now     float64
 	seq     uint64
-	pq      eventHeap
+	pq      eventQueue
 	stopped bool
 }
 
@@ -66,7 +94,7 @@ func (e *Engine) Schedule(at float64, fn func()) {
 		at = e.now
 	}
 	e.seq++
-	heap.Push(&e.pq, event{at: at, seq: e.seq, fn: fn})
+	e.pq.push(event{at: at, seq: e.seq, fn: fn})
 }
 
 // After runs fn d seconds from now.
@@ -83,7 +111,7 @@ func (e *Engine) Step() bool {
 	if e.stopped || len(e.pq) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.pq).(event)
+	ev := e.pq.pop()
 	e.now = ev.at
 	ev.fn()
 	return true

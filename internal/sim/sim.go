@@ -245,6 +245,8 @@ type Runner struct {
 	tok *token.Token
 
 	migrating map[cluster.VMID]bool
+	// levels is lent to the policy as every hop's NeighborLevels.
+	levels map[cluster.VMID]uint8
 
 	ob       *runObs
 	metrics  Metrics
@@ -272,6 +274,7 @@ func NewRunner(eng *core.Engine, pol token.Policy, cfg Config, rng *rand.Rand) (
 		des:       netsim.NewEngine(),
 		net:       netsim.NewNetwork(eng.Topology()),
 		migrating: make(map[cluster.VMID]bool),
+		levels:    make(map[cluster.VMID]uint8),
 		ob:        newRunObs(cfg),
 	}
 	return r, nil
@@ -386,17 +389,18 @@ func (r *Runner) hop(holder cluster.VMID) {
 	r.des.After(r.cfg.HopLatencyS, func() { r.hop(next) })
 }
 
+// holderView refills r.levels with u's pair levels. ℓ^A(u) is by
+// definition their maximum (Engine.VMLevel), so one walk of u's row gives
+// both.
 func (r *Runner) holderView(u cluster.VMID) token.HolderView {
-	neigh := r.eng.Traffic().NeighborEdges(u)
-	levels := make(map[cluster.VMID]uint8, len(neigh))
-	for _, ed := range neigh {
-		levels[ed.Peer] = uint8(r.eng.PairLevel(u, ed.Peer))
+	clear(r.levels)
+	own := uint8(0)
+	for _, ed := range r.eng.Traffic().NeighborEdges(u) {
+		l := uint8(r.eng.PairLevel(u, ed.Peer))
+		r.levels[ed.Peer] = l
+		own = max(own, l)
 	}
-	return token.HolderView{
-		Holder:         u,
-		OwnLevel:       uint8(r.eng.VMLevel(u)),
-		NeighborLevels: levels,
-	}
+	return token.HolderView{Holder: u, OwnLevel: own, NeighborLevels: r.levels}
 }
 
 // startMigration runs the pre-copy model under the current link load and

@@ -15,7 +15,9 @@ type HolderView struct {
 	Holder cluster.VMID
 	// OwnLevel is ℓ^A(u) after any migration the holder just performed.
 	OwnLevel uint8
-	// NeighborLevels maps v ∈ Vu to ℓ^A(u, v).
+	// NeighborLevels maps v ∈ Vu to ℓ^A(u, v). It is lent for the
+	// duration of Next: the caller may reuse it for the next hop, so no
+	// policy retains it.
 	NeighborLevels map[cluster.VMID]uint8
 }
 

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"github.com/score-dc/score/internal/cluster"
 )
@@ -104,10 +103,37 @@ func (t *Token) Len() int { return len(t.entries) }
 // Entries returns a copy of the entry array.
 func (t *Token) Entries() []Entry { return append([]Entry(nil), t.entries...) }
 
+// search returns the index of the first entry whose ID is ≥ id, or Len()
+// if there is none.
+func (t *Token) search(id cluster.VMID) int {
+	es := t.entries
+	if len(es) == 0 || id <= es[0].ID {
+		return 0
+	}
+	// Distinct ascending IDs grow by at least one per index, so the first
+	// entry at or above id sits at index ≤ id − entries[0].ID — exactly
+	// there on an ID-dense ring.
+	lo, hi := 1, len(es)
+	if b := uint64(id - es[0].ID); b < uint64(len(es)) {
+		if es[b].ID == id {
+			return int(b)
+		}
+		hi = int(b)
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if es[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
 // find returns the index of id, or -1.
 func (t *Token) find(id cluster.VMID) int {
-	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].ID >= id })
-	if i < len(t.entries) && t.entries[i].ID == id {
+	if i := t.search(id); i < len(t.entries) && t.entries[i].ID == id {
 		return i
 	}
 	return -1
@@ -146,7 +172,10 @@ func (t *Token) Successor(id cluster.VMID) (cluster.VMID, bool) {
 	if len(t.entries) == 0 {
 		return 0, false
 	}
-	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].ID > id })
+	i := t.search(id)
+	if i < len(t.entries) && t.entries[i].ID == id {
+		i++
+	}
 	if i == len(t.entries) {
 		i = 0
 	}
@@ -156,10 +185,10 @@ func (t *Token) Successor(id cluster.VMID) (cluster.VMID, bool) {
 // Add inserts a VM into the token (e.g. a newly created instance joining
 // the ring) with level 0. Adding an existing ID is a no-op.
 func (t *Token) Add(id cluster.VMID) {
-	if t.find(id) >= 0 {
+	i := t.search(id)
+	if i < len(t.entries) && t.entries[i].ID == id {
 		return
 	}
-	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].ID >= id })
 	t.entries = append(t.entries, Entry{})
 	copy(t.entries[i+1:], t.entries[i:])
 	t.entries[i] = Entry{ID: id}
