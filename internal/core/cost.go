@@ -10,15 +10,18 @@
 // information local to u; Theorem 1 admits the migration iff ΔC exceeds
 // the migration cost c_m.
 //
-// The decision rule has one implementation, AllocView, and Eq. 5 one
-// inside it: a visit resolves the holder's neighbors in one pass (host,
-// rack and pod keys, 2·λ, the prefix cost at the current level) and every
-// candidate's ΔC is a loop of multiply-adds over that, in the row's order
-// — candidates × degree terms, the same float64 sequence whoever asks.
-// The cluster owns the placement table it reads: the Engine's live view
-// borrows it read-only (cluster.DenseAlloc, re-fetched on every engine
-// call because the next AddVM may reallocate it); shard rings decide
-// through frozen views that copy it and stage moves in the copy.
+// The decision rule has one implementation, in two halves. Kernel needs
+// no placement: fed the holder's host and each located peer's host and
+// rate in row order, it ranks the peers, scores candidates by Eq. 5 — a
+// loop of multiply-adds, the same float64 sequence whoever asks — folds
+// them under Theorem 1 and falls back to a neighbor's rack. AllocView
+// locates the peers in a placement table and admits on slots, RAM, CPU
+// and NIC; the dom0 agents (internal/hypervisor) locate by probe and admit
+// by capacity response; the GA baseline scores genomes on a Kernel too.
+// The cluster owns the placement table AllocView reads: the Engine's live
+// view borrows it read-only (cluster.DenseAlloc, re-fetched on every
+// engine call because the next AddVM may reallocate it); shard rings
+// decide through frozen views that copy it and stage moves in the copy.
 package core
 
 import (

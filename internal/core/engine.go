@@ -49,12 +49,12 @@ type Decision struct {
 // hypervisor's) responsibility, matching the paper's split between the
 // decision process and the Xen migration machinery.
 //
-// The decision rule itself is implemented once, on AllocView; the
-// engine's decision methods are calls on its live view, so a decision
-// against the live state and one against a shard's staged state run the
-// same code. That path is allocation-free: neighbor edges are iterated
-// straight off the traffic matrix's CSR rows, and the rank buffer and
-// probed-host set are scratch state reused across calls.
+// The decision rule itself is implemented once: AllocView around a
+// Kernel. The engine's decision methods are calls on its live view, so a
+// decision against the live state and one against a shard's staged state
+// run the same code. That path is allocation-free: neighbor edges are
+// iterated straight off the traffic matrix's CSR rows, and the kernel's
+// buffers are scratch state reused across calls.
 //
 // The engine itself keeps incremental accounting — the rate carried at
 // each communication level (C^A is their weighted sum) and per-host
@@ -76,18 +76,9 @@ type Engine struct {
 	cfg   Config
 	depth int
 
-	// rackHosts caches topo.HostsInRack for every rack so the rack
-	// fallback probe of BestMigration allocates nothing.
-	rackHosts [][]cluster.HostID
-
-	// rackOf/podOf flatten the topology's level structure (the
-	// Topology contract: 0 same host, 1 same rack, 2 same pod, 3 via
-	// core) into per-host keys, replacing two interface calls per edge
-	// with two array loads. They cover every host ID the topology or the
-	// cluster knows. prefix[l] is cost.Prefix(l) for those four levels.
-	rackOf []int32
-	podOf  []int32
-	prefix [4]float64
+	// kern holds the level tables over every host ID the topology or the
+	// cluster knows; views decide through clones, so its scratch is unused.
+	kern Kernel
 
 	// live is the view the engine's own decision methods run through; use
 	// liveView, which points it at the cluster's current placement table.
@@ -112,34 +103,19 @@ type Engine struct {
 // engine registers itself as an allocation observer on cl, so it must
 // not outlive uses of the cluster that assume no observers.
 func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *traffic.Matrix, cfg Config) (*Engine, error) {
-	if topo == nil || cl == nil || tm == nil {
+	if cl == nil || tm == nil {
 		return nil, fmt.Errorf("core: nil dependency")
 	}
-	if topo.Depth() != 3 {
-		return nil, fmt.Errorf("core: topology %s has depth %d; the Topology contract defines levels by host, rack and pod (depth 3)", topo.Name(), topo.Depth())
-	}
-	if cost.Depth() < topo.Depth() {
-		return nil, fmt.Errorf("core: cost model depth %d < topology depth %d", cost.Depth(), topo.Depth())
+	if err := checkLevels(topo, cost); err != nil {
+		return nil, err
 	}
 	if cfg.BandwidthThreshold < 0 || cfg.BandwidthThreshold > 1 {
 		return nil, fmt.Errorf("core: bandwidth threshold %v outside [0,1]", cfg.BandwidthThreshold)
 	}
 	e := &Engine{topo: topo, cost: cost, cl: cl, tm: tm, cfg: cfg, depth: topo.Depth()}
-	e.rackHosts = make([][]cluster.HostID, topo.Racks())
-	for r := range e.rackHosts {
-		e.rackHosts[r] = topo.HostsInRack(r)
-	}
-	e.live = AllocView{eng: e, live: true}
+	e.kern = newKernel(topo, cost, cfg.MigrationCost, max(topo.Hosts(), cl.NumHosts()))
+	e.live = AllocView{eng: e, live: true, k: *e.kern.Clone()}
 	e.live.sizeScratch()
-	e.rackOf = make([]int32, len(e.live.probed))
-	e.podOf = make([]int32, len(e.live.probed))
-	for h := range e.rackOf {
-		e.rackOf[h] = int32(topo.RackOf(cluster.HostID(h)))
-		e.podOf[h] = int32(topo.PodOf(cluster.HostID(h)))
-	}
-	for l := range e.prefix {
-		e.prefix[l] = cost.Prefix(l)
-	}
 	e.hostNet = make([]float64, cl.NumHosts())
 	unobserve := cl.Observe(e.onAllocChange, e.onAllocReset)
 	unobserveRespec := cl.ObserveRespec(e.onRespec)
@@ -189,33 +165,18 @@ func (e *Engine) CostModel() CostModel { return e.cost }
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// validLevelHost reports whether the flattened level tables cover h.
-func (e *Engine) validLevelHost(h cluster.HostID) bool {
-	return h >= 0 && int(h) < len(e.rackOf)
-}
+// Kernel returns a kernel over the engine's level tables and c_m, with
+// scratch of its own, for a caller that places the peers itself.
+func (e *Engine) Kernel() *Kernel { return e.kern.Clone() }
 
 // levelSafe is level for host IDs of unknown provenance (snapshot maps,
 // public-API targets): out-of-table IDs take the interface path, which
 // tolerates them like the pre-flattening code did.
 func (e *Engine) levelSafe(a, b cluster.HostID) int {
-	if e.validLevelHost(a) && e.validLevelHost(b) {
-		return e.level(a, b)
+	if e.kern.Covers(a) && e.kern.Covers(b) {
+		return e.kern.level(a, b)
 	}
 	return e.topo.Level(a, b)
-}
-
-// level returns ℓ(a, b) for two placed hosts from the flattened rack/pod
-// keys.
-func (e *Engine) level(a, b cluster.HostID) int {
-	switch {
-	case a == b:
-		return 0
-	case e.rackOf[a] == e.rackOf[b]:
-		return 1
-	case e.podOf[a] == e.podOf[b]:
-		return 2
-	}
-	return 3
 }
 
 // levelOrDepth is PairLevel over explicit hosts: unplaced endpoints read
@@ -224,7 +185,7 @@ func (e *Engine) levelOrDepth(a, b cluster.HostID) int {
 	if a == cluster.NoHost || b == cluster.NoHost {
 		return e.depth
 	}
-	return e.level(a, b)
+	return e.kern.level(a, b)
 }
 
 // liveView returns the engine's own view with its placement slice

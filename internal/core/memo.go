@@ -12,7 +12,7 @@ import (
 // a decision: Visit returns what BestMigration would have returned, bit
 // for bit.
 //
-// ΔC-first pruning. considerTarget computes ΔC before it asks the
+// ΔC-first pruning. Kernel.considerTarget computes ΔC before it asks the
 // candidate for admission and asks only when ΔC > c_m and ΔC beats the
 // running best. BestMigration returns the first admissible candidate, in
 // probe order, of maximal ΔC, if that ΔC exceeds c_m. A candidate with
@@ -59,7 +59,7 @@ import (
 // moved or u would be dirty. So a skip costs one load, plus one rack
 // stamp per peer for verdicts that had a refusal; an evaluated visit
 // costs one resolve pass over u's row, then one multiply-add per peer
-// for each candidate (AllocView.score), summed in row order, so the ΔC
+// for each candidate (Kernel.Score), summed in row order, so the ΔC
 // a visit decides on is bit for bit the ΔC Commit and Apply realize.
 //
 // Frozen views decide against an overlay, concurrently. A frozen view
@@ -173,17 +173,6 @@ func (m *visitMemo) resize(base cluster.VMID, n int) {
 	m.base, m.quiet, m.refused = base, quiet, refused
 }
 
-// rackSlot is h's index into visitMemo.relaxed: its rack, or the extra
-// last slot for hosts outside the rack table (which BestMigration gives
-// no rack fallback either).
-func (e *Engine) rackSlot(h cluster.HostID) int {
-	r := int(e.rackOf[h])
-	if r < 0 || r >= len(e.rackHosts) {
-		return len(e.rackHosts)
-	}
-	return r
-}
-
 // memoSync brings the memo up to date at a sequential point — before a
 // serial visit, and when a view is (re)primed: decide whether it may run
 // at all, follow the cluster's ID window, fold pending edge changes.
@@ -201,7 +190,7 @@ func (e *Engine) memoSync() {
 		m.base, m.quiet, m.refused = base, make([]uint32, n), make([]bool, n)
 		if m.blocks == nil {
 			m.blocks = make([]atomic.Bool, e.cl.NumHosts())
-			m.relaxed = make([]uint32, len(e.rackHosts)+1)
+			m.relaxed = make([]uint32, len(e.kern.rackHosts)+1)
 			m.clock = 1
 		}
 		m.tmGen = e.tm.Generation()
@@ -238,7 +227,7 @@ func (e *Engine) relax(h cluster.HostID) {
 		return
 	}
 	m.blocks[h].Store(false)
-	m.relaxed[e.rackSlot(h)] = m.tick()
+	m.relaxed[e.kern.rackSlot(h)] = m.tick()
 }
 
 // memoMove invalidates for one placement change of vm (from or to may be
@@ -313,7 +302,7 @@ func (v *AllocView) stillQuiet(u cluster.VMID, q uint32, refused bool) bool {
 			return false
 		}
 		if refused && hz != cluster.NoHost {
-			r := e.rackSlot(hz)
+			r := e.kern.rackSlot(hz)
 			if m.relaxed[r] > q || (staged && v.touched[r] == v.touchEpoch) {
 				return false
 			}
@@ -344,7 +333,7 @@ func (v *AllocView) Visit(u cluster.VMID) (dec Decision, ok, skipped bool) {
 		return Decision{}, false, true
 	}
 	dec, ok = v.BestMigration(u)
-	m.record(i, ok, v.refusals, v.stamp)
+	m.record(i, ok, v.k.refusals, v.stamp)
 	return dec, ok, false
 }
 
@@ -352,7 +341,7 @@ func (v *AllocView) Visit(u cluster.VMID) (dec Decision, ok, skipped bool) {
 // commits (see stillQuiet).
 func (v *AllocView) touch(h cluster.HostID) {
 	if h != cluster.NoHost {
-		v.touched[v.eng.rackSlot(h)] = v.touchEpoch
+		v.touched[v.k.rackSlot(h)] = v.touchEpoch
 	}
 }
 
@@ -362,8 +351,8 @@ func (v *AllocView) primeMemo() {
 	e := v.eng
 	e.memoSync()
 	v.stamp = e.memo.clock
-	if len(v.touched) != len(e.rackHosts)+1 {
-		v.touched = make([]uint32, len(e.rackHosts)+1)
+	if len(v.touched) != len(e.kern.rackHosts)+1 {
+		v.touched = make([]uint32, len(e.kern.rackHosts)+1)
 		v.touchEpoch = 0
 	}
 	v.touchEpoch++

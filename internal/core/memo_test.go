@@ -524,7 +524,7 @@ func TestRebuildTimingDoesNotChangeDecisions(t *testing.T) {
 				skipped++
 				continue
 			}
-			for _, h := range fx.eng.live.refusals {
+			for _, h := range fx.eng.live.k.refusals {
 				if fx.eng.liveView().fits(u, h) {
 					nicRefusals++
 				}

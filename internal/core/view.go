@@ -2,18 +2,16 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/score-dc/score/internal/cluster"
 )
 
-// AllocView is the decision kernel — ΔC (Eq. 5), the admission test, the
-// rank order of Section V-B5, the candidate fold, BestMigration and the
-// token visit — evaluated against one placement: the cluster's, plus the
-// moves staged in the view. It shares the engine's immutable inputs
-// (topology, cost model, flattened level tables, traffic matrix, per-host
-// net loads) but owns its scratch buffers and its overlay. The rule is
-// the same whatever state it reads; only the state differs:
+// AllocView is the placement half of the decision rule, evaluated against
+// one placement: the cluster's, plus the moves staged in the view. It
+// answers where a peer sits (HostOf) and whether a host admits a VM
+// (Admissible), runs the token visit and its memo, and decides through a
+// Kernel of its own — the half that needs no placement. The rule is the
+// same whatever state it reads; only the state differs:
 //
 //   - A frozen view (NewView/ResetView) decides against a private copy of
 //     the placement table and stages moves into it with Commit. Many
@@ -24,9 +22,8 @@ import (
 //     own table; every Engine decision method is a call on it.
 //
 // A decision locates the holder's neighbors once, as the paper's token
-// holder does (Section V-B4's location request), and evaluates Eq. 5 for
-// every candidate from that: one resolve pass over the holder's row, then
-// candidates × degree multiply-adds (see resolve and score).
+// holder does (Section V-B4's location request), then costs one
+// Kernel.Score per candidate.
 //
 // Contract for frozen views: between NewView and the last use of any
 // view, the cluster, the traffic matrix and the engine itself must not
@@ -55,17 +52,9 @@ type AllocView struct {
 	netD      []float64
 	commits   []Decision
 
-	// Scratch reused across decisions: the holder's resolved peers, in row
-	// order and in probe order, and the probed-host set — a 32-bit epoch
-	// array with an explicit wrap reset when the epoch counter overflows.
-	peers      []peerEntry
-	rank       []rankEntry
-	probed     []uint32 // probed[h] == probeEpoch ⇒ already probed this decision
-	probeEpoch uint32
-	// refusals lists the hosts that refused the last evaluation while
-	// offering ΔC > c_m and more than the running best — what Visit
-	// records as the blocking hosts of a no-move verdict.
-	refusals []cluster.HostID
+	// k is the view's kernel: the engine's level tables, scratch reused
+	// across this view's decisions.
+	k Kernel
 
 	// Visit state (see visitMemo): stamp is the engine's memo clock as of
 	// the view's last sync — frozen at reset, or the live view's current
@@ -74,26 +63,6 @@ type AllocView struct {
 	stamp      uint32
 	touched    []uint32
 	touchEpoch uint32
-}
-
-// peerEntry is one placed neighbor of the holder being decided, resolved
-// once per decision: everything its term of Eq. 5 needs that does not
-// depend on the candidate — its host with the flattened rack and pod
-// keys, w = 2·λ, and before = Σ_{i≤ℓ} c_i at its level to the holder's
-// current host.
-type peerEntry struct {
-	host      cluster.HostID
-	rack, pod int32
-	w, before float64
-}
-
-// rankEntry is one placed neighbor in probe order: its current host and
-// level are resolved once so the rank sort and the candidate loop do no
-// repeated lookups.
-type rankEntry struct {
-	host  cluster.HostID
-	level int
-	rate  float64
 }
 
 // NewView creates a frozen decision view over the engine's current
@@ -111,7 +80,7 @@ func (e *Engine) NewView() *AllocView { return e.ResetView(nil) }
 // replaced by a new one.
 func (e *Engine) ResetView(v *AllocView) *AllocView {
 	if v == nil || v.eng != e {
-		v = &AllocView{eng: e}
+		v = &AllocView{eng: e, k: *e.kern.Clone()}
 	}
 	e.ensureAccounting()
 	v.sizeScratch()
@@ -121,10 +90,7 @@ func (e *Engine) ResetView(v *AllocView) *AllocView {
 	return v
 }
 
-// sizeScratch sizes the per-host overlay deltas and the probed-host set
-// (every host ID the topology or the cluster knows), zeroing the deltas.
-// Probed marks are epoch-scoped: stale entries from prior rounds can
-// never equal a yet-unused epoch, so that scratch carries over as-is.
+// sizeScratch sizes the per-host overlay deltas, zeroing them.
 func (v *AllocView) sizeScratch() {
 	n := v.eng.cl.NumHosts()
 	if len(v.slotD) != n {
@@ -137,10 +103,6 @@ func (v *AllocView) sizeScratch() {
 		clear(v.ramD)
 		clear(v.cpuD)
 		clear(v.netD)
-	}
-	if span := max(v.eng.topo.Hosts(), n); len(v.probed) != span {
-		v.probed = make([]uint32, span)
-		v.probeEpoch = 0
 	}
 }
 
@@ -185,62 +147,29 @@ func (v *AllocView) VMLevel(u cluster.VMID) int {
 }
 
 // resolve locates the neighbors of u, placed on cur, for one decision:
-// a single pass over u's row fills v.peers, in row order, with each
-// placed peer's candidate-independent share of Eq. 5, and v.rank with the
-// same peers for BestMigration to sort.
+// a single pass over u's row feeds the kernel each placed peer, in row
+// order.
 func (v *AllocView) resolve(u cluster.VMID, cur cluster.HostID) {
-	e := v.eng
-	v.peers, v.rank = v.peers[:0], v.rank[:0]
-	for _, ed := range e.tm.NeighborEdges(u) {
-		hz := v.HostOf(ed.Peer)
-		if hz == cluster.NoHost {
-			continue
+	k := &v.k
+	k.Begin(cur)
+	for _, ed := range v.eng.tm.NeighborEdges(u) {
+		if hz := v.HostOf(ed.Peer); hz != cluster.NoHost {
+			k.Peer(hz, ed.Rate)
 		}
-		l := e.level(hz, cur)
-		v.peers = append(v.peers, peerEntry{hz, e.rackOf[hz], e.podOf[hz], 2 * ed.Rate, e.prefix[l]})
-		v.rank = append(v.rank, rankEntry{host: hz, level: l, rate: ed.Rate})
 	}
 }
 
-// score is ΔC (Eq. 5) of moving the resolved holder to target, a host the
-// level tables cover. Per peer, the level after the move follows from the
-// target's keys by the rule Engine.level states, and the terms are added
-// in row order: the one implementation of Eq. 5, so every sum for a
-// (holder, target) is the same sequence of float64 operations.
-func (v *AllocView) score(target cluster.HostID) float64 {
-	e := v.eng
-	rack, pod := e.rackOf[target], e.podOf[target]
-	var delta float64
-	for i := range v.peers {
-		p := &v.peers[i]
-		after := e.prefix[3]
-		switch {
-		case p.host == target:
-			after = e.prefix[0]
-		case p.rack == rack:
-			after = e.prefix[1]
-		case p.pod == pod:
-			after = e.prefix[2]
-		}
-		delta += p.w * (p.before - after)
-	}
-	return delta
-}
-
-// Delta returns ΔC for migrating u to target (Eq. 5):
-//
-//	ΔC = 2 Σ_{z∈Vu} λ(z,u) · (Σ_{i≤ℓ^A(z,u)} c_i − Σ_{i≤ℓ^{A'}(z,u)} c_i)
-//
+// Delta returns ΔC for migrating u to target (Eq. 5, Kernel.Score),
 // computed purely from u's local knowledge: its neighbors, their rates,
 // and the levels before and after the move: the guards, one resolve of u
 // and one score of target. It performs no allocation.
 func (v *AllocView) Delta(u cluster.VMID, target cluster.HostID) float64 {
 	cur := v.HostOf(u)
-	if cur == target || cur == cluster.NoHost || !v.eng.validLevelHost(target) {
+	if cur == target || cur == cluster.NoHost || !v.k.Covers(target) {
 		return 0
 	}
 	v.resolve(u, cur)
-	return v.score(target)
+	return v.k.Score(target)
 }
 
 // fits reports whether u can be admitted to target under slot, RAM and
@@ -329,90 +258,21 @@ func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
 	return projected <= limit
 }
 
-// neighborRank orders the resolved neighbors from highest to lowest
-// communication level, breaking ties by descending rate — the probe order
-// of Section V-B5 ("rank neighboring VMs from highest to lowest
-// communication levels"). The returned slice is the view's reusable
-// scratch buffer, valid until the next resolve.
-func (v *AllocView) neighborRank() []rankEntry {
-	slices.SortStableFunc(v.rank, func(a, b rankEntry) int {
-		if a.level != b.level {
-			return b.level - a.level
-		}
-		switch {
-		case a.rate > b.rate:
-			return -1
-		case a.rate < b.rate:
-			return 1
-		}
-		return 0
-	})
-	return v.rank
-}
-
-// considerTarget probes one candidate host for the resolved holder u:
-// skip duplicates and the current host, and fold the target into the
-// running best. ΔC comes first and the admission probe is asked only of a
-// host that could become the answer — one offering more than c_m and more
-// than the running best (exact; see visitMemo).
-func (v *AllocView) considerTarget(u cluster.VMID, cur, h cluster.HostID, best *Decision) {
-	if h == cur || h < 0 || int(h) >= len(v.probed) || v.probed[h] == v.probeEpoch {
-		return
-	}
-	v.probed[h] = v.probeEpoch
-	d := v.score(h)
-	if d <= v.eng.cfg.MigrationCost || (best.Target != cluster.NoHost && d <= best.Delta) {
-		return
-	}
-	if !v.Admissible(u, h) {
-		v.refusals = append(v.refusals, h)
-		return
-	}
-	best.Target, best.Delta = h, d
-}
-
 // BestMigration evaluates the S-CORE migration policy for token-holder u
-// and returns the admissible move with the largest ΔC, provided it
-// satisfies Theorem 1 (ΔC > c_m). The candidate set is the servers of
-// u's neighbors in rank order, falling back to other servers in the same
-// rack when a neighbor's own server refuses the capacity probe. u's
-// neighbors are resolved once; each candidate then costs one score.
+// (Kernel.Best): u's neighbors are resolved once, and the kernel asks
+// Admissible of the candidates that could become the answer.
 //
 // BestMigration is the pure kernel: it always evaluates in full and
 // writes nothing but the view's own scratch (the refusing hosts stay in
-// v.refusals for Visit). Round drivers call Visit.
+// the kernel for Visit). Round drivers call Visit.
 func (v *AllocView) BestMigration(u cluster.VMID) (Decision, bool) {
-	v.refusals = v.refusals[:0]
-	e := v.eng
 	cur := v.HostOf(u)
 	if cur == cluster.NoHost {
+		v.k.refusals = v.k.refusals[:0]
 		return Decision{}, false
 	}
-	best := Decision{VM: u, From: cur, Target: cluster.NoHost}
-	v.probeEpoch++
-	if v.probeEpoch == 0 { // epoch wrapped: stale marks would collide
-		clear(v.probed)
-		v.probeEpoch = 1
-	}
-
 	v.resolve(u, cur)
-	for _, ent := range v.neighborRank() {
-		v.considerTarget(u, cur, ent.host, &best)
-		// The neighbor's server may be full; try the rest of its rack,
-		// which still collapses the pair to level 1. Hosts outside the
-		// topology's rack table (cluster larger than topology) have no
-		// rack to fall back to, like HostsInRack returning nil.
-		if r := e.rackSlot(ent.host); r < len(e.rackHosts) {
-			for _, alt := range e.rackHosts[r] {
-				v.considerTarget(u, cur, alt, &best)
-			}
-		}
-	}
-
-	if best.Target == cluster.NoHost || best.Delta <= e.cfg.MigrationCost {
-		return Decision{}, false
-	}
-	return best, true
+	return v.k.Best(u, v)
 }
 
 // Commit stages a decision in the view: the VM is recorded at its new

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -308,5 +309,44 @@ func TestShardSweepSmall(t *testing.T) {
 	res.Render(&buf)
 	if !strings.Contains(buf.String(), "Shard sweep") {
 		t.Fatal("render output empty")
+	}
+}
+
+// TestFigureBuildersRepeat: every seeded figure builder, run twice in one
+// process with one seed, returns the same result. Whatever draws from an
+// RNG must draw in a fixed order — a draw per map entry follows Go's
+// randomised map order and moves the figure from run to run. Fig. 5a is
+// left out: it reports wall-clock timings.
+func TestFigureBuildersRepeat(t *testing.T) {
+	builders := map[string]func() (any, error){
+		"fig2":             func() (any, error) { return Fig2MigratedRatio(ScaleSmall, testSeed) },
+		"fig3tm":           func() (any, error) { return Fig3TrafficMatrices(ScaleSmall, testSeed) },
+		"fig4":             func() (any, error) { return Fig4ScoreVsRemedy(ScaleSmall, testSeed) },
+		"fig5b":            func() (any, error) { return Fig5bMigratedBytes(200, testSeed), nil },
+		"fig5cd":           func() (any, error) { return Fig5cdMigrationSweep(100, testSeed), nil },
+		"ablation weights": func() (any, error) { return AblationLinkWeights(ScaleSmall, testSeed) },
+		"ablation cm":      func() (any, error) { return AblationMigrationCost(ScaleSmall, testSeed) },
+		"ablation policies": func() (any, error) {
+			return AblationTokenPolicies(ScaleSmall, testSeed)
+		},
+	}
+	for _, f := range []Family{Canonical, FatTree} {
+		for _, d := range []Density{Sparse, Medium, Dense} {
+			f, d := f, d
+			builders["fig3 "+string(f)+" "+d.String()] = func() (any, error) { return Fig3CostRatio(f, d, ScaleSmall, testSeed) }
+		}
+	}
+	for name, build := range builders {
+		first, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		second, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: two runs with seed %d differ", name, testSeed)
+		}
 	}
 }

@@ -160,6 +160,9 @@ type instance struct {
 	pairsB   []int32
 	rates    []float64
 	numHosts int
+	// kern is Eq. 5 (core.Kernel) over the engine's level tables: polish
+	// scores on it, each breeding scratch on a clone of its own.
+	kern *core.Kernel
 	// CSR adjacency for local search: adjArr[adjOff[i]:adjOff[i+1]]
 	// lists (peer index, rate) for VM i — one arena instead of one slice
 	// per VM.
@@ -292,6 +295,7 @@ type breedScratch struct {
 	cpu           []int
 	perm          []int
 	rng           *rand.Rand
+	kern          *core.Kernel
 }
 
 func (in *instance) getScratch() *breedScratch {
@@ -313,6 +317,7 @@ func (in *instance) getScratch() *breedScratch {
 		cpu:    make([]int, in.numHosts),
 		perm:   make([]int, n),
 		rng:    rand.New(rand.NewSource(0)),
+		kern:   in.kern.Clone(),
 	}
 }
 
@@ -555,45 +560,10 @@ func (in *instance) polish(genome []cluster.HostID) {
 		ram[h] += in.ramMB[i]
 		cpu[h] += in.cpuMilli[i]
 	}
-	delta := func(vi int, from, to cluster.HostID) float64 {
-		var d float64
-		for _, e := range in.adjOf(vi) {
-			hp := genome[e.peer]
-			d += 2 * e.rate * (in.cost.Prefix(in.topo.Level(hp, from)) - in.cost.Prefix(in.topo.Level(hp, to)))
-		}
-		return d
-	}
 	for pass := 0; pass < 50; pass++ {
 		moved := false
 		for vi := range genome {
-			if len(in.adjOf(vi)) == 0 {
-				continue
-			}
-			from := genome[vi]
-			best, bestD := from, 1e-9
-			consider := func(h cluster.HostID) {
-				if h == from || !in.roomFor(vi, int(h), slots, ram, cpu) {
-					return
-				}
-				if d := delta(vi, from, h); d > bestD {
-					best, bestD = h, d
-				}
-			}
-			for _, e := range in.adjOf(vi) {
-				hp := genome[e.peer]
-				consider(hp)
-				for _, alt := range in.hostsInRack(in.topo.RackOf(hp)) {
-					consider(alt)
-				}
-			}
-			if best != from {
-				slots[from]--
-				ram[from] -= in.ramMB[vi]
-				cpu[from] -= in.cpuMilli[vi]
-				genome[vi] = best
-				slots[int(best)]++
-				ram[int(best)] += in.ramMB[vi]
-				cpu[int(best)] += in.cpuMilli[vi]
+			if in.improve(in.kern, genome, vi, 1e-9, slots, ram, cpu) {
 				moved = true
 			}
 		}
@@ -601,6 +571,49 @@ func (in *instance) polish(genome []cluster.HostID) {
 			return
 		}
 	}
+}
+
+// improve moves VM vi to the candidate host with room — its peers' hosts
+// and the rest of their racks — whose ΔC (Eq. 5 on k, vi's row resolved
+// once) exceeds threshold by the most, updating the tallies; it reports
+// whether vi moved.
+func (in *instance) improve(k *core.Kernel, genome []cluster.HostID, vi int, threshold float64, slots, ram, cpu []int) bool {
+	adj := in.adjOf(vi)
+	if len(adj) == 0 {
+		return false
+	}
+	from := genome[vi]
+	k.Begin(from)
+	for _, e := range adj {
+		k.Peer(genome[e.peer], e.rate)
+	}
+	best, bestD := from, threshold
+	consider := func(h cluster.HostID) {
+		if h == from || !in.roomFor(vi, int(h), slots, ram, cpu) {
+			return
+		}
+		if d := k.Score(h); d > bestD {
+			best, bestD = h, d
+		}
+	}
+	for _, e := range adj {
+		hp := genome[e.peer]
+		consider(hp)
+		for _, alt := range in.hostsInRack(in.topo.RackOf(hp)) {
+			consider(alt)
+		}
+	}
+	if best == from {
+		return false
+	}
+	slots[from]--
+	ram[from] -= in.ramMB[vi]
+	cpu[from] -= in.cpuMilli[vi]
+	genome[vi] = best
+	slots[best]++
+	ram[best] += in.ramMB[vi]
+	cpu[best] += in.cpuMilli[vi]
+	return true
 }
 
 // stopConverged implements the paper's rule: no significant improvement
@@ -623,6 +636,7 @@ func buildInstance(eng *core.Engine) (*instance, []cluster.HostID, error) {
 	in := &instance{
 		topo:     eng.Topology(),
 		cost:     eng.CostModel(),
+		kern:     eng.Kernel(),
 		vms:      cl.VMs(),
 		numHosts: cl.NumHosts(),
 	}
@@ -715,46 +729,8 @@ func (in *instance) localSearch(genome []cluster.HostID, k int, rng *rand.Rand, 
 		return
 	}
 	in.tally(genome, sc)
-	slots, ram, cpu := sc.slots, sc.ram, sc.cpu
-	delta := func(vi int, from, to cluster.HostID) float64 {
-		var d float64
-		for _, e := range in.adjOf(vi) {
-			hp := genome[e.peer]
-			d += 2 * e.rate * (in.cost.Prefix(in.topo.Level(hp, from)) - in.cost.Prefix(in.topo.Level(hp, to)))
-		}
-		return d
-	}
 	for n := 0; n < k; n++ {
-		vi := rng.Intn(len(in.vms))
-		if len(in.adjOf(vi)) == 0 {
-			continue
-		}
-		from := genome[vi]
-		best, bestD := from, 0.0
-		consider := func(h cluster.HostID) {
-			if h == from || !in.roomFor(vi, int(h), slots, ram, cpu) {
-				return
-			}
-			if d := delta(vi, from, h); d > bestD {
-				best, bestD = h, d
-			}
-		}
-		for _, e := range in.adjOf(vi) {
-			hp := genome[e.peer]
-			consider(hp)
-			for _, alt := range in.hostsInRack(in.topo.RackOf(hp)) {
-				consider(alt)
-			}
-		}
-		if best != from {
-			slots[from]--
-			ram[from] -= in.ramMB[vi]
-			cpu[from] -= in.cpuMilli[vi]
-			genome[vi] = best
-			slots[best]++
-			ram[best] += in.ramMB[vi]
-			cpu[best] += in.cpuMilli[vi]
-		}
+		in.improve(sc.kern, genome, rng.Intn(len(in.vms)), 0, sc.slots, sc.ram, sc.cpu)
 	}
 }
 

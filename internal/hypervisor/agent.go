@@ -166,6 +166,9 @@ type Agent struct {
 	tr  Transport
 	reg *Registry
 	rq  requester
+	// kern is the decision rule's level tables and c_m; every visit
+	// decides through a clone of it.
+	kern *core.Kernel
 
 	mu       sync.Mutex
 	vms      map[cluster.VMID]*vmRecord
@@ -213,6 +216,13 @@ func NewAgent(cfg AgentConfig, reg *Registry) (*Agent, error) {
 	if cfg.Slots <= 0 || cfg.RAMMB <= 0 {
 		return nil, fmt.Errorf("hypervisor: agent capacity must be positive")
 	}
+	kern, err := core.NewKernel(cfg.Topo, cfg.Cost, cfg.MigrationCost)
+	if err != nil {
+		return nil, err
+	}
+	if !kern.Covers(cfg.HostID) {
+		return nil, fmt.Errorf("hypervisor: host %d outside topology %s", cfg.HostID, cfg.Topo.Name())
+	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 2 * time.Second
 	}
@@ -222,6 +232,7 @@ func NewAgent(cfg AgentConfig, reg *Registry) (*Agent, error) {
 	return &Agent{
 		cfg:      cfg,
 		reg:      reg,
+		kern:     kern,
 		vms:      make(map[cluster.VMID]*vmRecord),
 		locCache: make(map[cluster.VMID]locEntry),
 		dedup:    make(map[commitKey]*Message),
@@ -548,57 +559,47 @@ func (a *Agent) locate(vm cluster.VMID) (cluster.HostID, bool) {
 	return resp.Host, true
 }
 
-// peerLoc is one located neighbor of a token holder.
-type peerLoc struct {
-	vm   cluster.VMID
-	host cluster.HostID
-	rate float64
+// visit answers the decision rule's admission question for one token
+// visit as Section V-B5's capacity response: the target dom0's free
+// slots and RAM, adjusted by the ring's staged moves. The agent plane
+// checks nothing else — no CPU, no NIC (see the package documentation).
+type visit struct {
+	a     *Agent
+	o     *ringOverlay
+	ramMB int
 }
 
-// bestTarget runs the Section V-B ranking and decision shared by the
-// global ring's immediate path and the sharded staged path: candidate
-// servers are the located peers' hosts, highest communication level
-// first; ΔC follows Eq. 5 against holderHost; capacity (via probe, which
-// reports a candidate's free slots and RAM) is consulted only for
-// candidates that satisfy Theorem 1 and beat the running best.
-func (a *Agent) bestTarget(holderHost cluster.HostID, peers []peerLoc, ramMB int, probe func(h cluster.HostID) (slots, ramFree int32, ok bool)) (cluster.HostID, float64, bool) {
-	seen := map[cluster.HostID]bool{holderHost: true}
-	var cands []cluster.HostID
-	for lvl := a.cfg.Topo.Depth(); lvl >= 1; lvl-- {
-		for _, p := range peers {
-			if a.cfg.Topo.Level(holderHost, p.host) != lvl || seen[p.host] {
-				continue
-			}
-			seen[p.host] = true
-			cands = append(cands, p.host)
-		}
+func (v visit) Admissible(u cluster.VMID, h cluster.HostID) bool {
+	addr, ok := v.a.reg.HostAddr(h)
+	if !ok {
+		return false
 	}
+	resp, err := v.a.request(addr, Message{Type: MsgCapacityReq, VM: u, RAMMB: int32(v.ramMB)})
+	if err != nil {
+		return false
+	}
+	return resp.FreeSlots+v.o.slots[h] >= 1 && int(resp.FreeRAMMB+v.o.ramMB[h]) >= v.ramMB
+}
 
-	delta := func(target cluster.HostID) float64 {
-		var d float64
-		for _, p := range peers {
-			before := a.cfg.Cost.Prefix(a.cfg.Topo.Level(p.host, holderHost))
-			after := a.cfg.Cost.Prefix(a.cfg.Topo.Level(p.host, target))
-			d += 2 * p.rate * (before - after)
+// bestMove runs the decision rule (core.Kernel) for a holder on
+// holderHost, its peers located through the ring overlay o (empty for the
+// global ring). Each visit decides on a kernel of its own: a duplicated
+// shard-token frame can run two visits on one agent at once.
+func (a *Agent) bestMove(holder cluster.VMID, holderHost cluster.HostID, ramMB int, rates []traffic.Edge, o *ringOverlay) (core.Decision, bool) {
+	k := a.kern.Clone()
+	k.Begin(holderHost)
+	for _, ed := range rates {
+		// A staged move wins over the round-start location, which is
+		// frozen until the merge.
+		h, ok := o.loc[ed.Peer]
+		if !ok {
+			h, ok = a.locate(ed.Peer)
 		}
-		return d
+		if ok && k.Covers(h) {
+			k.Peer(h, ed.Rate)
+		}
 	}
-
-	best := cluster.NoHost
-	var bestDelta float64
-	for _, h := range cands {
-		d := delta(h)
-		if d <= a.cfg.MigrationCost || (best != cluster.NoHost && d <= bestDelta) {
-			continue
-		}
-		// Capacity probe (Section V-B5).
-		slots, ramFree, ok := probe(h)
-		if !ok || slots < 1 || int(ramFree) < ramMB {
-			continue
-		}
-		best, bestDelta = h, d
-	}
-	return best, bestDelta, best != cluster.NoHost
+	return k.Best(holder, visit{a: a, o: o, ramMB: ramMB})
 }
 
 // decide evaluates the S-CORE policy for a hosted token holder in the
@@ -607,38 +608,14 @@ func (a *Agent) bestTarget(holderHost cluster.HostID, peers []peerLoc, ramMB int
 // probed in a deterministic order.
 func (a *Agent) decide(holder cluster.VMID, ramMB int, rates []traffic.Edge) TokenEvent {
 	ev := TokenEvent{Holder: holder, From: a.cfg.HostID, Target: cluster.NoHost}
-	peers := make([]peerLoc, 0, len(rates))
-	addrOf := make(map[cluster.HostID]string, len(rates))
-	for _, ed := range rates {
-		h, ok := a.locate(ed.Peer)
-		if !ok {
-			continue
-		}
-		addr, _ := a.reg.Lookup(ed.Peer)
-		peers = append(peers, peerLoc{vm: ed.Peer, host: h, rate: ed.Rate})
-		if _, dup := addrOf[h]; !dup {
-			addrOf[h] = addr
-		}
-	}
-	if len(peers) == 0 {
-		return ev
-	}
-
-	probe := func(h cluster.HostID) (int32, int32, bool) {
-		resp, err := a.request(addrOf[h], Message{Type: MsgCapacityReq, VM: holder, RAMMB: int32(ramMB)})
-		if err != nil {
-			return 0, 0, false
-		}
-		return resp.FreeSlots, resp.FreeRAMMB, true
-	}
-	best, bestDelta, ok := a.bestTarget(a.cfg.HostID, peers, ramMB, probe)
+	dec, ok := a.bestMove(holder, a.cfg.HostID, ramMB, rates, &ringOverlay{})
 	if !ok {
 		return ev
 	}
-
 	// Execute the migration: ship the VM record to the target dom0.
+	addr, _ := a.reg.HostAddr(dec.Target) // it answered the capacity probe
 	payload := EncodeRateEdges(rates)
-	resp, err := a.request(addrOf[best], Message{
+	resp, err := a.request(addr, Message{
 		Type: MsgMigrate, VM: holder, RAMMB: int32(ramMB), Payload: payload,
 	})
 	if err != nil || resp.Type != MsgMigrateAck {
@@ -650,9 +627,9 @@ func (a *Agent) decide(holder cluster.VMID, ramMB int, rates []traffic.Edge) Tok
 	// The source dom0 observed this migration first-hand: record the
 	// holder's new location so the post-decision view build (and any
 	// later visit inside the TTL) needs no extra round trip.
-	a.cacheLocation(holder, best, addrOf[best])
+	a.cacheLocation(holder, dec.Target, addr)
 	ev.Migrated = true
-	ev.Target = best
-	ev.Delta = bestDelta
+	ev.Target = dec.Target
+	ev.Delta = dec.Delta
 	return ev
 }

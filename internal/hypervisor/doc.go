@@ -16,6 +16,19 @@
 // the configured policy. Decisions execute immediately, serialized by
 // the single token.
 //
+// # The decision
+//
+// Every visit, on either ring, decides through core.Kernel, the rule the
+// in-process planes run: peers ranked by level, then rate; candidates
+// are each peer's host, then the rest of its rack (Section V-B5); ΔC is
+// Eq. 5, and only a candidate offering more than c_m and the running best
+// is probed, by MsgCapacityReq to the dom0 the registry names for it.
+// Admission is the capacity response's free slots and RAM, adjusted by
+// the ring's staged moves; there is no CPU or NIC check, so 1-shard
+// rounds equal a 1-shard shard.Coordinator's with BandwidthThreshold 0 on
+// hosts without CPU capacity. The reconciler re-validates on the same
+// kernel, over the row a staged move carried.
+//
 // # Sharded rings and the reconciliation agent
 //
 // The sharded mode removes the global serialization the same way the
@@ -133,10 +146,12 @@
 //     once delivery, exactly-once execution. If every ack of a landed
 //     transfer is lost anyway, the source consults the authoritative
 //     registry (updated by the target before it acks) before declaring
-//     failure, so a VM's record never splits across two dom0s. A move
-//     whose commit retries are exhausted against a genuinely dead dom0
-//     is rejected by the merge like any stale move; it never aborts the
-//     round.
+//     failure, so a VM's record never splits across two dom0s; the
+//     reconciler, when every commit response is lost, waits out the
+//     source's transfer budget and asks the registry too, so a landed
+//     move is reported applied. A move whose commit retries are
+//     exhausted against a genuinely dead dom0 is rejected by the merge
+//     like any stale move; it never aborts the round.
 //
 // With fault injection disabled the recovery machinery is pure overhead
 // bookkeeping — no regeneration fires and the wrapped plane's output is

@@ -296,8 +296,8 @@ func TestAgentTokenRingMigratesPair(t *testing.T) {
 }
 
 func TestAgentCapacityRefusalFallsBack(t *testing.T) {
-	_, agents, _ := buildAgents(t, 4)
-	// Fill host 2 completely; VM 1 on host 0 talks to VM 9 on host 2.
+	_, agents, topo := buildAgents(t, 4)
+	// Fill host 2 completely; VM 1 on host 0 talks to VM 100 on host 2.
 	for i := 0; i < 4; i++ {
 		if err := agents[2].AddVM(cluster.VMID(100+i), 1024, nil); err != nil {
 			t.Fatal(err)
@@ -306,10 +306,17 @@ func TestAgentCapacityRefusalFallsBack(t *testing.T) {
 	if err := agents[0].AddVM(1, 1024, map[cluster.VMID]float64{100: 50}); err != nil {
 		t.Fatal(err)
 	}
+	if topo.RackOf(3) != topo.RackOf(2) || topo.RackOf(0) == topo.RackOf(2) {
+		t.Fatal("fixture: host 3 must be host 2's rack-mate, host 0 outside that rack")
+	}
 	ev := agents[0].decide(1, 1024, []traffic.Edge{{Peer: 100, Rate: 50}})
-	// Host 2 is full: the decision must not target it.
-	if ev.Migrated && ev.Target == 2 {
-		t.Fatal("migrated onto a full host")
+	// Host 2 refuses the capacity probe; the rest of its rack still puts
+	// the pair at level 1 (Section V-B5).
+	if !ev.Migrated || ev.Target != 3 {
+		t.Fatalf("decision %+v, want a move to host 2's rack-mate, host 3", ev)
+	}
+	if vms := agents[3].VMs(); len(vms) != 1 || vms[0] != 1 {
+		t.Fatalf("host 3 holds %v, want VM 1", vms)
 	}
 }
 

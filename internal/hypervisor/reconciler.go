@@ -162,6 +162,9 @@ type Reconciler struct {
 	tr     Transport
 	rq     requester
 	events chan ringEvent
+	// kern is the decision rule's kernel: the merge phase's Delta, which
+	// runs strictly sequentially, scores on it.
+	kern *core.Kernel
 
 	round uint32
 	// est is the adaptive-deadline estimator (nil when disabled);
@@ -206,7 +209,11 @@ func NewReconciler(cfg ReconcilerConfig, reg *Registry) (*Reconciler, error) {
 	if cfg.MaxAttempts <= 0 {
 		cfg.MaxAttempts = 32
 	}
-	r := &Reconciler{cfg: cfg, reg: reg, events: make(chan ringEvent, 4096)}
+	kern, err := core.NewKernel(cfg.Topo, cfg.Cost, cfg.MigrationCost)
+	if err != nil {
+		return nil, err
+	}
+	r := &Reconciler{cfg: cfg, kern: kern, reg: reg, events: make(chan ringEvent, 4096)}
 	if cfg.AdaptiveDeadline {
 		if cfg.Tuner != nil {
 			r.est = cfg.Tuner.Latency()
@@ -381,26 +388,26 @@ func (e *reconcileEnv) HostOf(vm cluster.VMID) cluster.HostID {
 	return h
 }
 
-// Delta recomputes Eq. 5 from the move's carried peer-rate table and
-// current locations — the same arithmetic, in the same peer order, as
-// the agents' staging path, so an undisturbed staged ΔC re-validates to
-// the identical float.
+// Delta places the move's carried peer-rate row at the registry's
+// locations and scores target on the shared kernel — the row the agent
+// staged from, in the same order, so an undisturbed staged ΔC
+// re-validates to the identical float.
 func (e *reconcileEnv) Delta(vm cluster.VMID, target cluster.HostID) float64 {
+	return e.delta(e.r.kern, vm, target)
+}
+
+func (e *reconcileEnv) delta(k *core.Kernel, vm cluster.VMID, target cluster.HostID) float64 {
 	cur := e.HostOf(vm)
-	if cur == target || cur == cluster.NoHost {
+	if cur == target || cur == cluster.NoHost || !k.Covers(cur) || !k.Covers(target) {
 		return 0
 	}
-	var d float64
+	k.Begin(cur)
 	for _, ed := range e.rates[vm] {
-		hz := e.HostOf(ed.Peer)
-		if hz == cluster.NoHost {
-			continue
+		if hz := e.HostOf(ed.Peer); hz != cluster.NoHost && k.Covers(hz) {
+			k.Peer(hz, ed.Rate)
 		}
-		before := e.r.cfg.Cost.Prefix(e.r.cfg.Topo.Level(hz, cur))
-		after := e.r.cfg.Cost.Prefix(e.r.cfg.Topo.Level(hz, target))
-		d += 2 * ed.Rate * (before - after)
 	}
-	return d
+	return k.Score(target)
 }
 
 func (e *reconcileEnv) Admissible(vm cluster.VMID, target cluster.HostID) bool {
@@ -433,7 +440,7 @@ func (e *reconcileEnv) applyCap(vm cluster.VMID, from, to cluster.HostID, landed
 }
 
 func (e *reconcileEnv) Apply(d core.Decision) (float64, error) {
-	realized := e.Delta(d.VM, d.Target)
+	realized := e.delta(e.r.kern.Clone(), d.VM, d.Target) // ApplyAll runs Applies concurrently
 	from := e.HostOf(d.VM)
 	srcAddr, ok := e.r.reg.Lookup(d.VM)
 	if !ok {
@@ -449,10 +456,17 @@ func (e *reconcileEnv) Apply(d core.Decision) (float64, error) {
 		Type: MsgReconcileCommit, VM: d.VM, Host: d.Target, Payload: []byte(tgtAddr),
 	}, commitAttempts)
 	if err != nil {
-		e.applyCap(d.VM, from, d.Target, false)
-		return 0, err
-	}
-	if resp.FreeSlots != 1 {
+		// Every response was lost: the source may have started the
+		// transfer on any attempt and still be retrying it. Once its
+		// budget of commitAttempts probe timeouts has run out, the
+		// registry, which the target updates before it acks, tells
+		// whether the move landed.
+		time.Sleep(time.Duration(commitAttempts+1) * e.r.cfg.ProbeTimeout)
+		if addr, there := e.r.reg.Lookup(d.VM); !there || addr != tgtAddr {
+			e.applyCap(d.VM, from, d.Target, false)
+			return 0, err
+		}
+	} else if resp.FreeSlots != 1 {
 		e.applyCap(d.VM, from, d.Target, false)
 		return 0, fmt.Errorf("hypervisor: dom0 %s refused commit of VM %d", srcAddr, d.VM)
 	}

@@ -38,87 +38,14 @@ func newRingOverlay(st *RingState) *ringOverlay {
 		slots: make(map[cluster.HostID]int32),
 		ramMB: make(map[cluster.HostID]int32),
 	}
-	for i := range st.Staged {
-		o.add(&st.Staged[i])
+	for _, m := range st.Staged {
+		o.loc[m.VM] = m.To
+		o.slots[m.To]--
+		o.ramMB[m.To] -= m.RAMMB
+		o.slots[m.From]++
+		o.ramMB[m.From] += m.RAMMB
 	}
 	return o
-}
-
-// add folds one staged move into the overlay (called for every move
-// already in the state, and again when a visit stages a new one).
-func (o *ringOverlay) add(m *StagedMove) {
-	o.loc[m.VM] = m.To
-	o.slots[m.To]--
-	o.ramMB[m.To] -= m.RAMMB
-	o.slots[m.From]++
-	o.ramMB[m.From] += m.RAMMB
-}
-
-// ringLocate resolves a VM's position inside a sharded round: the ring's
-// staged overlay first (a staged move wins over the authoritative state,
-// which is frozen until the merge), the probed round-start location
-// otherwise.
-func (a *Agent) ringLocate(o *ringOverlay, vm cluster.VMID) (cluster.HostID, bool) {
-	if h, ok := o.loc[vm]; ok {
-		return h, true
-	}
-	return a.locate(vm)
-}
-
-// decideShard evaluates the S-CORE policy for a hosted holder inside a
-// sharded round. Nothing executes: an intra-shard winner is staged into
-// the ring state (visible to later visits of this ring through the
-// overlay), a cross-shard winner is queued as a proposal for the
-// reconciler. Capacity probes return round-start truth and are adjusted
-// by the ring's staged moves, mirroring the Coordinator's view
-// semantics.
-func (a *Agent) decideShard(holder cluster.VMID, holderHost cluster.HostID, ramMB int, rates []traffic.Edge, st *RingState, o *ringOverlay, asg *ShardAssignment) TokenEvent {
-	ev := TokenEvent{Holder: holder, From: holderHost, Target: cluster.NoHost}
-	peers := make([]peerLoc, 0, len(rates))
-	for _, ed := range rates {
-		h, ok := a.ringLocate(o, ed.Peer)
-		if !ok {
-			continue
-		}
-		peers = append(peers, peerLoc{vm: ed.Peer, host: h, rate: ed.Rate})
-	}
-	if len(peers) == 0 {
-		return ev
-	}
-
-	probe := func(h cluster.HostID) (int32, int32, bool) {
-		addr, ok := a.reg.HostAddr(h)
-		if !ok {
-			return 0, 0, false
-		}
-		resp, err := a.request(addr, Message{Type: MsgCapacityReq, VM: holder, RAMMB: int32(ramMB)})
-		if err != nil {
-			return 0, 0, false
-		}
-		return resp.FreeSlots + o.slots[h], resp.FreeRAMMB + o.ramMB[h], true
-	}
-	best, bestDelta, ok := a.bestTarget(holderHost, peers, ramMB, probe)
-	if !ok {
-		return ev
-	}
-
-	// st.Hops is still the pre-visit count here (processShardToken
-	// increments it after deciding), so it is the 0-based hop index.
-	mv := StagedMove{
-		VM: holder, From: holderHost, To: best,
-		Delta: bestDelta, RAMMB: int32(ramMB),
-		Hop: st.Hops, Attempt: st.Attempt, Rates: rates,
-	}
-	if asg.ShardOfHost(best) == int(st.Shard) {
-		st.Staged = append(st.Staged, mv)
-		o.add(&st.Staged[len(st.Staged)-1])
-		ev.Migrated = true
-	} else {
-		st.Proposals = append(st.Proposals, mv)
-	}
-	ev.Target = best
-	ev.Delta = bestDelta
-	return ev
 }
 
 // processShardToken runs one sharded-ring visit: decode the ring state,
@@ -160,9 +87,26 @@ func (a *Agent) processShardToken(m Message) {
 		holderHost = h
 	}
 
+	// Nothing executes during a round. Capacity probes answer with
+	// round-start truth, adjusted by the ring's staged moves as a
+	// Coordinator view is; an intra-shard winner is staged into the ring
+	// state, a cross-shard winner queued as a proposal for the reconciler.
+	// A holder this agent does not host has no row, hence no move.
 	ev := TokenEvent{Holder: holder, From: holderHost, Target: cluster.NoHost}
-	if hosted {
-		ev = a.decideShard(holder, holderHost, ramMB, rates, st, overlay, asg)
+	if dec, ok := a.bestMove(holder, holderHost, ramMB, rates, overlay); ok {
+		// st.Hops is still the pre-visit count: the 0-based hop index.
+		mv := StagedMove{
+			VM: holder, From: holderHost, To: dec.Target,
+			Delta: dec.Delta, RAMMB: int32(ramMB),
+			Hop: st.Hops, Attempt: st.Attempt, Rates: rates,
+		}
+		if asg.ShardOfHost(dec.Target) == int(st.Shard) {
+			st.Staged = append(st.Staged, mv)
+			ev.Migrated = true
+		} else {
+			st.Proposals = append(st.Proposals, mv)
+		}
+		ev.Target, ev.Delta = dec.Target, dec.Delta
 	}
 
 	if a.OnShardToken != nil {

@@ -388,6 +388,70 @@ func TestDistributedSingleShardMatchesGlobalRing(t *testing.T) {
 	}
 }
 
+// TestAgentRoundsMatchCoordinator: the dom0 agents decide through core's
+// rule. On each fixture, fault-free 1-shard agent rounds run to
+// quiescence apply the moves 1-shard shard.Coordinator rounds apply to
+// the same instance — VM, source, target and ΔC to the bit, in order —
+// and end in the same placement. The agent plane admits on slots and RAM
+// alone, so the coordinator runs with bandwidth admission off on hosts
+// with no CPU capacity.
+func TestAgentRoundsMatchCoordinator(t *testing.T) {
+	for _, fx := range []struct {
+		k    int
+		seed int64
+	}{{4, 7}, {4, 23}, {6, 7}} {
+		name := fmt.Sprintf("k=%d seed=%d", fx.k, fx.seed)
+		p := buildShardPlane(t, fx.k, fx.seed, 10, 1, token.HighestLevelFirst{})
+		cl := p.eng.Cluster().Clone()
+		for h := 0; h < cl.NumHosts(); h++ {
+			if host, _ := cl.Host(cluster.HostID(h)); host.CPUMilli != 0 {
+				t.Fatalf("%s: host %d has CPU capacity, which the agent plane does not admit on", name, h)
+			}
+		}
+		eng, err := core.NewEngine(p.topo, p.eng.CostModel(), cl, p.eng.Traffic(), core.Config{BandwidthThreshold: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := shard.NewCoordinator(eng, shard.Config{Shards: 1, Granularity: shard.ByPod})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []core.Decision
+		for round := 0; ; round++ {
+			if round == 64 {
+				t.Fatalf("%s: coordinator rounds did not quiesce in 64 rounds", name)
+			}
+			r, err := coord.RunRound()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, r.Applied...)
+			if len(r.Applied) == 0 {
+				break
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s: coordinator applied nothing; test vacuous", name)
+		}
+
+		got, _ := distributedRounds(t, p)
+		for i := 0; i < len(got) && i < len(want); i++ {
+			if got[i].VM != want[i].VM || got[i].From != want[i].From || got[i].Target != want[i].Target ||
+				math.Float64bits(got[i].Delta) != math.Float64bits(want[i].Delta) {
+				t.Fatalf("%s: decision %d diverged:\n agents      %+v\n coordinator %+v", name, i, got[i], want[i])
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: agents applied %d moves, coordinator %d", name, len(got), len(want))
+		}
+		for vm, h := range p.finalPlacement() {
+			if cl.HostOf(vm) != h {
+				t.Fatalf("%s: VM %d on host %d at the agents, %d at the coordinator", name, vm, h, cl.HostOf(vm))
+			}
+		}
+	}
+}
+
 // fingerprintReports serializes a distributed run's observable output.
 func fingerprintReports(reports []*RoundReport, place map[cluster.VMID]cluster.HostID) string {
 	out := ""

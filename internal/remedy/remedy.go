@@ -15,6 +15,7 @@ package remedy
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"github.com/score-dc/score/internal/cluster"
@@ -191,8 +192,16 @@ func (c *Controller) rankCandidates(link topology.LinkID) []candidate {
 			}
 		}
 	}
+	// Each candidate takes one draw from the shared RNG: hand them out in
+	// ascending VM ID, not in map order, so a seed fixes the run.
+	vms := make([]cluster.VMID, 0, len(perVM))
+	for vm := range perVM {
+		vms = append(vms, vm)
+	}
+	slices.Sort(vms)
 	out := make([]candidate, 0, len(perVM))
-	for vm, load := range perVM {
+	for _, vm := range vms {
+		load := perVM[vm]
 		w := c.cfg.Dist.Draw(c.rng)
 		res := c.cfg.Model.Migrate(w, 0)
 		out = append(out, candidate{
