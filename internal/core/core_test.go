@@ -115,6 +115,57 @@ type shallowTopo struct{ *topology.CanonicalTree }
 
 func (shallowTopo) Depth() int { return 2 }
 
+// misrackedTopo lists host 4, of rack 1, under rack 0 in place of host 3.
+type misrackedTopo struct{ *topology.CanonicalTree }
+
+func (m misrackedTopo) HostsInRack(r int) []cluster.HostID {
+	hosts := m.CanonicalTree.HostsInRack(r)
+	if r == 0 {
+		hosts[3] = 4
+	}
+	return hosts
+}
+
+// splitPodTopo puts host 3, the last of rack 0, in pod 1.
+type splitPodTopo struct{ *topology.CanonicalTree }
+
+func (s splitPodTopo) PodOf(h cluster.HostID) int {
+	if h == 3 {
+		return 1
+	}
+	return s.CanonicalTree.PodOf(h)
+}
+
+// TestRackShapeValidation: the rack walk scores a rack's peer-free hosts
+// once, which is exact only if every host HostsInRack lists is in that
+// rack and the rack sits in one pod; engine and kernel refuse a topology
+// that breaks either, and both topology families pass.
+func TestRackShapeValidation(t *testing.T) {
+	fx := newFixture(t, DefaultConfig())
+	cm := fx.eng.CostModel()
+	for _, topo := range []topology.Topology{misrackedTopo{fx.topo}, splitPodTopo{fx.topo}} {
+		if _, err := NewEngine(topo, cm, fx.cl, fx.tm, DefaultConfig()); err == nil || !strings.Contains(err.Error(), "Topology contract") {
+			t.Errorf("%T: NewEngine err = %v, want a refusal naming the Topology contract", topo, err)
+		}
+		if _, err := NewKernel(topo, cm, 0); err == nil || !strings.Contains(err.Error(), "Topology contract") {
+			t.Errorf("%T: NewKernel err = %v, want a refusal naming the Topology contract", topo, err)
+		}
+	}
+	fat, err := topology.NewFatTree(8, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paper, err := topology.NewCanonicalTree(topology.PaperCanonicalConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, topo := range []topology.Topology{fx.topo, fat, paper} {
+		if _, err := NewKernel(topo, cm, 0); err != nil {
+			t.Errorf("%s: %v", topo.Name(), err)
+		}
+	}
+}
+
 func TestEngineValidation(t *testing.T) {
 	fx := newFixture(t, DefaultConfig())
 	if _, err := NewEngine(nil, fx.eng.CostModel(), fx.cl, fx.tm, DefaultConfig()); err == nil {

@@ -26,9 +26,12 @@ type Kernel struct {
 	cm        float64
 
 	// Scratch: the holder's host and its keys, its peers in row order and
-	// in probe order, the probed-host set (an epoch array, cleared when the epoch
-	// wraps), and the hosts that refused the last Best while offering
-	// ΔC > c_m and more than the running best (see visitMemo).
+	// in probe order, the probed-host set, and the hosts that refused the
+	// last Best while offering ΔC > c_m and more than the running best
+	// (see visitMemo). probed is an epoch array: probed[h] == probeEpoch
+	// marks h probed in this Best, probeEpoch−1 a peer's host not yet
+	// probed. The epoch steps by two, so neither mark can match an older
+	// one, and the array is cleared when it wraps.
 	cur             cluster.HostID
 	curRack, curPod int32
 	peers           []peerEntry
@@ -71,7 +74,10 @@ func NewKernel(topo topology.Topology, cost CostModel, migrationCost float64) (*
 	return &k, nil
 }
 
-// checkLevels holds topo and cost to what the flattened tables assume.
+// checkLevels holds topo and cost to what the flattened tables assume,
+// the rack shape included: every host HostsInRack(r) lists is in rack r,
+// and the rack's hosts share one pod, so every host of a rack that holds
+// no peer scores alike (Best).
 func checkLevels(topo topology.Topology, cost CostModel) error {
 	if topo == nil {
 		return fmt.Errorf("core: nil dependency")
@@ -81,6 +87,17 @@ func checkLevels(topo topology.Topology, cost CostModel) error {
 	}
 	if cost.Depth() < topo.Depth() {
 		return fmt.Errorf("core: cost model depth %d < topology depth %d", cost.Depth(), topo.Depth())
+	}
+	for r := 0; r < topo.Racks(); r++ {
+		hosts := topo.HostsInRack(r)
+		for _, h := range hosts {
+			if topo.RackOf(h) != r {
+				return fmt.Errorf("core: topology %s lists host %d in rack %d, but RackOf gives %d; the Topology contract requires HostsInRack(r) to list hosts of rack r", topo.Name(), h, r, topo.RackOf(h))
+			}
+			if topo.PodOf(h) != topo.PodOf(hosts[0]) {
+				return fmt.Errorf("core: topology %s splits rack %d across pods %d and %d; the Topology contract puts a rack in one pod", topo.Name(), r, topo.PodOf(hosts[0]), topo.PodOf(h))
+			}
+		}
 	}
 	return nil
 }
@@ -202,15 +219,23 @@ func (k *Kernel) neighborRank() []rankEntry {
 	return k.rank
 }
 
-// considerTarget folds candidate h into the running best, once per
-// decision and never the holder's own host. ΔC comes first; a is asked
-// only of a host that could become the answer (exact; see visitMemo).
-func (k *Kernel) considerTarget(u cluster.VMID, h cluster.HostID, best *Decision, a Admitter) {
+// claim marks candidate h probed, so each is considered once per decision
+// and never the holder's own host: ok is false for the holder's host, a
+// host outside the tables and one already probed. peerFree reports that
+// no peer of the holder sits on h.
+func (k *Kernel) claim(h cluster.HostID) (ok, peerFree bool) {
 	if h == k.cur || h < 0 || int(h) >= len(k.probed) || k.probed[h] == k.probeEpoch {
-		return
+		return false, false
 	}
+	peerFree = k.probed[h] != k.probeEpoch-1
 	k.probed[h] = k.probeEpoch
-	d := k.Score(h)
+	return true, peerFree
+}
+
+// fold folds claimed candidate h, offering ΔC d, into the running best.
+// ΔC comes first; a is asked only of a host that could become the answer
+// (exact; see visitMemo).
+func (k *Kernel) fold(u cluster.VMID, h cluster.HostID, d float64, best *Decision, a Admitter) {
 	if d <= k.cm || (best.Target != cluster.NoHost && d <= best.Delta) {
 		return
 	}
@@ -225,23 +250,47 @@ func (k *Kernel) considerTarget(u cluster.VMID, h cluster.HostID, best *Decision
 // with the largest ΔC, if ΔC > c_m (Theorem 1). Candidates are the peers'
 // hosts in rank order, each followed by the rest of its rack, which still
 // puts the pair at level 1 when the peer's host is full; among equal ΔC
-// the first admitted wins. Each candidate costs one Score.
+// the first admitted wins. A visit costs one Score per peer host and one
+// per expanded rack: a host no peer sits on scores like every other such
+// host of its rack, since Score then reads only the target's rack and pod
+// keys, which the rack's hosts share (checkLevels), so the walk scores
+// the first one it claims and reuses that value for the rest.
 func (k *Kernel) Best(u cluster.VMID, a Admitter) (Decision, bool) {
 	k.refusals = k.refusals[:0]
 	best := Decision{VM: u, From: k.cur, Target: cluster.NoHost}
 	if len(k.probed) != len(k.rackOf) {
 		k.probed, k.probeEpoch = make([]uint32, len(k.rackOf)), 0
 	}
-	if k.probeEpoch++; k.probeEpoch == 0 { // wrapped: stale marks would collide
+	if k.probeEpoch += 2; k.probeEpoch == 0 { // wrapped: stale marks would collide
 		clear(k.probed)
-		k.probeEpoch = 1
+		k.probeEpoch = 2
+	}
+	for i := range k.peers {
+		k.probed[k.peers[i].host] = k.probeEpoch - 1
 	}
 	for _, ent := range k.neighborRank() {
-		k.considerTarget(u, ent.host, &best, a)
-		if r := k.rackSlot(ent.host); r < len(k.rackHosts) {
-			for _, alt := range k.rackHosts[r] {
-				k.considerTarget(u, alt, &best, a)
+		if ok, _ := k.claim(ent.host); ok {
+			k.fold(u, ent.host, k.Score(ent.host), &best, a)
+		}
+		r := k.rackSlot(ent.host)
+		if r == len(k.rackHosts) {
+			continue
+		}
+		var free float64 // the rack's peer-free score, once scored
+		scored := false
+		for _, alt := range k.rackHosts[r] {
+			ok, peerFree := k.claim(alt)
+			if !ok {
+				continue
 			}
+			d := free
+			if !peerFree {
+				d = k.Score(alt)
+			} else if !scored {
+				d = k.Score(alt)
+				free, scored = d, true
+			}
+			k.fold(u, alt, d, &best, a)
 		}
 	}
 	if best.Target == cluster.NoHost || best.Delta <= k.cm {

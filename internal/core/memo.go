@@ -12,7 +12,7 @@ import (
 // a decision: Visit returns what BestMigration would have returned, bit
 // for bit.
 //
-// ΔC-first pruning. Kernel.considerTarget computes ΔC before it asks the
+// ΔC-first pruning. Kernel.fold takes ΔC before it asks the
 // candidate for admission and asks only when ΔC > c_m and ΔC beats the
 // running best. BestMigration returns the first admissible candidate, in
 // probe order, of maximal ΔC, if that ΔC exceeds c_m. A candidate with
@@ -59,8 +59,9 @@ import (
 // moved or u would be dirty. So a skip costs one load, plus one rack
 // stamp per peer for verdicts that had a refusal; an evaluated visit
 // costs one resolve pass over u's row, then one multiply-add per peer
-// for each candidate (Kernel.Score), summed in row order, so the ΔC
-// a visit decides on is bit for bit the ΔC Commit and Apply realize.
+// for each peer host and each expanded rack (Kernel.Score; see
+// Kernel.Best), summed in row order, so the ΔC a visit decides on is bit
+// for bit the ΔC Commit and Apply realize.
 //
 // Frozen views decide against an overlay, concurrently. A frozen view
 // stamps its verdicts with the clock frozen when the view was reset, so

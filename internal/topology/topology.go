@@ -48,7 +48,9 @@ type Topology interface {
 	RackOf(h cluster.HostID) int
 	// PodOf returns the aggregation-pod index of a host.
 	PodOf(h cluster.HostID) int
-	// HostsInRack lists the hosts under one ToR switch.
+	// HostsInRack lists the hosts under one ToR switch. Every host it
+	// lists has RackOf == rack, and all of them share one PodOf: a rack
+	// sits in one pod. core refuses a topology that breaks this.
 	HostsInRack(rack int) []cluster.HostID
 	// Links lists every physical link.
 	Links() []Link
