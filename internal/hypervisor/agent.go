@@ -203,10 +203,6 @@ type locEntry struct {
 	expires time.Time
 }
 
-func compareEdgePeer(e traffic.Edge, peer cluster.VMID) int {
-	return traffic.CompareEdges(e, traffic.Edge{Peer: peer})
-}
-
 // NewAgent constructs an agent; call Start with a transport factory to
 // go live.
 func NewAgent(cfg AgentConfig, reg *Registry) (*Agent, error) {
@@ -336,21 +332,6 @@ func (a *Agent) VMs() []cluster.VMID {
 		out = append(out, id)
 	}
 	return out
-}
-
-// SetRate updates the measured λ between a hosted VM and a peer.
-func (a *Agent) SetRate(vm, peer cluster.VMID, rate float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	rec, ok := a.vms[vm]
-	if !ok {
-		return
-	}
-	if i, found := slices.BinarySearchFunc(rec.rates, peer, compareEdgePeer); found {
-		rec.rates[i].Rate = rate
-	} else {
-		rec.rates = slices.Insert(rec.rates, i, traffic.Edge{Peer: peer, Rate: rate})
-	}
 }
 
 // InjectToken starts (or restarts) the ring at a VM hosted by this agent.

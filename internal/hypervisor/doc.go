@@ -192,12 +192,11 @@
 //     sequences under injected delay, differing only in wasted recovery
 //     work.
 //
-// The merge phase itself is batched: capacity probes are prefetched per
-// distinct target host in one concurrent wave and cached for the phase
-// (sound because the reconciler's own commits are the only capacity
-// mutations during a merge, and each one is folded into the cache), and
-// commits to pairwise-independent moves — disjoint VMs, peer sets and
-// host pairs — are pipelined instead of paying one serial RTT chain
-// each. The batched pass is observably identical to the sequential one;
-// only the message schedule differs.
+// The merge phase pays one probe wave, not one probe per move: before
+// the replay the reconciler probes the capacity of every distinct target
+// of the round's commits and proposals concurrently and caches the
+// answers for the phase (sound because the reconciler's own commits are
+// the only capacity mutations during a merge, and each one is folded into
+// the cache). The commits then go out one at a time, in the replay's
+// order, each re-validated against the state the previous one left.
 package hypervisor

@@ -31,11 +31,8 @@ type ReconcilerConfig struct {
 	Shards      int
 	Granularity shard.Granularity
 	// ProbeTimeout bounds each capacity/commit round trip; zero means
-	// 2s. RoundTimeout bounds the wait for all rings of a round; zero
-	// means 2 minutes. It is a backstop: a healthy recovery path never
-	// reaches it, because stalled rings regenerate on ShardDeadline.
+	// 2s.
 	ProbeTimeout time.Duration
-	RoundTimeout time.Duration
 	// ShardDeadline bounds how long a shard ring may go without
 	// progress (an accepted ack or its completion report) before the
 	// reconciler regenerates its token from the last acked state; zero
@@ -49,9 +46,6 @@ type ReconcilerConfig struct {
 	// zero means 2. Under pure message loss a single lost re-injection
 	// therefore never evicts a live host.
 	EvictAttempts int
-	// MaxAttempts caps regenerations per shard per round; beyond it the
-	// ring is finalized from the reconciler's copy as-is. Zero means 32.
-	MaxAttempts int
 	// Tuner, when set, supersedes Shards and Granularity: every round
 	// asks the adaptive control plane for the current traffic-derived
 	// recommendation and partitions accordingly. Shards/Granularity may
@@ -140,6 +134,16 @@ type RoundReport struct {
 	Granularity shard.Granularity
 }
 
+const (
+	// roundTimeout bounds the wait for all rings of a round. It is a
+	// backstop: a healthy recovery path never reaches it, because stalled
+	// rings regenerate on their shard deadline.
+	roundTimeout = 2 * time.Minute
+	// maxAttempts caps regenerations per shard per round; beyond it the
+	// ring is finalized from the reconciler's copy as-is.
+	maxAttempts = 32
+)
+
 // ringEvent is one MsgRingDone or MsgRingAck arrival.
 type ringEvent struct {
 	done bool
@@ -162,8 +166,8 @@ type Reconciler struct {
 	tr     Transport
 	rq     requester
 	events chan ringEvent
-	// kern is the decision rule's kernel: the merge phase's Delta, which
-	// runs strictly sequentially, scores on it.
+	// kern is the decision rule's kernel: the merge phase's Delta and
+	// Apply, which run strictly sequentially, score on it.
 	kern *core.Kernel
 
 	round uint32
@@ -173,11 +177,6 @@ type Reconciler struct {
 	est        *control.LatencyEstimator
 	lastShards int
 	lastGran   shard.Granularity
-
-	// batchTuner carries the merge phase's commit-RTT estimate across
-	// rounds so each round's first pipelined wave starts from the
-	// previously observed link speed instead of the fixed default.
-	batchTuner shard.BatchTuner
 }
 
 // NewReconciler validates the configuration; call Start with a transport
@@ -197,17 +196,11 @@ func NewReconciler(cfg ReconcilerConfig, reg *Registry) (*Reconciler, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 2 * time.Second
 	}
-	if cfg.RoundTimeout <= 0 {
-		cfg.RoundTimeout = 2 * time.Minute
-	}
 	if cfg.ShardDeadline <= 0 {
 		cfg.ShardDeadline = 5 * time.Second
 	}
 	if cfg.EvictAttempts <= 0 {
 		cfg.EvictAttempts = 2
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 32
 	}
 	kern, err := core.NewKernel(cfg.Topo, cfg.Cost, cfg.MigrationCost)
 	if err != nil {
@@ -272,22 +265,22 @@ func (r *Reconciler) handle(from string, m Message) {
 	}
 }
 
-// reconcileEnv backs the shared reconciliation pass with the distributed
-// plane: locations resolve through the registry (authoritative, updated
+// reconcileEnv is the merge phase's shard.Env on the distributed plane:
+// locations resolve through the registry (authoritative, updated
 // synchronously by every executed migration), capacity through probes,
-// and Apply through the commit protocol. It implements shard.BatchEnv:
-// capacity responses are cached for the merge phase — sound because
-// during the merge the reconciler's own commits are the only capacity
-// mutations, and the cache folds each one — so grouped prefetch probes
-// replace one round trip per re-validated move, and commits to
-// pairwise-independent decisions are pipelined by ApplyAll. Sequential
-// calls observe the state left by the previous apply, exactly as the
-// unbatched env did.
+// and Apply through the commit protocol. Capacity responses are cached for
+// the phase — sound because during the merge the reconciler's own commits
+// are the only capacity mutations, and the cache folds each one — and
+// prefetch fills the cache in one concurrent probe wave before the replay,
+// so no re-validated move waits on a round trip of its own. Every call
+// observes the state the previous Apply left.
 type reconcileEnv struct {
 	r     *Reconciler
 	rates map[cluster.VMID][]traffic.Edge
 	ram   map[cluster.VMID]int32
 
+	// capMu guards caps against prefetch's concurrent probes, one per
+	// distinct host.
 	capMu sync.Mutex
 	caps  map[cluster.HostID]*hostCap
 }
@@ -316,68 +309,32 @@ func (e *reconcileEnv) capacity(h cluster.HostID) *hostCap {
 		}
 	}
 	e.capMu.Lock()
-	if prev, ok := e.caps[h]; ok {
-		c = prev // a concurrent prefetch won the race; keep its ledger
-	} else {
-		e.caps[h] = c
-	}
+	e.caps[h] = c
 	e.capMu.Unlock()
 	return c
 }
 
-// Prefetch implements shard.BatchEnv: one concurrent probe wave warms
-// the cache for every listed host, overlapping the round trips (and the
-// probe timeouts of dead hosts) that the sequential path would serialize.
-func (e *reconcileEnv) Prefetch(targets []cluster.HostID) {
+// prefetch warms the capacity cache for every distinct target of the
+// round's moves in one concurrent probe wave, overlapping the round trips
+// (and the probe timeouts of dead hosts) the replay would otherwise pay
+// one by one.
+func (e *reconcileEnv) prefetch(groups ...[]core.Decision) {
+	seen := make(map[cluster.HostID]bool)
 	var wg sync.WaitGroup
-	for _, h := range targets {
-		e.capMu.Lock()
-		_, warm := e.caps[h]
-		e.capMu.Unlock()
-		if warm {
-			continue
+	for _, ds := range groups {
+		for _, d := range ds {
+			if seen[d.Target] {
+				continue
+			}
+			seen[d.Target] = true
+			wg.Add(1)
+			go func(h cluster.HostID) {
+				defer wg.Done()
+				e.capacity(h)
+			}(d.Target)
 		}
-		wg.Add(1)
-		go func(h cluster.HostID) {
-			defer wg.Done()
-			e.capacity(h)
-		}(h)
 	}
 	wg.Wait()
-}
-
-// Peers implements shard.BatchEnv from the staged moves' carried rate
-// tables.
-func (e *reconcileEnv) Peers(vm cluster.VMID) []cluster.VMID {
-	edges := e.rates[vm]
-	out := make([]cluster.VMID, len(edges))
-	for i, ed := range edges {
-		out[i] = ed.Peer
-	}
-	return out
-}
-
-// ApplyAll implements shard.BatchEnv: the decisions are pairwise
-// independent (the shared pass guarantees it), so their commit round
-// trips — source dom0 commit, VM transfer, acks — overlap instead of
-// paying one serial RTT chain each.
-func (e *reconcileEnv) ApplyAll(ds []core.Decision) ([]float64, []error) {
-	realized := make([]float64, len(ds))
-	errs := make([]error, len(ds))
-	if len(ds) == 1 {
-		realized[0], errs[0] = e.Apply(ds[0])
-		return realized, errs
-	}
-	var wg sync.WaitGroup
-	for i := range ds {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			realized[i], errs[i] = e.Apply(ds[i])
-		}(i)
-	}
-	wg.Wait()
-	return realized, errs
 }
 
 func (e *reconcileEnv) HostOf(vm cluster.VMID) cluster.HostID {
@@ -393,10 +350,7 @@ func (e *reconcileEnv) HostOf(vm cluster.VMID) cluster.HostID {
 // staged from, in the same order, so an undisturbed staged ΔC
 // re-validates to the identical float.
 func (e *reconcileEnv) Delta(vm cluster.VMID, target cluster.HostID) float64 {
-	return e.delta(e.r.kern, vm, target)
-}
-
-func (e *reconcileEnv) delta(k *core.Kernel, vm cluster.VMID, target cluster.HostID) float64 {
+	k := e.r.kern
 	cur := e.HostOf(vm)
 	if cur == target || cur == cluster.NoHost || !k.Covers(cur) || !k.Covers(target) {
 		return 0
@@ -440,7 +394,7 @@ func (e *reconcileEnv) applyCap(vm cluster.VMID, from, to cluster.HostID, landed
 }
 
 func (e *reconcileEnv) Apply(d core.Decision) (float64, error) {
-	realized := e.delta(e.r.kern.Clone(), d.VM, d.Target) // ApplyAll runs Applies concurrently
+	realized := e.Delta(d.VM, d.Target)
 	from := e.HostOf(d.VM)
 	srcAddr, ok := e.r.reg.Lookup(d.VM)
 	if !ok {
@@ -474,13 +428,6 @@ func (e *reconcileEnv) Apply(d core.Decision) (float64, error) {
 	return realized, nil
 }
 
-// Tuner implements shard.BatchEnv: the commit-RTT estimate lives on the
-// Reconciler, not the per-round env, so it survives across rounds.
-func (e *reconcileEnv) Tuner() *shard.BatchTuner { return &e.r.batchTuner }
-
-// The distributed env takes the merge phase's windowed replay.
-var _ shard.BatchEnv = (*reconcileEnv)(nil)
-
 // stage converts ring s's staged moves to the merge phase's currency —
 // the decisions, and the provenance they carried over the wire — keeping
 // the peer-rate table and RAM size each carried for re-validation. Moves
@@ -501,11 +448,6 @@ func (e *reconcileEnv) stage(ms []StagedMove, s int, evicted map[cluster.HostID]
 		meta = append(meta, shard.AuditMeta{Hop: m.Hop, Attempt: m.Attempt, Shard: int16(s)})
 	}
 	return keep, meta, dropped
-}
-
-// roundTimeoutCh arms the round-completion timeout.
-func (r *Reconciler) roundTimeoutCh() <-chan time.Time {
-	return time.After(r.cfg.RoundTimeout)
 }
 
 // shardTrack is the reconciler's live copy of one shard ring within a
@@ -585,7 +527,7 @@ func (r *Reconciler) finalize(c *roundState, s int, st *RingState, at time.Time)
 func (r *Reconciler) regenerate(c *roundState, s int) error {
 	tk := c.tracks[s]
 	st := tk.st
-	if int(tk.attempt) >= r.cfg.MaxAttempts {
+	if tk.attempt >= maxAttempts {
 		r.finalize(c, s, st, time.Now())
 		return nil
 	}
@@ -725,7 +667,7 @@ func (r *Reconciler) witnessStale(c *roundState, s int, tk *shardTrack, attempt 
 // duplicated token forks the state; only the furthest-advanced fork is
 // kept, and only one completion is accepted).
 func (r *Reconciler) collect(c *roundState) error {
-	timeout := r.roundTimeoutCh()
+	timeout := time.After(roundTimeout)
 	tickBase := r.cfg.ShardDeadline
 	if r.est != nil {
 		if m := r.est.Config().Min; m < tickBase {
@@ -977,7 +919,7 @@ func (r *Reconciler) RunRound() (*RoundReport, error) {
 	// Moves by VMs stranded on evicted hosts cannot commit (their dom0 is
 	// unresponsive) and moves onto evicted hosts must not: withdraw both
 	// up front, then warm every capacity probe the whole phase will issue
-	// in one wave, so no pass pays its own serial probe warm-up.
+	// in one wave, so no move of the replay pays a probe round trip.
 	commits := make([][]core.Decision, n)
 	commitMeta := make([][]shard.AuditMeta, n)
 	props := make([][]core.Decision, n)
@@ -991,7 +933,7 @@ func (r *Reconciler) RunRound() (*RoundReport, error) {
 		props[s], propMeta[s], droppedProps = env.stage(st.Proposals, s, c.evicted)
 		mg.Withdraw(s, droppedCommits, droppedProps)
 	}
-	shard.PrefetchDecisions(env, append(commits, props...)...)
+	env.prefetch(append(commits, props...)...)
 
 	for s := 0; s < n; s++ {
 		rep.TotalHops += reports[s].Hops

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -140,6 +141,9 @@ type planeOpts struct {
 	metrics *PlaneMetrics
 	trace   *obs.Tracer
 	audit   *obs.AuditRing
+	// wrapRec, when set, wraps the reconciler's transport (outside any
+	// fault wrapper).
+	wrapRec func(Transport) Transport
 }
 
 // buildShardPlane assembles a fat-tree instance with hotspot traffic and
@@ -247,7 +251,13 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := rec.Start(mk("reconciler")); err != nil {
+		if err := rec.Start(func(h Handler) (Transport, error) {
+			tr, err := mk("reconciler")(h)
+			if err != nil || o.wrapRec == nil {
+				return tr, err
+			}
+			return o.wrapRec(tr), nil
+		}); err != nil {
 			t.Fatal(err)
 		}
 		p.rec = rec
@@ -631,4 +641,55 @@ func TestDistributedFourShardNearSerial(t *testing.T) {
 		t.Fatalf("4-shard reduction %.1f%% captures under 85%% of serial %.1f%%",
 			100*sharded, 100*serial)
 	}
+}
+
+// capCounter counts the capacity probes sent through the transport it
+// wraps.
+type capCounter struct {
+	Transport
+	n atomic.Int64
+}
+
+func (c *capCounter) Send(to string, m Message) error {
+	if m.Type == MsgCapacityReq {
+		c.n.Add(1)
+	}
+	return c.Transport.Send(to, m)
+}
+
+// TestMergeProbesEachTargetOnce: the reconciler probes the capacity of
+// every distinct target of the round's commits and proposals in one wave
+// before the merge, and the merge answers every Admissible from that cache
+// and the commits it folds in. On a fault-free 4-shard round no commit
+// fails, so no entry is dropped and re-probed: the reconciler's probe count
+// equals the distinct targets its audit records name.
+func TestMergeProbesEachTargetOnce(t *testing.T) {
+	ar := obs.NewAuditRing(1 << 12)
+	cc := &capCounter{}
+	p := buildShardPlaneOpts(t, 4, 7, 10, 4, token.HighestLevelFirst{}, planeOpts{
+		audit: ar,
+		wrapRec: func(tr Transport) Transport {
+			cc.Transport = tr
+			return cc
+		},
+	})
+	rep, err := p.rec.RunRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Evicted) != 0 || rep.Regenerated != 0 {
+		t.Fatalf("fault-free round evicted %v and regenerated %d rings", rep.Evicted, rep.Regenerated)
+	}
+	targets := make(map[int32]bool)
+	recs := ar.Snapshot()
+	for _, r := range recs {
+		targets[r.To] = true
+	}
+	if len(rep.Applied) == 0 || rep.CrossApplied+rep.CrossRejected == 0 {
+		t.Fatalf("round applied %d moves over %d proposals; the merge is not exercised", len(rep.Applied), rep.CrossApplied+rep.CrossRejected)
+	}
+	if got := cc.n.Load(); got != int64(len(targets)) {
+		t.Fatalf("reconciler sent %d capacity probes for %d distinct targets over %d decisions", got, len(targets), len(recs))
+	}
+	t.Logf("%d capacity probes for %d decisions", cc.n.Load(), len(recs))
 }

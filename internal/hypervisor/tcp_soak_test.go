@@ -20,9 +20,9 @@ const tcpSoakRounds = 5
 // listener — on the fat-tree k=8 instance (128 dom0 listeners, 512 VMs,
 // 4 rings), running rounds until quiescence (or the round cap). It
 // asserts the rounds complete healthily, executes Theorem-1-positive
-// moves, measures the dial overhead the pooled transport saves versus
-// the historical dial-per-send baseline, and leaks no goroutines once
-// the plane closes.
+// moves, measures the dials the pooled transport saves (every send that
+// rode a warm connection instead of dialing one), and leaks no goroutines
+// once the plane closes.
 func TestTCPSoakShardedRound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("TCP soak dials thousands of sockets; skipped with -short")
@@ -77,11 +77,11 @@ func TestTCPSoakShardedRound(t *testing.T) {
 		t.Fatalf("soak finished after %d round(s); multi-round reuse unexercised", rounds)
 	}
 
-	// Connection reuse: sum the pool counters over every endpoint. The
-	// dial-per-send baseline would have dialed once per send, so
-	// sends − dials is the handshake overhead the pool saved; across
-	// multiple rounds the warm reconciler↔agent and agent↔agent pairs
-	// must make reuse the common case.
+	// Connection reuse: sum the pool counters over every endpoint. Each
+	// send either dialed or rode a warm connection, so sends − dials is
+	// the handshakes the pool saved; across multiple rounds the warm
+	// reconciler↔agent and agent↔agent pairs must make reuse the common
+	// case.
 	var st TCPStats
 	for _, tr := range p.tcps {
 		s := tr.Stats()

@@ -143,10 +143,6 @@ type TCPConfig struct {
 	// IdleTimeout closes pooled connections unused for this long.
 	// Default 30s.
 	IdleTimeout time.Duration
-	// DisablePool restores the historical dial-per-send behavior (one
-	// dial, one frame, close) — the baseline the soak measures pooling
-	// against.
-	DisablePool bool
 	// HeartbeatIdle: a pooled connection parked at least this long must
 	// prove itself end-to-end — an application-level ping (zero-length
 	// frame) answered by the peer's pong — before it carries a frame.
@@ -179,8 +175,8 @@ func withTCPDefaults(c TCPConfig) TCPConfig {
 
 // TCPStats counts a transport's send-path work: Sends is every frame
 // written, Dials the connections established for them, Reused the sends
-// that rode an existing pooled connection. Sends − Dials is the dial
-// overhead saved versus the dial-per-send baseline. HeartbeatFails counts
+// that rode an existing pooled connection. Sends − Dials is the dials the
+// pool saved. HeartbeatFails counts
 // parked connections that failed their pre-send end-to-end heartbeat.
 type TCPStats struct {
 	Sends, Dials, Reused, HeartbeatFails int64
@@ -231,12 +227,9 @@ func NewTCPTransportConfig(addr string, handler Handler, cfg TCPConfig) (*TCPTra
 		idle:     make(map[string][]pooledConn),
 		accepted: make(map[net.Conn]struct{}),
 	}
-	t.wg.Add(1)
+	t.wg.Add(2)
 	go t.acceptLoop()
-	if !t.cfg.DisablePool {
-		t.wg.Add(1)
-		go t.janitor()
-	}
+	go t.janitor()
 	return t, nil
 }
 
@@ -341,8 +334,8 @@ const connAliveProbe = 10 * time.Microsecond
 // connAlive reports whether a parked connection is still usable. Peers
 // never send unsolicited data on these one-way frame connections, so a
 // short-deadline read either times out (alive), or surfaces the EOF/RST
-// a crashed or closed peer already queued — restoring the immediate
-// crash detection the dial-per-send transport had: a write into a
+// a crashed or closed peer already queued — the immediate crash
+// detection a fresh dial would give: a write into a
 // half-open socket would "succeed" locally and silently lose the frame,
 // and worse, hide the send error the reconciler's eviction fast path
 // keys on. (A peer dead without a FIN/RST — power loss, partition — is
@@ -470,8 +463,7 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // Send implements Transport: one length-prefixed frame over a pooled
 // connection, dialed on demand. A write error on a reused connection
 // (the peer may have closed it while parked) retries once over a fresh
-// dial; a fresh connection's write error is final. With DisablePool the
-// historical dial-per-send path runs instead.
+// dial; a fresh connection's write error is final.
 func (t *TCPTransport) Send(to string, m Message) error {
 	t.sends.Add(1)
 	if tm := t.cfg.Metrics; tm != nil {
@@ -483,20 +475,6 @@ func (t *TCPTransport) Send(to string, m Message) error {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(m.EncodedSize()))
 	buf = m.AppendEncode(buf)
 	*bp = buf
-
-	if t.cfg.DisablePool {
-		conn, err := net.Dial("tcp", to)
-		if err != nil {
-			return fmt.Errorf("hypervisor: dial %s: %w", to, err)
-		}
-		t.dials.Add(1)
-		if tm := t.cfg.Metrics; tm != nil {
-			tm.Dials.Inc()
-		}
-		defer conn.Close()
-		_, err = conn.Write(buf)
-		return err
-	}
 
 	for {
 		conn, fresh, err := t.getConn(to)

@@ -64,23 +64,6 @@ func TestTCPPoolReusesConnections(t *testing.T) {
 	}
 }
 
-// TestTCPPoolDisabledDialsPerSend: the baseline mode must dial once per
-// send — the behavior the soak measures pooling against.
-func TestTCPPoolDisabledDialsPerSend(t *testing.T) {
-	a, b, recv := tcpPair(t, TCPConfig{DisablePool: true})
-	const n = 8
-	for i := 0; i < n; i++ {
-		if err := a.Send(b.Addr(), Message{Type: MsgToken, VM: 1}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-	}
-	awaitMsgs(t, recv, n)
-	if st := a.Stats(); st.Dials != n || st.Reused != 0 {
-		t.Fatalf("baseline mode: %d dials, %d reused for %d sends, want %d and 0",
-			st.Dials, st.Reused, n, n)
-	}
-}
-
 // TestTCPPoolIdleClose: a parked connection must be closed after the
 // idle timeout, and the next send must dial fresh (not write into a
 // dead socket and lose the frame).

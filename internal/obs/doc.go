@@ -34,8 +34,8 @@
 // score_round_latency_seconds, score_migrations_total, the cross-shard
 // counters) MUST be registered with the same kind and — for histograms — the
 // same buckets everywhere; the registry panics at construction otherwise.
-// Use DefLatencyBuckets for latency series and SizeBuckets for small integer
-// distributions so shared families agree by default.
+// Use DefLatencyBuckets for latency series so shared families agree by
+// default.
 //
 // # Cardinality rules
 //
@@ -65,7 +65,7 @@
 //
 // Tracer is a mutex-guarded ring buffer of fixed-size typed Events —
 // token visits, ring completions, regenerations, spurious regens, evictions,
-// merge-commit windows, reconcile verdicts, compactions — cheap enough
+// reconcile verdicts, compactions — cheap enough
 // (~tens of ns, 0 allocs) to leave on. Spans folds a Snapshot into per-round,
 // per-shard aggregates; the chaos suite uses it to reconstruct a lossy round
 // (regen counts, attempt numbers, evicted hosts) from the trace alone.

@@ -113,7 +113,7 @@ type family struct {
 	name  string
 	help  string
 	kind  metricKind
-	label string    // label name for vec families, "" for scalars
+	label string // label name for vec families, "" for scalars
 	fn    func() float64
 	bound []float64 // histogram bounds
 
@@ -344,9 +344,6 @@ var DefLatencyBuckets = []float64{
 	1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3, 500e-3,
 	1, 2.5, 5, 10, 30,
 }
-
-// SizeBuckets covers small integer sizes (merge windows, batch sizes).
-var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 func equalBounds(a, b []float64) bool {
 	if len(a) != len(b) {

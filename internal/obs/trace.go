@@ -26,9 +26,6 @@ const (
 	EvSpurious
 	// EvEvict records a host eviction; Arg is the host id.
 	EvEvict
-	// EvMergeWindow records one pipelined merge-commit batch; Arg is the
-	// window size chosen by the tuner.
-	EvMergeWindow
 	// EvVerdict records one merge-phase decision, written where the verdict
 	// is reached (shard.Merge) and so in decision order. Code is a Verdict*
 	// constant, Arg the VM id under every code, Shard the staging ring (-1
@@ -66,8 +63,6 @@ func (k EventKind) String() string {
 		return "spurious"
 	case EvEvict:
 		return "evict"
-	case EvMergeWindow:
-		return "merge_window"
 	case EvVerdict:
 		return "verdict"
 	case EvCompaction:
@@ -82,7 +77,7 @@ func (k EventKind) String() string {
 // the EventKind docs); unused fields are zero.
 type Event struct {
 	T       int64   // wall-clock nanoseconds (time.Time.UnixNano)
-	Arg     int64   // kind-specific integer payload (hops, host, window, VM)
+	Arg     int64   // kind-specific integer payload (hops, host, VM)
 	Value   float64 // kind-specific float payload (latency seconds, ΔC)
 	Round   uint32
 	Attempt uint32
@@ -133,7 +128,6 @@ type RoundSpan struct {
 	Stale         int
 	CrossApplied  int
 	CrossRejected int
-	MergeWindows  []int
 	Compactions   int
 	Evicted       []int64 // all hosts evicted this round, in event order
 }
@@ -216,8 +210,6 @@ func Spans(events []Event) []RoundSpan {
 			sp := shardOf(rs, e.Shard)
 			sp.Evicted = append(sp.Evicted, e.Arg)
 			rs.Evicted = append(rs.Evicted, e.Arg)
-		case EvMergeWindow:
-			rs.MergeWindows = append(rs.MergeWindows, int(e.Arg))
 		case EvVerdict:
 			switch e.Code {
 			case VerdictMerged:

@@ -68,7 +68,6 @@ func TestSpansAggregation(t *testing.T) {
 		{Kind: EvTokenVisit, Round: 1, Shard: 0, Arg: 3, Attempt: 2},
 		{Kind: EvEvict, Round: 1, Shard: 1, Arg: 42},
 		{Kind: EvRingDone, Round: 1, Shard: 0, Arg: 5, Value: 0.25, Attempt: 2},
-		{Kind: EvMergeWindow, Round: 1, Arg: 16},
 		{Kind: EvVerdict, Round: 1, Code: VerdictMerged, Arg: 7},
 		{Kind: EvVerdict, Round: 1, Code: VerdictStale, Arg: 8},
 		{Kind: EvVerdict, Round: 1, Code: VerdictCrossApplied, Arg: 9, Value: -3.5},
@@ -101,9 +100,6 @@ func TestSpansAggregation(t *testing.T) {
 	}
 	if r1.Merged != 1 || r1.Stale != 1 || r1.CrossApplied != 1 || r1.CrossRejected != 0 {
 		t.Fatalf("verdict counts wrong: %+v", r1)
-	}
-	if len(r1.MergeWindows) != 1 || r1.MergeWindows[0] != 16 {
-		t.Fatalf("merge windows wrong: %+v", r1.MergeWindows)
 	}
 	if r1.Compactions != 1 {
 		t.Fatalf("compactions = %d", r1.Compactions)

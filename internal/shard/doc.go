@@ -55,9 +55,9 @@
 // authoritative state), its rings' staged commits and proposals in
 // shard order, and the audit provenance (AuditMeta) riding with them;
 // order, re-validation, tallies, records, metrics and the abort list
-// (Merge.Rejected) come back. An Env that is also a BatchEnv (commits
-// cost round trips) gets the windowed replay, held to the sequential
-// replay's exact outcome and records; nothing else selects between them.
+// (Merge.Rejected) come back. Every pass is one replay loop, one decision
+// at a time, over whichever Env the plane supplies; a plane whose probes
+// cost round trips warms its own state before handing the moves in.
 //
 // Because each ring's outcome depends only on the frozen round-start
 // state and its own staged moves, and the merge phase runs in a fixed

@@ -86,7 +86,7 @@ type AuditMeta struct {
 }
 
 // passKind is all that tells a ring's staged-commit replay from the
-// cross-shard proposal pass in the replay loops of reconcile.go.
+// cross-shard proposal pass in the replay loop of reconcile.go.
 type passKind struct {
 	landed, dropped uint8 // verdict codes
 	// cross marks the proposal pass: the move executed carries the VM's
@@ -182,15 +182,10 @@ func (m *Merge) Finish(start time.Time, shards, hops, skipped int) {
 	}
 }
 
-// pass runs one replay over ds: windowed when the env can pipeline
-// commits, one decision at a time otherwise.
+// pass runs one replay over ds.
 func (m *Merge) pass(k passKind, shard int16, ds []core.Decision, meta []AuditMeta) {
 	m.kind, m.shard, m.meta, m.t = k, shard, meta, 0
-	if be, ok := m.Env.(BatchEnv); ok {
-		m.replayWindowed(be, ds)
-	} else {
-		m.replay(ds)
-	}
+	m.replay(ds)
 }
 
 // land records input decision i of the pass as applied: ex is the move
@@ -257,16 +252,6 @@ func (m *Merge) verdict(i int, landed bool, vm cluster.VMID, from, to cluster.Ho
 			ev.Value = final
 		}
 		m.Trace.Record(ev)
-	}
-}
-
-// window records one commit-window size the windowed replay chose.
-func (m *Merge) window(w int) {
-	if m.Metrics != nil {
-		m.Metrics.MergeWindow.Observe(float64(w))
-	}
-	if m.Trace != nil {
-		m.Trace.Record(obs.Event{Kind: obs.EvMergeWindow, Round: m.Round, Shard: -1, Arg: int64(w)})
 	}
 }
 

@@ -35,9 +35,6 @@ type Metrics struct {
 	CrossRejected  *obs.Counter
 	// StaleRejected counts staged intra-shard moves dropped at merge time.
 	StaleRejected *obs.Counter
-	// MergeWindow is the distribution of pipelined commit-window sizes
-	// chosen by BatchTuner (samples only on planes with a BatchEnv).
-	MergeWindow *obs.Histogram
 	// Shards is the ring count of the latest round (the tuner's choice
 	// under auto-tuning).
 	Shards *obs.Gauge
@@ -60,7 +57,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		CrossApplied:   reg.Counter("score_cross_applied_total", "Cross-shard proposals applied after re-validation."),
 		CrossRejected:  reg.Counter("score_cross_rejected_total", "Cross-shard proposals rejected by re-validation."),
 		StaleRejected:  reg.Counter("score_stale_rejected_total", "Staged intra-shard moves dropped at merge time."),
-		MergeWindow:    reg.Histogram("score_merge_window_size", "Pipelined merge-commit window sizes chosen by the tuner.", obs.SizeBuckets),
 		Shards:         reg.Gauge("score_shards", "Ring count of the latest round."),
 	}
 }
