@@ -462,6 +462,83 @@ func TestAgentRoundsMatchCoordinator(t *testing.T) {
 	}
 }
 
+// TestAgentRoundsMatchCoordinatorSharded: with several pod-aligned shards
+// the two planes still run one round — the same partition, the same rings
+// walked in ID order against frozen round-start state, the same merge. On
+// each fixture, fault-free agent rounds run to quiescence equal
+// shard.Coordinator rounds (bandwidth admission off, as the agent plane
+// admits on slots and RAM alone): round for round — count, stale and
+// cross-shard tallies, ring hops — move for move to the bit, and in the
+// final placement.
+func TestAgentRoundsMatchCoordinatorSharded(t *testing.T) {
+	type roundSig struct {
+		stale, crossOK, crossNo, ringHops, totalHops int
+	}
+	for _, fx := range []struct {
+		k    int
+		seed int64
+	}{{4, 7}, {4, 23}, {6, 7}, {8, 3}} {
+		for _, shards := range []int{2, 4} {
+			name := fmt.Sprintf("k=%d seed=%d shards=%d", fx.k, fx.seed, shards)
+			p := buildShardPlane(t, fx.k, fx.seed, 10, shards, token.HighestLevelFirst{})
+			cl := p.eng.Cluster().Clone()
+			eng, err := core.NewEngine(p.topo, p.eng.CostModel(), cl, p.eng.Traffic(), core.Config{BandwidthThreshold: 0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			coord, err := shard.NewCoordinator(eng, shard.Config{Shards: shards, Granularity: shard.ByPod})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []core.Decision
+			var wantRounds []roundSig
+			for round := 0; ; round++ {
+				if round == 64 {
+					t.Fatalf("%s: coordinator rounds did not quiesce in 64 rounds", name)
+				}
+				r, err := coord.RunRound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, r.Applied...)
+				wantRounds = append(wantRounds, roundSig{r.StaleRejected, r.CrossApplied, r.CrossRejected, r.RingHops, r.TotalHops})
+				if len(r.Applied) == 0 {
+					break
+				}
+			}
+			if len(want) == 0 {
+				t.Fatalf("%s: coordinator applied nothing; test vacuous", name)
+			}
+
+			got, reports := distributedRounds(t, p)
+			if len(reports) != len(wantRounds) {
+				t.Fatalf("%s: agents ran %d rounds, coordinator %d", name, len(reports), len(wantRounds))
+			}
+			for i, rep := range reports {
+				sig := roundSig{rep.StaleRejected, rep.CrossApplied, rep.CrossRejected, rep.RingHops, rep.TotalHops}
+				if sig != wantRounds[i] {
+					t.Fatalf("%s: round %d diverged:\n agents      %+v\n coordinator %+v", name, i+1, sig, wantRounds[i])
+				}
+			}
+			for i := 0; i < len(got) && i < len(want); i++ {
+				if got[i].VM != want[i].VM || got[i].From != want[i].From || got[i].Target != want[i].Target ||
+					math.Float64bits(got[i].Delta) != math.Float64bits(want[i].Delta) {
+					t.Fatalf("%s: decision %d diverged:\n agents      %+v\n coordinator %+v", name, i, got[i], want[i])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: agents applied %d moves, coordinator %d", name, len(got), len(want))
+			}
+			for vm, h := range p.finalPlacement() {
+				if cl.HostOf(vm) != h {
+					t.Fatalf("%s: VM %d on host %d at the agents, %d at the coordinator", name, vm, h, cl.HostOf(vm))
+				}
+			}
+			t.Logf("%s: %d moves in %d rounds", name, len(want), len(wantRounds))
+		}
+	}
+}
+
 // fingerprintReports serializes a distributed run's observable output.
 func fingerprintReports(reports []*RoundReport, place map[cluster.VMID]cluster.HostID) string {
 	out := ""
