@@ -22,8 +22,9 @@ type Config struct {
 	// considered", Section V-C). Zero disables the check.
 	BandwidthThreshold float64
 	// Admission, when non-nil, is consulted in addition to the built-in
-	// slot/RAM/bandwidth checks. The simulator uses it to account for
-	// capacity already reserved by in-flight migrations.
+	// slot/RAM/bandwidth checks. No caller in this module sets it, and
+	// setting it makes the visit memo inert (memoSync): an opaque
+	// predicate's dependencies are unknown, so every visit runs in full.
 	Admission func(vm cluster.VMID, target cluster.HostID) bool
 }
 

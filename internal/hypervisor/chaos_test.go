@@ -48,7 +48,7 @@ func TestChaosTokenLossRecovers(t *testing.T) {
 		for _, ring := range rep.Rings {
 			if ring.Regenerated > 0 && ring.Hops == 0 {
 				t.Fatalf("round %d shard %d regenerated %d times but recorded no hops",
-					rep.Round, ring.Shard, ring.Regenerated)
+					rep.Number, ring.Shard, ring.Regenerated)
 			}
 		}
 	}

@@ -32,16 +32,18 @@
 // # Sharded rings and the reconciliation agent
 //
 // The sharded mode removes the global serialization the same way the
-// in-process scheduler (internal/shard) does, with the partition →
+// in-process scheduler (internal/shard) does — it runs the same round,
+// shard.Driver, over a different shard.Plane — with the partition →
 // concurrent rings → merge/reconcile cycle expressed as a wire protocol:
 //
 //  1. Partition. A Reconciler agent — the coordinator-side peer of the
-//     dom0 agents, colocated with the placement manager's Registry —
-//     derives a topology-aligned shard.Partition of the current
-//     allocation (from the registry, not a cluster) and pushes the
-//     host→shard table to every agent with MsgShardAssign, acknowledged
-//     by MsgShardAssignAck. The assignment names the reconciler's
-//     address and the round number.
+//     dom0 agents, colocated with the placement manager's Registry — is
+//     the driver's agent plane: the driver keeps the topology-aligned
+//     host→shard table (over the registered hosts) and fills its rings
+//     from the registry, not a cluster; the plane pushes the table to
+//     every agent with MsgShardAssign, acknowledged by
+//     MsgShardAssignAck. The assignment names the reconciler's address
+//     and the round number.
 //
 //  2. Concurrent rings. The reconciler builds one token per shard
 //     (token.Rings) and injects each at its lowest-ID VM with
@@ -58,31 +60,29 @@
 //     its pass (every shard VM visited once), the final holder's agent
 //     ships the state to the reconciler with MsgRingDone. A holder
 //     forwards the shard token to its ring successor — the next VM ID
-//     in the token — and that is the only order: the token is rebuilt
-//     at level = depth every round and lives for one pass, so it
-//     carries no history for AgentConfig.Policy to prioritise with
-//     (over such a pass every token.RingOrder policy picks the
-//     successor anyway). The policy is consulted by the global ring's
-//     persistent MsgToken alone; the shard token's entry list is the
-//     ring's membership — what a visit's successor is read from and
-//     what regeneration evicts a crashed host's VMs from.
+//     in the token — and that is the only order: a token rebuilt every
+//     round carries no history for AgentConfig.Policy, which only the
+//     global ring's persistent MsgToken consults (token.RingOrder). The
+//     shard token's entry list is the ring's membership — what a
+//     visit's successor is read from and what regeneration evicts a
+//     crashed host's VMs from.
 //
-//  3. The merge phase. Once every ring reports, the reconciler hands
-//     the rings' staged output to shard.Merge — the *same* value the
-//     in-process Coordinator runs, so the two planes cannot drift:
-//     staged intra-shard moves replay in shard order, then the queued
-//     cross-shard proposals in the canonical ΔC-desc/VM-ID order, each
-//     re-validated against live post-merge state (Theorem 1 holds for
-//     every committed migration) and recorded — audit, trace, metrics —
-//     by the phase itself. This plane supplies the Env (reconcileEnv:
-//     locations from the registry, ΔC from the peer-rate tables the
-//     moves carried, capacity from cached probes, Apply by asking the
-//     source dom0 to ship the VM: MsgReconcileCommit → MsgMigrate →
+//  3. The merge phase. Once every ring reports, the plane hands the
+//     rings' staged output back to the driver, which feeds shard.Merge
+//     exactly as for the in-process plane, so the two planes cannot
+//     drift: every move is re-validated against live post-merge state
+//     (Theorem 1 holds for every committed migration) and recorded —
+//     audit, trace, metrics — by the phase itself. This plane supplies
+//     the Env (reconcileEnv: locations from the registry, ΔC from the
+//     peer-rate tables the moves carried, capacity from one concurrent
+//     probe wave to every distinct target before the replay, cached for
+//     the phase with each of its own commits folded in; Apply by asking
+//     the source dom0 to ship the VM: MsgReconcileCommit → MsgMigrate →
 //     MsgReconcileResp), each RingState's staged moves minus those
-//     touching a host evicted this round, and the hop/attempt
-//     provenance they carried over the wire; it announces the rejected
-//     moves it reads back with MsgReconcileAbort so agents can drop
-//     stale location-cache entries.
+//     touching a host evicted this round (withdrawn from the merge), and
+//     the hop/attempt provenance they carried over the wire; after the
+//     merge it announces the rejected moves with MsgReconcileAbort so
+//     agents can drop stale location-cache entries.
 //
 // With one shard the staged overlay reproduces the global ring's
 // immediate-execution decisions bit for bit, and the merge re-check
@@ -173,8 +173,8 @@
 //     cross-shard rate share under a threshold. Pod-local workloads fan
 //     out to one ring per pod; cross-pod-heavy workloads collapse
 //     toward the serial token instead of flooding the reconciliation
-//     queue with proposals. The round's choice is recorded in
-//     RoundReport.Shards/Granularity.
+//     queue with proposals. The round's choice is recorded in the
+//     report's shard.Round: Granularity, and one Shards entry per ring.
 //
 //   - Adaptive deadlines. ReconcilerConfig.AdaptiveDeadline replaces
 //     the fixed ShardDeadline with per-shard EWMA + k·stddev estimates
@@ -191,12 +191,4 @@
 //     fixed- and adaptive-deadline planes produce identical migration
 //     sequences under injected delay, differing only in wasted recovery
 //     work.
-//
-// The merge phase pays one probe wave, not one probe per move: before
-// the replay the reconciler probes the capacity of every distinct target
-// of the round's commits and proposals concurrently and caches the
-// answers for the phase (sound because the reconciler's own commits are
-// the only capacity mutations during a merge, and each one is folded into
-// the cache). The commits then go out one at a time, in the replay's
-// order, each re-validated against the state the previous one left.
 package hypervisor

@@ -46,10 +46,9 @@ type ReconcilerConfig struct {
 	// zero means 2. Under pure message loss a single lost re-injection
 	// therefore never evicts a live host.
 	EvictAttempts int
-	// Tuner, when set, supersedes Shards and Granularity: every round
-	// asks the adaptive control plane for the current traffic-derived
-	// recommendation and partitions accordingly. Shards/Granularity may
-	// then be left zero.
+	// Tuner, when set, supersedes Shards and Granularity (shard.Config's
+	// rule): every round asks the adaptive control plane for the current
+	// traffic-derived recommendation.
 	Tuner *control.Controller
 	// AdaptiveDeadline derives each shard's progress deadline from
 	// observed per-hop ack latency (EWMA + k·stddev, see
@@ -59,11 +58,9 @@ type ReconcilerConfig struct {
 	// presumed-lost token alive applies a multiplicative backoff — and
 	// on a healthy fabric dead rings are caught near the estimator's
 	// floor instead of the conservative fixed value. Uses Tuner's
-	// estimator when Tuner is set, a standalone one otherwise.
+	// estimator when Tuner is set, a standalone one with the default
+	// control.EstimatorConfig otherwise.
 	AdaptiveDeadline bool
-	// Estimator tunes the adaptive-deadline estimator when
-	// AdaptiveDeadline is set without a Tuner.
-	Estimator control.EstimatorConfig
 	// Metrics, when set, receives plane instrumentation (see
 	// NewPlaneMetrics); nil leaves every record site an untaken branch.
 	Metrics *PlaneMetrics
@@ -75,15 +72,10 @@ type ReconcilerConfig struct {
 	Audit *obs.AuditRing
 }
 
-// RingReport summarizes one shard ring's activity within a round.
+// RingReport is one shard ring's activity within a round: the ring's
+// shard.ShardRound plus what supervising it over the wire took.
 type RingReport struct {
-	Shard int
-	// VMs is the ring population at injection; Hops the visits the ring
-	// performed.
-	VMs, Hops int
-	// Staged intra-shard moves, the Merged subset that survived
-	// re-validation, and the cross-shard Proposed count.
-	Staged, Merged, Proposed int
+	shard.ShardRound
 	// Latency is the wall-clock time from token injection to the ring's
 	// completion report — the per-shard ring latency of the round.
 	Latency time.Duration
@@ -106,18 +98,12 @@ type RingReport struct {
 	Deadline time.Duration
 }
 
-// RoundReport summarizes one distributed partition → rings →
-// merge/reconcile cycle. A round with an empty Applied list means the
-// plane has quiesced.
+// RoundReport is one distributed round: the shard.Round the driver
+// reports, each ring's report, and the supervision tallies. A round with
+// an empty Applied list means the plane has quiesced.
 type RoundReport struct {
-	Round uint32
-	// Outcome is what the merge phase did, as in shard.Round: the applied
-	// migrations and the stale / cross-shard tallies.
-	shard.Outcome
+	shard.Round
 	Rings []RingReport
-	// RingHops is the longest ring's hop count (the round's critical
-	// path); TotalHops sums all rings.
-	RingHops, TotalHops int
 	// Regenerated sums token re-injections across rings; Recovered
 	// counts rings that completed after at least one regeneration.
 	// Evicted lists the hosts removed from rings as unresponsive this
@@ -127,11 +113,6 @@ type RoundReport struct {
 	// SpuriousRegens sums the rings' witnessed-unnecessary
 	// regenerations (see RingReport.Spurious).
 	SpuriousRegens int
-	// Shards and Granularity record the partition this round ran with —
-	// the tuner's recommendation under auto-tuning, the fixed
-	// configuration otherwise.
-	Shards      int
-	Granularity shard.Granularity
 }
 
 const (
@@ -154,12 +135,9 @@ type ringEvent struct {
 	at   time.Time
 }
 
-// Reconciler drives sharded rounds over the distributed agent plane: it
-// partitions the registry's authoritative allocation, pushes shard
-// assignments, injects one token per shard, collects the rings' staged
-// state, and re-validates and executes the staged moves through the
-// same shard.Merge phase the in-process Coordinator uses. RunRound must
-// not be called concurrently.
+// Reconciler drives sharded rounds over the distributed agent plane: the
+// round is shard.Driver's, as in the in-process Coordinator, over
+// agentPlane. RunRound must not be called concurrently.
 type Reconciler struct {
 	cfg    ReconcilerConfig
 	reg    *Registry
@@ -169,14 +147,18 @@ type Reconciler struct {
 	// kern is the decision rule's kernel: the merge phase's Delta and
 	// Apply, which run strictly sequentially, score on it.
 	kern *core.Kernel
+	drv  *shard.Driver
 
-	round uint32
 	// est is the adaptive-deadline estimator (nil when disabled);
 	// lastShards/lastGran detect partition-shape changes that invalidate
 	// per-shard estimates.
 	est        *control.LatencyEstimator
 	lastShards int
 	lastGran   shard.Granularity
+
+	// The round in progress: registered hosts, and the rings' collection.
+	hostIDs []cluster.HostID
+	cur     *roundState
 }
 
 // NewReconciler validates the configuration; call Start with a transport
@@ -184,14 +166,6 @@ type Reconciler struct {
 func NewReconciler(cfg ReconcilerConfig, reg *Registry) (*Reconciler, error) {
 	if cfg.Topo == nil || reg == nil {
 		return nil, fmt.Errorf("hypervisor: nil dependency")
-	}
-	if cfg.Tuner == nil {
-		if cfg.Shards < 1 {
-			return nil, fmt.Errorf("hypervisor: shard count %d must be positive", cfg.Shards)
-		}
-		if cfg.Granularity != shard.ByPod && cfg.Granularity != shard.ByRack {
-			return nil, fmt.Errorf("hypervisor: unknown granularity %v", cfg.Granularity)
-		}
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 2 * time.Second
@@ -207,12 +181,20 @@ func NewReconciler(cfg ReconcilerConfig, reg *Registry) (*Reconciler, error) {
 		return nil, err
 	}
 	r := &Reconciler{cfg: cfg, kern: kern, reg: reg, events: make(chan ringEvent, 4096)}
-	if cfg.AdaptiveDeadline {
-		if cfg.Tuner != nil {
-			r.est = cfg.Tuner.Latency()
-		} else {
-			r.est = control.NewLatencyEstimator(cfg.Estimator)
-		}
+	scfg := shard.Config{Shards: cfg.Shards, Granularity: cfg.Granularity, Trace: cfg.Trace, Audit: cfg.Audit}
+	if cfg.Tuner != nil {
+		scfg.Tuner = cfg.Tuner
+	}
+	if cfg.Metrics != nil {
+		scfg.Metrics = cfg.Metrics.Metrics
+	}
+	if r.drv, err = shard.NewDriver(cfg.Topo, scfg, cfg.MigrationCost, agentPlane{r}); err != nil {
+		return nil, err
+	}
+	if cfg.AdaptiveDeadline && cfg.Tuner != nil {
+		r.est = cfg.Tuner.Latency()
+	} else if cfg.AdaptiveDeadline {
+		r.est = control.NewLatencyEstimator(control.EstimatorConfig{})
 	}
 	return r, nil
 }
@@ -315,23 +297,25 @@ func (e *reconcileEnv) capacity(h cluster.HostID) *hostCap {
 }
 
 // prefetch warms the capacity cache for every distinct target of the
-// round's moves in one concurrent probe wave, overlapping the round trips
+// rings' moves in one concurrent probe wave, overlapping the round trips
 // (and the probe timeouts of dead hosts) the replay would otherwise pay
 // one by one.
-func (e *reconcileEnv) prefetch(groups ...[]core.Decision) {
+func (e *reconcileEnv) prefetch(rings []shard.Ring) {
 	seen := make(map[cluster.HostID]bool)
 	var wg sync.WaitGroup
-	for _, ds := range groups {
-		for _, d := range ds {
-			if seen[d.Target] {
-				continue
+	for _, rg := range rings {
+		for _, ds := range [][]core.Decision{rg.Commits, rg.Proposals} {
+			for _, d := range ds {
+				if seen[d.Target] {
+					continue
+				}
+				seen[d.Target] = true
+				wg.Add(1)
+				go func(h cluster.HostID) {
+					defer wg.Done()
+					e.capacity(h)
+				}(d.Target)
 			}
-			seen[d.Target] = true
-			wg.Add(1)
-			go func(h cluster.HostID) {
-				defer wg.Done()
-				e.capacity(h)
-			}(d.Target)
 		}
 	}
 	wg.Wait()
@@ -452,17 +436,18 @@ func (e *reconcileEnv) stage(ms []StagedMove, s int, evicted map[cluster.HostID]
 
 // shardTrack is the reconciler's live copy of one shard ring within a
 // round: the latest accepted RingState (injected, then advanced by every
-// accepted MsgRingAck), the holder the token was last handed to, and the
-// regeneration bookkeeping. This copy is what a lost ring is regenerated
-// from — the protocol's recovery invariant is that everything the
-// reconciler has acked survives a token loss, and everything after the
-// last ack is re-decided by the regenerated ring.
+// accepted MsgRingAck; the final one once done), the holder the token
+// was last handed to, and the regeneration bookkeeping. This copy is
+// what a lost ring is regenerated from — the protocol's recovery
+// invariant is that everything the reconciler has acked survives a token
+// loss, and everything after the last ack is re-decided by the
+// regenerated ring.
 type shardTrack struct {
 	st   *RingState
 	next cluster.VMID
-	// lastProgress is the arrival time of the newest accepted ack (or
-	// the injection); the shard deadline measures from it.
-	lastProgress time.Time
+	// injected is when the token was injected, lastProgress when the
+	// newest accepted ack (or the injection) arrived: deadlines count from it.
+	injected, lastProgress time.Time
 	// attempt is the current regeneration sequence number; events
 	// carrying any other attempt are stragglers from a presumed-lost
 	// token and are discarded, so a regenerated ring can never
@@ -486,22 +471,20 @@ type shardTrack struct {
 
 // roundState carries one RunRound's collection across helpers.
 type roundState struct {
-	roundID  uint32
-	states   []*RingState
-	reports  []RingReport
-	tracks   []*shardTrack
-	injected []time.Time
-	evicted  map[cluster.HostID]bool
-	pending  int
+	roundID uint32
+	reports []RingReport
+	tracks  []*shardTrack
+	evicted map[cluster.HostID]bool
+	pending int
 }
 
 // finalize accepts st as shard s's final state.
 func (r *Reconciler) finalize(c *roundState, s int, st *RingState, at time.Time) {
-	c.states[s] = st
+	c.tracks[s].st = st
 	c.reports[s].Hops = int(st.Hops)
-	c.reports[s].Staged = len(st.Staged)
+	c.reports[s].Committed = len(st.Staged)
 	c.reports[s].Proposed = len(st.Proposals)
-	c.reports[s].Latency = at.Sub(c.injected[s])
+	c.reports[s].Latency = at.Sub(c.tracks[s].injected)
 	c.tracks[s].done = true
 	c.pending--
 	if m := r.cfg.Metrics; m != nil {
@@ -670,15 +653,9 @@ func (r *Reconciler) collect(c *roundState) error {
 	timeout := time.After(roundTimeout)
 	tickBase := r.cfg.ShardDeadline
 	if r.est != nil {
-		if m := r.est.Config().Min; m < tickBase {
-			tickBase = m
-		}
+		tickBase = min(tickBase, r.est.Config().Min)
 	}
-	tickEvery := tickBase / 4
-	if tickEvery < time.Millisecond {
-		tickEvery = time.Millisecond
-	}
-	ticker := time.NewTicker(tickEvery)
+	ticker := time.NewTicker(max(tickBase/4, time.Millisecond))
 	defer ticker.Stop()
 	for c.pending > 0 {
 		select {
@@ -749,66 +726,75 @@ func (r *Reconciler) collect(c *roundState) error {
 // migrations have been committed. See the package documentation for the
 // message flow.
 func (r *Reconciler) RunRound() (*RoundReport, error) {
-	r.round++
-	roundID := r.round
-	m, trc := r.cfg.Metrics, r.cfg.Trace
-	var started time.Time
-	if m != nil || trc != nil {
-		started = time.Now()
-	}
-	if trc != nil {
-		trc.Record(obs.Event{Kind: obs.EvRoundStart, Round: roundID, Shard: -1})
-	}
-
-	// 1. Partition the registry's current allocation, reusing the
-	// in-process plane's topology-aligned partitioner. Under
-	// auto-tuning the shard count and granularity come from the control
-	// plane's traffic-derived recommendation instead of the fixed
-	// configuration.
-	hostIDs := r.reg.HostList()
-	if len(hostIDs) == 0 {
-		return nil, fmt.Errorf("hypervisor: no agents registered")
-	}
-	shards, gran := r.cfg.Shards, r.cfg.Granularity
-	if r.cfg.Tuner != nil {
-		shards, gran = r.cfg.Tuner.Plan()
-		if shards < 1 {
-			shards = 1
-		}
-		if gran != shard.ByPod && gran != shard.ByRack {
-			gran = shard.ByPod
-		}
-	}
-	hosts := int(hostIDs[len(hostIDs)-1]) + 1
-	part, err := shard.NewHostPartition(r.cfg.Topo, hosts, gran, shards)
+	rd, err := r.drv.RunRound()
 	if err != nil {
 		return nil, err
 	}
-	for _, vm := range r.reg.VMList() { // ascending, as Add requires
-		if h, ok := r.reg.HostOfVM(vm); ok {
+	c := r.cur
+	rep := &RoundReport{Round: *rd, Rings: c.reports}
+	for s := range rep.Rings {
+		ring := &rep.Rings[s]
+		ring.ShardRound = rd.Shards[s]
+		rep.Regenerated += ring.Regenerated
+		rep.SpuriousRegens += ring.Spurious
+		if ring.Regenerated > 0 {
+			rep.Recovered++
+		}
+	}
+	for h := range c.evicted {
+		rep.Evicted = append(rep.Evicted, h)
+	}
+	slices.Sort(rep.Evicted)
+	// Abort notifications: the dom0 of every move that was re-validated
+	// and did not land drops its stale cached state.
+	for _, d := range r.drv.Merge.Rejected {
+		if addr, ok := r.reg.Lookup(d.VM); ok {
+			_ = r.tr.Send(addr, Message{Type: MsgReconcileAbort, VM: d.VM, Host: d.Target})
+		}
+	}
+	return rep, nil
+}
+
+// agentPlane is the Reconciler as the driver's shard.Plane: the registry
+// is its placement, its rings are dom0 agents, supervised from here.
+type agentPlane struct{ *Reconciler }
+
+func (p agentPlane) Hosts() (int, error) {
+	p.hostIDs = p.reg.HostList()
+	if len(p.hostIDs) == 0 {
+		return 0, fmt.Errorf("hypervisor: no agents registered")
+	}
+	return int(p.hostIDs[len(p.hostIDs)-1]) + 1, nil
+}
+
+func (p agentPlane) Fill(part *shard.Partition) {
+	for _, vm := range p.reg.VMList() { // ascending, as Add requires
+		if h, ok := p.reg.HostOfVM(vm); ok {
 			part.Add(vm, h)
 		}
 	}
-	n := part.Shards()
+}
+
+// Run is the agent plane's part of a round: push the shard assignment,
+// run one token ring per shard, and stage what the rings report for the
+// merge over the wire Env.
+func (p agentPlane) Run(rd *shard.Round, part *shard.Partition, mg *shard.Merge) ([]shard.Ring, error) {
+	r, roundID, n := p.Reconciler, rd.Number, part.Shards()
 	// A changed shard count or granularity re-constitutes the rings;
 	// per-shard latency estimates from the old shape no longer apply.
-	if r.est != nil && (n != r.lastShards || gran != r.lastGran) {
+	if r.est != nil && (n != r.lastShards || rd.Granularity != r.lastGran) {
 		if r.lastShards != 0 {
 			r.est.Reset()
 		}
-		r.lastShards, r.lastGran = n, gran
+		r.lastShards, r.lastGran = n, rd.Granularity
 	}
 
-	// 2. Push the round's shard assignment to every agent. A host that
+	// 1. Push the round's shard assignment to every agent. A host that
 	// does not ack within the probe timeout is evicted for the round —
 	// its VMs keep their placement, stay out of every ring, and rejoin
 	// as soon as their dom0 acks a later round's assignment. Failing the
 	// round here would let one crashed agent wedge the plane forever.
-	table := make([]int32, hosts)
-	for h := 0; h < hosts; h++ {
-		table[h] = int32(part.ShardOfHost(cluster.HostID(h)))
-	}
-	asg := &ShardAssignment{Round: roundID, Shards: int32(n), ReconcilerAddr: r.tr.Addr(), HostShard: table}
+	asg := &ShardAssignment{Round: roundID, Shards: int32(n), ReconcilerAddr: r.tr.Addr(), HostShard: part.HostShards()}
 	payload := asg.Encode()
 	// Push concurrently: the requester correlates responses by ReqID,
 	// so setup costs ~1 RTT instead of O(hosts), and dead hosts overlap
@@ -818,7 +804,7 @@ func (r *Reconciler) RunRound() (*RoundReport, error) {
 		deadMu sync.Mutex
 		wg     sync.WaitGroup
 	)
-	for _, h := range hostIDs {
+	for _, h := range r.hostIDs {
 		wg.Add(1)
 		go func(h cluster.HostID) {
 			defer wg.Done()
@@ -831,49 +817,41 @@ func (r *Reconciler) RunRound() (*RoundReport, error) {
 		}(h)
 	}
 	wg.Wait()
-	if len(dead) == len(hostIDs) {
+	if len(dead) == len(r.hostIDs) {
 		return nil, fmt.Errorf("hypervisor: no agent acked the round %d shard assignment", roundID)
 	}
 	// Assignment-phase evictions are plane-level (no ring is running
 	// yet), so the events carry shard -1.
-	if m != nil {
+	if m := r.cfg.Metrics; m != nil {
 		m.Evictions.Add(uint64(len(dead)))
 	}
-	if trc != nil {
+	if trc := r.cfg.Trace; trc != nil {
 		for h := range dead {
 			trc.Record(obs.Event{Kind: obs.EvEvict, Round: roundID, Shard: -1, Arg: int64(h)})
 		}
 	}
 
-	// 3. Inject one token per shard; the rings run concurrently. The
+	// 2. Inject one token per shard; the rings run concurrently. The
 	// reconciler keeps a copy of each injected state and advances it
 	// from the per-visit acks — the material a lost ring is
 	// regenerated from.
 	depth := uint8(r.cfg.Topo.Depth())
 	lists := make([][]cluster.VMID, n)
 	for s := range lists {
-		lists[s] = part.VMs(s)
-		if len(dead) > 0 {
-			kept := lists[s][:0]
-			for _, vm := range lists[s] {
-				if h, ok := r.reg.HostOfVM(vm); ok && !dead[h] {
-					kept = append(kept, vm)
-				}
-			}
-			lists[s] = kept
-		}
+		lists[s] = slices.DeleteFunc(part.VMs(s), func(vm cluster.VMID) bool {
+			h, ok := r.reg.HostOfVM(vm)
+			return !ok || dead[h]
+		})
 	}
 	rings := token.Rings(lists, depth)
 	c := &roundState{
-		roundID:  roundID,
-		states:   make([]*RingState, n),
-		reports:  make([]RingReport, n),
-		tracks:   make([]*shardTrack, n),
-		injected: make([]time.Time, n),
-		evicted:  dead,
+		roundID: roundID,
+		reports: make([]RingReport, n),
+		tracks:  make([]*shardTrack, n),
+		evicted: dead,
 	}
 	for s := 0; s < n; s++ {
-		c.reports[s] = RingReport{Shard: s, VMs: len(lists[s]), Deadline: r.shardDeadline(s)}
+		c.reports[s] = RingReport{ShardRound: shard.ShardRound{Shard: s, VMs: len(lists[s])}, Deadline: r.shardDeadline(s)}
 		first, ok := rings[s].Inject()
 		if !ok {
 			continue // empty shard: no ring this round
@@ -883,85 +861,43 @@ func (r *Reconciler) RunRound() (*RoundReport, error) {
 			return nil, fmt.Errorf("hypervisor: injection point VM %d has no registered dom0", first)
 		}
 		st := &RingState{Shard: int32(s), Round: roundID, Limit: int32(len(lists[s])), Token: rings[s].Encode()}
-		c.injected[s] = time.Now()
-		c.tracks[s] = &shardTrack{st: st, next: first, lastProgress: c.injected[s]}
+		now := time.Now()
+		c.tracks[s] = &shardTrack{st: st, next: first, injected: now, lastProgress: now}
 		if err := r.tr.Send(addr, Message{Type: MsgShardToken, VM: first, Payload: st.Encode()}); err != nil {
 			return nil, fmt.Errorf("hypervisor: injecting shard %d token: %w", s, err)
 		}
 		c.pending++
 	}
 
-	// 4. Collect ring completions, regenerating rings that miss the
+	// 3. Collect ring completions, regenerating rings that miss the
 	// shard deadline.
 	if err := r.collect(c); err != nil {
 		return nil, err
 	}
-	states, reports := c.states, c.reports
+	r.cur = c
 
-	// 5. Hand the rings' staged output to the merge phase — the one the
-	// in-process Coordinator runs — over the distributed env.
+	// 4. Stage the rings' output for the merge over the distributed env,
+	// withdrawing moves that touch an evicted host, then warm every
+	// capacity probe the merge will issue in one wave, so no move of the
+	// replay pays a probe round trip.
 	env := &reconcileEnv{
 		r:     r,
 		rates: make(map[cluster.VMID][]traffic.Edge),
 		ram:   make(map[cluster.VMID]int32),
 		caps:  make(map[cluster.HostID]*hostCap),
 	}
-	mg := shard.Merge{Env: env, Cm: r.cfg.MigrationCost, Round: roundID, Audit: r.cfg.Audit, Trace: trc}
-	if m != nil {
-		mg.Metrics = m.Metrics
-	}
-
-	rep := &RoundReport{Round: roundID, Rings: reports, Shards: n, Granularity: gran}
-	for h := range c.evicted {
-		rep.Evicted = append(rep.Evicted, h)
-	}
-	slices.Sort(rep.Evicted)
-	// Moves by VMs stranded on evicted hosts cannot commit (their dom0 is
-	// unresponsive) and moves onto evicted hosts must not: withdraw both
-	// up front, then warm every capacity probe the whole phase will issue
-	// in one wave, so no move of the replay pays a probe round trip.
-	commits := make([][]core.Decision, n)
-	commitMeta := make([][]shard.AuditMeta, n)
-	props := make([][]core.Decision, n)
-	propMeta := make([][]shard.AuditMeta, n)
-	for s, st := range states {
-		if st == nil {
+	mg.Env = env
+	out := make([]shard.Ring, n)
+	for s, tk := range c.tracks {
+		out[s].ShardRound = c.reports[s].ShardRound
+		if tk == nil {
 			continue
 		}
 		var droppedCommits, droppedProps []core.Decision
-		commits[s], commitMeta[s], droppedCommits = env.stage(st.Staged, s, c.evicted)
-		props[s], propMeta[s], droppedProps = env.stage(st.Proposals, s, c.evicted)
+		out[s].Commits, out[s].CommitMeta, droppedCommits = env.stage(tk.st.Staged, s, c.evicted)
+		out[s].Proposals, out[s].ProposalMeta, droppedProps = env.stage(tk.st.Proposals, s, c.evicted)
 		mg.Withdraw(s, droppedCommits, droppedProps)
 	}
-	env.prefetch(append(commits, props...)...)
-
-	for s := 0; s < n; s++ {
-		rep.TotalHops += reports[s].Hops
-		if reports[s].Hops > rep.RingHops {
-			rep.RingHops = reports[s].Hops
-		}
-		rep.Regenerated += reports[s].Regenerated
-		rep.SpuriousRegens += reports[s].Spurious
-		if reports[s].Regenerated > 0 && states[s] != nil {
-			rep.Recovered++
-		}
-		if states[s] == nil {
-			continue
-		}
-		reports[s].Merged = mg.Shard(s, commits[s], commitMeta[s])
-		mg.Propose(props[s], propMeta[s])
-	}
-	mg.Cross()
-	rep.Outcome = mg.Outcome
-
-	// 6. Abort notifications: the dom0 of every move that was re-validated
-	// and did not land drops its stale cached state.
-	for _, d := range mg.Rejected {
-		if addr, ok := r.reg.Lookup(d.VM); ok {
-			_ = r.tr.Send(addr, Message{Type: MsgReconcileAbort, VM: d.VM, Host: d.Target})
-		}
-	}
-	// Dom0s run the decision kernel in full on every visit: none skipped.
-	mg.Finish(started, n, rep.TotalHops, 0)
-	return rep, nil
+	env.prefetch(out)
+	return out, nil
 }

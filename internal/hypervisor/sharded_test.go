@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"github.com/score-dc/score/internal/cluster"
-	"github.com/score-dc/score/internal/control"
 	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/obs"
 	"github.com/score-dc/score/internal/shard"
@@ -135,7 +134,6 @@ type planeOpts struct {
 	tcpCfg TCPConfig
 	// adaptive derives per-shard deadlines from observed ack latency.
 	adaptive bool
-	estCfg   control.EstimatorConfig
 	// metrics, trace and audit attach the observability plane to the
 	// reconciler.
 	metrics *PlaneMetrics
@@ -243,7 +241,6 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 			ShardDeadline:    o.shardDeadline,
 			EvictAttempts:    o.evictAttempts,
 			AdaptiveDeadline: o.adaptive,
-			Estimator:        o.estCfg,
 			Metrics:          o.metrics,
 			Trace:            o.trace,
 			Audit:            o.audit,
@@ -544,10 +541,10 @@ func fingerprintReports(reports []*RoundReport, place map[cluster.VMID]cluster.H
 	out := ""
 	for _, rep := range reports {
 		out += fmt.Sprintf("round %d hops=%d/%d cross=%d/%d stale=%d\n",
-			rep.Round, rep.RingHops, rep.TotalHops, rep.CrossApplied, rep.CrossRejected, rep.StaleRejected)
+			rep.Number, rep.RingHops, rep.TotalHops, rep.CrossApplied, rep.CrossRejected, rep.StaleRejected)
 		for _, ring := range rep.Rings {
 			out += fmt.Sprintf("  ring %d vms=%d hops=%d s=%d m=%d p=%d\n",
-				ring.Shard, ring.VMs, ring.Hops, ring.Staged, ring.Merged, ring.Proposed)
+				ring.Shard, ring.VMs, ring.Hops, ring.Committed, ring.Merged, ring.Proposed)
 		}
 		for _, d := range rep.Applied {
 			out += fmt.Sprintf("  vm %d: %d->%d delta=%x\n", d.VM, d.From, d.Target, math.Float64bits(d.Delta))

@@ -49,20 +49,20 @@ func TestChaosRoundReconstructibleFromTrace(t *testing.T) {
 	totalRegens, totalSpurious := 0, 0
 	for i, rep := range reports {
 		sp := spans[i]
-		if sp.Round != rep.Round {
-			t.Fatalf("span %d carries round %d, report says %d", i, sp.Round, rep.Round)
+		if sp.Round != rep.Number {
+			t.Fatalf("span %d carries round %d, report says %d", i, sp.Round, rep.Number)
 		}
 		if sp.StartNS == 0 || sp.EndNS == 0 || sp.Latency <= 0 {
-			t.Fatalf("round %d span missing start/end bracketing: %+v", rep.Round, sp)
+			t.Fatalf("round %d span missing start/end bracketing: %+v", rep.Number, sp)
 		}
 
 		// Fault recovery: regeneration totals, per-shard attempt numbers
 		// and evictions must be recoverable from the events alone.
 		if sp.Regens() != rep.Regenerated {
-			t.Fatalf("round %d: trace shows %d regenerations, report %d", rep.Round, sp.Regens(), rep.Regenerated)
+			t.Fatalf("round %d: trace shows %d regenerations, report %d", rep.Number, sp.Regens(), rep.Regenerated)
 		}
 		if len(sp.Evicted) != len(rep.Evicted) {
-			t.Fatalf("round %d: trace evicted %v, report %v", rep.Round, sp.Evicted, rep.Evicted)
+			t.Fatalf("round %d: trace evicted %v, report %v", rep.Number, sp.Evicted, rep.Evicted)
 		}
 		evicted := make(map[int64]bool, len(sp.Evicted))
 		for _, h := range sp.Evicted {
@@ -70,32 +70,32 @@ func TestChaosRoundReconstructibleFromTrace(t *testing.T) {
 		}
 		for _, h := range rep.Evicted {
 			if !evicted[int64(h)] {
-				t.Fatalf("round %d: report evicted host %d absent from trace %v", rep.Round, h, sp.Evicted)
+				t.Fatalf("round %d: report evicted host %d absent from trace %v", rep.Number, h, sp.Evicted)
 			}
 		}
 		for _, ring := range rep.Rings {
 			ss := sp.Shard(ring.Shard)
 			if ss == nil {
-				t.Fatalf("round %d: shard %d has no trace span", rep.Round, ring.Shard)
+				t.Fatalf("round %d: shard %d has no trace span", rep.Number, ring.Shard)
 			}
 			if !ss.Done {
-				t.Fatalf("round %d shard %d: ring completed but trace has no ring_done", rep.Round, ring.Shard)
+				t.Fatalf("round %d shard %d: ring completed but trace has no ring_done", rep.Number, ring.Shard)
 			}
 			if ss.Hops != ring.Hops {
-				t.Fatalf("round %d shard %d: trace hops %d, report %d", rep.Round, ring.Shard, ss.Hops, ring.Hops)
+				t.Fatalf("round %d shard %d: trace hops %d, report %d", rep.Number, ring.Shard, ss.Hops, ring.Hops)
 			}
 			if ss.Regens != ring.Regenerated {
-				t.Fatalf("round %d shard %d: trace regens %d, report %d", rep.Round, ring.Shard, ss.Regens, ring.Regenerated)
+				t.Fatalf("round %d shard %d: trace regens %d, report %d", rep.Number, ring.Shard, ss.Regens, ring.Regenerated)
 			}
 			// Attempts start at 0 and advance once per regeneration, so
 			// the highest attempt number in the stream is the per-shard
 			// regeneration count.
 			if ss.LastAttempt != uint32(ring.Regenerated) {
 				t.Fatalf("round %d shard %d: trace last attempt %d, report regenerated %d",
-					rep.Round, ring.Shard, ss.LastAttempt, ring.Regenerated)
+					rep.Number, ring.Shard, ss.LastAttempt, ring.Regenerated)
 			}
 			if ss.Spurious != ring.Spurious {
-				t.Fatalf("round %d shard %d: trace spurious %d, report %d", rep.Round, ring.Shard, ss.Spurious, ring.Spurious)
+				t.Fatalf("round %d shard %d: trace spurious %d, report %d", rep.Number, ring.Shard, ss.Spurious, ring.Spurious)
 			}
 		}
 
@@ -108,16 +108,16 @@ func TestChaosRoundReconstructibleFromTrace(t *testing.T) {
 			merged += ring.Merged
 		}
 		if sp.Merged != merged {
-			t.Fatalf("round %d: trace merged %d, report %d", rep.Round, sp.Merged, merged)
+			t.Fatalf("round %d: trace merged %d, report %d", rep.Number, sp.Merged, merged)
 		}
 		if sp.Stale != rep.StaleRejected {
-			t.Fatalf("round %d: trace stale %d, report %d", rep.Round, sp.Stale, rep.StaleRejected)
+			t.Fatalf("round %d: trace stale %d, report %d", rep.Number, sp.Stale, rep.StaleRejected)
 		}
 		if sp.CrossApplied != rep.CrossApplied {
-			t.Fatalf("round %d: trace cross-applied %d, report %d", rep.Round, sp.CrossApplied, rep.CrossApplied)
+			t.Fatalf("round %d: trace cross-applied %d, report %d", rep.Number, sp.CrossApplied, rep.CrossApplied)
 		}
 		if len(rep.Evicted) == 0 && sp.CrossRejected != rep.CrossRejected {
-			t.Fatalf("round %d: trace cross-rejected %d, report %d", rep.Round, sp.CrossRejected, rep.CrossRejected)
+			t.Fatalf("round %d: trace cross-rejected %d, report %d", rep.Number, sp.CrossRejected, rep.CrossRejected)
 		}
 		totalRegens += rep.Regenerated
 		totalSpurious += rep.SpuriousRegens
@@ -153,10 +153,10 @@ func TestChaosRoundReconstructibleFromTrace(t *testing.T) {
 		bits     uint64
 	}
 	for _, rep := range reports {
-		recs := ar.Select(-1, int64(rep.Round))
+		recs := ar.Select(-1, int64(rep.Number))
 		decided := len(rep.Applied) + rep.StaleRejected + rep.CrossRejected
 		if len(recs) == 0 && decided > 0 {
-			t.Fatalf("round %d made %d decisions but left no audit records", rep.Round, decided)
+			t.Fatalf("round %d made %d decisions but left no audit records", rep.Number, decided)
 		}
 		want := make(map[moveKey]int, len(rep.Applied))
 		for _, d := range rep.Applied {
@@ -171,13 +171,13 @@ func TestChaosRoundReconstructibleFromTrace(t *testing.T) {
 			k := moveKey{r.VM, r.From, r.To, r.FinalBits}
 			if want[k] == 0 {
 				t.Fatalf("round %d: audit record vm=%d %d→%d ΔC=%v (%s) has no bit-exact committed move",
-					rep.Round, r.VM, r.From, r.To, r.FinalDelta(), obs.VerdictString(r.Verdict))
+					rep.Number, r.VM, r.From, r.To, r.FinalDelta(), obs.VerdictString(r.Verdict))
 			}
 			want[k]--
 		}
 		if got != len(rep.Applied) {
 			t.Fatalf("round %d: audit ring explains %d applied moves, reconciler committed %d",
-				rep.Round, got, len(rep.Applied))
+				rep.Number, got, len(rep.Applied))
 		}
 
 		// Token-visit provenance under chaos: every record carries a
@@ -189,11 +189,11 @@ func TestChaosRoundReconstructibleFromTrace(t *testing.T) {
 		}
 		for _, r := range recs {
 			if r.Hop < 0 {
-				t.Fatalf("round %d: audit record vm=%d missing token hop", rep.Round, r.VM)
+				t.Fatalf("round %d: audit record vm=%d missing token hop", rep.Number, r.VM)
 			}
 			if int(r.Attempt) > regenBy[r.Shard] {
 				t.Fatalf("round %d shard %d: audit attempt %d exceeds ring regenerations %d",
-					rep.Round, r.Shard, r.Attempt, regenBy[r.Shard])
+					rep.Number, r.Shard, r.Attempt, regenBy[r.Shard])
 			}
 		}
 	}

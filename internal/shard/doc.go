@@ -49,15 +49,18 @@
 //     Each verdict is recorded where it is reached — one audit record
 //     and one EvVerdict trace event, in decision order.
 //
-// The phase is the one place the two scheduler planes meet. A plane —
-// the Coordinator here, hypervisor.Reconciler over the wire — supplies
-// an Env (how to price, admit, locate and execute a move against its
-// authoritative state), its rings' staged commits and proposals in
-// shard order, and the audit provenance (AuditMeta) riding with them;
-// order, re-validation, tallies, records, metrics and the abort list
-// (Merge.Rejected) come back. Every pass is one replay loop, one decision
-// at a time, over whichever Env the plane supplies; a plane whose probes
-// cost round trips warms its own state before handing the moves in.
+// The round is where the two scheduler planes meet: both run one Driver
+// (round number and trace start, the tuner's plan, the host→shard table,
+// the rings filled and run, the merge fed in shard order, the Round). A
+// Plane supplies what differs: its host count, its placement (Fill), and
+// Run, which runs its rings and hands back their staged commits and
+// proposals with their provenance (AuditMeta) and the Env the merge
+// prices, admits, locates and executes moves against. The Coordinator is
+// the Driver over views on the worker pool; hypervisor.Reconciler is the
+// Driver over dom0 agent rings, which its Run supervises over the wire.
+// Every merge pass is one replay loop, one decision at a time, over the
+// plane's Env; a plane whose probes cost round trips warms its own state
+// before handing the moves in.
 //
 // Because each ring's outcome depends only on the frozen round-start
 // state and its own staged moves, and the merge phase runs in a fixed
@@ -76,12 +79,12 @@
 // A partition's rings are filled, not kept. "Every placed VM belongs to
 // the shard of its current host" makes them a function of the placement
 // table, so a round starts by refilling them from it in one ascending
-// pass (Partition.Refill over cluster.DenseAlloc; the agent plane walks
-// its sorted registry through Partition.Add) — about 2.4 ns per VM, into
-// storage the previous round left behind. Only the host→shard table,
-// which depends on the topology and the shard shape alone, outlives a
-// round. Nothing observes the cluster on the partition's behalf, and a
-// move, admit, removal or Restore between rounds needs no case here.
+// pass (the in-process plane walks cluster.DenseAlloc, the agent plane
+// its sorted registry) — about 2.4 ns per VM, into storage the previous
+// round left behind. Only the host→shard table, which depends on the
+// topology and the shard shape alone, outlives a round. Nothing observes
+// the cluster on the partition's behalf, and a move, admit, removal or
+// Restore between rounds needs no case here.
 //
 // The worker pool (Pool) is exported separately: the GA baseline reuses
 // it to fan population fitness evaluation and memetic local search over

@@ -13,8 +13,8 @@ import (
 // Merge is the merge phase of one scheduling round — everything between
 // "the rings have finished" and "the round is reported" — and the one
 // piece of code both scheduler planes run for it (see the package
-// documentation for what a plane supplies). Per ring, in shard order, a
-// plane calls Shard with the staged intra-shard commits and Propose with
+// documentation for what a plane supplies). Per ring, in shard order, the
+// Driver calls Shard with the staged intra-shard commits and Propose with
 // the cross-shard proposals; then Cross once; then Finish. Every decision
 // is re-validated against the state the one before it left (ΔC > Cm and
 // admissible: Theorem 1 for everything that lands), applied, and
@@ -34,8 +34,8 @@ type Merge struct {
 	Trace   *obs.Tracer
 	Metrics *Metrics
 
-	// Outcome is the phase's result so far; a plane copies it into its
-	// round report (Reset starts a fresh Applied list).
+	// Outcome is the phase's result so far; the Driver copies it into the
+	// Round (Reset starts a fresh Applied list).
 	Outcome
 	// Rejected lists, in decision order and as handed in, every
 	// re-validated move that did not land: what the distributed plane
@@ -57,8 +57,8 @@ type Merge struct {
 	t     int64
 }
 
-// Outcome is what a merge phase did — the part of a round's report the
-// two planes share (shard.Round and hypervisor.RoundReport embed it).
+// Outcome is what a merge phase did — the part of a Round the merge
+// reports.
 type Outcome struct {
 	// Applied lists every migration executed, in application order:
 	// staged intra-shard commits in shard order, then reconciled
@@ -76,8 +76,8 @@ type Outcome struct {
 // AuditMeta is per-decision provenance riding alongside the decisions a
 // plane hands in: the ring that staged the move, the token attempt it
 // was staged under, and the 0-based token-visit hop at staging time (-1
-// when untracked). The Coordinator fills it in ringPass, the distributed
-// reconciler from the StagedMove wire fields. A nil or short meta slice
+// when untracked). The in-process plane fills it in ringPass, the agent
+// plane from the StagedMove wire fields. A nil or short meta slice
 // records unknown provenance (-1 hop/shard) rather than failing.
 type AuditMeta struct {
 	Hop     int32

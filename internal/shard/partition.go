@@ -47,8 +47,8 @@ func ParseGranularity(s string) (Granularity, error) {
 // placed VM — to one of a fixed number of shards. Units (pods or racks)
 // are assigned to shards in contiguous blocks, so a shard is a set of
 // whole units and its boundaries coincide with topology levels. The VM
-// rings hold the placement as it was when they were filled (Refill, Add);
-// they follow no later change to it.
+// rings hold the placement as it was when they were filled (Add); they
+// follow no later change to it.
 type Partition struct {
 	shards    int
 	hostShard []int32
@@ -59,9 +59,8 @@ type Partition struct {
 // rings: topology units (pods or racks) are assigned to shards in
 // contiguous blocks covering hosts [0, hosts). The effective shard count
 // is clamped to the number of units at the chosen granularity. Callers
-// that track VM placement themselves (the distributed reconciler agent,
-// which reads the registry rather than a cluster) populate the rings via
-// Add.
+// that track VM placement themselves (the agent plane, which reads the
+// registry rather than a cluster) populate the rings via Add.
 func NewHostPartition(topo topology.Topology, hosts int, g Granularity, shards int) (*Partition, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("shard: nil topology")
@@ -115,17 +114,21 @@ func NewPartition(topo topology.Topology, cl *cluster.Cluster, g Granularity, sh
 	if err != nil {
 		return nil, err
 	}
-	p.Refill(cl)
+	p.addPlaced(cl)
 	return p, nil
 }
 
-// Refill empties the rings and fills them from the cluster's current
-// placement table in one ascending pass, reusing the ring storage: no
-// allocation once the rings have grown to size.
-func (p *Partition) Refill(cl *cluster.Cluster) {
+// empty truncates every ring, keeping its storage: refilling it with
+// addPlaced allocates nothing once the rings have grown to size.
+func (p *Partition) empty() {
 	for s := range p.vms {
 		p.vms[s] = p.vms[s][:0]
 	}
+}
+
+// addPlaced adds every VM the cluster's placement table places, in one
+// ascending pass.
+func (p *Partition) addPlaced(cl *cluster.Cluster) {
 	base, alloc := cl.DenseAlloc()
 	for i, h := range alloc {
 		if h != cluster.NoHost {
@@ -156,6 +159,9 @@ func (p *Partition) ShardOfHost(h cluster.HostID) int {
 	}
 	return int(p.hostShard[h])
 }
+
+// HostShards returns the host→shard table, owned by the partition.
+func (p *Partition) HostShards() []int32 { return p.hostShard }
 
 // VMs returns shard s's VM population in ascending ID order. The slice
 // is owned by the partition.

@@ -504,8 +504,12 @@ func TestRefillZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(20, func() { part.Refill(eng.Cluster()) }); n != 0 {
-		t.Fatalf("steady-state Refill allocates %v times per call, want 0", n)
+	refill := func() {
+		part.empty()
+		part.addPlaced(eng.Cluster())
+	}
+	if n := testing.AllocsPerRun(20, refill); n != 0 {
+		t.Fatalf("steady-state refill allocates %v times per call, want 0", n)
 	}
 }
 
@@ -537,7 +541,8 @@ func BenchmarkPartitionRefill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		part.Refill(cl)
+		part.empty()
+		part.addPlaced(cl)
 	}
 }
 

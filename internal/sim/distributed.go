@@ -169,10 +169,10 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 	}
 	defer plane.close()
 	cl := r.eng.Cluster()
-	return r.runRounds(func(roll rollup) (int, int, *shard.Outcome, error) {
+	return r.runRounds(func(stats func(int) *ShardStats) (*shard.Round, error) {
 		rep, err := plane.rec.RunRound()
 		if err != nil {
-			return 0, 0, nil, err
+			return nil, err
 		}
 		// Mirror each committed move: model its transfer under the link
 		// load as it stands, shift its flows, and apply it to the
@@ -181,12 +181,12 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 		for _, d := range rep.Applied {
 			r.modelMigration(d.From, d.Target)
 			if err := cl.Move(d.VM, d.Target); err != nil {
-				return 0, 0, nil, fmt.Errorf("sim: mirroring distributed move of VM %d: %w", d.VM, err)
+				return nil, fmt.Errorf("sim: mirroring distributed move of VM %d: %w", d.VM, err)
 			}
 			r.shiftFlows(d.VM, d.From, d.Target, cl.HostOf)
 		}
 		for _, ring := range rep.Rings {
-			st := roll(ring.Shard, ring.VMs, ring.Hops, ring.Merged, ring.Proposed)
+			st := stats(ring.Shard)
 			st.LatencyS += ring.Latency.Seconds()
 			st.Regenerated += ring.Regenerated
 			if ring.Regenerated > 0 {
@@ -195,6 +195,6 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 		}
 		r.metrics.TokensRegenerated += rep.Regenerated
 		r.metrics.SpuriousRegens += rep.SpuriousRegens
-		return rep.RingHops, rep.Shards, &rep.Outcome, nil
+		return &rep.Round, nil
 	})
 }

@@ -91,20 +91,16 @@ func (r *Runner) shiftFlows(vm cluster.VMID, from, to cluster.HostID, hostOf fun
 	}
 }
 
-// rollup folds one ring of a finished round into its shard's run totals
-// and the run's hop count.
-type rollup func(shard, vms, hops, merged, proposed int) *ShardStats
-
 // runRounds is the round loop of both sharded planes: the hop clock
 // (rings overlap, so a round costs its longest ring), the per-shard
 // roll-up, the iteration and cost series, the stop conditions — the
 // duration budget, the iteration cap, or quiescence (a round that
 // applies no migration) — and the final flush. step runs one round on
 // the plane, folds what it applied into the mirror cluster and the link
-// loads, reports each ring through roll, which returns the shard's
-// running totals for plane-specific extras, and returns the merge
-// phase's outcome, which the run's totals are summed from.
-func (r *Runner) runRounds(step func(roll rollup) (ringHops, shards int, out *shard.Outcome, err error)) (*Metrics, error) {
+// loads, adds any plane-specific extras to the shard totals stats
+// returns, and returns the round, which the run's totals are summed
+// from.
+func (r *Runner) runRounds(step func(stats func(shard int) *ShardStats) (*shard.Round, error)) (*Metrics, error) {
 	cl := r.eng.Cluster()
 	r.metrics.InitialCost = r.eng.TotalCost()
 	r.metrics.Cost.Append(0, r.metrics.InitialCost)
@@ -112,24 +108,27 @@ func (r *Runner) runRounds(step func(roll rollup) (ringHops, shards int, out *sh
 	r.net.Recompute(r.eng.Traffic(), cl)
 
 	perShard := map[int]*ShardStats{}
-	roll := rollup(func(shard, vms, hops, merged, proposed int) *ShardStats {
+	stats := func(shard int) *ShardStats {
 		st, ok := perShard[shard]
 		if !ok {
 			st = &ShardStats{Shard: shard}
 			perShard[shard] = st
 		}
-		r.metrics.TokenHops += hops
-		st.VMs = vms
-		st.Hops += hops
-		st.Migrations += merged
-		st.Proposals += proposed
 		return st
-	})
+	}
 	now := 0.0
 	for round := 1; ; round++ {
-		hops, shards, out, err := step(roll)
+		out, err := step(stats)
 		if err != nil {
 			return nil, err
+		}
+		for _, sh := range out.Shards {
+			st := stats(sh.Shard)
+			r.metrics.TokenHops += sh.Hops
+			st.VMs = sh.VMs
+			st.Hops += sh.Hops
+			st.Migrations += sh.Merged
+			st.Proposals += sh.Proposed
 		}
 		applied := len(out.Applied)
 		r.metrics.Rounds++
@@ -139,14 +138,14 @@ func (r *Runner) runRounds(step func(roll rollup) (ringHops, shards int, out *sh
 		// reached a verdict, not the raw queue depth.
 		r.metrics.CrossProposed += out.CrossApplied + out.CrossRejected
 		r.metrics.StaleRejected += out.StaleRejected
-		now += float64(max(hops, 1)) * r.cfg.HopLatencyS
+		now += float64(max(out.RingHops, 1)) * r.cfg.HopLatencyS
 		r.metrics.Iterations = append(r.metrics.Iterations, IterationStats{
 			Index:      round,
 			Migrations: applied,
 			VMs:        r.numVMs,
 			Ratio:      float64(applied) / float64(r.numVMs),
 		})
-		r.metrics.ShardsChosen = append(r.metrics.ShardsChosen, shards)
+		r.metrics.ShardsChosen = append(r.metrics.ShardsChosen, len(out.Shards))
 		r.appendCost(now)
 
 		if applied == 0 || now >= r.cfg.DurationS {
@@ -187,24 +186,21 @@ func (r *Runner) runSharded() (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	return r.runRounds(func(roll rollup) (int, int, *shard.Outcome, error) {
+	return r.runRounds(func(func(int) *ShardStats) (*shard.Round, error) {
 		res, err := coord.RunRound()
 		if err != nil {
-			return 0, 0, nil, err
+			return nil, err
 		}
 		// Per-migration modeling: durations, downtime and moved bytes
 		// under the link load of the round's starting allocation.
 		for _, d := range res.Applied {
 			r.modelMigration(d.From, d.Target)
 		}
-		for _, sh := range res.Shards {
-			roll(sh.Shard, sh.VMs, sh.Hops, sh.Merged, sh.Proposed)
-		}
 		// Fold the round into the link loads incrementally: any traffic
 		// changelog first (over round-start positions), then the applied
 		// moves replayed in order — no full-pair Recompute per round.
 		r.net.Sync(r.eng.Traffic(), r.eng.Cluster())
 		r.shiftApplied(res.Applied)
-		return res.RingHops, len(res.Shards), &res.Outcome, nil
+		return res, nil
 	})
 }
