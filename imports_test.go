@@ -58,7 +58,8 @@ func moduleDeps(t *testing.T, pkg string) map[string]bool {
 // TestImportBoundaries keeps the running system apart from the paper's
 // figure machinery. The scheduler planes, the observability plane and the
 // resident service must not reach the simulator or any paper-figure
-// package, and the daemon links exactly the packages listed here — the
+// package, the agent plane must not reach the adaptive control plane,
+// and the daemon links exactly the packages listed here — the
 // simulator, the agent plane and their models came in once through two
 // metric helpers, and must not come back unnoticed.
 func TestImportBoundaries(t *testing.T) {
@@ -73,6 +74,11 @@ func TestImportBoundaries(t *testing.T) {
 				t.Errorf("internal/%s reaches internal/%s", pkg, f)
 			}
 		}
+	}
+	// The dom0 plane owns its recovery deadlines; the adaptive control
+	// plane reaches it only through the shard.Tuner interface.
+	if moduleDeps(t, "internal/hypervisor")["internal/control"] {
+		t.Error("internal/hypervisor reaches internal/control")
 	}
 
 	daemon := map[string]bool{

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/shard"
@@ -187,75 +186,6 @@ func TestPlannerHotspotSplit(t *testing.T) {
 	if rec.Shards != 2 {
 		t.Fatalf("paired-pod hotspots: got %+v, want 2 shards", rec)
 	}
-}
-
-// TestEstimatorDeadline covers the estimator's arithmetic: warm-up
-// fallback, EWMA+k·stddev deadlines, clamping, and the penalty/decay
-// path.
-func TestEstimatorDeadline(t *testing.T) {
-	e := NewLatencyEstimator(EstimatorConfig{
-		Alpha: 0.5, K: 2, HopBudget: 4, Warmup: 3,
-		Min: time.Millisecond, Max: time.Second,
-	})
-	fallback := 50 * time.Millisecond
-	if d := e.Deadline(0, fallback); d != fallback {
-		t.Fatalf("cold estimator returned %v, want fallback %v", d, fallback)
-	}
-	// Constant observations: variance 0, deadline = HopBudget × mean.
-	for i := 0; i < 3; i++ {
-		e.Observe(0, 10*time.Millisecond)
-	}
-	if d := e.Deadline(0, fallback); d != 40*time.Millisecond {
-		t.Fatalf("constant 10ms hops: deadline %v, want 40ms", d)
-	}
-	// Penalize doubles (pre- and post-warmup), Relax decays back.
-	e.Penalize(0)
-	if d := e.Deadline(0, fallback); d != 80*time.Millisecond {
-		t.Fatalf("penalized deadline %v, want 80ms", d)
-	}
-	e.Relax(0)
-	if d := e.Deadline(0, fallback); d != 40*time.Millisecond {
-		t.Fatalf("relaxed deadline %v, want 40ms", d)
-	}
-	// Variance raises the margin above the mean-only deadline.
-	e.Observe(0, 30*time.Millisecond)
-	if d := e.Deadline(0, fallback); d <= 4*e2mean(e, 0) {
-		t.Fatalf("jittery hops: deadline %v did not include a stddev margin", d)
-	}
-	// Clamps.
-	tiny := NewLatencyEstimator(EstimatorConfig{Warmup: 1, Min: 20 * time.Millisecond, Max: 30 * time.Millisecond})
-	tiny.Observe(1, time.Microsecond)
-	if d := tiny.Deadline(1, time.Second); d != 20*time.Millisecond {
-		t.Fatalf("quiet fabric: deadline %v, want the 20ms floor", d)
-	}
-	tiny.Observe(2, time.Hour)
-	if d := tiny.Deadline(2, time.Second); d != 30*time.Millisecond {
-		t.Fatalf("slow fabric: deadline %v, want the 30ms cap", d)
-	}
-	// A cold shard's penalties still act on the fallback — the escape
-	// hatch when accepted samples never arrive.
-	cold := NewLatencyEstimator(EstimatorConfig{Warmup: 3, Max: time.Second})
-	cold.Penalize(7)
-	cold.Penalize(7)
-	if d := cold.Deadline(7, 10*time.Millisecond); d != 40*time.Millisecond {
-		t.Fatalf("cold penalized deadline %v, want 40ms", d)
-	}
-	// Reset forgets everything.
-	e.Reset()
-	if d := e.Deadline(0, fallback); d != fallback {
-		t.Fatalf("reset estimator returned %v, want fallback", d)
-	}
-}
-
-// e2mean reads a shard's EWMA mean as a duration-scaled value.
-func e2mean(e *LatencyEstimator, shard int) time.Duration {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := e.shards[shard]
-	if st == nil {
-		return 0
-	}
-	return time.Duration(st.mean * float64(time.Second))
 }
 
 // TestControllerHysteresis: a flipped recommendation must persist for

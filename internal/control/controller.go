@@ -9,17 +9,16 @@ import (
 
 // Config is what a caller hands the controller.
 type Config struct {
-	// Metrics, when set, mirrors the controller's and estimator's state
-	// into the registry (see NewMetrics); nil disables instrumentation.
+	// Metrics, when set, mirrors the controller's state into the registry
+	// (see NewMetrics); nil disables instrumentation.
 	Metrics *Metrics
 }
 
 // Controller is the adaptive control plane's facade: it keeps a live
-// hotspot Summary of a bound traffic matrix + cluster, plans shard
-// count/granularity with hysteresis, and owns the shared per-shard
-// LatencyEstimator. One controller serves one decision plane (either
-// the in-process Coordinator or the distributed Reconciler) — both
-// consume it through the shard.Tuner interface.
+// hotspot Summary of a bound traffic matrix + cluster and plans shard
+// count/granularity with hysteresis. One controller serves one decision
+// plane (the in-process Coordinator, the resident service's loop or the
+// distributed Reconciler), each of which consumes it as a shard.Tuner.
 //
 // Synchronization contract: the controller folds traffic mutations
 // lazily (on Plan/Recommendation) through the matrix changelog
@@ -32,7 +31,6 @@ type Controller struct {
 	topo topology.Topology
 	cfg  Config
 	sum  *Summary
-	est  *LatencyEstimator
 
 	tm *traffic.Matrix
 	cl *cluster.Cluster
@@ -53,12 +51,8 @@ func New(topo topology.Topology, cfg Config) *Controller {
 		topo: topo,
 		cfg:  cfg,
 		sum:  NewSummary(topo),
-		est:  NewLatencyEstimator(EstimatorConfig{Metrics: cfg.Metrics}),
 	}
 }
-
-// Latency exposes the controller's per-shard deadline estimator.
-func (c *Controller) Latency() *LatencyEstimator { return c.est }
 
 // Bind attaches the traffic matrix and cluster the controller measures,
 // builds the initial summary, and registers the allocation observer.
@@ -239,13 +233,11 @@ func (c *Controller) Plan() (int, shard.Granularity) {
 
 // PersistedState is the controller's durable decision state — the
 // hysteresis loop of Recommendation. The hotspot summary itself is
-// derived state (rebuilt from the traffic matrix + placement on Bind)
-// and the latency estimator is wire-measurement state that a restarted
-// service re-learns, so neither is persisted; without the hysteresis
-// triple, though, a freshly restored controller would re-adopt its
-// first plan immediately instead of resuming the stableRounds streak,
-// and its subsequent recommendations could diverge from the
-// uninterrupted run's.
+// derived state (rebuilt from the traffic matrix + placement on Bind),
+// so it is not persisted; without the hysteresis triple, though, a
+// freshly restored controller would re-adopt its first plan immediately
+// instead of resuming the stableRounds streak, and its subsequent
+// recommendations could diverge from the uninterrupted run's.
 type PersistedState struct {
 	Current    Recommendation `json:"current"`
 	CurrentSet bool           `json:"current_set"`

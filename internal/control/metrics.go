@@ -6,9 +6,8 @@ import (
 )
 
 // Metrics instruments the adaptive control plane: the planner's adopted
-// recommendation, the hotspot summary's locality decomposition, and the
-// latency estimator's per-shard EWMA/σ state. A nil *Metrics disables every
-// record site.
+// recommendation and the hotspot summary's locality decomposition. A nil
+// *Metrics disables every record site.
 type Metrics struct {
 	// Shards and Granularity mirror the adopted recommendation
 	// (granularity: 0 = by-pod, 1 = by-rack); PlanChanges counts
@@ -21,10 +20,6 @@ type Metrics struct {
 	IntraRack *obs.Gauge
 	IntraPod  *obs.Gauge
 	CrossPod  *obs.Gauge
-	// HopLatency and HopStddev are the estimator's per-shard EWMA mean
-	// and stddev of per-hop progress latency, in seconds.
-	HopLatency *obs.GaugeVec
-	HopStddev  *obs.GaugeVec
 }
 
 // NewMetrics registers (or re-binds) the control-plane families on reg.
@@ -37,8 +32,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		IntraRack:   reg.Gauge("score_control_intra_rack_share", "Share of traffic staying within one rack."),
 		IntraPod:    reg.Gauge("score_control_intra_pod_share", "Share of traffic crossing racks within one pod."),
 		CrossPod:    reg.Gauge("score_control_cross_pod_share", "Share of traffic crossing pods."),
-		HopLatency:  reg.GaugeVec("score_control_hop_latency_seconds", "Per-shard EWMA of per-hop ack latency.", "shard"),
-		HopStddev:   reg.GaugeVec("score_control_hop_stddev_seconds", "Per-shard stddev of per-hop ack latency.", "shard"),
 	}
 }
 

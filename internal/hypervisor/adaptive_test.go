@@ -3,13 +3,17 @@ package hypervisor
 import (
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
+	"github.com/score-dc/score/internal/obs"
 	"github.com/score-dc/score/internal/token"
 )
 
@@ -206,5 +210,40 @@ func TestChaosAdaptiveDeadlineCatchesDeadRing(t *testing.T) {
 	}
 	if rep.Regenerated == 0 {
 		t.Fatal("dead ring recovered without any token re-injection")
+	}
+}
+
+// TestAdaptiveDeadlineExportsHopLatency: the estimator's per-shard
+// gauges belong to the plane, not to a Tuner. A reconciler with
+// AdaptiveDeadline, PlaneMetrics and no Tuner serves, after one
+// fault-free round, a score_control_hop_latency_seconds and a
+// score_control_hop_stddev_seconds sample for every ring that hopped.
+func TestAdaptiveDeadlineExportsHopLatency(t *testing.T) {
+	reg := obs.NewRegistry()
+	p := buildShardPlaneOpts(t, 4, 7, 10, 4, token.HighestLevelFirst{}, planeOpts{
+		adaptive: true,
+		metrics:  NewPlaneMetrics(reg),
+	})
+	rep, err := p.rec.RunRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr := httptest.NewRecorder()
+	obs.Handler(reg, nil, nil).ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	body := rr.Body.String()
+	rings := 0
+	for _, ring := range rep.Rings {
+		if ring.Hops < 2 {
+			continue
+		}
+		rings++
+		for _, fam := range []string{"score_control_hop_latency_seconds", "score_control_hop_stddev_seconds"} {
+			if sample := fmt.Sprintf("%s{shard=\"%d\"} ", fam, ring.Shard); !strings.Contains(body, sample) {
+				t.Errorf("/metrics has no %s sample for a ring of %d hops", sample, ring.Hops)
+			}
+		}
+	}
+	if rings < 2 {
+		t.Fatalf("%d rings hopped more than once; the round is not multi-hop", rings)
 	}
 }

@@ -129,21 +129,16 @@ type AgentConfig struct {
 	Policy token.Policy
 	// ProbeTimeout bounds location/capacity round trips.
 	ProbeTimeout time.Duration
-	// LocationCacheTTL bounds how long a probed peer location is
-	// reused before the agent re-probes. Within one token visit the
-	// decision loop and the holder-view construction both resolve every
-	// peer, so even a short TTL halves location round trips; across
-	// visits the cache drops the per-peer round trip entirely. Entries
-	// are additionally invalidated whenever the agent observes a
-	// migration — it executes one, receives the VM, or the registry
-	// points the peer at a different dom0. Zero means a 1s default; a
-	// negative value disables caching.
-	LocationCacheTTL time.Duration
 }
 
-// defaultLocationCacheTTL applies when AgentConfig.LocationCacheTTL is
-// zero.
-const defaultLocationCacheTTL = time.Second
+// locationCacheTTL bounds how long a probed peer location is reused
+// before the agent re-probes. Within one token visit the decision loop
+// and the holder-view construction both resolve every peer, so even a
+// short TTL halves location round trips; across visits the cache drops
+// the per-peer round trip entirely. Entries are additionally invalidated
+// whenever the agent observes a migration — it executes one, receives
+// the VM, or the registry points the peer at a different dom0.
+const locationCacheTTL = time.Second
 
 // TokenEvent reports one processed token visit to the observer. From is
 // the holder's server at decision time. In sharded rounds Migrated means
@@ -221,9 +216,6 @@ func NewAgent(cfg AgentConfig, reg *Registry) (*Agent, error) {
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = 2 * time.Second
-	}
-	if cfg.LocationCacheTTL == 0 {
-		cfg.LocationCacheTTL = defaultLocationCacheTTL
 	}
 	return &Agent{
 		cfg:      cfg,
@@ -489,11 +481,8 @@ func (a *Agent) currentHostOf(vm cluster.VMID) cluster.HostID {
 
 // cacheLocation records a freshly observed peer location.
 func (a *Agent) cacheLocation(vm cluster.VMID, host cluster.HostID, addr string) {
-	if a.cfg.LocationCacheTTL < 0 {
-		return
-	}
 	a.mu.Lock()
-	a.locCache[vm] = locEntry{host: host, addr: addr, expires: time.Now().Add(a.cfg.LocationCacheTTL)}
+	a.locCache[vm] = locEntry{host: host, addr: addr, expires: time.Now().Add(locationCacheTTL)}
 	a.mu.Unlock()
 }
 
@@ -502,9 +491,6 @@ func (a *Agent) cacheLocation(vm cluster.VMID, host cluster.HostID, addr string)
 // answered the probe — a registry address change is an observed
 // migration and invalidates the entry immediately.
 func (a *Agent) cachedLocation(vm cluster.VMID, addr string) (cluster.HostID, bool) {
-	if a.cfg.LocationCacheTTL < 0 {
-		return cluster.NoHost, false
-	}
 	a.mu.Lock()
 	ent, ok := a.locCache[vm]
 	if ok && (ent.addr != addr || time.Now().After(ent.expires)) {

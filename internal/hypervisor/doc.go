@@ -161,34 +161,39 @@
 //
 // # Adaptive control
 //
-// The reconciler's structural knobs need not be fixed flags; the
-// adaptive control plane (internal/control) derives them from live
-// measurements:
+// The reconciler's structural knobs need not be fixed flags; both are
+// derived from live measurements:
 //
-//   - Shard assignment. ReconcilerConfig.Tuner supersedes the fixed
-//     Shards/Granularity: every RunRound asks the controller — which
-//     folds the traffic matrix's ToR-level hotspot structure
-//     incrementally from its changelog — for the shard count and
-//     granularity whose contiguous-block partition keeps the
-//     cross-shard rate share under a threshold. Pod-local workloads fan
-//     out to one ring per pod; cross-pod-heavy workloads collapse
-//     toward the serial token instead of flooding the reconciliation
-//     queue with proposals. The round's choice is recorded in the
-//     report's shard.Round: Granularity, and one Shards entry per ring.
+//   - Shard assignment. ReconcilerConfig.Tuner, a shard.Tuner, supersedes
+//     the fixed Shards/Granularity: every RunRound asks it for the shard
+//     count and granularity. The adaptive control plane's
+//     control.Controller folds the traffic matrix's ToR-level hotspot
+//     structure incrementally from its changelog and picks the count
+//     whose contiguous-block partition keeps the cross-shard rate share
+//     under a threshold. Pod-local workloads fan out to one ring per pod;
+//     cross-pod-heavy workloads collapse toward the serial token instead
+//     of flooding the reconciliation queue with proposals. The round's
+//     choice is recorded in the report's shard.Round: Granularity, and
+//     one Shards entry per ring.
 //
 //   - Adaptive deadlines. ReconcilerConfig.AdaptiveDeadline replaces
-//     the fixed ShardDeadline with per-shard EWMA + k·stddev estimates
-//     of per-hop progress latency, fed from MsgRingAck arrival times
-//     (the fixed value remains the warm-up fallback). A stale-attempt
-//     report — proof that a presumed-lost token was alive — counts a
-//     witnessed-spurious regeneration (RingReport.Spurious) and applies
-//     a multiplicative backoff, so slow-but-alive rings on loaded hosts
-//     stop being regenerated even before accepted samples raise the
-//     estimate; on a healthy fabric the estimate collapses toward the
-//     estimator floor, catching genuinely dead rings orders of
-//     magnitude faster than a conservative fixed deadline. Regeneration
-//     remains behavior-neutral either way: the chaos suite asserts the
-//     fixed- and adaptive-deadline planes produce identical migration
-//     sequences under injected delay, differing only in wasted recovery
-//     work.
+//     the fixed ShardDeadline with the reconciler's own per-shard EWMA +
+//     k·stddev estimates of per-hop progress latency, fed from
+//     MsgRingAck arrival times (the fixed value remains the warm-up
+//     fallback). The estimator has no settings: its smoothing factor,
+//     margin, hop budget, warm-up, 10ms floor, 1m cap and 64× boost cap
+//     are the est* constants. It forgets its estimates when the ring
+//     shape (shard count or granularity) changes, and mirrors them into
+//     PlaneMetrics (score_control_hop_latency_seconds and
+//     score_control_hop_stddev_seconds). A stale-attempt report — proof
+//     that a presumed-lost token was alive — counts a witnessed-spurious
+//     regeneration (RingReport.Spurious) and applies a multiplicative
+//     backoff, so slow-but-alive rings on loaded hosts stop being
+//     regenerated even before accepted samples raise the estimate; on a
+//     healthy fabric the estimate collapses toward the floor, catching
+//     genuinely dead rings orders of magnitude faster than a
+//     conservative fixed deadline. Regeneration remains behavior-neutral
+//     either way: the chaos suite asserts the fixed- and
+//     adaptive-deadline planes produce identical migration sequences
+//     under injected delay, differing only in wasted recovery work.
 package hypervisor

@@ -365,60 +365,6 @@ func TestLocationCacheAvoidsReprobes(t *testing.T) {
 	}
 }
 
-func TestLocationCacheDisabled(t *testing.T) {
-	topo, err := topology.NewCanonicalTree(topology.CanonicalConfig{
-		Racks: 2, HostsPerRack: 2, RacksPerPod: 2, CoreSwitches: 1,
-		HostLinkMbps: 1000, TorUplinkMbps: 1000, AggUplinkMbps: 1000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm, err := core.NewCostModel(core.PaperWeights()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hub := NewMemHub()
-	reg := NewRegistry()
-	mk := func(addr string) func(Handler) (Transport, error) {
-		return func(h Handler) (Transport, error) { return hub.NewEndpoint(addr, h) }
-	}
-	cfg := AgentConfig{
-		HostID: 0, Slots: 4, RAMMB: 8192, Topo: topo, Cost: cm,
-		Policy: token.RoundRobin{}, LocationCacheTTL: -1,
-	}
-	a0, err := NewAgent(cfg, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a0.Start(mk("x0")); err != nil {
-		t.Fatal(err)
-	}
-	defer a0.Close()
-	cfg1 := cfg
-	cfg1.HostID = 1
-	cfg1.LocationCacheTTL = 0 // default TTL
-	a1, err := NewAgent(cfg1, reg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a1.Start(mk("x1")); err != nil {
-		t.Fatal(err)
-	}
-	defer a1.Close()
-	if err := a1.AddVM(5, 512, nil); err != nil {
-		t.Fatal(err)
-	}
-	if h, ok := a0.locate(5); !ok || h != 1 {
-		t.Fatalf("locate = %d,%v", h, ok)
-	}
-	a0.mu.Lock()
-	n := len(a0.locCache)
-	a0.mu.Unlock()
-	if n != 0 {
-		t.Fatalf("disabled cache holds %d entries", n)
-	}
-}
-
 func TestLocationCacheInvalidatedOnObservedMigration(t *testing.T) {
 	_, agents, _ := buildAgents(t, 4)
 	if err := agents[2].AddVM(7, 1024, nil); err != nil {

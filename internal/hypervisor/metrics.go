@@ -23,6 +23,11 @@ type PlaneMetrics struct {
 	// Deadline is each shard's current progress deadline (adaptive or
 	// fixed), sampled at every deadline check.
 	Deadline *obs.GaugeVec
+	// HopLatency and HopStddev are the adaptive-deadline estimator's
+	// per-shard EWMA mean and stddev of per-hop progress latency, in
+	// seconds.
+	HopLatency *obs.GaugeVec
+	HopStddev  *obs.GaugeVec
 	// Transport is registered alongside so the transport families are
 	// always exposed, even on planes running over the in-memory hub.
 	Transport *TransportMetrics
@@ -32,13 +37,15 @@ type PlaneMetrics struct {
 // on reg.
 func NewPlaneMetrics(reg *obs.Registry) *PlaneMetrics {
 	return &PlaneMetrics{
-		Metrics:   shard.NewMetrics(reg),
-		Acks:      reg.Counter("score_ring_acks_total", "Accepted per-visit ring acks."),
-		Regens:    reg.Counter("score_ring_regens_total", "Token regenerations after missed shard deadlines."),
-		Spurious:  reg.Counter("score_spurious_regens_total", "Regenerations later witnessed unnecessary (stale-attempt reports)."),
-		Evictions: reg.Counter("score_evictions_total", "Hosts evicted from rings as unresponsive."),
-		Deadline:  reg.GaugeVec("score_shard_deadline_seconds", "Current per-shard progress deadline.", "shard"),
-		Transport: NewTransportMetrics(reg),
+		Metrics:    shard.NewMetrics(reg),
+		Acks:       reg.Counter("score_ring_acks_total", "Accepted per-visit ring acks."),
+		Regens:     reg.Counter("score_ring_regens_total", "Token regenerations after missed shard deadlines."),
+		Spurious:   reg.Counter("score_spurious_regens_total", "Regenerations later witnessed unnecessary (stale-attempt reports)."),
+		Evictions:  reg.Counter("score_evictions_total", "Hosts evicted from rings as unresponsive."),
+		Deadline:   reg.GaugeVec("score_shard_deadline_seconds", "Current per-shard progress deadline.", "shard"),
+		HopLatency: reg.GaugeVec("score_control_hop_latency_seconds", "Per-shard EWMA of per-hop ack latency.", "shard"),
+		HopStddev:  reg.GaugeVec("score_control_hop_stddev_seconds", "Per-shard stddev of per-hop ack latency.", "shard"),
+		Transport:  NewTransportMetrics(reg),
 	}
 }
 

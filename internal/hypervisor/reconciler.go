@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/score-dc/score/internal/cluster"
-	"github.com/score-dc/score/internal/control"
 	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/obs"
 	"github.com/score-dc/score/internal/shard"
@@ -47,19 +46,18 @@ type ReconcilerConfig struct {
 	// therefore never evicts a live host.
 	EvictAttempts int
 	// Tuner, when set, supersedes Shards and Granularity (shard.Config's
-	// rule): every round asks the adaptive control plane for the current
-	// traffic-derived recommendation.
-	Tuner *control.Controller
+	// rule): every round asks it — the adaptive control plane's
+	// control.Controller, say — for the shard count and granularity.
+	Tuner shard.Tuner
 	// AdaptiveDeadline derives each shard's progress deadline from
 	// observed per-hop ack latency (EWMA + k·stddev, see
-	// control.LatencyEstimator) instead of the fixed ShardDeadline,
-	// which remains the warm-up fallback. Slow-but-alive rings stop
-	// being spuriously regenerated — a stale-attempt report proving a
-	// presumed-lost token alive applies a multiplicative backoff — and
-	// on a healthy fabric dead rings are caught near the estimator's
-	// floor instead of the conservative fixed value. Uses Tuner's
-	// estimator when Tuner is set, a standalone one with the default
-	// control.EstimatorConfig otherwise.
+	// latencyEstimator; its settings are the est* constants) instead of
+	// the fixed ShardDeadline, which remains the warm-up fallback.
+	// Slow-but-alive rings stop being spuriously regenerated — a
+	// stale-attempt report proving a presumed-lost token alive applies a
+	// multiplicative backoff — and on a healthy fabric dead rings are
+	// caught near the estimator's 10ms floor instead of the conservative
+	// fixed value. Its per-shard mean and stddev go to Metrics.
 	AdaptiveDeadline bool
 	// Metrics, when set, receives plane instrumentation (see
 	// NewPlaneMetrics); nil leaves every record site an untaken branch.
@@ -149,12 +147,8 @@ type Reconciler struct {
 	kern *core.Kernel
 	drv  *shard.Driver
 
-	// est is the adaptive-deadline estimator (nil when disabled);
-	// lastShards/lastGran detect partition-shape changes that invalidate
-	// per-shard estimates.
-	est        *control.LatencyEstimator
-	lastShards int
-	lastGran   shard.Granularity
+	// est is the adaptive-deadline estimator (nil when disabled).
+	est *latencyEstimator
 
 	// The round in progress: registered hosts, and the rings' collection.
 	hostIDs []cluster.HostID
@@ -181,20 +175,15 @@ func NewReconciler(cfg ReconcilerConfig, reg *Registry) (*Reconciler, error) {
 		return nil, err
 	}
 	r := &Reconciler{cfg: cfg, kern: kern, reg: reg, events: make(chan ringEvent, 4096)}
-	scfg := shard.Config{Shards: cfg.Shards, Granularity: cfg.Granularity, Trace: cfg.Trace, Audit: cfg.Audit}
-	if cfg.Tuner != nil {
-		scfg.Tuner = cfg.Tuner
-	}
+	scfg := shard.Config{Shards: cfg.Shards, Granularity: cfg.Granularity, Tuner: cfg.Tuner, Trace: cfg.Trace, Audit: cfg.Audit}
 	if cfg.Metrics != nil {
 		scfg.Metrics = cfg.Metrics.Metrics
 	}
 	if r.drv, err = shard.NewDriver(cfg.Topo, scfg, cfg.MigrationCost, agentPlane{r}); err != nil {
 		return nil, err
 	}
-	if cfg.AdaptiveDeadline && cfg.Tuner != nil {
-		r.est = cfg.Tuner.Latency()
-	} else if cfg.AdaptiveDeadline {
-		r.est = control.NewLatencyEstimator(control.EstimatorConfig{})
+	if cfg.AdaptiveDeadline {
+		r.est = &latencyEstimator{m: cfg.Metrics}
 	}
 	return r, nil
 }
@@ -206,7 +195,7 @@ func (r *Reconciler) shardDeadline(s int) time.Duration {
 	if r.est == nil {
 		return r.cfg.ShardDeadline
 	}
-	return r.est.Deadline(s, r.cfg.ShardDeadline)
+	return r.est.deadline(s, r.cfg.ShardDeadline)
 }
 
 // Start binds the reconciler to a transport created by mk.
@@ -616,7 +605,7 @@ func (r *Reconciler) observeProgress(s int, tk *shardTrack, st *RingState, at ti
 	if hops <= 0 {
 		return
 	}
-	r.est.Observe(s, at.Sub(tk.lastProgress)/time.Duration(hops))
+	r.est.observe(s, at.Sub(tk.lastProgress)/time.Duration(hops))
 }
 
 // witnessStale records a report from a superseded attempt — proof the
@@ -640,7 +629,7 @@ func (r *Reconciler) witnessStale(c *roundState, s int, tk *shardTrack, attempt 
 		tr.Record(obs.Event{Kind: obs.EvSpurious, Round: c.roundID, Shard: int16(s), Attempt: attempt})
 	}
 	if r.est != nil {
-		r.est.Penalize(s)
+		r.est.penalize(s)
 	}
 }
 
@@ -653,7 +642,7 @@ func (r *Reconciler) collect(c *roundState) error {
 	timeout := time.After(roundTimeout)
 	tickBase := r.cfg.ShardDeadline
 	if r.est != nil {
-		tickBase = min(tickBase, r.est.Config().Min)
+		tickBase = min(tickBase, estMin)
 	}
 	ticker := time.NewTicker(max(tickBase/4, time.Millisecond))
 	defer ticker.Stop()
@@ -681,7 +670,7 @@ func (r *Reconciler) collect(c *roundState) error {
 				r.observeProgress(s, tk, ev.st, ev.at)
 				r.finalize(c, s, ev.st, ev.at)
 				if r.est != nil && c.reports[s].Regenerated == 0 {
-					r.est.Relax(s)
+					r.est.relax(s)
 				}
 			} else if ev.st.Hops > tk.st.Hops {
 				r.observeProgress(s, tk, ev.st, ev.at)
@@ -780,13 +769,8 @@ func (p agentPlane) Fill(part *shard.Partition) {
 // merge over the wire Env.
 func (p agentPlane) Run(rd *shard.Round, part *shard.Partition, mg *shard.Merge) ([]shard.Ring, error) {
 	r, roundID, n := p.Reconciler, rd.Number, part.Shards()
-	// A changed shard count or granularity re-constitutes the rings;
-	// per-shard latency estimates from the old shape no longer apply.
-	if r.est != nil && (n != r.lastShards || rd.Granularity != r.lastGran) {
-		if r.lastShards != 0 {
-			r.est.Reset()
-		}
-		r.lastShards, r.lastGran = n, rd.Granularity
+	if r.est != nil {
+		r.est.shape(n, rd.Granularity)
 	}
 
 	// 1. Push the round's shard assignment to every agent. A host that

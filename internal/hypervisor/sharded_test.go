@@ -638,10 +638,8 @@ func TestShardedLocationCacheInvalidation(t *testing.T) {
 	p := buildShardPlane(t, 4, 7, 10, 4, token.HighestLevelFirst{})
 
 	// Pick an agent in the last shard and warm its cache with the
-	// locations of every VM in shard 0 (a long TTL keeps entries live
-	// across the whole round).
+	// locations of every VM in shard 0.
 	probe := p.agents[len(p.agents)-1]
-	probe.cfg.LocationCacheTTL = time.Hour
 	part, err := shard.NewPartition(p.topo, p.eng.Cluster(), shard.ByPod, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -654,6 +652,14 @@ func TestShardedLocationCacheInvalidation(t *testing.T) {
 		}
 		before[vm] = h
 	}
+	// Push every entry's expiry an hour out, so the entries stay live
+	// across the whole round and only invalidation can drop them.
+	probe.mu.Lock()
+	for vm, ent := range probe.locCache {
+		ent.expires = time.Now().Add(time.Hour)
+		probe.locCache[vm] = ent
+	}
+	probe.mu.Unlock()
 
 	applied, _ := distributedRounds(t, p)
 	moved := make(map[cluster.VMID]bool)

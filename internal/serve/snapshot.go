@@ -21,8 +21,8 @@ const snapshotVersion = 1
 // IEEE-754 bit patterns so a snapshot → restore round trip reproduces
 // the matrix bit-identically — JSON float formatting would otherwise be
 // the one lossy step in an exact pipeline. Everything else the daemon
-// holds (hotspot summary, engine accounting, latency estimator) is
-// derived or re-learned state, rebuilt from these fields on restore.
+// holds (hotspot summary, engine accounting) is derived state, rebuilt
+// from these fields on restore.
 type snapshotFile struct {
 	Version       int                    `json:"version"`
 	Topology      TopologySpec           `json:"topology"`

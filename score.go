@@ -268,8 +268,8 @@ func ParseShardGranularity(s string) (ShardGranularity, error) {
 
 // Adaptive control plane (internal/control): a deterministic feedback
 // controller deriving shard count/granularity from the traffic matrix's
-// locality sums and pod-pair rates, and per-shard recovery deadlines from
-// observed ack latency. Most callers instead set SimConfig.AutoTune.
+// locality sums and pod-pair rates. Most callers instead set
+// SimConfig.AutoTune.
 type (
 	// Controller implements ShardConfig.Tuner for both decision planes.
 	Controller = control.Controller
