@@ -64,8 +64,8 @@ type Host struct {
 	// RAMMB is the total guest-usable memory.
 	RAMMB int
 	// NICMbps is the server's network interface speed (1 Gb/s in the
-	// paper's testbed). Used by the bandwidth-threshold admission check
-	// of Section V-C.
+	// paper's testbed), for Section V-C's bandwidth-threshold admission
+	// check. Zero means unconstrained, as for CPUMilli.
 	NICMbps float64
 	// CPUMilli is the server's CPU capacity in millicores. Zero
 	// disables CPU admission (all-slots-equal, the paper's base model).
@@ -465,14 +465,11 @@ func (c *Cluster) FreeRAMMB(host HostID) int {
 	return c.hosts[host].RAMMB - c.ramUsed[host]
 }
 
-// FreeCPUMilli returns the unreserved CPU millicores on host; hosts
-// with zero CPU capacity are unconstrained and report a large value.
+// FreeCPUMilli returns the unreserved CPU millicores on host, not a limit
+// on a host with zero CPU capacity, which is unconstrained.
 func (c *Cluster) FreeCPUMilli(host HostID) int {
 	if !c.validHost(host) {
 		return 0
-	}
-	if c.hosts[host].CPUMilli == 0 {
-		return int(^uint(0) >> 1) // unconstrained
 	}
 	return c.hosts[host].CPUMilli - c.cpuUsed[host]
 }
@@ -485,11 +482,13 @@ func (c *Cluster) Fits(vm VMID, host HostID) bool {
 	if !ok || !c.validHost(host) {
 		return false
 	}
-	if c.HostOf(vm) == host {
-		return true
-	}
+	return c.HostOf(vm) == host || c.roomFor(host, ram, cpu)
+}
+
+// roomFor reports whether a valid host has room for a VM's demand.
+func (c *Cluster) roomFor(host HostID, ram, cpu int) bool {
 	return c.FreeSlots(host) >= 1 && c.FreeRAMMB(host) >= ram &&
-		c.FreeCPUMilli(host) >= cpu
+		(c.hosts[host].CPUMilli == 0 || c.FreeCPUMilli(host) >= cpu)
 }
 
 // Place puts an unplaced VM on host, enforcing capacity.
@@ -504,7 +503,7 @@ func (c *Cluster) Place(vm VMID, host HostID) error {
 	if cur := c.HostOf(vm); cur != NoHost {
 		return fmt.Errorf("%w: VM %d on host %d", ErrAlreadyHosts, vm, cur)
 	}
-	if c.FreeSlots(host) < 1 || c.FreeRAMMB(host) < ram || c.FreeCPUMilli(host) < cpu {
+	if !c.roomFor(host, ram, cpu) {
 		return fmt.Errorf("%w: host %d for VM %d", ErrNoCapacity, host, vm)
 	}
 	c.setHostOf(vm, host)
@@ -533,7 +532,7 @@ func (c *Cluster) Move(vm VMID, host HostID) error {
 	if cur == host {
 		return nil
 	}
-	if c.FreeSlots(host) < 1 || c.FreeRAMMB(host) < ram || c.FreeCPUMilli(host) < cpu {
+	if !c.roomFor(host, ram, cpu) {
 		return fmt.Errorf("%w: host %d for VM %d", ErrNoCapacity, host, vm)
 	}
 	c.removeFromHost(vm, cur)

@@ -8,31 +8,18 @@ import (
 	"github.com/score-dc/score/internal/traffic"
 )
 
-// Config tunes the migration decision engine.
+// Config tunes the migration decision engine. Admission is not a
+// setting: every plane admits through Admit.
 type Config struct {
 	// MigrationCost is c_m, the cost a migration's ΔC must exceed
 	// (Theorem 1). The evaluation initially sets it to zero "to allow
 	// for a fair comparison", then sweeps it.
 	MigrationCost float64
-	// BandwidthThreshold is the fraction of a host NIC that the
-	// projected aggregate VM traffic may occupy after an in-migration;
-	// above it the capacity probe refuses the VM ("if the target host
-	// does not have sufficient bandwidth to accommodate the requesting
-	// VM, the next best choice with adequate bandwidth will be
-	// considered", Section V-C). Zero disables the check.
-	BandwidthThreshold float64
-	// Admission, when non-nil, is consulted in addition to the built-in
-	// slot/RAM/bandwidth checks. No caller in this module sets it, and
-	// setting it makes the visit memo inert (memoSync): an opaque
-	// predicate's dependencies are unknown, so every visit runs in full.
-	Admission func(vm cluster.VMID, target cluster.HostID) bool
 }
 
-// DefaultConfig returns the configuration used by the simulations:
-// free migrations (c_m = 0) and a 90% bandwidth admission threshold.
-func DefaultConfig() Config {
-	return Config{MigrationCost: 0, BandwidthThreshold: 0.9}
-}
+// DefaultConfig returns the configuration used by the simulations: free
+// migrations (c_m = 0).
+func DefaultConfig() Config { return Config{} }
 
 // Decision is a migration the engine recommends for a token holder.
 type Decision struct {
@@ -109,9 +96,6 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 	}
 	if err := checkLevels(topo, cost); err != nil {
 		return nil, err
-	}
-	if cfg.BandwidthThreshold < 0 || cfg.BandwidthThreshold > 1 {
-		return nil, fmt.Errorf("core: bandwidth threshold %v outside [0,1]", cfg.BandwidthThreshold)
 	}
 	e := &Engine{topo: topo, cost: cost, cl: cl, tm: tm, cfg: cfg, depth: topo.Depth()}
 	e.kern = newKernel(topo, cost, cfg.MigrationCost, max(topo.Hosts(), cl.NumHosts()))

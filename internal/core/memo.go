@@ -37,11 +37,11 @@ import (
 //	event                                   dirtied
 //	--------------------------------------  ----------------------------------------------
 //	place / move / remove of w (observer),  w and every peer of w; the source host relaxed
-//	  a staged commit of w stale-rejected   (room freed); with bandwidth admission on, the
-//	  at merge (Rejected: the reverse move) target host and every peer's host relaxed too
-//	                                        (their NIC load was rewritten, −r/+r included)
-//	edge (a, b) changed rate (changelog,    a and b; with bandwidth admission on, both
-//	  folded before the next visit)         their hosts relaxed
+//	  a staged commit of w stale-rejected   (room freed), the target host and every peer's
+//	  at merge (Rejected: the reverse move) host too (their NIC load was rewritten, −r/+r
+//	                                        included)
+//	edge (a, b) changed rate (changelog,    a and b; both their hosts relaxed
+//	  folded before the next visit)
 //	re-spec of w (ObserveRespec)            w; w's host relaxed
 //	a host gained load or lost room         nothing
 //	Restore, SetTraffic, changelog overrun, every verdict dropped
@@ -74,9 +74,8 @@ import (
 // visits the VM; per-host flags are atomics. BestMigration itself
 // records nothing and shares no writes.
 //
-// The memo is inert — Visit is plain BestMigration — when
-// Config.Admission is set (an opaque predicate has unknown
-// dependencies) and after Detach (no events arrive).
+// The memo is inert — Visit is plain BestMigration — after Detach (no
+// events arrive).
 type visitMemo struct {
 	// base/quiet/refused are the per-VM table over the cluster's ID
 	// window; nil when the memo is inert. quiet[i] != 0 means VM
@@ -181,7 +180,7 @@ func (e *Engine) memoSync() {
 	m := &e.memo
 	base, alloc := e.cl.DenseAlloc()
 	n := len(alloc)
-	if e.detach == nil || e.cfg.Admission != nil {
+	if e.detach == nil {
 		m.off()
 		return
 	}
@@ -209,14 +208,11 @@ func (e *Engine) memoSync() {
 		m.drop()
 		return
 	}
-	nic := e.cfg.BandwidthThreshold > 0
 	for _, ch := range changes {
 		m.dirty(ch.A)
 		m.dirty(ch.B)
-		if nic {
-			e.relax(e.cl.HostOf(ch.A))
-			e.relax(e.cl.HostOf(ch.B))
-		}
+		e.relax(e.cl.HostOf(ch.A))
+		e.relax(e.cl.HostOf(ch.B))
 	}
 }
 
@@ -239,18 +235,13 @@ func (e *Engine) memoMove(vm cluster.VMID, from, to cluster.HostID) {
 	if m.quiet == nil {
 		return
 	}
-	nic := e.cfg.BandwidthThreshold > 0
 	m.dirty(vm)
 	for _, ed := range e.tm.NeighborEdges(vm) {
 		m.dirty(ed.Peer)
-		if nic {
-			e.relax(e.cl.HostOf(ed.Peer))
-		}
+		e.relax(e.cl.HostOf(ed.Peer))
 	}
 	e.relax(from)
-	if nic {
-		e.relax(to)
-	}
+	e.relax(to)
 }
 
 // onRespec is the cluster's capacity-only notification: vm's demand

@@ -77,9 +77,7 @@ func TestVisitSkipsSettledVMs(t *testing.T) {
 // blocked by a relaxed host) are re-evaluated, and the rest stay
 // skipped.
 func TestVisitInvalidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BandwidthThreshold = 0 // no NIC relaxations: the dirtied set is exact
-	fx := newFixture(t, cfg)
+	fx := newFixtureNIC(t, DefaultConfig(), 0) // no NIC refusals: the dirtied set is exact
 	eng, cl, tm := fx.eng, fx.cl, fx.tm
 	settle(t, eng)
 	vms := cl.VMs()
@@ -315,10 +313,6 @@ func TestVisitInert(t *testing.T) {
 			}
 		}
 	}
-	cfg := DefaultConfig()
-	cfg.Admission = func(cluster.VMID, cluster.HostID) bool { return true }
-	neverSkips("admission hook", newFixture(t, cfg).eng)
-
 	fx := newFixture(t, DefaultConfig())
 	settle(t, fx.eng)
 	fx.eng.Detach()
@@ -436,9 +430,8 @@ func TestVisitZeroAllocs(t *testing.T) {
 // rejected at merge, against a twin engine whose memo is inert. The
 // differential check guards every skip; the twin guards the decisions.
 func TestViewVisitRounds(t *testing.T) {
-	twinCfg := DefaultConfig()
-	twinCfg.Admission = func(cluster.VMID, cluster.HostID) bool { return true }
-	fx, twin := newFixture(t, DefaultConfig()), newFixture(t, twinCfg)
+	fx, twin := newFixture(t, DefaultConfig()), newFixture(t, DefaultConfig())
+	twin.eng.Detach()
 	rng := rand.New(rand.NewSource(7))
 	var view, tview *AllocView
 	totalSkipped := 0
@@ -525,7 +518,7 @@ func TestRebuildTimingDoesNotChangeDecisions(t *testing.T) {
 				continue
 			}
 			for _, h := range fx.eng.live.k.refusals {
-				if fx.eng.liveView().fits(u, h) {
+				if fx.cl.Fits(u, h) {
 					nicRefusals++
 				}
 			}

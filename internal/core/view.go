@@ -34,8 +34,8 @@ import (
 type AllocView struct {
 	eng *Engine
 	// live marks the engine's own view: the per-host net loads are not
-	// frozen under it, so the NIC probe brings the accounting up to date
-	// first (see hostNetLoad). Nothing else in the kernel asks.
+	// frozen under it, so the capacity probe brings the accounting up to
+	// date first (see probe). Nothing else in the kernel asks.
 	live bool
 
 	// Placement and overlay. dense is the placement table HostOf reads,
@@ -172,90 +172,82 @@ func (v *AllocView) Delta(u cluster.VMID, target cluster.HostID) float64 {
 	return v.k.Score(target)
 }
 
-// fits reports whether u can be admitted to target under slot, RAM and
-// CPU capacity (cluster.Fits) less the view's staged occupancy. A VM
-// always fits on the host it already occupies.
-func (v *AllocView) fits(u cluster.VMID, target cluster.HostID) bool {
-	e := v.eng
-	ram, cpu, ok := e.cl.Demand(u)
-	if !ok || target < 0 || int(target) >= e.cl.NumHosts() {
-		return false
-	}
-	if v.HostOf(u) == target {
-		return true
-	}
-	if e.cl.FreeSlots(target)-int(v.slotD[target]) < 1 {
-		return false
-	}
-	if e.cl.FreeRAMMB(target)-int(v.ramD[target]) < ram {
-		return false
-	}
-	// A host with zero CPU capacity is unconstrained and reports a
-	// sentinel free value the staged delta must not be subtracted from.
-	if host, _ := e.cl.Host(target); host.CPUMilli > 0 && e.cl.FreeCPUMilli(target)-int(v.cpuD[target]) < cpu {
-		return false
-	}
-	return true
+// Room is a host as Section V-B5's capacity response reports it, after
+// the asking plane's staged moves: free slots, RAM and CPU, its CPU and
+// NIC capacity (zero: unconstrained), and its NIC load.
+type Room struct {
+	Slots, RAMMB, CPUMilli, CPUCap int
+	NICMbps, NICLoad               float64
 }
 
-// hostNetLoad is the view's external traffic on h: the engine's per-host
-// load plus this view's staged deltas. A frozen view reads loads primed
-// when it was reset; the live view brings the accounting up to date
-// here, on reaching the NIC probe — a detached engine rebuilds on every
-// read, which Delta, never getting this far, must not pay.
-func (v *AllocView) hostNetLoad(h cluster.HostID) float64 {
+// Need is what a VM asks of a target: its demand, its rate, and its rate
+// to the peers on the target. Without rates it asks for capacity alone.
+type Need struct {
+	RAMMB, CPUMilli int
+	Rate, Internal  float64
+}
+
+// Shift is the target's NIC-load change when the VM arrives: its rate,
+// less its traffic with the peers there, which stops crossing the NIC at
+// both ends. Leaving a host shifts it by −Shift with the peers there.
+func (n Need) Shift() float64 { return n.Rate - 2*n.Internal }
+
+// Admit is the admission rule of every plane: a free slot, the VM's RAM
+// and, on a host with CPU capacity, its CPU; on a host with NIC capacity,
+// a projected NIC load under 90 % of it ("the next best choice with
+// adequate bandwidth will be considered", Section V-C) or, on an
+// already-hot NIC, no higher than now — co-locating a heavy pair lowers
+// both NICs' load, and refusing it would freeze an overloaded cluster.
+func Admit(r Room, n Need) bool {
+	if r.Slots < 1 || r.RAMMB < n.RAMMB || (r.CPUCap > 0 && r.CPUMilli < n.CPUMilli) {
+		return false
+	}
+	if r.NICMbps <= 0 {
+		return true
+	}
+	projected, limit := r.NICLoad+n.Shift(), 0.9*r.NICMbps
+	if r.NICLoad > limit {
+		return projected <= r.NICLoad
+	}
+	return projected <= limit
+}
+
+// probe is target's capacity response under the view, staged moves
+// folded in (the live view brings the NIC loads up to date first), and
+// u's demand; ok is false for an unregistered VM or an unknown host.
+func (v *AllocView) probe(u cluster.VMID, target cluster.HostID) (r Room, n Need, ok bool) {
 	e := v.eng
-	if h < 0 || int(h) >= len(e.hostNet) {
-		return 0
+	n.RAMMB, n.CPUMilli, ok = e.cl.Demand(u)
+	if !ok || target < 0 || int(target) >= e.cl.NumHosts() {
+		return r, n, false
 	}
 	if v.live {
 		e.ensureAccounting()
 	}
-	return e.hostNet[h] + v.netD[h]
+	host, _ := e.cl.Host(target)
+	return Room{
+		Slots:    e.cl.FreeSlots(target) - int(v.slotD[target]),
+		RAMMB:    e.cl.FreeRAMMB(target) - int(v.ramD[target]),
+		CPUMilli: e.cl.FreeCPUMilli(target) - int(v.cpuD[target]),
+		CPUCap:   host.CPUMilli, NICMbps: host.NICMbps,
+		NICLoad: e.hostNet[target] + v.netD[target],
+	}, n, true
 }
 
-// Admissible reports whether target can accept u: free slot, enough RAM
-// and CPU (the capacity-response fields of Section V-B5), the configured
-// admission hook and, when a bandwidth threshold is configured, enough
-// NIC headroom after accounting for the traffic that becomes
-// host-internal (Section V-C). A non-nil Config.Admission hook must be
-// safe for concurrent use when views run in parallel.
+// Admissible reports whether target admits u (Admit), with u's peers
+// where the view places them. A VM is admissible on its own host.
 func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
-	e := v.eng
-	if !v.fits(u, target) {
-		return false
+	r, n, ok := v.probe(u, target)
+	if !ok || v.HostOf(u) == target {
+		return ok
 	}
-	if e.cfg.Admission != nil && !e.cfg.Admission(u, target) {
-		return false
-	}
-	if e.cfg.BandwidthThreshold <= 0 {
-		return true
-	}
-	host, err := e.cl.Host(target)
-	if err != nil || host.NICMbps <= 0 {
-		return false
-	}
-	// Traffic between u and VMs already on target leaves the NIC; the
-	// rest of u's load joins it.
-	var internal, load float64
-	for _, ed := range e.tm.NeighborEdges(u) {
-		load += ed.Rate
+	for _, ed := range v.eng.tm.NeighborEdges(u) {
+		n.Rate += ed.Rate
 		if v.HostOf(ed.Peer) == target {
-			internal += ed.Rate
+			n.Internal += ed.Rate
 		}
 	}
-	current := v.hostNetLoad(target)
-	projected := current + load - 2*internal
-	// Admit when the projection stays under the policy threshold, or
-	// when the move does not worsen an already-hot NIC (co-locating a
-	// heavy pair *reduces* both NICs' load; refusing such moves would
-	// freeze an overloaded cluster in exactly the state that needs
-	// fixing).
-	limit := e.cfg.BandwidthThreshold * host.NICMbps
-	if current > limit {
-		return projected <= current
-	}
-	return projected <= limit
+	return Admit(r, n)
 }
 
 // BestMigration evaluates the S-CORE migration policy for token-holder u
@@ -291,17 +283,19 @@ func (v *AllocView) Commit(d Decision) (float64, error) {
 	if cur == d.Target {
 		return 0, nil
 	}
-	if !v.fits(d.VM, d.Target) {
+	// Staging checks capacity alone: a decision's NIC verdict was
+	// Admissible's.
+	r, n, ok := v.probe(d.VM, d.Target)
+	if !ok || !Admit(r, n) {
 		return 0, fmt.Errorf("core: view commit of VM %d: %w", d.VM, cluster.ErrNoCapacity)
 	}
 	realized := v.Delta(d.VM, d.Target)
-	ram, cpu, _ := v.eng.cl.Demand(d.VM) // registered: fits passed
 	v.slotD[cur]--
 	v.slotD[d.Target]++
-	v.ramD[cur] -= int32(ram)
-	v.ramD[d.Target] += int32(ram)
-	v.cpuD[cur] -= int32(cpu)
-	v.cpuD[d.Target] += int32(cpu)
+	v.ramD[cur] -= int32(n.RAMMB)
+	v.ramD[d.Target] += int32(n.RAMMB)
+	v.cpuD[cur] -= int32(n.CPUMilli)
+	v.cpuD[d.Target] += int32(n.CPUMilli)
 	// Every host whose room or NIC load this commit rewrites is touched
 	// for Visit (see stillQuiet). The NIC-load deltas are folded before
 	// the overlay records the move so peers' positions are read

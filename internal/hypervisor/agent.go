@@ -112,10 +112,11 @@ func (r *Registry) HostList() []cluster.HostID {
 type AgentConfig struct {
 	// HostID is this server's identity in the topology.
 	HostID cluster.HostID
-	// Slots and RAMMB are the server's capacity (the fields a capacity
-	// response reports).
-	Slots int
-	RAMMB int
+	// Slots, RAMMB, CPUMilli and NICMbps are the server's capacity, which
+	// its capacity responses report room against (zero CPU or NIC
+	// capacity is unconstrained, as in cluster.Host).
+	Slots, RAMMB, CPUMilli int
+	NICMbps                float64
 	// Topo is the static location-cost map every dom0 holds
 	// ("a precomputed location cost mapping", Section V-B4).
 	Topo topology.Topology
@@ -166,7 +167,7 @@ type Agent struct {
 	kern *core.Kernel
 
 	mu       sync.Mutex
-	vms      map[cluster.VMID]*vmRecord
+	vms      map[cluster.VMID]vmRecord
 	locCache map[cluster.VMID]locEntry
 	assign   *ShardAssignment // current round's shard table, nil outside sharded rounds
 	dedup    map[commitKey]*Message
@@ -181,12 +182,32 @@ type Agent struct {
 	OnShardToken func(shard int, ev TokenEvent)
 }
 
-// vmRecord mirrors the traffic matrix's CSR idiom: the peer-rate table
-// is a slice sorted by peer ID, so token processing walks peers in a
-// deterministic order and probe sequences are reproducible.
+// vmRecord is a hosted VM's demand and peer-rate table. The table mirrors
+// the traffic matrix's CSR idiom: a slice sorted by peer ID, so token
+// processing walks peers in a deterministic order and probe sequences are
+// reproducible. Records are replaced, never mutated, so a copy read
+// under mu stays valid after it is released.
 type vmRecord struct {
-	ramMB int
-	rates []traffic.Edge // λ(u, v) toward each peer, Mb/s; sorted by Peer
+	ramMB, cpuMilli int
+	rates           []traffic.Edge // λ(u, v) toward each peer, Mb/s; sorted by Peer
+}
+
+// need is what the VM asks of host h: its demand, its rate, and its rate
+// to the peers on h, where hostOf(i) is the host of rates[i]'s peer.
+func (rec vmRecord) need(h cluster.HostID, hostOf func(i int) cluster.HostID) core.Need {
+	n := core.Need{RAMMB: rec.ramMB, CPUMilli: rec.cpuMilli}
+	for i, ed := range rec.rates {
+		n.Rate += ed.Rate
+		if hostOf(i) == h {
+			n.Internal += ed.Rate
+		}
+	}
+	return n
+}
+
+// transfer is the MsgMigrate that ships the record of vm.
+func (rec vmRecord) transfer(vm cluster.VMID) Message {
+	return Message{Type: MsgMigrate, VM: vm, RAMMB: int32(rec.ramMB), CPUMilli: int32(rec.cpuMilli), Payload: EncodeRateEdges(rec.rates)}
 }
 
 // locEntry caches one peer's probed location. addr records which dom0
@@ -221,7 +242,7 @@ func NewAgent(cfg AgentConfig, reg *Registry) (*Agent, error) {
 		cfg:      cfg,
 		reg:      reg,
 		kern:     kern,
-		vms:      make(map[cluster.VMID]*vmRecord),
+		vms:      make(map[cluster.VMID]vmRecord),
 		locCache: make(map[cluster.VMID]locEntry),
 		dedup:    make(map[commitKey]*Message),
 	}, nil
@@ -301,18 +322,40 @@ func (a *Agent) Close() error {
 	return a.tr.Close()
 }
 
-// AddVM registers a hosted VM and its measured peer rates (in a live
-// deployment these come from the flow table; tests and examples inject
-// them). It also updates the registry.
+// AddVM is Adopt for a VM that declares no CPU demand.
 func (a *Agent) AddVM(vm cluster.VMID, ramMB int, rates map[cluster.VMID]float64) error {
+	return a.Adopt(cluster.VM{ID: vm, RAMMB: ramMB}, rates)
+}
+
+// Adopt registers a hosted VM and its measured peer rates (in a live
+// deployment these come from the flow table; tests and examples inject
+// them) and updates the registry, if core.Admit finds room for its demand.
+func (a *Agent) Adopt(vm cluster.VM, rates map[cluster.VMID]float64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if len(a.vms) >= a.cfg.Slots {
-		return fmt.Errorf("hypervisor: host %d out of slots: %w", a.cfg.HostID, cluster.ErrNoCapacity)
+	if !core.Admit(a.room(), core.Need{RAMMB: vm.RAMMB, CPUMilli: vm.CPUMilli}) {
+		return fmt.Errorf("hypervisor: host %d cannot take VM %d: %w", a.cfg.HostID, vm.ID, cluster.ErrNoCapacity)
 	}
-	a.vms[vm] = &vmRecord{ramMB: ramMB, rates: ratesToEdges(rates)}
-	a.reg.Assign(vm, a.tr.Addr())
+	a.vms[vm.ID] = vmRecord{ramMB: vm.RAMMB, cpuMilli: vm.CPUMilli, rates: ratesToEdges(rates)}
+	a.reg.Assign(vm.ID, a.tr.Addr())
 	return nil
+}
+
+// room is the host as its capacity response reports it; its NIC load is
+// its VMs' rates to peers it does not host, a sum of rates on traffic's
+// grid, hence exact and the engine's. a.mu must be held.
+func (a *Agent) room() core.Room {
+	r := core.Room{Slots: a.cfg.Slots - len(a.vms), RAMMB: a.cfg.RAMMB, CPUMilli: a.cfg.CPUMilli, CPUCap: a.cfg.CPUMilli, NICMbps: a.cfg.NICMbps}
+	for _, rec := range a.vms {
+		r.RAMMB -= rec.ramMB
+		r.CPUMilli -= rec.cpuMilli
+		for _, ed := range rec.rates {
+			if _, here := a.vms[ed.Peer]; !here {
+				r.NICLoad += ed.Rate
+			}
+		}
+	}
+	return r
 }
 
 // VMs lists hosted VM IDs.
@@ -340,17 +383,13 @@ func (a *Agent) handle(from string, m Message) {
 		_ = a.tr.Send(m.ReplyTo, resp)
 	case MsgCapacityReq:
 		a.mu.Lock()
-		free := a.cfg.Slots - len(a.vms)
-		ram := a.cfg.RAMMB
-		for _, rec := range a.vms {
-			ram -= rec.ramMB
-		}
+		r := a.room()
 		a.mu.Unlock()
-		resp := Message{
+		_ = a.tr.Send(m.ReplyTo, Message{
 			Type: MsgCapacityResp, ReqID: m.ReqID, Host: a.cfg.HostID,
-			FreeSlots: int32(free), FreeRAMMB: int32(ram),
-		}
-		_ = a.tr.Send(m.ReplyTo, resp)
+			FreeSlots: int32(r.Slots), FreeRAMMB: int32(r.RAMMB), FreeCPUMilli: int32(r.CPUMilli),
+			CPUMilli: int32(r.CPUCap), NICMbps: r.NICMbps, NICLoad: r.NICLoad,
+		})
 	case MsgMigrate:
 		rates, err := DecodeRateEdges(m.Payload)
 		if err != nil {
@@ -366,7 +405,7 @@ func (a *Agent) handle(from string, m Message) {
 			return
 		}
 		a.mu.Lock()
-		a.vms[m.VM] = &vmRecord{ramMB: int(m.RAMMB), rates: rates}
+		a.vms[m.VM] = vmRecord{ramMB: int(m.RAMMB), cpuMilli: int(m.CPUMilli), rates: rates}
 		delete(a.locCache, m.VM) // observed migration: the VM is here now
 		a.mu.Unlock()
 		a.reg.Assign(m.VM, a.tr.Addr())
@@ -418,12 +457,6 @@ func (a *Agent) processToken(m Message) {
 
 	a.mu.Lock()
 	rec, hosted := a.vms[holder]
-	var ramMB int
-	var rates []traffic.Edge
-	if hosted {
-		ramMB = rec.ramMB
-		rates = slices.Clone(rec.rates)
-	}
 	closed := a.closed
 	a.mu.Unlock()
 	if closed {
@@ -432,14 +465,14 @@ func (a *Agent) processToken(m Message) {
 
 	ev := TokenEvent{Holder: holder, Target: cluster.NoHost}
 	if hosted {
-		ev = a.decide(holder, ramMB, rates)
+		ev = a.decide(holder, rec)
 	}
 
 	// Build the holder view — the level of every peer that can be
 	// placed and, as the holder's own level, the highest of them — and
 	// pass the token.
-	view := token.HolderView{Holder: holder, NeighborLevels: make(map[cluster.VMID]uint8, len(rates))}
-	for _, ed := range rates {
+	view := token.HolderView{Holder: holder, NeighborLevels: make(map[cluster.VMID]uint8, len(rec.rates))}
+	for _, ed := range rec.rates {
 		h, ok := a.locate(ed.Peer)
 		if !ok {
 			continue
@@ -526,65 +559,83 @@ func (a *Agent) locate(vm cluster.VMID) (cluster.HostID, bool) {
 	return resp.Host, true
 }
 
-// visit answers the decision rule's admission question for one token
-// visit as Section V-B5's capacity response: the target dom0's free
-// slots and RAM, adjusted by the ring's staged moves. The agent plane
-// checks nothing else — no CPU, no NIC (see the package documentation).
+// visit is one token visit as the decision rule sees it: the holder's
+// record, where each of its peers sits (at[i] for rates[i], NoHost when
+// unlocated) and the ring's staged overlay. Its Admissible is Section
+// V-B5's capacity probe: the target's response, adjusted by the overlay,
+// admitted by core.Admit as on the in-process planes.
 type visit struct {
-	a     *Agent
-	o     *ringOverlay
-	ramMB int
+	a   *Agent
+	o   *ringOverlay
+	rec vmRecord
+	at  []cluster.HostID
 }
 
-func (v visit) Admissible(u cluster.VMID, h cluster.HostID) bool {
+// need is what the holder asks of host h, its peers where the visit
+// placed them.
+func (v *visit) need(h cluster.HostID) core.Need {
+	return v.rec.need(h, func(i int) cluster.HostID { return v.at[i] })
+}
+
+func (v *visit) Admissible(u cluster.VMID, h cluster.HostID) bool {
 	addr, ok := v.a.reg.HostAddr(h)
 	if !ok {
 		return false
 	}
-	resp, err := v.a.request(addr, Message{Type: MsgCapacityReq, VM: u, RAMMB: int32(v.ramMB)})
+	resp, err := v.a.request(addr, Message{Type: MsgCapacityReq, VM: u, RAMMB: int32(v.rec.ramMB)})
 	if err != nil {
 		return false
 	}
-	return resp.FreeSlots+v.o.slots[h] >= 1 && int(resp.FreeRAMMB+v.o.ramMB[h]) >= v.ramMB
+	return core.Admit(plus(resp.room(), v.o.room[h]), v.need(h))
+}
+
+// room reads a capacity response as core.Admit's Room.
+func (m *Message) room() core.Room {
+	return core.Room{
+		Slots: int(m.FreeSlots), RAMMB: int(m.FreeRAMMB), CPUMilli: int(m.FreeCPUMilli),
+		CPUCap: int(m.CPUMilli), NICMbps: m.NICMbps, NICLoad: m.NICLoad,
+	}
 }
 
 // bestMove runs the decision rule (core.Kernel) for a holder on
 // holderHost, its peers located through the ring overlay o (empty for the
-// global ring). Each visit decides on a kernel of its own: a duplicated
-// shard-token frame can run two visits on one agent at once.
-func (a *Agent) bestMove(holder cluster.VMID, holderHost cluster.HostID, ramMB int, rates []traffic.Edge, o *ringOverlay) (core.Decision, bool) {
+// global ring), and returns the visit too. Each visit decides on a kernel
+// of its own: a duplicated shard-token frame can run two visits on one
+// agent at once.
+func (a *Agent) bestMove(holder cluster.VMID, holderHost cluster.HostID, rec vmRecord, o *ringOverlay) (core.Decision, *visit, bool) {
+	v := &visit{a: a, o: o, rec: rec, at: make([]cluster.HostID, len(rec.rates))}
 	k := a.kern.Clone()
 	k.Begin(holderHost)
-	for _, ed := range rates {
+	for i, ed := range rec.rates {
 		// A staged move wins over the round-start location, which is
 		// frozen until the merge.
 		h, ok := o.loc[ed.Peer]
 		if !ok {
 			h, ok = a.locate(ed.Peer)
 		}
+		v.at[i] = cluster.NoHost
 		if ok && k.Covers(h) {
 			k.Peer(h, ed.Rate)
+			v.at[i] = h
 		}
 	}
-	return k.Best(holder, visit{a: a, o: o, ramMB: ramMB})
+	dec, ok := k.Best(holder, v)
+	return dec, v, ok
 }
 
 // decide evaluates the S-CORE policy for a hosted token holder in the
-// global ring and executes the winning migration immediately. The rates
-// slice is the holder's adjacency row (sorted by peer), so peers are
-// probed in a deterministic order.
-func (a *Agent) decide(holder cluster.VMID, ramMB int, rates []traffic.Edge) TokenEvent {
+// global ring and executes the winning migration immediately. The
+// record's rates are the holder's adjacency row (sorted by peer), so
+// peers are probed in a deterministic order.
+func (a *Agent) decide(holder cluster.VMID, rec vmRecord) TokenEvent {
 	ev := TokenEvent{Holder: holder, From: a.cfg.HostID, Target: cluster.NoHost}
-	dec, ok := a.bestMove(holder, a.cfg.HostID, ramMB, rates, &ringOverlay{})
+	dec, _, ok := a.bestMove(holder, a.cfg.HostID, rec, &ringOverlay{})
 	if !ok {
 		return ev
 	}
 	// Execute the migration: ship the VM record to the target dom0.
 	addr, _ := a.reg.HostAddr(dec.Target) // it answered the capacity probe
-	payload := EncodeRateEdges(rates)
-	resp, err := a.request(addr, Message{
-		Type: MsgMigrate, VM: holder, RAMMB: int32(ramMB), Payload: payload,
-	})
+	resp, err := a.request(addr, rec.transfer(holder))
 	if err != nil || resp.Type != MsgMigrateAck {
 		return ev
 	}

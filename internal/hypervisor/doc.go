@@ -23,11 +23,13 @@
 // are each peer's host, then the rest of its rack (Section V-B5); ΔC is
 // Eq. 5, and only a candidate offering more than c_m and the running best
 // is probed, by MsgCapacityReq to the dom0 the registry names for it.
-// Admission is the capacity response's free slots and RAM, adjusted by
-// the ring's staged moves; there is no CPU or NIC check, so 1-shard
-// rounds equal a 1-shard shard.Coordinator's with BandwidthThreshold 0 on
-// hosts without CPU capacity. The reconciler re-validates on the same
-// kernel, over the row a staged move carried.
+// Admission is core.Admit, the in-process planes' rule, over the capacity
+// response (free slots, RAM and CPU, CPU and NIC capacity, and the NIC
+// load the dom0 sums from its VMs' rates to peers elsewhere) adjusted by
+// the ring's staged moves, each carrying its demand and NIC-load changes;
+// so agent rounds equal shard.Coordinator rounds move for move. The
+// reconciler re-validates on the same kernel and rule, over the row and
+// demand a staged move carried.
 //
 // # Sharded rings and the reconciliation agent
 //

@@ -19,8 +19,8 @@ func sampleMessages() []Message {
 	ring := (&RingState{
 		Shard: 1, Round: 4, Attempt: 2, Hops: 3, Limit: 9,
 		Token: token.NewAtLevel([]cluster.VMID{1, 4, 7}, 3).Encode(),
-		Staged: []StagedMove{{VM: 4, From: 0, To: 2, Delta: math.Pi, RAMMB: 512,
-			Rates: []traffic.Edge{{Peer: 7, Rate: 3}}}},
+		Staged: []StagedMove{{VM: 4, From: 0, To: 2, Delta: math.Pi, RAMMB: 512, CPUMilli: 750,
+			NICFrom: -3, NICTo: 3.25, Rates: []traffic.Edge{{Peer: 7, Rate: 3}}}},
 		Proposals: []StagedMove{{VM: 7, From: 2, To: 11, Delta: -1.5, RAMMB: 1024}},
 	}).Encode()
 	asg := (&ShardAssignment{Round: 4, Shards: 2, ReconcilerAddr: "rec", HostShard: []int32{0, 0, 1, 1}}).Encode()
@@ -30,8 +30,9 @@ func sampleMessages() []Message {
 		{Type: MsgLocationReq, ReqID: 1, VM: 5, ReplyTo: "dom0-1"},
 		{Type: MsgLocationResp, ReqID: 1, VM: 5, Host: 3},
 		{Type: MsgCapacityReq, ReqID: 2, VM: 5, RAMMB: 1024, ReplyTo: "dom0-2"},
-		{Type: MsgCapacityResp, ReqID: 2, Host: 4, FreeSlots: 3, FreeRAMMB: 8192},
-		{Type: MsgMigrate, ReqID: 3, VM: 5, RAMMB: 1024, ReplyTo: "dom0-3", Payload: rates},
+		{Type: MsgCapacityResp, ReqID: 2, Host: 4, FreeSlots: 3, FreeRAMMB: 8192, FreeCPUMilli: 1500,
+			CPUMilli: 4000, NICMbps: 1000, NICLoad: 912.5},
+		{Type: MsgMigrate, ReqID: 3, VM: 5, RAMMB: 1024, CPUMilli: 500, ReplyTo: "dom0-3", Payload: rates},
 		{Type: MsgMigrateAck, ReqID: 3, VM: 5, Host: 4},
 		{Type: MsgShardAssign, ReqID: 4, Host: 2, ReplyTo: "rec", Payload: asg},
 		{Type: MsgShardAssignAck, ReqID: 4, Host: 2},
@@ -77,7 +78,7 @@ func TestCodecTruncatedAndOversized(t *testing.T) {
 
 	ringFull := (&RingState{Shard: 1, Round: 2, Limit: 3,
 		Token:  token.NewAtLevel([]cluster.VMID{1, 2, 3}, 1).Encode(),
-		Staged: []StagedMove{{VM: 1, From: 0, To: 1, Delta: 1, RAMMB: 64}},
+		Staged: []StagedMove{{VM: 1, From: 0, To: 1, Delta: 1, RAMMB: 64, CPUMilli: 250, NICFrom: -2, NICTo: 2}},
 	}).Encode()
 	for cut := 0; cut < len(ringFull); cut++ {
 		if _, err := DecodeRingState(ringFull[:cut]); err == nil {
@@ -184,7 +185,9 @@ func TestReadFrameOversizedRejected(t *testing.T) {
 
 // FuzzMessageDecode: arbitrary bytes must never panic the frame decoder,
 // and anything it accepts must survive a re-encode→decode round trip
-// unchanged (the decoder normalizes nothing).
+// unchanged (the decoder normalizes nothing). The NIC fields are raw
+// float64 bits and may be NaN, which reflect.DeepEqual never equates, so
+// the round trip is compared on the wire.
 func FuzzMessageDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
 		f.Add(m.Encode())
@@ -200,7 +203,7 @@ func FuzzMessageDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-decode of accepted message failed: %v", err)
 		}
-		if !reflect.DeepEqual(again, m) {
+		if !bytes.Equal(again.Encode(), m.Encode()) {
 			t.Fatalf("round trip not identity:\n got %+v\nwant %+v", again, m)
 		}
 	})
@@ -213,8 +216,9 @@ func FuzzMessageDecode(f *testing.F) {
 // decode.)
 func FuzzRingStateDecode(f *testing.F) {
 	f.Add((&RingState{Shard: 1, Round: 2, Attempt: 1, Hops: 1, Limit: 4,
-		Token:  token.NewAtLevel([]cluster.VMID{1, 2}, 2).Encode(),
-		Staged: []StagedMove{{VM: 1, From: 0, To: 1, Delta: 2.5, RAMMB: 128, Rates: []traffic.Edge{{Peer: 2, Rate: 1}}}},
+		Token: token.NewAtLevel([]cluster.VMID{1, 2}, 2).Encode(),
+		Staged: []StagedMove{{VM: 1, From: 0, To: 1, Delta: 2.5, RAMMB: 128, CPUMilli: 500, NICFrom: 0.5, NICTo: -1,
+			Rates: []traffic.Edge{{Peer: 2, Rate: 1}}}},
 	}).Encode())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -1,6 +1,7 @@
 package hypervisor
 
 import (
+	"errors"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -309,7 +310,7 @@ func TestAgentCapacityRefusalFallsBack(t *testing.T) {
 	if topo.RackOf(3) != topo.RackOf(2) || topo.RackOf(0) == topo.RackOf(2) {
 		t.Fatal("fixture: host 3 must be host 2's rack-mate, host 0 outside that rack")
 	}
-	ev := agents[0].decide(1, 1024, []traffic.Edge{{Peer: 100, Rate: 50}})
+	ev := agents[0].decide(1, vmRecord{ramMB: 1024, rates: []traffic.Edge{{Peer: 100, Rate: 50}}})
 	// Host 2 refuses the capacity probe; the rest of its rack still puts
 	// the pair at level 1 (Section V-B5).
 	if !ev.Migrated || ev.Target != 3 {
@@ -320,15 +321,36 @@ func TestAgentCapacityRefusalFallsBack(t *testing.T) {
 	}
 }
 
+// TestAgentRejectsOverCapacityAdd: a dom0 (4 slots, 8192 MB) adopts VMs
+// in order until one does not fit — out of slots, or out of RAM — which
+// it refuses with cluster.ErrNoCapacity, and its capacity response still
+// reports the room the adopted VMs left.
 func TestAgentRejectsOverCapacityAdd(t *testing.T) {
-	_, agents, _ := buildAgents(t, 2)
-	for i := 0; i < 4; i++ {
-		if err := agents[0].AddVM(cluster.VMID(i), 512, nil); err != nil {
+	for _, tc := range []struct {
+		name  string
+		ramMB []int // the last VM is the one refused
+	}{
+		{"slot", []int{512, 512, 512, 512, 512}},
+		{"RAM", []int{6144, 6144}},
+	} {
+		_, agents, _ := buildAgents(t, 2)
+		last, used := len(tc.ramMB)-1, 0
+		for i, ram := range tc.ramMB[:last] {
+			if err := agents[0].AddVM(cluster.VMID(i), ram, nil); err != nil {
+				t.Fatal(err)
+			}
+			used += ram
+		}
+		if err := agents[0].AddVM(99, tc.ramMB[last], nil); !errors.Is(err, cluster.ErrNoCapacity) {
+			t.Fatalf("%s-overflow AddVM: err = %v, want ErrNoCapacity", tc.name, err)
+		}
+		resp, err := agents[1].request(agents[0].Addr(), Message{Type: MsgCapacityReq})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := agents[0].AddVM(99, 512, nil); err == nil {
-		t.Fatal("slot-overflow AddVM accepted")
+		if int(resp.FreeSlots) != 4-last || int(resp.FreeRAMMB) != 8192-used {
+			t.Fatalf("%s overflow: capacity response %d slots, %d MB; want %d, %d", tc.name, resp.FreeSlots, resp.FreeRAMMB, 4-last, 8192-used)
+		}
 	}
 }
 
@@ -391,7 +413,7 @@ func TestDecideUpdatesSourceCache(t *testing.T) {
 	if err := agents[6].AddVM(2, 1024, map[cluster.VMID]float64{1: 80}); err != nil {
 		t.Fatal(err)
 	}
-	ev := agents[0].decide(1, 1024, []traffic.Edge{{Peer: 2, Rate: 80}})
+	ev := agents[0].decide(1, vmRecord{ramMB: 1024, rates: []traffic.Edge{{Peer: 2, Rate: 80}}})
 	if !ev.Migrated {
 		t.Fatal("level-3 pair did not migrate")
 	}

@@ -30,7 +30,8 @@ const (
 	// Message.RAMMB.
 	MsgCapacityReq
 	// MsgCapacityResp reports free slots and RAM ("how many more VMs it
-	// is able to host and the amount of RAM it has available").
+	// is able to host and the amount of RAM it has available"), and the
+	// rest of core.Room: free CPU, CPU and NIC capacity, NIC load.
 	MsgCapacityResp
 	// MsgMigrate transfers a VM record to the target dom0, standing in
 	// for the Xen live-migration data path.
@@ -73,11 +74,13 @@ type Message struct {
 	ReqID uint32
 	VM    cluster.VMID
 	Host  cluster.HostID
-	// FreeSlots and FreeRAMMB are capacity-response fields.
-	FreeSlots int32
-	FreeRAMMB int32
-	// RAMMB is the demand in a capacity request or VM transfer.
-	RAMMB int32
+	// FreeSlots, FreeRAMMB, FreeCPUMilli, NICMbps and NICLoad are
+	// capacity-response fields. RAMMB is the demand in a capacity request
+	// or VM transfer; CPUMilli the CPU demand in a VM transfer, and the
+	// host's CPU capacity in a capacity response.
+	FreeSlots, FreeRAMMB, FreeCPUMilli int32
+	RAMMB, CPUMilli                    int32
+	NICMbps, NICLoad                   float64
 	// ReplyTo is the requester's listening address for request types;
 	// one-shot TCP connections cannot carry the response back.
 	ReplyTo string
@@ -86,7 +89,7 @@ type Message struct {
 	Payload []byte
 }
 
-const fixedHeaderBytes = 1 + 4 + 4 + 4 + 4 + 4 + 4 + 2 // through reply-to length
+const fixedHeaderBytes = 1 + 8*4 + 2*8 + 2 // through reply-to length
 
 // ErrShortMessage reports a truncated frame.
 var ErrShortMessage = errors.New("hypervisor: short message")
@@ -107,7 +110,11 @@ func (m *Message) AppendEncode(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint32(buf, uint32(m.Host))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(m.FreeSlots))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(m.FreeRAMMB))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(m.FreeCPUMilli))
 	buf = binary.BigEndian.AppendUint32(buf, uint32(m.RAMMB))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(m.CPUMilli))
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.NICMbps))
+	buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.NICLoad))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.ReplyTo)))
 	buf = append(buf, m.ReplyTo...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(m.Payload)))
@@ -126,15 +133,19 @@ func DecodeMessage(buf []byte) (Message, error) {
 		return Message{}, ErrShortMessage
 	}
 	m := Message{
-		Type:      MsgType(buf[0]),
-		ReqID:     binary.BigEndian.Uint32(buf[1:]),
-		VM:        cluster.VMID(binary.BigEndian.Uint32(buf[5:])),
-		Host:      cluster.HostID(int32(binary.BigEndian.Uint32(buf[9:]))),
-		FreeSlots: int32(binary.BigEndian.Uint32(buf[13:])),
-		FreeRAMMB: int32(binary.BigEndian.Uint32(buf[17:])),
-		RAMMB:     int32(binary.BigEndian.Uint32(buf[21:])),
+		Type:         MsgType(buf[0]),
+		ReqID:        binary.BigEndian.Uint32(buf[1:]),
+		VM:           cluster.VMID(binary.BigEndian.Uint32(buf[5:])),
+		Host:         cluster.HostID(int32(binary.BigEndian.Uint32(buf[9:]))),
+		FreeSlots:    int32(binary.BigEndian.Uint32(buf[13:])),
+		FreeRAMMB:    int32(binary.BigEndian.Uint32(buf[17:])),
+		FreeCPUMilli: int32(binary.BigEndian.Uint32(buf[21:])),
+		RAMMB:        int32(binary.BigEndian.Uint32(buf[25:])),
+		CPUMilli:     int32(binary.BigEndian.Uint32(buf[29:])),
+		NICMbps:      math.Float64frombits(binary.BigEndian.Uint64(buf[33:])),
+		NICLoad:      math.Float64frombits(binary.BigEndian.Uint64(buf[41:])),
 	}
-	rl := int(binary.BigEndian.Uint16(buf[25:]))
+	rl := int(binary.BigEndian.Uint16(buf[49:]))
 	off := fixedHeaderBytes
 	if len(buf) < off+rl+4 {
 		return Message{}, ErrShortMessage

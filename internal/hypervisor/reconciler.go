@@ -12,7 +12,6 @@ import (
 	"github.com/score-dc/score/internal/shard"
 	"github.com/score-dc/score/internal/token"
 	"github.com/score-dc/score/internal/topology"
-	"github.com/score-dc/score/internal/traffic"
 )
 
 // ReconcilerConfig parameterizes the reconciliation agent — the
@@ -246,9 +245,10 @@ func (r *Reconciler) handle(from string, m Message) {
 // so no re-validated move waits on a round trip of its own. Every call
 // observes the state the previous Apply left.
 type reconcileEnv struct {
-	r     *Reconciler
-	rates map[cluster.VMID][]traffic.Edge
-	ram   map[cluster.VMID]int32
+	r *Reconciler
+	// recs holds each staged VM's demand and peer-rate row, as its move
+	// carried them over the wire.
+	recs map[cluster.VMID]vmRecord
 
 	// capMu guards caps against prefetch's concurrent probes, one per
 	// distinct host.
@@ -256,13 +256,13 @@ type reconcileEnv struct {
 	caps  map[cluster.HostID]*hostCap
 }
 
-// hostCap is one probed host's remaining capacity, adjusted by every
+// hostCap is one probed host's capacity response, adjusted by every
 // commit the merge phase lands. ok is false when the probe failed (dead
 // or unregistered host) — Admissible then answers false without
 // re-paying the probe timeout.
 type hostCap struct {
-	ok         bool
-	slots, ram int32
+	ok   bool
+	room core.Room
 }
 
 // capacity returns the host's cache entry, probing once on a miss.
@@ -276,7 +276,7 @@ func (e *reconcileEnv) capacity(h cluster.HostID) *hostCap {
 	c := &hostCap{}
 	if addr, ok := e.r.reg.HostAddr(h); ok {
 		if resp, err := e.r.rq.request(addr, Message{Type: MsgCapacityReq}); err == nil {
-			c.ok, c.slots, c.ram = true, resp.FreeSlots, resp.FreeRAMMB
+			c.ok, c.room = true, resp.room()
 		}
 	}
 	e.capMu.Lock()
@@ -329,7 +329,7 @@ func (e *reconcileEnv) Delta(vm cluster.VMID, target cluster.HostID) float64 {
 		return 0
 	}
 	k.Begin(cur)
-	for _, ed := range e.rates[vm] {
+	for _, ed := range e.recs[vm].rates {
 		if hz := e.HostOf(ed.Peer); hz != cluster.NoHost && k.Covers(hz) {
 			k.Peer(hz, ed.Rate)
 		}
@@ -337,18 +337,27 @@ func (e *reconcileEnv) Delta(vm cluster.VMID, target cluster.HostID) float64 {
 	return k.Score(target)
 }
 
-func (e *reconcileEnv) Admissible(vm cluster.VMID, target cluster.HostID) bool {
-	c := e.capacity(target)
-	e.capMu.Lock()
-	defer e.capMu.Unlock()
-	return c.ok && c.slots >= 1 && c.ram >= e.ram[vm]
+// need is what vm asks of host h, its peers where the registry places
+// them.
+func (e *reconcileEnv) need(vm cluster.VMID, h cluster.HostID) core.Need {
+	rec := e.recs[vm]
+	return rec.need(h, func(i int) cluster.HostID { return e.HostOf(rec.rates[i].Peer) })
 }
 
-// applyCap folds one landed commit into the capacity ledger; a failed
-// commit instead invalidates both endpoints (the true state is unknown
-// — e.g. retries exhausted after the transfer landed), forcing a fresh
-// probe on the next touch.
+func (e *reconcileEnv) Admissible(vm cluster.VMID, target cluster.HostID) bool {
+	c, n := e.capacity(target), e.need(vm, target)
+	e.capMu.Lock()
+	defer e.capMu.Unlock()
+	return c.ok && core.Admit(c.room, n)
+}
+
+// applyCap folds one landed commit into the capacity ledger, its NIC
+// loads at the registry's peer positions (a peer may have moved since the
+// move was staged); a failed commit instead invalidates both endpoints
+// (the true state is unknown — e.g. retries exhausted after the transfer
+// landed), forcing a fresh probe on the next touch.
 func (e *reconcileEnv) applyCap(vm cluster.VMID, from, to cluster.HostID, landed bool) {
+	rec, nicFrom, nicTo := e.recs[vm], -e.need(vm, from).Shift(), e.need(vm, to).Shift()
 	e.capMu.Lock()
 	defer e.capMu.Unlock()
 	if !landed {
@@ -357,12 +366,10 @@ func (e *reconcileEnv) applyCap(vm cluster.VMID, from, to cluster.HostID, landed
 		return
 	}
 	if c, ok := e.caps[to]; ok && c.ok {
-		c.slots--
-		c.ram -= e.ram[vm]
+		c.room = plus(c.room, moved(-1, rec.ramMB, rec.cpuMilli, nicTo))
 	}
 	if c, ok := e.caps[from]; ok && c.ok {
-		c.slots++
-		c.ram += e.ram[vm]
+		c.room = plus(c.room, moved(1, rec.ramMB, rec.cpuMilli, nicFrom))
 	}
 }
 
@@ -403,7 +410,7 @@ func (e *reconcileEnv) Apply(d core.Decision) (float64, error) {
 
 // stage converts ring s's staged moves to the merge phase's currency —
 // the decisions, and the provenance they carried over the wire — keeping
-// the peer-rate table and RAM size each carried for re-validation. Moves
+// the peer-rate table and demand each carried for re-validation. Moves
 // that involve a host evicted this round — the VM's current dom0 is
 // unresponsive, or the move lands on one — are split off as dropped:
 // replaying them would stall one probe timeout per dead endpoint.
@@ -412,7 +419,7 @@ func (e *reconcileEnv) stage(ms []StagedMove, s int, evicted map[cluster.HostID]
 	meta = make([]shard.AuditMeta, 0, len(ms))
 	for _, m := range ms {
 		d := core.Decision{VM: m.VM, From: m.From, Target: m.To, Delta: m.Delta}
-		e.rates[m.VM], e.ram[m.VM] = m.Rates, m.RAMMB
+		e.recs[m.VM] = vmRecord{int(m.RAMMB), int(m.CPUMilli), m.Rates}
 		if evicted[d.Target] || evicted[e.HostOf(d.VM)] {
 			dropped = append(dropped, d)
 			continue
@@ -865,10 +872,9 @@ func (p agentPlane) Run(rd *shard.Round, part *shard.Partition, mg *shard.Merge)
 	// capacity probe the merge will issue in one wave, so no move of the
 	// replay pays a probe round trip.
 	env := &reconcileEnv{
-		r:     r,
-		rates: make(map[cluster.VMID][]traffic.Edge),
-		ram:   make(map[cluster.VMID]int32),
-		caps:  make(map[cluster.HostID]*hostCap),
+		r:    r,
+		recs: make(map[cluster.VMID]vmRecord),
+		caps: make(map[cluster.HostID]*hostCap),
 	}
 	mg.Env = env
 	out := make([]shard.Ring, n)

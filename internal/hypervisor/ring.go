@@ -19,8 +19,12 @@ type StagedMove struct {
 	VM       cluster.VMID
 	From, To cluster.HostID
 	// Delta is the staged ΔC, computed against the ring's frozen view.
-	Delta float64
-	RAMMB int32
+	Delta           float64
+	RAMMB, CPUMilli int32
+	// NICFrom and NICTo are the move's NIC-load changes at its source and
+	// target at the peer positions the staging visit decided on; later
+	// visits of the ring fold them into capacity responses.
+	NICFrom, NICTo float64
 	// Hop is the 0-based token visit the move was staged at and Attempt
 	// the ring regeneration it was staged under — decision provenance
 	// carried to the reconciler's audit records.
@@ -67,6 +71,9 @@ func appendStagedMoves(buf []byte, ms []StagedMove) []byte {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(m.To))
 		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.Delta))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(m.RAMMB))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(m.CPUMilli))
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.NICFrom))
+		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(m.NICTo))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(m.Hop))
 		buf = binary.BigEndian.AppendUint32(buf, m.Attempt)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(rateEdgesSize(m.Rates)))
@@ -84,27 +91,30 @@ func decodeStagedMoves(buf []byte) ([]StagedMove, []byte, error) {
 	if n == 0 {
 		return nil, buf, nil
 	}
-	// Each move occupies at least 36 bytes: bound-check the untrusted
+	// Each move occupies at least 56 bytes: bound-check the untrusted
 	// count before sizing the allocation from it.
-	if n < 0 || n > len(buf)/36 {
+	if n < 0 || n > len(buf)/56 {
 		return nil, nil, ErrShortMessage
 	}
 	out := make([]StagedMove, 0, n)
 	for i := 0; i < n; i++ {
-		if len(buf) < 36 {
+		if len(buf) < 56 {
 			return nil, nil, ErrShortMessage
 		}
 		m := StagedMove{
-			VM:      cluster.VMID(binary.BigEndian.Uint32(buf)),
-			From:    cluster.HostID(int32(binary.BigEndian.Uint32(buf[4:]))),
-			To:      cluster.HostID(int32(binary.BigEndian.Uint32(buf[8:]))),
-			Delta:   math.Float64frombits(binary.BigEndian.Uint64(buf[12:])),
-			RAMMB:   int32(binary.BigEndian.Uint32(buf[20:])),
-			Hop:     int32(binary.BigEndian.Uint32(buf[24:])),
-			Attempt: binary.BigEndian.Uint32(buf[28:]),
+			VM:       cluster.VMID(binary.BigEndian.Uint32(buf)),
+			From:     cluster.HostID(int32(binary.BigEndian.Uint32(buf[4:]))),
+			To:       cluster.HostID(int32(binary.BigEndian.Uint32(buf[8:]))),
+			Delta:    math.Float64frombits(binary.BigEndian.Uint64(buf[12:])),
+			RAMMB:    int32(binary.BigEndian.Uint32(buf[20:])),
+			CPUMilli: int32(binary.BigEndian.Uint32(buf[24:])),
+			NICFrom:  math.Float64frombits(binary.BigEndian.Uint64(buf[28:])),
+			NICTo:    math.Float64frombits(binary.BigEndian.Uint64(buf[36:])),
+			Hop:      int32(binary.BigEndian.Uint32(buf[44:])),
+			Attempt:  binary.BigEndian.Uint32(buf[48:]),
 		}
-		rl := int(binary.BigEndian.Uint32(buf[32:]))
-		buf = buf[36:]
+		rl := int(binary.BigEndian.Uint32(buf[52:]))
+		buf = buf[56:]
 		if len(buf) < rl {
 			return nil, nil, ErrShortMessage
 		}
@@ -142,7 +152,7 @@ func (s *RingState) AppendEncode(buf []byte) []byte {
 func stagedMovesSize(ms []StagedMove) int {
 	n := 4
 	for i := range ms {
-		n += 36 + rateEdgesSize(ms[i].Rates)
+		n += 56 + rateEdgesSize(ms[i].Rates)
 	}
 	return n
 }

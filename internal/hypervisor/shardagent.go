@@ -1,11 +1,9 @@
 package hypervisor
 
 import (
-	"slices"
-
 	"github.com/score-dc/score/internal/cluster"
+	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/token"
-	"github.com/score-dc/score/internal/traffic"
 )
 
 // This file is the agent side of the sharded mode: processing one
@@ -20,32 +18,40 @@ import (
 const commitAttempts = 3
 
 // ringOverlay is a visit-scoped index of a ring's staged moves: VM
-// locations (last staged move wins) and per-host capacity deltas. It is
-// built once per token visit, so peer resolution and capacity
-// adjustment are O(1) instead of rescanning the staged list — the
-// distributed counterpart of core.AllocView's dense overlay. Proposals
-// are not folded: they are queued, not applied, exactly as in the
-// Coordinator's view semantics.
+// locations (last staged move wins) and per-host deltas of free slots,
+// RAM, CPU and NIC load. It is built once per token visit, so peer
+// resolution and capacity adjustment are O(1) instead of rescanning the
+// staged list — the distributed counterpart of core.AllocView's dense
+// overlay. Proposals are not folded: they are queued, not applied,
+// exactly as in the Coordinator's view semantics.
 type ringOverlay struct {
-	loc   map[cluster.VMID]cluster.HostID
-	slots map[cluster.HostID]int32
-	ramMB map[cluster.HostID]int32
+	loc  map[cluster.VMID]cluster.HostID
+	room map[cluster.HostID]core.Room
 }
 
 func newRingOverlay(st *RingState) *ringOverlay {
 	o := &ringOverlay{
-		loc:   make(map[cluster.VMID]cluster.HostID, len(st.Staged)),
-		slots: make(map[cluster.HostID]int32),
-		ramMB: make(map[cluster.HostID]int32),
+		loc:  make(map[cluster.VMID]cluster.HostID, len(st.Staged)),
+		room: make(map[cluster.HostID]core.Room),
 	}
 	for _, m := range st.Staged {
 		o.loc[m.VM] = m.To
-		o.slots[m.To]--
-		o.ramMB[m.To] -= m.RAMMB
-		o.slots[m.From]++
-		o.ramMB[m.From] += m.RAMMB
+		o.room[m.To] = plus(o.room[m.To], moved(-1, int(m.RAMMB), int(m.CPUMilli), m.NICTo))
+		o.room[m.From] = plus(o.room[m.From], moved(1, int(m.RAMMB), int(m.CPUMilli), m.NICFrom))
 	}
 	return o
+}
+
+// moved is the change to a host's room when a VM of ram MiB and cpu
+// millicores arrives (sign −1) or leaves (+1), with NIC-load change nic.
+func moved(sign, ram, cpu int, nic float64) core.Room {
+	return core.Room{Slots: sign, RAMMB: sign * ram, CPUMilli: sign * cpu, NICLoad: nic}
+}
+
+// plus is r with the free room and NIC load of d added.
+func plus(r, d core.Room) core.Room {
+	r.Slots, r.RAMMB, r.CPUMilli, r.NICLoad = r.Slots+d.Slots, r.RAMMB+d.RAMMB, r.CPUMilli+d.CPUMilli, r.NICLoad+d.NICLoad
+	return r
 }
 
 // processShardToken runs one sharded-ring visit: decode the ring state,
@@ -64,13 +70,7 @@ func (a *Agent) processShardToken(m Message) {
 	holder := m.VM
 
 	a.mu.Lock()
-	rec, hosted := a.vms[holder]
-	var ramMB int
-	var rates []traffic.Edge
-	if hosted {
-		ramMB = rec.ramMB
-		rates = slices.Clone(rec.rates)
-	}
+	rec := a.vms[holder]
 	asg := a.assign
 	closed := a.closed
 	a.mu.Unlock()
@@ -93,12 +93,13 @@ func (a *Agent) processShardToken(m Message) {
 	// state, a cross-shard winner queued as a proposal for the reconciler.
 	// A holder this agent does not host has no row, hence no move.
 	ev := TokenEvent{Holder: holder, From: holderHost, Target: cluster.NoHost}
-	if dec, ok := a.bestMove(holder, holderHost, ramMB, rates, overlay); ok {
+	if dec, v, ok := a.bestMove(holder, holderHost, rec, overlay); ok {
 		// st.Hops is still the pre-visit count: the 0-based hop index.
 		mv := StagedMove{
-			VM: holder, From: holderHost, To: dec.Target,
-			Delta: dec.Delta, RAMMB: int32(ramMB),
-			Hop: st.Hops, Attempt: st.Attempt, Rates: rates,
+			VM: holder, From: holderHost, To: dec.Target, Delta: dec.Delta,
+			RAMMB: int32(rec.ramMB), CPUMilli: int32(rec.cpuMilli),
+			NICFrom: -v.need(holderHost).Shift(), NICTo: v.need(dec.Target).Shift(),
+			Hop: st.Hops, Attempt: st.Attempt, Rates: rec.rates,
 		}
 		if asg.ShardOfHost(dec.Target) == int(st.Shard) {
 			st.Staged = append(st.Staged, mv)
@@ -162,12 +163,6 @@ func (a *Agent) processReconcileCommit(m Message) {
 	targetAddr := string(m.Payload)
 	a.mu.Lock()
 	rec, ok := a.vms[m.VM]
-	var ramMB int
-	var rates []traffic.Edge
-	if ok {
-		ramMB = rec.ramMB
-		rates = slices.Clone(rec.rates)
-	}
 	a.mu.Unlock()
 	if !ok || targetAddr == "" {
 		fail()
@@ -176,9 +171,7 @@ func (a *Agent) processReconcileCommit(m Message) {
 	// The transfer retries with the same ReqID (the target's dedup
 	// cache replays the ack rather than re-adopting the VM), so a lost
 	// MsgMigrate or MsgMigrateAck does not fail the commit.
-	resp, err := a.rq.requestRetry(targetAddr, Message{
-		Type: MsgMigrate, VM: m.VM, RAMMB: int32(ramMB), Payload: EncodeRateEdges(rates),
-	}, commitAttempts)
+	resp, err := a.rq.requestRetry(targetAddr, rec.transfer(m.VM), commitAttempts)
 	if err != nil || resp.Type != MsgMigrateAck {
 		// Every ack may have been lost after the transfer landed. The
 		// registry is authoritative and updated by the target before it

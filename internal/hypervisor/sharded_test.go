@@ -24,12 +24,12 @@ func TestRingStateRoundTrip(t *testing.T) {
 		Shard: 3, Round: 7, Attempt: 2, Hops: 12, Limit: 40,
 		Token: token.NewAtLevel([]cluster.VMID{1, 5, 9}, 3).Encode(),
 		Staged: []StagedMove{
-			{VM: 5, From: 2, To: 4, Delta: 123.456789, RAMMB: 1024,
+			{VM: 5, From: 2, To: 4, Delta: 123.456789, RAMMB: 1024, CPUMilli: 1500, NICFrom: 10.25, NICTo: -10.25,
 				Rates: []traffic.Edge{{Peer: 1, Rate: 10.5}, {Peer: 9, Rate: 0.25}}},
 			{VM: 9, From: 8, To: 4, Delta: -1.5, RAMMB: 512, Rates: nil},
 		},
 		Proposals: []StagedMove{
-			{VM: 1, From: 0, To: 15, Delta: math.Pi, RAMMB: 2048,
+			{VM: 1, From: 0, To: 15, Delta: math.Pi, RAMMB: 2048, CPUMilli: 250, NICFrom: -99, NICTo: 99,
 				Rates: []traffic.Edge{{Peer: 5, Rate: 99}}},
 		},
 	}
@@ -51,7 +51,8 @@ func TestRingStateRoundTrip(t *testing.T) {
 		}
 		for i := range a {
 			if a[i].VM != b[i].VM || a[i].From != b[i].From || a[i].To != b[i].To ||
-				math.Float64bits(a[i].Delta) != math.Float64bits(b[i].Delta) || a[i].RAMMB != b[i].RAMMB {
+				math.Float64bits(a[i].Delta) != math.Float64bits(b[i].Delta) || a[i].RAMMB != b[i].RAMMB ||
+				a[i].CPUMilli != b[i].CPUMilli || a[i].NICFrom != b[i].NICFrom || a[i].NICTo != b[i].NICTo {
 				t.Fatalf("%s[%d]: %+v vs %+v", name, i, a[i], b[i])
 			}
 			if len(a[i].Rates) != len(b[i].Rates) {
@@ -144,6 +145,11 @@ type planeOpts struct {
 	wrapRec func(Transport) Transport
 }
 
+// planeCPUMilli is the CPU capacity of buildShardPlane's hosts. Its VMs
+// demand 500–2000 millicores, four per host on average, so CPU binds
+// before the eight slots or the RAM do.
+const planeCPUMilli = 6000
+
 // buildShardPlane assembles a fat-tree instance with hotspot traffic and
 // one dom0 agent per host; shards <= 0 skips the reconciler (global-ring
 // reference planes).
@@ -159,18 +165,22 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cluster.New(cluster.UniformHosts(topo.Hosts(), 8, 32768, 1000))
+	hosts := cluster.UniformHosts(topo.Hosts(), 8, 32768, 1000)
+	for i := range hosts {
+		hosts[i].CPUMilli = planeCPUMilli
+	}
+	cl, err := cluster.New(hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	pm := cluster.NewPlacementManager(cl, 0x0a000001)
 	for i := 0; i < topo.Hosts()*4; i++ {
-		if _, err := pm.CreateVM(1024); err != nil {
+		vm := cluster.VM{ID: cluster.VMID(0x0a000001 + i), RAMMB: 1024, CPUMilli: 500 * (1 + i%4)}
+		if err := cl.AddVM(vm); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pm.PlaceRandom(rng); err != nil {
+	if err := cluster.NewPlacementManager(cl, 0).PlaceRandom(rng); err != nil {
 		t.Fatal(err)
 	}
 	tm, err := traffic.Generate(traffic.DefaultGenConfig(topo.Racks()), topo, cl, rng)
@@ -212,7 +222,7 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 	}
 	for h := 0; h < topo.Hosts(); h++ {
 		ag, err := NewAgent(AgentConfig{
-			HostID: cluster.HostID(h), Slots: 8, RAMMB: 32768,
+			HostID: cluster.HostID(h), Slots: 8, RAMMB: 32768, CPUMilli: planeCPUMilli, NICMbps: 1000,
 			Topo: topo, Cost: cm, Policy: pol,
 			ProbeTimeout: o.probeTimeout,
 		}, p.reg)
@@ -224,13 +234,13 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 		}
 		p.agents = append(p.agents, ag)
 	}
-	for _, vm := range cl.VMs() {
-		h := cl.HostOf(vm)
+	for _, id := range cl.VMs() {
+		vm, _ := cl.VM(id)
 		rates := make(map[cluster.VMID]float64)
-		for _, ed := range tm.NeighborEdges(vm) {
+		for _, ed := range tm.NeighborEdges(id) {
 			rates[ed.Peer] = ed.Rate
 		}
-		if err := p.agents[h].AddVM(vm, 1024, rates); err != nil {
+		if err := p.agents[cl.HostOf(id)].Adopt(vm, rates); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -396,12 +406,12 @@ func TestDistributedSingleShardMatchesGlobalRing(t *testing.T) {
 }
 
 // TestAgentRoundsMatchCoordinator: the dom0 agents decide through core's
-// rule. On each fixture, fault-free 1-shard agent rounds run to
-// quiescence apply the moves 1-shard shard.Coordinator rounds apply to
-// the same instance — VM, source, target and ΔC to the bit, in order —
-// and end in the same placement. The agent plane admits on slots and RAM
-// alone, so the coordinator runs with bandwidth admission off on hosts
-// with no CPU capacity.
+// rule and admit through core.Admit. On each fixture — hosts with CPU
+// capacity, VMs with CPU demand, NICs pushed against Section V-C's
+// threshold — fault-free 1-shard agent rounds run to quiescence apply the
+// moves 1-shard shard.Coordinator rounds apply to the same instance — VM,
+// source, target and ΔC to the bit, in order — and end in the same
+// placement.
 func TestAgentRoundsMatchCoordinator(t *testing.T) {
 	for _, fx := range []struct {
 		k    int
@@ -410,12 +420,7 @@ func TestAgentRoundsMatchCoordinator(t *testing.T) {
 		name := fmt.Sprintf("k=%d seed=%d", fx.k, fx.seed)
 		p := buildShardPlane(t, fx.k, fx.seed, 10, 1, token.HighestLevelFirst{})
 		cl := p.eng.Cluster().Clone()
-		for h := 0; h < cl.NumHosts(); h++ {
-			if host, _ := cl.Host(cluster.HostID(h)); host.CPUMilli != 0 {
-				t.Fatalf("%s: host %d has CPU capacity, which the agent plane does not admit on", name, h)
-			}
-		}
-		eng, err := core.NewEngine(p.topo, p.eng.CostModel(), cl, p.eng.Traffic(), core.Config{BandwidthThreshold: 0})
+		eng, err := core.NewEngine(p.topo, p.eng.CostModel(), cl, p.eng.Traffic(), core.DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,12 +466,11 @@ func TestAgentRoundsMatchCoordinator(t *testing.T) {
 
 // TestAgentRoundsMatchCoordinatorSharded: with several pod-aligned shards
 // the two planes still run one round — the same partition, the same rings
-// walked in ID order against frozen round-start state, the same merge. On
-// each fixture, fault-free agent rounds run to quiescence equal
-// shard.Coordinator rounds (bandwidth admission off, as the agent plane
-// admits on slots and RAM alone): round for round — count, stale and
-// cross-shard tallies, ring hops — move for move to the bit, and in the
-// final placement.
+// walked in ID order against frozen round-start state, the same merge,
+// the same admission rule. On each fixture, fault-free agent rounds run
+// to quiescence equal shard.Coordinator rounds: round for round — count,
+// stale and cross-shard tallies, ring hops — move for move to the bit,
+// and in the final placement.
 func TestAgentRoundsMatchCoordinatorSharded(t *testing.T) {
 	type roundSig struct {
 		stale, crossOK, crossNo, ringHops, totalHops int
@@ -479,7 +483,7 @@ func TestAgentRoundsMatchCoordinatorSharded(t *testing.T) {
 			name := fmt.Sprintf("k=%d seed=%d shards=%d", fx.k, fx.seed, shards)
 			p := buildShardPlane(t, fx.k, fx.seed, 10, shards, token.HighestLevelFirst{})
 			cl := p.eng.Cluster().Clone()
-			eng, err := core.NewEngine(p.topo, p.eng.CostModel(), cl, p.eng.Traffic(), core.Config{BandwidthThreshold: 0})
+			eng, err := core.NewEngine(p.topo, p.eng.CostModel(), cl, p.eng.Traffic(), core.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -122,9 +122,8 @@ func TestSingleShardMatchesSerialToken(t *testing.T) {
 	ref.TotalCost() // prime the accounting at round start, as NewView does
 	wantApplied, nicRefused := serialTokenPass(ref)
 	wantCost := ref.TotalCost()
-	if ref.Config().BandwidthThreshold != 0.9 || nicRefused == 0 {
-		t.Fatalf("threshold %v refused %d candidates on bandwidth; Section V-C admission is not exercised",
-			ref.Config().BandwidthThreshold, nicRefused)
+	if nicRefused == 0 {
+		t.Fatal("no candidate was refused on bandwidth; Section V-C admission is not exercised")
 	}
 
 	eng := buildEngine(t, 4, 7, 10)

@@ -192,7 +192,8 @@ func (w *world) step(op, a, b, c byte) (round bool, applied []core.Decision, ski
 func runOps(t testing.TB, size int, data []byte) (skippedTotal int) {
 	t.Helper()
 	cfg := core.DefaultConfig()
-	memo, twin := newWorld(t, size, cfg), newWorld(t, size, kernelOnly(cfg))
+	memo, twin := newWorld(t, size, cfg), newWorld(t, size, cfg)
+	kernelOnly(twin.eng)
 	defer memo.coord.Close()
 	defer twin.coord.Close()
 	for i := 0; i+4 <= len(data); i += 4 {

@@ -11,14 +11,13 @@ import (
 	"github.com/score-dc/score/internal/traffic"
 )
 
-// kernelOnly makes an engine configuration whose token visits never
-// skip: an admission predicate is opaque to the visit memo, so it stays
-// inert, and one that admits everything changes no decision. Engines
-// built with it are the BestMigration-only twins the tests below
-// compare against.
-func kernelOnly(cfg core.Config) core.Config {
-	cfg.Admission = func(cluster.VMID, cluster.HostID) bool { return true }
-	return cfg
+// kernelOnly detaches eng, so its token visits never skip: a detached
+// engine hears no events, so its visit memo is inert, and its decisions
+// are unchanged. Engines so treated are the BestMigration-only twins the
+// tests below compare against.
+func kernelOnly(eng *core.Engine) *core.Engine {
+	eng.Detach()
+	return eng
 }
 
 // staleInstance builds the smallest instance in which a staged
@@ -82,9 +81,7 @@ func staleInstance(t *testing.T, cfg core.Config) *core.Engine {
 // the next round must decide exactly as a kernel-only run does — the
 // VMs that settled next to the never-moved VM are re-evaluated.
 func TestStaleRejectedCommitInvalidatesVerdicts(t *testing.T) {
-	cfg := core.DefaultConfig()
-	run := func(cfg core.Config) []*Round {
-		eng := staleInstance(t, cfg)
+	run := func(eng *core.Engine) []*Round {
 		coord, err := NewCoordinator(eng, Config{
 			Shards: 2, Granularity: ByRack, Workers: 2,
 			NewPolicy: func(int) token.Policy { return token.RoundRobin{} },
@@ -103,7 +100,8 @@ func TestStaleRejectedCommitInvalidatesVerdicts(t *testing.T) {
 		}
 		return rounds
 	}
-	got, want := run(cfg), run(kernelOnly(cfg))
+	cfg := core.DefaultConfig()
+	got, want := run(staleInstance(t, cfg)), run(kernelOnly(staleInstance(t, cfg)))
 	if want[0].StaleRejected != 1 {
 		t.Fatalf("round 1 stale-rejected %d commits, want 1: the scenario no longer forces a rejection", want[0].StaleRejected)
 	}

@@ -79,18 +79,12 @@ func (r *Runner) buildAgentPlane() (*agentPlane, error) {
 			p.close()
 			return nil, err
 		}
-		// The dom0 capacity-response protocol carries slots and RAM only
-		// (Section V-B5); a CPU-admitting cluster would let the agent
-		// plane approve moves the mirror then rejects. Refuse up front
-		// rather than abort mid-run.
-		if host.CPUMilli > 0 {
-			p.close()
-			return nil, fmt.Errorf("sim: distributed mode does not support CPU admission (host %d sets CPUMilli)", h)
-		}
 		ag, err := hypervisor.NewAgent(hypervisor.AgentConfig{
 			HostID:        host.ID,
 			Slots:         host.Slots,
 			RAMMB:         host.RAMMB,
+			CPUMilli:      host.CPUMilli,
+			NICMbps:       host.NICMbps,
 			Topo:          eng.Topology(),
 			Cost:          eng.CostModel(),
 			MigrationCost: eng.Config().MigrationCost,
@@ -121,7 +115,7 @@ func (r *Runner) buildAgentPlane() (*agentPlane, error) {
 		for _, ed := range tm.NeighborEdges(vm) {
 			rates[ed.Peer] = ed.Rate
 		}
-		if err := p.agents[h].AddVM(vm, rec.RAMMB, rates); err != nil {
+		if err := p.agents[h].Adopt(rec, rates); err != nil {
 			p.close()
 			return nil, err
 		}

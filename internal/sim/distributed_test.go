@@ -57,6 +57,36 @@ func TestDistributedRunReducesCost(t *testing.T) {
 	}
 }
 
+// TestDistributedRunOnCPUCluster: the agent plane runs a cluster whose
+// hosts have CPU capacity — 3000 millicores against VMs of 250–1000, so
+// CPU binds — to the end: every move it commits is mirrored into the
+// engine's cluster by cl.Move, which enforces CPU too, so one move the
+// agents admitted past a host's CPU would abort the run. The same
+// instance without CPU ends elsewhere, so CPU admission decided moves.
+func TestDistributedRunOnCPUCluster(t *testing.T) {
+	run := func(cpuMilli int) *Metrics {
+		eng, rng := buildEngineCPU(t, 9, cpuMilli)
+		cfg := smallConfig()
+		cfg.DistributedShards = 4
+		r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := r.Run()
+		if err != nil {
+			t.Fatalf("CPU %d: %v", cpuMilli, err)
+		}
+		if m.TotalMigrations == 0 || m.FinalCost >= m.InitialCost {
+			t.Fatalf("CPU %d: %d migrations, cost %v -> %v", cpuMilli, m.TotalMigrations, m.InitialCost, m.FinalCost)
+		}
+		return m
+	}
+	cpu, free := run(3000), run(0)
+	if cpu.TotalMigrations == free.TotalMigrations && cpu.FinalCost == free.FinalCost {
+		t.Fatal("CPU capacity changed no decision; the test exercises nothing")
+	}
+}
+
 // TestDistributedRunDeterministic: two runs with equal seeds must yield
 // identical metrics for a fixed configuration.
 func TestDistributedRunDeterministic(t *testing.T) {

@@ -3,8 +3,6 @@ package sim
 import (
 	"testing"
 
-	"github.com/score-dc/score/internal/cluster"
-	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/token"
 	"github.com/score-dc/score/internal/traffic"
 )
@@ -70,38 +68,5 @@ func TestReconvergesAfterTrafficShift(t *testing.T) {
 	if m2.FinalCost > 0.7*costAfterShift {
 		t.Fatalf("re-convergence too weak: %.0f -> %.0f after shift",
 			costAfterShift, m2.FinalCost)
-	}
-}
-
-// TestAdmissionBoundedRun verifies a custom admission policy end to end
-// (the hook the CPU extension and operators' policies plug into): with a
-// strict per-host occupancy cap the runner still converges and never
-// exceeds the bound.
-func TestAdmissionBoundedRun(t *testing.T) {
-	eng, rng := buildEngine(t, 21)
-	cl := eng.Cluster()
-	cfg := eng.Config()
-	cfg.Admission = func(vm cluster.VMID, target cluster.HostID) bool {
-		return cl.UsedSlots(target) < 6
-	}
-	eng2, err := core.NewEngine(eng.Topology(), eng.CostModel(), cl, eng.Traffic(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRunner(eng2, token.HighestLevelFirst{}, smallConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := r.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.FinalCost >= m.InitialCost {
-		t.Fatal("no improvement under the occupancy-capped admission")
-	}
-	for h := 0; h < cl.NumHosts(); h++ {
-		if cl.UsedSlots(cluster.HostID(h)) > 6 {
-			t.Fatalf("host %d exceeded the admission bound", h)
-		}
 	}
 }

@@ -81,10 +81,10 @@ type Config struct {
 	// agent, and every committed move mirrored into the engine's
 	// cluster for cost sampling. 1 reproduces the global agent ring
 	// bit for bit; it is mutually exclusive with Shards > 1.
-	// ShardGranularity applies.
-	// Admission follows the paper's dom0 protocol — slots and RAM only:
-	// the engine's BandwidthThreshold is not enforced by the agents,
-	// and clusters with CPU admission (Host.CPUMilli > 0) are rejected.
+	// ShardGranularity applies. Each agent holds its host's capacity and
+	// admits through the engine's rule (core.Admit) on what the capacity
+	// responses report — slots, RAM, CPU and NIC load — so every move it
+	// commits fits the mirror too.
 	DistributedShards int
 	// AutoTune enables the adaptive control plane (internal/control): a
 	// controller folds the live traffic matrix into locality sums and

@@ -14,23 +14,36 @@ import (
 )
 
 func buildEngine(t *testing.T, seed int64) (*core.Engine, *rand.Rand) {
+	return buildEngineCPU(t, seed, 0)
+}
+
+// buildEngineCPU is buildEngine on hosts with cpuMilli millicores of CPU,
+// whose VMs then demand 250–1000 millicores each; zero gives neither.
+func buildEngineCPU(t *testing.T, seed int64, cpuMilli int) (*core.Engine, *rand.Rand) {
 	t.Helper()
 	topo, err := topology.NewCanonicalTree(topology.ScaledCanonicalConfig(8, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cluster.New(cluster.UniformHosts(topo.Hosts(), 16, 32768, 1000))
+	hosts := cluster.UniformHosts(topo.Hosts(), 16, 32768, 1000)
+	for i := range hosts {
+		hosts[i].CPUMilli = cpuMilli
+	}
+	cl, err := cluster.New(hosts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	pm := cluster.NewPlacementManager(cl, 1)
 	for i := 0; i < topo.Hosts()*4; i++ {
-		if _, err := pm.CreateVM(1024); err != nil {
+		vm := cluster.VM{ID: cluster.VMID(1 + i), RAMMB: 1024}
+		if cpuMilli > 0 {
+			vm.CPUMilli = 250 * (1 + i%4)
+		}
+		if err := cl.AddVM(vm); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := pm.PlaceRandom(rng); err != nil {
+	if err := cluster.NewPlacementManager(cl, 1).PlaceRandom(rng); err != nil {
 		t.Fatal(err)
 	}
 	tm, err := traffic.Generate(traffic.DefaultGenConfig(topo.Racks()), topo, cl, rng)

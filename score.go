@@ -156,7 +156,8 @@ type (
 	CostModel = core.CostModel
 	// Engine evaluates S-CORE migration decisions.
 	Engine = core.Engine
-	// EngineConfig tunes Theorem 1's c_m and the admission checks.
+	// EngineConfig sets Theorem 1's c_m. Admission is not configured:
+	// every plane admits on slots, RAM, CPU and a 90% NIC threshold.
 	EngineConfig = core.Config
 	// Decision is a recommended migration with its ΔC.
 	Decision = core.Decision
@@ -172,8 +173,7 @@ func NewCostModel(weights ...float64) (CostModel, error) { return core.NewCostMo
 // PaperWeights returns the paper's exponential weights [1, e, e³].
 func PaperWeights() []float64 { return core.PaperWeights() }
 
-// DefaultEngineConfig returns the simulation defaults (c_m = 0, 90%
-// bandwidth admission threshold).
+// DefaultEngineConfig returns the simulation defaults (c_m = 0).
 func DefaultEngineConfig() EngineConfig { return core.DefaultConfig() }
 
 // NewEngine assembles a migration decision engine.
