@@ -55,7 +55,7 @@ func run() error {
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
 		obs.RegisterRuntime(reg)
-		srv, err := obs.Serve(*metricsAddr, reg, nil, nil)
+		srv, err := obs.Serve(*metricsAddr, obs.Handler(reg, nil, nil))
 		if err != nil {
 			return err
 		}

@@ -9,9 +9,9 @@
 //	       [-racks N] [-hosts-per-rack N] [-slots N] [-ram-mb N]
 //	       [-cpu-milli N] [-nic-mbps RATE] [-cm COST]
 //	       [-round-interval DUR] [-ingest-queue N] [-enqueue-timeout DUR]
-//	       [-workers N] [-snapshot PATH] [-snapshot-on-exit]
-//	       [-restore PATH] [-trace-events N] [-audit-events N]
-//	       [-flight-dir DIR] [-log-level LEVEL]
+//	       [-snapshot PATH] [-snapshot-on-exit] [-restore PATH]
+//	       [-trace-events N] [-audit-events N] [-flight-dir DIR]
+//	       [-log-level LEVEL]
 //
 // The listener carries the placement API under /v1/ and the
 // observability plane (/metrics, /trace, /audit, /debug/pprof/) side by
@@ -23,6 +23,7 @@
 // plant. -audit-events sizes the decision-provenance ring served at
 // /v1/audit; -flight-dir arms the anomaly-triggered flight recorder
 // (and POST /v1/flightrecorder) writing bundles under that directory.
+// Rounds run on a worker pool of GOMAXPROCS workers.
 package main
 
 import (
@@ -61,7 +62,6 @@ func run() error {
 	roundInterval := flag.Duration("round-interval", time.Second, "background round pacing; 0 = manual rounds only")
 	ingestQueue := flag.Int("ingest-queue", 256, "bounded op-queue depth")
 	enqueueTimeout := flag.Duration("enqueue-timeout", 50*time.Millisecond, "how long a full queue blocks a request before 503")
-	workers := flag.Int("workers", 0, "shard worker pool size (0 = GOMAXPROCS)")
 	snapshotPath := flag.String("snapshot", "", "default target for POST /v1/snapshot")
 	snapshotOnExit := flag.Bool("snapshot-on-exit", false, "write a snapshot to -snapshot on clean shutdown")
 	restorePath := flag.String("restore", "", "boot from this snapshot instead of an empty cluster")
@@ -86,8 +86,8 @@ func run() error {
 		RoundInterval:  *roundInterval,
 		IngestQueue:    *ingestQueue,
 		EnqueueTimeout: *enqueueTimeout,
-		Workers:        *workers,
 		SnapshotPath:   *snapshotPath,
+		Flight:         *flightDir,
 		Logger:         logger,
 	}
 	if *traceEvents > 0 {
@@ -95,9 +95,6 @@ func run() error {
 	}
 	if *auditEvents > 0 {
 		cfg.Audit = obs.NewAuditRing(*auditEvents)
-	}
-	if *flightDir != "" {
-		cfg.Flight = &obs.FlightConfig{Dir: *flightDir, Logger: logger}
 	}
 
 	var d *serve.Daemon
@@ -131,7 +128,7 @@ func run() error {
 	}
 	obs.RegisterRuntime(d.Registry())
 
-	srv, err := d.Serve(*addr)
+	srv, err := obs.Serve(*addr, d.Handler())
 	if err != nil {
 		d.Close()
 		return err

@@ -7,7 +7,7 @@
 //	scoresim [-topo canonical|fattree] [-racks N] [-hosts N] [-k N]
 //	         [-vms-per-host N] [-density 1|10|50] [-policy hlf|rr|llf|random]
 //	         [-cm COST] [-duration SEC] [-loss PROB] [-seed N]
-//	         [-shards N] [-shard-granularity pod|rack] [-shard-workers N]
+//	         [-shards N] [-shard-granularity pod|rack]
 //	         [-distributed-shards N] [-dist-deadline SEC]
 //	         [-metrics-addr HOST:PORT]
 //
@@ -15,7 +15,9 @@
 // mode). The sharded modes (-shards, -distributed-shards, -autotune)
 // start every ring's token fresh each round and walk it once in ID
 // order, which is what hlf and rr both do on such a pass: they take
-// hlf|rr, with identical results, and refuse llf and random.
+// hlf|rr, with identical results, and refuse llf and random. -shards
+// runs its rings on GOMAXPROCS workers; the result is the same for any
+// worker count.
 //
 // With -metrics-addr the run serves its observability plane over HTTP:
 // Prometheus text exposition at /metrics, the round-trace ring buffer at
@@ -57,7 +59,6 @@ func run() error {
 	chart := flag.Bool("chart", true, "render ASCII cost chart")
 	shards := flag.Int("shards", 1, "concurrent token rings (>1 enables sharded mode)")
 	shardGran := flag.String("shard-granularity", "pod", "shard alignment: pod or rack")
-	shardWorkers := flag.Int("shard-workers", 0, "worker pool size for sharded mode (0 = GOMAXPROCS)")
 	distShards := flag.Int("distributed-shards", 0, "run the distributed dom0 agent plane with this many token rings (>0; excludes -shards)")
 	distDeadline := flag.Float64("dist-deadline", 0.1, "distributed plane: per-shard progress deadline in real seconds before the reconciler regenerates a ring (used with -loss)")
 	autoTune := flag.Bool("autotune", false, "derive shard count and granularity from the live traffic summary (supersedes -shards; with -distributed-shards > 0 it auto-tunes the agent plane)")
@@ -131,7 +132,7 @@ func run() error {
 		reg := obs.NewRegistry()
 		obs.RegisterRuntime(reg)
 		tr := obs.NewTracer(1 << 16)
-		srv, err := obs.Serve(*metricsAddr, reg, tr, auditRing)
+		srv, err := obs.Serve(*metricsAddr, obs.Handler(reg, tr, auditRing))
 		if err != nil {
 			return err
 		}
@@ -165,7 +166,6 @@ func run() error {
 			}
 		} else if !*autoTune {
 			simCfg.Shards = *shards
-			simCfg.ShardWorkers = *shardWorkers
 		}
 	}
 

@@ -27,7 +27,7 @@ func captureRun(t *testing.T, engSeed, optSeed int64, workers int, denseGenomes 
 	cfg.MaxGenerations = 12
 	cfg.StopGenerations = 0 // fixed generation count
 	cfg.Workers = workers
-	cfg.DenseGenomes = denseGenomes
+	cfg.denseGenomes = denseGenomes
 	var rec capturedRun
 	cfg.observeGen = func(gen int, in *instance, pop []*indiv, fit []float64) {
 		gens := make([][]cluster.HostID, len(pop))
@@ -52,7 +52,7 @@ func captureRun(t *testing.T, engSeed, optSeed int64, workers int, denseGenomes 
 
 // TestDeltaDenseEquivalence: the delta-encoded population must be
 // bit-identical, generation by generation and individual by individual,
-// to the dense representation (Config.DenseGenomes) for the same seeds —
+// to the dense representation (the denseGenomes hook) for the same seeds —
 // across worker counts, so the scratch free list and rebase cannot leak
 // representation effects into the optimization.
 func TestDeltaDenseEquivalence(t *testing.T) {
@@ -65,7 +65,7 @@ func TestDeltaDenseEquivalence(t *testing.T) {
 					seeds, workers)
 			}
 			if dense.deltaUsed != 0 {
-				t.Fatalf("DenseGenomes run still produced diff-encoded individuals")
+				t.Fatalf("denseGenomes run still produced diff-encoded individuals")
 			}
 			if len(delta.pops) != len(dense.pops) {
 				t.Fatalf("seeds=%v workers=%d: generation counts differ: %d vs %d",
@@ -137,7 +137,7 @@ func TestRebaseEquivalence(t *testing.T) {
 
 	engD, _ := buildEngine(t, 55)
 	cfgD := cfg
-	cfgD.DenseGenomes = true
+	cfgD.denseGenomes = true
 	var densePops [][][]cluster.HostID
 	cfgD.observeGen = func(gen int, in *instance, pop []*indiv, fit []float64) {
 		gens := make([][]cluster.HostID, len(pop))

@@ -30,7 +30,7 @@
 // crossover/mutation/search/fitness code with the identical RNG draw
 // sequence, and encodes the child back, so the encoding is invisible to
 // the optimization (bit-identical populations for a fixed seed,
-// enforced by TestDeltaDenseEquivalence via Config.DenseGenomes).
+// enforced by TestDeltaDenseEquivalence through the denseGenomes hook).
 // Elites are immutable and shared across generations rather than
 // copied. Rebase is deterministic: when more than half the population
 // has overflowed to dense, the best individual becomes the new base and
@@ -94,16 +94,14 @@ type Config struct {
 	// from the caller's RNG, and each child breeds with its own
 	// seed-derived RNG.
 	Workers int
-	// DenseGenomes disables the delta encoding: every individual stores
-	// a full dense genome, as the implementation originally did. The
-	// optimization itself is unaffected — populations are bit-identical
-	// either way — so this exists for equivalence tests and as a
-	// debugging escape hatch, not as a tuning knob.
-	DenseGenomes bool
 
-	// observeGen, when set (in-package tests only), is called after each
-	// generation's population is complete, before the termination check.
-	observeGen func(gen int, in *instance, pop []*indiv, fit []float64)
+	// Test hooks, set by in-package tests only. denseGenomes disables the
+	// delta encoding: every individual stores a full dense genome, as the
+	// implementation originally did; populations are bit-identical either
+	// way. observeGen, when set, is called after each generation's
+	// population is complete, before the termination check.
+	denseGenomes bool
+	observeGen   func(gen int, in *instance, pop []*indiv, fit []float64)
 }
 
 // DefaultConfig returns laptop-scale parameters with the paper's
@@ -177,7 +175,7 @@ type instance struct {
 
 	// base is the shared packing the population's diff lists are encoded
 	// against; maxDiffs is the bound past which an individual falls back
-	// to a private dense genome (≤ 0 forces dense — Config.DenseGenomes).
+	// to a private dense genome (≤ 0 forces dense — the denseGenomes hook).
 	base     []cluster.HostID
 	maxDiffs int
 
@@ -414,7 +412,7 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 	// deterministic rebase re-anchors on a better incumbent.
 	in.base = seed
 	in.maxDiffs = n / 4
-	if cfg.DenseGenomes {
+	if cfg.denseGenomes {
 		in.maxDiffs = 0 // encode always falls back to dense storage
 	}
 

@@ -28,9 +28,6 @@ type PlaneMetrics struct {
 	// seconds.
 	HopLatency *obs.GaugeVec
 	HopStddev  *obs.GaugeVec
-	// Transport is registered alongside so the transport families are
-	// always exposed, even on planes running over the in-memory hub.
-	Transport *TransportMetrics
 }
 
 // NewPlaneMetrics registers (or re-binds) the distributed plane's families
@@ -45,25 +42,5 @@ func NewPlaneMetrics(reg *obs.Registry) *PlaneMetrics {
 		Deadline:   reg.GaugeVec("score_shard_deadline_seconds", "Current per-shard progress deadline.", "shard"),
 		HopLatency: reg.GaugeVec("score_control_hop_latency_seconds", "Per-shard EWMA of per-hop ack latency.", "shard"),
 		HopStddev:  reg.GaugeVec("score_control_hop_stddev_seconds", "Per-shard stddev of per-hop ack latency.", "shard"),
-		Transport:  NewTransportMetrics(reg),
-	}
-}
-
-// TransportMetrics instruments the TCP transport's send path. Wire it via
-// TCPConfig.Metrics; the counters mirror TCPStats.
-type TransportMetrics struct {
-	Sends          *obs.Counter
-	Dials          *obs.Counter
-	Reused         *obs.Counter
-	HeartbeatFails *obs.Counter
-}
-
-// NewTransportMetrics registers (or re-binds) the transport families on reg.
-func NewTransportMetrics(reg *obs.Registry) *TransportMetrics {
-	return &TransportMetrics{
-		Sends:          reg.Counter("score_transport_sends_total", "Frames written by the transport."),
-		Dials:          reg.Counter("score_transport_dials_total", "TCP connections dialed."),
-		Reused:         reg.Counter("score_transport_reused_total", "Sends that rode a pooled connection."),
-		HeartbeatFails: reg.Counter("score_transport_heartbeat_failures_total", "Parked connections that failed their pre-send heartbeat."),
 	}
 }

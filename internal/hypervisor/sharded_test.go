@@ -130,9 +130,8 @@ type planeOpts struct {
 	shardDeadline time.Duration
 	evictAttempts int
 	// tcp runs every endpoint on a real loopback TCPTransport instead
-	// of the in-memory hub; tcpCfg tunes its pool.
-	tcp    bool
-	tcpCfg TCPConfig
+	// of the in-memory hub.
+	tcp bool
 	// adaptive derives per-shard deadlines from observed ack latency.
 	adaptive bool
 	// metrics, trace and audit attach the observability plane to the
@@ -206,7 +205,7 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 			var tr Transport
 			var err error
 			if o.tcp {
-				tcp, terr := NewTCPTransportConfig("127.0.0.1:0", h, o.tcpCfg)
+				tcp, terr := NewTCPTransport("127.0.0.1:0", h)
 				if terr == nil {
 					p.tcps = append(p.tcps, tcp)
 				}

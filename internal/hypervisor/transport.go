@@ -132,46 +132,21 @@ func (ep *memEndpoint) Close() error {
 	return nil
 }
 
-// TCPConfig tunes a TCPTransport's connection pool.
-type TCPConfig struct {
-	// MaxIdlePerHost bounds the idle connections retained per target
-	// address; connections returned beyond it are closed. Default 2.
-	// Concurrency is never limited — simultaneous Sends to one target
-	// each get their own connection (pooled or freshly dialed); the cap
-	// only governs what is kept warm afterwards.
-	MaxIdlePerHost int
-	// IdleTimeout closes pooled connections unused for this long.
-	// Default 30s.
-	IdleTimeout time.Duration
-	// HeartbeatIdle: a pooled connection parked at least this long must
-	// prove itself end-to-end — an application-level ping (zero-length
-	// frame) answered by the peer's pong — before it carries a frame.
-	// Connections reused sooner skip the ping and pay only the passive
-	// connAlive probe. 0 selects the 1s default; negative disables the
-	// heartbeat entirely.
-	HeartbeatIdle time.Duration
-	// HeartbeatTimeout bounds the pong wait. Default 250ms.
-	HeartbeatTimeout time.Duration
-	// Metrics, when set, mirrors the send-path counters (and heartbeat
-	// failures) into the shared registry families; nil disables it.
-	Metrics *TransportMetrics
-}
-
-func withTCPDefaults(c TCPConfig) TCPConfig {
-	if c.MaxIdlePerHost <= 0 {
-		c.MaxIdlePerHost = 2
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 30 * time.Second
-	}
-	if c.HeartbeatIdle == 0 {
-		c.HeartbeatIdle = time.Second
-	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 250 * time.Millisecond
-	}
-	return c
-}
+// The TCP transport's pool settings. A connection parked idleTimeout is
+// closed by the janitor, and at most maxIdlePerHost connections per
+// target are kept parked. Concurrency is never limited: simultaneous
+// Sends to one target each get their own connection (pooled or freshly
+// dialed), and the cap only governs what is kept warm afterwards. A
+// connection parked at least heartbeatIdle must prove itself end to end
+// before it carries a frame: an application-level ping (zero-length
+// frame) answered by the peer's pong within heartbeatTimeout. One reused
+// sooner pays only the passive connAlive probe.
+const (
+	maxIdlePerHost   = 2
+	idleTimeout      = 30 * time.Second
+	heartbeatIdle    = time.Second
+	heartbeatTimeout = 250 * time.Millisecond
+)
 
 // TCPStats counts a transport's send-path work: Sends is every frame
 // written, Dials the connections established for them, Reused the sends
@@ -192,12 +167,12 @@ type pooledConn struct {
 // messages (the paper's "token listening server runs on a known port in
 // dom0"), and Send writes one frame over a pooled connection to the
 // peer — dialing only when no warm connection is available — instead of
-// paying a TCP handshake per message. Idle connections are closed by a
-// janitor after IdleTimeout.
+// paying a TCP handshake per message. The pool has no settings (see
+// maxIdlePerHost): idle connections are closed by a janitor after
+// idleTimeout, and Stats counts the sends, dials and reuses.
 type TCPTransport struct {
 	ln      net.Listener
 	handler Handler
-	cfg     TCPConfig
 	wg      sync.WaitGroup
 	done    chan struct{}
 
@@ -209,20 +184,14 @@ type TCPTransport struct {
 	sends, dials, reused, hbFails atomic.Int64
 }
 
-// NewTCPTransport listens on addr ("host:port", empty port picks one)
-// with the default pool configuration.
+// NewTCPTransport listens on addr ("host:port", empty port picks one).
 func NewTCPTransport(addr string, handler Handler) (*TCPTransport, error) {
-	return NewTCPTransportConfig(addr, handler, TCPConfig{})
-}
-
-// NewTCPTransportConfig is NewTCPTransport with explicit pool tuning.
-func NewTCPTransportConfig(addr string, handler Handler, cfg TCPConfig) (*TCPTransport, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("hypervisor: listen %s: %w", addr, err)
 	}
 	t := &TCPTransport{
-		ln: ln, handler: handler, cfg: withTCPDefaults(cfg),
+		ln: ln, handler: handler,
 		done:     make(chan struct{}),
 		idle:     make(map[string][]pooledConn),
 		accepted: make(map[net.Conn]struct{}),
@@ -283,42 +252,44 @@ func (t *TCPTransport) serve(conn net.Conn) {
 	}
 }
 
-// janitor closes pooled connections idle past the timeout.
+// janitor sweeps the pool every half idleTimeout.
 func (t *TCPTransport) janitor() {
 	defer t.wg.Done()
-	tick := t.cfg.IdleTimeout / 2
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(idleTimeout / 2)
 	defer ticker.Stop()
 	for {
 		select {
 		case now := <-ticker.C:
-			var stale []net.Conn
-			t.mu.Lock()
-			for addr, conns := range t.idle {
-				keep := conns[:0]
-				for _, pc := range conns {
-					if now.Sub(pc.last) >= t.cfg.IdleTimeout {
-						stale = append(stale, pc.c)
-					} else {
-						keep = append(keep, pc)
-					}
-				}
-				if len(keep) == 0 {
-					delete(t.idle, addr)
-				} else {
-					t.idle[addr] = keep
-				}
-			}
-			t.mu.Unlock()
-			for _, c := range stale {
-				_ = c.Close()
-			}
+			t.sweep(now)
 		case <-t.done:
 			return
 		}
+	}
+}
+
+// sweep closes the pooled connections parked idleTimeout or longer as of
+// now.
+func (t *TCPTransport) sweep(now time.Time) {
+	var stale []net.Conn
+	t.mu.Lock()
+	for addr, conns := range t.idle {
+		keep := conns[:0]
+		for _, pc := range conns {
+			if now.Sub(pc.last) >= idleTimeout {
+				stale = append(stale, pc.c)
+			} else {
+				keep = append(keep, pc)
+			}
+		}
+		if len(keep) == 0 {
+			delete(t.idle, addr)
+		} else {
+			t.idle[addr] = keep
+		}
+	}
+	t.mu.Unlock()
+	for _, c := range stale {
+		_ = c.Close()
 	}
 }
 
@@ -367,13 +338,13 @@ const pongByte = 0xa5
 var errPing = fmt.Errorf("hypervisor: heartbeat ping")
 
 // heartbeat proves a parked connection end-to-end: the ping must come
-// back as a pong within HeartbeatTimeout. Unlike connAlive's passive
+// back as a pong within heartbeatTimeout. Unlike connAlive's passive
 // probe — which only surfaces a FIN/RST the peer already queued — the
 // pong requires the peer's serve loop to respond, so a peer dead
 // *without* a FIN (power loss, partition, hung host) is caught here
 // instead of silently absorbing the next frame into a half-open socket.
 func (t *TCPTransport) heartbeat(c net.Conn) bool {
-	if err := c.SetDeadline(time.Now().Add(t.cfg.HeartbeatTimeout)); err != nil {
+	if err := c.SetDeadline(time.Now().Add(heartbeatTimeout)); err != nil {
 		return false
 	}
 	if _, err := c.Write(pingFrame[:]); err != nil {
@@ -387,7 +358,7 @@ func (t *TCPTransport) heartbeat(c net.Conn) bool {
 }
 
 // getConn pops a warm, still-alive connection to addr or dials a fresh
-// one; fresh reports which. Connections parked past HeartbeatIdle must
+// one; fresh reports which. Connections parked past heartbeatIdle must
 // pass the end-to-end heartbeat; younger ones pay only the passive
 // probe.
 func (t *TCPTransport) getConn(addr string) (c net.Conn, fresh bool, err error) {
@@ -401,14 +372,11 @@ func (t *TCPTransport) getConn(addr string) (c net.Conn, fresh bool, err error) 
 		pc := conns[len(conns)-1]
 		t.idle[addr] = conns[:len(conns)-1]
 		t.mu.Unlock()
-		if t.cfg.HeartbeatIdle > 0 && time.Since(pc.last) >= t.cfg.HeartbeatIdle {
+		if time.Since(pc.last) >= heartbeatIdle {
 			if t.heartbeat(pc.c) {
 				return pc.c, false, nil
 			}
 			t.hbFails.Add(1)
-			if m := t.cfg.Metrics; m != nil {
-				m.HeartbeatFails.Inc()
-			}
 		} else if connAlive(pc.c) {
 			return pc.c, false, nil
 		}
@@ -426,9 +394,6 @@ func (t *TCPTransport) getConn(addr string) (c net.Conn, fresh bool, err error) 
 		_ = tc.SetKeepAlivePeriod(30 * time.Second)
 	}
 	t.dials.Add(1)
-	if m := t.cfg.Metrics; m != nil {
-		m.Dials.Inc()
-	}
 	return conn, true, nil
 }
 
@@ -436,7 +401,7 @@ func (t *TCPTransport) getConn(addr string) (c net.Conn, fresh bool, err error) 
 // shut down or the per-target idle cap is reached.
 func (t *TCPTransport) putConn(addr string, c net.Conn) {
 	t.mu.Lock()
-	if t.closed || len(t.idle[addr]) >= t.cfg.MaxIdlePerHost {
+	if t.closed || len(t.idle[addr]) >= maxIdlePerHost {
 		t.mu.Unlock()
 		_ = c.Close()
 		return
@@ -466,9 +431,6 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 // dial; a fresh connection's write error is final.
 func (t *TCPTransport) Send(to string, m Message) error {
 	t.sends.Add(1)
-	if tm := t.cfg.Metrics; tm != nil {
-		tm.Sends.Inc()
-	}
 	bp := frameBufs.Get().(*[]byte)
 	defer frameBufs.Put(bp)
 	buf := (*bp)[:0]
@@ -492,9 +454,6 @@ func (t *TCPTransport) Send(to string, m Message) error {
 			// Count reuse only for sends that actually rode a pooled
 			// connection — a stale pop whose write failed is not reuse.
 			t.reused.Add(1)
-			if tm := t.cfg.Metrics; tm != nil {
-				tm.Reused.Inc()
-			}
 		}
 		t.putConn(to, conn)
 		return nil

@@ -107,10 +107,7 @@ func TestTCPPoolHeartbeatDetectsSilentDeath(t *testing.T) {
 	relay := newBlackholeRelay(t, b.Addr())
 	defer relay.Shutdown()
 
-	a, err := NewTCPTransportConfig("127.0.0.1:0", func(string, Message) {}, TCPConfig{
-		HeartbeatIdle:    5 * time.Millisecond,
-		HeartbeatTimeout: 100 * time.Millisecond,
-	})
+	a, err := NewTCPTransport("127.0.0.1:0", func(string, Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,8 +122,8 @@ func TestTCPPoolHeartbeatDetectsSilentDeath(t *testing.T) {
 		t.Fatal("first frame never arrived through the relay")
 	}
 
-	// Park past HeartbeatIdle, then kill the path with no FIN.
-	time.Sleep(20 * time.Millisecond)
+	// Park past heartbeatIdle, then kill the path with no FIN.
+	backdate(a, relay.Addr(), heartbeatIdle)
 	relay.Die()
 
 	if err := a.Send(relay.Addr(), Message{Type: MsgToken, VM: 2}); err == nil {
@@ -140,7 +137,7 @@ func TestTCPPoolHeartbeatDetectsSilentDeath(t *testing.T) {
 }
 
 // TestTCPPoolHeartbeatReuse: a healthy connection parked past
-// HeartbeatIdle pongs and is reused — the heartbeat costs one round
+// heartbeatIdle pongs and is reused — the heartbeat costs one round
 // trip, not the pooled connection.
 func TestTCPPoolHeartbeatReuse(t *testing.T) {
 	recv := make(chan Message, 16)
@@ -150,19 +147,14 @@ func TestTCPPoolHeartbeatReuse(t *testing.T) {
 	}
 	defer b.Close()
 
-	a, err := NewTCPTransportConfig("127.0.0.1:0", func(string, Message) {}, TCPConfig{
-		HeartbeatIdle:    time.Millisecond,
-		HeartbeatTimeout: time.Second,
-	})
+	a, err := NewTCPTransport("127.0.0.1:0", func(string, Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
 
 	for i := 0; i < 3; i++ {
-		if i > 0 {
-			time.Sleep(5 * time.Millisecond) // park past HeartbeatIdle
-		}
+		backdate(a, b.Addr(), heartbeatIdle) // park past heartbeatIdle
 		if err := a.Send(b.Addr(), Message{Type: MsgToken, VM: clusterpkg.VMID(i + 1)}); err != nil {
 			t.Fatalf("send %d: %v", i, err)
 		}
@@ -173,7 +165,7 @@ func TestTCPPoolHeartbeatReuse(t *testing.T) {
 		}
 	}
 	st := a.Stats()
-	if st.Dials != 1 || st.Reused != 2 {
+	if st.Dials != 1 || st.Reused != 2 || st.HeartbeatFails != 0 {
 		t.Fatalf("stats = %+v, want 1 dial and 2 heartbeat-verified reuses", st)
 	}
 }

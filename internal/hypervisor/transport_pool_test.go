@@ -10,15 +10,15 @@ import (
 
 // tcpPair wires two pooled TCP endpoints on loopback and returns them
 // with a channel of b's received messages.
-func tcpPair(t *testing.T, cfg TCPConfig) (a, b *TCPTransport, recv chan Message) {
+func tcpPair(t *testing.T) (a, b *TCPTransport, recv chan Message) {
 	t.Helper()
 	recv = make(chan Message, 64)
 	var err error
-	b, err = NewTCPTransportConfig("127.0.0.1:0", func(from string, m Message) { recv <- m }, cfg)
+	b, err = NewTCPTransport("127.0.0.1:0", func(from string, m Message) { recv <- m })
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err = NewTCPTransportConfig("127.0.0.1:0", func(string, Message) {}, cfg)
+	a, err = NewTCPTransport("127.0.0.1:0", func(string, Message) {})
 	if err != nil {
 		_ = b.Close()
 		t.Fatal(err)
@@ -28,6 +28,23 @@ func tcpPair(t *testing.T, cfg TCPConfig) (a, b *TCPTransport, recv chan Message
 		_ = b.Close()
 	})
 	return a, b, recv
+}
+
+// backdate ages every connection a has parked for addr by d, as if it
+// had sat in the pool that much longer.
+func backdate(a *TCPTransport, addr string, d time.Duration) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := range a.idle[addr] {
+		a.idle[addr][i].last = a.idle[addr][i].last.Add(-d)
+	}
+}
+
+// parked reports how many connections a has parked for addr.
+func parked(a *TCPTransport, addr string) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.idle[addr])
 }
 
 func awaitMsgs(t *testing.T, recv chan Message, n int) {
@@ -44,7 +61,7 @@ func awaitMsgs(t *testing.T, recv chan Message, n int) {
 // TestTCPPoolReusesConnections: sequential sends to one peer must ride a
 // single dialed connection, and every frame must still arrive.
 func TestTCPPoolReusesConnections(t *testing.T) {
-	a, b, recv := tcpPair(t, TCPConfig{})
+	a, b, recv := tcpPair(t)
 	const n = 32
 	for i := 0; i < n; i++ {
 		if err := a.Send(b.Addr(), Message{Type: MsgToken, VM: 1}); err != nil {
@@ -64,28 +81,23 @@ func TestTCPPoolReusesConnections(t *testing.T) {
 	}
 }
 
-// TestTCPPoolIdleClose: a parked connection must be closed after the
-// idle timeout, and the next send must dial fresh (not write into a
-// dead socket and lose the frame).
+// TestTCPPoolIdleClose: a parked connection must be closed by the
+// janitor's sweep once idle for the timeout — and not before — and the
+// next send must dial fresh (not write into a dead socket and lose the
+// frame).
 func TestTCPPoolIdleClose(t *testing.T) {
-	a, b, recv := tcpPair(t, TCPConfig{IdleTimeout: 30 * time.Millisecond})
+	a, b, recv := tcpPair(t)
 	if err := a.Send(b.Addr(), Message{Type: MsgToken, VM: 1}); err != nil {
 		t.Fatal(err)
 	}
 	awaitMsgs(t, recv, 1)
-	// Wait for at least one janitor sweep past the idle timeout.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		a.mu.Lock()
-		idle := len(a.idle[b.Addr()])
-		a.mu.Unlock()
-		if idle == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("idle connection never closed")
-		}
-		time.Sleep(5 * time.Millisecond)
+	a.sweep(time.Now().Add(idleTimeout / 2))
+	if n := parked(a, b.Addr()); n != 1 {
+		t.Fatalf("sweep inside the idle timeout left %d parked connections, want 1", n)
+	}
+	a.sweep(time.Now().Add(idleTimeout))
+	if n := parked(a, b.Addr()); n != 0 {
+		t.Fatalf("sweep past the idle timeout left %d parked connections", n)
 	}
 	if err := a.Send(b.Addr(), Message{Type: MsgToken, VM: 2}); err != nil {
 		t.Fatal(err)
@@ -98,10 +110,10 @@ func TestTCPPoolIdleClose(t *testing.T) {
 
 // TestTCPPoolConcurrentSends: simultaneous sends to one target must each
 // get their own connection (the idle cap bounds retention, not
-// concurrency), deliver every frame, and park at most MaxIdlePerHost
+// concurrency), deliver every frame, and park at most maxIdlePerHost
 // connections afterwards.
 func TestTCPPoolConcurrentSends(t *testing.T) {
-	a, b, recv := tcpPair(t, TCPConfig{MaxIdlePerHost: 2})
+	a, b, recv := tcpPair(t)
 	const n = 16
 	var wg sync.WaitGroup
 	errs := make([]error, n)
@@ -119,11 +131,8 @@ func TestTCPPoolConcurrentSends(t *testing.T) {
 		}
 	}
 	awaitMsgs(t, recv, n)
-	a.mu.Lock()
-	idle := len(a.idle[b.Addr()])
-	a.mu.Unlock()
-	if idle > 2 {
-		t.Fatalf("%d idle connections parked, cap is 2", idle)
+	if idle := parked(a, b.Addr()); idle > maxIdlePerHost {
+		t.Fatalf("%d idle connections parked, cap is %d", idle, maxIdlePerHost)
 	}
 }
 
@@ -133,7 +142,7 @@ func TestTCPPoolConcurrentSends(t *testing.T) {
 // "succeeding" into a half-open socket and silently losing the frame
 // (the reconciler's eviction fast path keys on exactly this error).
 func TestTCPPoolDetectsCrashedPeer(t *testing.T) {
-	a, b, recv := tcpPair(t, TCPConfig{})
+	a, b, recv := tcpPair(t)
 	addr := b.Addr()
 	if err := a.Send(addr, Message{Type: MsgToken, VM: 1}); err != nil {
 		t.Fatal(err)

@@ -54,8 +54,7 @@
 // # Adding a metric
 //
 // Add the field to the owning subsystem's Metrics struct (shard.Metrics,
-// hypervisor.PlaneMetrics, hypervisor.TransportMetrics, control.Metrics) and
-// register it in that struct's NewMetrics constructor with name, help text
+// hypervisor.PlaneMetrics, control.Metrics) and register it in that struct's NewMetrics constructor with name, help text
 // and — for histograms — explicit buckets. Guard every record site with a
 // nil check on the Metrics handle so un-instrumented paths (benchmarks, unit
 // tests) pay only an untaken branch. If the hot path is one of the gated
@@ -88,7 +87,8 @@
 // staged_bits/final_bits alongside the human-readable float renderings.
 //
 // Tracer and AuditRing are one generic fixed-record ring (ring.go) under
-// two record types. Handler exports what each has overwritten as
+// two record types; Ring is the same ring for other records (scored's
+// round history). Handler exports what each has overwritten as
 // score_trace_dropped_total and score_audit_dropped_total, read from the
 // ring at scrape time.
 //
@@ -100,8 +100,11 @@
 // cost-increase trigger) are polled on a fixed cadence, and any firing
 // rule bundles the registry exposition, the trace ring, the audit-ring
 // tail, and pprof heap+CPU captures into one timestamped directory with
-// a meta.json manifest. Bundles are bounded in count (oldest pruned
-// first) and automatic captures are rate-limited by MinGap, so a
+// a meta.json manifest. Its only settings are the bundle directory and
+// the logger; the rest are constants. Rules are polled every 5 s, the
+// CPU profile samples for 250 ms and the audit file carries the newest
+// 4,096 records. A directory keeps at most 8 bundles (oldest pruned
+// first) and automatic captures are at least a minute apart, so a
 // flapping rule cannot fill a disk; a manual Force — scored's
 // POST /v1/flightrecorder — bypasses the rate limit but not the bound.
 package obs

@@ -249,7 +249,7 @@ func TestExpositionFormat(t *testing.T) {
 func TestServeBindsAndCloses(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("score_srv_total", "c").Inc()
-	s, err := Serve("127.0.0.1:0", reg, nil, nil)
+	s, err := Serve("127.0.0.1:0", Handler(reg, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,53 +13,20 @@ import (
 	"time"
 )
 
-// FlightConfig tunes a FlightRecorder. The zero value is usable once Dir
-// is set.
-type FlightConfig struct {
-	// Dir is where capture bundles are written; each capture is one
-	// flight-<timestamp>-<reason> subdirectory.
-	Dir string
-	// MaxBundles bounds how many bundles Dir retains — the oldest is
-	// pruned before a new capture when the cap is reached (default 8).
-	MaxBundles int
-	// MinGap rate-limits automatic (rule-triggered) captures; a rule
-	// firing within MinGap of the previous capture is counted but not
-	// captured. Manual Force captures bypass it (default 1m).
-	MinGap time.Duration
-	// CPUProfile is how long the bundle's CPU profile samples for
-	// (default 250ms). Zero keeps the default; negative skips the CPU
-	// profile entirely.
-	CPUProfile time.Duration
-	// Poll is the rule-evaluation cadence of Start's watcher goroutine
-	// (default 5s).
-	Poll time.Duration
-	// AuditTail caps how many of the newest audit records a bundle
-	// carries (default 4096).
-	AuditTail int
-	// Logger receives capture and trigger events; nil discards them.
-	Logger *slog.Logger
-}
-
-func (c *FlightConfig) applyDefaults() {
-	if c.MaxBundles <= 0 {
-		c.MaxBundles = 8
-	}
-	if c.MinGap <= 0 {
-		c.MinGap = time.Minute
-	}
-	if c.CPUProfile == 0 {
-		c.CPUProfile = 250 * time.Millisecond
-	}
-	if c.Poll <= 0 {
-		c.Poll = 5 * time.Second
-	}
-	if c.AuditTail <= 0 {
-		c.AuditTail = 4096
-	}
-	if c.Logger == nil {
-		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-}
+// The flight recorder's settings. A bundle directory retains at most
+// flightMaxBundles bundles, the oldest pruned before a new capture when
+// the cap is reached. An automatic (rule-triggered) capture within
+// flightMinGap of the previous one is counted but not captured; a manual
+// Force bypasses the gap. A bundle's CPU profile samples for
+// flightCPUProfile and its audit file carries the newest flightAuditTail
+// records. Start's watcher polls the rules every flightPoll.
+const (
+	flightMaxBundles = 8
+	flightMinGap     = time.Minute
+	flightCPUProfile = 250 * time.Millisecond
+	flightPoll       = 5 * time.Second
+	flightAuditTail  = 4096
+)
 
 // flightRule is one armed anomaly detector, polled by the watcher.
 type flightRule struct {
@@ -77,7 +44,8 @@ type flightRule struct {
 // bounded in count and rate-limited, so a flapping rule cannot fill a
 // disk or stall the daemon.
 type FlightRecorder struct {
-	cfg FlightConfig
+	dir string // each capture is one flight-<timestamp>-<reason> subdirectory
+	log *slog.Logger
 	reg *Registry
 	tr  *Tracer
 	ar  *AuditRing
@@ -95,18 +63,23 @@ type FlightRecorder struct {
 	done      chan struct{}
 }
 
-// NewFlightRecorder binds a recorder to its sources. tr and ar are
-// optional; absent sources simply leave their files out of bundles.
-func NewFlightRecorder(cfg FlightConfig, reg *Registry, tr *Tracer, ar *AuditRing) (*FlightRecorder, error) {
-	if cfg.Dir == "" {
+// NewFlightRecorder binds a recorder writing bundles under dir to its
+// sources. log receives capture and trigger events; nil discards them.
+// tr and ar are optional; absent sources simply leave their files out of
+// bundles.
+func NewFlightRecorder(dir string, log *slog.Logger, reg *Registry, tr *Tracer, ar *AuditRing) (*FlightRecorder, error) {
+	if dir == "" {
 		return nil, fmt.Errorf("obs: flight recorder needs a bundle directory")
 	}
-	cfg.applyDefaults()
-	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	if log == nil {
+		log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
 	return &FlightRecorder{
-		cfg:      cfg,
+		dir:      dir,
+		log:      log,
 		reg:      reg,
 		tr:       tr,
 		ar:       ar,
@@ -178,13 +151,15 @@ func (f *FlightRecorder) addRule(name string, fire func() bool) {
 	f.rules = append(f.rules, flightRule{name: name, fire: fire})
 }
 
-// Start launches the watcher goroutine polling the armed rules. Safe to
-// call once; Close stops it.
-func (f *FlightRecorder) Start() {
+// Start launches the watcher goroutine polling the armed rules every
+// flightPoll. Safe to call once; Close stops it.
+func (f *FlightRecorder) Start() { f.start(flightPoll) }
+
+func (f *FlightRecorder) start(poll time.Duration) {
 	f.startOnce.Do(func() {
 		go func() {
 			defer close(f.done)
-			t := time.NewTicker(f.cfg.Poll)
+			t := time.NewTicker(poll)
 			defer t.Stop()
 			for {
 				select {
@@ -213,7 +188,7 @@ func (f *FlightRecorder) pollOnce() {
 		return
 	}
 	if _, err := f.capture(reason, false); err != nil {
-		f.cfg.Logger.Warn("flight capture failed", "reason", reason, "err", err)
+		f.log.Warn("flight capture failed", "reason", reason, "err", err)
 	}
 }
 
@@ -243,16 +218,16 @@ func (f *FlightRecorder) capture(reason string, manual bool) (string, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	now := time.Now()
-	if !manual && !f.last.IsZero() && now.Sub(f.last) < f.cfg.MinGap {
+	if !manual && !f.last.IsZero() && now.Sub(f.last) < flightMinGap {
 		f.skipped.Inc()
-		f.cfg.Logger.Info("flight trigger rate-limited", "reason", reason)
+		f.log.Info("flight trigger rate-limited", "reason", reason)
 		return "", nil
 	}
 	f.last = now
 	if err := f.pruneLocked(); err != nil {
 		return "", err
 	}
-	dir := filepath.Join(f.cfg.Dir,
+	dir := filepath.Join(f.dir,
 		"flight-"+now.UTC().Format("20060102T150405.000000000")+"-"+sanitizeReason(reason))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
@@ -288,8 +263,8 @@ func (f *FlightRecorder) capture(reason string, manual bool) (string, error) {
 	if f.ar != nil {
 		if err := write("audit.json", func(w io.Writer) error {
 			recs := f.ar.Snapshot()
-			if len(recs) > f.cfg.AuditTail {
-				recs = recs[len(recs)-f.cfg.AuditTail:]
+			if len(recs) > flightAuditTail {
+				recs = recs[len(recs)-flightAuditTail:]
 			}
 			return WriteAuditJSON(w, recs)
 		}); err != nil {
@@ -301,22 +276,19 @@ func (f *FlightRecorder) capture(reason string, manual bool) (string, error) {
 	}); err != nil {
 		return "", err
 	}
-	if f.cfg.CPUProfile > 0 {
-		// A CPU profile may already be running (an operator hitting
-		// /debug/pprof/profile); losing the file is better than losing
-		// the bundle.
-		err := write("cpu.pprof", func(w io.Writer) error {
-			if err := pprof.StartCPUProfile(w); err != nil {
-				return err
-			}
-			time.Sleep(f.cfg.CPUProfile)
-			pprof.StopCPUProfile()
-			return nil
-		})
-		if err != nil {
-			f.cfg.Logger.Warn("flight cpu profile skipped", "err", err)
-			os.Remove(filepath.Join(dir, "cpu.pprof"))
+	// A CPU profile may already be running (an operator hitting
+	// /debug/pprof/profile); losing the file is better than losing the
+	// bundle.
+	if err := write("cpu.pprof", func(w io.Writer) error {
+		if err := pprof.StartCPUProfile(w); err != nil {
+			return err
 		}
+		time.Sleep(flightCPUProfile)
+		pprof.StopCPUProfile()
+		return nil
+	}); err != nil {
+		f.log.Warn("flight cpu profile skipped", "err", err)
+		os.Remove(filepath.Join(dir, "cpu.pprof"))
 	}
 	if err := write("meta.json", func(w io.Writer) error {
 		// meta.json lists itself: the manifest names every file a
@@ -329,7 +301,7 @@ func (f *FlightRecorder) capture(reason string, manual bool) (string, error) {
 		return "", err
 	}
 	f.captures.Inc()
-	f.cfg.Logger.Info("flight bundle captured", "dir", dir, "reason", reason, "manual", manual)
+	f.log.Info("flight bundle captured", "dir", dir, "reason", reason, "manual", manual)
 	return dir, nil
 }
 
@@ -337,7 +309,7 @@ func (f *FlightRecorder) capture(reason string, manual bool) (string, error) {
 // directory names embed a fixed-width UTC timestamp, so lexicographic
 // order is capture order.
 func (f *FlightRecorder) pruneLocked() error {
-	ents, err := os.ReadDir(f.cfg.Dir)
+	ents, err := os.ReadDir(f.dir)
 	if err != nil {
 		return err
 	}
@@ -348,8 +320,8 @@ func (f *FlightRecorder) pruneLocked() error {
 		}
 	}
 	sort.Strings(bundles)
-	for len(bundles) >= f.cfg.MaxBundles {
-		if err := os.RemoveAll(filepath.Join(f.cfg.Dir, bundles[0])); err != nil {
+	for len(bundles) >= flightMaxBundles {
+		if err := os.RemoveAll(filepath.Join(f.dir, bundles[0])); err != nil {
 			return err
 		}
 		bundles = bundles[1:]

@@ -2,35 +2,44 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-// newTestRecorder builds a recorder with a populated trace and audit ring
-// and the CPU profile disabled (profiling sleeps are wasted test time).
-func newTestRecorder(t *testing.T, cfg FlightConfig) (*FlightRecorder, *Registry) {
+// newTestRecorder builds a recorder writing under a fresh directory, with
+// a populated trace and audit ring.
+//
+// Every capture samples a CPU profile for flightCPUProfile. The tests
+// that capture more than once run in parallel so those sleeps overlap; a
+// capture that finds another's profile running leaves cpu.pprof out of
+// its bundle, as it would in production.
+func newTestRecorder(t *testing.T) (*FlightRecorder, *Registry) {
 	t.Helper()
-	if cfg.Dir == "" {
-		cfg.Dir = t.TempDir()
-	}
-	if cfg.CPUProfile == 0 {
-		cfg.CPUProfile = -1
-	}
 	reg := NewRegistry()
 	tr := NewTracer(64)
 	tr.Record(Event{Kind: EvRoundStart, Round: 1, Shard: -1})
 	tr.Record(Event{Kind: EvRingDone, Round: 1, Shard: 0, Arg: 5})
 	ar := NewAuditRing(64)
 	ar.Append(auditRec(7, 1, VerdictMerged, -2.5, -2.5))
-	fr, err := NewFlightRecorder(cfg, reg, tr, ar)
+	fr, err := NewFlightRecorder(t.TempDir(), nil, reg, tr, ar)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fr.Close)
 	return fr, reg
+}
+
+// pastMinGap moves the previous capture back by flightMinGap, so the
+// next automatic trigger is not rate-limited.
+func pastMinGap(fr *FlightRecorder) {
+	fr.mu.Lock()
+	fr.last = fr.last.Add(-flightMinGap)
+	fr.mu.Unlock()
 }
 
 func readMeta(t *testing.T, dir string) flightMeta {
@@ -50,7 +59,7 @@ func readMeta(t *testing.T, dir string) flightMeta {
 // artifact back: the bundle must be interpretable without the process
 // that wrote it.
 func TestFlightForceBundle(t *testing.T) {
-	fr, _ := newTestRecorder(t, FlightConfig{})
+	fr, _ := newTestRecorder(t)
 	dir, err := fr.Force("manual")
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +72,7 @@ func TestFlightForceBundle(t *testing.T) {
 	if meta.Reason != "manual" || !meta.Manual || meta.TNS == 0 {
 		t.Fatalf("meta = %+v", meta)
 	}
-	for _, want := range []string{"metrics.prom", "trace.json", "audit.json", "heap.pprof", "meta.json"} {
+	for _, want := range []string{"metrics.prom", "trace.json", "audit.json", "heap.pprof", "cpu.pprof", "meta.json"} {
 		found := false
 		for _, f := range meta.Files {
 			if f == want {
@@ -112,10 +121,12 @@ func TestFlightForceBundle(t *testing.T) {
 	}
 }
 
-// TestFlightRateLimitAndForceBypass: an automatic trigger inside MinGap
-// is counted as skipped, while Force ignores the gap entirely.
+// TestFlightRateLimitAndForceBypass: an automatic trigger inside
+// flightMinGap is counted as skipped, while Force ignores the gap
+// entirely.
 func TestFlightRateLimitAndForceBypass(t *testing.T) {
-	fr, reg := newTestRecorder(t, FlightConfig{MinGap: time.Hour})
+	t.Parallel()
+	fr, reg := newTestRecorder(t)
 	if _, err := fr.capture("first", false); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +144,7 @@ func TestFlightRateLimitAndForceBypass(t *testing.T) {
 		t.Fatalf("captures counter = %d, want 1", got)
 	}
 	if dir, err = fr.Force("urgent"); err != nil || dir == "" {
-		t.Fatalf("Force inside MinGap: dir=%q err=%v", dir, err)
+		t.Fatalf("Force inside the gap: dir=%q err=%v", dir, err)
 	}
 	if got := fr.captures.Value(); got != 2 {
 		t.Fatalf("captures counter after Force = %d, want 2", got)
@@ -148,23 +159,33 @@ func TestFlightRateLimitAndForceBypass(t *testing.T) {
 }
 
 // TestFlightPruneBound: the bundle directory never holds more than
-// MaxBundles bundles; the oldest is evicted first.
+// flightMaxBundles bundles; the oldest is evicted first. The directory
+// starts full of bundles from an earlier run, named as capture names
+// them but older than any capture now.
 func TestFlightPruneBound(t *testing.T) {
-	dir := t.TempDir()
-	fr, _ := newTestRecorder(t, FlightConfig{Dir: dir, MaxBundles: 2})
-	var last string
-	for i := 0; i < 4; i++ {
+	t.Parallel()
+	fr, _ := newTestRecorder(t)
+	var old []string
+	for i := 0; i < flightMaxBundles; i++ {
+		name := fmt.Sprintf("flight-20000101T000000.%09d-old", i)
+		if err := os.Mkdir(filepath.Join(fr.dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, name)
+	}
+	var fresh []string
+	for i := 0; i < 2; i++ {
 		p, err := fr.Force("spin")
 		if err != nil {
 			t.Fatal(err)
 		}
-		last = p
+		fresh = append(fresh, filepath.Base(p))
 		// Bundle names carry nanosecond timestamps; consecutive captures
 		// in a tight loop still order correctly, but give the clock a
 		// nudge for filesystems with coarse directory listings.
 		time.Sleep(time.Millisecond)
 	}
-	ents, err := os.ReadDir(dir)
+	ents, err := os.ReadDir(fr.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,18 +195,17 @@ func TestFlightPruneBound(t *testing.T) {
 			bundles = append(bundles, e.Name())
 		}
 	}
-	if len(bundles) != 2 {
-		t.Fatalf("retained %d bundles %v, want 2", len(bundles), bundles)
-	}
-	if want := filepath.Base(last); bundles[0] != want && bundles[1] != want {
-		t.Fatalf("newest bundle %s was pruned; kept %v", want, bundles)
+	if want := append(old[2:], fresh...); !slices.Equal(bundles, want) {
+		t.Fatalf("retained %v, want %v", bundles, want)
 	}
 }
 
 // TestFlightRulesFire drives each watcher rule through its trigger
-// condition via pollOnce, with MinGap disabled so every fire captures.
+// condition via pollOnce, moving each capture back past the rate limit so
+// every fire captures.
 func TestFlightRulesFire(t *testing.T) {
-	fr, reg := newTestRecorder(t, FlightConfig{MinGap: time.Nanosecond})
+	t.Parallel()
+	fr, reg := newTestRecorder(t)
 
 	c := reg.Counter("test_backpressure_total", "t")
 	fr.WatchCounterIncrease("backpressure", c)
@@ -208,7 +228,7 @@ func TestFlightRulesFire(t *testing.T) {
 		t.Fatalf("gauge rule fired on decrease (captures=%d)", got)
 	}
 	g.Set(105)
-	time.Sleep(time.Millisecond) // clear the nanosecond MinGap
+	pastMinGap(fr)
 	fr.pollOnce()
 	if got := fr.captures.Value(); got != 2 {
 		t.Fatalf("gauge rule did not fire on increase (captures=%d)", got)
@@ -224,7 +244,7 @@ func TestFlightRulesFire(t *testing.T) {
 		t.Fatalf("EWMA rule fired during warmup (captures=%d)", got)
 	}
 	h.Observe(1.0) // 100x the EWMA: anomaly
-	time.Sleep(time.Millisecond)
+	pastMinGap(fr)
 	fr.pollOnce()
 	if got := fr.captures.Value(); got != 3 {
 		t.Fatalf("EWMA rule did not fire on a 100x window (captures=%d)", got)
@@ -234,7 +254,7 @@ func TestFlightRulesFire(t *testing.T) {
 // TestFlightCloseWithoutStart must not hang: Close unblocks the done
 // channel even when the watcher goroutine never launched.
 func TestFlightCloseWithoutStart(t *testing.T) {
-	fr, _ := newTestRecorder(t, FlightConfig{})
+	fr, _ := newTestRecorder(t)
 	done := make(chan struct{})
 	go func() { fr.Close(); fr.Close(); close(done) }()
 	select {
@@ -247,10 +267,11 @@ func TestFlightCloseWithoutStart(t *testing.T) {
 // TestFlightStartStop exercises the watcher goroutine end to end on a
 // fast poll: a counter bump is noticed and captured without Force.
 func TestFlightStartStop(t *testing.T) {
-	fr, reg := newTestRecorder(t, FlightConfig{Poll: 5 * time.Millisecond, MinGap: time.Nanosecond})
+	t.Parallel()
+	fr, reg := newTestRecorder(t)
 	c := reg.Counter("test_trips_total", "t")
 	fr.WatchCounterIncrease("trips", c)
-	fr.Start()
+	fr.start(5 * time.Millisecond)
 	c.Inc()
 	deadline := time.Now().Add(2 * time.Second)
 	for fr.captures.Value() == 0 && time.Now().Before(deadline) {

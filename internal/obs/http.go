@@ -171,21 +171,22 @@ func RegisterRuntime(reg *Registry) {
 	})
 }
 
-// Server is a live observability endpoint.
+// Server is a live HTTP endpoint.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// Serve starts the observability endpoint on addr (e.g. ":9090" or
-// "127.0.0.1:0") and returns once the listener is bound, so a caller can
-// scrape immediately. Close shuts it down.
-func Serve(addr string, reg *Registry, tr *Tracer, ar *AuditRing) (*Server, error) {
+// Serve serves h on addr (e.g. ":9090" or "127.0.0.1:0") and returns once
+// the listener is bound, so a caller can request immediately: the
+// observability mux (Handler) behind -metrics-addr, or scored's whole
+// API. Close shuts it down.
+func Serve(addr string, h http.Handler) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: Handler(reg, tr, ar), ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
 	return &Server{ln: ln, srv: srv}, nil
 }

@@ -27,6 +27,20 @@ func (g *ring[T]) put(rec T) {
 	g.next++
 }
 
+// Ring is the same ring for records of any other type, such as the
+// daemon's round history. Put takes the lock itself.
+type Ring[T any] struct{ ring[T] }
+
+// NewRing returns a ring retaining the most recent capacity records.
+func NewRing[T any](capacity int) *Ring[T] { return &Ring[T]{newRing[T](capacity)} }
+
+// Put stores rec, overwriting the oldest record once full.
+func (g *Ring[T]) Put(rec T) {
+	g.mu.Lock()
+	g.put(rec)
+	g.mu.Unlock()
+}
+
 // Len reports how many records are currently retained.
 func (g *ring[T]) Len() int {
 	g.mu.Lock()

@@ -339,10 +339,11 @@ func TestObserveDuringClose(t *testing.T) {
 	wg.Wait()
 }
 
-// TestServeBindsListener exercises the bound-listener path end to end.
+// TestServeBindsListener exercises the bound-listener path scored takes
+// end to end: the daemon's mux on obs.Serve.
 func TestServeBindsListener(t *testing.T) {
 	d := newTestDaemon(t, nil)
-	srv, err := d.Serve("127.0.0.1:0")
+	srv, err := obs.Serve("127.0.0.1:0", d.Handler())
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
 	}

@@ -63,8 +63,9 @@
 // # HTTP API
 //
 //	POST   /v1/vms        admit a VM {id?, ram_mb, cpu_milli, host?};
-//	                      omitted id auto-issues (sequential; recycles
-//	                      free ids rather than leave the ID window),
+//	                      omitted id auto-issues (sequential from 1, id 0
+//	                      is reserved; recycles free ids rather than
+//	                      leave the ID window),
 //	                      omitted host best-fits; a pinned id must keep
 //	                      the registered ids within the cluster's ID
 //	                      window (span ≤ 4 × VM slots + 2²⁰), else 400
@@ -74,7 +75,8 @@
 //	POST   /v1/observe    fold a rate-sample batch {source, samples}
 //	POST   /v1/rounds     step {rounds} scheduling rounds (manual mode);
 //	                      rounds <= 0 runs until a round applies nothing
-//	GET    /v1/status     counters, cost, round history tail
+//	GET    /v1/status     counters, cost, the newest 32 of the 1,024
+//	                      round summaries the daemon keeps (History)
 //	POST   /v1/snapshot   persist state {path?}
 //
 // plus the observability plane (/metrics, /trace, /debug/pprof/) from
@@ -86,8 +88,9 @@
 //
 // # Rounds
 //
-// With Config.RoundInterval > 0 the loop runs a scheduling round per
-// tick, skipping ticks while the plant is quiescent (last round applied
+// A round runs its rings on a pool of GOMAXPROCS workers. With
+// Config.RoundInterval > 0 the loop runs a scheduling round per tick,
+// skipping ticks while the plant is quiescent (last round applied
 // nothing and no state changed since). With RoundInterval == 0 rounds
 // run only on POST /v1/rounds — the deterministic mode the equivalence
 // and snapshot tests drive, where the daemon is a replayable function
@@ -106,7 +109,8 @@
 // hosts, VM registry + placement, the traffic matrix with rates as raw
 // IEEE-754 bits, the controller's hysteresis triple, the round counter,
 // and the next auto-issued VM ID. Everything else is derived state and
-// is rebuilt on Restore. Restoring yields a daemon whose subsequent
+// is rebuilt on Restore, which refuses the reserved VM ID 0 as a VM or
+// as the next ID. Restoring yields a daemon whose subsequent
 // rounds decide exactly as the uninterrupted run's would: same
 // placement, bit-identical rates, same tuner recommendation stream,
 // continuous round numbering.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -81,30 +80,6 @@ func (d *Daemon) handleFlightRecorder(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, flightReply{Path: path})
 }
-
-// Server is a live daemon endpoint.
-type Server struct {
-	ln  net.Listener
-	srv *http.Server
-}
-
-// Serve binds addr (e.g. "127.0.0.1:0") and serves the daemon's mux,
-// returning once the listener is bound.
-func (d *Daemon) Serve(addr string) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: d.Handler(), ReadHeaderTimeout: 5 * time.Second}
-	go srv.Serve(ln)
-	return &Server{ln: ln, srv: srv}, nil
-}
-
-// Addr returns the bound listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-// Close stops the server (the daemon keeps running; Close it separately).
-func (s *Server) Close() error { return s.srv.Close() }
 
 type errorReply struct {
 	Error string `json:"error"`

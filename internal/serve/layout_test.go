@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -307,4 +308,108 @@ func TestRestoreAfterMiddleRetired(t *testing.T) {
 		t.Fatalf("restored placement %v, want %v", got, want)
 	}
 	sameMatrix(t, "restored", r.tm, d.tm, []cluster.VMID{low, high, middle[3]})
+}
+
+// TestReservedVMIDZero: VM ID 0 is reserved — POST /v1/vms refuses it and
+// /v1/vms/0 reaches nothing — so the daemon must never issue it, write it
+// as the next ID, or take it back from a snapshot. A client pinning the
+// top ID of the 32-bit space on an empty daemon carries the cursor past
+// 2³²−1: every auto-issued admit after it still succeeds, below the
+// pinned ID, and the snapshot written then names a next ID the restored
+// daemon can issue from.
+func TestReservedVMIDZero(t *testing.T) {
+	const top = cluster.VMID(math.MaxUint32)
+	// snapshotOf writes d's snapshot and decodes it.
+	snapshotOf := func(t *testing.T, d *Daemon) snapshotFile {
+		t.Helper()
+		path, err := d.Snapshot(filepath.Join(t.TempDir(), "scored.snapshot"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap snapshotFile
+		if err := json.Unmarshal(buf, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	restore := func(t *testing.T, snap snapshotFile) (*Daemon, error) {
+		t.Helper()
+		buf, err := json.Marshal(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "edited.snapshot")
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r, err := Restore(path, Config{})
+		if err == nil {
+			t.Cleanup(func() { r.Close() })
+		}
+		return r, err
+	}
+	pinnedTop := func(t *testing.T) *Daemon {
+		t.Helper()
+		d := newTestDaemon(t, nil)
+		if _, _, err := d.Admit(AdmitRequest{ID: top, HasID: true, RAMMB: 64}); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	lowIDs := func(t *testing.T) snapshotFile {
+		t.Helper()
+		d := newTestDaemon(t, nil)
+		for i := 0; i < 3; i++ {
+			if _, _, err := d.Admit(AdmitRequest{RAMMB: 64}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return snapshotOf(t, d)
+	}
+
+	t.Run("auto-issue after the top ID", func(t *testing.T) {
+		d := pinnedTop(t)
+		seen := map[cluster.VMID]bool{top: true}
+		for i := 0; i < 40; i++ {
+			id, _, err := d.Admit(AdmitRequest{RAMMB: 64})
+			if err != nil || id == 0 || seen[id] {
+				t.Fatalf("auto-issued admit %d: id %d (issued before: %v), %v", i, id, seen[id], err)
+			}
+			seen[id] = true
+		}
+		if _, _, err := d.Admit(AdmitRequest{ID: top - 1000, HasID: true, RAMMB: 64}); err != nil {
+			t.Fatalf("pinned admit below the top: %v", err)
+		}
+	})
+	t.Run("snapshot after the top ID", func(t *testing.T) {
+		snap := snapshotOf(t, pinnedTop(t))
+		if snap.NextID == 0 {
+			t.Fatal("snapshot names the reserved VM ID 0 as the next ID")
+		}
+		r, err := restore(t, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id, _, err := r.Admit(AdmitRequest{RAMMB: 64}); err != nil || id == 0 || id == top {
+			t.Fatalf("restored daemon issued id %d, %v", id, err)
+		}
+	})
+	t.Run("restore refuses next_id 0", func(t *testing.T) {
+		snap := lowIDs(t)
+		snap.NextID = 0
+		if _, err := restore(t, snap); err == nil {
+			t.Fatal("Restore accepted next_id 0")
+		}
+	})
+	t.Run("restore refuses VM ID 0", func(t *testing.T) {
+		snap := lowIDs(t)
+		snap.VMs[0].ID = 0
+		if _, err := restore(t, snap); err == nil {
+			t.Fatal("Restore accepted a VM with ID 0")
+		}
+	})
 }

@@ -88,7 +88,7 @@ func TestFlightRecorderEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	d := newTestDaemon(t, func(cfg *Config) {
 		cfg.Audit = obs.NewAuditRing(1 << 10)
-		cfg.Flight = &obs.FlightConfig{Dir: dir, CPUProfile: -1}
+		cfg.Flight = dir
 	})
 	h := d.Handler()
 	do(t, h, "POST", "/v1/vms", `{"id":1,"ram_mb":64,"host":0}`, nil)

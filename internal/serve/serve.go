@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"sync"
 	"time"
 
@@ -70,13 +71,6 @@ type Config struct {
 	// drops it with ErrBacklogged (default 50ms).
 	IngestQueue    int
 	EnqueueTimeout time.Duration
-	// HistoryRounds bounds the retained per-round summary ring
-	// (default 1024).
-	HistoryRounds int
-	// Workers bounds the coordinator's worker pool; 0 means GOMAXPROCS.
-	Workers int
-	// FirstVMID seeds auto-issued VM IDs (default 1).
-	FirstVMID cluster.VMID
 	// SnapshotPath is the default target for POST /v1/snapshot.
 	SnapshotPath string
 	// Obs, when set, shares a registry with the embedding process;
@@ -88,9 +82,9 @@ type Config struct {
 	Audit *obs.AuditRing
 	// Flight, when set, arms the anomaly-triggered flight recorder:
 	// round-latency spikes, backpressure drops and cost increases each
-	// capture a bundle into Flight.Dir, and POST /v1/flightrecorder
-	// forces one.
-	Flight *obs.FlightConfig
+	// capture a bundle into the directory Flight names, and
+	// POST /v1/flightrecorder forces one.
+	Flight string
 	// Logger receives operational events (backpressure drops, flight
 	// captures); nil discards them.
 	Logger *slog.Logger
@@ -103,13 +97,14 @@ func (cfg *Config) applyDefaults() {
 	if cfg.EnqueueTimeout <= 0 {
 		cfg.EnqueueTimeout = 50 * time.Millisecond
 	}
-	if cfg.HistoryRounds <= 0 {
-		cfg.HistoryRounds = 1024
-	}
-	if cfg.FirstVMID == 0 {
-		cfg.FirstVMID = 1
-	}
 }
+
+// historyRounds bounds the retained per-round summary ring; firstVMID is
+// the first auto-issued VM ID (0 is reserved).
+const (
+	historyRounds              = 1024
+	firstVMID     cluster.VMID = 1
+)
 
 // RoundSummary is one completed round's record in the history ring.
 type RoundSummary struct {
@@ -275,10 +270,7 @@ type Daemon struct {
 	quiesced bool // last round applied zero migrations
 	lastCost float64
 
-	histMu    sync.Mutex
-	hist      []RoundSummary
-	histHead  int // ring write position
-	histCount int
+	hist *obs.Ring[RoundSummary]
 
 	ops  chan *op
 	stop chan struct{}
@@ -333,7 +325,6 @@ func newDaemon(cfg Config, topo topology.Topology, cl *cluster.Cluster, tm *traf
 	shardMetrics := shard.NewMetrics(reg)
 	coord, err := shard.NewCoordinator(eng, shard.Config{
 		Tuner:   ctrl,
-		Workers: cfg.Workers,
 		Metrics: shardMetrics,
 		Trace:   cfg.Trace,
 		Audit:   cfg.Audit,
@@ -355,9 +346,9 @@ func newDaemon(cfg Config, topo topology.Topology, cl *cluster.Cluster, tm *traf
 		eng:        eng,
 		ctrl:       ctrl,
 		coord:      coord,
-		nextID:     cfg.FirstVMID,
+		nextID:     firstVMID,
 		dirty:      cl.NumVMs() > 0,
-		hist:       make([]RoundSummary, cfg.HistoryRounds),
+		hist:       obs.NewRing[RoundSummary](historyRounds),
 		ops:        make(chan *op, cfg.IngestQueue),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
@@ -369,12 +360,8 @@ func newDaemon(cfg Config, topo topology.Topology, cl *cluster.Cluster, tm *traf
 		coord.SetRounds(snap.Rounds)
 		d.nextID = cluster.VMID(snap.NextID)
 	}
-	if cfg.Flight != nil {
-		fcfg := *cfg.Flight
-		if fcfg.Logger == nil {
-			fcfg.Logger = logger
-		}
-		fr, err := obs.NewFlightRecorder(fcfg, reg, cfg.Trace, cfg.Audit)
+	if cfg.Flight != "" {
+		fr, err := obs.NewFlightRecorder(cfg.Flight, logger, reg, cfg.Trace, cfg.Audit)
 		if err != nil {
 			detach()
 			eng.Detach()
@@ -551,34 +538,57 @@ func (d *Daemon) bestFitHost(vm cluster.VMID) cluster.HostID {
 	return best
 }
 
-// freeIDFrom returns the first unregistered VM ID at or after id.
-func (d *Daemon) freeIDFrom(id cluster.VMID) cluster.VMID {
-	for ; ; id++ {
+// freeIDFrom returns the first unregistered VM ID at or after from,
+// never the reserved 0, or ErrIDOutsideWindow when every ID from there to
+// 2³²−1 is taken.
+func (d *Daemon) freeIDFrom(from cluster.VMID) (cluster.VMID, error) {
+	for id := max(from, firstVMID); ; id++ {
 		if _, _, taken := d.cl.Demand(id); !taken {
-			return id
+			return id, nil
+		}
+		if id == math.MaxUint32 {
+			return 0, fmt.Errorf("%w: no free VM ID from %d up", cluster.ErrIDOutsideWindow, from)
 		}
 	}
 }
 
-// applyAdmit registers and places one VM. Without a pinned ID it takes
-// the first free one from the cursor nextID on. The cluster refuses that
-// ID once a long-lived VM holds the low end of the ID window while
-// issuance has marched a full window width past it; a refusal is for IDs
-// a client pinned, so the cursor then recycles — wraps to the lowest free
-// ID of the window — the way the paper's 32-bit space is walked "before
-// recycling" (Section V-B2). The scan is the window's width, once per
-// trip across it.
+// addIssued registers vm under the first free ID from the cursor nextID
+// on. The cluster refuses that ID once a long-lived VM holds the low end
+// of the ID window while issuance has marched a full window width past
+// it, and there is none once the cursor passes 2³²−1. A refusal is for
+// IDs a client pinned, so the cursor then recycles — takes the lowest
+// free ID of the window, or the one just below the window when that is
+// full — the way the paper's 32-bit space is walked "before recycling"
+// (Section V-B2). So the admit fails only when the window admits no free
+// ID at all. The scan is the window's width, once per trip across it.
+func (d *Daemon) addIssued(vm cluster.VM) (cluster.VMID, error) {
+	add := func(id cluster.VMID, err error) error {
+		if err == nil {
+			vm.ID = id
+			err = d.cl.AddVM(vm)
+		}
+		return err
+	}
+	err := add(d.freeIDFrom(d.nextID))
+	if errors.Is(err, cluster.ErrIDOutsideWindow) {
+		base, _ := d.cl.DenseAlloc()
+		if err = add(d.freeIDFrom(base)); errors.Is(err, cluster.ErrIDOutsideWindow) && base > firstVMID {
+			err = add(base-1, nil)
+		}
+	}
+	return vm.ID, err
+}
+
+// applyAdmit registers and places one VM, under its pinned ID or one
+// addIssued picks.
 func (d *Daemon) applyAdmit(o *op) opResult {
 	req := o.admit
 	vm := cluster.VM{ID: req.ID, RAMMB: req.RAMMB, CPUMilli: req.CPUMilli}
-	if !req.HasID {
-		vm.ID = d.freeIDFrom(d.nextID)
-	}
-	err := d.cl.AddVM(vm)
-	if !req.HasID && errors.Is(err, cluster.ErrIDOutsideWindow) {
-		base, _ := d.cl.DenseAlloc()
-		vm.ID = d.freeIDFrom(base)
+	var err error
+	if req.HasID {
 		err = d.cl.AddVM(vm)
+	} else {
+		vm.ID, err = d.addIssued(vm)
 	}
 	if err != nil {
 		return opResult{err: err}
@@ -597,7 +607,7 @@ func (d *Daemon) applyAdmit(o *op) opResult {
 		return opResult{err: err}
 	}
 	if !req.HasID || id >= d.nextID {
-		d.nextID = id + 1
+		d.nextID = max(id+1, firstVMID) // past 2³²−1 the cursor wraps to 1
 	}
 	d.dirty = true
 	d.m.admits.Inc()
@@ -764,30 +774,12 @@ func (d *Daemon) runRoundLocked() (RoundSummary, error) {
 		RealizedDelta: res.RealizedDelta,
 		UnixNano:      time.Now().UnixNano(),
 	}
-	d.histMu.Lock()
-	d.hist[d.histHead] = sum
-	d.histHead = (d.histHead + 1) % len(d.hist)
-	if d.histCount < len(d.hist) {
-		d.histCount++
-	}
-	d.histMu.Unlock()
+	d.hist.Put(sum)
 	return sum, nil
 }
 
 // History returns the retained round summaries, oldest first.
-func (d *Daemon) History() []RoundSummary {
-	d.histMu.Lock()
-	defer d.histMu.Unlock()
-	out := make([]RoundSummary, 0, d.histCount)
-	start := d.histHead - d.histCount
-	if start < 0 {
-		start += len(d.hist)
-	}
-	for i := 0; i < d.histCount; i++ {
-		out = append(out, d.hist[(start+i)%len(d.hist)])
-	}
-	return out
-}
+func (d *Daemon) History() []RoundSummary { return d.hist.Snapshot() }
 
 // Admit registers and places one VM.
 func (d *Daemon) Admit(req AdmitRequest) (cluster.VMID, cluster.HostID, error) {

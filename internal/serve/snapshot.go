@@ -130,6 +130,9 @@ func Restore(path string, cfg Config) (*Daemon, error) {
 	if snap.Version != snapshotVersion {
 		return nil, fmt.Errorf("serve: snapshot %s has version %d, want %d", path, snap.Version, snapshotVersion)
 	}
+	if snap.NextID == 0 {
+		return nil, fmt.Errorf("serve: snapshot %s has next_id 0, a reserved VM ID", path)
+	}
 	cfg.Topology = snap.Topology
 	cfg.Hosts = snap.Hosts
 	cfg.MigrationCost = snap.MigrationCost
@@ -145,6 +148,9 @@ func Restore(path string, cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	for _, vm := range snap.VMs {
+		if vm.ID == 0 {
+			return nil, fmt.Errorf("serve: snapshot %s holds VM ID 0, which is reserved", path)
+		}
 		if err := cl.AddVM(cluster.VM{ID: cluster.VMID(vm.ID), RAMMB: vm.RAMMB, CPUMilli: vm.CPUMilli}); err != nil {
 			return nil, fmt.Errorf("serve: restoring VM %d: %w", vm.ID, err)
 		}

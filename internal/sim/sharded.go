@@ -174,7 +174,6 @@ func (r *Runner) runSharded() (*Metrics, error) {
 	scfg := shard.Config{
 		Shards:      r.cfg.Shards,
 		Granularity: r.cfg.ShardGranularity,
-		Workers:     r.cfg.ShardWorkers,
 		Metrics:     r.ob.plane.Metrics,
 		Trace:       r.ob.trace,
 		Audit:       r.cfg.Audit,

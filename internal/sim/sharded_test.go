@@ -16,7 +16,6 @@ func TestShardedRunReducesCost(t *testing.T) {
 		eng, rng := buildEngine(t, 9)
 		cfg := smallConfig()
 		cfg.Shards = 4
-		cfg.ShardWorkers = 4
 		r, err := NewRunner(eng, pol, cfg, rng)
 		if err != nil {
 			t.Fatal(err)

@@ -71,9 +71,8 @@ type Config struct {
 	// token's history and are refused.
 	Shards int
 	// ShardGranularity aligns shard boundaries to pods (default) or
-	// racks; ShardWorkers bounds the worker pool (0 = GOMAXPROCS).
+	// racks. The rings run on a pool of GOMAXPROCS workers.
 	ShardGranularity shard.Granularity
-	ShardWorkers     int
 	// DistributedShards > 0 drives the run through the distributed dom0
 	// agent plane (internal/hypervisor) instead of the in-process
 	// engine: one agent per host over an in-memory transport, one token
