@@ -118,11 +118,11 @@ func TestSummaryEquivalenceUnderChurn(t *testing.T) {
 			_ = ctrl.Recommendation()
 		}
 		if step%500 == 0 {
-			ctrl.sync()
+			ctrl.follow.Sync()
 			compareSummaries(t, step, ctrl.sum, newBruteSummary(topo, cl, tm))
 		}
 	}
-	ctrl.sync()
+	ctrl.follow.Sync()
 	compareSummaries(t, -1, ctrl.sum, newBruteSummary(topo, cl, tm))
 }
 

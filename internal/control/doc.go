@@ -7,10 +7,9 @@
 // scale, traffic → partition. A Summary keeps the pairwise VM traffic
 // matrix at the resolution the planner reads it: the three
 // communication-locality sums (intra-rack / intra-pod / cross-pod) and
-// the dense pod × pod table of cross-pod rates. It is folded
-// incrementally — rate mutations arrive through
-// traffic.Matrix.ChangesSince and placement mutations through cluster
-// observation hooks — never by rescanning the matrix. (A rack-level
+// the dense pod × pod table of cross-pod rates. A traffic.Follower folds
+// rate changes and placement moves into it as they come, never by
+// rescanning the matrix. (A rack-level
 // heatmap such as Fig. 3a is traffic.TorMatrix, one pass on demand;
 // nothing here keeps one.) Plan turns the summary into a Recommendation
 // — shard count and granularity — under the partitioner's own

@@ -46,13 +46,11 @@ type Decision struct {
 //
 // The engine itself keeps incremental accounting — the rate carried at
 // each communication level (C^A is their weighted sum) and per-host
-// external traffic loads — registered as a cluster allocation observer,
-// so TotalCost and HostNetLoad are O(1) between traffic windows instead
-// of O(|pairs|) per call. In-place traffic mutations are folded edge by
-// edge from the matrix's changelog (ChangesSince); only swapping matrices
-// (SetTraffic) or outrunning the changelog window forces a full rebuild.
-// Every accumulator is a sum of rates on traffic's grid, hence exact: a
-// fold and a rebuild give the same bits, in any order.
+// external traffic loads — through a traffic.Follower of its matrix and
+// cluster, so TotalCost and HostNetLoad are O(1) between traffic windows
+// instead of O(|pairs|) per call. Every accumulator is a sum of rates on
+// traffic's grid, hence exact: a fold and a rebuild give the same bits,
+// in any order.
 //
 // Engine is not safe for concurrent use: scratch buffers and the
 // accounting caches are mutated by reads.
@@ -75,12 +73,12 @@ type Engine struct {
 	// memo is the quiet-VM memo behind Visit (see visitMemo).
 	memo visitMemo
 
-	// Incremental accounting (see TotalCost / HostNetLoad): lvl[ℓ] is
-	// the summed rate of the pairs communicating at level ℓ.
-	acctValid bool
-	acctTMGen uint64
-	lvl       [4]float64
-	hostNet   []float64
+	// Incremental accounting (see TotalCost / HostNetLoad), kept by acct:
+	// lvl[ℓ] is the summed rate of the pairs communicating at level ℓ,
+	// hostNet[h] the rate crossing h's NIC.
+	acct    *traffic.Follower
+	lvl     [4]float64
+	hostNet []float64
 
 	// detach unregisters the cluster observers; nil once detached.
 	detach func()
@@ -102,9 +100,10 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 	e.live = AllocView{eng: e, live: true, k: *e.kern.Clone()}
 	e.live.sizeScratch()
 	e.hostNet = make([]float64, cl.NumHosts())
-	unobserve := cl.Observe(e.onAllocChange, e.onAllocReset)
+	e.acct = traffic.Follow(tm, cl, e.resetAccounting, e.addPair)
+	unobserve := cl.Observe(e.memoMove, e.memo.drop)
 	unobserveRespec := cl.ObserveRespec(e.onRespec)
-	e.detach = func() { unobserve(); unobserveRespec() }
+	e.detach = func() { unobserve(); unobserveRespec(); e.acct.Detach() }
 	return e, nil
 }
 
@@ -119,17 +118,16 @@ func (e *Engine) Detach() {
 		e.detach()
 		e.detach = nil
 	}
-	e.acctValid = false
 	e.memo.off()
 }
 
 // SetTraffic replaces the traffic matrix, e.g. when a new measurement
 // window's averages become available. The incremental accounting is
-// invalidated and rebuilt lazily on the next TotalCost/HostNetLoad.
+// rebuilt lazily on the next TotalCost/HostNetLoad.
 func (e *Engine) SetTraffic(tm *traffic.Matrix) {
 	if tm != nil {
 		e.tm = tm
-		e.invalidateAccounting()
+		e.acct.Retarget(tm)
 		e.memo.drop()
 		e.memo.tmGen = tm.Generation()
 	}
@@ -202,83 +200,31 @@ func (e *Engine) VMCost(u cluster.VMID) float64 {
 	return sum
 }
 
-// invalidateAccounting drops the running C^A and per-host net loads;
-// they are rebuilt from scratch on the next read.
-func (e *Engine) invalidateAccounting() { e.acctValid = false }
-
-// onAllocReset is the cluster's bulk-rewrite notification (Restore).
-func (e *Engine) onAllocReset() {
-	e.invalidateAccounting()
-	e.memo.drop()
+// resetAccounting empties the accumulators before acct refolds them.
+func (e *Engine) resetAccounting() {
+	e.lvl = [4]float64{}
+	clear(e.hostNet)
 }
 
-// foldTrafficChanges advances the accounting from its traffic-matrix
-// snapshot to the matrix's current generation by replaying the matrix's
-// edge-level changelog — the window-rollover fast path that replaces the
-// O(|pairs|) rebuild for in-place rate updates. It reports whether the
-// accounting is now current; false means the changelog window was
-// outrun and the caller must rebuild.
-//
-// The rate deltas predate any allocation change being folded on top of
-// them, so when called from the allocation observer (whose cluster has
-// already applied the move) the moved VM must be read at its pre-move
-// host: movedVM/movedFrom override HostOf for that VM; pass
-// movedVM = 0, override = false from paths with no in-flight move.
-func (e *Engine) foldTrafficChanges(movedVM cluster.VMID, movedFrom cluster.HostID, override bool) bool {
-	if !e.acctValid {
-		return false
-	}
-	changes, ok := e.tm.ChangesSince(e.acctTMGen)
-	if !ok {
-		return false
-	}
-	for _, ch := range changes {
-		ha, hb := e.cl.HostOf(ch.A), e.cl.HostOf(ch.B)
-		if override {
-			if ch.A == movedVM {
-				ha = movedFrom
-			}
-			if ch.B == movedVM {
-				hb = movedFrom
-			}
-		}
-		d := ch.New - ch.Old
-		e.lvl[e.levelOrDepth(ha, hb)] += d
-		if ha != cluster.NoHost && ha != hb {
-			e.hostNet[ha] += d
-		}
-		if hb != cluster.NoHost && hb != ha {
-			e.hostNet[hb] += d
-		}
-	}
-	e.acctTMGen = e.tm.Generation()
-	return true
-}
-
-// onAllocChange folds one placement change into the running totals:
-// every affected pair level and host boundary crossing is O(1) given
-// the moved VM's adjacency row.
-func (e *Engine) onAllocChange(vm cluster.VMID, from, to cluster.HostID) {
-	e.memoMove(vm, from, to)
-	if !e.acctValid {
+// addPair folds delta into the accumulators for the pair (a, b) on hosts
+// (ha, hb): its level's rate and, when it crosses NICs, theirs.
+func (e *Engine) addPair(_, _ cluster.VMID, ha, hb cluster.HostID, delta float64) {
+	e.lvl[e.levelOrDepth(ha, hb)] += delta
+	if ha == hb {
 		return
 	}
-	if e.tm.Generation() != e.acctTMGen && !e.foldTrafficChanges(vm, from, true) {
-		e.acctValid = false // traffic outran the changelog; rebuild lazily
-		return
+	if ha != cluster.NoHost {
+		e.hostNet[ha] += delta
 	}
-	for _, ed := range e.tm.NeighborEdges(vm) {
-		hz := e.cl.HostOf(ed.Peer)
-		e.lvl[e.levelOrDepth(from, hz)] -= ed.Rate
-		e.lvl[e.levelOrDepth(to, hz)] += ed.Rate
-		foldNICLoad(e.hostNet, from, to, hz, ed.Rate)
+	if hb != cluster.NoHost {
+		e.hostNet[hb] += delta
 	}
 }
 
 // foldNICLoad folds into the per-host external loads one edge of a VM
 // moving from → to (either may be NoHost) whose peer sits on hz: the
 // pair loads a NIC exactly when its endpoints sit on different hosts.
-// The engine's accounting and a view's staged deltas share it.
+// A view's staged deltas use it.
 func foldNICLoad(load []float64, from, to, hz cluster.HostID, rate float64) {
 	if from != cluster.NoHost && hz != from {
 		load[from] -= rate
@@ -296,43 +242,11 @@ func foldNICLoad(load []float64, from, to, hz cluster.HostID, rate float64) {
 	}
 }
 
-// rebuildAccounting recomputes the per-level rates and host net loads
-// from scratch — the O(|pairs|) slow path taken once per traffic window.
-// It streams the matrix via ForEachPair instead of forcing the pair-list
-// cache to materialize — at 100k VMs that cache is tens of MB the rebuild
-// does not need.
-func (e *Engine) rebuildAccounting() {
-	clear(e.hostNet)
-	e.lvl = [4]float64{}
-	e.tm.ForEachPair(func(a, b cluster.VMID, rate float64) {
-		ha, hb := e.cl.HostOf(a), e.cl.HostOf(b)
-		e.lvl[e.levelOrDepth(ha, hb)] += rate
-		if ha != cluster.NoHost && ha != hb {
-			e.hostNet[ha] += rate
-		}
-		if hb != cluster.NoHost && hb != ha {
-			e.hostNet[hb] += rate
-		}
-	})
-	e.acctTMGen = e.tm.Generation()
-	e.acctValid = true
-}
-
-// ensureAccounting brings the accumulators up to date: a window rollover
-// replays the changelog, anything else rebuilds. A detached engine
-// receives no allocation changes, so its cached sums would go silently
-// stale; it always rebuilds.
-func (e *Engine) ensureAccounting() {
-	if e.detach == nil || !e.foldTrafficChanges(0, cluster.NoHost, false) {
-		e.rebuildAccounting()
-	}
-}
-
 // TotalCost returns C^A (Eq. 2) for the current allocation. Between
 // traffic-matrix changes it is served from the per-level rates maintained
 // across allocation changes — amortized O(1) rather than O(|pairs|).
 func (e *Engine) TotalCost() float64 {
-	e.ensureAccounting()
+	e.acct.Sync()
 	var sum float64
 	for l, rate := range e.lvl {
 		sum += e.cost.PairCost(rate, l)
@@ -372,7 +286,7 @@ func (e *Engine) HostNetLoad(h cluster.HostID) float64 {
 	if h < 0 || int(h) >= len(e.hostNet) {
 		return 0
 	}
-	e.ensureAccounting()
+	e.acct.Sync()
 	return e.hostNet[h]
 }
 

@@ -552,7 +552,7 @@ func TestWindowRolloverFoldsIncrementally(t *testing.T) {
 			assertCostAgrees(t, fx, "rollover interleaving")
 		}
 	}
-	if !fx.eng.acctValid {
+	if fx.eng.acct.Rebuilds() != 1 {
 		t.Fatal("accounting dropped: changelog fold never kept it alive")
 	}
 	assertCostAgrees(t, fx, "after rollover interleaving")

@@ -175,7 +175,10 @@ func (m *visitMemo) resize(base cluster.VMID, n int) {
 
 // memoSync brings the memo up to date at a sequential point — before a
 // serial visit, and when a view is (re)primed: decide whether it may run
-// at all, follow the cluster's ID window, fold pending edge changes.
+// at all, follow the cluster's ID window, fold pending edge changes. The
+// memo reads the changelog itself rather than through a traffic.Follower:
+// it clears verdicts instead of summing rates, so where a follower would
+// refold every pair, the memo drops every verdict.
 func (e *Engine) memoSync() {
 	m := &e.memo
 	base, alloc := e.cl.DenseAlloc()

@@ -505,7 +505,7 @@ func TestRebuildTimingDoesNotChangeDecisions(t *testing.T) {
 	for pass := 0; pass < 10; pass++ {
 		for _, u := range vms {
 			if rng.Intn(3) == 0 {
-				fx.eng.rebuildAccounting()
+				fx.eng.acct.Invalidate()
 				rebuilds++
 			}
 			dec, ok, skip := fx.eng.Visit(u)

@@ -82,7 +82,7 @@ func (e *Engine) ResetView(v *AllocView) *AllocView {
 	if v == nil || v.eng != e {
 		v = &AllocView{eng: e, k: *e.kern.Clone()}
 	}
-	e.ensureAccounting()
+	e.acct.Sync()
 	v.sizeScratch()
 	v.commits = v.commits[:0]
 	v.primeMemo()
@@ -222,7 +222,7 @@ func (v *AllocView) probe(u cluster.VMID, target cluster.HostID) (r Room, n Need
 		return r, n, false
 	}
 	if v.live {
-		e.ensureAccounting()
+		e.acct.Sync()
 	}
 	host, _ := e.cl.Host(target)
 	return Room{

@@ -59,6 +59,7 @@ func Fig4ScoreVsRemedy(scale Scale, seed int64) (*Fig4Result, error) {
 	res := &Fig4Result{InitialCost: base.Eng.TotalCost()}
 	res.BaselineCore = net.UtilizationAtLevel(3)
 	res.BaselineAgg = net.UtilizationAtLevel(2)
+	net.Detach()
 
 	gaRes, err := ga.Optimize(base.Eng, gaConfigFor(scale), base.Rng)
 	if err != nil {

@@ -155,7 +155,24 @@ func TestRecomputeRoutesPairLoads(t *testing.T) {
 	}
 }
 
-func TestShiftPairMatchesRecompute(t *testing.T) {
+// sameLoads holds net's link loads to a fresh Recompute of (tm, cl) bit
+// for bit: both are sums of rates on traffic's grid.
+func sameLoads(t *testing.T, step int, net *Network, topo topology.Topology, tm *traffic.Matrix, cl *cluster.Cluster) {
+	t.Helper()
+	fresh := NewNetwork(topo)
+	fresh.Recompute(tm, cl)
+	defer fresh.Detach()
+	for _, l := range topo.Links() {
+		a, b := net.LinkLoadMbps(l.ID), fresh.LinkLoadMbps(l.ID)
+		if math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("step %d link %d: incremental %v vs recomputed %v", step, l.ID, a, b)
+		}
+	}
+}
+
+// TestMoveShiftMatchesRecompute: a move shifts the mover's pairs onto
+// their new paths as the cluster applies it, with no call on the network.
+func TestMoveShiftMatchesRecompute(t *testing.T) {
 	net, topo, cl, tm := buildNet(t)
 	rng := rand.New(rand.NewSource(4))
 	vms := cl.VMs()
@@ -168,35 +185,17 @@ func TestShiftPairMatchesRecompute(t *testing.T) {
 	}
 	net.Recompute(tm, cl)
 
-	// Move a VM and shift its pairs incrementally.
-	u := vms[3]
-	from := cl.HostOf(u)
-	target := cluster.HostID(topo.Hosts() - 1)
-	if err := cl.Move(u, target); err != nil {
+	if err := cl.Move(vms[3], cluster.HostID(topo.Hosts()-1)); err != nil {
 		t.Fatal(err)
 	}
-	for _, z := range tm.Neighbors(u) {
-		hz := cl.HostOf(z)
-		rate := tm.Rate(u, z)
-		net.ShiftPair(u, z, from, hz, -rate)
-		net.ShiftPair(u, z, target, hz, rate)
-	}
-
-	// Fresh recompute must agree link-by-link.
-	fresh := NewNetwork(topo)
-	fresh.Recompute(tm, cl)
-	for _, l := range topo.Links() {
-		a, b := net.LinkLoadMbps(l.ID), fresh.LinkLoadMbps(l.ID)
-		if math.Abs(a-b) > 1e-6 {
-			t.Fatalf("link %d: incremental %v vs recomputed %v", l.ID, a, b)
-		}
-	}
+	sameLoads(t, 0, net, topo, tm, cl)
 }
 
 // TestSyncFoldsChangelog: folding the matrix's edge changelog must
 // reproduce a fresh full-pair recompute through interleaved rate
-// mutations and (Sync-before-ShiftPair) migrations — the incremental
-// contract the simulator relies on at every sample tick.
+// mutations and migrations. No Sync precedes a move, so a move often
+// lands on rate changes of its own pairs not yet folded, which belong
+// at its old host.
 func TestSyncFoldsChangelog(t *testing.T) {
 	net, topo, cl, tm := buildNet(t)
 	rng := rand.New(rand.NewSource(11))
@@ -209,59 +208,34 @@ func TestSyncFoldsChangelog(t *testing.T) {
 	}
 	net.Recompute(tm, cl)
 
-	check := func(step int) {
-		t.Helper()
-		fresh := NewNetwork(topo)
-		fresh.Recompute(tm, cl)
-		for _, l := range topo.Links() {
-			a, b := net.LinkLoadMbps(l.ID), fresh.LinkLoadMbps(l.ID)
-			if math.Abs(a-b) > 1e-6 {
-				t.Fatalf("step %d link %d: incremental %v vs recomputed %v", step, l.ID, a, b)
-			}
-		}
-	}
-
 	for step := 0; step < 120; step++ {
 		switch rng.Intn(3) {
-		case 0: // rate mutation: picked up by the next Sync
+		case 0: // rate mutation: picked up by the next Sync or move
 			u, v := vms[rng.Intn(len(vms))], vms[rng.Intn(len(vms))]
 			if u != v {
 				tm.Set(u, v, rng.Float64()*60)
 			}
-		case 1: // migration: drain the changelog first, then shift
+		case 1: // migration
 			u := vms[rng.Intn(len(vms))]
 			target := cluster.HostID(rng.Intn(topo.Hosts()))
 			if cl.HostOf(u) == target || !cl.Fits(u, target) {
 				continue
 			}
-			net.Sync(tm, cl)
-			from := cl.HostOf(u)
 			if err := cl.Move(u, target); err != nil {
 				t.Fatal(err)
 			}
-			for _, ed := range tm.NeighborEdges(u) {
-				hz := cl.HostOf(ed.Peer)
-				net.ShiftPair(u, ed.Peer, from, hz, -ed.Rate)
-				net.ShiftPair(u, ed.Peer, target, hz, ed.Rate)
-			}
 		case 2: // sample tick
 			net.Sync(tm, cl)
-			check(step)
+			sameLoads(t, step, net, topo, tm, cl)
 		}
 	}
 	net.Sync(tm, cl)
-	check(-1)
+	sameLoads(t, -1, net, topo, tm, cl)
 
 	// A matrix swap must fall back to a full recompute.
 	swapped := tm.Scaled(2)
 	net.Sync(swapped, cl)
-	fresh := NewNetwork(topo)
-	fresh.Recompute(swapped, cl)
-	for _, l := range topo.Links() {
-		if math.Abs(net.LinkLoadMbps(l.ID)-fresh.LinkLoadMbps(l.ID)) > 1e-6 {
-			t.Fatal("Sync after matrix swap did not recompute")
-		}
-	}
+	sameLoads(t, -2, net, topo, swapped, cl)
 }
 
 func TestMaxUtilization(t *testing.T) {

@@ -9,16 +9,17 @@ import (
 // Network tracks per-link offered load for the current allocation and
 // traffic matrix. Pairwise rates are routed over shortest paths with
 // per-flow ECMP (the pair's stable hash picks among equal-cost paths).
+// A traffic.Follower of the bound (matrix, cluster) pair keeps the loads
+// current: moves shift them as they happen, rate changes fold on Sync.
 type Network struct {
 	topo topology.Topology
 	load []float64 // Mb/s per link, indexed by LinkID
 	path []topology.LinkID
 
-	// Incremental base for Sync: the matrix and generation the loads
-	// were last brought up to date against. baseTM is identity only —
-	// never dereferenced for reads beyond ChangesSince.
-	baseTM  *traffic.Matrix
-	baseGen uint64
+	// f follows (tm, cl); nil until the first Recompute and once detached.
+	f  *traffic.Follower
+	tm *traffic.Matrix
+	cl *cluster.Cluster
 }
 
 // NewNetwork creates a load tracker over topo's links.
@@ -30,76 +31,46 @@ func NewNetwork(topo topology.Topology) *Network {
 	}
 }
 
-// Recompute rebuilds every link load from scratch for the given traffic
-// matrix and allocation. Cost is O(pairs · path length).
+// Recompute binds the network to the given traffic matrix and allocation
+// and rebuilds every link load from scratch. Cost is O(pairs · path
+// length).
 func (n *Network) Recompute(tm *traffic.Matrix, cl *cluster.Cluster) {
-	for i := range n.load {
-		n.load[i] = 0
+	if n.f == nil || n.tm != tm || n.cl != cl {
+		n.Detach()
+		n.f, n.tm, n.cl = traffic.Follow(tm, cl, n.reset, n.addPair), tm, cl
 	}
-	pairs, rates := tm.Pairs()
-	for i, p := range pairs {
-		ha, hb := cl.HostOf(p.A), cl.HostOf(p.B)
-		if ha == cluster.NoHost || hb == cluster.NoHost || ha == hb {
-			continue
-		}
-		n.path = n.topo.PathLinks(n.path[:0], ha, hb, topology.PairHash(p.A, p.B))
-		for _, l := range n.path {
-			n.load[l] += rates[i]
-		}
-	}
-	n.baseTM, n.baseGen = tm, tm.Generation()
+	n.f.Invalidate()
+	n.f.Sync()
 }
 
-// Sync brings the link loads up to date with the matrix by folding its
-// edge changelog (ChangesSince) instead of rerouting the full pair list
-// — the same rollover fast path the decision engine uses for its cost
-// accounting. A matrix swap, or a base too far behind the changelog
-// window, falls back to Recompute.
-//
-// Contract: rate deltas are folded over the pairs' *current* hosts, so
-// the caller must Sync before applying an allocation change whose pair
-// contributions it shifts with ShiftPair (the simulator syncs at every
-// migration and at every sample tick). Allocation changes themselves
-// are out of scope here — ShiftPair remains the O(degree) companion for
-// those.
+// Sync brings the link loads up to date with the bound matrix and
+// allocation, folding the rate changes since the last call; a network
+// bound to another pair, or to none, recomputes.
 func (n *Network) Sync(tm *traffic.Matrix, cl *cluster.Cluster) {
-	if n.baseTM != tm {
+	if n.f == nil || n.tm != tm || n.cl != cl {
 		n.Recompute(tm, cl)
 		return
 	}
-	if tm.Generation() == n.baseGen {
-		return
-	}
-	changes, ok := tm.ChangesSince(n.baseGen)
-	if !ok {
-		n.Recompute(tm, cl)
-		return
-	}
-	for _, ch := range changes {
-		ha, hb := cl.HostOf(ch.A), cl.HostOf(ch.B)
-		if ha == cluster.NoHost || hb == cluster.NoHost || ha == hb {
-			continue
-		}
-		delta := ch.New - ch.Old
-		if delta == 0 {
-			continue
-		}
-		n.path = n.topo.PathLinks(n.path[:0], ha, hb, topology.PairHash(ch.A, ch.B))
-		for _, l := range n.path {
-			n.load[l] += delta
-		}
-	}
-	n.baseGen = tm.Generation()
+	n.f.Sync()
 }
 
-// ShiftPair moves one pair's contribution when an endpoint relocates:
-// call with the old hosts and delta = -rate, then the new hosts and
-// delta = +rate. This keeps migrations O(degree) instead of O(pairs).
-func (n *Network) ShiftPair(u, v cluster.VMID, hu, hv cluster.HostID, delta float64) {
-	if hu == cluster.NoHost || hv == cluster.NoHost || hu == hv {
+// Detach stops following the bound pair; the loads keep their last
+// values until the next Recompute.
+func (n *Network) Detach() {
+	if n.f != nil {
+		n.f.Detach()
+		n.f = nil
+	}
+}
+
+func (n *Network) reset() { clear(n.load) }
+
+// addPair routes delta over the pair's path between hosts ha and hb.
+func (n *Network) addPair(a, b cluster.VMID, ha, hb cluster.HostID, delta float64) {
+	if ha == cluster.NoHost || hb == cluster.NoHost || ha == hb {
 		return
 	}
-	n.path = n.topo.PathLinks(n.path[:0], hu, hv, topology.PairHash(u, v))
+	n.path = n.topo.PathLinks(n.path[:0], ha, hb, topology.PairHash(a, b))
 	for _, l := range n.path {
 		n.load[l] += delta
 	}

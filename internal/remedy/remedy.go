@@ -81,7 +81,9 @@ type Controller struct {
 }
 
 // NewController wires a controller over live cluster state. The network
-// tracker is owned by the controller and recomputed each round.
+// tracker is owned by the controller: it follows the cluster's moves and
+// is synced with the matrix each round. Detach it (Network().Detach())
+// when the controller is done.
 func NewController(topo topology.Topology, cl *cluster.Cluster, tm *traffic.Matrix, cfg Config, rng *rand.Rand) (*Controller, error) {
 	if topo == nil || cl == nil || tm == nil || rng == nil {
 		return nil, fmt.Errorf("remedy: nil dependency")
@@ -98,7 +100,7 @@ func NewController(topo topology.Topology, cl *cluster.Cluster, tm *traffic.Matr
 	}, nil
 }
 
-// Network exposes the controller's link view (recomputed by Round).
+// Network exposes the controller's link view (synced by Round).
 func (c *Controller) Network() *netsim.Network { return c.net }
 
 // candidate is a VM contributing load to a congested link.
@@ -113,7 +115,7 @@ type candidate struct {
 // links, rank VM candidates by benefit/cost, and migrate the best ones
 // to load-balancing targets. It returns the executed migrations.
 func (c *Controller) Round() []Migration {
-	c.net.Recompute(c.tm, c.cl)
+	c.net.Sync(c.tm, c.cl)
 	congested := c.congestedLinks()
 	if len(congested) == 0 {
 		return nil
@@ -138,7 +140,7 @@ func (c *Controller) Round() []Migration {
 				continue
 			}
 			from := c.cl.HostOf(cand.vm)
-			if err := c.moveVM(cand.vm, target); err != nil {
+			if err := c.cl.Move(cand.vm, target); err != nil {
 				continue
 			}
 			done = append(done, Migration{
@@ -285,18 +287,4 @@ func (c *Controller) pathUses(u, v cluster.VMID, hu, hv cluster.HostID, link top
 		}
 	}
 	return false
-}
-
-// moveVM applies the migration and incrementally updates link loads.
-func (c *Controller) moveVM(vm cluster.VMID, target cluster.HostID) error {
-	from := c.cl.HostOf(vm)
-	if err := c.cl.Move(vm, target); err != nil {
-		return err
-	}
-	for _, ed := range c.tm.NeighborEdges(vm) {
-		hz := c.cl.HostOf(ed.Peer)
-		c.net.ShiftPair(vm, ed.Peer, from, hz, -ed.Rate)
-		c.net.ShiftPair(vm, ed.Peer, target, hz, ed.Rate)
-	}
-	return nil
 }

@@ -169,15 +169,14 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 			return nil, err
 		}
 		// Mirror each committed move: model its transfer under the link
-		// load as it stands, shift its flows, and apply it to the
-		// metrics cluster — the same sequence as a single-token
+		// load as it stands, then apply it to the metrics cluster, which
+		// shifts its flows — the same sequence as a single-token
 		// migration, driven by the agent plane's decisions.
 		for _, d := range rep.Applied {
-			r.modelMigration(d.From, d.Target)
+			r.modelMigration(r.net.HostLinkUtilization(d.From), r.net.HostLinkUtilization(d.Target))
 			if err := cl.Move(d.VM, d.Target); err != nil {
 				return nil, fmt.Errorf("sim: mirroring distributed move of VM %d: %w", d.VM, err)
 			}
-			r.shiftFlows(d.VM, d.From, d.Target, cl.HostOf)
 		}
 		for _, ring := range rep.Rings {
 			st := stats(ring.Shard)

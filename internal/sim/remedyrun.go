@@ -46,6 +46,8 @@ func RunRemedy(eng *core.Engine, cfg RemedyConfig, rng *rand.Rand) (*Metrics, er
 	if err != nil {
 		return nil, err
 	}
+	net := ctrl.Network()
+	defer net.Detach()
 	des := netsim.NewEngine()
 	var m Metrics
 	m.InitialCost = eng.TotalCost()
@@ -75,8 +77,7 @@ func RunRemedy(eng *core.Engine, cfg RemedyConfig, rng *rand.Rand) (*Metrics, er
 	des.RunUntil(cfg.DurationS)
 
 	m.FinalCost = eng.TotalCost()
-	net := ctrl.Network()
-	net.Recompute(eng.Traffic(), eng.Cluster())
+	net.Sync(eng.Traffic(), eng.Cluster())
 	m.UtilizationByLevel = map[int][]float64{
 		1: net.UtilizationAtLevel(1),
 		2: net.UtilizationAtLevel(2),

@@ -7,13 +7,13 @@ package sim
 // simulated time advances by the longest ring's hop count (the rings
 // overlap in wall-clock), and the cost series is sampled at round
 // boundaries. Migration durations and downtimes are still drawn from
-// the pre-copy model under the current link load, so Fig. 5-style
-// distributions remain comparable with single-token runs.
+// the pre-copy model under the link load, so Fig. 5-style distributions
+// remain comparable with single-token runs. The link loads follow every
+// applied move through the network's traffic.Follower.
 
 import (
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/control"
-	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/shard"
 )
 
@@ -30,13 +30,13 @@ func (r *Runner) controller() (*control.Controller, func()) {
 }
 
 // modelMigration draws the pre-copy model for one executed move under
-// the worse of the two endpoints' access-link loads and folds the
+// the worse of the two endpoints' access-link utilizations and folds the
 // result into the metrics — the per-migration accounting shared by the
 // in-process and distributed sharded modes.
-func (r *Runner) modelMigration(from, target cluster.HostID) {
-	bg := r.net.HostLinkUtilization(from)
-	if t := r.net.HostLinkUtilization(target); t > bg {
-		bg = t
+func (r *Runner) modelMigration(from, target float64) {
+	bg := from
+	if target > bg {
+		bg = target
 	}
 	mres := r.cfg.Model.Migrate(r.cfg.Workloads.Draw(r.rng), bg)
 	r.metrics.TotalMigratedMB += mres.MigratedMB
@@ -54,43 +54,6 @@ func (r *Runner) finishUtilization(cl *cluster.Cluster) {
 	}
 }
 
-// shiftApplied folds one round's applied migrations into the link loads
-// with ShiftPair, replaying them in application order. The cluster
-// already holds the post-round allocation, so each VM's round-start
-// position is reconstructed from the move list (a VM's first move names
-// it in From) and peer positions are advanced move by move — every
-// shift uses the allocation as it stood at that point of the round.
-func (r *Runner) shiftApplied(applied []core.Decision) {
-	if len(applied) == 0 {
-		return
-	}
-	cl := r.eng.Cluster()
-	pos := make(map[cluster.VMID]cluster.HostID, len(applied))
-	for i := len(applied) - 1; i >= 0; i-- {
-		pos[applied[i].VM] = applied[i].From
-	}
-	hostOf := func(vm cluster.VMID) cluster.HostID {
-		if h, ok := pos[vm]; ok {
-			return h
-		}
-		return cl.HostOf(vm) // unmoved this round: current == round start
-	}
-	for _, d := range applied {
-		r.shiftFlows(d.VM, d.From, d.Target, hostOf)
-		pos[d.VM] = d.Target
-	}
-}
-
-// shiftFlows moves vm's flows off the paths out of host from and onto
-// the paths out of host to; hostOf places the peer end of each flow.
-func (r *Runner) shiftFlows(vm cluster.VMID, from, to cluster.HostID, hostOf func(cluster.VMID) cluster.HostID) {
-	for _, ed := range r.eng.Traffic().NeighborEdges(vm) {
-		hz := hostOf(ed.Peer)
-		r.net.ShiftPair(vm, ed.Peer, from, hz, -ed.Rate)
-		r.net.ShiftPair(vm, ed.Peer, to, hz, ed.Rate)
-	}
-}
-
 // runRounds is the round loop of both sharded planes: the hop clock
 // (rings overlap, so a round costs its longest ring), the per-shard
 // roll-up, the iteration and cost series, the stop conditions — the
@@ -99,13 +62,14 @@ func (r *Runner) shiftFlows(vm cluster.VMID, from, to cluster.HostID, hostOf fun
 // the plane, folds what it applied into the mirror cluster and the link
 // loads, adds any plane-specific extras to the shard totals stats
 // returns, and returns the round, which the run's totals are summed
-// from.
+// from. The network is detached at the end.
 func (r *Runner) runRounds(step func(stats func(shard int) *ShardStats) (*shard.Round, error)) (*Metrics, error) {
 	cl := r.eng.Cluster()
 	r.metrics.InitialCost = r.eng.TotalCost()
 	r.metrics.Cost.Append(0, r.metrics.InitialCost)
 	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
 	r.net.Recompute(r.eng.Traffic(), cl)
+	defer r.net.Detach()
 
 	perShard := map[int]*ShardStats{}
 	stats := func(shard int) *ShardStats {
@@ -185,21 +149,20 @@ func (r *Runner) runSharded() (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
+	util := make([]float64, r.eng.Cluster().NumHosts())
 	return r.runRounds(func(func(int) *ShardStats) (*shard.Round, error) {
+		// The merge shifts the link loads move by move; every move is
+		// modelled under the loads of the round's starting allocation.
+		for h := range util {
+			util[h] = r.net.HostLinkUtilization(cluster.HostID(h))
+		}
 		res, err := coord.RunRound()
 		if err != nil {
 			return nil, err
 		}
-		// Per-migration modeling: durations, downtime and moved bytes
-		// under the link load of the round's starting allocation.
 		for _, d := range res.Applied {
-			r.modelMigration(d.From, d.Target)
+			r.modelMigration(util[d.From], util[d.Target])
 		}
-		// Fold the round into the link loads incrementally: any traffic
-		// changelog first (over round-start positions), then the applied
-		// moves replayed in order — no full-pair Recompute per round.
-		r.net.Sync(r.eng.Traffic(), r.eng.Cluster())
-		r.shiftApplied(res.Applied)
 		return res, nil
 	})
 }

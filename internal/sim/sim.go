@@ -307,6 +307,7 @@ func (r *Runner) Run() (*Metrics, error) {
 	r.metrics.Cost.Append(0, r.metrics.InitialCost)
 	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
 	r.net.Recompute(r.eng.Traffic(), cl)
+	defer r.net.Detach()
 
 	if r.cfg.MaxIterations > 0 {
 		r.hopsLeft = r.cfg.MaxIterations * r.numVMs
@@ -314,12 +315,9 @@ func (r *Runner) Run() (*Metrics, error) {
 		r.hopsLeft = -1
 	}
 
-	// Cost sampling tick. Link loads are maintained incrementally
-	// (ShiftPair per migration, Sync folding any traffic-matrix
-	// changelog), so the tick no longer pays a full-pair Recompute.
+	// Cost sampling tick.
 	var sample func()
 	sample = func() {
-		r.net.Sync(r.eng.Traffic(), cl)
 		r.appendCost(r.des.Now())
 		if r.des.Now()+r.cfg.SampleIntervalS <= r.cfg.DurationS {
 			r.des.After(r.cfg.SampleIntervalS, sample)
@@ -411,8 +409,8 @@ func (r *Runner) holderView(u cluster.VMID) token.HolderView {
 // until its pre-copy would have finished.
 func (r *Runner) startMigration(dec core.Decision) {
 	cl := r.eng.Cluster()
-	// Drain any pending rate changes over the pre-move allocation before
-	// the move's ShiftPairs rewrite the affected paths.
+	// The model reads the link loads as they stand: fold pending rate
+	// changes first. The move itself shifts the loads.
 	r.net.Sync(r.eng.Traffic(), cl)
 	bg := r.net.HostLinkUtilization(dec.From)
 	if t := r.net.HostLinkUtilization(dec.Target); t > bg {
@@ -420,12 +418,10 @@ func (r *Runner) startMigration(dec core.Decision) {
 	}
 	res := r.cfg.Model.Migrate(r.cfg.Workloads.Draw(r.rng), bg)
 
-	from := cl.HostOf(dec.VM)
 	if err := cl.Move(dec.VM, dec.Target); err != nil {
 		r.metrics.AbortedMigrations++
 		return
 	}
-	r.shiftFlows(dec.VM, from, dec.Target, cl.HostOf)
 	r.iterMigs++
 	r.metrics.TotalMigrations++
 	r.ob.plane.Migrations.Inc()

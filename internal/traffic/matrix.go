@@ -10,8 +10,8 @@ import (
 
 // EdgeChange records one pair-rate mutation: λ(A, B) moved from Old to
 // New. A sequence of changes replays a matrix's recent history, letting
-// consumers (the engine's incremental accounting) fold traffic-window
-// rollovers edge by edge instead of rebuilding from the full pair list.
+// a Follower fold traffic-window rollovers edge by edge instead of
+// rebuilding from the full pair list.
 type EdgeChange struct {
 	Pair
 	Old, New float64

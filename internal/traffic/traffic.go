@@ -64,12 +64,12 @@
 // admits only pairs whose endpoints the cluster has registered.
 //
 // A generation counter increments on every mutation; it backs the
-// lazily rebuilt pair-list cache served by Pairs and lets consumers
-// (e.g. the engine's incremental cost accounting) detect in-place
-// mutation. Each mutation is additionally recorded in a bounded
-// edge-level changelog (ChangesSince), so consumers a few generations
-// behind can fold the delta per edge instead of rebuilding from the
-// full pair list — the traffic-window rollover fast path.
+// lazily rebuilt pair-list cache served by Pairs. Each mutation is also
+// recorded in a bounded edge-level changelog (ChangesSince). A consumer
+// keeping a sum over pairs — the engine's cost accounting, the planner's
+// summary, the link loads — reads it through a Follower, which folds
+// the delta per edge, and each move per row, instead of rebuilding from
+// the full pair list.
 //
 // # Slice ownership
 //
