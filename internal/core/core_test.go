@@ -72,11 +72,11 @@ type fixture struct {
 	eng  *Engine
 }
 
-func newFixture(t *testing.T, cfg Config) *fixture { return newFixtureNIC(t, cfg, 1000) }
+func newFixture(t testing.TB, cfg Config) *fixture { return newFixtureNIC(t, cfg, 1000) }
 
 // newFixtureNIC is newFixture on hosts with nicMbps NICs; zero leaves
 // them unconstrained.
-func newFixtureNIC(t *testing.T, cfg Config, nicMbps float64) *fixture {
+func newFixtureNIC(t testing.TB, cfg Config, nicMbps float64) *fixture {
 	t.Helper()
 	topo, err := topology.NewCanonicalTree(topology.CanonicalConfig{
 		Racks: 8, HostsPerRack: 4, RacksPerPod: 2, CoreSwitches: 2,

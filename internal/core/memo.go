@@ -46,9 +46,10 @@ import (
 //	a host gained load or lost room         nothing
 //	Restore, SetTraffic, changelog overrun, every verdict dropped
 //	  32-bit clock wrap
-//	a view's own staged commit, within      that view re-evaluates u if a peer's overlay
-//	  the round                             host differs from the cluster's, or if u was
-//	                                        refused and the commit touched a peer's rack
+//	a view's own staged commit of w,        w and every peer of w marked near in that view;
+//	  within the round                      it re-evaluates a near u if u's or a peer's
+//	                                        overlay host differs from the cluster's, and a
+//	                                        refused u if any commit touched a peer's rack
 //
 // "Dirty" clears the VM's verdict. "Relaxed" acts only on a host that
 // has refused somebody while offering ΔC > c_m (a per-host flag set when
@@ -56,12 +57,15 @@ import (
 // stamped with a fresh clock value. A verdict that had a refusal is
 // stale once any peer's rack carries a stamp newer than the verdict —
 // every blocking host sits in a peer's rack, and the peers cannot have
-// moved or u would be dirty. So a skip costs one load, plus one rack
-// stamp per peer for verdicts that had a refusal; an evaluated visit
-// costs one resolve pass over u's row, then one multiply-add per peer
-// for each peer host and each expanded rack (Kernel.Score; see
-// Kernel.Best), summed in row order, so the ΔC a visit decides on is bit
-// for bit the ΔC Commit and Apply realize.
+// moved or u would be dirty. So a skip costs one load, plus one bit test
+// once the view has staged commits; a verdict that had a refusal adds one
+// rack stamp per peer (and one touched-rack test in a staged view), and
+// only a near VM compares each peer's overlay host with the cluster's —
+// one walk of its row for the few visits a staged move reached. An
+// evaluated visit costs one resolve pass over u's row, then one
+// multiply-add per peer for each peer host and each expanded rack
+// (Kernel.Score; see Kernel.Best), summed in row order, so the ΔC a
+// visit decides on is bit for bit the ΔC Commit and Apply realize.
 //
 // Frozen views decide against an overlay, concurrently. A frozen view
 // stamps its verdicts with the clock frozen when the view was reset, so
@@ -278,22 +282,27 @@ func (e *Engine) Visit(u cluster.VMID) (dec Decision, ok, skipped bool) {
 // stillQuiet is the skip test for a verdict recorded at clock q. A
 // verdict that had a refusal is stale once a rack that can hold one of
 // u's blocking hosts — a peer's rack — was relaxed after q. Once this
-// view has staged commits it also takes agreement of the overlay with
-// the cluster on u and its peers, and no staged commit touching such a
-// rack.
+// view has staged commits it also takes no staged commit touching such a
+// rack and, when u is near a staged move, agreement of the overlay with
+// the cluster on u and its peers. Near means marked: Commit marks the
+// mover and every peer of it, and the traffic matrix is symmetric and
+// frozen for the view's life, so an unmarked u has no peer this view
+// moved and the row walk could only confirm it; a VM moved out and back,
+// or outside the table, is walked.
 func (v *AllocView) stillQuiet(u cluster.VMID, q uint32, refused bool) bool {
 	staged := len(v.commits) > 0
-	if !staged && !refused {
+	near := staged && v.marked(u)
+	if !near && !refused {
 		return true
 	}
 	e := v.eng
 	m := &e.memo
-	if staged && v.HostOf(u) != e.cl.HostOf(u) {
+	if near && v.HostOf(u) != e.cl.HostOf(u) {
 		return false
 	}
 	for _, ed := range e.tm.NeighborEdges(u) {
 		hz := e.cl.HostOf(ed.Peer)
-		if staged && v.HostOf(ed.Peer) != hz {
+		if near && v.HostOf(ed.Peer) != hz {
 			return false
 		}
 		if refused && hz != cluster.NoHost {
@@ -338,6 +347,20 @@ func (v *AllocView) touch(h cluster.HostID) {
 	if h != cluster.NoHost {
 		v.touched[v.k.rackSlot(h)] = v.touchEpoch
 	}
+}
+
+// mark records vm as near one of this view's staged commits (see
+// stillQuiet); marked reports it. A VM past the bitmap has no bit and
+// counts as near.
+func (v *AllocView) mark(vm cluster.VMID) {
+	if i := uint(vm - v.denseBase); i/64 < uint(len(v.near)) {
+		v.near[i/64] |= 1 << (i % 64)
+	}
+}
+
+func (v *AllocView) marked(vm cluster.VMID) bool {
+	i := uint(vm - v.denseBase)
+	return i/64 >= uint(len(v.near)) || v.near[i/64]&(1<<(i%64)) != 0
 }
 
 // primeMemo syncs the engine's memo and freezes the view's verdict

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"github.com/score-dc/score/internal/cluster"
@@ -22,7 +24,7 @@ func TestMain(m *testing.M) {
 // visitPass visits every VM once through the serial engine, applying
 // what it finds, and returns how many visits were skipped and the
 // decisions applied.
-func visitPass(t *testing.T, eng *Engine) (skipped int, applied []Decision) {
+func visitPass(t testing.TB, eng *Engine) (skipped int, applied []Decision) {
 	t.Helper()
 	for _, u := range eng.cl.VMs() {
 		dec, ok, skip := eng.Visit(u)
@@ -40,7 +42,7 @@ func visitPass(t *testing.T, eng *Engine) (skipped int, applied []Decision) {
 }
 
 // settle runs visit passes until one applies nothing.
-func settle(t *testing.T, eng *Engine) {
+func settle(t testing.TB, eng *Engine) {
 	t.Helper()
 	for i := 0; i < 64; i++ {
 		if _, applied := visitPass(t, eng); len(applied) == 0 {
@@ -423,6 +425,58 @@ func TestVisitZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("evaluated view visit: %v allocs", n)
 	}
+
+	// A view with a staged commit skips through the near marks, and a
+	// reset reuses their storage.
+	staged, quiet := stagedQuietView(t, fx)
+	if n := testing.AllocsPerRun(200, func() {
+		if _, _, skip := staged.Visit(quiet[i%len(quiet)]); !skip {
+			t.Fatal("staged view visit not skipped")
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("skipped visit after a staged commit: %v allocs", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { fx.eng.ResetView(staged) }); n != 0 {
+		t.Errorf("ResetView of a warmed view: %v allocs", n)
+	}
+}
+
+// stagedQuietView returns a fresh view over fx's settled engine with one
+// commit staged, and the VMs it still skips after the commit.
+func stagedQuietView(tb testing.TB, fx *fixture) (*AllocView, []cluster.VMID) {
+	tb.Helper()
+	vms := fx.cl.VMs()
+	v := fx.eng.NewView()
+	for h := 0; len(v.Commits()) == 0 && h < fx.cl.NumHosts(); h++ {
+		v.Commit(Decision{VM: vms[0], Target: cluster.HostID(h)})
+	}
+	var quiet []cluster.VMID
+	for _, u := range vms {
+		if _, _, skip := v.Visit(u); skip {
+			quiet = append(quiet, u)
+		}
+	}
+	if len(v.Commits()) == 0 || len(quiet) == 0 {
+		tb.Fatalf("%d commits staged, %d visits skipped after them", len(v.Commits()), len(quiet))
+	}
+	return v, quiet
+}
+
+// BenchmarkViewVisitStagedSkip is a quiet visit in a view that has
+// staged a commit — what a ring pays per quiet holder after its first
+// move. Must read 0 allocs/op (TestVisitZeroAllocs is the hard gate).
+func BenchmarkViewVisitStagedSkip(b *testing.B) {
+	defer func(on bool) { checkSkips = on }(checkSkips)
+	checkSkips = false
+	fx := newFixture(b, DefaultConfig())
+	settle(b, fx.eng)
+	v, quiet := stagedQuietView(b, fx)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.Visit(quiet[i%len(quiet)])
+	}
 }
 
 // TestViewVisitRounds drives view rounds the way a coordinator does —
@@ -486,6 +540,155 @@ func TestViewVisitRounds(t *testing.T) {
 	if a, b := fx.eng.TotalCost(), twin.eng.TotalCost(); a != b {
 		t.Fatalf("total cost diverged: %v vs %v", a, b)
 	}
+}
+
+// rowWalkQuiet is stillQuiet without the near marks: every skip of a view
+// with staged commits walks u's row and compares each peer's overlay host
+// with the cluster's — the reference the marks must equal.
+func rowWalkQuiet(v *AllocView, u cluster.VMID, q uint32, refused bool) bool {
+	staged := len(v.commits) > 0
+	if !staged && !refused {
+		return true
+	}
+	e := v.eng
+	if staged && v.HostOf(u) != e.cl.HostOf(u) {
+		return false
+	}
+	for _, ed := range e.tm.NeighborEdges(u) {
+		hz := e.cl.HostOf(ed.Peer)
+		if staged && v.HostOf(ed.Peer) != hz {
+			return false
+		}
+		if refused && hz != cluster.NoHost {
+			r := e.kern.rackSlot(hz)
+			if e.memo.relaxed[r] > q || (staged && v.touched[r] == v.touchEpoch) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestNearMarksEqualRowWalk: the skip test that reads the near marks
+// answers what the full row walk answers, for every VM, refused verdict
+// or not, after every commit of random rounds — a VM committed out and
+// back, self-moves, commits whose peers lie outside the placement table,
+// and ResetView between rounds included.
+func TestNearMarksEqualRowWalk(t *testing.T) {
+	fx := newFixture(t, DefaultConfig())
+	eng, cl, tm := fx.eng, fx.cl, fx.tm
+	vms := cl.VMs()
+	// far lies outside the placement table and has no bit; it is a peer
+	// of vms[0].
+	far := vms[len(vms)-1] + 1000
+	if base, alloc := cl.DenseAlloc(); int(far-base) < len(alloc) {
+		t.Fatalf("VM %d lies inside the placement table", far)
+	}
+	tm.Set(vms[0], far, 9)
+	ids := append(slices.Clone(vms), far, 0)
+
+	rng := rand.New(rand.NewSource(3))
+	var view *AllocView
+	var checks, nearSkips, farSkips int
+	compare := func(when string) {
+		t.Helper()
+		for _, u := range ids {
+			for _, q := range []uint32{1, view.stamp} {
+				for _, refused := range []bool{false, true} {
+					got, want := view.stillQuiet(u, q, refused), rowWalkQuiet(view, u, q, refused)
+					if got != want {
+						t.Fatalf("%s: stillQuiet(%d, q=%d, refused=%v) = %v, row walk %v", when, u, q, refused, got, want)
+					}
+					checks++
+					if got && len(view.commits) > 0 && !refused {
+						if view.marked(u) {
+							nearSkips++
+						} else {
+							farSkips++
+						}
+					}
+				}
+			}
+		}
+	}
+	unmarked := func(when string) {
+		t.Helper()
+		for i, w := range view.near {
+			if w != 0 {
+				t.Fatalf("%s: near word %d = %#x, want no marks", when, i, w)
+			}
+		}
+	}
+	for round := 0; round < 6; round++ {
+		view = eng.ResetView(view)
+		unmarked(fmt.Sprintf("round %d reset", round))
+		compare(fmt.Sprintf("round %d reset", round))
+
+		// Self-moves stage nothing and mark nothing.
+		for _, u := range vms[:8] {
+			if _, err := view.Commit(Decision{VM: u, Target: view.HostOf(u)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if len(view.commits) != 0 {
+			t.Fatalf("round %d: self-moves staged %d commits", round, len(view.commits))
+		}
+		unmarked(fmt.Sprintf("round %d self-moves", round))
+
+		// Out and back: the mover and its peers stay marked, and the walk
+		// confirms what the overlay no longer shows.
+		u := vms[rng.Intn(len(vms))]
+		home := view.HostOf(u)
+		for h := 0; h < cl.NumHosts(); h++ {
+			if cluster.HostID(h) == home {
+				continue
+			}
+			if _, err := view.Commit(Decision{VM: u, Target: cluster.HostID(h)}); err == nil {
+				break
+			}
+		}
+		compare(fmt.Sprintf("round %d VM %d out", round, u))
+		if _, err := view.Commit(Decision{VM: u, Target: home}); err != nil {
+			t.Fatal(err)
+		}
+		if !view.marked(u) || view.HostOf(u) != cl.HostOf(u) {
+			t.Fatalf("round %d: VM %d back home unmarked or misplaced", round, u)
+		}
+		compare(fmt.Sprintf("round %d VM %d back", round, u))
+
+		// Visits record verdicts (refusals, blocking hosts) as a ring would.
+		// Their moves are staged, and random ones: every third VM, and
+		// every other round vms[0], whose peer lies outside the table.
+		for i, u := range vms {
+			dec, ok, _ := view.Visit(u)
+			if !ok && i%3 == 0 {
+				dec, ok = Decision{VM: u, Target: cluster.HostID(rng.Intn(cl.NumHosts()))}, true
+			}
+			if round%2 == 0 && i == 0 {
+				dec, ok = Decision{VM: u, Target: cluster.HostID(rng.Intn(cl.NumHosts()))}, true
+			}
+			if !ok {
+				continue
+			}
+			if _, err := view.Commit(dec); err == nil {
+				compare(fmt.Sprintf("round %d commit of VM %d", round, u))
+			}
+		}
+		// Merge some of it so the next round starts elsewhere, with hosts
+		// relaxed; the rest is rejected, as a merge would.
+		for _, d := range view.Commits() {
+			if rng.Intn(2) == 0 {
+				if _, err := eng.Apply(d); err == nil {
+					continue
+				}
+			}
+			eng.Rejected(d)
+		}
+	}
+	if nearSkips == 0 || farSkips == 0 {
+		t.Fatalf("%d comparisons: %d near skips, %d unmarked skips in staged views; the marks were not exercised", checks, nearSkips, farSkips)
+	}
+	t.Logf("%d comparisons: %d near skips, %d unmarked skips in staged views", checks, nearSkips, farSkips)
 }
 
 // TestRebuildTimingDoesNotChangeDecisions: an accounting rebuild gives

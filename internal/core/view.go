@@ -59,10 +59,13 @@ type AllocView struct {
 	// Visit state (see visitMemo): stamp is the engine's memo clock as of
 	// the view's last sync — frozen at reset, or the live view's current
 	// one; touched[r] == touchEpoch marks rack r as rewritten by one of
-	// this view's staged commits.
+	// this view's staged commits; near is a bitmap over the placement
+	// table's window marking every VM this view moved and every peer of
+	// one (see stillQuiet).
 	stamp      uint32
 	touched    []uint32
 	touchEpoch uint32
+	near       []uint64
 }
 
 // NewView creates a frozen decision view over the engine's current
@@ -87,6 +90,12 @@ func (e *Engine) ResetView(v *AllocView) *AllocView {
 	v.commits = v.commits[:0]
 	v.primeMemo()
 	v.denseBase, v.dense = e.cl.DenseAllocSnapshotInto(v.dense)
+	if n := (len(v.dense) + 63) / 64; cap(v.near) < n {
+		v.near = make([]uint64, n)
+	} else {
+		v.near = v.near[:n]
+		clear(v.near)
+	}
 	return v
 }
 
@@ -296,15 +305,17 @@ func (v *AllocView) Commit(d Decision) (float64, error) {
 	v.ramD[d.Target] += int32(n.RAMMB)
 	v.cpuD[cur] -= int32(n.CPUMilli)
 	v.cpuD[d.Target] += int32(n.CPUMilli)
-	// Every host whose room or NIC load this commit rewrites is touched
-	// for Visit (see stillQuiet). The NIC-load deltas are folded before
-	// the overlay records the move so peers' positions are read
-	// consistently.
+	// Every host whose room or NIC load this commit rewrites is touched,
+	// and the mover and its peers are marked, for Visit (see stillQuiet).
+	// The NIC-load deltas are folded before the overlay records the move
+	// so peers' positions are read consistently.
 	v.touch(cur)
 	v.touch(d.Target)
+	v.mark(d.VM)
 	for _, ed := range v.eng.tm.NeighborEdges(d.VM) {
 		hz := v.HostOf(ed.Peer)
 		v.touch(hz)
+		v.mark(ed.Peer)
 		foldNICLoad(v.netD, cur, d.Target, hz, ed.Rate)
 	}
 	v.dense[d.VM-v.denseBase] = d.Target // placed, so inside the table

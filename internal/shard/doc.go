@@ -71,10 +71,13 @@
 // A ring's token visit is core.AllocView.Visit: the BestMigration
 // kernel, skipped for a holder whose last full evaluation found no move
 // and whose dependencies have not changed since (core's visit memo; the
-// decision is always the kernel's). ShardRound.Skipped and
-// score_token_visits_total{outcome} count the two outcomes. A staged
-// commit that the merge phase drops is reported to the engine
-// (RejectObserver) so verdicts computed against it are voided.
+// decision is always the kernel's). A skip is a verdict load and, once
+// the ring has staged a commit, one test of the view's near marks (set
+// on the mover and its peers by each commit); only a holder near a staged
+// move, or one whose verdict had a refusal, walks its traffic row.
+// ShardRound.Skipped and score_token_visits_total{outcome} count the two
+// outcomes. A staged commit that the merge phase drops is reported to
+// the engine (RejectObserver) so verdicts computed against it are voided.
 //
 // A partition's rings are filled, not kept. "Every placed VM belongs to
 // the shard of its current host" makes them a function of the placement

@@ -1,0 +1,92 @@
+package shard_test
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"github.com/score-dc/score/internal/control"
+	"github.com/score-dc/score/internal/shard"
+)
+
+// TestSkipSetPinned pins which visits the memo skips, not only what is
+// decided: a visit evaluated that could have been skipped returns the
+// same decision, and a skip the kernel agrees with passes the differential
+// check, so a skip test that drifted either way would pass every
+// decision-equivalence test. Coordinators run a k=8 fat-tree to
+// quiescence, and every round must repeat the recorded applied count and
+// per-ring hops/skipped/committed/merged. (At k=8, four rack shards are
+// the four pod shards; six rack shards straddle pods.)
+func TestSkipSetPinned(t *testing.T) {
+	fourShards := []string{
+		"applied=286 129/0/46/46 131/0/38/38 127/0/49/49 125/0/38/38",
+		"applied=134 124/5/23/23 120/3/17/17 143/4/29/29 125/3/21/21",
+		"applied=53 118/26/6/6 125/34/10/10 147/33/13/13 122/32/6/6",
+		"applied=18 120/71/4/4 123/74/3/3 148/85/4/4 121/79/4/4",
+		"applied=6 117/95/2/2 124/105/0/0 150/119/0/0 121/100/1/1",
+		"applied=3 116/105/1/1 123/108/0/0 152/141/0/0 121/116/0/0",
+		"applied=0 116/107/0/0 122/121/0/0 153/148/0/0 121/120/0/0",
+	}
+	runs := []struct {
+		name   string
+		shards int
+		g      shard.Granularity
+		want   []string
+	}{
+		{"4 pod shards", 4, shard.ByPod, fourShards},
+		{"4 rack shards", 4, shard.ByRack, fourShards},
+		{"6 rack shards", 6, shard.ByRack, []string{
+			"applied=285 99/0/33/33 78/0/21/21 83/0/16/16 93/0/28/28 81/0/23/23 78/0/23/23",
+			"applied=142 100/4/23/23 80/1/7/7 72/3/8/8 106/3/24/24 78/4/9/9 76/2/8/8",
+			"applied=48 105/19/5/5 80/26/4/4 71/25/3/3 105/20/8/8 79/31/4/4 72/24/3/3",
+			"applied=20 106/64/4/4 79/44/2/2 70/46/0/0 102/58/6/6 84/53/1/1 71/46/4/4",
+			"applied=7 106/84/2/2 80/65/0/0 69/59/0/0 102/78/0/0 84/75/0/0 71/55/1/1",
+			"applied=3 107/93/1/1 80/73/0/0 67/64/0/0 103/94/0/0 84/81/0/0 71/62/0/0",
+			"applied=2 108/95/0/0 81/78/1/1 65/63/0/0 103/101/0/0 84/84/0/0 71/69/0/0",
+			"applied=2 108/100/0/0 82/74/0/0 64/63/0/0 103/102/0/0 84/82/0/0 71/68/0/0",
+			"applied=3 107/106/0/0 84/69/3/3 63/63/0/0 103/100/0/0 84/82/0/0 71/69/0/0",
+			"applied=0 107/99/0/0 84/69/0/0 63/62/0/0 103/99/0/0 84/82/0/0 71/67/0/0",
+		}},
+		{"auto-tuned", 0, 0, []string{
+			"applied=338 512/0/338/338",
+			"applied=90 512/15/90/90",
+			"applied=19 51/14/1/1 66/14/0/0 77/32/1/1 47/28/0/0 86/27/7/7 61/35/0/0 52/24/4/4 72/33/0/0",
+			"applied=7 52/43/0/0 65/41/0/0 75/46/2/2 47/43/0/0 87/56/1/1 62/54/0/0 51/38/1/1 73/57/1/1",
+			"applied=0 53/48/0/0 64/42/0/0 75/52/0/0 47/46/0/0 88/77/0/0 62/60/0/0 50/47/0/0 73/57/0/0",
+		}},
+	}
+	for _, run := range runs {
+		t.Run(run.name, func(t *testing.T) {
+			eng := shard.BuildEngine(t, 8, 29, 10)
+			cfg := shard.Config{Shards: run.shards, Granularity: run.g, Workers: 2}
+			if run.shards == 0 {
+				ctrl := control.New(eng.Topology(), control.Config{})
+				defer ctrl.Bind(eng.Traffic(), eng.Cluster())()
+				cfg.Tuner = ctrl
+			}
+			coord, err := shard.NewCoordinator(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			var got []string
+			for r := 0; r < 64; r++ {
+				round, err := coord.RunRound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				line := fmt.Sprintf("applied=%d", len(round.Applied))
+				for _, sh := range round.Shards {
+					line += fmt.Sprintf(" %d/%d/%d/%d", sh.Hops, sh.Skipped, sh.Committed, sh.Merged)
+				}
+				got = append(got, line)
+				if len(round.Applied) == 0 {
+					break
+				}
+			}
+			if !slices.Equal(got, run.want) {
+				t.Errorf("round by round, got\n%#v\nrecorded\n%#v", got, run.want)
+			}
+		})
+	}
+}
