@@ -57,11 +57,16 @@ import (
 // stamped with a fresh clock value. A verdict that had a refusal is
 // stale once any peer's rack carries a stamp newer than the verdict —
 // every blocking host sits in a peer's rack, and the peers cannot have
-// moved or u would be dirty. So a skip costs one load, plus one bit test
-// once the view has staged commits; a verdict that had a refusal adds one
-// rack stamp per peer (and one touched-rack test in a staged view), and
-// only a near VM compares each peer's overlay host with the cluster's —
-// one walk of its row for the few visits a staged move reached. An
+// moved or u would be dirty. A verdict with no refusal is also a set
+// bit of the memo's settled bitmap, and a ring pass (internal/shard) ANDs
+// its ring with that bitmap, less the view's near marks
+// (AllocView.Unsettled): a settled VM no staged move is near is never
+// visited — its skip costs the ring's share of one word test. A visited
+// skip costs one load, plus one bit test once the view has staged
+// commits; a verdict that had a refusal adds one rack stamp per peer (and
+// one touched-rack test in a staged view), and only a near VM compares
+// each peer's overlay host with the cluster's — one walk of its row for
+// the few visits a staged move reached. An
 // evaluated visit costs one resolve pass over u's row, then one
 // multiply-add per peer for each peer host and each expanded rack
 // (Kernel.Score; see Kernel.Best), summed in row order, so the ΔC a
@@ -88,6 +93,12 @@ type visitMemo struct {
 	base    cluster.VMID
 	quiet   []uint32
 	refused []bool
+	// settled is a bitmap over the same table: bit i is set exactly when
+	// quiet[i] != 0 && !refused[i], a verdict stillQuiet confirms at its
+	// first test for any VM no staged move is near (AllocView.Unsettled).
+	// A word holds VMs of different rings, so record, which concurrent
+	// views call, flips bits by compare-and-swap.
+	settled []atomic.Uint64
 	// blocks[h]: h refused somebody while offering ΔC > c_m and has not
 	// been relaxed since. Set from concurrent views, hence atomic.
 	blocks []atomic.Bool
@@ -106,7 +117,7 @@ type visitMemo struct {
 var checkSkips bool
 
 // off makes the memo inert: every visit evaluates in full.
-func (m *visitMemo) off() { m.quiet, m.refused = nil, nil }
+func (m *visitMemo) off() { m.quiet, m.refused, m.settled = nil, nil, nil }
 
 // slot maps a VM to its table index; false when the memo is inert or
 // the VM lies outside the table (registered after the last sync).
@@ -121,6 +132,41 @@ func (m *visitMemo) slot(vm cluster.VMID) (int, bool) {
 func (m *visitMemo) dirty(vm cluster.VMID) {
 	if i, ok := m.slot(vm); ok {
 		m.quiet[i] = 0
+		m.settle(i, false)
+	}
+}
+
+// settle sets or clears table entry i's settled bit.
+func (m *visitMemo) settle(i int, on bool) {
+	w, bit := &m.settled[i/64], uint64(1)<<(i%64)
+	for {
+		old := w.Load()
+		next := old &^ bit
+		if on {
+			next = old | bit
+		}
+		if next == old || w.CompareAndSwap(old, next) {
+			return
+		}
+	}
+}
+
+// rebuildSettled derives the settled bitmap from the table, reusing its
+// storage.
+func (m *visitMemo) rebuildSettled() {
+	n := (len(m.quiet) + 63) / 64
+	if cap(m.settled) < n {
+		m.settled = make([]atomic.Uint64, n)
+	}
+	m.settled = m.settled[:n]
+	for w := range m.settled {
+		var word uint64
+		for i := 64 * w; i < min(64*w+64, len(m.quiet)); i++ {
+			if m.quiet[i] != 0 && !m.refused[i] {
+				word |= 1 << (i % 64)
+			}
+		}
+		m.settled[w].Store(word)
 	}
 }
 
@@ -128,6 +174,7 @@ func (m *visitMemo) dirty(vm cluster.VMID) {
 // verdicts stale), host flags clear with the verdicts they served.
 func (m *visitMemo) drop() {
 	clear(m.quiet)
+	clear(m.settled)
 	for h := range m.blocks {
 		m.blocks[h].Store(false)
 	}
@@ -151,10 +198,12 @@ func (m *visitMemo) tick() uint32 {
 func (m *visitMemo) record(i int, moved bool, refusals []cluster.HostID, stamp uint32) {
 	if moved {
 		m.quiet[i] = 0
+		m.settle(i, false)
 		return
 	}
 	m.quiet[i] = stamp
 	m.refused[i] = len(refusals) > 0
+	m.settle(i, len(refusals) == 0)
 	for _, h := range refusals {
 		// Load first: a set flag is the common case, and a plain read
 		// keeps concurrent views off each other's cache lines.
@@ -175,6 +224,7 @@ func (m *visitMemo) resize(base cluster.VMID, n int) {
 		copy(refused[lo-int64(base):hi-int64(base)], m.refused[lo-int64(m.base):])
 	}
 	m.base, m.quiet, m.refused = base, quiet, refused
+	m.rebuildSettled()
 }
 
 // memoSync brings the memo up to date at a sequential point — before a
@@ -195,6 +245,7 @@ func (e *Engine) memoSync() {
 	case m.quiet == nil:
 		// (Re)starting: no verdict exists, so there is nothing to fold.
 		m.base, m.quiet, m.refused = base, make([]uint32, n), make([]bool, n)
+		m.rebuildSettled()
 		if m.blocks == nil {
 			m.blocks = make([]atomic.Bool, e.cl.NumHosts())
 			m.relaxed = make([]uint32, len(e.kern.rackHosts)+1)
@@ -336,9 +387,42 @@ func (v *AllocView) Visit(u cluster.VMID) (dec Decision, ok, skipped bool) {
 		}
 		return Decision{}, false, true
 	}
+	if checkSkips && v.unsettled(m.base, i/64)&(1<<(i%64)) == 0 {
+		panic(fmt.Sprintf("core: VM %d is settled in the bitmap but its visit was not skipped", u))
+	}
 	dec, ok = v.BestMigration(u)
 	m.record(i, ok, v.k.refusals, v.stamp)
 	return dec, ok, false
+}
+
+// Unsettled returns word w of the VMs a visit in this view may evaluate,
+// over the IDs base+64w … base+64w+63: a clear bit is a VM whose Visit
+// returns skipped at stillQuiet's first test — a settled verdict (no
+// move, no refusal) that no staged commit of this view is near — so a
+// ring may pass over it without calling Visit. The word is all ones when
+// the memo is inert, base is not the memo's, w lies past its table, or
+// the differential check is on (then every skip is visited and checked).
+// Read it again after a Commit: the commit may mark later VMs near.
+func (v *AllocView) Unsettled(base cluster.VMID, w int) uint64 {
+	if checkSkips {
+		return ^uint64(0)
+	}
+	return v.unsettled(base, w)
+}
+
+func (v *AllocView) unsettled(base cluster.VMID, w int) uint64 {
+	m := &v.eng.memo
+	if base != m.base || uint(w) >= uint(len(m.settled)) {
+		return ^uint64(0)
+	}
+	word := ^m.settled[w].Load()
+	if len(v.commits) > 0 {
+		if base != v.denseBase || uint(w) >= uint(len(v.near)) {
+			return ^uint64(0)
+		}
+		word |= v.near[w]
+	}
+	return word
 }
 
 // touch marks h's rack as rewritten by one of this view's staged

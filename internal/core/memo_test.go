@@ -691,6 +691,197 @@ func TestNearMarksEqualRowWalk(t *testing.T) {
 	t.Logf("%d comparisons: %d near skips, %d unmarked skips in staged views", checks, nearSkips, farSkips)
 }
 
+// TestMemoSurvivesChangelogWrap: a memo that folds the changelog between
+// every pass keeps its verdicts however often the log (4,096 entries)
+// fills — a pass after a 512-change batch on one pair re-evaluates that
+// pair's VMs (and those a relaxed host blocked), never every VM.
+func TestMemoSurvivesChangelogWrap(t *testing.T) {
+	fx := newFixture(t, DefaultConfig())
+	eng, tm := fx.eng, fx.tm
+	vms, n := fx.cl.VMs(), fx.cl.NumVMs()
+	a, b := vms[0], vms[len(vms)-1]
+	r := tm.Rate(a, b)
+	batch := func(size int) {
+		for i := 0; i < size; i++ {
+			tm.Set(a, b, r+float64(1+i%2))
+		}
+	}
+	// Half a batch first, so the log fills in the middle of a batch.
+	start := tm.Generation()
+	batch(256)
+	settle(t, eng)
+	for pass := 0; tm.Generation()-start <= 2*4096+512; pass++ {
+		batch(512)
+		skipped, _ := visitPass(t, eng)
+		if skipped == 0 {
+			t.Fatalf("pass %d after %d changes evaluated all %d VMs", pass, tm.Generation()-start, n)
+		}
+	}
+}
+
+// checkSettledBits holds the memo's settled bitmap to its definition: bit
+// i is set exactly when entry i has a verdict without a refusal. It
+// returns how many entries are settled and how many refused.
+func checkSettledBits(t *testing.T, when string, m *visitMemo) (settled, refused int) {
+	t.Helper()
+	if len(m.settled) != (len(m.quiet)+63)/64 {
+		t.Fatalf("%s: %d settled words over %d entries", when, len(m.settled), len(m.quiet))
+	}
+	for i, q := range m.quiet {
+		want := q != 0 && !m.refused[i]
+		if got := m.settled[i/64].Load()&(1<<(i%64)) != 0; got != want {
+			t.Fatalf("%s: entry %d settled=%v, quiet=%d refused=%v", when, i, got, q, m.refused[i])
+		}
+		if want {
+			settled++
+		} else if q != 0 {
+			refused++
+		}
+	}
+	for w := len(m.quiet); w < 64*len(m.settled); w++ {
+		if m.settled[w/64].Load()&(1<<(w%64)) != 0 {
+			t.Fatalf("%s: bit %d past the table is set", when, w)
+		}
+	}
+	return settled, refused
+}
+
+// TestSettledBitsMatchVerdicts drives the memo through every event of its
+// invalidation contract — moves, edge changes, re-specs, staged commits
+// merged or stale-rejected, Restore, an admit that regrows the ID window
+// and its removal, a clock wrap — and checks after each that the settled
+// bits equal the verdicts, and, after every staged commit, that a VM the
+// view's Unsettled word passes over is one stillQuiet confirms.
+func TestSettledBitsMatchVerdicts(t *testing.T) {
+	fx := newFixture(t, DefaultConfig())
+	eng, cl, tm := fx.eng, fx.cl, fx.tm
+	m := &eng.memo
+	rng := rand.New(rand.NewSource(13))
+	var view *AllocView
+	var settledSeen, refusedSeen, passedOver int
+	check := func(when string) {
+		t.Helper()
+		s, r := checkSettledBits(t, when, m)
+		settledSeen += s
+		refusedSeen += r
+	}
+	// walkCheck asserts, for every tracked VM the view's words pass over,
+	// that stillQuiet would have skipped it.
+	walkCheck := func(when string) {
+		t.Helper()
+		for i, q := range m.quiet {
+			if view.unsettled(m.base, i/64)&(1<<(i%64)) != 0 {
+				continue
+			}
+			u := m.base + cluster.VMID(i)
+			if q == 0 || !view.stillQuiet(u, q, m.refused[i]) {
+				t.Fatalf("%s: VM %d passed over but not quiet (q=%d refused=%v near=%v)", when, u, q, m.refused[i], view.marked(u))
+			}
+			passedOver++
+		}
+	}
+	randVM := func() cluster.VMID {
+		vms := cl.VMs()
+		return vms[rng.Intn(len(vms))]
+	}
+	var extra cluster.VMID
+	for step := 0; step < 120; step++ {
+		var what string
+		switch op := rng.Intn(9); op {
+		case 0:
+			what = "move"
+			u := randVM()
+			for h := rng.Intn(cl.NumHosts()); h < cl.NumHosts(); h++ {
+				if cl.Fits(u, cluster.HostID(h)) && cl.HostOf(u) != cluster.HostID(h) {
+					if err := cl.Move(u, cluster.HostID(h)); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+		case 1:
+			what = "edge change"
+			tm.Set(randVM(), randVM(), 1+60*rng.Float64())
+		case 2:
+			what = "re-spec"
+			if err := cl.Respec(randVM(), 256+256*rng.Intn(3), 0); err != nil {
+				t.Fatal(err)
+			}
+		case 3:
+			what = "restore"
+			if err := cl.Restore(cl.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+		case 4:
+			what = "clock wrap"
+			m.clock = math.MaxUint32
+			m.tick()
+		case 5:
+			if extra != 0 {
+				what = "remove"
+				tm.ClearVM(extra)
+				if err := cl.Remove(extra); err != nil {
+					t.Fatal(err)
+				}
+				extra = 0
+				break
+			}
+			what = "admit past the window"
+			base, alloc := cl.DenseAlloc()
+			extra = base + cluster.VMID(len(alloc))
+			if err := cl.AddVM(cluster.VM{ID: extra, RAMMB: 64}); err != nil {
+				t.Fatal(err)
+			}
+			if nb, na := cl.DenseAlloc(); nb == base && len(na) == len(alloc) {
+				t.Fatalf("VM %d did not regrow the window", extra)
+			}
+			for h := 0; h < cl.NumHosts(); h++ {
+				if cl.Fits(extra, cluster.HostID(h)) {
+					if err := cl.Place(extra, cluster.HostID(h)); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+			tm.Set(extra, randVM(), 20)
+		default:
+			// A round: a view visits every VM in ID order and stages what
+			// it finds; the merge applies some and rejects the rest.
+			what = "round"
+			view = eng.ResetView(view)
+			check(fmt.Sprintf("step %d reset", step))
+			for _, u := range cl.VMs() {
+				dec, ok, _ := view.Visit(u)
+				if !ok {
+					continue
+				}
+				if _, err := view.Commit(dec); err == nil {
+					walkCheck(fmt.Sprintf("step %d commit of VM %d", step, u))
+				}
+			}
+			check(fmt.Sprintf("step %d ring", step))
+			for _, d := range view.Commits() {
+				if rng.Intn(3) > 0 {
+					if _, err := eng.Apply(d); err == nil {
+						continue
+					}
+				}
+				eng.Rejected(d)
+			}
+		}
+		check(fmt.Sprintf("step %d %s", step, what))
+		// Serial visits record verdicts between events.
+		for i := 0; i < 24; i++ {
+			eng.Visit(randVM())
+		}
+		check(fmt.Sprintf("step %d %s, visits after", step, what))
+	}
+	if settledSeen == 0 || refusedSeen == 0 || passedOver == 0 {
+		t.Fatalf("exercised too little: %d settled, %d refused verdicts seen, %d VMs passed over after commits", settledSeen, refusedSeen, passedOver)
+	}
+	t.Logf("%d settled, %d refused verdicts seen; %d VMs passed over after commits", settledSeen, refusedSeen, passedOver)
+}
+
 // TestRebuildTimingDoesNotChangeDecisions: an accounting rebuild gives
 // the bits the folds gave, so forcing one at random points between visits
 // changes neither what is decided nor what is skipped. The fixture's

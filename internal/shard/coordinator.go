@@ -2,8 +2,10 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
+	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/obs"
 	"github.com/score-dc/score/internal/token"
@@ -123,42 +125,68 @@ func (e *enginePlane) Run(_ *Round, part *Partition, mg *Merge) ([]Ring, error) 
 // ringPass runs one shard's token ring to completion: every shard VM is
 // visited once, in ascending ID order (one pass, |V_s| hops — the
 // Section V-A loop scoped to one shard), and decisions are staged in the
-// shard's view. The ring is the partition's own VM list: a token built
-// for this pass alone would start at level = depth everywhere and be
-// thrown away after it, so no forwarding policy has anything to order
-// the pass by (token.RingOrder). The output o is round scratch: its
-// storage is reused across rounds, and the pass works on locals, off the
-// cache lines the neighbouring rings' outputs share, until it ends.
+// shard's view. The ring is the partition's own bitmap, walked word by
+// word: a token built for this pass alone would start at level = depth
+// everywhere and be thrown away after it, so no forwarding policy has
+// anything to order the pass by (token.RingOrder). A hop whose holder the
+// view reports settled (AllocView.Unsettled) is one Visit would skip at
+// its first test, so the pass counts it skipped without calling Visit;
+// the word is read again after every visit, whose commit may have marked
+// a later holder near. The output o is round scratch: its storage is
+// reused across rounds, and the pass works on locals, off the cache
+// lines the neighbouring rings' outputs share, until it ends.
 func (e *enginePlane) ringPass(s int, part *Partition, view *core.AllocView, o *Ring) {
-	vms := part.VMs(s)
-	st := ShardRound{Shard: s, VMs: len(vms), Hops: len(vms)}
+	base := part.base
+	st := ShardRound{Shard: s}
 	props, commitMeta, propMeta := o.Proposals[:0], o.CommitMeta[:0], o.ProposalMeta[:0]
-	for hop, holder := range vms {
-		dec, ok, skipped := view.Visit(holder)
-		if skipped {
-			st.Skipped++
-		}
-		if !ok {
+	// hops counts the ring's holders below the current word, visits the
+	// holders Visit was called for.
+	hops, visits := 0, 0
+	for w, members := range part.rings[s] {
+		if members == 0 {
 			continue
 		}
-		if part.ShardOfHost(dec.Target) == s {
-			// Hop alignment uses the view's commit list, not the
-			// error: a self-move "succeeds" without staging anything.
-			nStaged := len(view.Commits())
-			if _, err := view.Commit(dec); err == nil {
-				st.Committed++
+		for rest := members; ; {
+			todo := rest & view.Unsettled(base, w)
+			if todo == 0 {
+				break
 			}
-			if e.auditing && len(view.Commits()) > nStaged {
-				commitMeta = append(commitMeta, AuditMeta{Hop: int32(hop), Shard: int16(s)})
+			b := bits.TrailingZeros64(todo)
+			rest &^= uint64(2)<<b - 1
+			visits++
+			dec, ok, skipped := view.Visit(base + cluster.VMID(64*w+b))
+			if skipped {
+				st.Skipped++
 			}
-		} else {
-			props = append(props, dec)
-			st.Proposed++
+			if !ok {
+				continue
+			}
+			var meta AuditMeta
 			if e.auditing {
-				propMeta = append(propMeta, AuditMeta{Hop: int32(hop), Shard: int16(s)})
+				meta = AuditMeta{Hop: int32(hops + bits.OnesCount64(members&(uint64(1)<<b-1))), Shard: int16(s)}
+			}
+			if part.ShardOfHost(dec.Target) == s {
+				// Hop alignment uses the view's commit list, not the
+				// error: a self-move "succeeds" without staging anything.
+				nStaged := len(view.Commits())
+				if _, err := view.Commit(dec); err == nil {
+					st.Committed++
+				}
+				if e.auditing && len(view.Commits()) > nStaged {
+					commitMeta = append(commitMeta, meta)
+				}
+			} else {
+				props = append(props, dec)
+				st.Proposed++
+				if e.auditing {
+					propMeta = append(propMeta, meta)
+				}
 			}
 		}
+		hops += bits.OnesCount64(members)
 	}
+	st.VMs, st.Hops = hops, hops
+	st.Skipped += hops - visits
 	*o = Ring{ShardRound: st, Commits: view.Commits(), Proposals: props,
 		CommitMeta: commitMeta, ProposalMeta: propMeta, traceDone: true}
 }

@@ -32,8 +32,9 @@
 //     passes, and a ring rebuilt every round has none — over one fresh
 //     pass Round-Robin and Highest-Level-First both hand the token to
 //     the ring successor (token.RingOrder). So the ring is the
-//     partition's own VM list, walked as a slice; no token is built and
-//     no policy is asked. A policy that would reorder even a fresh pass
+//     partition's own bitmap of the shard's VMs over the cluster's ID
+//     window, walked word by word in ascending ID order; no token is
+//     built and no policy is asked. A policy that would reorder even a fresh pass
 //     (Random, Lowest-Level-First) is refused by NewCoordinator; it
 //     belongs to the single persistent token of sim.Runner.
 //
@@ -71,21 +72,30 @@
 // A ring's token visit is core.AllocView.Visit: the BestMigration
 // kernel, skipped for a holder whose last full evaluation found no move
 // and whose dependencies have not changed since (core's visit memo; the
-// decision is always the kernel's). A skip is a verdict load and, once
-// the ring has staged a commit, one test of the view's near marks (set
-// on the mover and its peers by each commit); only a holder near a staged
-// move, or one whose verdict had a refusal, walks its traffic row.
-// ShardRound.Skipped and score_token_visits_total{outcome} count the two
-// outcomes. A staged commit that the merge phase drops is reported to
-// the engine (RejectObserver) so verdicts computed against it are voided.
+// decision is always the kernel's). Most holders of a converged round are
+// not visited at all: the pass ANDs each ring word with the view's
+// Unsettled word — the memo's settled bits (a verdict with no move and no
+// refusal) less the VMs the ring's staged commits marked near — and
+// visits only what is left, re-reading the word after each visit, whose
+// commit may mark a later holder near. A holder it passes over is one
+// Visit would skip at its first test, so it counts as skipped and the
+// decisions and the skip set are the ones a visit per holder gives. A
+// visited skip is a verdict load and a test of the near marks; only a
+// holder near a staged move, or one whose verdict had a refusal, walks its
+// traffic row. ShardRound.Skipped and score_token_visits_total{outcome}
+// count the two outcomes. A staged commit that the merge phase drops is
+// reported to the engine (RejectObserver) so verdicts computed against it
+// are voided.
 //
 // A partition's rings are filled, not kept. "Every placed VM belongs to
 // the shard of its current host" makes them a function of the placement
 // table, so a round starts by refilling them from it in one ascending
 // pass (the in-process plane walks cluster.DenseAlloc, the agent plane
-// its sorted registry) — about 2.4 ns per VM, into storage the previous
-// round left behind. Only the host→shard table, which depends on the
-// topology and the shard shape alone, outlives a round. Nothing observes
+// its sorted registry): every ring's bitmap is cleared, then each placed
+// VM sets one bit — about 4 ns per VM on a 2-vCPU Xeon VM (k=24,
+// BenchmarkPartitionRefill), into storage the previous round left
+// behind. Only the host→shard table, which depends on the topology and
+// the shard shape alone, outlives a round. Nothing observes
 // the cluster on the partition's behalf, and a move, admit, removal or
 // Restore between rounds needs no case here.
 //

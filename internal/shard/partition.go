@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/topology"
@@ -52,7 +54,14 @@ func ParseGranularity(s string) (Granularity, error) {
 type Partition struct {
 	shards    int
 	hostShard []int32
-	vms       [][]cluster.VMID
+	// rings[s] is shard s's VM ring, a bitmap over the IDs from base (the
+	// cluster's ID window, or the first VM added since the rings were
+	// emptied): bit b of rings[s][w] is VM base+64w+b.
+	base  cluster.VMID
+	based bool
+	rings [][]uint64
+	// lists[s] is the storage VMs(s) expands ring s into.
+	lists [][]cluster.VMID
 }
 
 // NewHostPartition derives the host→shard mapping alone, with empty VM
@@ -99,7 +108,7 @@ func NewHostPartition(topo topology.Topology, hosts int, g Granularity, shards i
 		}
 		p.hostShard[h] = int32(u * shards / units)
 	}
-	p.vms = make([][]cluster.VMID, shards)
+	p.rings, p.lists = make([][]uint64, shards), make([][]cluster.VMID, shards)
 	return p, nil
 }
 
@@ -121,28 +130,46 @@ func NewPartition(topo topology.Topology, cl *cluster.Cluster, g Granularity, sh
 // empty truncates every ring, keeping its storage: refilling it with
 // addPlaced allocates nothing once the rings have grown to size.
 func (p *Partition) empty() {
-	for s := range p.vms {
-		p.vms[s] = p.vms[s][:0]
+	for s := range p.rings {
+		p.rings[s] = p.rings[s][:0]
 	}
+	p.based = false
 }
 
 // addPlaced adds every VM the cluster's placement table places, in one
-// ascending pass.
+// pass over the table's ID window: each ring is sized to the window and
+// cleared, then every placed VM sets its bit.
 func (p *Partition) addPlaced(cl *cluster.Cluster) {
 	base, alloc := cl.DenseAlloc()
+	p.base, p.based = base, true
+	n := (len(alloc) + 63) / 64
+	for s := range p.rings {
+		p.rings[s] = slices.Grow(p.rings[s][:0], n)[:n]
+		clear(p.rings[s])
+	}
 	for i, h := range alloc {
 		if h != cluster.NoHost {
-			p.Add(base+cluster.VMID(i), h)
+			p.rings[p.ShardOfHost(h)][i>>6] |= 1 << (i & 63)
 		}
 	}
 }
 
-// Add appends vm, hosted on h, to the ring of h's shard. A ring is
-// walked in slice order and that order must ascend by ID, so callers
-// add VMs in ascending ID order, each at most once.
+// Add sets vm, hosted on h, in the ring of h's shard. The first VM added
+// to emptied rings fixes their base, so callers add VMs in ascending ID
+// order.
 func (p *Partition) Add(vm cluster.VMID, h cluster.HostID) {
-	s := p.ShardOfHost(h)
-	p.vms[s] = append(p.vms[s], vm)
+	if !p.based {
+		p.base, p.based = vm, true
+	}
+	if vm < p.base {
+		panic(fmt.Sprintf("shard: VM %d added below VM %d, out of ascending ID order", vm, p.base))
+	}
+	i := int(vm - p.base)
+	r := &p.rings[p.ShardOfHost(h)]
+	for len(*r) <= i>>6 {
+		*r = append(*r, 0)
+	}
+	(*r)[i>>6] |= 1 << (i & 63)
 }
 
 // Shards returns the effective shard count.
@@ -164,5 +191,14 @@ func (p *Partition) ShardOfHost(h cluster.HostID) int {
 func (p *Partition) HostShards() []int32 { return p.hostShard }
 
 // VMs returns shard s's VM population in ascending ID order. The slice
-// is owned by the partition.
-func (p *Partition) VMs(s int) []cluster.VMID { return p.vms[s] }
+// is owned by the partition and rewritten by the next VMs(s).
+func (p *Partition) VMs(s int) []cluster.VMID {
+	out := p.lists[s][:0]
+	for w, word := range p.rings[s] {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, p.base+cluster.VMID(64*w+bits.TrailingZeros64(word)))
+		}
+	}
+	p.lists[s] = out
+	return out
+}

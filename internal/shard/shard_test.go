@@ -513,8 +513,9 @@ func TestRefillZeroAllocs(t *testing.T) {
 }
 
 // BenchmarkPartitionRefill is what every round pays to derive its rings:
-// one pass over the placement table of the k=24 fat-tree's 103,680 VMs
-// into 24 pod rings. Must read 0 allocs/op.
+// 24 pod bitmaps over the k=24 fat-tree's ID window cleared, then one
+// pass over the placement table of its 103,680 VMs setting a bit each.
+// Must read 0 allocs/op.
 func BenchmarkPartitionRefill(b *testing.B) {
 	topo, err := topology.NewFatTree(24, 1000)
 	if err != nil {
@@ -543,6 +544,72 @@ func BenchmarkPartitionRefill(b *testing.B) {
 		part.empty()
 		part.addPlaced(cl)
 	}
+}
+
+// BenchmarkQuietRingPass is one pod ring's pass in a converged k=24 round
+// (103,680 VMs in topology order, 24 pod shards): the walk over the
+// ring's words and the visits of the holders a settled verdict does not
+// cover. Must read 0 allocs/op.
+func BenchmarkQuietRingPass(b *testing.B) {
+	topo, err := topology.NewFatTree(24, 1000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const perHost, slots = 30, 39
+	cl, err := cluster.New(cluster.UniformHosts(topo.Hosts(), slots, slots*1024, 1000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pm := cluster.NewPlacementManager(cl, 1)
+	for h := 0; h < topo.Hosts(); h++ {
+		for j := 0; j < perHost; j++ {
+			id, err := pm.CreateVM(1024)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := cl.Place(id, cluster.HostID(h)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	tm, err := traffic.Generate(traffic.DefaultGenConfig(topo.Racks()), topo, cl, rand.New(rand.NewSource(20140630)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cm, err := core.NewCostModel(core.PaperWeights()...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := core.NewEngine(topo, cm, cl, tm, core.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	coord, err := NewCoordinator(eng, Config{Shards: 24})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for r := 0; ; r++ {
+		res, err := coord.RunRound()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Applied) == 0 {
+			break
+		}
+		if r == 64 {
+			b.Fatal("rounds did not converge")
+		}
+	}
+	part, view, ring := coord.part, eng.NewView(), &Ring{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		view = eng.ResetView(view)
+		b.StartTimer()
+		coord.plane.ringPass(0, part, view, ring)
+	}
+	b.ReportMetric(float64(ring.Hops-ring.Skipped), "evaluated/op")
 }
 
 // TestPoolRunsEveryTaskOnce under varying worker counts.

@@ -55,8 +55,8 @@ func (m *refMatrix) removeEdge(u, v cluster.VMID) bool {
 
 func (m *refMatrix) logChange(u, v cluster.VMID, old, new float64) {
 	if len(m.log) >= changeLogCap {
-		m.log = m.log[:0]
-		m.logBaseGen = m.gen
+		m.log = append(m.log[:0], m.log[len(m.log)-changeLogCap/2:]...)
+		m.logBaseGen = m.gen - uint64(len(m.log))
 	}
 	m.log = append(m.log, EdgeChange{Pair: MakePair(u, v), Old: old, New: new})
 }
@@ -159,7 +159,7 @@ func churn(t *testing.T, m *Matrix, ref *refMatrix, idOf func(int) cluster.VMID,
 		ids[i] = idOf(i)
 	}
 	// Checkpoints exercise ChangesSince across the run, including past
-	// changelog-window restarts.
+	// changelog-window slides.
 	type checkpoint struct{ gen uint64 }
 	var cps []checkpoint
 	for op := 0; op < ops; op++ {
@@ -209,7 +209,7 @@ func churn(t *testing.T, m *Matrix, ref *refMatrix, idOf func(int) cluster.VMID,
 
 // TestCSREquivalenceDense: the arena-backed layout behaves exactly like
 // the old slice-row layout under interleaved SetRate/move churn, across
-// row overflow, compaction passes, and changelog-window restarts
+// row overflow, compaction passes, and changelog-window slides
 // (ops ≫ changeLogCap).
 func TestCSREquivalenceDense(t *testing.T) {
 	m, ref := NewMatrix(), newRefMatrix()

@@ -127,7 +127,9 @@ func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 		case op == 18 && rng.Intn(10) == 0: // outrun the changelog, a move amid it
 			overruns++
 			before := f.Rebuilds()
-			for i := 0; i < changeLogCap+64; i++ {
+			// The move syncs the follower; the window must still slide
+			// past that point before the next sync.
+			for i := 0; i < changeLogCap/2+2*changeLogCap; i++ {
 				m.Set(randVM(), randVM(), rate())
 				if i == changeLogCap/2 {
 					_ = cl.Move(randVM(), randHost())

@@ -18,8 +18,9 @@ type EdgeChange struct {
 }
 
 // changeLogCap bounds the in-memory changelog. Each mutation appends one
-// entry; when the log fills it restarts from the current generation, and
-// consumers further behind than its window fall back to a full rebuild.
+// entry; when the log fills it keeps its newest changeLogCap/2 entries, so
+// a consumer at most that far behind can always fold, and consumers
+// further behind than the window fall back to a full rebuild.
 const changeLogCap = 4096
 
 // rowRef addresses one VM's adjacency row inside the matrix. The live
@@ -326,13 +327,14 @@ func (m *Matrix) Compact() {
 	m.compacts++
 }
 
-// logChange appends one mutation to the changelog, restarting the
-// window when it is full. Must be called exactly once per generation
-// increment, before gen moves.
+// logChange appends one mutation to the changelog, sliding the window
+// to its newest half when it is full. Must be called exactly once per
+// generation increment, before gen moves.
 func (m *Matrix) logChange(u, v cluster.VMID, old, new float64) {
 	if len(m.log) >= changeLogCap {
-		m.log = m.log[:0]
-		m.logBaseGen = m.gen
+		kept := copy(m.log, m.log[len(m.log)-changeLogCap/2:])
+		m.log = m.log[:kept]
+		m.logBaseGen = m.gen - uint64(kept)
 	}
 	m.log = append(m.log, EdgeChange{Pair: MakePair(u, v), Old: old, New: new})
 }

@@ -331,9 +331,9 @@ func TestChangesSinceReplay(t *testing.T) {
 	}
 }
 
-// TestChangesSinceWindowOverflow: once the log restarts, generations
-// behind the new window must be refused (full-rebuild signal), while
-// generations inside it keep working.
+// TestChangesSinceWindowOverflow: once the log slides past them,
+// generations behind the window must be refused (full-rebuild signal),
+// while generations inside it keep working.
 func TestChangesSinceWindowOverflow(t *testing.T) {
 	m := NewMatrix()
 	m.Set(1, 2, 1)
@@ -342,13 +342,40 @@ func TestChangesSinceWindowOverflow(t *testing.T) {
 		m.Set(1, 2, float64(i+2))
 	}
 	if _, ok := m.ChangesSince(old); ok {
-		t.Fatal("generation behind the restarted window reported available")
+		t.Fatal("generation behind the slid window reported available")
 	}
 	recent := m.Generation()
 	m.Set(3, 4, 9)
 	changes, ok := m.ChangesSince(recent)
 	if !ok || len(changes) != 1 || changes[0].New != 9 {
 		t.Fatalf("recent delta = %v, %v", changes, ok)
+	}
+}
+
+// TestChangesSinceSurvivesWrap: a consumer that falls at most
+// changeLogCap/2 changes behind between reads is never refused, however
+// often the log fills, and reads exactly the changes it missed.
+func TestChangesSinceSurvivesWrap(t *testing.T) {
+	m := NewMatrix()
+	rng := rand.New(rand.NewSource(5))
+	seen := m.Generation()
+	for read := 0; read < 64; read++ {
+		batch := 1 + rng.Intn(changeLogCap/2)
+		for i := 0; i < batch; i++ {
+			m.Set(cluster.VMID(1+rng.Intn(64)), cluster.VMID(65+rng.Intn(64)), float64(1+i))
+		}
+		behind := m.Generation() - seen
+		changes, ok := m.ChangesSince(seen)
+		if !ok {
+			t.Fatalf("read %d: a consumer %d changes behind was refused", read, behind)
+		}
+		if uint64(len(changes)) != behind {
+			t.Fatalf("read %d: %d changes returned, %d made", read, len(changes), behind)
+		}
+		seen = m.Generation()
+	}
+	if seen < 8*changeLogCap {
+		t.Fatalf("%d changes in all; the log filled too rarely", seen)
 	}
 }
 
