@@ -55,7 +55,6 @@ func main() {
 			Topo: topo, Cost: costModel,
 			MigrationCost: 0,
 			Policy:        token.HighestLevelFirst{},
-			ProbeTimeout:  2 * time.Second,
 		}, reg)
 		if err != nil {
 			log.Fatalf("agent %d: %v", h, err)

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/score-dc/score/internal/cluster"
@@ -18,15 +19,17 @@ type capturedRun struct {
 	deltaUsed int
 }
 
-func captureRun(t *testing.T, engSeed, optSeed int64, workers int, denseGenomes bool) capturedRun {
+// captureRun runs Optimize at GOMAXPROCS procs, the size of its worker
+// pool.
+func captureRun(t *testing.T, engSeed, optSeed int64, procs int, denseGenomes bool) capturedRun {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	eng, _ := buildEngine(t, engSeed)
 	cfg := DefaultConfig()
 	cfg.Population = 24
 	cfg.MinGenerations = 12
 	cfg.MaxGenerations = 12
 	cfg.StopGenerations = 0 // fixed generation count
-	cfg.Workers = workers
 	cfg.denseGenomes = denseGenomes
 	var rec capturedRun
 	cfg.observeGen = func(gen int, in *instance, pop []*indiv, fit []float64) {
@@ -109,7 +112,6 @@ func TestRebaseEquivalence(t *testing.T) {
 	cfg.MinGenerations = 10
 	cfg.MaxGenerations = 10
 	cfg.StopGenerations = 0
-	cfg.Workers = 2
 	rebased := false
 	var deltaPops [][][]cluster.HostID
 	cfg.observeGen = func(gen int, in *instance, pop []*indiv, fit []float64) {
@@ -168,9 +170,9 @@ func TestRebaseEquivalence(t *testing.T) {
 }
 
 // TestOptimizeAllocBound is the allocation regression gate for the
-// per-generation path: one full Optimize call (fixed single generation,
-// serial workers for determinism) must stay far below the historical
-// dense implementation's ~12k allocations.
+// per-generation path: one full Optimize call (fixed single generation;
+// AllocsPerRun runs it at GOMAXPROCS 1, so on one worker) must stay far
+// below the historical dense implementation's ~12k allocations.
 func TestOptimizeAllocBound(t *testing.T) {
 	eng, _ := buildEngine(t, 9)
 	cfg := DefaultConfig()
@@ -178,7 +180,6 @@ func TestOptimizeAllocBound(t *testing.T) {
 	cfg.MinGenerations = 1
 	cfg.MaxGenerations = 1
 	cfg.StopGenerations = 0
-	cfg.Workers = 1
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Optimize(eng, cfg, rand.New(rand.NewSource(42))); err != nil {
 			t.Fatal(err)

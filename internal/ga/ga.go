@@ -86,14 +86,6 @@ type Config struct {
 	// the paper's 1,000 individuals × 12 hours as the "approximate
 	// optimal".
 	LocalSearchVMs int
-	// Workers bounds the worker pool that fans out fitness evaluation
-	// and per-child breeding (crossover + mutation + memetic search);
-	// genomes are independent, so both parallelize cleanly. 0 means
-	// GOMAXPROCS; 1 forces serial execution. Results are identical for
-	// every worker count: selection and seeds are drawn sequentially
-	// from the caller's RNG, and each child breeds with its own
-	// seed-derived RNG.
-	Workers int
 
 	// Test hooks, set by in-package tests only. denseGenomes disables the
 	// delta encoding: every individual stores a full dense genome, as the
@@ -405,7 +397,10 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 		}
 	}
 
-	pool := shard.NewPool(cfg.Workers)
+	// Results are identical for every worker count: selection and seeds
+	// are drawn sequentially from the caller's RNG, and each child breeds
+	// with its own seed-derived RNG.
+	pool := shard.NewPool(0)
 
 	// The live allocation anchors the delta encoding: it is the shared
 	// base, and individuals store bounded diffs against it until a

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/score-dc/score/internal/cluster"
@@ -176,15 +177,15 @@ func TestGreedySeedFeasible(t *testing.T) {
 }
 
 // TestWorkerCountInvariant: the parallel fan-out must not change the
-// optimization's result — any worker count yields the same best cost,
-// history and allocation as a serial run.
+// optimization's result — any worker count (GOMAXPROCS) yields the same
+// best cost, history and allocation as a serial run.
 func TestWorkerCountInvariant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Population = 24
 	cfg.MaxGenerations = 15
 	cfg.MinGenerations = 5
 	run := func(workers int) Result {
-		cfg.Workers = workers
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		eng, _ := buildEngine(t, 55)
 		res, err := Optimize(eng, cfg, rand.New(rand.NewSource(7)))
 		if err != nil {

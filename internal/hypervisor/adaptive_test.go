@@ -188,7 +188,7 @@ func TestChaosAdaptiveDeadlineCatchesDeadRing(t *testing.T) {
 	victimAddr := p.agents[victim].Addr()
 	var once sync.Once
 	for _, ag := range p.agents {
-		ag.OnShardToken = func(shard int, ev TokenEvent) {
+		ag.onShardToken = func(shard int, ev TokenEvent) {
 			if shard == 0 {
 				once.Do(func() { plan.Isolate(victimAddr) })
 			}

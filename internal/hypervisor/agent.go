@@ -52,12 +52,16 @@ func (r *Registry) Lookup(vm cluster.VMID) (string, bool) {
 }
 
 // AssignHost records the dom0 agent serving host h (agents register
-// themselves on Start).
-func (r *Registry) AssignHost(h cluster.HostID, addr string) {
+// themselves on Start). An address serves one host: rebinding it is refused.
+func (r *Registry) AssignHost(h cluster.HostID, addr string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if old, ok := r.addrHost[addr]; ok && old != h {
+		return fmt.Errorf("hypervisor: address %s already serves host %d, not %d", addr, old, h)
+	}
 	r.hostAddr[h] = addr
 	r.addrHost[addr] = h
+	return nil
 }
 
 // HostAddr resolves a host to its dom0 address.
@@ -128,18 +132,7 @@ type AgentConfig struct {
 	// (MsgToken). Shard tokens are forwarded in ring order whatever it
 	// says (see the package documentation).
 	Policy token.Policy
-	// ProbeTimeout bounds location/capacity round trips.
-	ProbeTimeout time.Duration
 }
-
-// locationCacheTTL bounds how long a probed peer location is reused
-// before the agent re-probes. Within one token visit the decision loop
-// and the holder-view construction both resolve every peer, so even a
-// short TTL halves location round trips; across visits the cache drops
-// the per-peer round trip entirely. Entries are additionally invalidated
-// whenever the agent observes a migration — it executes one, receives
-// the VM, or the registry points the peer at a different dom0.
-const locationCacheTTL = time.Second
 
 // TokenEvent reports one processed token visit to the observer. From is
 // the holder's server at decision time. In sharded rounds Migrated means
@@ -162,6 +155,8 @@ type Agent struct {
 	tr  Transport
 	reg *Registry
 	rq  requester
+	// probeTimeout is bound into rq on Start.
+	probeTimeout time.Duration
 	// kern is the decision rule's level tables and c_m; every visit
 	// decides through a clone of it.
 	kern *core.Kernel
@@ -177,9 +172,9 @@ type Agent struct {
 	// stops the ring (the harness's termination hook). It must be set
 	// before Start.
 	OnToken func(ev TokenEvent) bool
-	// OnShardToken, when set, observes each sharded-ring visit. Sharded
-	// rings terminate by hop count, so the observer cannot stop them.
-	OnShardToken func(shard int, ev TokenEvent)
+	// onShardToken, set by in-package tests before Start, observes each
+	// sharded-ring visit; rings end by hop count, so it cannot stop them.
+	onShardToken func(shard int, ev TokenEvent)
 }
 
 // vmRecord is a hosted VM's demand and peer-rate table. The table mirrors
@@ -210,13 +205,11 @@ func (rec vmRecord) transfer(vm cluster.VMID) Message {
 	return Message{Type: MsgMigrate, VM: vm, RAMMB: int32(rec.ramMB), CPUMilli: int32(rec.cpuMilli), Payload: EncodeRateEdges(rec.rates)}
 }
 
-// locEntry caches one peer's probed location. addr records which dom0
-// answered: if the registry later points the VM elsewhere, the entry is
-// stale regardless of TTL (an observed migration invalidates it).
+// locEntry caches one peer's location and the address of the dom0 that
+// answered; it holds while the registry names that address (package doc).
 type locEntry struct {
-	host    cluster.HostID
-	addr    string
-	expires time.Time
+	host cluster.HostID
+	addr string
 }
 
 // NewAgent constructs an agent; call Start with a transport factory to
@@ -235,16 +228,14 @@ func NewAgent(cfg AgentConfig, reg *Registry) (*Agent, error) {
 	if !kern.Covers(cfg.HostID) {
 		return nil, fmt.Errorf("hypervisor: host %d outside topology %s", cfg.HostID, cfg.Topo.Name())
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
 	return &Agent{
-		cfg:      cfg,
-		reg:      reg,
-		kern:     kern,
-		vms:      make(map[cluster.VMID]vmRecord),
-		locCache: make(map[cluster.VMID]locEntry),
-		dedup:    make(map[commitKey]*Message),
+		cfg:          cfg,
+		reg:          reg,
+		kern:         kern,
+		probeTimeout: probeTimeout,
+		vms:          make(map[cluster.VMID]vmRecord),
+		locCache:     make(map[cluster.VMID]locEntry),
+		dedup:        make(map[commitKey]*Message),
 	}, nil
 }
 
@@ -293,16 +284,15 @@ func (a *Agent) dedupStore(key commitKey, resp Message) {
 
 // Start binds the agent to a transport created by mk (which receives the
 // agent's message handler) and registers the agent in the host
-// directory.
+// directory, which refuses an address already serving another host.
 func (a *Agent) Start(mk func(Handler) (Transport, error)) error {
 	tr, err := mk(a.handle)
 	if err != nil {
 		return err
 	}
 	a.tr = tr
-	a.rq.bind(tr, a.cfg.ProbeTimeout)
-	a.reg.AssignHost(a.cfg.HostID, tr.Addr())
-	return nil
+	a.rq.bind(tr, a.probeTimeout)
+	return a.reg.AssignHost(a.cfg.HostID, tr.Addr())
 }
 
 // Addr returns the agent's transport address.
@@ -406,7 +396,6 @@ func (a *Agent) handle(from string, m Message) {
 		}
 		a.mu.Lock()
 		a.vms[m.VM] = vmRecord{ramMB: int(m.RAMMB), cpuMilli: int(m.CPUMilli), rates: rates}
-		delete(a.locCache, m.VM) // observed migration: the VM is here now
 		a.mu.Unlock()
 		a.reg.Assign(m.VM, a.tr.Addr())
 		ack := Message{Type: MsgMigrateAck, ReqID: m.ReqID, VM: m.VM, Host: a.cfg.HostID}
@@ -431,12 +420,6 @@ func (a *Agent) handle(from string, m Message) {
 		// The commit blocks on a MsgMigrate round trip; run it off the
 		// dispatch goroutine so the ack can be delivered.
 		go a.processReconcileCommit(m)
-	case MsgReconcileAbort:
-		// A staged move or proposal for this VM was rejected: any
-		// location the deciding path cached for it is suspect.
-		a.mu.Lock()
-		delete(a.locCache, m.VM)
-		a.mu.Unlock()
 	}
 }
 
@@ -512,21 +495,20 @@ func (a *Agent) currentHostOf(vm cluster.VMID) cluster.HostID {
 	return a.cfg.HostID
 }
 
-// cacheLocation records a freshly observed peer location.
+// cacheLocation records a peer location the dom0 at addr answered for.
 func (a *Agent) cacheLocation(vm cluster.VMID, host cluster.HostID, addr string) {
 	a.mu.Lock()
-	a.locCache[vm] = locEntry{host: host, addr: addr, expires: time.Now().Add(locationCacheTTL)}
+	a.locCache[vm] = locEntry{host: host, addr: addr}
 	a.mu.Unlock()
 }
 
-// cachedLocation serves vm's location from the cache when the entry is
-// inside its TTL and the registry still points at the dom0 that
-// answered the probe — a registry address change is an observed
-// migration and invalidates the entry immediately.
+// cachedLocation serves vm's location from the cache while the registry,
+// which names addr for it, names the dom0 that answered; an entry from
+// another dom0 is one a migration left behind, and is dropped.
 func (a *Agent) cachedLocation(vm cluster.VMID, addr string) (cluster.HostID, bool) {
 	a.mu.Lock()
 	ent, ok := a.locCache[vm]
-	if ok && (ent.addr != addr || time.Now().After(ent.expires)) {
+	if ok && ent.addr != addr {
 		delete(a.locCache, vm)
 		ok = false
 	}
@@ -537,9 +519,10 @@ func (a *Agent) cachedLocation(vm cluster.VMID, addr string) (cluster.HostID, bo
 	return ent.host, true
 }
 
-// locate resolves the server hosting vm: from the TTL cache when fresh,
-// otherwise by probing the dom0 the registry names (Section V-B4's
-// location request) and caching the answer.
+// locate resolves the server hosting vm: this one when the registry
+// names this dom0, the cache while it names the dom0 that answered,
+// otherwise by probing the dom0 it names (Section V-B4's location
+// request) and caching the answer.
 func (a *Agent) locate(vm cluster.VMID) (cluster.HostID, bool) {
 	addr, ok := a.reg.Lookup(vm)
 	if !ok {
@@ -644,7 +627,7 @@ func (a *Agent) decide(holder cluster.VMID, rec vmRecord) TokenEvent {
 	a.mu.Unlock()
 	// The source dom0 observed this migration first-hand: record the
 	// holder's new location so the post-decision view build (and any
-	// later visit inside the TTL) needs no extra round trip.
+	// later visit) needs no extra round trip.
 	a.cacheLocation(holder, dec.Target, addr)
 	ev.Migrated = true
 	ev.Target = dec.Target

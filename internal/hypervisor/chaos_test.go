@@ -163,7 +163,7 @@ func TestChaosAgentCrashEvicted(t *testing.T) {
 	// commits and tokens alike.
 	var once sync.Once
 	for _, ag := range p.agents {
-		ag.OnShardToken = func(shard int, ev TokenEvent) {
+		ag.onShardToken = func(shard int, ev TokenEvent) {
 			if shard == 0 {
 				once.Do(func() { plan.Isolate(victimAddr) })
 			}

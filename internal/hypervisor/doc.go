@@ -41,11 +41,12 @@
 //  1. Partition. A Reconciler agent — the coordinator-side peer of the
 //     dom0 agents, colocated with the placement manager's Registry — is
 //     the driver's agent plane: the driver keeps the topology-aligned
-//     host→shard table (over the registered hosts) and fills its rings
-//     from the registry, not a cluster; the plane pushes the table to
-//     every agent with MsgShardAssign, acknowledged by
-//     MsgShardAssignAck. The assignment names the reconciler's address
-//     and the round number.
+//     host→shard table (over the registered hosts); the plane pushes it
+//     to every agent with MsgShardAssign, acknowledged by
+//     MsgShardAssignAck, and lists each shard's ring straight from the
+//     registry — every registered VM, in ascending ID order, whose host
+//     acked. The assignment names the reconciler's address and the round
+//     number.
 //
 //  2. Concurrent rings. The reconciler builds one token per shard
 //     (token.Rings) and injects each at its lowest-ID VM with
@@ -82,17 +83,22 @@
 //     the source dom0 to ship the VM: MsgReconcileCommit → MsgMigrate →
 //     MsgReconcileResp), each RingState's staged moves minus those
 //     touching a host evicted this round (withdrawn from the merge), and
-//     the hop/attempt provenance they carried over the wire; after the
-//     merge it announces the rejected moves with MsgReconcileAbort so
-//     agents can drop stale location-cache entries.
+//     the hop/attempt provenance they carried over the wire.
 //
 // With one shard the staged overlay reproduces the global ring's
 // immediate-execution decisions bit for bit, and the merge re-check
 // never fires — a 1-shard sharded round is byte-identical to a global
-// ring pass. Executed migrations update the registry, which invalidates
-// every agent's TTL location cache for the moved VMs (a cached entry is
-// served only while the registry still names the dom0 that answered the
-// probe), so rings in later rounds never act on pre-merge locations.
+// ring pass.
+//
+// # Where a VM is
+//
+// The Registry is the plane's one answer to "where is this VM". An agent
+// caches each location it probes (or learns by executing a move) with the
+// address of the dom0 that answered, and serves it while the registry
+// names that address: an address serves one host (Registry.AssignHost
+// refuses to rebind it), and a migration updates the registry before it
+// is acked. So the cache needs no expiry or invalidation message, and a
+// converged plane sends no location request.
 //
 // # Failure model & recovery
 //

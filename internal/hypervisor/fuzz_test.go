@@ -40,7 +40,6 @@ func sampleMessages() []Message {
 		{Type: MsgRingDone, VM: 7, Host: 11, Payload: ring},
 		{Type: MsgReconcileCommit, ReqID: 5, VM: 4, Host: 2, ReplyTo: "rec", Payload: []byte("dom0-2")},
 		{Type: MsgReconcileResp, ReqID: 5, VM: 4, Host: 2, FreeSlots: 1},
-		{Type: MsgReconcileAbort, VM: 7, Host: 11},
 		{Type: MsgRingAck, VM: 4, Host: 0, Payload: ring},
 	}
 }

@@ -191,7 +191,6 @@ func buildAgents(t *testing.T, n int) (*Registry, []*Agent, topology.Topology) {
 		ag, err := NewAgent(AgentConfig{
 			HostID: cluster.HostID(h), Slots: 4, RAMMB: 8192,
 			Topo: topo, Cost: cm, Policy: token.RoundRobin{},
-			ProbeTimeout: 2 * time.Second,
 		}, reg)
 		if err != nil {
 			t.Fatal(err)
@@ -354,6 +353,9 @@ func TestAgentRejectsOverCapacityAdd(t *testing.T) {
 	}
 }
 
+// TestLocationCacheAvoidsReprobes: a cached location is served, with no
+// probe, while the registry names the dom0 that answered — however long
+// ago, and even if the VM went away and came back in between.
 func TestLocationCacheAvoidsReprobes(t *testing.T) {
 	_, agents, _ := buildAgents(t, 4)
 	if err := agents[2].AddVM(7, 1024, nil); err != nil {
@@ -362,8 +364,8 @@ func TestLocationCacheAvoidsReprobes(t *testing.T) {
 	if h, ok := agents[0].locate(7); !ok || h != 2 {
 		t.Fatalf("locate = %d,%v, want host 2", h, ok)
 	}
-	// Poison the cached host: a second locate inside the TTL must serve
-	// the poisoned value, proving no fresh probe happened.
+	// Poison the cached host: a second locate must serve the poisoned
+	// value, proving no fresh probe happened.
 	agents[0].mu.Lock()
 	ent, ok := agents[0].locCache[7]
 	if !ok {
@@ -374,16 +376,54 @@ func TestLocationCacheAvoidsReprobes(t *testing.T) {
 	agents[0].locCache[7] = ent
 	agents[0].mu.Unlock()
 	if h, _ := agents[0].locate(7); h != 99 {
-		t.Fatalf("locate inside TTL = %d, want cached sentinel 99", h)
+		t.Fatalf("second locate = %d, want cached sentinel 99", h)
 	}
-	// Expire the entry: the next locate must re-probe and heal.
-	agents[0].mu.Lock()
-	ent = agents[0].locCache[7]
-	ent.expires = time.Now().Add(-time.Second)
-	agents[0].locCache[7] = ent
-	agents[0].mu.Unlock()
-	if h, ok := agents[0].locate(7); !ok || h != 2 {
-		t.Fatalf("locate after expiry = %d,%v, want re-probed host 2", h, ok)
+	// Away and back: VM 7 is transferred to host 3 and returned to host
+	// 2, each dom0 updating the registry as it adopts the VM. The
+	// registry names the dom0 that answered again, so the entry still
+	// stands.
+	rec := vmRecord{ramMB: 1024}
+	for _, hop := range [][2]int{{2, 3}, {3, 2}} {
+		resp, err := agents[hop[0]].request(agents[hop[1]].Addr(), rec.transfer(7))
+		if err != nil || resp.Type != MsgMigrateAck {
+			t.Fatalf("transfer %d→%d: %+v, %v", hop[0], hop[1], resp, err)
+		}
+	}
+	if h, _ := agents[0].locate(7); h != 99 {
+		t.Fatalf("locate after away and back = %d, want cached sentinel 99", h)
+	}
+}
+
+// TestRegistryRefusesRebindingAddress: an address serves one host. The
+// registry refuses to bind it to a second, and so does the Start of an
+// agent whose transport has it; binding it to its own host again is fine.
+func TestRegistryRefusesRebindingAddress(t *testing.T) {
+	reg, agents, topo := buildAgents(t, 2)
+	addr := agents[0].Addr()
+	if err := reg.AssignHost(0, addr); err != nil {
+		t.Fatalf("re-binding %s to its own host: %v", addr, err)
+	}
+	if err := reg.AssignHost(1, addr); err == nil {
+		t.Fatalf("binding %s, which serves host 0, to host 1 was accepted", addr)
+	}
+	cm, err := core.NewCostModel(core.PaperWeights()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ag, err := NewAgent(AgentConfig{HostID: 2, Slots: 4, RAMMB: 8192, Topo: topo, Cost: cm, Policy: token.RoundRobin{}}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ag.Close() })
+	// A hub of its own lends the agent host 0's address.
+	if err := ag.Start(func(h Handler) (Transport, error) { return NewMemHub().NewEndpoint(addr, h) }); err == nil {
+		t.Fatalf("agent for host 2 started on %s, which serves host 0", addr)
+	}
+	if a, ok := reg.HostAddr(1); ok && a == addr {
+		t.Fatal("refused binding changed the host directory")
+	}
+	if _, ok := reg.HostAddr(2); ok {
+		t.Fatal("refused Start registered host 2")
 	}
 }
 

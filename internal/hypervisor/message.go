@@ -56,10 +56,6 @@ const (
 	// MsgReconcileResp reports the commit outcome: FreeSlots is 1 on
 	// success, 0 on failure; Host echoes the landing host.
 	MsgReconcileResp
-	// MsgReconcileAbort tells the proposing dom0 that a staged move or
-	// cross-shard proposal for Message.VM was rejected at
-	// reconciliation, so it can drop stale cached state.
-	MsgReconcileAbort
 	// MsgRingAck is a per-visit progress report from a dom0 agent to the
 	// reconciler: the payload carries the post-visit RingState, VM the
 	// next token holder, Host the reporting server. It is the copy the

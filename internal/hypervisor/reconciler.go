@@ -28,9 +28,6 @@ type ReconcilerConfig struct {
 	// Granularity aligns shard boundaries to pods or racks.
 	Shards      int
 	Granularity shard.Granularity
-	// ProbeTimeout bounds each capacity/commit round trip; zero means
-	// 2s.
-	ProbeTimeout time.Duration
 	// ShardDeadline bounds how long a shard ring may go without
 	// progress (an accepted ack or its completion report) before the
 	// reconciler regenerates its token from the last acked state; zero
@@ -141,6 +138,9 @@ type Reconciler struct {
 	tr     Transport
 	rq     requester
 	events chan ringEvent
+	// probeTimeout is bound into rq on Start; the commit path's wait for
+	// a transfer whose every response was lost is counted in it.
+	probeTimeout time.Duration
 	// kern is the decision rule's kernel: the merge phase's Delta and
 	// Apply, which run strictly sequentially, score on it.
 	kern *core.Kernel
@@ -160,9 +160,6 @@ func NewReconciler(cfg ReconcilerConfig, reg *Registry) (*Reconciler, error) {
 	if cfg.Topo == nil || reg == nil {
 		return nil, fmt.Errorf("hypervisor: nil dependency")
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
 	if cfg.ShardDeadline <= 0 {
 		cfg.ShardDeadline = 5 * time.Second
 	}
@@ -173,7 +170,7 @@ func NewReconciler(cfg ReconcilerConfig, reg *Registry) (*Reconciler, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Reconciler{cfg: cfg, kern: kern, reg: reg, events: make(chan ringEvent, 4096)}
+	r := &Reconciler{cfg: cfg, kern: kern, reg: reg, probeTimeout: probeTimeout, events: make(chan ringEvent, 4096)}
 	scfg := shard.Config{Shards: cfg.Shards, Granularity: cfg.Granularity, Tuner: cfg.Tuner, Trace: cfg.Trace, Audit: cfg.Audit}
 	if cfg.Metrics != nil {
 		scfg.Metrics = cfg.Metrics.Metrics
@@ -204,7 +201,7 @@ func (r *Reconciler) Start(mk func(Handler) (Transport, error)) error {
 		return err
 	}
 	r.tr = tr
-	r.rq.bind(tr, r.cfg.ProbeTimeout)
+	r.rq.bind(tr, r.probeTimeout)
 	return nil
 }
 
@@ -395,7 +392,7 @@ func (e *reconcileEnv) Apply(d core.Decision) (float64, error) {
 		// budget of commitAttempts probe timeouts has run out, the
 		// registry, which the target updates before it acks, tells
 		// whether the move landed.
-		time.Sleep(time.Duration(commitAttempts+1) * e.r.cfg.ProbeTimeout)
+		time.Sleep(time.Duration(commitAttempts+1) * e.r.probeTimeout)
 		if addr, there := e.r.reg.Lookup(d.VM); !there || addr != tgtAddr {
 			e.applyCap(d.VM, from, d.Target, false)
 			return 0, err
@@ -741,13 +738,6 @@ func (r *Reconciler) RunRound() (*RoundReport, error) {
 		rep.Evicted = append(rep.Evicted, h)
 	}
 	slices.Sort(rep.Evicted)
-	// Abort notifications: the dom0 of every move that was re-validated
-	// and did not land drops its stale cached state.
-	for _, d := range r.drv.Merge.Rejected {
-		if addr, ok := r.reg.Lookup(d.VM); ok {
-			_ = r.tr.Send(addr, Message{Type: MsgReconcileAbort, VM: d.VM, Host: d.Target})
-		}
-	}
 	return rep, nil
 }
 
@@ -763,17 +753,9 @@ func (p agentPlane) Hosts() (int, error) {
 	return int(p.hostIDs[len(p.hostIDs)-1]) + 1, nil
 }
 
-func (p agentPlane) Fill(part *shard.Partition) {
-	for _, vm := range p.reg.VMList() { // ascending, as Add requires
-		if h, ok := p.reg.HostOfVM(vm); ok {
-			part.Add(vm, h)
-		}
-	}
-}
-
 // Run is the agent plane's part of a round: push the shard assignment,
-// run one token ring per shard, and stage what the rings report for the
-// merge over the wire Env.
+// run one token ring per shard over the registry's placement, and stage
+// what the rings report for the merge over the wire Env.
 func (p agentPlane) Run(rd *shard.Round, part *shard.Partition, mg *shard.Merge) ([]shard.Ring, error) {
 	r, roundID, n := p.Reconciler, rd.Number, part.Shards()
 	if r.est != nil {
@@ -822,19 +804,19 @@ func (p agentPlane) Run(rd *shard.Round, part *shard.Partition, mg *shard.Merge)
 		}
 	}
 
-	// 2. Inject one token per shard; the rings run concurrently. The
-	// reconciler keeps a copy of each injected state and advances it
-	// from the per-visit acks — the material a lost ring is
-	// regenerated from.
-	depth := uint8(r.cfg.Topo.Depth())
+	// 2. Inject one token per shard; the rings run concurrently. A ring
+	// is its shard's VMs on live hosts, in ascending ID order, read
+	// straight off the registry. The reconciler keeps a copy of each
+	// injected state and advances it from the per-visit acks — the
+	// material a lost ring is regenerated from.
 	lists := make([][]cluster.VMID, n)
-	for s := range lists {
-		lists[s] = slices.DeleteFunc(part.VMs(s), func(vm cluster.VMID) bool {
-			h, ok := r.reg.HostOfVM(vm)
-			return !ok || dead[h]
-		})
+	for _, vm := range r.reg.VMList() {
+		if h, ok := r.reg.HostOfVM(vm); ok && !dead[h] {
+			s := part.ShardOfHost(h)
+			lists[s] = append(lists[s], vm)
+		}
 	}
-	rings := token.Rings(lists, depth)
+	rings := token.Rings(lists, uint8(r.cfg.Topo.Depth()))
 	c := &roundState{
 		roundID: roundID,
 		reports: make([]RingReport, n),

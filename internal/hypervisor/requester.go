@@ -7,6 +7,10 @@ import (
 	"time"
 )
 
+// probeTimeout bounds each attempt of a round trip; agents and the
+// reconciler copy it, and in-package tests lower the copy before Start.
+const probeTimeout = 2 * time.Second
+
 // requester correlates one-shot request/response round trips over a
 // Transport: it stamps outbound requests with a fresh ReqID and the
 // local reply address, and routes inbound responses to the waiting

@@ -110,8 +110,8 @@ func (a *Agent) processShardToken(m Message) {
 		ev.Target, ev.Delta = dec.Target, dec.Delta
 	}
 
-	if a.OnShardToken != nil {
-		a.OnShardToken(int(st.Shard), ev)
+	if a.onShardToken != nil {
+		a.onShardToken(int(st.Shard), ev)
 	}
 
 	// Forward in ring order; the token itself is unchanged by a visit.

@@ -123,7 +123,8 @@ func (p *shardPlane) finalPlacement() map[cluster.VMID]cluster.HostID {
 
 // planeOpts tunes a test plane beyond the healthy defaults: a shared
 // fault plan wrapping every endpoint's transport, and the short timeouts
-// chaos tests need so recovery happens in test time.
+// chaos tests need so recovery happens in test time (a zero probeTimeout
+// keeps the package's).
 type planeOpts struct {
 	faults        *FaultPlan
 	probeTimeout  time.Duration
@@ -139,9 +140,9 @@ type planeOpts struct {
 	metrics *PlaneMetrics
 	trace   *obs.Tracer
 	audit   *obs.AuditRing
-	// wrapRec, when set, wraps the reconciler's transport (outside any
-	// fault wrapper).
-	wrapRec func(Transport) Transport
+	// wrap, when set, wraps every endpoint's transport (outside any fault
+	// wrapper); wrapRec wraps the reconciler's outside that.
+	wrap, wrapRec func(Transport) Transport
 }
 
 // planeCPUMilli is the CPU capacity of buildShardPlane's hosts. Its VMs
@@ -213,20 +214,28 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 			} else {
 				tr, err = hub.NewEndpoint(addr, h)
 			}
-			if err != nil || o.faults == nil {
-				return tr, err
+			if err != nil {
+				return nil, err
 			}
-			return o.faults.Wrap(tr), nil
+			if o.faults != nil {
+				tr = o.faults.Wrap(tr)
+			}
+			if o.wrap != nil {
+				tr = o.wrap(tr)
+			}
+			return tr, nil
 		}
 	}
 	for h := 0; h < topo.Hosts(); h++ {
 		ag, err := NewAgent(AgentConfig{
 			HostID: cluster.HostID(h), Slots: 8, RAMMB: 32768, CPUMilli: planeCPUMilli, NICMbps: 1000,
 			Topo: topo, Cost: cm, Policy: pol,
-			ProbeTimeout: o.probeTimeout,
 		}, p.reg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if o.probeTimeout > 0 {
+			ag.probeTimeout = o.probeTimeout
 		}
 		if err := ag.Start(mk(fmt.Sprintf("dom0-%d", h))); err != nil {
 			t.Fatal(err)
@@ -246,7 +255,6 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 	if shards > 0 {
 		rec, err := NewReconciler(ReconcilerConfig{
 			Topo: topo, Cost: cm, Shards: shards, Granularity: shard.ByPod,
-			ProbeTimeout:     o.probeTimeout,
 			ShardDeadline:    o.shardDeadline,
 			EvictAttempts:    o.evictAttempts,
 			AdaptiveDeadline: o.adaptive,
@@ -256,6 +264,9 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 		}, p.reg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if o.probeTimeout > 0 {
+			rec.probeTimeout = o.probeTimeout
 		}
 		if err := rec.Start(func(h Handler) (Transport, error) {
 			tr, err := mk("reconciler")(h)
@@ -636,7 +647,7 @@ func TestDistributedReconcilerTheorem1(t *testing.T) {
 // A's ring must invalidate location-cache entries held by an agent
 // working for shard B's ring before that agent's next probe — the
 // registry no longer names the dom0 that answered the original probe,
-// so the entry is dropped regardless of its live TTL.
+// so the entry is dropped.
 func TestShardedLocationCacheInvalidation(t *testing.T) {
 	p := buildShardPlane(t, 4, 7, 10, 4, token.HighestLevelFirst{})
 
@@ -655,14 +666,6 @@ func TestShardedLocationCacheInvalidation(t *testing.T) {
 		}
 		before[vm] = h
 	}
-	// Push every entry's expiry an hour out, so the entries stay live
-	// across the whole round and only invalidation can drop them.
-	probe.mu.Lock()
-	for vm, ent := range probe.locCache {
-		ent.expires = time.Now().Add(time.Hour)
-		probe.locCache[vm] = ent
-	}
-	probe.mu.Unlock()
 
 	applied, _ := distributedRounds(t, p)
 	moved := make(map[cluster.VMID]bool)
@@ -674,8 +677,7 @@ func TestShardedLocationCacheInvalidation(t *testing.T) {
 	}
 
 	// Every cached VM that migrated must resolve to its *new* host on
-	// the next probe despite the hour-long TTL; unmoved VMs still serve
-	// from cache.
+	// the next probe; unmoved VMs still serve from cache.
 	place := p.finalPlacement()
 	checked := 0
 	for vm := range before {
@@ -775,4 +777,48 @@ func TestMergeProbesEachTargetOnce(t *testing.T) {
 		t.Fatalf("reconciler sent %d capacity probes for %d distinct targets over %d decisions", got, len(targets), len(recs))
 	}
 	t.Logf("%d capacity probes for %d decisions", cc.n.Load(), len(recs))
+}
+
+// sendCounter counts the messages of type typ sent through the transport
+// it wraps, into a counter the wrapped endpoints may share.
+type sendCounter struct {
+	Transport
+	typ MsgType
+	n   *atomic.Int64
+}
+
+func (c sendCounter) Send(to string, m Message) error {
+	if m.Type == c.typ {
+		c.n.Add(1)
+	}
+	return c.Transport.Send(to, m)
+}
+
+// TestQuietAgentRoundProbesNoLocation: a cached location stands while the
+// registry names the dom0 that answered, however long ago it was probed.
+// On the k=8 four-pod-shard plane, run to quiescence and then left idle
+// for over a second, one more round — every VM visited, nothing moved
+// since the last — sends no location request from any endpoint.
+func TestQuietAgentRoundProbesNoLocation(t *testing.T) {
+	var locs atomic.Int64
+	p := buildShardPlaneOpts(t, 8, 20140630, 50, 4, token.HighestLevelFirst{}, planeOpts{
+		wrap: func(tr Transport) Transport { return sendCounter{Transport: tr, typ: MsgLocationReq, n: &locs} },
+	})
+	applied, reports := distributedRounds(t, p)
+	if len(applied) == 0 {
+		t.Fatal("no migrations; the caches were never exercised")
+	}
+	t.Logf("convergence: %d moves in %d rounds, %d location requests", len(applied), len(reports), locs.Load())
+	time.Sleep(1100 * time.Millisecond)
+	locs.Store(0)
+	rep, err := p.rec.RunRound()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Applied) != 0 || rep.TotalHops == 0 {
+		t.Fatalf("idle round applied %d moves over %d hops, want a quiet round that visits", len(rep.Applied), rep.TotalHops)
+	}
+	if n := locs.Load(); n != 0 {
+		t.Fatalf("quiet round after an idle second sent %d location requests, want 0", n)
+	}
 }

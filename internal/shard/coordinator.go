@@ -25,8 +25,6 @@ type Config struct {
 	// re-partitions when the answer changed. Shards/Granularity may then
 	// be left zero.
 	Tuner Tuner
-	// Workers bounds the worker pool; 0 means GOMAXPROCS.
-	Workers int
 	// NewPolicy selects nothing: a round's rings are rebuilt from the
 	// partition and walked once in ascending ID order, the order every
 	// token.RingOrder policy yields on such a pass. NewCoordinator calls
@@ -65,7 +63,7 @@ func NewCoordinator(eng *core.Engine, cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("shard: a round walks each ring once in ID order, which policy %q would reorder; run it on the single token (sim.Runner without shards)", pol.Name())
 		}
 	}
-	pl := &enginePlane{eng: eng, pool: NewPool(cfg.Workers), metrics: cfg.Metrics, auditing: cfg.Audit != nil}
+	pl := &enginePlane{eng: eng, pool: NewPool(0), metrics: cfg.Metrics, auditing: cfg.Audit != nil}
 	d, err := NewDriver(eng.Topology(), cfg, eng.Config().MigrationCost, pl)
 	if err != nil {
 		return nil, err
@@ -95,11 +93,11 @@ type enginePlane struct {
 
 func (e *enginePlane) Hosts() (int, error) { return e.eng.Cluster().NumHosts(), nil }
 
-func (e *enginePlane) Fill(p *Partition) { p.addPlaced(e.eng.Cluster()) }
-
-// Run prepares the views sequentially (a reset primes the engine's
+// Run fills the partition's ring bitmaps from the cluster's placement
+// table and prepares the views sequentially (a reset primes the engine's
 // shared accounting), then runs the rings strictly concurrently.
 func (e *enginePlane) Run(_ *Round, part *Partition, mg *Merge) ([]Ring, error) {
+	part.addPlaced(e.eng.Cluster())
 	mg.Env = EngineEnv(e.eng)
 	n := part.Shards()
 	for len(e.views) < n {

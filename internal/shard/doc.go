@@ -52,13 +52,14 @@
 //
 // The round is where the two scheduler planes meet: both run one Driver
 // (round number and trace start, the tuner's plan, the host→shard table,
-// the rings filled and run, the merge fed in shard order, the Round). A
-// Plane supplies what differs: its host count, its placement (Fill), and
-// Run, which runs its rings and hands back their staged commits and
-// proposals with their provenance (AuditMeta) and the Env the merge
-// prices, admits, locates and executes moves against. The Coordinator is
-// the Driver over views on the worker pool; hypervisor.Reconciler is the
-// Driver over dom0 agent rings, which its Run supervises over the wire.
+// the rings run, the merge fed in shard order, the Round). A Plane
+// supplies what differs: its host count, and Run, which builds its rings
+// from its own placement and the table, runs them, and hands back their
+// staged commits and proposals with their provenance (AuditMeta) and the
+// Env the merge prices, admits, locates and executes moves against. The
+// Coordinator is the Driver over views on the worker pool;
+// hypervisor.Reconciler is the Driver over dom0 agent rings, which its
+// Run lists from the placement registry and supervises over the wire.
 // Every merge pass is one replay loop, one decision at a time, over the
 // plane's Env; a plane whose probes cost round trips warms its own state
 // before handing the moves in.
@@ -89,15 +90,15 @@
 //
 // A partition's rings are filled, not kept. "Every placed VM belongs to
 // the shard of its current host" makes them a function of the placement
-// table, so a round starts by refilling them from it in one ascending
-// pass (the in-process plane walks cluster.DenseAlloc, the agent plane
-// its sorted registry): every ring's bitmap is cleared, then each placed
-// VM sets one bit — about 4 ns per VM on a 2-vCPU Xeon VM (k=24,
-// BenchmarkPartitionRefill), into storage the previous round left
-// behind. Only the host→shard table, which depends on the topology and
-// the shard shape alone, outlives a round. Nothing observes
-// the cluster on the partition's behalf, and a move, admit, removal or
-// Restore between rounds needs no case here.
+// table, so the in-process plane's Run starts by refilling them from it
+// in one pass over cluster.DenseAlloc: every ring's bitmap is cleared,
+// then each placed VM sets one bit — about 4 ns per VM on a 2-vCPU Xeon
+// VM (k=24, BenchmarkPartitionRefill), into storage the previous round
+// left behind. Only the host→shard table, which depends on the topology
+// and the shard shape alone, outlives a round. Nothing observes the
+// cluster on the partition's behalf, and a move, admit, removal or
+// Restore between rounds needs no case here. (The agent plane keeps no
+// bitmaps: its rings are lists read off its sorted registry each round.)
 //
 // The worker pool (Pool) is exported separately: the GA baseline reuses
 // it to fan population fitness evaluation and memetic local search over

@@ -38,8 +38,7 @@ type Merge struct {
 	// Round (Reset starts a fresh Applied list).
 	Outcome
 	// Rejected lists, in decision order and as handed in, every
-	// re-validated move that did not land: what the distributed plane
-	// tells the losing dom0s to abort. Scratch, valid until Reset.
+	// re-validated move that did not land. Scratch, valid until Reset.
 	Rejected []core.Decision
 	// Proposed counts the cross-shard proposals handed in.
 	Proposed int

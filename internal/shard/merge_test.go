@@ -90,7 +90,7 @@ func proposalsFor(n int) []core.Decision {
 // The input holds a commit that goes stale once the earlier shard has
 // merged, a commit and a proposal whose Apply errors, and a proposal that
 // re-validates to a loss. The replay's spec is the golden outcome below:
-// Applied bit for bit, the tallies, the abort list, the stale events
+// Applied bit for bit, the tallies, the rejected list, the stale events
 // naming their VMs, and audit records and EvVerdict events telling the
 // same story decision by decision.
 func TestMergePhaseReplay(t *testing.T) {
@@ -246,7 +246,7 @@ func TestCoordinatorVerdictTraceFollowsAudit(t *testing.T) {
 	eng := staleInstance(t, core.DefaultConfig())
 	ar, tr := obs.NewAuditRing(1<<10), obs.NewTracer(1<<10)
 	coord, err := NewCoordinator(eng, Config{
-		Shards: 2, Granularity: ByRack, Workers: 2,
+		Shards: 2, Granularity: ByRack,
 		NewPolicy: func(int) token.Policy { return token.RoundRobin{} },
 		Audit:     ar, Trace: tr,
 	})
@@ -290,7 +290,7 @@ func TestCoordinatorVerdictTraceFollowsAudit(t *testing.T) {
 // TestMergeWithdraw: moves a plane pulls before the replay are counted
 // with the rejected ones, and the withdrawn commits' stale events name
 // their VMs; nothing was re-validated, so there is no audit record and
-// nothing to abort.
+// no rejected move.
 func TestMergeWithdraw(t *testing.T) {
 	ar, tr := obs.NewAuditRing(16), obs.NewTracer(16)
 	m := &Merge{Env: seqEnv{newFakeState(4)}, Round: 3, Audit: ar, Trace: tr}

@@ -49,16 +49,14 @@ func ParseGranularity(s string) (Granularity, error) {
 // placed VM — to one of a fixed number of shards. Units (pods or racks)
 // are assigned to shards in contiguous blocks, so a shard is a set of
 // whole units and its boundaries coincide with topology levels. The VM
-// rings hold the placement as it was when they were filled (Add); they
-// follow no later change to it.
+// rings hold the cluster's placement as it was when they were filled
+// (addPlaced); they follow no later change to it.
 type Partition struct {
 	shards    int
 	hostShard []int32
-	// rings[s] is shard s's VM ring, a bitmap over the IDs from base (the
-	// cluster's ID window, or the first VM added since the rings were
-	// emptied): bit b of rings[s][w] is VM base+64w+b.
+	// rings[s] is shard s's VM ring, a bitmap over the cluster's ID window
+	// from base: bit b of rings[s][w] is VM base+64w+b.
 	base  cluster.VMID
-	based bool
 	rings [][]uint64
 	// lists[s] is the storage VMs(s) expands ring s into.
 	lists [][]cluster.VMID
@@ -67,9 +65,9 @@ type Partition struct {
 // NewHostPartition derives the host→shard mapping alone, with empty VM
 // rings: topology units (pods or racks) are assigned to shards in
 // contiguous blocks covering hosts [0, hosts). The effective shard count
-// is clamped to the number of units at the chosen granularity. Callers
-// that track VM placement themselves (the agent plane, which reads the
-// registry rather than a cluster) populate the rings via Add.
+// is clamped to the number of units at the chosen granularity. The agent
+// plane, which reads placement from its registry rather than a cluster,
+// uses the table alone.
 func NewHostPartition(topo topology.Topology, hosts int, g Granularity, shards int) (*Partition, error) {
 	if topo == nil {
 		return nil, fmt.Errorf("shard: nil topology")
@@ -127,21 +125,13 @@ func NewPartition(topo topology.Topology, cl *cluster.Cluster, g Granularity, sh
 	return p, nil
 }
 
-// empty truncates every ring, keeping its storage: refilling it with
-// addPlaced allocates nothing once the rings have grown to size.
-func (p *Partition) empty() {
-	for s := range p.rings {
-		p.rings[s] = p.rings[s][:0]
-	}
-	p.based = false
-}
-
-// addPlaced adds every VM the cluster's placement table places, in one
-// pass over the table's ID window: each ring is sized to the window and
-// cleared, then every placed VM sets its bit.
+// addPlaced fills the rings with every VM the cluster's placement table
+// places, in one pass over the table's ID window: each ring is sized to
+// the window and cleared, keeping its storage (a refill allocates nothing
+// once the rings have grown to size), then every placed VM sets its bit.
 func (p *Partition) addPlaced(cl *cluster.Cluster) {
 	base, alloc := cl.DenseAlloc()
-	p.base, p.based = base, true
+	p.base = base
 	n := (len(alloc) + 63) / 64
 	for s := range p.rings {
 		p.rings[s] = slices.Grow(p.rings[s][:0], n)[:n]
@@ -152,24 +142,6 @@ func (p *Partition) addPlaced(cl *cluster.Cluster) {
 			p.rings[p.ShardOfHost(h)][i>>6] |= 1 << (i & 63)
 		}
 	}
-}
-
-// Add sets vm, hosted on h, in the ring of h's shard. The first VM added
-// to emptied rings fixes their base, so callers add VMs in ascending ID
-// order.
-func (p *Partition) Add(vm cluster.VMID, h cluster.HostID) {
-	if !p.based {
-		p.base, p.based = vm, true
-	}
-	if vm < p.base {
-		panic(fmt.Sprintf("shard: VM %d added below VM %d, out of ascending ID order", vm, p.base))
-	}
-	i := int(vm - p.base)
-	r := &p.rings[p.ShardOfHost(h)]
-	for len(*r) <= i>>6 {
-		*r = append(*r, 0)
-	}
-	(*r)[i>>6] |= 1 << (i & 63)
 }
 
 // Shards returns the effective shard count.

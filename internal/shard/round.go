@@ -57,14 +57,13 @@ type Round struct {
 }
 
 // A Plane is what differs between the scheduler planes (package doc):
-// the host count the host→shard table covers, the placement the rings
-// are filled from (Fill adds every placed VM, in ascending ID order, to
-// the emptied rings), and how the rings run. Run returns one Ring per
-// shard, in shard order; it sets mg.Env, the state the merge re-validates
-// against, and may Withdraw moves the merge must not replay.
+// the host count the host→shard table covers, and how the rings run. Run
+// builds each shard's ring from the plane's own placement and the
+// partition's host→shard table, and returns one Ring per shard, in shard
+// order; it sets mg.Env, the state the merge re-validates against, and
+// may Withdraw moves the merge must not replay.
 type Plane interface {
 	Hosts() (int, error)
-	Fill(p *Partition)
 	Run(r *Round, p *Partition, mg *Merge) ([]Ring, error)
 }
 
@@ -93,7 +92,7 @@ type Driver struct {
 	cfg   Config
 
 	// part's host→shard table is kept while the shard shape (count,
-	// granularity, host count) holds; its rings are refilled every round.
+	// granularity, host count) holds.
 	part      *Partition
 	curShards int
 	curGran   Granularity
@@ -130,8 +129,7 @@ func (d *Driver) SetRounds(n uint64) { d.round = uint32(n) }
 
 // partition returns the round's partition: the host→shard table, built
 // on first use and again whenever the shape — the tuner's answer,
-// consulted once per round here, or the plane's host count — changes,
-// with its rings filled from the plane's placement as it stands now.
+// consulted once per round here, or the plane's host count — changes.
 func (d *Driver) partition() (*Partition, error) {
 	hosts, err := d.plane.Hosts()
 	if err != nil {
@@ -154,8 +152,6 @@ func (d *Driver) partition() (*Partition, error) {
 		}
 		d.part, d.curShards, d.curGran, d.curHosts = part, shards, g, hosts
 	}
-	d.part.empty()
-	d.plane.Fill(d.part)
 	return d.part, nil
 }
 

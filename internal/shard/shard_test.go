@@ -215,7 +215,7 @@ func TestShardedConvergesNearSerial(t *testing.T) {
 
 	for _, g := range []Granularity{ByPod, ByRack} {
 		eng := buildEngine(t, 4, 11, 10)
-		coord, err := NewCoordinator(eng, Config{Shards: 4, Granularity: g, Workers: 4})
+		coord, err := NewCoordinator(eng, Config{Shards: 4, Granularity: g})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		old := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(old)
 		eng := buildEngine(t, 4, 23, 10)
-		coord, err := NewCoordinator(eng, Config{Shards: 4, Workers: 8})
+		coord, err := NewCoordinator(eng, Config{Shards: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func TestRingOrderPoliciesBitIdentical(t *testing.T) {
 	run := func(newPolicy func(int) token.Policy) string {
 		eng := buildEngine(t, 4, 23, 10)
 		ar := obs.NewAuditRing(1 << 12)
-		coord, err := NewCoordinator(eng, Config{Shards: 4, Granularity: ByRack, Workers: 4, NewPolicy: newPolicy, Audit: ar})
+		coord, err := NewCoordinator(eng, Config{Shards: 4, Granularity: ByRack, NewPolicy: newPolicy, Audit: ar})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +405,7 @@ func TestRoundRingsFollowPlacement(t *testing.T) {
 	eng := buildEngine(t, 4, 23, 10)
 	cl, topo := eng.Cluster(), eng.Topology()
 	tuner := &stepTuner{shards: 4, g: ByPod}
-	coord, err := NewCoordinator(eng, Config{Tuner: tuner, Workers: 2})
+	coord, err := NewCoordinator(eng, Config{Tuner: tuner})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,6 @@ func TestRefillZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	refill := func() {
-		part.empty()
 		part.addPlaced(eng.Cluster())
 	}
 	if n := testing.AllocsPerRun(20, refill); n != 0 {
@@ -541,7 +540,6 @@ func BenchmarkPartitionRefill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		part.empty()
 		part.addPlaced(cl)
 	}
 }
@@ -682,7 +680,7 @@ func TestCoordinatorTunerRepartitions(t *testing.T) {
 		shards int
 		g      Granularity
 	}{{1, ByPod}, {4, ByPod}, {4, ByPod}, {8, ByRack}}}
-	coord, err := NewCoordinator(eng, Config{Tuner: tuner, Workers: 2})
+	coord, err := NewCoordinator(eng, Config{Tuner: tuner})
 	if err != nil {
 		t.Fatal(err)
 	}

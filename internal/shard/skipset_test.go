@@ -58,7 +58,7 @@ func TestSkipSetPinned(t *testing.T) {
 	for _, run := range runs {
 		t.Run(run.name, func(t *testing.T) {
 			eng := shard.BuildEngine(t, 8, 29, 10)
-			cfg := shard.Config{Shards: run.shards, Granularity: run.g, Workers: 2}
+			cfg := shard.Config{Shards: run.shards, Granularity: run.g}
 			if run.shards == 0 {
 				ctrl := control.New(eng.Topology(), control.Config{})
 				defer ctrl.Bind(eng.Traffic(), eng.Cluster())()

@@ -84,7 +84,7 @@ func newWorld(t testing.TB, size int, cfg core.Config) *world {
 		t.Fatal(err)
 	}
 	w.coord, err = NewCoordinator(w.eng, Config{
-		Tuner: w.tuner, Workers: 2,
+		Tuner:     w.tuner,
 		NewPolicy: func(int) token.Policy { return token.RoundRobin{} },
 	})
 	if err != nil {

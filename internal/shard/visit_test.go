@@ -83,7 +83,7 @@ func staleInstance(t *testing.T, cfg core.Config) *core.Engine {
 func TestStaleRejectedCommitInvalidatesVerdicts(t *testing.T) {
 	run := func(eng *core.Engine) []*Round {
 		coord, err := NewCoordinator(eng, Config{
-			Shards: 2, Granularity: ByRack, Workers: 2,
+			Shards: 2, Granularity: ByRack,
 			NewPolicy: func(int) token.Policy { return token.RoundRobin{} },
 		})
 		if err != nil {
@@ -149,7 +149,7 @@ func TestVisitOutcomeAccounting(t *testing.T) {
 	eng := buildEngine(t, 4, 31, 10)
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
-	coord, err := NewCoordinator(eng, Config{Shards: 4, Granularity: ByPod, Workers: 2, Metrics: m})
+	coord, err := NewCoordinator(eng, Config{Shards: 4, Granularity: ByPod, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
