@@ -11,6 +11,8 @@
 // The Cluster owns the placement table — one HostID per VM ID — and is
 // its only writer. Readers that cannot afford a call per lookup borrow
 // it through DenseAlloc: a read-only alias, valid until the next AddVM.
+// Readers that keep a copy of it, or a structure derived from it, follow
+// its writes through MovesSince, a bounded log of them.
 //
 // Per-VM state has one layout: flat tables over a window of the ID space
 // (Section V-A: IDs come from one totally ordered space and the token
@@ -72,6 +74,21 @@ type Host struct {
 	CPUMilli int
 }
 
+// AllocChange records one write to the placement table: VM went from
+// host From to host To, either of them NoHost (a placement, an
+// unplacement).
+type AllocChange struct {
+	VM       VMID
+	From, To HostID
+}
+
+// moveLogCap bounds the placement changelog, as traffic's changeLogCap
+// bounds the matrix's: each write appends one entry, and a full log keeps
+// its newest moveLogCap/2. A reader at most that far behind patches its
+// copy; one further behind — where a full copy of the table costs less
+// than the patch — is refused and rebuilds.
+const moveLogCap = 4096
+
 // Errors returned by allocation mutations.
 var (
 	ErrUnknownVM    = errors.New("cluster: unknown VM")
@@ -116,6 +133,13 @@ type Cluster struct {
 	alloc   []HostID
 	numVMs  int
 	maxSpan int64
+
+	// The placement changelog (MovesSince): moveLog[i] took the table
+	// from generation moveBase+i to moveBase+i+1, and moveGen is the
+	// current generation. Restore and a window regrow empty it.
+	moveLog  []AllocChange
+	moveBase uint64
+	moveGen  uint64
 
 	hostVMs [][]VMID // dense, indexed by HostID; unordered sets
 	ramUsed []int    // MiB in use per host
@@ -308,6 +332,7 @@ func (c *Cluster) ensureRec(vm VMID) int {
 		copy(na[at:], c.alloc[first:last+1])
 	}
 	c.recBase, c.recs, c.alloc = newBase, nr, na
+	c.resetMoves()
 	return int(vm - newBase)
 }
 
@@ -330,6 +355,44 @@ func (c *Cluster) Demand(vm VMID) (ramMB, cpuMilli int, ok bool) {
 
 // setHostOf records vm's placement. The VM must be registered.
 func (c *Cluster) setHostOf(vm VMID, h HostID) { c.alloc[vm-c.recBase] = h }
+
+// logMove appends one placement-table write to the changelog, sliding
+// the log to its newest half when it is full.
+func (c *Cluster) logMove(vm VMID, from, to HostID) {
+	if len(c.moveLog) >= moveLogCap {
+		kept := copy(c.moveLog, c.moveLog[len(c.moveLog)-moveLogCap/2:])
+		c.moveLog = c.moveLog[:kept]
+		c.moveBase = c.moveGen - uint64(kept)
+	}
+	c.moveLog = append(c.moveLog, AllocChange{VM: vm, From: from, To: to})
+	c.moveGen++
+}
+
+// resetMoves empties the changelog after a write it does not describe
+// (Restore rewrites the table, a regrow moves its window), so every
+// earlier generation reads as too far behind.
+func (c *Cluster) resetMoves() {
+	c.moveGen++
+	c.moveLog, c.moveBase = c.moveLog[:0], c.moveGen
+}
+
+// MoveGeneration returns the placement table's generation: it advances
+// on every Place, Move and Remove that writes the table, and on Restore
+// and window regrows.
+func (c *Cluster) MoveGeneration() uint64 { return c.moveGen }
+
+// MovesSince returns the writes that took the placement table from
+// generation gen to the current one, in order. ok is false when gen is
+// more than moveLogCap/2 writes behind, or behind a Restore or a window
+// regrow: the caller copies the table instead. With ok, the window
+// (DenseAlloc's base and length) is the one gen saw. The slice is owned
+// by the cluster: read-only, valid until the next write.
+func (c *Cluster) MovesSince(gen uint64) ([]AllocChange, bool) {
+	if gen > c.moveGen || gen < c.moveBase || c.moveGen-gen > moveLogCap/2 {
+		return nil, false
+	}
+	return c.moveLog[gen-c.moveBase:], true
+}
 
 // NumHosts returns the number of physical servers.
 func (c *Cluster) NumHosts() int { return len(c.hosts) }
@@ -409,7 +472,9 @@ func (c *Cluster) HostOf(vm VMID) HostID {
 // AddVM. The slice aliases live state: it is read-only for the caller,
 // follows every Place/Move/Remove/Restore, and is valid only until the
 // next AddVM, which may reallocate the table — re-fetch it rather than
-// holding it across one.
+// holding it across one. A consumer that keeps a copy, or state derived
+// from one, brings it up to date from MovesSince and copies again only
+// when that refuses.
 func (c *Cluster) DenseAlloc() (base VMID, alloc []HostID) {
 	return c.recBase, c.alloc
 }
@@ -507,6 +572,7 @@ func (c *Cluster) Place(vm VMID, host HostID) error {
 		return fmt.Errorf("%w: host %d for VM %d", ErrNoCapacity, host, vm)
 	}
 	c.setHostOf(vm, host)
+	c.logMove(vm, NoHost, host)
 	c.hostVMs[host] = append(c.hostVMs[host], vm)
 	c.ramUsed[host] += ram
 	c.cpuUsed[host] += cpu
@@ -539,6 +605,7 @@ func (c *Cluster) Move(vm VMID, host HostID) error {
 	c.ramUsed[cur] -= ram
 	c.cpuUsed[cur] -= cpu
 	c.setHostOf(vm, host)
+	c.logMove(vm, cur, host)
 	c.hostVMs[host] = append(c.hostVMs[host], vm)
 	c.ramUsed[host] += ram
 	c.cpuUsed[host] += cpu
@@ -565,6 +632,7 @@ func (c *Cluster) Remove(vm VMID) error {
 		c.ramUsed[cur] -= ram
 		c.cpuUsed[cur] -= cpu
 		c.setHostOf(vm, NoHost)
+		c.logMove(vm, cur, NoHost)
 		c.notifyChange(vm, cur, NoHost)
 	}
 	c.recs[vm-c.recBase] = vmRec{}
@@ -680,6 +748,7 @@ func (c *Cluster) Restore(alloc map[VMID]HostID) error {
 			c.cpuUsed[h] += cpuMilli
 		}
 	}
+	c.resetMoves()
 	c.notifyReset()
 	return nil
 }

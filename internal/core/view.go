@@ -52,6 +52,13 @@ type AllocView struct {
 	netD      []float64
 	commits   []Decision
 
+	// denseGen is the cluster's placement generation a frozen view's table
+	// was last brought up to, valid once denseOK (see syncAlloc); rebuilds
+	// counts the table's full copies.
+	denseGen uint64
+	denseOK  bool
+	rebuilds int
+
 	// k is the view's kernel: the engine's level tables, scratch reused
 	// across this view's decisions.
 	k Kernel
@@ -76,20 +83,21 @@ func (e *Engine) NewView() *AllocView { return e.ResetView(nil) }
 
 // ResetView re-primes an existing frozen view for a fresh decision
 // phase, reusing its buffers: the overlay deltas are zeroed, staged
-// commits dropped, and the placement table re-copied in place. A reset
-// view is indistinguishable from a new one — round loops keep per-shard
-// views alive across rounds and pay O(hosts + |V|) stores instead of
-// O(hosts + |V|) fresh allocations each round. A nil or foreign view is
-// replaced by a new one.
+// commits dropped, and the placement table brought up to the cluster's
+// (syncAlloc). A reset view is indistinguishable from a new one — round
+// loops keep per-shard views alive across rounds and pay O(hosts) stores
+// plus one per staged commit and per placement write since the last
+// reset, instead of O(hosts + |V|) fresh allocations each round. A nil
+// or foreign view is replaced by a new one.
 func (e *Engine) ResetView(v *AllocView) *AllocView {
 	if v == nil || v.eng != e {
 		v = &AllocView{eng: e, k: *e.kern.Clone()}
 	}
 	e.acct.Sync()
 	v.sizeScratch()
+	v.syncAlloc()
 	v.commits = v.commits[:0]
 	v.primeMemo()
-	v.denseBase, v.dense = e.cl.DenseAllocSnapshotInto(v.dense)
 	if n := (len(v.dense) + 63) / 64; cap(v.near) < n {
 		v.near = make([]uint64, n)
 	} else {
@@ -98,6 +106,35 @@ func (e *Engine) ResetView(v *AllocView) *AllocView {
 	}
 	return v
 }
+
+// syncAlloc makes the view's table equal the cluster's. When the
+// cluster's changelog (MovesSince) covers the writes since the last sync
+// (which implies the same ID window), it rewrites only the entries the
+// view's staged commits and those writes touched, from the cluster's
+// table; otherwise it copies the whole table.
+func (v *AllocView) syncAlloc() {
+	cl := v.eng.cl
+	if v.denseOK {
+		if moves, ok := cl.MovesSince(v.denseGen); ok {
+			base, alloc := cl.DenseAlloc()
+			for _, d := range v.commits {
+				v.dense[d.VM-base] = alloc[d.VM-base]
+			}
+			for _, m := range moves {
+				v.dense[m.VM-base] = alloc[m.VM-base]
+			}
+			v.denseGen = cl.MoveGeneration()
+			return
+		}
+	}
+	v.denseBase, v.dense = cl.DenseAllocSnapshotInto(v.dense)
+	v.denseGen, v.denseOK = cl.MoveGeneration(), true
+	v.rebuilds++
+}
+
+// Rebuilds reports how many resets copied the whole placement table
+// rather than patching it (syncAlloc).
+func (v *AllocView) Rebuilds() int { return v.rebuilds }
 
 // sizeScratch sizes the per-host overlay deltas, zeroing them.
 func (v *AllocView) sizeScratch() {

@@ -93,9 +93,10 @@ type enginePlane struct {
 
 func (e *enginePlane) Hosts() (int, error) { return e.eng.Cluster().NumHosts(), nil }
 
-// Run fills the partition's ring bitmaps from the cluster's placement
+// Run brings the partition's ring bitmaps up to the cluster's placement
 // table and prepares the views sequentially (a reset primes the engine's
-// shared accounting), then runs the rings strictly concurrently.
+// shared accounting; both patch from the cluster's changelog where they
+// can), then runs the rings strictly concurrently.
 func (e *enginePlane) Run(_ *Round, part *Partition, mg *Merge) ([]Ring, error) {
 	part.addPlaced(e.eng.Cluster())
 	mg.Env = EngineEnv(e.eng)

@@ -88,17 +88,29 @@
 // reported to the engine (RejectObserver) so verdicts computed against it
 // are voided.
 //
-// A partition's rings are filled, not kept. "Every placed VM belongs to
-// the shard of its current host" makes them a function of the placement
-// table, so the in-process plane's Run starts by refilling them from it
-// in one pass over cluster.DenseAlloc: every ring's bitmap is cleared,
-// then each placed VM sets one bit — about 4 ns per VM on a 2-vCPU Xeon
-// VM (k=24, BenchmarkPartitionRefill), into storage the previous round
-// left behind. Only the host→shard table, which depends on the topology
-// and the shard shape alone, outlives a round. Nothing observes the
-// cluster on the partition's behalf, and a move, admit, removal or
-// Restore between rounds needs no case here. (The agent plane keeps no
-// bitmaps: its rings are lists read off its sorted registry each round.)
+// A partition's rings follow the placement table, patched from its
+// changelog. "Every placed VM belongs to the shard of its current host"
+// makes them a function of the table, and the cluster logs every write to
+// it (cluster.MovesSince), so the in-process plane's Run starts by
+// replaying the writes since the last round: each clears the VM's bit in
+// its old host's shard and sets it in its new one's — the round's merged
+// moves, and any move, admit or removal made between rounds. When the
+// changelog cannot serve them — more than 2,048 writes behind, or behind
+// a Restore or an ID-window regrow — and on a partition just built for a
+// new shard shape, the rings are refilled instead: every bitmap cleared,
+// then one bit set per placed VM, about 4–6 ns per VM on a 2-vCPU Xeon VM
+// (k=24, BenchmarkPartitionRefill, ≈ 0.45–0.6 ms). Each shard's view
+// follows the table the same way (core.Engine.ResetView): it undoes its
+// own staged commits and rewrites the logged entries instead of copying
+// all 103,680. A converged k=24 round's reset of 24 views plus the ring
+// patch costs ≈ 0.2 ms after 100 merged moves (BenchmarkQuietRoundReset)
+// against ≈ 0.9 ms for the copies and the refill; the cold rounds after a
+// Restore, each thousands of moves, take the full path.
+// TestPatchedEqualsRefilled holds patched rings and views to a fresh
+// partition and the cluster's table, round after round. Nothing observes
+// the cluster on the partition's behalf: the log is passive. (The agent
+// plane keeps no bitmaps: its rings are lists read off its sorted
+// registry each round.)
 //
 // The worker pool (Pool) is exported separately: the GA baseline reuses
 // it to fan population fitness evaluation and memetic local search over

@@ -49,8 +49,9 @@ func ParseGranularity(s string) (Granularity, error) {
 // placed VM — to one of a fixed number of shards. Units (pods or racks)
 // are assigned to shards in contiguous blocks, so a shard is a set of
 // whole units and its boundaries coincide with topology levels. The VM
-// rings hold the cluster's placement as it was when they were filled
-// (addPlaced); they follow no later change to it.
+// rings hold the cluster's placement as it was at the last addPlaced,
+// which patches them from the cluster's placement changelog
+// (cluster.MovesSince) and refills them when that refuses.
 type Partition struct {
 	shards    int
 	hostShard []int32
@@ -60,6 +61,12 @@ type Partition struct {
 	rings [][]uint64
 	// lists[s] is the storage VMs(s) expands ring s into.
 	lists [][]cluster.VMID
+
+	// The placement the rings hold: cl's table at generation gen; cl is
+	// nil until the first fill. refills counts the full refills.
+	cl      *cluster.Cluster
+	gen     uint64
+	refills int
 }
 
 // NewHostPartition derives the host→shard mapping alone, with empty VM
@@ -125,13 +132,38 @@ func NewPartition(topo topology.Topology, cl *cluster.Cluster, g Granularity, sh
 	return p, nil
 }
 
-// addPlaced fills the rings with every VM the cluster's placement table
+// addPlaced brings the rings up to the cluster's placement table. When
+// they were last filled from the same cluster and its changelog still
+// covers the writes since (which implies the same ID window), each write
+// clears the VM's bit in its old host's shard and sets it in its new
+// one's; otherwise the rings are refilled.
+func (p *Partition) addPlaced(cl *cluster.Cluster) {
+	if p.cl == cl {
+		if moves, ok := cl.MovesSince(p.gen); ok {
+			for _, m := range moves {
+				i := m.VM - p.base
+				if m.From != cluster.NoHost {
+					p.rings[p.ShardOfHost(m.From)][i>>6] &^= 1 << (i & 63)
+				}
+				if m.To != cluster.NoHost {
+					p.rings[p.ShardOfHost(m.To)][i>>6] |= 1 << (i & 63)
+				}
+			}
+			p.gen = cl.MoveGeneration()
+			return
+		}
+	}
+	p.refill(cl)
+}
+
+// refill fills the rings with every VM the cluster's placement table
 // places, in one pass over the table's ID window: each ring is sized to
 // the window and cleared, keeping its storage (a refill allocates nothing
 // once the rings have grown to size), then every placed VM sets its bit.
-func (p *Partition) addPlaced(cl *cluster.Cluster) {
+func (p *Partition) refill(cl *cluster.Cluster) {
 	base, alloc := cl.DenseAlloc()
-	p.base = base
+	p.cl, p.base, p.gen = cl, base, cl.MoveGeneration()
+	p.refills++
 	n := (len(alloc) + 63) / 64
 	for s := range p.rings {
 		p.rings[s] = slices.Grow(p.rings[s][:0], n)[:n]

@@ -496,7 +496,8 @@ func TestRoundRingsFollowPlacement(t *testing.T) {
 }
 
 // TestRefillZeroAllocs: refilling a partition whose rings have reached
-// their size allocates nothing — what lets every round do it.
+// their size allocates nothing — what lets a round that cannot patch do
+// it.
 func TestRefillZeroAllocs(t *testing.T) {
 	eng := buildEngine(t, 4, 5, 1)
 	part, err := NewPartition(eng.Topology(), eng.Cluster(), ByRack, 8)
@@ -504,17 +505,18 @@ func TestRefillZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	refill := func() {
-		part.addPlaced(eng.Cluster())
+		part.refill(eng.Cluster())
 	}
 	if n := testing.AllocsPerRun(20, refill); n != 0 {
 		t.Fatalf("steady-state refill allocates %v times per call, want 0", n)
 	}
 }
 
-// BenchmarkPartitionRefill is what every round pays to derive its rings:
-// 24 pod bitmaps over the k=24 fat-tree's ID window cleared, then one
-// pass over the placement table of its 103,680 VMs setting a bit each.
-// Must read 0 allocs/op.
+// BenchmarkPartitionRefill is what a round pays to derive its rings when
+// it cannot patch them (a cold round, a Restore, a regrow, a reshape): 24
+// pod bitmaps over the k=24 fat-tree's ID window cleared, then one pass
+// over the placement table of its 103,680 VMs setting a bit each. Must
+// read 0 allocs/op.
 func BenchmarkPartitionRefill(b *testing.B) {
 	topo, err := topology.NewFatTree(24, 1000)
 	if err != nil {
@@ -540,15 +542,13 @@ func BenchmarkPartitionRefill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		part.addPlaced(cl)
+		part.refill(cl)
 	}
 }
 
-// BenchmarkQuietRingPass is one pod ring's pass in a converged k=24 round
-// (103,680 VMs in topology order, 24 pod shards): the walk over the
-// ring's words and the visits of the holders a settled verdict does not
-// cover. Must read 0 allocs/op.
-func BenchmarkQuietRingPass(b *testing.B) {
+// convergedK24 is a 24-pod-shard coordinator run to convergence on the
+// k=24 fat-tree with 103,680 VMs placed in topology order.
+func convergedK24(b *testing.B) (*core.Engine, *Coordinator) {
 	topo, err := topology.NewFatTree(24, 1000)
 	if err != nil {
 		b.Fatal(err)
@@ -598,6 +598,15 @@ func BenchmarkQuietRingPass(b *testing.B) {
 			b.Fatal("rounds did not converge")
 		}
 	}
+	return eng, coord
+}
+
+// BenchmarkQuietRingPass is one pod ring's pass in a converged k=24 round
+// (103,680 VMs in topology order, 24 pod shards): the walk over the
+// ring's words and the visits of the holders a settled verdict does not
+// cover. Must read 0 allocs/op.
+func BenchmarkQuietRingPass(b *testing.B) {
+	eng, coord := convergedK24(b)
 	part, view, ring := coord.part, eng.NewView(), &Ring{}
 	b.ReportAllocs()
 	b.ResetTimer()
