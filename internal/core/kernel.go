@@ -175,10 +175,17 @@ func (k *Kernel) Peer(h cluster.HostID, rate float64) {
 //	ΔC = 2 Σ_{z∈Vu} λ(z,u) · (Σ_{i≤ℓ^A(z,u)} c_i − Σ_{i≤ℓ^{A'}(z,u)} c_i)
 //
 // Per peer, the level after the move follows from the target's keys as in
-// level, and the terms are added in row order: the one implementation of
-// Eq. 5, so every sum for a (holder, target) is the same float64 sequence.
+// level, and the terms are added in row order (score): the one
+// implementation of Eq. 5, so every sum for a (holder, target) is the
+// same float64 sequence.
 func (k *Kernel) Score(target cluster.HostID) float64 {
-	rack, pod := k.rackOf[target], k.podOf[target]
+	return k.score(target, k.rackOf[target], k.podOf[target])
+}
+
+// score is Score of a target host with keys rack and pod. A host no peer
+// sits on scores like target cluster.NoHost with its keys: the rack's
+// peer-free score (Best).
+func (k *Kernel) score(target cluster.HostID, rack, pod int32) float64 {
 	var delta float64
 	for i := range k.peers {
 		p := &k.peers[i]
@@ -251,10 +258,14 @@ func (k *Kernel) fold(u cluster.VMID, h cluster.HostID, d float64, best *Decisio
 // hosts in rank order, each followed by the rest of its rack, which still
 // puts the pair at level 1 when the peer's host is full; among equal ΔC
 // the first admitted wins. A visit costs one Score per peer host and one
-// per expanded rack: a host no peer sits on scores like every other such
+// per walked rack: a host no peer sits on scores like every other such
 // host of its rack, since Score then reads only the target's rack and pod
-// keys, which the rack's hosts share (checkLevels), so the walk scores
-// the first one it claims and reuses that value for the rest.
+// keys, which the rack's hosts share (checkLevels), so a walk scores the
+// rack's peer-free key once, first. When that cannot win — ≤ c_m or ≤ the
+// running best, which only grows — the walk claims and folds only the
+// rack's unclaimed peer hosts, in rack order; and a peer host a walk
+// already claimed skips its own, which would find nothing. Admission
+// questions, refusals and ties are the full walk's.
 func (k *Kernel) Best(u cluster.VMID, a Admitter) (Decision, bool) {
 	k.refusals = k.refusals[:0]
 	best := Decision{VM: u, From: k.cur, Target: cluster.NoHost}
@@ -271,14 +282,19 @@ func (k *Kernel) Best(u cluster.VMID, a Admitter) (Decision, bool) {
 	for _, ent := range k.neighborRank() {
 		if ok, _ := k.claim(ent.host); ok {
 			k.fold(u, ent.host, k.Score(ent.host), &best, a)
+		} else if ent.host != k.cur {
+			continue // claimed by a walk of its rack, which left nothing there that can win
 		}
 		r := k.rackSlot(ent.host)
 		if r == len(k.rackHosts) {
 			continue
 		}
-		var free float64 // the rack's peer-free score, once scored
-		scored := false
+		free := k.score(cluster.NoHost, k.rackOf[ent.host], k.podOf[ent.host])
+		canWin := free > k.cm && (best.Target == cluster.NoHost || free > best.Delta)
 		for _, alt := range k.rackHosts[r] {
+			if !canWin && (uint(alt) >= uint(len(k.probed)) || k.probed[alt] != k.probeEpoch-1) {
+				continue // peer-free, or claimed
+			}
 			ok, peerFree := k.claim(alt)
 			if !ok {
 				continue
@@ -286,9 +302,6 @@ func (k *Kernel) Best(u cluster.VMID, a Admitter) (Decision, bool) {
 			d := free
 			if !peerFree {
 				d = k.Score(alt)
-			} else if !scored {
-				d = k.Score(alt)
-				free, scored = d, true
 			}
 			k.fold(u, alt, d, &best, a)
 		}

@@ -68,9 +68,10 @@ import (
 // each peer's overlay host with the cluster's — one walk of its row for
 // the few visits a staged move reached. An
 // evaluated visit costs one resolve pass over u's row, then one
-// multiply-add per peer for each peer host and each expanded rack
-// (Kernel.Score; see Kernel.Best), summed in row order, so the ΔC a
-// visit decides on is bit for bit the ΔC Commit and Apply realize.
+// multiply-add per peer for each peer host and each walked rack's
+// peer-free key (Kernel.Score; see Kernel.Best), summed in row order, so
+// the ΔC a visit decides on is bit for bit the ΔC Commit realizes and the
+// merge checks — or, under its clean rule, lands without pricing again.
 //
 // Frozen views decide against an overlay, concurrently. A frozen view
 // stamps its verdicts with the clock frozen when the view was reset, so

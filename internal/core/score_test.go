@@ -415,4 +415,82 @@ func TestBestEqualsNaiveRuleBitForBit(t *testing.T) {
 	if dec, ok := tie.eng.BestMigration(1); !ok || dec.Target != 10 {
 		t.Fatalf("tie: BestMigration(1) = %+v,%v, want host 10", dec, ok)
 	}
+
+	// The corners of a walk that skips a rack's peer-free hosts when they
+	// cannot win. best runs VM 1's Best under one admitter seed and
+	// returns its decision, questions and refusals.
+	best := func(in *scoreInstance, seed uint64) (Decision, []admitCall, []cluster.HostID) {
+		v, a := in.eng.NewView(), &hashAdmitter{seed: seed}
+		v.resolve(1, v.HostOf(1))
+		dec, _ := v.k.Best(1, a)
+		return dec, a.calls, v.k.refusals
+	}
+
+	// VM 1's one peer sits on host 9, which seed 2 refuses: the rack's
+	// peer-free score then beats the (empty) best, and host 10 wins the
+	// full walk. Under seed 1 host 9 admits and the walk skips 10 and 11.
+	refused := newHandInstance(t, canon,
+		[]cluster.HostID{0, 9},
+		[]handEdge{{1, 2, 10}})
+	refused.checkBestRule(t, "peer host refuses")
+	if dec, _, ref := best(refused, 2); dec.Target != 10 || !slices.Equal(ref, []cluster.HostID{9}) {
+		t.Fatalf("fixture: seed 2 decides %+v with refusals %v; want host 9 refused and host 10 chosen", dec, ref)
+	}
+	if dec, calls, _ := best(refused, 1); dec.Target != 9 || len(calls) != 1 {
+		t.Fatalf("fixture: seed 1 decides %+v after questions %v; want host 9, asked alone", dec, calls)
+	}
+
+	// VM 1's peers VM 2 (host 17, first in row order) and VM 3 (host 15)
+	// offer the same ΔC. Host 17's walk claims host 15 before its rank
+	// turn: under seed 2 host 17 admits, the peer-free host 16 cannot win
+	// and host 15's equal ΔC is not asked about; under seed 1 host 17
+	// refuses and host 15 wins the full walk.
+	ties := newHandInstance(t, canon,
+		[]cluster.HostID{0, 17, 15},
+		[]handEdge{{1, 2, 7}, {1, 3, 7}})
+	if d17, d15 := ties.eng.Delta(1, 17), ties.eng.Delta(1, 15); math.Float64bits(d17) != math.Float64bits(d15) {
+		t.Fatalf("fixture: ΔC to host 17 %v, to host 15 %v; want a tie", d17, d15)
+	}
+	ties.checkBestRule(t, "equal-ΔC peer hosts in one rack")
+	if dec, calls, _ := best(ties, 2); dec.Target != 17 || len(calls) != 1 {
+		t.Fatalf("fixture: seed 2 decides %+v after questions %v; want host 17, asked alone", dec, calls)
+	}
+	if dec, _, ref := best(ties, 1); dec.Target != 15 || !slices.Equal(ref, []cluster.HostID{17}) {
+		t.Fatalf("fixture: seed 1 decides %+v with refusals %v; want host 17 refused and host 15 chosen", dec, ref)
+	}
+
+	// VM 1's peers VM 2 (host 15) and VM 4 and VM 5 (host 17) share rack
+	// 5; VM 3 (host 12), ranked between them, brings VM 6 and VM 7 along
+	// at lower rates. Host 17 outscores host 12, which outscores host 15:
+	// under seed 2 host 15's walk cannot win with its peer-free host 16,
+	// but still asks host 17, in rack order, before host 12's turn, which
+	// then asks nothing.
+	outscored := newHandInstance(t, canon,
+		[]cluster.HostID{0, 15, 12, 17, 17, 12, 12},
+		[]handEdge{{1, 2, 8}, {1, 3, 8}, {1, 4, 8}, {1, 5, 8}, {1, 6, 6.4}, {1, 7, 6.4}})
+	if d15, d12, d17 := outscored.eng.Delta(1, 15), outscored.eng.Delta(1, 12), outscored.eng.Delta(1, 17); d15 >= d12 || d12 >= d17 {
+		t.Fatalf("fixture: ΔC to hosts 15, 12, 17 = %v, %v, %v; want increasing", d15, d12, d17)
+	}
+	outscored.checkBestRule(t, "a later peer host of the rack outscores the first")
+	if dec, calls, _ := best(outscored, 2); dec.Target != 17 || !slices.Equal(calls, []admitCall{{1, 15}, {1, 17}}) {
+		t.Fatalf("fixture: seed 2 decides %+v after questions %v; want hosts 15 and 17 asked, host 17 chosen", dec, calls)
+	}
+
+	// VM 1 (host 0) has peers on hosts 9 and 10 of rack 3 and on hosts 1
+	// and 0 of its own rack 0. Host 9 wins and rack 3's peer-free host 11
+	// cannot, so the walk claims only host 10, and host 10's own turn
+	// finds its rack walked; rack 0's peer-free score is a loss, so its
+	// walk from host 1 claims nothing new and the walk from VM 1's own
+	// host 0 takes the same shortcut again.
+	twice := newHandInstance(t, canon,
+		[]cluster.HostID{0, 9, 10, 0, 1},
+		[]handEdge{{1, 2, 10}, {1, 3, 2}, {1, 4, 1}, {1, 5, 1}})
+	if twice.eng.Delta(1, 2) > 0 || twice.eng.Delta(1, 11) >= twice.eng.Delta(1, 9) {
+		t.Fatalf("fixture: ΔC to host 2 %v, to host 11 %v, to host 9 %v; want rack 0's peer-free hosts a loss and rack 3's below host 9",
+			twice.eng.Delta(1, 2), twice.eng.Delta(1, 11), twice.eng.Delta(1, 9))
+	}
+	twice.checkBestRule(t, "racks walked twice")
+	if dec, calls, _ := best(twice, 1); dec.Target != 9 || len(calls) != 1 {
+		t.Fatalf("fixture: seed 1 decides %+v after questions %v; want host 9, asked alone", dec, calls)
+	}
 }

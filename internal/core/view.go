@@ -23,7 +23,7 @@ import (
 //
 // A decision locates the holder's neighbors once, as the paper's token
 // holder does (Section V-B4's location request), then costs one
-// Kernel.Score per peer host and one per expanded rack (Kernel.Best).
+// Kernel.Score per peer host and one per walked rack (Kernel.Best).
 //
 // Contract for frozen views: between NewView and the last use of any
 // view, the cluster, the traffic matrix and the engine itself must not
@@ -169,6 +169,11 @@ func (v *AllocView) HostOf(vm cluster.VMID) cluster.HostID {
 // Commits returns the decisions staged so far, in commit order. The
 // slice is owned by the view.
 func (v *AllocView) Commits() []Decision { return v.commits }
+
+// Near returns the view's near marks: bit i of words[i/64] is set for VM
+// base+i when one of the view's staged commits moved it or a peer of it
+// (Commit). The words are owned by the view, valid until its next reset.
+func (v *AllocView) Near() (base cluster.VMID, words []uint64) { return v.denseBase, v.near }
 
 // PairLevel returns ℓ^A(u, w) under the view's allocation.
 func (v *AllocView) PairLevel(u, w cluster.VMID) int {

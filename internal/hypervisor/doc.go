@@ -83,7 +83,8 @@
 //     the source dom0 to ship the VM: MsgReconcileCommit → MsgMigrate →
 //     MsgReconcileResp), each RingState's staged moves minus those
 //     touching a host evicted this round (withdrawn from the merge), and
-//     the hop/attempt provenance they carried over the wire.
+//     the hop/attempt provenance they carried over the wire. It supplies
+//     no near marks (shard.Marks), so the merge re-validates every move.
 //
 // With one shard the staged overlay reproduces the global ring's
 // immediate-execution decisions bit for bit, and the merge re-check

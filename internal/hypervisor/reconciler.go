@@ -141,8 +141,8 @@ type Reconciler struct {
 	// probeTimeout is bound into rq on Start; the commit path's wait for
 	// a transfer whose every response was lost is counted in it.
 	probeTimeout time.Duration
-	// kern is the decision rule's kernel: the merge phase's Delta and
-	// Apply, which run strictly sequentially, score on it.
+	// kern is the decision rule's kernel: the merge phase's Delta, which
+	// runs strictly sequentially, scores on it.
 	kern *core.Kernel
 	drv  *shard.Driver
 
@@ -370,16 +370,15 @@ func (e *reconcileEnv) applyCap(vm cluster.VMID, from, to cluster.HostID, landed
 	}
 }
 
-func (e *reconcileEnv) Apply(d core.Decision) (float64, error) {
-	realized := e.Delta(d.VM, d.Target)
+func (e *reconcileEnv) Apply(d core.Decision) error {
 	from := e.HostOf(d.VM)
 	srcAddr, ok := e.r.reg.Lookup(d.VM)
 	if !ok {
-		return 0, fmt.Errorf("hypervisor: VM %d has no registered dom0", d.VM)
+		return fmt.Errorf("hypervisor: VM %d has no registered dom0", d.VM)
 	}
 	tgtAddr, ok := e.r.reg.HostAddr(d.Target)
 	if !ok {
-		return 0, fmt.Errorf("hypervisor: host %d has no registered dom0", d.Target)
+		return fmt.Errorf("hypervisor: host %d has no registered dom0", d.Target)
 	}
 	// Same-ReqID retries ride the source dom0's dedup cache: a lost
 	// commit or response re-asks without re-executing.
@@ -395,14 +394,14 @@ func (e *reconcileEnv) Apply(d core.Decision) (float64, error) {
 		time.Sleep(time.Duration(commitAttempts+1) * e.r.probeTimeout)
 		if addr, there := e.r.reg.Lookup(d.VM); !there || addr != tgtAddr {
 			e.applyCap(d.VM, from, d.Target, false)
-			return 0, err
+			return err
 		}
 	} else if resp.FreeSlots != 1 {
 		e.applyCap(d.VM, from, d.Target, false)
-		return 0, fmt.Errorf("hypervisor: dom0 %s refused commit of VM %d", srcAddr, d.VM)
+		return fmt.Errorf("hypervisor: dom0 %s refused commit of VM %d", srcAddr, d.VM)
 	}
 	e.applyCap(d.VM, from, d.Target, true)
-	return realized, nil
+	return nil
 }
 
 // stage converts ring s's staged moves to the merge phase's currency —

@@ -186,6 +186,7 @@ func (e *enginePlane) ringPass(s int, part *Partition, view *core.AllocView, o *
 	}
 	st.VMs, st.Hops = hops, hops
 	st.Skipped += hops - visits
+	nearBase, near := view.Near()
 	*o = Ring{ShardRound: st, Commits: view.Commits(), Proposals: props,
-		CommitMeta: commitMeta, ProposalMeta: propMeta, traceDone: true}
+		CommitMeta: commitMeta, ProposalMeta: propMeta, Near: Marks{nearBase, near}, traceDone: true}
 }

@@ -42,13 +42,35 @@
 //     ring's staged intra-shard commits are replayed in shard order,
 //     then the queued cross-shard proposals in a deterministic order
 //     (descending staged ΔC, then VM ID, then target). Every move is
-//     re-validated — ΔC > c_m and admissible — against the allocation
-//     the move before it left, because a staged ΔC was computed against
+//     checked — ΔC > c_m and admissible — against the allocation the
+//     move before it left, because a staged ΔC was computed against
 //     frozen cross-shard peer positions and an earlier-merged shard may
 //     have moved a peer since; so Theorem 1's guarantee (every applied
 //     move lowers the global cost) holds for every migration performed.
 //     Each verdict is recorded where it is reached — one audit record
 //     and one EvVerdict trace event, in decision order.
+//
+//     The clean rule. A staged commit u → t of ring s whose ring hands
+//     in its near marks (Marks: the VMs its commits moved and their
+//     peers) lands on its staged verdict — ΔC and admission as the ring
+//     found them, and the staged ΔC as the realized one — when (a) no
+//     ring merged before s this round marked u near, and (b) no earlier
+//     commit of ring s was dropped this round. Everything else is
+//     re-validated: near commits, commits after a drop, every cross-shard
+//     proposal, and every commit of a plane that hands in no marks (the
+//     dom0 plane, MergeStaged). The rule is exact. The check reads u's
+//     host, its peers' hosts, and t's room and NIC load. Only ring s
+//     moves u. A peer another ring moved marks u near in that ring's
+//     view, so (a) leaves only peers ring s moved, and under (b) those
+//     all landed as staged. A host's room and NIC load change only when
+//     a VM moves onto or off it: another ring's commits stay on its own
+//     hosts, and cross-shard proposals merge after every ring. Rates sum
+//     exactly on traffic's grid. So the state a clean commit is checked
+//     against equals its view's, bit for bit; the scorecheck build tag
+//     re-validates every clean commit anyway and panics on a difference.
+//     TestMergeCleanRuleFollowsDrops fails without either half of the
+//     rule. About 80 % of the commits of a first k=24 round over 24 pod
+//     shards land clean (BenchmarkColdMerge).
 //
 // The round is where the two scheduler planes meet: both run one Driver
 // (round number and trace start, the tuner's plan, the host→shard table,
@@ -62,7 +84,8 @@
 // Run lists from the placement registry and supervises over the wire.
 // Every merge pass is one replay loop, one decision at a time, over the
 // plane's Env; a plane whose probes cost round trips warms its own state
-// before handing the moves in.
+// before handing the moves in. Apply executes a checked move and does not
+// price it again: the ΔC the merge checked is the realized one.
 //
 // Because each ring's outcome depends only on the frozen round-start
 // state and its own staged moves, and the merge phase runs in a fixed

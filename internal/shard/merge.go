@@ -16,10 +16,13 @@ import (
 // documentation for what a plane supplies). Per ring, in shard order, the
 // Driver calls Shard with the staged intra-shard commits and Propose with
 // the cross-shard proposals; then Cross once; then Finish. Every decision
-// is re-validated against the state the one before it left (ΔC > Cm and
+// is checked against the state the one before it left (ΔC > Cm and
 // admissible: Theorem 1 for everything that lands), applied, and
 // recorded where that verdict is reached — one obs.AuditRecord and one
-// obs.EvVerdict event per decision, in decision order.
+// obs.EvVerdict event per decision, in decision order. A staged commit
+// the clean rule covers (package doc) reads exactly the state it was
+// staged against, so its staged verdict is that check; every other
+// decision is re-validated.
 //
 // The zero value with Env and Cm set is ready to use. A Merge may be
 // kept and Reset between rounds; it is not safe for concurrent use.
@@ -48,12 +51,31 @@ type Merge struct {
 	propMeta  []AuditMeta
 
 	// The pass in progress: its kind, the shard its trace events carry,
-	// the provenance aligned with its input, and the one clock read its
-	// audit records share (per-record time.Now() shows at ~65k a round).
-	kind  passKind
-	shard int16
-	meta  []AuditMeta
-	t     int64
+	// the provenance aligned with its input, the one clock read its audit
+	// records share (per-record time.Now() shows at ~65k a round), and
+	// whether its ring's marks attest its staged verdicts (Marks).
+	kind     passKind
+	shard    int16
+	meta     []AuditMeta
+	t        int64
+	attested bool
+
+	// near is the union of the marks of the rings merged so far this
+	// round, over the window from nearBase; clean counts the round's
+	// commits taken on their staged verdict.
+	near     []uint64
+	nearBase cluster.VMID
+	clean    int
+}
+
+// Marks are a ring's near marks (core.AllocView.Near): bit i of Words is
+// set when one of its staged commits moved VM Base+i or a peer of it.
+// They attest that each commit was staged against the round's starting
+// placement plus the ring's earlier commits; the zero Marks attest
+// nothing. A plane hands in marks over one window for every ring, or none.
+type Marks struct {
+	Base  cluster.VMID
+	Words []uint64
 }
 
 // Outcome is what a merge phase did — the part of a Round the merge
@@ -107,19 +129,38 @@ func (m *Merge) Reset(round uint32) {
 	m.Outcome, m.Proposed = Outcome{}, 0
 	m.Rejected = m.Rejected[:0]
 	m.proposals, m.propMeta = m.proposals[:0], m.propMeta[:0]
+	clear(m.near)
+	m.clean = 0
 }
 
-// Shard replays ring s's staged intra-shard commits and returns how many
-// landed. A staged ΔC was computed against frozen cross-shard peer
-// positions and an earlier-merged shard may have moved a peer since; with
-// a single shard the re-check is exact and never fires. A commit that
-// fails it, or whose Apply errors — in the distributed env, commit
-// retries exhausted against an unresponsive dom0 — is dropped as stale
-// without discarding the round's remaining work.
-func (m *Merge) Shard(s int, commits []core.Decision, meta []AuditMeta) (merged int) {
+// Shard replays ring s's staged intra-shard commits, with near the ring's
+// marks, and returns how many landed. A staged ΔC was computed against
+// frozen cross-shard peer positions and an earlier-merged shard may have
+// moved a peer since; with a single shard the re-check is exact and never
+// fires. A commit that fails it, or whose Apply errors — in the
+// distributed env, commit retries exhausted against an unresponsive dom0
+// — is dropped as stale without discarding the round's remaining work.
+func (m *Merge) Shard(s int, commits []core.Decision, meta []AuditMeta, near Marks) (merged int) {
 	before := len(m.Applied)
+	m.attested, m.nearBase = near.Words != nil, near.Base
 	m.pass(stagedPass, int16(s), commits, meta)
+	m.attested = false
+	if len(commits) > 0 { // a ring that staged nothing marked nothing
+		if len(m.near) < len(near.Words) {
+			m.near = append(m.near, make([]uint64, len(near.Words)-len(m.near))...)
+		}
+		for w, x := range near.Words {
+			m.near[w] |= x
+		}
+	}
 	return len(m.Applied) - before
+}
+
+// nearMarked reports whether a ring merged earlier this round marked vm
+// near: moved it or a peer of it.
+func (m *Merge) nearMarked(vm cluster.VMID) bool {
+	i := uint(vm - m.nearBase)
+	return i/64 < uint(len(m.near)) && m.near[i/64]&(1<<(i%64)) != 0
 }
 
 // Propose queues one ring's cross-shard proposals for Cross.
@@ -188,14 +229,14 @@ func (m *Merge) pass(k passKind, shard int16, ds []core.Decision, meta []AuditMe
 }
 
 // land records input decision i of the pass as applied: ex is the move
-// executed, staged its staged ΔC, realized what Apply returned.
-func (m *Merge) land(i int, ex core.Decision, staged, realized float64) {
-	m.Applied = append(m.Applied, core.Decision{VM: ex.VM, From: ex.From, Target: ex.Target, Delta: realized})
-	m.RealizedDelta += realized
+// executed, its Delta the realized ΔC; staged is the staged ΔC.
+func (m *Merge) land(i int, ex core.Decision, staged float64) {
+	m.Applied = append(m.Applied, ex)
+	m.RealizedDelta += ex.Delta
 	if m.kind.cross {
 		m.CrossApplied++
 	}
-	m.verdict(i, true, ex.VM, ex.From, ex.Target, staged, realized)
+	m.verdict(i, true, ex.VM, ex.From, ex.Target, staged, ex.Delta)
 }
 
 // drop records input decision i of the pass as not landed: it

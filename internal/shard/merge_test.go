@@ -2,12 +2,15 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/obs"
 	"github.com/score-dc/score/internal/token"
+	"github.com/score-dc/score/internal/topology"
+	"github.com/score-dc/score/internal/traffic"
 )
 
 // fakeState is a tiny authoritative allocation: VM i sits at host i-1,
@@ -54,14 +57,13 @@ func (s *fakeState) delta(vm cluster.VMID) float64 {
 	return d
 }
 
-func (s *fakeState) apply(d core.Decision) (float64, error) {
+func (s *fakeState) apply(d core.Decision) error {
 	if s.fail[d.VM] {
-		return 0, fmt.Errorf("fake: commit of VM %d refused", d.VM)
+		return fmt.Errorf("fake: commit of VM %d refused", d.VM)
 	}
-	realized := s.delta(d.VM)
 	s.hosts[d.VM] = d.Target
 	s.moved[d.VM] = true
-	return realized, nil
+	return nil
 }
 
 // seqEnv exposes fakeState as the merge phase's Env; every target admits.
@@ -70,7 +72,7 @@ type seqEnv struct{ s *fakeState }
 func (e seqEnv) Delta(vm cluster.VMID, _ cluster.HostID) float64 { return e.s.delta(vm) }
 func (e seqEnv) Admissible(cluster.VMID, cluster.HostID) bool    { return true }
 func (e seqEnv) HostOf(vm cluster.VMID) cluster.HostID           { return e.s.hosts[vm] }
-func (e seqEnv) Apply(d core.Decision) (float64, error)          { return e.s.apply(d) }
+func (e seqEnv) Apply(d core.Decision) error                     { return e.s.apply(d) }
 
 func proposalsFor(n int) []core.Decision {
 	ps := make([]core.Decision, 0, n)
@@ -147,7 +149,7 @@ func TestMergePhaseReplay(t *testing.T) {
 			// The phase reorders what it is handed; hand it copies.
 			commits := append([]core.Decision(nil), r.commits...)
 			proposals := append([]core.Decision(nil), r.proposals...)
-			m.Shard(s, commits, metaFor(s, commits, 0))
+			m.Shard(s, commits, metaFor(s, commits, 0), Marks{})
 			m.Propose(proposals, metaFor(s, proposals, 100))
 		}
 		m.Cross()
@@ -308,5 +310,100 @@ func TestMergeWithdraw(t *testing.T) {
 		if e.Kind != obs.EvVerdict || e.Code != obs.VerdictStale || e.Arg != int64(i+1) || e.Shard != 1 || e.Round != 3 {
 			t.Fatalf("event %d = %+v", i, e)
 		}
+	}
+}
+
+// TestMergeCleanRuleFollowsDrops holds the merge's clean rule (package
+// doc) to a replay that re-validates every commit, on a hand-built round
+// where both halves of the rule matter. Six racks of two hosts, two racks
+// per pod; ring 0 holds racks 0–2 and ring 1 racks 3–5, so both straddle
+// pod 1.
+//
+//	ring 0: a (VM 1, host 0) joins w (VM 2) on host 4, leaving pod 0.
+//	ring 1: x (VM 3, host 6), a peer of a, joins z (VM 4) on host 10; with
+//	        a frozen in pod 0 it loses nothing on the a edge, but once a
+//	        has landed in pod 1 it does: stale.
+//	ring 1: y (VM 5, host 8), a peer of x and not of a, then joins q
+//	        (VM 6) on host 6 — x's source, which the view saw x leave.
+//
+// x is near ring 0's move, so it re-validates and drops (rule (a)); y is
+// near no earlier ring's move, but it was staged after x's dropped move,
+// so it re-validates too (rule (b)), and lands with x beside it on host 6
+// rather than at the ΔC it was staged at. Landing either on its staged
+// verdict changes the round.
+func TestMergeCleanRuleFollowsDrops(t *testing.T) {
+	build := func() *core.Engine {
+		topo, err := topology.NewCanonicalTree(topology.CanonicalConfig{
+			Racks: 6, HostsPerRack: 2, RacksPerPod: 2, CoreSwitches: 1,
+			HostLinkMbps: 1000, TorUplinkMbps: 10000, AggUplinkMbps: 10000,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl, err := cluster.New(cluster.UniformHosts(topo.Hosts(), 3, 1<<20, 1000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for vm, h := range []cluster.HostID{0, 4, 6, 10, 8, 7} {
+			id := cluster.VMID(vm + 1)
+			if err := cl.AddVM(cluster.VM{ID: id, RAMMB: 64}); err != nil {
+				t.Fatal(err)
+			}
+			if err := cl.Place(id, h); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tm := traffic.NewMatrix()
+		tm.Set(1, 2, 20) // a–w
+		tm.Set(1, 3, 10) // a–x
+		tm.Set(3, 4, 1)  // x–z
+		tm.Set(3, 5, 1)  // x–y
+		tm.Set(5, 6, 10) // y–q
+		cm, err := core.NewCostModel(core.PaperWeights()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := core.NewEngine(topo, cm, cl, tm, core.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	// stage commits the round's moves in two views of eng's placement.
+	stage := func(eng *core.Engine) [2]*core.AllocView {
+		views := [2]*core.AllocView{eng.NewView(), eng.NewView()}
+		for _, mv := range []struct {
+			ring int
+			vm   cluster.VMID
+			to   cluster.HostID
+		}{{0, 1, 4}, {1, 3, 10}, {1, 5, 6}} {
+			if realized, err := views[mv.ring].Commit(core.Decision{VM: mv.vm, Target: mv.to}); err != nil || realized <= 0 {
+				t.Fatalf("fixture: staging VM %d → host %d realized %v, %v", mv.vm, mv.to, realized, err)
+			}
+		}
+		return views
+	}
+
+	eng := build()
+	views := stage(eng)
+	m := &Merge{Env: EngineEnv(eng)}
+	m.Reset(1)
+	for s, v := range views {
+		base, near := v.Near()
+		m.Shard(s, v.Commits(), nil, Marks{base, near})
+	}
+
+	ref := build()
+	refViews := stage(ref)
+	staged := append(append([]core.Decision(nil), refViews[0].Commits()...), refViews[1].Commits()...)
+	want, stale, _ := MergeStaged(EngineEnv(ref), 0, staged, nil)
+	if stale != 1 || len(want) != 2 || want[1].VM != 5 || math.Float64bits(want[1].Delta) == math.Float64bits(staged[2].Delta) {
+		t.Fatalf("fixture: re-validating every commit applied %+v with %d stale; want x dropped and y landed off its staged ΔC %v", want, stale, staged[2].Delta)
+	}
+	if m.StaleRejected != stale || !sameDecisions(m.Applied, want) {
+		t.Fatalf("merge applied %+v with %d stale; re-validating every commit applied %+v with %d", m.Applied, m.StaleRejected, want, stale)
+	}
+	if m.clean != 1 {
+		t.Fatalf("%d commits landed on their staged verdict, want 1 (a)", m.clean)
 	}
 }

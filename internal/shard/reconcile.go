@@ -1,6 +1,9 @@
 package shard
 
 import (
+	"fmt"
+	"math"
+
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/obs"
@@ -16,20 +19,26 @@ import (
 // Implementations must behave like the engine's primitives: Delta
 // returns Eq. 5's ΔC for moving vm to target against the current state,
 // Admissible performs the capacity check, HostOf resolves the current
-// host, and Apply executes the move returning the realized ΔC. Calls are
-// strictly sequential.
+// host, and Apply executes the move. Apply does not price it: d.Delta is
+// the ΔC the merge validated against the state Apply changes, which is
+// the realized one. Calls are strictly sequential.
 type Env interface {
 	Delta(vm cluster.VMID, target cluster.HostID) float64
 	Admissible(vm cluster.VMID, target cluster.HostID) bool
 	HostOf(vm cluster.VMID) cluster.HostID
-	Apply(d core.Decision) (realized float64, err error)
+	Apply(d core.Decision) error
 }
 
-// EngineEnv returns eng as the reconciliation Env; the engine implements
-// it, and RejectObserver, directly.
-func EngineEnv(eng *core.Engine) Env { return eng }
+// EngineEnv returns eng as the reconciliation Env: the engine prices,
+// admits and locates, and Apply moves the VM in the engine's cluster. It
+// is a RejectObserver through the engine.
+func EngineEnv(eng *core.Engine) Env { return engineEnv{eng} }
 
-var _ RejectObserver = (*core.Engine)(nil)
+type engineEnv struct{ *core.Engine }
+
+func (e engineEnv) Apply(d core.Decision) error { return e.Cluster().Move(d.VM, d.Target) }
+
+var _ RejectObserver = engineEnv{}
 
 // RejectObserver is optionally implemented by an Env that must learn
 // which staged commits the merge dropped (re-validation failed, or Apply
@@ -41,25 +50,49 @@ type RejectObserver interface {
 
 // replay is the sequential replay loop: each decision of the pass is
 // re-validated against the state the previous one left, applied, and
-// its verdict recorded, in input order.
+// its verdict recorded, in input order; a staged commit the clean rule
+// covers (package doc) lands on its staged verdict instead.
 func (m *Merge) replay(ds []core.Decision) {
-	env := m.Env
+	env, attested := m.Env, m.attested
 	for i, d := range ds {
-		rd := env.Delta(d.VM, d.Target)
-		if rd <= m.Cm || !env.Admissible(d.VM, d.Target) {
-			m.drop(i, d, d.From, rd)
-			continue
+		rd := d.Delta
+		if attested && !m.nearMarked(d.VM) {
+			m.clean++
+			if checkClean {
+				m.recheck(d)
+			}
+		} else {
+			rd = env.Delta(d.VM, d.Target)
+			if rd <= m.Cm || !env.Admissible(d.VM, d.Target) {
+				m.drop(i, d, d.From, rd)
+				attested = false
+				continue
+			}
 		}
 		ex := d
+		ex.Delta = rd
 		if m.kind.cross {
-			ex.From, ex.Delta = env.HostOf(d.VM), rd
+			ex.From = env.HostOf(d.VM)
 		}
-		realized, err := env.Apply(ex)
-		if err != nil {
+		if err := env.Apply(ex); err != nil {
 			m.drop(i, d, ex.From, rd)
+			attested = false
 			continue
 		}
-		m.land(i, ex, d.Delta, realized)
+		m.land(i, ex, d.Delta)
+	}
+}
+
+// checkClean makes the merge re-validate every commit it lands on its
+// staged verdict, and panic unless the verdict holds bit for bit — the
+// differential check of the clean rule. Tests only: the scorecheck build
+// tag sets it.
+var checkClean bool
+
+func (m *Merge) recheck(d core.Decision) {
+	rd := m.Env.Delta(d.VM, d.Target)
+	if math.Float64bits(rd) != math.Float64bits(d.Delta) || !m.Env.Admissible(d.VM, d.Target) {
+		panic(fmt.Sprintf("shard: clean commit %+v re-validates to ΔC %v (admissible %v)", d, rd, m.Env.Admissible(d.VM, d.Target)))
 	}
 }
 
@@ -85,7 +118,7 @@ func standalone(env Env, cm float64, au *AuditPass) (*Merge, []AuditMeta) {
 // landed and how many did not. The error is always nil.
 func MergeStaged(env Env, cm float64, commits []core.Decision, au *AuditPass) (applied []core.Decision, stale int, err error) {
 	m, meta := standalone(env, cm, au)
-	m.Shard(-1, commits, meta)
+	m.Shard(-1, commits, meta, Marks{})
 	return m.Applied, m.StaleRejected, nil
 }
 

@@ -29,8 +29,8 @@ type ShardRound struct {
 	Hops    int
 	Skipped int
 	// Committed intra-shard migrations staged by the ring; Merged is
-	// the subset that survived merge-time re-validation and was
-	// applied (Committed - Merged were stale-rejected).
+	// the subset that passed the merge's check and was applied
+	// (Committed - Merged were stale-rejected).
 	Committed int
 	Merged    int
 	// Proposed cross-shard migrations queued for reconciliation.
@@ -68,12 +68,14 @@ type Plane interface {
 }
 
 // Ring is one ring's output: its statistics (the Driver sets Merged),
-// its staged intra-shard commits and cross-shard proposals, and the
-// provenance aligned with each.
+// its staged intra-shard commits and cross-shard proposals, the
+// provenance aligned with each, and the marks its commits left (zero on a
+// plane that supplies none).
 type Ring struct {
 	ShardRound
 	Commits, Proposals       []core.Decision
 	CommitMeta, ProposalMeta []AuditMeta
+	Near                     Marks
 	// traceDone has the Driver trace the ring's EvRingDone as the merge
 	// reaches it, in shard order: in-process rings finish unobserved
 	// inside the pool. The agent plane traces each report on arrival.
@@ -190,7 +192,7 @@ func (d *Driver) RunRound() (*Round, error) {
 		if o.traceDone && mg.Trace != nil {
 			mg.Trace.Record(obs.Event{Kind: obs.EvRingDone, Round: d.round, Shard: int16(s), Arg: int64(o.Hops)})
 		}
-		o.Merged = mg.Shard(s, o.Commits, o.CommitMeta)
+		o.Merged = mg.Shard(s, o.Commits, o.CommitMeta, o.Near)
 		mg.Propose(o.Proposals, o.ProposalMeta)
 		round.Shards = append(round.Shards, o.ShardRound)
 	}

@@ -549,6 +549,24 @@ func BenchmarkPartitionRefill(b *testing.B) {
 // convergedK24 is a 24-pod-shard coordinator run to convergence on the
 // k=24 fat-tree with 103,680 VMs placed in topology order.
 func convergedK24(b *testing.B) (*core.Engine, *Coordinator) {
+	eng, coord := k24(b)
+	for r := 0; ; r++ {
+		res, err := coord.RunRound()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Applied) == 0 {
+			break
+		}
+		if r == 64 {
+			b.Fatal("rounds did not converge")
+		}
+	}
+	return eng, coord
+}
+
+// k24 is convergedK24's coordinator before its first round.
+func k24(b *testing.B) (*core.Engine, *Coordinator) {
 	topo, err := topology.NewFatTree(24, 1000)
 	if err != nil {
 		b.Fatal(err)
@@ -586,19 +604,55 @@ func convergedK24(b *testing.B) (*core.Engine, *Coordinator) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for r := 0; ; r++ {
-		res, err := coord.RunRound()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Applied) == 0 {
-			break
-		}
-		if r == 64 {
-			b.Fatal("rounds did not converge")
+	return eng, coord
+}
+
+// BenchmarkColdMerge is the merge of a cold round's staged commits: the
+// 24 pod rings of k24's first round, replayed in shard order, most of
+// them landing on their staged verdict (clean/commit is that share). The
+// moves are undone, untimed, between merges. Must read 0 allocs/op.
+func BenchmarkColdMerge(b *testing.B) {
+	eng, coord := k24(b)
+	part, err := coord.partition()
+	if err != nil {
+		b.Fatal(err)
+	}
+	mg := &coord.Merge
+	rings, err := coord.plane.Run(&Round{}, part, mg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	staged := 0
+	for _, r := range rings {
+		staged += len(r.Commits)
+	}
+	applied := make([]core.Decision, 0, staged)
+	merge := func() {
+		mg.Reset(1)
+		mg.Applied = applied[:0]
+		for s := range rings {
+			mg.Shard(s, rings[s].Commits, nil, rings[s].Near)
 		}
 	}
-	return eng, coord
+	undo := func() {
+		for j := len(mg.Applied) - 1; j >= 0; j-- {
+			if d := mg.Applied[j]; eng.Cluster().Move(d.VM, d.From) != nil {
+				b.Fatalf("undoing %+v", d)
+			}
+		}
+	}
+	// One untimed merge sizes the hosts' VM lists and the merge's scratch.
+	merge()
+	undo()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merge()
+		b.StopTimer()
+		undo()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(mg.clean)/float64(staged), "clean/commit")
 }
 
 // BenchmarkQuietRingPass is one pod ring's pass in a converged k=24 round

@@ -1,7 +1,10 @@
 package shard_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -86,6 +89,63 @@ func TestSkipSetPinned(t *testing.T) {
 			}
 			if !slices.Equal(got, run.want) {
 				t.Errorf("round by round, got\n%#v\nrecorded\n%#v", got, run.want)
+			}
+		})
+	}
+}
+
+// TestColdRoundsPinned pins what the cold rounds decide, not only how
+// many moves they make: one pass from the initial placement of the k=8
+// fat-tree, run to quiescence, hashed over every applied decision (VM,
+// source, target, ΔC bits), each round's RealizedDelta bits and its stale
+// and cross tallies, and the final C^A's bits. The merge lands a clean
+// commit on its staged verdict and Best leaves a rack that cannot win
+// unwalked; both are exact, so neither may move a hash. The six rack
+// shards straddle pods, so more of their commits sit near another ring's
+// moves and are re-validated.
+func TestColdRoundsPinned(t *testing.T) {
+	runs := []struct {
+		name   string
+		shards int
+		want   string
+	}{
+		{"auto-tuned", 0, "c2ca51fbba72075f1f1a320e499d9cdbf77f7475693ddc2675dc1f43b20a5a4f"},
+		{"6 rack shards", 6, "0d9d8e6711e488c151fa6aa26129ae6c854d49848c0c15d9dd59fc90b9400014"},
+	}
+	for _, run := range runs {
+		t.Run(run.name, func(t *testing.T) {
+			eng := shard.BuildEngine(t, 8, 29, 10)
+			cfg := shard.Config{Shards: run.shards, Granularity: shard.ByRack}
+			if run.shards == 0 {
+				ctrl := control.New(eng.Topology(), control.Config{})
+				defer ctrl.Bind(eng.Traffic(), eng.Cluster())()
+				cfg.Tuner = ctrl
+			}
+			coord, err := shard.NewCoordinator(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			h := sha256.New()
+			for r := 0; ; r++ {
+				round, err := coord.RunRound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, d := range round.Applied {
+					fmt.Fprintf(h, "%d %d %d %x,", d.VM, d.From, d.Target, math.Float64bits(d.Delta))
+				}
+				fmt.Fprintf(h, "| %x %d %d %d\n", math.Float64bits(round.RealizedDelta), round.StaleRejected, round.CrossApplied, round.CrossRejected)
+				if len(round.Applied) == 0 {
+					break
+				}
+				if r == 64 {
+					t.Fatal("rounds did not converge")
+				}
+			}
+			fmt.Fprintf(h, "%x", math.Float64bits(eng.TotalCost()))
+			if got := hex.EncodeToString(h.Sum(nil)); got != run.want {
+				t.Errorf("decisions hash to %s, recorded %s", got, run.want)
 			}
 		})
 	}
