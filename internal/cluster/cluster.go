@@ -11,8 +11,8 @@
 // The Cluster owns the placement table — one HostID per VM ID — and is
 // its only writer. Readers that cannot afford a call per lookup borrow
 // it through DenseAlloc: a read-only alias, valid until the next AddVM.
-// Readers that keep a copy of it, or a structure derived from it, follow
-// its writes through MovesSince, a bounded log of them.
+// Readers that keep a structure derived from it follow its writes
+// through MovesSince, a bounded log of them.
 //
 // Per-VM state has one layout: flat tables over a window of the ID space
 // (Section V-A: IDs come from one totally ordered space and the token
@@ -84,9 +84,9 @@ type AllocChange struct {
 
 // moveLogCap bounds the placement changelog, as traffic's changeLogCap
 // bounds the matrix's: each write appends one entry, and a full log keeps
-// its newest moveLogCap/2. A reader at most that far behind patches its
-// copy; one further behind — where a full copy of the table costs less
-// than the patch — is refused and rebuilds.
+// its newest moveLogCap/2. A reader at most that far behind patches what
+// it derived; one further behind — where a rebuild from the table costs
+// less than the patch — is refused and rebuilds.
 const moveLogCap = 4096
 
 // Errors returned by allocation mutations.
@@ -472,24 +472,11 @@ func (c *Cluster) HostOf(vm VMID) HostID {
 // AddVM. The slice aliases live state: it is read-only for the caller,
 // follows every Place/Move/Remove/Restore, and is valid only until the
 // next AddVM, which may reallocate the table — re-fetch it rather than
-// holding it across one. A consumer that keeps a copy, or state derived
-// from one, brings it up to date from MovesSince and copies again only
-// when that refuses.
+// holding it across one. A consumer that keeps state derived from it
+// brings that up to date from MovesSince and rebuilds it only when that
+// refuses.
 func (c *Cluster) DenseAlloc() (base VMID, alloc []HostID) {
 	return c.recBase, c.alloc
-}
-
-// DenseAllocSnapshotInto copies the placement table into buf when its
-// capacity suffices (a fresh slice otherwise), so round loops that
-// re-snapshot every round reuse one buffer. The copy is the caller's to
-// write — decision views stage moves in it.
-func (c *Cluster) DenseAllocSnapshotInto(buf []HostID) (base VMID, alloc []HostID) {
-	if cap(buf) < len(c.alloc) {
-		buf = make([]HostID, len(c.alloc))
-	}
-	alloc = buf[:len(c.alloc)]
-	copy(alloc, c.alloc)
-	return c.recBase, alloc
 }
 
 // VMsOn returns the VMs currently placed on host. The returned slice is

@@ -18,10 +18,12 @@
 // locates the peers in a placement table and admits on slots, RAM, CPU
 // and NIC; the dom0 agents (internal/hypervisor) locate by probe and admit
 // by capacity response; the GA baseline scores genomes on a Kernel too.
-// The cluster owns the placement table AllocView reads: the Engine's live
-// view borrows it read-only (cluster.DenseAlloc, re-fetched on every
-// engine call because the next AddVM may reallocate it); shard rings
-// decide through frozen views that copy it and stage moves in the copy.
+// The cluster owns the placement table AllocView reads, and there is one:
+// every view borrows it read-only (cluster.DenseAlloc; the Engine's live
+// view re-fetches it on every engine call because the next AddVM may
+// reallocate it), and shard rings decide through frozen views that stage
+// moves in an overlay of their own — the staged positions of the VMs
+// their commits reached, and the room those commits took.
 package core
 
 import (

@@ -65,7 +65,7 @@ import (
 // skip costs one load, plus one bit test once the view has staged
 // commits; a verdict that had a refusal adds one rack stamp per peer (and
 // one touched-rack test in a staged view), and only a near VM compares
-// each peer's overlay host with the cluster's — one walk of its row for
+// each peer's staged host with the cluster's — one walk of its row for
 // the few visits a staged move reached. An
 // evaluated visit costs one resolve pass over u's row, then one
 // multiply-add per peer for each peer host and each walked rack's
@@ -73,7 +73,10 @@ import (
 // the ΔC a visit decides on is bit for bit the ΔC Commit realizes and the
 // merge checks — or, under its clean rule, lands without pricing again.
 //
-// Frozen views decide against an overlay, concurrently. A frozen view
+// Frozen views decide against the cluster's table plus an overlay,
+// concurrently; a view's reset costs what it staged: it clears the near
+// words and staged positions its commits set and the deltas of the hosts
+// they touched. A frozen view
 // stamps its verdicts with the clock frozen when the view was reset, so
 // every move merged afterwards — its own included — lands later and
 // re-dirties conservatively; a staged commit rejected at merge is
@@ -427,20 +430,42 @@ func (v *AllocView) unsettled(base cluster.VMID, w int) uint64 {
 }
 
 // touch marks h's rack as rewritten by one of this view's staged
-// commits (see stillQuiet).
+// commits (see stillQuiet), and h's overlay deltas as ones the next reset
+// clears (unstage).
 func (v *AllocView) touch(h cluster.HostID) {
 	if h != cluster.NoHost {
 		v.touched[v.k.rackSlot(h)] = v.touchEpoch
+		i := uint(h)
+		v.dirty[i/64] |= 1 << (i % 64)
 	}
 }
 
 // mark records vm as near one of this view's staged commits (see
-// stillQuiet); marked reports it. A VM past the bitmap has no bit and
-// counts as near.
+// stillQuiet). The first mark in a near word makes the positions of the
+// word's VMs the view's own (stage); Commit then overwrites the mover's
+// with its target. marked reports the bit. A VM past the bitmap has no
+// bit and counts as near.
 func (v *AllocView) mark(vm cluster.VMID) {
-	if i := uint(vm - v.denseBase); i/64 < uint(len(v.near)) {
-		v.near[i/64] |= 1 << (i % 64)
+	i := uint(vm - v.denseBase)
+	if w := i / 64; w < uint(len(v.near)) {
+		if v.near[w] == 0 {
+			v.stage(w)
+		}
+		v.near[w] |= 1 << (i % 64)
 	}
+}
+
+// stage gives near word w a block of the view's pool holding where the
+// view places the word's VMs now: the cluster's table, frozen for the
+// view's life.
+func (v *AllocView) stage(w uint) {
+	if len(v.words) == len(v.pool) {
+		v.pool = append(v.pool, new([64]cluster.HostID))
+	}
+	p := v.pool[len(v.words)]
+	copy(p[:], v.dense[64*w:])
+	v.staged[w] = p
+	v.words = append(v.words, int32(w))
 }
 
 func (v *AllocView) marked(vm cluster.VMID) bool {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/score-dc/score/internal/cluster"
 )
@@ -11,15 +12,17 @@ import (
 // answers where a peer sits (HostOf) and whether a host admits a VM
 // (Admissible), runs the token visit and its memo, and decides through a
 // Kernel of its own — the half that needs no placement. The rule is the
-// same whatever state it reads; only the state differs:
+// same whatever state it reads; only the state differs. Every view is the
+// cluster's own placement table, read-only, plus an overlay of its own:
 //
-//   - A frozen view (NewView/ResetView) decides against a private copy of
-//     the placement table and stages moves into it with Commit. Many
+//   - A frozen view (NewView/ResetView) stages moves with Commit: the
+//     overlay holds the staged positions of the VMs its commits moved or
+//     are peers of, and the room and NIC-load deltas they imply. Many
 //     frozen views can evaluate and stage concurrently — the building
 //     block of the sharded token scheduler (internal/shard), where each
 //     shard's ring commits intra-shard moves into its own view lock-free.
-//   - The engine's live view has an empty overlay and reads the cluster's
-//     own table; every Engine decision method is a call on it.
+//   - The engine's live view never stages, so its overlay stays empty;
+//     every Engine decision method is a call on it.
 //
 // A decision locates the holder's neighbors once, as the paper's token
 // holder does (Section V-B4's location request), then costs one
@@ -30,7 +33,9 @@ import (
 // be mutated (no Move/Place/Restore, no Set/Add, no engine reads that
 // trigger accounting rebuilds). The coordinator enforces this by
 // splitting rounds into a concurrent decision phase (views only) and a
-// sequential merge phase (engine only).
+// sequential merge phase (engine only). What a view reads of the cluster
+// after the merge is the merged placement; its commits and near marks
+// stay its own until the next reset.
 type AllocView struct {
 	eng *Engine
 	// live marks the engine's own view: the per-host net loads are not
@@ -38,26 +43,28 @@ type AllocView struct {
 	// date first (see probe). Nothing else in the kernel asks.
 	live bool
 
-	// Placement and overlay. dense is the placement table HostOf reads,
-	// dense[id-denseBase], over the cluster's ID window: a frozen view's
-	// private copy of the cluster's table with the staged moves written
-	// in, or — live view — the cluster's table itself, read-only.
-	// slotD/ramD/cpuD/netD are the capacity and NIC-load deltas the staged
-	// moves imply (all zero in the live view).
+	// Placement and overlay. dense is the cluster's placement table,
+	// dense[id-denseBase] over its ID window, fetched at reset (the live
+	// view: on every engine call). near is a bitmap over the same window
+	// marking every VM one of the view's staged commits moved and every
+	// peer of one (see mark). A non-zero near word w has the view's own
+	// positions of its 64 VMs in staged[w], a block of pool; words lists
+	// those w in the order they were staged, and pool[:len(words)] are
+	// the blocks in use. slotD/ramD/cpuD/netD are the capacity and
+	// NIC-load deltas the staged moves imply, non-zero only on the hosts
+	// set in dirty (all zero in the live view).
 	denseBase cluster.VMID
 	dense     []cluster.HostID
+	near      []uint64
+	staged    []*[64]cluster.HostID
+	words     []int32
+	pool      []*[64]cluster.HostID
 	slotD     []int32
 	ramD      []int32
 	cpuD      []int32
 	netD      []float64
+	dirty     []uint64
 	commits   []Decision
-
-	// denseGen is the cluster's placement generation a frozen view's table
-	// was last brought up to, valid once denseOK (see syncAlloc); rebuilds
-	// counts the table's full copies.
-	denseGen uint64
-	denseOK  bool
-	rebuilds int
 
 	// k is the view's kernel: the engine's level tables, scratch reused
 	// across this view's decisions.
@@ -66,13 +73,10 @@ type AllocView struct {
 	// Visit state (see visitMemo): stamp is the engine's memo clock as of
 	// the view's last sync — frozen at reset, or the live view's current
 	// one; touched[r] == touchEpoch marks rack r as rewritten by one of
-	// this view's staged commits; near is a bitmap over the placement
-	// table's window marking every VM this view moved and every peer of
-	// one (see stillQuiet).
+	// this view's staged commits.
 	stamp      uint32
 	touched    []uint32
 	touchEpoch uint32
-	near       []uint64
 }
 
 // NewView creates a frozen decision view over the engine's current
@@ -82,88 +86,75 @@ type AllocView struct {
 func (e *Engine) NewView() *AllocView { return e.ResetView(nil) }
 
 // ResetView re-primes an existing frozen view for a fresh decision
-// phase, reusing its buffers: the overlay deltas are zeroed, staged
-// commits dropped, and the placement table brought up to the cluster's
-// (syncAlloc). A reset view is indistinguishable from a new one — round
-// loops keep per-shard views alive across rounds and pay O(hosts) stores
-// plus one per staged commit and per placement write since the last
-// reset, instead of O(hosts + |V|) fresh allocations each round. A nil
-// or foreign view is replaced by a new one.
+// phase, reusing its buffers: it undoes what the view's staged commits
+// wrote (unstage) and points the view at the cluster's table as it stands
+// now. A reset view is indistinguishable from a new one — round loops
+// keep per-shard views alive across rounds and pay for what each staged,
+// not for the hosts or the VMs. A nil or foreign view is replaced by a
+// new one.
 func (e *Engine) ResetView(v *AllocView) *AllocView {
 	if v == nil || v.eng != e {
 		v = &AllocView{eng: e, k: *e.kern.Clone()}
+		v.sizeScratch()
 	}
 	e.acct.Sync()
-	v.sizeScratch()
-	v.syncAlloc()
-	v.commits = v.commits[:0]
-	v.primeMemo()
-	if n := (len(v.dense) + 63) / 64; cap(v.near) < n {
-		v.near = make([]uint64, n)
-	} else {
-		v.near = v.near[:n]
-		clear(v.near)
+	v.unstage()
+	v.denseBase, v.dense = e.cl.DenseAlloc()
+	if n := (len(v.dense) + 63) / 64; len(v.near) != n {
+		v.near, v.staged = make([]uint64, n), make([]*[64]cluster.HostID, n)
 	}
+	v.primeMemo()
 	return v
 }
 
-// syncAlloc makes the view's table equal the cluster's. When the
-// cluster's changelog (MovesSince) covers the writes since the last sync
-// (which implies the same ID window), it rewrites only the entries the
-// view's staged commits and those writes touched, from the cluster's
-// table; otherwise it copies the whole table.
-func (v *AllocView) syncAlloc() {
-	cl := v.eng.cl
-	if v.denseOK {
-		if moves, ok := cl.MovesSince(v.denseGen); ok {
-			base, alloc := cl.DenseAlloc()
-			for _, d := range v.commits {
-				v.dense[d.VM-base] = alloc[d.VM-base]
+// unstage drops the view's staged commits and clears what they wrote:
+// their near words and staged positions, and the deltas of the hosts
+// they touched.
+func (v *AllocView) unstage() {
+	for _, w := range v.words {
+		v.near[w], v.staged[w] = 0, nil
+	}
+	v.words = v.words[:0]
+	if len(v.commits) > 0 {
+		for w, word := range v.dirty {
+			for ; word != 0; word &= word - 1 {
+				h := 64*w + bits.TrailingZeros64(word)
+				v.slotD[h], v.ramD[h], v.cpuD[h], v.netD[h] = 0, 0, 0, 0
 			}
-			for _, m := range moves {
-				v.dense[m.VM-base] = alloc[m.VM-base]
-			}
-			v.denseGen = cl.MoveGeneration()
-			return
+			v.dirty[w] = 0
 		}
 	}
-	v.denseBase, v.dense = cl.DenseAllocSnapshotInto(v.dense)
-	v.denseGen, v.denseOK = cl.MoveGeneration(), true
-	v.rebuilds++
+	v.commits = v.commits[:0]
 }
 
-// Rebuilds reports how many resets copied the whole placement table
-// rather than patching it (syncAlloc).
-func (v *AllocView) Rebuilds() int { return v.rebuilds }
-
-// sizeScratch sizes the per-host overlay deltas, zeroing them.
+// sizeScratch sizes the per-host overlay deltas to the cluster's hosts,
+// which a cluster fixes when it is built.
 func (v *AllocView) sizeScratch() {
 	n := v.eng.cl.NumHosts()
-	if len(v.slotD) != n {
-		v.slotD = make([]int32, n)
-		v.ramD = make([]int32, n)
-		v.cpuD = make([]int32, n)
-		v.netD = make([]float64, n)
-	} else {
-		clear(v.slotD)
-		clear(v.ramD)
-		clear(v.cpuD)
-		clear(v.netD)
-	}
+	v.slotD, v.ramD, v.cpuD = make([]int32, n), make([]int32, n), make([]int32, n)
+	v.netD, v.dirty = make([]float64, n), make([]uint64, (n+63)/64)
 }
 
-// HostOf returns where the view places vm: its staged position if this
-// view moved it, otherwise the cluster's allocation. The table covers
-// every registered VM (the cluster's own invariant), so an ID outside it
-// is unknown. This is all the kernel's per-edge loops pay — it must stay
-// within the inliner's budget (CI checks).
+// HostOf returns where the view places vm: its staged position if one
+// of this view's commits reached its near word, otherwise the cluster's.
+// The table covers every registered VM (the cluster's own invariant), so
+// an ID outside it is unknown. This is all the kernel's per-edge loops
+// pay — it must stay within the inliner's budget (CI checks) — and a
+// view that staged nothing, the live view always, pays one test of the
+// overlay beyond the table's load.
 func (v *AllocView) HostOf(vm cluster.VMID) cluster.HostID {
 	// VMID arithmetic wraps, so an ID below the base lands past any
 	// table a 32-bit ID space can hold.
-	if uint(vm-v.denseBase) < uint(len(v.dense)) {
-		return v.dense[vm-v.denseBase]
+	i := uint(vm - v.denseBase)
+	if i >= uint(len(v.dense)) {
+		return cluster.NoHost
 	}
-	return cluster.NoHost
+	if len(v.words) > 0 {
+		if p := v.staged[i/64]; p != nil {
+			return p[i%64]
+		}
+	}
+	return v.dense[i]
 }
 
 // Commits returns the decisions staged so far, in commit order. The
@@ -360,7 +351,8 @@ func (v *AllocView) Commit(d Decision) (float64, error) {
 		v.mark(ed.Peer)
 		foldNICLoad(v.netD, cur, d.Target, hz, ed.Rate)
 	}
-	v.dense[d.VM-v.denseBase] = d.Target // placed, so inside the table
+	i := uint(d.VM - v.denseBase) // placed, so inside the table, and marked
+	v.staged[i/64][i%64] = d.Target
 	v.commits = append(v.commits, Decision{VM: d.VM, From: cur, Target: d.Target, Delta: realized})
 	return realized, nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,10 +12,11 @@ import (
 )
 
 // assertEngineIsFreshView: the engine decides through a view over the
-// cluster's own placement table, a frozen view through a copy of it. The
-// kernel is the same code, so what can differ is the state each reads —
-// every engine decision method must equal a freshly built view's, bit for
-// bit, whatever just happened to the cluster.
+// cluster's own placement table, a frozen view through the same table
+// plus an overlay of its own, empty when fresh. The kernel is the same
+// code, so what can differ is the state each reads — every engine
+// decision method must equal a freshly built view's, bit for bit,
+// whatever just happened to the cluster.
 func assertEngineIsFreshView(t *testing.T, fx *fixture, when string) {
 	t.Helper()
 	v := fx.eng.NewView()
@@ -297,5 +300,128 @@ func TestViewsConcurrentReads(t *testing.T) {
 	close(errs)
 	for msg := range errs {
 		t.Fatal(msg)
+	}
+}
+
+// TestResetViewUndoesOnlyItsOwn drives three frozen views with a
+// generated stream of staged commits, merges of them, moves between
+// rounds, admits that regrow the ID window and Restores. A reset undoes
+// only what the view's own commits wrote, so after every reset each view
+// must place every ID where the cluster does, hold no near mark, and
+// report every host's room as a fresh view does; once warm, a reset and
+// the commits before it allocate nothing.
+func TestResetViewUndoesOnlyItsOwn(t *testing.T) {
+	fx := newFixture(t, DefaultConfig())
+	cl, eng := fx.cl, fx.eng
+	rng := rand.New(rand.NewSource(39))
+	views := []*AllocView{eng.NewView(), eng.NewView(), eng.NewView()}
+	check := func(step int, v *AllocView) {
+		t.Helper()
+		base, alloc := cl.DenseAlloc()
+		for id := base - 3; id < base+cluster.VMID(len(alloc))+70; id++ {
+			if got, want := v.HostOf(id), cl.HostOf(id); got != want {
+				t.Fatalf("step %d: reset view places VM %d on %d, the cluster on %d", step, id, got, want)
+			}
+		}
+		if nb, near := v.Near(); nb != base || slices.ContainsFunc(near, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("step %d: reset view keeps near marks (base %d, cluster's %d)", step, nb, base)
+		}
+		if len(v.Commits()) != 0 {
+			t.Fatalf("step %d: reset view keeps %d commits", step, len(v.Commits()))
+		}
+		fresh, u := eng.NewView(), cl.VMs()[0]
+		for h := 0; h < cl.NumHosts(); h++ {
+			got, _, _ := v.probe(u, cluster.HostID(h))
+			want, _, _ := fresh.probe(u, cluster.HostID(h))
+			if got != want {
+				t.Fatalf("step %d: reset view reports host %d as %+v, a fresh view as %+v", step, h, got, want)
+			}
+		}
+	}
+	stage := func(v *AllocView) {
+		vms := cl.VMs()
+		for n := rng.Intn(6); n > 0; n-- {
+			u := vms[rng.Intn(len(vms))]
+			d, ok := v.BestMigration(u)
+			if !ok || rng.Intn(3) == 0 {
+				d = Decision{VM: u, Target: cluster.HostID(rng.Intn(cl.NumHosts()))}
+			}
+			_, _ = v.Commit(d)
+		}
+	}
+	var commits, merged, moves, regrows, restores int
+	for step := 0; step < 400; step++ {
+		for i := range views {
+			views[i] = eng.ResetView(views[i])
+			check(step, views[i])
+		}
+		for _, v := range views {
+			stage(v)
+			commits += len(v.Commits())
+		}
+		if rng.Intn(2) == 0 { // the merge phase: every view's commits, in view order
+			for _, v := range views {
+				for _, d := range v.Commits() {
+					if _, err := eng.Apply(d); err == nil {
+						merged++
+					}
+				}
+			}
+		}
+		switch k := rng.Intn(8); {
+		case k < 3:
+			vms := cl.VMs()
+			for n := rng.Intn(10); n > 0; n-- {
+				if cl.Move(vms[rng.Intn(len(vms))], cluster.HostID(rng.Intn(cl.NumHosts()))) == nil {
+					moves++
+				}
+			}
+		case k == 3 && regrows < 4:
+			base, alloc := cl.DenseAlloc()
+			id := base + cluster.VMID(len(alloc)+rng.Intn(4))
+			if err := cl.AddVM(cluster.VM{ID: id, RAMMB: 256}); err != nil {
+				t.Fatal(err)
+			}
+			if nb, na := cl.DenseAlloc(); nb == base && len(na) == len(alloc) {
+				t.Fatalf("step %d: VM %d did not regrow the window", step, id)
+			}
+			for h := 0; h < cl.NumHosts() && cl.Place(id, cluster.HostID(h)) != nil; h++ {
+			}
+			regrows++
+		case k == 4:
+			if err := cl.Restore(cl.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			restores++
+		}
+	}
+	t.Logf("%d staged commits, %d merged; %d moves, %d regrows, %d Restores", commits, merged, moves, regrows, restores)
+	if commits == 0 || merged == 0 || moves == 0 || regrows == 0 || restores == 0 {
+		t.Fatal("the stream did not exercise every case")
+	}
+
+	v := eng.ResetView(views[0])
+	var staged []Decision
+	for _, u := range cl.VMs() {
+		if d, ok := v.BestMigration(u); ok {
+			if _, err := v.Commit(d); err == nil {
+				staged = append(staged, d)
+			}
+		}
+	}
+	if len(staged) == 0 {
+		t.Fatal("no commit to stage; allocation check vacuous")
+	}
+	cycle := func() {
+		v = eng.ResetView(v)
+		for _, d := range staged {
+			if _, err := v.Commit(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Fatalf("a warm reset with its commits allocates %v times, want 0", n)
 	}
 }

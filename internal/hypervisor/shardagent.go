@@ -21,9 +21,11 @@ const commitAttempts = 3
 // locations (last staged move wins) and per-host deltas of free slots,
 // RAM, CPU and NIC load. It is built once per token visit, so peer
 // resolution and capacity adjustment are O(1) instead of rescanning the
-// staged list — the distributed counterpart of core.AllocView's dense
-// overlay. Proposals are not folded: they are queued, not applied,
-// exactly as in the Coordinator's view semantics.
+// staged list. It has core.AllocView's shape: one shared placement (here
+// the registry's answers, there the cluster's table), read as it stands,
+// plus an overlay of the ring's own staged moves and nothing else.
+// Proposals are not folded: they are queued, not applied, exactly as in
+// the Coordinator's view semantics.
 type ringOverlay struct {
 	loc  map[cluster.VMID]cluster.HostID
 	room map[cluster.HostID]core.Room

@@ -122,15 +122,20 @@
 // a Restore or an ID-window regrow — and on a partition just built for a
 // new shard shape, the rings are refilled instead: every bitmap cleared,
 // then one bit set per placed VM, about 4–6 ns per VM on a 2-vCPU Xeon VM
-// (k=24, BenchmarkPartitionRefill, ≈ 0.45–0.6 ms). Each shard's view
-// follows the table the same way (core.Engine.ResetView): it undoes its
-// own staged commits and rewrites the logged entries instead of copying
-// all 103,680. A converged k=24 round's reset of 24 views plus the ring
-// patch costs ≈ 0.2 ms after 100 merged moves (BenchmarkQuietRoundReset)
-// against ≈ 0.9 ms for the copies and the refill; the cold rounds after a
-// Restore, each thousands of moves, take the full path.
-// TestPatchedEqualsRefilled holds patched rings and views to a fresh
-// partition and the cluster's table, round after round. Nothing observes
+// (k=24, BenchmarkPartitionRefill, ≈ 0.45–0.6 ms). A shard's view keeps
+// no table to follow: it reads the cluster's own, frozen for the decision
+// phase, plus an overlay of what its ring staged (core.AllocView), and its
+// reset (core.Engine.ResetView) undoes only that — the near words and
+// staged positions its commits set and the deltas of the hosts they
+// touched. A converged k=24 round's reset of 24 views plus the ring
+// patch costs ≈ 2 µs after 100 merged moves (BenchmarkQuietRoundReset);
+// the restored daemon's shape, 128 rack shards at k=16, resets and
+// patches in ≈ 0.03–0.05 ms after 250 merged moves its views staged
+// (BenchmarkRackShardReset). The cold rounds after a Restore, each
+// thousands of moves, refill the rings.
+// TestPatchedEqualsRefilled holds patched rings to a fresh partition, and
+// every view, during its decision phase, to the cluster's table plus its
+// own commits, round after round. Nothing observes
 // the cluster on the partition's behalf: the log is passive. (The agent
 // plane keeps no bitmaps: its rings are lists read off its sorted
 // registry each round.)

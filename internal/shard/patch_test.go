@@ -13,12 +13,12 @@ import (
 // of rounds under changing shard shapes, serial passes, API moves, admits
 // (some regrowing the ID window), removals, re-specs, rate changes,
 // Restores and bursts of moves that outrun the placement changelog.
-// Rounds reset their views and rings by patching them from the changelog
-// where they can (Partition.addPlaced, core.AllocView's reset), so after
-// every round the rings must equal those of a partition built from
-// scratch before it, and every view must have started the round with the
-// cluster's table: it holds that table plus its own staged commits, for
-// every ID of the window.
+// Rounds patch their rings from the changelog where they can
+// (Partition.addPlaced), so after every round the rings must equal those
+// of a partition built from scratch before it. A view reset undoes only
+// the view's own staged commits, so during every decision phase — after
+// the rings ran, before the merge — every view must read the cluster's
+// table at reset plus its own staged commits, for every ID of the window.
 func TestPatchedEqualsRefilled(t *testing.T) {
 	var w *world
 	var rounds, commits, stale, cross, regrows, restores, bursts int
@@ -28,8 +28,6 @@ func TestPatchedEqualsRefilled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, alloc := w.cl.DenseAlloc()
-		before := slices.Clone(alloc)
 		r, err := w.coord.RunRound()
 		if err != nil {
 			t.Fatal(err)
@@ -42,19 +40,6 @@ func TestPatchedEqualsRefilled(t *testing.T) {
 		for s := range want.rings {
 			if !slices.Equal(part.rings[s], want.rings[s]) {
 				t.Fatalf("step %d: shard %d ring %v, fresh partition %v", step, s, part.VMs(s), want.VMs(s))
-			}
-		}
-		for s, view := range w.coord.plane.views[:len(r.Shards)] {
-			table := slices.Clone(before)
-			for _, d := range view.Commits() {
-				table[d.VM-base] = d.Target
-			}
-			commits += len(view.Commits())
-			for i, h := range table {
-				if got := view.HostOf(base + cluster.VMID(i)); got != h {
-					t.Fatalf("step %d: view %d places VM %d on %d, the table at reset plus its commits on %d",
-						step, s, base+cluster.VMID(i), got, h)
-				}
 			}
 		}
 		rounds++
@@ -71,10 +56,11 @@ func TestPatchedEqualsRefilled(t *testing.T) {
 		if w.coord, err = NewCoordinator(eng, Config{Tuner: tuner}); err != nil {
 			t.Fatal(err)
 		}
+		w.coord.Driver.plane = viewCheck{w.coord.plane, t, &commits}
 	}
 
 	// A staged commit the merge rejects as stale stays in its view's
-	// table until the view undoes it at the next reset.
+	// overlay until the view undoes it at the next reset.
 	bind(staleInstance(t, core.DefaultConfig()), &stepTuner{shards: 2, g: ByRack})
 	for step := -3; step < 0; step++ {
 		round(step)
@@ -142,25 +128,19 @@ func TestPatchedEqualsRefilled(t *testing.T) {
 			w.tm.Set(w.vm(byte(rng.Intn(256))), w.vm(byte(rng.Intn(256))), float64(1+rng.Intn(300)))
 		}
 	}
-	copies := 0
-	for _, v := range w.coord.plane.views {
-		copies += v.Rebuilds()
-	}
-	t.Logf("%d rounds: %d staged commits, %d stale-rejected, %d cross-shard; %d regrows, %d Restores, %d bursts; views copied the table %d times",
-		rounds, commits, stale, cross, regrows, restores, bursts, copies)
+	t.Logf("%d rounds: %d staged commits, %d stale-rejected, %d cross-shard; %d regrows, %d Restores, %d bursts",
+		rounds, commits, stale, cross, regrows, restores, bursts)
 	if rounds < 300 || commits == 0 || stale == 0 || cross == 0 || regrows == 0 || restores == 0 || bursts == 0 {
 		t.Fatal("the stream did not exercise every case")
 	}
 }
 
 // TestConvergedRoundsPatch: a converged coordinator's quiet rounds
-// rebuild nothing — no ring refill, no full copy of the placement table
-// into a view — and each event the changelog cannot describe forces
-// exactly one rebuild of what it invalidated: a Restore, an admit that
-// regrows the ID window, and more placement writes between two rounds
-// than the changelog serves cost the partition one refill and every
-// view one copy; a reshape costs the new partition its one fill and no
-// view anything.
+// refill no ring, and each event the changelog cannot describe forces
+// exactly one refill: a Restore, an admit that regrows the ID window, and
+// more placement writes between two rounds than the changelog serves
+// cost the partition one refill; a reshape costs the new partition its
+// one fill.
 func TestConvergedRoundsPatch(t *testing.T) {
 	eng := buildEngine(t, 8, 3, 10)
 	cl := eng.Cluster()
@@ -188,46 +168,33 @@ func TestConvergedRoundsPatch(t *testing.T) {
 			t.Fatal("rounds did not converge")
 		}
 	}
-	counts := func() (int, []int) {
-		views := make([]int, len(coord.plane.views))
-		for s, v := range coord.plane.views {
-			views[s] = v.Rebuilds()
-		}
-		return coord.part.refills, views
-	}
-	// expect runs a round after event and checks the rebuilds it cost,
+	// expect runs a round after event and checks the refills it cost,
 	// then that a quiet round after it costs none.
-	expect := func(event string, refills, copies int) {
+	expect := func(event string, refills int) {
 		t.Helper()
 		part := coord.part
-		r0, v0 := counts()
+		r0 := coord.part.refills
 		run(event)
 		if coord.part != part {
 			r0 = 0 // a new partition starts unfilled
 		}
-		r1, v1 := counts()
+		r1 := coord.part.refills
 		if r1-r0 != refills {
 			t.Errorf("%s: %d ring refills, want %d", event, r1-r0, refills)
 		}
-		for s := range v0 {
-			if v1[s]-v0[s] != copies {
-				t.Errorf("%s: view %d copied the table %d times, want %d", event, s, v1[s]-v0[s], copies)
-			}
-		}
-		r0, v0 = r1, v1
 		run("quiet round after " + event)
-		if r1, v1 := counts(); r1 != r0 || !slices.Equal(v1, v0) {
-			t.Errorf("quiet round after %s: %d ring refills, view copies %v → %v", event, r1-r0, v0, v1)
+		if r2 := coord.part.refills; r2 != r1 {
+			t.Errorf("quiet round after %s: %d ring refills", event, r2-r1)
 		}
 	}
 
-	expect("nothing", 0, 0)
-	expect("nothing, again", 0, 0)
+	expect("nothing", 0)
+	expect("nothing, again", 0)
 
 	if err := cl.Restore(cl.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	expect("a Restore", 1, 1)
+	expect("a Restore", 1)
 
 	base, _ := cl.DenseAlloc()
 	if err := cl.AddVM(cluster.VM{ID: base - 1, RAMMB: 1024}); err != nil {
@@ -239,15 +206,15 @@ func TestConvergedRoundsPatch(t *testing.T) {
 	if err := cl.Place(base-1, cluster.HostID(cl.NumHosts()-1)); err != nil {
 		t.Fatal(err)
 	}
-	expect("a regrowing admit", 1, 1)
+	expect("a regrowing admit", 1)
 
 	// A VM moved away and back: the placement ends as it began, but the
 	// changelog serves at most 2,048 writes.
 	bounce(t, cl, coord.part, coord.part.VMs(0)[0], 1025)
-	expect("2,050 writes between rounds", 1, 1)
+	expect("2,050 writes between rounds", 1)
 
 	tuner.shards = 4
-	expect("a reshape to 4 pods", 1, 0)
+	expect("a reshape to 4 pods", 1)
 }
 
 // bounce moves vm to a host of another shard that fits it and back, n
@@ -276,8 +243,9 @@ func bounce(tb testing.TB, cl *cluster.Cluster, part *Partition, vm cluster.VMID
 // moveLogWrites bounces fill the cluster's changelog to its size.
 const moveLogWrites = 4096
 
-// TestPatchZeroAllocs: patching the rings and the views from the
-// changelog allocates nothing once the log has reached its size.
+// TestPatchZeroAllocs: patching the rings from the changelog and
+// resetting the views allocates nothing once the log has reached its
+// size.
 func TestPatchZeroAllocs(t *testing.T) {
 	eng := buildEngine(t, 4, 5, 1)
 	coord, err := NewCoordinator(eng, Config{Shards: 4})
@@ -300,19 +268,19 @@ func TestPatchZeroAllocs(t *testing.T) {
 		}
 	}
 	patch()
-	refills, copies := part.refills, views[0].Rebuilds()
+	refills := part.refills
 	if n := testing.AllocsPerRun(50, patch); n != 0 {
-		t.Fatalf("patching rings and views allocates %v times per call, want 0", n)
+		t.Fatalf("patching rings and resetting views allocates %v times per call, want 0", n)
 	}
-	if part.refills != refills || views[0].Rebuilds() != copies {
-		t.Fatal("the rings or views were rebuilt, not patched")
+	if part.refills != refills {
+		t.Fatal("the rings were rebuilt, not patched")
 	}
 }
 
 // BenchmarkQuietRoundReset is what a converged k=24 round pays before
 // its rings start once 100 moves merged since the last: 24 views reset
-// (each undoing its own commits and rewriting the 100 entries) and the
-// 24 pod rings patched. Must read 0 allocs/op.
+// (each undoing only its own commits; none here) and the 24 pod rings
+// patched. Must read 0 allocs/op.
 func BenchmarkQuietRoundReset(b *testing.B) {
 	eng, coord := convergedK24(b)
 	cl, part, views := eng.Cluster(), coord.part, coord.plane.views
@@ -338,6 +306,94 @@ func BenchmarkQuietRoundReset(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		for _, m := range moves {
+			to := m.to
+			if i%2 == 1 {
+				to = m.from
+			}
+			if err := cl.Move(m.vm, to); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		for s := range views {
+			views[s] = eng.ResetView(views[s])
+		}
+		part.addPlaced(cl)
+	}
+}
+
+// viewCheck is the in-process plane with a check of its views after the
+// rings ran, before the merge — the decision phase: every view places
+// every ID of the window where the cluster's table did when the round
+// began, or where the view's own commits put it. It counts the commits.
+type viewCheck struct {
+	*enginePlane
+	t       *testing.T
+	commits *int
+}
+
+func (p viewCheck) Run(r *Round, part *Partition, mg *Merge) ([]Ring, error) {
+	base, alloc := p.eng.Cluster().DenseAlloc()
+	before := slices.Clone(alloc)
+	rings, err := p.enginePlane.Run(r, part, mg)
+	for s, view := range p.views[:len(rings)] {
+		table := slices.Clone(before)
+		for _, d := range view.Commits() {
+			table[d.VM-base] = d.Target
+		}
+		*p.commits += len(view.Commits())
+		for i, h := range table {
+			if got := view.HostOf(base + cluster.VMID(i)); got != h {
+				p.t.Fatalf("round %d: view %d places VM %d on %d, the table at reset plus its commits on %d",
+					r.Number, s, base+cluster.VMID(i), got, h)
+			}
+		}
+	}
+	return rings, err
+}
+
+// BenchmarkRackShardReset is what a converged round of the restored
+// daemon's shape pays before its rings start — k=16, 30 VMs per host, 128
+// rack shards — once 250 moves merged since the last: every view staged
+// its share of them (intra-rack, so committed), the merge applied them,
+// and the 128 views reset (each undoing only its own commits) and the 128
+// rack rings patched. Must read 0 allocs/op.
+func BenchmarkRackShardReset(b *testing.B) {
+	eng, coord := packedFatTree(b, 16, Config{Shards: 128, Granularity: ByRack})
+	converge(b, coord)
+	cl, part, views := eng.Cluster(), coord.part, coord.plane.views
+	if part.Shards() != 128 {
+		b.Fatalf("%d rack shards, want 128", part.Shards())
+	}
+	rng := rand.New(rand.NewSource(1))
+	type move struct {
+		vm       cluster.VMID
+		from, to cluster.HostID
+	}
+	var moves []move
+	for vms := cl.VMs(); len(moves) < 250; {
+		vm := vms[rng.Intn(len(vms))]
+		from := cl.HostOf(vm)
+		mates := eng.Topology().HostsInRack(eng.Topology().RackOf(from))
+		to := mates[rng.Intn(len(mates))]
+		if to != from && cl.Fits(vm, to) && !slices.ContainsFunc(moves, func(m move) bool { return m.vm == vm }) {
+			moves = append(moves, move{vm, from, to})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for _, m := range moves {
+			from, to := m.from, m.to
+			if i%2 == 1 {
+				from, to = to, from
+			}
+			if _, err := views[part.ShardOfHost(from)].Commit(core.Decision{VM: m.vm, Target: to}); err != nil {
+				b.Fatal(err)
+			}
+		}
 		for _, m := range moves {
 			to := m.to
 			if i%2 == 1 {

@@ -550,6 +550,12 @@ func BenchmarkPartitionRefill(b *testing.B) {
 // k=24 fat-tree with 103,680 VMs placed in topology order.
 func convergedK24(b *testing.B) (*core.Engine, *Coordinator) {
 	eng, coord := k24(b)
+	converge(b, coord)
+	return eng, coord
+}
+
+// converge runs rounds until one applies no move.
+func converge(b *testing.B, coord *Coordinator) {
 	for r := 0; ; r++ {
 		res, err := coord.RunRound()
 		if err != nil {
@@ -562,12 +568,16 @@ func convergedK24(b *testing.B) (*core.Engine, *Coordinator) {
 			b.Fatal("rounds did not converge")
 		}
 	}
-	return eng, coord
 }
 
 // k24 is convergedK24's coordinator before its first round.
-func k24(b *testing.B) (*core.Engine, *Coordinator) {
-	topo, err := topology.NewFatTree(24, 1000)
+func k24(b *testing.B) (*core.Engine, *Coordinator) { return packedFatTree(b, 24, Config{Shards: 24}) }
+
+// packedFatTree is a k-ary fat tree of 39-slot hosts holding 30 VMs each,
+// with generated traffic, and a coordinator of cfg over it before its
+// first round.
+func packedFatTree(b *testing.B, k int, cfg Config) (*core.Engine, *Coordinator) {
+	topo, err := topology.NewFatTree(k, 1000)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -600,7 +610,7 @@ func k24(b *testing.B) (*core.Engine, *Coordinator) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	coord, err := NewCoordinator(eng, Config{Shards: 24})
+	coord, err := NewCoordinator(eng, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
