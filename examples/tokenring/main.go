@@ -2,9 +2,9 @@
 // on a loopback TCP port (the paper's "token listening server runs on a
 // known port in dom0"), VM peer rates are injected as measured flow
 // statistics, and the encoded token circulates over actual sockets. Each
-// agent answers location and capacity probes and executes migrations by
-// shipping the VM record to the target dom0 — the full Section V-B
-// protocol, end to end.
+// agent locates peers in the shared placement registry, answers capacity
+// probes and executes migrations by shipping the VM record to the target
+// dom0 — the full Section V-B protocol, end to end.
 package main
 
 import (

@@ -75,8 +75,10 @@ func (r *Registry) HostAddr(h cluster.HostID) (string, bool) {
 // HostOfVM resolves a VM to its current host through the directory: the
 // registry names the hosting dom0, and the host directory names that
 // dom0's server. This is the placement manager's authoritative view —
-// updated synchronously by every executed migration — which the
-// reconciler partitions and re-validates against.
+// updated synchronously by every executed migration — and the plane's one
+// answer to "where is this VM": agents read their peers' and holders'
+// servers from it, and the reconciler lists rings and re-validates
+// against it.
 func (r *Registry) HostOfVM(vm cluster.VMID) (cluster.HostID, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -147,9 +149,9 @@ type TokenEvent struct {
 }
 
 // Agent is one dom0: it tracks hosted VMs and their measured peer rates,
-// answers location and capacity probes, and executes the S-CORE decision
-// process when the token arrives for a hosted VM — immediately in the
-// global ring, staged into the ring state in sharded rounds.
+// answers capacity probes, and executes the S-CORE decision process when
+// the token arrives for a hosted VM — immediately in the global ring,
+// staged into the ring state in sharded rounds.
 type Agent struct {
 	cfg AgentConfig
 	tr  Transport
@@ -161,12 +163,11 @@ type Agent struct {
 	// decides through a clone of it.
 	kern *core.Kernel
 
-	mu       sync.Mutex
-	vms      map[cluster.VMID]vmRecord
-	locCache map[cluster.VMID]locEntry
-	assign   *ShardAssignment // current round's shard table, nil outside sharded rounds
-	dedup    map[commitKey]*Message
-	closed   bool
+	mu     sync.Mutex
+	vms    map[cluster.VMID]vmRecord
+	assign *ShardAssignment // current round's shard table, nil outside sharded rounds
+	dedup  map[commitKey]*Message
+	closed bool
 
 	// OnToken, when set, observes each token visit; returning false
 	// stops the ring (the harness's termination hook). It must be set
@@ -205,13 +206,6 @@ func (rec vmRecord) transfer(vm cluster.VMID) Message {
 	return Message{Type: MsgMigrate, VM: vm, RAMMB: int32(rec.ramMB), CPUMilli: int32(rec.cpuMilli), Payload: EncodeRateEdges(rec.rates)}
 }
 
-// locEntry caches one peer's location and the address of the dom0 that
-// answered; it holds while the registry names that address (package doc).
-type locEntry struct {
-	host cluster.HostID
-	addr string
-}
-
 // NewAgent constructs an agent; call Start with a transport factory to
 // go live.
 func NewAgent(cfg AgentConfig, reg *Registry) (*Agent, error) {
@@ -234,7 +228,6 @@ func NewAgent(cfg AgentConfig, reg *Registry) (*Agent, error) {
 		kern:         kern,
 		probeTimeout: probeTimeout,
 		vms:          make(map[cluster.VMID]vmRecord),
-		locCache:     make(map[cluster.VMID]locEntry),
 		dedup:        make(map[commitKey]*Message),
 	}, nil
 }
@@ -368,9 +361,6 @@ func (a *Agent) InjectToken(t *token.Token, holder cluster.VMID) error {
 // probes, so it runs on its own goroutine.
 func (a *Agent) handle(from string, m Message) {
 	switch m.Type {
-	case MsgLocationReq:
-		resp := Message{Type: MsgLocationResp, ReqID: m.ReqID, VM: m.VM, Host: a.cfg.HostID}
-		_ = a.tr.Send(m.ReplyTo, resp)
 	case MsgCapacityReq:
 		a.mu.Lock()
 		r := a.room()
@@ -401,7 +391,7 @@ func (a *Agent) handle(from string, m Message) {
 		ack := Message{Type: MsgMigrateAck, ReqID: m.ReqID, VM: m.VM, Host: a.cfg.HostID}
 		a.dedupStore(key, ack)
 		_ = a.tr.Send(m.ReplyTo, ack)
-	case MsgLocationResp, MsgCapacityResp, MsgMigrateAck, MsgShardAssignAck, MsgReconcileResp:
+	case MsgCapacityResp, MsgMigrateAck, MsgShardAssignAck, MsgReconcileResp:
 		a.rq.dispatch(m)
 	case MsgToken:
 		go a.processToken(m)
@@ -423,14 +413,9 @@ func (a *Agent) handle(from string, m Message) {
 	}
 }
 
-// request performs one correlated round trip.
-func (a *Agent) request(to string, m Message) (Message, error) {
-	return a.rq.request(to, m)
-}
-
 // processToken runs the full Section V-B decision pipeline for one token
-// visit: aggregate load, locate peers, rank candidates, probe capacity,
-// decide via Theorem 1, migrate, and pass the token on.
+// visit: aggregate load, locate peers in the registry, rank candidates,
+// probe capacity, decide via Theorem 1, migrate, and pass the token on.
 func (a *Agent) processToken(m Message) {
 	tok, err := token.Decode(m.Payload)
 	if err != nil {
@@ -452,15 +437,19 @@ func (a *Agent) processToken(m Message) {
 	}
 
 	// Build the holder view — the level of every peer that can be
-	// placed and, as the holder's own level, the highest of them — and
-	// pass the token.
+	// placed and, as the holder's own level, the highest of them, seen
+	// from where the visit left the holder — and pass the token.
+	at, ok := a.reg.HostOfVM(holder)
+	if !ok {
+		at = a.cfg.HostID
+	}
 	view := token.HolderView{Holder: holder, NeighborLevels: make(map[cluster.VMID]uint8, len(rec.rates))}
 	for _, ed := range rec.rates {
-		h, ok := a.locate(ed.Peer)
+		h, ok := a.reg.HostOfVM(ed.Peer)
 		if !ok {
 			continue
 		}
-		lvl := uint8(a.cfg.Topo.Level(a.currentHostOf(holder), h))
+		lvl := uint8(a.cfg.Topo.Level(at, h))
 		view.NeighborLevels[ed.Peer] = lvl
 		if lvl > view.OwnLevel {
 			view.OwnLevel = lvl
@@ -477,69 +466,6 @@ func (a *Agent) processToken(m Message) {
 	if addr, ok := a.reg.Lookup(next); ok {
 		_ = a.tr.Send(addr, Message{Type: MsgToken, VM: next, Payload: tok.Encode()})
 	}
-}
-
-// currentHostOf returns where the holder is after any migration this
-// visit performed: itself unless the VM moved away, in which case the
-// location resolves through the same cached probe path as any peer.
-func (a *Agent) currentHostOf(vm cluster.VMID) cluster.HostID {
-	a.mu.Lock()
-	_, still := a.vms[vm]
-	a.mu.Unlock()
-	if still {
-		return a.cfg.HostID
-	}
-	if h, ok := a.locate(vm); ok {
-		return h
-	}
-	return a.cfg.HostID
-}
-
-// cacheLocation records a peer location the dom0 at addr answered for.
-func (a *Agent) cacheLocation(vm cluster.VMID, host cluster.HostID, addr string) {
-	a.mu.Lock()
-	a.locCache[vm] = locEntry{host: host, addr: addr}
-	a.mu.Unlock()
-}
-
-// cachedLocation serves vm's location from the cache while the registry,
-// which names addr for it, names the dom0 that answered; an entry from
-// another dom0 is one a migration left behind, and is dropped.
-func (a *Agent) cachedLocation(vm cluster.VMID, addr string) (cluster.HostID, bool) {
-	a.mu.Lock()
-	ent, ok := a.locCache[vm]
-	if ok && ent.addr != addr {
-		delete(a.locCache, vm)
-		ok = false
-	}
-	a.mu.Unlock()
-	if !ok {
-		return cluster.NoHost, false
-	}
-	return ent.host, true
-}
-
-// locate resolves the server hosting vm: this one when the registry
-// names this dom0, the cache while it names the dom0 that answered,
-// otherwise by probing the dom0 it names (Section V-B4's location
-// request) and caching the answer.
-func (a *Agent) locate(vm cluster.VMID) (cluster.HostID, bool) {
-	addr, ok := a.reg.Lookup(vm)
-	if !ok {
-		return cluster.NoHost, false
-	}
-	if addr == a.tr.Addr() {
-		return a.cfg.HostID, true
-	}
-	if h, ok := a.cachedLocation(vm, addr); ok {
-		return h, true
-	}
-	resp, err := a.request(addr, Message{Type: MsgLocationReq, VM: vm})
-	if err != nil {
-		return cluster.NoHost, false
-	}
-	a.cacheLocation(vm, resp.Host, addr)
-	return resp.Host, true
 }
 
 // visit is one token visit as the decision rule sees it: the holder's
@@ -565,7 +491,7 @@ func (v *visit) Admissible(u cluster.VMID, h cluster.HostID) bool {
 	if !ok {
 		return false
 	}
-	resp, err := v.a.request(addr, Message{Type: MsgCapacityReq, VM: u, RAMMB: int32(v.rec.ramMB)})
+	resp, err := v.a.rq.request(addr, Message{Type: MsgCapacityReq, VM: u, RAMMB: int32(v.rec.ramMB)})
 	if err != nil {
 		return false
 	}
@@ -590,11 +516,11 @@ func (a *Agent) bestMove(holder cluster.VMID, holderHost cluster.HostID, rec vmR
 	k := a.kern.Clone()
 	k.Begin(holderHost)
 	for i, ed := range rec.rates {
-		// A staged move wins over the round-start location, which is
-		// frozen until the merge.
+		// A staged move wins over the registry's round-start location,
+		// which is frozen until the merge.
 		h, ok := o.loc[ed.Peer]
 		if !ok {
-			h, ok = a.locate(ed.Peer)
+			h, ok = a.reg.HostOfVM(ed.Peer)
 		}
 		v.at[i] = cluster.NoHost
 		if ok && k.Covers(h) {
@@ -609,28 +535,38 @@ func (a *Agent) bestMove(holder cluster.VMID, holderHost cluster.HostID, rec vmR
 // decide evaluates the S-CORE policy for a hosted token holder in the
 // global ring and executes the winning migration immediately. The
 // record's rates are the holder's adjacency row (sorted by peer), so
-// peers are probed in a deterministic order.
+// peers are read in a deterministic order.
 func (a *Agent) decide(holder cluster.VMID, rec vmRecord) TokenEvent {
 	ev := TokenEvent{Holder: holder, From: a.cfg.HostID, Target: cluster.NoHost}
 	dec, _, ok := a.bestMove(holder, a.cfg.HostID, rec, &ringOverlay{})
 	if !ok {
 		return ev
 	}
-	// Execute the migration: ship the VM record to the target dom0.
 	addr, _ := a.reg.HostAddr(dec.Target) // it answered the capacity probe
-	resp, err := a.request(addr, rec.transfer(holder))
-	if err != nil || resp.Type != MsgMigrateAck {
+	if !a.migrate(holder, rec, addr) {
 		return ev
 	}
-	a.mu.Lock()
-	delete(a.vms, holder)
-	a.mu.Unlock()
-	// The source dom0 observed this migration first-hand: record the
-	// holder's new location so the post-decision view build (and any
-	// later visit) needs no extra round trip.
-	a.cacheLocation(holder, dec.Target, addr)
 	ev.Migrated = true
 	ev.Target = dec.Target
 	ev.Delta = dec.Delta
 	return ev
+}
+
+// migrate ships the record of vm to the dom0 at addr and drops it here
+// once it landed: on either ring, this is how a move executes. Re-sends
+// carry the same ReqID, so the target adopts the VM once and replays its
+// ack; if every ack is lost anyway, the registry, which the target
+// updates before it acks, tells whether the VM moved, so its record never
+// sits on two dom0s.
+func (a *Agent) migrate(vm cluster.VMID, rec vmRecord, addr string) bool {
+	resp, err := a.rq.requestRetry(addr, rec.transfer(vm), commitAttempts)
+	if err != nil || resp.Type != MsgMigrateAck {
+		if at, there := a.reg.Lookup(vm); !there || at != addr {
+			return false
+		}
+	}
+	a.mu.Lock()
+	delete(a.vms, vm)
+	a.mu.Unlock()
+	return true
 }

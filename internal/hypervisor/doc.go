@@ -1,20 +1,22 @@
 // Package hypervisor implements the paper's Section V-B deployment: a
 // per-server dom0 agent that maintains flow statistics, receives the
-// migration token on behalf of its hosted VMs, probes peers for location
-// and capacity, makes the unilateral S-CORE migration decision, and
-// forwards the token — over either an in-memory transport (tests,
-// simulation) or real TCP sockets (the paper's token listener on a known
-// dom0 port behind a NAT redirect).
+// migration token on behalf of its hosted VMs, locates peers in the
+// placement registry, probes candidate servers for capacity, makes the
+// unilateral S-CORE migration decision, and forwards the token — over
+// either an in-memory transport (tests, simulation) or real TCP sockets
+// (the paper's token listener on a known dom0 port behind a NAT
+// redirect).
 //
 // # Global ring
 //
 // The paper's mode circulates one token: a MsgToken visit runs the full
 // Section V-B pipeline at the holder's dom0 (aggregate load, locate
-// peers with MsgLocationReq/Resp, rank candidate servers, probe capacity
-// with MsgCapacityReq/Resp, decide via Theorem 1, execute the move with
+// peers in the Registry, rank candidate servers, probe capacity with
+// MsgCapacityReq/Resp, decide via Theorem 1, execute the move with
 // MsgMigrate/MigrateAck) and forwards the token to the next holder under
 // the configured policy. Decisions execute immediately, serialized by
-// the single token.
+// the single token, through the same transfer as a sharded commit
+// (same-ReqID re-sends, then the registry; see the failure model).
 //
 // # The decision
 //
@@ -50,25 +52,25 @@
 //
 //  2. Concurrent rings. The reconciler builds one token per shard
 //     (token.Rings) and injects each at its lowest-ID VM with
-//     MsgShardToken. A shard token carries a RingState blob alongside
-//     the encoded token: the ring's staged intra-shard moves and queued
-//     cross-shard proposals, each with the VM's peer-rate table. During
-//     a round *no migration executes*: a holder's decision overlays the
-//     ring's staged moves onto probed round-start locations and
-//     capacities, stages intra-shard moves into the state, and queues
-//     proposals whose best target lies in another shard. The rings run
-//     concurrently — each is serialized by its own token, and because
+//     MsgShardToken. A shard token carries a RingState blob alongside the
+//     encoded token: the ring's staged intra-shard moves and queued
+//     cross-shard proposals, each with the VM's peer-rate table. During a
+//     round *no migration executes*: a holder's decision overlays the
+//     ring's staged moves onto the registry's round-start locations and
+//     probed capacities, stages intra-shard moves into the state, and
+//     queues proposals whose best target lies in another shard. The rings
+//     run concurrently — each is serialized by its own token, and because
 //     the authoritative state is frozen for the round, any interleaving
 //     of probe traffic yields the same decisions. When a ring completes
 //     its pass (every shard VM visited once), the final holder's agent
 //     ships the state to the reconciler with MsgRingDone. A holder
-//     forwards the shard token to its ring successor — the next VM ID
-//     in the token — and that is the only order: a token rebuilt every
-//     round carries no history for AgentConfig.Policy, which only the
-//     global ring's persistent MsgToken consults (token.RingOrder). The
-//     shard token's entry list is the ring's membership — what a
-//     visit's successor is read from and what regeneration evicts a
-//     crashed host's VMs from.
+//     forwards the shard token to its ring successor — the next VM ID in
+//     the token — and that is the only order: a token rebuilt every round
+//     carries no history for AgentConfig.Policy, which only the global
+//     ring's persistent MsgToken consults (token.RingOrder). The shard
+//     token's entry list is the ring's membership — what a visit's
+//     successor is read from and what regeneration evicts a crashed
+//     host's VMs from.
 //
 //  3. The merge phase. Once every ring reports, the plane hands the
 //     rings' staged output back to the driver, which feeds shard.Merge
@@ -93,13 +95,13 @@
 //
 // # Where a VM is
 //
-// The Registry is the plane's one answer to "where is this VM". An agent
-// caches each location it probes (or learns by executing a move) with the
-// address of the dom0 that answered, and serves it while the registry
-// names that address: an address serves one host (Registry.AssignHost
-// refuses to rebind it), and a migration updates the registry before it
-// is acked. So the cache needs no expiry or invalidation message, and a
-// converged plane sends no location request.
+// The Registry is the plane's one answer to "where is this VM": agents
+// read a peer's or a moved holder's server from Registry.HostOfVM, the
+// lookup the reconciler's merge and ring lists read. It stands in for the
+// paper's NAT redirect and its host directory for the dom0's static
+// address that Section V-B4's location response carries, so a location
+// request would tell the sender only what it had already looked up, and
+// the plane sends none.
 //
 // # Failure model & recovery
 //

@@ -27,8 +27,6 @@ func sampleMessages() []Message {
 	tok := token.NewAtLevel([]cluster.VMID{3, 5}, 2).Encode()
 	return []Message{
 		{Type: MsgToken, VM: 3, Payload: tok},
-		{Type: MsgLocationReq, ReqID: 1, VM: 5, ReplyTo: "dom0-1"},
-		{Type: MsgLocationResp, ReqID: 1, VM: 5, Host: 3},
 		{Type: MsgCapacityReq, ReqID: 2, VM: 5, RAMMB: 1024, ReplyTo: "dom0-2"},
 		{Type: MsgCapacityResp, ReqID: 2, Host: 4, FreeSlots: 3, FreeRAMMB: 8192, FreeCPUMilli: 1500,
 			CPUMilli: 4000, NICMbps: 1000, NICLoad: 912.5},
@@ -190,6 +188,10 @@ func TestReadFrameOversizedRejected(t *testing.T) {
 func FuzzMessageDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
 		f.Add(m.Encode())
+	}
+	// Types outside the protocol decode too; both endpoints ignore them.
+	for _, ty := range []MsgType{0, MsgRingAck + 1} {
+		f.Add((&Message{Type: ty, ReqID: 1, VM: 5, ReplyTo: "dom0-1"}).Encode())
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})

@@ -2,6 +2,7 @@ package hypervisor
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -101,12 +102,12 @@ func TestMemHubDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b.Close()
-	if err := b.Send("a", Message{Type: MsgLocationReq, VM: 1}); err != nil {
+	if err := b.Send("a", Message{Type: MsgCapacityReq, VM: 1}); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case m := <-got:
-		if m.Type != MsgLocationReq || m.VM != 1 {
+		if m.Type != MsgCapacityReq || m.VM != 1 {
 			t.Fatalf("delivered %+v", m)
 		}
 	case <-time.After(time.Second):
@@ -219,18 +220,104 @@ func TestAgentLocationAndCapacityProbes(t *testing.T) {
 	if err := agents[2].AddVM(7, 1024, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Agent 0 probes VM 7's location through the registry + protocol.
-	h, ok := agents[0].locate(7)
-	if !ok || h != 2 {
-		t.Fatalf("locate = %d,%v, want host 2", h, ok)
-	}
 	// Capacity probe against agent 2.
-	resp, err := agents[0].request(agents[2].Addr(), Message{Type: MsgCapacityReq, VM: 7, RAMMB: 100})
+	resp, err := agents[0].rq.request(agents[2].Addr(), Message{Type: MsgCapacityReq, VM: 7, RAMMB: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.FreeSlots != 3 || resp.FreeRAMMB != 8192-1024 {
 		t.Fatalf("capacity = %d slots, %d MB", resp.FreeSlots, resp.FreeRAMMB)
+	}
+}
+
+// TestUnreachablePeerKeepsDecision: an agent reads where its peers sit
+// from the registry, so a peer whose dom0 is cut off still counts in the
+// holder's row. VM 1 on host 0 talks to VM 2 on host 6 (80 Mb/s) and VM 3
+// on host 7 (10 Mb/s), rack-mates in the other pod, and host 7's dom0 is
+// isolated: the visit picks the engine's target, host 6, with the
+// engine's ΔC to the bit.
+func TestUnreachablePeerKeepsDecision(t *testing.T) {
+	topo, err := topology.NewCanonicalTree(topology.CanonicalConfig{
+		Racks: 4, HostsPerRack: 2, RacksPerPod: 2, CoreSwitches: 1,
+		HostLinkMbps: 1000, TorUplinkMbps: 1000, AggUplinkMbps: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := cluster.UniformHosts(topo.Hosts(), 4, 8192, 1000)
+	cl, err := cluster.New(hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for vm, h := range map[cluster.VMID]cluster.HostID{1: 0, 2: 6, 3: 7} {
+		if err := cl.AddVM(cluster.VM{ID: vm, RAMMB: 1024}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Place(vm, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tm := traffic.NewMatrix()
+	tm.Set(1, 2, 80)
+	tm.Set(1, 3, 10)
+	cm, err := core.NewCostModel(core.PaperWeights()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine(topo, cm, cl, tm, core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, ok := eng.BestMigration(1)
+	if !ok || want.Target != 6 {
+		t.Fatalf("fixture: engine decides %+v, %v; want a move to host 6", want, ok)
+	}
+
+	faults := NewFaultPlan(FaultConfig{})
+	hub, reg := NewMemHub(), NewRegistry()
+	var agents []*Agent
+	for h := range hosts {
+		ag, err := NewAgent(AgentConfig{
+			HostID: cluster.HostID(h), Slots: 4, RAMMB: 8192, NICMbps: 1000,
+			Topo: topo, Cost: cm, Policy: token.RoundRobin{},
+		}, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ag.probeTimeout = 50 * time.Millisecond
+		if err := ag.Start(func(hd Handler) (Transport, error) {
+			tr, err := hub.NewEndpoint(agentAddr(h), hd)
+			if err != nil {
+				return nil, err
+			}
+			return faults.Wrap(tr), nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = ag.Close() })
+		agents = append(agents, ag)
+	}
+	for _, id := range cl.VMs() {
+		vm, _ := cl.VM(id)
+		rates := make(map[cluster.VMID]float64)
+		for _, ed := range tm.NeighborEdges(id) {
+			rates[ed.Peer] = ed.Rate
+		}
+		if err := agents[cl.HostOf(id)].Adopt(vm, rates); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faults.Isolate(agents[7].Addr())
+
+	agents[0].mu.Lock()
+	rec := agents[0].vms[1]
+	agents[0].mu.Unlock()
+	dec, _, ok := agents[0].bestMove(1, 0, rec, &ringOverlay{})
+	if !ok || dec.Target != want.Target {
+		t.Fatalf("agent decides %+v, %v; engine moves VM 1 to host %d", dec, ok, want.Target)
+	}
+	if got, eq := dec.Delta, eng.Delta(1, dec.Target); math.Float64bits(got) != math.Float64bits(eq) {
+		t.Fatalf("agent ΔC %v, engine ΔC %v", got, eq)
 	}
 }
 
@@ -343,54 +430,13 @@ func TestAgentRejectsOverCapacityAdd(t *testing.T) {
 		if err := agents[0].AddVM(99, tc.ramMB[last], nil); !errors.Is(err, cluster.ErrNoCapacity) {
 			t.Fatalf("%s-overflow AddVM: err = %v, want ErrNoCapacity", tc.name, err)
 		}
-		resp, err := agents[1].request(agents[0].Addr(), Message{Type: MsgCapacityReq})
+		resp, err := agents[1].rq.request(agents[0].Addr(), Message{Type: MsgCapacityReq})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if int(resp.FreeSlots) != 4-last || int(resp.FreeRAMMB) != 8192-used {
 			t.Fatalf("%s overflow: capacity response %d slots, %d MB; want %d, %d", tc.name, resp.FreeSlots, resp.FreeRAMMB, 4-last, 8192-used)
 		}
-	}
-}
-
-// TestLocationCacheAvoidsReprobes: a cached location is served, with no
-// probe, while the registry names the dom0 that answered — however long
-// ago, and even if the VM went away and came back in between.
-func TestLocationCacheAvoidsReprobes(t *testing.T) {
-	_, agents, _ := buildAgents(t, 4)
-	if err := agents[2].AddVM(7, 1024, nil); err != nil {
-		t.Fatal(err)
-	}
-	if h, ok := agents[0].locate(7); !ok || h != 2 {
-		t.Fatalf("locate = %d,%v, want host 2", h, ok)
-	}
-	// Poison the cached host: a second locate must serve the poisoned
-	// value, proving no fresh probe happened.
-	agents[0].mu.Lock()
-	ent, ok := agents[0].locCache[7]
-	if !ok {
-		agents[0].mu.Unlock()
-		t.Fatal("location probe did not populate the cache")
-	}
-	ent.host = 99
-	agents[0].locCache[7] = ent
-	agents[0].mu.Unlock()
-	if h, _ := agents[0].locate(7); h != 99 {
-		t.Fatalf("second locate = %d, want cached sentinel 99", h)
-	}
-	// Away and back: VM 7 is transferred to host 3 and returned to host
-	// 2, each dom0 updating the registry as it adopts the VM. The
-	// registry names the dom0 that answered again, so the entry still
-	// stands.
-	rec := vmRecord{ramMB: 1024}
-	for _, hop := range [][2]int{{2, 3}, {3, 2}} {
-		resp, err := agents[hop[0]].request(agents[hop[1]].Addr(), rec.transfer(7))
-		if err != nil || resp.Type != MsgMigrateAck {
-			t.Fatalf("transfer %d→%d: %+v, %v", hop[0], hop[1], resp, err)
-		}
-	}
-	if h, _ := agents[0].locate(7); h != 99 {
-		t.Fatalf("locate after away and back = %d, want cached sentinel 99", h)
 	}
 }
 
@@ -424,48 +470,5 @@ func TestRegistryRefusesRebindingAddress(t *testing.T) {
 	}
 	if _, ok := reg.HostAddr(2); ok {
 		t.Fatal("refused Start registered host 2")
-	}
-}
-
-func TestLocationCacheInvalidatedOnObservedMigration(t *testing.T) {
-	_, agents, _ := buildAgents(t, 4)
-	if err := agents[2].AddVM(7, 1024, nil); err != nil {
-		t.Fatal(err)
-	}
-	if h, _ := agents[0].locate(7); h != 2 {
-		t.Fatalf("initial locate = %d, want 2", h)
-	}
-	// The VM "migrates" to agent 3: the registry now names a different
-	// dom0, so the cached entry must be dropped despite its live TTL.
-	if err := agents[3].AddVM(7, 1024, nil); err != nil { // Assigns in registry
-		t.Fatal(err)
-	}
-	if h, ok := agents[0].locate(7); !ok || h != 3 {
-		t.Fatalf("locate after observed migration = %d,%v, want host 3", h, ok)
-	}
-}
-
-func TestDecideUpdatesSourceCache(t *testing.T) {
-	_, agents, topo := buildAgents(t, 8)
-	if err := agents[0].AddVM(1, 1024, map[cluster.VMID]float64{2: 80}); err != nil {
-		t.Fatal(err)
-	}
-	if err := agents[6].AddVM(2, 1024, map[cluster.VMID]float64{1: 80}); err != nil {
-		t.Fatal(err)
-	}
-	ev := agents[0].decide(1, vmRecord{ramMB: 1024, rates: []traffic.Edge{{Peer: 2, Rate: 80}}})
-	if !ev.Migrated {
-		t.Fatal("level-3 pair did not migrate")
-	}
-	// The source dom0 observed its own migration: its cache must name
-	// the target without another probe.
-	agents[0].mu.Lock()
-	ent, ok := agents[0].locCache[1]
-	agents[0].mu.Unlock()
-	if !ok || ent.host != ev.Target {
-		t.Fatalf("source cache for migrated VM = %+v,%v, want host %d", ent, ok, ev.Target)
-	}
-	if topo.Level(ev.Target, 6) > 1 {
-		t.Fatalf("migration target %d not near peer host 6", ev.Target)
 	}
 }

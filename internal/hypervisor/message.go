@@ -14,18 +14,13 @@ import (
 // MsgType discriminates protocol messages.
 type MsgType uint8
 
-// Protocol message types (Section V-B2, V-B4, V-B5).
+// Protocol message types (Section V-B2, V-B5). Section V-B4's location
+// request has none: the Registry names the dom0 hosting a VM and that
+// dom0's server, which is all its response would carry (package doc).
 const (
 	// MsgToken carries the encoded migration token; Message.VM is the
 	// holder the token is addressed to.
 	MsgToken MsgType = iota + 1
-	// MsgLocationReq asks the dom0 hosting Message.VM to reveal itself
-	// ("a custom location request to the IP address of each
-	// communicating VM").
-	MsgLocationReq
-	// MsgLocationResp answers with the responder's Host ("a location
-	// response containing dom0's static address").
-	MsgLocationResp
 	// MsgCapacityReq asks whether the responder can host a VM needing
 	// Message.RAMMB.
 	MsgCapacityReq

@@ -227,7 +227,7 @@ func (r *Reconciler) handle(from string, m Message) {
 		case r.events <- ringEvent{done: m.Type == MsgRingDone, st: st, next: m.VM, at: time.Now()}:
 		default: // overflow: an ack is droppable, a completion regenerates
 		}
-	case MsgLocationResp, MsgCapacityResp, MsgMigrateAck, MsgShardAssignAck, MsgReconcileResp:
+	case MsgCapacityResp, MsgMigrateAck, MsgShardAssignAck, MsgReconcileResp:
 		r.rq.dispatch(m)
 	}
 }

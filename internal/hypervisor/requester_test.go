@@ -44,7 +44,7 @@ func (h *requesterHarness) pendingLen() int {
 // the leak a long-lived reconciler probing dead dom0s cannot afford.
 func TestRequesterTimeoutReleasesPending(t *testing.T) {
 	h := newRequesterHarness(t, 20*time.Millisecond)
-	_, err := h.rq.request("peer", Message{Type: MsgLocationReq, VM: 1})
+	_, err := h.rq.request("peer", Message{Type: MsgCapacityReq, VM: 1})
 	if err == nil {
 		t.Fatal("request to a silent peer succeeded")
 	}
@@ -52,7 +52,7 @@ func TestRequesterTimeoutReleasesPending(t *testing.T) {
 		t.Fatalf("%d pending entries leaked after timeout", n)
 	}
 	// A send failure (unknown address) must release the entry too.
-	if _, err := h.rq.request("no-such-endpoint", Message{Type: MsgLocationReq, VM: 1}); err == nil {
+	if _, err := h.rq.request("no-such-endpoint", Message{Type: MsgCapacityReq, VM: 1}); err == nil {
 		t.Fatal("request to an unregistered address succeeded")
 	}
 	if n := h.pendingLen(); n != 0 {
@@ -171,15 +171,15 @@ func TestRequesterDuplicateResponseDropped(t *testing.T) {
 	h := newRequesterHarness(t, time.Second)
 	done := make(chan Message, 1)
 	go func() {
-		resp, err := h.rq.request("peer", Message{Type: MsgLocationReq, VM: 3})
+		resp, err := h.rq.request("peer", Message{Type: MsgCapacityReq, VM: 3})
 		if err == nil {
 			done <- resp
 		}
 	}()
 	req := <-h.inbound
-	first := Message{Type: MsgLocationResp, ReqID: req.ReqID, Host: 4}
+	first := Message{Type: MsgCapacityResp, ReqID: req.ReqID, Host: 4}
 	h.rq.dispatch(first)
-	h.rq.dispatch(Message{Type: MsgLocationResp, ReqID: req.ReqID, Host: 13}) // duplicate/conflicting frame
+	h.rq.dispatch(Message{Type: MsgCapacityResp, ReqID: req.ReqID, Host: 13}) // duplicate/conflicting frame
 	select {
 	case resp := <-done:
 		if resp.Host != 4 {

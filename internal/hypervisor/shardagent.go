@@ -141,9 +141,8 @@ func (a *Agent) processShardToken(m Message) {
 }
 
 // processReconcileCommit executes one reconciler-validated migration:
-// ship the VM record to the target dom0 named in the payload, then
-// report the outcome. It mirrors the global ring's execution tail in
-// decide.
+// ship the VM record to the target dom0 named in the payload, as decide
+// does in the global ring, then report the outcome.
 func (a *Agent) processReconcileCommit(m Message) {
 	// A duplicated commit frame must not migrate the VM twice: replay
 	// the recorded outcome (or drop the duplicate while the original is
@@ -155,40 +154,14 @@ func (a *Agent) processReconcileCommit(m Message) {
 		}
 		return
 	}
-	respond := func(resp Message) {
-		a.dedupStore(key, resp)
-		_ = a.tr.Send(m.ReplyTo, resp)
-	}
-	fail := func() {
-		respond(Message{Type: MsgReconcileResp, ReqID: m.ReqID, VM: m.VM, Host: cluster.NoHost})
-	}
+	resp := Message{Type: MsgReconcileResp, ReqID: m.ReqID, VM: m.VM, Host: cluster.NoHost}
 	targetAddr := string(m.Payload)
 	a.mu.Lock()
 	rec, ok := a.vms[m.VM]
 	a.mu.Unlock()
-	if !ok || targetAddr == "" {
-		fail()
-		return
+	if ok && targetAddr != "" && a.migrate(m.VM, rec, targetAddr) {
+		resp.Host, resp.FreeSlots = m.Host, 1
 	}
-	// The transfer retries with the same ReqID (the target's dedup
-	// cache replays the ack rather than re-adopting the VM), so a lost
-	// MsgMigrate or MsgMigrateAck does not fail the commit.
-	resp, err := a.rq.requestRetry(targetAddr, rec.transfer(m.VM), commitAttempts)
-	if err != nil || resp.Type != MsgMigrateAck {
-		// Every ack may have been lost after the transfer landed. The
-		// registry is authoritative and updated by the target before it
-		// acks: if it now names the target dom0, the migration
-		// happened — report success instead of splitting the VM's
-		// record across two hosts.
-		if addr, there := a.reg.Lookup(m.VM); !there || addr != targetAddr {
-			fail()
-			return
-		}
-	}
-	a.mu.Lock()
-	delete(a.vms, m.VM)
-	a.mu.Unlock()
-	// First-hand observation of the migration, as in decide.
-	a.cacheLocation(m.VM, m.Host, targetAddr)
-	respond(Message{Type: MsgReconcileResp, ReqID: m.ReqID, VM: m.VM, Host: m.Host, FreeSlots: 1})
+	a.dedupStore(key, resp)
+	_ = a.tr.Send(m.ReplyTo, resp)
 }

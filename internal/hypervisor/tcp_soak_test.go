@@ -15,9 +15,9 @@ import (
 const tcpSoakRounds = 5
 
 // TestTCPSoakShardedRound drives multi-round convergence over real
-// loopback TCP sockets — every location probe, capacity probe, shard
-// token hop, progress ack, completion report and commit crosses a real
-// listener — on the fat-tree k=8 instance (128 dom0 listeners, 512 VMs,
+// loopback TCP sockets — every capacity probe, shard token hop,
+// progress ack, completion report and commit crosses a real listener —
+// on the fat-tree k=8 instance (128 dom0 listeners, 512 VMs,
 // 4 rings), running rounds until quiescence (or the round cap). It
 // asserts the rounds complete healthily, executes Theorem-1-positive
 // moves, measures the dials the pooled transport saves (every send that
