@@ -150,3 +150,78 @@ func TestColdRoundsPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestSkipSetPinnedPastLogWindow pins the skip set where one round writes
+// more placements than 2,048: on the k=20 fat-tree (8,000 VMs) round 0
+// writes 4,765, and the memo must keep the verdicts it recorded before
+// them, so round 1 skips what it skips here. Lines are TestSkipSetPinned's
+// (applied count, then per-ring hops/skipped/committed/merged).
+func TestSkipSetPinnedPastLogWindow(t *testing.T) {
+	runs := []struct {
+		name   string
+		shards int
+		want   []string
+	}{
+		{"4 pod shards", 4, []string{
+			"applied=4765 2030/0/740/740 1948/0/772/772 1988/0/741/741 2034/0/745/745",
+			"applied=1805 2056/45/326/326 1925/45/296/296 2029/39/294/294 1990/39/284/284",
+			"applied=668 2072/601/90/90 1940/583/92/92 2017/606/111/111 1971/652/104/104",
+			"applied=280 2070/1292/30/30 1949/1237/38/38 2023/1233/39/39 1958/1243/36/36",
+			"applied=127 2082/1647/15/15 1942/1539/13/13 2017/1566/30/30 1959/1574/14/14",
+			"applied=72 2086/1797/12/12 1940/1717/6/6 2016/1699/18/18 1958/1734/6/6",
+			"applied=30 2090/1881/7/7 1936/1797/2/2 2011/1794/3/3 1963/1802/2/2",
+			"applied=14 2094/1964/3/3 1933/1830/1/1 2007/1925/3/3 1966/1887/0/0",
+			"applied=8 2098/2003/1/1 1930/1855/1/1 2007/1932/1/1 1965/1931/1/1",
+			"applied=2 2100/2047/2/2 1927/1893/0/0 2008/1948/0/0 1965/1945/0/0",
+			"applied=3 2100/2069/3/3 1927/1922/0/0 2008/1979/0/0 1965/1965/0/0",
+			"applied=1 2100/2062/1/1 1927/1924/0/0 2008/1994/0/0 1965/1963/0/0",
+			"applied=0 2100/2081/0/0 1927/1924/0/0 2008/2005/0/0 1965/1964/0/0",
+		}},
+		{"auto-tuned", 0, []string{
+			"applied=5573 8000/0/5573/5573",
+			"applied=1264 8000/164/1264/1264",
+			"applied=281 8000/3528/281/281",
+			"applied=51 8000/6304/51/51",
+			"applied=3 1252/1162/0/0 798/758/1/1 1248/1189/0/0 771/717/1/1 1258/1153/0/0 856/780/0/0 1061/1028/0/0 756/717/0/0",
+			"applied=2 1252/1249/0/0 798/793/0/0 1248/1244/0/0 770/758/0/0 1258/1249/0/0 857/836/2/2 1061/1057/0/0 756/755/0/0",
+			"applied=1 1252/1248/0/0 798/797/0/0 1248/1247/0/0 770/769/0/0 1258/1253/0/0 857/835/1/1 1061/1060/0/0 756/756/0/0",
+			"applied=2 1252/1252/0/0 798/798/0/0 1248/1248/0/0 770/769/0/0 1258/1257/0/0 857/841/2/2 1061/1061/0/0 756/756/0/0",
+			"applied=1 1252/1252/0/0 798/798/0/0 1248/1248/0/0 770/769/0/0 1258/1257/0/0 857/845/1/1 1061/1061/0/0 756/756/0/0",
+			"applied=0 1252/1251/0/0 798/798/0/0 1248/1248/0/0 770/769/0/0 1258/1258/0/0 857/854/0/0 1061/1060/0/0 756/756/0/0",
+		}},
+	}
+	for _, run := range runs {
+		t.Run(run.name, func(t *testing.T) {
+			eng := shard.BuildEngine(t, 20, 29, 10)
+			cfg := shard.Config{Shards: run.shards, Granularity: shard.ByPod}
+			if run.shards == 0 {
+				ctrl := control.New(eng.Topology(), control.Config{})
+				defer ctrl.Bind(eng.Traffic(), eng.Cluster())()
+				cfg.Tuner = ctrl
+			}
+			coord, err := shard.NewCoordinator(eng, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer coord.Close()
+			var got []string
+			for r := 0; r < 64; r++ {
+				round, err := coord.RunRound()
+				if err != nil {
+					t.Fatal(err)
+				}
+				line := fmt.Sprintf("applied=%d", len(round.Applied))
+				for _, sh := range round.Shards {
+					line += fmt.Sprintf(" %d/%d/%d/%d", sh.Hops, sh.Skipped, sh.Committed, sh.Merged)
+				}
+				got = append(got, line)
+				if len(round.Applied) == 0 {
+					break
+				}
+			}
+			if !slices.Equal(got, run.want) {
+				t.Errorf("round by round, got\n%#v\nrecorded\n%#v", got, run.want)
+			}
+		})
+	}
+}
