@@ -12,7 +12,7 @@
 // its only writer. Readers that cannot afford a call per lookup borrow
 // it through DenseAlloc: a read-only alias, valid until the next AddVM.
 // Readers that keep a structure derived from it follow its writes
-// through MovesSince, a bounded log of them.
+// through MovesSince, a bounded log of them; the cluster calls no one.
 //
 // Per-VM state has one layout: flat tables over a window of the ID space
 // (Section V-A: IDs come from one totally ordered space and the token
@@ -76,18 +76,12 @@ type Host struct {
 
 // AllocChange records one write to the placement table: VM went from
 // host From to host To, either of them NoHost (a placement, an
-// unplacement).
+// unplacement). A re-spec, which changes the VM's demand and its host's
+// room but no placement, is logged with From == To, the VM's host.
 type AllocChange struct {
 	VM       VMID
 	From, To HostID
 }
-
-// moveLogCap bounds the placement changelog, as traffic's changeLogCap
-// bounds the matrix's: each write appends one entry, and a full log keeps
-// its newest moveLogCap/2. A reader at most that far behind patches what
-// it derived; one further behind — where a rebuild from the table costs
-// less than the patch — is refused and rebuilds.
-const moveLogCap = 4096
 
 // Errors returned by allocation mutations.
 var (
@@ -118,7 +112,8 @@ type vmRec struct {
 // Cluster is not safe for concurrent mutation; the simulation engine
 // serializes all allocation changes through its event loop, mirroring the
 // fact that in the real system only the token holder's hypervisor mutates
-// placement at any instant.
+// placement at any instant. It holds no callbacks: a reader learns of a
+// write from the placement changelog (MovesSince) when it next reads.
 type Cluster struct {
 	hosts []Host // dense, indexed by HostID
 
@@ -136,31 +131,18 @@ type Cluster struct {
 
 	// The placement changelog (MovesSince): moveLog[i] took the table
 	// from generation moveBase+i to moveBase+i+1, and moveGen is the
-	// current generation. Restore and a window regrow empty it.
-	moveLog  []AllocChange
-	moveBase uint64
-	moveGen  uint64
+	// current generation. Entries name VM IDs, so a window regrow keeps
+	// it; Restore empties it. moveReach is how far behind a reader may
+	// be: the plant's VM slots (set by New), so one round's writes — a
+	// VM moves at most once a round — always fit.
+	moveLog   []AllocChange
+	moveBase  uint64
+	moveGen   uint64
+	moveReach uint64
 
 	hostVMs [][]VMID // dense, indexed by HostID; unordered sets
 	ramUsed []int    // MiB in use per host
 	cpuUsed []int    // millicores in use per host
-
-	// Allocation observers, notified after every successful mutation.
-	// Registered by decision engines to keep incremental cost and
-	// net-load accounting in sync with moves applied directly to the
-	// cluster (e.g. by the simulator or the Remedy controller).
-	observers []allocObserver
-	obsSeq    uint64
-}
-
-// allocObserver is one registered observer, tagged with an id so
-// unregistration can swap-remove it and keep notification O(live
-// observers).
-type allocObserver struct {
-	id     uint64
-	change func(vm VMID, from, to HostID)
-	reset  func()
-	respec func(vm VMID, host HostID)
 }
 
 // New creates a cluster over the given hosts with no VMs placed.
@@ -182,6 +164,7 @@ func New(hosts []Host) (*Cluster, error) {
 		c.hosts[i] = h
 		c.maxSpan += int64(h.Slots)
 	}
+	c.moveReach = uint64(c.maxSpan)
 	c.maxSpan = c.maxSpan*denseFactor + denseSlack
 	return c, nil
 }
@@ -193,70 +176,6 @@ func UniformHosts(n, slots, ramMB int, nicMbps float64) []Host {
 		hosts[i] = Host{ID: HostID(i), Slots: slots, RAMMB: ramMB, NICMbps: nicMbps}
 	}
 	return hosts
-}
-
-// Observe registers callbacks notified after allocation mutations:
-// change runs after every single-VM placement or move (Place reports
-// from == NoHost), reset after bulk rewrites (Restore). Either may be
-// nil. Observers are not carried over by Clone. The returned function
-// unregisters the observer; callers replacing one (e.g. a rebuilt
-// engine) must invoke it or the old observer keeps firing. It is
-// idempotent but must not be called from inside a callback.
-func (c *Cluster) Observe(change func(vm VMID, from, to HostID), reset func()) (unobserve func()) {
-	return c.addObserver(allocObserver{change: change, reset: reset})
-}
-
-// ObserveRespec registers a capacity-only callback, run after every
-// successful Respec with the VM and its host (NoHost when unplaced).
-// A re-spec changes the VM's own demand and its host's free RAM/CPU but
-// no placement, so it is kept apart from Observe: placement-tracking
-// observers (cost accounting, summaries) have nothing to
-// fold, while consumers caching capacity verdicts must hear of it.
-// Unregistration follows Observe's rules.
-func (c *Cluster) ObserveRespec(fn func(vm VMID, host HostID)) (unobserve func()) {
-	return c.addObserver(allocObserver{respec: fn})
-}
-
-func (c *Cluster) addObserver(o allocObserver) (unobserve func()) {
-	c.obsSeq++
-	id := c.obsSeq
-	o.id = id
-	c.observers = append(c.observers, o)
-	return func() {
-		for i := range c.observers {
-			if c.observers[i].id == id {
-				last := len(c.observers) - 1
-				c.observers[i] = c.observers[last]
-				c.observers[last] = allocObserver{}
-				c.observers = c.observers[:last]
-				return
-			}
-		}
-	}
-}
-
-func (c *Cluster) notifyChange(vm VMID, from, to HostID) {
-	for i := range c.observers {
-		if fn := c.observers[i].change; fn != nil {
-			fn(vm, from, to)
-		}
-	}
-}
-
-func (c *Cluster) notifyRespec(vm VMID, host HostID) {
-	for i := range c.observers {
-		if fn := c.observers[i].respec; fn != nil {
-			fn(vm, host)
-		}
-	}
-}
-
-func (c *Cluster) notifyReset() {
-	for i := range c.observers {
-		if fn := c.observers[i].reset; fn != nil {
-			fn()
-		}
-	}
 }
 
 // The density rule: the registered IDs may span at most denseFactor × the
@@ -332,7 +251,6 @@ func (c *Cluster) ensureRec(vm VMID) int {
 		copy(na[at:], c.alloc[first:last+1])
 	}
 	c.recBase, c.recs, c.alloc = newBase, nr, na
-	c.resetMoves()
 	return int(vm - newBase)
 }
 
@@ -356,39 +274,45 @@ func (c *Cluster) Demand(vm VMID) (ramMB, cpuMilli int, ok bool) {
 // setHostOf records vm's placement. The VM must be registered.
 func (c *Cluster) setHostOf(vm VMID, h HostID) { c.alloc[vm-c.recBase] = h }
 
-// logMove appends one placement-table write to the changelog, sliding
-// the log to its newest half when it is full.
+// logMove appends one write to the changelog.
 func (c *Cluster) logMove(vm VMID, from, to HostID) {
-	if len(c.moveLog) >= moveLogCap {
-		kept := copy(c.moveLog, c.moveLog[len(c.moveLog)-moveLogCap/2:])
-		c.moveLog = c.moveLog[:kept]
-		c.moveBase = c.moveGen - uint64(kept)
+	if len(c.moveLog) == cap(c.moveLog) {
+		c.makeMoveRoom()
 	}
 	c.moveLog = append(c.moveLog, AllocChange{VM: vm, From: from, To: to})
 	c.moveGen++
 }
 
-// resetMoves empties the changelog after a write it does not describe
-// (Restore rewrites the table, a regrow moves its window), so every
-// earlier generation reads as too far behind.
-func (c *Cluster) resetMoves() {
-	c.moveGen++
-	c.moveLog, c.moveBase = c.moveLog[:0], c.moveGen
+// makeMoveRoom makes room for one more changelog entry: it doubles the
+// log up to moveReach + moveReach/8 entries, and a log that long slides
+// its newest moveReach entries to the front. The log is sized here, not
+// by append, so it never holds more than that.
+func (c *Cluster) makeMoveRoom() {
+	full := c.moveReach + c.moveReach/8 + 1
+	if n := uint64(len(c.moveLog)); n >= full {
+		kept := copy(c.moveLog, c.moveLog[n-c.moveReach:])
+		c.moveLog = c.moveLog[:kept]
+		c.moveBase = c.moveGen - uint64(kept)
+		return
+	}
+	grown := make([]AllocChange, len(c.moveLog), min(max(2*uint64(len(c.moveLog)), 64), full))
+	copy(grown, c.moveLog)
+	c.moveLog = grown
 }
 
 // MoveGeneration returns the placement table's generation: it advances
-// on every Place, Move and Remove that writes the table, and on Restore
-// and window regrows.
+// on every Place, Move and Remove that writes the table, every
+// successful Respec, and Restore.
 func (c *Cluster) MoveGeneration() uint64 { return c.moveGen }
 
 // MovesSince returns the writes that took the placement table from
 // generation gen to the current one, in order. ok is false when gen is
-// more than moveLogCap/2 writes behind, or behind a Restore or a window
-// regrow: the caller copies the table instead. With ok, the window
-// (DenseAlloc's base and length) is the one gen saw. The slice is owned
-// by the cluster: read-only, valid until the next write.
+// more than the plant's VM slots of writes behind, or behind a Restore:
+// the caller rebuilds from the table instead. The window may have
+// regrown since gen; entries name VM IDs. The slice is owned by the
+// cluster: read-only, valid until the next write.
 func (c *Cluster) MovesSince(gen uint64) ([]AllocChange, bool) {
-	if gen > c.moveGen || gen < c.moveBase || c.moveGen-gen > moveLogCap/2 {
+	if gen > c.moveGen || gen < c.moveBase || c.moveGen-gen > c.moveReach {
 		return nil, false
 	}
 	return c.moveLog[gen-c.moveBase:], true
@@ -563,7 +487,6 @@ func (c *Cluster) Place(vm VMID, host HostID) error {
 	c.hostVMs[host] = append(c.hostVMs[host], vm)
 	c.ramUsed[host] += ram
 	c.cpuUsed[host] += cpu
-	c.notifyChange(vm, NoHost, host)
 	return nil
 }
 
@@ -596,19 +519,14 @@ func (c *Cluster) Move(vm VMID, host HostID) error {
 	c.hostVMs[host] = append(c.hostVMs[host], vm)
 	c.ramUsed[host] += ram
 	c.cpuUsed[host] += cpu
-	c.notifyChange(vm, cur, host)
 	return nil
 }
 
 // Remove unplaces (if needed) and unregisters vm — the lifecycle
 // counterpart of AddVM, used by a resident placement service when a
-// tenant destroys an instance. The unplacement is observer-notified
-// (from = current host, to = NoHost) before the record is dropped, so
-// incremental consumers (engine accounting, shard partitions, control
-// summaries) fold the departure like any other allocation change.
-// Callers that also track the VM's traffic should clear its matrix row
-// (traffic.Matrix.ClearVM) before calling Remove, while the VM is still
-// placed, so pending rate deltas fold at the correct rack.
+// tenant destroys an instance. The unplacement is logged (from = current
+// host, to = NoHost), so readers of the changelog fold the departure
+// like any other placement write.
 func (c *Cluster) Remove(vm VMID) error {
 	ram, cpu, ok := c.Demand(vm)
 	if !ok {
@@ -620,7 +538,6 @@ func (c *Cluster) Remove(vm VMID) error {
 		c.cpuUsed[cur] -= cpu
 		c.setHostOf(vm, NoHost)
 		c.logMove(vm, cur, NoHost)
-		c.notifyChange(vm, cur, NoHost)
 	}
 	c.recs[vm-c.recBase] = vmRec{}
 	c.numVMs--
@@ -630,9 +547,9 @@ func (c *Cluster) Remove(vm VMID) error {
 // Respec changes vm's declared resource demand in place — the "re-spec"
 // lifecycle operation (resize without re-placement). The new demand must
 // fit the VM's current host (its own old demand excluded); an unplaced
-// VM re-specs unconditionally. Placement is untouched, so the
-// allocation observers (Observe) do not fire; capacity observers
-// (ObserveRespec) do.
+// VM re-specs unconditionally. Placement is untouched; the changelog
+// gets one entry with From == To, the VM's host (NoHost when unplaced),
+// for readers that cache capacity verdicts.
 func (c *Cluster) Respec(vm VMID, ramMB, cpuMilli int) error {
 	oldRAM, oldCPU, ok := c.Demand(vm)
 	if !ok {
@@ -656,7 +573,8 @@ func (c *Cluster) Respec(vm VMID, ramMB, cpuMilli int) error {
 	}
 	r := &c.recs[vm-c.recBase]
 	r.ramMB, r.cpuMilli = int32(ramMB), int32(cpuMilli)
-	c.notifyRespec(vm, c.HostOf(vm))
+	h := c.HostOf(vm)
+	c.logMove(vm, h, h)
 	return nil
 }
 
@@ -735,26 +653,29 @@ func (c *Cluster) Restore(alloc map[VMID]HostID) error {
 			c.cpuUsed[h] += cpuMilli
 		}
 	}
-	c.resetMoves()
-	c.notifyReset()
+	// The log does not describe a bulk rewrite: every earlier generation
+	// now reads as too far behind.
+	c.moveGen++
+	c.moveLog, c.moveBase = c.moveLog[:0], c.moveGen
 	return nil
 }
 
 // Clone returns a deep copy of the cluster, used by optimizers that
-// explore hypothetical allocations. Observers are not copied: state
-// derived for the original must not track the clone. The record table
-// clones with one array copy.
+// explore hypothetical allocations. The changelog is not copied: the
+// clone starts its own at generation 0. The record table clones with one
+// array copy.
 func (c *Cluster) Clone() *Cluster {
 	n := &Cluster{
-		hosts:   append([]Host(nil), c.hosts...),
-		recBase: c.recBase,
-		recs:    append([]vmRec(nil), c.recs...),
-		alloc:   append([]HostID(nil), c.alloc...),
-		numVMs:  c.numVMs,
-		maxSpan: c.maxSpan,
-		hostVMs: make([][]VMID, len(c.hostVMs)),
-		ramUsed: append([]int(nil), c.ramUsed...),
-		cpuUsed: append([]int(nil), c.cpuUsed...),
+		hosts:     append([]Host(nil), c.hosts...),
+		recBase:   c.recBase,
+		recs:      append([]vmRec(nil), c.recs...),
+		alloc:     append([]HostID(nil), c.alloc...),
+		numVMs:    c.numVMs,
+		maxSpan:   c.maxSpan,
+		moveReach: c.moveReach,
+		hostVMs:   make([][]VMID, len(c.hostVMs)),
+		ramUsed:   append([]int(nil), c.ramUsed...),
+		cpuUsed:   append([]int(nil), c.cpuUsed...),
 	}
 	for i, set := range c.hostVMs {
 		n.hostVMs[i] = append([]VMID(nil), set...)

@@ -328,75 +328,3 @@ func TestHostOfAllocFree(t *testing.T) {
 		t.Fatalf("HostOf allocates %v times per run, want 0", avg)
 	}
 }
-
-// TestObservers: Place and Move notify change observers with the right
-// transition; Restore notifies reset.
-func TestObservers(t *testing.T) {
-	c, err := New(UniformHosts(3, 4, 8192, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	type ev struct {
-		vm       VMID
-		from, to HostID
-	}
-	var changes []ev
-	resets := 0
-	c.Observe(func(vm VMID, from, to HostID) {
-		changes = append(changes, ev{vm, from, to})
-	}, func() { resets++ })
-
-	if err := c.AddVM(VM{ID: 1, RAMMB: 64}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Place(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Move(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Move(1, 2); err != nil { // no-op move: no event
-		t.Fatal(err)
-	}
-	want := []ev{{1, NoHost, 0}, {1, 0, 2}}
-	if len(changes) != len(want) {
-		t.Fatalf("changes = %v, want %v", changes, want)
-	}
-	for i := range want {
-		if changes[i] != want[i] {
-			t.Fatalf("change %d = %v, want %v", i, changes[i], want[i])
-		}
-	}
-	snap := c.Snapshot()
-	if err := c.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if resets != 1 {
-		t.Fatalf("resets = %d, want 1", resets)
-	}
-	if len(changes) != len(want) {
-		t.Fatal("Restore fired per-VM change events")
-	}
-
-	// An unregistered observer must stop firing; unregistration is
-	// idempotent and leaves other observers intact.
-	extra := 0
-	unobserve := c.Observe(func(VMID, HostID, HostID) { extra++ }, nil)
-	if err := c.Move(1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if extra != 1 {
-		t.Fatalf("extra observer fired %d times, want 1", extra)
-	}
-	unobserve()
-	unobserve()
-	if err := c.Move(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if extra != 1 {
-		t.Fatal("unregistered observer still firing")
-	}
-	if len(changes) != len(want)+2 {
-		t.Fatalf("surviving observer missed events: %d", len(changes))
-	}
-}

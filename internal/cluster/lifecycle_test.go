@@ -25,19 +25,13 @@ func lifecycleCluster(t *testing.T) *Cluster {
 
 func TestRemoveUnplacesAndUnregisters(t *testing.T) {
 	c := lifecycleCluster(t)
-	var gotVM VMID
-	var gotFrom, gotTo HostID
-	events := 0
-	c.Observe(func(vm VMID, from, to HostID) {
-		gotVM, gotFrom, gotTo = vm, from, to
-		events++
-	}, nil)
+	gen := c.MoveGeneration()
 
 	if err := c.Remove(1); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if events != 1 || gotVM != 1 || gotFrom != 0 || gotTo != NoHost {
-		t.Fatalf("observer saw (%d, %d→%d) ×%d, want (1, 0→NoHost) ×1", gotVM, gotFrom, gotTo, events)
+	if moves, ok := c.MovesSince(gen); !ok || len(moves) != 1 || moves[0] != (AllocChange{VM: 1, From: 0, To: NoHost}) {
+		t.Fatalf("MovesSince = %v, %v; want one write (1, 0→NoHost)", moves, ok)
 	}
 	if c.NumVMs() != 1 {
 		t.Fatalf("NumVMs = %d, want 1", c.NumVMs())
@@ -58,11 +52,11 @@ func TestRemoveUnplacesAndUnregisters(t *testing.T) {
 	if err := c.AddVM(VM{ID: 1, RAMMB: 512}); err != nil {
 		t.Fatalf("re-AddVM after Remove: %v", err)
 	}
-	if err := c.Remove(1); err != nil { // unplaced removal: no change event
+	if err := c.Remove(1); err != nil { // unplaced removal: nothing logged
 		t.Fatalf("Remove unplaced: %v", err)
 	}
-	if events != 1 {
-		t.Fatalf("unplaced removal fired a change event (%d total)", events)
+	if moves, _ := c.MovesSince(gen); len(moves) != 1 {
+		t.Fatalf("unplaced removal logged a write (%d total)", len(moves))
 	}
 	if err := c.Remove(99); !errors.Is(err, ErrUnknownVM) {
 		t.Fatalf("Remove unknown err = %v, want ErrUnknownVM", err)
@@ -127,48 +121,6 @@ func TestRespecCPUCapacity(t *testing.T) {
 	}
 	if got := c.FreeCPUMilli(0); got != 0 {
 		t.Fatalf("FreeCPUMilli = %d, want 0", got)
-	}
-}
-
-// TestRespecNotifiesCapacityObserversOnly: a successful re-spec reaches
-// ObserveRespec with the VM and its host; a failed one reaches nobody;
-// placement observers never hear of either.
-func TestRespecNotifiesCapacityObserversOnly(t *testing.T) {
-	c := lifecycleCluster(t)
-	placement := 0
-	c.Observe(func(VMID, HostID, HostID) { placement++ }, func() { placement++ })
-	type ev struct {
-		vm   VMID
-		host HostID
-	}
-	var got []ev
-	unobserve := c.ObserveRespec(func(vm VMID, host HostID) { got = append(got, ev{vm, host}) })
-
-	if err := c.Respec(2, 512, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Respec(2, 1<<20, 0); !errors.Is(err, ErrNoCapacity) {
-		t.Fatalf("oversized Respec err = %v, want ErrNoCapacity", err)
-	}
-	if err := c.AddVM(VM{ID: 3, RAMMB: 64}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Respec(3, 128, 0); err != nil {
-		t.Fatal(err)
-	}
-	want := []ev{{2, 1}, {3, NoHost}}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("respec observer saw %v, want %v", got, want)
-	}
-	if placement != 0 {
-		t.Fatalf("placement observers fired %d times on re-specs", placement)
-	}
-	unobserve()
-	if err := c.Respec(2, 256, 0); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatal("unregistered respec observer still fires")
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // self-moves, removals, re-specs, Restores and bursts of moves that
 // outrun the changelog. From every generation a reader saw, MovesSince
 // must either replay onto the table as it was then to give DenseAlloc —
-// each change's From the host the replay holds — or refuse: exactly when
-// the reader is more than moveLogCap/2 writes behind, or behind a
-// Restore or a window regrow.
+// each change's From the host the replay holds, across window regrows —
+// or refuse: exactly when the reader is more than the plant's VM slots of
+// writes behind, or behind a Restore. A successful re-spec writes one
+// entry with From == To, the VM's host.
 func TestMovesSinceReplaysTable(t *testing.T) {
 	const hosts, slots = 8, 16
 	c, err := New(UniformHosts(hosts, slots, 1<<20, 0))
@@ -55,10 +56,10 @@ func TestMovesSinceReplaysTable(t *testing.T) {
 		gen   uint64
 		base  VMID
 		table []HostID
-		reset bool // a Restore or a regrow happened since
+		reset bool // a Restore happened since
 	}
 	var marks []*mark
-	var replays, refusedBehind, refusedReset, bursts, regrows, restores int
+	var replays, refusedBehind, refusedReset, bursts, regrows, restores, acrossRegrow int
 	check := func(step int, op string) {
 		t.Helper()
 		base, alloc := c.DenseAlloc()
@@ -68,10 +69,10 @@ func TestMovesSinceReplaysTable(t *testing.T) {
 			moves, ok := c.MovesSince(m.gen)
 			switch {
 			case m.reset && ok:
-				t.Fatalf("step %d (%s): a reader behind a Restore or regrow was served %d changes", step, op, len(moves))
-			case !m.reset && behind <= moveLogCap/2 && !ok:
+				t.Fatalf("step %d (%s): a reader behind a Restore was served %d changes", step, op, len(moves))
+			case !m.reset && behind <= c.moveReach && !ok:
 				t.Fatalf("step %d (%s): a reader %d writes behind was refused", step, op, behind)
-			case !m.reset && behind > moveLogCap/2 && ok:
+			case !m.reset && behind > c.moveReach && ok:
 				t.Fatalf("step %d (%s): a reader %d writes behind was served", step, op, behind)
 			}
 			if !ok {
@@ -82,20 +83,33 @@ func TestMovesSinceReplaysTable(t *testing.T) {
 				}
 				continue // a refused reader stays refused: drop it
 			}
-			if uint64(len(moves)) != behind || m.base != base || len(m.table) != len(alloc) {
-				t.Fatalf("step %d (%s): %d changes for %d writes, window %d+%d then, %d+%d now",
-					step, op, len(moves), behind, m.base, len(m.table), base, len(alloc))
+			if uint64(len(moves)) != behind {
+				t.Fatalf("step %d (%s): %d changes for %d writes", step, op, len(moves), behind)
 			}
-			replay := slices.Clone(m.table)
+			// The replay spans the window then, the window now and every ID
+			// logged: the window may have regrown since.
+			lo, hi := min(m.base, base), max(m.base+VMID(len(m.table)), base+VMID(len(alloc)))
 			for _, ch := range moves {
-				i := ch.VM - base
+				lo, hi = min(lo, ch.VM), max(hi, ch.VM+1)
+			}
+			replay, want := make([]HostID, hi-lo), make([]HostID, hi-lo)
+			for i := range replay {
+				replay[i], want[i] = NoHost, NoHost
+			}
+			copy(replay[m.base-lo:], m.table)
+			copy(want[base-lo:], alloc)
+			for _, ch := range moves {
+				i := ch.VM - lo
 				if replay[i] != ch.From {
 					t.Fatalf("step %d (%s): change %+v, but the replay has VM %d on %d", step, op, ch, ch.VM, replay[i])
 				}
 				replay[i] = ch.To
 			}
-			if !slices.Equal(replay, alloc) {
+			if !slices.Equal(replay, want) {
 				t.Fatalf("step %d (%s): replaying %d changes does not give the table", step, op, len(moves))
+			}
+			if m.base != base || len(m.table) != len(alloc) {
+				acrossRegrow++
 			}
 			replays++
 			kept = append(kept, m)
@@ -144,7 +158,6 @@ func TestMovesSinceReplaysTable(t *testing.T) {
 				t.Fatalf("step %d: VM %d did not regrow the window", step, vm)
 			}
 			regrows++
-			resetAll()
 		case k < 10:
 			op = "Place"
 			vm := randVM()
@@ -173,8 +186,12 @@ func TestMovesSinceReplaysTable(t *testing.T) {
 			_ = c.Remove(randVM())
 		case k < 27:
 			op = "Respec"
-			_ = c.Respec(randVM(), 1+rng.Intn(2), 0)
-			unchanged(step, op, gen)
+			vm := randVM()
+			if c.Respec(vm, 1+rng.Intn(2), 0) != nil {
+				unchanged(step, op, gen)
+			} else if moves, _ := c.MovesSince(gen); len(moves) != 1 || moves[0] != (AllocChange{VM: vm, From: c.HostOf(vm), To: c.HostOf(vm)}) {
+				t.Fatalf("step %d (%s): re-spec of VM %d logged %v", step, op, vm, moves)
+			}
 		case k == 29 && rng.Intn(4) == 0:
 			op = "Restore"
 			snap := c.Snapshot()
@@ -191,7 +208,7 @@ func TestMovesSinceReplaysTable(t *testing.T) {
 		case k == 30 && rng.Intn(4) == 0:
 			op = "a burst past the log"
 			bursts++
-			n := moveLogCap/2 + rng.Intn(2*moveLogCap)
+			n := int(c.moveReach) + rng.Intn(4*int(c.moveReach))
 			for i := 0; i < n; i++ {
 				vm, _ := pick(isPlaced)
 				_ = c.Move(vm, randHost())
@@ -205,10 +222,10 @@ func TestMovesSinceReplaysTable(t *testing.T) {
 		}
 		check(step, op)
 	}
-	if replays < 10000 || refusedBehind < 20 || refusedReset < 20 || bursts < 20 || regrows < 5 || restores < 5 {
-		t.Fatalf("stream too tame: %d replays, %d refused behind, %d refused after a reset; %d bursts, %d regrows, %d Restores",
-			replays, refusedBehind, refusedReset, bursts, regrows, restores)
+	if replays < 10000 || refusedBehind < 20 || refusedReset < 20 || bursts < 20 || regrows < 5 || restores < 5 || acrossRegrow < 20 {
+		t.Fatalf("stream too tame: %d replays (%d across a regrow), %d refused behind, %d refused after a reset; %d bursts, %d regrows, %d Restores",
+			replays, acrossRegrow, refusedBehind, refusedReset, bursts, regrows, restores)
 	}
-	t.Logf("%d replays, %d refused behind, %d refused after a reset; %d bursts, %d regrows, %d Restores",
-		replays, refusedBehind, refusedReset, bursts, regrows, restores)
+	t.Logf("%d replays (%d across a regrow), %d refused behind, %d refused after a reset; %d bursts, %d regrows, %d Restores",
+		replays, acrossRegrow, refusedBehind, refusedReset, bursts, regrows, restores)
 }

@@ -41,16 +41,16 @@ func New(topo topology.Topology, cfg Config) *Controller {
 	}
 }
 
-// Bind attaches the traffic matrix and cluster the controller measures,
-// builds the initial summary, and registers the allocation observer.
-// The returned detach unregisters it. The controller is not safe for
-// use from multiple goroutines; both schedulers drive it from their
-// round loop, which also serializes the observer callbacks (cluster
-// mutations happen inside rounds).
-func (c *Controller) Bind(tm *traffic.Matrix, cl *cluster.Cluster) (detach func()) {
+// Bind attaches the traffic matrix and cluster the controller measures
+// and builds the initial summary; each Recommendation folds what changed
+// since from their changelogs. The controller registers nothing with the
+// cluster, so the returned unbind releases nothing: it is kept for
+// callers that defer it. The controller is not safe for use from
+// multiple goroutines; both schedulers drive it from their round loop.
+func (c *Controller) Bind(tm *traffic.Matrix, cl *cluster.Cluster) (unbind func()) {
 	c.follow = traffic.Follow(tm, cl, c.sum.Reset, c.addPair)
 	c.follow.Sync()
-	return c.follow.Detach
+	return func() {}
 }
 
 // addPair buckets a pair's hosts to racks and folds delta into the

@@ -8,8 +8,8 @@
 // matrix at the resolution the planner reads it: the three
 // communication-locality sums (intra-rack / intra-pod / cross-pod) and
 // the dense pod × pod table of cross-pod rates. A traffic.Follower folds
-// rate changes and placement moves into it as they come, never by
-// rescanning the matrix. (A rack-level
+// the rate changes and placement writes logged since the last plan into
+// it, never by rescanning the matrix. (A rack-level
 // heatmap such as Fig. 3a is traffic.TorMatrix, one pass on demand;
 // nothing here keeps one.) Plan turns the summary into a Recommendation
 // — shard count and granularity — under the partitioner's own

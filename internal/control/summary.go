@@ -11,9 +11,9 @@ import (
 // traffic matrix under a concrete placement, at the resolution Plan
 // reads it: the running communication-locality sums and the dense
 // pod-pair table of cross-pod rates. It is pure bookkeeping — the
-// Controller feeds it edge-rate deltas bucketed by the endpoints'
-// current racks (from the traffic changelog and from placement-change
-// observations), so it never rescans the matrix. Every field is a sum of
+// Controller's traffic.Follower feeds it edge-rate deltas bucketed by
+// the endpoints' racks (from the traffic and placement changelogs), so
+// it never rescans the matrix. Every field is a sum of
 // rates on traffic's grid, hence exact: the order deltas arrive in does
 // not change a bit of it.
 type Summary struct {
@@ -76,8 +76,8 @@ func (s *Summary) Pods() int { return s.numPods }
 
 // AddEdge folds one edge-rate delta into the rack pair (ra, rb). The
 // Controller calls it for every traffic-changelog entry (delta =
-// new − old at the endpoints' current racks) and twice per placement
-// move (− rate at the old rack, + rate at the new one).
+// new − old at the endpoints' racks as of the last sync) and twice per
+// pair of a moved VM (− rate at the old racks, + rate at the new ones).
 func (s *Summary) AddEdge(ra, rb int, delta float64) {
 	if delta == 0 || math.IsNaN(delta) {
 		return

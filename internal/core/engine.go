@@ -47,10 +47,13 @@ type Decision struct {
 // The engine itself keeps incremental accounting — the rate carried at
 // each communication level (C^A is their weighted sum) and per-host
 // external traffic loads — through a traffic.Follower of its matrix and
-// cluster, so TotalCost and HostNetLoad are O(1) between traffic windows
-// instead of O(|pairs|) per call. Every accumulator is a sum of rates on
-// traffic's grid, hence exact: a fold and a rebuild give the same bits,
-// in any order.
+// cluster, which TotalCost and HostNetLoad sync before they read, so a
+// read costs what changed since the last one instead of O(|pairs|).
+// Every accumulator is a sum of rates on traffic's grid, hence exact: a
+// fold and a rebuild give the same bits, in any order. Neither the
+// follower nor the visit memo registers anything with the cluster: both
+// read its placement changelog, so an engine that is dropped needs no
+// release.
 //
 // Engine is not safe for concurrent use: scratch buffers and the
 // accounting caches are mutated by reads.
@@ -80,14 +83,12 @@ type Engine struct {
 	lvl     [4]float64
 	hostNet []float64
 
-	// detach unregisters the cluster observers; nil once detached.
-	detach func()
+	// detached turns the visit memo off for good (Detach).
+	detached bool
 }
 
 // NewEngine assembles a decision engine. The traffic matrix may be
-// swapped later via SetTraffic as measurement windows roll over. The
-// engine registers itself as an allocation observer on cl, so it must
-// not outlive uses of the cluster that assume no observers.
+// swapped later via SetTraffic as measurement windows roll over.
 func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *traffic.Matrix, cfg Config) (*Engine, error) {
 	if cl == nil || tm == nil {
 		return nil, fmt.Errorf("core: nil dependency")
@@ -101,23 +102,14 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 	e.live.sizeScratch()
 	e.hostNet = make([]float64, cl.NumHosts())
 	e.acct = traffic.Follow(tm, cl, e.resetAccounting, e.addPair)
-	unobserve := cl.Observe(e.memoMove, e.memo.drop)
-	unobserveRespec := cl.ObserveRespec(e.onRespec)
-	e.detach = func() { unobserve(); unobserveRespec(); e.acct.Detach() }
 	return e, nil
 }
 
-// Detach unregisters the engine's cluster observers. Call it when
-// replacing an engine that shares a cluster with its successor, so the
-// discarded engine stops receiving (and paying for) allocation
-// callbacks. A detached engine remains usable: it recomputes totals on
-// every read instead of tracking them incrementally, and Visit evaluates
-// every holder in full.
+// Detach turns the visit memo off: Visit then evaluates every holder in
+// full, as BestMigration. Tests use it for a kernel-only twin of an
+// engine; the accounting is unaffected. Detach is idempotent.
 func (e *Engine) Detach() {
-	if e.detach != nil {
-		e.detach()
-		e.detach = nil
-	}
+	e.detached = true
 	e.memo.off()
 }
 
@@ -305,9 +297,8 @@ func (e *Engine) BestMigration(u cluster.VMID) (Decision, bool) {
 
 // Apply executes a previously computed decision against the cluster,
 // enforcing capacity at execution time (the allocation may have drifted
-// since the probe). It returns the realized ΔC. The cluster move
-// notifies the engine's allocation observer, which folds the change
-// into the running C^A and host net loads.
+// since the probe). It returns the realized ΔC. The cluster logs the
+// move, and the next read of C^A or a host's net load folds it.
 func (e *Engine) Apply(d Decision) (float64, error) {
 	if d.Target == cluster.NoHost {
 		return 0, fmt.Errorf("core: decision has no target")

@@ -416,9 +416,9 @@ func TestTwoEnginesOneCluster(t *testing.T) {
 	}
 }
 
-// TestDetachedEngineStaysCorrect: a detached engine no longer receives
-// allocation callbacks but must keep answering correctly (by
-// recomputing instead of tracking incrementally).
+// TestDetachedEngineStaysCorrect: a detached engine, its memo off, must
+// keep answering correctly: its accounting still folds the placement
+// changelog on every read.
 func TestDetachedEngineStaysCorrect(t *testing.T) {
 	fx := newFixture(t, DefaultConfig())
 	fx.eng.TotalCost() // prime while attached

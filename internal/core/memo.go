@@ -36,16 +36,18 @@ import (
 //
 //	event                                   dirtied
 //	--------------------------------------  ----------------------------------------------
-//	place / move / remove of w (observer),  w and every peer of w; the source host relaxed
-//	  a staged commit of w stale-rejected   (room freed), the target host and every peer's
-//	  at merge (Rejected: the reverse move) host too (their NIC load was rewritten, −r/+r
-//	                                        included)
+//	place / move / remove of w (placement   w and every peer of w; the source host relaxed
+//	  changelog, folded before the next     (room freed), the target host and every peer's
+//	  visit), a staged commit of w          host too (their NIC load was rewritten, −r/+r
+//	  stale-rejected at merge (Rejected:    included)
+//	  the reverse move)
 //	edge (a, b) changed rate (changelog,    a and b; both their hosts relaxed
 //	  folded before the next visit)
-//	re-spec of w (ObserveRespec)            w; w's host relaxed
+//	re-spec of w (a From == To entry of     w; w's host relaxed
+//	  the placement changelog)
 //	a host gained load or lost room         nothing
-//	Restore, SetTraffic, changelog overrun, every verdict dropped
-//	  32-bit clock wrap
+//	Restore, SetTraffic, either changelog   every verdict dropped
+//	  outrun, 32-bit clock wrap
 //	a view's own staged commit of w,        w and every peer of w marked near in that view;
 //	  within the round                      it re-evaluates a near u if u's or a peer's
 //	                                        overlay host differs from the cluster's, and a
@@ -87,8 +89,13 @@ import (
 // visits the VM; per-host flags are atomics. BestMigration itself
 // records nothing and shares no writes.
 //
-// The memo is inert — Visit is plain BestMigration — after Detach (no
-// events arrive).
+// The memo learns of every event but a rejected commit from the two
+// changelogs, at a sequential point before verdicts are read (memoSync),
+// so a placement write costs the memo nothing until then. The placement
+// changelog reaches back the plant's VM slots, more than a round writes,
+// so only a Restore or writes made between rounds past that reach drop
+// verdicts. The memo is inert — Visit is plain BestMigration — after
+// Detach.
 type visitMemo struct {
 	// base/quiet/refused are the per-VM table over the cluster's ID
 	// window; nil when the memo is inert. quiet[i] != 0 means VM
@@ -110,8 +117,9 @@ type visitMemo struct {
 	// in rack r; the last slot serves hosts outside the rack table.
 	relaxed []uint32
 	clock   uint32
-	// tmGen is the traffic generation whose edge changes are folded in.
-	tmGen uint64
+	// tmGen and clGen are the traffic and placement generations whose
+	// changes are folded in.
+	tmGen, clGen uint64
 }
 
 // checkSkips makes every skipped visit also run the kernel and panic on
@@ -233,16 +241,16 @@ func (m *visitMemo) resize(base cluster.VMID, n int) {
 
 // memoSync brings the memo up to date at a sequential point — before a
 // serial visit, and when a view is (re)primed: decide whether it may run
-// at all, follow the cluster's ID window, fold pending edge changes. The
-// memo reads the changelog itself rather than through a traffic.Follower:
-// it clears verdicts instead of summing rates, so where a follower would
-// refold every pair, the memo drops every verdict.
+// at all, follow the cluster's ID window, fold the placement writes and
+// edge changes since the last sync. The memo reads both changelogs itself
+// rather than through a traffic.Follower: it clears verdicts instead of
+// summing rates, so where a follower would refold every pair, the memo
+// drops every verdict.
 func (e *Engine) memoSync() {
 	m := &e.memo
 	base, alloc := e.cl.DenseAlloc()
 	n := len(alloc)
-	if e.detach == nil {
-		m.off()
+	if e.detached {
 		return
 	}
 	switch {
@@ -255,10 +263,25 @@ func (e *Engine) memoSync() {
 			m.relaxed = make([]uint32, len(e.kern.rackHosts)+1)
 			m.clock = 1
 		}
-		m.tmGen = e.tm.Generation()
+		m.tmGen, m.clGen = e.tm.Generation(), e.cl.MoveGeneration()
 		return
 	case base != m.base || n != len(m.quiet):
 		m.resize(base, n)
+	}
+	if gen := e.cl.MoveGeneration(); gen != m.clGen {
+		moves, ok := e.cl.MovesSince(m.clGen)
+		m.clGen = gen
+		if !ok {
+			m.drop()
+		}
+		for _, ch := range moves {
+			if ch.From == ch.To { // a re-spec
+				m.dirty(ch.VM)
+				e.relax(ch.From)
+			} else {
+				e.memoMove(ch.VM, ch.From, ch.To)
+			}
+		}
 	}
 	gen := e.tm.Generation()
 	if gen == m.tmGen {
@@ -304,17 +327,6 @@ func (e *Engine) memoMove(vm cluster.VMID, from, to cluster.HostID) {
 	}
 	e.relax(from)
 	e.relax(to)
-}
-
-// onRespec is the cluster's capacity-only notification: vm's demand
-// changed in place, so its own verdict is void and its host may have
-// gained room.
-func (e *Engine) onRespec(vm cluster.VMID, host cluster.HostID) {
-	if e.memo.quiet == nil {
-		return
-	}
-	e.memo.dirty(vm)
-	e.relax(host)
 }
 
 // Rejected tells the engine that d, staged in a view by Commit, was

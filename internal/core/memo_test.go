@@ -360,10 +360,12 @@ func TestVisitClockWrap(t *testing.T) {
 	eng.Visit(1)
 	eng.Visit(2)
 	eng.memo.clock = math.MaxUint32
-	// Relaxing a blocking host ticks the clock over the edge.
+	// Relaxing a blocking host ticks the clock over the edge when the
+	// move is folded.
 	if err := cl.Move(5, 4); err != nil {
 		t.Fatal(err)
 	}
+	eng.memoSync()
 	if eng.memo.clock != 1 {
 		t.Fatalf("clock after wrap = %d, want 1", eng.memo.clock)
 	}

@@ -82,7 +82,6 @@ func AblationLinkWeights(scale Scale, seed int64) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		run.Eng.Detach() // replaced on this clone's cluster
 		run.Eng = eng
 		cfg := simConfigFor(run.Cl.NumVMs(), 8)
 		runner, err := sim.NewRunner(eng, token.HighestLevelFirst{}, cfg, run.Rng)

@@ -59,7 +59,6 @@ func Fig4ScoreVsRemedy(scale Scale, seed int64) (*Fig4Result, error) {
 	res := &Fig4Result{InitialCost: base.Eng.TotalCost()}
 	res.BaselineCore = net.UtilizationAtLevel(3)
 	res.BaselineAgg = net.UtilizationAtLevel(2)
-	net.Detach()
 
 	gaRes, err := ga.Optimize(base.Eng, gaConfigFor(scale), base.Rng)
 	if err != nil {
@@ -122,16 +121,13 @@ func Fig4ScoreVsRemedy(scale Scale, seed int64) (*Fig4Result, error) {
 }
 
 // rebuildEngine replaces the scenario's engine with one using a
-// modified config (the cluster and traffic matrix stay shared). The
-// old engine is detached from the cluster so it stops receiving
-// allocation callbacks, and sc.Eng is reassigned so the scenario never
-// holds a stale engine.
+// modified config (the cluster and traffic matrix stay shared), and
+// reassigns sc.Eng so the scenario never holds a stale engine.
 func rebuildEngine(sc *Scenario, cfg core.Config) (*core.Engine, error) {
 	eng, err := core.NewEngine(sc.Topo, sc.Eng.CostModel(), sc.Cl, sc.TM, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sc.Eng.Detach()
 	sc.Eng = eng
 	return eng, nil
 }

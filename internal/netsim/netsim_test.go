@@ -161,7 +161,6 @@ func sameLoads(t *testing.T, step int, net *Network, topo topology.Topology, tm 
 	t.Helper()
 	fresh := NewNetwork(topo)
 	fresh.Recompute(tm, cl)
-	defer fresh.Detach()
 	for _, l := range topo.Links() {
 		a, b := net.LinkLoadMbps(l.ID), fresh.LinkLoadMbps(l.ID)
 		if math.Float64bits(a) != math.Float64bits(b) {

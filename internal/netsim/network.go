@@ -9,14 +9,16 @@ import (
 // Network tracks per-link offered load for the current allocation and
 // traffic matrix. Pairwise rates are routed over shortest paths with
 // per-flow ECMP (the pair's stable hash picks among equal-cost paths).
-// A traffic.Follower of the bound (matrix, cluster) pair keeps the loads
-// current: moves shift them as they happen, rate changes fold on Sync.
+// A traffic.Follower of the bound (matrix, cluster) pair keeps the loads:
+// every link read syncs it first, so a read sees the moves and rate
+// changes made since the last one. The network registers nothing with
+// the cluster, so one that is dropped needs no release.
 type Network struct {
 	topo topology.Topology
 	load []float64 // Mb/s per link, indexed by LinkID
 	path []topology.LinkID
 
-	// f follows (tm, cl); nil until the first Recompute and once detached.
+	// f follows (tm, cl); nil until the first Recompute.
 	f  *traffic.Follower
 	tm *traffic.Matrix
 	cl *cluster.Cluster
@@ -36,7 +38,6 @@ func NewNetwork(topo topology.Topology) *Network {
 // length).
 func (n *Network) Recompute(tm *traffic.Matrix, cl *cluster.Cluster) {
 	if n.f == nil || n.tm != tm || n.cl != cl {
-		n.Detach()
 		n.f, n.tm, n.cl = traffic.Follow(tm, cl, n.reset, n.addPair), tm, cl
 	}
 	n.f.Invalidate()
@@ -54,12 +55,11 @@ func (n *Network) Sync(tm *traffic.Matrix, cl *cluster.Cluster) {
 	n.f.Sync()
 }
 
-// Detach stops following the bound pair; the loads keep their last
-// values until the next Recompute.
-func (n *Network) Detach() {
+// sync brings the loads up to date with the bound pair, if any; every
+// link read calls it.
+func (n *Network) sync() {
 	if n.f != nil {
-		n.f.Detach()
-		n.f = nil
+		n.f.Sync()
 	}
 }
 
@@ -81,6 +81,7 @@ func (n *Network) LinkLoadMbps(id topology.LinkID) float64 {
 	if int(id) < 0 || int(id) >= len(n.load) {
 		return 0
 	}
+	n.sync()
 	return n.load[id]
 }
 
@@ -95,6 +96,7 @@ func (n *Network) LinkUtilization(id topology.LinkID) float64 {
 	if c <= 0 {
 		return 0
 	}
+	n.sync()
 	return n.load[id] / c
 }
 
@@ -102,6 +104,7 @@ func (n *Network) LinkUtilization(id topology.LinkID) float64 {
 // hierarchy level (1 = host↔ToR, 2 = ToR↔agg, 3 = agg↔core) — the
 // samples behind the Fig. 4a CDFs.
 func (n *Network) UtilizationAtLevel(level int) []float64 {
+	n.sync()
 	links := n.topo.Links()
 	out := make([]float64, 0, len(links)/3)
 	for _, l := range links {
@@ -118,6 +121,7 @@ func (n *Network) UtilizationAtLevel(level int) []float64 {
 
 // MaxUtilization returns the most loaded link and its utilization.
 func (n *Network) MaxUtilization() (topology.LinkID, float64) {
+	n.sync()
 	bestID, best := topology.LinkID(-1), 0.0
 	links := n.topo.Links()
 	for _, l := range links {

@@ -81,9 +81,8 @@ type Controller struct {
 }
 
 // NewController wires a controller over live cluster state. The network
-// tracker is owned by the controller: it follows the cluster's moves and
-// is synced with the matrix each round. Detach it (Network().Detach())
-// when the controller is done.
+// tracker is owned by the controller: every link read folds the
+// cluster's moves and the matrix's rate changes since the last one.
 func NewController(topo topology.Topology, cl *cluster.Cluster, tm *traffic.Matrix, cfg Config, rng *rand.Rand) (*Controller, error) {
 	if topo == nil || cl == nil || tm == nil || rng == nil {
 		return nil, fmt.Errorf("remedy: nil dependency")

@@ -276,8 +276,7 @@ type Daemon struct {
 	stop chan struct{}
 	done chan struct{}
 
-	closeOnce  sync.Once
-	detachCtrl func()
+	closeOnce sync.Once
 
 	m serveMetrics
 }
@@ -321,7 +320,7 @@ func newDaemon(cfg Config, topo topology.Topology, cl *cluster.Cluster, tm *traf
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	ctrl := control.New(topo, control.Config{Metrics: control.NewMetrics(reg)})
-	detach := ctrl.Bind(tm, cl)
+	ctrl.Bind(tm, cl)
 	shardMetrics := shard.NewMetrics(reg)
 	coord, err := shard.NewCoordinator(eng, shard.Config{
 		Tuner:   ctrl,
@@ -330,30 +329,27 @@ func newDaemon(cfg Config, topo topology.Topology, cl *cluster.Cluster, tm *traf
 		Audit:   cfg.Audit,
 	})
 	if err != nil {
-		detach()
-		eng.Detach()
 		return nil, err
 	}
 	d := &Daemon{
-		cfg:        cfg,
-		topo:       topo,
-		reg:        reg,
-		tr:         cfg.Trace,
-		ar:         cfg.Audit,
-		log:        logger,
-		cl:         cl,
-		tm:         tm,
-		eng:        eng,
-		ctrl:       ctrl,
-		coord:      coord,
-		nextID:     firstVMID,
-		dirty:      cl.NumVMs() > 0,
-		hist:       obs.NewRing[RoundSummary](historyRounds),
-		ops:        make(chan *op, cfg.IngestQueue),
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-		detachCtrl: detach,
-		m:          newServeMetrics(reg),
+		cfg:    cfg,
+		topo:   topo,
+		reg:    reg,
+		tr:     cfg.Trace,
+		ar:     cfg.Audit,
+		log:    logger,
+		cl:     cl,
+		tm:     tm,
+		eng:    eng,
+		ctrl:   ctrl,
+		coord:  coord,
+		nextID: firstVMID,
+		dirty:  cl.NumVMs() > 0,
+		hist:   obs.NewRing[RoundSummary](historyRounds),
+		ops:    make(chan *op, cfg.IngestQueue),
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
+		m:      newServeMetrics(reg),
 	}
 	if snap != nil {
 		ctrl.RestorePersisted(snap.Controller)
@@ -363,8 +359,6 @@ func newDaemon(cfg Config, topo topology.Topology, cl *cluster.Cluster, tm *traf
 	if cfg.Flight != "" {
 		fr, err := obs.NewFlightRecorder(cfg.Flight, logger, reg, cfg.Trace, cfg.Audit)
 		if err != nil {
-			detach()
-			eng.Detach()
 			return nil, err
 		}
 		// The three anomalies the ISSUE of record calls out: a round
@@ -396,8 +390,8 @@ func (d *Daemon) Rounds() uint64 {
 	return d.coord.Rounds()
 }
 
-// Close stops the state loop, fails any raced-in submissions with
-// ErrClosed, and detaches the plant. Safe to call more than once.
+// Close stops the state loop and the flight recorder and fails any
+// raced-in submissions with ErrClosed. Safe to call more than once.
 func (d *Daemon) Close() error {
 	d.closeOnce.Do(func() {
 		close(d.stop)
@@ -410,8 +404,6 @@ func (d *Daemon) Close() error {
 			case o := <-d.ops:
 				o.done <- opResult{err: ErrClosed}
 			default:
-				d.detachCtrl()
-				d.eng.Detach()
 				return
 			}
 		}
@@ -616,10 +608,8 @@ func (d *Daemon) applyAdmit(o *op) opResult {
 }
 
 func (d *Daemon) applyRemove(o *op) opResult {
-	// Clear the VM's traffic row before unplacing it: the matrix logs
-	// one removal per pair, and with the VM still placed every observer
-	// folds those deltas at its current rack. Only then does the cluster
-	// removal fire the placement-change hooks.
+	// Both writes are logged; readers fold them at their next sync,
+	// each pair's removal at the rack the VM sat on then.
 	d.tm.ClearVM(o.vm)
 	if err := d.cl.Remove(o.vm); err != nil {
 		return opResult{err: err}

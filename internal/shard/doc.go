@@ -118,8 +118,9 @@
 // replaying the writes since the last round: each clears the VM's bit in
 // its old host's shard and sets it in its new one's — the round's merged
 // moves, and any move, admit or removal made between rounds. When the
-// changelog cannot serve them — more than 2,048 writes behind, or behind
-// a Restore or an ID-window regrow — and on a partition just built for a
+// changelog cannot serve them — behind a Restore — or they number more
+// than 2,048 (the partition's own crossover, past which a refill costs
+// less), after an ID-window regrow, and on a partition just built for a
 // new shard shape, the rings are refilled instead: every bitmap cleared,
 // then one bit set per placed VM, about 4–6 ns per VM on a 2-vCPU Xeon VM
 // (k=24, BenchmarkPartitionRefill, ≈ 0.45–0.6 ms). A shard's view keeps

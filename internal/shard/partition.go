@@ -62,9 +62,11 @@ type Partition struct {
 	// lists[s] is the storage VMs(s) expands ring s into.
 	lists [][]cluster.VMID
 
-	// The placement the rings hold: cl's table at generation gen; cl is
-	// nil until the first fill. refills counts the full refills.
+	// The placement the rings hold: cl's table, over the ID window of n
+	// IDs from base, at generation gen; cl is nil until the first fill.
+	// refills counts the full refills.
 	cl      *cluster.Cluster
+	n       int
 	gen     uint64
 	refills int
 }
@@ -132,14 +134,19 @@ func NewPartition(topo topology.Topology, cl *cluster.Cluster, g Granularity, sh
 	return p, nil
 }
 
+// patchMax is the most placement writes addPlaced patches: past it, a
+// refill — one pass over the ID window — costs less than the patch.
+const patchMax = 2048
+
 // addPlaced brings the rings up to the cluster's placement table. When
-// they were last filled from the same cluster and its changelog still
-// covers the writes since (which implies the same ID window), each write
-// clears the VM's bit in its old host's shard and sets it in its new
-// one's; otherwise the rings are refilled.
+// they were last filled from the same cluster over the same ID window and
+// its changelog serves the writes since, at most patchMax of them, each
+// write clears the VM's bit in its old host's shard and sets it in its
+// new one's (a re-spec, From == To, clears and sets the same bit);
+// otherwise the rings are refilled.
 func (p *Partition) addPlaced(cl *cluster.Cluster) {
-	if p.cl == cl {
-		if moves, ok := cl.MovesSince(p.gen); ok {
+	if base, alloc := cl.DenseAlloc(); p.cl == cl && base == p.base && len(alloc) == p.n {
+		if moves, ok := cl.MovesSince(p.gen); ok && len(moves) <= patchMax {
 			for _, m := range moves {
 				i := m.VM - p.base
 				if m.From != cluster.NoHost {
@@ -162,7 +169,7 @@ func (p *Partition) addPlaced(cl *cluster.Cluster) {
 // once the rings have grown to size), then every placed VM sets its bit.
 func (p *Partition) refill(cl *cluster.Cluster) {
 	base, alloc := cl.DenseAlloc()
-	p.cl, p.base, p.gen = cl, base, cl.MoveGeneration()
+	p.cl, p.base, p.n, p.gen = cl, base, len(alloc), cl.MoveGeneration()
 	p.refills++
 	n := (len(alloc) + 63) / 64
 	for s := range p.rings {

@@ -77,8 +77,8 @@ type Ring struct {
 	CommitMeta, ProposalMeta []AuditMeta
 	Near                     Marks
 	// traceDone has the Driver trace the ring's EvRingDone as the merge
-	// reaches it, in shard order: in-process rings finish unobserved
-	// inside the pool. The agent plane traces each report on arrival.
+	// reaches it, in shard order: in-process rings finish inside the
+	// pool, where nothing traces them. The agent plane traces each report on arrival.
 	traceDone bool
 }
 

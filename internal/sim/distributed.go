@@ -26,8 +26,6 @@ type agentPlane struct {
 	agents []*hypervisor.Agent
 	rec    *hypervisor.Reconciler
 	faults *hypervisor.FaultPlan
-	// detach unbinds the auto-tuning controller's cluster observer.
-	detach func()
 }
 
 func (p *agentPlane) close() {
@@ -36,9 +34,6 @@ func (p *agentPlane) close() {
 	}
 	for _, a := range p.agents {
 		_ = a.Close()
-	}
-	if p.detach != nil {
-		p.detach()
 	}
 }
 
@@ -136,9 +131,7 @@ func (r *Runner) buildAgentPlane() (*agentPlane, error) {
 	// Under auto-tuning the reconciler consults the controller — bound
 	// to the engine mirror's traffic matrix and cluster, which replay
 	// every committed move — for shard count and granularity each round.
-	ctrl, detach := r.controller()
-	p.detach = detach
-	if ctrl != nil {
+	if ctrl := r.controller(); ctrl != nil {
 		rcfg.Tuner = ctrl
 	}
 	rec, err := hypervisor.NewReconciler(rcfg, p.reg)

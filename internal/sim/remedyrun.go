@@ -47,7 +47,6 @@ func RunRemedy(eng *core.Engine, cfg RemedyConfig, rng *rand.Rand) (*Metrics, er
 		return nil, err
 	}
 	net := ctrl.Network()
-	defer net.Detach()
 	des := netsim.NewEngine()
 	var m Metrics
 	m.InitialCost = eng.TotalCost()

@@ -9,7 +9,8 @@ package sim
 // boundaries. Migration durations and downtimes are still drawn from
 // the pre-copy model under the link load, so Fig. 5-style distributions
 // remain comparable with single-token runs. The link loads follow every
-// applied move through the network's traffic.Follower.
+// applied move through the network's traffic.Follower, which each link
+// read syncs.
 
 import (
 	"github.com/score-dc/score/internal/cluster"
@@ -18,15 +19,14 @@ import (
 )
 
 // controller builds and binds the adaptive control plane for an
-// AutoTune run; detach must run before the engine's cluster outlives
-// the run. Returns nil when auto-tuning is off.
-func (r *Runner) controller() (*control.Controller, func()) {
+// AutoTune run. Returns nil when auto-tuning is off.
+func (r *Runner) controller() *control.Controller {
 	if !r.cfg.AutoTune {
-		return nil, func() {}
+		return nil
 	}
 	ctrl := control.New(r.eng.Topology(), control.Config{Metrics: r.ob.ctrl})
-	detach := ctrl.Bind(r.eng.Traffic(), r.eng.Cluster())
-	return ctrl, detach
+	ctrl.Bind(r.eng.Traffic(), r.eng.Cluster())
+	return ctrl
 }
 
 // modelMigration draws the pre-copy model for one executed move under
@@ -62,14 +62,13 @@ func (r *Runner) finishUtilization(cl *cluster.Cluster) {
 // the plane, folds what it applied into the mirror cluster and the link
 // loads, adds any plane-specific extras to the shard totals stats
 // returns, and returns the round, which the run's totals are summed
-// from. The network is detached at the end.
+// from.
 func (r *Runner) runRounds(step func(stats func(shard int) *ShardStats) (*shard.Round, error)) (*Metrics, error) {
 	cl := r.eng.Cluster()
 	r.metrics.InitialCost = r.eng.TotalCost()
 	r.metrics.Cost.Append(0, r.metrics.InitialCost)
 	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
 	r.net.Recompute(r.eng.Traffic(), cl)
-	defer r.net.Detach()
 
 	perShard := map[int]*ShardStats{}
 	stats := func(shard int) *ShardStats {
@@ -133,8 +132,7 @@ func (r *Runner) runRounds(step func(stats func(shard int) *ShardStats) (*shard.
 // runSharded runs the in-process plane: shard.Coordinator rounds against
 // the engine's own cluster.
 func (r *Runner) runSharded() (*Metrics, error) {
-	ctrl, detach := r.controller()
-	defer detach()
+	ctrl := r.controller()
 	scfg := shard.Config{
 		Shards:      r.cfg.Shards,
 		Granularity: r.cfg.ShardGranularity,
@@ -151,8 +149,8 @@ func (r *Runner) runSharded() (*Metrics, error) {
 	}
 	util := make([]float64, r.eng.Cluster().NumHosts())
 	return r.runRounds(func(func(int) *ShardStats) (*shard.Round, error) {
-		// The merge shifts the link loads move by move; every move is
-		// modelled under the loads of the round's starting allocation.
+		// Every move is modelled under the loads of the round's starting
+		// allocation, read before the merge applies any.
 		for h := range util {
 			util[h] = r.net.HostLinkUtilization(cluster.HostID(h))
 		}

@@ -307,7 +307,6 @@ func (r *Runner) Run() (*Metrics, error) {
 	r.metrics.Cost.Append(0, r.metrics.InitialCost)
 	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
 	r.net.Recompute(r.eng.Traffic(), cl)
-	defer r.net.Detach()
 
 	if r.cfg.MaxIterations > 0 {
 		r.hopsLeft = r.cfg.MaxIterations * r.numVMs
@@ -409,8 +408,8 @@ func (r *Runner) holderView(u cluster.VMID) token.HolderView {
 // until its pre-copy would have finished.
 func (r *Runner) startMigration(dec core.Decision) {
 	cl := r.eng.Cluster()
-	// The model reads the link loads as they stand: fold pending rate
-	// changes first. The move itself shifts the loads.
+	// The model reads the link loads as they stand, bound to the
+	// engine's current matrix; the read folds what changed since.
 	r.net.Sync(r.eng.Traffic(), cl)
 	bg := r.net.HostLinkUtilization(dec.From)
 	if t := r.net.HostLinkUtilization(dec.Target); t > bg {

@@ -42,10 +42,11 @@ func sameSums(t *testing.T, step int, got, want hostSums) {
 
 // TestFollowerEqualsScratchUnderStream drives a follower with a generated
 // stream of rate changes (Set, Add, ClearVM, Compact), placement changes
-// (Place, Move, Remove, Restore) and follower calls (Retarget, Invalidate,
-// Detach), including bursts that outrun the changelog between two syncs
-// and moves on top of unfolded rate changes to the mover's own pairs.
-// After every Sync the folded sums equal a from-scratch sum bit for bit.
+// (Place, Move, Remove, Respec, Restore) and follower calls (Retarget,
+// Invalidate, a fresh Follow), including bursts that outrun either
+// changelog between two syncs and moves on top of unfolded rate changes
+// to the mover's own pairs. After every Sync the folded sums equal a
+// from-scratch sum bit for bit.
 func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 	const hosts, ids = 12, 48
 	cl, err := cluster.New(cluster.UniformHosts(hosts, ids, 1<<20, 0))
@@ -71,7 +72,7 @@ func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 
 	got := hostSums{}
 	f := Follow(mats[cur], cl, func() { clear(got) }, got.add)
-	var syncs, overruns, detaches int
+	var syncs, overruns, refollows, moveOverruns int
 	sync := func(step int) {
 		t.Helper()
 		f.Sync()
@@ -80,7 +81,7 @@ func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 	}
 	for step := 0; step < 6000; step++ {
 		m := mats[cur]
-		switch op := rng.Intn(20); {
+		switch op := rng.Intn(27); {
 		case op < 5:
 			m.Set(randVM(), randVM(), rate())
 		case op < 7:
@@ -127,8 +128,8 @@ func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 		case op == 18 && rng.Intn(10) == 0: // outrun the changelog, a move amid it
 			overruns++
 			before := f.Rebuilds()
-			// The move syncs the follower; the window must still slide
-			// past that point before the next sync.
+			// A move amid the burst: the matrix's window must slide past
+			// the last sync before the next one.
 			for i := 0; i < changeLogCap/2+2*changeLogCap; i++ {
 				m.Set(randVM(), randVM(), rate())
 				if i == changeLogCap/2 {
@@ -139,25 +140,94 @@ func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 			if f.Rebuilds() != before+1 {
 				t.Fatalf("step %d: an outrun changelog folded instead of rebuilding", step)
 			}
-		case op == 19 && rng.Intn(10) == 0: // detach, then follow afresh
-			detaches++
+		case op == 19 && rng.Intn(10) == 0: // drop the follower, then follow afresh
+			refollows++
 			f.Sync()
-			f.Detach()
-			f.Detach()
 			m.Set(randVM(), randVM(), rate())
 			_ = cl.Move(randVM(), randHost())
 			sync(step)
 			f = Follow(mats[cur], cl, func() { clear(got) }, got.add)
+		case op == 20: // both endpoints of a pair move between two syncs
+			f.Sync()
+			a, b := randVM(), randVM()
+			m.Set(a, b, rate())
+			_ = cl.Move(a, randHost())
+			_ = cl.Move(b, randHost())
+			sync(step)
+		case op == 21: // a VM moves twice, another away and back
+			f.Sync()
+			vm := randVM()
+			_ = cl.Move(vm, randHost())
+			m.Set(vm, randVM(), rate())
+			_ = cl.Move(vm, randHost())
+			back := randVM()
+			if from := cl.HostOf(back); from != cluster.NoHost {
+				_ = cl.Move(back, (from+1)%hosts)
+				m.Set(back, randVM(), rate())
+				_ = cl.Move(back, from)
+			}
+			sync(step)
+		case op == 22: // Remove, re-AddVM and Place of one ID
+			f.Sync()
+			vm := randVM()
+			_ = cl.Remove(vm)
+			m.Set(vm, randVM(), rate())
+			if err := cl.AddVM(cluster.VM{ID: vm, RAMMB: 1}); err != nil {
+				t.Fatal(err)
+			}
+			_ = cl.Place(vm, randHost())
+			sync(step)
+		case op == 23: // ClearVM after Remove, with or without a Sync between
+			f.Sync()
+			vm := randVM()
+			_ = cl.Remove(vm)
+			if rng.Intn(2) == 0 {
+				sync(step)
+			}
+			m.ClearVM(vm)
+			sync(step)
+		case op == 24: // re-specs, placed and unplaced, amid a move
+			f.Sync()
+			_ = cl.Respec(randVM(), 1+rng.Intn(3), 0)
+			_ = cl.Move(randVM(), randHost())
+			_ = cl.Respec(randVM(), 1+rng.Intn(3), 0)
+			sync(step)
+		case op == 25 && rng.Intn(10) == 0: // more placement writes than the log reaches
+			moveOverruns++
+			f.Sync()
+			before, gen := f.Rebuilds(), cl.MoveGeneration()
+			for cl.MoveGeneration()-gen <= hosts*ids { // the plant's VM slots
+				_ = cl.Move(randVM(), randHost())
+			}
+			sync(step)
+			if f.Rebuilds() != before+1 {
+				t.Fatalf("step %d: an outrun placement log folded instead of rebuilding", step)
+			}
+		case op == 26: // a Restore between moves and rate changes
+			f.Sync()
+			_ = cl.Move(randVM(), randHost())
+			m.Set(randVM(), randVM(), rate())
+			snap := cl.Snapshot()
+			for vm := range snap {
+				if rng.Intn(4) == 0 {
+					snap[vm] = randHost()
+				}
+			}
+			if err := cl.Restore(snap); err != nil {
+				t.Fatal(err)
+			}
+			_ = cl.Move(randVM(), randHost())
+			sync(step)
 		}
 		if rng.Intn(4) == 0 {
 			sync(step)
 		}
 	}
 	sync(-1)
-	if overruns == 0 || detaches == 0 {
-		t.Fatalf("stream had %d overruns and %d detaches; it exercised too little", overruns, detaches)
+	if overruns == 0 || refollows == 0 || moveOverruns == 0 {
+		t.Fatalf("stream had %d overruns, %d placement-log overruns and %d fresh follows; it exercised too little", overruns, moveOverruns, refollows)
 	}
-	t.Logf("%d syncs, %d overruns, %d detaches", syncs, overruns, detaches)
+	t.Logf("%d syncs, %d overruns, %d placement-log overruns, %d fresh follows", syncs, overruns, moveOverruns, refollows)
 }
 
 // TestFollowerZeroAllocs: folding a batch of rate changes and shifting a
@@ -184,7 +254,6 @@ func TestFollowerZeroAllocs(t *testing.T) {
 			load[hb] += delta
 		}
 	})
-	defer f.Detach()
 	set := func(i int) { m.Set(cluster.VMID(i%16+1), cluster.VMID((i+1)%16+1), float64(1+i%5)) }
 	for i := 0; i <= changeLogCap; i++ { // the changelog reaches its full capacity
 		set(i)

@@ -68,8 +68,9 @@
 // recorded in a bounded edge-level changelog (ChangesSince). A consumer
 // keeping a sum over pairs — the engine's cost accounting, the planner's
 // summary, the link loads — reads it through a Follower, which folds
-// the delta per edge, and each move per row, instead of rebuilding from
-// the full pair list.
+// the delta per edge, and each moved VM's row once, from this log and the
+// cluster's placement changelog, instead of rebuilding from the full pair
+// list.
 //
 // # Slice ownership
 //
