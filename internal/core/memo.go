@@ -247,12 +247,12 @@ func (m *visitMemo) resize(base cluster.VMID, n int) {
 // summing rates, so where a follower would refold every pair, the memo
 // drops every verdict.
 func (e *Engine) memoSync() {
-	m := &e.memo
-	base, alloc := e.cl.DenseAlloc()
-	n := len(alloc)
 	if e.detached {
 		return
 	}
+	m := &e.memo
+	base, alloc := e.cl.DenseAlloc()
+	n := len(alloc)
 	switch {
 	case m.quiet == nil:
 		// (Re)starting: no verdict exists, so there is nothing to fold.
