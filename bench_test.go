@@ -659,7 +659,6 @@ func BenchmarkGAGeneration(b *testing.B) {
 	cfg.Population = 30
 	cfg.MinGenerations = 1
 	cfg.MaxGenerations = 1
-	cfg.StopGenerations = 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ga.Optimize(eng, cfg, rng); err != nil {

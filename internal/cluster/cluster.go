@@ -461,6 +461,23 @@ func (c *Cluster) Fits(vm VMID, host HostID) bool {
 	return c.HostOf(vm) == host || c.roomFor(host, ram, cpu)
 }
 
+// BestFitHost returns the host with the most free slots that Fits vm,
+// lowest ID on ties — the load-balanced placement of Section VI — or
+// NoHost when none does.
+func (c *Cluster) BestFitHost(vm VMID) HostID {
+	best, bestFree := NoHost, -1
+	for h := range c.hosts {
+		id := HostID(h)
+		if !c.Fits(vm, id) {
+			continue
+		}
+		if free := c.FreeSlots(id); free > bestFree {
+			best, bestFree = id, free
+		}
+	}
+	return best
+}
+
 // roomFor reports whether a valid host has room for a VM's demand.
 func (c *Cluster) roomFor(host HostID, ram, cpu int) bool {
 	return c.FreeSlots(host) >= 1 && c.FreeRAMMB(host) >= ram &&
@@ -758,16 +775,7 @@ func (pm *PlacementManager) PlaceLoadBalanced() error {
 		if pm.c.HostOf(vm) != NoHost {
 			continue
 		}
-		best, bestFree := NoHost, -1
-		for h := 0; h < pm.c.NumHosts(); h++ {
-			id := HostID(h)
-			if !pm.c.Fits(vm, id) {
-				continue
-			}
-			if free := pm.c.FreeSlots(id); free > bestFree {
-				best, bestFree = id, free
-			}
-		}
+		best := pm.c.BestFitHost(vm)
 		if best == NoHost {
 			return fmt.Errorf("cluster: no host can fit VM %d: %w", vm, ErrNoCapacity)
 		}

@@ -6,7 +6,9 @@ import (
 
 	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/ga"
+	"github.com/score-dc/score/internal/migration"
 	"github.com/score-dc/score/internal/netsim"
+	"github.com/score-dc/score/internal/remedy"
 	"github.com/score-dc/score/internal/sim"
 	"github.com/score-dc/score/internal/stats"
 	"github.com/score-dc/score/internal/token"
@@ -76,10 +78,8 @@ func Fig4ScoreVsRemedy(scale Scale, seed int64) (*Fig4Result, error) {
 		return nil, err
 	}
 	simCfg := simConfigFor(scoreRun.Cl.NumVMs(), 8)
-	rem := sim.DefaultRemedyConfig()
-	w := rem.Controller.Dist
-	typBytesMB := w.WorkingSetMeanMB // typical pre-copy payload
-	cm := 2 * (typBytesMB * 8 / rem.Controller.HorizonS) * scoreRun.Eng.CostModel().Prefix(1)
+	typBytesMB := migration.PaperWorkloadDist().WorkingSetMeanMB // typical pre-copy payload
+	cm := 2 * (typBytesMB * 8 / remedy.HorizonS) * scoreRun.Eng.CostModel().Prefix(1)
 	engCfg := scoreRun.Eng.Config()
 	engCfg.MigrationCost = cm
 	scoreEng, err := rebuildEngine(scoreRun, engCfg)

@@ -29,7 +29,6 @@ func captureRun(t *testing.T, engSeed, optSeed int64, procs int, denseGenomes bo
 	cfg.Population = 24
 	cfg.MinGenerations = 12
 	cfg.MaxGenerations = 12
-	cfg.StopGenerations = 0 // fixed generation count
 	cfg.denseGenomes = denseGenomes
 	var rec capturedRun
 	cfg.observeGen = func(gen int, in *instance, pop []*indiv, fit []float64) {
@@ -111,7 +110,6 @@ func TestRebaseEquivalence(t *testing.T) {
 	cfg.Population = 16
 	cfg.MinGenerations = 10
 	cfg.MaxGenerations = 10
-	cfg.StopGenerations = 0
 	rebased := false
 	var deltaPops [][][]cluster.HostID
 	cfg.observeGen = func(gen int, in *instance, pop []*indiv, fit []float64) {
@@ -179,7 +177,6 @@ func TestOptimizeAllocBound(t *testing.T) {
 	cfg.Population = 30
 	cfg.MinGenerations = 1
 	cfg.MaxGenerations = 1
-	cfg.StopGenerations = 0
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := Optimize(eng, cfg, rand.New(rand.NewSource(42))); err != nil {
 			t.Fatal(err)

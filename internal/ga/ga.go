@@ -7,14 +7,17 @@
 // crossover (EAX) and tournament selection, mutates by "swapping a random
 // number of VMs between racks", and "stops when there is no significant
 // improvement in communication cost reduction (< 1%) in 10 consecutive
-// generations". Computing it took circa 12 hours for a medium-load setup,
-// which is exactly why S-CORE exists; this implementation exposes the
-// population size and instance scale so laptop-scale runs finish in
-// seconds while preserving the optimization structure. Genomes are
-// independent, so fitness evaluation and per-child breeding (crossover,
-// mutation, memetic local search) fan out over the internal/shard worker
-// pool; selection and child seeds are drawn sequentially, making results
-// identical for every worker count.
+// generations". Those operators and the stop rule run at the one setting
+// the comparisons use, the package's constants (tournamentK,
+// crossoverRate, mutationRate, maxSwaps, elite, greedySeedFraction,
+// stopRelImprovement, stopGenerations). Computing it took circa 12 hours
+// for a medium-load setup, which is exactly why S-CORE exists; Config
+// sizes only the budget (population and generation bounds), so
+// laptop-scale runs finish in seconds while preserving the optimization
+// structure. Genomes are independent, so fitness evaluation and per-child
+// breeding (crossover, mutation, memetic local search) fan out over the
+// internal/shard worker pool; selection and child seeds are drawn
+// sequentially, making results identical for every worker count.
 //
 // # Delta-encoded population
 //
@@ -49,43 +52,40 @@ import (
 	"github.com/score-dc/score/internal/topology"
 )
 
-// Config tunes the GA.
+// The Section VI-A operators and termination rule, at the values every
+// comparison runs with.
+const (
+	// tournamentK is the tournament size for parent selection.
+	tournamentK = 4
+	// crossoverRate is the probability a child is produced by crossover
+	// rather than cloning a parent.
+	crossoverRate = 0.9
+	// mutationRate is the per-child probability of a rack-swap mutation,
+	// which performs between 1 and maxSwaps VM swaps.
+	mutationRate = 0.3
+	maxSwaps     = 4
+	// elite individuals survive unchanged each generation.
+	elite = 2
+	// The paper's termination rule: stop when the relative improvement
+	// over the last stopGenerations generations falls below
+	// stopRelImprovement.
+	stopRelImprovement = 0.01
+	stopGenerations    = 10
+	// greedySeedFraction of the population is initialized by the greedy
+	// pair-packing heuristic (the rest are random dense packings),
+	// accelerating convergence toward dense co-located allocations.
+	greedySeedFraction = 0.25
+)
+
+// Config sizes the GA's budget.
 type Config struct {
 	// Population is the number of individuals (paper: 1000).
 	Population int
-	// TournamentK is the tournament size for parent selection.
-	TournamentK int
-	// CrossoverRate is the probability a child is produced by crossover
-	// rather than cloning a parent.
-	CrossoverRate float64
-	// MutationRate is the per-child probability of a rack-swap mutation.
-	MutationRate float64
-	// MaxSwaps bounds how many VM swaps one mutation performs.
-	MaxSwaps int
-	// Elite individuals survive unchanged each generation.
-	Elite int
-	// StopRelImprovement and StopGenerations encode the paper's
-	// termination rule: stop when relative improvement over the last
-	// StopGenerations generations falls below StopRelImprovement.
-	StopRelImprovement float64
-	StopGenerations    int
 	// MinGenerations prevents the termination rule from firing before
 	// the population has had a chance to leave its seeds' plateau.
 	MinGenerations int
 	// MaxGenerations is a hard cap.
 	MaxGenerations int
-	// GreedySeedFraction of the population is initialized by the greedy
-	// pair-packing heuristic (the rest are random dense packings),
-	// accelerating convergence toward dense co-located allocations.
-	GreedySeedFraction float64
-	// LocalSearchVMs applies a memetic refinement to every child: this
-	// many randomly chosen VMs are greedily moved to their best
-	// candidate host. Zero disables the step; a negative value scales
-	// it automatically with instance size (|V|/16, at least 8). The
-	// refinement is what lets a laptop-budget population stand in for
-	// the paper's 1,000 individuals × 12 hours as the "approximate
-	// optimal".
-	LocalSearchVMs int
 
 	// Test hooks, set by in-package tests only. denseGenomes disables the
 	// delta encoding: every individual stores a full dense genome, as the
@@ -96,22 +96,12 @@ type Config struct {
 	observeGen   func(gen int, in *instance, pop []*indiv, fit []float64)
 }
 
-// DefaultConfig returns laptop-scale parameters with the paper's
-// termination rule.
+// DefaultConfig returns a laptop-scale budget.
 func DefaultConfig() Config {
 	return Config{
-		Population:         200,
-		TournamentK:        4,
-		CrossoverRate:      0.9,
-		MutationRate:       0.3,
-		MaxSwaps:           4,
-		Elite:              2,
-		StopRelImprovement: 0.01,
-		StopGenerations:    10,
-		MinGenerations:     40,
-		MaxGenerations:     300,
-		GreedySeedFraction: 0.25,
-		LocalSearchVMs:     -1, // auto-scale with |V|
+		Population:     200,
+		MinGenerations: 40,
+		MaxGenerations: 300,
 	}
 }
 
@@ -373,14 +363,8 @@ func (in *instance) roomFor(vi, h int, slots, ram, cpu []int) bool {
 // cluster capacities, and traffic matrix. The live cluster allocation is
 // only read as one seed individual; it is never mutated.
 func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
-	if cfg.Population < 2 {
-		return Result{}, fmt.Errorf("ga: population must be at least 2, got %d", cfg.Population)
-	}
-	if cfg.TournamentK < 1 {
-		return Result{}, fmt.Errorf("ga: tournament size must be positive")
-	}
-	if cfg.Elite >= cfg.Population {
-		return Result{}, fmt.Errorf("ga: elite count %d must be below population %d", cfg.Elite, cfg.Population)
+	if cfg.Population <= elite {
+		return Result{}, fmt.Errorf("ga: population must exceed the %d elites, got %d", elite, cfg.Population)
 	}
 	in, seed, err := buildInstance(eng)
 	if err != nil {
@@ -389,12 +373,6 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 	n := len(in.vms)
 	if n == 0 {
 		return Result{}, fmt.Errorf("ga: no VMs to optimize")
-	}
-	if cfg.LocalSearchVMs < 0 {
-		cfg.LocalSearchVMs = n / 16
-		if cfg.LocalSearchVMs < 8 {
-			cfg.LocalSearchVMs = 8
-		}
 	}
 
 	// Results are identical for every worker count: selection and seeds
@@ -423,7 +401,7 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 	copy(scratch0.child, seed)
 	in.polish(scratch0.child)
 	pop[1] = in.encode(scratch0.child)
-	greedy := 2 + int(float64(cfg.Population)*cfg.GreedySeedFraction)
+	greedy := 2 + int(float64(cfg.Population)*greedySeedFraction)
 	for i := 2; i < cfg.Population; i++ {
 		if i <= greedy {
 			in.greedyPack(scratch0.child, rng, scratch0)
@@ -473,21 +451,17 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 				in.rebase(best, pop)
 			}
 		}
-		elite := cfg.Elite
-		if elite > len(order) {
-			elite = len(order)
-		}
 		for e := 0; e < elite; e++ {
 			next[e] = pop[order[e]]
 			nextFit[e] = fit[order[e]]
 		}
 		specs := make([]childSpec, cfg.Population-elite)
 		for j := range specs {
-			sp := childSpec{pa: pop[tournament(fit, cfg.TournamentK, rng)]}
-			if rng.Float64() < cfg.CrossoverRate {
-				sp.pb = pop[tournament(fit, cfg.TournamentK, rng)]
+			sp := childSpec{pa: pop[tournament(fit, tournamentK, rng)]}
+			if rng.Float64() < crossoverRate {
+				sp.pb = pop[tournament(fit, tournamentK, rng)]
 			}
-			sp.mutate = rng.Float64() < cfg.MutationRate
+			sp.mutate = rng.Float64() < mutationRate
 			sp.seed = rng.Int63()
 			specs[j] = sp
 		}
@@ -500,9 +474,9 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 				in.crossover(sc, sp.pb)
 			}
 			if sp.mutate {
-				in.mutate(sc.child, cfg.MaxSwaps, sc.rng, sc)
+				in.mutate(sc.child, maxSwaps, sc.rng, sc)
 			}
-			in.localSearch(sc.child, cfg.LocalSearchVMs, sc.rng, sc)
+			in.localSearch(sc.child, sc.rng, sc)
 			next[elite+j] = in.encode(sc.child)
 			nextFit[elite+j] = in.evaluate(sc.child)
 			in.putScratch(sc)
@@ -518,7 +492,7 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 			cfg.observeGen(gen, in, pop, fit)
 		}
 		if gen+1 >= cfg.MinGenerations &&
-			stopConverged(res.History, cfg.StopGenerations, cfg.StopRelImprovement) {
+			stopConverged(res.History, stopGenerations, stopRelImprovement) {
 			break
 		}
 	}
@@ -612,7 +586,7 @@ func (in *instance) improve(k *core.Kernel, genome []cluster.HostID, vi int, thr
 // stopConverged implements the paper's rule: no significant improvement
 // (< rel) across the last k generations.
 func stopConverged(history []float64, k int, rel float64) bool {
-	if k < 1 || len(history) <= k {
+	if len(history) <= k {
 		return false
 	}
 	prev := history[len(history)-1-k]
@@ -713,16 +687,16 @@ func buildInstance(eng *core.Engine) (*instance, []cluster.HostID, error) {
 	return in, seed, nil
 }
 
-// localSearch greedily relocates k random VMs to their best candidate
-// host (the hosts of their peers, plus same-rack spillover), respecting
-// capacity. This memetic step is the workhorse that pulls the population
-// toward dense, co-located optima.
-func (in *instance) localSearch(genome []cluster.HostID, k int, rng *rand.Rand, sc *breedScratch) {
-	if k <= 0 || len(in.vms) == 0 {
-		return
-	}
+// localSearch greedily relocates |V|/16 (at least 8) random VMs to their
+// best candidate host (the hosts of their peers, plus same-rack
+// spillover), respecting capacity. This memetic step, applied to every
+// child, is the workhorse that pulls the population toward dense,
+// co-located optima: it is what lets a laptop-budget population stand in
+// for the paper's 1,000 individuals × 12 hours as the "approximate
+// optimal".
+func (in *instance) localSearch(genome []cluster.HostID, rng *rand.Rand, sc *breedScratch) {
 	in.tally(genome, sc)
-	for n := 0; n < k; n++ {
+	for n := max(len(in.vms)/16, 8); n > 0; n-- {
 		in.improve(sc.kern, genome, rng.Intn(len(in.vms)), 0, sc.slots, sc.ram, sc.cpu)
 	}
 }
@@ -865,13 +839,10 @@ func (in *instance) crossover(sc *breedScratch, pb *indiv) {
 	in.repair(child, sc.rng, sc)
 }
 
-// mutate swaps the hosts of k random VM pairs (the paper's "swapping a
-// random number of VMs between racks").
-func (in *instance) mutate(genome []cluster.HostID, maxSwaps int, rng *rand.Rand, sc *breedScratch) {
-	if maxSwaps < 1 {
-		maxSwaps = 1
-	}
-	k := 1 + rng.Intn(maxSwaps)
+// mutate swaps the hosts of between 1 and most random VM pairs (the
+// paper's "swapping a random number of VMs between racks").
+func (in *instance) mutate(genome []cluster.HostID, most int, rng *rand.Rand, sc *breedScratch) {
+	k := 1 + rng.Intn(most)
 	for s := 0; s < k; s++ {
 		i, j := rng.Intn(len(genome)), rng.Intn(len(genome))
 		genome[i], genome[j] = genome[j], genome[i]

@@ -112,9 +112,7 @@ func TestTerminationRule(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	eng, rng := buildEngine(t, 1)
 	for _, cfg := range []Config{
-		{Population: 1, TournamentK: 2, MaxGenerations: 1},
-		{Population: 10, TournamentK: 0, MaxGenerations: 1},
-		{Population: 10, TournamentK: 2, Elite: 10, MaxGenerations: 1},
+		{Population: 1, MaxGenerations: 1},
 	} {
 		if _, err := Optimize(eng, cfg, rng); err == nil {
 			t.Fatalf("config %+v accepted", cfg)

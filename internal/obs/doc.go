@@ -12,8 +12,9 @@
 // get-or-create: two subsystems asking for the same name receive the same
 // underlying metric. That is deliberate — the in-process shard.Coordinator
 // and the distributed hypervisor.Reconciler both account rounds, migrations
-// and cross-shard traffic into the same families, and internal/sim reads the
-// run's totals back out of the registry instead of keeping parallel sums.
+// and cross-shard traffic into the same families. The registry is for
+// scraping: internal/sim records into it but never reads it back, and its
+// sim.Metrics totals are summed from what each round returns.
 // All registration happens at construction time (NewMetrics-style helpers in
 // each subsystem); record paths (Counter.Inc/Add, Gauge.Set/Add,
 // Histogram.Observe, Vec.At) are single atomic operations proven 0 allocs/op

@@ -10,6 +10,14 @@
 // balances momentary load and does not weigh the topology's layered link
 // costs, which is why it only marginally relieves core links and reduces
 // overall communication cost by ~10% versus S-CORE's ~40% (Fig. 4).
+//
+// The controller runs under the one comparison setup the paper
+// evaluates, fixed as constants: links above half their capacity are
+// congested, a target's access link must stay under 80%, at most 8 VMs
+// move per round, 48 targets are sampled per move, and a move must carry
+// more traffic off the hot link over HorizonS than the pre-copy model
+// (migration.DefaultModel on a migration.PaperWorkloadDist draw) says it
+// pushes through the network.
 package remedy
 
 import (
@@ -25,41 +33,25 @@ import (
 	"github.com/score-dc/score/internal/traffic"
 )
 
-// Config tunes the controller.
-type Config struct {
-	// CongestionThreshold marks a link congested when its utilization
-	// exceeds this fraction.
-	CongestionThreshold float64
-	// TargetHeadroom rejects targets whose access link would exceed this
-	// utilization after the move.
-	TargetHeadroom float64
-	// MaxMigrationsPerRound bounds control-round churn.
-	MaxMigrationsPerRound int
-	// HorizonS is the traffic horizon over which moving a VM's load off
-	// a congested link is credited as benefit, balanced against the
-	// modeled migrated bytes.
-	HorizonS float64
-	// CandidateTargets is how many candidate hosts are sampled per
-	// migration decision.
-	CandidateTargets int
-	// Model and Dist drive the migrated-bytes estimate (Remedy's
-	// page-dirty cost model).
-	Model migration.Model
-	Dist  migration.WorkloadDist
-}
+// HorizonS is the traffic horizon, in seconds, over which moving a VM's
+// load off a congested link is credited as benefit, balanced against the
+// modeled migrated bytes.
+const HorizonS = 120
 
-// DefaultConfig mirrors the comparison setup: sparse TM, moderate churn.
-func DefaultConfig() Config {
-	return Config{
-		CongestionThreshold:   0.5,
-		TargetHeadroom:        0.8,
-		MaxMigrationsPerRound: 8,
-		HorizonS:              120,
-		CandidateTargets:      48,
-		Model:                 migration.DefaultModel(),
-		Dist:                  migration.PaperWorkloadDist(),
-	}
-}
+// The comparison setup: sparse TM, moderate churn.
+const (
+	// congestionThreshold marks a link congested when its utilization
+	// exceeds this fraction.
+	congestionThreshold = 0.5
+	// targetHeadroom rejects targets whose access link would exceed this
+	// utilization after the move.
+	targetHeadroom = 0.8
+	// maxMigrationsPerRound bounds control-round churn.
+	maxMigrationsPerRound = 8
+	// candidateTargets is how many candidate hosts are sampled per
+	// migration decision.
+	candidateTargets = 48
+)
 
 // Migration is one executed Remedy move.
 type Migration struct {
@@ -75,7 +67,6 @@ type Controller struct {
 	cl   *cluster.Cluster
 	tm   *traffic.Matrix
 	net  *netsim.Network
-	cfg  Config
 	rng  *rand.Rand
 	path []topology.LinkID
 }
@@ -83,19 +74,13 @@ type Controller struct {
 // NewController wires a controller over live cluster state. The network
 // tracker is owned by the controller: every link read folds the
 // cluster's moves and the matrix's rate changes since the last one.
-func NewController(topo topology.Topology, cl *cluster.Cluster, tm *traffic.Matrix, cfg Config, rng *rand.Rand) (*Controller, error) {
+func NewController(topo topology.Topology, cl *cluster.Cluster, tm *traffic.Matrix, rng *rand.Rand) (*Controller, error) {
 	if topo == nil || cl == nil || tm == nil || rng == nil {
 		return nil, fmt.Errorf("remedy: nil dependency")
 	}
-	if cfg.CongestionThreshold <= 0 || cfg.TargetHeadroom <= 0 {
-		return nil, fmt.Errorf("remedy: thresholds must be positive")
-	}
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, err
-	}
 	return &Controller{
 		topo: topo, cl: cl, tm: tm,
-		net: netsim.NewNetwork(topo), cfg: cfg, rng: rng,
+		net: netsim.NewNetwork(topo), rng: rng,
 	}, nil
 }
 
@@ -121,11 +106,11 @@ func (c *Controller) Round() []Migration {
 	}
 	var done []Migration
 	for _, link := range congested {
-		if len(done) >= c.cfg.MaxMigrationsPerRound {
+		if len(done) >= maxMigrationsPerRound {
 			break
 		}
 		for _, cand := range c.rankCandidates(link) {
-			if len(done) >= c.cfg.MaxMigrationsPerRound {
+			if len(done) >= maxMigrationsPerRound {
 				break
 			}
 			// Remedy's cost gate: migrate only when the traffic moved
@@ -146,7 +131,7 @@ func (c *Controller) Round() []Migration {
 				VM: cand.vm, From: from, To: target,
 				ReliefMbps: cand.linkLoad, CostMB: cand.costMB,
 			})
-			if c.net.LinkUtilization(link) <= c.cfg.CongestionThreshold {
+			if c.net.LinkUtilization(link) <= congestionThreshold {
 				break // link relieved; move to the next hot link
 			}
 		}
@@ -164,7 +149,7 @@ func (c *Controller) congestedLinks() []topology.LinkID {
 		if l.Level < 2 {
 			continue
 		}
-		if c.net.LinkUtilization(l.ID) > c.cfg.CongestionThreshold {
+		if c.net.LinkUtilization(l.ID) > congestionThreshold {
 			hot = append(hot, l.ID)
 		}
 	}
@@ -203,13 +188,13 @@ func (c *Controller) rankCandidates(link topology.LinkID) []candidate {
 	out := make([]candidate, 0, len(perVM))
 	for _, vm := range vms {
 		load := perVM[vm]
-		w := c.cfg.Dist.Draw(c.rng)
-		res := c.cfg.Model.Migrate(w, 0)
+		w := migration.PaperWorkloadDist().Draw(c.rng)
+		res := migration.DefaultModel().Migrate(w, 0)
 		out = append(out, candidate{
 			vm:        vm,
 			linkLoad:  load,
 			costMB:    res.MigratedMB,
-			benefitMB: load * c.cfg.HorizonS / 8,
+			benefitMB: load * HorizonS / 8,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -232,13 +217,13 @@ func (c *Controller) pickTarget(vm cluster.VMID, hot topology.LinkID) (cluster.H
 	bestHost, bestScore := cluster.NoHost, 0.0
 	n := c.cl.NumHosts()
 	tried := 0
-	for tried < c.cfg.CandidateTargets {
+	for tried < candidateTargets {
 		h := cluster.HostID(c.rng.Intn(n))
 		tried++
 		if h == cur || !c.cl.Fits(vm, h) {
 			continue
 		}
-		if c.net.HostLinkUtilization(h) > c.cfg.TargetHeadroom {
+		if c.net.HostLinkUtilization(h) > targetHeadroom {
 			continue
 		}
 		// Score: how much of the VM's traffic leaves the hot link,

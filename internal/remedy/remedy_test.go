@@ -10,22 +10,21 @@ import (
 	"github.com/score-dc/score/internal/traffic"
 )
 
-// fixture: 8-rack canonical tree with one heavily loaded ToR uplink.
-func fixture(t *testing.T) (topology.Topology, *cluster.Cluster, *traffic.Matrix) {
+// plant is an 8-rack canonical tree (two racks per pod) with one VM per
+// host: VM h on host h, hosts 0..3 in rack 0.
+func plant(t *testing.T, slots int, uplinkMbps float64) (topology.Topology, *cluster.Cluster) {
 	t.Helper()
 	topo, err := topology.NewCanonicalTree(topology.CanonicalConfig{
 		Racks: 8, HostsPerRack: 4, RacksPerPod: 2, CoreSwitches: 2,
-		HostLinkMbps: 1000, TorUplinkMbps: 2000, AggUplinkMbps: 2000,
+		HostLinkMbps: 1000, TorUplinkMbps: uplinkMbps, AggUplinkMbps: uplinkMbps,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := cluster.New(cluster.UniformHosts(topo.Hosts(), 8, 32768, 1000))
+	cl, err := cluster.New(cluster.UniformHosts(topo.Hosts(), slots, 32768, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One VM per host; heavy cross-pod pairs out of rack 0 congest its
-	// uplink and the core.
 	for h := 0; h < topo.Hosts(); h++ {
 		if err := cl.AddVM(cluster.VM{ID: cluster.VMID(h), RAMMB: 1024}); err != nil {
 			t.Fatal(err)
@@ -34,8 +33,16 @@ func fixture(t *testing.T) (topology.Topology, *cluster.Cluster, *traffic.Matrix
 			t.Fatal(err)
 		}
 	}
+	return topo, cl
+}
+
+// fixture: heavy cross-pod pairs out of rack 0 congest its uplink and
+// the core.
+func fixture(t *testing.T) (topology.Topology, *cluster.Cluster, *traffic.Matrix) {
+	t.Helper()
+	topo, cl := plant(t, 8, 2000)
 	tm := traffic.NewMatrix()
-	// Hosts 0..3 are rack 0; partner VMs live in the other pod.
+	// Partner VMs live in the other pod.
 	tm.Set(0, 20, 600)
 	tm.Set(1, 24, 500)
 	tm.Set(2, 28, 400)
@@ -45,27 +52,18 @@ func fixture(t *testing.T) (topology.Topology, *cluster.Cluster, *traffic.Matrix
 func TestNewControllerValidation(t *testing.T) {
 	topo, cl, tm := fixture(t)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := NewController(nil, cl, tm, DefaultConfig(), rng); err == nil {
+	if _, err := NewController(nil, cl, tm, rng); err == nil {
 		t.Fatal("nil topology accepted")
 	}
-	bad := DefaultConfig()
-	bad.CongestionThreshold = 0
-	if _, err := NewController(topo, cl, tm, bad, rng); err == nil {
-		t.Fatal("zero threshold accepted")
-	}
-	bad = DefaultConfig()
-	bad.Model.LinkMbps = -1
-	if _, err := NewController(topo, cl, tm, bad, rng); err == nil {
-		t.Fatal("invalid migration model accepted")
+	if _, err := NewController(topo, cl, tm, rng); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestRoundRelievesCongestedLink(t *testing.T) {
 	topo, cl, tm := fixture(t)
 	rng := rand.New(rand.NewSource(2))
-	cfg := DefaultConfig()
-	cfg.CongestionThreshold = 0.5
-	ctrl, err := NewController(topo, cl, tm, cfg, rng)
+	ctrl, err := NewController(topo, cl, tm, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +71,7 @@ func TestRoundRelievesCongestedLink(t *testing.T) {
 	before := netsim.NewNetwork(topo)
 	before.Recompute(tm, cl)
 	_, maxBefore := before.MaxUtilization()
-	if maxBefore < cfg.CongestionThreshold {
+	if maxBefore < congestionThreshold {
 		t.Fatalf("fixture not congested: max util %.2f", maxBefore)
 	}
 
@@ -110,7 +108,7 @@ func TestRoundIdleWhenUncongested(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	quiet := traffic.NewMatrix()
 	quiet.Set(0, 20, 5) // trivial load
-	ctrl, err := NewController(topo, cl, quiet, DefaultConfig(), rng)
+	ctrl, err := NewController(topo, cl, quiet, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,19 +117,28 @@ func TestRoundIdleWhenUncongested(t *testing.T) {
 	}
 }
 
+// TestRoundRespectsCapacity: two-slot hosts, each holding one VM, and
+// every VM of the first two pods in a heavy cross-pod pair, so rounds run
+// to the per-round cap and fill hosts that later moves must skip.
 func TestRoundRespectsCapacity(t *testing.T) {
-	topo, cl, tm := fixture(t)
+	topo, cl := plant(t, 2, 2000)
+	tm := traffic.NewMatrix()
+	for i := 0; i < 16; i++ {
+		tm.Set(cluster.VMID(i), cluster.VMID(16+i), 300)
+	}
 	rng := rand.New(rand.NewSource(4))
-	cfg := DefaultConfig()
-	cfg.CongestionThreshold = 0.3
-	cfg.MaxMigrationsPerRound = 100
-	ctrl, err := NewController(topo, cl, tm, cfg, rng)
+	ctrl, err := NewController(topo, cl, tm, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
+	total := 0
 	for round := 0; round < 5; round++ {
-		ctrl.Round()
+		total += len(ctrl.Round())
 	}
+	if total <= maxMigrationsPerRound {
+		t.Fatalf("%d migrations in 5 rounds: the run never went past one capped round", total)
+	}
+	full := 0
 	for h := 0; h < cl.NumHosts(); h++ {
 		id := cluster.HostID(h)
 		host, err := cl.Host(id)
@@ -141,16 +148,32 @@ func TestRoundRespectsCapacity(t *testing.T) {
 		if cl.UsedSlots(id) > host.Slots {
 			t.Fatalf("host %d over capacity", h)
 		}
+		if cl.UsedSlots(id) == host.Slots {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatal("no host filled up: capacity never bound")
 	}
 }
 
+// TestCostGateBlocksUneconomicMigrations: 10 Mb/s switch uplinks carry
+// three 2 Mb/s cross-pod pairs out of rack 0, so its uplink runs at 60%,
+// while each VM's share over HorizonS is 30 MB, far below the ~120 MB a
+// pre-copy of the paper's working sets pushes.
 func TestCostGateBlocksUneconomicMigrations(t *testing.T) {
-	topo, cl, tm := fixture(t)
+	topo, cl := plant(t, 8, 10)
+	tm := traffic.NewMatrix()
+	tm.Set(0, 20, 2)
+	tm.Set(1, 24, 2)
+	tm.Set(2, 28, 2)
+	net := netsim.NewNetwork(topo)
+	net.Recompute(tm, cl)
+	if _, hot := net.MaxUtilization(); hot <= congestionThreshold {
+		t.Fatalf("fixture not congested: max util %.2f", hot)
+	}
 	rng := rand.New(rand.NewSource(5))
-	cfg := DefaultConfig()
-	cfg.CongestionThreshold = 0.5
-	cfg.HorizonS = 0.001 // benefit window so short nothing pays off
-	ctrl, err := NewController(topo, cl, tm, cfg, rng)
+	ctrl, err := NewController(topo, cl, tm, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -514,22 +514,6 @@ func (d *Daemon) apply(o *op) {
 	o.done <- res
 }
 
-// bestFitHost picks the feasible host with the most free slots (lowest
-// ID on ties) — the load-balancing seed placement of Section VI.
-func (d *Daemon) bestFitHost(vm cluster.VMID) cluster.HostID {
-	best, bestFree := cluster.NoHost, -1
-	for h := 0; h < d.cl.NumHosts(); h++ {
-		id := cluster.HostID(h)
-		if !d.cl.Fits(vm, id) {
-			continue
-		}
-		if free := d.cl.FreeSlots(id); free > bestFree {
-			best, bestFree = id, free
-		}
-	}
-	return best
-}
-
 // freeIDFrom returns the first unregistered VM ID at or after from,
 // never the reserved 0, or ErrIDOutsideWindow when every ID from there to
 // 2³²−1 is taken.
@@ -588,7 +572,7 @@ func (d *Daemon) applyAdmit(o *op) opResult {
 	id := vm.ID
 	host := req.Host
 	if !req.HasHost {
-		host = d.bestFitHost(id)
+		host = d.cl.BestFitHost(id)
 		if host == cluster.NoHost {
 			d.cl.Remove(id)
 			return opResult{err: fmt.Errorf("%w: no host fits VM %d", cluster.ErrNoCapacity, id)}

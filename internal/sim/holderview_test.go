@@ -43,7 +43,7 @@ func (p *freshViewCheck) Next(tok *token.Token, view token.HolderView) (cluster.
 func TestReusedHolderViewEqualsFresh(t *testing.T) {
 	eng, rng := buildEngine(t, 9)
 	cfg := smallConfig()
-	cfg.TokenLossProb, cfg.RegenTimeoutS = 0.002, 1
+	cfg.TokenLossProb = 0.002
 	pol := &freshViewCheck{t: t, eng: eng}
 	r, err := NewRunner(eng, pol, cfg, rng)
 	if err != nil {

@@ -9,26 +9,20 @@ import (
 	"github.com/score-dc/score/internal/remedy"
 )
 
+// remedyRoundS is the Remedy controller's polling period.
+const remedyRoundS = 15
+
 // RemedyConfig tunes a simulated Remedy run for the Fig. 4 comparison.
 type RemedyConfig struct {
 	// DurationS is the simulated run length.
 	DurationS float64
-	// RoundIntervalS is the controller's polling period.
-	RoundIntervalS float64
 	// SampleIntervalS is the cost-sampling tick.
 	SampleIntervalS float64
-	// Controller parameters.
-	Controller remedy.Config
 }
 
 // DefaultRemedyConfig mirrors the paper's comparison setup.
 func DefaultRemedyConfig() RemedyConfig {
-	return RemedyConfig{
-		DurationS:       800,
-		RoundIntervalS:  15,
-		SampleIntervalS: 5,
-		Controller:      remedy.DefaultConfig(),
-	}
+	return RemedyConfig{DurationS: 800, SampleIntervalS: 5}
 }
 
 // RunRemedy executes the centralized Remedy control loop over the
@@ -39,10 +33,10 @@ func RunRemedy(eng *core.Engine, cfg RemedyConfig, rng *rand.Rand) (*Metrics, er
 	if eng == nil || rng == nil {
 		return nil, fmt.Errorf("sim: nil dependency")
 	}
-	if cfg.DurationS <= 0 || cfg.RoundIntervalS <= 0 || cfg.SampleIntervalS <= 0 {
+	if cfg.DurationS <= 0 || cfg.SampleIntervalS <= 0 {
 		return nil, fmt.Errorf("sim: durations must be positive")
 	}
-	ctrl, err := remedy.NewController(eng.Topology(), eng.Cluster(), eng.Traffic(), cfg.Controller, rng)
+	ctrl, err := remedy.NewController(eng.Topology(), eng.Cluster(), eng.Traffic(), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -68,11 +62,11 @@ func RunRemedy(eng *core.Engine, cfg RemedyConfig, rng *rand.Rand) (*Metrics, er
 		for _, mg := range migs {
 			m.TotalMigratedMB += mg.CostMB
 		}
-		if des.Now()+cfg.RoundIntervalS <= cfg.DurationS {
-			des.After(cfg.RoundIntervalS, round)
+		if des.Now()+remedyRoundS <= cfg.DurationS {
+			des.After(remedyRoundS, round)
 		}
 	}
-	des.After(cfg.RoundIntervalS, round)
+	des.After(remedyRoundS, round)
 	des.RunUntil(cfg.DurationS)
 
 	m.FinalCost = eng.TotalCost()

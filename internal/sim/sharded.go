@@ -38,7 +38,7 @@ func (r *Runner) modelMigration(from, target float64) {
 	if target > bg {
 		bg = target
 	}
-	mres := r.cfg.Model.Migrate(r.cfg.Workloads.Draw(r.rng), bg)
+	mres := premigrate(r.rng, bg)
 	r.metrics.TotalMigratedMB += mres.MigratedMB
 	r.metrics.MigrationTimesS = append(r.metrics.MigrationTimesS, mres.TotalS)
 	r.metrics.DowntimesMS = append(r.metrics.DowntimesMS, mres.DowntimeMS)

@@ -38,13 +38,9 @@ type Config struct {
 	// MaxIterations stops the token after this many full passes
 	// (|V| hops each); 0 means run until DurationS.
 	MaxIterations int
-	// Model and Workloads drive per-migration duration, downtime and
-	// bytes.
-	Model     migration.Model
-	Workloads migration.WorkloadDist
 	// TokenLossProb injects token loss per hop. In the single-token
 	// discrete-event run a lost token is regenerated (with reset level
-	// state) at the lowest-ID VM after RegenTimeoutS. In the
+	// state) at the lowest-ID VM after regenTimeoutS (10 s). In the
 	// distributed agent plane (DistributedShards > 0) the loss is
 	// injected by a seeded hypervisor.FaultPlan dropping MsgShardToken
 	// hops on the wire, and recovery is the reconciler's own: the
@@ -54,7 +50,6 @@ type Config struct {
 	// reliable token. In-process sharded rounds (Shards > 1) have no
 	// wire to lose tokens on and ignore it.
 	TokenLossProb float64
-	RegenTimeoutS float64
 	// DistributedDeadlineS overrides the reconciler's per-shard
 	// progress deadline (real seconds — the agent plane runs in wall
 	// clock, not simulated time); 0 keeps the reconciler default.
@@ -131,10 +126,19 @@ func DefaultConfig() Config {
 		DurationS:       800,
 		HopLatencyS:     0.05,
 		SampleIntervalS: 5,
-		Model:           migration.DefaultModel(),
-		Workloads:       migration.PaperWorkloadDist(),
-		RegenTimeoutS:   10,
 	}
+}
+
+// regenTimeoutS is how long the single-token run waits before
+// regenerating a lost token.
+const regenTimeoutS = 10
+
+// premigrate runs the pre-copy model (migration.DefaultModel) on a
+// workload drawn from the paper's distribution, under background
+// access-link utilization bg: the duration, downtime and bytes of one
+// migration.
+func premigrate(rng *rand.Rand, bg float64) migration.Result {
+	return migration.DefaultModel().Migrate(migration.PaperWorkloadDist().Draw(rng), bg)
 }
 
 // IterationStats summarizes one full token pass (|V| hops) — the unit of
@@ -265,9 +269,6 @@ func NewRunner(eng *core.Engine, pol token.Policy, cfg Config, rng *rand.Rand) (
 	if cfg.DurationS <= 0 || cfg.HopLatencyS <= 0 || cfg.SampleIntervalS <= 0 {
 		return nil, fmt.Errorf("sim: duration, hop latency and sample interval must be positive")
 	}
-	if err := cfg.Model.Validate(); err != nil {
-		return nil, err
-	}
 	r := &Runner{
 		cfg: cfg, eng: eng, policy: pol, rng: rng,
 		des:       netsim.NewEngine(),
@@ -356,7 +357,7 @@ func (r *Runner) hop(holder cluster.VMID) {
 	if r.cfg.TokenLossProb > 0 && r.rng.Float64() < r.cfg.TokenLossProb {
 		r.metrics.TokensRegenerated++
 		r.ob.plane.Regens.Inc()
-		r.des.After(r.cfg.RegenTimeoutS, func() {
+		r.des.After(regenTimeoutS, func() {
 			if r.stopped {
 				return
 			}
@@ -415,7 +416,7 @@ func (r *Runner) startMigration(dec core.Decision) {
 	if t := r.net.HostLinkUtilization(dec.Target); t > bg {
 		bg = t
 	}
-	res := r.cfg.Model.Migrate(r.cfg.Workloads.Draw(r.rng), bg)
+	res := premigrate(r.rng, bg)
 
 	if err := cl.Move(dec.VM, dec.Target); err != nil {
 		r.metrics.AbortedMigrations++

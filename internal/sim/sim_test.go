@@ -182,7 +182,6 @@ func TestTokenLossRegeneration(t *testing.T) {
 	eng, rng := buildEngine(t, 13)
 	cfg := smallConfig()
 	cfg.TokenLossProb = 0.05
-	cfg.RegenTimeoutS = 2
 	r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -209,11 +208,6 @@ func TestRunnerValidation(t *testing.T) {
 	bad.DurationS = 0
 	if _, err := NewRunner(eng, token.RoundRobin{}, bad, rng); err == nil {
 		t.Fatal("zero duration accepted")
-	}
-	bad = smallConfig()
-	bad.Model.LinkMbps = 0
-	if _, err := NewRunner(eng, token.RoundRobin{}, bad, rng); err == nil {
-		t.Fatal("invalid migration model accepted")
 	}
 }
 
@@ -244,7 +238,6 @@ func TestRemedyRunReducesCostModestly(t *testing.T) {
 	eng, rng := buildEngine(t, 16)
 	cfg := DefaultRemedyConfig()
 	cfg.DurationS = 300
-	cfg.RoundIntervalS = 10
 	cfg.SampleIntervalS = 10
 	m, err := RunRemedy(eng, cfg, rng)
 	if err != nil {

@@ -129,59 +129,51 @@ func CompareEdges(a, b Edge) int {
 	return 0
 }
 
-// GenConfig parameterizes the synthetic workload generator.
-type GenConfig struct {
-	// MicePairsPerVM is the mean number of background (mice) peers each
+// The generator's one workload shape, after the measurement studies the
+// paper cites: every VM has a couple of mice peers, and a few rack pairs
+// carry elephant hotspots.
+const (
+	// micePairsPerVM is the mean number of background (mice) peers each
 	// VM communicates with. DC studies find most flows are small; these
 	// fill the sparse background of the TM.
-	MicePairsPerVM float64
-	// LocalityBias is the probability a mice peer is drawn from the
+	micePairsPerVM = 2.0
+	// localityBias is the probability a mice peer is drawn from the
 	// VM's own rack or one of its rack's partner racks rather than
 	// uniformly — DC measurement studies find rack-level traffic
 	// matrices sparse because servers talk to a stable, small set of
 	// destinations [18][23].
-	LocalityBias float64
-	// PartnerRacksPerRack sizes each rack's partner set.
-	PartnerRacksPerRack int
-	// MiceRateMbps bounds the uniform mice rate.
-	MiceRateMinMbps float64
-	MiceRateMaxMbps float64
+	localityBias = 0.85
+	// partnerRacksPerRack sizes each rack's partner set.
+	partnerRacksPerRack = 3
+	// The mice rate is uniform on [miceRateMinMbps, miceRateMaxMbps).
+	// Their exact difference, 1.95, rounds to the float64 that run-time
+	// subtraction gives.
+	miceRateMinMbps = 0.05
+	miceRateMaxMbps = 2.0
+	// elephantsPerHotspot is how many VM pairs each hot rack pair gets.
+	elephantsPerHotspot = 6
+	// elephantRate is lognormal: exp(N(mu, sigma)) Mb/s, truncated at
+	// elephantCapMbps. Elephants carry most bytes.
+	elephantRateMu    = 3.4 // median ≈ 30 Mb/s
+	elephantRateSigma = 0.7
+	elephantCapMbps   = 400
+	// intraRackHotspotFraction is the fraction of hotspot rack pairs
+	// that are diagonal (a rack talking to itself heavily).
+	intraRackHotspotFraction = 0.25
+)
+
+// GenConfig sizes the synthetic workload to the plant; the rest of its
+// shape is the package's constants.
+type GenConfig struct {
 	// HotspotRackPairs is the number of rack pairs carrying elephant
 	// aggregates ("only a handful of ToRs become hotspots").
 	HotspotRackPairs int
-	// ElephantsPerHotspot is how many VM pairs each hot rack pair gets.
-	ElephantsPerHotspot int
-	// ElephantRate is lognormal: exp(N(Mu, Sigma)) Mb/s, truncated at
-	// ElephantCapMbps. Elephants carry most bytes.
-	ElephantRateMu    float64
-	ElephantRateSigma float64
-	ElephantCapMbps   float64
-	// IntraRackHotspotFraction is the fraction of hotspot rack pairs
-	// that are diagonal (a rack talking to itself heavily).
-	IntraRackHotspotFraction float64
 }
 
-// DefaultGenConfig returns parameters producing a sparse TM in line with
-// the measurement studies the paper cites: every VM has a couple of mice
-// peers, and ~6% of racks participate in elephant hotspots.
+// DefaultGenConfig returns the hotspot count for a plant of racks racks:
+// ~6% of them (racks/16, at least 2).
 func DefaultGenConfig(racks int) GenConfig {
-	hot := racks / 16
-	if hot < 2 {
-		hot = 2
-	}
-	return GenConfig{
-		MicePairsPerVM:           2.0,
-		LocalityBias:             0.85,
-		PartnerRacksPerRack:      3,
-		MiceRateMinMbps:          0.05,
-		MiceRateMaxMbps:          2.0,
-		HotspotRackPairs:         hot,
-		ElephantsPerHotspot:      6,
-		ElephantRateMu:           3.4, // median ≈ 30 Mb/s
-		ElephantRateSigma:        0.7,
-		ElephantCapMbps:          400,
-		IntraRackHotspotFraction: 0.25,
-	}
+	return GenConfig{HotspotRackPairs: max(racks/16, 2)}
 }
 
 // Generate synthesizes a traffic matrix over the placed VMs of c. The
@@ -197,9 +189,6 @@ func Generate(cfg GenConfig, topo topology.Topology, c *cluster.Cluster, rng *ra
 	vms := c.VMs()
 	if len(vms) < 2 {
 		return nil, fmt.Errorf("traffic: need at least 2 VMs, have %d", len(vms))
-	}
-	if cfg.MiceRateMaxMbps < cfg.MiceRateMinMbps {
-		return nil, fmt.Errorf("traffic: mice rate bounds inverted")
 	}
 
 	// Index VMs by rack of their current host for hotspot wiring.
@@ -227,7 +216,7 @@ func Generate(cfg GenConfig, topo topology.Topology, c *cluster.Cluster, rng *ra
 	partners := make([][]int, topo.Racks())
 	for _, r := range occupied {
 		seen := map[int]bool{r: true}
-		for len(partners[r]) < cfg.PartnerRacksPerRack && len(seen) < len(occupied) {
+		for len(partners[r]) < partnerRacksPerRack && len(seen) < len(occupied) {
 			p := occupied[rng.Intn(len(occupied))]
 			if !seen[p] {
 				seen[p] = true
@@ -236,16 +225,16 @@ func Generate(cfg GenConfig, topo topology.Topology, c *cluster.Cluster, rng *ra
 		}
 	}
 
-	b := NewBuilder(int(cfg.MicePairsPerVM*float64(len(vms))) +
-		cfg.HotspotRackPairs*cfg.ElephantsPerHotspot)
+	b := NewBuilder(int(micePairsPerVM*float64(len(vms))) +
+		cfg.HotspotRackPairs*elephantsPerHotspot)
 
 	// Background mice pairs: Poisson-ish degree, locality-biased peers.
 	for _, u := range vms {
 		r := topo.RackOf(c.HostOf(u))
-		n := poisson(rng, cfg.MicePairsPerVM)
+		n := poisson(rng, micePairsPerVM)
 		for i := 0; i < n; i++ {
 			var v cluster.VMID
-			if rng.Float64() < cfg.LocalityBias {
+			if rng.Float64() < localityBias {
 				pool := byRack[r]
 				if len(partners[r]) > 0 && rng.Float64() < 0.6 {
 					pool = byRack[partners[r][rng.Intn(len(partners[r]))]]
@@ -260,7 +249,7 @@ func Generate(cfg GenConfig, topo topology.Topology, c *cluster.Cluster, rng *ra
 			if v == u {
 				continue
 			}
-			rate := cfg.MiceRateMinMbps + rng.Float64()*(cfg.MiceRateMaxMbps-cfg.MiceRateMinMbps)
+			rate := miceRateMinMbps + rng.Float64()*(miceRateMaxMbps-miceRateMinMbps)
 			b.Add(u, v, rate)
 		}
 	}
@@ -269,20 +258,20 @@ func Generate(cfg GenConfig, topo topology.Topology, c *cluster.Cluster, rng *ra
 	for i := 0; i < cfg.HotspotRackPairs; i++ {
 		ra := occupied[rng.Intn(len(occupied))]
 		rb := ra
-		if rng.Float64() >= cfg.IntraRackHotspotFraction && len(occupied) > 1 {
+		if rng.Float64() >= intraRackHotspotFraction && len(occupied) > 1 {
 			for rb == ra {
 				rb = occupied[rng.Intn(len(occupied))]
 			}
 		}
-		for j := 0; j < cfg.ElephantsPerHotspot; j++ {
+		for j := 0; j < elephantsPerHotspot; j++ {
 			u := byRack[ra][rng.Intn(len(byRack[ra]))]
 			v := byRack[rb][rng.Intn(len(byRack[rb]))]
 			if u == v {
 				continue
 			}
-			rate := math.Exp(cfg.ElephantRateMu + cfg.ElephantRateSigma*rng.NormFloat64())
-			if rate > cfg.ElephantCapMbps {
-				rate = cfg.ElephantCapMbps
+			rate := math.Exp(elephantRateMu + elephantRateSigma*rng.NormFloat64())
+			if rate > elephantCapMbps {
+				rate = elephantCapMbps
 			}
 			b.Add(u, v, rate)
 		}
@@ -292,9 +281,6 @@ func Generate(cfg GenConfig, topo topology.Topology, c *cluster.Cluster, rng *ra
 
 // poisson draws a Poisson variate via Knuth's method; fine for small mean.
 func poisson(rng *rand.Rand, mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
 	l := math.Exp(-mean)
 	k, p := 0, 1.0
 	for {

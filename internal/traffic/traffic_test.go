@@ -237,12 +237,7 @@ func TestGenerateSparseTorMatrix(t *testing.T) {
 }
 
 func TestGenerateErrors(t *testing.T) {
-	topo, cl, rng := buildPlacedCluster(t)
-	cfg := DefaultGenConfig(topo.Racks())
-	cfg.MiceRateMinMbps, cfg.MiceRateMaxMbps = 5, 1
-	if _, err := Generate(cfg, topo, cl, rng); err == nil {
-		t.Fatal("inverted mice bounds accepted")
-	}
+	topo, _, rng := buildPlacedCluster(t)
 	empty, err := cluster.New(cluster.UniformHosts(topo.Hosts(), 4, 1024, 1000))
 	if err != nil {
 		t.Fatal(err)

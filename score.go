@@ -129,14 +129,14 @@ type (
 	// TrafficEdge is one adjacency entry: peer VM and rate in Mb/s.
 	// TrafficMatrix.NeighborEdges returns rows of these without copying.
 	TrafficEdge = traffic.Edge
-	// GenConfig tunes the hotspot workload generator.
+	// GenConfig sizes the hotspot workload generator to the plant.
 	GenConfig = traffic.GenConfig
 )
 
 // NewTrafficMatrix returns an empty matrix.
 func NewTrafficMatrix() *TrafficMatrix { return traffic.NewMatrix() }
 
-// DefaultGenConfig returns measurement-study-shaped generator defaults.
+// DefaultGenConfig returns the generator's hotspot count for racks racks.
 func DefaultGenConfig(racks int) GenConfig { return traffic.DefaultGenConfig(racks) }
 
 // GenerateTraffic synthesizes a hotspot traffic matrix over placed VMs.
@@ -309,17 +309,15 @@ func NewNetwork(topo Topology) *Network { return netsim.NewNetwork(topo) }
 
 // Baselines (paper Section VI-A, VI-B).
 type (
-	// GAConfig tunes the genetic-algorithm baseline.
+	// GAConfig sizes the genetic-algorithm baseline's budget.
 	GAConfig = ga.Config
 	// GAResult is the GA outcome.
 	GAResult = ga.Result
-	// RemedyConfig tunes the Remedy controller.
-	RemedyConfig = remedy.Config
 	// RemedyController is the centralized Remedy loop.
 	RemedyController = remedy.Controller
 )
 
-// DefaultGAConfig returns laptop-scale GA parameters.
+// DefaultGAConfig returns a laptop-scale GA budget.
 func DefaultGAConfig() GAConfig { return ga.DefaultConfig() }
 
 // OptimizeGA computes the centralized approximate-optimal allocation.
