@@ -216,7 +216,10 @@ func (e *Engine) addPair(_, _ cluster.VMID, ha, hb cluster.HostID, delta float64
 // foldNICLoad folds into the per-host external loads one edge of a VM
 // moving from → to (either may be NoHost) whose peer sits on hz: the
 // pair loads a NIC exactly when its endpoints sit on different hosts.
-// A view's staged deltas use it.
+// A view's staged deltas use it. A peer's host other than from and to
+// takes −rate then +rate: rates sit on a 2^-20 Mb/s grid, so the two net
+// to exactly 0 and the host's load is unchanged bit for bit (the visit
+// memo relaxes only from and to).
 func foldNICLoad(load []float64, from, to, hz cluster.HostID, rate float64) {
 	if from != cluster.NoHost && hz != from {
 		load[from] -= rate

@@ -37,12 +37,12 @@ import (
 //	event                                   dirtied
 //	--------------------------------------  ----------------------------------------------
 //	place / move / remove of w (placement   w and every peer of w; the source host relaxed
-//	  changelog, folded before the next     (room freed), the target host and every peer's
-//	  visit), a staged commit of w          host too (their NIC load was rewritten, −r/+r
-//	  stale-rejected at merge (Rejected:    included)
-//	  the reverse move)
-//	edge (a, b) changed rate (changelog,    a and b; both their hosts relaxed
-//	  folded before the next visit)
+//	  changelog, folded before the next     (room freed) and the target host (its NIC load
+//	  visit), a staged commit of w          may drop: w's traffic with peers there stops);
+//	  stale-rejected at merge (Rejected:    a peer's host elsewhere keeps its room and its
+//	  the reverse move)                     NIC load bit for bit (see foldNICLoad)
+//	edge (a, b) changed rate (changelog,    a and b; both their hosts relaxed when the rate
+//	  folded before the next visit)         fell and a and b sit on different hosts
 //	re-spec of w (a From == To entry of     w; w's host relaxed
 //	  the placement changelog)
 //	a host gained load or lost room         nothing
@@ -51,24 +51,32 @@ import (
 //	a view's own staged commit of w,        w and every peer of w marked near in that view;
 //	  within the round                      it re-evaluates a near u if u's or a peer's
 //	                                        overlay host differs from the cluster's, and a
-//	                                        refused u if any commit touched a peer's rack
+//	                                        refused u if the commit's source or target
+//	                                        rack is one the verdict watches (below)
 //
 // "Dirty" clears the VM's verdict. "Relaxed" acts only on a host that
 // has refused somebody while offering ΔC > c_m (a per-host flag set when
-// such a verdict is recorded): the flag clears and the host's rack is
-// stamped with a fresh clock value. A verdict that had a refusal is
-// stale once any peer's rack carries a stamp newer than the verdict —
-// every blocking host sits in a peer's rack, and the peers cannot have
-// moved or u would be dirty. A verdict with no refusal is also a set
-// bit of the memo's settled bitmap, and a ring pass (internal/shard) ANDs
-// its ring with that bitmap, less the view's near marks
-// (AllocView.Unsettled): a settled VM no staged move is near is never
-// visited — its skip costs the ring's share of one word test. A visited
-// skip costs one load, plus one bit test once the view has staged
-// commits; a verdict that had a refusal adds one rack stamp per peer (and
-// one touched-rack test in a staged view), and only a near VM compares
-// each peer's staged host with the cluster's — one walk of its row for
-// the few visits a staged move reached. An
+// such a verdict is recorded): the flag clears, and the host and its
+// rack are stamped with a fresh clock value. A no-move verdict asked
+// admission of every host offering ΔC > c_m, and all of them refused;
+// ΔC depends only on where u and its peers sit, which would dirty u, so
+// only a refusing host gaining room can change the verdict. A verdict
+// refused by one host keeps that host (visitMemo.block) and is stale
+// once the host's own stamp is newer than the verdict, or a staged
+// commit of the view touched its rack. A verdict refused by several is
+// stale once any peer's rack carries a stamp newer than the verdict, or
+// was touched — every blocking host sits in a peer's rack, and the peers
+// cannot have moved or u would be dirty. A verdict with no refusal is
+// also a set bit of the memo's settled bitmap, and a ring pass
+// (internal/shard) ANDs its ring with that bitmap, less the view's near
+// marks (AllocView.Unsettled): a settled VM no staged move is near is
+// never visited — its skip costs the ring's share of one word test. A
+// visited skip costs one load, plus one bit test once the view has
+// staged commits; a verdict refused by one host adds that host's stamp
+// (and one touched-rack test in a staged view), one refused by several
+// a rack stamp per peer (and as many touched-rack tests), and only a
+// near VM compares each peer's staged host with the cluster's — one walk
+// of its row for the few visits a staged move reached. An
 // evaluated visit costs one resolve pass over u's row, then one
 // multiply-add per peer for each peer host and each walked rack's
 // peer-free key (Kernel.Score; see Kernel.Best), summed in row order, so
@@ -97,30 +105,42 @@ import (
 // verdicts. The memo is inert — Visit is plain BestMigration — after
 // Detach.
 type visitMemo struct {
-	// base/quiet/refused are the per-VM table over the cluster's ID
+	// base/quiet/block are the per-VM table over the cluster's ID
 	// window; nil when the memo is inert. quiet[i] != 0 means VM
 	// base+i's last full evaluation, at clock quiet[i], found no move;
-	// refused[i] that at least one host offering ΔC > c_m refused it.
-	base    cluster.VMID
-	quiet   []uint32
-	refused []bool
+	// block[i] names the hosts offering ΔC > c_m that refused it:
+	// noBlock, one host h ≥ 0, or severalBlocks.
+	base  cluster.VMID
+	quiet []uint32
+	block []int32
 	// settled is a bitmap over the same table: bit i is set exactly when
-	// quiet[i] != 0 && !refused[i], a verdict stillQuiet confirms at its
-	// first test for any VM no staged move is near (AllocView.Unsettled).
+	// quiet[i] != 0 && block[i] == noBlock, a verdict stillQuiet confirms
+	// at its first test for any VM no staged move is near
+	// (AllocView.Unsettled).
 	// A word holds VMs of different rings, so record, which concurrent
 	// views call, flips bits by compare-and-swap.
 	settled []atomic.Uint64
 	// blocks[h]: h refused somebody while offering ΔC > c_m and has not
 	// been relaxed since. Set from concurrent views, hence atomic.
 	blocks []atomic.Bool
-	// relaxed[r] is the clock of the last relaxation of a blocking host
-	// in rack r; the last slot serves hosts outside the rack table.
-	relaxed []uint32
-	clock   uint32
+	// hostRelaxed[h] is the clock of h's last relaxation while blocking;
+	// relaxed[r] that of any blocking host in rack r, the last slot
+	// serving hosts outside the rack table.
+	hostRelaxed []uint32
+	relaxed     []uint32
+	clock       uint32
 	// tmGen and clGen are the traffic and placement generations whose
 	// changes are folded in.
 	tmGen, clGen uint64
 }
+
+// The values of visitMemo.block other than a blocking host: no host
+// refused the verdict, or several did — or one outside the host table,
+// which no relaxation reaches.
+const (
+	noBlock       int32 = -1
+	severalBlocks int32 = -2
+)
 
 // checkSkips makes every skipped visit also run the kernel and panic on
 // disagreement — the differential check of the memo. Tests only: core's
@@ -129,7 +149,7 @@ type visitMemo struct {
 var checkSkips bool
 
 // off makes the memo inert: every visit evaluates in full.
-func (m *visitMemo) off() { m.quiet, m.refused, m.settled = nil, nil, nil }
+func (m *visitMemo) off() { m.quiet, m.block, m.settled = nil, nil, nil }
 
 // slot maps a VM to its table index; false when the memo is inert or
 // the VM lies outside the table (registered after the last sync).
@@ -174,7 +194,7 @@ func (m *visitMemo) rebuildSettled() {
 	for w := range m.settled {
 		var word uint64
 		for i := 64 * w; i < min(64*w+64, len(m.quiet)); i++ {
-			if m.quiet[i] != 0 && !m.refused[i] {
+			if m.quiet[i] != 0 && m.block[i] == noBlock {
 				word |= 1 << (i % 64)
 			}
 		}
@@ -198,6 +218,7 @@ func (m *visitMemo) tick() uint32 {
 	m.clock++
 	if m.clock == 0 {
 		m.drop()
+		clear(m.hostRelaxed)
 		clear(m.relaxed)
 		m.clock = 1
 	}
@@ -214,8 +235,15 @@ func (m *visitMemo) record(i int, moved bool, refusals []cluster.HostID, stamp u
 		return
 	}
 	m.quiet[i] = stamp
-	m.refused[i] = len(refusals) > 0
-	m.settle(i, len(refusals) == 0)
+	b := noBlock
+	switch {
+	case len(refusals) == 1 && int(refusals[0]) < len(m.blocks):
+		b = int32(refusals[0])
+	case len(refusals) > 0:
+		b = severalBlocks
+	}
+	m.block[i] = b
+	m.settle(i, b == noBlock)
 	for _, h := range refusals {
 		// Load first: a set flag is the common case, and a plain read
 		// keeps concurrent views off each other's cache lines.
@@ -228,14 +256,14 @@ func (m *visitMemo) record(i int, moved bool, refusals []cluster.HostID, stamp u
 // resize re-bases the per-VM table onto the cluster's current ID
 // window, keeping the verdicts of VMs in both windows.
 func (m *visitMemo) resize(base cluster.VMID, n int) {
-	quiet, refused := make([]uint32, n), make([]bool, n)
+	quiet, block := make([]uint32, n), make([]int32, n)
 	lo := max(int64(base), int64(m.base))
 	hi := min(int64(base)+int64(n), int64(m.base)+int64(len(m.quiet)))
 	if lo < hi {
 		copy(quiet[lo-int64(base):hi-int64(base)], m.quiet[lo-int64(m.base):])
-		copy(refused[lo-int64(base):hi-int64(base)], m.refused[lo-int64(m.base):])
+		copy(block[lo-int64(base):hi-int64(base)], m.block[lo-int64(m.base):])
 	}
-	m.base, m.quiet, m.refused = base, quiet, refused
+	m.base, m.quiet, m.block = base, quiet, block
 	m.rebuildSettled()
 }
 
@@ -256,10 +284,11 @@ func (e *Engine) memoSync() {
 	switch {
 	case m.quiet == nil:
 		// (Re)starting: no verdict exists, so there is nothing to fold.
-		m.base, m.quiet, m.refused = base, make([]uint32, n), make([]bool, n)
+		m.base, m.quiet, m.block = base, make([]uint32, n), make([]int32, n)
 		m.rebuildSettled()
 		if m.blocks == nil {
 			m.blocks = make([]atomic.Bool, e.cl.NumHosts())
+			m.hostRelaxed = make([]uint32, e.cl.NumHosts())
 			m.relaxed = make([]uint32, len(e.kern.rackHosts)+1)
 			m.clock = 1
 		}
@@ -293,28 +322,41 @@ func (e *Engine) memoSync() {
 		m.drop()
 		return
 	}
+	// A pair crossing NICs loads both endpoints' hosts by its rate, so
+	// only a fall frees room, and only where the endpoints sit apart. A
+	// host an endpoint left since is the source of a folded move.
 	for _, ch := range changes {
 		m.dirty(ch.A)
 		m.dirty(ch.B)
-		e.relax(e.cl.HostOf(ch.A))
-		e.relax(e.cl.HostOf(ch.B))
+		if ch.New < ch.Old {
+			if ha, hb := e.cl.HostOf(ch.A), e.cl.HostOf(ch.B); ha != hb {
+				e.relax(ha)
+				e.relax(hb)
+			}
+		}
 	}
 }
 
-// relax notes that h gained room or had its NIC load rewritten: if it
-// blocks somebody, the verdicts it took part in go stale.
+// relax notes that h may have gained room — free slots, RAM or CPU, or a
+// lower NIC load: if it blocks somebody, the verdicts it took part in go
+// stale. It stamps h and h's rack with a fresh clock value.
 func (e *Engine) relax(h cluster.HostID) {
 	m := &e.memo
 	if h < 0 || int(h) >= len(m.blocks) || !m.blocks[h].Load() {
 		return
 	}
 	m.blocks[h].Store(false)
-	m.relaxed[e.kern.rackSlot(h)] = m.tick()
+	t := m.tick()
+	m.hostRelaxed[h] = t
+	m.relaxed[e.kern.rackSlot(h)] = t
 }
 
 // memoMove invalidates for one placement change of vm (from or to may be
-// NoHost). With pending edge changes the row read here is the current
-// one; peers it no longer lists are dirtied when the changelog folds.
+// NoHost): vm and its peers are dirtied, and only from and to relaxed — a
+// peer's host elsewhere sees the pair's −r and +r, which net to exactly 0
+// (foldNICLoad). With pending edge changes the row read here is the
+// current one; peers it no longer lists are dirtied when the changelog
+// folds.
 func (e *Engine) memoMove(vm cluster.VMID, from, to cluster.HostID) {
 	m := &e.memo
 	if m.quiet == nil {
@@ -323,7 +365,6 @@ func (e *Engine) memoMove(vm cluster.VMID, from, to cluster.HostID) {
 	m.dirty(vm)
 	for _, ed := range e.tm.NeighborEdges(vm) {
 		m.dirty(ed.Peer)
-		e.relax(e.cl.HostOf(ed.Peer))
 	}
 	e.relax(from)
 	e.relax(to)
@@ -346,24 +387,30 @@ func (e *Engine) Visit(u cluster.VMID) (dec Decision, ok, skipped bool) {
 	return v.Visit(u)
 }
 
-// stillQuiet is the skip test for a verdict recorded at clock q. A
-// verdict that had a refusal is stale once a rack that can hold one of
-// u's blocking hosts — a peer's rack — was relaxed after q. Once this
-// view has staged commits it also takes no staged commit touching such a
-// rack and, when u is near a staged move, agreement of the overlay with
-// the cluster on u and its peers. Near means marked: Commit marks the
-// mover and every peer of it, and the traffic matrix is symmetric and
-// frozen for the view's life, so an unmarked u has no peer this view
-// moved and the row walk could only confirm it; a VM moved out and back,
-// or outside the table, is walked.
-func (v *AllocView) stillQuiet(u cluster.VMID, q uint32, refused bool) bool {
+// stillQuiet is the skip test for a verdict recorded at clock q with
+// blocking hosts block (visitMemo.block). A verdict refused by one host
+// is stale once that host was relaxed after q or, once this view has
+// staged commits, a staged commit touched its rack. A verdict refused
+// by several is stale once a rack that can hold one of them — a peer's
+// rack — was relaxed after q or touched. When u is near a staged move
+// the test also takes agreement of the overlay with the cluster on u and
+// its peers. Near means marked: Commit marks the mover and every peer of
+// it, and the traffic matrix is symmetric and frozen for the view's
+// life, so an unmarked u has no peer this view moved and the row walk
+// could only confirm it; a VM moved out and back, or outside the table,
+// is walked.
+func (v *AllocView) stillQuiet(u cluster.VMID, q uint32, block int32) bool {
 	staged := len(v.commits) > 0
 	near := staged && v.marked(u)
+	e := v.eng
+	m := &e.memo
+	if block >= 0 && (m.hostRelaxed[block] > q || (staged && v.touched[e.kern.rackSlot(cluster.HostID(block))] == v.touchEpoch)) {
+		return false
+	}
+	refused := block == severalBlocks
 	if !near && !refused {
 		return true
 	}
-	e := v.eng
-	m := &e.memo
 	if near && v.HostOf(u) != e.cl.HostOf(u) {
 		return false
 	}
@@ -395,7 +442,7 @@ func (v *AllocView) Visit(u cluster.VMID) (dec Decision, ok, skipped bool) {
 		dec, ok = v.BestMigration(u)
 		return dec, ok, false
 	}
-	if q := m.quiet[i]; q != 0 && v.stillQuiet(u, q, m.refused[i]) {
+	if q := m.quiet[i]; q != 0 && v.stillQuiet(u, q, m.block[i]) {
 		if checkSkips {
 			if d, found := v.BestMigration(u); found {
 				panic(fmt.Sprintf("core: skipped VM %d but the kernel moves it: %+v", u, d))
@@ -441,12 +488,17 @@ func (v *AllocView) unsettled(base cluster.VMID, w int) uint64 {
 	return word
 }
 
-// touch marks h's rack as rewritten by one of this view's staged
-// commits (see stillQuiet), and h's overlay deltas as ones the next reset
-// clears (unstage).
+// touch marks h's rack as one where a staged commit of this view may
+// have freed room (see stillQuiet), and h as written (write).
 func (v *AllocView) touch(h cluster.HostID) {
+	v.touched[v.k.rackSlot(h)] = v.touchEpoch
+	v.write(h)
+}
+
+// write marks h's overlay deltas as ones the next reset clears
+// (unstage).
+func (v *AllocView) write(h cluster.HostID) {
 	if h != cluster.NoHost {
-		v.touched[v.k.rackSlot(h)] = v.touchEpoch
 		i := uint(h)
 		v.dirty[i/64] |= 1 << (i % 64)
 	}

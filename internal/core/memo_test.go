@@ -102,7 +102,7 @@ func TestVisitInvalidation(t *testing.T) {
 		}
 		for u := range got {
 			i, _ := eng.memo.slot(u)
-			if !must[u] && !eng.memo.refused[i] {
+			if !must[u] && eng.memo.block[i] == noBlock {
 				t.Errorf("%s: VM %d re-evaluated without cause", name, u)
 			}
 		}
@@ -239,7 +239,7 @@ func TestVisitBlockedVerdictFollowsRoom(t *testing.T) {
 			t.Fatalf("first visit of VM %d: ok=%v skipped=%v, want a full evaluation finding nothing", u, ok, skip)
 		}
 	}
-	if i, _ := eng.memo.slot(1); !eng.memo.refused[i] {
+	if i, _ := eng.memo.slot(1); eng.memo.block[i] == noBlock {
 		t.Fatal("VM 1's verdict records no refusal")
 	}
 	if _, _, skip := eng.Visit(1); !skip {
@@ -264,6 +264,124 @@ func TestVisitBlockedVerdictFollowsRoom(t *testing.T) {
 	if skip || !ok || dec.Target != 3 {
 		t.Fatalf("after host 3 gained room: dec=%+v ok=%v skipped=%v, want a move to host 3", dec, ok, skip)
 	}
+}
+
+// expectVisit visits u through the engine with the differential check
+// off, fails unless the visit returns what BestMigration returns, and
+// checks whether it was skipped and, when evaluated, where it moves
+// (NoHost: nowhere).
+func expectVisit(t *testing.T, eng *Engine, when string, u cluster.VMID, skip bool, target cluster.HostID) {
+	t.Helper()
+	defer func(on bool) { checkSkips = on }(checkSkips)
+	checkSkips = false
+	want, wantOK := eng.BestMigration(u)
+	dec, ok, skipped := eng.Visit(u)
+	if dec != want || ok != wantOK {
+		t.Fatalf("%s: visit of VM %d: %+v/%v (skipped=%v), BestMigration %+v/%v", when, u, dec, ok, skipped, want, wantOK)
+	}
+	if skipped != skip {
+		t.Fatalf("%s: visit of VM %d skipped=%v, want %v", when, u, skipped, skip)
+	}
+	if !skip && (ok != (target != cluster.NoHost) || (ok && dec.Target != target)) {
+		t.Fatalf("%s: VM %d decides %+v/%v, want a move to host %d", when, u, dec, ok, target)
+	}
+}
+
+// precisionFixture is a hand-built instance on the canonical 6×3 tree
+// (racks of hosts 0–2, 3–5, …; 4 slots a host). VM 1 (u) on host 0 talks
+// to VM 2 (p) on full host 1, its only gainful target: u's verdict has
+// one blocking host, host 1. VM 7 (v) on host 3 talks to VM 8 (q) on
+// full host 2; the rest of q's rack is full too, so v is refused by
+// hosts 0, 1 and 2. VM 6 (w) on host 12 is a peer of p. VMs 3–5, 9–14
+// fill hosts 0, 1 and 2 and talk to nobody.
+func precisionFixture(t *testing.T) *scoreInstance {
+	t.Helper()
+	in := newHandInstance(t, canonical6x3(t),
+		[]cluster.HostID{0, 1, 1, 1, 1, 12, 3, 2, 2, 2, 2, 0, 0, 0},
+		[]handEdge{{1, 2, 100}, {6, 2, 1}, {7, 8, 100}})
+	expectVisit(t, in.eng, "first visit", 1, false, cluster.NoHost)
+	expectVisit(t, in.eng, "first visit", 7, false, cluster.NoHost)
+	m := &in.eng.memo
+	if i, _ := m.slot(1); m.block[i] != 1 {
+		t.Fatalf("fixture: VM 1's verdict has block %d, want host 1 alone", m.block[i])
+	}
+	if i, _ := m.slot(7); m.block[i] != severalBlocks {
+		t.Fatalf("fixture: VM 7's verdict has block %d, want several", m.block[i])
+	}
+	return in
+}
+
+// TestMoveRelaxesOnlyItsEndpoints: a move relaxes its source and its
+// target, not the hosts of the mover's peers — their NIC loads take −r
+// and +r, which net to exactly 0. A verdict blocked by a peer's host
+// survives the move and goes stale once that host itself frees room.
+func TestMoveRelaxesOnlyItsEndpoints(t *testing.T) {
+	in := precisionFixture(t)
+	eng, cl := in.eng, in.cl
+	expectVisit(t, eng, "settled", 1, true, cluster.NoHost)
+	// w, a peer of p (on u's blocking host), moves between two racks
+	// neither of which holds a blocking host.
+	if err := cl.Move(6, 15); err != nil {
+		t.Fatal(err)
+	}
+	expectVisit(t, eng, "after a peer of p moved", 1, true, cluster.NoHost)
+	// A filler leaves host 1: the source is relaxed, and u moves there.
+	if err := cl.Move(3, 16); err != nil {
+		t.Fatal(err)
+	}
+	expectVisit(t, eng, "after host 1 gained a slot", 1, false, 1)
+}
+
+// TestRateFallRelaxesSplitEndpoints: a rate increase relaxes nothing, as
+// it only loads NICs; a decrease relaxes both endpoints' hosts, and only
+// when they sit on different hosts, as a pair on one host loads no NIC.
+// u (VM 1 on host 0) is refused by its peer's host 1 on bandwidth alone:
+// host 1 carries a (VM 3) to b (VM 4, host 4) at 700 Mb/s and u–p at 100
+// under its 900 Mb/s threshold, and u would add its 300 Mb/s to an
+// unplaced VM 6 net of the 100 it stops sending to p: 1,000. Host 1 also
+// holds p's pair with VM 5, which crosses no NIC.
+func TestRateFallRelaxesSplitEndpoints(t *testing.T) {
+	in := newHandInstance(t, canonical6x3(t),
+		[]cluster.HostID{0, 1, 1, 4, 1},
+		[]handEdge{{1, 2, 100}, {3, 4, 700}, {2, 5, 50}})
+	eng, cl, tm := in.eng, in.cl, in.tm
+	if err := cl.AddVM(cluster.VM{ID: 6, RAMMB: 256}); err != nil {
+		t.Fatal(err)
+	}
+	tm.Set(1, 6, 300)
+	expectVisit(t, eng, "first visit", 1, false, cluster.NoHost)
+	if i, _ := eng.memo.slot(1); eng.memo.block[i] != 1 {
+		t.Fatalf("fixture: VM 1's verdict has block %d, want host 1 alone", eng.memo.block[i])
+	}
+	if !cl.Fits(1, 1) {
+		t.Fatal("fixture: host 1 must have room for VM 1 but for its NIC")
+	}
+	expectVisit(t, eng, "settled", 1, true, cluster.NoHost)
+	tm.Set(3, 4, 750)
+	expectVisit(t, eng, "after a rate rise on host 1", 1, true, cluster.NoHost)
+	tm.Set(2, 5, 10)
+	expectVisit(t, eng, "after a rate fall within host 1", 1, true, cluster.NoHost)
+	tm.Set(3, 4, 500)
+	expectVisit(t, eng, "after a rate fall across host 1's NIC", 1, false, 1)
+}
+
+// TestSingleBlockIgnoresRackMates: a verdict refused by one host goes
+// stale when that host is relaxed, not when a rack-mate is; a verdict
+// refused by several still goes stale when any host in a peer's rack is.
+func TestSingleBlockIgnoresRackMates(t *testing.T) {
+	in := precisionFixture(t)
+	eng, cl := in.eng, in.cl
+	// A filler leaves host 2, which blocks v: v finds host 2 now, and u,
+	// blocked by host 2's rack-mate host 1 alone, stays skipped.
+	if err := cl.Move(9, 16); err != nil {
+		t.Fatal(err)
+	}
+	expectVisit(t, eng, "after host 2 gained a slot", 1, true, cluster.NoHost)
+	expectVisit(t, eng, "after host 2 gained a slot", 7, false, 2)
+	if err := cl.Move(3, 17); err != nil {
+		t.Fatal(err)
+	}
+	expectVisit(t, eng, "after host 1 gained a slot", 1, false, 1)
 }
 
 func TestVisitRespecUnblocks(t *testing.T) {
@@ -546,13 +664,20 @@ func TestViewVisitRounds(t *testing.T) {
 
 // rowWalkQuiet is stillQuiet without the near marks: every skip of a view
 // with staged commits walks u's row and compares each peer's overlay host
-// with the cluster's — the reference the marks must equal.
-func rowWalkQuiet(v *AllocView, u cluster.VMID, q uint32, refused bool) bool {
+// with the cluster's — the reference the marks must equal. A verdict
+// with one blocking host tests that host's stamp and rack first.
+func rowWalkQuiet(v *AllocView, u cluster.VMID, q uint32, block int32) bool {
 	staged := len(v.commits) > 0
+	e := v.eng
+	if block >= 0 {
+		if e.memo.hostRelaxed[block] > q || (staged && v.touched[e.kern.rackSlot(cluster.HostID(block))] == v.touchEpoch) {
+			return false
+		}
+	}
+	refused := block == severalBlocks
 	if !staged && !refused {
 		return true
 	}
-	e := v.eng
 	if staged && v.HostOf(u) != e.cl.HostOf(u) {
 		return false
 	}
@@ -572,8 +697,9 @@ func rowWalkQuiet(v *AllocView, u cluster.VMID, q uint32, refused bool) bool {
 }
 
 // TestNearMarksEqualRowWalk: the skip test that reads the near marks
-// answers what the full row walk answers, for every VM, refused verdict
-// or not, after every commit of random rounds — a VM committed out and
+// answers what the full row walk answers, for every VM, with no
+// refusal, one blocking host (hosts 0 and 5 in turn) or several, after
+// every commit of random rounds — a VM committed out and
 // back, self-moves, commits whose peers lie outside the placement table,
 // and ResetView between rounds included.
 func TestNearMarksEqualRowWalk(t *testing.T) {
@@ -596,13 +722,13 @@ func TestNearMarksEqualRowWalk(t *testing.T) {
 		t.Helper()
 		for _, u := range ids {
 			for _, q := range []uint32{1, view.stamp} {
-				for _, refused := range []bool{false, true} {
-					got, want := view.stillQuiet(u, q, refused), rowWalkQuiet(view, u, q, refused)
+				for _, block := range []int32{noBlock, severalBlocks, 0, 5} {
+					got, want := view.stillQuiet(u, q, block), rowWalkQuiet(view, u, q, block)
 					if got != want {
-						t.Fatalf("%s: stillQuiet(%d, q=%d, refused=%v) = %v, row walk %v", when, u, q, refused, got, want)
+						t.Fatalf("%s: stillQuiet(%d, q=%d, block=%d) = %v, row walk %v", when, u, q, block, got, want)
 					}
 					checks++
-					if got && len(view.commits) > 0 && !refused {
+					if got && len(view.commits) > 0 && block == noBlock {
 						if view.marked(u) {
 							nearSkips++
 						} else {
@@ -730,9 +856,9 @@ func checkSettledBits(t *testing.T, when string, m *visitMemo) (settled, refused
 		t.Fatalf("%s: %d settled words over %d entries", when, len(m.settled), len(m.quiet))
 	}
 	for i, q := range m.quiet {
-		want := q != 0 && !m.refused[i]
+		want := q != 0 && m.block[i] == noBlock
 		if got := m.settled[i/64].Load()&(1<<(i%64)) != 0; got != want {
-			t.Fatalf("%s: entry %d settled=%v, quiet=%d refused=%v", when, i, got, q, m.refused[i])
+			t.Fatalf("%s: entry %d settled=%v, quiet=%d block=%d", when, i, got, q, m.block[i])
 		}
 		if want {
 			settled++
@@ -776,8 +902,8 @@ func TestSettledBitsMatchVerdicts(t *testing.T) {
 				continue
 			}
 			u := m.base + cluster.VMID(i)
-			if q == 0 || !view.stillQuiet(u, q, m.refused[i]) {
-				t.Fatalf("%s: VM %d passed over but not quiet (q=%d refused=%v near=%v)", when, u, q, m.refused[i], view.marked(u))
+			if q == 0 || !view.stillQuiet(u, q, m.block[i]) {
+				t.Fatalf("%s: VM %d passed over but not quiet (q=%d block=%d near=%v)", when, u, q, m.block[i], view.marked(u))
 			}
 			passedOver++
 		}

@@ -72,8 +72,8 @@ type AllocView struct {
 
 	// Visit state (see visitMemo): stamp is the engine's memo clock as of
 	// the view's last sync — frozen at reset, or the live view's current
-	// one; touched[r] == touchEpoch marks rack r as rewritten by one of
-	// this view's staged commits.
+	// one; touched[r] == touchEpoch marks rack r as holding the source or
+	// the target of one of this view's staged commits.
 	stamp      uint32
 	touched    []uint32
 	touchEpoch uint32
@@ -338,16 +338,18 @@ func (v *AllocView) Commit(d Decision) (float64, error) {
 	v.ramD[d.Target] += int32(n.RAMMB)
 	v.cpuD[cur] -= int32(n.CPUMilli)
 	v.cpuD[d.Target] += int32(n.CPUMilli)
-	// Every host whose room or NIC load this commit rewrites is touched,
-	// and the mover and its peers are marked, for Visit (see stillQuiet).
-	// The NIC-load deltas are folded before the overlay records the move
-	// so peers' positions are read consistently.
+	// Only the source and the target can gain room, so only their racks
+	// are touched for Visit (see stillQuiet); a peer's host elsewhere is
+	// written, its NIC-load delta netting to exactly 0 (foldNICLoad). The
+	// mover and its peers are marked. The NIC-load deltas are folded
+	// before the overlay records the move so peers' positions are read
+	// consistently.
 	v.touch(cur)
 	v.touch(d.Target)
 	v.mark(d.VM)
 	for _, ed := range v.eng.tm.NeighborEdges(d.VM) {
 		hz := v.HostOf(ed.Peer)
-		v.touch(hz)
+		v.write(hz)
 		v.mark(ed.Peer)
 		foldNICLoad(v.netD, cur, d.Target, hz, ed.Rate)
 	}

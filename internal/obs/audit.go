@@ -106,17 +106,9 @@ func (a *AuditRing) Append(r AuditRecord) {
 // Select returns the retained records matching vm and round, oldest
 // first; a negative filter value matches anything.
 func (a *AuditRing) Select(vm, round int64) []AuditRecord {
-	var out []AuditRecord
-	for _, r := range a.Snapshot() {
-		if vm >= 0 && int64(r.VM) != vm {
-			continue
-		}
-		if round >= 0 && int64(r.Round) != round {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
+	return a.filter(func(r *AuditRecord) bool {
+		return (vm < 0 || int64(r.VM) == vm) && (round < 0 || int64(r.Round) == round)
+	})
 }
 
 // AuditJSONRecord is the JSON wire form of an AuditRecord: the raw ΔC

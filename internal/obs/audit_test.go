@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -60,6 +61,30 @@ func TestAuditRingSelect(t *testing.T) {
 	}
 	if got := len(ar.Select(99, -1)); got != 0 {
 		t.Fatalf("Select(vm=99) = %d records, want 0", got)
+	}
+}
+
+// TestAuditSelectEqualsSnapshotFilter: Select, which filters in place
+// under the ring's lock, returns what filtering a Snapshot returns —
+// before the ring fills, as it wraps, and after many wraps.
+func TestAuditSelectEqualsSnapshotFilter(t *testing.T) {
+	ar := NewAuditRing(8)
+	for i := 0; i < 40; i++ {
+		ar.Append(auditRec(uint32(i%3), uint32(i/5), VerdictMerged, 1, 1))
+		snap := ar.Snapshot()
+		for vm := int64(-1); vm <= 3; vm++ {
+			for round := int64(-1); round <= 8; round++ {
+				var want []AuditRecord
+				for _, r := range snap {
+					if (vm < 0 || int64(r.VM) == vm) && (round < 0 || int64(r.Round) == round) {
+						want = append(want, r)
+					}
+				}
+				if got := ar.Select(vm, round); !slices.Equal(got, want) {
+					t.Fatalf("after %d appends, Select(%d, %d) = %+v, snapshot filter %+v", i+1, vm, round, got, want)
+				}
+			}
+		}
 	}
 }
 

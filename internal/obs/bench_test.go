@@ -68,6 +68,19 @@ func BenchmarkObsAuditAppend(b *testing.B) {
 	}
 }
 
+// BenchmarkObsAuditSelect is one filtered audit query against a full
+// ring of the daemon's size: it allocates for the matches, not the ring.
+func BenchmarkObsAuditSelect(b *testing.B) {
+	ar := NewAuditRing(1 << 14)
+	for i := 0; i < 1<<15; i++ {
+		ar.Append(AuditRecord{VM: uint32(i % 512), Round: uint32(i / 256), Verdict: VerdictMerged})
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ar.Select(int64(i%512), -1)
+	}
+}
+
 func BenchmarkObsHTTPObserve(b *testing.B) {
 	r := NewRegistry()
 	hm := NewHTTPMetrics(r)

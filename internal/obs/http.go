@@ -74,20 +74,9 @@ func ServeTrace(w http.ResponseWriter, r *http.Request, tr *Tracer) {
 		http.Error(w, "round and shard must be non-negative integers", http.StatusBadRequest)
 		return
 	}
-	events := tr.Snapshot()
-	if round >= 0 || shard >= 0 {
-		kept := events[:0]
-		for _, e := range events {
-			if round >= 0 && int64(e.Round) != round {
-				continue
-			}
-			if shard >= 0 && int64(e.Shard) != shard {
-				continue
-			}
-			kept = append(kept, e)
-		}
-		events = kept
-	}
+	events := tr.filter(func(e *Event) bool {
+		return (round < 0 || int64(e.Round) == round) && (shard < 0 || int64(e.Shard) == shard)
+	})
 	w.Header().Set("Content-Type", "application/json")
 	WriteTraceJSON(w, events)
 }

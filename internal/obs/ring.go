@@ -55,6 +55,29 @@ func (g *ring[T]) Dropped() uint64 {
 	return g.next - min(g.next, uint64(len(g.buf)))
 }
 
+// filter copies the retained records keep accepts, oldest-first. It reads
+// them in place under the lock, so a query allocates for what it returns,
+// not for the whole ring.
+func (g *ring[T]) filter(keep func(*T) bool) []T {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	n := uint64(len(g.buf))
+	head := g.next % n
+	oldest, newest := g.buf[head:], g.buf[:head]
+	if g.next < n {
+		oldest, newest = g.buf[:g.next], nil
+	}
+	var out []T
+	for _, seg := range [2][]T{oldest, newest} {
+		for i := range seg {
+			if keep(&seg[i]) {
+				out = append(out, seg[i])
+			}
+		}
+	}
+	return out
+}
+
 // Snapshot copies the retained records oldest-first.
 func (g *ring[T]) Snapshot() []T {
 	g.mu.Lock()

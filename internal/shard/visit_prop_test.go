@@ -269,6 +269,14 @@ func FuzzVisitOps(f *testing.F) {
 	})
 	f.Add(byte(1), []byte{0, 3, 0, 0, 2, 0, 0, 0, 8, 4, 0, 0, 0, 7, 0, 0, 2, 0, 0, 0})
 	f.Add(byte(2), []byte{0, 7, 0, 0, 0, 7, 0, 0, 7, 3, 4, 0, 0, 2, 0, 0})
+	// Retire pairs and add them back between rounds: a fall to 0 frees
+	// NIC room at both ends, the re-add only loads it.
+	f.Add(byte(1), []byte{
+		0, 1, 0, 0, 0, 5, 0, 0, 2, 0, 0, 0,
+		7, 3, 9, 60, 0, 1, 0, 0, 7, 3, 9, 0, 0, 1, 0, 0, 7, 3, 9, 60, 0, 6, 0, 0,
+		7, 12, 40, 0, 2, 0, 0, 0, 7, 12, 40, 200, 1, 2, 0, 0,
+		8, 17, 0, 0, 0, 3, 0, 0, 7, 17, 5, 150, 7, 17, 21, 90, 0, 1, 0, 0, 2, 0, 0, 0,
+	})
 	f.Fuzz(func(t *testing.T, size byte, data []byte) {
 		if len(data) > 4*400 {
 			data = data[:4*400]
