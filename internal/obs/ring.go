@@ -82,14 +82,25 @@ func (g *ring[T]) filter(keep func(*T) bool) []T {
 func (g *ring[T]) Snapshot() []T {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	n := uint64(len(g.buf))
-	out := make([]T, min(g.next, n))
-	if g.next < n {
-		copy(out, g.buf)
-		return out
-	}
-	head := g.next % n
-	copy(out, g.buf[head:])
-	copy(out[n-head:], g.buf[:head])
+	return g.last(len(g.buf))
+}
+
+// last copies the newest n retained records (all of them when fewer are
+// retained), oldest-first. The caller holds mu.
+func (g *ring[T]) last(n int) []T {
+	size := uint64(len(g.buf))
+	k := min(uint64(max(n, 0)), g.next, size)
+	out := make([]T, k)
+	copied := copy(out, g.buf[(g.next-k)%size:])
+	copy(out[copied:], g.buf)
 	return out
+}
+
+// Last copies the newest n retained records (all of them when fewer are
+// retained), oldest-first. It reads them in place under the lock, so a
+// caller that wants a tail copies the tail, not the ring.
+func (g *Ring[T]) Last(n int) []T {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.last(n)
 }

@@ -410,11 +410,7 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 		SamplesRejected: d.m.ingestRejected.Value(),
 		Backpressure:    d.m.backpressure.Value(),
 	}
-	hist := d.History()
-	if len(hist) > statusHistory {
-		hist = hist[len(hist)-statusHistory:]
-	}
-	rep.History = hist
+	rep.History = d.hist.Last(statusHistory)
 	writeJSON(w, http.StatusOK, rep)
 }
 

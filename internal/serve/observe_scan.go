@@ -72,13 +72,16 @@ func (s *observeScan) key(k string) bool {
 	return true
 }
 
-// digits consumes a run of decimal digits and returns its length.
-func (s *observeScan) digits() int {
+// digits consumes a run of decimal digits, appending them to mant, and
+// returns the new mantissa and the run's length. mant wraps past 19
+// digits; float64 uses it only for runs of at most 15 in all.
+func (s *observeScan) digits(mant uint64) (uint64, int) {
 	start := s.i
 	for s.i < len(s.b) && s.b[s.i]-'0' <= 9 {
+		mant = mant*10 + uint64(s.b[s.i]-'0')
 		s.i++
 	}
-	return s.i - start
+	return mant, s.i - start
 }
 
 // uint32 consumes a plain decimal integer no larger than 2³²−1: no sign,
@@ -101,26 +104,55 @@ func (s *observeScan) uint32() (uint32, bool) {
 	return uint32(n), true
 }
 
+// exactPow10 holds the powers of ten float64's fast path divides by, all
+// exact float64s.
+var exactPow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// fastDigits is the most digits float64's fast path takes: any such
+// mantissa is below 10^15 < 2^53.
+const fastDigits = 15
+
 // float64 consumes one number of the JSON grammar and converts it the
-// way encoding/json does, with strconv.ParseFloat, refusing what that
-// refuses (a magnitude past float64).
+// way encoding/json does, refusing what strconv.ParseFloat refuses (a
+// magnitude past float64). It folds the digits into an integer mantissa
+// as it checks the grammar. A number with no exponent and at most 15
+// digits (a lone leading 0 not counted) is then mant / 10^frac, negated
+// for a leading '-' so "-0" stays −0. That is exact: mant < 10^15 < 2^53
+// and 10^frac ≤ 10^15 are exact float64s, so the one division rounds
+// once, to the value ParseFloat returns (Clinger's fast path, which
+// ParseFloat itself takes). It covers rates printed at a fixed precision
+// of a few decimals. Any other number — an exponent, or more digits, as
+// a shortest-form rate on the 2^-20 grid usually has — goes to
+// ParseFloat.
 func (s *observeScan) float64() (float64, bool) {
 	s.peek()
 	start := s.i
-	s.opt('-')
-	if !s.opt('0') && s.digits() == 0 {
-		return 0, false
+	neg := s.opt('-')
+	var mant uint64
+	var whole, frac int
+	if !s.opt('0') {
+		if mant, whole = s.digits(0); whole == 0 {
+			return 0, false
+		}
 	}
-	if s.opt('.') && s.digits() == 0 {
-		return 0, false
+	if s.opt('.') {
+		if mant, frac = s.digits(mant); frac == 0 {
+			return 0, false
+		}
 	}
 	if s.opt('e') || s.opt('E') {
 		if !s.opt('+') {
 			s.opt('-')
 		}
-		if s.digits() == 0 {
+		if _, n := s.digits(0); n == 0 {
 			return 0, false
 		}
+	} else if whole+frac <= fastDigits {
+		f := float64(mant) / exactPow10[frac]
+		if neg {
+			f = -f
+		}
+		return f, true
 	}
 	f, err := strconv.ParseFloat(string(s.b[start:s.i]), 64)
 	return f, err == nil

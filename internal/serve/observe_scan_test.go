@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
@@ -73,6 +74,16 @@ func agreesWithReference(t *testing.T, body, source []byte, samples []RateSample
 	}
 }
 
+// rateBoundaries are the rates at the edges of the scanner's one-pass
+// conversion: both zeros, short decimals, the longest mantissa and the
+// deepest fraction it converts itself (15 digits), and the numbers just
+// past it that ParseFloat converts (16 digits, an exponent).
+var rateBoundaries = []string{
+	"0", "-0", "-0.0", "0.5", "0.1", "0.3", "2.675", "100.050",
+	"999999999999999", "9999999999999999", "0.000000000000001",
+	"1e2", "1E-7",
+}
+
 // observeSeeds is the scanner's contract by example, and the fuzz
 // corpus: bodies it must take (the fast path exists only if it does) and
 // bodies it must leave to the reference.
@@ -93,6 +104,7 @@ func observeSeeds() (accepted, declined []string) {
 		`{"source":"t"}`,
 		`{}`,
 		repeatSamples(maxBatchSamples, "{}"),
+		boundaryBody(),
 	}
 	declined = []string{
 		`{"source":"t","samples":[{"a":1,"b":2,"rate_mbps":1e400}]}`,
@@ -134,6 +146,19 @@ func observeSeeds() (accepted, declined []string) {
 		``,
 	}
 	return accepted, declined
+}
+
+// boundaryBody is an observe body with one sample per rateBoundaries
+// rate, written as it stands.
+func boundaryBody() string {
+	body := `{"source":"t","samples":[`
+	for i, rate := range rateBoundaries {
+		if i > 0 {
+			body += ","
+		}
+		body += `{"a":1,"b":2,"rate_mbps":` + rate + `}`
+	}
+	return body + "]}"
 }
 
 // TestObserveScanContract: every seed falls on its side of the line, and
@@ -222,6 +247,65 @@ func TestObserveFastPathCoverage(t *testing.T) {
 	if n := d.m.decodeFallback.Value(); n != 1 {
 		t.Fatalf("score_ingest_decode_fallback_total = %d after a case-variant body", n)
 	}
+}
+
+// scanRate runs the scanner's number conversion over text, failing t
+// unless it converts all of it to what strconv.ParseFloat returns, bit
+// for bit.
+func scanRate(t *testing.T, text string) {
+	t.Helper()
+	want, err := strconv.ParseFloat(text, 64)
+	s := observeScan{b: []byte(text)}
+	got, ok := s.float64()
+	switch {
+	case ok != (err == nil):
+		t.Fatalf("%q: scanner ok %v, ParseFloat error %v", text, ok, err)
+	case ok && s.i != len(text):
+		t.Fatalf("%q: scanner stopped at byte %d", text, s.i)
+	case ok && math.Float64bits(got) != math.Float64bits(want):
+		t.Fatalf("%q: scanner %v (%#x), ParseFloat %v (%#x)", text, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestRateFastPathMatchesParseFloat: at the edges of the one-pass
+// conversion, the scanner's rate is ParseFloat's bit for bit, −0
+// included.
+func TestRateFastPathMatchesParseFloat(t *testing.T) {
+	for _, text := range rateBoundaries {
+		scanRate(t, text)
+	}
+}
+
+// FuzzRateParse holds the scanner's number conversion to ParseFloat over
+// generated JSON decimals: an optional sign, a whole part of up to 19
+// digits, an optional fraction of up to 23 and an optional exponent.
+func FuzzRateParse(f *testing.F) {
+	f.Add(false, uint64(0), uint8(1), uint64(5), uint8(1), int16(0))
+	f.Add(true, uint64(0), uint8(1), uint64(0), uint8(1), int16(0))
+	f.Add(false, uint64(2), uint8(1), uint64(675), uint8(3), int16(0))
+	f.Add(false, uint64(999999999999999), uint8(15), uint64(0), uint8(0), int16(0))
+	f.Add(false, uint64(9999999999999999), uint8(16), uint64(0), uint8(0), int16(0))
+	f.Add(false, uint64(0), uint8(1), uint64(1), uint8(15), int16(0))
+	f.Add(false, uint64(1), uint8(1), uint64(0), uint8(0), int16(-7))
+	f.Fuzz(func(t *testing.T, neg bool, whole uint64, wholeLen uint8, frac uint64, fracLen uint8, exp int16) {
+		text := ""
+		if neg {
+			text = "-"
+		}
+		if n := int(wholeLen % 20); n > 0 {
+			text += strconv.FormatUint(whole%uint64(math.Pow10(n)), 10)
+		} else {
+			text += "0"
+		}
+		if n := int(fracLen % 24); n > 0 {
+			digits := fmt.Sprintf("%023d", frac)
+			text += "." + digits[len(digits)-n:]
+		}
+		if exp != 0 {
+			text += "e" + strconv.Itoa(int(exp%400))
+		}
+		scanRate(t, text)
+	})
 }
 
 func warmObserveBody() []byte {

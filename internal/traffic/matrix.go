@@ -257,32 +257,37 @@ func (m *Matrix) removeAt(i, j int) {
 	}
 }
 
-// setEdge inserts or updates the directed entry u→v, reporting whether
-// the entry was newly created.
-func (m *Matrix) setEdge(u, v cluster.VMID, rate float64) bool {
+// setEdge inserts or updates the directed entry u→v with one search of
+// u's row and returns the rate it overwrote, 0 when it inserted the
+// entry (a stored rate is at least one quantum, so 0 means absent).
+func (m *Matrix) setEdge(u, v cluster.VMID, rate float64) float64 {
 	i := m.ensureRow(u)
 	es := m.row(i)
 	j, ok := findEdge(es, v)
 	if ok {
+		old := es[j].Rate
 		es[j].Rate = rate
-		return false
+		return old
 	}
 	m.insertAt(i, j, Edge{Peer: v, Rate: rate})
-	return true
+	return 0
 }
 
-// dropEdge deletes the directed entry u→v, reporting whether it existed.
-func (m *Matrix) dropEdge(u, v cluster.VMID) bool {
+// dropEdge deletes the directed entry u→v with one search of u's row
+// and returns the rate it removed, 0 when there was no entry.
+func (m *Matrix) dropEdge(u, v cluster.VMID) float64 {
 	i := m.rowIndex(u)
 	if i < 0 {
-		return false
+		return 0
 	}
-	j, ok := findEdge(m.row(i), v)
+	es := m.row(i)
+	j, ok := findEdge(es, v)
 	if !ok {
-		return false
+		return 0
 	}
+	old := es[j].Rate
 	m.removeAt(i, j)
-	return true
+	return old
 }
 
 // maybeCompact rebuilds the arena once the entries stranded outside it
@@ -356,14 +361,14 @@ func (m *Matrix) ChangesSince(gen uint64) ([]EdgeChange, bool) {
 
 // Set fixes λ(u, v) to rateMbps, rounded to the rate grid. A
 // non-positive rate removes the entry; a self-pair or a NaN rate is
-// ignored.
+// ignored. It searches each endpoint's row once: the edit of u's row
+// reports the rate it replaced, which the changelog records as Old.
 func (m *Matrix) Set(u, v cluster.VMID, rateMbps float64) {
 	if u == v || math.IsNaN(rateMbps) {
 		return
 	}
-	old := m.Rate(u, v)
 	if rateMbps <= 0 {
-		if m.dropEdge(u, v) {
+		if old := m.dropEdge(u, v); old != 0 {
 			m.dropEdge(v, u)
 			m.numPairs--
 			m.logChange(u, v, old, 0)
@@ -373,7 +378,8 @@ func (m *Matrix) Set(u, v cluster.VMID, rateMbps float64) {
 		return
 	}
 	rateMbps = onGrid(rateMbps)
-	if m.setEdge(u, v, rateMbps) {
+	old := m.setEdge(u, v, rateMbps)
+	if old == 0 {
 		m.numPairs++
 	}
 	m.setEdge(v, u, rateMbps)

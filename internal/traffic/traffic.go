@@ -36,7 +36,8 @@
 // so the decision hot path (core.Engine) walks a VM's neighbors and
 // rates in a single cache-friendly scan with no per-edge map lookup, no
 // pointer chasing between rows, and no allocation. Point queries (Rate)
-// binary search the row.
+// binary search the row, and Set costs one search per endpoint row: the
+// edit of u's row reports the rate it replaced.
 //
 // # Overflow and compaction lifecycle
 //
