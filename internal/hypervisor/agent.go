@@ -176,6 +176,12 @@ type Agent struct {
 	// onShardToken, set by in-package tests before Start, observes each
 	// sharded-ring visit; rings end by hop count, so it cannot stop them.
 	onShardToken func(shard int, ev TokenEvent)
+
+	// nbrs is refilled for every global-token visit and lent to the
+	// policy as the holder view's Neighbors; viewMu holds it from the
+	// refill until Next returns.
+	viewMu sync.Mutex
+	nbrs   []token.Entry
 }
 
 // vmRecord is a hosted VM's demand and peer-rate table. The table mirrors
@@ -443,23 +449,28 @@ func (a *Agent) processToken(m Message) {
 	if !ok {
 		at = a.cfg.HostID
 	}
-	view := token.HolderView{Holder: holder, NeighborLevels: make(map[cluster.VMID]uint8, len(rec.rates))}
+	a.viewMu.Lock()
+	a.nbrs = a.nbrs[:0]
+	view := token.HolderView{Holder: holder}
 	for _, ed := range rec.rates {
 		h, ok := a.reg.HostOfVM(ed.Peer)
 		if !ok {
 			continue
 		}
 		lvl := uint8(a.cfg.Topo.Level(at, h))
-		view.NeighborLevels[ed.Peer] = lvl
+		a.nbrs = append(a.nbrs, token.Entry{ID: ed.Peer, Level: lvl})
 		if lvl > view.OwnLevel {
 			view.OwnLevel = lvl
 		}
 	}
+	view.Neighbors = a.nbrs
 
 	if a.OnToken != nil && !a.OnToken(ev) {
+		a.viewMu.Unlock()
 		return
 	}
 	next, ok := a.cfg.Policy.Next(tok, view)
+	a.viewMu.Unlock()
 	if !ok {
 		return
 	}

@@ -166,7 +166,7 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 		// shifts its flows — the same sequence as a single-token
 		// migration, driven by the agent plane's decisions.
 		for _, d := range rep.Applied {
-			r.modelMigration(r.net.HostLinkUtilization(d.From), r.net.HostLinkUtilization(d.Target))
+			r.modelMigration(r.linkUtil(d.From), r.linkUtil(d.Target))
 			if err := cl.Move(d.VM, d.Target); err != nil {
 				return nil, fmt.Errorf("sim: mirroring distributed move of VM %d: %w", d.VM, err)
 			}

@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/score-dc/score/internal/cluster"
@@ -11,8 +11,8 @@ import (
 )
 
 // freshViewCheck is Highest-Level First behind a check: the view the
-// Runner lends each hop must equal one built afresh — a new map of
-// per-peer PairLevels and the holder's VMLevel.
+// Runner lends each hop must equal one built afresh — a new slice of
+// per-peer PairLevels in row order and the holder's VMLevel.
 type freshViewCheck struct {
 	token.HighestLevelFirst
 	t    *testing.T
@@ -22,12 +22,12 @@ type freshViewCheck struct {
 
 func (p *freshViewCheck) Next(tok *token.Token, view token.HolderView) (cluster.VMID, bool) {
 	u := view.Holder
-	fresh := make(map[cluster.VMID]uint8)
+	var fresh []token.Entry
 	for _, ed := range p.eng.Traffic().NeighborEdges(u) {
-		fresh[ed.Peer] = uint8(p.eng.PairLevel(u, ed.Peer))
+		fresh = append(fresh, token.Entry{ID: ed.Peer, Level: uint8(p.eng.PairLevel(u, ed.Peer))})
 	}
-	if !maps.Equal(view.NeighborLevels, fresh) {
-		p.t.Fatalf("hop %d, holder %d: lent levels %v, fresh %v", p.hops, u, view.NeighborLevels, fresh)
+	if !slices.Equal(view.Neighbors, fresh) || view.NeighborLevels != nil {
+		p.t.Fatalf("hop %d, holder %d: lent levels %v (map %v), fresh %v", p.hops, u, view.Neighbors, view.NeighborLevels, fresh)
 	}
 	if int(view.OwnLevel) != p.eng.VMLevel(u) {
 		p.t.Fatalf("hop %d, holder %d: own level %d, VMLevel %d", p.hops, u, view.OwnLevel, p.eng.VMLevel(u))
@@ -36,7 +36,7 @@ func (p *freshViewCheck) Next(tok *token.Token, view token.HolderView) (cluster.
 	return p.HighestLevelFirst.Next(tok, view)
 }
 
-// TestReusedHolderViewEqualsFresh: the Runner refills one map per hop
+// TestReusedHolderViewEqualsFresh: the Runner refills one slice per hop
 // and takes OwnLevel as the maximum of the pair levels it just wrote;
 // over a serial HLF run with migrations, token loss and rates changing
 // mid-run, every hop's view equals a freshly built one.
@@ -65,5 +65,32 @@ func TestReusedHolderViewEqualsFresh(t *testing.T) {
 	}
 	if want := m.TokenHops - m.TokensRegenerated; pol.hops != want {
 		t.Fatalf("checked %d views, want one per delivered hop (%d)", pol.hops, want)
+	}
+}
+
+// TestHolderViewAndNextZeroAllocs: once the lent slice has grown to the
+// widest row, a hop's holder view and Highest-Level First's Next allocate
+// nothing.
+func TestHolderViewAndNextZeroAllocs(t *testing.T) {
+	eng, rng := buildEngine(t, 4)
+	r, err := NewRunner(eng, token.HighestLevelFirst{}, smallConfig(), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vms := eng.Cluster().VMs()
+	r.tok = token.NewAtLevel(vms, uint8(eng.Topology().Depth()))
+	hop := func(u cluster.VMID) cluster.VMID {
+		next, ok := r.policy.Next(r.tok, r.holderView(u))
+		if !ok {
+			t.Fatal("no next holder")
+		}
+		return next
+	}
+	for _, u := range vms { // warm: every row once
+		hop(u)
+	}
+	u := vms[0]
+	if a := testing.AllocsPerRun(200, func() { u = hop(u) }); a != 0 {
+		t.Fatalf("holder view + Next allocate %.1f times per hop, want 0", a)
 	}
 }

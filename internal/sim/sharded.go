@@ -8,9 +8,8 @@ package sim
 // overlap in wall-clock), and the cost series is sampled at round
 // boundaries. Migration durations and downtimes are still drawn from
 // the pre-copy model under the link load, so Fig. 5-style distributions
-// remain comparable with single-token runs. The link loads follow every
-// applied move through the network's traffic.Follower, which each link
-// read syncs.
+// remain comparable with single-token runs. The load is read through
+// linkUtil, from the engine's NIC loads, which follow every applied move.
 
 import (
 	"github.com/score-dc/score/internal/cluster"
@@ -34,17 +33,14 @@ func (r *Runner) controller() *control.Controller {
 // result into the metrics — the per-migration accounting shared by the
 // in-process and distributed sharded modes.
 func (r *Runner) modelMigration(from, target float64) {
-	bg := from
-	if target > bg {
-		bg = target
-	}
-	mres := premigrate(r.rng, bg)
+	mres := premigrate(r.rng, max(from, target))
 	r.metrics.TotalMigratedMB += mres.MigratedMB
 	r.metrics.MigrationTimesS = append(r.metrics.MigrationTimesS, mres.TotalS)
 	r.metrics.DowntimesMS = append(r.metrics.DowntimesMS, mres.DowntimeMS)
 }
 
-// finishUtilization records the final per-level link utilizations.
+// finishUtilization records the final per-level link utilizations: the
+// one place a run routes its pairs over links.
 func (r *Runner) finishUtilization(cl *cluster.Cluster) {
 	r.net.Sync(r.eng.Traffic(), cl)
 	r.metrics.UtilizationByLevel = map[int][]float64{
@@ -68,7 +64,6 @@ func (r *Runner) runRounds(step func(stats func(shard int) *ShardStats) (*shard.
 	r.metrics.InitialCost = r.eng.TotalCost()
 	r.metrics.Cost.Append(0, r.metrics.InitialCost)
 	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
-	r.net.Recompute(r.eng.Traffic(), cl)
 
 	perShard := map[int]*ShardStats{}
 	stats := func(shard int) *ShardStats {
@@ -152,7 +147,7 @@ func (r *Runner) runSharded() (*Metrics, error) {
 		// Every move is modelled under the loads of the round's starting
 		// allocation, read before the merge applies any.
 		for h := range util {
-			util[h] = r.net.HostLinkUtilization(cluster.HostID(h))
+			util[h] = r.linkUtil(cluster.HostID(h))
 		}
 		res, err := coord.RunRound()
 		if err != nil {

@@ -8,6 +8,13 @@
 // and downtime come from the pre-copy model under the current link
 // load), and passes the token on according to the configured policy.
 // Global communication cost is sampled on a fixed tick.
+//
+// The model's background load is the busier endpoint's access-link
+// utilization: the engine's NIC load of the host (Engine.HostNetLoad,
+// kept current by its accounting follower) over the capacity of the
+// host's link. On every plane the Runner reads it through one helper
+// (linkUtil); the routed link loads (netsim.Network) are built once, at
+// the end of a run, for the per-level utilizations of Fig. 4a.
 package sim
 
 import (
@@ -248,8 +255,11 @@ type Runner struct {
 	tok *token.Token
 
 	migrating map[cluster.VMID]bool
-	// levels is lent to the policy as every hop's NeighborLevels.
-	levels map[cluster.VMID]uint8
+	// nbrs is lent to the policy as every hop's Neighbors.
+	nbrs []token.Entry
+	// onLinkRead, set by in-package tests, observes every value linkUtil
+	// returns.
+	onLinkRead func(h cluster.HostID, util float64)
 
 	ob       *runObs
 	metrics  Metrics
@@ -274,7 +284,6 @@ func NewRunner(eng *core.Engine, pol token.Policy, cfg Config, rng *rand.Rand) (
 		des:       netsim.NewEngine(),
 		net:       netsim.NewNetwork(eng.Topology()),
 		migrating: make(map[cluster.VMID]bool),
-		levels:    make(map[cluster.VMID]uint8),
 		ob:        newRunObs(cfg),
 	}
 	return r, nil
@@ -307,7 +316,6 @@ func (r *Runner) Run() (*Metrics, error) {
 	r.metrics.InitialCost = r.eng.TotalCost()
 	r.metrics.Cost.Append(0, r.metrics.InitialCost)
 	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
-	r.net.Recompute(r.eng.Traffic(), cl)
 
 	if r.cfg.MaxIterations > 0 {
 		r.hopsLeft = r.cfg.MaxIterations * r.numVMs
@@ -386,18 +394,40 @@ func (r *Runner) hop(holder cluster.VMID) {
 	r.des.After(r.cfg.HopLatencyS, func() { r.hop(next) })
 }
 
-// holderView refills r.levels with u's pair levels. ℓ^A(u) is by
-// definition their maximum (Engine.VMLevel), so one walk of u's row gives
-// both.
+// holderView refills r.nbrs with u's pair levels, in row order. ℓ^A(u)
+// is by definition their maximum (Engine.VMLevel), so one walk of u's row
+// gives both.
 func (r *Runner) holderView(u cluster.VMID) token.HolderView {
-	clear(r.levels)
+	r.nbrs = r.nbrs[:0]
 	own := uint8(0)
 	for _, ed := range r.eng.Traffic().NeighborEdges(u) {
 		l := uint8(r.eng.PairLevel(u, ed.Peer))
-		r.levels[ed.Peer] = l
+		r.nbrs = append(r.nbrs, token.Entry{ID: ed.Peer, Level: l})
 		own = max(own, l)
 	}
-	return token.HolderView{Holder: u, OwnLevel: own, NeighborLevels: r.levels}
+	return token.HolderView{Holder: u, OwnLevel: own, Neighbors: r.nbrs}
+}
+
+// linkUtil is the migration model's background load on h's access link:
+// the rate crossing h's NIC (Engine.HostNetLoad) over the link's
+// capacity, 0 when the capacity is not positive. Host links occupy IDs
+// [0, hosts) in both topology families. It equals the routed load's
+// utilization (netsim.Network.HostLinkUtilization) bit for bit — both
+// are exact sums of the same pairs' rates — provided every endpoint of
+// every pair in the matrix is placed: the engine charges a pair with an
+// unplaced endpoint to the placed one's NIC, where no path is routed.
+// Every caller in this module places all VMs before the run
+// (PlacementManager.PlaceRandom or Place per VM, then traffic generated
+// over them), and no plane unplaces one: the planes only Move.
+func (r *Runner) linkUtil(h cluster.HostID) float64 {
+	u := 0.0
+	if links := r.eng.Topology().Links(); int(h) >= 0 && int(h) < len(links) && links[h].CapacityMbps > 0 {
+		u = r.eng.HostNetLoad(h) / links[h].CapacityMbps
+	}
+	if r.onLinkRead != nil {
+		r.onLinkRead(h, u)
+	}
+	return u
 }
 
 // startMigration runs the pre-copy model under the current link load and
@@ -409,14 +439,9 @@ func (r *Runner) holderView(u cluster.VMID) token.HolderView {
 // until its pre-copy would have finished.
 func (r *Runner) startMigration(dec core.Decision) {
 	cl := r.eng.Cluster()
-	// The model reads the link loads as they stand, bound to the
-	// engine's current matrix; the read folds what changed since.
-	r.net.Sync(r.eng.Traffic(), cl)
-	bg := r.net.HostLinkUtilization(dec.From)
-	if t := r.net.HostLinkUtilization(dec.Target); t > bg {
-		bg = t
-	}
-	res := premigrate(r.rng, bg)
+	// The model reads the NIC loads as they stand; the read folds what
+	// changed since the last one.
+	res := premigrate(r.rng, max(r.linkUtil(dec.From), r.linkUtil(dec.Target)))
 
 	if err := cl.Move(dec.VM, dec.Target); err != nil {
 		r.metrics.AbortedMigrations++

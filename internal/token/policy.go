@@ -15,9 +15,14 @@ type HolderView struct {
 	Holder cluster.VMID
 	// OwnLevel is ℓ^A(u) after any migration the holder just performed.
 	OwnLevel uint8
-	// NeighborLevels maps v ∈ Vu to ℓ^A(u, v). It is lent for the
-	// duration of Next: the caller may reuse it for the next hop, so no
-	// policy retains it.
+	// Neighbors holds one (v, ℓ^A(u, v)) entry per v ∈ Vu, in any order:
+	// raising levels is a monotone max, so the order cannot change what
+	// a policy records. It is lent for the duration of Next: the caller
+	// refills it for the next hop, so no policy retains it.
+	Neighbors []Entry
+	// NeighborLevels maps v ∈ Vu to ℓ^A(u, v), lent like Neighbors and
+	// raised from after it. No program fills it; it is kept only for
+	// callers that still build the map.
 	NeighborLevels map[cluster.VMID]uint8
 }
 
@@ -95,43 +100,40 @@ func (HighestLevelFirst) Next(tok *Token, view HolderView) (cluster.VMID, bool) 
 	if tok.Len() < 2 {
 		return 0, false
 	}
+	// One search places the holder; i is -1 when the token lacks it.
+	i := tok.find(view.Holder)
+
 	// Line 1: cl maintains the level of the sweep in progress — the
 	// token's *stored* estimate for the holder as the token arrived.
 	// Seeding the scan from the holder's post-migration level instead
 	// would trap the token: a freshly localized holder (level 0) would
 	// only ever look for other level-0 VMs and ping-pong with its
 	// co-located peer.
-	sweep := int(tok.Level(view.Holder))
+	sweep := 0
+	if i >= 0 {
+		sweep = int(tok.entries[i].Level)
+	}
 
 	// Text + lines 3–5: the holder records its own exact level (it may
 	// have just migrated, lowering it) and raises its neighbors'
 	// estimates.
-	tok.SetLevel(view.Holder, view.OwnLevel)
-	for v, lvl := range view.NeighborLevels {
-		tok.RaiseLevel(v, lvl)
-	}
+	tok.raise(i, view)
 
 	// Lines 6–14: from the sweep level downward, find the next VM
 	// recorded at exactly the current scan level. The first scan starts
 	// at the holder's successor (u ⊕ 1); per line 14, lower-level scans
 	// restart from the beginning of the ring (v0).
 	entries := tok.entries
-	start := 0 // index of the holder's successor
-	if i := tok.find(view.Holder); i >= 0 {
-		start = (i + 1) % len(entries)
-	}
+	start := (i + 1) % len(entries) // the holder's successor; 0 for an absent holder
 	for cl := sweep; cl >= 0; cl-- {
 		base := 0
 		if cl == sweep {
 			base = start
 		}
 		for k := 0; k < len(entries); k++ {
-			e := entries[(base+k)%len(entries)]
-			if e.ID == view.Holder {
-				continue
-			}
-			if int(e.Level) == cl {
-				return e.ID, true
+			j := (base + k) % len(entries)
+			if j != i && int(entries[j].Level) == cl {
+				return entries[j].ID, true
 			}
 		}
 	}
@@ -140,18 +142,28 @@ func (HighestLevelFirst) Next(tok *Token, view HolderView) (cluster.VMID, bool) 
 	// the lowest-ID VM among those at the highest recorded level.
 	maxLvl := -1
 	var pick cluster.VMID
-	found := false
-	for _, e := range entries {
-		if e.ID == view.Holder {
-			continue
-		}
-		if int(e.Level) > maxLvl {
+	for j, e := range entries {
+		if j != i && int(e.Level) > maxLvl {
 			maxLvl = int(e.Level)
 			pick = e.ID
-			found = true
 		}
 	}
-	return pick, found
+	return pick, maxLvl >= 0
+}
+
+// raise is lines 3–5 of Algorithm 1 for the holder at index i (-1 when
+// absent, which records nothing for it): the holder's own level, then
+// every neighbor's estimate raised.
+func (t *Token) raise(i int, view HolderView) {
+	if i >= 0 {
+		t.entries[i].Level = view.OwnLevel
+	}
+	for _, n := range view.Neighbors {
+		t.RaiseLevel(n.ID, n.Level)
+	}
+	for v, lvl := range view.NeighborLevels {
+		t.RaiseLevel(v, lvl)
+	}
 }
 
 // Random is an extension policy from the family explored in the S-CORE
@@ -171,11 +183,13 @@ func (r *Random) Next(tok *Token, view HolderView) (cluster.VMID, bool) {
 	if n < 2 {
 		return 0, false
 	}
-	tok.SetLevel(view.Holder, view.OwnLevel)
+	i := tok.find(view.Holder)
+	if i >= 0 {
+		tok.entries[i].Level = view.OwnLevel
+	}
 	for {
-		e := tok.entries[r.Rng.Intn(n)]
-		if e.ID != view.Holder {
-			return e.ID, true
+		if j := r.Rng.Intn(n); j != i {
+			return tok.entries[j].ID, true
 		}
 	}
 }
@@ -194,23 +208,18 @@ func (LowestLevelFirst) Next(tok *Token, view HolderView) (cluster.VMID, bool) {
 	if tok.Len() < 2 {
 		return 0, false
 	}
-	tok.SetLevel(view.Holder, view.OwnLevel)
-	for v, lvl := range view.NeighborLevels {
-		tok.RaiseLevel(v, lvl)
-	}
+	i := tok.find(view.Holder)
+	tok.raise(i, view)
 	entries := tok.entries
-	start := 0
-	if i := tok.find(view.Holder); i >= 0 {
-		start = (i + 1) % len(entries)
-	}
+	start := (i + 1) % len(entries) // the holder's successor; 0 for an absent holder
 	best := -1
 	var pick cluster.VMID
 	for k := 0; k < len(entries); k++ {
-		e := entries[(start+k)%len(entries)]
-		if e.ID == view.Holder {
+		j := (start + k) % len(entries)
+		if j == i {
 			continue
 		}
-		if best == -1 || int(e.Level) < best {
+		if e := entries[j]; best == -1 || int(e.Level) < best {
 			best = int(e.Level)
 			pick = e.ID
 		}
