@@ -94,7 +94,9 @@ type RingReport struct {
 
 // RoundReport is one distributed round: the shard.Round the driver
 // reports, each ring's report, and the supervision tallies. A round with
-// an empty Applied list means the plane has quiesced.
+// an empty Applied list means the plane has quiesced. As on the
+// in-process plane, Applied is lent by the round driver's merge and is
+// valid until the next RunRound; everything else is the caller's.
 type RoundReport struct {
 	shard.Round
 	Rings []RingReport
@@ -716,7 +718,9 @@ func (r *Reconciler) collect(c *roundState) error {
 
 // RunRound executes one full distributed cycle and blocks until its
 // migrations have been committed. See the package documentation for the
-// message flow.
+// message flow. The report's Applied list is valid until the next
+// RunRound, which reuses its storage; a caller that keeps the moves
+// longer copies them.
 func (r *Reconciler) RunRound() (*RoundReport, error) {
 	rd, err := r.drv.RunRound()
 	if err != nil {

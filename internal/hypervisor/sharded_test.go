@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -385,7 +386,9 @@ func TestLostMigrateAckKeepsOneRecord(t *testing.T) {
 }
 
 // distributedRounds runs reconciler rounds to quiescence, returning the
-// concatenated applied migrations.
+// concatenated applied migrations and every round's report. A report's
+// Applied list is lent until the next RunRound, so each kept report
+// carries its own copy.
 func distributedRounds(t *testing.T, p *shardPlane) ([]core.Decision, []*RoundReport) {
 	t.Helper()
 	var all []core.Decision
@@ -395,7 +398,9 @@ func distributedRounds(t *testing.T, p *shardPlane) ([]core.Decision, []*RoundRe
 		if err != nil {
 			t.Fatal(err)
 		}
-		reports = append(reports, rep)
+		kept := *rep
+		kept.Applied = slices.Clone(rep.Applied)
+		reports = append(reports, &kept)
 		all = append(all, rep.Applied...)
 		if len(rep.Applied) == 0 {
 			return all, reports

@@ -85,7 +85,12 @@
 // Every merge pass is one replay loop, one decision at a time, over the
 // plane's Env; a plane whose probes cost round trips warms its own state
 // before handing the moves in. Apply executes a checked move and does not
-// price it again: the ΔC the merge checked is the realized one.
+// price it again: the ΔC the merge checked is the realized one. The
+// round's list of applied moves is the merge's own storage, lent to the
+// Round until the next RunRound: a warm cold round allocates only the
+// Round and its per-shard stats (TestWarmColdRoundAllocs), and under the
+// scorecheck build tag the lent list is overwritten with garbage before
+// it is reused, so a caller that kept it too long reads NaNs.
 //
 // Because each ring's outcome depends only on the frozen round-start
 // state and its own staged moves, and the merge phase runs in a fixed

@@ -38,7 +38,7 @@ type Merge struct {
 	Metrics *Metrics
 
 	// Outcome is the phase's result so far; the Driver copies it into the
-	// Round (Reset starts a fresh Applied list).
+	// Round, lending it the Applied list (see Reset).
 	Outcome
 	// Rejected lists, in decision order and as handed in, every
 	// re-validated move that did not land. Scratch, valid until Reset.
@@ -84,7 +84,10 @@ type Outcome struct {
 	// Applied lists every migration executed, in application order:
 	// staged intra-shard commits in shard order, then reconciled
 	// cross-shard proposals in the canonical order. Delta carries the ΔC
-	// realized at apply time; RealizedDelta is their sum.
+	// realized at apply time; RealizedDelta is their sum. The list is
+	// lent by the Merge that filled it and is valid until its next Reset
+	// (for a Driver, the next RunRound): a caller that keeps it longer
+	// keeps a copy.
 	Applied       []core.Decision
 	RealizedDelta float64
 	// StaleRejected counts staged intra-shard moves that did not land (an
@@ -123,10 +126,15 @@ var (
 )
 
 // Reset starts the next round's phase: the outcome is cleared, the sinks,
-// Env and scratch storage are kept.
+// Env and scratch storage are kept. The Applied list keeps its storage
+// too, so the list the previous round lent out is overwritten from here
+// on (under the scorecheck build tag, with garbage first: see poison).
 func (m *Merge) Reset(round uint32) {
 	m.Round = round
-	m.Outcome, m.Proposed = Outcome{}, 0
+	if poison != nil {
+		poison(m.Applied)
+	}
+	m.Outcome, m.Proposed = Outcome{Applied: m.Applied[:0]}, 0
 	m.Rejected = m.Rejected[:0]
 	m.proposals, m.propMeta = m.proposals[:0], m.propMeta[:0]
 	clear(m.near)

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"time"
+
 	"github.com/score-dc/score/internal/obs"
 )
 
@@ -38,12 +40,28 @@ type Metrics struct {
 	// Shards is the ring count of the latest round (the tuner's choice
 	// under auto-tuning).
 	Shards *obs.Gauge
+	// The phase clock (score_round_phase_seconds{phase=…}): each round
+	// observes once per phase, and the phases tile the round, so their
+	// sums add up to RoundLatency's. Rings runs from the round's start
+	// until the plane's rings are done — partition, ring patch, view
+	// resets and the passes; Merge replays the staged commits in shard
+	// order; Cross reconciles the cross-shard proposals.
+	PhaseRings, PhaseMerge, PhaseCross *obs.Histogram
+}
+
+// lap observes on h the time since the previous phase ended and returns
+// the end of this one, where the next phase begins.
+func lap(h *obs.Histogram, since time.Time) time.Time {
+	now := time.Now()
+	h.Observe(now.Sub(since).Seconds())
+	return now
 }
 
 // NewMetrics registers (or re-binds, get-or-create) the scheduler families
 // on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	visits := reg.CounterVec("score_token_visits_total", "Token visits by outcome: skipped (no-move verdict still valid) or evaluated in full.", "outcome")
+	phases := reg.HistogramVec("score_round_phase_seconds", "Wall-clock time of each phase of a scheduling round: rings, merge, cross.", "phase", obs.DefLatencyBuckets)
 	return &Metrics{
 		Rounds:         reg.Counter("score_rounds_total", "Scheduling rounds completed."),
 		RoundLatency:   reg.Histogram("score_round_latency_seconds", "Wall-clock latency of one scheduling round.", obs.DefLatencyBuckets),
@@ -58,5 +76,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		CrossRejected:  reg.Counter("score_cross_rejected_total", "Cross-shard proposals rejected by re-validation."),
 		StaleRejected:  reg.Counter("score_stale_rejected_total", "Staged intra-shard moves dropped at merge time."),
 		Shards:         reg.Gauge("score_shards", "Ring count of the latest round."),
+		PhaseRings:     phases.With("rings"),
+		PhaseMerge:     phases.With("merge"),
+		PhaseCross:     phases.With("cross"),
 	}
 }

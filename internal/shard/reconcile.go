@@ -89,6 +89,12 @@ func (m *Merge) replay(ds []core.Decision) {
 // tag sets it.
 var checkClean bool
 
+// poison, when set, overwrites the Applied list a Merge lent out before
+// Reset reuses its storage, so that a reader who kept the list past its
+// round reads garbage that differs from run to run instead of the next
+// round's moves. Tests only: the scorecheck build tag sets it.
+var poison func(lent []core.Decision)
+
 func (m *Merge) recheck(d core.Decision) {
 	rd := m.Env.Delta(d.VM, d.Target)
 	if math.Float64bits(rd) != math.Float64bits(d.Delta) || !m.Env.Admissible(d.VM, d.Target) {

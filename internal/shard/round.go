@@ -37,13 +37,17 @@ type ShardRound struct {
 	Proposed int
 }
 
-// Round summarizes one partition → concurrent rings → merge cycle.
+// Round summarizes one partition → concurrent rings → merge cycle. A
+// Round is the caller's to keep, with one exception: its Applied list
+// (Outcome) is lent by the Driver's Merge and is valid until the next
+// RunRound, which reuses its storage. A caller that reads the moves after
+// that copies the list first; the counts and Shards stay its own.
 type Round struct {
 	// Number is the round's sequence number, the one its trace events and
 	// audit records carry.
 	Number uint32
-	// Outcome is what the merge phase did: the applied migrations and
-	// the stale / cross-shard tallies.
+	// Outcome is what the merge phase did: the applied migrations (a
+	// lent list, see above) and the stale / cross-shard tallies.
 	Outcome
 	// Shards holds per-ring statistics.
 	Shards []ShardRound
@@ -160,6 +164,9 @@ func (d *Driver) partition() (*Partition, error) {
 // RunRound executes one full cycle: partition the plane's current
 // placement, have the plane run every shard's ring against frozen state,
 // then hand the rings' staged output to the merge phase in shard order.
+// The returned Round's Applied list is valid until the next RunRound.
+// With Metrics attached, the phase clock times the rings, the merge and
+// the cross-shard pass.
 func (d *Driver) RunRound() (*Round, error) {
 	mg := &d.Merge
 	d.round++
@@ -181,6 +188,10 @@ func (d *Driver) RunRound() (*Round, error) {
 	if err != nil {
 		return nil, err
 	}
+	var phase time.Time // when the phase in progress began
+	if mt := mg.Metrics; mt != nil {
+		phase = lap(mt.PhaseRings, start)
+	}
 	skipped := 0
 	for s := range rings {
 		o := &rings[s]
@@ -196,7 +207,13 @@ func (d *Driver) RunRound() (*Round, error) {
 		mg.Propose(o.Proposals, o.ProposalMeta)
 		round.Shards = append(round.Shards, o.ShardRound)
 	}
+	if mt := mg.Metrics; mt != nil {
+		phase = lap(mt.PhaseMerge, phase)
+	}
 	mg.Cross()
+	if mt := mg.Metrics; mt != nil {
+		lap(mt.PhaseCross, phase)
+	}
 	round.Outcome = mg.Outcome
 	mg.Finish(start, n, round.TotalHops, skipped)
 	return round, nil

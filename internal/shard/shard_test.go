@@ -173,7 +173,7 @@ func runSerialToQuiescence(eng *core.Engine) int {
 }
 
 // runRounds drives coord until a round applies no migration or limit
-// rounds have run, and returns every round.
+// rounds have run, and returns every round, each a deep copy (keep).
 func runRounds(t *testing.T, coord *Coordinator, limit int) []*Round {
 	t.Helper()
 	var rounds []*Round
@@ -182,12 +182,20 @@ func runRounds(t *testing.T, coord *Coordinator, limit int) []*Round {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rounds = append(rounds, round)
+		rounds = append(rounds, keep(round))
 		if len(round.Applied) == 0 {
 			break
 		}
 	}
 	return rounds
+}
+
+// keep copies a round for reading after the next RunRound, which reuses
+// the storage of the Applied list the round was lent.
+func keep(r *Round) *Round {
+	c := *r
+	c.Applied = slices.Clone(r.Applied)
+	return &c
 }
 
 // migrations sums the applied moves of a run.
@@ -636,10 +644,8 @@ func BenchmarkColdMerge(b *testing.B) {
 	for _, r := range rings {
 		staged += len(r.Commits)
 	}
-	applied := make([]core.Decision, 0, staged)
 	merge := func() {
 		mg.Reset(1)
-		mg.Applied = applied[:0]
 		for s := range rings {
 			mg.Shard(s, rings[s].Commits, nil, rings[s].Near)
 		}

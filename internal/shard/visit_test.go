@@ -96,7 +96,7 @@ func TestStaleRejectedCommitInvalidatesVerdicts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rounds = append(rounds, r)
+			rounds = append(rounds, keep(r))
 		}
 		return rounds
 	}

@@ -80,11 +80,15 @@ func vmHWMMB() float64 {
 
 // reportMemory attaches the per-instance memory metrics: live heap
 // after a forced GC (instance footprint, order-independent) and the
-// process high-water mark (the CI regression gate's signal).
-func reportMemory(b *testing.B) {
+// process high-water mark (the CI regression gate's signal). live is
+// what the instance consists of — scenario, coordinator, snapshot — kept
+// reachable across the GC, which would otherwise collect it first and
+// leave heap-mb measuring nothing.
+func reportMemory(b *testing.B, live ...any) {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(live)
 	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "heap-mb")
 	if rss := vmHWMMB(); rss > 0 {
 		b.ReportMetric(rss, "peak-rss-mb")
@@ -131,7 +135,7 @@ func BenchmarkRound100k(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reportMemory(b)
+			reportMemory(b, sc, snap, ctrl, coord)
 		})
 	}
 }
@@ -182,7 +186,7 @@ func BenchmarkRound100kInstrumented(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			reportMemory(b)
+			reportMemory(b, sc, snap, ctrl, coord)
 		})
 	}
 }
@@ -219,7 +223,7 @@ func BenchmarkSummaryFold100k(b *testing.B) {
 				ctrl.Recommendation()
 			}
 			b.StopTimer()
-			reportMemory(b)
+			reportMemory(b, sc, ctrl, muts)
 		})
 	}
 }

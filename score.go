@@ -240,7 +240,9 @@ type (
 	ShardConfig = shard.Config
 	// ShardCoordinator drives sharded token rounds against an engine.
 	ShardCoordinator = shard.Coordinator
-	// ShardRoundResult summarizes one partition/rings/merge cycle.
+	// ShardRoundResult summarizes one partition/rings/merge cycle. Its
+	// Applied list is lent by the coordinator and is valid until the
+	// next RunRound; copy it to keep the moves longer.
 	ShardRoundResult = shard.Round
 	// ShardStats is the per-shard rollup in sharded Metrics.
 	ShardStats = sim.ShardStats
