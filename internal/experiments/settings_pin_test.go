@@ -38,8 +38,8 @@ func pinSum(vals ...any) uint64 {
 }
 
 // TestSettingsPinned pins the outputs of the traffic generator, the GA,
-// the Remedy run and a lossy single-token run at fixed seeds, bit for
-// bit. Their tuning values are constants of their packages; this test
+// the Remedy run, a lossy single-token run and the Fig. 5 pre-copy
+// samples at fixed seeds, bit for bit. Their tuning values are constants of their packages; this test
 // sets only the fields callers vary, so a mistyped constant (or a
 // constant expression that rounds differently from the run-time one)
 // shows up here under plain `go test`.
@@ -108,11 +108,24 @@ func TestSettingsPinned(t *testing.T) {
 		t.Fatal("the lossy run never regenerated its token")
 	}
 
+	// Fig. 5: every migrated-bytes sample of 5b and every per-load mean
+	// and std of the 5c/5d sweep.
+	f5 := []any{}
+	for _, mb := range Fig5bMigratedBytes(500, 5).Samples {
+		f5 = append(f5, mb)
+	}
+	cd := Fig5cdMigrationSweep(20, 5)
+	for i := range cd.Loads {
+		f5 = append(f5, cd.TimeMean[i], cd.TimeStd[i], cd.DownMean[i], cd.DownStd[i])
+	}
+	got["fig5"] = pinSum(f5...)
+
 	want := map[string]uint64{
 		"traffic": 0x6c560c088dd0deeb,
 		"ga":      0x9a7fd37fb54963ec,
 		"remedy":  0x81bf9566ef372521,
 		"sim":     0xd7cc436538e42f86,
+		"fig5":    0x4609f3a61b03a26b,
 	}
 	for k, w := range want {
 		if got[k] != w {
