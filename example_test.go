@@ -55,11 +55,10 @@ func ExampleHighestLevelFirst() {
 	// 3
 }
 
-// ExampleMigrationModel reproduces the paper's idle-network migration
+// ExampleMigrate reproduces the paper's idle-network migration
 // envelope: ≈3 s total, ≈127 MB moved, downtime well under 50 ms.
-func ExampleMigrationModel() {
-	m := score.DefaultMigrationModel()
-	res := m.Migrate(score.MigrationWorkload{WorkingSetMB: 120, DirtyMBps: 3}, 0)
+func ExampleMigrate() {
+	res := score.Migrate(score.MigrationWorkload{WorkingSetMB: 120, DirtyMBps: 3}, 0)
 	fmt.Printf("time≈%.1fs bytes≈%.0fMB downtime<50ms=%v\n",
 		res.TotalS, res.MigratedMB, res.DowntimeMS < 50)
 	// Output:

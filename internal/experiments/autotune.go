@@ -185,9 +185,9 @@ func (r *AutoTuneSweepResult) AutoRun(w AutoTuneWorkload) (AutoTuneRun, bool) {
 	return AutoTuneRun{}, false
 }
 
-// autoTuneSimConfig is the shared run shape of the sweep's in-process
-// cells.
-func autoTuneSimConfig(numVMs int) sim.Config {
+// sweepConfig is the run shape shared by the shard, distributed and
+// auto-tuning sweeps: 50 ms hops, at most 40 passes, 40 cost samples.
+func sweepConfig(numVMs int) sim.Config {
 	cfg := sim.DefaultConfig()
 	cfg.HopLatencyS = 0.05
 	cfg.MaxIterations = 40
@@ -212,7 +212,7 @@ func AutoTuneSweep(f Family, s Scale, seed int64, counts []int) (*AutoTuneSweepR
 			if err != nil {
 				return err
 			}
-			cfg := autoTuneSimConfig(sc.Cl.NumVMs())
+			cfg := sweepConfig(sc.Cl.NumVMs())
 			if auto {
 				cfg.AutoTune = true
 			} else {
@@ -257,7 +257,7 @@ func AutoTuneSweep(f Family, s Scale, seed int64, counts []int) (*AutoTuneSweepR
 		if err != nil {
 			return nil, err
 		}
-		cfg := autoTuneSimConfig(sc.Cl.NumVMs())
+		cfg := sweepConfig(sc.Cl.NumVMs())
 		cfg.MaxIterations = 4
 		cfg.DistributedShards = 4
 		cfg.TokenDelayProb = res.DelayProb

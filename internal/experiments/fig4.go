@@ -78,7 +78,7 @@ func Fig4ScoreVsRemedy(scale Scale, seed int64) (*Fig4Result, error) {
 		return nil, err
 	}
 	simCfg := simConfigFor(scoreRun.Cl.NumVMs(), 8)
-	typBytesMB := migration.PaperWorkloadDist().WorkingSetMeanMB // typical pre-copy payload
+	typBytesMB := migration.WorkingSetMeanMB // typical pre-copy payload
 	cm := 2 * (typBytesMB * 8 / remedy.HorizonS) * scoreRun.Eng.CostModel().Prefix(1)
 	engCfg := scoreRun.Eng.Config()
 	engCfg.MigrationCost = cm

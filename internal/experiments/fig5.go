@@ -96,13 +96,10 @@ type Fig5bResult struct {
 // all below 150 MB).
 func Fig5bMigratedBytes(n int, seed int64) *Fig5bResult {
 	rng := rand.New(rand.NewSource(seed))
-	model := migration.DefaultModel()
-	dist := migration.PaperWorkloadDist()
 	res := &Fig5bResult{Samples: make([]float64, 0, n)}
 	for i := 0; i < n; i++ {
 		bg := rng.Float64() * 0.3 // testbed idle-to-light load
-		out := model.Migrate(dist.Draw(rng), bg)
-		res.Samples = append(res.Samples, out.MigratedMB)
+		res.Samples = append(res.Samples, migration.Sample(rng, bg).MigratedMB)
 	}
 	res.Summary = stats.Summarize(res.Samples)
 	res.Hist = stats.NewHistogram(res.Samples, 100, 160, 12)
@@ -144,14 +141,12 @@ type Fig5cdResult struct {
 // 0, 0.1, …, 1.0 of a 1 Gb/s link (the paper's CBR sweep).
 func Fig5cdMigrationSweep(reps int, seed int64) *Fig5cdResult {
 	rng := rand.New(rand.NewSource(seed))
-	model := migration.DefaultModel()
-	dist := migration.PaperWorkloadDist()
 	res := &Fig5cdResult{}
 	for load := 0.0; load <= 1.0001; load += 0.1 {
 		times := make([]float64, 0, reps)
 		downs := make([]float64, 0, reps)
 		for i := 0; i < reps; i++ {
-			out := model.Migrate(dist.Draw(rng), load)
+			out := migration.Sample(rng, load)
 			times = append(times, out.TotalS)
 			downs = append(downs, out.DowntimeMS)
 		}

@@ -185,9 +185,9 @@ func NewScenario(f Family, s Scale, d Density, seed int64) (*Scenario, error) {
 // scale axis of the recorded perf trajectory (k=8 ≈ 128 hosts, k=16 ≈
 // 1024, k=24 ≈ 3456, k=32 ≈ 8192). Unlike NewScenario it streams: VMs
 // are created and placed in topology order (host 0 first), IDs ascend
-// with hosts, and the traffic matrix is bulk-loaded through the CSR
-// Builder — no random-placement retry loop, no pair map, so a k=24
-// instance with 100k+ VMs (vmsPerHost ≈ 30) assembles in seconds.
+// with hosts, and traffic.Generate draws the matrix, streaming its draws
+// into a CSR arena — no random-placement retry loop, no pair map, so a
+// k=24 instance with 100k+ VMs (vmsPerHost ≈ 30) assembles in seconds.
 // Slots carry ~25% headroom over the initial packing so migrations
 // remain admissible.
 func NewFatTreeScenario(k, vmsPerHost int, d Density, seed int64) (*Scenario, error) {

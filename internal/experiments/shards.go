@@ -70,12 +70,8 @@ func ShardSweep(f Family, d Density, s Scale, seed int64, counts []int, policies
 		if err != nil {
 			return ShardSweepRow{}, err
 		}
-		cfg := sim.DefaultConfig()
+		cfg := sweepConfig(sc.Cl.NumVMs())
 		cfg.Shards = shards
-		cfg.HopLatencyS = 0.05
-		cfg.MaxIterations = 40
-		cfg.DurationS = cfg.HopLatencyS * float64(40*sc.Cl.NumVMs())
-		cfg.SampleIntervalS = cfg.DurationS / 40
 		runner, err := sim.NewRunner(sc.Eng, pol, cfg, sc.Rng)
 		if err != nil {
 			return ShardSweepRow{}, err
@@ -171,12 +167,8 @@ func DistributedSweep(f Family, d Density, s Scale, seed int64, counts []int, lo
 		}
 		res.InitialCost = base.Eng.TotalCost()
 		res.TotalVMs = base.Cl.NumVMs()
-		cfg := sim.DefaultConfig()
+		cfg := sweepConfig(base.Cl.NumVMs())
 		cfg.DistributedShards = n
-		cfg.HopLatencyS = 0.05
-		cfg.MaxIterations = 40
-		cfg.DurationS = cfg.HopLatencyS * float64(40*base.Cl.NumVMs())
-		cfg.SampleIntervalS = cfg.DurationS / 40
 		if loss > 0 {
 			cfg.TokenLossProb = loss
 			cfg.DistributedDeadlineS = 0.05

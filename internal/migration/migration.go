@@ -15,63 +15,48 @@
 // 100% background load (Fig. 5d).
 package migration
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
-// Model parameterizes the pre-copy process. Construct with DefaultModel
-// and override fields as needed.
-type Model struct {
+// The Fig. 5 calibration: the paper evaluates one testbed, so the model
+// has no settings. Every value but MaxRounds is a floating-point constant,
+// so a variable read from one is a float64.
+const (
 	// LinkMbps is the migration path's NIC speed (paper testbed: 1 Gb/s).
-	LinkMbps float64
+	LinkMbps = 1000.0
 	// MinShareFrac is the smallest fraction of the link the migration
 	// TCP stream retains when background traffic saturates the link; a
 	// CBR blast cannot fully starve a backlogged TCP flow.
-	MinShareFrac float64
+	MinShareFrac = 0.14
 	// StopCopyThresholdMB suspends the VM once the dirty residue falls
 	// below this size.
-	StopCopyThresholdMB float64
+	StopCopyThresholdMB = 0.5
 	// MaxRounds caps pre-copy iterations (Xen defaults to ~30) so
 	// migration terminates even when the dirty rate outruns bandwidth.
-	MaxRounds int
+	MaxRounds = 30
 	// SetupS is the fixed control overhead: connection handshake,
 	// shadow page-table setup, and per-round scan costs folded into one
 	// constant (dominates the 2.94 s idle-network total).
-	SetupS float64
+	SetupS = 1.9
 	// CPUStateMS is the fixed stop-and-copy cost of moving vCPU and
 	// device state.
-	CPUStateMS float64
-}
+	CPUStateMS = 5.0
+)
 
-// DefaultModel returns the calibration used for the Fig. 5 reproduction.
-func DefaultModel() Model {
-	return Model{
-		LinkMbps:            1000,
-		MinShareFrac:        0.14,
-		StopCopyThresholdMB: 0.5,
-		MaxRounds:           30,
-		SetupS:              1.9,
-		CPUStateMS:          5,
-	}
-}
-
-// Validate reports configuration errors.
-func (m Model) Validate() error {
-	switch {
-	case m.LinkMbps <= 0:
-		return fmt.Errorf("migration: link speed must be positive")
-	case m.MinShareFrac <= 0 || m.MinShareFrac > 1:
-		return fmt.Errorf("migration: min share fraction must be in (0,1]")
-	case m.StopCopyThresholdMB <= 0:
-		return fmt.Errorf("migration: stop-and-copy threshold must be positive")
-	case m.MaxRounds < 1:
-		return fmt.Errorf("migration: need at least one pre-copy round")
-	case m.SetupS < 0 || m.CPUStateMS < 0:
-		return fmt.Errorf("migration: overheads cannot be negative")
-	}
-	return nil
-}
+// The testbed guests' workload, reproducing the spread of Fig. 5b ("flat
+// and wide due to the highly varying memory dirty rate"): 196 MB
+// allocated, ~120 MB resident, idle-to-moderate dirty rates.
+const (
+	// WorkingSetMeanMB and WorkingSetStdMB parameterize a truncated
+	// normal for the resident set.
+	WorkingSetMeanMB = 120.0
+	WorkingSetStdMB  = 10.0
+	// MaxWorkingSetMB clips the resident set (a 196 MB guest cannot
+	// migrate more than its allocation).
+	MaxWorkingSetMB = 196.0
+	// DirtyMinMBps and DirtyMaxMBps bound a uniform dirty-rate draw.
+	DirtyMinMBps = 0.5
+	DirtyMaxMBps = 6.0
+)
 
 // Workload describes the migrating VM's memory behaviour.
 type Workload struct {
@@ -105,15 +90,15 @@ type Result struct {
 // EffectiveBandwidthMbps returns the share of the link the migration
 // stream achieves under a background load expressed as a fraction of
 // link capacity in [0, 1].
-func (m Model) EffectiveBandwidthMbps(backgroundLoad float64) float64 {
+func EffectiveBandwidthMbps(backgroundLoad float64) float64 {
 	if backgroundLoad < 0 {
 		backgroundLoad = 0
 	}
 	if backgroundLoad > 1 {
 		backgroundLoad = 1
 	}
-	avail := m.LinkMbps * (1 - backgroundLoad)
-	if floor := m.LinkMbps * m.MinShareFrac; avail < floor {
+	avail := LinkMbps * (1 - backgroundLoad)
+	if floor := LinkMbps * MinShareFrac; avail < floor {
 		return floor
 	}
 	return avail
@@ -121,17 +106,17 @@ func (m Model) EffectiveBandwidthMbps(backgroundLoad float64) float64 {
 
 // Migrate runs the pre-copy recurrence for one VM under the given
 // background network load (fraction of link capacity).
-func (m Model) Migrate(w Workload, backgroundLoad float64) Result {
-	bw := m.EffectiveBandwidthMbps(backgroundLoad) / 8 // MB/s
+func Migrate(w Workload, backgroundLoad float64) Result {
+	bw := EffectiveBandwidthMbps(backgroundLoad) / 8 // MB/s
 	res := Result{BandwidthMbps: bw * 8}
-	if w.WorkingSetMB <= 0 || bw <= 0 {
-		res.TotalS = m.SetupS
-		res.DowntimeMS = m.CPUStateMS
+	if w.WorkingSetMB <= 0 {
+		res.TotalS = SetupS
+		res.DowntimeMS = CPUStateMS
 		return res
 	}
 	remaining := w.WorkingSetMB
 	var transferred, txTime float64
-	for r := 0; r < m.MaxRounds && remaining > m.StopCopyThresholdMB; r++ {
+	for r := 0; r < MaxRounds && remaining > StopCopyThresholdMB; r++ {
 		dt := remaining / bw
 		transferred += remaining
 		txTime += dt
@@ -147,47 +132,24 @@ func (m Model) Migrate(w Workload, backgroundLoad float64) Result {
 	stopS := remaining / bw
 	transferred += remaining
 	res.MigratedMB = transferred
-	res.TotalS = m.SetupS + txTime + stopS
-	res.DowntimeMS = stopS*1000 + m.CPUStateMS
+	res.TotalS = SetupS + txTime + stopS
+	res.DowntimeMS = stopS*1000 + CPUStateMS
 	return res
 }
 
-// WorkloadDist draws per-migration workloads, reproducing the spread of
-// Fig. 5b ("flat and wide due to the highly varying memory dirty rate").
-type WorkloadDist struct {
-	// WorkingSetMeanMB and WorkingSetStdMB parameterize a truncated
-	// normal for the resident set.
-	WorkingSetMeanMB float64
-	WorkingSetStdMB  float64
-	// MaxWorkingSetMB clips the resident set (a 196 MB guest cannot
-	// migrate more than its allocation).
-	MaxWorkingSetMB float64
-	// DirtyMinMBps and DirtyMaxMBps bound a uniform dirty-rate draw.
-	DirtyMinMBps float64
-	DirtyMaxMBps float64
-}
-
-// PaperWorkloadDist matches the testbed guests: 196 MB allocated,
-// ~120 MB resident, idle-to-moderate dirty rates.
-func PaperWorkloadDist() WorkloadDist {
-	return WorkloadDist{
-		WorkingSetMeanMB: 120,
-		WorkingSetStdMB:  10,
-		MaxWorkingSetMB:  196,
-		DirtyMinMBps:     0.5,
-		DirtyMaxMBps:     6,
-	}
-}
-
-// Draw samples one workload.
-func (d WorkloadDist) Draw(rng *rand.Rand) Workload {
-	ws := d.WorkingSetMeanMB + d.WorkingSetStdMB*rng.NormFloat64()
+// Draw samples one testbed workload.
+func Draw(rng *rand.Rand) Workload {
+	ws := WorkingSetMeanMB + WorkingSetStdMB*rng.NormFloat64()
 	if ws < 1 {
 		ws = 1
 	}
-	if d.MaxWorkingSetMB > 0 && ws > d.MaxWorkingSetMB {
-		ws = d.MaxWorkingSetMB
+	if ws > MaxWorkingSetMB {
+		ws = MaxWorkingSetMB
 	}
-	dirty := d.DirtyMinMBps + rng.Float64()*(d.DirtyMaxMBps-d.DirtyMinMBps)
+	dirty := DirtyMinMBps + rng.Float64()*(DirtyMaxMBps-DirtyMinMBps)
 	return Workload{WorkingSetMB: ws, DirtyMBps: dirty}
 }
+
+// Sample draws one testbed workload and migrates it under background
+// load bg (fraction of link capacity).
+func Sample(rng *rand.Rand, bg float64) Result { return Migrate(Draw(rng), bg) }

@@ -6,39 +6,17 @@ import (
 	"testing/quick"
 )
 
-func TestValidate(t *testing.T) {
-	if err := DefaultModel().Validate(); err != nil {
-		t.Fatalf("default model invalid: %v", err)
-	}
-	bad := []func(*Model){
-		func(m *Model) { m.LinkMbps = 0 },
-		func(m *Model) { m.MinShareFrac = 0 },
-		func(m *Model) { m.MinShareFrac = 1.5 },
-		func(m *Model) { m.StopCopyThresholdMB = 0 },
-		func(m *Model) { m.MaxRounds = 0 },
-		func(m *Model) { m.SetupS = -1 },
-	}
-	for i, mut := range bad {
-		m := DefaultModel()
-		mut(&m)
-		if err := m.Validate(); err == nil {
-			t.Errorf("mutation %d accepted", i)
-		}
-	}
-}
-
 func TestEffectiveBandwidth(t *testing.T) {
-	m := DefaultModel()
-	if got := m.EffectiveBandwidthMbps(0); got != 1000 {
+	if got := EffectiveBandwidthMbps(0); got != 1000 {
 		t.Fatalf("idle bandwidth = %v, want 1000", got)
 	}
-	if got := m.EffectiveBandwidthMbps(1); got != 140 {
+	if got := EffectiveBandwidthMbps(1); got != 140 {
 		t.Fatalf("saturated bandwidth = %v, want floor 140", got)
 	}
-	if got := m.EffectiveBandwidthMbps(-3); got != 1000 {
+	if got := EffectiveBandwidthMbps(-3); got != 1000 {
 		t.Fatalf("negative load clamped: %v", got)
 	}
-	if got := m.EffectiveBandwidthMbps(7); got != 140 {
+	if got := EffectiveBandwidthMbps(7); got != 140 {
 		t.Fatalf("overload clamped: %v", got)
 	}
 }
@@ -47,8 +25,7 @@ func TestEffectiveBandwidth(t *testing.T) {
 // migration lands near the paper's 2.94 s total, ~127 MB moved, ~10 ms
 // downtime.
 func TestPaperEnvelopeIdle(t *testing.T) {
-	m := DefaultModel()
-	res := m.Migrate(Workload{WorkingSetMB: 120, DirtyMBps: 3}, 0)
+	res := Migrate(Workload{WorkingSetMB: 120, DirtyMBps: 3}, 0)
 	if res.TotalS < 2.5 || res.TotalS > 3.5 {
 		t.Fatalf("idle migration time = %.2fs, want ≈2.94s", res.TotalS)
 	}
@@ -63,15 +40,14 @@ func TestPaperEnvelopeIdle(t *testing.T) {
 // TestPaperEnvelopeSaturated: at 100% background load total time grows
 // sub-linearly to ≈9.3 s and downtime stays below 50 ms (Fig. 5c/d).
 func TestPaperEnvelopeSaturated(t *testing.T) {
-	m := DefaultModel()
-	res := m.Migrate(Workload{WorkingSetMB: 120, DirtyMBps: 3}, 1)
+	res := Migrate(Workload{WorkingSetMB: 120, DirtyMBps: 3}, 1)
 	if res.TotalS < 7 || res.TotalS > 12 {
 		t.Fatalf("saturated migration time = %.2fs, want ≈9.34s", res.TotalS)
 	}
 	if res.DowntimeMS > 50 {
 		t.Fatalf("saturated downtime = %.1fms, want <50ms (paper: ≈40ms max)", res.DowntimeMS)
 	}
-	idle := m.Migrate(Workload{WorkingSetMB: 120, DirtyMBps: 3}, 0)
+	idle := Migrate(Workload{WorkingSetMB: 120, DirtyMBps: 3}, 0)
 	if res.TotalS <= idle.TotalS {
 		t.Fatal("background load must increase migration time")
 	}
@@ -86,11 +62,10 @@ func TestPaperEnvelopeSaturated(t *testing.T) {
 // (a real pre-copy discretization effect), so downtime is checked on
 // workload-averaged means.
 func TestMonotoneInLoad(t *testing.T) {
-	m := DefaultModel()
 	w := Workload{WorkingSetMB: 120, DirtyMBps: 3}
-	prev := m.Migrate(w, 0)
+	prev := Migrate(w, 0)
 	for load := 0.1; load <= 1.0001; load += 0.1 {
-		cur := m.Migrate(w, load)
+		cur := Migrate(w, load)
 		if cur.TotalS+1e-9 < prev.TotalS {
 			t.Fatalf("time decreased at load %.1f: %v -> %v", load, prev.TotalS, cur.TotalS)
 		}
@@ -98,12 +73,11 @@ func TestMonotoneInLoad(t *testing.T) {
 	}
 	// Averaged downtime across the workload distribution grows with load.
 	rng := rand.New(rand.NewSource(23))
-	dist := PaperWorkloadDist()
 	meanDown := func(load float64) float64 {
 		var sum float64
 		const n = 300
 		for i := 0; i < n; i++ {
-			sum += m.Migrate(dist.Draw(rng), load).DowntimeMS
+			sum += Migrate(Draw(rng), load).DowntimeMS
 		}
 		return sum / n
 	}
@@ -117,23 +91,21 @@ func TestMonotoneInLoad(t *testing.T) {
 }
 
 func TestZeroWorkingSet(t *testing.T) {
-	m := DefaultModel()
-	res := m.Migrate(Workload{WorkingSetMB: 0, DirtyMBps: 5}, 0)
+	res := Migrate(Workload{WorkingSetMB: 0, DirtyMBps: 5}, 0)
 	if res.MigratedMB != 0 || res.Rounds != 0 {
 		t.Fatalf("empty VM moved %v MB in %d rounds", res.MigratedMB, res.Rounds)
 	}
-	if res.TotalS != m.SetupS {
-		t.Fatalf("empty VM time = %v, want setup %v", res.TotalS, m.SetupS)
+	if res.TotalS != SetupS {
+		t.Fatalf("empty VM time = %v, want setup %v", res.TotalS, SetupS)
 	}
 }
 
 // TestHighDirtyRateTerminates: when dirty rate outruns bandwidth the
 // model must still terminate with bounded rounds.
 func TestHighDirtyRateTerminates(t *testing.T) {
-	m := DefaultModel()
-	res := m.Migrate(Workload{WorkingSetMB: 150, DirtyMBps: 500}, 1)
-	if res.Rounds > m.MaxRounds {
-		t.Fatalf("rounds = %d exceeds cap %d", res.Rounds, m.MaxRounds)
+	res := Migrate(Workload{WorkingSetMB: 150, DirtyMBps: 500}, 1)
+	if res.Rounds > MaxRounds {
+		t.Fatalf("rounds = %d exceeds cap %d", res.Rounds, MaxRounds)
 	}
 	if res.TotalS <= 0 || res.MigratedMB < 150 {
 		t.Fatalf("implausible result: %+v", res)
@@ -143,21 +115,20 @@ func TestHighDirtyRateTerminates(t *testing.T) {
 // TestInvariantsQuick: for arbitrary workloads and loads the result is
 // finite, bytes ≥ working set, downtime positive, rounds ≤ cap.
 func TestInvariantsQuick(t *testing.T) {
-	m := DefaultModel()
 	f := func(wsRaw, dirtyRaw, loadRaw uint16) bool {
 		w := Workload{
 			WorkingSetMB: 1 + float64(wsRaw%300),
 			DirtyMBps:    float64(dirtyRaw%100) / 4,
 		}
 		load := float64(loadRaw%100) / 100
-		res := m.Migrate(w, load)
-		if res.Rounds < 1 || res.Rounds > m.MaxRounds {
+		res := Migrate(w, load)
+		if res.Rounds < 1 || res.Rounds > MaxRounds {
 			return false
 		}
 		if res.MigratedMB < w.WorkingSetMB {
 			return false
 		}
-		if res.TotalS < m.SetupS || res.DowntimeMS < m.CPUStateMS {
+		if res.TotalS < SetupS || res.DowntimeMS < CPUStateMS {
 			return false
 		}
 		return true
@@ -171,19 +142,17 @@ func TestInvariantsQuick(t *testing.T) {
 // resulting migrated-bytes distribution matches Fig. 5b's envelope.
 func TestWorkloadDistEnvelope(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	d := PaperWorkloadDist()
-	m := DefaultModel()
 	var sum, sumSq float64
 	n := 500
 	for i := 0; i < n; i++ {
-		w := d.Draw(rng)
-		if w.WorkingSetMB < 1 || w.WorkingSetMB > d.MaxWorkingSetMB {
-			t.Fatalf("working set %v outside (0, %v]", w.WorkingSetMB, d.MaxWorkingSetMB)
+		w := Draw(rng)
+		if w.WorkingSetMB < 1 || w.WorkingSetMB > MaxWorkingSetMB {
+			t.Fatalf("working set %v outside (0, %v]", w.WorkingSetMB, MaxWorkingSetMB)
 		}
-		if w.DirtyMBps < d.DirtyMinMBps || w.DirtyMBps > d.DirtyMaxMBps {
+		if w.DirtyMBps < DirtyMinMBps || w.DirtyMBps > DirtyMaxMBps {
 			t.Fatalf("dirty rate %v outside bounds", w.DirtyMBps)
 		}
-		res := m.Migrate(w, rng.Float64()*0.3)
+		res := Migrate(w, rng.Float64()*0.3)
 		if res.MigratedMB > 170 {
 			t.Fatalf("migrated %v MB, paper envelope is <150MB-ish", res.MigratedMB)
 		}

@@ -16,7 +16,7 @@
 // congested, a target's access link must stay under 80%, at most 8 VMs
 // move per round, 48 targets are sampled per move, and a move must carry
 // more traffic off the hot link over HorizonS than the pre-copy model
-// (migration.DefaultModel on a migration.PaperWorkloadDist draw) says it
+// (migration.Sample on an idle link) says it
 // pushes through the network.
 package remedy
 
@@ -188,8 +188,7 @@ func (c *Controller) rankCandidates(link topology.LinkID) []candidate {
 	out := make([]candidate, 0, len(perVM))
 	for _, vm := range vms {
 		load := perVM[vm]
-		w := migration.PaperWorkloadDist().Draw(c.rng)
-		res := migration.DefaultModel().Migrate(w, 0)
+		res := migration.Sample(c.rng, 0)
 		out = append(out, candidate{
 			vm:        vm,
 			linkLoad:  load,

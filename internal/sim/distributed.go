@@ -15,6 +15,7 @@ import (
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/hypervisor"
+	"github.com/score-dc/score/internal/migration"
 	"github.com/score-dc/score/internal/shard"
 )
 
@@ -166,7 +167,7 @@ func (r *Runner) runDistributed() (*Metrics, error) {
 		// shifts its flows — the same sequence as a single-token
 		// migration, driven by the agent plane's decisions.
 		for _, d := range rep.Applied {
-			r.modelMigration(r.linkUtil(d.From), r.linkUtil(d.Target))
+			r.charge(migration.Sample(r.rng, max(r.linkUtil(d.From), r.linkUtil(d.Target))))
 			if err := cl.Move(d.VM, d.Target); err != nil {
 				return nil, fmt.Errorf("sim: mirroring distributed move of VM %d: %w", d.VM, err)
 			}

@@ -14,6 +14,7 @@ package sim
 import (
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/control"
+	"github.com/score-dc/score/internal/migration"
 	"github.com/score-dc/score/internal/shard"
 )
 
@@ -26,17 +27,6 @@ func (r *Runner) controller() *control.Controller {
 	ctrl := control.New(r.eng.Topology(), control.Config{Metrics: r.ob.ctrl})
 	ctrl.Bind(r.eng.Traffic(), r.eng.Cluster())
 	return ctrl
-}
-
-// modelMigration draws the pre-copy model for one executed move under
-// the worse of the two endpoints' access-link utilizations and folds the
-// result into the metrics — the per-migration accounting shared by the
-// in-process and distributed sharded modes.
-func (r *Runner) modelMigration(from, target float64) {
-	mres := premigrate(r.rng, max(from, target))
-	r.metrics.TotalMigratedMB += mres.MigratedMB
-	r.metrics.MigrationTimesS = append(r.metrics.MigrationTimesS, mres.TotalS)
-	r.metrics.DowntimesMS = append(r.metrics.DowntimesMS, mres.DowntimeMS)
 }
 
 // finishUtilization records the final per-level link utilizations: the
@@ -154,7 +144,7 @@ func (r *Runner) runSharded() (*Metrics, error) {
 			return nil, err
 		}
 		for _, d := range res.Applied {
-			r.modelMigration(util[d.From], util[d.Target])
+			r.charge(migration.Sample(r.rng, max(util[d.From], util[d.Target])))
 		}
 		return res, nil
 	})

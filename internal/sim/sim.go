@@ -140,14 +140,6 @@ func DefaultConfig() Config {
 // regenerating a lost token.
 const regenTimeoutS = 10
 
-// premigrate runs the pre-copy model (migration.DefaultModel) on a
-// workload drawn from the paper's distribution, under background
-// access-link utilization bg: the duration, downtime and bytes of one
-// migration.
-func premigrate(rng *rand.Rand, bg float64) migration.Result {
-	return migration.DefaultModel().Migrate(migration.PaperWorkloadDist().Draw(rng), bg)
-}
-
 // IterationStats summarizes one full token pass (|V| hops) — the unit of
 // Fig. 2's x-axis.
 type IterationStats struct {
@@ -441,7 +433,7 @@ func (r *Runner) startMigration(dec core.Decision) {
 	cl := r.eng.Cluster()
 	// The model reads the NIC loads as they stand; the read folds what
 	// changed since the last one.
-	res := premigrate(r.rng, max(r.linkUtil(dec.From), r.linkUtil(dec.Target)))
+	res := migration.Sample(r.rng, max(r.linkUtil(dec.From), r.linkUtil(dec.Target)))
 
 	if err := cl.Move(dec.VM, dec.Target); err != nil {
 		r.metrics.AbortedMigrations++
@@ -450,12 +442,20 @@ func (r *Runner) startMigration(dec core.Decision) {
 	r.iterMigs++
 	r.metrics.TotalMigrations++
 	r.ob.plane.Migrations.Inc()
-	r.metrics.TotalMigratedMB += res.MigratedMB
-	r.metrics.MigrationTimesS = append(r.metrics.MigrationTimesS, res.TotalS)
-	r.metrics.DowntimesMS = append(r.metrics.DowntimesMS, res.DowntimeMS)
+	r.charge(res)
 
 	r.migrating[dec.VM] = true
 	r.des.After(res.TotalS, func() { delete(r.migrating, dec.VM) })
+}
+
+// charge folds one executed migration's modelled bytes, duration and
+// downtime into the metrics: the per-migration accounting of every plane.
+// Each plane models a move under the worse of its two endpoints'
+// access-link utilizations.
+func (r *Runner) charge(res migration.Result) {
+	r.metrics.TotalMigratedMB += res.MigratedMB
+	r.metrics.MigrationTimesS = append(r.metrics.MigrationTimesS, res.TotalS)
+	r.metrics.DowntimesMS = append(r.metrics.DowntimesMS, res.DowntimeMS)
 }
 
 // finishIteration closes the current token pass for Fig. 2 accounting.

@@ -329,16 +329,17 @@ func OptimizeGA(eng *Engine, cfg GAConfig, rng *rand.Rand) (GAResult, error) {
 
 // Live-migration model (paper Section VI-C).
 type (
-	// MigrationModel parameterizes Xen-style pre-copy migration.
-	MigrationModel = migration.Model
 	// MigrationWorkload describes a migrating VM's memory behaviour.
 	MigrationWorkload = migration.Workload
 	// MigrationResult summarizes one modeled migration.
 	MigrationResult = migration.Result
 )
 
-// DefaultMigrationModel returns the Fig. 5 calibration.
-func DefaultMigrationModel() MigrationModel { return migration.DefaultModel() }
+// Migrate runs the Fig. 5 calibration of Xen-style pre-copy migration
+// for one VM under a background load (fraction of link capacity).
+func Migrate(w MigrationWorkload, backgroundLoad float64) MigrationResult {
+	return migration.Migrate(w, backgroundLoad)
+}
 
 // Statistics helpers used by the evaluation outputs.
 type (
