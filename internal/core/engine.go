@@ -176,6 +176,13 @@ func (e *Engine) liveView() *AllocView {
 // HostOf returns the server hosting vm under the current allocation.
 func (e *Engine) HostOf(vm cluster.VMID) cluster.HostID { return e.cl.HostOf(vm) }
 
+// HostLevel returns ℓ(a, b), the level at which two hosts communicate,
+// from the engine's level tables; an endpoint that is cluster.NoHost
+// reads as the worst-case level, as an unplaced VM does in PairLevel.
+// Both hosts must otherwise be ones the tables cover (the topology's and
+// the cluster's).
+func (e *Engine) HostLevel(a, b cluster.HostID) int { return e.levelOrDepth(a, b) }
+
 // PairLevel returns ℓ^A(u, v) under the current allocation.
 func (e *Engine) PairLevel(u, v cluster.VMID) int { return e.liveView().PairLevel(u, v) }
 

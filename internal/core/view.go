@@ -66,6 +66,12 @@ type AllocView struct {
 	dirty     []uint64
 	commits   []Decision
 
+	// best is the decision the view's last BestMigration returned when
+	// hasBest is set, which lasts while nothing the view reads has changed
+	// (no Commit, no reset): its ΔC is what Commit would price again.
+	best    Decision
+	hasBest bool
+
 	// k is the view's kernel: the engine's level tables, scratch reused
 	// across this view's decisions.
 	k Kernel
@@ -125,6 +131,7 @@ func (v *AllocView) unstage() {
 		}
 	}
 	v.commits = v.commits[:0]
+	v.hasBest = false
 }
 
 // sizeScratch sizes the per-host overlay deltas to the cluster's hosts,
@@ -300,21 +307,29 @@ func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
 // writes nothing but the view's own scratch (the refusing hosts stay in
 // the kernel for Visit). Round drivers call Visit.
 func (v *AllocView) BestMigration(u cluster.VMID) (Decision, bool) {
+	v.hasBest = false
 	cur := v.HostOf(u)
 	if cur == cluster.NoHost {
 		v.k.refusals = v.k.refusals[:0]
 		return Decision{}, false
 	}
 	v.resolve(u, cur)
-	return v.k.Best(u, v)
+	d, ok := v.k.Best(u, v)
+	v.best, v.hasBest = d, ok
+	return d, ok
 }
 
 // Commit stages a decision in the view: the VM is recorded at its new
 // host and the capacity and NIC-load deltas are folded, so subsequent
 // decisions in this view see the move. The underlying cluster is not
 // touched; the caller replays Commits against the engine in a
-// sequential merge phase. Returns the ΔC realized under the view.
+// sequential merge phase. Returns the ΔC realized under the view: for
+// the decision the view's last BestMigration returned, with nothing
+// committed or reset since, that decision's ΔC, which a fresh Delta
+// would price as the same Kernel.score sequence, bit for bit.
 func (v *AllocView) Commit(d Decision) (float64, error) {
+	fresh := v.hasBest && d == v.best
+	v.hasBest = false
 	if d.Target == cluster.NoHost {
 		return 0, fmt.Errorf("core: view commit has no target")
 	}
@@ -331,7 +346,10 @@ func (v *AllocView) Commit(d Decision) (float64, error) {
 	if !ok || !Admit(r, n) {
 		return 0, fmt.Errorf("core: view commit of VM %d: %w", d.VM, cluster.ErrNoCapacity)
 	}
-	realized := v.Delta(d.VM, d.Target)
+	realized := d.Delta
+	if !fresh {
+		realized = v.Delta(d.VM, d.Target)
+	}
 	v.slotD[cur]--
 	v.slotD[d.Target]++
 	v.ramD[cur] -= int32(n.RAMMB)

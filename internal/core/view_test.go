@@ -213,6 +213,69 @@ func TestViewCommitTracksEngineApply(t *testing.T) {
 	}
 }
 
+// TestCommitRealizesFreshDelta: Commit takes the ΔC of the decision the
+// view's last BestMigration returned, when nothing was committed or reset
+// since, and prices any other decision again; either way what it returns
+// equals a fresh Delta under the view bit for bit. Each decision is
+// committed right after its BestMigration, as a ring does; then again
+// after a peer of the VM was moved next to its target, staged in the
+// view or moved in the cluster before a reset, which changes its ΔC.
+func TestCommitRealizesFreshDelta(t *testing.T) {
+	fx := newFixture(t, DefaultConfig())
+	commit := func(v *AllocView, d Decision) bool {
+		t.Helper()
+		want := v.Delta(d.VM, d.Target)
+		got, err := v.Commit(d)
+		if err != nil {
+			return false
+		}
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Commit(%+v) realized %v, a fresh Delta %v", d, got, want)
+		}
+		return math.Float64bits(got) != math.Float64bits(d.Delta)
+	}
+	v := fx.eng.NewView()
+	fresh := 0
+	for _, u := range fx.cl.VMs() {
+		if d, ok := v.BestMigration(u); ok {
+			commit(v, d)
+			fresh++
+		}
+	}
+	// peerTo moves a peer of d.VM onto d.Target with move, which reports
+	// whether it did.
+	peerTo := func(d Decision, move func(p cluster.VMID) bool) bool {
+		for _, ed := range fx.tm.NeighborEdges(d.VM) {
+			if fx.cl.HostOf(ed.Peer) != d.Target && move(ed.Peer) {
+				return true
+			}
+		}
+		return false
+	}
+	staged, reset := 0, 0
+	for _, u := range fx.cl.VMs() {
+		v = fx.eng.ResetView(v)
+		d, ok := v.BestMigration(u)
+		if ok && peerTo(d, func(p cluster.VMID) bool {
+			_, err := v.Commit(Decision{VM: p, Target: d.Target})
+			return err == nil && len(v.Commits()) == 1
+		}) && commit(v, d) {
+			staged++
+		}
+		v = fx.eng.ResetView(v)
+		d, ok = v.BestMigration(u)
+		if ok && peerTo(d, func(p cluster.VMID) bool { return fx.cl.Move(p, d.Target) == nil }) {
+			v = fx.eng.ResetView(v)
+			if commit(v, d) {
+				reset++
+			}
+		}
+	}
+	if fresh == 0 || staged == 0 || reset == 0 {
+		t.Fatalf("%d fresh commits, %d re-priced after a staged peer move, %d after a reset: the fixture does not exercise all three", fresh, staged, reset)
+	}
+}
+
 // TestViewCapacityIsolation: a view must refuse to stage more VMs onto
 // a host than its remaining capacity allows, counting its own staged
 // moves.

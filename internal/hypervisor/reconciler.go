@@ -820,6 +820,7 @@ func (p agentPlane) Run(rd *shard.Round, part *shard.Partition, mg *shard.Merge)
 		}
 	}
 	rings := token.Rings(lists, uint8(r.cfg.Topo.Depth()))
+	mg.Prepared()
 	c := &roundState{
 		roundID: roundID,
 		reports: make([]RingReport, n),

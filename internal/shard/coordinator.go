@@ -109,6 +109,7 @@ func (e *enginePlane) Run(_ *Round, part *Partition, mg *Merge) ([]Ring, error) 
 	for s := range views {
 		views[s] = e.eng.ResetView(views[s])
 	}
+	mg.Prepared()
 	e.pool.Run(n, func(s int) {
 		if m := e.metrics; m != nil {
 			t0 := time.Now()

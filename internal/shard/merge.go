@@ -60,6 +60,10 @@ type Merge struct {
 	t        int64
 	attested bool
 
+	// prepared is when the round's rings became ready to run (Prepared),
+	// read only with Metrics set.
+	prepared time.Time
+
 	// near is the union of the marks of the rings merged so far this
 	// round, over the window from nearBase; clean counts the round's
 	// commits taken on their staged verdict.
@@ -139,6 +143,16 @@ func (m *Merge) Reset(round uint32) {
 	m.proposals, m.propMeta = m.proposals[:0], m.propMeta[:0]
 	clear(m.near)
 	m.clean = 0
+	m.prepared = time.Time{}
+}
+
+// Prepared ends the round's prepare phase on the phase clock: a plane
+// calls it from Run once its rings are ready, before any of them runs. A
+// plane that never calls it spends the round's run in the rings phase.
+func (m *Merge) Prepared() {
+	if m.Metrics != nil {
+		m.prepared = time.Now()
+	}
 }
 
 // Shard replays ring s's staged intra-shard commits, with near the ring's

@@ -165,8 +165,8 @@ func (d *Driver) partition() (*Partition, error) {
 // placement, have the plane run every shard's ring against frozen state,
 // then hand the rings' staged output to the merge phase in shard order.
 // The returned Round's Applied list is valid until the next RunRound.
-// With Metrics attached, the phase clock times the rings, the merge and
-// the cross-shard pass.
+// With Metrics attached, the phase clock times the preparation of the
+// rings, the rings, the merge and the cross-shard pass.
 func (d *Driver) RunRound() (*Round, error) {
 	mg := &d.Merge
 	d.round++
@@ -190,7 +190,12 @@ func (d *Driver) RunRound() (*Round, error) {
 	}
 	var phase time.Time // when the phase in progress began
 	if mt := mg.Metrics; mt != nil {
-		phase = lap(mt.PhaseRings, start)
+		phase = mg.prepared
+		if phase.IsZero() {
+			phase = start
+		}
+		mt.PhasePrepare.Observe(phase.Sub(start).Seconds())
+		phase = lap(mt.PhaseRings, phase)
 	}
 	skipped := 0
 	for s := range rings {

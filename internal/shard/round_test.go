@@ -106,8 +106,9 @@ func TestWarmColdRoundAllocs(t *testing.T) {
 }
 
 // TestRoundPhasesSumToLatency: with Metrics attached, every round observes
-// each of the three phases once, and the phases tile the round, so their
-// sums add up to the round latency's within 5 %.
+// each of the four phases once, and the phases tile the round, so their
+// sums add up to the round latency's within 5 %. The preparation of the
+// rings shows in its own phase.
 func TestRoundPhasesSumToLatency(t *testing.T) {
 	mt := shard.NewMetrics(obs.NewRegistry())
 	eng := shard.BuildEngine(t, 8, 29, 10)
@@ -130,11 +131,14 @@ func TestRoundPhasesSumToLatency(t *testing.T) {
 		}
 	}
 	phases := 0.0
-	for name, h := range map[string]*obs.Histogram{"rings": mt.PhaseRings, "merge": mt.PhaseMerge, "cross": mt.PhaseCross} {
+	for name, h := range map[string]*obs.Histogram{"prepare": mt.PhasePrepare, "rings": mt.PhaseRings, "merge": mt.PhaseMerge, "cross": mt.PhaseCross} {
 		if n := h.Count(); n != uint64(rounds) {
 			t.Fatalf("phase %s observed %d times over %d rounds", name, n, rounds)
 		}
 		phases += h.Sum()
+	}
+	if mt.PhasePrepare.Sum() <= 0 {
+		t.Fatal("the view resets took no time on the phase clock")
 	}
 	total := mt.RoundLatency.Sum()
 	t.Logf("%d rounds: phases %.3f ms, round latency %.3f ms", rounds, 1e3*phases, 1e3*total)

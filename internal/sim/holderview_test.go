@@ -94,3 +94,40 @@ func TestHolderViewAndNextZeroAllocs(t *testing.T) {
 		t.Fatalf("holder view + Next allocate %.1f times per hop, want 0", a)
 	}
 }
+
+// TestHopZeroAllocs: once a run has converged and the hop's buffers are
+// warm, a whole token hop — the holder's Visit, its view, Highest-Level
+// First's Next and the scheduling of the next hop — allocates nothing.
+// The hop runs as the run delivers it, from the event queue, where it is
+// the only pending event.
+func TestHopZeroAllocs(t *testing.T) {
+	eng, rng := buildEngine(t, 4)
+	cfg := smallConfig()
+	cfg.DurationS = 60 * float64(eng.Cluster().NumVMs()) * cfg.HopLatencyS // 60 passes
+	r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := m.Iterations[len(m.Iterations)-2]; m.TotalMigrations == 0 || last.Migrations != 0 {
+		t.Fatalf("%d migrations, %d in the last full pass: the run did not converge", m.TotalMigrations, last.Migrations)
+	}
+	hop := func() {
+		if r.des.Pending() != 1 || !r.des.Step() {
+			t.Fatalf("%d pending events, want the next hop alone", r.des.Pending())
+		}
+	}
+	for i := 0; i < eng.Cluster().NumVMs(); i++ { // warm: every holder once
+		hop()
+	}
+	hops, migs := r.hops, r.metrics.TotalMigrations
+	if a := testing.AllocsPerRun(200, hop); a != 0 {
+		t.Fatalf("a hop allocates %.1f times, want 0", a)
+	}
+	if r.hops == hops || r.metrics.TotalMigrations != migs {
+		t.Fatalf("%d hops and %d migrations while measuring: want hops and no migration", r.hops-hops, r.metrics.TotalMigrations-migs)
+	}
+}

@@ -246,7 +246,17 @@ type Runner struct {
 	net *netsim.Network
 	tok *token.Token
 
-	migrating map[cluster.VMID]bool
+	// flight[id-flightBase] marks a VM whose modelled pre-copy is still
+	// running, over the cluster's ID window at the run's start. The window
+	// holds every VM the token can reach: nothing registers a VM while Run
+	// runs.
+	flightBase cluster.VMID
+	flight     []bool
+	// hopFn delivers the token to next. The serial run has exactly one
+	// token in flight, so one pending hop at most: a hop schedules the
+	// next one, and a lost token's regeneration calls hop itself.
+	hopFn func()
+	next  cluster.VMID
 	// nbrs is lent to the policy as every hop's Neighbors.
 	nbrs []token.Entry
 	// onLinkRead, set by in-package tests, observes every value linkUtil
@@ -273,11 +283,11 @@ func NewRunner(eng *core.Engine, pol token.Policy, cfg Config, rng *rand.Rand) (
 	}
 	r := &Runner{
 		cfg: cfg, eng: eng, policy: pol, rng: rng,
-		des:       netsim.NewEngine(),
-		net:       netsim.NewNetwork(eng.Topology()),
-		migrating: make(map[cluster.VMID]bool),
-		ob:        newRunObs(cfg),
+		des: netsim.NewEngine(),
+		net: netsim.NewNetwork(eng.Topology()),
+		ob:  newRunObs(cfg),
 	}
+	r.hopFn = func() { r.hop(r.next) }
 	return r, nil
 }
 
@@ -305,6 +315,8 @@ func (r *Runner) Run() (*Metrics, error) {
 	// Optimistic level initialization: unvisited VMs read as hottest so
 	// HLF guarantees one visit each before prioritizing (see token.New).
 	r.tok = token.NewAtLevel(vms, uint8(r.eng.Topology().Depth()))
+	base, alloc := cl.DenseAlloc()
+	r.flightBase, r.flight = base, make([]bool, len(alloc))
 	r.metrics.InitialCost = r.eng.TotalCost()
 	r.metrics.Cost.Append(0, r.metrics.InitialCost)
 	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
@@ -327,7 +339,8 @@ func (r *Runner) Run() (*Metrics, error) {
 
 	// Token starts at the lowest-ID VM ("starting from the VM with
 	// lowest ID", Section V-A1).
-	r.des.After(r.cfg.HopLatencyS, func() { r.hop(vms[0]) })
+	r.next = vms[0]
+	r.des.After(r.cfg.HopLatencyS, r.hopFn)
 	r.des.RunUntil(r.cfg.DurationS)
 
 	r.finishIteration() // flush a partial final pass
@@ -357,18 +370,11 @@ func (r *Runner) hop(holder cluster.VMID) {
 	if r.cfg.TokenLossProb > 0 && r.rng.Float64() < r.cfg.TokenLossProb {
 		r.metrics.TokensRegenerated++
 		r.ob.plane.Regens.Inc()
-		r.des.After(regenTimeoutS, func() {
-			if r.stopped {
-				return
-			}
-			vms := r.eng.Cluster().VMs()
-			r.tok = token.NewAtLevel(vms, uint8(r.eng.Topology().Depth())) // fresh token, level state lost
-			r.hop(vms[0])
-		})
+		r.des.After(regenTimeoutS, r.regenerate)
 		return
 	}
 
-	if !r.migrating[holder] {
+	if !r.flight[holder-r.flightBase] {
 		if dec, ok, _ := r.eng.Visit(holder); ok {
 			r.startMigration(dec)
 		}
@@ -383,17 +389,33 @@ func (r *Runner) hop(holder cluster.VMID) {
 	if r.hops%r.numVMs == 0 {
 		r.finishIteration()
 	}
-	r.des.After(r.cfg.HopLatencyS, func() { r.hop(next) })
+	r.next = next
+	r.des.After(r.cfg.HopLatencyS, r.hopFn)
 }
 
-// holderView refills r.nbrs with u's pair levels, in row order. ℓ^A(u)
-// is by definition their maximum (Engine.VMLevel), so one walk of u's row
-// gives both.
+// regenerate replaces a lost token: a fresh one, its level state lost,
+// starts again at the lowest-ID VM.
+func (r *Runner) regenerate() {
+	if r.stopped {
+		return
+	}
+	vms := r.eng.Cluster().VMs()
+	r.tok = token.NewAtLevel(vms, uint8(r.eng.Topology().Depth()))
+	r.hop(vms[0])
+}
+
+// holderView refills r.nbrs with u's pair levels, in row order: u's host
+// is read once, and each peer's level to it comes from the engine's level
+// tables (Engine.HostLevel, which is Engine.PairLevel over the hosts).
+// ℓ^A(u) is by definition their maximum (Engine.VMLevel), so one walk of
+// u's row gives both.
 func (r *Runner) holderView(u cluster.VMID) token.HolderView {
 	r.nbrs = r.nbrs[:0]
 	own := uint8(0)
+	cl := r.eng.Cluster()
+	hu := cl.HostOf(u)
 	for _, ed := range r.eng.Traffic().NeighborEdges(u) {
-		l := uint8(r.eng.PairLevel(u, ed.Peer))
+		l := uint8(r.eng.HostLevel(hu, cl.HostOf(ed.Peer)))
 		r.nbrs = append(r.nbrs, token.Entry{ID: ed.Peer, Level: l})
 		own = max(own, l)
 	}
@@ -444,8 +466,9 @@ func (r *Runner) startMigration(dec core.Decision) {
 	r.ob.plane.Migrations.Inc()
 	r.charge(res)
 
-	r.migrating[dec.VM] = true
-	r.des.After(res.TotalS, func() { delete(r.migrating, dec.VM) })
+	i := dec.VM - r.flightBase
+	r.flight[i] = true
+	r.des.After(res.TotalS, func() { r.flight[i] = false })
 }
 
 // charge folds one executed migration's modelled bytes, duration and
