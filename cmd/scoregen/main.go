@@ -97,7 +97,7 @@ func run() error {
 
 	switch *format {
 	case "pairs":
-		// Stream pairs without materializing the cached pair list: at
+		// Stream pairs without materializing a pair list: at
 		// k=24 scale the CSV is the only O(|pairs|) artifact.
 		w := bufio.NewWriterSize(os.Stdout, 1<<20)
 		fmt.Fprintln(w, "vm_a,vm_b,rate_mbps")

@@ -260,18 +260,16 @@ func (e *Engine) TotalCost() float64 {
 // without touching the live cluster — used by the GA baseline and by
 // what-if analyses.
 func (e *Engine) TotalCostOf(alloc map[cluster.VMID]cluster.HostID) float64 {
-	pairs, rates := e.tm.Pairs()
 	var sum float64
-	depth := e.depth
-	for i, p := range pairs {
-		ha, okA := alloc[p.A]
-		hb, okB := alloc[p.B]
-		lvl := depth
+	e.tm.ForEachPair(func(a, b cluster.VMID, rate float64) {
+		ha, okA := alloc[a]
+		hb, okB := alloc[b]
+		lvl := e.depth
 		if okA && okB && ha != cluster.NoHost && hb != cluster.NoHost {
 			lvl = e.levelSafe(ha, hb)
 		}
-		sum += e.cost.PairCost(rates[i], lvl)
-	}
+		sum += e.cost.PairCost(rate, lvl)
+	})
 	return sum
 }
 

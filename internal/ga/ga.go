@@ -657,20 +657,19 @@ func buildInstance(eng *core.Engine) (*instance, []cluster.HostID, error) {
 	// Pairs touching VMs outside the cluster are excluded from both the
 	// fitness pair list and the adjacency below, keeping the two cost
 	// views consistent.
-	pairs, rates := tm.Pairs()
-	in.pairsA = make([]int32, 0, len(pairs))
-	in.pairsB = make([]int32, 0, len(pairs))
-	in.rates = make([]float64, 0, len(pairs))
-	for i, p := range pairs {
-		a, okA := idx[p.A]
-		b, okB := idx[p.B]
+	in.pairsA = make([]int32, 0, tm.NumPairs())
+	in.pairsB = make([]int32, 0, tm.NumPairs())
+	in.rates = make([]float64, 0, tm.NumPairs())
+	tm.ForEachPair(func(u, v cluster.VMID, rate float64) {
+		a, okA := idx[u]
+		b, okB := idx[v]
 		if !okA || !okB {
-			continue
+			return
 		}
 		in.pairsA = append(in.pairsA, a)
 		in.pairsB = append(in.pairsB, b)
-		in.rates = append(in.rates, rates[i])
-	}
+		in.rates = append(in.rates, rate)
+	})
 	// Per-VM adjacency for local search, straight off the matrix's CSR
 	// rows (peers in ascending ID order), packed into one CSR arena of
 	// our own: each valid pair appears in exactly two rows.

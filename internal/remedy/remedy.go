@@ -163,21 +163,20 @@ func (c *Controller) congestedLinks() []topology.LinkID {
 // benefit-to-cost ratio (temporal load vs migration cost) as Remedy does.
 func (c *Controller) rankCandidates(link topology.LinkID) []candidate {
 	perVM := make(map[cluster.VMID]float64)
-	pairs, rates := c.tm.Pairs()
-	for i, p := range pairs {
-		ha, hb := c.cl.HostOf(p.A), c.cl.HostOf(p.B)
+	c.tm.ForEachPair(func(a, b cluster.VMID, rate float64) {
+		ha, hb := c.cl.HostOf(a), c.cl.HostOf(b)
 		if ha == cluster.NoHost || hb == cluster.NoHost || ha == hb {
-			continue
+			return
 		}
-		c.path = c.topo.PathLinks(c.path[:0], ha, hb, topology.PairHash(p.A, p.B))
+		c.path = c.topo.PathLinks(c.path[:0], ha, hb, topology.PairHash(a, b))
 		for _, l := range c.path {
 			if l == link {
-				perVM[p.A] += rates[i]
-				perVM[p.B] += rates[i]
+				perVM[a] += rate
+				perVM[b] += rate
 				break
 			}
 		}
-	}
+	})
 	// Each candidate takes one draw from the shared RNG: hand them out in
 	// ascending VM ID, not in map order, so a seed fixes the run.
 	vms := make([]cluster.VMID, 0, len(perVM))

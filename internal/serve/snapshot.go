@@ -77,16 +77,10 @@ func (d *Daemon) writeSnapshotLocked(path string) error {
 			Host:     int32(d.cl.HostOf(id)),
 		})
 	}
-	pairs, rates := d.tm.Pairs()
-	snap.Pairs = make([]snapPair, len(pairs))
-	for i, p := range pairs {
-		snap.Pairs[i] = snapPair{A: uint32(p.A), B: uint32(p.B), RateBits: math.Float64bits(rates[i])}
-	}
-	sort.Slice(snap.Pairs, func(i, j int) bool {
-		if snap.Pairs[i].A != snap.Pairs[j].A {
-			return snap.Pairs[i].A < snap.Pairs[j].A
-		}
-		return snap.Pairs[i].B < snap.Pairs[j].B
+	// ForEachPair yields the pairs sorted (A asc, B asc).
+	snap.Pairs = make([]snapPair, 0, d.tm.NumPairs())
+	d.tm.ForEachPair(func(a, b cluster.VMID, rate float64) {
+		snap.Pairs = append(snap.Pairs, snapPair{A: uint32(a), B: uint32(b), RateBits: math.Float64bits(rate)})
 	})
 	buf, err := json.MarshalIndent(&snap, "", "\t")
 	if err != nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -129,5 +130,65 @@ func TestHopZeroAllocs(t *testing.T) {
 	}
 	if r.hops == hops || r.metrics.TotalMigrations != migs {
 		t.Fatalf("%d hops and %d migrations while measuring: want hops and no migration", r.hops-hops, r.metrics.TotalMigrations-migs)
+	}
+}
+
+// TestUnconvergedRunAllocsBelowMigrations: a run still migrating when it
+// ends allocates fewer times than it migrates. A migration's pre-copy
+// window is the time it ends, stored per VM, not a scheduled event.
+func TestUnconvergedRunAllocsBelowMigrations(t *testing.T) {
+	eng, rng := buildEngineSized(t, 4, 32, 0)
+	cfg := smallConfig()
+	cfg.DurationS = float64(eng.Cluster().NumVMs()) * cfg.HopLatencyS / 2 // half a pass
+	r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	m, err := r.Run()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := m.Iterations[len(m.Iterations)-1]; last.Migrations == 0 {
+		t.Fatalf("no migration in the last pass: the run converged")
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs >= uint64(m.TotalMigrations) {
+		t.Fatalf("the run allocated %d times for %d migrations, want fewer", allocs, m.TotalMigrations)
+	}
+}
+
+// TestPendingEventsBounded: after every step of an unconverged run with
+// token loss, the event queue holds at most the next hop, the next
+// sample and a lost token's regeneration; a migration in its pre-copy
+// adds none. Run only sets the run up (its duration ends before the
+// first hop); the test then lengthens it and delivers every event.
+func TestPendingEventsBounded(t *testing.T) {
+	eng, rng := buildEngineSized(t, 9, 32, 0)
+	cfg := smallConfig()
+	cfg.DurationS = cfg.HopLatencyS / 2
+	cfg.TokenLossProb = 0.01
+	r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	r.cfg.DurationS = 60
+	migs, regens, most := r.metrics.TotalMigrations, r.metrics.TokensRegenerated, 0
+	for r.des.Step() && r.des.Now() <= r.cfg.DurationS {
+		n := r.des.Pending()
+		if n > 3 {
+			t.Fatalf("t=%.2fs: %d pending events, want at most 3", r.des.Now(), n)
+		}
+		most = max(most, n)
+	}
+	if r.metrics.TotalMigrations == migs || r.metrics.TokensRegenerated == regens {
+		t.Fatalf("%d migrations, %d regenerations: the run exercised neither", r.metrics.TotalMigrations-migs, r.metrics.TokensRegenerated-regens)
+	}
+	if most < 2 {
+		t.Fatalf("at most %d pending events: the sample tick never ran beside the hop", most)
 	}
 }

@@ -1,11 +1,15 @@
 package sim
 
+// This file runs the Remedy baseline as a discrete-event Runner plane:
+// the controller's polling round is the plane's one event, next to the
+// run's cost-sampling tick, and the run starts and finishes as the
+// serial token run does.
+
 import (
 	"fmt"
 	"math/rand"
 
 	"github.com/score-dc/score/internal/core"
-	"github.com/score-dc/score/internal/netsim"
 	"github.com/score-dc/score/internal/remedy"
 )
 
@@ -27,8 +31,10 @@ func DefaultRemedyConfig() RemedyConfig {
 
 // RunRemedy executes the centralized Remedy control loop over the
 // engine's cluster and traffic, returning metrics shaped like a S-CORE
-// run so the two plot on the same axes. The engine is used only for cost
-// evaluation; decisions are the Remedy controller's.
+// run so the two plot on the same axes. It is a Runner plane: it starts,
+// samples and finishes as the serial run does, with the controller's own
+// routed network read for the final link utilizations. The engine is
+// used only for cost evaluation; decisions are the Remedy controller's.
 func RunRemedy(eng *core.Engine, cfg RemedyConfig, rng *rand.Rand) (*Metrics, error) {
 	if eng == nil || rng == nil {
 		return nil, fmt.Errorf("sim: nil dependency")
@@ -40,41 +46,19 @@ func RunRemedy(eng *core.Engine, cfg RemedyConfig, rng *rand.Rand) (*Metrics, er
 	if err != nil {
 		return nil, err
 	}
-	net := ctrl.Network()
-	des := netsim.NewEngine()
-	var m Metrics
-	m.InitialCost = eng.TotalCost()
-	m.Cost.Append(0, m.InitialCost)
-
-	var sample func()
-	sample = func() {
-		m.Cost.Append(des.Now(), eng.TotalCost())
-		if des.Now()+cfg.SampleIntervalS <= cfg.DurationS {
-			des.After(cfg.SampleIntervalS, sample)
-		}
-	}
-	des.After(cfg.SampleIntervalS, sample)
-
+	r := newRunner(eng, Config{DurationS: cfg.DurationS, SampleIntervalS: cfg.SampleIntervalS}, rng, ctrl.Network())
+	r.begin()
 	var round func()
 	round = func() {
 		migs := ctrl.Round()
-		m.TotalMigrations += len(migs)
+		r.metrics.TotalMigrations += len(migs)
 		for _, mg := range migs {
-			m.TotalMigratedMB += mg.CostMB
+			r.metrics.TotalMigratedMB += mg.CostMB
 		}
-		if des.Now()+remedyRoundS <= cfg.DurationS {
-			des.After(remedyRoundS, round)
+		if r.des.Now()+remedyRoundS <= cfg.DurationS {
+			r.des.After(remedyRoundS, round)
 		}
 	}
-	des.After(remedyRoundS, round)
-	des.RunUntil(cfg.DurationS)
-
-	m.FinalCost = eng.TotalCost()
-	net.Sync(eng.Traffic(), eng.Cluster())
-	m.UtilizationByLevel = map[int][]float64{
-		1: net.UtilizationAtLevel(1),
-		2: net.UtilizationAtLevel(2),
-		3: net.UtilizationAtLevel(3),
-	}
-	return &m, nil
+	r.runDES(remedyRoundS, round)
+	return r.finish(), nil
 }

@@ -6,10 +6,12 @@ package sim
 // runs one token ring per topology-aligned shard concurrently;
 // simulated time advances by the longest ring's hop count (the rings
 // overlap in wall-clock), and the cost series is sampled at round
-// boundaries. Migration durations and downtimes are still drawn from
-// the pre-copy model under the link load, so Fig. 5-style distributions
-// remain comparable with single-token runs. The load is read through
-// linkUtil, from the engine's NIC loads, which follow every applied move.
+// boundaries rather than on the discrete-event tick; the run starts and
+// finishes as every plane does (Runner.begin, Runner.finish). Migration
+// durations and downtimes are still drawn from the pre-copy model under
+// the link load, so Fig. 5-style distributions remain comparable with
+// single-token runs. The load is read through linkUtil, from the
+// engine's NIC loads, which follow every applied move.
 
 import (
 	"github.com/score-dc/score/internal/cluster"
@@ -29,17 +31,6 @@ func (r *Runner) controller() *control.Controller {
 	return ctrl
 }
 
-// finishUtilization records the final per-level link utilizations: the
-// one place a run routes its pairs over links.
-func (r *Runner) finishUtilization(cl *cluster.Cluster) {
-	r.net.Sync(r.eng.Traffic(), cl)
-	r.metrics.UtilizationByLevel = map[int][]float64{
-		1: r.net.UtilizationAtLevel(1),
-		2: r.net.UtilizationAtLevel(2),
-		3: r.net.UtilizationAtLevel(3),
-	}
-}
-
 // runRounds is the round loop of both sharded planes: the hop clock
 // (rings overlap, so a round costs its longest ring), the per-shard
 // roll-up, the iteration and cost series, the stop conditions — the
@@ -50,11 +41,7 @@ func (r *Runner) finishUtilization(cl *cluster.Cluster) {
 // returns, and returns the round, which the run's totals are summed
 // from.
 func (r *Runner) runRounds(step func(stats func(shard int) *ShardStats) (*shard.Round, error)) (*Metrics, error) {
-	cl := r.eng.Cluster()
-	r.metrics.InitialCost = r.eng.TotalCost()
-	r.metrics.Cost.Append(0, r.metrics.InitialCost)
-	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
-
+	r.begin()
 	perShard := map[int]*ShardStats{}
 	stats := func(shard int) *ShardStats {
 		st, ok := perShard[shard]
@@ -109,9 +96,7 @@ func (r *Runner) runRounds(step func(stats func(shard int) *ShardStats) (*shard.
 			r.metrics.PerShard = append(r.metrics.PerShard, *st)
 		}
 	}
-	r.metrics.FinalCost = r.eng.TotalCost()
-	r.finishUtilization(cl)
-	return &r.metrics, nil
+	return r.finish(), nil
 }
 
 // runSharded runs the in-process plane: shard.Coordinator rounds against

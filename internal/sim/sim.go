@@ -246,17 +246,20 @@ type Runner struct {
 	net *netsim.Network
 	tok *token.Token
 
-	// flight[id-flightBase] marks a VM whose modelled pre-copy is still
-	// running, over the cluster's ID window at the run's start. The window
-	// holds every VM the token can reach: nothing registers a VM while Run
-	// runs.
+	// flight[id-flightBase] is the virtual time at which the VM's modelled
+	// pre-copy ends, over the cluster's ID window at the run's start; a hop
+	// before then does not re-decide the VM. The window holds every VM the
+	// token can reach: nothing registers a VM while Run runs.
 	flightBase cluster.VMID
-	flight     []bool
+	flight     []float64
 	// hopFn delivers the token to next. The serial run has exactly one
 	// token in flight, so one pending hop at most: a hop schedules the
 	// next one, and a lost token's regeneration calls hop itself.
 	hopFn func()
 	next  cluster.VMID
+	// tickFn is tick, bound once: the cost-sampling tick of the
+	// discrete-event planes, which schedules itself.
+	tickFn func()
 	// nbrs is lent to the policy as every hop's Neighbors.
 	nbrs []token.Entry
 	// onLinkRead, set by in-package tests, observes every value linkUtil
@@ -281,14 +284,23 @@ func NewRunner(eng *core.Engine, pol token.Policy, cfg Config, rng *rand.Rand) (
 	if cfg.DurationS <= 0 || cfg.HopLatencyS <= 0 || cfg.SampleIntervalS <= 0 {
 		return nil, fmt.Errorf("sim: duration, hop latency and sample interval must be positive")
 	}
+	r := newRunner(eng, cfg, rng, netsim.NewNetwork(eng.Topology()))
+	r.policy = pol
+	return r, nil
+}
+
+// newRunner assembles the parts every plane shares; net is the routed
+// network the run's final link utilizations are read from.
+func newRunner(eng *core.Engine, cfg Config, rng *rand.Rand, net *netsim.Network) *Runner {
 	r := &Runner{
-		cfg: cfg, eng: eng, policy: pol, rng: rng,
+		cfg: cfg, eng: eng, rng: rng,
 		des: netsim.NewEngine(),
-		net: netsim.NewNetwork(eng.Topology()),
+		net: net,
 		ob:  newRunObs(cfg),
 	}
 	r.hopFn = func() { r.hop(r.next) }
-	return r, nil
+	r.tickFn = r.tick
+	return r
 }
 
 // Run executes the simulation and returns its metrics.
@@ -316,10 +328,8 @@ func (r *Runner) Run() (*Metrics, error) {
 	// HLF guarantees one visit each before prioritizing (see token.New).
 	r.tok = token.NewAtLevel(vms, uint8(r.eng.Topology().Depth()))
 	base, alloc := cl.DenseAlloc()
-	r.flightBase, r.flight = base, make([]bool, len(alloc))
-	r.metrics.InitialCost = r.eng.TotalCost()
-	r.metrics.Cost.Append(0, r.metrics.InitialCost)
-	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
+	r.flightBase, r.flight = base, make([]float64, len(alloc))
+	r.begin()
 
 	if r.cfg.MaxIterations > 0 {
 		r.hopsLeft = r.cfg.MaxIterations * r.numVMs
@@ -327,27 +337,55 @@ func (r *Runner) Run() (*Metrics, error) {
 		r.hopsLeft = -1
 	}
 
-	// Cost sampling tick.
-	var sample func()
-	sample = func() {
-		r.appendCost(r.des.Now())
-		if r.des.Now()+r.cfg.SampleIntervalS <= r.cfg.DurationS {
-			r.des.After(r.cfg.SampleIntervalS, sample)
-		}
-	}
-	r.des.After(r.cfg.SampleIntervalS, sample)
-
 	// Token starts at the lowest-ID VM ("starting from the VM with
 	// lowest ID", Section V-A1).
 	r.next = vms[0]
-	r.des.After(r.cfg.HopLatencyS, r.hopFn)
-	r.des.RunUntil(r.cfg.DurationS)
+	r.runDES(r.cfg.HopLatencyS, r.hopFn)
 
 	r.finishIteration() // flush a partial final pass
 	r.metrics.TokenHops = r.hops
+	return r.finish(), nil
+}
+
+// begin opens a run on every plane: the initial cost, recorded as the
+// first sample and mirrored into the registry.
+func (r *Runner) begin() {
+	r.metrics.InitialCost = r.eng.TotalCost()
+	r.metrics.Cost.Append(0, r.metrics.InitialCost)
+	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
+}
+
+// runDES runs a discrete-event plane to the end of its duration: the
+// sampling tick first, then the plane's own first event fn, due after
+// first seconds. At an equal time the earlier-scheduled event runs
+// first, so this order decides whether a sample reads the cost before or
+// after a plane event due with it.
+func (r *Runner) runDES(first float64, fn func()) {
+	r.des.After(r.cfg.SampleIntervalS, r.tickFn)
+	r.des.After(first, fn)
+	r.des.RunUntil(r.cfg.DurationS)
+}
+
+// tick samples the cost and schedules the next sample within the run.
+func (r *Runner) tick() {
+	r.appendCost(r.des.Now())
+	if r.des.Now()+r.cfg.SampleIntervalS <= r.cfg.DurationS {
+		r.des.After(r.cfg.SampleIntervalS, r.tickFn)
+	}
+}
+
+// finish closes a run on every plane: the final cost and the per-level
+// link utilizations of Fig. 4a, the one place a run routes its pairs
+// over links.
+func (r *Runner) finish() *Metrics {
 	r.metrics.FinalCost = r.eng.TotalCost()
-	r.finishUtilization(cl)
-	return &r.metrics, nil
+	r.net.Sync(r.eng.Traffic(), r.eng.Cluster())
+	r.metrics.UtilizationByLevel = map[int][]float64{
+		1: r.net.UtilizationAtLevel(1),
+		2: r.net.UtilizationAtLevel(2),
+		3: r.net.UtilizationAtLevel(3),
+	}
+	return &r.metrics
 }
 
 // hop processes the token at holder and forwards it.
@@ -374,7 +412,7 @@ func (r *Runner) hop(holder cluster.VMID) {
 		return
 	}
 
-	if !r.flight[holder-r.flightBase] {
+	if r.des.Now() >= r.flight[holder-r.flightBase] {
 		if dec, ok, _ := r.eng.Visit(holder); ok {
 			r.startMigration(dec)
 		}
@@ -449,8 +487,10 @@ func (r *Runner) linkUtil(h cluster.HostID) float64 {
 // every subsequent decision then sees consistent state, preserving
 // Theorem 1's guarantee that each accepted migration lowers the global
 // cost — while the modeled transfer duration (i) is charged to the
-// metrics and (ii) keeps the VM marked in-flight so it is not re-decided
-// until its pre-copy would have finished.
+// metrics and (ii) sets the time the VM's pre-copy ends, before which no
+// hop re-decides it. A hop due at that very time does: every later hop is
+// scheduled after this one, so an event ending the pre-copy at that time
+// would have run before it.
 func (r *Runner) startMigration(dec core.Decision) {
 	cl := r.eng.Cluster()
 	// The model reads the NIC loads as they stand; the read folds what
@@ -466,9 +506,7 @@ func (r *Runner) startMigration(dec core.Decision) {
 	r.ob.plane.Migrations.Inc()
 	r.charge(res)
 
-	i := dec.VM - r.flightBase
-	r.flight[i] = true
-	r.des.After(res.TotalS, func() { r.flight[i] = false })
+	r.flight[dec.VM-r.flightBase] = r.des.Now() + max(res.TotalS, 0)
 }
 
 // charge folds one executed migration's modelled bytes, duration and

@@ -20,8 +20,13 @@ func buildEngine(t *testing.T, seed int64) (*core.Engine, *rand.Rand) {
 // buildEngineCPU is buildEngine on hosts with cpuMilli millicores of CPU,
 // whose VMs then demand 250–1000 millicores each; zero gives neither.
 func buildEngineCPU(t *testing.T, seed int64, cpuMilli int) (*core.Engine, *rand.Rand) {
+	return buildEngineSized(t, seed, 8, cpuMilli)
+}
+
+// buildEngineSized is buildEngineCPU over racks racks of 4 hosts.
+func buildEngineSized(t *testing.T, seed int64, racks, cpuMilli int) (*core.Engine, *rand.Rand) {
 	t.Helper()
-	topo, err := topology.NewCanonicalTree(topology.ScaledCanonicalConfig(8, 4))
+	topo, err := topology.NewCanonicalTree(topology.ScaledCanonicalConfig(racks, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,8 @@ func TestGenerationCounter(t *testing.T) {
 	}
 }
 
-// TestPairsCacheTracksMutation: the cached pair list is rebuilt after a
-// mutation, and a previously returned snapshot is left intact.
+// TestPairsCacheTracksMutation: the pair list follows a mutation, and a
+// previously returned list is left intact.
 func TestPairsCacheTracksMutation(t *testing.T) {
 	m := NewMatrix()
 	m.Set(1, 2, 5)
@@ -104,21 +104,6 @@ func TestHotQueriesAllocFree(t *testing.T) {
 		m.TotalRate()
 	}); avg != 0 {
 		t.Fatalf("hot queries allocate %v times per run, want 0", avg)
-	}
-}
-
-// TestPairsAllocFreeWhenWarm: serving the cached pair list allocates
-// nothing.
-func TestPairsAllocFreeWhenWarm(t *testing.T) {
-	m := NewMatrix()
-	for i := 0; i < 50; i++ {
-		m.Set(cluster.VMID(i), cluster.VMID(i+1), float64(i+1))
-	}
-	m.Pairs()
-	if avg := testing.AllocsPerRun(200, func() {
-		m.Pairs()
-	}); avg != 0 {
-		t.Fatalf("warm Pairs allocates %v times per run, want 0", avg)
 	}
 }
 

@@ -347,7 +347,7 @@ func TestQueriesAllocFreeAfterCompaction(t *testing.T) {
 }
 
 // TestForEachPairMatchesPairs: the streaming iterator visits exactly
-// the cached pair list, in the same canonical order.
+// the pairs Pairs lists, in the same canonical order.
 func TestForEachPairMatchesPairs(t *testing.T) {
 	m := NewMatrix()
 	rng := rand.New(rand.NewSource(17))

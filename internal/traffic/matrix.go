@@ -78,12 +78,6 @@ type Matrix struct {
 	// generation from logBaseGen+i to logBaseGen+i+1.
 	log        []EdgeChange
 	logBaseGen uint64
-
-	// Cached pair list served by Pairs, rebuilt lazily when gen moves.
-	pairCache  []Pair
-	rateCache  []float64
-	cacheGen   uint64
-	cacheValid bool
 }
 
 // NewMatrix returns an empty matrix.
@@ -496,8 +490,8 @@ func (m *Matrix) TotalRate() float64 {
 
 // ForEachPair calls f for every communicating pair in deterministic
 // (A asc, B asc) order — the same order Pairs reports — without
-// materializing the pair-list cache. This is the memory-frugal path for
-// one-shot full scans at scale (accounting rebuilds, streaming export).
+// materializing a pair list. This is the memory-frugal path for full
+// scans at scale (accounting rebuilds, streaming export).
 func (m *Matrix) ForEachPair(f func(a, b cluster.VMID, rate float64)) {
 	for i := range m.rows {
 		u := m.base + cluster.VMID(i)
@@ -510,25 +504,16 @@ func (m *Matrix) ForEachPair(f func(a, b cluster.VMID, rate float64)) {
 }
 
 // Pairs returns all communicating pairs in deterministic (A asc, B asc)
-// order with their rates. The result is cached between mutations; the
-// returned slices are owned by the matrix and must be treated as
-// read-only (see the package comment).
+// order with their rates, in fresh slices owned by the caller. The
+// matrix keeps no copy; a scan that needs none streams ForEachPair.
 func (m *Matrix) Pairs() ([]Pair, []float64) {
-	if !m.cacheValid || m.cacheGen != m.gen {
-		m.rebuildPairCache()
-	}
-	return m.pairCache, m.rateCache
-}
-
-func (m *Matrix) rebuildPairCache() {
 	ps := make([]Pair, 0, m.numPairs)
 	rs := make([]float64, 0, m.numPairs)
 	m.ForEachPair(func(a, b cluster.VMID, rate float64) {
 		ps = append(ps, Pair{A: a, B: b})
 		rs = append(rs, rate)
 	})
-	m.pairCache, m.rateCache = ps, rs
-	m.cacheGen, m.cacheValid = m.gen, true
+	return ps, rs
 }
 
 // Scaled returns a copy of the matrix with every rate multiplied by f
@@ -583,7 +568,7 @@ type Stats struct {
 
 // Stats returns the current storage accounting. Bytes counts the
 // adjacency structures only (arena, row table, overflow region); the
-// changelog and pair cache are excluded.
+// changelog is excluded.
 func (m *Matrix) Stats() Stats {
 	s := Stats{
 		Pairs:         m.numPairs,

@@ -64,9 +64,8 @@
 // from outside the program — the daemon's observe and restore paths —
 // admits only pairs whose endpoints the cluster has registered.
 //
-// A generation counter increments on every mutation; it backs the
-// lazily rebuilt pair-list cache served by Pairs. Each mutation is also
-// recorded in a bounded edge-level changelog (ChangesSince). A consumer
+// A generation counter increments on every mutation. Each mutation is
+// also recorded in a bounded edge-level changelog (ChangesSince). A consumer
 // keeping a sum over pairs — the engine's cost accounting, the planner's
 // summary, the link loads — reads it through a Follower, which folds
 // the delta per edge, and each moved VM's row once, from this log and the
@@ -75,17 +74,15 @@
 //
 // # Slice ownership
 //
-// NeighborEdges and Pairs return slices owned by the Matrix: callers
-// must treat them as read-only and must not hold them across mutations
+// NeighborEdges returns a slice owned by the Matrix: callers must treat
+// it as read-only and must not hold it across mutations
 // (Set/Add/Compact). Adjacency rows are edited in place — and a
 // compaction or row spill moves them wholesale — so a NeighborEdges
 // slice held across a mutation may see its entries rewritten, shifted,
-// or left pointing into a retired arena. Pair-list snapshots from Pairs
-// are rebuilt into fresh backing arrays, so an earlier snapshot merely
-// goes stale but stays internally consistent. Neighbors, by contrast,
-// returns a copy owned by the caller. ForEachPair visits pairs in the
-// same canonical order as Pairs without materializing the cache — the
-// memory-frugal choice for one-shot scans at scale.
+// or left pointing into a retired arena. Neighbors and Pairs, by
+// contrast, return copies owned by the caller. ForEachPair visits pairs
+// in the same canonical order as Pairs without materializing a list —
+// the memory-frugal choice for scans at scale.
 package traffic
 
 import (
