@@ -635,22 +635,6 @@ func BenchmarkHLFNext(b *testing.B) {
 	}
 }
 
-// BenchmarkDESEventThroughput measures raw scheduler throughput.
-func BenchmarkDESEventThroughput(b *testing.B) {
-	e := netsim.NewEngine()
-	var fire func()
-	count := 0
-	fire = func() {
-		count++
-		if count < b.N {
-			e.After(0.001, fire)
-		}
-	}
-	b.ResetTimer()
-	e.After(0.001, fire)
-	e.Run()
-}
-
 // BenchmarkGAGeneration measures one GA generation on the small
 // instance (population 30).
 func BenchmarkGAGeneration(b *testing.B) {

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/score-dc/score/internal/experiments"
@@ -40,17 +41,35 @@ func main() {
 	}
 }
 
+// sections are the keys -only selects, in the order they run.
+var sections = []string{"fig2", "fig3tm", "fig3", "fig4", "fig5a", "fig5b", "ablations", "shards", "dist", "autotune", "fig5cd"}
+
 func run() error {
 	scaleFlag := flag.String("scale", "medium", "instance scale: small, medium, or paper")
 	seed := flag.Int64("seed", 20140630, "deterministic seed")
 	outDir := flag.String("out", "results", "directory for CSV output (empty disables)")
-	only := flag.String("only", "", "comma-separated subset: fig2,fig3tm,fig3,fig4,fig5a,fig5b,fig5cd,ablations,shards,dist,autotune")
+	only := flag.String("only", "", "comma-separated subset: "+strings.Join(sections, ","))
 	maxFlows := flag.Int("maxflows", 1000000, "flow-table sweep upper bound for fig5a")
 	maxShards := flag.Int("shards", 8, "largest shard count in the shard sweep (doubling from 2)")
 	distShards := flag.Int("distributed-shards", 0, "largest ring count in the distributed agent-plane sweep (>0 enables the dist section)")
 	distLoss := flag.Float64("dist-loss", 0, "distributed sweep: per-hop shard-token drop probability (exercises reconciler ring regeneration)")
 	metricsAddr := flag.String("metrics-addr", "", "serve runtime /metrics and /debug/pprof/ on this address while figures generate (e.g. :9090)")
 	flag.Parse()
+
+	want := map[string]bool{}
+	if *only != "" {
+		for _, k := range strings.Split(*only, ",") {
+			k = strings.TrimSpace(k)
+			if !slices.Contains(sections, k) {
+				return fmt.Errorf("unknown -only key %q (valid: %s)", k, strings.Join(sections, ","))
+			}
+			want[k] = true
+		}
+	}
+	if want["dist"] && *distShards <= 0 {
+		return fmt.Errorf("-only dist needs -distributed-shards above 0")
+	}
+	enabled := func(k string) bool { return len(want) == 0 || want[k] }
 
 	if *metricsAddr != "" {
 		reg := obs.NewRegistry()
@@ -74,14 +93,6 @@ func run() error {
 	default:
 		return fmt.Errorf("unknown scale %q", *scaleFlag)
 	}
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, k := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(k)] = true
-		}
-	}
-	enabled := func(k string) bool { return len(want) == 0 || want[k] }
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {

@@ -5,11 +5,13 @@
 // Usage:
 //
 //	scoresim [-topo canonical|fattree] [-racks N] [-hosts N] [-k N]
-//	         [-vms-per-host N] [-density 1|10|50] [-policy hlf|rr|llf|random]
-//	         [-cm COST] [-duration SEC] [-loss PROB] [-seed N]
-//	         [-shards N] [-shard-granularity pod|rack]
+//	         [-vms-per-host N] [-slots N] [-density 1|10|50]
+//	         [-policy hlf|rr|llf|random] [-cm COST] [-duration SEC]
+//	         [-hop SEC] [-loss PROB] [-seed N] [-chart=false]
+//	         [-shards N] [-shard-granularity pod|rack] [-autotune]
 //	         [-distributed-shards N] [-dist-deadline SEC]
-//	         [-metrics-addr HOST:PORT]
+//	         [-adaptive-deadline] [-delay PROB] [-delay-s SEC]
+//	         [-metrics-addr HOST:PORT] [-audit-dump PATH]
 //
 // -policy selects the forwarding policy of the single token (the default
 // mode). The sharded modes (-shards, -distributed-shards, -autotune)

@@ -10,94 +10,6 @@ import (
 	"github.com/score-dc/score/internal/traffic"
 )
 
-func TestEngineOrdersEvents(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.Schedule(3, func() { order = append(order, 3) })
-	e.Schedule(1, func() { order = append(order, 1) })
-	e.Schedule(2, func() { order = append(order, 2) })
-	e.Run()
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("execution order = %v", order)
-	}
-	if got := e.Now(); got != 3 {
-		t.Fatalf("Now = %v, want 3", got)
-	}
-}
-
-func TestEngineFIFOAtSameTime(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5, func() { order = append(order, i) })
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("same-time events not FIFO: %v", order)
-		}
-	}
-}
-
-func TestEngineAfterAndNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	var times []float64
-	e.After(1, func() {
-		times = append(times, e.Now())
-		e.After(2, func() { times = append(times, e.Now()) })
-	})
-	e.Run()
-	if len(times) != 2 || times[0] != 1 || times[1] != 3 {
-		t.Fatalf("nested scheduling times = %v", times)
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.Schedule(1, func() { ran++ })
-	e.Schedule(10, func() { ran++ })
-	e.RunUntil(5)
-	if ran != 1 {
-		t.Fatalf("events run = %d, want 1", ran)
-	}
-	if got := e.Now(); got != 5 {
-		t.Fatalf("Now = %v, want 5 (clock advances to horizon)", got)
-	}
-	if got := e.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
-	}
-}
-
-func TestEnginePastEventsRunNow(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(5, func() {
-		e.Schedule(1, func() { // in the past: must run at t=5, not rewind
-			if e.Now() != 5 {
-				t.Fatalf("past event ran at %v", e.Now())
-			}
-		})
-	})
-	e.Run()
-}
-
-func TestEngineStopResume(t *testing.T) {
-	e := NewEngine()
-	ran := 0
-	e.Schedule(1, func() { ran++; e.Stop() })
-	e.Schedule(2, func() { ran++ })
-	e.Run()
-	if ran != 1 {
-		t.Fatalf("Stop did not halt: ran=%d", ran)
-	}
-	e.Resume()
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("Resume did not continue: ran=%d", ran)
-	}
-}
-
 func buildNet(t *testing.T) (*Network, topology.Topology, *cluster.Cluster, *traffic.Matrix) {
 	t.Helper()
 	topo, err := topology.NewCanonicalTree(topology.ScaledCanonicalConfig(8, 4))

@@ -1,3 +1,13 @@
+// Package netsim is the flow-level network model that replaces ns-3 in
+// this reproduction (Section VI): it routes every pair's rate over its
+// path and keeps each link's offered load.
+//
+// Every metric the paper reports is an average over measurement windows
+// of seconds to minutes (λ is defined as an average rate over a temporal
+// window, Section III), so a flow-level model that routes the same
+// pairwise rates over the same paths reproduces the paper's cost and
+// utilization arithmetic without per-packet simulation. The simulated
+// runs keep their own virtual time (internal/sim).
 package netsim
 
 import (

@@ -46,16 +46,10 @@ func TestReusedHolderViewEqualsFresh(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TokenLossProb = 0.002
 	pol := &freshViewCheck{t: t, eng: eng}
-	r, err := NewRunner(eng, pol, cfg, rng)
+	// Rates change every 115 hops (2.3 s), after the check.
+	r, err := NewRunner(eng, &churn{Policy: pol, eng: eng, rng: rand.New(rand.NewSource(5)), k: 115}, cfg, rng)
 	if err != nil {
 		t.Fatal(err)
-	}
-	vms, churn := eng.Cluster().VMs(), rand.New(rand.NewSource(5))
-	for at := 1.0; at < cfg.DurationS; at += 2.3 {
-		r.des.Schedule(at, func() {
-			a, b := vms[churn.Intn(len(vms))], vms[churn.Intn(len(vms))]
-			eng.Traffic().Set(a, b, 90*churn.Float64()*float64(churn.Intn(3)))
-		})
 	}
 	m, err := r.Run()
 	if err != nil {
@@ -98,9 +92,9 @@ func TestHolderViewAndNextZeroAllocs(t *testing.T) {
 
 // TestHopZeroAllocs: once a run has converged and the hop's buffers are
 // warm, a whole token hop — the holder's Visit, its view, Highest-Level
-// First's Next and the scheduling of the next hop — allocates nothing.
-// The hop runs as the run delivers it, from the event queue, where it is
-// the only pending event.
+// First's Next and the delay to the next hop — allocates nothing. The
+// hop runs as the run delivers it: the clock advances by the hop latency
+// and the serial plane steps.
 func TestHopZeroAllocs(t *testing.T) {
 	eng, rng := buildEngine(t, 4)
 	cfg := smallConfig()
@@ -113,12 +107,13 @@ func TestHopZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if last := m.Iterations[len(m.Iterations)-2]; m.TotalMigrations == 0 || last.Migrations != 0 {
+	if last := m.Iterations[len(m.Iterations)-1]; m.TotalMigrations == 0 || last.Migrations != 0 {
 		t.Fatalf("%d migrations, %d in the last full pass: the run did not converge", m.TotalMigrations, last.Migrations)
 	}
 	hop := func() {
-		if r.des.Pending() != 1 || !r.des.Step() {
-			t.Fatalf("%d pending events, want the next hop alone", r.des.Pending())
+		r.now += r.cfg.HopLatencyS
+		if d, ok := r.step(); !ok || d != r.cfg.HopLatencyS {
+			t.Fatalf("step returned %v, %v: want the next hop", d, ok)
 		}
 	}
 	for i := 0; i < eng.Cluster().NumVMs(); i++ { // warm: every holder once
@@ -156,39 +151,5 @@ func TestUnconvergedRunAllocsBelowMigrations(t *testing.T) {
 	}
 	if allocs := after.Mallocs - before.Mallocs; allocs >= uint64(m.TotalMigrations) {
 		t.Fatalf("the run allocated %d times for %d migrations, want fewer", allocs, m.TotalMigrations)
-	}
-}
-
-// TestPendingEventsBounded: after every step of an unconverged run with
-// token loss, the event queue holds at most the next hop, the next
-// sample and a lost token's regeneration; a migration in its pre-copy
-// adds none. Run only sets the run up (its duration ends before the
-// first hop); the test then lengthens it and delivers every event.
-func TestPendingEventsBounded(t *testing.T) {
-	eng, rng := buildEngineSized(t, 9, 32, 0)
-	cfg := smallConfig()
-	cfg.DurationS = cfg.HopLatencyS / 2
-	cfg.TokenLossProb = 0.01
-	r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Run(); err != nil {
-		t.Fatal(err)
-	}
-	r.cfg.DurationS = 60
-	migs, regens, most := r.metrics.TotalMigrations, r.metrics.TokensRegenerated, 0
-	for r.des.Step() && r.des.Now() <= r.cfg.DurationS {
-		n := r.des.Pending()
-		if n > 3 {
-			t.Fatalf("t=%.2fs: %d pending events, want at most 3", r.des.Now(), n)
-		}
-		most = max(most, n)
-	}
-	if r.metrics.TotalMigrations == migs || r.metrics.TokensRegenerated == regens {
-		t.Fatalf("%d migrations, %d regenerations: the run exercised neither", r.metrics.TotalMigrations-migs, r.metrics.TokensRegenerated-regens)
-	}
-	if most < 2 {
-		t.Fatalf("at most %d pending events: the sample tick never ran beside the hop", most)
 	}
 }

@@ -30,7 +30,11 @@ func TestLinkUtilEqualsRoutedLoad(t *testing.T) {
 		eng, rng := buildEngine(t, c.seed)
 		cfg := smallConfig()
 		c.set(&cfg)
-		r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
+		var pol token.Policy = token.HighestLevelFirst{}
+		if c.name == "serial" { // rates change every 115 hops (2.3 s)
+			pol = &churn{Policy: pol, eng: eng, rng: rand.New(rand.NewSource(5)), k: 115}
+		}
+		r, err := NewRunner(eng, pol, cfg, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,15 +48,6 @@ func TestLinkUtilEqualsRoutedLoad(t *testing.T) {
 			reads++
 			if util > 0 {
 				loaded++
-			}
-		}
-		if c.name == "serial" {
-			vms, churn := eng.Cluster().VMs(), rand.New(rand.NewSource(5))
-			for at := 1.0; at < cfg.DurationS; at += 2.3 {
-				r.des.Schedule(at, func() {
-					a, b := vms[churn.Intn(len(vms))], vms[churn.Intn(len(vms))]
-					eng.Traffic().Set(a, b, 90*churn.Float64()*float64(churn.Intn(3)))
-				})
 			}
 		}
 		m, err := r.Run()

@@ -1,8 +1,8 @@
 package sim
 
-// This file runs the Remedy baseline as a discrete-event Runner plane:
-// the controller's polling round is the plane's one event, next to the
-// run's cost-sampling tick, and the run starts and finishes as the
+// This file runs the Remedy baseline as a Runner plane: the controller's
+// polling round is the plane's one event, on Runner.run's clock next to
+// the run's cost-sampling tick, and the run starts and finishes as the
 // serial token run does.
 
 import (
@@ -48,17 +48,13 @@ func RunRemedy(eng *core.Engine, cfg RemedyConfig, rng *rand.Rand) (*Metrics, er
 	}
 	r := newRunner(eng, Config{DurationS: cfg.DurationS, SampleIntervalS: cfg.SampleIntervalS}, rng, ctrl.Network())
 	r.begin()
-	var round func()
-	round = func() {
+	r.run(remedyRoundS, func() (float64, bool) {
 		migs := ctrl.Round()
 		r.metrics.TotalMigrations += len(migs)
 		for _, mg := range migs {
 			r.metrics.TotalMigratedMB += mg.CostMB
 		}
-		if r.des.Now()+remedyRoundS <= cfg.DurationS {
-			r.des.After(remedyRoundS, round)
-		}
-	}
-	r.runDES(remedyRoundS, round)
+		return remedyRoundS, true
+	})
 	return r.finish(), nil
 }

@@ -1,12 +1,12 @@
 package sim
 
 // This file implements the runner's sharded mode: instead of
-// circulating one token through the discrete-event engine, the runner
-// executes partition/reconcile rounds via internal/shard. Each round
+// circulating one token on Runner.run's clock, the runner executes
+// partition/reconcile rounds via internal/shard. Each round
 // runs one token ring per topology-aligned shard concurrently;
 // simulated time advances by the longest ring's hop count (the rings
 // overlap in wall-clock), and the cost series is sampled at round
-// boundaries rather than on the discrete-event tick; the run starts and
+// boundaries rather than on the sampling tick; the run starts and
 // finishes as every plane does (Runner.begin, Runner.finish). Migration
 // durations and downtimes are still drawn from the pre-copy model under
 // the link load, so Fig. 5-style distributions remain comparable with

@@ -58,7 +58,7 @@ func TestShardedRunReducesCost(t *testing.T) {
 }
 
 // TestShardedMatchesSingleTokenTrend: the sharded mode must reach a
-// final cost in the same neighborhood as the classic single-token DES
+// final cost in the same neighborhood as the classic single-token
 // run on the same instance (it is a scheduling deviation, not a
 // different objective).
 func TestShardedMatchesSingleTokenTrend(t *testing.T) {

@@ -1,6 +1,5 @@
-// Package sim orchestrates full S-CORE and Remedy runs over the
-// discrete-event engine, producing the time series and distributions
-// behind Figs. 2, 3 and 4.
+// Package sim orchestrates full S-CORE and Remedy runs in virtual time,
+// producing the time series and distributions behind Figs. 2, 3 and 4.
 //
 // A run circulates the migration token among VMs: each hop, the holding
 // VM's hypervisor evaluates the S-CORE migration policy (Theorem 1) from
@@ -8,6 +7,14 @@
 // and downtime come from the pre-copy model under the current link
 // load), and passes the token on according to the configured policy.
 // Global communication cost is sampled on a fixed tick.
+//
+// A run keeps two clocks, not an event queue: the sampling tick and the
+// plane's next event. The single token is in one place at a time, so the
+// serial run has one pending token event (the next hop, or a lost
+// token's regeneration), and the Remedy run has one pending polling
+// round. Runner.run delivers whichever of the two is due first; of two
+// due at one time, the one scheduled first. Every other plane advances
+// its own clock round by round.
 //
 // The model's background load is the busier endpoint's access-link
 // utilization: the engine's NIC load of the host (Engine.HostNetLoad,
@@ -45,9 +52,9 @@ type Config struct {
 	// MaxIterations stops the token after this many full passes
 	// (|V| hops each); 0 means run until DurationS.
 	MaxIterations int
-	// TokenLossProb injects token loss per hop. In the single-token
-	// discrete-event run a lost token is regenerated (with reset level
-	// state) at the lowest-ID VM after regenTimeoutS (10 s). In the
+	// TokenLossProb injects token loss per hop. In the single-token run
+	// a lost token is regenerated (with reset level state) at the
+	// lowest-ID VM after regenTimeoutS (10 s). In the
 	// distributed agent plane (DistributedShards > 0) the loss is
 	// injected by a seeded hypervisor.FaultPlan dropping MsgShardToken
 	// hops on the wire, and recovery is the reconciler's own: the
@@ -66,8 +73,8 @@ type Config struct {
 	// instead of one circulating token, each round runs an independent
 	// token ring per topology-aligned shard concurrently and merges the
 	// results through a deterministic reconciliation pass. 0 or 1 keeps
-	// the paper's single-token discrete-event run. Token-loss injection
-	// does not apply to sharded rounds. Every sharded mode (this one,
+	// the paper's single-token run. Token-loss injection does not apply
+	// to sharded rounds. Every sharded mode (this one,
 	// DistributedShards, AutoTune) walks its rings in ID order and
 	// accepts only a token.RingOrder policy; the others need the single
 	// token's history and are refused.
@@ -242,7 +249,9 @@ type Runner struct {
 	policy token.Policy
 	rng    *rand.Rand
 
-	des *netsim.Engine
+	// now is the run's virtual time in seconds: the due time of the
+	// event Runner.run delivers.
+	now float64
 	net *netsim.Network
 	tok *token.Token
 
@@ -252,14 +261,10 @@ type Runner struct {
 	// token can reach: nothing registers a VM while Run runs.
 	flightBase cluster.VMID
 	flight     []float64
-	// hopFn delivers the token to next. The serial run has exactly one
-	// token in flight, so one pending hop at most: a hop schedules the
-	// next one, and a lost token's regeneration calls hop itself.
-	hopFn func()
-	next  cluster.VMID
-	// tickFn is tick, bound once: the cost-sampling tick of the
-	// discrete-event planes, which schedules itself.
-	tickFn func()
+	// next is the token's next holder; lost marks a token lost in
+	// flight, which the next step regenerates before it hops.
+	next cluster.VMID
+	lost bool
 	// nbrs is lent to the policy as every hop's Neighbors.
 	nbrs []token.Entry
 	// onLinkRead, set by in-package tests, observes every value linkUtil
@@ -272,7 +277,6 @@ type Runner struct {
 	hopsLeft int
 	iterMigs int
 	numVMs   int
-	stopped  bool
 }
 
 // NewRunner assembles a run. The engine's cluster must already hold the
@@ -292,15 +296,7 @@ func NewRunner(eng *core.Engine, pol token.Policy, cfg Config, rng *rand.Rand) (
 // newRunner assembles the parts every plane shares; net is the routed
 // network the run's final link utilizations are read from.
 func newRunner(eng *core.Engine, cfg Config, rng *rand.Rand, net *netsim.Network) *Runner {
-	r := &Runner{
-		cfg: cfg, eng: eng, rng: rng,
-		des: netsim.NewEngine(),
-		net: net,
-		ob:  newRunObs(cfg),
-	}
-	r.hopFn = func() { r.hop(r.next) }
-	r.tickFn = r.tick
-	return r
+	return &Runner{cfg: cfg, eng: eng, rng: rng, net: net, ob: newRunObs(cfg)}
 }
 
 // Run executes the simulation and returns its metrics.
@@ -340,9 +336,11 @@ func (r *Runner) Run() (*Metrics, error) {
 	// Token starts at the lowest-ID VM ("starting from the VM with
 	// lowest ID", Section V-A1).
 	r.next = vms[0]
-	r.runDES(r.cfg.HopLatencyS, r.hopFn)
+	r.run(r.cfg.HopLatencyS, r.step)
 
-	r.finishIteration() // flush a partial final pass
+	if len(r.metrics.Iterations)*r.numVMs < r.hops {
+		r.finishIteration() // a partial final pass: hops no recorded pass holds
+	}
 	r.metrics.TokenHops = r.hops
 	return r.finish(), nil
 }
@@ -355,22 +353,35 @@ func (r *Runner) begin() {
 	r.ob.sample(r.metrics.InitialCost, r.eng.Traffic())
 }
 
-// runDES runs a discrete-event plane to the end of its duration: the
-// sampling tick first, then the plane's own first event fn, due after
-// first seconds. At an equal time the earlier-scheduled event runs
-// first, so this order decides whether a sample reads the cost before or
-// after a plane event due with it.
-func (r *Runner) runDES(first float64, fn func()) {
-	r.des.After(r.cfg.SampleIntervalS, r.tickFn)
-	r.des.After(first, fn)
-	r.des.RunUntil(r.cfg.DurationS)
-}
-
-// tick samples the cost and schedules the next sample within the run.
-func (r *Runner) tick() {
-	r.appendCost(r.des.Now())
-	if r.des.Now()+r.cfg.SampleIntervalS <= r.cfg.DurationS {
-		r.des.After(r.cfg.SampleIntervalS, r.tickFn)
+// run drives a discrete plane to the end of its duration on two clocks:
+// the sampling tick, first due after one interval, and the plane's next
+// event, first due after first seconds. Each turn delivers whichever is
+// due first, and stops once that lies past the duration. step runs the
+// plane's event at r.now and returns the delay to its next one, or false
+// when it has none. Of two due at one time, the one scheduled first runs
+// first: the tick at the start, else whichever ran last is the later
+// one. That decides whether a sample reads the cost before or after a
+// plane event due with it.
+func (r *Runner) run(first float64, step func() (delay float64, ok bool)) {
+	tick, next, ok := r.cfg.SampleIntervalS, first, true
+	tickLater := false // the tick was scheduled after the plane's event
+	for {
+		if ok && (next < tick || next == tick && tickLater) {
+			if next > r.cfg.DurationS {
+				return
+			}
+			r.now = next
+			var d float64
+			d, ok = step()
+			next, tickLater = r.now+d, false
+			continue
+		}
+		if tick > r.cfg.DurationS {
+			return
+		}
+		r.now = tick
+		r.appendCost(tick)
+		tick, tickLater = tick+r.cfg.SampleIntervalS, true
 	}
 }
 
@@ -388,14 +399,22 @@ func (r *Runner) finish() *Metrics {
 	return &r.metrics
 }
 
-// hop processes the token at holder and forwards it.
-func (r *Runner) hop(holder cluster.VMID) {
-	if r.stopped {
-		return
+// step is the serial plane's event: it regenerates a lost token, a fresh
+// one with its level state lost, at the lowest-ID VM; then it processes
+// the token at its holder and forwards it. It returns the delay to the
+// token's next event: the next hop, or the regeneration of a token lost
+// in flight; none once the pass budget is spent or the policy has no next
+// holder.
+func (r *Runner) step() (float64, bool) {
+	if r.lost {
+		r.lost = false
+		vms := r.eng.Cluster().VMs()
+		r.tok = token.NewAtLevel(vms, uint8(r.eng.Topology().Depth()))
+		r.next = vms[0]
 	}
+	holder := r.next
 	if r.hopsLeft == 0 {
-		r.stopped = true
-		return
+		return 0, false
 	}
 	if r.hopsLeft > 0 {
 		r.hopsLeft--
@@ -408,11 +427,11 @@ func (r *Runner) hop(holder cluster.VMID) {
 	if r.cfg.TokenLossProb > 0 && r.rng.Float64() < r.cfg.TokenLossProb {
 		r.metrics.TokensRegenerated++
 		r.ob.plane.Regens.Inc()
-		r.des.After(regenTimeoutS, r.regenerate)
-		return
+		r.lost = true
+		return regenTimeoutS, true
 	}
 
-	if r.des.Now() >= r.flight[holder-r.flightBase] {
+	if r.now >= r.flight[holder-r.flightBase] {
 		if dec, ok, _ := r.eng.Visit(holder); ok {
 			r.startMigration(dec)
 		}
@@ -422,24 +441,13 @@ func (r *Runner) hop(holder cluster.VMID) {
 	view := r.holderView(holder)
 	next, ok := r.policy.Next(r.tok, view)
 	if !ok {
-		return // nothing to pass to
+		return 0, false // nothing to pass to
 	}
 	if r.hops%r.numVMs == 0 {
 		r.finishIteration()
 	}
 	r.next = next
-	r.des.After(r.cfg.HopLatencyS, r.hopFn)
-}
-
-// regenerate replaces a lost token: a fresh one, its level state lost,
-// starts again at the lowest-ID VM.
-func (r *Runner) regenerate() {
-	if r.stopped {
-		return
-	}
-	vms := r.eng.Cluster().VMs()
-	r.tok = token.NewAtLevel(vms, uint8(r.eng.Topology().Depth()))
-	r.hop(vms[0])
+	return r.cfg.HopLatencyS, true
 }
 
 // holderView refills r.nbrs with u's pair levels, in row order: u's host
@@ -490,7 +498,7 @@ func (r *Runner) linkUtil(h cluster.HostID) float64 {
 // metrics and (ii) sets the time the VM's pre-copy ends, before which no
 // hop re-decides it. A hop due at that very time does: every later hop is
 // scheduled after this one, so an event ending the pre-copy at that time
-// would have run before it.
+// would run before it.
 func (r *Runner) startMigration(dec core.Decision) {
 	cl := r.eng.Cluster()
 	// The model reads the NIC loads as they stand; the read folds what
@@ -506,7 +514,7 @@ func (r *Runner) startMigration(dec core.Decision) {
 	r.ob.plane.Migrations.Inc()
 	r.charge(res)
 
-	r.flight[dec.VM-r.flightBase] = r.des.Now() + max(res.TotalS, 0)
+	r.flight[dec.VM-r.flightBase] = r.now + max(res.TotalS, 0)
 }
 
 // charge folds one executed migration's modelled bytes, duration and

@@ -66,6 +66,30 @@ func buildEngineSized(t *testing.T, seed int64, racks, cpuMilli int) (*core.Engi
 	return eng, rng
 }
 
+// churn wraps the policy under test and changes rates mid-run: after
+// every k-th Next it sets one random pair's rate (0 retires the pair),
+// and with add also adds to another pair.
+type churn struct {
+	token.Policy
+	eng      *core.Engine
+	rng      *rand.Rand
+	k, calls int
+	add      bool
+}
+
+func (p *churn) Next(tok *token.Token, view token.HolderView) (cluster.VMID, bool) {
+	next, ok := p.Policy.Next(tok, view)
+	if p.calls++; p.calls%p.k == 0 {
+		vms, tm := p.eng.Cluster().VMs(), p.eng.Traffic()
+		a, b := vms[p.rng.Intn(len(vms))], vms[p.rng.Intn(len(vms))]
+		tm.Set(a, b, 90*p.rng.Float64()*float64(p.rng.Intn(3)))
+		if p.add {
+			tm.Add(b, vms[p.rng.Intn(len(vms))], p.rng.ExpFloat64())
+		}
+	}
+	return next, ok
+}
+
 func smallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.DurationS = 200
@@ -101,6 +125,49 @@ func TestRunReducesCost(t *testing.T) {
 	}
 	if len(m.UtilizationByLevel[3]) == 0 {
 		t.Fatal("no level-3 utilization samples")
+	}
+}
+
+// TestRunRecordsEachPassOnce: a run capped at P passes records exactly
+// P, indexed 1..P, with every hop and migration in one of them; a run
+// that ends mid-pass keeps its partial pass.
+func TestRunRecordsEachPassOnce(t *testing.T) {
+	passes := func(t *testing.T, cfg Config) (*Metrics, int) {
+		t.Helper()
+		eng, rng := buildEngine(t, 9)
+		r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := r.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		migs := 0
+		for i, it := range m.Iterations {
+			if it.Index != i+1 {
+				t.Fatalf("pass %d has index %d", i+1, it.Index)
+			}
+			migs += it.Migrations
+		}
+		if migs != m.TotalMigrations || m.TotalMigrations == 0 {
+			t.Fatalf("passes hold %d migrations, the run made %d", migs, m.TotalMigrations)
+		}
+		return m, eng.Cluster().NumVMs()
+	}
+	for _, p := range []int{1, 2, 5} {
+		cfg := smallConfig()
+		cfg.MaxIterations = p
+		m, n := passes(t, cfg)
+		if len(m.Iterations) != p || m.TokenHops != p*n {
+			t.Fatalf("capped at %d passes: %d recorded, %d hops of %d VMs", p, len(m.Iterations), m.TokenHops, n)
+		}
+	}
+	cfg := smallConfig()
+	cfg.DurationS = 1.5 * 128 * cfg.HopLatencyS // 128 VMs: half way through pass 2
+	m, n := passes(t, cfg)
+	if len(m.Iterations) != 2 || m.TokenHops <= n || m.TokenHops >= 2*n {
+		t.Fatalf("%d hops of %d VMs: %d passes recorded, want 2", m.TokenHops, n, len(m.Iterations))
 	}
 }
 
@@ -282,19 +349,13 @@ func TestLinkLoadsAfterRunEqualRecompute(t *testing.T) {
 		eng, rng := buildEngine(t, 9)
 		cfg := smallConfig()
 		cfg.Shards = shards
-		r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
+		var pol token.Policy = token.HighestLevelFirst{}
+		if shards == 0 { // rates change every 185 hops (3.7 s)
+			pol = &churn{Policy: pol, eng: eng, rng: rand.New(rand.NewSource(3)), k: 185, add: true}
+		}
+		r, err := NewRunner(eng, pol, cfg, rng)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if shards == 0 {
-			vms, churn := eng.Cluster().VMs(), rand.New(rand.NewSource(3))
-			for at := 1.0; at < cfg.DurationS; at += 3.7 {
-				r.des.Schedule(at, func() {
-					a, b := vms[churn.Intn(len(vms))], vms[churn.Intn(len(vms))]
-					eng.Traffic().Set(a, b, 90*churn.Float64()*float64(churn.Intn(3)))
-					eng.Traffic().Add(b, vms[churn.Intn(len(vms))], churn.ExpFloat64())
-				})
-			}
 		}
 		m, err := r.Run()
 		if err != nil {

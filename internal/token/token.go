@@ -9,7 +9,7 @@
 //
 // The level entries are history: a policy prioritises with what earlier
 // passes of the same token recorded. Only the single persistent token
-// (sim.Runner's discrete-event loop, the global agent ring) has any —
+// (sim.Runner's serial run, the global agent ring) has any —
 // there all four policies differ. A sharded round starts every ring's
 // token fresh and walks it for one pass, where the RingOrder policies
 // all reduce to "pass to the next ID": both sharded schedulers visit in

@@ -16,7 +16,8 @@
 //   - topologies (canonical tree, fat-tree) and clusters of hosts/VMs
 //   - traffic matrices and the hotspot workload generator
 //   - the cost model and migration decision engine
-//   - token policies and the discrete-event simulation runner
+//   - token policies and the simulation runner, which keeps virtual time
+//     on two clocks: the cost-sampling tick and the token's next event
 //   - the GA and Remedy baselines and the pre-copy migration model
 //
 // A minimal run:
@@ -217,8 +218,6 @@ type (
 	Metrics = sim.Metrics
 	// RemedySimConfig tunes a Remedy comparison run.
 	RemedySimConfig = sim.RemedyConfig
-	// DESEngine is the discrete-event scheduler.
-	DESEngine = netsim.Engine
 	// Network tracks per-link offered load.
 	Network = netsim.Network
 )
