@@ -8,11 +8,10 @@
 // load), and passes the token on according to the configured policy.
 // Global communication cost is sampled on a fixed tick.
 //
-// A run keeps two clocks, not an event queue: the sampling tick and the
-// plane's next event. The single token is in one place at a time, so the
-// serial run has one pending token event (the next hop, or a lost
-// token's regeneration), and the Remedy run has one pending polling
-// round. Runner.run delivers whichever of the two is due first; of two
+// A run keeps two clocks: the sampling tick and the plane's next event.
+// The single token is in one place at a time, so the serial run has one
+// pending token event (the next hop, or a lost token's regeneration),
+// and the Remedy run has one pending polling round. Runner.run delivers whichever of the two is due first; of two
 // due at one time, the one scheduled first. Every other plane advances
 // its own clock round by round.
 //
