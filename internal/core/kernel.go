@@ -17,10 +17,12 @@ import (
 type Kernel struct {
 	// rackOf/podOf flatten the topology's levels (the Topology contract: 0
 	// same host, 1 same rack, 2 same pod, 3 via core) into per-host keys;
-	// prefix[l] is cost.Prefix(l); rackHosts[r] is topo.HostsInRack(r);
-	// cm is c_m (Theorem 1).
+	// prefix[l] is cost.Prefix(l); rackHosts[r] is topo.HostsInRack(r),
+	// and rackPos[h] is h's first index in its rack's list, −1 for a host
+	// the list leaves out; cm is c_m (Theorem 1).
 	rackOf    []int32
 	podOf     []int32
+	rackPos   []int32
 	prefix    [4]float64
 	rackHosts [][]cluster.HostID
 	cm        float64
@@ -31,7 +33,8 @@ type Kernel struct {
 	// (see visitMemo). probed is an epoch array: probed[h] == probeEpoch
 	// marks h probed in this Best, probeEpoch−1 a peer's host not yet
 	// probed. The epoch steps by two, so neither mark can match an older
-	// one, and the array is cleared when it wraps.
+	// one, and the array is cleared when it wraps. walk holds one rack's
+	// unclaimed peer hosts (rackPeers).
 	cur             cluster.HostID
 	curRack, curPod int32
 	peers           []peerEntry
@@ -39,6 +42,7 @@ type Kernel struct {
 	probed          []uint32
 	probeEpoch      uint32
 	refusals        []cluster.HostID
+	walk            []cluster.HostID
 }
 
 // peerEntry is what one peer's term of Eq. 5 needs that does not depend
@@ -104,23 +108,29 @@ func checkLevels(topo topology.Topology, cost CostModel) error {
 
 // newKernel flattens the level tables over host IDs [0, span).
 func newKernel(topo topology.Topology, cost CostModel, migrationCost float64, span int) Kernel {
-	k := Kernel{rackOf: make([]int32, span), podOf: make([]int32, span), rackHosts: make([][]cluster.HostID, topo.Racks()), cm: migrationCost}
+	k := Kernel{rackOf: make([]int32, span), podOf: make([]int32, span), rackPos: make([]int32, span), rackHosts: make([][]cluster.HostID, topo.Racks()), cm: migrationCost}
 	for h := range k.rackOf {
 		k.rackOf[h] = int32(topo.RackOf(cluster.HostID(h)))
 		k.podOf[h] = int32(topo.PodOf(cluster.HostID(h)))
+		k.rackPos[h] = -1
 	}
 	for l := range k.prefix {
 		k.prefix[l] = cost.Prefix(l)
 	}
 	for r := range k.rackHosts {
 		k.rackHosts[r] = topo.HostsInRack(r)
+		for i, h := range k.rackHosts[r] {
+			if uint(h) < uint(span) && k.rackPos[h] < 0 {
+				k.rackPos[h] = int32(i)
+			}
+		}
 	}
 	return k
 }
 
 // Clone returns a kernel sharing k's tables, with scratch of its own.
 func (k *Kernel) Clone() *Kernel {
-	return &Kernel{rackOf: k.rackOf, podOf: k.podOf, prefix: k.prefix, rackHosts: k.rackHosts, cm: k.cm}
+	return &Kernel{rackOf: k.rackOf, podOf: k.podOf, rackPos: k.rackPos, prefix: k.prefix, rackHosts: k.rackHosts, cm: k.cm}
 }
 
 // Covers reports whether the tables cover host h, as Begin, Peer and
@@ -239,11 +249,17 @@ func (k *Kernel) claim(h cluster.HostID) (ok, peerFree bool) {
 	return true, peerFree
 }
 
+// beats reports that ΔC d could become the answer: d > c_m and, when
+// there is a running best, d > its ΔC.
+func (k *Kernel) beats(d float64, best *Decision) bool {
+	return d > k.cm && (best.Target == cluster.NoHost || d > best.Delta)
+}
+
 // fold folds claimed candidate h, offering ΔC d, into the running best.
 // ΔC comes first; a is asked only of a host that could become the answer
 // (exact; see visitMemo).
 func (k *Kernel) fold(u cluster.VMID, h cluster.HostID, d float64, best *Decision, a Admitter) {
-	if d <= k.cm || (best.Target != cluster.NoHost && d <= best.Delta) {
+	if !k.beats(d, best) {
 		return
 	}
 	if !a.Admissible(u, h) {
@@ -253,19 +269,45 @@ func (k *Kernel) fold(u cluster.VMID, h cluster.HostID, d float64, best *Decisio
 	best.Target, best.Delta = h, d
 }
 
+// rackPeers lists rack r's unclaimed peer hosts — the hosts its list
+// holds that a peer sits on, that no rank turn or walk has claimed, never
+// the holder's — in rack order, from the peers rather than the rack's
+// hosts. A host holding several peers may repeat; claim takes it once.
+func (k *Kernel) rackPeers(r int32) []cluster.HostID {
+	k.walk = k.walk[:0]
+	for i := range k.peers {
+		h := k.peers[i].host
+		if k.peers[i].rack != r || h == k.cur || k.rackPos[h] < 0 || k.probed[h] != k.probeEpoch-1 {
+			continue
+		}
+		j := len(k.walk)
+		k.walk = append(k.walk, h)
+		for ; j > 0 && k.rackPos[k.walk[j-1]] > k.rackPos[h]; j-- {
+			k.walk[j] = k.walk[j-1]
+		}
+		k.walk[j] = h
+	}
+	return k.walk
+}
+
 // Best is the S-CORE migration policy for holder u: the move a admits
 // with the largest ΔC, if ΔC > c_m (Theorem 1). Candidates are the peers'
 // hosts in rank order, each followed by the rest of its rack, which still
 // puts the pair at level 1 when the peer's host is full; among equal ΔC
 // the first admitted wins. A visit costs one Score per peer host and one
-// per walked rack: a host no peer sits on scores like every other such
-// host of its rack, since Score then reads only the target's rack and pod
-// keys, which the rack's hosts share (checkLevels), so a walk scores the
-// rack's peer-free key once, first. When that cannot win — ≤ c_m or ≤ the
-// running best, which only grows — the walk claims and folds only the
-// rack's unclaimed peer hosts, in rack order; and a peer host a walk
-// already claimed skips its own, which would find nothing. Admission
-// questions, refusals and ties are the full walk's.
+// per rack whose bound lets its key win: a host no peer sits on scores
+// like every other such host of its rack, since Score then reads only the
+// target's rack and pod keys, which the rack's hosts share (checkLevels),
+// so a walk scores the rack's peer-free key once, first. The key's ΔC is
+// at most that of the peer host whose turn walks the rack, term by term
+// and so bit for bit (each peer's level after the move is at least as
+// high, and Score's row-order sum is monotone), and at most 0 from the
+// holder's own host; a key whose bound cannot win is not scored. When
+// the key cannot win — ≤ c_m or ≤ the running best, which only grows —
+// the walk claims and folds only the rack's unclaimed peer hosts, in rack
+// order (rackPeers). A peer host a walk already claimed skips its own
+// walk, which would find nothing, and the holder's rack is walked once.
+// Admission questions, refusals and ties are the full walk's.
 func (k *Kernel) Best(u cluster.VMID, a Admitter) (Decision, bool) {
 	k.refusals = k.refusals[:0]
 	best := Decision{VM: u, From: k.cur, Target: cluster.NoHost}
@@ -279,22 +321,34 @@ func (k *Kernel) Best(u cluster.VMID, a Admitter) (Decision, bool) {
 	for i := range k.peers {
 		k.probed[k.peers[i].host] = k.probeEpoch - 1
 	}
+	curWalked := false
 	for _, ent := range k.neighborRank() {
+		bound := 0.0 // Score(k.cur): every term is w·0
 		if ok, _ := k.claim(ent.host); ok {
-			k.fold(u, ent.host, k.Score(ent.host), &best, a)
-		} else if ent.host != k.cur {
-			continue // claimed by a walk of its rack, which left nothing there that can win
+			bound = k.Score(ent.host)
+			k.fold(u, ent.host, bound, &best, a)
+		} else if ent.host != k.cur || curWalked {
+			continue // its rack walked already, which left nothing there that can win
 		}
 		r := k.rackSlot(ent.host)
 		if r == len(k.rackHosts) {
 			continue
 		}
-		free := k.score(cluster.NoHost, k.rackOf[ent.host], k.podOf[ent.host])
-		canWin := free > k.cm && (best.Target == cluster.NoHost || free > best.Delta)
-		for _, alt := range k.rackHosts[r] {
-			if !canWin && (uint(alt) >= uint(len(k.probed)) || k.probed[alt] != k.probeEpoch-1) {
-				continue // peer-free, or claimed
+		curWalked = curWalked || int32(r) == k.curRack
+		free, canWin := 0.0, false
+		if k.beats(bound, &best) {
+			free = k.score(cluster.NoHost, int32(r), k.podOf[ent.host])
+			canWin = k.beats(free, &best)
+		}
+		if !canWin {
+			for _, h := range k.rackPeers(int32(r)) {
+				if ok, _ := k.claim(h); ok {
+					k.fold(u, h, k.Score(h), &best, a)
+				}
 			}
+			continue
+		}
+		for _, alt := range k.rackHosts[r] {
 			ok, peerFree := k.claim(alt)
 			if !ok {
 				continue

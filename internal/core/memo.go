@@ -78,8 +78,9 @@ import (
 // near VM compares each peer's staged host with the cluster's — one walk
 // of its row for the few visits a staged move reached. An
 // evaluated visit costs one resolve pass over u's row, then one
-// multiply-add per peer for each peer host and each walked rack's
-// peer-free key (Kernel.Score; see Kernel.Best), summed in row order, so
+// multiply-add per peer for each peer host and for the peer-free key of
+// each rack whose bound lets its key win (Kernel.Score; see Kernel.Best),
+// summed in row order, so
 // the ΔC a visit decides on is bit for bit the ΔC Commit realizes and the
 // merge checks — or, under its clean rule, lands without pricing again.
 //

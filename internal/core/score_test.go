@@ -256,17 +256,19 @@ func naiveBest(topo topology.Topology, cm CostModel, migrationCost float64, tm *
 }
 
 // checkBestRule holds Kernel.Best, run on a fresh view of in's engine, to
-// naiveBest for every placed VM, at c_m 0 and 40 and under several
+// naiveBest for every placed VM, at c_m −15, 0 and 40 and under several
 // admitter seeds, half of them with every Best wrapping the probe epoch:
 // the decision (ΔC by its bits), the ordered Admissible calls and the
 // refusals. It reports how many decisions moved and how many refusals
-// both sides saw.
+// both sides saw. A negative c_m lets a move that raises the cost win,
+// so the holder's own rack, whose peer-free key is bounded by 0, can be
+// walked in full.
 func (in *scoreInstance) checkBestRule(t *testing.T, name string) (moves, refusals int) {
 	t.Helper()
 	v := in.eng.NewView()
 	cm := in.eng.CostModel()
 	v.k.probed = make([]uint32, len(v.k.rackOf))
-	for _, cmig := range []float64{0, 40} {
+	for _, cmig := range []float64{-15, 0, 40} {
 		v.k.cm = cmig
 		for seed := uint64(1); seed <= 4; seed++ {
 			for _, u := range in.vms {
@@ -320,6 +322,19 @@ func canonical6x3(t *testing.T) *topology.CanonicalTree {
 	return topo
 }
 
+// rotatedRacks is a topology whose HostsInRack lists each rack's hosts
+// rotated by one, neither ascending nor descending by ID, which the
+// Topology contract allows: a walk follows the list, not the IDs.
+type rotatedRacks struct{ *topology.CanonicalTree }
+
+func (t rotatedRacks) HostsInRack(r int) []cluster.HostID {
+	hosts := t.CanonicalTree.HostsInRack(r)
+	if len(hosts) > 1 {
+		hosts = append(hosts[1:], hosts[0])
+	}
+	return hosts
+}
+
 // handEdge is one traffic pair of a hand-built instance.
 type handEdge struct {
 	a, b cluster.VMID
@@ -360,8 +375,9 @@ func newHandInstance(t *testing.T, topo topology.Topology, place []cluster.HostI
 // TestBestEqualsNaiveRuleBitForBit: Kernel.Best is the whole rule as
 // written — probe order, rack fallback, ΔC-first fold — not just its ΔC:
 // same decision, same admission questions in the same order, same
-// refusals. Beside the generated instances, three hand-built ones on the
-// canonical 6×3 tree pin the corners of the rack walk.
+// refusals. Beside the generated instances, on the fat-tree, the
+// canonical 6×3 tree and that tree with its rack lists out of ID order,
+// hand-built ones on the 6×3 tree pin the corners of the rack walk.
 func TestBestEqualsNaiveRuleBitForBit(t *testing.T) {
 	fat, err := topology.NewFatTree(4, 1000)
 	if err != nil {
@@ -369,9 +385,9 @@ func TestBestEqualsNaiveRuleBitForBit(t *testing.T) {
 	}
 	canon := canonical6x3(t)
 	var moves, refusals int
-	for _, topo := range []topology.Topology{fat, canon} {
+	for i, topo := range []topology.Topology{fat, canon, rotatedRacks{canon}} {
 		for seed := int64(1); seed <= 3; seed++ {
-			m, r := newScoreInstance(t, topo, seed).checkBestRule(t, fmt.Sprintf("%s seed %d", topo.Name(), seed))
+			m, r := newScoreInstance(t, topo, seed).checkBestRule(t, fmt.Sprintf("topology %d (%s) seed %d", i, topo.Name(), seed))
 			moves, refusals = moves+m, refusals+r
 		}
 	}
@@ -388,6 +404,27 @@ func TestBestEqualsNaiveRuleBitForBit(t *testing.T) {
 		t.Fatal("fixture: holder and peer must share a host")
 	}
 	shared.checkBestRule(t, "holder shares its host")
+
+	// VM 1 (host 0) shares its host with peers VM 2 and VM 3 and has VM 4
+	// on host 1 of its rack and VM 5 on host 9: host 1's turn walks rack
+	// 0, and both turns on host 0 after it find the rack walked.
+	sharedTwice := newHandInstance(t, canon,
+		[]cluster.HostID{0, 0, 0, 1, 9},
+		[]handEdge{{1, 2, 2}, {1, 3, 3}, {1, 4, 6}, {1, 5, 4}})
+	sharedTwice.checkBestRule(t, "two peers on the holder's host, one on a rack-mate")
+
+	// VM 1 (host 0) talks to VM 2 on its own host at rate 2 and to VM 3 on
+	// host 9 at rate 1: every move raises the cost, rack 3's least. At
+	// c_m −15 rack 3's walk, taken first, finds nothing, and the walk of
+	// rack 0 from VM 1's own host, whose peer-free key offers −4, asks
+	// host 1.
+	farFirst := newHandInstance(t, canon,
+		[]cluster.HostID{0, 0, 9},
+		[]handEdge{{1, 2, 2}, {1, 3, 1}})
+	if d1, d9 := farFirst.eng.Delta(1, 1), farFirst.eng.Delta(1, 9); d1 != -4 || d9 > -15 {
+		t.Fatalf("fixture: ΔC to host 1 %v, to host 9 %v; want −4 and at most −15", d1, d9)
+	}
+	farFirst.checkBestRule(t, "the holder's rack walked from its host after another rack")
 
 	// Every host of rack 2 (hosts 6, 7, 8) holds a peer of VM 1, so its
 	// walk never takes the rack's peer-free score.
@@ -472,6 +509,21 @@ func TestBestEqualsNaiveRuleBitForBit(t *testing.T) {
 		t.Fatalf("fixture: ΔC to hosts 15, 12, 17 = %v, %v, %v; want increasing", d15, d12, d17)
 	}
 	outscored.checkBestRule(t, "a later peer host of the rack outscores the first")
+
+	// The same corner where rack order is not ID order: rack 3 lists
+	// hosts 10, 11, 9. VM 1's peers VM 2 (host 11, rate 10), VM 3 and
+	// VM 4 (host 10, rate 9 each) and VM 5 and VM 6 (host 9, rate 8 each)
+	// make host 10 outscore host 9, which outscores host 11. Host 11's
+	// turn folds first and the rack's key cannot win, so the walk asks
+	// host 10, first in the rack's list, before host 9 (and host 9 only
+	// if host 10 refuses): the reverse of ID order.
+	rotated := newHandInstance(t, rotatedRacks{canon},
+		[]cluster.HostID{0, 11, 10, 10, 9, 9},
+		[]handEdge{{1, 2, 10}, {1, 3, 9}, {1, 4, 9}, {1, 5, 8}, {1, 6, 8}})
+	if d11, d9, d10 := rotated.eng.Delta(1, 11), rotated.eng.Delta(1, 9), rotated.eng.Delta(1, 10); d11 >= d9 || d9 >= d10 {
+		t.Fatalf("fixture: ΔC to hosts 11, 9, 10 = %v, %v, %v; want increasing", d11, d9, d10)
+	}
+	rotated.checkBestRule(t, "rack order is not ID order")
 	if dec, calls, _ := best(outscored, 2); dec.Target != 17 || !slices.Equal(calls, []admitCall{{1, 15}, {1, 17}}) {
 		t.Fatalf("fixture: seed 2 decides %+v after questions %v; want hosts 15 and 17 asked, host 17 chosen", dec, calls)
 	}

@@ -26,7 +26,8 @@ import (
 //
 // A decision locates the holder's neighbors once, as the paper's token
 // holder does (Section V-B4's location request), then costs one
-// Kernel.Score per peer host and one per walked rack (Kernel.Best).
+// Kernel.Score per peer host and one per rack whose bound lets its key
+// win (Kernel.Best).
 //
 // Contract for frozen views: between NewView and the last use of any
 // view, the cluster, the traffic matrix and the engine itself must not

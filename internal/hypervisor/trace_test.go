@@ -139,13 +139,16 @@ func TestChaosRoundReconstructibleFromTrace(t *testing.T) {
 	if got := int(pm.Rounds.Value()); got != len(reports) {
 		t.Fatalf("registry counted %d rounds, reconciler ran %d", got, len(reports))
 	}
-	for name, h := range map[string]*obs.Histogram{"prepare": pm.PhasePrepare, "rings": pm.PhaseRings, "merge": pm.PhaseMerge, "cross": pm.PhaseCross} {
+	for name, h := range map[string]*obs.Histogram{"patch": pm.PhasePatch, "reset": pm.PhaseReset, "rings": pm.PhaseRings, "merge": pm.PhaseMerge, "cross": pm.PhaseCross} {
 		if n := h.Count(); n != uint64(len(reports)) {
 			t.Fatalf("phase %s observed %d times over %d rounds", name, n, len(reports))
 		}
 	}
-	if pm.PhasePrepare.Sum() <= 0 {
+	if pm.PhasePatch.Sum() <= 0 {
 		t.Fatal("the assignment pushes took no time on the phase clock")
+	}
+	if pm.PhaseReset.Sum() != 0 {
+		t.Fatalf("the agent plane, which keeps no views, spent %v s resetting them", pm.PhaseReset.Sum())
 	}
 
 	// Decision provenance: the applied-migration set of every round must

@@ -106,6 +106,7 @@ func (e *enginePlane) Run(_ *Round, part *Partition, mg *Merge) ([]Ring, error) 
 		e.rings = append(e.rings, Ring{})
 	}
 	views, rings := e.views[:n], e.rings[:n]
+	mg.patch()
 	for s := range views {
 		views[s] = e.eng.ResetView(views[s])
 	}

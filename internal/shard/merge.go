@@ -60,9 +60,10 @@ type Merge struct {
 	t        int64
 	attested bool
 
-	// prepared is when the round's rings became ready to run (Prepared),
-	// read only with Metrics set.
-	prepared time.Time
+	// patched is when the plane's ring lists were up to date (patch) and
+	// prepared when its rings became ready to run (Prepared), read only
+	// with Metrics set.
+	patched, prepared time.Time
 
 	// near is the union of the marks of the rings merged so far this
 	// round, over the window from nearBase; clean counts the round's
@@ -143,10 +144,20 @@ func (m *Merge) Reset(round uint32) {
 	m.proposals, m.propMeta = m.proposals[:0], m.propMeta[:0]
 	clear(m.near)
 	m.clean = 0
-	m.prepared = time.Time{}
+	m.patched, m.prepared = time.Time{}, time.Time{}
 }
 
-// Prepared ends the round's prepare phase on the phase clock: a plane
+// patch ends the round's patch phase on the phase clock: the in-process
+// plane calls it from Run once the ring bitmaps follow the placement,
+// before it resets the views. A plane that never calls it spends no time
+// in the reset phase.
+func (m *Merge) patch() {
+	if m.Metrics != nil {
+		m.patched = time.Now()
+	}
+}
+
+// Prepared ends the round's reset phase on the phase clock: a plane
 // calls it from Run once its rings are ready, before any of them runs. A
 // plane that never calls it spends the round's run in the rings phase.
 func (m *Merge) Prepared() {

@@ -190,12 +190,16 @@ func (d *Driver) RunRound() (*Round, error) {
 	}
 	var phase time.Time // when the phase in progress began
 	if mt := mg.Metrics; mt != nil {
-		phase = mg.prepared
-		if phase.IsZero() {
-			phase = start
+		patched, prepared := mg.patched, mg.prepared
+		if prepared.IsZero() {
+			prepared = start
 		}
-		mt.PhasePrepare.Observe(phase.Sub(start).Seconds())
-		phase = lap(mt.PhaseRings, phase)
+		if patched.IsZero() {
+			patched = prepared
+		}
+		mt.PhasePatch.Observe(patched.Sub(start).Seconds())
+		mt.PhaseReset.Observe(prepared.Sub(patched).Seconds())
+		phase = lap(mt.PhaseRings, prepared)
 	}
 	skipped := 0
 	for s := range rings {

@@ -106,9 +106,9 @@ func TestWarmColdRoundAllocs(t *testing.T) {
 }
 
 // TestRoundPhasesSumToLatency: with Metrics attached, every round observes
-// each of the four phases once, and the phases tile the round, so their
-// sums add up to the round latency's within 5 %. The preparation of the
-// rings shows in its own phase.
+// each of the five phases once, and the phases tile the round, so their
+// sums add up to the round latency's within 5 %. The ring patch and the
+// view resets show in phases of their own.
 func TestRoundPhasesSumToLatency(t *testing.T) {
 	mt := shard.NewMetrics(obs.NewRegistry())
 	eng := shard.BuildEngine(t, 8, 29, 10)
@@ -131,13 +131,16 @@ func TestRoundPhasesSumToLatency(t *testing.T) {
 		}
 	}
 	phases := 0.0
-	for name, h := range map[string]*obs.Histogram{"prepare": mt.PhasePrepare, "rings": mt.PhaseRings, "merge": mt.PhaseMerge, "cross": mt.PhaseCross} {
+	for name, h := range map[string]*obs.Histogram{"patch": mt.PhasePatch, "reset": mt.PhaseReset, "rings": mt.PhaseRings, "merge": mt.PhaseMerge, "cross": mt.PhaseCross} {
 		if n := h.Count(); n != uint64(rounds) {
 			t.Fatalf("phase %s observed %d times over %d rounds", name, n, rounds)
 		}
 		phases += h.Sum()
 	}
-	if mt.PhasePrepare.Sum() <= 0 {
+	if mt.PhasePatch.Sum() <= 0 {
+		t.Fatal("the ring patch took no time on the phase clock")
+	}
+	if mt.PhaseReset.Sum() <= 0 {
 		t.Fatal("the view resets took no time on the phase clock")
 	}
 	total := mt.RoundLatency.Sum()

@@ -399,11 +399,11 @@ func (r *Runner) finish() *Metrics {
 }
 
 // step is the serial plane's event: it regenerates a lost token, a fresh
-// one with its level state lost, at the lowest-ID VM; then it processes
-// the token at its holder and forwards it. It returns the delay to the
-// token's next event: the next hop, or the regeneration of a token lost
-// in flight; none once the pass budget is spent or the policy has no next
-// holder.
+// one with its level state lost, at the lowest-ID VM; then it hops. Every
+// |V|-th hop closes a pass, whether the token was lost or delivered. It
+// returns the delay to the token's next event: the next hop, or the
+// regeneration of a token lost in flight; none once the pass budget is
+// spent or the policy has no next holder.
 func (r *Runner) step() (float64, bool) {
 	if r.lost {
 		r.lost = false
@@ -411,7 +411,6 @@ func (r *Runner) step() (float64, bool) {
 		r.tok = token.NewAtLevel(vms, uint8(r.eng.Topology().Depth()))
 		r.next = vms[0]
 	}
-	holder := r.next
 	if r.hopsLeft == 0 {
 		return 0, false
 	}
@@ -420,7 +419,16 @@ func (r *Runner) step() (float64, bool) {
 	}
 	r.hops++
 	r.ob.plane.Hops.Inc()
+	d, ok := r.hop(r.next)
+	if r.hops%r.numVMs == 0 {
+		r.finishIteration()
+	}
+	return d, ok
+}
 
+// hop is one hop of the token, held by holder: it may be lost in flight;
+// else the holder decides and passes the token on by the policy.
+func (r *Runner) hop(holder cluster.VMID) (float64, bool) {
 	// Failure injection: the token vanishes in flight and is
 	// regenerated after a timeout by the placement manager.
 	if r.cfg.TokenLossProb > 0 && r.rng.Float64() < r.cfg.TokenLossProb {
@@ -441,9 +449,6 @@ func (r *Runner) step() (float64, bool) {
 	next, ok := r.policy.Next(r.tok, view)
 	if !ok {
 		return 0, false // nothing to pass to
-	}
-	if r.hops%r.numVMs == 0 {
-		r.finishIteration()
 	}
 	r.next = next
 	return r.cfg.HopLatencyS, true

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -168,6 +169,57 @@ func TestRunRecordsEachPassOnce(t *testing.T) {
 	m, n := passes(t, cfg)
 	if len(m.Iterations) != 2 || m.TokenHops <= n || m.TokenHops >= 2*n {
 		t.Fatalf("%d hops of %d VMs: %d passes recorded, want 2", m.TokenHops, n, len(m.Iterations))
+	}
+}
+
+// TestPassBooksBalance: a pass is |V| hops, lost or delivered, so the
+// run's per-pass books match its totals under every policy, token loss
+// rate and pass cap. Each run is generated from its seed: an 8-host tree
+// of 32 VMs, hops of 0.05 s for 40–80 s.
+func TestPassBooksBalance(t *testing.T) {
+	for _, policy := range []string{"hlf", "rr", "llf", "random"} {
+		for _, loss := range []float64{0, 0.01, 0.05, 0.3} {
+			for _, maxIter := range []int{0, 1, 3} {
+				for seed := int64(1); seed <= 20; seed++ {
+					eng, rng := buildEngineSized(t, seed, 2, 0)
+					pol, err := token.ByName(policy, rand.New(rand.NewSource(seed)))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := smallConfig()
+					cfg.HopLatencyS, cfg.DurationS = 0.05, float64(40+rng.Intn(41))
+					cfg.TokenLossProb, cfg.MaxIterations = loss, maxIter
+					r, err := NewRunner(eng, pol, cfg, rng)
+					if err != nil {
+						t.Fatal(err)
+					}
+					m, err := r.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					name := fmt.Sprintf("%s, loss %v, cap %d, seed %d", policy, loss, maxIter, seed)
+					n := eng.Cluster().NumVMs()
+					want := (m.TokenHops + n - 1) / n
+					if maxIter > 0 {
+						want = min(want, maxIter)
+					}
+					if len(m.Iterations) != want {
+						t.Fatalf("%s: %d hops of %d VMs recorded %d passes, want %d", name, m.TokenHops, n, len(m.Iterations), want)
+					}
+					migs := 0
+					for i, it := range m.Iterations {
+						if it.Index != i+1 {
+							t.Fatalf("%s: pass %d has index %d", name, i+1, it.Index)
+						}
+						migs += it.Migrations
+					}
+					if migs != m.TotalMigrations || len(m.DowntimesMS) != m.TotalMigrations || len(m.MigrationTimesS) != m.TotalMigrations {
+						t.Fatalf("%s: passes hold %d migrations, %d downtimes and %d migration times; the run made %d",
+							name, migs, len(m.DowntimesMS), len(m.MigrationTimesS), m.TotalMigrations)
+					}
+				}
+			}
+		}
 	}
 }
 
