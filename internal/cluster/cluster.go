@@ -150,7 +150,6 @@ type Cluster struct {
 func New(hosts []Host) (*Cluster, error) {
 	c := &Cluster{
 		hosts:   make([]Host, len(hosts)),
-		hostVMs: make([][]VMID, len(hosts)),
 		ramUsed: make([]int, len(hosts)),
 		cpuUsed: make([]int, len(hosts)),
 	}
@@ -164,9 +163,21 @@ func New(hosts []Host) (*Cluster, error) {
 		c.hosts[i] = h
 		c.maxSpan += int64(h.Slots)
 	}
+	c.hostVMs = hostSets(c.hosts, c.maxSpan)
 	c.moveReach = uint64(c.maxSpan)
 	c.maxSpan = c.maxSpan*denseFactor + denseSlack
 	return c, nil
+}
+
+// hostSets gives every host an empty VM set with room for its slots,
+// carved from one array of slots entries: a host never holds more
+// (roomFor, Restore), so no placement write regrows a set.
+func hostSets(hosts []Host, slots int64) [][]VMID {
+	sets, all := make([][]VMID, len(hosts)), make([]VMID, slots)
+	for i, h := range hosts {
+		sets[i], all = all[:0:h.Slots], all[h.Slots:]
+	}
+	return sets
 }
 
 // UniformHosts is a convenience constructor for n identical hosts.
@@ -690,12 +701,12 @@ func (c *Cluster) Clone() *Cluster {
 		numVMs:    c.numVMs,
 		maxSpan:   c.maxSpan,
 		moveReach: c.moveReach,
-		hostVMs:   make([][]VMID, len(c.hostVMs)),
+		hostVMs:   hostSets(c.hosts, int64(c.moveReach)),
 		ramUsed:   append([]int(nil), c.ramUsed...),
 		cpuUsed:   append([]int(nil), c.cpuUsed...),
 	}
 	for i, set := range c.hostVMs {
-		n.hostVMs[i] = append([]VMID(nil), set...)
+		n.hostVMs[i] = append(n.hostVMs[i], set...)
 	}
 	return n
 }

@@ -19,12 +19,14 @@ type Kernel struct {
 	// same host, 1 same rack, 2 same pod, 3 via core) into per-host keys;
 	// prefix[l] is cost.Prefix(l); rackHosts[r] is topo.HostsInRack(r),
 	// and rackPos[h] is h's first index in its rack's list, −1 for a host
-	// the list leaves out; cm is c_m (Theorem 1).
+	// the list leaves out; widest is the longest rack list; cm is c_m
+	// (Theorem 1).
 	rackOf    []int32
 	podOf     []int32
 	rackPos   []int32
 	prefix    [4]float64
 	rackHosts [][]cluster.HostID
+	widest    int
 	cm        float64
 
 	// Scratch: the holder's host and its keys, its peers in row order and
@@ -119,6 +121,7 @@ func newKernel(topo topology.Topology, cost CostModel, migrationCost float64, sp
 	}
 	for r := range k.rackHosts {
 		k.rackHosts[r] = topo.HostsInRack(r)
+		k.widest = max(k.widest, len(k.rackHosts[r]))
 		for i, h := range k.rackHosts[r] {
 			if uint(h) < uint(span) && k.rackPos[h] < 0 {
 				k.rackPos[h] = int32(i)
@@ -130,7 +133,7 @@ func newKernel(topo topology.Topology, cost CostModel, migrationCost float64, sp
 
 // Clone returns a kernel sharing k's tables, with scratch of its own.
 func (k *Kernel) Clone() *Kernel {
-	return &Kernel{rackOf: k.rackOf, podOf: k.podOf, rackPos: k.rackPos, prefix: k.prefix, rackHosts: k.rackHosts, cm: k.cm}
+	return &Kernel{rackOf: k.rackOf, podOf: k.podOf, rackPos: k.rackPos, prefix: k.prefix, rackHosts: k.rackHosts, widest: k.widest, cm: k.cm}
 }
 
 // Covers reports whether the tables cover host h, as Begin, Peer and
@@ -309,6 +312,14 @@ func (k *Kernel) rackPeers(r int32) []cluster.HostID {
 // walk, which would find nothing, and the holder's rack is walked once.
 // Admission questions, refusals and ties are the full walk's.
 func (k *Kernel) Best(u cluster.VMID, a Admitter) (Decision, bool) {
+	// A rack's unclaimed peer hosts are at most the peers, and the hosts
+	// refusing one Best, each claimed once, at most a rack's worth per
+	// peer: sized with the peers' storage, neither grows inside a Best,
+	// only when a longer row has grown the peers.
+	if c := cap(k.peers); cap(k.walk) < c {
+		k.walk = make([]cluster.HostID, 0, c)
+		k.refusals = make([]cluster.HostID, 0, min(len(k.rackOf), c*k.widest))
+	}
 	k.refusals = k.refusals[:0]
 	best := Decision{VM: u, From: k.cur, Target: cluster.NoHost}
 	if len(k.probed) != len(k.rackOf) {

@@ -520,14 +520,15 @@ func (v *AllocView) mark(vm cluster.VMID) {
 	}
 }
 
-// stage gives near word w a block of the view's pool holding where the
-// view places the word's VMs now: the cluster's table, frozen for the
-// view's life.
+// stage gives near word w a block holding where the view places the
+// word's VMs now: the cluster's table, frozen for the view's life. The
+// block comes from the lent StageBlocks, or from the view's own.
 func (v *AllocView) stage(w uint) {
-	if len(v.words) == len(v.pool) {
-		v.pool = append(v.pool, new([64]cluster.HostID))
+	b := v.blocks
+	if b == nil {
+		b = &v.own
 	}
-	p := v.pool[len(v.words)]
+	p := b.take()
 	copy(p[:], v.dense[64*w:])
 	v.staged[w] = p
 	v.words = append(v.words, int32(w))

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"github.com/score-dc/score/internal/cluster"
 )
@@ -49,23 +51,27 @@ type AllocView struct {
 	// view: on every engine call). near is a bitmap over the same window
 	// marking every VM one of the view's staged commits moved and every
 	// peer of one (see mark). A non-zero near word w has the view's own
-	// positions of its 64 VMs in staged[w], a block of pool; words lists
-	// those w in the order they were staged, and pool[:len(words)] are
-	// the blocks in use. slotD/ramD/cpuD/netD are the capacity and
-	// NIC-load deltas the staged moves imply, non-zero only on the hosts
-	// set in dirty (all zero in the live view).
+	// positions of its 64 VMs in staged[w], a block taken from blocks
+	// (lent by StageInto) or, when none is lent, from own; words lists
+	// those w in the order they were staged. slotD/ramD/cpuD/netD are
+	// the capacity and NIC-load deltas the staged moves imply, non-zero
+	// only on the hosts set in dirty (all zero in the live view).
 	denseBase cluster.VMID
 	dense     []cluster.HostID
 	near      []uint64
 	staged    []*[64]cluster.HostID
 	words     []int32
-	pool      []*[64]cluster.HostID
+	blocks    *StageBlocks
+	own       StageBlocks
 	slotD     []int32
 	ramD      []int32
 	cpuD      []int32
 	netD      []float64
 	dirty     []uint64
-	commits   []Decision
+	// commits are the staged decisions, in commit order: in storage the
+	// caller lent (StageInto) when lent is set, else the view's own.
+	commits []Decision
+	lent    bool
 
 	// best is the decision the view's last BestMigration returned when
 	// hasBest is set, which lasts while nothing the view reads has changed
@@ -116,7 +122,7 @@ func (e *Engine) ResetView(v *AllocView) *AllocView {
 
 // unstage drops the view's staged commits and clears what they wrote:
 // their near words and staged positions, and the deltas of the hosts
-// they touched.
+// they touched. Lent commit storage goes back to its lender.
 func (v *AllocView) unstage() {
 	for _, w := range v.words {
 		v.near[w], v.staged[w] = 0, nil
@@ -131,7 +137,13 @@ func (v *AllocView) unstage() {
 			v.dirty[w] = 0
 		}
 	}
-	v.commits = v.commits[:0]
+	if v.lent {
+		v.commits, v.lent = nil, false
+	} else {
+		v.commits = v.commits[:0]
+	}
+	v.blocks = nil
+	v.own.Reset()
 	v.hasBest = false
 }
 
@@ -166,8 +178,56 @@ func (v *AllocView) HostOf(vm cluster.VMID) cluster.HostID {
 }
 
 // Commits returns the decisions staged so far, in commit order. The
-// slice is owned by the view.
+// slice is owned by the view, or lies in the storage lent to it.
 func (v *AllocView) Commits() []Decision { return v.commits }
+
+// StageInto lends the view storage for what it stages until its next
+// reset: Commit stages its decisions into buf from the front, and
+// Commits returns buf[:n]; the positions of the VMs its commits reach go
+// into blocks, which views staging concurrently may share. A caller lends
+// it after a reset, before the first Commit, with room in buf for every
+// commit it can stage; a view lent nothing, or one that outgrows cap(buf),
+// keeps storage of its own.
+func (v *AllocView) StageInto(buf []Decision, blocks *StageBlocks) {
+	if len(v.commits) > 0 {
+		panic("core: StageInto after a Commit")
+	}
+	v.commits, v.lent, v.blocks = buf[:0], true, blocks
+}
+
+// StageBlocks is storage for frozen views' staged positions that one
+// caller lends to many views at once (StageInto): the first mark in a
+// near word takes the next free block, whichever view marks it. Reset,
+// called while no view it was lent to stages, frees every block; a block
+// is allocated only when the views lent it since the last Reset stage
+// more near words together than ever before, and kept from then on. The
+// zero value is ready to use.
+type StageBlocks struct {
+	free  []*[64]cluster.HostID
+	next  atomic.Int64
+	mu    sync.Mutex
+	extra []*[64]cluster.HostID // allocated past free since the last Reset
+}
+
+// Reset frees every block for the views lent them next.
+func (b *StageBlocks) Reset() {
+	b.free = append(b.free, b.extra...)
+	clear(b.extra)
+	b.extra = b.extra[:0]
+	b.next.Store(0)
+}
+
+// take returns a free block, or a new one kept from the next Reset on.
+func (b *StageBlocks) take() *[64]cluster.HostID {
+	if i := b.next.Add(1) - 1; i < int64(len(b.free)) {
+		return b.free[i]
+	}
+	p := new([64]cluster.HostID)
+	b.mu.Lock()
+	b.extra = append(b.extra, p)
+	b.mu.Unlock()
+	return p
+}
 
 // Near returns the view's near marks: bit i of words[i/64] is set for VM
 // base+i when one of the view's staged commits moved it or a peer of it

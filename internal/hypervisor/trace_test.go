@@ -139,10 +139,15 @@ func TestChaosRoundReconstructibleFromTrace(t *testing.T) {
 	if got := int(pm.Rounds.Value()); got != len(reports) {
 		t.Fatalf("registry counted %d rounds, reconciler ran %d", got, len(reports))
 	}
-	for name, h := range map[string]*obs.Histogram{"patch": pm.PhasePatch, "reset": pm.PhaseReset, "rings": pm.PhaseRings, "merge": pm.PhaseMerge, "cross": pm.PhaseCross} {
+	phases := 0.0
+	for name, h := range map[string]*obs.Histogram{"plan": pm.PhasePlan, "patch": pm.PhasePatch, "reset": pm.PhaseReset, "rings": pm.PhaseRings, "merge": pm.PhaseMerge, "cross": pm.PhaseCross} {
 		if n := h.Count(); n != uint64(len(reports)) {
 			t.Fatalf("phase %s observed %d times over %d rounds", name, n, len(reports))
 		}
+		phases += h.Sum()
+	}
+	if total := pm.RoundLatency.Sum(); math.Abs(phases-total) > 0.05*total {
+		t.Fatalf("the six phases sum to %v s, the rounds took %v s", phases, total)
 	}
 	if pm.PhasePatch.Sum() <= 0 {
 		t.Fatal("the assignment pushes took no time on the phase clock")

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"github.com/score-dc/score/internal/cluster"
@@ -73,7 +74,10 @@ func NewCoordinator(eng *core.Engine, cfg Config) (*Coordinator, error) {
 
 // Close drops the round scratch. The coordinator holds nothing outside
 // itself, so a caller that is done with it may equally just let it go.
-func (c *Coordinator) Close() { c.part, c.plane.views, c.plane.rings = nil, nil, nil }
+func (c *Coordinator) Close() {
+	c.part, c.plane.views, c.plane.rings = nil, nil, nil
+	c.plane.arena, c.plane.off, c.plane.blocks = nil, nil, core.StageBlocks{}
+}
 
 // enginePlane is the in-process plane: the engine's cluster is its
 // placement, and its rings run as views on the worker pool.
@@ -89,6 +93,14 @@ type enginePlane struct {
 	// sequential and each ring touches only its own index.
 	views []*core.AllocView
 	rings []Ring
+
+	// The round's decisions live in one arena sized to the placed VMs
+	// (carve), whatever the shape: ring s owns arena[off[s]:off[s+1]], as
+	// many entries as it has VMs. The views stage the positions their
+	// commits reach into blocks, shared by all of them.
+	arena  []core.Decision
+	off    []int
+	blocks core.StageBlocks
 }
 
 func (e *enginePlane) Hosts() (int, error) { return e.eng.Cluster().NumHosts(), nil }
@@ -106,6 +118,7 @@ func (e *enginePlane) Run(_ *Round, part *Partition, mg *Merge) ([]Ring, error) 
 		e.rings = append(e.rings, Ring{})
 	}
 	views, rings := e.views[:n], e.rings[:n]
+	e.carve(part)
 	mg.patch()
 	for s := range views {
 		views[s] = e.eng.ResetView(views[s])
@@ -114,13 +127,43 @@ func (e *enginePlane) Run(_ *Round, part *Partition, mg *Merge) ([]Ring, error) 
 	e.pool.Run(n, func(s int) {
 		if m := e.metrics; m != nil {
 			t0 := time.Now()
-			e.ringPass(s, part, views[s], &rings[s])
+			e.ringPass(s, part, views[s], e.segment(s), &rings[s])
 			m.RingPass.Observe(time.Since(t0).Seconds())
 			return
 		}
-		e.ringPass(s, part, views[s], &rings[s])
+		e.ringPass(s, part, views[s], e.segment(s), &rings[s])
 	})
+	// What the views staged is read no more: the next round's views may
+	// take every block again.
+	e.blocks.Reset()
 	return rings, nil
+}
+
+// carve lays the round's rings out in the arena: ring s's segment holds
+// as many decisions as the VMs on its shard's hosts, counted from the
+// cluster's hosts in one pass, which equals the ring's population once
+// addPlaced has run. The arena grows only when the placed VMs outgrow it,
+// by append's amortized step, so a population that creeps up round by
+// round does not reallocate it every round.
+func (e *enginePlane) carve(part *Partition) {
+	cl, n := e.eng.Cluster(), part.Shards()
+	e.off = slices.Grow(e.off[:0], n+1)[:n+1]
+	clear(e.off)
+	for h := cluster.HostID(0); int(h) < cl.NumHosts(); h++ {
+		e.off[part.ShardOfHost(h)+1] += cl.UsedSlots(h)
+	}
+	for s := 0; s < n; s++ {
+		e.off[s+1] += e.off[s]
+	}
+	placed := e.off[n]
+	e.arena = slices.Grow(e.arena[:0], placed)[:placed]
+}
+
+// segment is ring s's share of the arena, capped so that nothing
+// appended to it reaches the next ring's.
+func (e *enginePlane) segment(s int) []core.Decision {
+	lo, hi := e.off[s], e.off[s+1]
+	return e.arena[lo:hi:hi]
 }
 
 // ringPass runs one shard's token ring to completion: every shard VM is
@@ -133,16 +176,28 @@ func (e *enginePlane) Run(_ *Round, part *Partition, mg *Merge) ([]Ring, error) 
 // view reports settled (AllocView.Unsettled) is one Visit would skip at
 // its first test, so the pass counts it skipped without calling Visit;
 // the word is read again after every visit, whose commit may have marked
-// a later holder near. The output o is round scratch: its storage is
-// reused across rounds, and the pass works on locals, off the cache
-// lines the neighbouring rings' outputs share, until it ends.
-func (e *enginePlane) ringPass(s int, part *Partition, view *core.AllocView, o *Ring) {
+// a later holder near.
+//
+// The ring's decisions go to seg, its segment of the round's arena, one
+// entry per ring VM: the view stages its commits from the front
+// (StageInto, with the plane's shared blocks for the positions they
+// reach) and the pass writes its proposals from the back, newest first
+// (Cross puts every ring's in the canonical order). A VM is decided at
+// most once a pass, so the two ends never meet and nothing is appended
+// past the segment. Their provenance, kept only when auditing, is
+// appended to o's lists, whose storage is reused across rounds. The
+// output o is round scratch, written once when the pass ends.
+func (e *enginePlane) ringPass(s int, part *Partition, view *core.AllocView, seg []core.Decision, o *Ring) {
 	base := part.base
 	st := ShardRound{Shard: s}
-	props, commitMeta, propMeta := o.Proposals[:0], o.CommitMeta[:0], o.ProposalMeta[:0]
-	// hops counts the ring's holders below the current word, visits the
-	// holders Visit was called for.
-	hops, visits := 0, 0
+	view.StageInto(seg, &e.blocks)
+	commitMeta, propMeta := o.CommitMeta[:0], o.ProposalMeta[:0]
+	// Proposals fill seg[back:], newest first. hops counts the ring's
+	// holders below the current word, visits the holders Visit was
+	// called for; decided counts the decisions and last is the latest
+	// one's VM, both kept only under checkArena.
+	back, hops, visits := len(seg), 0, 0
+	decided, last := 0, cluster.VMID(0)
 	for w, members := range part.rings[s] {
 		if members == 0 {
 			continue
@@ -177,18 +232,47 @@ func (e *enginePlane) ringPass(s int, part *Partition, view *core.AllocView, o *
 					commitMeta = append(commitMeta, meta)
 				}
 			} else {
-				props = append(props, dec)
+				back--
+				seg[back] = dec
 				st.Proposed++
 				if e.auditing {
 					propMeta = append(propMeta, meta)
 				}
 			}
+			if checkArena {
+				checkDecision(s, dec.VM, last, decided > 0, len(view.Commits()), back)
+				decided, last = decided+1, dec.VM
+			}
 		}
 		hops += bits.OnesCount64(members)
 	}
+	if checkArena && hops != len(seg) {
+		panic(fmt.Sprintf("shard: ring %d holds %d VMs in a segment of %d", s, hops, len(seg)))
+	}
 	st.VMs, st.Hops = hops, hops
 	st.Skipped += hops - visits
-	nearBase, near := view.Near()
-	*o = Ring{ShardRound: st, Commits: view.Commits(), Proposals: props,
-		CommitMeta: commitMeta, ProposalMeta: propMeta, Near: Marks{nearBase, near}, traceDone: true}
+	slices.Reverse(propMeta) // newest first, as the proposals
+	out := Ring{ShardRound: st, Commits: view.Commits(), Proposals: seg[back:],
+		CommitMeta: commitMeta, ProposalMeta: propMeta, traceDone: true}
+	out.Near.Base, out.Near.Words = view.Near()
+	*o = out
+}
+
+// checkArena makes every ring pass check that its decisions stay inside
+// its arena segment, and that it decides each VM at most once, in the
+// ascending order of the walk. Tests only: the scorecheck build tag sets
+// it.
+var checkArena bool
+
+// checkDecision panics when ring s's decision on vm, after last (when it
+// is not the pass's first), repeats or reorders the walk, or when its
+// commits, the segment's first nc entries, ran into its proposals, which
+// start at back.
+func checkDecision(s int, vm, last cluster.VMID, after bool, nc, back int) {
+	if after && vm <= last {
+		panic(fmt.Sprintf("shard: ring %d decided VM %d after VM %d in one pass", s, vm, last))
+	}
+	if nc > back {
+		panic(fmt.Sprintf("shard: ring %d's %d commits overran its proposals at %d", s, nc, back))
+	}
 }

@@ -85,12 +85,21 @@
 // Every merge pass is one replay loop, one decision at a time, over the
 // plane's Env; a plane whose probes cost round trips warms its own state
 // before handing the moves in. Apply executes a checked move and does not
-// price it again: the ΔC the merge checked is the realized one. The
-// round's list of applied moves is the merge's own storage, lent to the
-// Round until the next RunRound: a warm cold round allocates only the
-// Round and its per-shard stats (TestWarmColdRoundAllocs), and under the
-// scorecheck build tag the lent list is overwritten with garbage before
-// it is reused, so a caller that kept it too long reads NaNs.
+// price it again: the ΔC the merge checked is the realized one. A
+// round's decisions live in storage sized once, not grown by append, so
+// no shape the tuner picks regrows it. The in-process plane keeps one
+// arena of decisions sized to the placed VMs: ring s gets a segment as
+// long as its population, its view stages commits from the front and the
+// pass writes proposals from the back, and a VM is decided at most once
+// a pass, so the two never meet (the scorecheck build tag checks both).
+// Once the rings are done the Driver reserves the merge's lists — the
+// applied and rejected moves and the queued proposals — to what the
+// round's decisions can fill, on both planes. The list of applied moves
+// is lent to the Round until the next RunRound: a warm cold round
+// allocates only the Round and its per-shard stats, whatever shape the
+// round before it ran (TestWarmColdRoundAllocs), and under the scorecheck
+// build tag the lent list is overwritten with garbage before it is
+// reused, so a caller that kept it too long reads NaNs.
 //
 // Because each ring's outcome depends only on the frozen round-start
 // state and its own staged moves, and the merge phase runs in a fixed
@@ -125,8 +134,9 @@
 // moves, and any move, admit or removal made between rounds. When the
 // changelog cannot serve them — behind a Restore — or they number more
 // than 2,048 (the partition's own crossover, past which a refill costs
-// less), after an ID-window regrow, and on a partition just built for a
-// new shard shape, the rings are refilled instead: every bitmap cleared,
+// less), after an ID-window regrow, and on a partition just reshaped for
+// a new shard shape (in place: the table and the bitmaps keep their
+// storage), the rings are refilled instead: every bitmap cleared,
 // then one bit set per placed VM, about 4–6 ns per VM on a 2-vCPU Xeon VM
 // (k=24, BenchmarkPartitionRefill, ≈ 0.45–0.6 ms). A shard's view keeps
 // no table to follow: it reads the cluster's own, frozen for the decision

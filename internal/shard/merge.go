@@ -2,6 +2,7 @@ package shard
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -41,10 +42,18 @@ type Merge struct {
 	// Round, lending it the Applied list (see Reset).
 	Outcome
 	// Rejected lists, in decision order and as handed in, every
-	// re-validated move that did not land. Scratch, valid until Reset.
+	// re-validated move that did not land — in a round the Driver
+	// reserved, once Cross has run. Scratch, valid until Reset.
 	Rejected []core.Decision
 	// Proposed counts the cross-shard proposals handed in.
 	Proposed int
+
+	// shared is set once reserve has sized Applied's storage to every
+	// decision of the round: a decision lands or is dropped, so the drops
+	// fill that storage from its end, newest first, down to back, and
+	// Cross puts them in order as Rejected.
+	shared bool
+	back   int
 
 	// proposals/propMeta gather the rings' proposals until Cross.
 	proposals []core.Decision
@@ -140,6 +149,9 @@ func (m *Merge) Reset(round uint32) {
 		poison(m.Applied)
 	}
 	m.Outcome, m.Proposed = Outcome{Applied: m.Applied[:0]}, 0
+	if m.shared {
+		m.Rejected, m.shared = nil, false // it was Applied's storage
+	}
 	m.Rejected = m.Rejected[:0]
 	m.proposals, m.propMeta = m.proposals[:0], m.propMeta[:0]
 	clear(m.near)
@@ -165,6 +177,23 @@ func (m *Merge) Prepared() {
 		m.prepared = time.Now()
 	}
 }
+
+// reserve sizes the round's lists once, before the first Shard, to what
+// the rings handed in can put in them: Applied, with Rejected from its
+// end, to every decision, staged commit or proposal, the proposal queue
+// to the proposals and its provenance to the metas the rings supplied. A
+// list already that large keeps its storage; none grows by append after.
+func (m *Merge) reserve(decisions, proposals, metas int) {
+	m.Applied = reserved(m.Applied, decisions)
+	m.shared, m.back = true, cap(m.Applied)
+	m.proposals = reserved(m.proposals, proposals)
+	m.propMeta = reserved(m.propMeta, metas)
+}
+
+// reserved returns s, emptied, with room for n elements: its own storage
+// when that is large enough, else one allocation of append's amortized
+// size, so rounds whose decisions creep up do not each reallocate it.
+func reserved[T any](s []T, n int) []T { return slices.Grow(s[:0], n) }
 
 // Shard replays ring s's staged intra-shard commits, with near the ring's
 // marks, and returns how many landed. A staged ΔC was computed against
@@ -229,6 +258,10 @@ func (m *Merge) Cross() {
 	sort.Sort(proposalOrder{ps: m.proposals, meta: meta})
 	m.Proposed += len(m.proposals)
 	m.pass(crossPass, -1, m.proposals, meta)
+	if m.shared {
+		m.Rejected = m.Applied[m.back:cap(m.Applied)]
+		slices.Reverse(m.Rejected)
+	}
 }
 
 // Finish closes the round: the metric families both planes share, then
@@ -277,7 +310,12 @@ func (m *Merge) land(i int, ex core.Decision, staged float64) {
 // from is the source on record — as staged, or as re-read for a proposal
 // that got as far as Apply.
 func (m *Merge) drop(i int, d core.Decision, from cluster.HostID, rd float64) {
-	m.Rejected = append(m.Rejected, d)
+	if m.shared {
+		m.back--
+		m.Applied[:cap(m.Applied)][m.back] = d
+	} else {
+		m.Rejected = append(m.Rejected, d)
+	}
 	if m.kind.cross {
 		m.CrossRejected++
 	} else {

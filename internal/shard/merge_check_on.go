@@ -11,11 +11,13 @@ import (
 )
 
 // The scorecheck build tag turns the differential check of the merge's
-// clean rule on for a whole test binary (see checkClean), and poisons
-// every Applied list a Merge lent out before it is reused (see poison).
+// clean rule on for a whole test binary (see checkClean), poisons every
+// Applied list a Merge lent out before it is reused (see poison), and
+// holds every ring pass to its arena segment (see checkArena).
 func init() {
 	checkClean = true
 	poison = scramble
+	checkArena = true
 }
 
 // scramble overwrites ds from the unseeded global source: random VMs and

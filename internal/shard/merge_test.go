@@ -407,3 +407,44 @@ func TestMergeCleanRuleFollowsDrops(t *testing.T) {
 		t.Fatalf("%d commits landed on their staged verdict, want 1 (a)", m.clean)
 	}
 }
+
+// TestReservedMergeKeepsRejectedOrder: the Driver reserves a round's
+// merge, which then keeps its rejections in Applied's storage, filled from
+// the end. After Cross, Applied and Rejected read as an unreserved
+// merge's: in decision order, the staged drops before the cross-shard
+// ones.
+func TestReservedMergeKeepsRejectedOrder(t *testing.T) {
+	const n = 8
+	run := func(reserve bool) *Merge {
+		s := newFakeState(n) // ΔC n/2−i: the proposals, VMs 5–8, re-validate to ≤ 0
+		s.fail = map[cluster.VMID]bool{2: true}
+		m := &Merge{Env: seqEnv{s}}
+		ds := proposalsFor(n)
+		commits, proposals := ds[:4], ds[4:]
+		m.Reset(1)
+		if reserve {
+			m.reserve(len(ds), len(proposals), 0)
+		}
+		m.Shard(0, commits, nil, Marks{})
+		m.Propose(proposals, nil)
+		m.Cross()
+		return m
+	}
+	want, got := run(false), run(true)
+	if len(want.Rejected) < 2 || len(want.Applied) == 0 {
+		t.Fatalf("%d applied, %d rejected: the fixture no longer drops several", len(want.Applied), len(want.Rejected))
+	}
+	for _, l := range []struct {
+		name      string
+		want, got []core.Decision
+	}{{"applied", want.Applied, got.Applied}, {"rejected", want.Rejected, got.Rejected}} {
+		if len(l.got) != len(l.want) {
+			t.Fatalf("reserved merge %s %+v, want %+v", l.name, l.got, l.want)
+		}
+		for i := range l.want {
+			if l.got[i] != l.want[i] {
+				t.Fatalf("reserved merge %s[%d] = %+v, want %+v", l.name, i, l.got[i], l.want[i])
+			}
+		}
+	}
+}

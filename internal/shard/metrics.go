@@ -42,15 +42,17 @@ type Metrics struct {
 	Shards *obs.Gauge
 	// The phase clock (score_round_phase_seconds{phase=…}): each round
 	// observes once per phase, and the phases tile the round, so their
-	// sums add up to RoundLatency's. Patch runs from the round's start
-	// until the plane's ring lists are up to date — the partition and the
-	// ring patch in process, and on the agent plane, which keeps no
-	// views, everything up to its rings' start: the assignment push and
-	// the ring lists; Reset, the view resets and their memo sync, until
-	// the rings are ready (Merge.Prepared), 0 on the agent plane; Rings
-	// until they are done; Merge replays the staged commits in shard
-	// order; Cross reconciles the cross-shard proposals.
-	PhasePatch, PhaseReset, PhaseRings, PhaseMerge, PhaseCross *obs.Histogram
+	// sums add up to RoundLatency's. Plan runs from the round's start
+	// until the driver has the round's partition: the tuner's Plan (the
+	// controller's summary fold or rebuild) and, when the shape changed,
+	// the host→shard table. Patch runs from there until the plane's ring
+	// lists are up to date — the ring patch in process, and on the agent
+	// plane, which keeps no views, everything up to its rings' start: the
+	// assignment push and the ring lists; Reset, the view resets and their
+	// memo sync, until the rings are ready (Merge.Prepared), 0 on the
+	// agent plane; Rings until they are done; Merge replays the staged
+	// commits in shard order; Cross reconciles the cross-shard proposals.
+	PhasePlan, PhasePatch, PhaseReset, PhaseRings, PhaseMerge, PhaseCross *obs.Histogram
 }
 
 // lap observes on h the time since the previous phase ended and returns
@@ -65,7 +67,7 @@ func lap(h *obs.Histogram, since time.Time) time.Time {
 // on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	visits := reg.CounterVec("score_token_visits_total", "Token visits by outcome: skipped (no-move verdict still valid) or evaluated in full.", "outcome")
-	phases := reg.HistogramVec("score_round_phase_seconds", "Wall-clock time of each phase of a scheduling round: patch, reset, rings, merge, cross.", "phase", obs.DefLatencyBuckets)
+	phases := reg.HistogramVec("score_round_phase_seconds", "Wall-clock time of each phase of a scheduling round: plan, patch, reset, rings, merge, cross.", "phase", obs.DefLatencyBuckets)
 	return &Metrics{
 		Rounds:         reg.Counter("score_rounds_total", "Scheduling rounds completed."),
 		RoundLatency:   reg.Histogram("score_round_latency_seconds", "Wall-clock latency of one scheduling round.", obs.DefLatencyBuckets),
@@ -80,6 +82,7 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		CrossRejected:  reg.Counter("score_cross_rejected_total", "Cross-shard proposals rejected by re-validation."),
 		StaleRejected:  reg.Counter("score_stale_rejected_total", "Staged intra-shard moves dropped at merge time."),
 		Shards:         reg.Gauge("score_shards", "Ring count of the latest round."),
+		PhasePlan:      phases.With("plan"),
 		PhasePatch:     phases.With("patch"),
 		PhaseReset:     phases.With("reset"),
 		PhaseRings:     phases.With("rings"),

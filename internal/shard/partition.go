@@ -78,11 +78,24 @@ type Partition struct {
 // plane, which reads placement from its registry rather than a cluster,
 // uses the table alone.
 func NewHostPartition(topo topology.Topology, hosts int, g Granularity, shards int) (*Partition, error) {
+	p := &Partition{}
+	if err := p.reshape(topo, hosts, g, shards); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// reshape derives the host→shard table of a new shape (NewHostPartition)
+// in place and empties the rings for the next addPlaced to refill. The
+// table, the rings and the lists keep their storage, rings the new shape
+// leaves out included, so a round the tuner reshaped allocates nothing
+// here once every shape it plans has been seen at this size.
+func (p *Partition) reshape(topo topology.Topology, hosts int, g Granularity, shards int) error {
 	if topo == nil {
-		return nil, fmt.Errorf("shard: nil topology")
+		return fmt.Errorf("shard: nil topology")
 	}
 	if shards < 1 {
-		return nil, fmt.Errorf("shard: shard count %d must be positive", shards)
+		return fmt.Errorf("shard: shard count %d must be positive", shards)
 	}
 	if n := topo.Hosts(); n > hosts {
 		hosts = n
@@ -105,7 +118,8 @@ func NewHostPartition(topo topology.Topology, hosts int, g Granularity, shards i
 	if shards > units {
 		shards = units
 	}
-	p := &Partition{shards: shards, hostShard: make([]int32, hosts)}
+	p.shards, p.cl = shards, nil
+	p.hostShard = slices.Grow(p.hostShard[:0], hosts)[:hosts]
 	for h := 0; h < hosts; h++ {
 		u := unitOf(cluster.HostID(h))
 		if u < 0 {
@@ -115,8 +129,12 @@ func NewHostPartition(topo topology.Topology, hosts int, g Granularity, shards i
 		}
 		p.hostShard[h] = int32(u * shards / units)
 	}
-	p.rings, p.lists = make([][]uint64, shards), make([][]cluster.VMID, shards)
-	return p, nil
+	p.rings = slices.Grow(p.rings[:0], shards)[:shards]
+	p.lists = slices.Grow(p.lists[:0], shards)[:shards]
+	for s := range p.rings {
+		p.rings[s] = p.rings[s][:0]
+	}
+	return nil
 }
 
 // NewPartition derives a partition of the cluster's current allocation

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/score-dc/score/internal/core"
@@ -98,7 +99,8 @@ type Driver struct {
 	cfg   Config
 
 	// part's host→shard table is kept while the shard shape (count,
-	// granularity, host count) holds.
+	// granularity, host count) holds, and reshaped in place when it
+	// changes.
 	part      *Partition
 	curShards int
 	curGran   Granularity
@@ -134,8 +136,9 @@ func (d *Driver) Rounds() uint64 { return uint64(d.round) }
 func (d *Driver) SetRounds(n uint64) { d.round = uint32(n) }
 
 // partition returns the round's partition: the host→shard table, built
-// on first use and again whenever the shape — the tuner's answer,
-// consulted once per round here, or the plane's host count — changes.
+// on first use and again, in the same storage, whenever the shape — the
+// tuner's answer, consulted once per round here, or the plane's host
+// count — changes.
 func (d *Driver) partition() (*Partition, error) {
 	hosts, err := d.plane.Hosts()
 	if err != nil {
@@ -152,11 +155,13 @@ func (d *Driver) partition() (*Partition, error) {
 		}
 	}
 	if d.part == nil || shards != d.curShards || g != d.curGran || hosts != d.curHosts {
-		part, err := NewHostPartition(d.topo, hosts, g, shards)
-		if err != nil {
+		if d.part == nil {
+			d.part = &Partition{}
+		}
+		if err := d.part.reshape(d.topo, hosts, g, shards); err != nil {
 			return nil, err
 		}
-		d.part, d.curShards, d.curGran, d.curHosts = part, shards, g, hosts
+		d.curShards, d.curGran, d.curHosts = shards, g, hosts
 	}
 	return d.part, nil
 }
@@ -165,8 +170,8 @@ func (d *Driver) partition() (*Partition, error) {
 // placement, have the plane run every shard's ring against frozen state,
 // then hand the rings' staged output to the merge phase in shard order.
 // The returned Round's Applied list is valid until the next RunRound.
-// With Metrics attached, the phase clock times the preparation of the
-// rings, the rings, the merge and the cross-shard pass.
+// With Metrics attached, the phase clock times the plan, the preparation
+// of the rings, the rings, the merge and the cross-shard pass.
 func (d *Driver) RunRound() (*Round, error) {
 	mg := &d.Merge
 	d.round++
@@ -181,6 +186,10 @@ func (d *Driver) RunRound() (*Round, error) {
 	if err != nil {
 		return nil, err
 	}
+	var planned time.Time
+	if mg.Metrics != nil {
+		planned = time.Now()
+	}
 	n := part.Shards()
 	round := &Round{Number: d.round, Shards: make([]ShardRound, 0, n), Granularity: d.curGran}
 	mg.Reset(d.round)
@@ -192,15 +201,23 @@ func (d *Driver) RunRound() (*Round, error) {
 	if mt := mg.Metrics; mt != nil {
 		patched, prepared := mg.patched, mg.prepared
 		if prepared.IsZero() {
-			prepared = start
+			prepared = planned
 		}
 		if patched.IsZero() {
 			patched = prepared
 		}
-		mt.PhasePatch.Observe(patched.Sub(start).Seconds())
+		mt.PhasePlan.Observe(planned.Sub(start).Seconds())
+		mt.PhasePatch.Observe(patched.Sub(planned).Seconds())
 		mt.PhaseReset.Observe(prepared.Sub(patched).Seconds())
 		phase = lap(mt.PhaseRings, prepared)
 	}
+	decisions, proposals, metas := 0, 0, 0
+	for s := range rings {
+		decisions += len(rings[s].Commits) + len(rings[s].Proposals)
+		proposals += len(rings[s].Proposals)
+		metas += len(rings[s].ProposalMeta)
+	}
+	mg.reserve(decisions, proposals, metas)
 	skipped := 0
 	for s := range rings {
 		o := &rings[s]
@@ -224,6 +241,7 @@ func (d *Driver) RunRound() (*Round, error) {
 		lap(mt.PhaseCross, phase)
 	}
 	round.Outcome = mg.Outcome
+	round.Applied = slices.Clip(mg.Applied) // the rejections lie past it
 	mg.Finish(start, n, round.TotalHops, skipped)
 	return round, nil
 }

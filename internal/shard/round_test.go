@@ -1,6 +1,7 @@
 package shard_test
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -22,7 +23,9 @@ type coldRound struct {
 	snap  map[cluster.VMID]cluster.HostID
 }
 
-func newColdRound(tb testing.TB, k int, mt *shard.Metrics) *coldRound {
+// newColdRound plans its rounds with tuner, or with the controller when
+// tuner is nil.
+func newColdRound(tb testing.TB, k int, mt *shard.Metrics, tuner shard.Tuner) *coldRound {
 	tb.Helper()
 	sc, err := experiments.NewFatTreeScenario(k, 30, experiments.Sparse, 20140630)
 	if err != nil {
@@ -30,7 +33,10 @@ func newColdRound(tb testing.TB, k int, mt *shard.Metrics) *coldRound {
 	}
 	ctrl := control.New(sc.Topo, control.Config{})
 	tb.Cleanup(ctrl.Bind(sc.TM, sc.Cl))
-	coord, err := shard.NewCoordinator(sc.Eng, shard.Config{Tuner: ctrl, Metrics: mt})
+	if tuner == nil {
+		tuner = ctrl
+	}
+	coord, err := shard.NewCoordinator(sc.Eng, shard.Config{Tuner: tuner, Metrics: mt})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -49,6 +55,29 @@ func (c *coldRound) restore(tb testing.TB) {
 	c.ctrl.Recommendation()
 }
 
+// newOneWorkerColdRound is newColdRound with the coordinator's worker
+// pool sized to one worker, so every ring runs inline: what a round
+// allocates is then its storage, not the pool's per-round goroutines
+// (a closure each, and a goroutine record when the runtime has none
+// free), which come to as many as the rings past the first.
+func newOneWorkerColdRound(tb testing.TB, k int, mt *shard.Metrics, tuner shard.Tuner) *coldRound {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return newColdRound(tb, k, mt, tuner)
+}
+
+// podShapes is a scripted Tuner: it plans the pod shard counts in plan,
+// one a round, cycling.
+type podShapes struct {
+	plan  []int
+	calls int
+}
+
+func (p *podShapes) Plan() (int, shard.Granularity) {
+	n := p.plan[p.calls%len(p.plan)]
+	p.calls++
+	return n, shard.ByPod
+}
+
 func (c *coldRound) run(tb testing.TB) *shard.Round {
 	r, err := c.coord.RunRound()
 	if err != nil {
@@ -62,7 +91,11 @@ func (c *coldRound) run(tb testing.TB) *shard.Round {
 // Round it returns — no list that grows with the instance — so the count
 // is the same at k=8 and k=16, and so is an instrumented round's, whose
 // phase clock uses pre-resolved histograms. Allocations are counted over
-// RunRound alone, the least of three restored rounds.
+// RunRound alone, the least of three restored rounds. A round's decisions
+// live in storage sized to the instance, not to the shape, so a round
+// the tuner reshaped allocates no more: after a warm-up at 5 pod shards,
+// the restored rounds at 1 and then 4 shards are each held to the same
+// count.
 func TestWarmColdRoundAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 30,720-VM k=16 instance")
@@ -72,43 +105,79 @@ func TestWarmColdRoundAllocs(t *testing.T) {
 		name string
 		k    int
 		mt   *shard.Metrics
+		// shapes, when set, are the pod shard counts a scripted tuner
+		// plans: the warm-up round's, then one measured round at each of
+		// the rest.
+		shapes []int
 	}{
-		{"k=8", 8, nil},
-		{"k=16", 16, nil},
-		{"k=8 instrumented", 8, shard.NewMetrics(obs.NewRegistry())},
+		{"k=8", 8, nil, nil},
+		{"k=16", 16, nil, nil},
+		{"k=8 instrumented", 8, shard.NewMetrics(obs.NewRegistry()), nil},
+		{"k=8 reshaped", 8, nil, []int{5, 1, 4}},
 	}
 	want := uint64(math.MaxUint64)
-	for _, tc := range cases {
-		c := newColdRound(t, tc.k, tc.mt)
-		allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
-		var before, after runtime.MemStats
-		for pass := 0; pass < 3; pass++ {
-			c.restore(t)
-			runtime.ReadMemStats(&before)
-			r := c.run(t)
-			runtime.ReadMemStats(&after)
-			if len(r.Applied) == 0 {
-				t.Fatalf("%s: the restored round applied nothing; it is not cold", tc.name)
-			}
-			allocs = min(allocs, after.Mallocs-before.Mallocs)
-			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		}
-		t.Logf("%s: %d VMs, %d allocs, %d B per warm cold round", tc.name, c.sc.Cl.NumVMs(), allocs, bytes)
+	check := func(name string, allocs, bytes uint64) {
+		t.Logf("%s: %d allocs, %d B per warm cold round", name, allocs, bytes)
 		if allocs > maxAllocs || bytes >= maxBytes {
-			t.Errorf("%s: a warm cold round allocates %d times, %d B; want ≤ %d and < %d B", tc.name, allocs, bytes, maxAllocs, maxBytes)
+			t.Errorf("%s: a warm cold round allocates %d times, %d B; want ≤ %d and < %d B", name, allocs, bytes, maxAllocs, maxBytes)
 		}
 		if want == math.MaxUint64 {
 			want = allocs
 		} else if allocs != want {
-			t.Errorf("%s: %d allocs per round, but %d at %s", tc.name, allocs, want, cases[0].name)
+			t.Errorf("%s: %d allocs per round, but %d at %s", name, allocs, want, cases[0].name)
+		}
+	}
+	// measure restores the warm-up's placement and counts what the next
+	// round allocates.
+	measure := func(name string, c *coldRound) (allocs, bytes uint64, r *shard.Round) {
+		c.restore(t)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r = c.run(t)
+		runtime.ReadMemStats(&after)
+		if len(r.Applied) == 0 {
+			t.Fatalf("%s: the restored round applied nothing; it is not cold", name)
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, r
+	}
+	for _, tc := range cases {
+		if tc.shapes == nil {
+			c := newColdRound(t, tc.k, tc.mt, nil)
+			allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+			for pass := 0; pass < 3; pass++ {
+				a, b, _ := measure(tc.name, c)
+				allocs, bytes = min(allocs, a), min(bytes, b)
+			}
+			check(fmt.Sprintf("%s, %d VMs", tc.name, c.sc.Cl.NumVMs()), allocs, bytes)
+			continue
+		}
+		// A reshaped round is the first at its shape, so the least of
+		// three is taken over three coordinators run alike.
+		n := len(tc.shapes) - 1
+		allocs, bytes := make([]uint64, n), make([]uint64, n)
+		for j := range allocs {
+			allocs[j], bytes[j] = math.MaxUint64, math.MaxUint64
+		}
+		for rep := 0; rep < 3; rep++ {
+			c := newOneWorkerColdRound(t, tc.k, tc.mt, &podShapes{plan: tc.shapes})
+			for j := 0; j < n; j++ {
+				a, b, r := measure(tc.name, c)
+				if len(r.Shards) != tc.shapes[j+1] {
+					t.Fatalf("%s: round %d ran %d rings, the tuner planned %d", tc.name, j+1, len(r.Shards), tc.shapes[j+1])
+				}
+				allocs[j], bytes[j] = min(allocs[j], a), min(bytes[j], b)
+			}
+		}
+		for j := range allocs {
+			check(fmt.Sprintf("%s, %d shards after %d", tc.name, tc.shapes[j+1], tc.shapes[j]), allocs[j], bytes[j])
 		}
 	}
 }
 
 // TestRoundPhasesSumToLatency: with Metrics attached, every round observes
-// each of the five phases once, and the phases tile the round, so their
-// sums add up to the round latency's within 5 %. The ring patch and the
-// view resets show in phases of their own.
+// each of the six phases once, and the phases tile the round, so their
+// sums add up to the round latency's within 5 %. The plan, the ring patch
+// and the view resets show in phases of their own.
 func TestRoundPhasesSumToLatency(t *testing.T) {
 	mt := shard.NewMetrics(obs.NewRegistry())
 	eng := shard.BuildEngine(t, 8, 29, 10)
@@ -131,7 +200,7 @@ func TestRoundPhasesSumToLatency(t *testing.T) {
 		}
 	}
 	phases := 0.0
-	for name, h := range map[string]*obs.Histogram{"patch": mt.PhasePatch, "reset": mt.PhaseReset, "rings": mt.PhaseRings, "merge": mt.PhaseMerge, "cross": mt.PhaseCross} {
+	for name, h := range map[string]*obs.Histogram{"plan": mt.PhasePlan, "patch": mt.PhasePatch, "reset": mt.PhaseReset, "rings": mt.PhaseRings, "merge": mt.PhaseMerge, "cross": mt.PhaseCross} {
 		if n := h.Count(); n != uint64(rounds) {
 			t.Fatalf("phase %s observed %d times over %d rounds", name, n, rounds)
 		}
@@ -155,7 +224,25 @@ func TestRoundPhasesSumToLatency(t *testing.T) {
 // before each round. Its allocs/op and B/op stay those of the Round it
 // returns (TestWarmColdRoundAllocs is the hard gate).
 func BenchmarkColdRound(b *testing.B) {
-	c := newColdRound(b, 24, nil)
+	c := newColdRound(b, 24, nil, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c.restore(b)
+		b.StartTimer()
+		c.run(b)
+	}
+}
+
+// BenchmarkColdRoundReshaped is BenchmarkColdRound with the shape changing
+// every round: after a warm-up round at 5 pod shards, the restored cold
+// rounds run at 1, 4, 5, 1, … pod shards, the shapes the controller plans
+// for converge's passes. Its allocs/op and B/op stay those of the Round it
+// returns: the rings stage into one arena sized to the VMs and the merge
+// reserves its lists once a round, so no shape regrows them.
+func BenchmarkColdRoundReshaped(b *testing.B) {
+	c := newColdRound(b, 24, nil, &podShapes{plan: []int{5, 1, 4}})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -674,17 +674,20 @@ func BenchmarkColdMerge(b *testing.B) {
 // BenchmarkQuietRingPass is one pod ring's pass in a converged k=24 round
 // (103,680 VMs in topology order, 24 pod shards): the walk over the
 // ring's words and the visits of the holders a settled verdict does not
-// cover. Must read 0 allocs/op.
+// cover, staging into the ring's segment of the last round's arena. Must
+// read 0 allocs/op.
 func BenchmarkQuietRingPass(b *testing.B) {
 	eng, coord := convergedK24(b)
 	part, view, ring := coord.part, eng.NewView(), &Ring{}
+	seg := coord.plane.segment(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
+		coord.plane.blocks.Reset()
 		view = eng.ResetView(view)
 		b.StartTimer()
-		coord.plane.ringPass(0, part, view, ring)
+		coord.plane.ringPass(0, part, view, seg, ring)
 	}
 	b.ReportMetric(float64(ring.Hops-ring.Skipped), "evaluated/op")
 }
@@ -766,7 +769,10 @@ func TestCoordinatorTunerRepartitions(t *testing.T) {
 	defer coord.Close()
 	want := []int{1, 4, 4, 8}
 	for round, n := range want {
-		partBefore := coord.part
+		refills := 0
+		if coord.part != nil {
+			refills = coord.part.refills
+		}
 		res, err := coord.RunRound()
 		if err != nil {
 			t.Fatal(err)
@@ -774,7 +780,7 @@ func TestCoordinatorTunerRepartitions(t *testing.T) {
 		if got := len(res.Shards); got != n {
 			t.Fatalf("round %d ran %d rings, tuner asked for %d", round+1, got, n)
 		}
-		if round == 2 && coord.part != partBefore && partBefore != nil {
+		if round == 2 && coord.part.refills != refills {
 			t.Fatal("unchanged recommendation rebuilt the partition")
 		}
 	}
@@ -788,5 +794,41 @@ func TestCoordinatorTunerRepartitions(t *testing.T) {
 	// …but fixed ones still validate.
 	if _, err := NewCoordinator(eng, Config{}); err == nil {
 		t.Fatal("zero shards without a tuner accepted")
+	}
+}
+
+// TestAuditHopsNameRingPositions: the provenance an in-process round
+// hands the merge stays aligned with the decisions — every audit record
+// names the ring that staged its move and the VM's position in that ring
+// at the round's start, for staged commits and for the proposals a pass
+// writes from the back of its segment alike.
+func TestAuditHopsNameRingPositions(t *testing.T) {
+	eng := buildEngine(t, 4, 23, 10)
+	ar := obs.NewAuditRing(1 << 12)
+	coord, err := NewCoordinator(eng, Config{Shards: 4, Granularity: ByRack, Audit: ar})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	proposed := 0
+	for round := 0; round < 4; round++ {
+		r, err := coord.RunRound()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sr := range r.Shards {
+			proposed += sr.Proposed
+		}
+		// The rings are patched at the next round's start, so they still
+		// hold this round's members.
+		for _, rec := range ar.Select(-1, int64(r.Number)) {
+			ring := coord.part.VMs(int(rec.Shard))
+			if rec.Hop < 0 || int(rec.Hop) >= len(ring) || ring[rec.Hop] != cluster.VMID(rec.VM) {
+				t.Fatalf("round %d: record for VM %d names ring %d hop %d", r.Number, rec.VM, rec.Shard, rec.Hop)
+			}
+		}
+	}
+	if proposed == 0 || ar.Len() == 0 {
+		t.Fatalf("%d proposals, %d records: the fixture proposes nothing across rings", proposed, ar.Len())
 	}
 }
