@@ -522,11 +522,15 @@ func (v *AllocView) mark(vm cluster.VMID) {
 
 // stage gives near word w a block holding where the view places the
 // word's VMs now: the cluster's table, frozen for the view's life. The
-// block comes from the lent StageBlocks, or from the view's own.
+// block comes from the lent StageBlocks, or from the view's own, all free
+// again at the first stage after a reset (which left none in use).
 func (v *AllocView) stage(w uint) {
 	b := v.blocks
 	if b == nil {
 		b = &v.own
+		if len(v.words) == 0 {
+			b.Reset()
+		}
 	}
 	p := b.take()
 	copy(p[:], v.dense[64*w:])

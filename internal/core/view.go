@@ -143,7 +143,6 @@ func (v *AllocView) unstage() {
 		v.commits = v.commits[:0]
 	}
 	v.blocks = nil
-	v.own.Reset()
 	v.hasBest = false
 }
 
