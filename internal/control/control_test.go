@@ -126,6 +126,27 @@ func TestSummaryEquivalenceUnderChurn(t *testing.T) {
 	compareSummaries(t, -1, ctrl.sum, newBruteSummary(topo, cl, tm))
 }
 
+// TestRackTableMatchesTopology: the controller buckets every host of the
+// topology through the summary's host→rack table to the rack the
+// topology names, and a host outside the table through the topology.
+func TestRackTableMatchesTopology(t *testing.T) {
+	for _, k := range []int{4, 8} {
+		topo, err := topology.NewFatTree(k, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := New(topo, Config{})
+		for h := cluster.HostID(0); int(h) <= topo.Hosts(); h++ {
+			if got, want := c.rackOf(h), topo.RackOf(h); got != want {
+				t.Fatalf("k=%d: host %d buckets to rack %d, the topology says %d", k, h, got, want)
+			}
+		}
+		if _, ok := c.sum.rackOf(cluster.HostID(topo.Hosts())); ok {
+			t.Fatalf("k=%d: host %d lies outside the topology but in the table", k, topo.Hosts())
+		}
+	}
+}
+
 // TestPlannerShapes: synthetic rack-level shapes must map to the
 // documented recommendations — pod-local traffic fans out to one ring
 // per pod, cross-pod-heavy traffic collapses to the serial token, and a

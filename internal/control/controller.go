@@ -57,8 +57,17 @@ func (c *Controller) Bind(tm *traffic.Matrix, cl *cluster.Cluster) (unbind func(
 // summary; a pair with an unplaced endpoint is not in it.
 func (c *Controller) addPair(_, _ cluster.VMID, ha, hb cluster.HostID, delta float64) {
 	if ha != cluster.NoHost && hb != cluster.NoHost {
-		c.sum.AddEdge(c.topo.RackOf(ha), c.topo.RackOf(hb), delta)
+		c.sum.AddEdge(c.rackOf(ha), c.rackOf(hb), delta)
 	}
+}
+
+// rackOf reads h's rack from the summary's host→rack table, and asks the
+// topology for a host outside it.
+func (c *Controller) rackOf(h cluster.HostID) int {
+	if r, ok := c.sum.rackOf(h); ok {
+		return r
+	}
+	return c.topo.RackOf(h)
 }
 
 // Recommendation syncs pending traffic changes and returns the adopted

@@ -17,7 +17,9 @@ import (
 // rates on traffic's grid, hence exact: the order deltas arrive in does
 // not change a bit of it.
 type Summary struct {
-	// rack→pod table and unit counts, derived from the topology once.
+	// host→rack and rack→pod tables and unit counts, derived from the
+	// topology once.
+	hostRack []int32
 	rackPod  []int32
 	numRacks int
 	numPods  int
@@ -35,10 +37,11 @@ type Summary struct {
 // NewSummary derives the unit tables from topo and returns an empty
 // summary.
 func NewSummary(topo topology.Topology) *Summary {
-	s := &Summary{}
 	hosts := topo.Hosts()
+	s := &Summary{hostRack: make([]int32, hosts)}
 	for h := 0; h < hosts; h++ {
 		r, p := topo.RackOf(cluster.HostID(h)), topo.PodOf(cluster.HostID(h))
+		s.hostRack[h] = int32(r)
 		if r >= s.numRacks {
 			s.numRacks = r + 1
 		}
@@ -54,10 +57,19 @@ func NewSummary(topo topology.Topology) *Summary {
 	}
 	s.rackPod = make([]int32, s.numRacks)
 	for h := 0; h < hosts; h++ {
-		s.rackPod[topo.RackOf(cluster.HostID(h))] = int32(topo.PodOf(cluster.HostID(h)))
+		s.rackPod[s.hostRack[h]] = int32(topo.PodOf(cluster.HostID(h)))
 	}
 	s.podRate = make([]float64, s.numPods*s.numPods)
 	return s
+}
+
+// rackOf returns host h's rack from the table; ok is false for a host
+// outside it.
+func (s *Summary) rackOf(h cluster.HostID) (rack int, ok bool) {
+	if uint(h) < uint(len(s.hostRack)) {
+		return int(s.hostRack[h]), true
+	}
+	return 0, false
 }
 
 // Reset drops every aggregate (the full-rebuild path after a changelog

@@ -98,13 +98,26 @@ type AllocView struct {
 // views sequentially, then use them concurrently.
 func (e *Engine) NewView() *AllocView { return e.ResetView(nil) }
 
+// Sync folds what the placement and traffic changelogs logged since the
+// last sync into the engine's own state: the cost accounting and the
+// visit memo. Every view reset and every accounting read syncs first, so
+// calling it only moves that work earlier. It reads the cluster and the
+// traffic matrix and writes only the accounting and the memo, so it may
+// run beside other readers of both — a round driver folds here while its
+// tuner plans — but not beside any other use of the engine.
+func (e *Engine) Sync() {
+	e.acct.Sync()
+	e.memoSync()
+}
+
 // ResetView re-primes an existing frozen view for a fresh decision
 // phase, reusing its buffers: it undoes what the view's staged commits
 // wrote (unstage) and points the view at the cluster's table as it stands
 // now. A reset view is indistinguishable from a new one — round loops
 // keep per-shard views alive across rounds and pay for what each staged,
 // not for the hosts or the VMs. A nil or foreign view is replaced by a
-// new one.
+// new one. After Sync, with nothing written since, the reset finds the
+// engine's changelog folds done.
 func (e *Engine) ResetView(v *AllocView) *AllocView {
 	if v == nil || v.eng != e {
 		v = &AllocView{eng: e, k: *e.kern.Clone()}

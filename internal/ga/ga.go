@@ -379,6 +379,7 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 	// are drawn sequentially from the caller's RNG, and each child breeds
 	// with its own seed-derived RNG.
 	pool := shard.NewPool(0)
+	defer pool.Close()
 
 	// The live allocation anchors the delta encoding: it is the shared
 	// base, and individuals store bounded diffs against it until a

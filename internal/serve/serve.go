@@ -390,12 +390,14 @@ func (d *Daemon) Rounds() uint64 {
 	return d.coord.Rounds()
 }
 
-// Close stops the state loop and the flight recorder and fails any
-// raced-in submissions with ErrClosed. Safe to call more than once.
+// Close stops the state loop, the round pool's helpers and the flight
+// recorder and fails any raced-in submissions with ErrClosed. Safe to
+// call more than once.
 func (d *Daemon) Close() error {
 	d.closeOnce.Do(func() {
 		close(d.stop)
 		<-d.done
+		d.coord.Close()
 		if d.flight != nil {
 			d.flight.Close()
 		}

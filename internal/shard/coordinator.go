@@ -69,12 +69,15 @@ func NewCoordinator(eng *core.Engine, cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	d.pool, d.fold = pl.pool, eng.Sync
 	return &Coordinator{Driver: d, plane: pl}, nil
 }
 
-// Close drops the round scratch. The coordinator holds nothing outside
-// itself, so a caller that is done with it may equally just let it go.
+// Close stops the worker pool's helpers and drops the round scratch. A
+// coordinator that is dropped without Close stops its helpers once the
+// garbage collector finds it unreachable (Pool); Close does it now.
 func (c *Coordinator) Close() {
+	c.plane.pool.Close()
 	c.part, c.plane.views, c.plane.rings = nil, nil, nil
 	c.plane.arena, c.plane.off, c.plane.blocks = nil, nil, core.StageBlocks{}
 }
@@ -107,8 +110,9 @@ func (e *enginePlane) Hosts() (int, error) { return e.eng.Cluster().NumHosts(), 
 
 // Run brings the partition's ring bitmaps up to the cluster's placement
 // table and prepares the views sequentially (a reset primes the engine's
-// shared accounting; both patch from the cluster's changelog where they
-// can), then runs the rings strictly concurrently.
+// shared accounting, which the Driver's fold has brought up to date; both
+// patch from the cluster's changelog where they can), then runs the rings
+// strictly concurrently.
 func (e *enginePlane) Run(_ *Round, part *Partition, mg *Merge) ([]Ring, error) {
 	part.addPlaced(e.eng.Cluster())
 	mg.Env = EngineEnv(e.eng)

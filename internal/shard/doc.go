@@ -101,6 +101,25 @@
 // build tag the lent list is overwritten with garbage before it is
 // reused, so a caller that kept it too long reads NaNs.
 //
+// Which work runs where. The caller of RunRound runs the round; on the
+// in-process plane the Coordinator's worker pool lends it helpers, parked
+// between rounds, for three pieces. The rings run on the caller and the
+// helpers together. At the round's start the engine's changelog fold
+// (core.Engine.Sync: the accounting follower and the visit memo) runs on
+// a helper while the caller asks the tuner for its plan and reshapes the
+// partition; the view resets then find it done. Once the rings are done
+// the caller queues every ring's proposals and a helper sorts the queue
+// into the canonical order while the caller replays the staged commits,
+// so the cross-shard pass replays a sorted queue. Each overlap's two
+// sides only read the cluster and the traffic matrix, and write disjoint
+// state: the engine's accounting and memo against the controller's
+// summary and the partition; the proposal queue against the engine, the
+// cluster and the merge's lists (TestLanesMatchInline, under the race
+// detector in CI). Everything else — the ring patch, the view resets, the
+// replay, the cross-shard pass — runs on the caller. The agent plane has
+// no fold and no pool: its Driver sorts the queue inline before the
+// replay.
+//
 // Because each ring's outcome depends only on the frozen round-start
 // state and its own staged moves, and the merge phase runs in a fixed
 // order, a run's output is byte-for-byte identical for any GOMAXPROCS
@@ -158,5 +177,8 @@
 //
 // The worker pool (Pool) is exported separately: the GA baseline reuses
 // it to fan population fitness evaluation and memetic local search over
-// the same bounded concurrency.
+// the same bounded concurrency. Its helpers start at its first fan-out
+// and stay parked between calls, so a call allocates nothing; Close (and
+// Coordinator.Close) stops them, and a pool dropped without Close stops
+// them once it is garbage collected.
 package shard

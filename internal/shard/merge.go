@@ -14,16 +14,16 @@ import (
 // Merge is the merge phase of one scheduling round — everything between
 // "the rings have finished" and "the round is reported" — and the one
 // piece of code both scheduler planes run for it (see the package
-// documentation for what a plane supplies). Per ring, in shard order, the
-// Driver calls Shard with the staged intra-shard commits and Propose with
-// the cross-shard proposals; then Cross once; then Finish. Every decision
-// is checked against the state the one before it left (ΔC > Cm and
-// admissible: Theorem 1 for everything that lands), applied, and
-// recorded where that verdict is reached — one obs.AuditRecord and one
-// obs.EvVerdict event per decision, in decision order. A staged commit
-// the clean rule covers (package doc) reads exactly the state it was
-// staged against, so its staged verdict is that check; every other
-// decision is re-validated.
+// documentation for what a plane supplies). The Driver calls Propose with
+// every ring's cross-shard proposals, then, in shard order, Shard with
+// each ring's staged intra-shard commits while the queue is sorted beside
+// them; then Cross once; then Finish. Every decision is checked against
+// the state the one before it left (ΔC > Cm and admissible: Theorem 1
+// for everything that lands), applied, and recorded where that verdict
+// is reached — one obs.AuditRecord and one obs.EvVerdict event per
+// decision, in decision order. A staged commit the clean rule covers
+// (package doc) reads exactly the state it was staged against, so its
+// staged verdict is that check; every other decision is re-validated.
 //
 // The zero value with Env and Cm set is ready to use. A Merge may be
 // kept and Reset between rounds; it is not safe for concurrent use.
@@ -55,9 +55,11 @@ type Merge struct {
 	shared bool
 	back   int
 
-	// proposals/propMeta gather the rings' proposals until Cross.
+	// proposals/propMeta gather the rings' proposals until Cross; ordered
+	// is set once order has sorted them, and cleared by Propose.
 	proposals []core.Decision
 	propMeta  []AuditMeta
+	ordered   bool
 
 	// The pass in progress: its kind, the shard its trace events carry,
 	// the provenance aligned with its input, the one clock read its audit
@@ -153,7 +155,7 @@ func (m *Merge) Reset(round uint32) {
 		m.Rejected, m.shared = nil, false // it was Applied's storage
 	}
 	m.Rejected = m.Rejected[:0]
-	m.proposals, m.propMeta = m.proposals[:0], m.propMeta[:0]
+	m.proposals, m.propMeta, m.ordered = m.proposals[:0], m.propMeta[:0], false
 	clear(m.near)
 	m.clean = 0
 	m.patched, m.prepared = time.Time{}, time.Time{}
@@ -229,6 +231,7 @@ func (m *Merge) nearMarked(vm cluster.VMID) bool {
 func (m *Merge) Propose(proposals []core.Decision, meta []AuditMeta) {
 	m.proposals = append(m.proposals, proposals...)
 	m.propMeta = append(m.propMeta, meta...)
+	m.ordered = false
 }
 
 // Withdraw accounts for moves a plane pulled before the replay — the
@@ -247,17 +250,34 @@ func (m *Merge) Withdraw(s int, commits, proposals []core.Decision) {
 	}
 }
 
-// Cross reconciles the queued proposals in the canonical order —
-// strongest staged ΔC first, ties by VM then target — which every plane
-// must share for sharded runs to be deterministic and comparable.
-func (m *Merge) Cross() {
-	meta := m.propMeta
-	if len(meta) != len(m.proposals) {
-		meta = nil
+// order sorts the queued proposals, with their provenance when it is
+// aligned, into the canonical order — strongest staged ΔC first, ties by
+// VM then target — which every plane must share for sharded runs to be
+// deterministic and comparable. A VM is decided at most once a round, so
+// no two proposals tie and the order is total. It reads and writes only
+// the queue, so the Driver runs it beside Shard.
+func (m *Merge) order() {
+	sort.Sort(proposalOrder{ps: m.proposals, meta: m.queueMeta()})
+	m.ordered = true
+}
+
+// queueMeta is the queue's provenance, nil when it is not aligned.
+func (m *Merge) queueMeta() []AuditMeta {
+	if len(m.propMeta) != len(m.proposals) {
+		return nil
 	}
-	sort.Sort(proposalOrder{ps: m.proposals, meta: meta})
+	return m.propMeta
+}
+
+// Cross reconciles the queued proposals in the canonical order (order).
+// The Driver has the queue sorted beside the staged replay, so Cross
+// sorts it only when nothing did since the last Propose.
+func (m *Merge) Cross() {
+	if !m.ordered {
+		m.order()
+	}
 	m.Proposed += len(m.proposals)
-	m.pass(crossPass, -1, m.proposals, meta)
+	m.pass(crossPass, -1, m.proposals, m.queueMeta())
 	if m.shared {
 		m.Rejected = m.Applied[m.back:cap(m.Applied)]
 		slices.Reverse(m.Rejected)

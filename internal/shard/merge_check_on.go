@@ -4,7 +4,7 @@ package shard
 
 import (
 	"math"
-	"math/rand/v2"
+	"math/rand"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
@@ -20,15 +20,16 @@ func init() {
 	checkArena = true
 }
 
-// scramble overwrites ds from the unseeded global source: random VMs and
-// hosts, and a quiet NaN ΔC with a random payload. Two runs that both read
-// a stale list therefore disagree, and any sum over it is NaN.
+// scramble overwrites ds from math/rand's global source, which is seeded
+// at random at start-up: random VMs and hosts, and a quiet NaN ΔC with a
+// random payload. Two runs that both read a stale list therefore
+// disagree, and any sum over it is NaN.
 func scramble(ds []core.Decision) {
 	for i := range ds {
 		ds[i] = core.Decision{
 			VM:     cluster.VMID(rand.Uint32()),
-			From:   cluster.HostID(rand.Int32()),
-			Target: cluster.HostID(rand.Int32()),
+			From:   cluster.HostID(rand.Int31()),
+			Target: cluster.HostID(rand.Int31()),
 			Delta:  math.Float64frombits(0x7ff8_0000_0000_0000 | rand.Uint64()&(1<<51-1)),
 		}
 	}

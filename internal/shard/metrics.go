@@ -48,11 +48,18 @@ type Metrics struct {
 	// the host→shard table. Patch runs from there until the plane's ring
 	// lists are up to date — the ring patch in process, and on the agent
 	// plane, which keeps no views, everything up to its rings' start: the
-	// assignment push and the ring lists; Reset, the view resets and their
-	// memo sync, until the rings are ready (Merge.Prepared), 0 on the
-	// agent plane; Rings until they are done; Merge replays the staged
-	// commits in shard order; Cross reconciles the cross-shard proposals.
+	// assignment push and the ring lists; Reset, the view resets, until
+	// the rings are ready (Merge.Prepared), 0 on the agent plane; Rings
+	// until they are done; Merge replays the staged commits in shard
+	// order, and waits for the proposals' sort that runs beside it; Cross
+	// reconciles the cross-shard proposals.
 	PhasePlan, PhasePatch, PhaseReset, PhaseRings, PhaseMerge, PhaseCross *obs.Histogram
+	// PhaseFold is the plane's changelog fold (core.Engine.Sync), which
+	// runs on a pool worker beside the plan and is timed there, so it
+	// tiles nothing: the plan, the caller's span, includes any wait for
+	// it. Observed once per round on the in-process plane; the agent
+	// plane has no fold.
+	PhaseFold *obs.Histogram
 }
 
 // lap observes on h the time since the previous phase ended and returns
@@ -67,7 +74,7 @@ func lap(h *obs.Histogram, since time.Time) time.Time {
 // on reg.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	visits := reg.CounterVec("score_token_visits_total", "Token visits by outcome: skipped (no-move verdict still valid) or evaluated in full.", "outcome")
-	phases := reg.HistogramVec("score_round_phase_seconds", "Wall-clock time of each phase of a scheduling round: plan, patch, reset, rings, merge, cross.", "phase", obs.DefLatencyBuckets)
+	phases := reg.HistogramVec("score_round_phase_seconds", "Wall-clock time of each phase of a scheduling round: plan, patch, reset, rings, merge, cross; and fold, which runs beside plan.", "phase", obs.DefLatencyBuckets)
 	return &Metrics{
 		Rounds:         reg.Counter("score_rounds_total", "Scheduling rounds completed."),
 		RoundLatency:   reg.Histogram("score_round_latency_seconds", "Wall-clock latency of one scheduling round.", obs.DefLatencyBuckets),
@@ -88,5 +95,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		PhaseRings:     phases.With("rings"),
 		PhaseMerge:     phases.With("merge"),
 		PhaseCross:     phases.With("cross"),
+		PhaseFold:      phases.With("fold"),
 	}
 }

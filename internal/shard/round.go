@@ -14,7 +14,10 @@ import (
 // live measurements — the adaptive control plane's hook into both
 // schedulers (implemented by control.Controller). Plan is called once
 // at the start of every round; when its answer changes, the driver
-// re-partitions before running the round's rings.
+// re-partitions before running the round's rings. On the in-process
+// plane Plan runs beside the engine's changelog fold (core.Engine.Sync),
+// so it may read the cluster and the traffic matrix but not use the
+// engine.
 type Tuner interface {
 	Plan() (shards int, g Granularity)
 }
@@ -108,6 +111,15 @@ type Driver struct {
 
 	// round numbers trace events; incremented once per RunRound.
 	round uint32
+
+	// pool runs a round's two overlaps on a helper: the plane's fold
+	// beside the plan, the proposals' sort beside the staged replay; nil
+	// (the agent plane) runs both inline. fold is the plane's changelog
+	// fold, nil when it has none. foldTask and sortTask are bound once,
+	// so handing them to the pool allocates nothing.
+	pool               *Pool
+	fold               func()
+	foldTask, sortTask func()
 }
 
 // NewDriver validates cfg's shard shape — Shards and Granularity, unless
@@ -122,8 +134,22 @@ func NewDriver(topo topology.Topology, cfg Config, cm float64, plane Plane) (*Dr
 			return nil, fmt.Errorf("shard: unknown granularity %v", cfg.Granularity)
 		}
 	}
-	return &Driver{plane: plane, topo: topo, cfg: cfg,
-		Merge: Merge{Cm: cm, Audit: cfg.Audit, Trace: cfg.Trace, Metrics: cfg.Metrics}}, nil
+	d := &Driver{plane: plane, topo: topo, cfg: cfg,
+		Merge: Merge{Cm: cm, Audit: cfg.Audit, Trace: cfg.Trace, Metrics: cfg.Metrics}}
+	d.foldTask, d.sortTask = d.foldPlane, d.Merge.order
+	return d, nil
+}
+
+// foldPlane runs the plane's changelog fold, timed on the phase clock
+// where it runs.
+func (d *Driver) foldPlane() {
+	if mt := d.Merge.Metrics; mt != nil {
+		t0 := time.Now()
+		d.fold()
+		mt.PhaseFold.Observe(time.Since(t0).Seconds())
+		return
+	}
+	d.fold()
 }
 
 // Rounds returns how many rounds this driver has run — the counter that
@@ -171,7 +197,20 @@ func (d *Driver) partition() (*Partition, error) {
 // then hand the rings' staged output to the merge phase in shard order.
 // The returned Round's Applied list is valid until the next RunRound.
 // With Metrics attached, the phase clock times the plan, the preparation
-// of the rings, the rings, the merge and the cross-shard pass.
+// of the rings, the rings, the merge and the cross-shard pass, and, where
+// it runs, the plane's fold.
+//
+// Two pieces of serial work run on a pool helper while the caller does
+// the rest. At the round's start the plane's changelog fold runs beside
+// the tuner's plan and the partition: the fold writes only the engine's
+// accounting and visit memo, the plan only the controller's summary and
+// the partition, and both only read the cluster and the traffic matrix.
+// Once the rings are done every ring's proposals are queued first, and
+// the queue is sorted into the canonical order beside the replay of the
+// staged commits: the sort touches only the queue, the replay the engine,
+// the cluster and the merge's lists. Cross then replays the sorted queue.
+// Without a pool (the agent plane) each runs inline, before the work it
+// would overlap; either way every decision, record and sum is the same.
 func (d *Driver) RunRound() (*Round, error) {
 	mg := &d.Merge
 	d.round++
@@ -182,7 +221,12 @@ func (d *Driver) RunRound() (*Round, error) {
 	if mg.Trace != nil {
 		mg.Trace.Record(obs.Event{Kind: obs.EvRoundStart, Round: d.round, Shard: -1})
 	}
+	var fold side
+	if d.fold != nil {
+		fold = d.pool.start(d.foldTask)
+	}
 	part, err := d.partition()
+	fold.wait()
 	if err != nil {
 		return nil, err
 	}
@@ -218,6 +262,10 @@ func (d *Driver) RunRound() (*Round, error) {
 		metas += len(rings[s].ProposalMeta)
 	}
 	mg.reserve(decisions, proposals, metas)
+	for s := range rings {
+		mg.Propose(rings[s].Proposals, rings[s].ProposalMeta)
+	}
+	sorted := d.pool.start(d.sortTask)
 	skipped := 0
 	for s := range rings {
 		o := &rings[s]
@@ -230,9 +278,9 @@ func (d *Driver) RunRound() (*Round, error) {
 			mg.Trace.Record(obs.Event{Kind: obs.EvRingDone, Round: d.round, Shard: int16(s), Arg: int64(o.Hops)})
 		}
 		o.Merged = mg.Shard(s, o.Commits, o.CommitMeta, o.Near)
-		mg.Propose(o.Proposals, o.ProposalMeta)
 		round.Shards = append(round.Shards, o.ShardRound)
 	}
+	sorted.wait()
 	if mt := mg.Metrics; mt != nil {
 		phase = lap(mt.PhaseMerge, phase)
 	}

@@ -55,16 +55,6 @@ func (c *coldRound) restore(tb testing.TB) {
 	c.ctrl.Recommendation()
 }
 
-// newOneWorkerColdRound is newColdRound with the coordinator's worker
-// pool sized to one worker, so every ring runs inline: what a round
-// allocates is then its storage, not the pool's per-round goroutines
-// (a closure each, and a goroutine record when the runtime has none
-// free), which come to as many as the rings past the first.
-func newOneWorkerColdRound(tb testing.TB, k int, mt *shard.Metrics, tuner shard.Tuner) *coldRound {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	return newColdRound(tb, k, mt, tuner)
-}
-
 // podShapes is a scripted Tuner: it plans the pod shard counts in plan,
 // one a round, cycling.
 type podShapes struct {
@@ -95,7 +85,9 @@ func (c *coldRound) run(tb testing.TB) *shard.Round {
 // live in storage sized to the instance, not to the shape, so a round
 // the tuner reshaped allocates no more: after a warm-up at 5 pod shards,
 // the restored rounds at 1 and then 4 shards are each held to the same
-// count.
+// count. Every case runs the pool at GOMAXPROCS workers: its helpers are
+// parked between rounds, not spawned, so neither the rings' fan-out nor
+// the round's two overlaps allocate.
 func TestWarmColdRoundAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the 30,720-VM k=16 instance")
@@ -159,7 +151,7 @@ func TestWarmColdRoundAllocs(t *testing.T) {
 			allocs[j], bytes[j] = math.MaxUint64, math.MaxUint64
 		}
 		for rep := 0; rep < 3; rep++ {
-			c := newOneWorkerColdRound(t, tc.k, tc.mt, &podShapes{plan: tc.shapes})
+			c := newColdRound(t, tc.k, tc.mt, &podShapes{plan: tc.shapes})
 			for j := 0; j < n; j++ {
 				a, b, r := measure(tc.name, c)
 				if len(r.Shards) != tc.shapes[j+1] {
@@ -177,7 +169,9 @@ func TestWarmColdRoundAllocs(t *testing.T) {
 // TestRoundPhasesSumToLatency: with Metrics attached, every round observes
 // each of the six phases once, and the phases tile the round, so their
 // sums add up to the round latency's within 5 %. The plan, the ring patch
-// and the view resets show in phases of their own.
+// and the view resets show in phases of their own. The engine's changelog
+// fold is observed once a round too, where it runs, beside the plan: the
+// plan includes any wait for it, so it never sums to more than the plan.
 func TestRoundPhasesSumToLatency(t *testing.T) {
 	mt := shard.NewMetrics(obs.NewRegistry())
 	eng := shard.BuildEngine(t, 8, 29, 10)
@@ -211,6 +205,12 @@ func TestRoundPhasesSumToLatency(t *testing.T) {
 	}
 	if mt.PhaseReset.Sum() <= 0 {
 		t.Fatal("the view resets took no time on the phase clock")
+	}
+	if n := mt.PhaseFold.Count(); n != uint64(rounds) {
+		t.Fatalf("phase fold observed %d times over %d rounds", n, rounds)
+	}
+	if fold, plan := mt.PhaseFold.Sum(), mt.PhasePlan.Sum(); fold > plan {
+		t.Fatalf("the fold took %v s beside a plan of %v s, which waits for it", fold, plan)
 	}
 	total := mt.RoundLatency.Sum()
 	t.Logf("%d rounds: phases %.3f ms, round latency %.3f ms", rounds, 1e3*phases, 1e3*total)

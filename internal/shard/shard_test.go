@@ -7,7 +7,9 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
@@ -705,6 +707,78 @@ func TestPoolRunsEveryTaskOnce(t *testing.T) {
 			}
 		}
 		p.Run(0, func(int) { t.Fatal("task invoked for n=0") })
+		p.Close()
+	}
+}
+
+// TestPoolSharedByCallers: callers that find the helpers busy — other
+// goroutines, and a task calling Run on its own pool — run their tasks on
+// their own goroutine, so every task still runs once and nothing waits on
+// itself. Meant for the race detector.
+func TestPoolSharedByCallers(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	const callers, calls, n = 4, 50, 32
+	var hits [callers][n]atomic.Int32
+	done := make(chan struct{})
+	for g := 0; g < callers; g++ {
+		go func(g int) {
+			defer func() { done <- struct{}{} }()
+			for c := 0; c < calls; c++ {
+				s := p.start(func() {})
+				p.Run(n, func(i int) {
+					p.Run(2, func(int) {})
+					hits[g][i].Add(1)
+				})
+				s.wait()
+			}
+		}(g)
+	}
+	for g := 0; g < callers; g++ {
+		<-done
+	}
+	for g := range hits {
+		for i := range hits[g] {
+			if h := hits[g][i].Load(); h != calls {
+				t.Fatalf("caller %d: task %d ran %d times in %d calls", g, i, h, calls)
+			}
+		}
+	}
+}
+
+// TestPoolRunZeroAllocs: a warm pool's Run and start start no goroutine
+// and allocate nothing — the caller works as one worker and the helpers
+// wait parked between calls — and after Close both still run every task,
+// on the caller.
+func TestPoolRunZeroAllocs(t *testing.T) {
+	const n = 64
+	var hits [n]atomic.Int32
+	task := func(i int) { hits[i].Add(1) }
+	var sides atomic.Int32
+	beside := func() { sides.Add(1) }
+	for _, w := range []int{1, 2, 4} {
+		p := NewPool(w)
+		run := func() {
+			p.Run(n, task)
+			s := p.start(beside)
+			p.Run(n, task) // the helpers are the side's: this runs inline
+			s.wait()
+		}
+		run() // starts the helpers
+		if a := testing.AllocsPerRun(100, run); a != 0 {
+			t.Errorf("workers=%d: Run and start allocate %v times per call", w, a)
+		}
+		p.Close()
+		run()
+		const calls = 1 + 100 + 1 + 1 // AllocsPerRun warms up once
+		for i := range hits {
+			if h := hits[i].Swap(0); h != 2*calls {
+				t.Fatalf("workers=%d: task %d ran %d times in %d calls of two Runs", w, i, h, calls)
+			}
+		}
+		if s := sides.Swap(0); s != calls {
+			t.Fatalf("workers=%d: the side ran %d times in %d calls", w, s, calls)
+		}
 	}
 }
 
@@ -830,5 +904,40 @@ func TestAuditHopsNameRingPositions(t *testing.T) {
 	}
 	if proposed == 0 || ar.Len() == 0 {
 		t.Fatalf("%d proposals, %d records: the fixture proposes nothing across rings", proposed, ar.Len())
+	}
+}
+
+// TestDroppedPoolStopsHelpers: a pool dropped without Close — here inside
+// a coordinator whose rounds ran the rings and both overlaps on its
+// helpers — stops them once the garbage collector finds it unreachable,
+// so nothing the helpers ran keeps it alive.
+func TestDroppedPoolStopsHelpers(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	func() {
+		eng := buildEngine(t, 4, 3, 10)
+		c, err := NewCoordinator(eng, Config{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		SetWorkers(c, 4)
+		for r := 0; r < 3; r++ {
+			if _, err := c.RunRound(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := NewPool(3)
+		p.Run(8, func(int) {})
+		p.start(func() {}).wait()
+		if n := runtime.NumGoroutine(); n < baseline+5 {
+			t.Fatalf("%d goroutines with two pools' helpers started, %d before", n, baseline)
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the pools were dropped, %d before", runtime.NumGoroutine(), baseline)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
 }

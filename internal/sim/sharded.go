@@ -117,6 +117,7 @@ func (r *Runner) runSharded() (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer coord.Close()
 	util := make([]float64, r.eng.Cluster().NumHosts())
 	return r.runRounds(func(func(int) *ShardStats) (*shard.Round, error) {
 		// Every move is modelled under the loads of the round's starting

@@ -285,7 +285,8 @@ func NewController(topo Topology, cfg ControlConfig) *Controller {
 }
 
 // NewWorkerPool returns a pool of at most workers concurrent tasks
-// (0 = GOMAXPROCS).
+// (0 = GOMAXPROCS). Close stops its parked helpers; a pool dropped
+// without Close stops them once it is garbage collected.
 func NewWorkerPool(workers int) *WorkerPool { return shard.NewPool(workers) }
 
 // DefaultSimConfig returns Fig. 3-style run parameters.
