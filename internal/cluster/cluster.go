@@ -425,6 +425,16 @@ func (c *Cluster) VMsOn(host HostID) []VMID {
 	return out
 }
 
+// Residents returns the VMs placed on host, unordered, without copying:
+// the slice is owned by the cluster, read-only, valid until the next
+// placement write. VMsOn returns a copy.
+func (c *Cluster) Residents(host HostID) []VMID {
+	if !c.validHost(host) {
+		return nil
+	}
+	return c.hostVMs[host]
+}
+
 // UsedSlots returns the number of VMs on host.
 func (c *Cluster) UsedSlots(host HostID) int {
 	if !c.validHost(host) {

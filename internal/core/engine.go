@@ -55,6 +55,18 @@ type Decision struct {
 // read its placement changelog, so an engine that is dropped needs no
 // release.
 //
+// Admission does not sync: it reads an upper bound on a host's NIC load.
+// A move landed through Land (Apply lands through it) raises the bound of
+// its source and its target by the mover's rate, the most either load can
+// change by; every other host's load is unchanged bit for bit
+// (foldNICLoad). While the follower holds the matrix's current rates and
+// every placement write since its last sync was a Land, hostNet + nicUp is
+// at least every host's load, and a bound that admits proves admission
+// (Admit's NIC clause never turns to admit as the load rises). Only a NIC
+// refusal under a raised bound reads the host's exact load, from its VMs'
+// rows (exactNICLoad); any other placement or traffic write voids the
+// bound, and the next probe syncs as a read of the accounting does.
+//
 // Engine is not safe for concurrent use: scratch buffers and the
 // accounting caches are mutated by reads.
 type Engine struct {
@@ -78,10 +90,17 @@ type Engine struct {
 
 	// Incremental accounting (see TotalCost / HostNetLoad), kept by acct:
 	// lvl[ℓ] is the summed rate of the pairs communicating at level ℓ,
-	// hostNet[h] the rate crossing h's NIC.
+	// hostNet[h] the rate crossing h's NIC, as of acct's last sync.
 	acct    *traffic.Follower
 	lvl     [4]float64
 	hostNet []float64
+
+	// The NIC bound (see Land): nicUp[h] is what the moves landed since
+	// acct's last sync can have added to h's load, non-zero exactly on the
+	// hosts upHosts lists; boundGen is the placement generation it covers.
+	nicUp    []float64
+	upHosts  []cluster.HostID
+	boundGen uint64
 
 	// detached turns the visit memo off for good (Detach).
 	detached bool
@@ -100,7 +119,7 @@ func NewEngine(topo topology.Topology, cost CostModel, cl *cluster.Cluster, tm *
 	e.kern = newKernel(topo, cost, cfg.MigrationCost, max(topo.Hosts(), cl.NumHosts()))
 	e.live = AllocView{eng: e, live: true, k: *e.kern.Clone()}
 	e.live.sizeScratch()
-	e.hostNet = make([]float64, cl.NumHosts())
+	e.hostNet, e.nicUp = make([]float64, cl.NumHosts()), make([]float64, cl.NumHosts())
 	e.acct = traffic.Follow(tm, cl, e.resetAccounting, e.addPair)
 	return e, nil
 }
@@ -115,7 +134,7 @@ func (e *Engine) Detach() {
 
 // SetTraffic replaces the traffic matrix, e.g. when a new measurement
 // window's averages become available. The incremental accounting is
-// rebuilt lazily on the next TotalCost/HostNetLoad.
+// rebuilt lazily on the next TotalCost/HostNetLoad or probe.
 func (e *Engine) SetTraffic(tm *traffic.Matrix) {
 	if tm != nil {
 		e.tm = tm
@@ -199,6 +218,80 @@ func (e *Engine) VMCost(u cluster.VMID) float64 {
 	return sum
 }
 
+// sync brings the accounting up to date with both changelogs and lowers
+// the NIC bound to the loads it folded: the one caller of acct.Sync.
+func (e *Engine) sync() {
+	e.acct.Sync()
+	for _, h := range e.upHosts {
+		e.nicUp[h] = 0
+	}
+	e.upHosts = e.upHosts[:0]
+	e.boundGen = e.cl.MoveGeneration()
+}
+
+// bounded reports that hostNet + nicUp is at least every host's NIC load:
+// the follower holds the matrix's current rates, and every placement
+// write since its last sync was a Land.
+func (e *Engine) bounded() bool {
+	return e.boundGen == e.cl.MoveGeneration() && e.acct.Current()
+}
+
+// syncUnbounded syncs the accounting unless the NIC bound holds: what
+// admission needs of it.
+func (e *Engine) syncUnbounded() {
+	if !e.bounded() {
+		e.sync()
+	}
+}
+
+// Land moves vm to target in the cluster (Cluster.Move) and, while the
+// NIC bound holds, raises it at both ends by the mover's rate: a host's
+// load changes by its peers' rates there, at most VMLoad(vm), and only
+// the source's and the target's change. The accounting folds the move on
+// its next sync.
+func (e *Engine) Land(vm cluster.VMID, target cluster.HostID) error {
+	from, held := e.cl.HostOf(vm), e.boundGen == e.cl.MoveGeneration()
+	if err := e.cl.Move(vm, target); err != nil {
+		return err
+	}
+	if !held || from == target {
+		return nil
+	}
+	r := e.tm.VMLoad(vm)
+	e.raise(from, r)
+	e.raise(target, r)
+	e.boundGen = e.cl.MoveGeneration()
+	return nil
+}
+
+// raise adds r to h's NIC bound, listing h when it becomes non-zero.
+func (e *Engine) raise(h cluster.HostID, r float64) {
+	if r == 0 {
+		return
+	}
+	if e.nicUp[h] == 0 {
+		e.upHosts = append(e.upHosts, h)
+	}
+	e.nicUp[h] += r
+}
+
+// exactNICLoad returns h's NIC load under the cluster's placement, read
+// off its VMs' rows: each one's rates to peers placed elsewhere. It is
+// the sum hostNet folds, and every sum of rates is exact, so after a sync
+// the two are the same bits. It reads only the cluster and the matrix, so
+// frozen views may call it concurrently.
+func (e *Engine) exactNICLoad(h cluster.HostID) float64 {
+	var load float64
+	for _, y := range e.cl.Residents(h) {
+		for _, ed := range e.tm.NeighborEdges(y) {
+			if e.cl.HostOf(ed.Peer) != h {
+				load += ed.Rate
+			}
+		}
+	}
+	return load
+}
+
 // resetAccounting empties the accumulators before acct refolds them.
 func (e *Engine) resetAccounting() {
 	e.lvl = [4]float64{}
@@ -248,7 +341,7 @@ func foldNICLoad(load []float64, from, to, hz cluster.HostID, rate float64) {
 // traffic-matrix changes it is served from the per-level rates maintained
 // across allocation changes — amortized O(1) rather than O(|pairs|).
 func (e *Engine) TotalCost() float64 {
-	e.acct.Sync()
+	e.sync()
 	var sum float64
 	for l, rate := range e.lvl {
 		sum += e.cost.PairCost(rate, l)
@@ -286,7 +379,7 @@ func (e *Engine) HostNetLoad(h cluster.HostID) float64 {
 	if h < 0 || int(h) >= len(e.hostNet) {
 		return 0
 	}
-	e.acct.Sync()
+	e.sync()
 	return e.hostNet[h]
 }
 
@@ -305,14 +398,14 @@ func (e *Engine) BestMigration(u cluster.VMID) (Decision, bool) {
 
 // Apply executes a previously computed decision against the cluster,
 // enforcing capacity at execution time (the allocation may have drifted
-// since the probe). It returns the realized ΔC. The cluster logs the
-// move, and the next read of C^A or a host's net load folds it.
+// since the probe). It returns the realized ΔC. The move lands through
+// Land, and the next read of C^A or a host's net load folds it.
 func (e *Engine) Apply(d Decision) (float64, error) {
 	if d.Target == cluster.NoHost {
 		return 0, fmt.Errorf("core: decision has no target")
 	}
 	realized := e.Delta(d.VM, d.Target)
-	if err := e.cl.Move(d.VM, d.Target); err != nil {
+	if err := e.Land(d.VM, d.Target); err != nil {
 		return 0, fmt.Errorf("core: applying migration of VM %d: %w", d.VM, err)
 	}
 	return realized, nil

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/topology"
@@ -218,24 +217,25 @@ func (k *Kernel) score(target cluster.HostID, rack, pod int32) float64 {
 
 // neighborRank orders the peers from highest to lowest communication
 // level, ties by descending rate — Section V-B5's probe order ("rank
-// neighboring VMs from highest to lowest communication levels").
+// neighboring VMs from highest to lowest communication levels"); equal
+// keys keep row order. Each peer is inserted in place as it is copied:
+// a row is short, and the levels take four values.
 func (k *Kernel) neighborRank() []rankEntry {
 	k.rank = k.rank[:0]
 	for i := range k.peers {
-		k.rank = append(k.rank, rankEntry{k.peers[i].host, k.peers[i].level, k.peers[i].w})
+		p := &k.peers[i]
+		ent := rankEntry{p.host, p.level, p.w}
+		j := len(k.rank)
+		k.rank = append(k.rank, ent)
+		for ; j > 0; j-- {
+			prev := k.rank[j-1]
+			if prev.level > ent.level || (prev.level == ent.level && !(prev.w < ent.w)) {
+				break
+			}
+			k.rank[j] = prev
+		}
+		k.rank[j] = ent
 	}
-	slices.SortStableFunc(k.rank, func(a, b rankEntry) int {
-		if a.level != b.level {
-			return int(b.level - a.level)
-		}
-		switch {
-		case a.w > b.w:
-			return -1
-		case a.w < b.w:
-			return 1
-		}
-		return 0
-	})
 	return k.rank
 }
 

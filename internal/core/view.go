@@ -12,10 +12,12 @@ import (
 // AllocView is the placement half of the decision rule, evaluated against
 // one placement: the cluster's, plus the moves staged in the view. It
 // answers where a peer sits (HostOf) and whether a host admits a VM
-// (Admissible), runs the token visit and its memo, and decides through a
-// Kernel of its own — the half that needs no placement. The rule is the
-// same whatever state it reads; only the state differs. Every view is the
-// cluster's own placement table, read-only, plus an overlay of its own:
+// (Admissible, from the engine's bound on the host's NIC load, reading
+// the exact load only when the bound refuses), runs the token visit and
+// its memo, and decides through a Kernel of its own — the half that needs
+// no placement. The rule is the same whatever state it reads; only the
+// state differs. Every view is the cluster's own placement table,
+// read-only, plus an overlay of its own:
 //
 //   - A frozen view (NewView/ResetView) stages moves with Commit: the
 //     overlay holds the staged positions of the VMs its commits moved or
@@ -42,8 +44,9 @@ import (
 type AllocView struct {
 	eng *Engine
 	// live marks the engine's own view: the per-host net loads are not
-	// frozen under it, so the capacity probe brings the accounting up to
-	// date first (see probe). Nothing else in the kernel asks.
+	// frozen under it, so the capacity probe syncs the accounting first
+	// unless the engine's NIC bound holds (see probe). Nothing else in the
+	// kernel asks.
 	live bool
 
 	// Placement and overlay. dense is the cluster's placement table,
@@ -93,20 +96,22 @@ type AllocView struct {
 }
 
 // NewView creates a frozen decision view over the engine's current
-// state. It primes the engine's incremental accounting so concurrent
-// views can read the per-host net loads without synchronization; create
-// views sequentially, then use them concurrently.
+// state. It primes the engine's NIC loads — synced, or bounded (see
+// Engine) — so concurrent views can read them without synchronization;
+// create views sequentially, then use them concurrently.
 func (e *Engine) NewView() *AllocView { return e.ResetView(nil) }
 
 // Sync folds what the placement and traffic changelogs logged since the
-// last sync into the engine's own state: the cost accounting and the
-// visit memo. Every view reset and every accounting read syncs first, so
-// calling it only moves that work earlier. It reads the cluster and the
-// traffic matrix and writes only the accounting and the memo, so it may
-// run beside other readers of both — a round driver folds here while its
+// last sync into the engine's own state: the visit memo, and the cost
+// accounting unless the NIC bound holds (every placement write since its
+// last sync was a Land), which leaves the accounting to the next read of
+// a cost or a load. Every view reset syncs the same way first, so calling
+// it only moves that work earlier. It reads the cluster and the traffic
+// matrix and writes only the accounting and the memo, so it may run
+// beside other readers of both — a round driver folds here while its
 // tuner plans — but not beside any other use of the engine.
 func (e *Engine) Sync() {
-	e.acct.Sync()
+	e.syncUnbounded()
 	e.memoSync()
 }
 
@@ -123,7 +128,7 @@ func (e *Engine) ResetView(v *AllocView) *AllocView {
 		v = &AllocView{eng: e, k: *e.kern.Clone()}
 		v.sizeScratch()
 	}
-	e.acct.Sync()
+	e.syncUnbounded()
 	v.unstage()
 	v.denseBase, v.dense = e.cl.DenseAlloc()
 	if n := (len(v.dense) + 63) / 64; len(v.near) != n {
@@ -335,8 +340,10 @@ func Admit(r Room, n Need) bool {
 }
 
 // probe is target's capacity response under the view, staged moves
-// folded in (the live view brings the NIC loads up to date first), and
-// u's demand; ok is false for an unregistered VM or an unknown host.
+// folded in, and u's demand; ok is false for an unregistered VM or an
+// unknown host. Its NICLoad is the engine's bound on the target's load
+// (see Engine), exact where nicUp is 0; the live view, whose loads are
+// not frozen, first syncs the accounting unless the bound holds.
 func (v *AllocView) probe(u cluster.VMID, target cluster.HostID) (r Room, n Need, ok bool) {
 	e := v.eng
 	n.RAMMB, n.CPUMilli, ok = e.cl.Demand(u)
@@ -344,7 +351,7 @@ func (v *AllocView) probe(u cluster.VMID, target cluster.HostID) (r Room, n Need
 		return r, n, false
 	}
 	if v.live {
-		e.acct.Sync()
+		e.syncUnbounded()
 	}
 	host, _ := e.cl.Host(target)
 	return Room{
@@ -352,12 +359,18 @@ func (v *AllocView) probe(u cluster.VMID, target cluster.HostID) (r Room, n Need
 		RAMMB:    e.cl.FreeRAMMB(target) - int(v.ramD[target]),
 		CPUMilli: e.cl.FreeCPUMilli(target) - int(v.cpuD[target]),
 		CPUCap:   host.CPUMilli, NICMbps: host.NICMbps,
-		NICLoad: e.hostNet[target] + v.netD[target],
+		NICLoad: e.hostNet[target] + e.nicUp[target] + v.netD[target],
 	}, n, true
 }
 
 // Admissible reports whether target admits u (Admit), with u's peers
 // where the view places them. A VM is admissible on its own host.
+//
+// The answer is exact, though probe reads a bound on the target's NIC
+// load: for a fixed Need, Admit's NIC clause never turns to admit as the
+// load rises, so a bound that admits proves admission, and a refusal by
+// capacity alone or under a bound that is exact (nicUp 0) stands. Only a
+// NIC refusal under a raised bound reads the exact load (exactNICLoad).
 func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
 	r, n, ok := v.probe(u, target)
 	if !ok || v.HostOf(u) == target {
@@ -369,8 +382,41 @@ func (v *AllocView) Admissible(u cluster.VMID, target cluster.HostID) bool {
 			n.Internal += ed.Rate
 		}
 	}
+	ok = v.admitBounded(r, n, target)
+	if checkBound && ok != v.admitExact(r, n, target) {
+		panic(fmt.Sprintf("core: admission of VM %d on host %d from the NIC bound is %v, the exact load says %v", u, target, ok, !ok))
+	}
+	return ok
+}
+
+// admitBounded is Admit of need n on target, whose room r carries the
+// NIC bound, reading the exact load only when the bound alone refuses.
+func (v *AllocView) admitBounded(r Room, n Need, target cluster.HostID) bool {
+	if Admit(r, n) {
+		return true
+	}
+	if v.eng.nicUp[target] == 0 {
+		return false
+	}
+	capOnly := r
+	capOnly.NICMbps = 0
+	if !Admit(capOnly, n) {
+		return false
+	}
+	return v.admitExact(r, n, target)
+}
+
+// admitExact is Admit of need n on target with the target's exact NIC
+// load, as the view places its staged moves, in r's place.
+func (v *AllocView) admitExact(r Room, n Need, target cluster.HostID) bool {
+	r.NICLoad = v.eng.exactNICLoad(target) + v.netD[target]
 	return Admit(r, n)
 }
+
+// checkBound makes every admission also compute the answer from the
+// exact NIC load and panic unless the two agree — the differential check
+// of the bound. Tests only: the scorecheck build tag sets it.
+var checkBound bool
 
 // BestMigration evaluates the S-CORE migration policy for token-holder u
 // (Kernel.Best): u's neighbors are resolved once, and the kernel asks

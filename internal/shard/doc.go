@@ -105,20 +105,23 @@
 // in-process plane the Coordinator's worker pool lends it helpers, parked
 // between rounds, for three pieces. The rings run on the caller and the
 // helpers together. At the round's start the engine's changelog fold
-// (core.Engine.Sync: the accounting follower and the visit memo) runs on
-// a helper while the caller asks the tuner for its plan and reshapes the
-// partition; the view resets then find it done. Once the rings are done
-// the caller queues every ring's proposals and a helper sorts the queue
-// into the canonical order while the caller replays the staged commits,
-// so the cross-shard pass replays a sorted queue. Each overlap's two
-// sides only read the cluster and the traffic matrix, and write disjoint
-// state: the engine's accounting and memo against the controller's
-// summary and the partition; the proposal queue against the engine, the
-// cluster and the merge's lists (TestLanesMatchInline, under the race
-// detector in CI). Everything else — the ring patch, the view resets, the
-// replay, the cross-shard pass — runs on the caller. The agent plane has
-// no fold and no pool: its Driver sorts the queue inline before the
-// replay.
+// (core.Engine.Sync: the visit memo, and the accounting follower unless
+// the engine's NIC bound holds) runs on a helper while the caller asks the
+// tuner for its plan and reshapes the partition; the view resets then find
+// it done. The merge lands its moves through core.Engine.Land, so neither
+// its admissions nor the next round's fold sync the accounting: they read
+// the NIC bound, and the accounting folds the landed moves when a cost or
+// a load is next read. Once the rings are done the caller queues every
+// ring's proposals and a helper sorts the queue into the canonical order
+// while the caller replays the staged commits, so the cross-shard pass
+// replays a sorted queue. Each overlap's two sides only read the cluster
+// and the traffic matrix, and write disjoint state: the engine's
+// accounting and memo against the controller's summary and the partition;
+// the proposal queue against the engine, the cluster and the merge's lists
+// (TestLanesMatchInline, under the race detector in CI). Everything else —
+// the ring patch, the view resets, the replay, the cross-shard pass — runs
+// on the caller. The agent plane has no fold and no pool: its Driver sorts
+// the queue inline before the replay.
 //
 // Because each ring's outcome depends only on the frozen round-start
 // state and its own staged moves, and the merge phase runs in a fixed

@@ -30,13 +30,15 @@ type Env interface {
 }
 
 // EngineEnv returns eng as the reconciliation Env: the engine prices,
-// admits and locates, and Apply moves the VM in the engine's cluster. It
-// is a RejectObserver through the engine.
+// admits and locates, and Apply lands the move in the engine's cluster
+// (core.Engine.Land), so the merge's admissions read the engine's NIC
+// bound instead of syncing its accounting after every landed move. It is
+// a RejectObserver through the engine.
 func EngineEnv(eng *core.Engine) Env { return engineEnv{eng} }
 
 type engineEnv struct{ *core.Engine }
 
-func (e engineEnv) Apply(d core.Decision) error { return e.Cluster().Move(d.VM, d.Target) }
+func (e engineEnv) Apply(d core.Decision) error { return e.Land(d.VM, d.Target) }
 
 var _ RejectObserver = engineEnv{}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/score-dc/score/internal/cluster"
@@ -232,6 +233,64 @@ func BenchmarkColdRound(b *testing.B) {
 		c.restore(b)
 		b.StartTimer()
 		c.run(b)
+	}
+}
+
+// BenchmarkColdRoundPhases is the phase clock of a cold pass on the k=24
+// fat-tree (103,680 VMs), run as the converge benchmark runs its passes:
+// after a warm-up pass of 16 rounds, each iteration restores the
+// placement and reads the cost, untimed, then runs rounds 0, 1 and 2
+// after it with Metrics attached. It reports, per round, the median over
+// the iterations of each phase's wall-clock milliseconds — plan, patch,
+// reset, rings, merge, cross; fold, which runs beside plan; and the
+// round's total — as r<round>-<phase>-ms.
+//
+//	go test ./internal/shard -run '^$' -bench BenchmarkColdRoundPhases -benchtime 12x
+func BenchmarkColdRoundPhases(b *testing.B) {
+	const rounds = 3
+	mt := shard.NewMetrics(obs.NewRegistry())
+	c := newColdRound(b, 24, mt, nil)
+	for r := 1; r < 16; r++ {
+		c.run(b)
+	}
+	phases := []struct {
+		name string
+		h    *obs.Histogram
+	}{
+		{"plan", mt.PhasePlan}, {"patch", mt.PhasePatch}, {"reset", mt.PhaseReset},
+		{"rings", mt.PhaseRings}, {"merge", mt.PhaseMerge}, {"cross", mt.PhaseCross},
+		{"fold", mt.PhaseFold}, {"total", mt.RoundLatency},
+	}
+	// ms[r][p] holds phase p's milliseconds in round r, one per iteration.
+	ms := make([][][]float64, rounds)
+	for r := range ms {
+		ms[r] = make([][]float64, len(phases))
+	}
+	sums := make([]float64, len(phases))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := c.sc.Cl.Restore(c.snap); err != nil {
+			b.Fatal(err)
+		}
+		c.sc.Eng.TotalCost()
+		b.StartTimer()
+		for r := 0; r < rounds; r++ {
+			for p, ph := range phases {
+				sums[p] = ph.h.Sum()
+			}
+			c.run(b)
+			for p, ph := range phases {
+				ms[r][p] = append(ms[r][p], 1e3*(ph.h.Sum()-sums[p]))
+			}
+		}
+	}
+	b.StopTimer()
+	for r := range ms {
+		for p, ph := range phases {
+			slices.Sort(ms[r][p])
+			b.ReportMetric(ms[r][p][len(ms[r][p])/2], fmt.Sprintf("r%d-%s-ms", r, ph.name))
+		}
 	}
 }
 

@@ -79,6 +79,12 @@ func (f *Follower) Retarget(m *Matrix) {
 	f.valid = false
 }
 
+// Current reports whether the sum holds the matrix's rates as they stand:
+// it was built, nothing invalidated or retargeted it since, and no rate
+// changed since the last Sync. Placement writes are the caller's to check
+// (cluster.MoveGeneration); the sum follows them on the next Sync.
+func (f *Follower) Current() bool { return f.valid && f.gen == f.m.Generation() }
+
 // Rebuilds reports how many times Sync rebuilt the sum from every pair.
 func (f *Follower) Rebuilds() int { return f.rebuilds }
 
