@@ -728,7 +728,8 @@ func (c *Cluster) validHost(id HostID) bool {
 // PlacementManager is the centralized VM instance placement manager of
 // Section V-A: it hands out unique, totally ordered VM IDs and performs
 // the initial allocation. The paper notes DC VMs "are initially allocated
-// either at random or in a load-balanced manner" (Section III).
+// either at random or in a load-balanced manner" (Section III); every
+// program here starts from a random allocation.
 type PlacementManager struct {
 	c      *Cluster
 	nextID VMID
@@ -783,25 +784,6 @@ func (pm *PlacementManager) PlaceRandom(rng *rand.Rand) error {
 		}
 		if !placed {
 			return fmt.Errorf("cluster: no host can fit VM %d: %w", vm, ErrNoCapacity)
-		}
-	}
-	return nil
-}
-
-// PlaceLoadBalanced places every unplaced VM on the host with the most
-// free slots (ties broken by lowest ID), producing the load-balanced
-// initial allocation the paper mentions.
-func (pm *PlacementManager) PlaceLoadBalanced() error {
-	for _, vm := range pm.c.VMs() {
-		if pm.c.HostOf(vm) != NoHost {
-			continue
-		}
-		best := pm.c.BestFitHost(vm)
-		if best == NoHost {
-			return fmt.Errorf("cluster: no host can fit VM %d: %w", vm, ErrNoCapacity)
-		}
-		if err := pm.c.Place(vm, best); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -209,24 +209,6 @@ func TestPlacementManagerRandom(t *testing.T) {
 	}
 }
 
-func TestPlacementManagerLoadBalanced(t *testing.T) {
-	c := mustCluster(t, 4, 8, 8192)
-	pm := NewPlacementManager(c, 1)
-	for i := 0; i < 16; i++ {
-		if _, err := pm.CreateVM(256); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pm.PlaceLoadBalanced(); err != nil {
-		t.Fatalf("PlaceLoadBalanced: %v", err)
-	}
-	for h := 0; h < 4; h++ {
-		if got := c.UsedSlots(HostID(h)); got != 4 {
-			t.Fatalf("host %d has %d VMs, want balanced 4", h, got)
-		}
-	}
-}
-
 func TestPlacementFullClusterFails(t *testing.T) {
 	c := mustCluster(t, 1, 2, 8192)
 	pm := NewPlacementManager(c, 1)
@@ -235,7 +217,7 @@ func TestPlacementFullClusterFails(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := pm.PlaceLoadBalanced(); !errors.Is(err, ErrNoCapacity) {
+	if err := pm.PlaceRandom(rand.New(rand.NewSource(1))); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("overfull placement error = %v, want ErrNoCapacity", err)
 	}
 }

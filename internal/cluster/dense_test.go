@@ -318,7 +318,7 @@ func TestHostOfAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := pm.PlaceLoadBalanced(); err != nil {
+	if err := pm.PlaceRandom(rand.New(rand.NewSource(1))); err != nil {
 		t.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(200, func() {

@@ -157,11 +157,11 @@ func TestPlannerShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	podLocal := NewSummary(topo)
-	for rack := 0; rack < podLocal.Racks(); rack += 2 {
+	for rack := 0; rack < podLocal.numRacks; rack += 2 {
 		podLocal.AddEdge(rack, rack+1, 100) // rack pairs inside each pod
 	}
-	if rec := Plan(podLocal); rec.Shards != podLocal.Pods() || rec.Granularity != shard.ByPod {
-		t.Fatalf("pod-local: got %+v, want %d pod-aligned shards", rec, podLocal.Pods())
+	if rec := Plan(podLocal); rec.Shards != podLocal.numPods || rec.Granularity != shard.ByPod {
+		t.Fatalf("pod-local: got %+v, want %d pod-aligned shards", rec, podLocal.numPods)
 	}
 
 	crossPod := NewSummary(topo)
@@ -173,11 +173,11 @@ func TestPlannerShapes(t *testing.T) {
 	}
 
 	rackLocal := NewSummary(topo)
-	for rack := 0; rack < rackLocal.Racks(); rack++ {
+	for rack := 0; rack < rackLocal.numRacks; rack++ {
 		rackLocal.AddEdge(rack, rack, 100) // pure diagonal
 	}
-	if rec := Plan(rackLocal); rec.Granularity != shard.ByRack || rec.Shards != rackLocal.Racks() {
-		t.Fatalf("rack-local: got %+v, want %d rack-aligned shards", rec, rackLocal.Racks())
+	if rec := Plan(rackLocal); rec.Granularity != shard.ByRack || rec.Shards != rackLocal.numRacks {
+		t.Fatalf("rack-local: got %+v, want %d rack-aligned shards", rec, rackLocal.numRacks)
 	}
 
 	empty := NewSummary(topo)

@@ -21,7 +21,7 @@ func BenchmarkPlanAfterMoves(b *testing.B) {
 	rng := rand.New(rand.NewSource(20140630))
 	pairs := make([][2]int, 3000)
 	for i := range pairs {
-		pairs[i] = [2]int{rng.Intn(s.Racks()), rng.Intn(s.Racks())}
+		pairs[i] = [2]int{rng.Intn(s.numRacks), rng.Intn(s.numRacks)}
 		s.AddEdge(pairs[i][0], pairs[i][1], float64(1+rng.Intn(100)))
 	}
 	b.ReportAllocs()

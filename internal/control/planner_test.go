@@ -100,19 +100,19 @@ func TestPlanEqualsNaivePlanner(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewSummary(topo)
-		rackPod := make([]int, s.Racks())
+		rackPod := make([]int, s.numRacks)
 		for h := 0; h < topo.Hosts(); h++ {
 			rackPod[topo.RackOf(cluster.HostID(h))] = topo.PodOf(cluster.HostID(h))
 		}
 		rng := rand.New(rand.NewSource(int64(k)))
 		reached := map[Recommendation]int{}
 		for trial := 0; trial < 3000; trial++ {
-			edges := planShape(rng, rackPod, s.Pods())
+			edges := planShape(rng, rackPod, s.numPods)
 			s.Reset()
 			for _, e := range edges {
 				s.AddEdge(e.ra, e.rb, e.rate)
 			}
-			got, want := Plan(s), naivePlan(rackPod, s.Pods(), edges)
+			got, want := Plan(s), naivePlan(rackPod, s.numPods, edges)
 			if got != want {
 				t.Fatalf("k=%d trial %d: Plan %+v, naive planner %+v", k, trial, got, want)
 			}
@@ -120,21 +120,21 @@ func TestPlanEqualsNaivePlanner(t *testing.T) {
 		}
 		between := 0
 		for rec := range reached {
-			if rec.Granularity == shard.ByPod && rec.Shards > 1 && rec.Shards < s.Pods() {
+			if rec.Granularity == shard.ByPod && rec.Shards > 1 && rec.Shards < s.numPods {
 				between++
 			}
 		}
 		for _, must := range []Recommendation{
-			{Shards: s.Racks(), Granularity: shard.ByRack},
+			{Shards: s.numRacks, Granularity: shard.ByRack},
 			{Shards: 1, Granularity: shard.ByPod},
-			{Shards: s.Pods(), Granularity: shard.ByPod},
+			{Shards: s.numPods, Granularity: shard.ByPod},
 		} {
 			if reached[must] == 0 {
 				t.Errorf("k=%d: no generated shape reached %+v", k, must)
 			}
 		}
 		if between == 0 {
-			t.Errorf("k=%d: no generated shape reached a count between 1 and %d", k, s.Pods())
+			t.Errorf("k=%d: no generated shape reached a count between 1 and %d", k, s.numPods)
 		}
 		t.Logf("k=%d: %d distinct recommendations, %d between serial and per-pod", k, len(reached), between)
 	}

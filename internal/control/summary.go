@@ -79,13 +79,6 @@ func (s *Summary) Reset() {
 	s.intraRack, s.intraPod, s.crossPod = 0, 0, 0
 }
 
-// Racks and Pods return the topology-wide unit counts the partitioner's
-// contiguous-block mapping runs over.
-func (s *Summary) Racks() int { return s.numRacks }
-
-// Pods returns the pod count.
-func (s *Summary) Pods() int { return s.numPods }
-
 // AddEdge folds one edge-rate delta into the rack pair (ra, rb). The
 // Controller calls it for every traffic-changelog entry (delta =
 // new − old at the endpoints' racks as of the last sync) and twice per

@@ -414,8 +414,8 @@ func TestDeltaQuick(t *testing.T) {
 		// Pure locality: moving toward the host of the heaviest neighbor
 		// can never be worse than the stated delta bound |2·Σλ·W(max)|.
 		var bound float64
-		for _, v := range fx.tm.Neighbors(u) {
-			bound += 2 * fx.tm.Rate(u, v) * fx.eng.CostModel().Prefix(fx.topo.Depth())
+		for _, ed := range fx.tm.NeighborEdges(u) {
+			bound += 2 * ed.Rate * fx.eng.CostModel().Prefix(fx.topo.Depth())
 		}
 		return math.Abs(delta) <= bound+1e-9
 	}
@@ -429,8 +429,8 @@ func TestVMLevel(t *testing.T) {
 	fx := newFixture(t, DefaultConfig())
 	for _, u := range fx.cl.VMs() {
 		want := 0
-		for _, v := range fx.tm.Neighbors(u) {
-			if l := fx.eng.PairLevel(u, v); l > want {
+		for _, ed := range fx.tm.NeighborEdges(u) {
+			if l := fx.eng.PairLevel(u, ed.Peer); l > want {
 				want = l
 			}
 		}

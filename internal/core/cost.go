@@ -90,14 +90,6 @@ func UniformWeights(depth int) []float64 {
 // Depth returns the number of levels the model covers.
 func (cm CostModel) Depth() int { return len(cm.weights) }
 
-// Weight returns c_level (level in 1..Depth).
-func (cm CostModel) Weight(level int) float64 {
-	if level < 1 || level > len(cm.weights) {
-		return 0
-	}
-	return cm.weights[level-1]
-}
-
 // Prefix returns Σ_{i=1..level} c_i, clamped to the model depth.
 func (cm CostModel) Prefix(level int) float64 {
 	if level < 0 {

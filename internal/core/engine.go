@@ -208,16 +208,6 @@ func (e *Engine) PairLevel(u, v cluster.VMID) int { return e.liveView().PairLeve
 // VMLevel returns ℓ^A(u) under the current allocation (AllocView.VMLevel).
 func (e *Engine) VMLevel(u cluster.VMID) int { return e.liveView().VMLevel(u) }
 
-// VMCost returns C^A(u) (Eq. 1): twice the sum over Vu of λ·Σc_i.
-func (e *Engine) VMCost(u cluster.VMID) float64 {
-	var sum float64
-	hu := e.cl.HostOf(u)
-	for _, ed := range e.tm.NeighborEdges(u) {
-		sum += e.cost.PairCost(ed.Rate, e.levelOrDepth(hu, e.cl.HostOf(ed.Peer)))
-	}
-	return sum
-}
-
 // sync brings the accounting up to date with both changelogs and lowers
 // the NIC bound to the loads it folded: the one caller of acct.Sync.
 func (e *Engine) sync() {
@@ -350,8 +340,7 @@ func (e *Engine) TotalCost() float64 {
 }
 
 // TotalCostOf evaluates C^A for a hypothetical allocation snapshot
-// without touching the live cluster — used by the GA baseline and by
-// what-if analyses.
+// without touching the live cluster.
 func (e *Engine) TotalCostOf(alloc map[cluster.VMID]cluster.HostID) float64 {
 	var sum float64
 	e.tm.ForEachPair(func(a, b cluster.VMID, rate float64) {

@@ -112,7 +112,7 @@ func TestVisitInvalidation(t *testing.T) {
 	// Move a VM with peers to some other host with room.
 	var mover cluster.VMID
 	for _, u := range vms {
-		if tm.Degree(u) > 0 {
+		if len(tm.NeighborEdges(u)) > 0 {
 			mover = u
 			break
 		}

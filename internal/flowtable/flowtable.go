@@ -1,14 +1,14 @@
 // Package flowtable implements the hypervisor-resident flow table of
-// Section V-B1. The paper's dom0 module supports: fast addition of new
-// flows; updating existing flows; retrieval of a subset of flows by IP
-// address; access to the number of bytes transmitted per flow; and access
-// to flow duration for throughput calculation. Flows are stored from when
-// they start until a migration decision is made for a VM, at which point
-// they are cleared.
+// Section V-B1 as far as Fig. 5a measures it. The package keeps the three
+// operations the figure times — Add, LookupByIP (the retrieval of a VM's
+// flow subset by IP address) and Delete — and GenerateKeys, which builds
+// the figure's two flow populations: type-1 sets where every source IP is
+// unique, and type-2 sets where groups of 1000 flows share a source IP.
 //
-// Fig. 5a stress-tests this table with up to one million simultaneous
-// flows of two kinds: type-1 sets where every source IP is unique, and
-// type-2 sets where groups of 1000 flows share a source IP.
+// The paper's dom0 module also polls per-flow byte counters and durations
+// to derive each VM's rates. No plane here polls a datapath: rates reach
+// the decision engine as traffic-matrix samples, so the table carries no
+// counters.
 package flowtable
 
 import (
@@ -33,28 +33,10 @@ type Key struct {
 	Proto            uint8
 }
 
-// Flow is one tracked flow with its transfer statistics.
+// Flow is one tracked flow and the time it was first observed.
 type Flow struct {
-	Key      Key
-	Bytes    uint64
-	Packets  uint64
-	Start    time.Time
-	LastSeen time.Time
-}
-
-// Duration returns how long statistics have been gathered for the flow,
-// used to deduce throughput (Section V-B3).
-func (f *Flow) Duration() time.Duration { return f.LastSeen.Sub(f.Start) }
-
-// ThroughputBps returns the flow's average throughput in bytes/second.
-// Flows observed for less than a microsecond report zero to avoid
-// divide-by-near-zero artifacts.
-func (f *Flow) ThroughputBps() float64 {
-	d := f.Duration()
-	if d < time.Microsecond {
-		return 0
-	}
-	return float64(f.Bytes) / d.Seconds()
+	Key   Key
+	Start time.Time
 }
 
 // Table is a concurrency-safe flow table indexed by 5-tuple with
@@ -93,7 +75,7 @@ func (t *Table) Add(k Key, now time.Time) bool {
 	if _, ok := t.flows[k]; ok {
 		return false
 	}
-	f := &Flow{Key: k, Start: now, LastSeen: now}
+	f := &Flow{Key: k, Start: now}
 	t.flows[k] = f
 	t.indexLocked(f)
 	return true
@@ -112,37 +94,6 @@ func (t *Table) indexLocked(f *Flow) {
 		t.byDst[f.Key.Dst] = dst
 	}
 	dst[f.Key] = f
-}
-
-// Update accounts bytes/packets to a flow at time now, creating the flow
-// if it is new — this is the path taken when polling datapath statistics.
-func (t *Table) Update(k Key, bytes, packets uint64, now time.Time) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.initLocked()
-	f, ok := t.flows[k]
-	if !ok {
-		f = &Flow{Key: k, Start: now}
-		t.flows[k] = f
-		t.indexLocked(f)
-	}
-	f.Bytes += bytes
-	f.Packets += packets
-	if now.After(f.LastSeen) {
-		f.LastSeen = now
-	}
-}
-
-// Lookup returns the flow for k, or nil.
-func (t *Table) Lookup(k Key) *Flow {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	f := t.flows[k]
-	if f == nil {
-		return nil
-	}
-	cp := *f
-	return &cp
 }
 
 // LookupByIP returns copies of all flows whose source or destination is
@@ -191,60 +142,6 @@ func (t *Table) unindexLocked(f *Flow) {
 			delete(t.byDst, f.Key.Dst)
 		}
 	}
-}
-
-// ClearIP removes every flow touching ip. The paper clears a VM's flows
-// after a migration decision so the next measurement window starts fresh.
-func (t *Table) ClearIP(ip IPv4) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	removed := 0
-	for _, idx := range []map[IPv4]map[Key]*Flow{t.bySrc, t.byDst} {
-		for k := range idx[ip] {
-			if f, ok := t.flows[k]; ok {
-				delete(t.flows, k)
-				t.unindexLocked(f)
-				removed++
-			}
-		}
-	}
-	return removed
-}
-
-// Len returns the number of tracked flows.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.flows)
-}
-
-// AggregateRates returns, for the VM with address local, the average
-// exchange rate in bytes/second toward each peer IP — the "aggregate load
-// between that VM and all the neighbors it communicates with" computed in
-// the throughput-calculation step (Section V-B3). Rates for flows in both
-// directions between the same two IPs are summed, matching λ(u, v) being
-// incoming plus outgoing traffic.
-func (t *Table) AggregateRates(local IPv4, now time.Time) map[IPv4]float64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make(map[IPv4]float64)
-	add := func(f *Flow, peer IPv4) {
-		d := now.Sub(f.Start)
-		if d < time.Microsecond {
-			return
-		}
-		out[peer] += float64(f.Bytes) / d.Seconds()
-	}
-	for k, f := range t.bySrc[local] {
-		add(f, k.Dst)
-	}
-	for k, f := range t.byDst[local] {
-		if k.Src == local {
-			continue // self-flow already counted
-		}
-		add(f, k.Src)
-	}
-	return out
 }
 
 // TypeSet names the two stress-test flow populations of Fig. 5a.

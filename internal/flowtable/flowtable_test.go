@@ -21,12 +21,10 @@ func TestAddLookupDelete(t *testing.T) {
 	if tbl.Add(k, now) {
 		t.Fatal("Add returned true for a duplicate")
 	}
-	if got := tbl.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1", got)
-	}
-	f := tbl.Lookup(k)
-	if f == nil || f.Key != k {
-		t.Fatalf("Lookup = %+v", f)
+	for _, ip := range []IPv4{k.Src, k.Dst} {
+		if got := tbl.LookupByIP(ip); len(got) != 1 || got[0].Key != k || !got[0].Start.Equal(now) {
+			t.Fatalf("LookupByIP(%v) = %+v, want the one flow", ip, got)
+		}
 	}
 	if !tbl.Delete(k) {
 		t.Fatal("Delete returned false")
@@ -34,39 +32,10 @@ func TestAddLookupDelete(t *testing.T) {
 	if tbl.Delete(k) {
 		t.Fatal("double Delete returned true")
 	}
-	if got := tbl.Len(); got != 0 {
-		t.Fatalf("Len after delete = %d, want 0", got)
-	}
-}
-
-func TestUpdateCreatesAndAccumulates(t *testing.T) {
-	tbl := New(4)
-	t0 := time.Now()
-	k := key(1, 2, 10, 20)
-	tbl.Update(k, 1000, 2, t0)
-	tbl.Update(k, 500, 1, t0.Add(time.Second))
-	f := tbl.Lookup(k)
-	if f == nil {
-		t.Fatal("flow not created by Update")
-	}
-	if f.Bytes != 1500 || f.Packets != 3 {
-		t.Fatalf("bytes=%d packets=%d, want 1500/3", f.Bytes, f.Packets)
-	}
-	if got := f.Duration(); got != time.Second {
-		t.Fatalf("Duration = %v, want 1s", got)
-	}
-	if got := f.ThroughputBps(); got != 1500 {
-		t.Fatalf("ThroughputBps = %v, want 1500", got)
-	}
-}
-
-func TestThroughputZeroDuration(t *testing.T) {
-	tbl := New(1)
-	now := time.Now()
-	k := key(1, 2, 3, 4)
-	tbl.Update(k, 100, 1, now)
-	if got := tbl.Lookup(k).ThroughputBps(); got != 0 {
-		t.Fatalf("instantaneous flow throughput = %v, want 0", got)
+	for _, ip := range []IPv4{k.Src, k.Dst} {
+		if got := tbl.LookupByIP(ip); len(got) != 0 {
+			t.Fatalf("LookupByIP(%v) after delete = %+v", ip, got)
+		}
 	}
 }
 
@@ -85,38 +54,6 @@ func TestLookupByIPBothDirections(t *testing.T) {
 	tbl.Add(Key{Src: local, Dst: local, SrcPort: 9, DstPort: 9, Proto: 6}, now)
 	if got := tbl.LookupByIP(local); len(got) != 3 {
 		t.Fatalf("LookupByIP with self-flow found %d, want 3", len(got))
-	}
-}
-
-func TestClearIP(t *testing.T) {
-	tbl := New(8)
-	now := time.Now()
-	local := IPv4(7)
-	tbl.Add(key(7, 1, 1, 1), now)
-	tbl.Add(key(2, 7, 2, 2), now)
-	tbl.Add(key(3, 4, 3, 3), now)
-	if removed := tbl.ClearIP(local); removed != 2 {
-		t.Fatalf("ClearIP removed %d, want 2", removed)
-	}
-	if got := tbl.Len(); got != 1 {
-		t.Fatalf("Len = %d, want 1", got)
-	}
-	if got := tbl.LookupByIP(local); len(got) != 0 {
-		t.Fatalf("flows remain after ClearIP: %v", got)
-	}
-}
-
-func TestAggregateRates(t *testing.T) {
-	tbl := New(8)
-	t0 := time.Now()
-	local, peer := IPv4(1), IPv4(2)
-	// Two flows in opposite directions between local and peer; 1000 and
-	// 500 bytes over 2 seconds → 750 B/s combined.
-	tbl.Update(Key{Src: local, Dst: peer, SrcPort: 1, DstPort: 2, Proto: 6}, 1000, 1, t0)
-	tbl.Update(Key{Src: peer, Dst: local, SrcPort: 2, DstPort: 1, Proto: 6}, 500, 1, t0)
-	rates := tbl.AggregateRates(local, t0.Add(2*time.Second))
-	if got := rates[peer]; got != 750 {
-		t.Fatalf("aggregate rate = %v, want 750 (incoming+outgoing)", got)
 	}
 }
 
@@ -161,7 +98,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := key(uint32(w), uint32(i), uint16(i), 80)
-				tbl.Update(k, 100, 1, now)
+				tbl.Add(k, now)
 				_ = tbl.LookupByIP(IPv4(w))
 				if i%3 == 0 {
 					tbl.Delete(k)
@@ -170,12 +107,24 @@ func TestConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// Consistency after concurrent churn: every remaining flow resolves
-	// via its IP index.
+	// Consistency after concurrent churn: each worker's source index
+	// holds exactly the flows it did not delete, and a deleted flow is
+	// gone from both indexes.
 	for w := 0; w < 8; w++ {
+		own := 0
 		for _, f := range tbl.LookupByIP(IPv4(w)) {
-			if got := tbl.Lookup(f.Key); got == nil {
-				t.Fatalf("index points at missing flow %+v", f.Key)
+			if f.Key.Src == IPv4(w) {
+				own++
+			}
+		}
+		if own != 500-167 {
+			t.Fatalf("worker %d: %d flows left, want %d", w, own, 500-167)
+		}
+		for i := 0; i < 500; i += 3 {
+			for _, f := range tbl.LookupByIP(IPv4(i)) {
+				if f.Key == key(uint32(w), uint32(i), uint16(i), 80) {
+					t.Fatalf("deleted flow %+v still indexed by destination", f.Key)
+				}
 			}
 		}
 	}
@@ -203,11 +152,17 @@ func TestIndexConsistencyQuick(t *testing.T) {
 				tbl.Delete(k)
 				delete(live, k)
 			} else {
-				tbl.Update(k, 10, 1, now)
+				tbl.Add(k, now)
 				live[k] = true
 			}
 		}
-		if tbl.Len() != len(live) {
+		indexed := map[Key]bool{}
+		for ip := 0; ip < 256; ip++ {
+			for _, f := range tbl.LookupByIP(IPv4(ip)) {
+				indexed[f.Key] = true
+			}
+		}
+		if len(indexed) != len(live) {
 			return false
 		}
 		for k := range live {

@@ -328,28 +328,6 @@ func (in *instance) evaluate(genome []cluster.HostID) float64 {
 	return sum
 }
 
-// feasible verifies slot, RAM and CPU capacity.
-func (in *instance) feasible(genome []cluster.HostID) bool {
-	slots := make([]int, in.numHosts)
-	ram := make([]int, in.numHosts)
-	cpu := make([]int, in.numHosts)
-	for i, h := range genome {
-		if h < 0 || int(h) >= in.numHosts {
-			return false
-		}
-		slots[h]++
-		ram[h] += in.ramMB[i]
-		cpu[h] += in.cpuMilli[i]
-		if slots[h] > in.slots[h] || ram[h] > in.hostRAM[h] {
-			return false
-		}
-		if in.hostCPU[h] > 0 && cpu[h] > in.hostCPU[h] {
-			return false
-		}
-	}
-	return true
-}
-
 // roomFor reports whether host h can take VM vi given the running
 // slot/ram/cpu tallies.
 func (in *instance) roomFor(vi, h int, slots, ram, cpu []int) bool {

@@ -213,3 +213,25 @@ func TestWorkerCountInvariant(t *testing.T) {
 		}
 	}
 }
+
+// feasible verifies slot, RAM and CPU capacity.
+func (in *instance) feasible(genome []cluster.HostID) bool {
+	slots := make([]int, in.numHosts)
+	ram := make([]int, in.numHosts)
+	cpu := make([]int, in.numHosts)
+	for i, h := range genome {
+		if h < 0 || int(h) >= in.numHosts {
+			return false
+		}
+		slots[h]++
+		ram[h] += in.ramMB[i]
+		cpu[h] += in.cpuMilli[i]
+		if slots[h] > in.slots[h] || ram[h] > in.hostRAM[h] {
+			return false
+		}
+		if in.hostCPU[h] > 0 && cpu[h] > in.hostCPU[h] {
+			return false
+		}
+	}
+	return true
+}

@@ -87,29 +87,6 @@ func (p *FaultPlan) Wrap(tr Transport) Transport {
 	return &FaultTransport{plan: p, inner: tr}
 }
 
-// Isolate partitions addr away from the plane: every message to or from
-// it is silently dropped (all types — a crashed or unreachable host loses
-// probes and commits too, not just tokens).
-func (p *FaultPlan) Isolate(addr string) {
-	p.mu.Lock()
-	p.blocked[addr] = true
-	p.mu.Unlock()
-}
-
-// Heal reconnects addr.
-func (p *FaultPlan) Heal(addr string) {
-	p.mu.Lock()
-	delete(p.blocked, addr)
-	p.mu.Unlock()
-}
-
-// Stats snapshots the intervention counters.
-func (p *FaultPlan) Stats() FaultStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
 // faultAction is one send's fate under the plan.
 type faultAction struct {
 	drop, dup, delay bool

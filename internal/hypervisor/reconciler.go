@@ -207,9 +207,6 @@ func (r *Reconciler) Start(mk func(Handler) (Transport, error)) error {
 	return nil
 }
 
-// Addr returns the reconciler's transport address.
-func (r *Reconciler) Addr() string { return r.tr.Addr() }
-
 // Close shuts down the transport.
 func (r *Reconciler) Close() error {
 	if r.tr == nil {

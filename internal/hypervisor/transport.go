@@ -148,15 +148,6 @@ const (
 	heartbeatTimeout = 250 * time.Millisecond
 )
 
-// TCPStats counts a transport's send-path work: Sends is every frame
-// written, Dials the connections established for them, Reused the sends
-// that rode an existing pooled connection. Sends − Dials is the dials the
-// pool saved. HeartbeatFails counts
-// parked connections that failed their pre-send end-to-end heartbeat.
-type TCPStats struct {
-	Sends, Dials, Reused, HeartbeatFails int64
-}
-
 // pooledConn is one idle outbound connection with its park time.
 type pooledConn struct {
 	c    net.Conn
@@ -169,7 +160,7 @@ type pooledConn struct {
 // peer — dialing only when no warm connection is available — instead of
 // paying a TCP handshake per message. The pool has no settings (see
 // maxIdlePerHost): idle connections are closed by a janitor after
-// idleTimeout, and Stats counts the sends, dials and reuses.
+// idleTimeout, and the transport counts its sends, dials and reuses.
 type TCPTransport struct {
 	ln      net.Listener
 	handler Handler
@@ -408,11 +399,6 @@ func (t *TCPTransport) putConn(addr string, c net.Conn) {
 	}
 	t.idle[addr] = append(t.idle[addr], pooledConn{c: c, last: time.Now()})
 	t.mu.Unlock()
-}
-
-// Stats snapshots the send-path counters.
-func (t *TCPTransport) Stats() TCPStats {
-	return TCPStats{Sends: t.sends.Load(), Dials: t.dials.Load(), Reused: t.reused.Load(), HeartbeatFails: t.hbFails.Load()}
 }
 
 // Addr implements Transport.

@@ -66,21 +66,6 @@ func VerdictString(code uint8) string {
 	return "unknown"
 }
 
-// ParseVerdict is VerdictString's inverse; unknown strings return false.
-func ParseVerdict(s string) (uint8, bool) {
-	switch s {
-	case "merged":
-		return VerdictMerged, true
-	case "stale":
-		return VerdictStale, true
-	case "cross_applied":
-		return VerdictCrossApplied, true
-	case "cross_rejected":
-		return VerdictCrossRejected, true
-	}
-	return 0, false
-}
-
 // AuditRing is a fixed-capacity ring buffer of AuditRecords (see ring) —
 // the decision-provenance analogue of the Tracer. Append overwrites the
 // oldest record once full and never allocates. Len, Dropped and Snapshot
@@ -138,17 +123,6 @@ func (r AuditRecord) JSONView() AuditJSONRecord {
 		Attempt: r.Attempt, Hop: r.Hop, VM: r.VM, From: r.From, To: r.To,
 		Verdict: VerdictString(r.Verdict), StagedBits: r.StagedBits, FinalBits: r.FinalBits,
 		StagedDelta: r.StagedDelta(), FinalDelta: r.FinalDelta(),
-	}
-}
-
-// Record reconstructs the fixed-size record from its JSON view; the ΔC
-// values come from the bit patterns, never the decimal floats.
-func (j AuditJSONRecord) Record() AuditRecord {
-	v, _ := ParseVerdict(j.Verdict)
-	return AuditRecord{
-		Seq: j.Seq, T: j.T, Round: j.Round, Shard: j.Shard,
-		Attempt: j.Attempt, Hop: j.Hop, VM: j.VM, From: j.From, To: j.To,
-		Verdict: v, StagedBits: j.StagedBits, FinalBits: j.FinalBits,
 	}
 }
 

@@ -49,7 +49,7 @@
 //   - Never label by VM, host, or any identifier that scales with instance
 //     size (a k=32 fat-tree has 8192 hosts / 245k VMs). Per-entity detail
 //     belongs in the Tracer, which is bounded by its ring capacity.
-//   - Vec.At(i) caches children by dense integer index and is the only
+//   - GaugeVec.At(i) caches children by dense integer index and is the only
 //     labeled call allowed on hot paths.
 //
 // # Adding a metric

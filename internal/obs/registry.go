@@ -231,8 +231,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 // CounterVec is a counter family partitioned by one label (e.g. shard).
 // Cardinality must be small and bounded — see doc.go.
 type CounterVec struct {
-	f    *family
-	byIx atomic.Pointer[[]*Counter]
+	f *family
 }
 
 // GaugeVec is a gauge family partitioned by one label.
@@ -280,39 +279,9 @@ func (v *CounterVec) With(value string) *Counter { return v.f.child(value).c }
 // With returns the child gauge for the given label value.
 func (v *GaugeVec) With(value string) *Gauge { return v.f.child(value).g }
 
-// At returns the child for label value strconv.Itoa(i). The fast path is a
-// lock-free slice lookup, so At is safe on hot paths for small dense indexes
-// (shard numbers); the slow path allocates once per new index.
-func (v *CounterVec) At(i int) *Counter {
-	if p := v.byIx.Load(); p != nil && i < len(*p) && (*p)[i] != nil {
-		return (*p)[i]
-	}
-	c := v.f.child(strconv.Itoa(i))
-	v.cache(i, func(s []*Counter) { s[i] = c.c })
-	return c.c
-}
-
-func (v *CounterVec) cache(i int, set func([]*Counter)) {
-	for {
-		old := v.byIx.Load()
-		var cur []*Counter
-		if old != nil {
-			cur = *old
-		}
-		n := len(cur)
-		if i >= n {
-			n = i + 1
-		}
-		nw := make([]*Counter, n)
-		copy(nw, cur)
-		set(nw)
-		if v.byIx.CompareAndSwap(old, &nw) {
-			return
-		}
-	}
-}
-
-// At returns the child gauge for label value strconv.Itoa(i); see CounterVec.At.
+// At returns the child gauge for label value strconv.Itoa(i). The fast
+// path is a lock-free slice lookup, so At is safe on hot paths for small
+// dense indexes (shard numbers); the slow path allocates once per new index.
 func (v *GaugeVec) At(i int) *Gauge {
 	if p := v.byIx.Load(); p != nil && i < len(*p) && (*p)[i] != nil {
 		return (*p)[i]

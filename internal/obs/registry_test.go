@@ -3,6 +3,7 @@ package obs
 import (
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -108,7 +109,7 @@ func TestVecChildren(t *testing.T) {
 		t.Fatal("At(3) lost its value")
 	}
 	cv := r.CounterVec("score_vec_total", "per shard", "shard")
-	cv.At(1).Add(7)
+	cv.With("1").Add(7)
 	if cv.With("1").Value() != 7 {
 		t.Fatal("counter vec child mismatch")
 	}
@@ -139,7 +140,7 @@ func TestConcurrentRecording(t *testing.T) {
 				c.Inc()
 				g.Add(1)
 				h.Observe(float64(i%16) * 1e-3)
-				v.At(w % 8).Inc()
+				v.With(strconv.Itoa(w % 8)).Inc()
 				gv.At(w % 8).Set(float64(i))
 			}
 		}(w)
@@ -171,7 +172,7 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 	var vecSum uint64
 	for i := 0; i < 8; i++ {
-		vecSum += v.At(i).Value()
+		vecSum += v.With(strconv.Itoa(i)).Value()
 	}
 	if vecSum != total {
 		t.Fatalf("vec sum = %d, want %d", vecSum, total)
@@ -186,10 +187,8 @@ func TestRecordPathsAllocFree(t *testing.T) {
 	c := r.Counter("score_alloc_total", "c")
 	g := r.Gauge("score_alloc_gauge", "g")
 	h := r.Histogram("score_alloc_seconds", "h", DefLatencyBuckets)
-	v := r.CounterVec("score_alloc_vec_total", "v", "shard")
 	gv := r.GaugeVec("score_alloc_vec_gauge", "gv", "shard")
-	v.At(3) // warm the index cache; first use allocates the child
-	gv.At(3)
+	gv.At(3) // warm the index cache; first use allocates the child
 	tr := NewTracer(1 << 10)
 
 	cases := []struct {
@@ -201,7 +200,6 @@ func TestRecordPathsAllocFree(t *testing.T) {
 		{"gauge_set", func() { g.Set(1.23) }},
 		{"gauge_add", func() { g.Add(-0.5) }},
 		{"histogram_observe", func() { h.Observe(0.042) }},
-		{"counter_vec_at", func() { v.At(3).Inc() }},
 		{"gauge_vec_at", func() { gv.At(3).Set(9) }},
 		{"tracer_record", func() {
 			tr.Record(Event{Kind: EvTokenVisit, T: 1, Round: 1, Shard: 2, Arg: 7})

@@ -383,13 +383,6 @@ func newDaemon(cfg Config, topo topology.Topology, cl *cluster.Cluster, tm *traf
 // Registry returns the daemon's metrics registry.
 func (d *Daemon) Registry() *obs.Registry { return d.reg }
 
-// Rounds reports how many scheduling rounds have completed.
-func (d *Daemon) Rounds() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.coord.Rounds()
-}
-
 // Close stops the state loop, the round pool's helpers and the flight
 // recorder and fails any raced-in submissions with ErrClosed. Safe to
 // call more than once.
@@ -753,9 +746,6 @@ func (d *Daemon) runRoundLocked() (RoundSummary, error) {
 	d.hist.Put(sum)
 	return sum, nil
 }
-
-// History returns the retained round summaries, oldest first.
-func (d *Daemon) History() []RoundSummary { return d.hist.Snapshot() }
 
 // Admit registers and places one VM.
 func (d *Daemon) Admit(req AdmitRequest) (cluster.VMID, cluster.HostID, error) {

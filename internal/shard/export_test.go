@@ -1,5 +1,11 @@
 package shard
 
+import (
+	"math/bits"
+
+	"github.com/score-dc/score/internal/cluster"
+)
+
 // BuildEngine exposes the fat-tree fixture to the package's external
 // tests, which import the control plane (itself an importer of shard).
 var BuildEngine = buildEngine
@@ -10,4 +16,15 @@ func SetWorkers(c *Coordinator, w int) {
 	c.plane.pool.Close()
 	p := NewPool(w)
 	c.plane.pool, c.Driver.pool = p, p
+}
+
+// VMs returns shard s's VM population in ascending ID order.
+func (p *Partition) VMs(s int) []cluster.VMID {
+	var out []cluster.VMID
+	for w, word := range p.rings[s] {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, p.base+cluster.VMID(64*w+bits.TrailingZeros64(word)))
+		}
+	}
+	return out
 }

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 
 	"github.com/score-dc/score/internal/cluster"
@@ -59,8 +58,6 @@ type Partition struct {
 	// from base: bit b of rings[s][w] is VM base+64w+b.
 	base  cluster.VMID
 	rings [][]uint64
-	// lists[s] is the storage VMs(s) expands ring s into.
-	lists [][]cluster.VMID
 
 	// The placement the rings hold: cl's table, over the ID window of n
 	// IDs from base, at generation gen; cl is nil until the first fill.
@@ -130,7 +127,6 @@ func (p *Partition) reshape(topo topology.Topology, hosts int, g Granularity, sh
 		p.hostShard[h] = int32(u * shards / units)
 	}
 	p.rings = slices.Grow(p.rings[:0], shards)[:shards]
-	p.lists = slices.Grow(p.lists[:0], shards)[:shards]
 	for s := range p.rings {
 		p.rings[s] = p.rings[s][:0]
 	}
@@ -218,16 +214,3 @@ func (p *Partition) ShardOfHost(h cluster.HostID) int {
 
 // HostShards returns the host→shard table, owned by the partition.
 func (p *Partition) HostShards() []int32 { return p.hostShard }
-
-// VMs returns shard s's VM population in ascending ID order. The slice
-// is owned by the partition and rewritten by the next VMs(s).
-func (p *Partition) VMs(s int) []cluster.VMID {
-	out := p.lists[s][:0]
-	for w, word := range p.rings[s] {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, p.base+cluster.VMID(64*w+bits.TrailingZeros64(word)))
-		}
-	}
-	p.lists[s] = out
-	return out
-}

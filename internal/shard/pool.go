@@ -67,9 +67,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
-
 // Close stops the pool's helpers and returns once they have exited;
 // later calls run on the caller alone. Close is idempotent, waits for a
 // Run or side in progress to finish, and must not be called from a task.
@@ -128,7 +125,7 @@ func (c *crew) claim() {
 	}
 }
 
-// Run executes task(0) … task(n-1), at most Workers at a time, and
+// Run executes task(0) … task(n-1), at most the pool's workers at a time, and
 // returns when all have completed. With one worker (or n == 1), or no
 // helper free, tasks run inline in index order.
 func (p *Pool) Run(n int, task func(i int)) {

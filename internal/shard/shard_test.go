@@ -912,7 +912,7 @@ func TestAuditHopsNameRingPositions(t *testing.T) {
 // helpers — stops them once the garbage collector finds it unreachable,
 // so nothing the helpers ran keeps it alive.
 func TestDroppedPoolStopsHelpers(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := settledGoroutines(t)
 	func() {
 		eng := buildEngine(t, 4, 3, 10)
 		c, err := NewCoordinator(eng, Config{Shards: 4})
@@ -939,5 +939,28 @@ func TestDroppedPoolStopsHelpers(t *testing.T) {
 		}
 		runtime.GC()
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// settledGoroutines returns the goroutine count once two consecutive
+// reads, each after a GC, agree: goroutines an earlier test left behind
+// (a dropped pool's helpers, stopped by its finalizer) are still exiting
+// until then, and a baseline taken among them is too high.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	runtime.GC()
+	n := runtime.NumGoroutine()
+	for {
+		time.Sleep(time.Millisecond)
+		runtime.GC()
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count did not settle: %d, then %d", n, m)
+		}
+		n = m
 	}
 }

@@ -52,17 +52,6 @@ func (m *naiveToken) successor(id cluster.VMID) (cluster.VMID, bool) {
 	return m.entries[0].ID, true
 }
 
-func (m *naiveToken) add(id cluster.VMID) {
-	if m.index(id) >= 0 {
-		return
-	}
-	i := 0
-	for i < len(m.entries) && m.entries[i].ID < id {
-		i++
-	}
-	m.entries = slices.Insert(m.entries, i, Entry{ID: id})
-}
-
 func (m *naiveToken) remove(id cluster.VMID) {
 	if i := m.index(id); i >= 0 {
 		m.entries = slices.Delete(m.entries, i, i+1)
@@ -169,10 +158,10 @@ func opsID(es []Entry, sel, k byte) cluster.VMID {
 // whole entry array must agree.
 func FuzzTokenOpsEqualNaive(f *testing.F) {
 	// Every (op, target kind) pair in op order, twice: the second pass
-	// runs over what the first one's adds and removes left.
+	// runs over what the first one's removes left.
 	var ops []byte
 	for pass := 0; pass < 2; pass++ {
-		for op := byte(0); op < 7; op++ {
+		for op := byte(0); op < 6; op++ {
 			for sel := byte(0); sel < 8; sel++ {
 				ops = append(ops, op, sel, 8*op+sel+byte(pass))
 			}
@@ -189,7 +178,7 @@ func FuzzTokenOpsEqualNaive(f *testing.F) {
 		tok, ops := opsToken(data)
 		model := &naiveToken{entries: tok.Entries()}
 		for len(ops) >= 3 {
-			op, id, lvl := ops[0]%7, opsID(model.entries, ops[1], ops[2]), ops[2]%5
+			op, id, lvl := ops[0]%6, opsID(model.entries, ops[1], ops[2]), ops[2]%5
 			ops = ops[3:]
 			switch op {
 			case 0:
@@ -213,9 +202,6 @@ func FuzzTokenOpsEqualNaive(f *testing.F) {
 					t.Fatalf("Successor(%d) = %d,%v, model %d,%v over %v", id, got, ok, want, wok, model.entries)
 				}
 			case 5:
-				tok.Add(id)
-				model.add(id)
-			case 6:
 				tok.Remove(id)
 				model.remove(id)
 			}

@@ -139,17 +139,6 @@ func (t *Token) find(id cluster.VMID) int {
 	return -1
 }
 
-// Has reports whether id is in the token.
-func (t *Token) Has(id cluster.VMID) bool { return t.find(id) >= 0 }
-
-// Level returns the recorded level estimate for id (0 if absent).
-func (t *Token) Level(id cluster.VMID) uint8 {
-	if i := t.find(id); i >= 0 {
-		return t.entries[i].Level
-	}
-	return 0
-}
-
 // SetLevel overwrites the level estimate for id. Unknown IDs are ignored.
 func (t *Token) SetLevel(id cluster.VMID, level uint8) {
 	if i := t.find(id); i >= 0 {
@@ -180,18 +169,6 @@ func (t *Token) Successor(id cluster.VMID) (cluster.VMID, bool) {
 		i = 0
 	}
 	return t.entries[i].ID, true
-}
-
-// Add inserts a VM into the token (e.g. a newly created instance joining
-// the ring) with level 0. Adding an existing ID is a no-op.
-func (t *Token) Add(id cluster.VMID) {
-	i := t.search(id)
-	if i < len(t.entries) && t.entries[i].ID == id {
-		return
-	}
-	t.entries = append(t.entries, Entry{})
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = Entry{ID: id}
 }
 
 // Remove deletes a VM from the token (e.g. a terminated instance).

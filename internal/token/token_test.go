@@ -106,20 +106,15 @@ func TestSuccessorWraps(t *testing.T) {
 	}
 }
 
-func TestAddRemove(t *testing.T) {
-	tok := New(ids(1, 3))
-	tok.Add(2)
-	tok.Add(2) // idempotent
-	if got := tok.Len(); got != 3 {
-		t.Fatalf("Len = %d, want 3", got)
-	}
-	es := tok.Entries()
-	if es[1].ID != 2 {
-		t.Fatalf("insertion order broken: %v", es)
-	}
+func TestRemove(t *testing.T) {
+	tok := New(ids(1, 2, 3))
 	tok.Remove(1)
+	tok.Remove(4) // absent: no-op
 	if tok.Has(1) || tok.Len() != 2 {
 		t.Fatalf("Remove failed: %v", tok.Entries())
+	}
+	if es := tok.Entries(); es[0].ID != 2 || es[1].ID != 3 {
+		t.Fatalf("order broken by Remove: %v", es)
 	}
 }
 

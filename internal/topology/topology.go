@@ -320,9 +320,6 @@ func NewFatTree(k int, hostLinkMbps float64) (*FatTree, error) {
 	return t, nil
 }
 
-// K returns the fat-tree arity.
-func (t *FatTree) K() int { return t.k }
-
 // Name implements Topology.
 func (t *FatTree) Name() string { return "fat-tree" }
 

@@ -41,9 +41,6 @@ func (b *Builder) Add(u, v cluster.VMID, rate float64) {
 	b.tri = append(b.tri, triple{a: u, b: v, rate: onGrid(rate)})
 }
 
-// Len returns the number of recorded contributions.
-func (b *Builder) Len() int { return len(b.tri) }
-
 // Build assembles the matrix and resets the builder. The result's
 // generation equals its pair count (as if each pair had been Set once);
 // its changelog is empty, so ChangesSince on any older generation

@@ -38,7 +38,6 @@ type Follower struct {
 	// valid is false when the next Sync must rebuild.
 	gen, mgen uint64
 	valid     bool
-	rebuilds  int
 
 	// Sync scratch: was[vm-wasBase] is where a VM the placement log names
 	// sat at the last sync, unmoved for the others; movers lists the VMs
@@ -67,7 +66,6 @@ func (f *Follower) Sync() {
 		f.add(a, b, f.cl.HostOf(a), f.cl.HostOf(b), rate)
 	})
 	f.gen, f.mgen, f.valid = f.m.Generation(), f.cl.MoveGeneration(), true
-	f.rebuilds++
 }
 
 // Invalidate makes the next Sync rebuild.
@@ -84,9 +82,6 @@ func (f *Follower) Retarget(m *Matrix) {
 // changed since the last Sync. Placement writes are the caller's to check
 // (cluster.MoveGeneration); the sum follows them on the next Sync.
 func (f *Follower) Current() bool { return f.valid && f.gen == f.m.Generation() }
-
-// Rebuilds reports how many times Sync rebuilt the sum from every pair.
-func (f *Follower) Rebuilds() int { return f.rebuilds }
 
 // fold folds both changelogs since the last sync; false when either
 // refuses or a rebuild costs less.

@@ -71,7 +71,10 @@ func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 	cur := 0
 
 	got := hostSums{}
-	f := Follow(mats[cur], cl, func() { clear(got) }, got.add)
+	// A follower calls reset only to rebuild the sum from every pair.
+	rebuilds := 0
+	reset := func() { rebuilds++; clear(got) }
+	f := Follow(mats[cur], cl, reset, got.add)
 	var syncs, overruns, refollows, moveOverruns int
 	sync := func(step int) {
 		t.Helper()
@@ -127,7 +130,7 @@ func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 			f.Invalidate()
 		case op == 18 && rng.Intn(10) == 0: // outrun the changelog, a move amid it
 			overruns++
-			before := f.Rebuilds()
+			before := rebuilds
 			// A move amid the burst: the matrix's window must slide past
 			// the last sync before the next one.
 			for i := 0; i < changeLogCap/2+2*changeLogCap; i++ {
@@ -137,7 +140,7 @@ func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 				}
 			}
 			sync(step)
-			if f.Rebuilds() != before+1 {
+			if rebuilds != before+1 {
 				t.Fatalf("step %d: an outrun changelog folded instead of rebuilding", step)
 			}
 		case op == 19 && rng.Intn(10) == 0: // drop the follower, then follow afresh
@@ -146,7 +149,7 @@ func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 			m.Set(randVM(), randVM(), rate())
 			_ = cl.Move(randVM(), randHost())
 			sync(step)
-			f = Follow(mats[cur], cl, func() { clear(got) }, got.add)
+			f = Follow(mats[cur], cl, reset, got.add)
 		case op == 20: // both endpoints of a pair move between two syncs
 			f.Sync()
 			a, b := randVM(), randVM()
@@ -195,12 +198,12 @@ func TestFollowerEqualsScratchUnderStream(t *testing.T) {
 		case op == 25 && rng.Intn(10) == 0: // more placement writes than the log reaches
 			moveOverruns++
 			f.Sync()
-			before, gen := f.Rebuilds(), cl.MoveGeneration()
+			before, gen := rebuilds, cl.MoveGeneration()
 			for cl.MoveGeneration()-gen <= hosts*ids { // the plant's VM slots
 				_ = cl.Move(randVM(), randHost())
 			}
 			sync(step)
-			if f.Rebuilds() != before+1 {
+			if rebuilds != before+1 {
 				t.Fatalf("step %d: an outrun placement log folded instead of rebuilding", step)
 			}
 		case op == 26: // a Restore between moves and rate changes
@@ -248,7 +251,8 @@ func TestFollowerZeroAllocs(t *testing.T) {
 		m.Set(id, id%16+1, float64(id))
 	}
 	load := make([]float64, 4)
-	f := Follow(m, cl, func() { clear(load) }, func(_, _ cluster.VMID, ha, hb cluster.HostID, delta float64) {
+	rebuilds := 0
+	f := Follow(m, cl, func() { rebuilds++; clear(load) }, func(_, _ cluster.VMID, ha, hb cluster.HostID, delta float64) {
 		if ha != hb && ha != cluster.NoHost && hb != cluster.NoHost {
 			load[ha] += delta
 			load[hb] += delta
@@ -278,7 +282,7 @@ func TestFollowerZeroAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("Move: %v allocs", a)
 	}
-	if f.Rebuilds() != 1 {
-		t.Fatalf("%d rebuilds; the folds fell back", f.Rebuilds())
+	if rebuilds != 1 {
+		t.Fatalf("%d rebuilds; the folds fell back", rebuilds)
 	}
 }

@@ -79,8 +79,8 @@
 // (Set/Add/Compact). Adjacency rows are edited in place — and a
 // compaction or row spill moves them wholesale — so a NeighborEdges
 // slice held across a mutation may see its entries rewritten, shifted,
-// or left pointing into a retired arena. Neighbors and Pairs, by
-// contrast, return copies owned by the caller. ForEachPair visits pairs
+// or left pointing into a retired arena. Pairs, by contrast, returns
+// copies owned by the caller. ForEachPair visits pairs
 // in the same canonical order as Pairs without materializing a list —
 // the memory-frugal choice for scans at scale.
 package traffic
