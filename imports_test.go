@@ -1,10 +1,7 @@
 package score_test
 
 import (
-	"go/parser"
-	"go/token"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,7 +13,8 @@ const modulePath = "github.com/score-dc/score"
 // moduleDeps returns the packages of this module that pkg (a path
 // relative to the module root) reaches through the imports of its
 // non-test files, itself included — `go list -deps` restricted to the
-// module, computed from source so the test needs no toolchain at run time.
+// module, computed from the parsed source (moduleSource) so the test needs
+// no toolchain at run time.
 func moduleDeps(t *testing.T, pkg string) map[string]bool {
 	t.Helper()
 	seen := map[string]bool{}
@@ -26,19 +24,8 @@ func moduleDeps(t *testing.T, pkg string) map[string]bool {
 			return
 		}
 		seen[rel] = true
-		files, err := filepath.Glob(filepath.Join(rel, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("no Go files in %s: %v", rel, err)
-		}
-		for _, file := range files {
-			if strings.HasSuffix(file, "_test.go") {
-				continue
-			}
-			f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.ImportsOnly)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, imp := range f.Imports {
+		for _, f := range srcIn(t, rel, false) {
+			for _, imp := range f.ast.Imports {
 				path, err := strconv.Unquote(imp.Path.Value)
 				if err != nil {
 					t.Fatal(err)
