@@ -407,12 +407,6 @@ func sortedKeys(m map[string][]float64) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	for i := range keys {
-		for j := i + 1; j < len(keys); j++ {
-			if keys[j] < keys[i] {
-				keys[i], keys[j] = keys[j], keys[i]
-			}
-		}
-	}
+	slices.Sort(keys)
 	return keys
 }

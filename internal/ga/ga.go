@@ -19,25 +19,14 @@
 // internal/shard worker pool; selection and child seeds are drawn
 // sequentially, making results identical for every worker count.
 //
-// # Delta-encoded population
+// # Population
 //
-// The population is stored delta-encoded: each individual is a bounded
-// diff list against a shared base packing (the live allocation at first,
-// re-anchored by periodic rebase), falling back to a private dense
-// genome only when its diff count exceeds a quarter of the instance. As
-// the population converges — which the elitist loop drives it to —
-// individuals differ from the incumbent in a handful of placements, so
-// storing and copying whole genomes per generation is almost all
-// redundant traffic. Breeding still operates densely: a worker
-// materializes the parents into reused scratch, runs the identical
-// crossover/mutation/search/fitness code with the identical RNG draw
-// sequence, and encodes the child back, so the encoding is invisible to
-// the optimization (bit-identical populations for a fixed seed,
-// enforced by TestDeltaDenseEquivalence through the denseGenomes hook).
-// Elites are immutable and shared across generations rather than
-// copied. Rebase is deterministic: when more than half the population
-// has overflowed to dense, the best individual becomes the new base and
-// everyone re-encodes against it.
+// Each individual is a dense genome, one host per VM. A child is bred in
+// place into a genome buffer that Optimize takes off a free list while it
+// draws the generation's breeding plan, so the hand-out is the same for
+// every worker count; once the generation is done, every old individual
+// but the carried elites goes back on the list. Elites are never
+// modified, so they are shared between generations rather than copied.
 package ga
 
 import (
@@ -86,14 +75,6 @@ type Config struct {
 	MinGenerations int
 	// MaxGenerations is a hard cap.
 	MaxGenerations int
-
-	// Test hooks, set by in-package tests only. denseGenomes disables the
-	// delta encoding: every individual stores a full dense genome, as the
-	// implementation originally did; populations are bit-identical either
-	// way. observeGen, when set, is called after each generation's
-	// population is complete, before the termination check.
-	denseGenomes bool
-	observeGen   func(gen int, in *instance, pop []*indiv, fit []float64)
 }
 
 // DefaultConfig returns a laptop-scale budget.
@@ -140,8 +121,8 @@ type instance struct {
 	pairsB   []int32
 	rates    []float64
 	numHosts int
-	// kern is Eq. 5 (core.Kernel) over the engine's level tables: polish
-	// scores on it, each breeding scratch on a clone of its own.
+	// kern is Eq. 5 (core.Kernel) over the engine's level tables; each
+	// breeding scratch scores on a clone of its own.
 	kern *core.Kernel
 	// CSR adjacency for local search: adjArr[adjOff[i]:adjOff[i+1]]
 	// lists (peer index, rate) for VM i — one arena instead of one slice
@@ -155,11 +136,9 @@ type instance struct {
 	rackOff []int32
 	rackArr []cluster.HostID
 
-	// base is the shared packing the population's diff lists are encoded
-	// against; maxDiffs is the bound past which an individual falls back
-	// to a private dense genome (≤ 0 forces dense — the denseGenomes hook).
-	base     []cluster.HostID
-	maxDiffs int
+	// free is the free list of genome buffers. Only Optimize's sequential
+	// code takes from it and gives back to it, so it needs no lock.
+	free [][]cluster.HostID
 
 	// scratch is a free list of breeding scratch sets, bounded by worker
 	// concurrency. A plain mutex-guarded stack (not sync.Pool) keeps the
@@ -184,98 +163,29 @@ func (in *instance) hostsInRack(rack int) []cluster.HostID {
 	return in.rackArr[in.rackOff[rack]:in.rackOff[rack+1]]
 }
 
-// diffEntry is one delta-encoded placement: genome[idx] = host.
-type diffEntry struct {
-	idx  int32
-	host cluster.HostID
+// genome takes a buffer off the free list, or makes one when it is empty.
+func (in *instance) genome() []cluster.HostID {
+	if n := len(in.free); n > 0 {
+		g := in.free[n-1]
+		in.free = in.free[:n-1]
+		return g
+	}
+	return make([]cluster.HostID, len(in.vms))
 }
 
-// indiv is one individual of the delta-encoded population: a diff list
-// against the instance's shared base packing, or a private dense genome
-// when the diff bound was exceeded. Individuals are immutable once
-// created — elites are shared between generations, never copied.
-type indiv struct {
-	diffs []diffEntry      // ascending idx; meaningful only when dense == nil
-	dense []cluster.HostID // fallback representation
-}
-
-// materialize writes iv's full genome into dst (len == |V|).
-func (in *instance) materialize(dst []cluster.HostID, iv *indiv) {
-	if iv.dense != nil {
-		copy(dst, iv.dense)
-		return
-	}
-	copy(dst, in.base)
-	for _, d := range iv.diffs {
-		dst[d.idx] = d.host
-	}
-}
-
-// encode stores genome as an individual: a diff list against the shared
-// base when it fits the bound, a private dense copy otherwise. The
-// caller keeps ownership of genome (it is scratch).
-func (in *instance) encode(genome []cluster.HostID) *indiv {
-	if in.maxDiffs > 0 {
-		nd := 0
-		for i, h := range genome {
-			if h != in.base[i] {
-				nd++
-				if nd > in.maxDiffs {
-					break
-				}
-			}
-		}
-		if nd <= in.maxDiffs {
-			diffs := make([]diffEntry, 0, nd)
-			for i, h := range genome {
-				if h != in.base[i] {
-					diffs = append(diffs, diffEntry{idx: int32(i), host: h})
-				}
-			}
-			return &indiv{diffs: diffs}
-		}
-	}
-	return &indiv{dense: append([]cluster.HostID(nil), genome...)}
-}
-
-// rebase re-anchors the population on newBase: every individual is
-// re-encoded against it (placements unchanged, so fitness is untouched).
-// Called when most of the population has overflowed to dense — after
-// convergence pulls individuals toward the incumbent, their diffs
-// against the new anchor are small again.
-func (in *instance) rebase(newBase []cluster.HostID, pop []*indiv) {
-	// Densify the diff-encoded minority against the old base first — the
-	// diffs are meaningless once the anchor moves.
-	for i, iv := range pop {
-		if iv.dense == nil {
-			g := make([]cluster.HostID, len(in.base))
-			in.materialize(g, iv)
-			pop[i] = &indiv{dense: g}
-		}
-	}
-	in.base = append([]cluster.HostID(nil), newBase...)
-	sc := in.getScratch()
-	for i, iv := range pop {
-		in.materialize(sc.child, iv)
-		pop[i] = in.encode(sc.child)
-	}
-	in.putScratch(sc)
-}
-
-// breedScratch is one worker's reusable breeding state: dense genome
-// buffers for the child and second parent, rack-take flags, capacity
-// tallies for repair/search, and a re-seedable RNG (a fresh
-// rand.New per child costs ~5 KB of generator state; Seed resets the
-// same state to the identical draw sequence for free).
+// breedScratch is one worker's reusable breeding state: rack-take
+// flags, the capacity ledger (each host's used slots, RAM and CPU) for
+// seeding, repair and search, and a re-seedable RNG (a fresh rand.New
+// per child costs ~5 KB of generator state; Seed resets the same state
+// to the identical draw sequence for free).
 type breedScratch struct {
-	child, parent []cluster.HostID
-	take          []bool
-	slots         []int
-	ram           []int
-	cpu           []int
-	perm          []int
-	rng           *rand.Rand
-	kern          *core.Kernel
+	take  []bool
+	slots []int
+	ram   []int
+	cpu   []int
+	perm  []int
+	rng   *rand.Rand
+	kern  *core.Kernel
 }
 
 func (in *instance) getScratch() *breedScratch {
@@ -287,17 +197,14 @@ func (in *instance) getScratch() *breedScratch {
 		return sc
 	}
 	in.scratchMu.Unlock()
-	n := len(in.vms)
 	return &breedScratch{
-		child:  make([]cluster.HostID, n),
-		parent: make([]cluster.HostID, n),
-		take:   make([]bool, in.topo.Racks()),
-		slots:  make([]int, in.numHosts),
-		ram:    make([]int, in.numHosts),
-		cpu:    make([]int, in.numHosts),
-		perm:   make([]int, n),
-		rng:    rand.New(rand.NewSource(0)),
-		kern:   in.kern.Clone(),
+		take:  make([]bool, in.topo.Racks()),
+		slots: make([]int, in.numHosts),
+		ram:   make([]int, in.numHosts),
+		cpu:   make([]int, in.numHosts),
+		perm:  make([]int, len(in.vms)),
+		rng:   rand.New(rand.NewSource(0)),
+		kern:  in.kern.Clone(),
 	}
 }
 
@@ -307,15 +214,21 @@ func (in *instance) putScratch(sc *breedScratch) {
 	in.scratchMu.Unlock()
 }
 
-// tally recomputes the capacity ledgers from genome into the scratch.
+// charge adds VM vi's slot, RAM and CPU to host h in the scratch's
+// ledger (d = 1), or takes them off (d = -1).
+func (in *instance) charge(sc *breedScratch, vi, h, d int) {
+	sc.slots[h] += d
+	sc.ram[h] += d * in.ramMB[vi]
+	sc.cpu[h] += d * in.cpuMilli[vi]
+}
+
+// tally recomputes the scratch's ledger from genome.
 func (in *instance) tally(genome []cluster.HostID, sc *breedScratch) {
 	clear(sc.slots)
 	clear(sc.ram)
 	clear(sc.cpu)
 	for i, h := range genome {
-		sc.slots[h]++
-		sc.ram[h] += in.ramMB[i]
-		sc.cpu[h] += in.cpuMilli[i]
+		in.charge(sc, i, int(h), 1)
 	}
 }
 
@@ -328,13 +241,13 @@ func (in *instance) evaluate(genome []cluster.HostID) float64 {
 	return sum
 }
 
-// roomFor reports whether host h can take VM vi given the running
-// slot/ram/cpu tallies.
-func (in *instance) roomFor(vi, h int, slots, ram, cpu []int) bool {
-	if slots[h] >= in.slots[h] || ram[h]+in.ramMB[vi] > in.hostRAM[h] {
+// roomFor reports whether host h can take VM vi given the scratch's
+// ledger.
+func (in *instance) roomFor(vi, h int, sc *breedScratch) bool {
+	if sc.slots[h] >= in.slots[h] || sc.ram[h]+in.ramMB[vi] > in.hostRAM[h] {
 		return false
 	}
-	return in.hostCPU[h] == 0 || cpu[h]+in.cpuMilli[vi] <= in.hostCPU[h]
+	return in.hostCPU[h] == 0 || sc.cpu[h]+in.cpuMilli[vi] <= in.hostCPU[h]
 }
 
 // Optimize runs the GA against the engine's topology, cost model,
@@ -359,82 +272,56 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 	pool := shard.NewPool(0)
 	defer pool.Close()
 
-	// The live allocation anchors the delta encoding: it is the shared
-	// base, and individuals store bounded diffs against it until a
-	// deterministic rebase re-anchors on a better incumbent.
-	in.base = seed
-	in.maxDiffs = n / 4
-	if cfg.denseGenomes {
-		in.maxDiffs = 0 // encode always falls back to dense storage
-	}
-
-	pop := make([]*indiv, cfg.Population)
+	pop := make([][]cluster.HostID, cfg.Population)
 	fit := make([]float64, cfg.Population)
-	pop[0] = in.encode(seed) // current allocation as one individual
+	pop[0] = seed // current allocation as one individual
 	// A locally optimal descendant of the live allocation joins the
 	// population: the workload's locality structure is anchored on the
 	// initial racks, so this basin is often competitive with dense
 	// repackings and must be represented for the GA to dominate any
 	// local-migration scheme.
-	scratch0 := in.getScratch()
-	copy(scratch0.child, seed)
-	in.polish(scratch0.child)
-	pop[1] = in.encode(scratch0.child)
+	sc := in.getScratch()
+	pop[1] = append([]cluster.HostID(nil), seed...)
+	in.polish(pop[1], sc)
 	greedy := 2 + int(float64(cfg.Population)*greedySeedFraction)
 	for i := 2; i < cfg.Population; i++ {
+		pop[i] = in.genome()
 		if i <= greedy {
-			in.greedyPack(scratch0.child, rng, scratch0)
+			in.greedyPack(pop[i], rng, sc)
 		} else {
-			in.randomDense(scratch0.child, rng, scratch0)
+			in.randomDense(pop[i], rng, sc)
 		}
-		pop[i] = in.encode(scratch0.child)
 	}
-	in.putScratch(scratch0)
-	pool.Run(cfg.Population, func(i int) {
-		sc := in.getScratch()
-		in.materialize(sc.child, pop[i])
-		fit[i] = in.evaluate(sc.child)
-		in.putScratch(sc)
-	})
+	in.putScratch(sc)
+	pool.Run(cfg.Population, func(i int) { fit[i] = in.evaluate(pop[i]) })
 
 	res := Result{}
 	bestIdx := argmin(fit)
-	best := make([]cluster.HostID, n)
-	in.materialize(best, pop[bestIdx])
+	best := append([]cluster.HostID(nil), pop[bestIdx]...)
 	bestCost := fit[bestIdx]
 	res.History = append(res.History, bestCost)
 
-	// childSpec is the sequentially drawn breeding plan for one child;
-	// the expensive part (crossover + mutation + memetic search +
-	// fitness) then fans out over the pool with a per-child RNG.
+	// childSpec is the sequentially drawn breeding plan for one child,
+	// with the buffer it is bred into; the expensive part (crossover +
+	// mutation + memetic search + fitness) then fans out over the pool
+	// with a per-child RNG.
 	type childSpec struct {
-		pa, pb *indiv // pb nil = clone pa
+		pa, pb []cluster.HostID // pb nil = clone pa
+		child  []cluster.HostID
 		mutate bool
 		seed   int64
 	}
+	specs := make([]childSpec, cfg.Population-elite)
+	next := make([][]cluster.HostID, cfg.Population)
+	nextFit := make([]float64, cfg.Population)
 
 	for gen := 0; gen < cfg.MaxGenerations; gen++ {
-		next := make([]*indiv, cfg.Population)
-		nextFit := make([]float64, cfg.Population)
 		// Elitism: best individuals carry over with known fitness.
-		// Individuals are immutable, so elites are shared, not copied.
 		order := sortedByFitness(fit)
-		if in.maxDiffs > 0 {
-			dense := 0
-			for _, iv := range pop {
-				if iv.dense != nil {
-					dense++
-				}
-			}
-			if dense > cfg.Population/2 {
-				in.rebase(best, pop)
-			}
-		}
 		for e := 0; e < elite; e++ {
 			next[e] = pop[order[e]]
 			nextFit[e] = fit[order[e]]
 		}
-		specs := make([]childSpec, cfg.Population-elite)
 		for j := range specs {
 			sp := childSpec{pa: pop[tournament(fit, tournamentK, rng)]}
 			if rng.Float64() < crossoverRate {
@@ -442,34 +329,36 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 			}
 			sp.mutate = rng.Float64() < mutationRate
 			sp.seed = rng.Int63()
+			sp.child = in.genome()
 			specs[j] = sp
 		}
 		pool.Run(len(specs), func(j int) {
-			sp := specs[j]
+			sp := &specs[j]
 			sc := in.getScratch()
 			sc.rng.Seed(sp.seed)
-			in.materialize(sc.child, sp.pa)
+			copy(sp.child, sp.pa)
 			if sp.pb != nil {
-				in.crossover(sc, sp.pb)
+				in.crossover(sp.child, sp.pb, sc)
 			}
 			if sp.mutate {
-				in.mutate(sc.child, maxSwaps, sc.rng, sc)
+				in.mutate(sp.child, maxSwaps, sc.rng, sc)
 			}
-			in.localSearch(sc.child, sc.rng, sc)
-			next[elite+j] = in.encode(sc.child)
-			nextFit[elite+j] = in.evaluate(sc.child)
+			in.localSearch(sp.child, sc.rng, sc)
+			next[elite+j] = sp.child
+			nextFit[elite+j] = in.evaluate(sp.child)
 			in.putScratch(sc)
 		})
-		pop, fit = next, nextFit
+		for _, i := range order[elite:] {
+			in.free = append(in.free, pop[i])
+		}
+		pop, next = next, pop
+		fit, nextFit = nextFit, fit
 		if i := argmin(fit); fit[i] < bestCost {
 			bestCost = fit[i]
-			in.materialize(best, pop[i])
+			copy(best, pop[i])
 		}
 		res.History = append(res.History, bestCost)
 		res.Generations = gen + 1
-		if cfg.observeGen != nil {
-			cfg.observeGen(gen, in, pop, fit)
-		}
 		if gen+1 >= cfg.MinGenerations &&
 			stopConverged(res.History, stopGenerations, stopRelImprovement) {
 			break
@@ -481,7 +370,9 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 	// the reference "approximate optimal" can then never be beaten by a
 	// scheme whose moves are single-VM relocations, which is exactly the
 	// dominance property the paper's comparison relies on.
-	in.polish(best)
+	sc = in.getScratch()
+	in.polish(best, sc)
+	in.putScratch(sc)
 	if c := in.evaluate(best); c < bestCost {
 		bestCost = c
 		res.History = append(res.History, bestCost)
@@ -497,19 +388,12 @@ func Optimize(eng *core.Engine, cfg Config, rng *rand.Rand) (Result, error) {
 
 // polish applies deterministic best-move passes over every VM until no
 // single relocation improves the cost (capped defensively).
-func (in *instance) polish(genome []cluster.HostID) {
-	slots := make([]int, in.numHosts)
-	ram := make([]int, in.numHosts)
-	cpu := make([]int, in.numHosts)
-	for i, h := range genome {
-		slots[h]++
-		ram[h] += in.ramMB[i]
-		cpu[h] += in.cpuMilli[i]
-	}
+func (in *instance) polish(genome []cluster.HostID, sc *breedScratch) {
+	in.tally(genome, sc)
 	for pass := 0; pass < 50; pass++ {
 		moved := false
 		for vi := range genome {
-			if in.improve(in.kern, genome, vi, 1e-9, slots, ram, cpu) {
+			if in.improve(genome, vi, 1e-9, sc) {
 				moved = true
 			}
 		}
@@ -520,22 +404,22 @@ func (in *instance) polish(genome []cluster.HostID) {
 }
 
 // improve moves VM vi to the candidate host with room — its peers' hosts
-// and the rest of their racks — whose ΔC (Eq. 5 on k, vi's row resolved
-// once) exceeds threshold by the most, updating the tallies; it reports
-// whether vi moved.
-func (in *instance) improve(k *core.Kernel, genome []cluster.HostID, vi int, threshold float64, slots, ram, cpu []int) bool {
+// and the rest of their racks — whose ΔC (Eq. 5 on the scratch's kernel,
+// vi's row resolved once) exceeds threshold by the most, updating the
+// ledger; it reports whether vi moved.
+func (in *instance) improve(genome []cluster.HostID, vi int, threshold float64, sc *breedScratch) bool {
 	adj := in.adjOf(vi)
 	if len(adj) == 0 {
 		return false
 	}
-	from := genome[vi]
+	k, from := sc.kern, genome[vi]
 	k.Begin(from)
 	for _, e := range adj {
 		k.Peer(genome[e.peer], e.rate)
 	}
 	best, bestD := from, threshold
 	consider := func(h cluster.HostID) {
-		if h == from || !in.roomFor(vi, int(h), slots, ram, cpu) {
+		if h == from || !in.roomFor(vi, int(h), sc) {
 			return
 		}
 		if d := k.Score(h); d > bestD {
@@ -552,13 +436,9 @@ func (in *instance) improve(k *core.Kernel, genome []cluster.HostID, vi int, thr
 	if best == from {
 		return false
 	}
-	slots[from]--
-	ram[from] -= in.ramMB[vi]
-	cpu[from] -= in.cpuMilli[vi]
+	in.charge(sc, vi, int(from), -1)
 	genome[vi] = best
-	slots[best]++
-	ram[best] += in.ramMB[vi]
-	cpu[best] += in.cpuMilli[vi]
+	in.charge(sc, vi, int(best), 1)
 	return true
 }
 
@@ -675,7 +555,7 @@ func buildInstance(eng *core.Engine) (*instance, []cluster.HostID, error) {
 func (in *instance) localSearch(genome []cluster.HostID, rng *rand.Rand, sc *breedScratch) {
 	in.tally(genome, sc)
 	for n := max(len(in.vms)/16, 8); n > 0; n-- {
-		in.improve(sc.kern, genome, rng.Intn(len(in.vms)), 0, sc.slots, sc.ram, sc.cpu)
+		in.improve(genome, rng.Intn(len(in.vms)), 0, sc)
 	}
 }
 
@@ -686,7 +566,6 @@ func (in *instance) randomDense(genome []cluster.HostID, rng *rand.Rand, sc *bre
 	clear(sc.slots)
 	clear(sc.ram)
 	clear(sc.cpu)
-	slots, ram, cpu := sc.slots, sc.ram, sc.cpu
 	h := rng.Intn(in.numHosts)
 	// In-scratch Fisher–Yates with rand.Perm's exact construction, so the
 	// draw sequence (one Intn per element) is unchanged.
@@ -698,15 +577,13 @@ func (in *instance) randomDense(genome []cluster.HostID, rng *rand.Rand, sc *bre
 	}
 	for _, vi := range perm {
 		for tries := 0; tries < in.numHosts; tries++ {
-			if in.roomFor(vi, h, slots, ram, cpu) {
+			if in.roomFor(vi, h, sc) {
 				break
 			}
 			h = (h + 1) % in.numHosts
 		}
 		genome[vi] = cluster.HostID(h)
-		slots[h]++
-		ram[h] += in.ramMB[vi]
-		cpu[h] += in.cpuMilli[vi]
+		in.charge(sc, vi, h, 1)
 	}
 }
 
@@ -720,15 +597,12 @@ func (in *instance) greedyPack(genome []cluster.HostID, rng *rand.Rand, sc *bree
 	clear(sc.slots)
 	clear(sc.ram)
 	clear(sc.cpu)
-	slots, ram, cpu := sc.slots, sc.ram, sc.cpu
 	fits := func(vi int, h int) bool {
-		return in.roomFor(vi, h, slots, ram, cpu)
+		return in.roomFor(vi, h, sc)
 	}
 	place := func(vi, h int) {
 		genome[vi] = cluster.HostID(h)
-		slots[h]++
-		ram[h] += in.ramMB[vi]
-		cpu[h] += in.cpuMilli[vi]
+		in.charge(sc, vi, h, 1)
 	}
 	order := make([]int, len(in.rates))
 	for i := range order {
@@ -739,7 +613,7 @@ func (in *instance) greedyPack(genome []cluster.HostID, rng *rand.Rand, sc *bree
 	nextFree := func(need2 bool) int {
 		for tries := 0; tries < in.numHosts; tries++ {
 			h := (hostCursor + tries) % in.numHosts
-			free := in.slots[h] - slots[h]
+			free := in.slots[h] - sc.slots[h]
 			if (need2 && free >= 2) || (!need2 && free >= 1) {
 				return h
 			}
@@ -797,19 +671,15 @@ func (in *instance) greedyPack(genome []cluster.HostID, rng *rand.Rand, sc *bree
 }
 
 // crossover is EAX-inspired: it preserves co-location "edges" by
-// inheriting whole racks from the second parent into the first (already
-// materialized in sc.child), then repairing capacity violations. The
-// second parent is materialized into sc.parent; the RNG draw sequence
-// (one coin per rack, then repair's) is identical to the historical
-// dense implementation.
-func (in *instance) crossover(sc *breedScratch, pb *indiv) {
-	child := sc.child
+// inheriting whole racks from the second parent pb into child (a copy of
+// the first parent), then repairing capacity violations. The RNG draws
+// are one coin per rack, then repair's.
+func (in *instance) crossover(child, pb []cluster.HostID, sc *breedScratch) {
 	take := sc.take
 	for r := range take {
 		take[r] = sc.rng.Intn(2) == 0
 	}
-	in.materialize(sc.parent, pb)
-	for i, hb := range sc.parent {
+	for i, hb := range pb {
 		if take[in.topo.RackOf(hb)] {
 			child[i] = hb
 		}
@@ -833,11 +703,10 @@ func (in *instance) mutate(genome []cluster.HostID, most int, rng *rand.Rand, sc
 // room (same rack first, then anywhere), keeping genomes feasible.
 func (in *instance) repair(genome []cluster.HostID, rng *rand.Rand, sc *breedScratch) {
 	in.tally(genome, sc)
-	slots, ram, cpu := sc.slots, sc.ram, sc.cpu
 	for i, h := range genome {
 		hi := int(h)
-		over := slots[hi] > in.slots[hi] || ram[hi] > in.hostRAM[hi] ||
-			(in.hostCPU[hi] > 0 && cpu[hi] > in.hostCPU[hi])
+		over := sc.slots[hi] > in.slots[hi] || sc.ram[hi] > in.hostRAM[hi] ||
+			(in.hostCPU[hi] > 0 && sc.cpu[hi] > in.hostCPU[hi])
 		if !over {
 			continue
 		}
@@ -845,7 +714,7 @@ func (in *instance) repair(genome []cluster.HostID, rng *rand.Rand, sc *breedScr
 		target := -1
 		for _, alt := range in.hostsInRack(in.topo.RackOf(h)) {
 			ai := int(alt)
-			if ai != hi && in.roomFor(i, ai, slots, ram, cpu) {
+			if ai != hi && in.roomFor(i, ai, sc) {
 				target = ai
 				break
 			}
@@ -854,7 +723,7 @@ func (in *instance) repair(genome []cluster.HostID, rng *rand.Rand, sc *breedScr
 			start := rng.Intn(in.numHosts)
 			for t := 0; t < in.numHosts; t++ {
 				ai := (start + t) % in.numHosts
-				if ai != hi && in.roomFor(i, ai, slots, ram, cpu) {
+				if ai != hi && in.roomFor(i, ai, sc) {
 					target = ai
 					break
 				}
@@ -864,12 +733,8 @@ func (in *instance) repair(genome []cluster.HostID, rng *rand.Rand, sc *breedScr
 			continue // cluster genuinely full; leave as-is
 		}
 		genome[i] = cluster.HostID(target)
-		slots[hi]--
-		ram[hi] -= in.ramMB[i]
-		cpu[hi] -= in.cpuMilli[i]
-		slots[target]++
-		ram[target] += in.ramMB[i]
-		cpu[target] += in.cpuMilli[i]
+		in.charge(sc, i, hi, -1)
+		in.charge(sc, i, target, 1)
 	}
 }
 

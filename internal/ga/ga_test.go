@@ -162,13 +162,13 @@ func TestGreedySeedFeasible(t *testing.T) {
 		if !in.feasible(r) {
 			t.Fatalf("random-dense genome %d infeasible", i)
 		}
-		copy(sc.child, g)
-		in.crossover(sc, in.encode(r))
-		if !in.feasible(sc.child) {
+		c := append([]cluster.HostID(nil), g...)
+		in.crossover(c, r, sc)
+		if !in.feasible(c) {
 			t.Fatalf("crossover child %d infeasible", i)
 		}
-		in.mutate(sc.child, 4, rng, sc)
-		if !in.feasible(sc.child) {
+		in.mutate(c, 4, rng, sc)
+		if !in.feasible(c) {
 			t.Fatalf("mutated genome %d infeasible", i)
 		}
 	}
@@ -211,6 +211,53 @@ func TestWorkerCountInvariant(t *testing.T) {
 				t.Fatalf("workers=%d allocation differs at VM %d", w, vm)
 			}
 		}
+	}
+}
+
+// TestOptimizeAllocBound is the allocation regression gate for the
+// per-generation path: one full Optimize call (fixed single generation;
+// AllocsPerRun runs it at GOMAXPROCS 1, so on one worker) must stay far
+// below the historical implementation's ~12k allocations, and each
+// further generation must breed its children into the genomes the
+// generation before it gave back to the free list.
+func TestOptimizeAllocBound(t *testing.T) {
+	eng, _ := buildEngine(t, 9)
+	cfg := DefaultConfig()
+	cfg.Population = 30
+	cfg.MinGenerations = 1
+	cfg.MaxGenerations = 1
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Optimize(eng, cfg, rand.New(rand.NewSource(42))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("allocs per Optimize (pop=30, 1 gen): %.0f", allocs)
+	// Historical implementation, a fresh genome copy per step: ~12148.
+	// Recycled genomes and breeding scratch: ~145. The bound leaves
+	// headroom without letting genome-copy traffic creep back in.
+	if allocs > 1500 {
+		t.Fatalf("per-generation path allocates %.0f times, want ≤ 1500", allocs)
+	}
+
+	// 21 generations: the 20 after the first take every child genome off
+	// the free list, so each costs only the selection order and the
+	// pool's hand-off (~4), not a genome per child (~77 when every child
+	// was stored anew).
+	cfg.MinGenerations = 21
+	cfg.MaxGenerations = 21
+	allocs21 := testing.AllocsPerRun(3, func() {
+		res, err := Optimize(eng, cfg, rand.New(rand.NewSource(42)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Generations != 21 {
+			t.Fatalf("ran %d generations, want 21", res.Generations)
+		}
+	})
+	perGen := (allocs21 - allocs) / 20
+	t.Logf("allocs per further generation (pop=30): %.1f", perGen)
+	if perGen > 16 {
+		t.Fatalf("each generation after the first allocates %.1f times, want ≤ 16", perGen)
 	}
 }
 
