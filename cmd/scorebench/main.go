@@ -333,18 +333,6 @@ func run() error {
 				workload, mode, chosen, reduction, rounds, cross); err != nil {
 				return err
 			}
-			if err := writeCSV(*outDir, "autotune_deadline.csv",
-				[]string{"adaptive", "regenerations", "spurious", "false_pos_rate", "reduction"},
-				[]float64{0, 1},
-				[]float64{float64(res.FixedRegens), float64(res.AdaptiveRegens)},
-				[]float64{float64(res.FixedSpurious), float64(res.AdaptiveSpurious)},
-				[]float64{
-					experiments.FalsePositiveRate(res.FixedSpurious, res.FixedRegens),
-					experiments.FalsePositiveRate(res.AdaptiveSpurious, res.AdaptiveRegens),
-				},
-				[]float64{res.FixedReduction, res.AdaptiveReduction}); err != nil {
-				return err
-			}
 		}
 	}
 

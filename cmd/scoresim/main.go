@@ -10,7 +10,7 @@
 //	         [-hop SEC] [-loss PROB] [-seed N] [-chart=false]
 //	         [-shards N] [-shard-granularity pod|rack] [-autotune]
 //	         [-distributed-shards N] [-dist-deadline SEC]
-//	         [-adaptive-deadline] [-delay PROB] [-delay-s SEC]
+//	         [-delay PROB] [-delay-s SEC]
 //	         [-metrics-addr HOST:PORT] [-audit-dump PATH]
 //
 // -policy selects the forwarding policy of the single token (the default
@@ -62,9 +62,8 @@ func run() error {
 	shards := flag.Int("shards", 1, "concurrent token rings (>1 enables sharded mode)")
 	shardGran := flag.String("shard-granularity", "pod", "shard alignment: pod or rack")
 	distShards := flag.Int("distributed-shards", 0, "run the distributed dom0 agent plane with this many token rings (>0; excludes -shards)")
-	distDeadline := flag.Float64("dist-deadline", 0.1, "distributed plane: per-shard progress deadline in real seconds before the reconciler regenerates a ring (used with -loss)")
+	distDeadline := flag.Float64("dist-deadline", 0.1, "distributed plane: per-shard progress deadline in real seconds before the reconciler regenerates a ring (applied with -loss or -delay)")
 	autoTune := flag.Bool("autotune", false, "derive shard count and granularity from the live traffic summary (supersedes -shards; with -distributed-shards > 0 it auto-tunes the agent plane)")
-	adaptiveDeadline := flag.Bool("adaptive-deadline", false, "distributed plane: derive per-shard recovery deadlines from observed ack latency (EWMA + k·stddev) instead of -dist-deadline")
 	delayProb := flag.Float64("delay", 0, "distributed plane: probability a shard-token hop is delayed on the wire")
 	delayS := flag.Float64("delay-s", 0.02, "distributed plane: injected hop delay in real seconds (with -delay)")
 	metricsAddr := flag.String("metrics-addr", "", "serve /metrics, /trace, /audit and /debug/pprof/ on this address for the run's duration (e.g. :9090)")
@@ -156,7 +155,6 @@ func run() error {
 		simCfg.AutoTune = *autoTune
 		if *distShards > 0 {
 			simCfg.DistributedShards = *distShards
-			simCfg.AdaptiveDeadline = *adaptiveDeadline
 			simCfg.TokenDelayProb = *delayProb
 			simCfg.TokenDelayS = *delayS
 			// Only tighten the recovery deadline when faults are

@@ -145,21 +145,11 @@ func (r *AutoTuneRun) FinalShards() int {
 }
 
 // AutoTuneSweepResult holds the auto-tuning sweep: per-workload fixed
-// shard counts versus the adaptive controller, plus the adaptive- vs
-// fixed-deadline comparison under injected token delay on the
-// distributed plane.
+// shard counts versus the adaptive controller.
 type AutoTuneSweepResult struct {
 	Family Family
 	Scale  Scale
 	Runs   []AutoTuneRun
-
-	// Deadline comparison (distributed plane, injected shard-token
-	// delay; no loss — every regeneration is recovery work the deadline
-	// policy wasted or saved).
-	DelayMS, DelayProb, FixedDeadlineMS float64
-	FixedRegens, FixedSpurious          int
-	AdaptiveRegens, AdaptiveSpurious    int
-	FixedReduction, AdaptiveReduction   float64
 }
 
 // BestFixed returns the highest-reduction fixed run of a workload.
@@ -198,9 +188,8 @@ func sweepConfig(numVMs int) sim.Config {
 
 // AutoTuneSweep compares fixed shard counts against the adaptive
 // controller on a pod-local and a cross-pod-heavy workload (in-process
-// sharded plane), and fixed against adaptive recovery deadlines under
-// injected token delay (distributed plane). counts lists the fixed
-// shard counts; 1 (the single-token baseline) is prepended when absent.
+// sharded plane). counts lists the fixed shard counts; 1 (the
+// single-token baseline) is prepended when absent.
 func AutoTuneSweep(f Family, s Scale, seed int64, counts []int) (*AutoTuneSweepResult, error) {
 	if len(counts) == 0 || counts[0] != 1 {
 		counts = append([]int{1}, counts...)
@@ -245,54 +234,7 @@ func AutoTuneSweep(f Family, s Scale, seed int64, counts []int) (*AutoTuneSweepR
 			return nil, fmt.Errorf("autotune %s auto: %w", w, err)
 		}
 	}
-
-	// Adaptive vs fixed deadlines under injected delay: same plane, same
-	// fault schedule, only the deadline policy differs. The fixed
-	// deadline sits below the injected delay, so every delayed hop
-	// overruns it; the adaptive estimator must learn the true progress
-	// latency and stop regenerating live rings.
-	res.DelayMS, res.DelayProb, res.FixedDeadlineMS = 20, 0.35, 12
-	deadlineRun := func(adaptive bool) (*sim.Metrics, error) {
-		sc, err := NewShapedScenario(f, s, PodLocal, seed)
-		if err != nil {
-			return nil, err
-		}
-		cfg := sweepConfig(sc.Cl.NumVMs())
-		cfg.MaxIterations = 4
-		cfg.DistributedShards = 4
-		cfg.TokenDelayProb = res.DelayProb
-		cfg.TokenDelayS = res.DelayMS / 1000
-		cfg.DistributedDeadlineS = res.FixedDeadlineMS / 1000
-		cfg.DistributedEvictAttempts = 8
-		cfg.AdaptiveDeadline = adaptive
-		runner, err := sim.NewRunner(sc.Eng, token.HighestLevelFirst{}, cfg, sc.Rng)
-		if err != nil {
-			return nil, err
-		}
-		return runner.Run()
-	}
-	fixed, err := deadlineRun(false)
-	if err != nil {
-		return nil, fmt.Errorf("autotune deadline fixed: %w", err)
-	}
-	adaptive, err := deadlineRun(true)
-	if err != nil {
-		return nil, fmt.Errorf("autotune deadline adaptive: %w", err)
-	}
-	res.FixedRegens, res.FixedSpurious = fixed.TokensRegenerated, fixed.SpuriousRegens
-	res.AdaptiveRegens, res.AdaptiveSpurious = adaptive.TokensRegenerated, adaptive.SpuriousRegens
-	res.FixedReduction, res.AdaptiveReduction = fixed.Reduction(), adaptive.Reduction()
 	return res, nil
-}
-
-// FalsePositiveRate is spurious regenerations per regeneration — the
-// deadline sweep's headline metric, shared by the rendered table and
-// scorebench's CSV column so the two can never disagree.
-func FalsePositiveRate(spurious, regens int) float64 {
-	if regens == 0 {
-		return 0
-	}
-	return float64(spurious) / float64(regens)
 }
 
 // Render prints the sweep tables.
@@ -319,11 +261,4 @@ func (r *AutoTuneSweepResult) Render(w io.Writer) {
 			}
 		}
 	}
-	fmt.Fprintf(w, "adaptive vs fixed shard deadlines (distributed, %.0f%% of token hops delayed %.0f ms, fixed deadline %.0f ms):\n",
-		100*r.DelayProb, r.DelayMS, r.FixedDeadlineMS)
-	fmt.Fprintln(w, "    mode  regenerations  spurious  false-pos-rate  reduction")
-	fmt.Fprintf(w, "   fixed  %13d  %8d  %13.2f%%  %8.1f%%\n",
-		r.FixedRegens, r.FixedSpurious, 100*FalsePositiveRate(r.FixedSpurious, r.FixedRegens), 100*r.FixedReduction)
-	fmt.Fprintf(w, "adaptive  %13d  %8d  %13.2f%%  %8.1f%%\n",
-		r.AdaptiveRegens, r.AdaptiveSpurious, 100*FalsePositiveRate(r.AdaptiveSpurious, r.AdaptiveRegens), 100*r.AdaptiveReduction)
 }

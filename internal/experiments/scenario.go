@@ -161,24 +161,7 @@ func NewScenario(f Family, s Scale, d Density, seed int64) (*Scenario, error) {
 	if err := pm.PlaceRandom(rng); err != nil {
 		return nil, err
 	}
-
-	tm, err := traffic.Generate(traffic.DefaultGenConfig(topo.Racks()), topo, cl, rng)
-	if err != nil {
-		return nil, err
-	}
-	if factor := d.Factor(); factor != 1 {
-		tm = tm.Scaled(factor)
-	}
-
-	cost, err := core.NewCostModel(core.PaperWeights()...)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := core.NewEngine(topo, cost, cl, tm, core.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Scenario{Topo: topo, Cl: cl, TM: tm, Eng: eng, Rng: rng, VMsPerHost: vmsPerHost}, nil
+	return assemble(topo, cl, d, rng, vmsPerHost)
 }
 
 // NewFatTreeScenario builds a fat-tree instance at an explicit k — the
@@ -220,7 +203,13 @@ func NewFatTreeScenario(k, vmsPerHost int, d Density, seed int64) (*Scenario, er
 			}
 		}
 	}
+	return assemble(topo, cl, d, rng, vmsPerHost)
+}
 
+// assemble finishes a scenario over a placed cluster: the hotspot traffic
+// matrix drawn from rng and scaled to the density, and a decision engine
+// with the paper's exponential link weights.
+func assemble(topo topology.Topology, cl *cluster.Cluster, d Density, rng *rand.Rand, vmsPerHost int) (*Scenario, error) {
 	tm, err := traffic.Generate(traffic.DefaultGenConfig(topo.Racks()), topo, cl, rng)
 	if err != nil {
 		return nil, err
@@ -228,7 +217,6 @@ func NewFatTreeScenario(k, vmsPerHost int, d Density, seed int64) (*Scenario, er
 	if factor := d.Factor(); factor != 1 {
 		tm = tm.Scaled(factor)
 	}
-
 	cost, err := core.NewCostModel(core.PaperWeights()...)
 	if err != nil {
 		return nil, err

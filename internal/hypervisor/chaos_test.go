@@ -1,7 +1,9 @@
 package hypervisor
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -112,6 +114,76 @@ func TestChaosZeroFaultBitIdentical(t *testing.T) {
 	if st := plan.Stats(); st != (FaultStats{}) {
 		t.Fatalf("zero-fault plan intervened: %+v", st)
 	}
+}
+
+// TestChaosDelayRegenBehaviorNeutral: regeneration decides how much
+// recovery work is wasted, never what is migrated. 40% of shard-token
+// hops are delayed 25ms against an 8ms progress deadline, so delayed
+// hops overrun the deadline and regenerate rings whose token is alive,
+// and the slow original's later report is witnessed as spurious.
+// Eviction is pushed far out: no live host may be evicted. The applied
+// sequence and the final placement must equal those of the same plane
+// built with no fault plan.
+func TestChaosDelayRegenBehaviorNeutral(t *testing.T) {
+	run := func(plan *FaultPlan) (fingerprint string, regens, spurious int) {
+		p := buildShardPlaneOpts(t, 4, 7, 10, 4, token.HighestLevelFirst{}, planeOpts{
+			faults:        plan,
+			shardDeadline: 8 * time.Millisecond,
+			evictAttempts: 64,
+		})
+		applied, reports := distributedRounds(t, p)
+		if len(applied) == 0 {
+			t.Fatal("no migrations; comparison vacuous")
+		}
+		for _, rep := range reports {
+			regens += rep.Regenerated
+			spurious += rep.SpuriousRegens
+			if len(rep.Evicted) != 0 {
+				t.Fatalf("delay injection evicted live hosts: %v", rep.Evicted)
+			}
+		}
+		for _, d := range applied {
+			fingerprint += fingerprintDecision(d)
+		}
+		return fingerprint + fingerprintPlacement(p.finalPlacement()), regens, spurious
+	}
+	plan := NewFaultPlan(FaultConfig{
+		Seed:      20140630,
+		DelayProb: 0.4,
+		Delay:     25 * time.Millisecond,
+		Types:     []MsgType{MsgShardToken},
+	})
+	delayed, regens, spurious := run(plan)
+	if st := plan.Stats(); st.Delayed == 0 {
+		t.Fatalf("fault plan inert: %+v", st)
+	}
+	if regens == 0 || spurious == 0 {
+		t.Fatalf("delayed hops regenerated %d rings, %d witnessed spurious; want both > 0", regens, spurious)
+	}
+	bare, _, _ := run(nil)
+	if delayed != bare {
+		t.Fatal("regenerations changed the migration outcome; they must be behavior-neutral")
+	}
+	t.Logf("%d regenerations, %d witnessed spurious", regens, spurious)
+}
+
+// fingerprintDecision serializes one applied migration bit-exactly.
+func fingerprintDecision(d core.Decision) string {
+	return fmt.Sprintf("vm %d: %d->%d delta=%x\n", d.VM, d.From, d.Target, math.Float64bits(d.Delta))
+}
+
+// fingerprintPlacement serializes a final placement deterministically.
+func fingerprintPlacement(place map[cluster.VMID]cluster.HostID) string {
+	ids := make([]cluster.VMID, 0, len(place))
+	for vm := range place {
+		ids = append(ids, vm)
+	}
+	slices.Sort(ids)
+	out := ""
+	for _, vm := range ids {
+		out += fmt.Sprintf("%d@%d ", vm, place[vm])
+	}
+	return out
 }
 
 // TestChaosAgentCrashEvicted: a dom0 that goes silent mid-round (full

@@ -172,8 +172,8 @@
 //
 // # Adaptive control
 //
-// The reconciler's structural knobs need not be fixed flags; both are
-// derived from live measurements:
+// The reconciler derives its shard assignment from live measurements;
+// its recovery deadline stays fixed:
 //
 //   - Shard assignment. ReconcilerConfig.Tuner, a shard.Tuner, supersedes
 //     the fixed Shards/Granularity: every RunRound asks it for the shard
@@ -187,24 +187,15 @@
 //     choice is recorded in the report's shard.Round: Granularity, and
 //     one Shards entry per ring.
 //
-//   - Adaptive deadlines. ReconcilerConfig.AdaptiveDeadline replaces
-//     the fixed ShardDeadline with the reconciler's own per-shard EWMA +
-//     k·stddev estimates of per-hop progress latency, fed from
-//     MsgRingAck arrival times (the fixed value remains the warm-up
-//     fallback). The estimator has no settings: its smoothing factor,
-//     margin, hop budget, warm-up, 10ms floor, 1m cap and 64× boost cap
-//     are the est* constants. It forgets its estimates when the ring
-//     shape (shard count or granularity) changes, and mirrors them into
-//     PlaneMetrics (score_control_hop_latency_seconds and
-//     score_control_hop_stddev_seconds). A stale-attempt report — proof
-//     that a presumed-lost token was alive — counts a witnessed-spurious
-//     regeneration (RingReport.Spurious) and applies a multiplicative
-//     backoff, so slow-but-alive rings on loaded hosts stop being
-//     regenerated even before accepted samples raise the estimate; on a
-//     healthy fabric the estimate collapses toward the floor, catching
-//     genuinely dead rings orders of magnitude faster than a
-//     conservative fixed deadline. Regeneration remains behavior-neutral
-//     either way: the chaos suite asserts the fixed- and
-//     adaptive-deadline planes produce identical migration sequences
-//     under injected delay, differing only in wasted recovery work.
+//   - Recovery deadline. Every shard's progress deadline is
+//     ShardDeadline, in every round; there is no learned one. A
+//     per-shard latency estimate (EWMA + k·stddev of per-hop ack
+//     latency) once sat beside it behind a switch, and under injected
+//     delay both rules gave the identical migration sequence and final
+//     placement: regeneration is behavior-neutral, because the attempt
+//     number discards the slow original, so a deadline decides only how
+//     much recovery work is wasted, never what is migrated. A fixed
+//     deadline below a hop's delay still regenerates a live ring; the
+//     stale-attempt report that proves it counts a witnessed-spurious
+//     regeneration (RingReport.Spurious).
 package hypervisor

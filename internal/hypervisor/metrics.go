@@ -20,27 +20,16 @@ type PlaneMetrics struct {
 	Regens    *obs.Counter
 	Spurious  *obs.Counter
 	Evictions *obs.Counter
-	// Deadline is each shard's current progress deadline (adaptive or
-	// fixed), sampled at every deadline check.
-	Deadline *obs.GaugeVec
-	// HopLatency and HopStddev are the adaptive-deadline estimator's
-	// per-shard EWMA mean and stddev of per-hop progress latency, in
-	// seconds.
-	HopLatency *obs.GaugeVec
-	HopStddev  *obs.GaugeVec
 }
 
 // NewPlaneMetrics registers (or re-binds) the distributed plane's families
 // on reg.
 func NewPlaneMetrics(reg *obs.Registry) *PlaneMetrics {
 	return &PlaneMetrics{
-		Metrics:    shard.NewMetrics(reg),
-		Acks:       reg.Counter("score_ring_acks_total", "Accepted per-visit ring acks."),
-		Regens:     reg.Counter("score_ring_regens_total", "Token regenerations after missed shard deadlines."),
-		Spurious:   reg.Counter("score_spurious_regens_total", "Regenerations later witnessed unnecessary (stale-attempt reports)."),
-		Evictions:  reg.Counter("score_evictions_total", "Hosts evicted from rings as unresponsive."),
-		Deadline:   reg.GaugeVec("score_shard_deadline_seconds", "Current per-shard progress deadline.", "shard"),
-		HopLatency: reg.GaugeVec("score_control_hop_latency_seconds", "Per-shard EWMA of per-hop ack latency.", "shard"),
-		HopStddev:  reg.GaugeVec("score_control_hop_stddev_seconds", "Per-shard stddev of per-hop ack latency.", "shard"),
+		Metrics:   shard.NewMetrics(reg),
+		Acks:      reg.Counter("score_ring_acks_total", "Accepted per-visit ring acks."),
+		Regens:    reg.Counter("score_ring_regens_total", "Token regenerations after missed shard deadlines."),
+		Spurious:  reg.Counter("score_spurious_regens_total", "Regenerations later witnessed unnecessary (stale-attempt reports)."),
+		Evictions: reg.Counter("score_evictions_total", "Hosts evicted from rings as unresponsive."),
 	}
 }

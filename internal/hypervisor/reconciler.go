@@ -45,16 +45,6 @@ type ReconcilerConfig struct {
 	// rule): every round asks it — the adaptive control plane's
 	// control.Controller, say — for the shard count and granularity.
 	Tuner shard.Tuner
-	// AdaptiveDeadline derives each shard's progress deadline from
-	// observed per-hop ack latency (EWMA + k·stddev, see
-	// latencyEstimator; its settings are the est* constants) instead of
-	// the fixed ShardDeadline, which remains the warm-up fallback.
-	// Slow-but-alive rings stop being spuriously regenerated — a
-	// stale-attempt report proving a presumed-lost token alive applies a
-	// multiplicative backoff — and on a healthy fabric dead rings are
-	// caught near the estimator's 10ms floor instead of the conservative
-	// fixed value. Its per-shard mean and stddev go to Metrics.
-	AdaptiveDeadline bool
 	// Metrics, when set, receives plane instrumentation (see
 	// NewPlaneMetrics); nil leaves every record site an untaken branch.
 	Metrics *PlaneMetrics
@@ -84,12 +74,6 @@ type RingReport struct {
 	// on the false-positive count — a spurious regeneration whose slow
 	// token also got lost leaves no witness.
 	Spurious int
-	// Deadline is the progress deadline the ring ran with — adaptive
-	// when the reconciler runs with AdaptiveDeadline, the fixed
-	// configuration value otherwise. Under adaptation it is sampled at
-	// injection and again at each deadline check, so the reported value
-	// is the last one used.
-	Deadline time.Duration
 }
 
 // RoundReport is one distributed round: the shard.Round the driver
@@ -148,9 +132,6 @@ type Reconciler struct {
 	kern *core.Kernel
 	drv  *shard.Driver
 
-	// est is the adaptive-deadline estimator (nil when disabled).
-	est *latencyEstimator
-
 	// The round in progress: registered hosts, and the rings' collection.
 	hostIDs []cluster.HostID
 	cur     *roundState
@@ -180,20 +161,7 @@ func NewReconciler(cfg ReconcilerConfig, reg *Registry) (*Reconciler, error) {
 	if r.drv, err = shard.NewDriver(cfg.Topo, scfg, cfg.MigrationCost, agentPlane{r}); err != nil {
 		return nil, err
 	}
-	if cfg.AdaptiveDeadline {
-		r.est = &latencyEstimator{m: cfg.Metrics}
-	}
 	return r, nil
-}
-
-// shardDeadline resolves shard s's current progress deadline: the
-// adaptive estimate when enabled (with the fixed ShardDeadline as the
-// warm-up fallback), the fixed value otherwise.
-func (r *Reconciler) shardDeadline(s int) time.Duration {
-	if r.est == nil {
-		return r.cfg.ShardDeadline
-	}
-	return r.est.deadline(s, r.cfg.ShardDeadline)
 }
 
 // Start binds the reconciler to a transport created by mk.
@@ -453,11 +421,6 @@ type shardTrack struct {
 	// staleSeen marks superseded attempts a report arrived from — each
 	// is one witnessed-spurious regeneration, counted once.
 	staleSeen map[uint32]bool
-	// sinceRegen marks that the next accepted progress interval starts
-	// at a re-injection, not at an accepted ack: it measures the
-	// regeneration gap plus the holder draining superseded forks, not
-	// per-hop latency, and must not be fed to the estimator.
-	sinceRegen bool
 }
 
 // roundState carries one RunRound's collection across helpers.
@@ -583,38 +546,13 @@ func (r *Reconciler) regenerate(c *roundState, s int) error {
 		tk.next = resume
 		tk.regenHops = st.Hops
 		tk.lastProgress = time.Now()
-		tk.sinceRegen = true
 		return nil
 	}
 }
 
-// observeProgress feeds the adaptive-deadline estimator one accepted
-// progress report: the interval since the shard's previous accepted
-// progress, divided by the hops it spans.
-func (r *Reconciler) observeProgress(s int, tk *shardTrack, st *RingState, at time.Time) {
-	if r.est == nil {
-		return
-	}
-	if tk.sinceRegen {
-		// The interval since the re-injection conflates the regeneration
-		// gap and the fork-queue drain; folding it would teach the
-		// estimator the recovery path's own latency and stall the next
-		// detection. Resume sampling from the next ack-to-ack interval.
-		tk.sinceRegen = false
-		return
-	}
-	hops := st.Hops - tk.st.Hops
-	if hops <= 0 {
-		return
-	}
-	r.est.observe(s, at.Sub(tk.lastProgress)/time.Duration(hops))
-}
-
 // witnessStale records a report from a superseded attempt — proof the
 // regeneration that superseded it was unnecessary. Each stale attempt
-// counts once, and the estimator backs off multiplicatively so the next
-// deadline clears the ring's true progress latency even before enough
-// accepted samples raise the EWMA.
+// counts once.
 func (r *Reconciler) witnessStale(c *roundState, s int, tk *shardTrack, attempt uint32) {
 	if attempt >= tk.attempt || tk.staleSeen[attempt] {
 		return
@@ -630,23 +568,15 @@ func (r *Reconciler) witnessStale(c *roundState, s int, tk *shardTrack, attempt 
 	if tr := r.cfg.Trace; tr != nil {
 		tr.Record(obs.Event{Kind: obs.EvSpurious, Round: c.roundID, Shard: int16(s), Attempt: attempt})
 	}
-	if r.est != nil {
-		r.est.penalize(s)
-	}
 }
 
-// collect waits for every injected ring to complete, regenerating rings
-// that miss their shard deadline — fixed, or per-shard adaptive when the
-// estimator is on. Acks advance each shard's copy monotonically (a
-// duplicated token forks the state; only the furthest-advanced fork is
-// kept, and only one completion is accepted).
+// collect waits for every injected ring to complete, regenerating a ring
+// that goes ShardDeadline without progress. Acks advance each shard's
+// copy monotonically (a duplicated token forks the state; only the
+// furthest-advanced fork is kept, and only one completion is accepted).
 func (r *Reconciler) collect(c *roundState) error {
 	timeout := time.After(roundTimeout)
-	tickBase := r.cfg.ShardDeadline
-	if r.est != nil {
-		tickBase = min(tickBase, estMin)
-	}
-	ticker := time.NewTicker(max(tickBase/4, time.Millisecond))
+	ticker := time.NewTicker(max(r.cfg.ShardDeadline/4, time.Millisecond))
 	defer ticker.Stop()
 	for c.pending > 0 {
 		select {
@@ -669,13 +599,8 @@ func (r *Reconciler) collect(c *roundState) error {
 				continue
 			}
 			if ev.done {
-				r.observeProgress(s, tk, ev.st, ev.at)
 				r.finalize(c, s, ev.st, ev.at)
-				if r.est != nil && c.reports[s].Regenerated == 0 {
-					r.est.relax(s)
-				}
 			} else if ev.st.Hops > tk.st.Hops {
-				r.observeProgress(s, tk, ev.st, ev.at)
 				tk.st = ev.st
 				tk.next = ev.next
 				tk.lastProgress = ev.at
@@ -691,15 +616,7 @@ func (r *Reconciler) collect(c *roundState) error {
 			}
 		case now := <-ticker.C:
 			for s, tk := range c.tracks {
-				if tk == nil || tk.done {
-					continue
-				}
-				dl := r.shardDeadline(s)
-				c.reports[s].Deadline = dl
-				if m := r.cfg.Metrics; m != nil {
-					m.Deadline.At(s).Set(dl.Seconds())
-				}
-				if now.Sub(tk.lastProgress) < dl {
+				if tk == nil || tk.done || now.Sub(tk.lastProgress) < r.cfg.ShardDeadline {
 					continue
 				}
 				if err := r.regenerate(c, s); err != nil {
@@ -758,9 +675,6 @@ func (p agentPlane) Hosts() (int, error) {
 // what the rings report for the merge over the wire Env.
 func (p agentPlane) Run(rd *shard.Round, part *shard.Partition, mg *shard.Merge) ([]shard.Ring, error) {
 	r, roundID, n := p.Reconciler, rd.Number, part.Shards()
-	if r.est != nil {
-		r.est.shape(n, rd.Granularity)
-	}
 
 	// 1. Push the round's shard assignment to every agent. A host that
 	// does not ack within the probe timeout is evicted for the round —
@@ -825,7 +739,7 @@ func (p agentPlane) Run(rd *shard.Round, part *shard.Partition, mg *shard.Merge)
 		evicted: dead,
 	}
 	for s := 0; s < n; s++ {
-		c.reports[s] = RingReport{ShardRound: shard.ShardRound{Shard: s, VMs: len(lists[s])}, Deadline: r.shardDeadline(s)}
+		c.reports[s] = RingReport{ShardRound: shard.ShardRound{Shard: s, VMs: len(lists[s])}}
 		first, ok := rings[s].Inject()
 		if !ok {
 			continue // empty shard: no ring this round

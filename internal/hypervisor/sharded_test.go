@@ -134,8 +134,6 @@ type planeOpts struct {
 	// tcp runs every endpoint on a real loopback TCPTransport instead
 	// of the in-memory hub.
 	tcp bool
-	// adaptive derives per-shard deadlines from observed ack latency.
-	adaptive bool
 	// metrics, trace and audit attach the observability plane to the
 	// reconciler.
 	metrics *PlaneMetrics
@@ -256,12 +254,11 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 	if shards > 0 {
 		rec, err := NewReconciler(ReconcilerConfig{
 			Topo: topo, Cost: cm, Shards: shards, Granularity: shard.ByPod,
-			ShardDeadline:    o.shardDeadline,
-			EvictAttempts:    o.evictAttempts,
-			AdaptiveDeadline: o.adaptive,
-			Metrics:          o.metrics,
-			Trace:            o.trace,
-			Audit:            o.audit,
+			ShardDeadline: o.shardDeadline,
+			EvictAttempts: o.evictAttempts,
+			Metrics:       o.metrics,
+			Trace:         o.trace,
+			Audit:         o.audit,
 		}, p.reg)
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -33,16 +34,6 @@ func BenchmarkObsHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(float64(i%1000) * 1e-4)
-	}
-}
-
-func BenchmarkObsVecAt(b *testing.B) {
-	r := NewRegistry()
-	v := r.GaugeVec("score_bench_vec_gauge", "v", "shard")
-	v.At(7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v.At(i & 7).Set(1)
 	}
 }
 
@@ -101,7 +92,7 @@ func BenchmarkObsExposition(b *testing.B) {
 	}
 	v := r.GaugeVec("score_bench_expo_gauge", "v", "shard")
 	for i := 0; i < 16; i++ {
-		v.At(i).Set(float64(i))
+		v.With(strconv.Itoa(i)).Set(float64(i))
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

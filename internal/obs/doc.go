@@ -44,13 +44,13 @@
 // bytes forever. The rules:
 //
 //   - At most ONE label per family, and only labels with a small, bounded,
-//     operator-meaningful domain. The only label in use is shard (bounded by
-//     MaxShards-scale numbers, typically ≤ 64).
+//     operator-meaningful domain. The labels in use are route, outcome and
+//     phase.
 //   - Never label by VM, host, or any identifier that scales with instance
 //     size (a k=32 fat-tree has 8192 hosts / 245k VMs). Per-entity detail
 //     belongs in the Tracer, which is bounded by its ring capacity.
-//   - GaugeVec.At(i) caches children by dense integer index and is the only
-//     labeled call allowed on hot paths.
+//   - With takes the family's lock: resolve a child once and hold it on
+//     hot paths.
 //
 // # Adding a metric
 //

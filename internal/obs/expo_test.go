@@ -181,8 +181,8 @@ func TestExpositionFormat(t *testing.T) {
 		h.Observe(float64(i) * 0.005)
 	}
 	v := reg.GaugeVec("score_expo_shard_gauge", "per-shard gauge", "shard")
-	v.At(0).Set(1)
-	v.At(1).Set(2)
+	v.With("0").Set(1)
+	v.With("1").Set(2)
 	reg.GaugeFunc("score_expo_func", "scrape-time gauge", func() float64 { return 3.5 })
 	tr := NewTracer(64)
 	tr.Record(Event{Kind: EvRoundStart, Round: 1})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -236,8 +235,7 @@ type CounterVec struct {
 
 // GaugeVec is a gauge family partitioned by one label.
 type GaugeVec struct {
-	f    *family
-	byIx atomic.Pointer[[]*Gauge]
+	f *family
 }
 
 // HistogramVec is a histogram family partitioned by one label (e.g.
@@ -278,33 +276,6 @@ func (v *CounterVec) With(value string) *Counter { return v.f.child(value).c }
 
 // With returns the child gauge for the given label value.
 func (v *GaugeVec) With(value string) *Gauge { return v.f.child(value).g }
-
-// At returns the child gauge for label value strconv.Itoa(i). The fast
-// path is a lock-free slice lookup, so At is safe on hot paths for small
-// dense indexes (shard numbers); the slow path allocates once per new index.
-func (v *GaugeVec) At(i int) *Gauge {
-	if p := v.byIx.Load(); p != nil && i < len(*p) && (*p)[i] != nil {
-		return (*p)[i]
-	}
-	c := v.f.child(strconv.Itoa(i))
-	for {
-		old := v.byIx.Load()
-		var cur []*Gauge
-		if old != nil {
-			cur = *old
-		}
-		n := len(cur)
-		if i >= n {
-			n = i + 1
-		}
-		nw := make([]*Gauge, n)
-		copy(nw, cur)
-		nw[i] = c.g
-		if v.byIx.CompareAndSwap(old, &nw) {
-			return c.g
-		}
-	}
-}
 
 // DefLatencyBuckets covers 50µs..30s exponentially — wide enough for both
 // in-process ring passes (tens of µs) and distributed rounds (hundreds of ms).

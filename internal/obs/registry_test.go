@@ -100,13 +100,13 @@ func TestHistogramBuckets(t *testing.T) {
 func TestVecChildren(t *testing.T) {
 	r := NewRegistry()
 	v := r.GaugeVec("score_vec_gauge", "per shard", "shard")
-	v.At(0).Set(1)
-	v.At(3).Set(4)
-	if v.At(0) != v.With("0") {
-		t.Fatal("At(0) and With(\"0\") must share a child")
+	v.With("0").Set(1)
+	v.With("3").Set(4)
+	if v.With("0") == v.With("3") {
+		t.Fatal("two label values share a child")
 	}
-	if v.At(3).Value() != 4 {
-		t.Fatal("At(3) lost its value")
+	if v.With("3").Value() != 4 {
+		t.Fatal("With(\"3\") lost its value")
 	}
 	cv := r.CounterVec("score_vec_total", "per shard", "shard")
 	cv.With("1").Add(7)
@@ -141,7 +141,7 @@ func TestConcurrentRecording(t *testing.T) {
 				g.Add(1)
 				h.Observe(float64(i%16) * 1e-3)
 				v.With(strconv.Itoa(w % 8)).Inc()
-				gv.At(w % 8).Set(float64(i))
+				gv.With(strconv.Itoa(w % 8)).Set(float64(i))
 			}
 		}(w)
 	}
@@ -187,8 +187,6 @@ func TestRecordPathsAllocFree(t *testing.T) {
 	c := r.Counter("score_alloc_total", "c")
 	g := r.Gauge("score_alloc_gauge", "g")
 	h := r.Histogram("score_alloc_seconds", "h", DefLatencyBuckets)
-	gv := r.GaugeVec("score_alloc_vec_gauge", "gv", "shard")
-	gv.At(3) // warm the index cache; first use allocates the child
 	tr := NewTracer(1 << 10)
 
 	cases := []struct {
@@ -200,7 +198,6 @@ func TestRecordPathsAllocFree(t *testing.T) {
 		{"gauge_set", func() { g.Set(1.23) }},
 		{"gauge_add", func() { g.Add(-0.5) }},
 		{"histogram_observe", func() { h.Observe(0.042) }},
-		{"gauge_vec_at", func() { gv.At(3).Set(9) }},
 		{"tracer_record", func() {
 			tr.Record(Event{Kind: EvTokenVisit, T: 1, Round: 1, Shard: 2, Arg: 7})
 		}},

@@ -86,7 +86,6 @@ func TestAutoTunedDistributedRuns(t *testing.T) {
 	eng, rng := buildEngine(t, 5)
 	cfg := autoTuneConfig()
 	cfg.DistributedShards = 1 // selects the plane; the count is tuned away
-	cfg.AdaptiveDeadline = true
 	r, err := NewRunner(eng, token.HighestLevelFirst{}, cfg, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -102,6 +101,6 @@ func TestAutoTunedDistributedRuns(t *testing.T) {
 		t.Fatal("distributed auto-tuned run recorded no shard choices")
 	}
 	if m.TokensRegenerated != 0 {
-		t.Fatalf("healthy plane regenerated %d tokens under adaptive deadlines", m.TokensRegenerated)
+		t.Fatalf("healthy plane regenerated %d tokens", m.TokensRegenerated)
 	}
 }

@@ -47,8 +47,8 @@ func (r *Runner) buildAgentPlane() (*agentPlane, error) {
 	p := &agentPlane{hub: hypervisor.NewMemHub(), reg: hypervisor.NewRegistry()}
 	// Fault injection: a seeded fault plan drops (TokenLossProb) and/or
 	// delays (TokenDelayProb × TokenDelayS) MsgShardToken hops on the
-	// wire; the reconciler's per-shard deadline — fixed or adaptive —
-	// regenerates affected rings from its acked copy. The plan's seed
+	// wire; the reconciler's per-shard deadline regenerates affected
+	// rings from its acked copy. The plan's seed
 	// comes from the runner's rng, so equal-seed runs inject the same
 	// schedule.
 	if r.cfg.TokenLossProb > 0 || r.cfg.TokenDelayProb > 0 {
@@ -117,17 +117,15 @@ func (r *Runner) buildAgentPlane() (*agentPlane, error) {
 		}
 	}
 	rcfg := hypervisor.ReconcilerConfig{
-		Topo:             eng.Topology(),
-		Cost:             eng.CostModel(),
-		MigrationCost:    eng.Config().MigrationCost,
-		Shards:           r.cfg.DistributedShards,
-		Granularity:      r.cfg.ShardGranularity,
-		ShardDeadline:    time.Duration(r.cfg.DistributedDeadlineS * float64(time.Second)),
-		AdaptiveDeadline: r.cfg.AdaptiveDeadline,
-		EvictAttempts:    r.cfg.DistributedEvictAttempts,
-		Metrics:          r.ob.plane,
-		Trace:            r.ob.trace,
-		Audit:            r.cfg.Audit,
+		Topo:          eng.Topology(),
+		Cost:          eng.CostModel(),
+		MigrationCost: eng.Config().MigrationCost,
+		Shards:        r.cfg.DistributedShards,
+		Granularity:   r.cfg.ShardGranularity,
+		ShardDeadline: time.Duration(r.cfg.DistributedDeadlineS * float64(time.Second)),
+		Metrics:       r.ob.plane,
+		Trace:         r.ob.trace,
+		Audit:         r.cfg.Audit,
 	}
 	// Under auto-tuning the reconciler consults the controller — bound
 	// to the engine mirror's traffic matrix and cluster, which replay

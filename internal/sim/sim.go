@@ -101,24 +101,13 @@ type Config struct {
 	// selects the plane); otherwise the in-process sharded mode runs
 	// auto-tuned, regardless of Shards.
 	AutoTune bool
-	// AdaptiveDeadline (distributed plane only) derives per-shard
-	// recovery deadlines from observed per-hop ack latency
-	// (EWMA + k·stddev) instead of the fixed DistributedDeadlineS,
-	// which remains the warm-up fallback.
-	AdaptiveDeadline bool
 	// TokenDelayProb delays that fraction of shard-token hops by
-	// TokenDelayS real seconds on the wire (distributed plane only) —
-	// the load-jitter injection the adaptive deadline is evaluated
-	// against. Composes with TokenLossProb through the same seeded
-	// fault plan.
+	// TokenDelayS real seconds on the wire (distributed plane only):
+	// load jitter, which regenerates a live ring when the delay exceeds
+	// DistributedDeadlineS. Composes with TokenLossProb through the same
+	// seeded fault plan.
 	TokenDelayProb float64
 	TokenDelayS    float64
-	// DistributedEvictAttempts overrides how many consecutive
-	// no-progress regenerations evict a holder's host (0 keeps the
-	// reconciler default). Delay-injection experiments raise it so
-	// slow-but-alive hosts are never evicted while the deadline policy
-	// is what is under test.
-	DistributedEvictAttempts int
 	// Obs, when set, is the metrics registry the run records into —
 	// typically the one an obs.Serve endpoint scrapes. Nil gives the
 	// run a private registry.

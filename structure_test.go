@@ -1041,3 +1041,52 @@ func TestGateSettings(t *testing.T) {
 	forbid(t, programs, `\b(DefaultModel|PaperWorkloadDist|DefaultMigrationModel|MigrationModel)\b`,
 		"a migration model value; migration.Sample draws from the package constants")
 }
+
+// TestGateOneDeadline keeps the agent plane on one recovery deadline,
+// ReconcilerConfig.ShardDeadline, in every round. A learned per-shard
+// estimate (EWMA + k·stddev of per-hop ack latency, with a 10ms floor and
+// a spurious-regeneration backoff) once sat beside it behind a switch in
+// the reconciler's config, sim.Config and scoresim. Under injected delay
+// both rules applied the identical migration sequence and left the
+// identical placement, since the attempt number discards a regenerated
+// ring's slow original (TestChaosDelayRegenBehaviorNeutral holds this for
+// the fixed rule). No switch, no estimator and no other deadline in
+// collect may come back.
+func TestGateOneDeadline(t *testing.T) {
+	for _, f := range srcUnder(t, ".", true) {
+		for _, st := range find(f.ast, func(*ast.StructType) bool { return true }) {
+			for _, id := range fieldNames(st) {
+				if id.Name == "AdaptiveDeadline" {
+					t.Errorf("%s: struct field %s: a switch between two deadline rules; the plane has one", at(id), id.Name)
+				}
+			}
+		}
+	}
+	for _, s := range typeSpecs(srcIn(t, "internal/hypervisor", true), `^latencyEstimator$`) {
+		t.Errorf("%s: type %s: a learned deadline; every shard's is ShardDeadline", at(s), s.Name.Name)
+	}
+	collect := method(t, srcAt(t, "internal/hypervisor/reconciler.go"), "Reconciler", "collect")
+	mentions := func(x ast.Expr) bool {
+		return len(find(x, func(s *ast.SelectorExpr) bool { return types.ExprString(s) == "tk.lastProgress" })) > 0
+	}
+	n := 0
+	for _, b := range find(collect.Body, func(b *ast.BinaryExpr) bool {
+		switch b.Op {
+		case token.LSS, token.LEQ, token.GTR, token.GEQ, token.EQL, token.NEQ:
+			return mentions(b.X) || mentions(b.Y)
+		}
+		return false
+	}) {
+		n++
+		other := b.Y
+		if mentions(b.Y) {
+			other = b.X
+		}
+		if types.ExprString(other) != "r.cfg.ShardDeadline" {
+			t.Errorf("%s: %s: Reconciler.collect holds tk.lastProgress against %s; the deadline is r.cfg.ShardDeadline", at(b), types.ExprString(b), types.ExprString(other))
+		}
+	}
+	if n == 0 {
+		t.Error("Reconciler.collect compares nothing against tk.lastProgress; the gate reads its deadline check")
+	}
+}
