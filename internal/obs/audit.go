@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"sort"
 	"time"
 )
 
@@ -72,10 +73,20 @@ func VerdictString(code uint8) string {
 // (oldest first, i.e. ascending Seq) are the ring's. Per-migration detail
 // belongs here, never in labeled metrics (see the cardinality rules in
 // doc.go).
-type AuditRing struct{ ring[AuditRecord] }
+type AuditRing struct {
+	ring[AuditRecord]
+	// lastRound is the newest record's Round. disordered is set by the
+	// first Append whose Round is below it, and is never cleared: until
+	// then the retained window is in round order, and Select answers a
+	// round query by binary search instead of a scan. Both are under mu.
+	lastRound  uint32
+	disordered bool
+}
 
 // NewAuditRing returns a ring retaining the most recent capacity records.
-func NewAuditRing(capacity int) *AuditRing { return &AuditRing{newRing[AuditRecord](capacity)} }
+func NewAuditRing(capacity int) *AuditRing {
+	return &AuditRing{ring: newRing[AuditRecord](capacity)}
+}
 
 // Append stores one record, stamping T if zero and assigning Seq.
 func (a *AuditRing) Append(r AuditRecord) {
@@ -83,17 +94,45 @@ func (a *AuditRing) Append(r AuditRecord) {
 		r.T = time.Now().UnixNano()
 	}
 	a.mu.Lock()
+	if r.Round < a.lastRound {
+		a.disordered = true
+	}
+	a.lastRound = r.Round
 	r.Seq = a.next
 	a.put(r)
 	a.mu.Unlock()
 }
 
 // Select returns the retained records matching vm and round, oldest
-// first; a negative filter value matches anything.
+// first; a negative filter value matches anything. A query by round
+// alone on a ring in round order copies only that round's run.
 func (a *AuditRing) Select(vm, round int64) []AuditRecord {
+	if vm < 0 && round >= 0 {
+		if out, ok := a.roundRun(round); ok {
+			return out
+		}
+	}
 	return a.filter(func(r *AuditRecord) bool {
 		return (vm < 0 || int64(r.VM) == vm) && (round < 0 || int64(r.Round) == round)
 	})
+}
+
+// roundRun copies round's records, found by binary search over the
+// retained window (nil when there are none). It reports false, copying
+// nothing, once the ring has left round order.
+func (a *AuditRing) roundRun(round int64) ([]AuditRecord, bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.disordered {
+		return nil, false
+	}
+	k := a.retained()
+	lo := sort.Search(k, func(i int) bool { return int64(a.buf[a.slot(i)].Round) >= round })
+	hi := lo + sort.Search(k-lo, func(i int) bool { return int64(a.buf[a.slot(lo+i)].Round) > round })
+	if lo == hi {
+		return nil, true
+	}
+	return a.run(lo, hi), true
 }
 
 // AuditJSONRecord is the JSON wire form of an AuditRecord: the raw ΔC
@@ -124,14 +163,4 @@ func (r AuditRecord) JSONView() AuditJSONRecord {
 		Verdict: VerdictString(r.Verdict), StagedBits: r.StagedBits, FinalBits: r.FinalBits,
 		StagedDelta: r.StagedDelta(), FinalDelta: r.FinalDelta(),
 	}
-}
-
-// JSONViews renders a record slice for encoding (never nil, so the
-// empty ring encodes as [] rather than null).
-func JSONViews(recs []AuditRecord) []AuditJSONRecord {
-	out := make([]AuditJSONRecord, len(recs))
-	for i, r := range recs {
-		out[i] = r.JSONView()
-	}
-	return out
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -189,4 +190,177 @@ func TestVerdictStringParseInverse(t *testing.T) {
 	if _, ok := ParseVerdict("bogus"); ok {
 		t.Fatal("ParseVerdict accepted garbage")
 	}
+}
+
+// scanSelect is Select's scan path, the reference its round index must
+// reproduce.
+func scanSelect(ar *AuditRing, vm, round int64) []AuditRecord {
+	return ar.filter(func(r *AuditRecord) bool {
+		return (vm < 0 || int64(r.VM) == vm) && (round < 0 || int64(r.Round) == round)
+	})
+}
+
+// TestAuditRoundIndexEqualsScan: a query by round alone, answered by
+// binary search over a ring in round order, returns exactly what the
+// scan returns. Rounds of uneven length (some empty) fill a small ring
+// many times over, so the window's oldest round is often half
+// overwritten; every query asks round 0, each retained round, the
+// absent ones between and before them, and rounds past the newest. A
+// ring whose numbering then restarts leaves round order, and from then
+// on Select scans.
+func TestAuditRoundIndexEqualsScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ar := NewAuditRing(64)
+	check := func(stage string, maxRound int64) {
+		t.Helper()
+		for round := int64(0); round <= maxRound+2; round++ {
+			got, want := ar.Select(-1, round), scanSelect(ar, -1, round)
+			if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Fatalf("%s: Select(-1, %d) = %d records %v, scan %d records %v",
+					stage, round, len(got), got, len(want), want)
+			}
+		}
+		for _, round := range []int64{math.MaxUint32, math.MaxUint32 + 1, math.MaxInt64} {
+			if got := ar.Select(-1, round); len(got) != 0 {
+				t.Fatalf("%s: Select(-1, %d) = %d records, want none", stage, round, len(got))
+			}
+		}
+	}
+	check("empty ring", 0)
+	var rounds []uint32 // every appended record's round, by Seq
+	halfGone := 0       // round ends whose oldest retained round lost records
+	for round := uint32(0); round < 60; round++ {
+		for n := rng.Intn(24) * rng.Intn(2); n > 0; n-- {
+			ar.Append(auditRec(uint32(len(rounds)), round, VerdictMerged, 1, 1))
+			rounds = append(rounds, round)
+			if n%5 == 0 {
+				check("filling", int64(round))
+			}
+		}
+		check("round end", int64(round))
+		if d := ar.Dropped(); d > 0 && rounds[d-1] == rounds[d] {
+			halfGone++
+		}
+	}
+	if halfGone == 0 || ar.disordered {
+		t.Fatalf("%d half-overwritten oldest rounds, disordered %v: want some, in round order", halfGone, ar.disordered)
+	}
+	// A second run that numbers its rounds from 0 again.
+	for round := uint32(0); round < 4; round++ {
+		for n := 0; n < 10; n++ {
+			ar.Append(auditRec(uint32(n), round, VerdictStale, 1, 1))
+			check("restarted", 60)
+		}
+	}
+	if !ar.disordered {
+		t.Fatal("a restarted numbering left the ring marked as in round order")
+	}
+}
+
+// auditWireCases are records whose every field is at an edge of its
+// wire rendering: ΔC bits for 0, −0, the smallest subnormal, values on
+// either side of encoding/json's 1e-6 and 1e21 format switches, huge and
+// negative floats, each also with final equal to staged; every verdict
+// code and an unknown one; negative hops, shards and hosts; and integer
+// extremes, max uint64 bits among them.
+func auditWireCases() []AuditRecord {
+	deltas := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1e-7, -1e-7, 9.99e-7, 1e-6,
+		0.1, math.Nextafter(0.1, 1), -2.5, 123456.789, 1e20, 9.99e20, 1e21, -1e21,
+		1.5e300, math.MaxFloat64, -math.MaxFloat64, 5e-324, 1.2345678901234567e-300,
+	}
+	var recs []AuditRecord
+	for i, staged := range deltas {
+		final := deltas[(i*7+3)%len(deltas)]
+		r := auditRec(uint32(i)*977, uint32(i), uint8(i%6), staged, final)
+		r.Seq = uint64(i) << 40
+		r.T = -int64(i) * 1e15
+		r.Hop, r.Shard, r.From = -1, -1, -int32(i)
+		recs = append(recs, r)
+		r.FinalBits = r.StagedBits // landed at its staged price
+		recs = append(recs, r)
+	}
+	recs = append(recs, AuditRecord{
+		T: math.MaxInt64, Seq: math.MaxUint64, StagedBits: math.Float64bits(1), FinalBits: math.Float64bits(-1),
+		VM: math.MaxUint32, Round: math.MaxUint32, Attempt: math.MaxUint32, Hop: math.MinInt32,
+		From: math.MaxInt32, To: math.MinInt32, Shard: math.MinInt16, Verdict: math.MaxUint8,
+	}, AuditRecord{T: math.MinInt64, Hop: math.MaxInt32, Shard: math.MaxInt16})
+	return recs
+}
+
+// wantAuditJSON is the wire form by reflection: encoding/json over the
+// records' views, as WriteAuditJSON wrote it before it appended.
+func wantAuditJSON(recs []AuditRecord) ([]byte, error) {
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(JSONViews(recs))
+	return buf.Bytes(), err
+}
+
+// sameAuditJSON fails t unless WriteAuditJSON writes exactly the bytes
+// of encoding/json, or, where that refuses the records, fails as it
+// does with nothing written.
+func sameAuditJSON(t *testing.T, recs []AuditRecord) {
+	t.Helper()
+	want, wantErr := wantAuditJSON(recs)
+	var got bytes.Buffer
+	err := WriteAuditJSON(&got, recs)
+	if wantErr != nil {
+		if err == nil || err.Error() != wantErr.Error() || got.Len() != 0 {
+			t.Fatalf("WriteAuditJSON = %v, wrote %d bytes; encoding/json refuses with %v", err, got.Len(), wantErr)
+		}
+		return
+	}
+	if err != nil || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("WriteAuditJSON (err %v) wrote\n%s\nencoding/json writes\n%s", err, got.Bytes(), want)
+	}
+}
+
+// TestAuditJSONMatchesEncodingJSON holds the appender to encoding/json's
+// bytes on the edge records one by one and together, on no records, on
+// random bit patterns (whose exponents cover both float formats), and
+// on a NaN (max uint64 bits among them) or infinite ΔC, which both
+// refuse.
+func TestAuditJSONMatchesEncodingJSON(t *testing.T) {
+	cases := auditWireCases()
+	sameAuditJSON(t, nil)
+	sameAuditJSON(t, []AuditRecord{})
+	sameAuditJSON(t, cases)
+	for i := range cases {
+		sameAuditJSON(t, cases[i:i+1])
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 2000; i++ {
+		r := AuditRecord{
+			T: int64(rng.Uint64()), Seq: rng.Uint64(), StagedBits: rng.Uint64(), FinalBits: rng.Uint64(),
+			VM: rng.Uint32(), Round: rng.Uint32(), Attempt: rng.Uint32(), Hop: int32(rng.Uint32()),
+			From: int32(rng.Uint32()), To: int32(rng.Uint32()), Shard: int16(rng.Uint32()), Verdict: uint8(rng.Uint32()),
+		}
+		if i%2 == 0 {
+			// A finite ΔC of any magnitude: random sign and mantissa,
+			// exponent anywhere but the all-ones NaN/Inf code.
+			r.StagedBits = r.StagedBits&^(0x7ff<<52) | uint64(rng.Int63n(0x7ff))<<52
+			r.FinalBits = r.FinalBits&^(0x7ff<<52) | uint64(rng.Int63n(0x7ff))<<52
+		}
+		sameAuditJSON(t, []AuditRecord{r})
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		sameAuditJSON(t, append(slices.Clone(cases), auditRec(1, 1, VerdictMerged, 1, bad)))
+		sameAuditJSON(t, []AuditRecord{auditRec(1, 1, VerdictStale, bad, 1)})
+	}
+	maxBits := auditRec(1, 1, VerdictMerged, 1, 1)
+	maxBits.FinalBits = math.MaxUint64 // a NaN
+	sameAuditJSON(t, []AuditRecord{maxBits})
+}
+
+// FuzzAuditJSON holds the appender to encoding/json on one record of
+// any field values; the checked-in seeds are the edge cases of
+// TestAuditJSONMatchesEncodingJSON.
+func FuzzAuditJSON(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seq uint64, tns int64, round uint32, shard int16, attempt uint32,
+		hop int32, vm uint32, from, to int32, verdict uint8, staged, final uint64) {
+		sameAuditJSON(t, []AuditRecord{{
+			T: tns, Seq: seq, StagedBits: staged, FinalBits: final, VM: vm, Round: round,
+			Attempt: attempt, Hop: hop, From: from, To: to, Shard: shard, Verdict: verdict,
+		}})
+	})
 }

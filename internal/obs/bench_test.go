@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"math"
 	"strconv"
 	"testing"
 	"time"
@@ -54,6 +55,7 @@ func BenchmarkObsAuditAppend(b *testing.B) {
 		Verdict: VerdictMerged,
 	}
 	b.ReportAllocs()
+	b.ResetTimer() // the ring's storage is not the append's
 	for i := 0; i < b.N; i++ {
 		ar.Append(rec)
 	}
@@ -61,14 +63,58 @@ func BenchmarkObsAuditAppend(b *testing.B) {
 
 // BenchmarkObsAuditSelect is one filtered audit query against a full
 // ring of the daemon's size: it allocates for the matches, not the ring.
+// A query by VM scans the ring; a query by round, which is what a round's
+// caller asks, binary-searches it and copies that round's 256 records.
 func BenchmarkObsAuditSelect(b *testing.B) {
 	ar := NewAuditRing(1 << 14)
 	for i := 0; i < 1<<15; i++ {
 		ar.Append(AuditRecord{VM: uint32(i % 512), Round: uint32(i / 256), Verdict: VerdictMerged})
 	}
+	b.Run("vm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ar.Select(int64(i%512), -1)
+		}
+	})
+	b.Run("round", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ar.Select(-1, int64(64+i%64)) // the retained rounds
+		}
+	})
+}
+
+// auditRound is one round's records as a daemon round writes them: one
+// round and timestamp, hosts and ΔC values that vary record to record.
+func auditRound(n int) []AuditRecord {
+	recs := make([]AuditRecord, n)
+	for i := range recs {
+		staged := -float64(i%97+1) * 0.37
+		final := staged
+		verdict := VerdictMerged
+		if i%11 == 0 {
+			final, verdict = staged/3, VerdictStale
+		}
+		recs[i] = AuditRecord{
+			T: 1_760_000_000_000_000_000, Seq: uint64(1_000_000 + i),
+			StagedBits: math.Float64bits(staged), FinalBits: math.Float64bits(final),
+			VM: uint32(i * 79 % 30720), Round: 41, Hop: -1, From: int32(i % 1024), To: int32(i * 7 % 1024),
+			Shard: int16(i % 118), Verdict: verdict,
+		}
+	}
+	return recs
+}
+
+// BenchmarkAuditJSON encodes one round's audit records, about what a
+// round of the k=16 daemon writes, as GET /v1/audit?round= does: 0
+// allocs/op once warm (TestRecordPathsAllocFree is the hard gate).
+func BenchmarkAuditJSON(b *testing.B) {
+	recs := auditRound(400)
+	WriteAuditJSON(io.Discard, recs) // warm the recycled buffer
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ar.Select(int64(i%512), -1)
+		WriteAuditJSON(io.Discard, recs)
 	}
 }
 

@@ -87,6 +87,24 @@
 // ?vm= and ?round=; AuditJSONRecord round-trips records bit-exactly via
 // staged_bits/final_bits alongside the human-readable float renderings.
 //
+// A query by round alone costs what it returns. The merge appends a
+// round's records in one pass and rounds are numbered in order (a
+// restored daemon continues the numbering), so the retained window is
+// sorted by round: Select binary-searches it for the round's first and
+// last record and copies that run, one allocation. An Append whose round
+// is below its predecessor's — a ring reused by runs that each number
+// from 0 — marks the ring disordered for good, and Select then scans it,
+// as a query by VM always does (TestAuditRoundIndexEqualsScan).
+//
+// WriteAuditJSON appends the wire form into a recycled buffer with
+// strconv and writes it in one call, 0 allocs once warm. Its bytes are
+// encoding/json's over the records' AuditJSONRecord views: field order
+// and names, '[]' for no records, the trailing newline, and the float
+// rule ('f' for 0 and 1e-6 ≤ |x| < 1e21, otherwise 'e' with e-07 written
+// e-7). A NaN or infinite ΔC fails with encoding/json's error and
+// nothing written. TestAuditJSONMatchesEncodingJSON and FuzzAuditJSON
+// hold it to encoding/json; /trace stays on encoding/json.
+//
 // Tracer and AuditRing are one generic fixed-record ring (ring.go) under
 // two record types; Ring is the same ring for other records (scored's
 // round history). Handler exports what each has overwritten as

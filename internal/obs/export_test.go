@@ -25,3 +25,14 @@ func (j AuditJSONRecord) Record() AuditRecord {
 		Verdict: v, StagedBits: j.StagedBits, FinalBits: j.FinalBits,
 	}
 }
+
+// JSONViews renders a record slice as encoding/json's input for the wire
+// form (never nil, so no records encode as [] rather than null). The
+// conformance tests hold WriteAuditJSON's bytes equal to its encoding.
+func JSONViews(recs []AuditRecord) []AuditJSONRecord {
+	out := make([]AuditJSONRecord, len(recs))
+	for i, r := range recs {
+		out[i] = r.JSONView()
+	}
+	return out
+}

@@ -3,11 +3,13 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -43,9 +45,97 @@ func WriteTraceJSON(w io.Writer, events []Event) error {
 
 // WriteAuditJSON encodes audit records as a JSON array — the /audit and
 // /v1/audit wire form, shared with flight-recorder bundles and the
-// scoresim dump.
-func WriteAuditJSON(w io.Writer, recs []AuditRecord) error {
-	return json.NewEncoder(w).Encode(JSONViews(recs))
+// scoresim dump. Its bytes are encoding/json's for the records'
+// AuditJSONRecord views, trailing newline included, and it writes them
+// in one call. A NaN or infinite ΔC fails as it does there, with nothing
+// written. The buffer is recycled, so a warm encode allocates nothing.
+func WriteAuditJSON(w io.Writer, recs []AuditRecord) (err error) {
+	bp := auditBufs.Get().(*[]byte)
+	b := append((*bp)[:0], '[')
+	for i := range recs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = recs[i].JSONView().appendJSON(b); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		b = append(b, ']', '\n')
+		_, err = w.Write(b)
+	}
+	*bp = b
+	auditBufs.Put(bp)
+	return err
+}
+
+var auditBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendJSON appends v as encoding/json encodes it: fields in
+// declaration order, floats under its rule (see appendJSONFloat).
+func (v AuditJSONRecord) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"seq":`...)
+	b = strconv.AppendUint(b, v.Seq, 10)
+	b = append(b, `,"t_ns":`...)
+	b = strconv.AppendInt(b, v.T, 10)
+	b = append(b, `,"round":`...)
+	b = strconv.AppendUint(b, uint64(v.Round), 10)
+	b = append(b, `,"shard":`...)
+	b = strconv.AppendInt(b, int64(v.Shard), 10)
+	b = append(b, `,"attempt":`...)
+	b = strconv.AppendUint(b, uint64(v.Attempt), 10)
+	b = append(b, `,"hop":`...)
+	b = strconv.AppendInt(b, int64(v.Hop), 10)
+	b = append(b, `,"vm":`...)
+	b = strconv.AppendUint(b, uint64(v.VM), 10)
+	b = append(b, `,"from":`...)
+	b = strconv.AppendInt(b, int64(v.From), 10)
+	b = append(b, `,"to":`...)
+	b = strconv.AppendInt(b, int64(v.To), 10)
+	// Verdict strings are plain ASCII: nothing in them needs escaping.
+	b = append(b, `,"verdict":"`...)
+	b = append(b, v.Verdict...)
+	b = append(b, `","staged_bits":`...)
+	b = strconv.AppendUint(b, v.StagedBits, 10)
+	b = append(b, `,"final_bits":`...)
+	b = strconv.AppendUint(b, v.FinalBits, 10)
+	b = append(b, `,"staged_delta":`...)
+	at := len(b)
+	b, err := appendJSONFloat(b, v.StagedDelta)
+	if err != nil {
+		return b, err
+	}
+	staged := b[at:]
+	b = append(b, `,"final_delta":`...)
+	if v.FinalBits == v.StagedBits {
+		// Most records re-validate at their staged ΔC: copy its rendering.
+		b = append(b, staged...)
+	} else if b, err = appendJSONFloat(b, v.FinalDelta); err != nil {
+		return b, err
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONFloat appends f under encoding/json's float64 rule: 'f'
+// format for 0 and for 1e-6 ≤ |f| < 1e21, 'e' otherwise with a leading
+// zero of a negative two-digit exponent dropped (1e-07 → 1e-7). NaN and
+// ±Inf are refused with encoding/json's error.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
 }
 
 // queryInt64 parses an optional non-negative integer query parameter;

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"io"
 	"math"
 	"runtime"
 	"strconv"
@@ -179,6 +180,9 @@ func TestConcurrentRecording(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
 // TestRecordPathsAllocFree proves the hot-path record calls perform zero
 // allocations, which is what lets instrumentation stay on in the gated
 // benchmarks.
@@ -188,11 +192,17 @@ func TestRecordPathsAllocFree(t *testing.T) {
 	g := r.Gauge("score_alloc_gauge", "g")
 	h := r.Histogram("score_alloc_seconds", "h", DefLatencyBuckets)
 	tr := NewTracer(1 << 10)
+	ar := NewAuditRing(1 << 10)
+	round := auditRound(400)
+	for _, r := range round {
+		ar.Append(r)
+	}
 
-	cases := []struct {
+	type allocCase struct {
 		name string
 		fn   func()
-	}{
+	}
+	cases := []allocCase{
 		{"counter_inc", func() { c.Inc() }},
 		{"counter_add", func() { c.Add(3) }},
 		{"gauge_set", func() { g.Set(1.23) }},
@@ -202,9 +212,16 @@ func TestRecordPathsAllocFree(t *testing.T) {
 			tr.Record(Event{Kind: EvTokenVisit, T: 1, Round: 1, Shard: 2, Arg: 7})
 		}},
 	}
+	if !raceEnabled {
+		cases = append(cases, allocCase{"audit_json", func() { WriteAuditJSON(io.Discard, round) }})
+	}
 	for _, tc := range cases {
 		if n := testing.AllocsPerRun(100, tc.fn); n != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", tc.name, n)
 		}
+	}
+	// A query by round allocates its result and nothing else.
+	if n := testing.AllocsPerRun(100, func() { ar.Select(-1, 41) }); n != 1 {
+		t.Errorf("audit_select_round: %v allocs/op, want 1", n)
 	}
 }

@@ -45,14 +45,14 @@ func (g *Ring[T]) Put(rec T) {
 func (g *ring[T]) Len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return int(min(g.next, uint64(len(g.buf))))
+	return g.retained()
 }
 
 // Dropped reports how many records have been overwritten so far.
 func (g *ring[T]) Dropped() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.next - min(g.next, uint64(len(g.buf)))
+	return g.next - uint64(g.retained())
 }
 
 // filter copies the retained records keep accepts, oldest-first. It reads
@@ -88,10 +88,24 @@ func (g *ring[T]) Snapshot() []T {
 // last copies the newest n retained records (all of them when fewer are
 // retained), oldest-first. The caller holds mu.
 func (g *ring[T]) last(n int) []T {
-	size := uint64(len(g.buf))
-	k := min(uint64(max(n, 0)), g.next, size)
-	out := make([]T, k)
-	copied := copy(out, g.buf[(g.next-k)%size:])
+	k := g.retained()
+	return g.run(k-min(max(n, 0), k), k)
+}
+
+// retained reports how many records the ring holds. Window position i in
+// [0, retained) is the i-th oldest of them. The caller holds mu.
+func (g *ring[T]) retained() int { return int(min(g.next, uint64(len(g.buf)))) }
+
+// slot maps window position i to its index in buf. The caller holds mu.
+func (g *ring[T]) slot(i int) uint64 {
+	return (g.next - uint64(g.retained()) + uint64(i)) % uint64(len(g.buf))
+}
+
+// run copies the records at window positions [lo, hi), oldest-first.
+// The caller holds mu.
+func (g *ring[T]) run(lo, hi int) []T {
+	out := make([]T, hi-lo)
+	copied := copy(out, g.buf[g.slot(lo):])
 	copy(out[copied:], g.buf)
 	return out
 }

@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/obs"
 )
 
@@ -158,5 +161,79 @@ func TestServeSLOMetrics(t *testing.T) {
 	// concrete VM path must never become a label value.
 	if strings.Contains(expo, `route="/v1/vms/7"`) {
 		t.Fatalf("per-ID URL leaked into route labels:\n%s", expo)
+	}
+}
+
+// TestAuditWireAfterRestore: on a daemon restored after one round, fed
+// the rest of its traffic and stepped to quiescence, GET /v1/audit?round=R answers, for every round R, the
+// bytes encoding/json writes for that round's records filtered from
+// the whole ring — the wire form the round index and the appender
+// replaced.
+func TestAuditWireAfterRestore(t *testing.T) {
+	const nVMs, nHosts, slots = 1024, 128, 16
+	rec := recordStream(5, nVMs, nHosts, slots)
+	big := func(cfg *Config) {
+		cfg.Topology.K = 8
+		cfg.Hosts = cluster.UniformHosts(nHosts, slots, 4096, 1000)
+	}
+	d := newTestDaemon(t, big)
+	for _, vm := range rec.vms {
+		if _, _, err := d.Admit(AdmitRequest{
+			ID: cluster.VMID(vm.ID), HasID: true, RAMMB: vm.RAMMB,
+			Host: cluster.HostID(vm.Host), HasHost: true,
+		}); err != nil {
+			t.Fatalf("admit %d: %v", vm.ID, err)
+		}
+	}
+	half := len(rec.rates) / 2
+	if _, rejected, err := d.Observe("replay", rec.rates[:half]); err != nil || rejected != 0 {
+		t.Fatalf("observe: err=%v rejected=%d", err, rejected)
+	}
+	if _, err := d.Step(1); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "scored.snapshot")
+	if _, err := d.Snapshot(path); err != nil {
+		t.Fatal(err)
+	}
+
+	ar := obs.NewAuditRing(1 << 14)
+	cfg := testConfig(big)
+	cfg.Audit = ar
+	r, err := Restore(path, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	// The rest of the traffic, so the restored daemon's rounds move VMs.
+	if _, rejected, err := r.Observe("replay", rec.rates[half:]); err != nil || rejected != 0 {
+		t.Fatalf("observe: err=%v rejected=%d", err, rejected)
+	}
+	if _, err := r.Step(-1); err != nil {
+		t.Fatal(err)
+	}
+	all, h := ar.Snapshot(), r.Handler()
+	if len(all) == 0 || ar.Dropped() != 0 {
+		t.Fatalf("the ring holds %d records and dropped %d; want some, all retained", len(all), ar.Dropped())
+	}
+	for round := uint64(0); round <= r.Rounds()+1; round++ {
+		var views []obs.AuditJSONRecord
+		for _, a := range all {
+			if uint64(a.Round) == round {
+				views = append(views, a.JSONView())
+			}
+		}
+		if views == nil {
+			views = []obs.AuditJSONRecord{}
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(views); err != nil {
+			t.Fatal(err)
+		}
+		got := do(t, h, "GET", "/v1/audit?round="+strconv.FormatUint(round, 10), "", nil)
+		if got.Code != 200 || !bytes.Equal(got.Body.Bytes(), want.Bytes()) {
+			t.Fatalf("round %d: /v1/audit answered %d with %d bytes, encoding/json writes %d",
+				round, got.Code, got.Body.Len(), want.Len())
+		}
 	}
 }
