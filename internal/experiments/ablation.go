@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/score-dc/score/internal/core"
-	"github.com/score-dc/score/internal/sim"
 	"github.com/score-dc/score/internal/token"
 )
 
@@ -33,23 +32,15 @@ func (r *AblationResult) Render(w io.Writer) {
 	}
 }
 
-// runOnce executes one S-CORE run on a clone of the scenario with the
-// given engine config and policy.
-func runOnce(base *Scenario, engCfg core.Config, pol token.Policy) (*sim.Metrics, error) {
-	run, err := base.CloneForRun()
+// add runs one configuration from base's allocation under Fig. 3's run
+// shape and appends its row.
+func (r *AblationResult) add(base *Scenario, label string, cost core.CostModel, engCfg core.Config, pol token.Policy) error {
+	m, err := base.runCell(cost, engCfg, pol, simConfigFor(base.Cl.NumVMs(), 8))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	eng, err := rebuildEngine(run, engCfg)
-	if err != nil {
-		return nil, err
-	}
-	cfg := simConfigFor(run.Cl.NumVMs(), 8)
-	runner, err := sim.NewRunner(eng, pol, cfg, run.Rng)
-	if err != nil {
-		return nil, err
-	}
-	return runner.Run()
+	r.Rows = append(r.Rows, AblationRow{Label: label, Reduction: m.Reduction(), Migrations: m.TotalMigrations, FinalCost: m.FinalCost})
+	return nil
 }
 
 // AblationLinkWeights compares the paper's exponential link weights
@@ -74,28 +65,9 @@ func AblationLinkWeights(scale Scale, seed int64) (*AblationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := base.CloneForRun()
-		if err != nil {
+		if err := res.add(base, fam.label, cm, base.Eng.Config(), token.HighestLevelFirst{}); err != nil {
 			return nil, err
 		}
-		eng, err := core.NewEngine(run.Topo, cm, run.Cl, run.TM, run.Eng.Config())
-		if err != nil {
-			return nil, err
-		}
-		run.Eng = eng
-		cfg := simConfigFor(run.Cl.NumVMs(), 8)
-		runner, err := sim.NewRunner(eng, token.HighestLevelFirst{}, cfg, run.Rng)
-		if err != nil {
-			return nil, err
-		}
-		m, err := runner.Run()
-		if err != nil {
-			return nil, err
-		}
-		res.Rows = append(res.Rows, AblationRow{
-			Label: fam.label, Reduction: m.Reduction(),
-			Migrations: m.TotalMigrations, FinalCost: m.FinalCost,
-		})
 	}
 	return res, nil
 }
@@ -115,16 +87,10 @@ func AblationMigrationCost(scale Scale, seed int64) (*AblationResult, error) {
 	for _, frac := range []float64{0, 0.1, 0.5, 1, 2, 5} {
 		engCfg := base.Eng.Config()
 		engCfg.MigrationCost = frac * meanVM
-		m, err := runOnce(base, engCfg, token.HighestLevelFirst{})
-		if err != nil {
+		label := fmt.Sprintf("cm = %.1f x meanVMcost", frac)
+		if err := res.add(base, label, base.Eng.CostModel(), engCfg, token.HighestLevelFirst{}); err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, AblationRow{
-			Label:      fmt.Sprintf("cm = %.1f x meanVMcost", frac),
-			Reduction:  m.Reduction(),
-			Migrations: m.TotalMigrations,
-			FinalCost:  m.FinalCost,
-		})
 	}
 	return res, nil
 }
@@ -144,14 +110,9 @@ func AblationTokenPolicies(scale Scale, seed int64) (*AblationResult, error) {
 		&token.Random{Rng: base.Rng},
 	}
 	for _, pol := range policies {
-		m, err := runOnce(base, base.Eng.Config(), pol)
-		if err != nil {
+		if err := res.add(base, pol.Name(), base.Eng.CostModel(), base.Eng.Config(), pol); err != nil {
 			return nil, err
 		}
-		res.Rows = append(res.Rows, AblationRow{
-			Label: pol.Name(), Reduction: m.Reduction(),
-			Migrations: m.TotalMigrations, FinalCost: m.FinalCost,
-		})
 	}
 	return res, nil
 }

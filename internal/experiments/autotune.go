@@ -5,11 +5,11 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
 	"github.com/score-dc/score/internal/sim"
-	"github.com/score-dc/score/internal/token"
 	"github.com/score-dc/score/internal/topology"
 	"github.com/score-dc/score/internal/traffic"
 )
@@ -100,79 +100,44 @@ func shapeTraffic(topo topology.Topology, cl *cluster.Cluster, rng *rand.Rand, w
 // NewShapedScenario builds a scenario whose traffic matrix follows the
 // named workload shape instead of the default generator's.
 func NewShapedScenario(f Family, s Scale, w AutoTuneWorkload, seed int64) (*Scenario, error) {
-	base, err := NewScenario(f, s, Sparse, seed)
+	sc, err := NewScenario(f, s, Sparse, seed)
 	if err != nil {
 		return nil, err
 	}
-	cl := base.Cl.Clone()
-	rng := rand.New(rand.NewSource(seed ^ 0x5c0e))
-	tm := shapeTraffic(base.Topo, cl, rng, w)
-	eng, err := core.NewEngine(base.Topo, base.Eng.CostModel(), cl, tm, base.Eng.Config())
-	if err != nil {
+	sc.Rng = rand.New(rand.NewSource(seed ^ 0x5c0e))
+	sc.TM = shapeTraffic(sc.Topo, sc.Cl, sc.Rng, w)
+	if sc.Eng, err = core.NewEngine(sc.Topo, sc.Eng.CostModel(), sc.Cl, sc.TM, sc.Eng.Config()); err != nil {
 		return nil, err
 	}
-	return &Scenario{
-		Topo: base.Topo, Cl: cl, TM: tm, Eng: eng,
-		Rng: rng, VMsPerHost: base.VMsPerHost,
-	}, nil
-}
-
-// AutoTuneRun is one sweep cell: a workload run either at a fixed shard
-// count or under the adaptive controller.
-type AutoTuneRun struct {
-	Workload AutoTuneWorkload
-	// Auto marks the controller-driven run; Shards is the fixed count
-	// otherwise.
-	Auto   bool
-	Shards int
-	// ChosenShards is the per-round effective ring count (auto runs; a
-	// fixed sharded run repeats its clamped count).
-	ChosenShards  []int
-	Reduction     float64
-	Migrations    int
-	Rounds        int
-	CrossProposed int
-}
-
-// FinalShards returns the last round's ring count (the converged
-// choice), or Shards when the run kept no round record (the single-token
-// baseline).
-func (r *AutoTuneRun) FinalShards() int {
-	if len(r.ChosenShards) == 0 {
-		return r.Shards
-	}
-	return r.ChosenShards[len(r.ChosenShards)-1]
+	return sc, nil
 }
 
 // AutoTuneSweepResult holds the auto-tuning sweep: per-workload fixed
-// shard counts versus the adaptive controller.
+// shard counts versus the adaptive controller (Shards 0).
 type AutoTuneSweepResult struct {
 	Family Family
 	Scale  Scale
-	Runs   []AutoTuneRun
+	Rows   []SweepRow
 }
 
 // BestFixed returns the highest-reduction fixed run of a workload.
-func (r *AutoTuneSweepResult) BestFixed(w AutoTuneWorkload) (best AutoTuneRun, ok bool) {
-	for _, run := range r.Runs {
-		if run.Workload != w || run.Auto {
-			continue
-		}
-		if !ok || run.Reduction > best.Reduction {
-			best, ok = run, true
+func (r *AutoTuneSweepResult) BestFixed(w AutoTuneWorkload) (best SweepRow, ok bool) {
+	for _, row := range r.Rows {
+		if row.Workload == w && row.Shards != 0 && (!ok || row.Reduction > best.Reduction) {
+			best, ok = row, true
 		}
 	}
 	return best, ok
 }
 
 // AutoRun returns a workload's controller-driven run.
-func (r *AutoTuneSweepResult) AutoRun(w AutoTuneWorkload) (AutoTuneRun, bool) {
-	for _, run := range r.Runs {
-		if run.Workload == w && run.Auto {
-			return run, true
+func (r *AutoTuneSweepResult) AutoRun(w AutoTuneWorkload) (SweepRow, bool) {
+	for _, row := range r.Rows {
+		if row.Workload == w && row.Shards == 0 {
+			return row, true
 		}
 	}
-	return AutoTuneRun{}, false
+	return SweepRow{}, false
 }
 
 // sweepConfig is the run shape shared by the shard, distributed and
@@ -195,46 +160,33 @@ func AutoTuneSweep(f Family, s Scale, seed int64, counts []int) (*AutoTuneSweepR
 		counts = append([]int{1}, counts...)
 	}
 	res := &AutoTuneSweepResult{Family: f, Scale: s}
+	// Shards 0 is the controller-driven run, after the fixed counts.
+	cells := append(slices.Clip(counts), 0)
 	for _, w := range []AutoTuneWorkload{PodLocal, CrossPod} {
-		runOne := func(fixed int, auto bool) error {
+		for _, n := range cells {
 			sc, err := NewShapedScenario(f, s, w, seed)
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("autotune %s %s: %w", w, mode(n), err)
 			}
 			cfg := sweepConfig(sc.Cl.NumVMs())
-			if auto {
-				cfg.AutoTune = true
-			} else {
-				cfg.Shards = fixed
-			}
-			runner, err := sim.NewRunner(sc.Eng, token.HighestLevelFirst{}, cfg, sc.Rng)
+			cfg.Shards, cfg.AutoTune = n, n == 0
+			row, err := sc.sweepRow(SweepRow{Shards: n, Workload: w}, cfg)
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("autotune %s %s: %w", w, mode(n), err)
 			}
-			m, err := runner.Run()
-			if err != nil {
-				return err
-			}
-			res.Runs = append(res.Runs, AutoTuneRun{
-				Workload: w, Auto: auto, Shards: fixed,
-				ChosenShards:  m.ShardsChosen,
-				Reduction:     m.Reduction(),
-				Migrations:    m.TotalMigrations,
-				Rounds:        m.Rounds,
-				CrossProposed: m.CrossProposed,
-			})
-			return nil
-		}
-		for _, n := range counts {
-			if err := runOne(n, false); err != nil {
-				return nil, fmt.Errorf("autotune %s fixed-%d: %w", w, n, err)
-			}
-		}
-		if err := runOne(0, true); err != nil {
-			return nil, fmt.Errorf("autotune %s auto: %w", w, err)
+			res.Rows = append(res.Rows, row)
 		}
 	}
 	return res, nil
+}
+
+// mode names a run of the auto-tuning sweep: its fixed shard count, or
+// auto (0).
+func mode(shards int) string {
+	if shards == 0 {
+		return "auto"
+	}
+	return fmt.Sprintf("fixed-%d", shards)
 }
 
 // Render prints the sweep tables.
@@ -243,16 +195,11 @@ func (r *AutoTuneSweepResult) Render(w io.Writer) {
 	for _, wl := range []AutoTuneWorkload{PodLocal, CrossPod} {
 		fmt.Fprintf(w, "workload %s:\n", wl)
 		fmt.Fprintln(w, "    mode  shards  reduction  migrations  rounds  cross-proposed")
-		for _, run := range r.Runs {
-			if run.Workload != wl {
-				continue
+		for _, row := range r.Rows {
+			if row.Workload == wl {
+				fmt.Fprintf(w, "%8s  %6d  %8.1f%%  %10d  %6d  %14d\n",
+					mode(row.Shards), row.Effective, 100*row.Reduction, row.Migrations, row.Rounds, row.CrossProposed)
 			}
-			mode := fmt.Sprintf("fixed-%d", run.Shards)
-			if run.Auto {
-				mode = "auto"
-			}
-			fmt.Fprintf(w, "%8s  %6d  %8.1f%%  %10d  %6d  %14d\n",
-				mode, run.FinalShards(), 100*run.Reduction, run.Migrations, run.Rounds, run.CrossProposed)
 		}
 		if best, ok := r.BestFixed(wl); ok {
 			if auto, ok2 := r.AutoRun(wl); ok2 && best.Reduction > 0 {

@@ -34,7 +34,7 @@ func TestAutoTuneSweepConvergence(t *testing.T) {
 		if len(auto.ChosenShards) == 0 {
 			t.Fatalf("%s: auto run recorded no per-round shard choices", w)
 		}
-		finals[w] = auto.FinalShards()
+		finals[w] = auto.Effective
 	}
 	// The two workloads are constructed to have different optima: the
 	// controller must actually distinguish them.

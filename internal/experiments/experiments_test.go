@@ -294,14 +294,15 @@ func TestShardSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ShardSweep: %v", err)
 	}
-	if len(res.Baseline) != 2 || len(res.Sharded) != 2 || res.Sharded[0].Shards != 2 || res.Sharded[1].Shards != 4 {
-		t.Fatalf("want a baseline per policy and a run per shard count: %+v / %+v", res.Baseline, res.Sharded)
+	rows := res.Rows
+	if len(rows) != 4 || rows[0].Policy != "hlf" || rows[1].Policy != "rr" || rows[2].Shards != 2 || rows[3].Shards != 4 {
+		t.Fatalf("want a baseline per policy and a run per shard count: %+v", rows)
 	}
-	for _, row := range append(append([]ShardSweepRow(nil), res.Baseline...), res.Sharded...) {
+	for _, row := range rows {
 		if row.FinalCost >= res.InitialCost {
 			t.Fatalf("shards=%d did not reduce cost", row.Shards)
 		}
-		if row.Reduction < 0.5*res.Baseline[0].Reduction {
+		if row.Reduction < 0.5*rows[0].Reduction {
 			t.Fatalf("shards=%d keeps under half the baseline reduction", row.Shards)
 		}
 	}
@@ -309,6 +310,42 @@ func TestShardSweepSmall(t *testing.T) {
 	res.Render(&buf)
 	if !strings.Contains(buf.String(), "Shard sweep") {
 		t.Fatal("render output empty")
+	}
+}
+
+// TestDistributedSweepSmall runs the agent-plane sweep at counts {1, 2},
+// healthy and at 20% shard-token loss: the serial agent ring comes first,
+// every run lowers the cost, each run reports one per-shard entry per
+// ring it ran, and the lossy sweep regenerates a ring (each run makes
+// hundreds of hops).
+func TestDistributedSweepSmall(t *testing.T) {
+	t.Parallel()
+	for _, loss := range []float64{0, 0.2} {
+		res, err := DistributedSweep(FatTree, Sparse, ScaleSmall, 1, []int{1, 2}, loss)
+		if err != nil {
+			t.Fatalf("loss %g: %v", loss, err)
+		}
+		if len(res.Rows) != 2 || res.Rows[0].Shards != 1 || res.Rows[1].Shards != 2 {
+			t.Fatalf("loss %g: want the count-1 row, then count 2: %+v", loss, res.Rows)
+		}
+		regens := 0
+		for _, row := range res.Rows {
+			if row.FinalCost >= res.InitialCost {
+				t.Errorf("loss %g, shards=%d: final cost %.0f, initial %.0f", loss, row.Shards, row.FinalCost, res.InitialCost)
+			}
+			if len(row.PerShard) != row.Effective {
+				t.Errorf("loss %g, shards=%d: %d per-shard entries for %d rings", loss, row.Shards, len(row.PerShard), row.Effective)
+			}
+			regens += row.Regenerated
+		}
+		if loss > 0 && regens == 0 {
+			t.Errorf("loss %g: no ring regenerated", loss)
+		}
+		var buf strings.Builder
+		res.Render(&buf)
+		if !strings.Contains(buf.String(), "per-shard at 2 shards") {
+			t.Errorf("loss %g: render lacks the per-shard breakdown:\n%s", loss, buf.String())
+		}
 	}
 }
 

@@ -29,20 +29,12 @@ func Fig2MigratedRatio(scale Scale, seed int64) (*Fig2Result, error) {
 	}
 	res := &Fig2Result{Iterations: iterations}
 	for _, pol := range []token.Policy{token.RoundRobin{}, token.HighestLevelFirst{}} {
-		run, err := base.CloneForRun()
-		if err != nil {
-			return nil, err
-		}
 		cfg := sim.DefaultConfig()
 		cfg.MaxIterations = iterations
 		cfg.HopLatencyS = 0.05
-		cfg.DurationS = cfg.HopLatencyS*float64(iterations*run.Cl.NumVMs()) + 120
+		cfg.DurationS = cfg.HopLatencyS*float64(iterations*base.Cl.NumVMs()) + 120
 		cfg.SampleIntervalS = cfg.DurationS / 40
-		runner, err := sim.NewRunner(run.Eng, pol, cfg, run.Rng)
-		if err != nil {
-			return nil, err
-		}
-		m, err := runner.Run()
+		m, err := base.runCell(base.Eng.CostModel(), base.Eng.Config(), pol, cfg)
 		if err != nil {
 			return nil, err
 		}

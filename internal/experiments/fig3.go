@@ -143,16 +143,7 @@ func Fig3CostRatio(family Family, density Density, scale Scale, seed int64) (*Fi
 	res.GAGenerations = gaRes.Generations
 
 	for _, pol := range []token.Policy{token.HighestLevelFirst{}, token.RoundRobin{}} {
-		run, err := base.CloneForRun()
-		if err != nil {
-			return nil, err
-		}
-		cfg := simConfigFor(run.Cl.NumVMs(), 8)
-		runner, err := sim.NewRunner(run.Eng, pol, cfg, run.Rng)
-		if err != nil {
-			return nil, err
-		}
-		m, err := runner.Run()
+		m, err := base.runCell(base.Eng.CostModel(), base.Eng.Config(), pol, simConfigFor(base.Cl.NumVMs(), 8))
 		if err != nil {
 			return nil, err
 		}

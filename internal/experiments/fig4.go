@@ -53,7 +53,7 @@ func Fig4ScoreVsRemedy(scale Scale, seed int64) (*Fig4Result, error) {
 	core3 := stats.NewCDF(net.UtilizationAtLevel(3))
 	if p90 := core3.Quantile(0.9); p90 > 0 && (p90 < 0.35 || p90 > 1.0) {
 		base.TM = base.TM.Scaled(0.7 / p90)
-		if _, err := rebuildEngine(base, base.Eng.Config()); err != nil {
+		if base.Eng, err = core.NewEngine(base.Topo, base.Eng.CostModel(), base.Cl, base.TM, base.Eng.Config()); err != nil {
 			return nil, err
 		}
 		net.Recompute(base.TM, base.Cl)
@@ -73,24 +73,12 @@ func Fig4ScoreVsRemedy(scale Scale, seed int64) (*Fig4Result, error) {
 	// migration cost model … and set S-CORE's cm accordingly"): the
 	// modeled migrated bytes of a typical VM, expressed in cost units
 	// via the level-1 weight over the measurement horizon.
-	scoreRun, err := base.CloneForRun()
-	if err != nil {
-		return nil, err
-	}
-	simCfg := simConfigFor(scoreRun.Cl.NumVMs(), 8)
+	simCfg := simConfigFor(base.Cl.NumVMs(), 8)
 	typBytesMB := migration.WorkingSetMeanMB // typical pre-copy payload
-	cm := 2 * (typBytesMB * 8 / remedy.HorizonS) * scoreRun.Eng.CostModel().Prefix(1)
-	engCfg := scoreRun.Eng.Config()
+	cm := 2 * (typBytesMB * 8 / remedy.HorizonS) * base.Eng.CostModel().Prefix(1)
+	engCfg := base.Eng.Config()
 	engCfg.MigrationCost = cm
-	scoreEng, err := rebuildEngine(scoreRun, engCfg)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := sim.NewRunner(scoreEng, token.HighestLevelFirst{}, simCfg, scoreRun.Rng)
-	if err != nil {
-		return nil, err
-	}
-	sm, err := runner.Run()
+	sm, err := base.runCell(base.Eng.CostModel(), engCfg, token.HighestLevelFirst{}, simCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -118,18 +106,6 @@ func Fig4ScoreVsRemedy(scale Scale, seed int64) (*Fig4Result, error) {
 	res.RemedyCore = rm.UtilizationByLevel[3]
 	res.RemedyAgg = rm.UtilizationByLevel[2]
 	return res, nil
-}
-
-// rebuildEngine replaces the scenario's engine with one using a
-// modified config (the cluster and traffic matrix stay shared), and
-// reassigns sc.Eng so the scenario never holds a stale engine.
-func rebuildEngine(sc *Scenario, cfg core.Config) (*core.Engine, error) {
-	eng, err := core.NewEngine(sc.Topo, sc.Eng.CostModel(), sc.Cl, sc.TM, cfg)
-	if err != nil {
-		return nil, err
-	}
-	sc.Eng = eng
-	return eng, nil
 }
 
 // Render renders the CDFs and the comparison chart.

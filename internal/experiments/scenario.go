@@ -12,6 +12,8 @@ import (
 
 	"github.com/score-dc/score/internal/cluster"
 	"github.com/score-dc/score/internal/core"
+	"github.com/score-dc/score/internal/sim"
+	"github.com/score-dc/score/internal/token"
 	"github.com/score-dc/score/internal/topology"
 	"github.com/score-dc/score/internal/traffic"
 )
@@ -226,6 +228,23 @@ func assemble(topo topology.Topology, cl *cluster.Cluster, d Density, rng *rand.
 		return nil, err
 	}
 	return &Scenario{Topo: topo, Cl: cl, TM: tm, Eng: eng, Rng: rng, VMsPerHost: vmsPerHost}, nil
+}
+
+// runCell runs one experiment cell from the scenario's allocation: it
+// clones the cluster, builds one engine over the clone with the cell's
+// cost model and engine config, and runs pol under cfg, drawing from the
+// scenario's RNG. The scenario's own cluster and engine are left as they
+// were, so every cell of a figure starts from one allocation.
+func (sc *Scenario) runCell(cost core.CostModel, engCfg core.Config, pol token.Policy, cfg sim.Config) (*sim.Metrics, error) {
+	eng, err := core.NewEngine(sc.Topo, cost, sc.Cl.Clone(), sc.TM, engCfg)
+	if err != nil {
+		return nil, err
+	}
+	runner, err := sim.NewRunner(eng, pol, cfg, sc.Rng)
+	if err != nil {
+		return nil, err
+	}
+	return runner.Run()
 }
 
 // CloneForRun duplicates the scenario's mutable state (cluster +

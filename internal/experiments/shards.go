@@ -9,20 +9,76 @@ import (
 	"github.com/score-dc/score/internal/token"
 )
 
-// ShardSweepRow is one run of the shard sweep.
-type ShardSweepRow struct {
-	// Shards is the configured ring count, Effective the count after
-	// clamping to the topology's units.
-	Shards, Effective int
-	FinalCost         float64
-	Reduction         float64
-	Migrations        int
-	CrossApplied      int
-	Rounds            int
+// SweepRow is one run of a sharded sweep (ShardSweep, DistributedSweep,
+// AutoTuneSweep): the cell it ran and what its metrics report.
+type SweepRow struct {
+	// Shards is the configured ring count, 0 for the auto-tuned run.
+	// Policy names a single-token baseline's policy and Workload the
+	// auto-tuning sweep's traffic shape.
+	Shards   int
+	Policy   string
+	Workload AutoTuneWorkload
+	// ChosenShards is every round's ring count (sharded runs), and
+	// Effective the last of them, or 1 for the single token.
+	ChosenShards                            []int
+	Effective                               int
+	FinalCost, Reduction                    float64
+	Migrations, CrossProposed, CrossApplied int
+	// Passes counts token passes (one per round on the sharded planes),
+	// Rounds the sharded rounds (0 for the in-process single token).
+	Passes, Rounds int
 	// CriticalHops is the longest ring's hops summed over rounds — the
 	// concurrent critical path; all hops for the single token.
 	CriticalHops int
-	WallClock    time.Duration
+	// RingLatencyMS is the slowest ring's mean per-round wall-clock
+	// latency (agent plane only). Regenerated and Recovered sum the
+	// rings' token re-injections and the rounds they completed despite
+	// one.
+	RingLatencyMS          float64
+	Regenerated, Recovered int
+	// PerShard is each ring's activity summed over rounds.
+	PerShard  []sim.ShardStats
+	WallClock time.Duration
+}
+
+// sweepRow runs the cell row names on the scenario, under its Policy
+// (drawing from the scenario's RNG) or Highest-Level First, and fills in
+// what the run's metrics report.
+func (sc *Scenario) sweepRow(row SweepRow, cfg sim.Config) (SweepRow, error) {
+	var pol token.Policy = token.HighestLevelFirst{}
+	if row.Policy != "" {
+		var err error
+		if pol, err = token.ByName(row.Policy, sc.Rng); err != nil {
+			return row, err
+		}
+	}
+	start := time.Now()
+	m, err := sc.runCell(sc.Eng.CostModel(), sc.Eng.Config(), pol, cfg)
+	if err != nil {
+		return row, err
+	}
+	row.WallClock = time.Since(start)
+	row.ChosenShards, row.Effective = m.ShardsChosen, 1
+	if n := len(m.ShardsChosen); n > 0 {
+		row.Effective = m.ShardsChosen[n-1]
+	}
+	row.FinalCost, row.Reduction = m.FinalCost, m.Reduction()
+	row.Migrations, row.CrossProposed, row.CrossApplied = m.TotalMigrations, m.CrossProposed, m.CrossApplied
+	row.Passes, row.Rounds, row.CriticalHops, row.PerShard = len(m.Iterations), m.Rounds, m.TokenHops, m.PerShard
+	longest, worst := 0, 0.0
+	for _, st := range m.PerShard {
+		longest = max(longest, st.Hops)
+		worst = max(worst, st.LatencyS)
+		row.Regenerated += st.Regenerated
+		row.Recovered += st.Recovered
+	}
+	if len(m.PerShard) > 0 {
+		row.CriticalHops = longest
+	}
+	if m.Rounds > 0 {
+		row.RingLatencyMS = 1000 * worst / float64(m.Rounds)
+	}
+	return row, nil
 }
 
 // ShardSweepResult is the shard-count scenario axis opened by the
@@ -37,11 +93,9 @@ type ShardSweepRow struct {
 type ShardSweepResult struct {
 	Family  Family
 	Density Density
-	// Baseline[i] is the single token (shards = 1) under Policies[i].
-	Policies []string
-	Baseline []ShardSweepRow
-	// Sharded holds one run per requested shard count above 1.
-	Sharded     []ShardSweepRow
+	// Rows holds the single token (shards = 1) under each policy, its
+	// Policy set, then one run per requested shard count above 1.
+	Rows        []SweepRow
 	InitialCost float64
 	TotalVMs    int
 }
@@ -57,62 +111,21 @@ func ShardSweep(f Family, d Density, s Scale, seed int64, counts []int, policies
 	if err != nil {
 		return nil, err
 	}
-	res := &ShardSweepResult{
-		Family: f, Density: d, Policies: policies,
-		InitialCost: base.Eng.TotalCost(), TotalVMs: base.Cl.NumVMs(),
-	}
-	run := func(shards int, polName string) (ShardSweepRow, error) {
-		sc, err := base.CloneForRun()
-		if err != nil {
-			return ShardSweepRow{}, err
-		}
-		pol, err := token.ByName(polName, sc.Rng)
-		if err != nil {
-			return ShardSweepRow{}, err
-		}
-		cfg := sweepConfig(sc.Cl.NumVMs())
-		cfg.Shards = shards
-		runner, err := sim.NewRunner(sc.Eng, pol, cfg, sc.Rng)
-		if err != nil {
-			return ShardSweepRow{}, err
-		}
-		start := time.Now()
-		m, err := runner.Run()
-		if err != nil {
-			return ShardSweepRow{}, err
-		}
-		row := ShardSweepRow{
-			Shards: shards, Effective: 1, WallClock: time.Since(start),
-			FinalCost: m.FinalCost, Reduction: m.Reduction(),
-			Migrations: m.TotalMigrations, CrossApplied: m.CrossApplied,
-			Rounds: len(m.Iterations), CriticalHops: m.TokenHops,
-		}
-		if shards > 1 {
-			// PerShard hops accumulate across rounds; the longest
-			// ring's total approximates the concurrent critical path.
-			row.Effective, row.CriticalHops = len(m.PerShard), 0
-			for _, st := range m.PerShard {
-				row.CriticalHops = max(row.CriticalHops, st.Hops)
-			}
-		}
-		return row, nil
-	}
-	for _, polName := range policies {
-		row, err := run(1, polName)
-		if err != nil {
-			return nil, err
-		}
-		res.Baseline = append(res.Baseline, row)
+	res := &ShardSweepResult{Family: f, Density: d, InitialCost: base.Eng.TotalCost(), TotalVMs: base.Cl.NumVMs()}
+	for _, name := range policies {
+		res.Rows = append(res.Rows, SweepRow{Shards: 1, Policy: name})
 	}
 	for _, n := range counts {
-		if n <= 1 {
-			continue
+		if n > 1 {
+			res.Rows = append(res.Rows, SweepRow{Shards: n})
 		}
-		row, err := run(n, "hlf")
-		if err != nil {
+	}
+	for i, cell := range res.Rows {
+		cfg := sweepConfig(base.Cl.NumVMs())
+		cfg.Shards = cell.Shards
+		if res.Rows[i], err = base.sweepRow(cell, cfg); err != nil {
 			return nil, err
 		}
-		res.Sharded = append(res.Sharded, row)
 	}
 	return res, nil
 }
@@ -126,27 +139,11 @@ func ShardSweep(f Family, d Density, s Scale, seed int64, counts []int, policies
 type DistributedSweepResult struct {
 	Family  Family
 	Density Density
-	// Counts[0] is always 1 — the serial agent-ring baseline.
-	Counts        []int
-	FinalCost     []float64
-	Reduction     []float64
-	Migrations    []int
-	CrossProposed []int
-	CrossApplied  []int
-	Rounds        []int
-	// RingLatencyMS[i] is the mean per-round latency of the slowest
-	// ring (wall clock, token injection to completion report);
-	// ShardLatencyMS[i][s] the per-shard cumulative latency.
-	RingLatencyMS  []float64
-	ShardLatencyMS [][]float64
-	ShardHops      [][]int
-	ShardProposals [][]int
-	// Loss is the injected per-hop shard-token drop probability;
-	// Regenerated and Recovered count reconciler token re-injections
-	// and rings that completed despite needing one, per shard count.
+	// Rows holds one run per shard count; the first is always 1, the
+	// serial agent-ring baseline.
+	Rows []SweepRow
+	// Loss is the injected per-hop shard-token drop probability.
 	Loss        float64
-	Regenerated []int
-	Recovered   []int
 	InitialCost float64
 	TotalVMs    int
 }
@@ -159,58 +156,24 @@ func DistributedSweep(f Family, d Density, s Scale, seed int64, counts []int, lo
 	if len(counts) == 0 || counts[0] != 1 {
 		counts = append([]int{1}, counts...)
 	}
-	res := &DistributedSweepResult{Family: f, Density: d, Counts: counts, Loss: loss}
+	res := &DistributedSweepResult{Family: f, Density: d, Loss: loss}
 	for _, n := range counts {
 		base, err := NewScenario(f, s, d, seed)
 		if err != nil {
 			return nil, err
 		}
-		res.InitialCost = base.Eng.TotalCost()
-		res.TotalVMs = base.Cl.NumVMs()
+		res.InitialCost, res.TotalVMs = base.Eng.TotalCost(), base.Cl.NumVMs()
 		cfg := sweepConfig(base.Cl.NumVMs())
 		cfg.DistributedShards = n
 		if loss > 0 {
 			cfg.TokenLossProb = loss
 			cfg.DistributedDeadlineS = 0.05
 		}
-		runner, err := sim.NewRunner(base.Eng, token.HighestLevelFirst{}, cfg, base.Rng)
+		row, err := base.sweepRow(SweepRow{Shards: n}, cfg)
 		if err != nil {
 			return nil, err
 		}
-		m, err := runner.Run()
-		if err != nil {
-			return nil, err
-		}
-		res.FinalCost = append(res.FinalCost, m.FinalCost)
-		res.Reduction = append(res.Reduction, m.Reduction())
-		res.Migrations = append(res.Migrations, m.TotalMigrations)
-		res.CrossProposed = append(res.CrossProposed, m.CrossProposed)
-		res.CrossApplied = append(res.CrossApplied, m.CrossApplied)
-		res.Rounds = append(res.Rounds, m.Rounds)
-		var lat []float64
-		var hops, props []int
-		worst := 0.0
-		regen, recov := 0, 0
-		for _, st := range m.PerShard {
-			lat = append(lat, 1000*st.LatencyS)
-			hops = append(hops, st.Hops)
-			props = append(props, st.Proposals)
-			regen += st.Regenerated
-			recov += st.Recovered
-			if st.LatencyS > worst {
-				worst = st.LatencyS
-			}
-		}
-		res.Regenerated = append(res.Regenerated, regen)
-		res.Recovered = append(res.Recovered, recov)
-		mean := 0.0
-		if m.Rounds > 0 {
-			mean = 1000 * worst / float64(m.Rounds)
-		}
-		res.RingLatencyMS = append(res.RingLatencyMS, mean)
-		res.ShardLatencyMS = append(res.ShardLatencyMS, lat)
-		res.ShardHops = append(res.ShardHops, hops)
-		res.ShardProposals = append(res.ShardProposals, props)
+		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
 }
@@ -224,20 +187,20 @@ func (r *DistributedSweepResult) Render(w io.Writer) {
 	}
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "shards  final-cost  reduction  migrations  cross-proposed  cross-applied  rounds  ring-lat-ms  regen  recovered")
-	for i, n := range r.Counts {
+	for _, x := range r.Rows {
 		fmt.Fprintf(w, "%6d  %10.0f  %8.1f%%  %10d  %14d  %13d  %6d  %11.2f  %5d  %9d\n",
-			n, r.FinalCost[i], 100*r.Reduction[i], r.Migrations[i],
-			r.CrossProposed[i], r.CrossApplied[i], r.Rounds[i], r.RingLatencyMS[i],
-			r.Regenerated[i], r.Recovered[i])
+			x.Shards, x.FinalCost, 100*x.Reduction, x.Migrations,
+			x.CrossProposed, x.CrossApplied, x.Rounds, x.RingLatencyMS,
+			x.Regenerated, x.Recovered)
 	}
-	for i, n := range r.Counts {
-		if n == 1 {
+	for _, x := range r.Rows {
+		if x.Shards == 1 {
 			continue
 		}
-		fmt.Fprintf(w, "per-shard at %d shards (cumulative):\n", n)
-		for s := range r.ShardLatencyMS[i] {
+		fmt.Fprintf(w, "per-shard at %d shards (cumulative):\n", x.Shards)
+		for s, st := range x.PerShard {
 			fmt.Fprintf(w, "  shard %d: %d hops, %d proposals, %.2f ms ring latency\n",
-				s, r.ShardHops[i][s], r.ShardProposals[i][s], r.ShardLatencyMS[i][s])
+				s, st.Hops, st.Proposals, 1000*st.LatencyS)
 		}
 	}
 }
@@ -247,17 +210,18 @@ func (r *ShardSweepResult) Render(w io.Writer) {
 	fmt.Fprintf(w, "Shard sweep: %s / %s, %d VMs, initial cost %.0f\n",
 		r.Family, r.Density, r.TotalVMs, r.InitialCost)
 	const header = "shards  eff  final-cost  reduction  migrations  cross  rounds  critical-hops  wall"
-	row := func(x ShardSweepRow) {
+	row := func(x SweepRow) {
 		fmt.Fprintf(w, "%6d  %3d  %10.0f  %8.1f%%  %10d  %5d  %6d  %13d  %s\n",
 			x.Shards, x.Effective, x.FinalCost, 100*x.Reduction, x.Migrations, x.CrossApplied,
-			x.Rounds, x.CriticalHops, x.WallClock.Round(time.Millisecond))
+			x.Passes, x.CriticalHops, x.WallClock.Round(time.Millisecond))
 	}
-	for pi, pol := range r.Policies {
-		fmt.Fprintf(w, "single token, policy %s:\n%s\n", pol, header)
-		row(r.Baseline[pi])
+	n := 0
+	for ; n < len(r.Rows) && r.Rows[n].Policy != ""; n++ {
+		fmt.Fprintf(w, "single token, policy %s:\n%s\n", r.Rows[n].Policy, header)
+		row(r.Rows[n])
 	}
 	fmt.Fprintf(w, "sharded rounds (ring order; the policy axis ends at shards = 1):\n%s\n", header)
-	for _, x := range r.Sharded {
+	for _, x := range r.Rows[n:] {
 		row(x)
 	}
 }

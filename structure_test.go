@@ -1090,3 +1090,33 @@ func TestGateOneDeadline(t *testing.T) {
 		t.Error("Reconciler.collect compares nothing against tk.lastProgress; the gate reads its deadline check")
 	}
 }
+
+// TestGateOneRunPath keeps every experiment cell on one run path,
+// Scenario.runCell: clone the cluster, build one engine over the clone with
+// the cell's cost model and engine config, build the runner, run. Eight
+// sites once spelled that out, each its own way, and two helpers built the
+// clone's engine and then a second one with the cell's config; every figure
+// came out the same. A second copy of the path would pass every figure
+// test, so runCell's call is the only sim.NewRunner call in the package's
+// programs, and runCell builds exactly one engine.
+func TestGateOneRunPath(t *testing.T) {
+	files := srcIn(t, "internal/experiments", false)
+	run := method(t, srcAt(t, "internal/experiments/scenario.go"), "Scenario", "runCell")
+	n := 0
+	for _, f := range files {
+		for _, c := range calls(f.ast, `^sim\.NewRunner\($`) {
+			if within(c, run) {
+				n++
+				continue
+			}
+			t.Errorf("%s: sim.NewRunner outside Scenario.runCell; every experiment cell runs through it", at(c))
+		}
+	}
+	if n != 1 {
+		t.Errorf("Scenario.runCell calls sim.NewRunner %d times; it builds one runner", n)
+	}
+	if e := len(calls(run.Body, `^core\.NewEngine\($`)); e != 1 {
+		t.Errorf("Scenario.runCell calls core.NewEngine %d times; a cell builds one engine", e)
+	}
+	forbid(t, files, `^(runOnce|rebuildEngine)\($`, "a second run helper; cells run through Scenario.runCell")
+}
