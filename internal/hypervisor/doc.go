@@ -131,7 +131,7 @@
 //     discarded at the reconciler, so a regenerated ring can never
 //     double-apply a move.
 //
-//   - Eviction. A holder that swallows EvictAttempts consecutive
+//   - Eviction. A holder that swallows evictAttempts (two) consecutive
 //     re-injections without advancing the ring is presumed crashed: all
 //     ring slots of its host's VMs are removed from the token and the
 //     token resumes at the ring successor. The hop limit is left alone

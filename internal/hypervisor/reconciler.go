@@ -35,12 +35,6 @@ type ReconcilerConfig struct {
 	// a spurious regeneration is safe (the attempt sequence number
 	// discards the slow original) but wastes work.
 	ShardDeadline time.Duration
-	// EvictAttempts is how many consecutive regenerations may re-target
-	// the same stalled holder before its host is evicted from the ring
-	// (presumed crashed) and its ring slots re-homed to the successor;
-	// zero means 2. Under pure message loss a single lost re-injection
-	// therefore never evicts a live host.
-	EvictAttempts int
 	// Tuner, when set, supersedes Shards and Granularity (shard.Config's
 	// rule): every round asks it — the adaptive control plane's
 	// control.Controller, say — for the shard count and granularity.
@@ -103,6 +97,12 @@ const (
 	// maxAttempts caps regenerations per shard per round; beyond it the
 	// ring is finalized from the reconciler's copy as-is.
 	maxAttempts = 32
+	// evictAttempts is how many consecutive regenerations may re-target
+	// the same stalled holder before its host is evicted from the ring
+	// (presumed crashed) and its ring slots re-homed to the successor.
+	// Under pure message loss a single lost re-injection therefore never
+	// evicts a live host.
+	evictAttempts = 2
 )
 
 // ringEvent is one MsgRingDone or MsgRingAck arrival.
@@ -127,6 +127,8 @@ type Reconciler struct {
 	// probeTimeout is bound into rq on Start; the commit path's wait for
 	// a transfer whose every response was lost is counted in it.
 	probeTimeout time.Duration
+	// evictAttempts is the package constant; tests may raise it.
+	evictAttempts int
 	// kern is the decision rule's kernel: the merge phase's Delta, which
 	// runs strictly sequentially, scores on it.
 	kern *core.Kernel
@@ -146,14 +148,11 @@ func NewReconciler(cfg ReconcilerConfig, reg *Registry) (*Reconciler, error) {
 	if cfg.ShardDeadline <= 0 {
 		cfg.ShardDeadline = 5 * time.Second
 	}
-	if cfg.EvictAttempts <= 0 {
-		cfg.EvictAttempts = 2
-	}
 	kern, err := core.NewKernel(cfg.Topo, cfg.Cost, cfg.MigrationCost)
 	if err != nil {
 		return nil, err
 	}
-	r := &Reconciler{cfg: cfg, kern: kern, reg: reg, probeTimeout: probeTimeout, events: make(chan ringEvent, 4096)}
+	r := &Reconciler{cfg: cfg, kern: kern, reg: reg, probeTimeout: probeTimeout, evictAttempts: evictAttempts, events: make(chan ringEvent, 4096)}
 	scfg := shard.Config{Shards: cfg.Shards, Granularity: cfg.Granularity, Tuner: cfg.Tuner, Trace: cfg.Trace, Audit: cfg.Audit}
 	if cfg.Metrics != nil {
 		scfg.Metrics = cfg.Metrics.Metrics
@@ -456,7 +455,7 @@ func (r *Reconciler) finalize(c *roundState, s int, st *RingState, at time.Time)
 // regenerate rebuilds shard s's ring from the reconciler's copy after a
 // missed deadline: the token resumes at the holder it was last handed to,
 // with the acked staged moves intact. A holder that has already swallowed
-// EvictAttempts consecutive re-injections is presumed crashed: its host's
+// evictAttempts consecutive re-injections is presumed crashed: its host's
 // VMs are evicted from the ring, their slots re-homed by resuming at the
 // ring successor, and the ring limit shrunk accordingly. If the copy
 // already covers the full pass (only the completion report was lost), or
@@ -486,7 +485,7 @@ func (r *Reconciler) regenerate(c *roundState, s int) error {
 			r.finalize(c, s, st, time.Now())
 			return nil
 		}
-		if tk.stuck > r.cfg.EvictAttempts {
+		if tk.stuck > r.evictAttempts {
 			// The resume holder ignored repeated re-injections: evict
 			// its host and re-home its ring slots to the successor. The
 			// ring limit stays put — we cannot tell which of the
@@ -525,7 +524,7 @@ func (r *Reconciler) regenerate(c *roundState, s int) error {
 		addr, ok := r.reg.Lookup(resume)
 		if !ok {
 			// Unroutable holder: treat as crashed immediately.
-			tk.stuck = r.cfg.EvictAttempts + 1
+			tk.stuck = r.evictAttempts + 1
 			continue
 		}
 		tk.attempt++
@@ -540,7 +539,7 @@ func (r *Reconciler) regenerate(c *roundState, s int) error {
 		}
 		if err := r.tr.Send(addr, Message{Type: MsgShardToken, VM: resume, Payload: st.Encode()}); err != nil {
 			// The holder's transport is gone: evict and move on.
-			tk.stuck = r.cfg.EvictAttempts + 1
+			tk.stuck = r.evictAttempts + 1
 			continue
 		}
 		tk.next = resume

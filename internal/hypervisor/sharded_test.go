@@ -125,7 +125,7 @@ func (p *shardPlane) finalPlacement() map[cluster.VMID]cluster.HostID {
 // planeOpts tunes a test plane beyond the healthy defaults: a shared
 // fault plan wrapping every endpoint's transport, and the short timeouts
 // chaos tests need so recovery happens in test time (a zero probeTimeout
-// keeps the package's).
+// or evictAttempts keeps the package's).
 type planeOpts struct {
 	faults        *FaultPlan
 	probeTimeout  time.Duration
@@ -255,7 +255,6 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 		rec, err := NewReconciler(ReconcilerConfig{
 			Topo: topo, Cost: cm, Shards: shards, Granularity: shard.ByPod,
 			ShardDeadline: o.shardDeadline,
-			EvictAttempts: o.evictAttempts,
 			Metrics:       o.metrics,
 			Trace:         o.trace,
 			Audit:         o.audit,
@@ -265,6 +264,9 @@ func buildShardPlaneOpts(t testing.TB, k int, seed int64, scale float64, shards 
 		}
 		if o.probeTimeout > 0 {
 			rec.probeTimeout = o.probeTimeout
+		}
+		if o.evictAttempts > 0 {
+			rec.evictAttempts = o.evictAttempts
 		}
 		if err := rec.Start(func(h Handler) (Transport, error) {
 			tr, err := mk("reconciler")(h)

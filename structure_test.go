@@ -982,13 +982,14 @@ func TestGateOneFollower(t *testing.T) {
 // idle cap, idle timeout and heartbeat timers, the flight recorder's bundle
 // cap, rate limit, profile length, poll and audit tail, the daemon's
 // history length and first VM ID, the GA's dense genomes, the dom0 plane's
-// probe timeout and shard-token observer were settable, and no program set
-// them; the daemon's, the coordinator's and the GA's worker pools are
-// GOMAXPROCS, and a setting whose default equals that is a second way to
-// say it. The transport's metric families were registered and never
-// recorded. None may come back outside bench/ (which compiles against
-// internal/ on its own schedule); tests lower the probe timeout and set
-// the observer in package, and vary GOMAXPROCS.
+// probe timeout, eviction attempt count and shard-token observer were
+// settable, and no program set them; the daemon's, the coordinator's and
+// the GA's worker pools are GOMAXPROCS, and a setting whose default equals
+// that is a second way to say it. The transport's metric families were
+// registered and never recorded. None may come back outside bench/ (which
+// compiles against internal/ on its own schedule); tests lower the probe
+// timeout, raise the eviction attempt count and set the observer in
+// package, and vary GOMAXPROCS.
 //
 // Section VI runs every comparison at one setting, so the GA's operators
 // and stop rule, Remedy's setup, the traffic generator's shape and the
@@ -1005,8 +1006,8 @@ func TestGateSettings(t *testing.T) {
 	programs := srcUnder(t, ".", false)
 	forbid(t, programs, `\b(TCPConfig|NewTCPTransportConfig|TransportMetrics|FlightConfig|HistoryRounds|FirstVMID|ShardWorkers|DenseGenomes)\b`,
 		"a setting no program sets is a constant")
-	forbid(t, srcUnder(t, ".", true), `\b(ProbeTimeout|OnShardToken)\b`,
-		"the probe timeout and the shard-token observer are unexported; tests set them in package")
+	forbid(t, srcUnder(t, ".", true), `\b(ProbeTimeout|OnShardToken|EvictAttempts)\b`,
+		"the probe timeout, the shard-token observer and the eviction attempt count are unexported; tests set them in package")
 	for _, p := range []string{"internal/serve/serve.go", "internal/shard/coordinator.go", "internal/ga/ga.go"} {
 		for _, id := range fieldNames(structType(t, srcAt(t, p), "Config")) {
 			if id.Name == "Workers" {
