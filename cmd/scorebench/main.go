@@ -319,6 +319,7 @@ func doubling(top int) []int {
 	return counts
 }
 
+// row is one sweep run, as the sweep CSVs read it.
 type row = experiments.SweepRow
 
 // columns are the sweeps' CSV columns by name; a column baseline_<policy>
@@ -338,6 +339,7 @@ var columns = map[string]func(row) float64{
 	"recovered_rings":     func(r row) float64 { return float64(r.Recovered) },
 }
 
+// one is a flag column's value: 1 when ok holds, 0 otherwise.
 func one(ok bool) float64 {
 	if ok {
 		return 1

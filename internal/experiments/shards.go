@@ -64,7 +64,8 @@ func (sc *Scenario) sweepRow(row SweepRow, cfg sim.Config) (SweepRow, error) {
 	}
 	row.FinalCost, row.Reduction = m.FinalCost, m.Reduction()
 	row.Migrations, row.CrossProposed, row.CrossApplied = m.TotalMigrations, m.CrossProposed, m.CrossApplied
-	row.Passes, row.Rounds, row.CriticalHops, row.PerShard = len(m.Iterations), m.Rounds, m.TokenHops, m.PerShard
+	row.Passes, row.Rounds = len(m.Iterations), m.Rounds
+	row.CriticalHops, row.PerShard = m.TokenHops, m.PerShard
 	longest, worst := 0, 0.0
 	for _, st := range m.PerShard {
 		longest = max(longest, st.Hops)
